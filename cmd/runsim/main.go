@@ -172,62 +172,46 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		sim, err := factory()
-		if err != nil {
-			return err
-		}
 		fmt.Printf("model=%v setup=%s golden=%d cycles, %d injections (%v on %v), %d lifetime events\n",
 			m, setup.Name, g.Cycles, len(specs), fp.Model, tgt, g.LifetimeEvents())
-		// With -lanes > 1 the probe replays through the bit-parallel
-		// lockstep engine instead of one scalar replay per fault — same
-		// classifications (the batch path is byte-identical), printed
-		// with a packing summary.
+		// The probe replays through the engine a campaign with these
+		// settings would use: with -lanes > 1 on a batch-capable model and
+		// target that is the bit-parallel lockstep engine instead of one
+		// scalar replay per fault — same classifications (the batch path
+		// is byte-identical), printed with a packing summary.
 		if *lanes < 1 || *lanes > campaign.MaxLanes {
 			return fmt.Errorf("-lanes %d out of range [1,%d]", *lanes, campaign.MaxLanes)
 		}
+		cfg.Lanes = *lanes
+		r, err := campaign.NewReplayer(&campaign.Work{Golden: g, Config: cfg, Factory: factory})
+		if err != nil {
+			return err
+		}
 		outs := make([]campaign.RunOutcome, len(specs))
-		batched := false
-		if *lanes > 1 {
-			gold, err := factory()
-			if err != nil {
-				return err
+		i := 0
+		err = r.Replay(func() (int, fault.Spec, bool) {
+			if i >= len(specs) {
+				return 0, fault.Spec{}, false
 			}
-			bcfg := cfg
-			bcfg.Lanes = *lanes
-			if br := campaign.NewBatchReplayer(g, bcfg, gold, sim); br != nil {
-				i := 0
-				err := br.Replay(func() (int, fault.Spec, bool) {
-					if i >= len(specs) {
-						return 0, fault.Spec{}, false
-					}
-					i++
-					return i - 1, specs[i-1], true
-				}, func(idx int, oc campaign.RunOutcome) error {
-					outs[idx] = oc
-					return nil
-				})
-				br.Close()
-				if err != nil {
-					return err
-				}
-				batched = true
-				occ := 0.0
-				if br.Groups > 0 {
-					occ = float64(br.LaneSum) / float64(br.Groups)
-				}
-				fmt.Printf("bit-parallel replay: %d lanes, %d retired in lockstep, %d peeled to scalar, %.1f mean lane occupancy\n",
-					*lanes, br.Batched, br.Peeled, occ)
-			} else {
-				fmt.Printf("bit-parallel replay unavailable on %v/%v; scalar probe\n", m, tgt)
-			}
+			i++
+			return i - 1, specs[i-1], true
+		}, func(idx int, oc campaign.RunOutcome) error {
+			outs[idx] = oc
+			return nil
+		})
+		r.Close()
+		if err != nil {
+			return err
+		}
+		if _, batched := r.(*campaign.BatchReplayer); batched {
+			st := r.Stats()
+			fmt.Printf("bit-parallel replay: %d lanes, %d retired in lockstep, %d peeled to scalar, %.1f mean lane occupancy\n",
+				*lanes, st.Batched, st.Peeled, float64(st.LaneSum)/float64(st.Groups))
+		} else if *lanes > 1 {
+			fmt.Printf("bit-parallel replay unavailable on %v/%v; scalar probe\n", m, tgt)
 		}
 		for i, s := range specs {
 			oc := outs[i]
-			if !batched {
-				if oc, err = g.ReplayOne(sim, s, cfg); err != nil {
-					return err
-				}
-			}
 			extra := ""
 			switch s.Model {
 			case fault.ModelBurst:

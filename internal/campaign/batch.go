@@ -133,12 +133,6 @@ type BatchReplayer struct {
 	FastForward uint64
 }
 
-// pulledSpec is one plan entry drained for cycle clustering.
-type pulledSpec struct {
-	idx  int
-	spec fault.Spec
-}
-
 // NewBatchReplayer builds a replayer over one worker's simulator pair,
 // or returns nil when batching does not apply: lanes disabled
 // (cfg.Lanes <= 1), a simulator without a batch surface, or a target it
@@ -168,6 +162,17 @@ func NewBatchReplayer(g *Golden, cfg Config, gold, scalar Simulator) *BatchRepla
 // Close detaches the lane tracker from the golden instance.
 func (r *BatchReplayer) Close() { r.lanes.Detach() }
 
+// Stats reports the replayer's accounting in the pool's common form.
+func (r *BatchReplayer) Stats() ReplayStats {
+	return ReplayStats{
+		Executed: r.Batched + r.Peeled,
+		Batched:  r.Batched, Peeled: r.Peeled, Groups: r.Groups, LaneSum: r.LaneSum,
+		FastForward: r.FastForward,
+	}
+}
+
+func (r *BatchReplayer) chunk() int { return r.cfg.Lanes * batchPull }
+
 // Replay drains the plan through the batch engine: it pulls up to
 // Lanes*batchPull specs from next, sorts them by injection instant,
 // packs adjacent instants into groups of at most Lanes and replays each
@@ -177,23 +182,11 @@ func (r *BatchReplayer) Replay(next func() (idx int, spec fault.Spec, ok bool), 
 	ff0 := r.FastForward
 	defer func() { obsFFCycles.Add(r.FastForward - ff0) }()
 	for {
-		r.pull = r.pull[:0]
-		for len(r.pull) < r.cfg.Lanes*batchPull {
-			idx, spec, ok := next()
-			if !ok {
-				break
-			}
-			r.pull = append(r.pull, pulledSpec{idx: idx, spec: spec})
-		}
+		r.pull = pullSpecs(next, r.chunk(), r.pull[:0])
 		if len(r.pull) == 0 {
 			return nil
 		}
-		sort.Slice(r.pull, func(i, j int) bool {
-			if r.pull[i].spec.Cycle != r.pull[j].spec.Cycle {
-				return r.pull[i].spec.Cycle < r.pull[j].spec.Cycle
-			}
-			return r.pull[i].idx < r.pull[j].idx
-		})
+		sortByCycle(r.pull)
 		for off := 0; off < len(r.pull); off += r.cfg.Lanes {
 			end := off + r.cfg.Lanes
 			if end > len(r.pull) {
@@ -403,16 +396,11 @@ func (r *BatchReplayer) peelOne(lane int, st *laneState, preTick uint64) (RunOut
 	// The lane's pinout while batched was golden's: replay records
 	// transactions from the snapshot nearest the injection (exclusive),
 	// so seed the faulty capture with that golden slice up to the
-	// pre-tick cycle. Transactions are cycle-nondecreasing and stamped
-	// strictly after the cycle a tick left, so the scalar tail appends
-	// from preTick+1 with no overlap.
+	// pre-tick cycle. Transactions are stamped strictly after the cycle
+	// a tick left, so the scalar tail appends from preTick+1 with no
+	// overlap.
 	base := nearestSnap(g.snaps, st.spec.Cycle)
-	pin := &r.buf.pin
-	pin.Reset()
-	txns := g.pin.Txns
-	lo := sort.Search(len(txns), func(i int) bool { return txns[i].Cycle > base.cycle })
-	hi := sort.Search(len(txns), func(i int) bool { return txns[i].Cycle > preTick })
-	pin.Txns = append(pin.Txns, txns[lo:hi]...)
+	pin := r.buf.seedGolden(g, base.cycle, preTick)
 	s.SetPinout(pin)
 	return finishRun(s, g, st.spec, r.cfg, base.cycle, pin)
 }

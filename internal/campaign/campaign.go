@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/lifetime"
-	"repro/internal/obs"
 	"repro/internal/protect"
 	"repro/internal/refsim"
 	"repro/internal/stats"
@@ -769,8 +768,8 @@ func (g *Golden) planner(cfg Config) (*lazyPlan, error) {
 }
 
 // spec returns planned injection i, generating the stream up to it. Not
-// safe for concurrent use; only the (single-threaded) dispatch loop and
-// the pre-dispatch checkpoint loader call it.
+// safe for concurrent use; Planned calls it under its lock (dispatch and
+// the pre-dispatch checkpoint loader alike).
 func (p *lazyPlan) spec(i int) fault.Spec {
 	for len(p.specs) <= i {
 		s := p.gen.Next()
@@ -815,30 +814,15 @@ func (p *lazyPlan) overheadOutcome(spec fault.Spec) (RunOutcome, bool) {
 // classified as a hang.
 func (g *Golden) hangBudget() uint64 { return g.Cycles*2 + 50_000 }
 
-// goldenOptionsFor derives the golden-artifact options one standalone
-// campaign needs.
-func goldenOptionsFor(cfg Config) GoldenOptions {
-	opts := GoldenOptions{
-		SnapshotEvery: cfg.SnapshotEvery,
-		SnapPolicy:    cfg.SnapPolicy,
-		Timeline:      cfg.AdvanceToUse,
-		Lifetime:      cfg.Prune != PruneOff || cfg.AVF,
-	}
-	if cfg.EarlyStop {
-		opts.HashEvery = defaultHashEvery
-	}
-	return opts
-}
-
 // Run executes one standalone campaign: golden-artifact phase, fault
-// plan, replay/classify phase on a private worker pool, aggregation.
-// Sweep runs many campaigns over shared goldens and one global pool;
-// both produce bit-identical Outcomes for the same factory and config.
+// plan, replay/classify phase on a private pool, aggregation. Sweep
+// runs many campaigns over shared goldens and one global pool; both
+// produce bit-identical Outcomes for the same factory and config.
 func Run(factory Factory, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	g, err := PrepareGolden(factory, goldenOptionsFor(cfg))
+	g, err := PrepareGolden(factory, GoldenOptionsFor(cfg))
 	if err != nil {
 		return nil, err
 	}
@@ -846,134 +830,13 @@ func Run(factory Factory, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// --------------------------------------------- streaming replays
-	// The dispatch loop is Planned.NextReplay: specs are generated
-	// lazily, the pruning pre-classifier resolves dead faults and class
-	// members producer-side, and dispatch stops as soon as the in-order
-	// estimator converges; workers stream every outcome back through
-	// Deliver. A distributed coordinator drives this exact pair over
-	// HTTP instead of a channel, which is why sharded results are
-	// byte-identical to this loop's.
-	type job struct {
-		idx  int
-		spec fault.Spec
-	}
-	next := func() (job, bool) {
-		idx, spec, ok := p.NextReplay()
-		return job{idx: idx, spec: spec}, ok
-	}
 	start := time.Now()
-	if batchApplies(g, cfg) {
-		if err := runBatched(factory, g, p, cfg); err != nil {
-			return nil, err
-		}
-		return p.Result(time.Since(start))
-	}
-	if cfg.Sched == SchedCursor {
-		if err := runCursor(factory, g, p, cfg); err != nil {
-			return nil, err
-		}
-		return p.Result(time.Since(start))
-	}
-	err = streamJobs(cfg.Workers, next, func(_ int, jobs <-chan job) error {
-		sim, err := factory()
-		if err != nil {
-			return err
-		}
-		var buf replayBuf
-		for j := range jobs {
-			var t0 time.Time
-			if timed := obs.Enabled(); timed {
-				t0 = time.Now()
-			}
-			oc, err := oneRunBuf(sim, g, j.spec, cfg, &buf)
-			if err != nil {
-				return err
-			}
-			if !t0.IsZero() {
-				obsReplayTimed(time.Since(t0))
-			}
-			if err := p.Deliver(j.idx, oc); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	w := p.work("", factory)
+	w.Size = cfg.Injections
+	if err := ReplayPool(cfg.Workers, nil, w); err != nil {
 		return nil, err
 	}
 	return p.Result(time.Since(start))
-}
-
-// batchApplies reports whether the bit-parallel replay path can serve
-// this campaign: lanes enabled and the model exposes a lane tracker for
-// the target (probed on the golden instance, detached immediately).
-func batchApplies(g *Golden, cfg Config) bool {
-	if cfg.Lanes <= 1 {
-		return false
-	}
-	bc, ok := g.sim.(BatchCapable)
-	if !ok {
-		return false
-	}
-	ls, ok := bc.BatchLanes(cfg.Target)
-	if !ok {
-		return false
-	}
-	ls.Detach()
-	return true
-}
-
-// runBatched executes the replay phase through per-worker batch
-// replayers, each pulling cycle-clustered lane groups straight from the
-// plan. Outcomes flow through the same Planned collector as the scalar
-// pool — order-agnostic delivery, identical classification — so the
-// result is byte-identical to the scalar path; only throughput changes.
-func runBatched(factory Factory, g *Golden, p *Planned, cfg Config) error {
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			err := func() error {
-				gold, err := factory()
-				if err != nil {
-					return err
-				}
-				scalar, err := factory()
-				if err != nil {
-					return err
-				}
-				br := NewBatchReplayer(g, cfg, gold, scalar)
-				if br == nil {
-					return fmt.Errorf("campaign: batch replay unavailable on a worker instance")
-				}
-				defer br.Close()
-				if err := br.Replay(p.NextReplay, p.Deliver); err != nil {
-					return err
-				}
-				p.noteBatch(br.Batched, br.Peeled, br.Groups, br.LaneSum)
-				if cfg.Sched == SchedCursor {
-					p.noteFastForward(br.FastForward)
-				}
-				return nil
-			}()
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
 }
 
 // seqStop collects streamed replay outcomes and decides the sequential
@@ -1126,70 +989,6 @@ func (s *seqStop) cut() []RunOutcome {
 		return s.outcomes[:s.stopAt]
 	}
 	return s.outcomes[:s.frontier]
-}
-
-// streamJobs feeds jobs drawn lazily from next to `workers` copies of
-// worker over an unbuffered channel. Dispatch is cancelled on the first
-// worker error: surviving workers keep draining what was already queued,
-// but nothing new is sent, so the pool terminates even when every worker
-// dies early (the historical all-workers-exit deadlock). Returns the
-// first worker error. Both Run and Sweep pools are built on this; next
-// is only ever called from the dispatch loop, so it may be stateful.
-func streamJobs[T any](workers int, next func() (T, bool), worker func(id int, jobs <-chan T) error) error {
-	var (
-		wg       sync.WaitGroup
-		stopOnce sync.Once
-		errMu    sync.Mutex
-		firstErr error
-	)
-	jobs := make(chan T)
-	stop := make(chan struct{})
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		stopOnce.Do(func() { close(stop) })
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			if err := worker(id, jobs); err != nil {
-				fail(err)
-			}
-		}(w)
-	}
-dispatch:
-	for {
-		j, ok := next()
-		if !ok {
-			break
-		}
-		select {
-		case jobs <- j:
-		case <-stop:
-			break dispatch
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	return firstErr
-}
-
-// dispatchJobs fans a materialised job slice out through streamJobs.
-func dispatchJobs[T any](workers int, pending []T, worker func(id int, jobs <-chan T) error) error {
-	i := 0
-	return streamJobs(workers, func() (T, bool) {
-		if i >= len(pending) {
-			var zero T
-			return zero, false
-		}
-		j := pending[i]
-		i++
-		return j, true
-	}, worker)
 }
 
 // fullReplayEnd is the cycle at which a fixed-plan replay of spec would
@@ -1434,9 +1233,22 @@ type replayBuf struct {
 	pin trace.Pinout
 }
 
+// seedGolden resets the capture to the golden transactions in
+// (base, upto] — exactly what a stream replay restored at base has
+// recorded by cycle upto — and returns it. Transactions are
+// cycle-nondecreasing, making both bounds binary searches.
+func (b *replayBuf) seedGolden(g *Golden, base, upto uint64) *trace.Pinout {
+	b.pin.Reset()
+	txns := g.pin.Txns
+	lo := sort.Search(len(txns), func(i int) bool { return txns[i].Cycle > base })
+	hi := sort.Search(len(txns), func(i int) bool { return txns[i].Cycle > upto })
+	b.pin.Txns = append(b.pin.Txns, txns[lo:hi]...)
+	return &b.pin
+}
+
 // oneRun replays a single faulty simulation and classifies it with
-// private scratch (probe/benchmark path; campaign workers reuse a
-// per-worker buffer through oneRunBuf).
+// private scratch (probe/benchmark path; the scalar replayer reuses its
+// own buffer through oneRunBuf).
 func oneRun(sim Simulator, g *Golden, spec fault.Spec, cfg Config) (RunOutcome, error) {
 	var buf replayBuf
 	return oneRunBuf(sim, g, spec, cfg, &buf)

@@ -1,0 +1,171 @@
+package campaign_test
+
+// Checkpoint compatibility across the move to one pool: shard file
+// naming is not format (the loader globs shard-*.jsonl and routes by the
+// key inside each record), and an interrupted sweep resumes to the
+// uninterrupted result whichever engine was running.
+
+import (
+	"bufio"
+	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/campaign"
+	"repro/internal/core"
+	"repro/internal/fault"
+)
+
+// TestSweepResumesLegacyShardLayout rewrites a sweep's checkpoints into
+// the layout sweeps wrote before the pool (one outcome shard per pool
+// worker, stop records in their own shard-stop.jsonl) and resumes from
+// them: every replay is restored, none re-executes, results are equal.
+func TestSweepResumesLegacyShardLayout(t *testing.T) {
+	dir := t.TempDir()
+	fac := factoryFor(t, "qsort", core.ModelMicroarch)
+	matrix := []campaign.SweepCampaign{
+		{Key: "fig/rf", Group: "g", Factory: fac, Config: campaign.Config{
+			Injections: 30, Seed: 4, Target: fault.TargetRF, Window: 1_000,
+		}},
+		{Key: "fig/l1d", Group: "g", Factory: fac, Config: campaign.Config{
+			Injections: 120, Seed: 6, Target: fault.TargetL1D, Window: 1_000,
+			TargetError: 0.2, MinRuns: 10, Confidence: 0.95,
+		}},
+	}
+	opt := campaign.SweepOptions{Workers: 2, CheckpointDir: dir}
+	first, err := campaign.Sweep(matrix, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Results["fig/l1d"].RunsSaved == 0 {
+		t.Fatal("sequential stop never fired; no stop record to carry over")
+	}
+
+	shards, err := filepath.Glob(filepath.Join(dir, "shard-*.jsonl"))
+	if err != nil || len(shards) == 0 {
+		t.Fatalf("no shards written (%v)", err)
+	}
+	var outcomes, stops []string
+	for _, name := range shards {
+		f, err := os.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for sc := bufio.NewScanner(f); sc.Scan(); {
+			if strings.Contains(sc.Text(), `"kind":"stop"`) {
+				stops = append(stops, sc.Text())
+			} else {
+				outcomes = append(outcomes, sc.Text())
+			}
+		}
+		f.Close()
+		if err := os.Remove(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(stops) != 1 {
+		t.Fatalf("%d stop records, want 1", len(stops))
+	}
+	for name, lines := range map[string][]string{"shard-000.jsonl": outcomes, "shard-stop.jsonl": stops} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	second, err := campaign.Sweep(matrix, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Resumed != len(outcomes) {
+		t.Errorf("resumed %d replays, want all %d", second.Resumed, len(outcomes))
+	}
+	for key, want := range first.Results {
+		got := second.Results[key]
+		if got.Elapsed != 0 || got.AvgSecPerRun != 0 {
+			t.Errorf("%s: resumed campaign executed replays (%v busy)", key, got.Elapsed)
+		}
+		normalizeResult(want)
+		normalizeResult(got)
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%s: result resumed from the legacy layout differs:\n got %+v\nwant %+v", key, got, want)
+		}
+	}
+}
+
+// TestInterruptedSweepResumesEveryEngine stops a three-campaign sweep
+// part-way — the first campaign complete, the second cut inside or just
+// after its first chunk, the third never started — and asserts a second
+// sweep over the same checkpoint directory reproduces the uninterrupted
+// result, for each replay engine.
+func TestInterruptedSweepResumesEveryEngine(t *testing.T) {
+	engines := []struct {
+		name  string
+		model core.Model
+		lanes int
+		sched campaign.Sched
+	}{
+		{"scalar", core.ModelMicroarch, 1, campaign.SchedStream},
+		{"cursor", core.ModelMicroarch, 1, campaign.SchedCursor},
+		{"batch", core.ModelRTL, 8, campaign.SchedStream},
+	}
+	for _, e := range engines {
+		e := e
+		t.Run(e.name, func(t *testing.T) {
+			t.Parallel()
+			fac := factoryFor(t, "sha", e.model)
+			stop := make(chan struct{})
+			var once sync.Once
+			matrix := func(second campaign.Factory) []campaign.SweepCampaign {
+				var m []campaign.SweepCampaign
+				for i, key := range []string{"a", "b", "c"} {
+					f := fac
+					if i == 1 {
+						f = second
+					}
+					m = append(m, campaign.SweepCampaign{Key: key, Group: "g", Factory: f, Config: campaign.Config{
+						Injections: 20, Seed: int64(11 + i), Target: fault.TargetRF, Window: 400,
+						Lanes: e.lanes, Sched: e.sched,
+					}})
+				}
+				return m
+			}
+			want, err := campaign.Sweep(matrix(fac), campaign.SweepOptions{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// One pool goroutine, and the interrupt fires as it builds the
+			// second campaign's engine: campaign a is done, b runs the one
+			// chunk it was about to pull, c is left unissued.
+			dir := t.TempDir()
+			interrupting := func() (campaign.Simulator, error) {
+				once.Do(func() { close(stop) })
+				return fac()
+			}
+			_, err = campaign.Sweep(matrix(interrupting), campaign.SweepOptions{Workers: 1, CheckpointDir: dir, Stop: stop})
+			if !errors.Is(err, campaign.ErrInterrupted) {
+				t.Fatalf("interrupted sweep returned %v, want ErrInterrupted", err)
+			}
+
+			got, err := campaign.Sweep(matrix(fac), campaign.SweepOptions{Workers: 2, CheckpointDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Resumed < 20 || got.Resumed >= 60 {
+				t.Errorf("resumed %d replays; want campaign a's 20 plus part of b, never c", got.Resumed)
+			}
+			for key, w := range want.Results {
+				g := got.Results[key]
+				normalizeEngine(w)
+				normalizeEngine(g)
+				if !reflect.DeepEqual(w, g) {
+					t.Errorf("%s: resumed result differs from the uninterrupted sweep:\n got %+v\nwant %+v", key, g, w)
+				}
+			}
+		})
+	}
+}

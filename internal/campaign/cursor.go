@@ -19,8 +19,6 @@ package campaign
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"repro/internal/fault"
 )
@@ -128,15 +126,9 @@ type LiveSnapshotter interface {
 // whole plan to one worker.
 const cursorPull = 512
 
-type cursorSpec struct {
-	idx  int
-	spec fault.Spec
-}
-
 // CursorReplayer executes replays in injection-cycle order off a
-// monotonic golden cursor. It mirrors BatchReplayer's pull interface:
-// Replay drains a producer (Planned.NextReplay or a shard iterator) and
-// streams every outcome through deliver. One replayer drives two
+// monotonic golden cursor — the Replayer NewReplayer picks for
+// SchedCursor campaigns without a batch surface. One replayer drives two
 // simulator instances from the campaign's factory — the cursor, which
 // only ever simulates the fault-free timeline, and the replay
 // simulator, which runs each faulty observation window — and is not
@@ -147,7 +139,7 @@ type CursorReplayer struct {
 	cursor Simulator
 	replay Simulator
 	buf    replayBuf
-	pend   []cursorSpec
+	pend   []pulledSpec
 	onPath bool // cursor state lies on the golden timeline at its Cycles()
 
 	// Stop, when set, is polled between replays: once it reports true
@@ -182,25 +174,11 @@ func (r *CursorReplayer) Replay(next func() (int, fault.Spec, bool), deliver fun
 	ff0 := r.FastForward
 	defer func() { obsFFCycles.Add(r.FastForward - ff0) }()
 	for {
-		r.pend = r.pend[:0]
-		for len(r.pend) < cursorPull {
-			idx, spec, ok := next()
-			if !ok {
-				break
-			}
-			r.pend = append(r.pend, cursorSpec{idx: idx, spec: spec})
-		}
+		r.pend = pullSpecs(next, cursorPull, r.pend[:0])
 		if len(r.pend) == 0 {
 			return nil
 		}
-		// Injection-cycle order with plan order as the tie-break: the
-		// walk below only ever moves the cursor forward within a pull.
-		sort.Slice(r.pend, func(i, j int) bool {
-			if r.pend[i].spec.Cycle != r.pend[j].spec.Cycle {
-				return r.pend[i].spec.Cycle < r.pend[j].spec.Cycle
-			}
-			return r.pend[i].idx < r.pend[j].idx
-		})
+		sortByCycle(r.pend)
 		for _, cs := range r.pend {
 			if r.Stop != nil && r.Stop() {
 				return nil
@@ -215,6 +193,16 @@ func (r *CursorReplayer) Replay(next func() (int, fault.Spec, bool), deliver fun
 		}
 	}
 }
+
+// Stats reports the replays forked and the golden cycles walked.
+func (r *CursorReplayer) Stats() ReplayStats {
+	return ReplayStats{Executed: r.Forks, FastForward: r.FastForward}
+}
+
+// Close is a no-op: the cursor attaches nothing to its simulators.
+func (r *CursorReplayer) Close() {}
+
+func (r *CursorReplayer) chunk() int { return cursorPull }
 
 // one replays a single injection off the cursor. The replay simulator
 // ends up in exactly the state oneRunBuf's restore-and-fast-forward
@@ -260,63 +248,12 @@ func (r *CursorReplayer) one(spec fault.Spec) (RunOutcome, error) {
 	// Seed the faulty pinout with the golden transactions between the
 	// nearest snapshot and the injection instant — the prefix a stream
 	// replay would have recorded while fast-forwarding — so window
-	// compares span the identical transaction range. Transactions are
-	// cycle-nondecreasing, making both bounds binary searches.
-	pin := &r.buf.pin
-	pin.Reset()
-	txns := r.g.pin.Txns
-	lo := sort.Search(len(txns), func(i int) bool { return txns[i].Cycle > base.cycle })
-	hi := sort.Search(len(txns), func(i int) bool { return txns[i].Cycle > spec.Cycle })
-	pin.Txns = append(pin.Txns, txns[lo:hi]...)
+	// compares span the identical transaction range.
+	pin := r.buf.seedGolden(r.g, base.cycle, spec.Cycle)
 	r.replay.SetPinout(pin)
 
 	if err := applyFault(r.replay, spec); err != nil {
 		return RunOutcome{}, err
 	}
 	return finishRun(r.replay, r.g, spec, r.cfg, base.cycle, pin)
-}
-
-// runCursor executes the replay phase through per-worker cursor
-// replayers, the SchedCursor counterpart of runBatched. Outcomes flow
-// through the same Planned collector as the scalar pool — order-
-// agnostic delivery, in-order consumption — so the result is
-// byte-identical to stream order; only throughput changes.
-func runCursor(factory Factory, g *Golden, p *Planned, cfg Config) error {
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			err := func() error {
-				cursor, err := factory()
-				if err != nil {
-					return err
-				}
-				replay, err := factory()
-				if err != nil {
-					return err
-				}
-				cr := NewCursorReplayer(g, cfg, cursor, replay)
-				cr.Stop = p.Stopped
-				if err := cr.Replay(p.NextReplay, p.Deliver); err != nil {
-					return err
-				}
-				p.noteFastForward(cr.FastForward)
-				return nil
-			}()
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
 }

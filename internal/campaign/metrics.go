@@ -15,7 +15,7 @@ import (
 
 var (
 	obsReplaySeconds = obs.NewHistogram("campaign_replay_seconds",
-		"wall time per replayed injection (scalar paths)", obs.DurationBuckets)
+		"wall time per replayed injection (scalar engine)", obs.DurationBuckets)
 	obsBusySeconds = obs.NewGauge("campaign_pool_busy_seconds",
 		"cumulative worker-pool busy time spent replaying (seconds); busy fraction = rate of this over workers")
 	obsReplays = obs.NewCounter("campaign_replays_total",
@@ -83,14 +83,6 @@ func obsNoteOutcome(oc RunOutcome) {
 	}
 }
 
-// obsReplayTimed records one scalar replay's wall time as both a
-// latency observation and pool busy time.
-func obsReplayTimed(d time.Duration) {
-	s := d.Seconds()
-	obsReplaySeconds.Observe(s)
-	obsBusySeconds.Add(s)
-}
-
-// obsBusy attributes a chunk of pool busy time (batch/cursor chunks,
-// where per-replay latency is not individually meaningful).
+// obsBusy attributes one Replay call's wall time to pool busy time
+// (per-replay latency is the scalar replayer's own histogram).
 func obsBusy(d time.Duration) { obsBusySeconds.Add(d.Seconds()) }

@@ -184,8 +184,8 @@ const (
 	pruneSkip                         // a class member: its representative's fanout delivers it
 )
 
-// pruner holds one campaign's pruning state, shared by the Run and
-// Sweep dispatchers. A nil *pruner (PruneOff) is valid and inert.
+// pruner holds one campaign's pruning state. A nil *pruner (PruneOff)
+// is valid and inert.
 type pruner struct {
 	mode PruneMode
 	g    *Golden
@@ -257,7 +257,7 @@ func syntheticDead(spec fault.Spec) RunOutcome {
 }
 
 // decide returns the dispatcher's action for plan index i. Called only
-// from the (single-threaded) dispatch loop.
+// from Planned.NextReplay, under its lock.
 func (p *pruner) decide(i int, spec fault.Spec) (pruneAction, RunOutcome) {
 	if p == nil {
 		return pruneDispatch, RunOutcome{}
@@ -305,8 +305,7 @@ type idxOutcome struct {
 // deliverReplay routes one replayed outcome through the collector:
 // class weight stamped, representative delivered, extrapolated members
 // fanned out. It returns the stamped outcome — the form checkpoint
-// records persist. Sweep's workers and Planned.Deliver share it so the
-// fanout invariant has exactly one owner.
+// records persist.
 func deliverReplay(p *pruner, seq *seqStop, idx int, oc RunOutcome) RunOutcome {
 	members := p.afterReplay(idx, &oc)
 	seq.deliver(idx, oc)

@@ -6,8 +6,8 @@ package campaign
 //
 // A Planned campaign couples one golden run's artifacts with a
 // validated config, the lazy fault plan, the pruning pre-classifier and
-// the in-order outcome collector. NextReplay is the producer Run's
-// dispatch loop uses — it resolves pruning verdicts producer-side and
+// the in-order outcome collector. NextReplay is the producer the replay
+// pool pulls from — it resolves pruning verdicts producer-side and
 // stops issuing once the sequential estimator converges — and Deliver
 // is the consumer path every replayed outcome flows through (class
 // fanout, sequential stopping, checkpoint streaming). Because the
@@ -18,7 +18,6 @@ package campaign
 // run single-process.
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -31,7 +30,16 @@ import (
 // Run and a distributed worker preparing its local golden copy use it,
 // so the two golden runs capture identical artifacts.
 func GoldenOptionsFor(cfg Config) GoldenOptions {
-	return goldenOptionsFor(cfg)
+	opts := GoldenOptions{
+		SnapshotEvery: cfg.SnapshotEvery,
+		SnapPolicy:    cfg.SnapPolicy,
+		Timeline:      cfg.AdvanceToUse,
+		Lifetime:      cfg.Prune != PruneOff || cfg.AVF,
+	}
+	if cfg.EarlyStop {
+		opts.HashEvery = defaultHashEvery
+	}
+	return opts
 }
 
 // Fingerprint identifies the golden run's observable behavior (cycle
@@ -44,12 +52,13 @@ func (g *Golden) Fingerprint() uint64 { return g.fingerprint() }
 // Planned is one campaign planned against a golden run: the validated
 // config, lazy fault plan, pruning state and streaming outcome
 // collector. It is safe for concurrent use: NextReplay and Deliver may
-// be called from any goroutine (Run's worker pool, a coordinator's HTTP
+// be called from any goroutine (the replay pool, a coordinator's HTTP
 // handlers).
 type Planned struct {
 	mu  sync.Mutex
 	cfg Config
 	g   *Golden
+	fp  uint64 // g.fingerprint(), stamped on every checkpoint record
 	pl  *lazyPlan
 	seq *seqStop
 	pr  *pruner
@@ -61,21 +70,20 @@ type Planned struct {
 	// computed at plan time (zero replays).
 	avfInfo *AVFInfo
 
-	// Bit-parallel replay accounting, summed over every worker's
-	// BatchReplayer via noteBatch.
-	batched, peeled, groups, laneSum int
+	// What the pool's replayers did for this campaign, folded in by
+	// note. ffNoted marks that replays ran under the cursor schedule, so
+	// Result reports the golden cycles actually walked (and the delta
+	// from stream order) instead of the stream-order cost.
+	stats   ReplayStats
+	ffNoted bool
 
-	// Cursor-schedule accounting: golden fast-forward cycles the
-	// workers' cursors actually stepped, summed via noteFastForward.
-	// ffNoted marks that a cursor executed (so Result reports actual
-	// spend and the stream-order delta instead of the stream cost).
-	ffActual uint64
-	ffNoted  bool
-
-	ckpt     *shardWriter
-	ckptKey  string
-	resumed  int
-	finished bool
+	// Checkpointing, attached by OpenCheckpoint: the shard is opened by
+	// the first record written, so a campaign that resumes complete (or
+	// never gets its turn before an interrupt) holds no file handle.
+	ckptDir string
+	ckptKey string
+	ckpt    *shardWriter
+	resumed int
 }
 
 // PlanCampaign validates cfg and plans it against this golden run,
@@ -106,7 +114,7 @@ func (g *Golden) PlanCampaign(cfg Config) (*Planned, error) {
 			seedAVFPrior(seq, info, cfg)
 		}
 	}
-	return &Planned{cfg: cfg, g: g, pl: pl, seq: seq, pr: pr, stopHint: -1, avfInfo: info}, nil
+	return &Planned{cfg: cfg, g: g, fp: g.fingerprint(), pl: pl, seq: seq, pr: pr, stopHint: -1, avfInfo: info}, nil
 }
 
 // Config returns the validated campaign config (defaults filled).
@@ -117,7 +125,7 @@ func (p *Planned) Injections() int { return p.pl.n }
 
 // GoldenFingerprint returns the backing golden run's fingerprint — the
 // value a shard carries so remote workers can verify golden identity.
-func (p *Planned) GoldenFingerprint() uint64 { return p.g.fingerprint() }
+func (p *Planned) GoldenFingerprint() uint64 { return p.fp }
 
 // Spec returns planned injection i — the coordinator's source of truth
 // when rebuilding a remote outcome for delivery.
@@ -170,18 +178,19 @@ func (p *Planned) NextReplay() (idx int, spec fault.Spec, ok bool) {
 // Deliver records one replayed outcome: the pruning state fans the
 // representative's outcome over its equivalence class, the sequential
 // collector consumes everything in plan order, and — when a checkpoint
-// is attached — the replayed outcome is streamed to its shard exactly
-// as Sweep's workers stream theirs. Duplicate deliveries of one index
-// are ignored, so a re-issued lease whose original worker was merely
-// slow (not dead) stays harmless.
+// is attached — the replayed outcome is streamed to the campaign's shard
+// (only the stamped representative reaches it; extrapolation is
+// re-derived on resume). Duplicate deliveries of one index are ignored,
+// so a re-issued lease whose original worker was merely slow (not dead)
+// stays harmless.
 func (p *Planned) Deliver(idx int, oc RunOutcome) error {
 	oc = deliverReplay(p.pr, p.seq, idx, oc)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.ckpt != nil {
-		return p.ckpt.write(p.ckptKey, idx, oc, p.cfg, p.g.fingerprint())
+	if p.ckptDir == "" {
+		return nil
 	}
-	return nil
+	return p.writeRecord(outcomeRecord(p.ckptKey, idx, oc, p.cfg, p.fp))
 }
 
 // Done reports whether outcome idx has been delivered.
@@ -205,26 +214,33 @@ func (p *Planned) Resumed() int {
 	return p.resumed
 }
 
-// noteBatch folds one worker's bit-parallel replay accounting into the
-// campaign: batched lockstep retirements, scalar peels, and the group
-// count/lane sum behind the mean occupancy Result reports.
-func (p *Planned) noteBatch(batched, peeled, groups, laneSum int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.batched += batched
-	p.peeled += peeled
-	p.groups += groups
-	p.laneSum += laneSum
+// work describes this campaign to the replay pool: replays pulled from
+// NextReplay on simulators built by factory, outcomes into Deliver, each
+// replayer's accounting into note. name prefixes errors.
+func (p *Planned) work(name string, factory Factory) *Work {
+	return &Work{
+		Name: name, Golden: p.g, Config: p.cfg, Factory: factory,
+		Next: p.NextReplay, Deliver: p.Deliver,
+		stopped: p.Stopped, note: p.note,
+	}
 }
 
-// noteFastForward folds one cursor replayer's golden fast-forward
-// spend into the campaign. Result then reports the actual cycles
-// stepped and credits the difference from stream order as saved.
-func (p *Planned) noteFastForward(actual uint64) {
+// note folds one replayer's accounting into the campaign.
+func (p *Planned) note(st ReplayStats) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.ffActual += actual
-	p.ffNoted = true
+	p.stats.add(st)
+	if p.cfg.Sched == SchedCursor && st.Executed > 0 {
+		p.ffNoted = true
+	}
+}
+
+// replayStats returns what the pool's replayers have done for this
+// campaign so far.
+func (p *Planned) replayStats() ReplayStats {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.stats
 }
 
 // Result aggregates the campaign once every needed outcome has been
@@ -235,70 +251,78 @@ func (p *Planned) Result(elapsed time.Duration) (*Result, error) {
 		return nil, err
 	}
 	p.mu.Lock()
-	res.BatchedRuns = p.batched
-	res.PeeledRuns = p.peeled
-	if p.groups > 0 {
-		res.LaneOccupancy = float64(p.laneSum) / float64(p.groups)
+	defer p.mu.Unlock()
+	res.BatchedRuns = p.stats.Batched
+	res.PeeledRuns = p.stats.Peeled
+	if p.stats.Groups > 0 {
+		res.LaneOccupancy = float64(p.stats.LaneSum) / float64(p.stats.Groups)
 	}
 	if p.ffNoted {
 		// aggregate filled FastForwardCycles with the stream-order
 		// cost; swap in what the cursors actually stepped. A cursor
 		// may overshoot the counted prefix (stop-decision races), so
 		// the saving is clamped at zero.
-		if stream := res.FastForwardCycles; stream > p.ffActual {
-			res.FastForwardSaved = stream - p.ffActual
+		actual := p.stats.FastForward
+		if stream := res.FastForwardCycles; stream > actual {
+			res.FastForwardSaved = stream - actual
 		}
-		res.FastForwardCycles = p.ffActual
+		res.FastForwardCycles = actual
 	}
 	res.AVF = p.avfInfo
-	p.mu.Unlock()
 	return res, nil
 }
 
 // OpenCheckpoint loads matching records for this campaign (keyed by
 // key) from dir's JSONL shards into the collector — validating each
 // against the freshly derived plan, config and golden fingerprint
-// exactly as Sweep's resume does — then attaches a streaming writer so
-// every subsequently delivered replay is durable. Call before
-// dispatching.
+// exactly as Sweep's resume does, being the one-campaign call of the
+// same loader — and arms streaming so every subsequently delivered
+// replay is durable. Call before dispatching.
 func (p *Planned) OpenCheckpoint(dir, key string) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.ckpt != nil {
-		return fmt.Errorf("campaign: checkpoint already open")
-	}
-	n, err := loadCampaignCheckpoints(dir, key, p.cfg, p.pl, p.g.fingerprint(), p.seq, &p.stopHint)
-	if err != nil {
-		return err
-	}
-	p.resumed = n
-	p.pr.resumedFanout(p.seq)
-	w, err := newShardWriter(dir, sanitizeShardName(key))
-	if err != nil {
-		return err
-	}
-	p.ckpt = w
-	p.ckptKey = key
-	return nil
+	return openCheckpoints(dir, map[string]*Planned{key: p})
 }
 
-// CloseCheckpoint flushes the streaming writer and appends the
-// campaign's sequential stopping record (when one was decided this
-// run), so a coordinator restart resumes without re-deriving the
-// stopping index. Safe to call without an open checkpoint.
+func (p *Planned) checkpointing() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.ckptDir != ""
+}
+
+// writeRecord appends r to the campaign's shard, opening it on first
+// use. The caller holds p.mu.
+func (p *Planned) writeRecord(r ckptRecord) error {
+	if p.ckpt == nil {
+		w, err := newShardWriter(p.ckptDir, shardName(p.ckptKey))
+		if err != nil {
+			return err
+		}
+		p.ckpt = w
+	}
+	return p.ckpt.encode(r)
+}
+
+// CloseCheckpoint appends the campaign's sequential stopping record
+// (when one was decided this run, so a resume neither re-derives the
+// index nor re-executes the skipped tail) and flushes and closes the
+// shard. Safe to call without an open checkpoint.
 func (p *Planned) CloseCheckpoint() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.ckpt == nil {
+	if p.ckptDir == "" {
 		return nil
 	}
-	w := p.ckpt
-	p.ckpt = nil
+	var err error
 	if s := p.seq.stopIndex(); s > 0 && s != p.stopHint {
-		if err := w.encode(stopRecord(p.ckptKey, s, p.cfg, p.pl.spec(s-1), p.g.fingerprint())); err != nil {
-			w.close()
-			return err
-		}
+		err = p.writeRecord(stopRecord(p.ckptKey, s, p.cfg, p.pl.spec(s-1), p.fp))
 	}
-	return w.close()
+	p.ckptDir = ""
+	if p.ckpt != nil {
+		// A failed close means completed records may not be durable, so
+		// it must reach the caller.
+		if cerr := p.ckpt.close(); err == nil {
+			err = cerr
+		}
+		p.ckpt = nil
+	}
+	return err
 }

@@ -5,11 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/fault"
@@ -117,20 +117,35 @@ func groupKey(c SweepCampaign) string {
 	return fmt.Sprintf("%s/snap%d/%s", c.Group, every, c.Config.SnapPolicy)
 }
 
+// sweepGroup is one golden-sharing group: the merged artifact needs of
+// its members and, after the golden phase, the run that serves them.
 type sweepGroup struct {
 	name    string // caller-visible Group
 	factory Factory
 	opts    GoldenOptions
 	golden  *Golden
-	members []int // campaign indices
+	members []*SweepCampaign
+}
+
+// merge widens o to also serve a campaign that needs b. Every artifact
+// is pure observation, so one golden run recorded with the union serves
+// the group's plainer members too. The snapshot schedule stays o's:
+// golden sharing is keyed on it.
+func (o GoldenOptions) merge(b GoldenOptions) GoldenOptions {
+	o.Timeline = o.Timeline || b.Timeline
+	o.Lifetime = o.Lifetime || b.Lifetime
+	if o.HashEvery == 0 {
+		o.HashEvery = b.HashEvery
+	}
+	return o
 }
 
 // Sweep plans a matrix of campaigns, executes one golden run per
 // (Group, snapshot schedule), shares its artifacts across every member
-// campaign, and dispatches ALL replays through one global worker pool
-// with per-worker simulator reuse. Results are bit-identical to calling
-// Run per campaign with the same seeds: the fault plan depends only on
-// seed + golden cycle count, which sharing preserves.
+// campaign, and dispatches ALL replays through one global replay pool.
+// Results are bit-identical to calling Run per campaign with the same
+// seeds: the fault plan depends only on seed + golden cycle count, which
+// sharing preserves.
 func Sweep(campaigns []SweepCampaign, opt SweepOptions) (*SweepResult, error) {
 	if len(campaigns) == 0 {
 		return nil, fmt.Errorf("campaign: empty sweep")
@@ -160,61 +175,36 @@ func Sweep(campaigns []SweepCampaign, opt SweepOptions) (*SweepResult, error) {
 
 	// ------------------------------------------- golden phase (1/group)
 	groups := make(map[string]*sweepGroup)
-	var order []string
-	for i, c := range campaigns {
-		k := groupKey(c)
+	var order []*sweepGroup
+	for i := range campaigns {
+		c := &campaigns[i]
+		k, need := groupKey(*c), GoldenOptionsFor(c.Config)
 		gr, ok := groups[k]
 		if !ok {
-			gr = &sweepGroup{
-				name:    c.Group,
-				factory: c.Factory,
-				opts: GoldenOptions{
-					SnapshotEvery: c.Config.SnapshotEvery,
-					SnapPolicy:    c.Config.SnapPolicy,
-				},
-			}
+			gr = &sweepGroup{name: c.Group, factory: c.Factory, opts: need}
 			groups[k] = gr
-			order = append(order, k)
+			order = append(order, gr)
 		}
-		if c.Config.AdvanceToUse {
-			gr.opts.Timeline = true
-		}
-		if c.Config.EarlyStop {
-			// Hash recording is pure observation, so one hash-enabled
-			// golden run serves the group's non-adaptive members too.
-			gr.opts.HashEvery = defaultHashEvery
-		}
-		if c.Config.Prune != PruneOff || c.Config.AVF {
-			// Likewise for the lifetime trace behind fault pruning and
-			// injection-free AVF estimation.
-			gr.opts.Lifetime = true
-		}
-		gr.members = append(gr.members, i)
+		gr.opts = gr.opts.merge(need)
+		gr.members = append(gr.members, c)
 	}
-	// Groups are independent, so golden runs go through the pool too —
-	// with the default bench list the RTL goldens dominate this phase,
-	// and running them sequentially would idle every other worker.
-	goldenWorkers := opt.Workers
-	if goldenWorkers > len(order) {
-		goldenWorkers = len(order)
-	}
-	err := dispatchJobs(goldenWorkers, order, func(_ int, keys <-chan string) error {
-		for k := range keys {
-			gr := groups[k]
-			g, err := PrepareGolden(gr.factory, gr.opts)
-			if err != nil {
-				return fmt.Errorf("campaign: golden run for group %q: %w", gr.name, err)
-			}
-			gr.golden = g
+	// Groups are independent, so golden runs fan out too — with the
+	// default bench list the RTL goldens dominate this phase, and running
+	// them sequentially would idle every other worker.
+	err := fanOut(opt.Workers, len(order), func(i int) error {
+		gr := order[i]
+		g, err := PrepareGolden(gr.factory, gr.opts)
+		if err != nil {
+			return fmt.Errorf("campaign: golden run for group %q: %w", gr.name, err)
 		}
+		gr.golden = g
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	goldens := make(map[string]GoldenInfo, len(groups))
-	for _, k := range order {
-		gr := groups[k]
+	for _, gr := range order {
 		if _, ok := goldens[gr.name]; ok {
 			continue // first-planned snapshot schedule wins for a split Group
 		}
@@ -225,376 +215,46 @@ func Sweep(campaigns []SweepCampaign, opt SweepOptions) (*SweepResult, error) {
 		}
 	}
 
-	// ----------------------------------------------------- fault plans
+	// ------------------------------------- fault plans + checkpoint resume
 	// Plans are lazy generators: a sequentially stopped campaign never
-	// materialises the specs it does not run. Each campaign also gets a
-	// streaming collector deciding its (deterministic) stopping index.
-	plans := make([]*lazyPlan, len(campaigns))
-	seqs := make([]*seqStop, len(campaigns))
-	pruners := make([]*pruner, len(campaigns))
-	avfInfos := make([]*AVFInfo, len(campaigns))
-	batchable := make([]bool, len(campaigns))
-	campGroup := make([]*sweepGroup, len(campaigns))
-	goldenFp := make([]uint64, len(campaigns))
-	for i, c := range campaigns {
-		gr := groups[groupKey(c)]
-		campGroup[i] = gr
-		goldenFp[i] = gr.golden.fingerprint()
-		pl, err := gr.golden.planner(c.Config)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", c.Key, err)
-		}
-		plans[i] = pl
-		if seqs[i], err = newSeqStop(c.Config); err != nil {
-			return nil, fmt.Errorf("%s: %w", c.Key, err)
-		}
-		if pruners[i], err = newPruner(gr.golden, pl, c.Config); err != nil {
-			return nil, fmt.Errorf("%s: %w", c.Key, err)
-		}
-		if c.Config.AVF {
-			if avfInfos[i], err = buildAVFInfo(gr.golden, pl, c.Config); err != nil {
+	// materialises the specs it does not run. The pool's work list is
+	// group-major, so each goroutine sees a non-decreasing group sequence
+	// and at most a few goldens are hot at once; it moves on from a
+	// campaign the moment its sequential stop triggers (or its
+	// checkpointed stopping index is reached), so stopped campaigns stop
+	// consuming the pool.
+	planned := make(map[string]*Planned, len(campaigns))
+	work := make([]*Work, 0, len(campaigns))
+	for _, gr := range order {
+		for _, c := range gr.members {
+			p, err := gr.golden.PlanCampaign(c.Config)
+			if err != nil {
 				return nil, fmt.Errorf("%s: %w", c.Key, err)
 			}
-			if c.Config.AVFPrior {
-				seedAVFPrior(seqs[i], avfInfos[i], c.Config)
-			}
+			planned[c.Key] = p
+			work = append(work, p.work(c.Key, c.Factory))
 		}
-		// Bit-parallel replay probes once per campaign (the golden
-		// instance answers for every worker instance of the factory).
-		batchable[i] = batchApplies(gr.golden, c.Config)
 	}
-	// Cursor-scheduled campaigns without a batch surface run on
-	// per-worker golden cursors; batch-capable ones keep the lockstep
-	// engine (whose golden instance walks monotonically under the
-	// cursor schedule instead of restoring per group).
-	cursorable := make([]bool, len(campaigns))
-	for i, c := range campaigns {
-		cursorable[i] = c.Config.Sched == SchedCursor && !batchable[i]
-	}
-
-	// ------------------------------------------------ checkpoint resume
-	stopHint := make([]int, len(campaigns))
-	for i := range stopHint {
-		stopHint[i] = -1
-	}
-	resumed := 0
 	if opt.CheckpointDir != "" {
-		if err := os.MkdirAll(opt.CheckpointDir, 0o755); err != nil {
-			return nil, fmt.Errorf("campaign: checkpoint dir: %w", err)
-		}
-		var err error
-		resumed, err = loadCheckpoints(opt.CheckpointDir, campaigns, plans, goldenFp, seqs, stopHint)
-		if err != nil {
+		if err := openCheckpoints(opt.CheckpointDir, planned); err != nil {
 			return nil, err
-		}
-		// Shards record class representatives only; re-derive the
-		// extrapolated member outcomes of every resumed representative.
-		for i := range campaigns {
-			pruners[i].resumedFanout(seqs[i])
 		}
 	}
 
 	// -------------------------------------- replay phase (global pool)
-	// Jobs are dispatched group-major so per-worker cached simulators
-	// stay hot and at most a few groups are live at once. The producer
-	// walks each campaign's plan lazily and moves on the moment its
-	// sequential stop triggers (or its checkpointed stopping index is
-	// reached), so stopped campaigns stop consuming the pool. For
-	// batch-capable campaigns (Lanes > 1 on an RTL model) a job carries
-	// a chunk of up to Lanes*batchPull replays instead of one, sized so
-	// a worker's BatchReplayer can cycle-cluster full lane groups from
-	// it — the local-sweep form of the bit-parallel engine. Chunking
-	// changes only scheduling: the in-order collector still decides the
-	// same stopping index, and overshoot past it is cut exactly as in
-	// the scalar path.
-	type job struct {
-		camp  int
-		idxs  []int
-		specs []fault.Spec
+	// Per-campaign Config.Workers is ignored: one pool serves every
+	// campaign. Whatever happens, every completed replay — and each
+	// campaign's stopping state — is made durable before returning.
+	err = ReplayPool(opt.Workers, opt.Stop, work...)
+	for _, p := range planned {
+		if cerr := p.CloseCheckpoint(); cerr != nil && err == nil {
+			err = cerr
+		}
 	}
-	var campOrder []int
-	for _, k := range order {
-		campOrder = append(campOrder, groups[k].members...)
-	}
-	oi, idx := 0, 0
-	interrupted := false
-	next := func() (job, bool) {
-		if opt.Stop != nil {
-			select {
-			case <-opt.Stop:
-				interrupted = true
-				return job{}, false
-			default:
-			}
-		}
-		for oi < len(campOrder) {
-			ci := campOrder[oi]
-			limit := plans[ci].n
-			if stopHint[ci] >= 0 && stopHint[ci] < limit {
-				limit = stopHint[ci]
-			}
-			chunk := 1
-			if batchable[ci] {
-				chunk = campaigns[ci].Config.Lanes * batchPull
-			} else if cursorable[ci] {
-				// A cursor job carries enough replays for the worker's
-				// sort to cluster injection instants tightly.
-				chunk = cursorPull
-			}
-			j := job{camp: ci}
-			for idx < limit && !seqs[ci].stopped() && len(j.idxs) < chunk {
-				i := idx
-				idx++
-				if seqs[ci].done(i) {
-					continue
-				}
-				spec := plans[ci].spec(i)
-				// Protection overhead faults classify producer-side from
-				// the scheme model (no simulator bits back them), exactly
-				// as Planned.NextReplay synthesises them.
-				if oc, ok := plans[ci].overheadOutcome(spec); ok {
-					seqs[ci].deliver(i, oc)
-					continue
-				}
-				// Golden-trace pruning: dead faults deliver their
-				// synthetic Masked outcome producer-side; class
-				// members wait for their representative's fanout.
-				switch act, oc := pruners[ci].decide(i, spec); act {
-				case pruneSynthetic:
-					seqs[ci].deliver(i, oc)
-					continue
-				case pruneSkip:
-					continue
-				}
-				j.idxs = append(j.idxs, i)
-				j.specs = append(j.specs, spec)
-			}
-			if len(j.idxs) > 0 {
-				return j, true
-			}
-			oi++
-			idx = 0
-		}
-		return job{}, false
-	}
-
-	busy := make([]int64, len(campaigns))     // attributed ns per campaign
-	executed := make([]int64, len(campaigns)) // replays run this sweep
-	// Per-campaign bit-parallel accounting, summed over every worker's
-	// BatchReplayer — the sweep-pool analogue of Planned.noteBatch.
-	batchedN := make([]int64, len(campaigns))
-	peeledN := make([]int64, len(campaigns))
-	groupsN := make([]int64, len(campaigns))
-	laneSumN := make([]int64, len(campaigns))
-	// Cursor-schedule accounting: golden fast-forward cycles actually
-	// stepped, and whether any cursor executed for the campaign — the
-	// sweep-pool analogue of Planned.noteFastForward.
-	ffActualN := make([]int64, len(campaigns))
-	ffNotedN := make([]int32, len(campaigns))
-	err = streamJobs(opt.Workers, next, func(worker int, jobs <-chan job) (retErr error) {
-		// Group-major dispatch means each worker sees a non-decreasing
-		// group sequence, so it only ever needs ONE live simulator per
-		// path: the current group's scalar instance, reused across
-		// campaigns and replays and dropped when the group changes, plus
-		// — for batch-capable campaigns — one BatchReplayer (a lockstep
-		// golden/scalar pair) rebuilt when the batched campaign changes.
-		var (
-			cur *sweepGroup
-			sim Simulator
-
-			br     *BatchReplayer
-			brCamp = -1
-
-			cr     *CursorReplayer
-			crCamp = -1
-		)
-		foldBatch := func() {
-			if br == nil {
-				return
-			}
-			atomic.AddInt64(&batchedN[brCamp], int64(br.Batched))
-			atomic.AddInt64(&peeledN[brCamp], int64(br.Peeled))
-			atomic.AddInt64(&groupsN[brCamp], int64(br.Groups))
-			atomic.AddInt64(&laneSumN[brCamp], int64(br.LaneSum))
-			if campaigns[brCamp].Config.Sched == SchedCursor {
-				atomic.AddInt64(&ffActualN[brCamp], int64(br.FastForward))
-				atomic.StoreInt32(&ffNotedN[brCamp], 1)
-			}
-			br.Close()
-			br, brCamp = nil, -1
-		}
-		defer foldBatch()
-		foldCursor := func() {
-			if cr == nil {
-				return
-			}
-			atomic.AddInt64(&ffActualN[crCamp], int64(cr.FastForward))
-			atomic.StoreInt32(&ffNotedN[crCamp], 1)
-			cr, crCamp = nil, -1
-		}
-		defer foldCursor()
-		var ckpt *shardWriter
-		if opt.CheckpointDir != "" {
-			var err error
-			ckpt, err = newShardWriter(opt.CheckpointDir, fmt.Sprintf("%03d", worker))
-			if err != nil {
-				return err
-			}
-			defer func() {
-				if cerr := ckpt.close(); cerr != nil && retErr == nil {
-					retErr = cerr
-				}
-			}()
-		}
-		var buf replayBuf
-		for j := range jobs {
-			c := &campaigns[j.camp]
-			gr := campGroup[j.camp]
-			if br != nil && j.camp != brCamp {
-				foldBatch()
-			}
-			if cr != nil && j.camp != crCamp {
-				foldCursor()
-			}
-			if batchable[j.camp] {
-				// Bit-parallel path: drive the worker's BatchReplayer
-				// over the chunk; it cycle-clusters the specs into lane
-				// groups, retires unconsumed lanes in lockstep and peels
-				// the rest to the scalar tail — byte-identical outcomes,
-				// delivered through the same fanout/checkpoint route.
-				if br == nil {
-					gold, err := c.Factory()
-					if err != nil {
-						return fmt.Errorf("%s: worker simulator: %w", c.Key, err)
-					}
-					scalar, err := c.Factory()
-					if err != nil {
-						return fmt.Errorf("%s: worker simulator: %w", c.Key, err)
-					}
-					if br = NewBatchReplayer(gr.golden, c.Config, gold, scalar); br == nil {
-						return fmt.Errorf("%s: batch replay unavailable on a worker instance", c.Key)
-					}
-					brCamp = j.camp
-				}
-				k := 0
-				chunkNext := func() (int, fault.Spec, bool) {
-					if k >= len(j.idxs) {
-						return 0, fault.Spec{}, false
-					}
-					i := k
-					k++
-					return j.idxs[i], j.specs[i], true
-				}
-				deliver := func(idx int, oc RunOutcome) error {
-					atomic.AddInt64(&executed[j.camp], 1)
-					oc = deliverReplay(pruners[j.camp], seqs[j.camp], idx, oc)
-					if ckpt != nil {
-						return ckpt.write(c.Key, idx, oc, c.Config, goldenFp[j.camp])
-					}
-					return nil
-				}
-				t0 := time.Now()
-				if err := br.Replay(chunkNext, deliver); err != nil {
-					return fmt.Errorf("%s: %w", c.Key, err)
-				}
-				d := time.Since(t0)
-				atomic.AddInt64(&busy[j.camp], int64(d))
-				obsBusy(d)
-				continue
-			}
-			if cursorable[j.camp] {
-				// Cursor path: sort the chunk by injection cycle and walk a
-				// per-worker golden cursor, forking into the replay instance
-				// at each instant — inter-injection golden cycles simulate
-				// once per chunk instead of once per replay. Outcomes land
-				// in the same in-order collector, so classifications and
-				// stopping indices match the stream schedule exactly.
-				if cr == nil {
-					cursor, err := c.Factory()
-					if err != nil {
-						return fmt.Errorf("%s: worker simulator: %w", c.Key, err)
-					}
-					replay, err := c.Factory()
-					if err != nil {
-						return fmt.Errorf("%s: worker simulator: %w", c.Key, err)
-					}
-					cr = NewCursorReplayer(gr.golden, c.Config, cursor, replay)
-					cr.Stop = seqs[j.camp].stopped
-					crCamp = j.camp
-				}
-				k := 0
-				chunkNext := func() (int, fault.Spec, bool) {
-					if k >= len(j.idxs) {
-						return 0, fault.Spec{}, false
-					}
-					i := k
-					k++
-					return j.idxs[i], j.specs[i], true
-				}
-				deliver := func(idx int, oc RunOutcome) error {
-					atomic.AddInt64(&executed[j.camp], 1)
-					oc = deliverReplay(pruners[j.camp], seqs[j.camp], idx, oc)
-					if ckpt != nil {
-						return ckpt.write(c.Key, idx, oc, c.Config, goldenFp[j.camp])
-					}
-					return nil
-				}
-				t0 := time.Now()
-				if err := cr.Replay(chunkNext, deliver); err != nil {
-					return fmt.Errorf("%s: %w", c.Key, err)
-				}
-				d := time.Since(t0)
-				atomic.AddInt64(&busy[j.camp], int64(d))
-				obsBusy(d)
-				continue
-			}
-			if gr != cur {
-				var err error
-				sim, err = c.Factory()
-				if err != nil {
-					return fmt.Errorf("%s: worker simulator: %w", c.Key, err)
-				}
-				cur = gr
-			}
-			for n, i := range j.idxs {
-				t0 := time.Now()
-				oc, err := oneRunBuf(sim, gr.golden, j.specs[n], c.Config, &buf)
-				if err != nil {
-					return fmt.Errorf("%s: %w", c.Key, err)
-				}
-				d := time.Since(t0)
-				atomic.AddInt64(&busy[j.camp], int64(d))
-				obsReplayTimed(d)
-				atomic.AddInt64(&executed[j.camp], 1)
-				// Stamp the class weight before delivery, then fan the
-				// representative's outcome out over its extrapolated
-				// members. Only the representative reaches the shard;
-				// extrapolation is re-derived on resume.
-				oc = deliverReplay(pruners[j.camp], seqs[j.camp], i, oc)
-				if ckpt != nil {
-					if err := ckpt.write(c.Key, i, oc, c.Config, goldenFp[j.camp]); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		return nil
-	})
 	if err != nil {
+		// Including ErrInterrupted: partial results would be misleading,
+		// so none are returned.
 		return nil, err
-	}
-
-	// Record each campaign's stopping state so a resumed sweep neither
-	// re-derives it from scratch nor re-executes the skipped tail.
-	if opt.CheckpointDir != "" {
-		if err := writeStopRecords(opt.CheckpointDir, campaigns, plans, seqs, goldenFp, stopHint); err != nil {
-			return nil, err
-		}
-	}
-	if interrupted {
-		// Every completed replay is durable in its (now closed) shard;
-		// partial results would be misleading, so none are returned.
-		return nil, ErrInterrupted
 	}
 
 	// ------------------------------------------------------ aggregation
@@ -602,40 +262,23 @@ func Sweep(campaigns []SweepCampaign, opt SweepOptions) (*SweepResult, error) {
 		Results:    make(map[string]*Result, len(campaigns)),
 		Goldens:    goldens,
 		GoldenRuns: len(groups),
-		Resumed:    resumed,
 		Elapsed:    time.Since(start),
 	}
-	for i, c := range campaigns {
-		res, err := aggregate(c.Config, campGroup[i].golden, plans[i], seqs[i], pruners[i],
-			time.Duration(atomic.LoadInt64(&busy[i])))
+	for key, p := range planned {
+		st := p.replayStats()
+		res, err := p.Result(st.Busy)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", c.Key, err)
+			return nil, fmt.Errorf("%s: %w", key, err)
 		}
 		// Busy time only accrues on replays executed this sweep, so the
 		// per-run average must use that count, not the total: a fully
 		// resumed campaign reports 0, never a bogus tiny throughput.
-		if n := atomic.LoadInt64(&executed[i]); n > 0 {
-			res.AvgSecPerRun = res.Elapsed.Seconds() / float64(n)
-		} else {
-			res.AvgSecPerRun = 0
+		res.AvgSecPerRun = 0
+		if st.Executed > 0 {
+			res.AvgSecPerRun = st.Busy.Seconds() / float64(st.Executed)
 		}
-		res.BatchedRuns = int(atomic.LoadInt64(&batchedN[i]))
-		res.PeeledRuns = int(atomic.LoadInt64(&peeledN[i]))
-		if g := atomic.LoadInt64(&groupsN[i]); g > 0 {
-			res.LaneOccupancy = float64(atomic.LoadInt64(&laneSumN[i])) / float64(g)
-		}
-		if atomic.LoadInt32(&ffNotedN[i]) != 0 {
-			// aggregate filled FastForwardCycles with the stream-order
-			// cost; swap in the cursors' actual spend (saving clamped at
-			// zero, as cursors may overshoot the counted prefix).
-			actual := uint64(atomic.LoadInt64(&ffActualN[i]))
-			if stream := res.FastForwardCycles; stream > actual {
-				res.FastForwardSaved = stream - actual
-			}
-			res.FastForwardCycles = actual
-		}
-		res.AVF = avfInfos[i]
-		sr.Results[c.Key] = res
+		sr.Results[key] = res
+		sr.Resumed += p.Resumed()
 	}
 	return sr, nil
 }
@@ -747,53 +390,20 @@ func (w *shardWriter) encode(r ckptRecord) error {
 	return nil
 }
 
-func (w *shardWriter) write(key string, idx int, oc RunOutcome, cfg Config, golden uint64) error {
-	return w.encode(ckptRecord{
+// outcomeRecord builds one replayed outcome's record.
+func outcomeRecord(key string, idx int, oc RunOutcome, cfg Config, goldenFp uint64) ckptRecord {
+	return ckptRecord{
 		Campaign: key, Index: idx,
 		Target: int(oc.Spec.Target), Bit: oc.Spec.Bit, Cycle: oc.Spec.Cycle,
 		Model: int(oc.Spec.Model), Width: oc.Spec.Width,
 		Stuck: oc.Spec.Stuck, Span: oc.Spec.Span,
 		Window: cfg.Window, Obs: int(cfg.Obs), Compare: int(cfg.CompareMode),
-		Golden: golden,
+		Golden: goldenFp,
 		Class:  int(oc.Class), EndCycle: oc.EndCycle,
 		EarlyStop: cfg.EarlyStop, Converged: oc.Converged,
 		Prune: int(cfg.Prune), CSize: oc.ClassSize,
 		Protect: cfg.Protect,
-	})
-}
-
-// writeStopRecords appends one stopping-state record per sequentially
-// stopped campaign, so a resumed sweep skips the saved tail outright
-// instead of re-deriving (or worse, re-simulating) it. Campaigns whose
-// index was already pinned by a loaded stop record (stopHint) are
-// skipped, so resumes do not grow the stop shard with duplicates.
-func writeStopRecords(dir string, campaigns []SweepCampaign, plans []*lazyPlan,
-	seqs []*seqStop, goldenFp []uint64, stopHint []int) (retErr error) {
-
-	var w *shardWriter
-	defer func() {
-		if w != nil {
-			if cerr := w.close(); cerr != nil && retErr == nil {
-				retErr = cerr
-			}
-		}
-	}()
-	for i, c := range campaigns {
-		s := seqs[i].stopIndex()
-		if s < 0 || s == stopHint[i] {
-			continue
-		}
-		if w == nil {
-			var err error
-			if w, err = newShardWriter(dir, ckptKindStop); err != nil {
-				return err
-			}
-		}
-		if err := w.encode(stopRecord(c.Key, s, c.Config, plans[i].spec(s-1), goldenFp[i])); err != nil {
-			return err
-		}
 	}
-	return nil
 }
 
 // stopRecord builds a campaign's sequential-stopping record. The spec
@@ -816,11 +426,16 @@ func stopRecord(key string, idx int, cfg Config, last fault.Spec, goldenFp uint6
 	}
 }
 
-// sanitizeShardName maps an arbitrary campaign key onto a filesystem-
-// safe shard name (the coordinator keys shards by campaign, not by
-// worker number as Sweep does).
-func sanitizeShardName(key string) string {
-	return strings.Map(func(r rune) rune {
+// shardName maps an arbitrary campaign key onto a filesystem-safe shard
+// name. Distinct keys can sanitise alike ("a/b" and "a-b"), and two
+// buffered writers appending to one file would tear each other's lines,
+// so a hash of the raw key keeps the names distinct. The loader globs
+// shard-*.jsonl and routes by the key inside each record: naming is not
+// format.
+func shardName(key string) string {
+	h := fnv.New32a()
+	h.Write([]byte(key))
+	safe := strings.Map(func(r rune) rune {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
 			r == '-', r == '_', r == '.':
@@ -828,6 +443,7 @@ func sanitizeShardName(key string) string {
 		}
 		return '-'
 	}, key)
+	return fmt.Sprintf("%s-%08x", safe, h.Sum32())
 }
 
 // close flushes and closes the shard; a failure here means completed
@@ -844,53 +460,40 @@ func (w *shardWriter) close() error {
 	return nil
 }
 
-// loadCheckpoints replays JSONL shards into the streaming collectors,
-// returning how many replays were resumed. Records that do not match a
-// campaign key, its planned spec or its classification config are
+// openCheckpoints resumes every campaign in byKey from dir's JSONL
+// shards in ONE pass over the directory, routing each record to its
+// campaign by key, then arms checkpoint streaming on each. Records that
+// match no campaign key, planned spec or classification config are
 // skipped silently. Delivery order does not matter: each collector's
 // estimator consumes outcomes strictly in plan order, so a resumed
-// campaign re-derives the exact stopping index the original run chose.
-// Matching stop records short-circuit that by capping the producer at
-// the recorded index via stopHint.
-func loadCheckpoints(dir string, campaigns []SweepCampaign,
-	plans []*lazyPlan, goldenFp []uint64, seqs []*seqStop, stopHint []int) (int, error) {
-
-	byKey := make(map[string]int, len(campaigns))
-	for i, c := range campaigns {
-		byKey[c.Key] = i
-	}
-	resumed := 0
-	err := forEachCkptRecord(dir, func(r ckptRecord) {
-		ci, ok := byKey[r.Campaign]
-		if !ok {
-			return
-		}
-		if applyCkptRecord(r, campaigns[ci].Config, plans[ci], goldenFp[ci], seqs[ci], &stopHint[ci]) {
-			resumed++
-		}
-	})
-	return resumed, err
-}
-
-// loadCampaignCheckpoints resumes one campaign (keyed by key) from
-// dir's shards — the single-campaign form behind Planned.OpenCheckpoint
-// a distributed coordinator uses after a restart.
-func loadCampaignCheckpoints(dir, key string, cfg Config, pl *lazyPlan,
-	goldenFp uint64, seq *seqStop, stopHint *int) (int, error) {
-
+// campaign re-derives the exact stopping index the original run chose
+// (a matching stop record short-circuits that by capping the producer).
+func openCheckpoints(dir string, byKey map[string]*Planned) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return 0, fmt.Errorf("campaign: checkpoint dir: %w", err)
+		return fmt.Errorf("campaign: checkpoint dir: %w", err)
 	}
-	resumed := 0
-	err := forEachCkptRecord(dir, func(r ckptRecord) {
-		if r.Campaign != key {
-			return
+	for _, p := range byKey {
+		if p.checkpointing() {
+			return fmt.Errorf("campaign: checkpoint already open")
 		}
-		if applyCkptRecord(r, cfg, pl, goldenFp, seq, stopHint) {
-			resumed++
+	}
+	err := forEachCkptRecord(dir, func(r ckptRecord) {
+		if p := byKey[r.Campaign]; p != nil {
+			p.applyRecord(r)
 		}
 	})
-	return resumed, err
+	if err != nil {
+		return err
+	}
+	for key, p := range byKey {
+		p.mu.Lock()
+		// Shards record class representatives only; re-derive the
+		// extrapolated member outcomes of every resumed representative.
+		p.pr.resumedFanout(p.seq)
+		p.ckptDir, p.ckptKey = dir, key
+		p.mu.Unlock()
+	}
+	return nil
 }
 
 // forEachCkptRecord walks dir's JSONL shards in name order, decoding
@@ -934,61 +537,62 @@ func forEachCkptRecord(dir string, fn func(ckptRecord)) error {
 	return nil
 }
 
-// applyCkptRecord validates one decoded record against a campaign's
+// applyRecord validates one decoded record against the campaign's
 // freshly derived plan, classification config and golden fingerprint
 // and, when everything agrees, delivers it (outcome records) or pins
 // the stopping index (stop records). Mismatching records are skipped
-// silently — stale shards are harmless by construction. Reports whether
-// a not-yet-delivered outcome was resumed.
-func applyCkptRecord(r ckptRecord, cfg Config, pl *lazyPlan,
-	goldenFp uint64, seq *seqStop, stopHint *int) bool {
-
+// silently — stale shards are harmless by construction.
+func (p *Planned) applyRecord(r ckptRecord) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	cfg := p.cfg
 	if r.Window != cfg.Window || r.Obs != int(cfg.Obs) || r.Compare != int(cfg.CompareMode) {
-		return false // same plan but a different classification config
+		return // same plan but a different classification config
 	}
-	if r.Golden != goldenFp {
-		return false // simulator or workload behavior changed under the plan
+	if r.Golden != p.fp {
+		return // simulator or workload behavior changed under the plan
 	}
 	if r.EarlyStop != cfg.EarlyStop {
-		return false // convergence exits change EndCycle accounting
+		return // convergence exits change EndCycle accounting
 	}
 	if r.Prune != int(cfg.Prune) {
-		return false // pruning changes which indices replay and their weights
+		return // pruning changes which indices replay and their weights
 	}
 	if r.Protect != cfg.Protect {
 		// Protection changes the planned bit space and every class:
 		// pre-protection (or differently protected) shards are stale for
 		// a protected campaign, and protected shards for an unprotected
 		// one — the fault-model staleness rule extended to schemes.
-		return false
+		return
 	}
 	if r.Kind == ckptKindStop {
 		if r.TargetErr != cfg.TargetError || r.MinRuns != cfg.MinRuns || r.Conf != cfg.Confidence {
-			return false // different stopping rule: re-derive the index
+			return // different stopping rule: re-derive the index
 		}
 		if r.AvfPrior != cfg.AVFPrior {
-			return false // the prior moves the stopping index
+			return // the prior moves the stopping index
 		}
-		if r.Index <= 0 || r.Index > pl.n {
-			return false
+		if r.Index <= 0 || r.Index > p.pl.n {
+			return
 		}
-		if pl.spec(r.Index-1) != r.spec() {
-			return false // stop record from a different fault plan
+		if p.pl.spec(r.Index-1) != r.spec() {
+			return // stop record from a different fault plan
 		}
-		*stopHint = r.Index
-		return false
+		p.stopHint = r.Index
+		return
 	}
-	if r.Index < 0 || r.Index >= pl.n {
-		return false
+	if r.Index < 0 || r.Index >= p.pl.n {
+		return
 	}
-	spec := pl.spec(r.Index)
+	spec := p.pl.spec(r.Index)
 	if spec != r.spec() {
-		return false // stale shard from a different plan or fault model
+		return // stale shard from a different plan or fault model
 	}
-	fresh := !seq.done(r.Index)
-	seq.deliver(r.Index, RunOutcome{
+	if !p.seq.done(r.Index) {
+		p.resumed++
+	}
+	p.seq.deliver(r.Index, RunOutcome{
 		Spec: spec, Class: Class(r.Class), EndCycle: r.EndCycle,
 		Converged: r.Converged, ClassSize: r.CSize,
 	})
-	return fresh
 }

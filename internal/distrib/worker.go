@@ -11,7 +11,6 @@ import (
 	"os"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/campaign"
@@ -28,10 +27,11 @@ const maxWorkerGoldens = 4
 // instances warmed against it. Simulators are reused across leases — a
 // 4000-injection campaign is ~60 leases, and rebuilding every
 // simulator per lease would pay the program-load cost hundreds of
-// times for nothing (ReplayOne's snapshot restore resets them anyway).
+// times for nothing (every replay starts from a snapshot restore).
 type goldenEntry struct {
-	g    *campaign.Golden
-	sims []campaign.Simulator
+	g     *campaign.Golden
+	build campaign.Factory
+	sims  []campaign.Simulator
 }
 
 // WorkerOptions parameterises a pull-based worker.
@@ -53,7 +53,7 @@ type WorkerOptions struct {
 
 	// MaxLanes caps the bit-parallel replay width this worker uses per
 	// shard, regardless of the campaign's configured lanes (0 honors
-	// the campaign config; 1 forces the scalar pool). Classifications
+	// the campaign config; 1 forces a scalar engine). Classifications
 	// are byte-identical at any width, so a mixed fleet stays exact.
 	MaxLanes int
 
@@ -170,15 +170,38 @@ func (w *Worker) once(ctx context.Context) (bool, error) {
 }
 
 // executeShard prepares golden artifacts for the lease's campaign,
-// verifies golden identity, and replays every job, heartbeating the
-// lease while it works.
+// verifies golden identity, and runs the lease's jobs through the
+// campaign replay pool — the engine is whichever one the (lane-clamped)
+// config selects — heartbeating the lease while it works. Anything
+// wrong with the lease itself comes back as an error for the
+// coordinator, never as a panic: its fields arrive off the wire.
 func (w *Worker) executeShard(ctx context.Context, lease *Lease) ([]WireOutcome, error) {
+	cfg := lease.Spec.Config
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if w.opt.MaxLanes > 0 && cfg.Lanes > w.opt.MaxLanes {
+		cfg.Lanes = w.opt.MaxLanes
+	}
+	jobs := lease.Jobs
+	if len(jobs) == 0 {
+		return nil, fmt.Errorf("lease %s carries no jobs", lease.ID)
+	}
+	// Outcomes land in out at each job's shard slot, whatever order the
+	// engine finishes them in.
+	slot := make(map[int]int, len(jobs))
+	for i, j := range jobs {
+		if _, dup := slot[j.Index]; dup {
+			return nil, fmt.Errorf("lease %s lists fault index %d twice", lease.ID, j.Index)
+		}
+		slot[j.Index] = i
+	}
+
 	entry, err := w.golden(lease.Spec)
 	if err != nil {
 		return nil, err
 	}
-	g := entry.g
-	if fp := g.Fingerprint(); fp != lease.GoldenFP {
+	if fp := entry.g.Fingerprint(); fp != lease.GoldenFP {
 		obsWorkerFPRefusals.Inc()
 		return nil, fmt.Errorf("golden fingerprint mismatch (worker %016x, coordinator %016x): version or workload skew", fp, lease.GoldenFP)
 	}
@@ -218,267 +241,60 @@ func (w *Worker) executeShard(ctx context.Context, lease *Lease) ([]WireOutcome,
 		hbWG.Wait()
 	}()
 
-	cfg := lease.Spec.Config
-	jobs := lease.Jobs
 	out := make([]WireOutcome, len(jobs))
-	workers := w.opt.Workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if batched, err := w.executeShardBatched(shardCtx, entry, lease, out, workers); err != nil {
-		return nil, err
-	} else if batched {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if shardCtx.Err() != nil {
-			return nil, fmt.Errorf("lease %s expired under us; shard aborted", lease.ID)
-		}
-		return out, nil
-	}
-	if cursored, err := w.executeShardCursor(shardCtx, entry, lease, out, workers); err != nil {
-		return nil, err
-	} else if cursored {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if shardCtx.Err() != nil {
-			return nil, fmt.Errorf("lease %s expired under us; shard aborted", lease.ID)
-		}
-		return out, nil
-	}
-	sims, err := entry.take(lease.Spec, workers)
-	if err != nil {
-		return nil, err
-	}
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	next.Store(-1)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-	failed := func() bool {
-		errMu.Lock()
-		defer errMu.Unlock()
-		return firstErr != nil
-	}
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(sim campaign.Simulator) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= len(jobs) || failed() || shardCtx.Err() != nil {
-					return
-				}
-				oc, err := g.ReplayOne(sim, jobs[i].Spec, cfg)
-				if err != nil {
-					fail(err)
-					return
-				}
-				out[i] = WireOutcome{
-					Index: jobs[i].Index, Class: int(oc.Class),
-					EndCycle: oc.EndCycle, Converged: oc.Converged,
-				}
+	k := 0
+	err = campaign.ReplayPool(min(w.opt.Workers, len(jobs)), shardCtx.Done(), &campaign.Work{
+		Golden: entry.g, Config: cfg, Factory: entry.factory(),
+		// A lease is a finite, cycle-contiguous source: Size makes the
+		// pool split it evenly, so each goroutine's engine walks one
+		// contiguous stretch of the golden timeline.
+		Size: len(jobs),
+		Next: func() (int, fault.Spec, bool) {
+			if k >= len(jobs) {
+				return 0, fault.Spec{}, false
 			}
-		}(sims[i])
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
+			k++
+			return jobs[k-1].Index, jobs[k-1].Spec, true
+		},
+		Deliver: func(idx int, oc campaign.RunOutcome) error {
+			out[slot[idx]] = WireOutcome{
+				Index: idx, Class: int(oc.Class),
+				EndCycle: oc.EndCycle, Converged: oc.Converged,
+			}
+			return nil
+		},
+	})
+	switch {
+	case err != nil && !errors.Is(err, campaign.ErrInterrupted):
 		return nil, err
-	}
-	if shardCtx.Err() != nil {
+	case ctx.Err() != nil:
+		return nil, ctx.Err()
+	case shardCtx.Err() != nil:
 		return nil, fmt.Errorf("lease %s expired under us; shard aborted", lease.ID)
 	}
 	return out, nil
 }
 
-// executeShardBatched replays a shard through per-goroutine bit-parallel
-// batch replayers when the lease's campaign has lanes enabled and the
-// model exposes a batch surface (the RTL register file and L1D data
-// array). Outcomes land in out at each job's shard slot, exactly as the
-// scalar pool fills them, so the coordinator's merge is unchanged.
-// Returns batched=false — with out untouched — when batching does not
-// apply and the caller should run the scalar pool.
-func (w *Worker) executeShardBatched(ctx context.Context, entry *goldenEntry, lease *Lease, out []WireOutcome, workers int) (bool, error) {
-	cfg := lease.Spec.Config
-	if w.opt.MaxLanes > 0 && cfg.Lanes > w.opt.MaxLanes {
-		cfg.Lanes = w.opt.MaxLanes
-	}
-	if cfg.Lanes <= 1 {
-		return false, nil
-	}
-	jobs := lease.Jobs
-	// A batch replayer needs a simulator pair per goroutine: the golden
-	// instance carrying the lane diffs and the scalar instance that
-	// finishes peeled lanes.
-	sims, err := entry.take(lease.Spec, workers*2)
-	if err != nil {
-		return false, err
-	}
-	brs := make([]*campaign.BatchReplayer, workers)
-	for i := range brs {
-		br := campaign.NewBatchReplayer(entry.g, cfg, sims[2*i], sims[2*i+1])
-		if br == nil {
-			for _, b := range brs[:i] {
-				b.Close()
+// factory hands the pool this golden's warmed simulators first and
+// builds the shortfall, so simulators are reused across leases whatever
+// engine each lease selects. Leases execute one at a time; the lock
+// only orders one pool's goroutines.
+func (e *goldenEntry) factory() campaign.Factory {
+	var mu sync.Mutex
+	used := 0
+	return func() (campaign.Simulator, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if used == len(e.sims) {
+			sim, err := e.build()
+			if err != nil {
+				return nil, err
 			}
-			return false, nil
+			e.sims = append(e.sims, sim)
 		}
-		brs[i] = br
+		used++
+		return e.sims[used-1], nil
 	}
-	slot := make(map[int]int, len(jobs))
-	for i, j := range jobs {
-		slot[j.Index] = i
-	}
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	next.Store(-1)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-	failed := func() bool {
-		errMu.Lock()
-		defer errMu.Unlock()
-		return firstErr != nil
-	}
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(br *campaign.BatchReplayer) {
-			defer wg.Done()
-			defer br.Close()
-			nextJob := func() (int, fault.Spec, bool) {
-				i := int(next.Add(1))
-				if i >= len(jobs) || failed() || ctx.Err() != nil {
-					return 0, fault.Spec{}, false
-				}
-				return jobs[i].Index, jobs[i].Spec, true
-			}
-			deliver := func(idx int, oc campaign.RunOutcome) error {
-				out[slot[idx]] = WireOutcome{
-					Index: idx, Class: int(oc.Class),
-					EndCycle: oc.EndCycle, Converged: oc.Converged,
-				}
-				return nil
-			}
-			if err := br.Replay(nextJob, deliver); err != nil {
-				fail(err)
-			}
-		}(brs[i])
-	}
-	wg.Wait()
-	return true, firstErr
-}
-
-// executeShardCursor replays a cursor-scheduled shard through
-// per-goroutine golden cursors: the coordinator hands out
-// cycle-contiguous shards, each goroutine takes a contiguous slice of
-// the (cycle-sorted) jobs, and its CursorReplayer walks the golden
-// timeline once across the slice, forking a replay at each injection
-// instant. Outcomes land in out at each job's shard slot exactly as the
-// scalar pool fills them. Returns cursored=false — with out untouched —
-// when the campaign is not cursor-scheduled.
-func (w *Worker) executeShardCursor(ctx context.Context, entry *goldenEntry, lease *Lease, out []WireOutcome, workers int) (bool, error) {
-	cfg := lease.Spec.Config
-	if cfg.Sched != campaign.SchedCursor {
-		return false, nil
-	}
-	jobs := lease.Jobs
-	// A cursor replayer needs a simulator pair per goroutine: the golden
-	// cursor and the replay instance it forks into.
-	sims, err := entry.take(lease.Spec, workers*2)
-	if err != nil {
-		return false, err
-	}
-	slot := make(map[int]int, len(jobs))
-	for i, j := range jobs {
-		slot[j.Index] = i
-	}
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-	per := (len(jobs) + workers - 1) / workers
-	for i := 0; i < workers; i++ {
-		lo := i * per
-		hi := lo + per
-		if hi > len(jobs) {
-			hi = len(jobs)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int, cursor, replay campaign.Simulator) {
-			defer wg.Done()
-			cr := campaign.NewCursorReplayer(entry.g, cfg, cursor, replay)
-			k := lo
-			next := func() (int, fault.Spec, bool) {
-				if k >= hi || ctx.Err() != nil {
-					return 0, fault.Spec{}, false
-				}
-				j := jobs[k]
-				k++
-				return j.Index, j.Spec, true
-			}
-			deliver := func(idx int, oc campaign.RunOutcome) error {
-				out[slot[idx]] = WireOutcome{
-					Index: idx, Class: int(oc.Class),
-					EndCycle: oc.EndCycle, Converged: oc.Converged,
-				}
-				return nil
-			}
-			if err := cr.Replay(next, deliver); err != nil {
-				fail(err)
-			}
-		}(lo, hi, sims[2*i], sims[2*i+1])
-	}
-	wg.Wait()
-	return true, firstErr
-}
-
-// take returns n simulators warmed against this golden, building the
-// shortfall. executeShard runs one lease at a time, so no locking.
-func (e *goldenEntry) take(spec CampaignSpec, n int) ([]campaign.Simulator, error) {
-	for len(e.sims) < n {
-		factory, err := spec.factory()
-		if err != nil {
-			return nil, err
-		}
-		sim, err := factory()
-		if err != nil {
-			return nil, err
-		}
-		e.sims = append(e.sims, sim)
-	}
-	return e.sims[:n], nil
 }
 
 // golden returns (preparing on first use) the local golden artifacts
@@ -510,7 +326,7 @@ func (w *Worker) golden(spec CampaignSpec) (*goldenEntry, error) {
 		}
 		delete(w.goldens, k)
 	}
-	e := &goldenEntry{g: g}
+	e := &goldenEntry{g: g, build: factory}
 	w.goldens[key] = e
 	return e, nil
 }

@@ -423,11 +423,7 @@ func measureReplayBatch(n int) (ReplayPoint, error) {
 	if err != nil {
 		return ReplayPoint{}, err
 	}
-	gold, err := factory()
-	if err != nil {
-		return ReplayPoint{}, err
-	}
-	scalar, err := factory()
+	probe, err := factory()
 	if err != nil {
 		return ReplayPoint{}, err
 	}
@@ -435,16 +431,19 @@ func measureReplayBatch(n int) (ReplayPoint, error) {
 		Injections: 1, Seed: 1, Target: fault.TargetRF,
 		Obs: campaign.ObsPinout, Window: 500, Lanes: campaign.MaxLanes,
 	}
-	specs, err := fault.Plan(n, cfg.Target, scalar.Bits(cfg.Target), g.Cycles,
+	specs, err := fault.Plan(n, cfg.Target, probe.Bits(cfg.Target), g.Cycles,
 		fault.DistNormal, cfg.Fault, rand.New(rand.NewSource(1)))
 	if err != nil {
 		return ReplayPoint{}, err
 	}
-	br := campaign.NewBatchReplayer(g, cfg, gold, scalar)
-	if br == nil {
-		return ReplayPoint{}, fmt.Errorf("rtl model lost its batch surface")
+	br, err := campaign.NewReplayer(&campaign.Work{Golden: g, Config: cfg, Factory: factory})
+	if err != nil {
+		return ReplayPoint{}, err
 	}
 	defer br.Close()
+	if _, ok := br.(*campaign.BatchReplayer); !ok {
+		return ReplayPoint{}, fmt.Errorf("rtl model lost its batch surface")
+	}
 	var cycles uint64
 	i := 0
 	start := time.Now()
@@ -485,11 +484,7 @@ func measureReplaySched(scalar ReplayPoint) (ReplayPoint, ReplaySchedPoint, erro
 	if err != nil {
 		return ReplayPoint{}, ReplaySchedPoint{}, err
 	}
-	cursor, err := factory()
-	if err != nil {
-		return ReplayPoint{}, ReplaySchedPoint{}, err
-	}
-	replay, err := factory()
+	probe, err := factory()
 	if err != nil {
 		return ReplayPoint{}, ReplaySchedPoint{}, err
 	}
@@ -497,12 +492,19 @@ func measureReplaySched(scalar ReplayPoint) (ReplayPoint, ReplaySchedPoint, erro
 		Injections: 1, Seed: 1, Target: fault.TargetRF,
 		Obs: campaign.ObsPinout, Window: 500, Sched: campaign.SchedCursor,
 	}
-	specs, err := fault.Plan(n, cfg.Target, cursor.Bits(cfg.Target), g.Cycles,
+	specs, err := fault.Plan(n, cfg.Target, probe.Bits(cfg.Target), g.Cycles,
 		fault.DistNormal, cfg.Fault, rand.New(rand.NewSource(1)))
 	if err != nil {
 		return ReplayPoint{}, ReplaySchedPoint{}, err
 	}
-	cr := campaign.NewCursorReplayer(g, cfg, cursor, replay)
+	r, err := campaign.NewReplayer(&campaign.Work{Golden: g, Config: cfg, Factory: factory})
+	if err != nil {
+		return ReplayPoint{}, ReplaySchedPoint{}, err
+	}
+	cr, ok := r.(*campaign.CursorReplayer)
+	if !ok {
+		return ReplayPoint{}, ReplaySchedPoint{}, fmt.Errorf("cursor schedule selected %T, not the cursor engine", r)
+	}
 	var cycles uint64
 	i := 0
 	start := time.Now()
