@@ -240,6 +240,34 @@ func BenchmarkMicroarchCyclesPerSecond(b *testing.B) {
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds()/1e6, "Mcyc/s")
 }
 
+// BenchmarkMicroarchStep is the microarch kernel at steady state: one op
+// is one simulated cycle of qsort with the pinout capture attached, the
+// simulator built outside the timer and rewound when the program ends.
+// It pins the window's zero-allocation contract (0 allocs/op; what a
+// run allocates for syscalls and first-touched pages is a few per ten
+// thousand cycles), next to BenchmarkMicroarchCyclesPerSecond, which
+// pays for construction every run.
+func BenchmarkMicroarchStep(b *testing.B) {
+	p := workloadProgram(b, "qsort")
+	sim, err := core.NewSimulator(core.ModelMicroarch, p, core.CampaignSetup())
+	if err != nil {
+		b.Fatal(err)
+	}
+	start := sim.Snapshot()
+	pin := &trace.Pinout{}
+	sim.SetPinout(pin)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !sim.Step() {
+			sim.Restore(start)
+			pin.Reset()
+			sim.SetPinout(pin)
+		}
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcyc/s")
+}
+
 func BenchmarkRTLCyclesPerSecond(b *testing.B) {
 	p := workloadProgram(b, "qsort")
 	b.ResetTimer()
@@ -310,7 +338,7 @@ func BenchmarkCloneMicroarch(b *testing.B) {
 		sim.Step()
 	}
 	snap := sim.Snapshot()
-	b.ReportAllocs() // arena-pooled restore: 0 allocs/op at steady state
+	b.ReportAllocs() // flat-copy restore into the worker's own storage: 0 allocs/op
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sim.Restore(snap)
@@ -378,9 +406,10 @@ func BenchmarkOneRunReplay_GeFIN_EarlyStop(b *testing.B) {
 
 // BenchmarkOneRunReplayAllocs pins the allocation profile of the
 // engine's hottest path: with per-worker buffer reuse (pinout capture,
-// snapshot restore into existing storage, pooled uop arena) a
-// steady-state microarch replay must stay in the low hundreds of
-// allocations instead of re-cloning the whole CPU per run.
+// snapshot restore into existing storage, an allocation-free stepping
+// kernel) a steady-state microarch replay must stay at a few dozen
+// allocations — copy-on-write page clones and the outcome, not a
+// re-cloned CPU or a uop per instruction.
 func BenchmarkOneRunReplayAllocs(b *testing.B) {
 	p := workloadProgram(b, "qsort")
 	factory := core.Factory(core.ModelMicroarch, p, core.CampaignSetup())

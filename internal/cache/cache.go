@@ -239,9 +239,8 @@ func (c *Cache) access(addr uint32, res *Result) (set, way, off int, ok bool) {
 		res.EvictAddr = evAddr
 		res.EvictData = c.evictBuf
 	}
-	fill, _ := c.backing.LoadBytes(fillAddr, uint32(c.cfg.LineBytes))
+	c.backing.ReadBytes(fillAddr, c.data[base:base+c.cfg.LineBytes]) // in range: checked above
 	c.ltWrite(set, way, 0, c.cfg.LineBytes*8)
-	copy(c.data[base:], fill)
 	c.tags[i] = tag
 	c.valid[i] = true
 	c.dirty[i] = false

@@ -99,7 +99,7 @@ func (s *maSim) Restore(snap campaign.Snapshot) {
 		panic("core: foreign snapshot passed to microarch simulator")
 	}
 	// In-place restore: the worker's CPU reuses its own storage (cache
-	// arrays, page table, uop arena) instead of discarding itself for a
+	// arrays, page table, uop slab) instead of discarding itself for a
 	// fresh clone on every replay.
 	s.cpu.RestoreFrom(base)
 }

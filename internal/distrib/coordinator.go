@@ -195,10 +195,11 @@ func NewCoordinator(opt CoordinatorOptions) *Coordinator {
 	// Golden runs dominate preparation and distinct shapes are
 	// independent, so a small pool preps them concurrently; identical
 	// shapes still share one run through the goldenSlot single-flight.
-	prep := runtime.GOMAXPROCS(0)
-	if prep > maxPrepWorkers {
-		prep = maxPrepWorkers
-	}
+	// One P stays free of golden runs: they are pure compute that never
+	// enters the runtime (the microarch kernel does not allocate), so a
+	// pool as wide as GOMAXPROCS left the API's goroutines waiting ~10 ms
+	// per network hop for sysmon to poll and preempt on their behalf.
+	prep := min(max(1, runtime.GOMAXPROCS(0)-1), maxPrepWorkers)
 	c.wg.Add(prep)
 	for i := 0; i < prep; i++ {
 		go c.prepLoop()

@@ -1,6 +1,9 @@
 package isa
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // Inst is a decoded AL32 instruction.
 type Inst struct {
@@ -101,13 +104,27 @@ func Encode(in Inst) (uint32, error) {
 	return w, nil
 }
 
+// ErrInvalidWord is what Decode returns for an undecodable word. It is a
+// sentinel so that decoding wrong-path fetches — data words, mostly —
+// costs no allocation; a caller that reports the failure names the word
+// with DecodeError.
+var ErrInvalidWord = errors.New("decode: invalid instruction word")
+
 // DecodeError describes an undecodable instruction word.
 type DecodeError struct {
 	Word uint32
 }
 
-func (e *DecodeError) Error() string {
-	return fmt.Sprintf("decode: invalid instruction word %#08x", e.Word)
+func (e DecodeError) Error() string { return string(e.Append(nil)) }
+
+// Append appends the error message to b, allocating only if b lacks room.
+func (e DecodeError) Append(b []byte) []byte {
+	const digits = "0123456789abcdef"
+	b = append(b, "decode: invalid instruction word 0x"...)
+	for shift := 28; shift >= 0; shift -= 4 {
+		b = append(b, digits[e.Word>>shift&0xF])
+	}
+	return b
 }
 
 func signExt(v uint32, bits uint) int32 {
@@ -119,7 +136,7 @@ func signExt(v uint32, bits uint) int32 {
 func Decode(w uint32) (Inst, error) {
 	op := Opcode(w >> 24)
 	if !op.Valid() {
-		return Inst{}, &DecodeError{Word: w}
+		return Inst{}, ErrInvalidWord
 	}
 	in := Inst{
 		Op: op,

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -61,9 +62,28 @@ func TestEncodeRejectsOutOfRange(t *testing.T) {
 
 func TestDecodeRejectsInvalidOpcode(t *testing.T) {
 	for _, w := range []uint32{0x00000000, 0xFF000000, uint32(numOpcodes) << 24} {
-		if _, err := Decode(w); err == nil {
-			t.Errorf("Decode(%#08x): expected error", w)
+		if _, err := Decode(w); err != ErrInvalidWord {
+			t.Errorf("Decode(%#08x) = %v, want ErrInvalidWord", w, err)
 		}
+	}
+}
+
+// TestDecodeErrorPath pins the hand-formatted DecodeError message to the
+// fmt rendering it replaced (fault descriptions and state digests carry
+// it) and the sentinel error path to zero allocations.
+func TestDecodeErrorPath(t *testing.T) {
+	for _, w := range []uint32{0, 1, 0x1234, 0x00ABCDEF, 0xFF000000, 0xFFFFFFFF} {
+		e := DecodeError{Word: w}
+		if want := fmt.Sprintf("decode: invalid instruction word %#08x", w); e.Error() != want {
+			t.Errorf("DecodeError{%#x} = %q, want %q", w, e.Error(), want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := Decode(0xFF000000); err == nil {
+			t.Fatal("decoded an invalid word")
+		}
+	}); n != 0 {
+		t.Errorf("Decode error path allocates %v times per call", n)
 	}
 }
 

@@ -231,13 +231,23 @@ func (m *Memory) LoadBytes(addr, n uint32) ([]byte, bool) {
 	if !m.InRange(addr, n) {
 		return nil, false
 	}
-	m.observe(addr, n, false)
 	out := make([]byte, n)
-	for i := uint32(0); i < n; i++ {
-		b, _ := m.loadByte(addr + i)
-		out[i] = b
+	return out, m.ReadBytes(addr, out)
+}
+
+// ReadBytes copies len(dst) bytes starting at addr into dst: LoadBytes
+// for a caller that owns the buffer (a cache fill), so the access costs
+// no allocation. It reports whether the whole range was in bounds.
+func (m *Memory) ReadBytes(addr uint32, dst []byte) bool {
+	n := uint32(len(dst))
+	if !m.InRange(addr, n) {
+		return false
 	}
-	return out, true
+	m.observe(addr, n, false)
+	for i := range dst {
+		dst[i], _ = m.loadByte(addr + uint32(i))
+	}
+	return true
 }
 
 // StoreBytes copies buf into memory starting at addr. It reports whether

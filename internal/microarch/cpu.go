@@ -2,6 +2,7 @@ package microarch
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/asm"
 	"repro/internal/cache"
@@ -12,7 +13,8 @@ import (
 	"repro/internal/trace"
 )
 
-// uop is one instruction in flight.
+// uop is one instruction in flight. It lives in a slot of CPU.uops and
+// holds no pointers: other uops are named by slot (see window.go).
 type uop struct {
 	seq  uint64
 	pc   uint32
@@ -27,7 +29,7 @@ type uop struct {
 	src3   int16 // store data (rd)
 
 	writesFlags  bool
-	flagProducer *uop      // older in-flight flag writer, nil = use flagsIn
+	flagProducer slot      // older flag writer, noSlot = use flagsIn
 	flagsIn      isa.Flags // committed flags captured at rename
 
 	// Pipeline status.
@@ -47,7 +49,7 @@ type uop struct {
 	predTaken    bool
 	predTarget   uint32
 	ratSnap      [16]int16
-	flagSnap     *uop
+	flagSnap     slot
 	flagsInSnap  isa.Flags
 	mispredicted bool
 	recovered    bool
@@ -60,16 +62,21 @@ type uop struct {
 	addrReady bool
 	storeVal  uint32
 
-	fault string
+	fault     faultKind
+	faultWord uint32 // the undecodable word of a faultDecode
 }
 
-// fetched is a predecoded instruction waiting in the decode queue.
+// fetched is a predecoded instruction waiting in the decode queue. The
+// word is decoded once, at fetch (decoding is a pure function of the
+// word); rename consumes inst.
 type fetched struct {
-	pc         uint32
-	word       uint32
-	bad        bool // fetch failed (out-of-range PC)
-	predTaken  bool
-	predTarget uint32
+	pc          uint32
+	word        uint32
+	inst        isa.Inst
+	bad         bool // fetch failed (out-of-range PC)
+	undecodable bool // word is not an instruction; inst is zero
+	predTaken   bool
+	predTarget  uint32
 }
 
 // CPU is the out-of-order microarchitectural model.
@@ -94,17 +101,24 @@ type CPU struct {
 	freeList  []int16
 	archFlags isa.Flags
 
-	specFlagProducer *uop
+	// The in-flight window (window.go): the uop slab, its free list, the
+	// committed flag writer that younger branches may still name, and
+	// the youngest renamed one.
+	uops             []uop
+	uopFree          []slot
+	retiredFlags     slot
+	specFlagProducer slot
 
 	// Frontend.
 	fetchPC         uint32
 	fetchStallUntil uint64
-	decq            []fetched
+	decq            ring[fetched]
 
-	// Backend queues (program order for rob and lsq).
-	rob []*uop
-	iq  []*uop
-	lsq []*uop
+	// Backend queues of slab slots, all in program order and all of
+	// fixed capacity (ROBSize, IQSize, LSQSize).
+	rob ring[slot]
+	iq  []slot
+	lsq []slot
 
 	// Predictors.
 	bimodal []uint8
@@ -115,12 +129,6 @@ type CPU struct {
 	// lifetime during the golden run (see SetLifetime); nil on replay
 	// workers, so the hot path pays one nil check.
 	ltRF *lifetime.Space
-
-	// Per-worker restore scratch (see RestoreFrom): a reusable uop
-	// arena and clone memo so differential replays stop allocating a
-	// fresh instruction graph per restore. Never part of Clone state.
-	uopArena []*uop
-	uopMemo  map[*uop]*uop
 
 	// Functional unit occupancy.
 	lsuBusyUntil uint64
@@ -164,6 +172,15 @@ func New(p *asm.Program, cfg Config) (*CPU, error) {
 		bimodal:  make([]uint8, 1<<cfg.BimodalBits),
 		ras:      make([]uint32, cfg.RASDepth),
 		fetchPC:  p.TextBase,
+
+		uops:             make([]uop, slabSlots(cfg)),
+		uopFree:          make([]slot, 0, slabSlots(cfg)),
+		retiredFlags:     noSlot,
+		specFlagProducer: noSlot,
+		decq:             newRing[fetched](cfg.DecodeQueue),
+		rob:              newRing[slot](cfg.ROBSize),
+		iq:               make([]slot, 0, cfg.IQSize),
+		lsq:              make([]slot, 0, cfg.LSQSize),
 	}
 	for i := 0; i < 16; i++ {
 		c.rat[i] = int16(i)
@@ -172,6 +189,9 @@ func New(p *asm.Program, cfg Config) (*CPU, error) {
 	}
 	for i := 16; i < cfg.NumPhysRegs; i++ {
 		c.freeList = append(c.freeList, int16(i))
+	}
+	for s := range c.uops {
+		c.uopFree = append(c.uopFree, slot(s))
 	}
 	c.prf[isa.SP] = isa.StackTop
 	// Weakly-taken initial bimodal state.
@@ -243,14 +263,14 @@ func (c *CPU) fetch() {
 		return
 	}
 	for n := 0; n < c.cfg.FetchWidth; n++ {
-		if len(c.decq) >= c.cfg.DecodeQueue {
+		if c.decq.n >= c.cfg.DecodeQueue {
 			return
 		}
 		pc := c.fetchPC
 		var res cache.Result
 		w, ok := c.L1I.LoadWord(pc, &res)
 		if !ok {
-			c.decq = append(c.decq, fetched{pc: pc, bad: true})
+			c.decq.push(fetched{pc: pc, bad: true})
 			c.fetchPC += isa.InstBytes
 			return
 		}
@@ -260,8 +280,9 @@ func (c *CPU) fetch() {
 			c.fetchStallUntil = c.Cycles + uint64(c.cfg.MemLatency)
 			return
 		}
-		f := fetched{pc: pc, word: w}
-		if in, err := isa.Decode(w); err == nil && in.Op.IsBranch() {
+		in, err := isa.Decode(w)
+		f := fetched{pc: pc, word: w, inst: in, undecodable: err != nil}
+		if in.Op.IsBranch() {
 			switch {
 			case in.Op == isa.OpB:
 				f.predTaken = true
@@ -285,7 +306,7 @@ func (c *CPU) fetch() {
 				}
 			}
 		}
-		c.decq = append(c.decq, f)
+		c.decq.push(f)
 		if f.predTaken {
 			c.fetchPC = f.predTarget
 		} else {
@@ -297,65 +318,63 @@ func (c *CPU) fetch() {
 // --------------------------------------------------------------- rename
 
 func (c *CPU) rename() {
-	for n := 0; n < c.cfg.FetchWidth && len(c.decq) > 0; n++ {
-		if len(c.rob) >= c.cfg.ROBSize {
+	for n := 0; n < c.cfg.FetchWidth && c.decq.n > 0; n++ {
+		if c.rob.n >= c.cfg.ROBSize {
 			return
 		}
-		f := c.decq[0]
-
+		f := c.decq.at(0)
 		c.seq++
-		u := &uop{
-			seq: c.seq, pc: f.pc,
-			dst: -1, oldDst: -1, dstAr: -1, src1: -1, src2: -1, src3: -1,
-			predTaken: f.predTaken, predTarget: f.predTarget,
-		}
-		if f.bad {
-			u.fault = fmt.Sprintf("fetch out of range at %#x", f.pc)
-			u.executed = true
-			c.decq = c.decq[1:]
-			c.rob = append(c.rob, u)
-			continue
-		}
-		in, err := isa.Decode(f.word)
-		if err != nil {
-			u.fault = fmt.Sprintf("decode at %#x: %v", f.pc, err)
-			u.executed = true
-			c.decq = c.decq[1:]
-			c.rob = append(c.rob, u)
-			continue
-		}
-		u.inst = in
+		in := f.inst
 		op := in.Op
 
-		switch op {
-		case isa.OpNOP, isa.OpHLT, isa.OpSVC:
-			// No computation; handled entirely at commit.
+		// Fetch and decode faults surface at commit; NOP, HLT and SVC are
+		// handled entirely there. None of them needs a backend resource.
+		done := f.bad || f.undecodable || op == isa.OpNOP || op == isa.OpHLT || op == isa.OpSVC
+		dstAr := int8(-1)
+		if !done {
+			if op.IsMem() && len(c.lsq) >= c.cfg.LSQSize {
+				return
+			}
+			if len(c.iq) >= c.cfg.IQSize {
+				return
+			}
+			// Destination register (BL writes the link register).
+			switch {
+			case op == isa.OpBL:
+				dstAr = int8(isa.LR)
+			case op.WritesRd():
+				dstAr = int8(in.Rd)
+			}
+			if dstAr >= 0 && len(c.freeList) == 0 {
+				return
+			}
+		}
+
+		// Past the last stall: build the uop in a slab slot at the ROB
+		// tail and consume its decode-queue entry.
+		s := c.allocUop()
+		c.rob.push(s)
+		c.decq.pop()
+		u := &c.uops[s]
+		*u = uop{} // cleared in place, then filled: no stack temporary to copy
+		u.seq, u.pc, u.inst = c.seq, f.pc, in
+		u.dst, u.oldDst, u.dstAr = -1, -1, -1
+		u.src1, u.src2, u.src3 = -1, -1, -1
+		u.flagProducer, u.flagSnap = noSlot, noSlot
+		u.predTaken, u.predTarget = f.predTaken, f.predTarget
+		if done {
 			u.executed = true
-			c.decq = c.decq[1:]
-			c.rob = append(c.rob, u)
+			switch {
+			case f.bad:
+				u.fault = faultFetch
+			case f.undecodable:
+				u.fault = faultDecode
+				u.faultWord = f.word
+			}
 			continue
 		}
-
 		u.isLoad = op.IsLoad()
 		u.isStore = op.IsStore()
-		if op.IsMem() && len(c.lsq) >= c.cfg.LSQSize {
-			return
-		}
-		if len(c.iq) >= c.cfg.IQSize {
-			return
-		}
-
-		// Destination register (BL writes the link register).
-		dstAr := int8(-1)
-		switch {
-		case op == isa.OpBL:
-			dstAr = int8(isa.LR)
-		case op.WritesRd():
-			dstAr = int8(in.Rd)
-		}
-		if dstAr >= 0 && len(c.freeList) == 0 {
-			return
-		}
 
 		// Sources.
 		if op == isa.OpRET {
@@ -375,7 +394,7 @@ func (c *CPU) rename() {
 		}
 		if op.IsCompare() {
 			u.writesFlags = true
-			c.specFlagProducer = u
+			c.specFlagProducer = s
 		}
 
 		// Rename the destination.
@@ -401,12 +420,10 @@ func (c *CPU) rename() {
 			u.size = 1
 		}
 
-		c.decq = c.decq[1:]
-		c.rob = append(c.rob, u)
 		u.inIQ = true
-		c.iq = append(c.iq, u)
+		c.iq = append(c.iq, s)
 		if op.IsMem() {
-			c.lsq = append(c.lsq, u)
+			c.lsq = append(c.lsq, s)
 		}
 	}
 }
@@ -416,12 +433,16 @@ func (c *CPU) rename() {
 func (c *CPU) ready(p int16) bool { return p < 0 || c.prfReady[p] }
 
 func (c *CPU) flagsReady(u *uop) bool {
-	return u.flagProducer == nil || u.flagProducer.executed || u.flagProducer.squashed
+	if u.flagProducer == noSlot {
+		return true
+	}
+	p := &c.uops[u.flagProducer]
+	return p.executed || p.squashed
 }
 
 func (c *CPU) readFlags(u *uop) isa.Flags {
-	if u.flagProducer != nil {
-		return u.flagProducer.flags
+	if u.flagProducer != noSlot {
+		return c.uops[u.flagProducer].flags
 	}
 	return u.flagsIn
 }
@@ -430,7 +451,8 @@ func (c *CPU) readFlags(u *uop) isa.Flags {
 // address; an exact-match store forwards, any partial overlap blocks.
 func (c *CPU) loadMayIssue(u *uop) (forward bool, val uint32, blocked bool) {
 	var match *uop
-	for _, s := range c.lsq {
+	for _, sl := range c.lsq {
+		s := &c.uops[sl]
 		if s.seq >= u.seq || !s.isStore {
 			continue
 		}
@@ -456,14 +478,13 @@ func (c *CPU) loadMayIssue(u *uop) (forward bool, val uint32, blocked bool) {
 func (c *CPU) issue() {
 	issued := 0
 	aluUsed := 0
-	// Oldest-first selection: walk the ROB in program order.
-	for _, u := range c.rob {
+	// Oldest-first selection: the IQ holds exactly the waiting uops, in
+	// program order.
+	for _, s := range c.iq {
 		if issued >= c.cfg.IssueWidth {
 			break
 		}
-		if !u.inIQ || u.issued || u.squashed {
-			continue
-		}
+		u := &c.uops[s]
 		if !c.ready(u.src1) || !c.ready(u.src2) || !c.ready(u.src3) || !c.flagsReady(u) {
 			continue
 		}
@@ -528,7 +549,7 @@ func (c *CPU) issue() {
 			aluUsed++
 		}
 	}
-	c.iq = compactIQ(c.iq)
+	c.compactIQ()
 }
 
 // execLoad performs the functional D-cache access for a load at issue
@@ -544,7 +565,7 @@ func (c *CPU) execLoad(u *uop) bool {
 		u.result = uint32(b)
 	}
 	if !ok {
-		u.fault = fmt.Sprintf("load out of range or unaligned at %#x (pc %#x)", u.addr, u.pc)
+		u.fault = faultLoad
 		return false
 	}
 	if res.Evicted {
@@ -630,11 +651,13 @@ func (c *CPU) execALU(u *uop) {
 
 func (c *CPU) writeback() {
 	written := 0
-	var recover *uop
-	for _, u := range c.rob {
+	recover := noSlot
+	for i := 0; i < c.rob.n; i++ {
 		if written >= c.cfg.WritebackWidth {
 			break
 		}
+		s := c.rob.at(i)
+		u := &c.uops[s]
 		if u.squashed || !u.issued || u.executed || u.execDone > c.Cycles {
 			continue
 		}
@@ -647,12 +670,12 @@ func (c *CPU) writeback() {
 			c.prf[u.dst] = u.result
 			c.prfReady[u.dst] = true
 		}
-		if u.mispredicted && !u.recovered && recover == nil {
-			recover = u
+		if u.mispredicted && !u.recovered && recover == noSlot {
+			recover = s
 		}
 	}
-	if recover != nil {
-		c.recoverFrom(recover)
+	if recover != noSlot {
+		c.recoverFrom(&c.uops[recover])
 	}
 }
 
@@ -660,24 +683,21 @@ func (c *CPU) writeback() {
 // and restores the rename state from its snapshot.
 func (c *CPU) recoverFrom(b *uop) {
 	b.recovered = true
-	keep := c.rob[:0]
-	for _, u := range c.rob {
-		if u.seq <= b.seq {
-			keep = append(keep, u)
+	keep := 0 // the ROB is in program order: everything through b stays
+	for i := 0; i < c.rob.n; i++ {
+		s := c.rob.at(i)
+		if c.uops[s].seq <= b.seq {
+			keep = i + 1
 			continue
 		}
-		u.squashed = true
-		u.inIQ = false
-		if u.dst >= 0 {
-			c.freeList = append(c.freeList, u.dst)
-		}
+		c.squash(s)
 	}
-	c.rob = keep
-	c.iq = compactIQ(c.iq)
-	c.lsq = compactLSQ(c.lsq)
+	c.rob.truncate(keep)
+	c.compactIQ() // the freed slots still hold their squashed flags
+	c.compactLSQ()
 	c.rat = b.ratSnap
 	c.specFlagProducer = b.flagSnap
-	c.decq = c.decq[:0]
+	c.decq.truncate(0)
 	if b.taken {
 		c.fetchPC = b.target
 	} else {
@@ -688,39 +708,52 @@ func (c *CPU) recoverFrom(b *uop) {
 	}
 }
 
+// squash cancels a wrong-path uop, returning its destination register
+// and its slot.
+func (c *CPU) squash(s slot) {
+	u := &c.uops[s]
+	u.squashed = true
+	u.inIQ = false
+	if u.dst >= 0 {
+		c.freeList = append(c.freeList, u.dst)
+	}
+	c.freeUop(s)
+}
+
 // compactIQ drops issued and squashed uops from the instruction queue.
-func compactIQ(q []*uop) []*uop {
-	out := q[:0]
-	for _, u := range q {
-		if u.inIQ && !u.squashed {
-			out = append(out, u)
+func (c *CPU) compactIQ() {
+	out := c.iq[:0]
+	for _, s := range c.iq {
+		if u := &c.uops[s]; u.inIQ && !u.squashed {
+			out = append(out, s)
 		}
 	}
-	return out
+	c.iq = out
 }
 
 // compactLSQ drops squashed uops from the load-store queue.
-func compactLSQ(q []*uop) []*uop {
-	out := q[:0]
-	for _, u := range q {
-		if !u.squashed {
-			out = append(out, u)
+func (c *CPU) compactLSQ() {
+	out := c.lsq[:0]
+	for _, s := range c.lsq {
+		if !c.uops[s].squashed {
+			out = append(out, s)
 		}
 	}
-	return out
+	c.lsq = out
 }
 
 // --------------------------------------------------------------- commit
 
 func (c *CPU) commit() {
-	for n := 0; n < c.cfg.CommitWidth && len(c.rob) > 0; n++ {
-		u := c.rob[0]
+	for n := 0; n < c.cfg.CommitWidth && c.rob.n > 0; n++ {
+		s := c.rob.at(0)
+		u := &c.uops[s]
 		if !u.executed {
 			return
 		}
-		if u.fault != "" {
+		if u.fault != faultNone {
 			c.Stop = refsim.StopFault
-			c.FaultDesc = u.fault
+			c.FaultDesc = string(u.appendFault(nil))
 			return
 		}
 		op := u.inst.Op
@@ -730,7 +763,7 @@ func (c *CPU) commit() {
 			c.Stop = refsim.StopHalt
 			return
 		case op == isa.OpSVC:
-			c.commitSyscall(u)
+			c.commitSyscall(s)
 			return // serializing: flushed and redirected (or stopped)
 		case u.isStore:
 			if !c.commitStore(u) {
@@ -738,7 +771,7 @@ func (c *CPU) commit() {
 			}
 		}
 		if u.isLoad || u.isStore {
-			c.lsqRemove(u)
+			c.lsqRemove(s)
 		}
 		if u.dst >= 0 {
 			c.freeList = append(c.freeList, c.arat[u.dstAr])
@@ -747,7 +780,8 @@ func (c *CPU) commit() {
 		if u.writesFlags {
 			c.archFlags = u.flags
 		}
-		c.rob = c.rob[1:]
+		c.rob.pop()
+		c.retireUop(s)
 		c.Insts++
 	}
 }
@@ -756,16 +790,14 @@ func (c *CPU) archReg(r isa.Reg) uint32 { return c.readPRF(c.arat[r]) }
 
 // lsqRemove drops a committed memory operation from the LSQ. It is the
 // oldest entry in the common case.
-func (c *CPU) lsqRemove(u *uop) {
-	for i, s := range c.lsq {
-		if s == u {
-			c.lsq = append(c.lsq[:i], c.lsq[i+1:]...)
-			return
-		}
+func (c *CPU) lsqRemove(s slot) {
+	if i := slices.Index(c.lsq, s); i >= 0 {
+		c.lsq = slices.Delete(c.lsq, i, i+1)
 	}
 }
 
-func (c *CPU) commitSyscall(u *uop) {
+func (c *CPU) commitSyscall(s slot) {
+	u := &c.uops[s]
 	frag, exited, ok := refsim.Syscall(c.archReg(isa.R7), c.archReg(isa.R0), c.archReg(isa.R1), c.L1D.View())
 	if !ok {
 		c.Stop = refsim.StopFault
@@ -773,7 +805,8 @@ func (c *CPU) commitSyscall(u *uop) {
 		return
 	}
 	c.Output = append(c.Output, frag...)
-	c.rob = c.rob[1:]
+	c.rob.pop()
+	c.retireUop(s)
 	c.Insts++
 	if exited {
 		c.Stop = refsim.StopExit
@@ -781,19 +814,15 @@ func (c *CPU) commitSyscall(u *uop) {
 		return
 	}
 	// Serialize: squash every younger instruction and refetch.
-	for _, y := range c.rob {
-		y.squashed = true
-		y.inIQ = false
-		if y.dst >= 0 {
-			c.freeList = append(c.freeList, y.dst)
-		}
+	for i := 0; i < c.rob.n; i++ {
+		c.squash(c.rob.at(i))
 	}
-	c.rob = c.rob[:0]
+	c.rob.truncate(0)
 	c.iq = c.iq[:0]
 	c.lsq = c.lsq[:0]
-	c.decq = c.decq[:0]
+	c.decq.truncate(0)
 	c.rat = c.arat
-	c.specFlagProducer = nil
+	c.specFlagProducer = noSlot
 	c.fetchPC = u.pc + isa.InstBytes
 	if c.fetchStallUntil < c.Cycles+1 {
 		c.fetchStallUntil = c.Cycles + 1

@@ -1,5 +1,7 @@
 package microarch
 
+import "slices"
+
 // Clone returns a deep copy of the CPU, including every in-flight
 // instruction, the rename state, predictors, caches and a copy-on-write
 // snapshot of memory. The clone's Pinout is nil (the campaign engine
@@ -7,27 +9,39 @@ package microarch
 //
 // Clone is the foundation of differential fault injection: the campaign
 // snapshots the golden run periodically, then replays each faulty run
-// from the snapshot closest to its injection cycle.
+// from the snapshot closest to its injection cycle. The in-flight window
+// is index-addressed (window.go), so it copies flat and the snapshot
+// holds no pointer graph for the collector to trace.
 func (c *CPU) Clone() *CPU {
 	m := c.Mem.Snapshot()
-	n := &CPU{
+	return &CPU{
 		cfg:      c.cfg,
 		Mem:      m,
 		L1I:      c.L1I.Clone(m),
 		L1D:      c.L1D.Clone(m),
-		prf:      append([]uint32(nil), c.prf...),
-		prfReady: append([]bool(nil), c.prfReady...),
+		prf:      slices.Clone(c.prf),
+		prfReady: slices.Clone(c.prfReady),
 		rat:      c.rat,
 		arat:     c.arat,
-		freeList: append([]int16(nil), c.freeList...),
+		freeList: cloneCap(c.freeList),
 
-		archFlags:       c.archFlags,
+		archFlags: c.archFlags,
+
+		uops:             slices.Clone(c.uops),
+		uopFree:          cloneCap(c.uopFree),
+		retiredFlags:     c.retiredFlags,
+		specFlagProducer: c.specFlagProducer,
+
 		fetchPC:         c.fetchPC,
 		fetchStallUntil: c.fetchStallUntil,
-		decq:            append([]fetched(nil), c.decq...),
+		decq:            c.decq.clone(),
 
-		bimodal: append([]uint8(nil), c.bimodal...),
-		ras:     append([]uint32(nil), c.ras...),
+		rob: c.rob.clone(),
+		iq:  cloneCap(c.iq),
+		lsq: cloneCap(c.lsq),
+
+		bimodal: slices.Clone(c.bimodal),
+		ras:     slices.Clone(c.ras),
 		rasLen:  c.rasLen,
 
 		lsuBusyUntil: c.lsuBusyUntil,
@@ -36,26 +50,20 @@ func (c *CPU) Clone() *CPU {
 		Cycles:    c.Cycles,
 		Insts:     c.Insts,
 		seq:       c.seq,
-		Output:    append([]byte(nil), c.Output...),
+		Output:    slices.Clone(c.Output),
 		Stop:      c.Stop,
 		ExitCode:  c.ExitCode,
 		FaultDesc: c.FaultDesc,
 	}
-	memo := make(map[*uop]*uop, len(c.rob)+2)
-	n.rob = cloneUopSlice(c.rob, memo)
-	n.iq = cloneUopSlice(c.iq, memo)
-	n.lsq = cloneUopSlice(c.lsq, memo)
-	n.specFlagProducer = cloneUop(c.specFlagProducer, memo)
-	return n
 }
 
 // RestoreFrom overwrites this CPU's state with a deep copy of base,
-// reusing the receiver's storage — slices, cache arrays, the page
-// table, and a pooled uop arena — instead of allocating a fresh CPU per
-// replay the way Clone does. It is the campaign engine's per-worker
-// restore fast path; base (typically a shared golden snapshot) is only
-// read and may be restored concurrently by other workers. Both CPUs
-// must come from the same factory.
+// reusing the receiver's storage — slices, cache arrays, the page table
+// and the uop slab — instead of allocating a fresh CPU per replay the
+// way Clone does. It is the campaign engine's per-worker restore fast
+// path; base (typically a shared golden snapshot) is only read and may
+// be restored concurrently by other workers. Both CPUs must come from
+// the same factory.
 func (c *CPU) RestoreFrom(base *CPU) {
 	c.Mem.RestoreFrom(base.Mem)
 	c.L1I.RestoreFrom(base.L1I, c.Mem)
@@ -68,9 +76,18 @@ func (c *CPU) RestoreFrom(base *CPU) {
 	c.freeList = append(c.freeList[:0], base.freeList...)
 	c.archFlags = base.archFlags
 
+	copy(c.uops, base.uops)
+	c.uopFree = append(c.uopFree[:0], base.uopFree...)
+	c.retiredFlags = base.retiredFlags
+	c.specFlagProducer = base.specFlagProducer
+
 	c.fetchPC = base.fetchPC
 	c.fetchStallUntil = base.fetchStallUntil
-	c.decq = append(c.decq[:0], base.decq...)
+	c.decq.copyFrom(&base.decq)
+
+	c.rob.copyFrom(&base.rob)
+	c.iq = append(c.iq[:0], base.iq...)
+	c.lsq = append(c.lsq[:0], base.lsq...)
 
 	copy(c.bimodal, base.bimodal)
 	copy(c.ras, base.ras)
@@ -87,74 +104,4 @@ func (c *CPU) RestoreFrom(base *CPU) {
 	c.ExitCode = base.ExitCode
 	c.FaultDesc = base.FaultDesc
 	c.Pinout = nil // as after Clone: the engine attaches its own capture
-
-	// Rebuild the in-flight instruction graph through the arena.
-	if c.uopMemo == nil {
-		c.uopMemo = make(map[*uop]*uop, len(base.rob)+2)
-	} else {
-		clear(c.uopMemo)
-	}
-	used := 0
-	c.rob = restoreUopSlice(c.rob[:0], base.rob, c, &used)
-	c.iq = restoreUopSlice(c.iq[:0], base.iq, c, &used)
-	c.lsq = restoreUopSlice(c.lsq[:0], base.lsq, c, &used)
-	c.specFlagProducer = c.restoreUop(base.specFlagProducer, &used)
-}
-
-// restoreUopSlice appends deep copies of q into dst via the CPU's arena.
-func restoreUopSlice(dst, q []*uop, c *CPU, used *int) []*uop {
-	for _, u := range q {
-		dst = append(dst, c.restoreUop(u, used))
-	}
-	return dst
-}
-
-// restoreUop deep-copies one uop (preserving aliasing through the memo)
-// out of the reusable arena, growing it on demand.
-func (c *CPU) restoreUop(u *uop, used *int) *uop {
-	if u == nil {
-		return nil
-	}
-	if n, ok := c.uopMemo[u]; ok {
-		return n
-	}
-	var n *uop
-	if *used < len(c.uopArena) {
-		n = c.uopArena[*used]
-	} else {
-		n = &uop{}
-		c.uopArena = append(c.uopArena, n)
-	}
-	*used++
-	*n = *u
-	c.uopMemo[u] = n
-	n.flagProducer = c.restoreUop(u.flagProducer, used)
-	n.flagSnap = c.restoreUop(u.flagSnap, used)
-	return n
-}
-
-func cloneUopSlice(q []*uop, memo map[*uop]*uop) []*uop {
-	if q == nil {
-		return nil
-	}
-	out := make([]*uop, len(q))
-	for i, u := range q {
-		out[i] = cloneUop(u, memo)
-	}
-	return out
-}
-
-func cloneUop(u *uop, memo map[*uop]*uop) *uop {
-	if u == nil {
-		return nil
-	}
-	if n, ok := memo[u]; ok {
-		return n
-	}
-	n := &uop{}
-	*n = *u
-	memo[u] = n
-	n.flagProducer = cloneUop(u.flagProducer, memo)
-	n.flagSnap = cloneUop(u.flagSnap, memo)
-	return n
 }

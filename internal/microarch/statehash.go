@@ -40,8 +40,9 @@ func (c *CPU) StateHash() uint64 {
 
 	h.U32(c.fetchPC)
 	h.U64(c.fetchStallUntil)
-	h.Int(len(c.decq))
-	for _, f := range c.decq {
+	h.Int(c.decq.n)
+	for i := 0; i < c.decq.n; i++ {
+		f := c.decq.at(i)
 		h.U32(f.pc)
 		h.U32(f.word)
 		h.Bool(f.bad)
@@ -49,19 +50,19 @@ func (c *CPU) StateHash() uint64 {
 		h.U32(f.predTarget)
 	}
 
-	h.Int(len(c.rob))
-	for _, u := range c.rob {
-		c.hashUop(h, u)
+	h.Int(c.rob.n)
+	for i := 0; i < c.rob.n; i++ {
+		c.hashUop(h, &c.uops[c.rob.at(i)])
 	}
 	// iq and lsq hold subsets of the rob's uops; their membership and
 	// order still matter, so digest them as references.
 	h.Int(len(c.iq))
-	for _, u := range c.iq {
-		c.hashUopRef(h, u)
+	for _, s := range c.iq {
+		c.hashUopRef(h, s)
 	}
 	h.Int(len(c.lsq))
-	for _, u := range c.lsq {
-		c.hashUopRef(h, u)
+	for _, s := range c.lsq {
+		c.hashUopRef(h, s)
 	}
 
 	h.Bytes(c.bimodal)
@@ -81,18 +82,19 @@ func (c *CPU) StateHash() uint64 {
 	return h.Sum()
 }
 
-// hashUopRef digests a uop pointer as its age relative to the current
-// sequence counter (or a sentinel for nil), so two runs whose in-flight
+// hashUopRef digests a uop reference as its age relative to the current
+// sequence counter (or a sentinel for noSlot), so two runs whose in-flight
 // windows are field-identical but whose absolute counters drifted apart
 // still produce equal digests. A referenced uop may already have left
 // the ROB (a committed flag producer) yet still feed younger branches
 // through flagsReady/readFlags, so the fields those paths consult are
 // folded here rather than assumed to be covered by the ROB walk.
-func (c *CPU) hashUopRef(h *statehash.Hash, u *uop) {
-	if u == nil {
+func (c *CPU) hashUopRef(h *statehash.Hash, s slot) {
+	if s == noSlot {
 		h.U64(^uint64(0))
 		return
 	}
+	u := &c.uops[s]
 	h.U64(c.seq - u.seq)
 	h.Bool(u.executed)
 	h.Bool(u.squashed)
@@ -147,5 +149,8 @@ func (c *CPU) hashUop(h *statehash.Hash, u *uop) {
 	h.U32(u.addr)
 	h.Bool(u.addrReady)
 	h.U32(u.storeVal)
-	h.Str(u.fault)
+	if u.fault != faultNone {
+		var buf [96]byte // longer than any fault description
+		h.Bytes(u.appendFault(buf[:0]))
+	}
 }

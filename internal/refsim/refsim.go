@@ -85,7 +85,7 @@ func (c *CPU) Step() bool {
 	}
 	in, err := isa.Decode(w)
 	if err != nil {
-		c.fault("decode at %#x: %v", c.PC, err)
+		c.fault("decode at %#x: %v", c.PC, isa.DecodeError{Word: w})
 		return false
 	}
 	c.InstCount++

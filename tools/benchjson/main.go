@@ -6,9 +6,10 @@
 // saved and estimate drift vs the fixed plan), golden-trace pruning's
 // simulated-cycle reduction on both levels, the injection-locality
 // cursor schedule's throughput and fast-forward elimination (model
-// "replay-sched"), and the observability overhead arm — the same
-// campaign with the metrics registry off and on, gated at 3% throughput
-// loss. CI runs it on every push so future changes to the hot path have
+// "replay-sched"), the observability overhead arm — the same campaign
+// with the metrics registry off and on, gated at 3% throughput loss —
+// and the microarch kernel's heap allocations per simulated cycle,
+// gated at 0.01 with no tolerance. CI runs it on every push so future changes to the hot path have
 // a trajectory to compare against:
 //
 //	go run ./tools/benchjson -out BENCH_campaign.json
@@ -39,6 +40,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"runtime"
 	"time"
 
 	"repro/internal/asm"
@@ -47,6 +49,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 // Baseline is the emitted document.
@@ -60,6 +63,7 @@ type Baseline struct {
 	ReplaySched ReplaySchedPoint `json:"replaySched"`
 	Protection  ProtectionPoint  `json:"protection"`
 	ObsOverhead ObsOverheadPoint `json:"obsOverhead"`
+	MAAllocs    MAAllocsPoint    `json:"microarchAllocsPerCycle"`
 }
 
 // ObsOverheadPoint measures what enabling the metrics registry costs
@@ -76,6 +80,20 @@ type ObsOverheadPoint struct {
 	PlainRPS     float64 `json:"plainReplaysPerSec"`
 	ObsRPS       float64 `json:"obsReplaysPerSec"`
 	OverheadFrac float64 `json:"overheadFrac"`
+}
+
+// MAAllocsPoint is the microarch stepping kernel's allocation row: one
+// whole golden run (construction excluded, pinout capture attached) and
+// the heap allocations it made. The in-flight window is allocation-free
+// (DESIGN.md "Window representation"); what remains is per syscall and
+// per first-touched page, a few per ten thousand cycles. With -baseline
+// set the run fails above maAllocsGate; the count is deterministic, so
+// there is no tolerance.
+type MAAllocsPoint struct {
+	Workload       string  `json:"workload"`
+	Cycles         uint64  `json:"cycles"`
+	Allocs         uint64  `json:"allocs"`
+	AllocsPerCycle float64 `json:"allocsPerCycle"`
 }
 
 // ReplayPoint is the oneRun replay-throughput measurement for one model.
@@ -277,6 +295,12 @@ func run(out, baseline string, maxReg float64) error {
 	}
 	doc.ObsOverhead = oo
 
+	ma, err := measureMAAllocs()
+	if err != nil {
+		return err
+	}
+	doc.MAAllocs = ma
+
 	buf, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return err
@@ -294,6 +318,12 @@ func run(out, baseline string, maxReg float64) error {
 		return fmt.Errorf("metrics overhead %.1f%% exceeds the %.0f%% gate (plain %.1f replays/s, obs %.1f replays/s)",
 			doc.ObsOverhead.OverheadFrac*100, obsOverheadGate*100,
 			doc.ObsOverhead.PlainRPS, doc.ObsOverhead.ObsRPS)
+	}
+	// Likewise the microarch allocation gate: an absolute ceiling on a
+	// deterministic count.
+	if doc.MAAllocs.AllocsPerCycle > maAllocsGate {
+		return fmt.Errorf("microarch kernel allocates %.4f times per cycle (%d in %d cycles of %s), gate %.2f",
+			doc.MAAllocs.AllocsPerCycle, doc.MAAllocs.Allocs, doc.MAAllocs.Cycles, doc.MAAllocs.Workload, maAllocsGate)
 	}
 	return compareBaseline(doc, baseline, maxReg)
 }
@@ -715,11 +745,14 @@ const obsOverheadGate = 0.03
 // measureObsOverhead times the same full campaign (golden prep reused,
 // replay phase timed) with observability off and on. Arms interleave
 // and each keeps its best of three runs, so transient scheduler noise
-// must hit the same arm three times to skew the ratio.
+// must hit the same arm three times to skew the ratio. The plan is
+// sized so an arm runs for ~0.1 s: at 120 injections the allocation-free
+// microarch kernel finishes in ~35 ms and run-to-run noise alone
+// crossed the 3% gate.
 func measureObsOverhead() (ObsOverheadPoint, error) {
 	const rounds = 3
 	cfg := campaign.Config{
-		Injections: 120, Seed: 9, Target: fault.TargetRF,
+		Injections: 480, Seed: 9, Target: fault.TargetRF,
 		Obs: campaign.ObsPinout, Window: 500,
 	}
 	arm := func(enabled bool) (float64, error) {
@@ -755,6 +788,35 @@ func measureObsOverhead() (ObsOverheadPoint, error) {
 	if pt.ObsRPS < pt.PlainRPS {
 		pt.OverheadFrac = 1 - pt.ObsRPS/pt.PlainRPS
 	}
+	return pt, nil
+}
+
+// maAllocsGate is the ceiling on the microarch kernel's heap
+// allocations per simulated cycle, enforced whenever -baseline is set.
+const maAllocsGate = 0.01
+
+// measureMAAllocs counts the heap allocations of one microarch golden
+// run, from the first Step to the last, on this goroutine alone.
+func measureMAAllocs() (MAAllocsPoint, error) {
+	const bench = "qsort"
+	p, err := workload(bench)
+	if err != nil {
+		return MAAllocsPoint{}, err
+	}
+	sim, err := core.NewSimulator(core.ModelMicroarch, p, core.CampaignSetup())
+	if err != nil {
+		return MAAllocsPoint{}, err
+	}
+	sim.SetPinout(&trace.Pinout{Txns: make([]trace.Transaction, 0, 4096)})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sim.Run(1 << 40)
+	runtime.ReadMemStats(&after)
+	pt := MAAllocsPoint{Workload: bench, Cycles: sim.Cycles(), Allocs: after.Mallocs - before.Mallocs}
+	if pt.Cycles == 0 {
+		return pt, fmt.Errorf("microarch golden run of %s simulated no cycle", bench)
+	}
+	pt.AllocsPerCycle = float64(pt.Allocs) / float64(pt.Cycles)
 	return pt, nil
 }
 
