@@ -247,9 +247,16 @@ func BenchmarkMicroarchCyclesPerSecond(b *testing.B) {
 // run allocates for syscalls and first-touched pages is a few per ten
 // thousand cycles), next to BenchmarkMicroarchCyclesPerSecond, which
 // pays for construction every run.
-func BenchmarkMicroarchStep(b *testing.B) {
+func BenchmarkMicroarchStep(b *testing.B) { benchmarkStep(b, core.ModelMicroarch) }
+
+// BenchmarkRTLStep is the same measurement one abstraction level down:
+// the RTL core's clock edge plus whole-core evaluation, and its own
+// zero-allocation contract (rtlcore.TestRTLStepDoesNotAllocate).
+func BenchmarkRTLStep(b *testing.B) { benchmarkStep(b, core.ModelRTL) }
+
+func benchmarkStep(b *testing.B, model core.Model) {
 	p := workloadProgram(b, "qsort")
-	sim, err := core.NewSimulator(core.ModelMicroarch, p, core.CampaignSetup())
+	sim, err := core.NewSimulator(model, p, core.CampaignSetup())
 	if err != nil {
 		b.Fatal(err)
 	}

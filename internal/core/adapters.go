@@ -179,6 +179,13 @@ func (s *rtlSim) Force(t fault.Target, bit, v int) error {
 
 func (s *rtlSim) Snapshot() campaign.Snapshot { return s.core.Snapshot() }
 
+// SnapshotInto recycles old, an earlier capture of this simulator, as
+// the storage of a new one (campaign.BatchCapable's ring capture).
+func (s *rtlSim) SnapshotInto(old campaign.Snapshot) campaign.Snapshot {
+	prev, _ := old.(*rtlcore.Snapshot)
+	return s.core.SnapshotInto(prev)
+}
+
 func (s *rtlSim) Restore(snap campaign.Snapshot) {
 	st, ok := snap.(*rtlcore.Snapshot)
 	if !ok {

@@ -242,7 +242,7 @@ func TestBatchLanePeelMatchesScalar(t *testing.T) {
 	var peeledAt uint64
 	var pre *State
 	for gold.CycleCount < total {
-		snap := gold.CaptureState()
+		snap := gold.CaptureState(nil)
 		b.BeginTick()
 		if err := gold.Tick(); err != nil {
 			t.Fatal(err)

@@ -147,13 +147,12 @@ type memWrite struct {
 // asynchronous (combinational) read ports and synchronous write ports.
 // Register files and cache tag/data/state arrays are built from it.
 type Mem struct {
-	name   string
-	width  int
-	mask   uint64
-	data   []uint64
-	queue  []memWrite
-	reader *process // optional: processes reading the whole array re-run on writes
-	sim    *Simulator
+	name  string
+	width int
+	mask  uint64
+	data  []uint64
+	queue []memWrite
+	sim   *Simulator
 
 	// lt, when non-nil, records the array's access lifetime during the
 	// golden run (see SetLifetime); nil everywhere else, so the read and
@@ -393,9 +392,6 @@ func (s *Simulator) Tick() error {
 			m.data[w.idx] = w.v
 		}
 		m.queue = m.queue[:0]
-		if m.reader != nil {
-			s.activate(m.reader)
-		}
 	}
 	for _, p := range s.everyCycle {
 		s.activate(p)

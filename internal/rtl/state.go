@@ -29,21 +29,21 @@ type memState struct {
 	queue []memWrite
 }
 
-// CaptureState snapshots all sequential state.
-func (s *Simulator) CaptureState() *State {
-	st := &State{
-		regs:  make([]regState, len(s.regs)),
-		mems:  make([]memState, len(s.mems)),
-		cycle: s.CycleCount,
+// CaptureState snapshots all sequential state into st, a capture of this
+// same design the caller has finished with, reusing its storage; a nil st
+// allocates a fresh capture.
+func (s *Simulator) CaptureState(st *State) *State {
+	if st == nil {
+		st = &State{regs: make([]regState, len(s.regs)), mems: make([]memState, len(s.mems))}
 	}
+	st.cycle = s.CycleCount
 	for i, r := range s.regs {
 		st.regs[i] = regState{cur: r.out.cur, d: r.d, dSet: r.dSet}
 	}
 	for i, m := range s.mems {
-		st.mems[i] = memState{
-			data:  append([]uint64(nil), m.data...),
-			queue: append([]memWrite(nil), m.queue...),
-		}
+		ms := &st.mems[i]
+		ms.data = append(ms.data[:0], m.data...)
+		ms.queue = append(ms.queue[:0], m.queue...)
 	}
 	return st
 }

@@ -7,10 +7,11 @@
 //
 // It plays the role of the commercial Cortex-A9 RTL model in the paper:
 // every storage bit — architectural register file, cache arrays, and
-// every pipeline latch — is enumerable and injectable, and simulation
-// pays the event-driven RTL cost, orders of magnitude slower than the
-// microarchitectural model. The substitution (in-order scalar instead of
-// the proprietary out-of-order A9 netlist) is documented in EXPERIMENTS.md.
+// every pipeline latch — is enumerable and injectable, and every cycle
+// evaluates the whole core, all execute units included. The substitution
+// (in-order scalar instead of the proprietary out-of-order A9 netlist,
+// whose host cost is reported by TABLE II rather than emulated) is
+// documented in EXPERIMENTS.md.
 package rtlcore
 
 import (
@@ -41,6 +42,12 @@ type rtlCache struct {
 
 	backing *mem.Memory
 
+	// Line buffers of the miss path: the dirty victim on its way out and
+	// the fill on its way in. A miss's accessResult.fill aliases fillBuf
+	// and is consumed before the next access.
+	victimBuf []byte
+	fillBuf   []byte
+
 	// accessHook, when set, observes every access (testbench
 	// instrumentation for injection-time advancement).
 	accessHook func(set, way int)
@@ -63,6 +70,8 @@ func newRTLCache(sim *rtl.Simulator, name string, cfg cache.Config, backing *mem
 		ways:      cfg.Ways,
 		lineWords: cfg.LineBytes / 4,
 		backing:   backing,
+		victimBuf: make([]byte, cfg.LineBytes),
+		fillBuf:   make([]byte, cfg.LineBytes),
 	}
 	for cfg.LineBytes>>c.offBits > 1 {
 		c.offBits++
@@ -166,7 +175,7 @@ func (c *rtlCache) access(addr uint32, cycle uint64, pin *trace.Pinout) (accessR
 	if c.dirty != nil && c.valid.Read(i) != 0 && c.dirty.Read(i) != 0 {
 		c.evictions++
 		evAddr := uint32(c.tag.Read(i))<<(c.offBits+c.setBits) | uint32(set)<<c.offBits
-		line := make([]byte, c.cfg.LineBytes)
+		line := c.victimBuf
 		for w := 0; w < c.lineWords; w++ {
 			v := uint32(c.data.Read(i*c.lineWords + w))
 			line[4*w] = byte(v)
@@ -177,7 +186,8 @@ func (c *rtlCache) access(addr uint32, cycle uint64, pin *trace.Pinout) (accessR
 		c.backing.StoreBytes(evAddr, line)
 		pin.Record(cycle, evAddr, trace.KindWriteback, line)
 	}
-	fill, _ := c.backing.LoadBytes(fillAddr, uint32(c.cfg.LineBytes))
+	fill := c.fillBuf
+	c.backing.ReadBytes(fillAddr, fill) // in range: checked above
 	for w := 0; w < c.lineWords; w++ {
 		v := uint32(fill[4*w]) | uint32(fill[4*w+1])<<8 |
 			uint32(fill[4*w+2])<<16 | uint32(fill[4*w+3])<<24

@@ -215,22 +215,26 @@ func dstReg(in isa.Inst) int {
 	return -1
 }
 
-// srcRegs returns the architectural registers an instruction reads.
-func srcRegs(in isa.Inst) []isa.Reg {
-	var out []isa.Reg
+// srcRegs returns the architectural registers an instruction reads: the
+// first n entries of regs.
+func srcRegs(in isa.Inst) (regs [3]isa.Reg, n int) {
 	if in.Op == isa.OpRET {
-		return append(out, isa.LR)
+		regs[0] = isa.LR
+		return regs, 1
 	}
 	if in.Op.ReadsRn() {
-		out = append(out, in.Rn)
+		regs[n] = in.Rn
+		n++
 	}
 	if in.Op.ReadsRm() {
-		out = append(out, in.Rm)
+		regs[n] = in.Rm
+		n++
 	}
 	if in.Op.IsStore() {
-		out = append(out, in.Rd)
+		regs[n] = in.Rd
+		n++
 	}
-	return out
+	return regs, n
 }
 
 // eval is the whole-core combinational process, evaluated once per clock.
@@ -243,13 +247,16 @@ func (c *Core) eval() {
 	}
 	if c.stall.Q() > 0 {
 		c.stall.SetD(c.stall.Q() - 1)
-		// The combinational network keeps evaluating on the held
-		// operand buses while the pipeline is frozen, as in the real
-		// design (registers simply do not latch).
-		c.shadowDatapath()
 		return
 	}
 	var stallCycles uint64
+
+	// Each stage latch is decoded once; the stages below share the
+	// result (MEM and the EX forwarding network both look at exmem.ir,
+	// EX and the ID load-use check both at idex.ir).
+	wbIn, wbErr := isa.Decode(uint32(c.memwb.ir.Q()))
+	memIn, memErr := isa.Decode(uint32(c.exmem.ir.Q()))
+	exIn, exErr := isa.Decode(uint32(c.idex.ir.Q()))
 
 	// ------------------------------------------------------------- WB
 	wbValid := c.memwb.valid.QBool()
@@ -268,8 +275,8 @@ func (c *Core) eval() {
 			c.halt(refsim.StopFault, fmt.Sprintf("memory fault at %#x", uint32(c.memwb.pc.Q())))
 			return
 		}
-		in, err := isa.Decode(uint32(c.memwb.ir.Q()))
-		if err != nil {
+		in := wbIn
+		if wbErr != nil {
 			// Possible only under fault injection into the latches.
 			c.halt(refsim.StopFault, fmt.Sprintf("latched garbage at WB (pc %#x)", uint32(c.memwb.pc.Q())))
 			return
@@ -308,8 +315,8 @@ func (c *Core) eval() {
 	c.memwb.pass(c.exmem)
 	memResult := uint32(c.exmemR.Q())
 	if c.exmem.valid.QBool() && c.exmem.exc.Q() == excNone {
-		in, err := isa.Decode(uint32(c.exmem.ir.Q()))
-		if err != nil {
+		in := memIn
+		if memErr != nil {
 			c.memwb.exc.SetD(excDecode)
 		} else if in.Op.IsMem() {
 			addr := uint32(c.exmemR.Q())
@@ -342,10 +349,9 @@ func (c *Core) eval() {
 	// ------------------------------------------------------------- EX
 	// Forwarding: ALU results from the instruction now in MEM, any
 	// result (including loads) from the instruction now in WB.
-	exmemIn, exmemErr := isa.Decode(uint32(c.exmem.ir.Q()))
 	fwd := func(r isa.Reg, latched uint32) uint32 {
-		if c.exmem.valid.QBool() && c.exmem.exc.Q() == excNone && exmemErr == nil &&
-			!exmemIn.Op.IsLoad() && dstReg(exmemIn) == int(r) {
+		if c.exmem.valid.QBool() && c.exmem.exc.Q() == excNone && memErr == nil &&
+			!memIn.Op.IsLoad() && dstReg(memIn) == int(r) {
 			return uint32(c.exmemR.Q())
 		}
 		if wbDst == int(r) {
@@ -359,8 +365,8 @@ func (c *Core) eval() {
 	exResult := uint64(0)
 	exSt := c.idexSt.Q()
 	if c.idex.valid.QBool() && c.idex.exc.Q() == excNone {
-		in, err := isa.Decode(uint32(c.idex.ir.Q()))
-		if err != nil {
+		in := exIn
+		if exErr != nil {
 			c.exmem.exc.SetD(excDecode)
 		} else {
 			pc := uint32(c.idex.pc.Q())
@@ -433,14 +439,15 @@ func (c *Core) eval() {
 		} else {
 			// Load-use interlock: producer load in EX this cycle.
 			if c.idex.valid.QBool() && c.idex.exc.Q() == excNone {
-				if pin, perr := isa.Decode(uint32(c.idex.ir.Q())); perr == nil && pin.Op.IsLoad() {
-					for _, s := range srcRegs(in) {
-						if int(s) == dstReg(pin) {
+				if exErr == nil && exIn.Op.IsLoad() {
+					regs, n := srcRegs(in)
+					for _, s := range regs[:n] {
+						if int(s) == dstReg(exIn) {
 							loadUse = true
 						}
 					}
 					// MOVT reads its own destination through rd.
-					if in.Op == isa.OpMOVT && dstReg(pin) == int(in.Rd) {
+					if in.Op == isa.OpMOVT && dstReg(exIn) == int(in.Rd) {
 						loadUse = true
 					}
 				}
@@ -528,30 +535,6 @@ func (c *Core) eval() {
 	if stallCycles > 0 {
 		c.stall.SetD(stallCycles)
 	}
-}
-
-// shadowDatapath evaluates the execute units on the currently latched
-// operands during stall cycles. Results are discarded — the pipeline
-// registers hold — but the simulator pays the evaluation cost exactly as
-// an HDL simulator does for non-clock-gated combinational logic.
-func (c *Core) shadowDatapath() {
-	op := isa.OpADD
-	if in, err := isa.Decode(uint32(c.idex.ir.Q())); err == nil {
-		op = in.Op
-	}
-	_ = evalDatapath(op, uint32(c.idexA.Q()), uint32(c.idexB.Q()))
-}
-
-// netAdd is the 32-bit incrementer/adder used outside the main ALU (PC
-// increment, link value), evaluated structurally.
-func netAdd(a, b uint32) uint32 {
-	s, _, _ := rippleAdd(toNet(a), toNet(b), false)
-	return fromNet(s)
-}
-
-// branchAdder computes a branch target through the ripple adder.
-func branchAdder(pc uint32, in isa.Inst) uint32 {
-	return netAdd(pc, uint32(in.Imm)*isa.InstBytes+isa.InstBytes)
 }
 
 // ReadArchReg returns the architectural value of register r (testbench

@@ -4,153 +4,104 @@ import "repro/internal/isa"
 
 // This file is the structural description of the core's execute datapath.
 // Where the microarchitectural model computes results with host
-// arithmetic, the RTL core evaluates its functional units the way an HDL
-// simulator evaluates a netlist: every bit is an explicit net, adders are
-// ripple-carry chains of full adders, the multiplier is a 32x32 array of
-// partial products, the shifter is a five-stage barrel network and the
-// divider is a combinational restoring array. As in the real design, all
-// units evaluate every cycle on the current operand buses and a result
-// multiplexer selects the output — this is precisely why RTL simulation
-// is orders of magnitude slower than a performance model (TABLE II of the
-// paper), and here that cost is paid honestly rather than emulated.
+// arithmetic on the instruction's semantics, the RTL core evaluates its
+// functional units as register-transfer equations over buses: a bus is
+// one packed word (bit i of the word is net i), and a unit is the gate
+// equations of one row of cells written once for the whole word — the
+// adder is its carry vector, the shifter five shift-and-mux stages, the
+// multiplier 32 partial-product rows through the adder, the divider 32
+// restoring subtract-and-mux rows. This is the bit-parallel evaluation of
+// the fault-simulation canon (PROOFS packs machines into a word; here the
+// word holds the nets of a bus): no fault is ever injected into a
+// combinational net — only Reg and Mem bits are enumerable — so walking
+// the cells one at a time could not change any outcome, only its cost.
+//
+// What stays structural is the shape of the design: every unit evaluates
+// on the operand buses on every cycle the EX stage holds an instruction,
+// and the opcode only steers the result multiplexer. Nothing here calls
+// the architectural definitions in package isa; the two levels remain
+// independent implementations, which is what TestDatapathMatchesISA and
+// the cross-level comparison rest on.
 
-// net32 is a 32-bit bus of individual nets.
-type net32 [32]bool
+// fan drives all 32 nets of a bus from one net (0 or 1): the select of a
+// bus-wide multiplexer.
+func fan(net uint32) uint32 { return -net }
 
-func toNet(v uint32) net32 {
-	var b net32
-	for i := 0; i < 32; i++ {
-		b[i] = v>>uint(i)&1 != 0
-	}
-	return b
+// mux selects b where sel is set, a elsewhere, net by net.
+func mux(sel, a, b uint32) uint32 { return a&^sel | b&sel }
+
+// adder is the 32-cell adder every arithmetic unit is built from; cin
+// and the returned carries are single nets (0 or 1). The sum is formed
+// 33 bits wide, so its bit 32 is the carry out of the top cell; bit i of
+// the carry vector sum^a^b is the carry into cell i, and signed overflow
+// is the disagreement between the carries into and out of the top cell.
+func adder(a, b, cin uint32) (sum, cout, ovf uint32) {
+	wide := uint64(a) + uint64(b) + uint64(cin)
+	sum, cout = uint32(wide), uint32(wide>>32)
+	return sum, cout, cout ^ (sum^a^b)>>31
 }
 
-func fromNet(b net32) uint32 {
-	var v uint32
-	for i := 0; i < 32; i++ {
-		if b[i] {
-			v |= 1 << uint(i)
-		}
-	}
-	return v
+// subtract computes a-b as a + ^b + 1 with ARM carry semantics (C = no
+// borrow) and the NZCV flags of the subtraction.
+func subtract(a, b uint32) (uint32, isa.Flags) {
+	s, cout, ovf := adder(a, ^b, 1)
+	return s, isa.Flags{N: s>>31 != 0, Z: s == 0, C: cout != 0, V: ovf != 0}
 }
 
-// fullAdder is the basic cell of every arithmetic unit.
-func fullAdder(a, b, cin bool) (sum, cout bool) {
-	axb := a != b
-	return axb != cin, a && b || axb && cin
+// negate is the two's-complement unit of the signed divider.
+func negate(a uint32) uint32 {
+	s, _, _ := adder(^a, 0, 1)
+	return s
 }
 
-// rippleAdd is a 32-bit ripple-carry adder.
-func rippleAdd(a, b net32, cin bool) (s net32, cout, ovf bool) {
-	c := cin
-	var c30 bool
-	for i := 0; i < 32; i++ {
-		if i == 31 {
-			c30 = c
-		}
-		s[i], c = fullAdder(a[i], b[i], c)
-	}
-	return s, c, c != c30
-}
-
-func invert(a net32) net32 {
-	for i := range a {
-		a[i] = !a[i]
-	}
-	return a
-}
-
-// rippleSub computes a-b with ARM carry semantics (C = no borrow) and
-// the NZCV flags of the subtraction.
-func rippleSub(a, b net32) (s net32, fl isa.Flags) {
-	s, cout, ovf := rippleAdd(a, invert(b), true)
-	z := true
-	for i := 0; i < 32; i++ {
-		z = z && !s[i]
-	}
-	return s, isa.Flags{N: s[31], Z: z, C: cout, V: ovf}
-}
-
-// bitwise evaluates the AND/OR/XOR planes.
-func bitwise(a, b net32) (and, or, xor net32) {
-	for i := 0; i < 32; i++ {
-		and[i] = a[i] && b[i]
-		or[i] = a[i] || b[i]
-		xor[i] = a[i] != b[i]
-	}
-	return and, or, xor
-}
-
-// barrelShift is a five-stage logarithmic shifter. amt uses the low five
-// bits of b (the AL32 shift rule).
-func barrelShift(a net32, amt uint32, left, arith bool) net32 {
-	cur := a
-	fill := false
+// barrelShift is a five-stage logarithmic shifter: stage k shifts by 2^k
+// where bit k of the amount is set and passes through elsewhere. The
+// amount is the low five bits of b (the AL32 shift rule); an arithmetic
+// right shift fills with the sign net.
+func barrelShift(a, amt uint32, left, arith bool) uint32 {
+	var fill uint32
 	if arith {
-		fill = a[31]
+		fill = fan(a >> 31)
 	}
-	for stage := 0; stage < 5; stage++ {
-		if amt>>uint(stage)&1 == 0 {
-			continue
+	cur := a
+	for stage := uint(0); stage < 5; stage++ {
+		sh := uint(1) << stage
+		shifted := cur << sh
+		if !left {
+			shifted = cur>>sh | fill<<(32-sh)
 		}
-		sh := 1 << uint(stage)
-		var next net32
-		for i := 0; i < 32; i++ {
-			if left {
-				if i >= sh {
-					next[i] = cur[i-sh]
-				}
-			} else {
-				if i+sh < 32 {
-					next[i] = cur[i+sh]
-				} else {
-					next[i] = fill
-				}
-			}
-		}
-		cur = next
+		cur = mux(fan(amt>>stage&1), cur, shifted)
 	}
 	return cur
 }
 
 // arrayMultiply is a 32x32 array multiplier: one shifted partial product
-// per multiplier bit, summed through ripple-carry rows (low 32 bits).
-func arrayMultiply(a, b net32) net32 {
-	var acc net32
-	for i := 0; i < 32; i++ {
-		if !b[i] {
-			continue
-		}
-		var pp net32
-		for j := i; j < 32; j++ {
-			pp[j] = a[j-i]
-		}
-		acc, _, _ = rippleAdd(acc, pp, false)
+// per multiplier bit, gated by that bit and summed through adder rows
+// (low 32 bits).
+func arrayMultiply(a, b uint32) uint32 {
+	var acc uint32
+	for i := uint(0); i < 32; i++ {
+		acc, _, _ = adder(acc, a<<i&fan(b>>i&1), 0)
 	}
 	return acc
 }
 
-// restoringDivide is a combinational 32-step restoring divider for
-// unsigned operands. Division by zero yields quotient 0 (AL32 rule).
-func restoringDivide(a, b net32) (q net32) {
-	bz := true
-	for i := 0; i < 32; i++ {
-		bz = bz && !b[i]
+// restoringDivide is a combinational 32-row restoring divider for
+// unsigned operands: each row shifts the next dividend bit into the
+// partial remainder, subtracts the divisor, and keeps the difference
+// where the subtraction did not borrow. The partial remainder stays
+// below the divisor, so the shift never loses its top net. Division by
+// zero yields quotient 0 (AL32 rule).
+func restoringDivide(a, b uint32) (q uint32) {
+	if b == 0 {
+		return 0
 	}
-	if bz {
-		return q
-	}
-	var rem net32
+	var rem uint32
 	for i := 31; i >= 0; i-- {
-		// rem = rem << 1 | a[i]
-		copy(rem[1:], rem[:31])
-		rem[0] = a[i]
-		diff, fl := rippleSub(rem, b)
-		if fl.C { // rem >= b: subtract succeeded without borrow
-			rem = diff
-			q[i] = true
-		}
+		rem = rem<<1 | a>>uint(i)&1
+		diff, noBorrow, _ := adder(rem, ^b, 1)
+		rem = mux(fan(noBorrow), rem, diff)
+		q |= noBorrow << uint(i)
 	}
 	return q
 }
@@ -165,36 +116,21 @@ type aluOut struct {
 // b: all units compute, then the opcode selects the result, mirroring the
 // structural design. MOVT passes the old destination value through a.
 func evalDatapath(op isa.Opcode, a, b uint32) aluOut {
-	an, bn := toNet(a), toNet(b)
+	sum, _, _ := adder(a, b, 0)
+	diff, subFl := subtract(a, b)
+	rdiff, _ := subtract(b, a)
+	shl := barrelShift(a, b&31, true, false)
+	shr := barrelShift(a, b&31, false, false)
+	sar := barrelShift(a, b&31, false, true)
+	prod := arrayMultiply(a, b)
 
-	sum, _, _ := rippleAdd(an, bn, false)
-	diff, subFl := rippleSub(an, bn)
-	rdiff, _ := rippleSub(bn, an)
-	andP, orP, xorP := bitwise(an, bn)
-	shl := barrelShift(an, b&31, true, false)
-	shr := barrelShift(an, b&31, false, false)
-	sar := barrelShift(an, b&31, false, true)
-	prod := arrayMultiply(an, bn)
+	// The signed divider operates on magnitudes; sign correction is a mux.
+	aNeg, bNeg := fan(a>>31), fan(b>>31)
+	udivQ := restoringDivide(a, b)
+	sdivQ := restoringDivide(mux(aNeg, a, negate(a)), mux(bNeg, b, negate(b)))
+	sdivQ = mux(aNeg^bNeg, sdivQ, negate(sdivQ))
 
-	// The divider operates on magnitudes; sign correction is a mux.
-	neg := func(x net32) net32 {
-		r, _, _ := rippleAdd(invert(x), toNet(0), true)
-		return r
-	}
-	absA, absB := an, bn
-	if an[31] {
-		absA = neg(an)
-	}
-	if bn[31] {
-		absB = neg(bn)
-	}
-	udivQ := restoringDivide(an, bn)
-	sdivQ := restoringDivide(absA, absB)
-	if an[31] != bn[31] {
-		sdivQ = neg(sdivQ)
-	}
-
-	var r net32
+	var r uint32
 	switch op {
 	case isa.OpADD, isa.OpADDI:
 		r = sum
@@ -203,11 +139,11 @@ func evalDatapath(op isa.Opcode, a, b uint32) aluOut {
 	case isa.OpRSB, isa.OpRSBI:
 		r = rdiff
 	case isa.OpAND, isa.OpANDI:
-		r = andP
+		r = a & b
 	case isa.OpORR, isa.OpORRI:
-		r = orP
+		r = a | b
 	case isa.OpEOR, isa.OpEORI:
-		r = xorP
+		r = a ^ b
 	case isa.OpLSL, isa.OpLSLI:
 		r = shl
 	case isa.OpLSR, isa.OpLSRI:
@@ -219,29 +155,34 @@ func evalDatapath(op isa.Opcode, a, b uint32) aluOut {
 	case isa.OpUDIV:
 		r = udivQ
 	case isa.OpSDIV:
-		bz := true
-		for i := 0; i < 32; i++ {
-			bz = bz && !bn[i]
-		}
 		switch {
-		case bz:
-			r = toNet(0)
+		case b == 0:
+			r = 0
 		case a == 0x80000000 && b == 0xFFFFFFFF:
-			r = an // overflow case: quotient wraps to the dividend
+			r = a // overflow case: quotient wraps to the dividend
 		default:
 			r = sdivQ
 		}
 	case isa.OpMOV, isa.OpMOVI:
-		r = bn
+		r = b
 	case isa.OpMVN:
-		r = invert(bn)
+		r = ^b
 	case isa.OpMOVT:
-		for i := 0; i < 16; i++ {
-			r[i] = an[i]
-			r[16+i] = bn[i]
-		}
+		r = a&0xFFFF | b<<16
 	default:
 		r = sum // address adder path
 	}
-	return aluOut{result: fromNet(r), flags: subFl}
+	return aluOut{result: r, flags: subFl}
+}
+
+// netAdd is the 32-bit incrementer/adder used outside the main ALU (PC
+// increment, link value): another instance of the adder unit.
+func netAdd(a, b uint32) uint32 {
+	s, _, _ := adder(a, b, 0)
+	return s
+}
+
+// branchAdder computes a branch target through the adder unit.
+func branchAdder(pc uint32, in isa.Inst) uint32 {
+	return netAdd(pc, uint32(in.Imm)*isa.InstBytes+isa.InstBytes)
 }

@@ -149,18 +149,27 @@ type Snapshot struct {
 }
 
 // Snapshot captures the current state; call it between Step calls.
-func (c *Core) Snapshot() *Snapshot {
-	return &Snapshot{
-		kernel:    c.sim.CaptureState(),
-		backing:   c.backing.Snapshot(),
-		output:    append([]byte(nil), c.Output...),
-		stop:      c.Stop,
-		exitCode:  c.ExitCode,
-		faultDesc: c.FaultDesc,
-		insts:     c.Insts,
-		l1iStats:  [3]uint64{c.l1i.accesses, c.l1i.misses, c.l1i.evictions},
-		l1dStats:  [3]uint64{c.l1d.accesses, c.l1d.misses, c.l1d.evictions},
+func (c *Core) Snapshot() *Snapshot { return c.SnapshotInto(nil) }
+
+// SnapshotInto captures like Snapshot but overwrites s, a snapshot of
+// this design the caller no longer needs, reusing its storage — the
+// lane engine's ring capture, of which only the latest is ever restored.
+// A nil s allocates a fresh snapshot.
+func (c *Core) SnapshotInto(s *Snapshot) *Snapshot {
+	if s == nil {
+		s = &Snapshot{backing: c.backing.Snapshot()}
+	} else {
+		s.backing.RestoreFrom(c.backing)
 	}
+	s.kernel = c.sim.CaptureState(s.kernel)
+	s.output = append(s.output[:0], c.Output...)
+	s.stop = c.Stop
+	s.exitCode = c.ExitCode
+	s.faultDesc = c.FaultDesc
+	s.insts = c.Insts
+	s.l1iStats = [3]uint64{c.l1i.accesses, c.l1i.misses, c.l1i.evictions}
+	s.l1dStats = [3]uint64{c.l1d.accesses, c.l1d.misses, c.l1d.evictions}
+	return s
 }
 
 // Restore rewinds the core to a snapshot. The snapshot remains valid and

@@ -54,16 +54,17 @@ import (
 
 // Baseline is the emitted document.
 type Baseline struct {
-	GeneratedBy string           `json:"generatedBy"`
-	Replay      []ReplayPoint    `json:"replay"`
-	Sweep       SweepPoint       `json:"sweep"`
-	EarlyStop   EarlyStop        `json:"earlyStop"`
-	Pruning     []PruningPoint   `json:"pruning"`
-	AvfPrior    AvfPriorPoint    `json:"avfPrior"`
-	ReplaySched ReplaySchedPoint `json:"replaySched"`
-	Protection  ProtectionPoint  `json:"protection"`
-	ObsOverhead ObsOverheadPoint `json:"obsOverhead"`
-	MAAllocs    MAAllocsPoint    `json:"microarchAllocsPerCycle"`
+	GeneratedBy string            `json:"generatedBy"`
+	Replay      []ReplayPoint     `json:"replay"`
+	Sweep       SweepPoint        `json:"sweep"`
+	EarlyStop   EarlyStop         `json:"earlyStop"`
+	Pruning     []PruningPoint    `json:"pruning"`
+	AvfPrior    AvfPriorPoint     `json:"avfPrior"`
+	ReplaySched ReplaySchedPoint  `json:"replaySched"`
+	Protection  ProtectionPoint   `json:"protection"`
+	ObsOverhead ObsOverheadPoint  `json:"obsOverhead"`
+	MAAllocs    KernelAllocsPoint `json:"microarchAllocsPerCycle"`
+	RTLAllocs   KernelAllocsPoint `json:"rtlAllocsPerCycle"`
 }
 
 // ObsOverheadPoint measures what enabling the metrics registry costs
@@ -82,14 +83,16 @@ type ObsOverheadPoint struct {
 	OverheadFrac float64 `json:"overheadFrac"`
 }
 
-// MAAllocsPoint is the microarch stepping kernel's allocation row: one
-// whole golden run (construction excluded, pinout capture attached) and
-// the heap allocations it made. The in-flight window is allocation-free
-// (DESIGN.md "Window representation"); what remains is per syscall and
-// per first-touched page, a few per ten thousand cycles. With -baseline
-// set the run fails above maAllocsGate; the count is deterministic, so
-// there is no tolerance.
-type MAAllocsPoint struct {
+// KernelAllocsPoint is one stepping kernel's allocation row: one whole
+// golden run (construction excluded, pinout capture attached) and the
+// heap allocations it made. Both kernels step allocation-free — the
+// microarch in-flight window (DESIGN.md "Window representation"), the
+// RTL clock edge, interlock and cache miss path (DESIGN.md "RTL model")
+// — so what remains is per syscall and per first-touched page, a few per
+// ten thousand cycles. With -baseline set the run fails
+// above kernelAllocsGate; the count is deterministic, so there is no
+// tolerance.
+type KernelAllocsPoint struct {
 	Workload       string  `json:"workload"`
 	Cycles         uint64  `json:"cycles"`
 	Allocs         uint64  `json:"allocs"`
@@ -223,14 +226,8 @@ func main() {
 func run(out, baseline string, maxReg float64) error {
 	doc := Baseline{GeneratedBy: "tools/benchjson"}
 
-	for _, tc := range []struct {
-		model   core.Model
-		replays int
-	}{
-		{core.ModelMicroarch, 120},
-		{core.ModelRTL, 25},
-	} {
-		pt, err := measureReplay(tc.model, tc.replays)
+	for _, m := range []core.Model{core.ModelMicroarch, core.ModelRTL} {
+		pt, err := measureReplay(m, 120)
 		if err != nil {
 			return err
 		}
@@ -295,11 +292,12 @@ func run(out, baseline string, maxReg float64) error {
 	}
 	doc.ObsOverhead = oo
 
-	ma, err := measureMAAllocs()
-	if err != nil {
+	if doc.MAAllocs, err = measureKernelAllocs(core.ModelMicroarch); err != nil {
 		return err
 	}
-	doc.MAAllocs = ma
+	if doc.RTLAllocs, err = measureKernelAllocs(core.ModelRTL); err != nil {
+		return err
+	}
 
 	buf, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -319,11 +317,16 @@ func run(out, baseline string, maxReg float64) error {
 			doc.ObsOverhead.OverheadFrac*100, obsOverheadGate*100,
 			doc.ObsOverhead.PlainRPS, doc.ObsOverhead.ObsRPS)
 	}
-	// Likewise the microarch allocation gate: an absolute ceiling on a
-	// deterministic count.
-	if doc.MAAllocs.AllocsPerCycle > maAllocsGate {
-		return fmt.Errorf("microarch kernel allocates %.4f times per cycle (%d in %d cycles of %s), gate %.2f",
-			doc.MAAllocs.AllocsPerCycle, doc.MAAllocs.Allocs, doc.MAAllocs.Cycles, doc.MAAllocs.Workload, maAllocsGate)
+	// Likewise the kernel allocation gates: an absolute ceiling on a
+	// deterministic count, per abstraction level.
+	for _, k := range []struct {
+		model core.Model
+		pt    KernelAllocsPoint
+	}{{core.ModelMicroarch, doc.MAAllocs}, {core.ModelRTL, doc.RTLAllocs}} {
+		if k.pt.AllocsPerCycle > kernelAllocsGate {
+			return fmt.Errorf("%s kernel allocates %.4f times per cycle (%d in %d cycles of %s), gate %.2f",
+				k.model, k.pt.AllocsPerCycle, k.pt.Allocs, k.pt.Cycles, k.pt.Workload, kernelAllocsGate)
+		}
 	}
 	return compareBaseline(doc, baseline, maxReg)
 }
@@ -791,30 +794,34 @@ func measureObsOverhead() (ObsOverheadPoint, error) {
 	return pt, nil
 }
 
-// maAllocsGate is the ceiling on the microarch kernel's heap
+// kernelAllocsGate is the ceiling on a stepping kernel's heap
 // allocations per simulated cycle, enforced whenever -baseline is set.
-const maAllocsGate = 0.01
+// The measured counts on qsort — microarch 7 in 28 759 cycles, RTL 18 in
+// 54 993, all syscall output and first-touched pages — sit thirty times
+// below it, while the cheapest regression on record (the RTL interlock's
+// per-instruction source list) added 0.1.
+const kernelAllocsGate = 0.01
 
-// measureMAAllocs counts the heap allocations of one microarch golden
-// run, from the first Step to the last, on this goroutine alone.
-func measureMAAllocs() (MAAllocsPoint, error) {
+// measureKernelAllocs counts the heap allocations of one golden run of
+// model m, from the first Step to the last, on this goroutine alone.
+func measureKernelAllocs(m core.Model) (KernelAllocsPoint, error) {
 	const bench = "qsort"
 	p, err := workload(bench)
 	if err != nil {
-		return MAAllocsPoint{}, err
+		return KernelAllocsPoint{}, err
 	}
-	sim, err := core.NewSimulator(core.ModelMicroarch, p, core.CampaignSetup())
+	sim, err := core.NewSimulator(m, p, core.CampaignSetup())
 	if err != nil {
-		return MAAllocsPoint{}, err
+		return KernelAllocsPoint{}, err
 	}
 	sim.SetPinout(&trace.Pinout{Txns: make([]trace.Transaction, 0, 4096)})
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	sim.Run(1 << 40)
 	runtime.ReadMemStats(&after)
-	pt := MAAllocsPoint{Workload: bench, Cycles: sim.Cycles(), Allocs: after.Mallocs - before.Mallocs}
+	pt := KernelAllocsPoint{Workload: bench, Cycles: sim.Cycles(), Allocs: after.Mallocs - before.Mallocs}
 	if pt.Cycles == 0 {
-		return pt, fmt.Errorf("microarch golden run of %s simulated no cycle", bench)
+		return pt, fmt.Errorf("%s golden run of %s simulated no cycle", m, bench)
 	}
 	pt.AllocsPerCycle = float64(pt.Allocs) / float64(pt.Cycles)
 	return pt, nil
