@@ -8,6 +8,7 @@ package repro
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/asm"
 	"repro/internal/bench"
@@ -255,6 +256,36 @@ func BenchmarkMicroarchStep(b *testing.B) { benchmarkStep(b, core.ModelMicroarch
 func BenchmarkRTLStep(b *testing.B) { benchmarkStep(b, core.ModelRTL) }
 
 func benchmarkStep(b *testing.B, model core.Model) {
+	benchmarkKernel(b, model, func(campaign.Simulator) {})
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcyc/s")
+}
+
+// BenchmarkMicroarchStateHash is one full state digest of the microarch
+// model — the convergence exit takes one every 64 cycles of the golden
+// run and of every early-stop replay. One op steps qsort a cycle, so the
+// digested state moves through the whole program, and digests it;
+// hash-ns/op is the digest alone, timed inside the op.
+func BenchmarkMicroarchStateHash(b *testing.B) { benchmarkStateHash(b, core.ModelMicroarch) }
+
+// BenchmarkRTLStateHash is the same measurement on the RTL core.
+func BenchmarkRTLStateHash(b *testing.B) { benchmarkStateHash(b, core.ModelRTL) }
+
+var hashSink uint64
+
+func benchmarkStateHash(b *testing.B, model core.Model) {
+	var hashing time.Duration
+	benchmarkKernel(b, model, func(sim campaign.Simulator) {
+		t0 := time.Now()
+		hashSink = sim.StateHash()
+		hashing += time.Since(t0)
+	})
+	b.ReportMetric(float64(hashing.Nanoseconds())/float64(b.N), "hash-ns/op")
+}
+
+// benchmarkKernel steps qsort one cycle per op at steady state — the
+// simulator built outside the timer and rewound when the program ends —
+// calling each after every cycle.
+func benchmarkKernel(b *testing.B, model core.Model, each func(campaign.Simulator)) {
 	p := workloadProgram(b, "qsort")
 	sim, err := core.NewSimulator(model, p, core.CampaignSetup())
 	if err != nil {
@@ -271,8 +302,8 @@ func benchmarkStep(b *testing.B, model core.Model) {
 			pin.Reset()
 			sim.SetPinout(pin)
 		}
+		each(sim)
 	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcyc/s")
 }
 
 func BenchmarkRTLCyclesPerSecond(b *testing.B) {

@@ -418,16 +418,21 @@ func (c *Cache) WriteBackAll(fn func(addr uint32, data []byte)) {
 	}
 }
 
-// HashState folds every architecturally significant bit of the cache —
-// tags, valid, dirty and LRU state, and the data array — into h for the
-// campaign engine's convergence exit. Statistics and the access hook are
-// excluded: they never influence future accesses.
+// HashState folds every architecturally significant bit of the cache
+// into h for the campaign engine's convergence exit: one packed word
+// per line — tag, LRU age, valid, dirty — then the data array by words.
+// Statistics and the access hook are excluded: they never influence
+// future accesses.
 func (c *Cache) HashState(h *statehash.Hash) {
-	for i := range c.tags {
-		h.U32(c.tags[i])
-		h.Bool(c.valid[i])
-		h.Bool(c.dirty[i])
-		h.U64(uint64(c.age[i]))
+	for i, tag := range c.tags {
+		w := uint64(tag) | uint64(c.age[i])<<32
+		if c.valid[i] {
+			w |= 1 << 40
+		}
+		if c.dirty[i] {
+			w |= 1 << 41
+		}
+		h.U64(w)
 	}
 	h.Bytes(c.data)
 }

@@ -278,6 +278,66 @@ func TestHashStateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHashStateCoversLineState holds the one-word-per-line packing to
+// the arrays: flipping any bit of any line's tag or age, or its valid or
+// dirty flag, must move the digest — over the live state and over
+// all-ones state, where a field packed across its neighbour's bits
+// would hide the neighbour.
+func TestHashStateCoversLineState(t *testing.T) {
+	c, _ := testCache(t, 512, 4, 32)
+	var res Result
+	for i := uint32(0); i < 40; i++ {
+		if !c.StoreWord(i*100&^3, i, &res) {
+			t.Fatal("store failed")
+		}
+	}
+	digest := func() uint64 {
+		h := statehash.New()
+		c.HashState(h)
+		return h.Sum()
+	}
+	for _, ones := range []bool{false, true} {
+		if ones {
+			for i := range c.tags {
+				c.tags[i], c.age[i], c.valid[i], c.dirty[i] = ^uint32(0), 0xFF, true, true
+			}
+		}
+		base := digest()
+		check := func(what string, line int) {
+			t.Helper()
+			if digest() == base {
+				t.Errorf("ones=%v: mutating %s of line %d left the digest unchanged", ones, what, line)
+			}
+		}
+		for i := range c.tags {
+			for bit := 0; bit < 32; bit++ {
+				c.tags[i] ^= 1 << bit
+				check("tag", i)
+				c.tags[i] ^= 1 << bit
+			}
+			for bit := 0; bit < 8; bit++ {
+				c.age[i] ^= 1 << bit
+				check("age", i)
+				c.age[i] ^= 1 << bit
+			}
+			c.valid[i] = !c.valid[i]
+			check("valid", i)
+			c.valid[i] = !c.valid[i]
+			c.dirty[i] = !c.dirty[i]
+			check("dirty", i)
+			c.dirty[i] = !c.dirty[i]
+		}
+		for i := range c.data {
+			c.data[i] ^= 0x80
+			check("data byte", i/c.cfg.LineBytes)
+			c.data[i] ^= 0x80
+		}
+		if digest() != base {
+			t.Fatal("undoing every mutation did not restore the digest")
+		}
+	}
+}
+
 func TestLifetimeEvents(t *testing.T) {
 	c, m := testCache(t, 1024, 2, 32)
 	cycle := uint64(0)

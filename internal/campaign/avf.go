@@ -86,7 +86,7 @@ func (g *Golden) avfOptions(cfg Config) avf.Options {
 // experiment. Requires a golden run prepared with GoldenOptions.Lifetime
 // and a model that traces the target.
 func (g *Golden) AVFEstimate(cfg Config) (avf.Estimate, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return avf.Estimate{}, err
 	}
 	sp, err := g.avfSpace(cfg)

@@ -288,8 +288,12 @@ const defaultSnapshotEvery = 2048
 
 // defaultHashEvery is the golden state-hash stride used by the
 // convergence exit: dense enough that a masked windowed replay is
-// caught well inside its observation window, cheap enough (page-level
-// memoised memory hashing) that recording barely taxes the golden run.
+// caught well inside its observation window. One digest costs 2–4 µs on
+// either model against ~14 µs (microarch) or ~18 µs (RTL) for the 64
+// cycles between two, so recording adds about a sixth to the golden
+// run's stepping time and as much to every early-stop replay (the
+// microarchStateHashUs and rtlStateHashUs rows of BENCH_campaign.json;
+// DESIGN.md "State digest").
 const defaultHashEvery = 64
 
 // defaultMinRuns floors sequential stopping when Config.MinRuns is 0.
@@ -452,11 +456,7 @@ type Result struct {
 // rejects impossible combinations — the check a campaign service
 // applies at submission time, before any golden run is paid for. Run,
 // Sweep and PlanCampaign all apply the same rules internally.
-func (c *Config) Validate() error { return c.validate() }
-
-// validate normalises a config and rejects impossible combinations. It
-// is shared by Run and Sweep so both paths enforce identical rules.
-func (c *Config) validate() error {
+func (c *Config) Validate() error {
 	c.fillDefaults()
 	if c.Injections <= 0 {
 		return fmt.Errorf("campaign: Injections must be positive")
@@ -597,11 +597,15 @@ func (g *Golden) LifetimeEvents() int {
 	return g.life.Events()
 }
 
-// fingerprint identifies the golden run's observable behavior (cycle
-// count, pinout volume, program output) so checkpoint resume can detect
-// that a simulator or workload change altered the run even when the
-// cycle count — all the fault plan depends on — happens to survive.
-func (g *Golden) fingerprint() uint64 {
+// Fingerprint identifies the golden run's observable behavior (cycle
+// count, pinout volume, program output). Checkpoint resume uses it to
+// detect that a simulator or workload change altered the run even when
+// the cycle count — all the fault plan depends on — happens to survive;
+// a distributed worker compares it against the coordinator's before
+// replaying a shard: a mismatch means the two processes did not simulate
+// the same golden run (version or workload skew) and the shard must not
+// execute.
+func (g *Golden) Fingerprint() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], g.Cycles)
@@ -819,7 +823,7 @@ func (g *Golden) hangBudget() uint64 { return g.Cycles*2 + 50_000 }
 // runs many campaigns over shared goldens and one global pool; both
 // produce bit-identical Outcomes for the same factory and config.
 func Run(factory Factory, cfg Config) (*Result, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	g, err := PrepareGolden(factory, GoldenOptionsFor(cfg))
@@ -1220,7 +1224,7 @@ func advance(s fault.Spec, timeline map[[2]int][]uint64, sim Simulator) uint64 {
 // used by probe tooling and benchmarks. sim must come from the same
 // factory as the golden run.
 func (g *Golden) ReplayOne(sim Simulator, spec fault.Spec, cfg Config) (RunOutcome, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return RunOutcome{}, err
 	}
 	return oneRun(sim, g, spec, cfg)

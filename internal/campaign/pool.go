@@ -115,7 +115,7 @@ func (w *Work) wrap(err error) error {
 // validates the config, so callers may pass one straight off the wire.
 func NewReplayer(w *Work) (Replayer, error) {
 	cfg := w.Config
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	a, err := w.Factory()

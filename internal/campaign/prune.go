@@ -161,7 +161,7 @@ func (g *Golden) PruneVerdict(spec fault.Spec, cfg Config) PruneInfo {
 // this golden run — the same specs Run replays, exposed for probe
 // tooling and benchmarks.
 func (g *Golden) Plan(cfg Config) ([]fault.Spec, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	pl, err := g.planner(cfg)

@@ -42,13 +42,6 @@ func GoldenOptionsFor(cfg Config) GoldenOptions {
 	return opts
 }
 
-// Fingerprint identifies the golden run's observable behavior (cycle
-// count, pinout volume, program output). A distributed worker compares
-// it against the coordinator's before replaying a shard: a mismatch
-// means the two processes did not simulate the same golden run (version
-// or workload skew) and the shard must not execute.
-func (g *Golden) Fingerprint() uint64 { return g.fingerprint() }
-
 // Planned is one campaign planned against a golden run: the validated
 // config, lazy fault plan, pruning state and streaming outcome
 // collector. It is safe for concurrent use: NextReplay and Deliver may
@@ -58,7 +51,7 @@ type Planned struct {
 	mu  sync.Mutex
 	cfg Config
 	g   *Golden
-	fp  uint64 // g.fingerprint(), stamped on every checkpoint record
+	fp  uint64 // g.Fingerprint(), stamped on every checkpoint record
 	pl  *lazyPlan
 	seq *seqStop
 	pr  *pruner
@@ -90,7 +83,7 @@ type Planned struct {
 // returning the campaign's dispatchable state. The golden run must have
 // been prepared with (at least) GoldenOptionsFor(cfg)'s artifacts.
 func (g *Golden) PlanCampaign(cfg Config) (*Planned, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	pl, err := g.planner(cfg)
@@ -114,7 +107,7 @@ func (g *Golden) PlanCampaign(cfg Config) (*Planned, error) {
 			seedAVFPrior(seq, info, cfg)
 		}
 	}
-	return &Planned{cfg: cfg, g: g, fp: g.fingerprint(), pl: pl, seq: seq, pr: pr, stopHint: -1, avfInfo: info}, nil
+	return &Planned{cfg: cfg, g: g, fp: g.Fingerprint(), pl: pl, seq: seq, pr: pr, stopHint: -1, avfInfo: info}, nil
 }
 
 // Config returns the validated campaign config (defaults filled).

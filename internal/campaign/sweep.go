@@ -166,7 +166,7 @@ func Sweep(campaigns []SweepCampaign, opt SweepOptions) (*SweepResult, error) {
 			return nil, fmt.Errorf("campaign: duplicate sweep key %q", c.Key)
 		}
 		seen[c.Key] = true
-		if err := c.Config.validate(); err != nil {
+		if err := c.Config.Validate(); err != nil {
 			return nil, fmt.Errorf("%s: %w", c.Key, err)
 		}
 	}
@@ -309,7 +309,7 @@ type ckptRecord struct {
 	Window   uint64 `json:"window"`
 	Obs      int    `json:"obs"`
 	Compare  int    `json:"compare"`
-	Golden   uint64 `json:"golden"` // Golden.fingerprint() of the backing run
+	Golden   uint64 `json:"golden"` // Golden.Fingerprint() of the backing run
 	Class    int    `json:"class"`
 	EndCycle uint64 `json:"endCycle"`
 

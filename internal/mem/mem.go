@@ -30,7 +30,7 @@ type page struct {
 	data [PageSize]byte
 	refs atomic.Int32 // number of Memory instances sharing this page
 
-	// hash memoises the FNV-1a digest of data (0 = not computed).
+	// hash memoises the statehash digest of data (0 = not computed).
 	// Invalidated on every write; shared pages are immutable (writes
 	// clone first), so a digest computed once serves every snapshot
 	// holding the page — this is what makes whole-memory hashing at
@@ -126,7 +126,7 @@ func (m *Memory) writablePage(addr uint32) *page {
 	return p
 }
 
-// Hash returns an order-sensitive FNV-1a digest of the full memory
+// Hash returns an order-sensitive digest of the full memory
 // contents. Unallocated pages hash as zero pages, so logically equal
 // memories with different allocation histories agree. Per-page digests
 // are memoised on the (copy-on-write shared) pages, so repeated hashing

@@ -115,10 +115,14 @@ type CPU struct {
 	decq            ring[fetched]
 
 	// Backend queues of slab slots, all in program order and all of
-	// fixed capacity (ROBSize, IQSize, LSQSize).
-	rob ring[slot]
-	iq  []slot
-	lsq []slot
+	// fixed capacity (ROBSize, IQSize, LSQSize). inflight names the
+	// issued-but-unfinished uops, the only ones writeback has to look
+	// at; it is derived state (the ROB's uops with issued && !executed),
+	// so StateHash leaves it out.
+	rob      ring[slot]
+	iq       []slot
+	lsq      []slot
+	inflight []slot
 
 	// Predictors.
 	bimodal []uint8
@@ -181,6 +185,7 @@ func New(p *asm.Program, cfg Config) (*CPU, error) {
 		rob:              newRing[slot](cfg.ROBSize),
 		iq:               make([]slot, 0, cfg.IQSize),
 		lsq:              make([]slot, 0, cfg.LSQSize),
+		inflight:         make([]slot, 0, cfg.ROBSize),
 	}
 	for i := 0; i < 16; i++ {
 		c.rat[i] = int16(i)
@@ -479,11 +484,15 @@ func (c *CPU) issue() {
 	issued := 0
 	aluUsed := 0
 	// Oldest-first selection: the IQ holds exactly the waiting uops, in
-	// program order.
-	for _, s := range c.iq {
+	// program order. The walk compacts it in place: every uop visited is
+	// kept, and un-kept again at the bottom if it issued.
+	kept := c.iq[:0]
+	for i, s := range c.iq {
 		if issued >= c.cfg.IssueWidth {
+			kept = append(kept, c.iq[i:]...)
 			break
 		}
+		kept = append(kept, s)
 		u := &c.uops[s]
 		if !c.ready(u.src1) || !c.ready(u.src2) || !c.ready(u.src3) || !c.flagsReady(u) {
 			continue
@@ -537,6 +546,8 @@ func (c *CPU) issue() {
 		}
 		u.issued = true
 		u.inIQ = false
+		kept = kept[:len(kept)-1]
+		c.noteIssued(s)
 		issued++
 		switch {
 		case op == isa.OpMUL:
@@ -549,7 +560,20 @@ func (c *CPU) issue() {
 			aluUsed++
 		}
 	}
-	c.compactIQ()
+	c.iq = kept
+}
+
+// noteIssued files a uop that just issued under inflight, keeping the
+// list in program order: issue is out of order across cycles, so the
+// newcomer may be older than uops still executing.
+func (c *CPU) noteIssued(s slot) {
+	seq := c.uops[s].seq
+	i := len(c.inflight)
+	c.inflight = append(c.inflight, s)
+	for ; i > 0 && c.uops[c.inflight[i-1]].seq > seq; i-- {
+		c.inflight[i] = c.inflight[i-1]
+	}
+	c.inflight[i] = s
 }
 
 // execLoad performs the functional D-cache access for a load at issue
@@ -652,13 +676,18 @@ func (c *CPU) execALU(u *uop) {
 func (c *CPU) writeback() {
 	written := 0
 	recover := noSlot
-	for i := 0; i < c.rob.n; i++ {
+	// Oldest first over the uops in flight; the ones that stay — still
+	// executing, or finished beyond this cycle's width — are kept in
+	// place.
+	keep := c.inflight[:0]
+	for i, s := range c.inflight {
 		if written >= c.cfg.WritebackWidth {
+			keep = append(keep, c.inflight[i:]...)
 			break
 		}
-		s := c.rob.at(i)
 		u := &c.uops[s]
-		if u.squashed || !u.issued || u.executed || u.execDone > c.Cycles {
+		if u.execDone > c.Cycles {
+			keep = append(keep, s)
 			continue
 		}
 		u.executed = true
@@ -674,6 +703,7 @@ func (c *CPU) writeback() {
 			recover = s
 		}
 	}
+	c.inflight = keep
 	if recover != noSlot {
 		c.recoverFrom(&c.uops[recover])
 	}
@@ -695,6 +725,11 @@ func (c *CPU) recoverFrom(b *uop) {
 	c.rob.truncate(keep)
 	c.compactIQ() // the freed slots still hold their squashed flags
 	c.compactLSQ()
+	n := len(c.inflight) // in program order: the squashed are a suffix
+	for n > 0 && c.uops[c.inflight[n-1]].seq > b.seq {
+		n--
+	}
+	c.inflight = c.inflight[:n]
 	c.rat = b.ratSnap
 	c.specFlagProducer = b.flagSnap
 	c.decq.truncate(0)
@@ -820,6 +855,7 @@ func (c *CPU) commitSyscall(s slot) {
 	c.rob.truncate(0)
 	c.iq = c.iq[:0]
 	c.lsq = c.lsq[:0]
+	c.inflight = c.inflight[:0]
 	c.decq.truncate(0)
 	c.rat = c.arat
 	c.specFlagProducer = noSlot

@@ -36,9 +36,10 @@ func (c *CPU) Clone() *CPU {
 		fetchStallUntil: c.fetchStallUntil,
 		decq:            c.decq.clone(),
 
-		rob: c.rob.clone(),
-		iq:  cloneCap(c.iq),
-		lsq: cloneCap(c.lsq),
+		rob:      c.rob.clone(),
+		iq:       cloneCap(c.iq),
+		lsq:      cloneCap(c.lsq),
+		inflight: cloneCap(c.inflight),
 
 		bimodal: slices.Clone(c.bimodal),
 		ras:     slices.Clone(c.ras),
@@ -88,6 +89,7 @@ func (c *CPU) RestoreFrom(base *CPU) {
 	c.rob.copyFrom(&base.rob)
 	c.iq = append(c.iq[:0], base.iq...)
 	c.lsq = append(c.lsq[:0], base.lsq...)
+	c.inflight = append(c.inflight[:0], base.inflight...)
 
 	copy(c.bimodal, base.bimodal)
 	copy(c.ras, base.ras)

@@ -121,7 +121,8 @@ const (
 )
 
 // appendFault appends the fault description to b: the bytes FaultDesc
-// reports when the uop commits, and the bytes StateHash folds for it.
+// reports when the uop commits. (StateHash folds the kind and the
+// operands the description is a function of, not the text.)
 func (u *uop) appendFault(b []byte) []byte {
 	switch u.fault {
 	case faultFetch:

@@ -1,6 +1,7 @@
 package rtl
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -267,5 +268,54 @@ func TestMemLifetime(t *testing.T) {
 	// Untouched words stay dead.
 	if v := sp.ClassifyBit(2*32, 0, 1<<40); v.Live {
 		t.Fatalf("untouched word: %+v, want dead", v)
+	}
+}
+
+// TestHashStateCoversSequentialState: every register's latched value,
+// pending D input and D-valid flag — the flags ride in masks of 64, so
+// the design has more than 64 registers — and every memory word and
+// queued write must move the digest.
+func TestHashStateCoversSequentialState(t *testing.T) {
+	sim := NewSimulator()
+	var regs []*Reg
+	for i := 0; i < 70; i++ {
+		regs = append(regs, sim.Reg(fmt.Sprintf("r%d", i), 64, uint64(i)))
+	}
+	m := sim.Mem("m", 4, 64)
+	m.Write(1, 5)
+	base := stateDigest(sim)
+	check := func(what string, i int) {
+		t.Helper()
+		if stateDigest(sim) == base {
+			t.Errorf("mutating %s %d left the digest unchanged", what, i)
+		}
+	}
+	for i, r := range regs {
+		r.out.cur ^= 1 << 63
+		check("cur of reg", i)
+		r.out.cur ^= 1 << 63
+		r.d ^= 1
+		check("d of reg", i)
+		r.d ^= 1
+		r.dSet = !r.dSet
+		check("dSet of reg", i)
+		r.dSet = !r.dSet
+	}
+	for i := range m.data {
+		m.data[i] ^= 1 << 63
+		check("mem word", i)
+		m.data[i] ^= 1 << 63
+	}
+	m.queue[0].idx ^= 2
+	check("queued write index", 0)
+	m.queue[0].idx ^= 2
+	m.queue[0].v ^= 1
+	check("queued write value", 0)
+	m.queue[0].v ^= 1
+	m.queue = m.queue[:0]
+	check("write queue length", 0)
+	m.queue = m.queue[:1]
+	if stateDigest(sim) != base {
+		t.Error("undoing every mutation did not restore the digest")
 	}
 }

@@ -79,10 +79,18 @@ func (s *Simulator) RestoreState(st *State) {
 // the state that determines the design's future (pure wires settle from
 // it), so equal digests at equal cycles imply equal futures.
 func (s *Simulator) HashState(h *statehash.Hash) {
-	for _, r := range s.regs {
+	// Two words per register; the dSet bits ride in masks of 64.
+	var dSet uint64
+	for i, r := range s.regs {
 		h.U64(r.out.cur)
 		h.U64(r.d)
-		h.Bool(r.dSet)
+		if r.dSet {
+			dSet |= 1 << (i % 64)
+		}
+		if i%64 == 63 || i == len(s.regs)-1 {
+			h.U64(dSet)
+			dSet = 0
+		}
 	}
 	for _, m := range s.mems {
 		for _, w := range m.data {

@@ -1,6 +1,8 @@
 package rtlcore
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/asm"
@@ -11,9 +13,13 @@ import (
 
 // The pins below hold the RTL model bit-identical across changes to how
 // the host evaluates it (datapath representation, decode sharing, the
-// kernel's clock edge): every value was recorded at commit d1edb0b, with
-// the cell-by-cell datapath and the scan-everything Tick. A change that
-// moves one changed the design, not just its cost.
+// kernel's clock edge). Cycles go back to commit d1edb0b, with the
+// cell-by-cell datapath and the scan-everything Tick; the behaviour
+// digests were recorded at cbc0545, the last commit with the byte-serial
+// FNV state digest, and the hashes column was re-recorded when the
+// digest became word-parallel and packed — by a change that touched no
+// stepping code and left the other two columns as they were. A change
+// that moves cycles or behaviour changed the design, not just its cost.
 
 func benchProgram(t testing.TB, name string) *asm.Program {
 	t.Helper()
@@ -38,12 +44,15 @@ func campaignCore(t testing.TB, p *asm.Program) *Core {
 }
 
 // runDigest steps c to its stop (a pinout capture must be attached) and
-// folds StateHash at every cycle divisible by every — 17, so the sample
-// points drift through every pipeline phase and stall length — then the
-// final state, the testbench outcome, the program output and the full
-// pinout into one digest. inject, when non-nil, runs once between steps
-// at cycle at.
-func runDigest(t *testing.T, c *Core, every, at uint64, inject func()) uint64 {
+// returns two digests. hashes folds StateHash at every cycle divisible
+// by every — 17, so the sample points drift through every pipeline phase
+// and stall length — and at the stop: it moves whenever the digest
+// format does. behaviour is the standard library's FNV-1a over
+// everything observable that never passes through internal/statehash:
+// the testbench outcome, the program output, the architectural
+// registers, the full pinout, the L1D data array and backing memory.
+// inject, when non-nil, runs once between steps at cycle at.
+func runDigest(t *testing.T, c *Core, every, at uint64, inject func()) (behaviour, hashes uint64) {
 	t.Helper()
 	h := statehash.New()
 	for {
@@ -61,35 +70,46 @@ func runDigest(t *testing.T, c *Core, every, at uint64, inject func()) uint64 {
 		}
 	}
 	h.U64(c.StateHash())
-	h.U64(c.Cycles())
-	h.U64(c.Insts)
-	h.U64(uint64(c.Stop))
-	h.U32(c.ExitCode)
-	h.Bytes([]byte(c.FaultDesc))
-	h.Bytes(c.Output)
-	for _, x := range c.Pinout.Txns {
-		h.U64(x.Cycle)
-		h.U32(x.Addr)
-		h.U64(uint64(x.Kind))
-		h.U64(x.Digest)
+
+	f := fnv.New64a()
+	put := func(vs ...uint64) {
+		for _, v := range vs {
+			f.Write(binary.LittleEndian.AppendUint64(nil, v))
+		}
 	}
-	return h.Sum()
+	put(c.Cycles(), c.Insts, uint64(c.Stop), uint64(c.ExitCode))
+	f.Write([]byte(c.FaultDesc))
+	put(uint64(len(c.Output)))
+	f.Write(c.Output)
+	for r := 0; r < 16; r++ {
+		put(uint64(c.ReadArchReg(r)))
+	}
+	for _, x := range c.Pinout.Txns {
+		put(x.Cycle, uint64(x.Addr), uint64(x.Kind), x.Digest)
+	}
+	for i := 0; i < c.l1d.data.Words(); i++ {
+		put(c.l1d.data.Read(i))
+	}
+	image, _ := c.backing.LoadBytes(0, c.backing.Size())
+	f.Write(image)
+	return f.Sum64(), h.Sum()
 }
 
 type pinnedRun struct {
-	cycles uint64
-	digest uint64
+	cycles    uint64
+	behaviour uint64
+	hashes    uint64
 }
 
 var pinnedGolden = map[string]pinnedRun{
-	"fft":          {24492, 0x7508aa5d3fd48b89},
-	"qsort":        {54993, 0xbbe0bbf2a67ea6c5},
-	"caes":         {80258, 0x9f8a1cc7f0d97c31},
-	"sha":          {28312, 0xd89c3792bc6a6f54},
-	"stringsearch": {108796, 0x85a3bcc0dc6e5d67},
-	"susan_c":      {524775, 0xc4f65c7e4bf2ab0b},
-	"susan_e":      {250103, 0x11fe06d855f0c5f},
-	"susan_s":      {236421, 0x6a5c83d931d07b46},
+	"fft":          {24492, 0xde8fc7729c3da68c, 0x9bad2fc245bf25c0},
+	"qsort":        {54993, 0x69472919e9e7501a, 0x29655f87ed809e33},
+	"caes":         {80258, 0x99aa94ed81dde9fa, 0xeb1677387058c24},
+	"sha":          {28312, 0x81c42ae6651f4d60, 0xd57c9b2471be000a},
+	"stringsearch": {108796, 0x5f98b12029a59079, 0xce8f3ca1a7510964},
+	"susan_c":      {524775, 0x38e2f1f902719905, 0x3cfe58b17695fe82},
+	"susan_e":      {250103, 0x551a1802148c0a28, 0xba1307cbd27a1f0a},
+	"susan_s":      {236421, 0x5bff7524debb23a5, 0xfb85983b5f653ab},
 }
 
 // pinnedFaulted is one faulted qsort run per injectable surface, each
@@ -105,30 +125,32 @@ var pinnedFaulted = []struct {
 	desc   string // FaultDesc at the stop
 	want   pinnedRun
 }{
-	{"rf", 9000, func(c *Core) error { return c.FlipRFBit(8) }, "", pinnedRun{46939, 0xdb7178037741a059}},
-	{"l1d", 9000, func(c *Core) error { return c.FlipL1DBit(3) }, "", pinnedRun{54993, 0xb1deb15cb81ea519}},
-	{"latch", 9055, func(c *Core) error { return c.FlipLatchBit(398) }, "latched garbage at WB (pc 0x100)", pinnedRun{9073, 0x5b58871db0ae760e}},
+	{"rf", 9000, func(c *Core) error { return c.FlipRFBit(8) }, "", pinnedRun{46939, 0xcb54f8d0448d50a3, 0x83d7f916b3d804b}},
+	{"l1d", 9000, func(c *Core) error { return c.FlipL1DBit(3) }, "", pinnedRun{54993, 0x452265d9dfb324ce, 0xaca831c82a9a0370}},
+	{"latch", 9055, func(c *Core) error { return c.FlipLatchBit(398) }, "latched garbage at WB (pc 0x100)", pinnedRun{9073, 0x6819773d6525cf0a, 0x133a0502f70db6cb}},
 }
 
 func TestPinnedRTLStateHashSequence(t *testing.T) {
-	check := func(t *testing.T, c *Core, got uint64, want pinnedRun) {
+	check := func(t *testing.T, c *Core, behaviour, hashes uint64, want pinnedRun) {
 		t.Helper()
-		if c.Cycles() != want.cycles || got != want.digest {
-			t.Errorf("got {%d, %#x} (stop %v %q), pinned {%d, %#x}", c.Cycles(), got, c.Stop, c.FaultDesc, want.cycles, want.digest)
+		if got := (pinnedRun{c.Cycles(), behaviour, hashes}); got != want {
+			t.Errorf("got {%d, %#x, %#x} (stop %v %q), pinned {%d, %#x, %#x}",
+				got.cycles, got.behaviour, got.hashes, c.Stop, c.FaultDesc, want.cycles, want.behaviour, want.hashes)
 		}
 	}
 	for _, w := range bench.All() {
 		t.Run(w.Name, func(t *testing.T) {
 			c := campaignCore(t, benchProgram(t, w.Name))
 			c.Pinout = &trace.Pinout{}
-			check(t, c, runDigest(t, c, 17, 0, nil), pinnedGolden[w.Name])
+			behaviour, hashes := runDigest(t, c, 17, 0, nil)
+			check(t, c, behaviour, hashes, pinnedGolden[w.Name])
 		})
 	}
 	for _, f := range pinnedFaulted {
 		t.Run("qsort-"+f.name, func(t *testing.T) {
 			c := campaignCore(t, benchProgram(t, "qsort"))
 			c.Pinout = &trace.Pinout{}
-			got := runDigest(t, c, 17, f.at, func() {
+			behaviour, hashes := runDigest(t, c, 17, f.at, func() {
 				if err := f.inject(c); err != nil {
 					t.Fatal(err)
 				}
@@ -136,7 +158,7 @@ func TestPinnedRTLStateHashSequence(t *testing.T) {
 			if c.FaultDesc != f.desc {
 				t.Errorf("FaultDesc %q, want %q", c.FaultDesc, f.desc)
 			}
-			check(t, c, got, f.want)
+			check(t, c, behaviour, hashes, f.want)
 		})
 	}
 }
@@ -168,5 +190,17 @@ func TestRTLStepDoesNotAllocate(t *testing.T) {
 			t.Errorf("%s: %v allocations in 10k steady-state cycles", name, n)
 		}
 		t.Logf("%s: %d cycles, %d pinout transactions", name, c.Cycles(), c.Pinout.Len())
+	}
+}
+
+// TestStateHashDoesNotAllocate: the digest is taken every 64 cycles of
+// every early-stop replay, next to a Step that allocates nothing.
+func TestStateHashDoesNotAllocate(t *testing.T) {
+	c := campaignCore(t, benchProgram(t, "qsort"))
+	for i := 0; i < 2_000; i++ {
+		c.Step()
+	}
+	if n := testing.AllocsPerRun(100, func() { c.StateHash() }); n != 0 {
+		t.Errorf("StateHash allocates %v times", n)
 	}
 }

@@ -143,3 +143,31 @@ func TestMeasureAVFPrior(t *testing.T) {
 	t.Logf("avf-prior: predicted %.3f, %d runs plain vs %d with prior (%.0f%% saved), drift %.4f",
 		ap.PredictedAVF, ap.PlainRuns, ap.PriorRuns, ap.SavedFrac*100, ap.Drift)
 }
+
+// TestPairedOverhead: the overhead arm gates on the median of per-pair
+// ratios, so one pair caught by a scheduler hiccup — or one lucky plain
+// run — does not move it, while a real slowdown in every pair does.
+func TestPairedOverhead(t *testing.T) {
+	plain := []float64{0.100, 0.102, 0.098, 0.101, 0.100, 0.099, 0.100}
+	same := []float64{0.100, 0.102, 0.098, 0.101, 0.100, 0.099, 0.100}
+	if got := pairedOverhead(plain, same); got != 0 {
+		t.Errorf("identical arms: overhead %v, want 0", got)
+	}
+	hiccup := append([]float64(nil), same...)
+	hiccup[2] = 0.150 // one enabled run preempted
+	lucky := append([]float64(nil), plain...)
+	lucky[4] = 0.080 // one plain run on a quiet core
+	if got := pairedOverhead(lucky, hiccup); got > 0.001 {
+		t.Errorf("two outlier pairs of seven: overhead %v, want ~0", got)
+	}
+	slower := make([]float64, len(plain))
+	for i, p := range plain {
+		slower[i] = p * 1.05
+	}
+	if got := pairedOverhead(plain, slower); got < 0.047 || got > 0.048 {
+		t.Errorf("5%% slower in every pair: overhead %v, want 1-1/1.05", got)
+	}
+	if got := pairedOverhead(slower, plain); got != 0 {
+		t.Errorf("enabled arm faster: overhead %v, want the floor 0", got)
+	}
+}
