@@ -256,7 +256,31 @@ func BenchmarkMicroarchStep(b *testing.B) { benchmarkStep(b, core.ModelMicroarch
 func BenchmarkRTLStep(b *testing.B) { benchmarkStep(b, core.ModelRTL) }
 
 func benchmarkStep(b *testing.B, model core.Model) {
-	benchmarkKernel(b, model, func(campaign.Simulator) {})
+	benchmarkKernel(b, kernelSim(b, model), func(campaign.Simulator) {})
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcyc/s")
+}
+
+// BenchmarkMicroarchLockstepStep is the golden step as the lockstep
+// replay engine pays it: the same cycle with a lane tracker attached to
+// the register file and to nothing dirty, so every hook runs and none
+// finds work, plus the engine's per-tick BeginTick/Peeled pair. The
+// difference to BenchmarkMicroarchStep is what riding lanes costs a
+// cycle nobody is consumed in.
+func BenchmarkMicroarchLockstepStep(b *testing.B) {
+	sim := kernelSim(b, core.ModelMicroarch)
+	lanes, ok := sim.(campaign.BatchCapable).BatchLanes(fault.TargetRF)
+	if !ok {
+		b.Fatal("no lane tracker over the register file")
+	}
+	defer lanes.Detach()
+	var peeled uint64
+	benchmarkKernel(b, sim, func(campaign.Simulator) {
+		peeled |= lanes.Peeled()
+		lanes.BeginTick()
+	})
+	if peeled != 0 {
+		b.Fatal("a lane peeled with nothing dirty")
+	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcyc/s")
 }
 
@@ -274,7 +298,7 @@ var hashSink uint64
 
 func benchmarkStateHash(b *testing.B, model core.Model) {
 	var hashing time.Duration
-	benchmarkKernel(b, model, func(sim campaign.Simulator) {
+	benchmarkKernel(b, kernelSim(b, model), func(sim campaign.Simulator) {
 		t0 := time.Now()
 		hashSink = sim.StateHash()
 		hashing += time.Since(t0)
@@ -282,15 +306,20 @@ func benchmarkStateHash(b *testing.B, model core.Model) {
 	b.ReportMetric(float64(hashing.Nanoseconds())/float64(b.N), "hash-ns/op")
 }
 
-// benchmarkKernel steps qsort one cycle per op at steady state — the
-// simulator built outside the timer and rewound when the program ends —
-// calling each after every cycle.
-func benchmarkKernel(b *testing.B, model core.Model, each func(campaign.Simulator)) {
-	p := workloadProgram(b, "qsort")
-	sim, err := core.NewSimulator(model, p, core.CampaignSetup())
+// kernelSim builds the simulator the kernel benchmarks step: qsort under
+// the campaign configuration, at cycle zero.
+func kernelSim(b *testing.B, model core.Model) campaign.Simulator {
+	sim, err := core.NewSimulator(model, workloadProgram(b, "qsort"), core.CampaignSetup())
 	if err != nil {
 		b.Fatal(err)
 	}
+	return sim
+}
+
+// benchmarkKernel steps sim one cycle per op at steady state — built
+// outside the timer and rewound when the program ends — calling each
+// after every cycle.
+func benchmarkKernel(b *testing.B, sim campaign.Simulator, each func(campaign.Simulator)) {
 	start := sim.Snapshot()
 	pin := &trace.Pinout{}
 	sim.SetPinout(pin)

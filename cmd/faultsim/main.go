@@ -113,7 +113,7 @@ func run(args []string) error {
 		protectStr = fs.String("protect", "", "protection plan, e.g. rf=parity or rf=secded,l1d=dup (schemes: parity, secded, dup); detected-unrecoverable runs classify as DUE")
 		avf        = fs.Bool("avf", false, "attach an injection-free ACE/AVF estimate from the golden lifetime trace (zero extra replays, transient models only)")
 		avfPrior   = fs.Bool("avf-prior", false, "seed sequential stopping from the AVF prediction (implies -avf, requires -target-error)")
-		lanes      = fs.Int("lanes", 64, "bit-parallel lockstep replay width on the RTL model, 1-64 (1 = scalar engine; byte-identical results at any width)")
+		lanes      = fs.Int("lanes", 64, "bit-parallel lockstep replay width, 1-64 (1 = scalar engine; byte-identical results at any width)")
 		sched      = fs.String("sched", "stream", "replay schedule: stream (plan order) or cursor (injection-locality order; byte-identical results)")
 		snapPolicy = fs.String("snap-policy", "stride", "golden snapshot placement: stride (fixed interval) or quantile (at the injection-instant distribution's quantiles)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the campaign to this file")

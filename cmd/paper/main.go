@@ -132,7 +132,7 @@ func run(args []string) error {
 		earlyStop  = fs.Bool("early-stop", false, "adaptive engine: end a replay the moment its state reconverges with golden (classes unchanged, cycles saved)")
 		targetErr  = fs.Float64("target-error", 0, "adaptive engine: stop issuing injections once every class proportion is within this margin at the campaign confidence (0 = run the full plan)")
 		prune      = fs.String("prune", "off", "golden-trace fault pruning: off, dead (exact, zero-replay Masked), classes (MeRLiN-style extrapolation)")
-		lanes      = fs.Int("lanes", 64, "bit-parallel lockstep replay width on the RTL model, 1-64 (1 = scalar engine; byte-identical results at any width)")
+		lanes      = fs.Int("lanes", 64, "bit-parallel lockstep replay width, 1-64 (1 = scalar engine; byte-identical results at any width)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the regeneration to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile at exit to this file")
 		metricsAt  = fs.String("metrics", "", "serve /metrics (Prometheus text) and /debug/pprof on this address while the regeneration runs")

@@ -66,7 +66,7 @@ func run(args []string) error {
 		target    = fs.String("target", "rf", "injection target with -inject: rf, l1d or latches (rtl only)")
 		seed      = fs.Int64("seed", 1, "campaign RNG seed with -inject")
 		window    = fs.Uint64("window", 0, "cycles simulated after injection with -inject (0 = to program end)")
-		lanes     = fs.Int("lanes", 1, "bit-parallel replay lanes with -inject on the RTL model, 1-64 (1 = scalar probe)")
+		lanes     = fs.Int("lanes", 1, "bit-parallel replay lanes with -inject, 1-64 (1 = scalar probe)")
 		verbose   = fs.Bool("v", false, "print program output")
 		metricsAt = fs.String("metrics", "", "serve /metrics (Prometheus text) and /debug/pprof on this address while the run executes")
 		metricsD  = fs.Bool("metrics-dump", false, "dump the final metric values to stderr at exit (Prometheus text)")

@@ -88,6 +88,10 @@ type Cache struct {
 	lt      *lifetime.Space
 	ltCycle *uint64
 
+	// lanes, when non-nil, tracks lockstep replay lanes over the data
+	// array through the same hooks (see SetLanes).
+	lanes *lifetime.Lanes
+
 	// Statistics.
 	Accesses  uint64
 	Misses    uint64
@@ -190,17 +194,30 @@ func (c *Cache) SetLifetime(sp *lifetime.Space, cycle *uint64) {
 	c.ltCycle = cycle
 }
 
-// ltRead records a lifetime read of bits [lo,hi) of line (set,way).
+// SetLanes attaches (or, with nil, detaches) a lockstep lane tracker
+// over the data array, one unit per line as in SetLifetime. It hears
+// exactly the events the lifetime trace records.
+func (c *Cache) SetLanes(t *lifetime.Lanes) { c.lanes = t }
+
+// ltRead reports a read of bits [lo,hi) of line (set,way) to the
+// lifetime trace and the lane tracker.
 func (c *Cache) ltRead(set, way, lo, hi int) {
 	if c.lt != nil {
 		c.lt.Read(*c.ltCycle, set*c.cfg.Ways+way, lo, hi)
 	}
+	if c.lanes != nil {
+		c.lanes.Read(set*c.cfg.Ways+way, lo, hi)
+	}
 }
 
-// ltWrite records a lifetime overwrite of bits [lo,hi) of line (set,way).
+// ltWrite reports an overwrite of bits [lo,hi) of line (set,way) to the
+// lifetime trace and the lane tracker.
 func (c *Cache) ltWrite(set, way, lo, hi int) {
 	if c.lt != nil {
 		c.lt.Write(*c.ltCycle, set*c.cfg.Ways+way, lo, hi)
+	}
+	if c.lanes != nil {
+		c.lanes.Write(set*c.cfg.Ways+way, lo, hi)
 	}
 }
 
@@ -359,6 +376,10 @@ func (c *Cache) FlipDataBit(i int) error {
 	c.data[i/8] ^= 1 << (i % 8)
 	return nil
 }
+
+// DataBit returns bit i of the data array (0 or 1), in FlipDataBit's
+// index space.
+func (c *Cache) DataBit(i int) int { return int(c.data[i/8] >> (i % 8) & 1) }
 
 // ForceDataBit sets bit i of the data array to v (0 or 1). Idempotent;
 // the persistent fault models (stuck-at, intermittent) re-assert it

@@ -2,7 +2,8 @@ package campaign
 
 // Bit-parallel lockstep replay: up to MaxLanes faulty machines ride one
 // golden evaluation, each represented only by its sparse state diff
-// against the golden machine (see internal/rtl's BatchMem). While no
+// against the golden machine (internal/rtl's BatchMem for the RTL model,
+// internal/lifetime's Lanes for the microarchitectural one). While no
 // diffed word has been consumed by the design, a faulty machine's entire
 // behavior — every signal, register write, bus transaction and output
 // byte — is the golden machine's, so one golden tick advances every lane
@@ -40,7 +41,11 @@ const MaxLanes = 64
 // catch-up cycles per peel; on the RTL windowed L1D campaign (0.75 µs a
 // capture, 0.3 µs a cycle, one peel per 272 lockstep cycles) the sum is
 // minimal near S = 38 and within 0.5% of a replay's CPU from 16 to 64 —
-// measured flat there, 3% worse at 128.
+// measured flat there, 3% worse at 128. The microarchitectural model's
+// counters put its minimum at the same place (0.6 µs a capture, 0.2 µs a
+// cycle, one peel per 240 lockstep cycles on the windowed RF+L1D
+// campaigns: S = 38, and 64 costs 0.005 µs a lockstep cycle more, under
+// 1% of a replay's CPU), so both models share the one stride.
 const batchRingEvery = 64
 
 // batchPull is how many groups' worth of specs one Replay pull drains
@@ -83,8 +88,8 @@ type LaneSet interface {
 }
 
 // BatchCapable is implemented by simulators that can expose a LaneSet
-// over an injection target (the RTL model's register file and L1D data
-// array; the microarchitectural model has no batch surface).
+// over an injection target: both models do, for the register file and
+// the L1D data array (not for the RTL pipeline latches).
 type BatchCapable interface {
 	// BatchLanes attaches and returns a lane tracker for target t, or
 	// ok=false when the target has no batch surface.
@@ -130,6 +135,10 @@ type BatchReplayer struct {
 
 	ringSnap Snapshot
 
+	// persist marks the in-flight lanes carrying a persistent fault: the
+	// only ones the loop must visit on every cycle (re-assertion).
+	persist uint64
+
 	// Accounting, summed into Result by the caller: Batched counts
 	// replays retired entirely in lockstep, Peeled those finished on
 	// the scalar tail; LaneSum/Groups yield mean lane occupancy.
@@ -137,11 +146,17 @@ type BatchReplayer struct {
 	// group's earliest injection — the pre-injection work the cursor
 	// schedule shrinks by feeding cycle-contiguous groups to a golden
 	// instance that keeps walking forward instead of restoring.
+	// Lockstep counts the golden cycles groups rode together, Private
+	// the cycles peeled lanes then simulated alone (ring catch-up plus
+	// faulty tail): together with FastForward, every cycle the engine
+	// stepped.
 	Batched     int
 	Peeled      int
 	Groups      int
 	LaneSum     int
 	FastForward uint64
+	Lockstep    uint64
+	Private     uint64
 }
 
 // NewBatchReplayer builds a replayer over one worker's simulator pair,
@@ -178,7 +193,7 @@ func (r *BatchReplayer) Stats() ReplayStats {
 	return ReplayStats{
 		Executed: r.Batched + r.Peeled,
 		Batched:  r.Batched, Peeled: r.Peeled, Groups: r.Groups, LaneSum: r.LaneSum,
-		FastForward: r.FastForward,
+		FastForward: r.FastForward, Lockstep: r.Lockstep, Private: r.Private,
 	}
 }
 
@@ -258,67 +273,45 @@ func (r *BatchReplayer) replayGroup(group []pulledSpec, deliver func(int, RunOut
 	obsBatchLaneSlots.Add(uint64(len(group)))
 
 	remaining := len(r.states)
+	r.persist = 0
 	nextRing := r.gold.Cycles()
+	// nextScan is the earliest cycle at which some lane has anything to
+	// do besides riding along — be injected, meet a golden hash point or
+	// reach its limit. Cycles before it skip the lane scan: walking 64
+	// lane records on every cycle was a fifth of a windowed microarch
+	// replay's time and a tenth of an RTL one's.
+	nextScan := first
+	lockstep0 := r.gold.Cycles()
+	defer func() {
+		n := r.gold.Cycles() - lockstep0
+		r.Lockstep += n
+		obsLockstepCycles.Add(n)
+	}()
 	for remaining > 0 {
 		c := r.gold.Cycles()
 		if c >= nextRing {
 			r.ringSnap = r.ring.SnapshotInto(r.ringSnap)
 			nextRing = c + batchRingEvery
 		}
-		for k := range r.states {
-			st := &r.states[k]
-			if st.done {
-				continue
-			}
-			if !st.injected {
-				if st.spec.Cycle == c {
-					r.lanes.Activate(k)
-					if err := r.applyLaneFault(k, st.spec); err != nil {
-						return err
-					}
-					st.injected = true
-				}
-				continue
-			}
-			// Re-assert a still-active persistent fault before the
-			// edge — the mirror of the scalar loop's post-Step
-			// applyFault (design writes must not heal the bit).
-			if st.spec.Model.Persistent() && st.spec.ActiveAt(c) {
+		// Re-assert the still-active persistent faults before the edge —
+		// the mirror of the scalar loop's post-Step applyFault (design
+		// writes must not heal the bit).
+		for m := r.persist; m != 0; m &= m - 1 {
+			k := bits.TrailingZeros64(m)
+			if st := &r.states[k]; st.spec.ActiveAt(c) {
 				if err := r.applyLaneFault(k, st.spec); err != nil {
 					return err
 				}
 			}
-			// Convergence retire: at a golden hash point with the
-			// fault inactive, an empty diff means the lane's state IS
-			// golden (and its pinout prefix trivially matches), which
-			// is the scalar convergence exit's double match. Checked
-			// before the limit, as runConvergent reaches the hash at
-			// the limit cycle before its loop condition does.
-			if earlyStop {
-				for st.hi < len(g.hashes) && g.hashes[st.hi].cycle < c {
-					st.hi++
-				}
-				if st.hi < len(g.hashes) && g.hashes[st.hi].cycle == c {
-					if !st.spec.ActiveAt(c) && r.lanes.Clean(k) {
-						if err := r.retire(k, RunOutcome{Spec: st.spec, Class: ClassMasked, EndCycle: c, Converged: true}, deliver, &remaining); err != nil {
-							return err
-						}
-						continue
-					}
-					st.hi++
-				}
-			}
-			// Window-limit retire: an unpeeled lane reaching its limit
-			// deviated nowhere inside the observation window — Masked,
-			// as the scalar window compare would conclude.
-			if c >= st.limit {
-				if err := r.retire(k, RunOutcome{Spec: st.spec, Class: ClassMasked, EndCycle: st.limit}, deliver, &remaining); err != nil {
-					return err
-				}
-			}
 		}
-		if remaining == 0 {
-			break
+		if c >= nextScan {
+			var err error
+			if nextScan, err = r.scanLanes(c, earlyStop, deliver, &remaining); err != nil {
+				return err
+			}
+			if remaining == 0 {
+				break
+			}
 		}
 		r.lanes.BeginTick()
 		stepped := r.gold.Step()
@@ -350,11 +343,76 @@ func (r *BatchReplayer) replayGroup(group []pulledSpec, deliver func(int, RunOut
 	return nil
 }
 
+// scanLanes is the lockstep loop's per-lane work at golden cycle c:
+// inject the lanes whose instant has come, retire the ones at a hash
+// point they have reconverged by or at their limit. It returns the next
+// cycle at which any lane needs it again.
+func (r *BatchReplayer) scanLanes(c uint64, earlyStop bool, deliver func(int, RunOutcome) error, remaining *int) (next uint64, err error) {
+	g := r.g
+	next = ^uint64(0)
+	for k := range r.states {
+		st := &r.states[k]
+		if st.done {
+			continue
+		}
+		if !st.injected {
+			if st.spec.Cycle != c {
+				next = min(next, st.spec.Cycle)
+				continue
+			}
+			r.lanes.Activate(k)
+			if err := r.applyLaneFault(k, st.spec); err != nil {
+				return 0, err
+			}
+			st.injected = true
+			if st.spec.Model.Persistent() {
+				r.persist |= 1 << uint(k)
+			}
+		} else {
+			// Convergence retire: at a golden hash point with the
+			// fault inactive, an empty diff means the lane's state IS
+			// golden (and its pinout prefix trivially matches), which
+			// is the scalar convergence exit's double match. Checked
+			// before the limit, as runConvergent reaches the hash at
+			// the limit cycle before its loop condition does.
+			if earlyStop {
+				for st.hi < len(g.hashes) && g.hashes[st.hi].cycle < c {
+					st.hi++
+				}
+				if st.hi < len(g.hashes) && g.hashes[st.hi].cycle == c {
+					if !st.spec.ActiveAt(c) && r.lanes.Clean(k) {
+						if err := r.retire(k, RunOutcome{Spec: st.spec, Class: ClassMasked, EndCycle: c, Converged: true}, deliver, remaining); err != nil {
+							return 0, err
+						}
+						continue
+					}
+					st.hi++
+				}
+			}
+			// Window-limit retire: an unpeeled lane reaching its limit
+			// deviated nowhere inside the observation window — Masked,
+			// as the scalar window compare would conclude.
+			if c >= st.limit {
+				if err := r.retire(k, RunOutcome{Spec: st.spec, Class: ClassMasked, EndCycle: st.limit}, deliver, remaining); err != nil {
+					return 0, err
+				}
+				continue
+			}
+		}
+		next = min(next, st.limit)
+		if earlyStop && st.hi < len(g.hashes) {
+			next = min(next, g.hashes[st.hi].cycle)
+		}
+	}
+	return next, nil
+}
+
 // retire finishes a lane that never peeled, delivering its (always
 // Masked) outcome and recycling the lane slot's diffs.
 func (r *BatchReplayer) retire(k int, oc RunOutcome, deliver func(int, RunOutcome) error, remaining *int) error {
 	st := &r.states[k]
 	r.lanes.Retire(k)
+	r.persist &^= 1 << uint(k)
 	st.done = true
 	*remaining--
 	r.Batched++
@@ -375,6 +433,7 @@ func (r *BatchReplayer) peelLanes(peeled uint64, preTick uint64, deliver func(in
 			return err
 		}
 		r.lanes.Retire(k)
+		r.persist &^= 1 << uint(k)
 		st.done = true
 		*remaining--
 		r.Peeled++
@@ -395,6 +454,12 @@ func (r *BatchReplayer) peelOne(lane int, st *laneState, preTick uint64) (RunOut
 	g, s := r.g, r.scalar
 	s.SetPinout(nil)
 	s.Restore(r.ringSnap)
+	private0 := s.Cycles()
+	defer func() {
+		n := s.Cycles() - private0
+		r.Private += n
+		obsPrivateCycles.Add(n)
+	}()
 	for s.Cycles() < preTick {
 		if !s.Step() {
 			return RunOutcome{}, fmt.Errorf("campaign: peel catch-up stopped at %d before %d (%v)",

@@ -171,8 +171,9 @@ type Config struct {
 	// observable inside the window.
 	AdvanceToUse bool
 
-	// Snapshots along the golden run (differential injection). Zero
-	// selects a default of ~64 snapshots.
+	// SnapshotEvery is the cycle stride of the snapshots taken along the
+	// golden run (differential injection). Zero selects the default of
+	// 2048 cycles: 7 to 21 snapshots on the benchmark programs.
 	SnapshotEvery uint64
 
 	// SnapPolicy selects snapshot placement: SnapStride (default) is
@@ -223,13 +224,14 @@ type Config struct {
 	MinRuns int
 
 	// Lanes bounds the width of bit-parallel lockstep replay on
-	// batch-capable (RTL) simulators: up to Lanes faulty machines ride
-	// one golden evaluation as sparse state diffs, each peeling out to
-	// a scalar replay the moment the design first consumes its
-	// corruption. 0 selects the default of 64 (the lane capacity of a
-	// uint64 mask); 1 forces the scalar path. Models without a batch
-	// surface ignore the setting. Classifications are byte-identical at
-	// any width — batching changes only throughput.
+	// batch-capable simulators (both models, for the register file and
+	// the L1D data array): up to Lanes faulty machines ride one golden
+	// evaluation as sparse state diffs, each peeling out to a scalar
+	// replay the moment the design first consumes its corruption. 0
+	// selects the default of 64 (the lane capacity of a uint64 mask); 1
+	// forces the scalar path. Targets without a batch surface ignore
+	// the setting. Classifications are byte-identical at any width —
+	// batching changes only throughput.
 	Lanes int
 
 	// Prune enables golden-trace fault pruning (see PruneMode): the
@@ -283,7 +285,8 @@ type Config struct {
 }
 
 // defaultSnapshotEvery is the golden-run snapshot interval selected by
-// SnapshotEvery == 0 (~64 snapshots on the scaled workloads).
+// SnapshotEvery == 0 (7 to 21 snapshots on the 13k-42k-cycle benchmark
+// programs).
 const defaultSnapshotEvery = 2048
 
 // defaultHashEvery is the golden state-hash stride used by the
@@ -408,8 +411,8 @@ type Result struct {
 	PruneClassCount  int
 	PruneSavedCycles uint64
 
-	// Bit-parallel replay accounting, non-zero only when a
-	// batch-capable simulator ran with Config.Lanes > 1. BatchedRuns
+	// Bit-parallel replay accounting, non-zero only when a target with
+	// a batch surface ran with Config.Lanes > 1. BatchedRuns
 	// counts replays finished entirely in lockstep (the fault died,
 	// reconverged or stayed unconsumed to its window end); PeeledRuns
 	// counts replays whose corruption was consumed by the design and

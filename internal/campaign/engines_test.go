@@ -18,13 +18,12 @@ import (
 // normalizeEngine clears what legitimately differs between two engines
 // or hosts executing one campaign: wall time, the execution-only config
 // knobs that select the engine, and each engine's own accounting of how
-// it got there (golden cycles walked, lanes packed). Everything
-// observable about the faults stays.
+// it got there (golden cycles walked). Everything observable about the
+// faults stays.
 func normalizeEngine(r *campaign.Result) {
 	normalizeResult(r)
 	r.Config.Lanes, r.Config.Sched = 0, 0
 	r.FastForwardCycles, r.FastForwardSaved = 0, 0
-	r.BatchedRuns, r.PeeledRuns, r.LaneOccupancy = 0, 0, 0
 }
 
 func TestEngineHostMatrix(t *testing.T) {
@@ -80,56 +79,58 @@ func TestEngineHostMatrix(t *testing.T) {
 		}},
 		{"manual", driveEngineManually},
 	}
-	// The lockstep engine needs a batch surface, so the whole table runs
-	// on the RTL model.
-	fac := factoryFor(t, "sha", core.ModelRTL)
-	for _, sc := range scenarios {
-		sc := sc
-		t.Run(sc.name, func(t *testing.T) {
-			t.Parallel()
-			oracleCfg := sc.cfg
-			oracleCfg.Lanes, oracleCfg.Workers = 1, 2
-			want, err := campaign.Run(fac, oracleCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sc.cfg.TargetError > 0 && want.RunsSaved == 0 {
-				t.Fatal("sequential-stop scenario never stopped early; it tests nothing")
-			}
-			normalizeEngine(want)
-			for _, e := range engines {
-				for _, h := range hosts {
-					if e.name == "scalar" && h.name == "Run" {
-						continue // the oracle itself
-					}
-					cfg := sc.cfg
-					cfg.Lanes, cfg.Sched, cfg.Workers = e.lanes, e.sched, 2
-					got := h.run(t, fac, cfg)
-					normalizeEngine(got)
-					if !reflect.DeepEqual(want, got) {
-						t.Errorf("%s engine under %s diverged from the scalar Run oracle:\n got %+v\nwant %+v",
-							e.name, h.name, got, want)
+	// Both simulators have a batch surface, so the whole table runs on
+	// each: the same three engines must be what the rows select.
+	for _, model := range []core.Model{core.ModelRTL, core.ModelMicroarch} {
+		fac := factoryFor(t, "sha", model)
+		for _, sc := range scenarios {
+			sc := sc
+			t.Run(model.String()+"/"+sc.name, func(t *testing.T) {
+				t.Parallel()
+				oracleCfg := sc.cfg
+				oracleCfg.Lanes, oracleCfg.Workers = 1, 2
+				want, err := campaign.Run(fac, oracleCfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sc.cfg.TargetError > 0 && want.RunsSaved == 0 {
+					t.Fatal("sequential-stop scenario never stopped early; it tests nothing")
+				}
+				normalizeEngine(want)
+				for _, e := range engines {
+					for _, h := range hosts {
+						if e.name == "scalar" && h.name == "Run" {
+							continue // the oracle itself
+						}
+						cfg := sc.cfg
+						cfg.Lanes, cfg.Sched, cfg.Workers = e.lanes, e.sched, 2
+						got := h.run(t, fac, cfg)
+						normalizeEngine(got)
+						if !reflect.DeepEqual(want, got) {
+							t.Errorf("%s engine under %s diverged from the scalar Run oracle:\n got %+v\nwant %+v",
+								e.name, h.name, got, want)
+						}
 					}
 				}
-			}
-		})
-	}
-	// The table means what it says only if each row really selects its
-	// engine.
-	g, err := campaign.PrepareGolden(fac, campaign.GoldenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range engines {
-		cfg := scenarios[0].cfg
-		cfg.Lanes, cfg.Sched = e.lanes, e.sched
-		r, err := campaign.NewReplayer(&campaign.Work{Golden: g, Config: cfg, Factory: fac})
+			})
+		}
+		// The table means what it says only if each row really selects
+		// its engine.
+		g, err := campaign.PrepareGolden(fac, campaign.GoldenOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.Close()
-		if got := fmt.Sprintf("%T", r); got != e.typ {
-			t.Errorf("%s row selected %s, want %s", e.name, got, e.typ)
+		for _, e := range engines {
+			cfg := scenarios[0].cfg
+			cfg.Lanes, cfg.Sched = e.lanes, e.sched
+			r, err := campaign.NewReplayer(&campaign.Work{Golden: g, Config: cfg, Factory: fac})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Close()
+			if got := fmt.Sprintf("%T", r); got != e.typ {
+				t.Errorf("%v: %s row selected %s, want %s", model, e.name, got, e.typ)
+			}
 		}
 	}
 }

@@ -42,6 +42,10 @@ var (
 		"replays retired entirely in bit-parallel lockstep")
 	obsBatchPeeled = obs.NewCounter("campaign_batch_peeled_total",
 		"replays peeled from a batch to the scalar tail")
+	obsLockstepCycles = obs.NewCounter("campaign_batch_lockstep_cycles_total",
+		"golden cycles lane groups rode in lockstep")
+	obsPrivateCycles = obs.NewCounter("campaign_batch_private_cycles_total",
+		"cycles peeled lanes simulated alone (ring catch-up plus faulty tail)")
 	obsFFCycles = obs.NewCounter("campaign_fastforward_cycles_total",
 		"golden catch-up cycles stepped by cursor and batch replayers")
 	obsCursorForks = obs.NewCounter("campaign_cursor_forks_total",

@@ -39,8 +39,10 @@ type ReplayStats struct {
 	Batched, Peeled, Groups, LaneSum int
 
 	// FastForward is the golden pre-injection cycles a cursor or batch
-	// replayer actually stepped.
-	FastForward uint64
+	// replayer actually stepped; Lockstep the golden cycles the batch
+	// engine's lane groups rode together and Private the cycles its
+	// peeled lanes then simulated alone.
+	FastForward, Lockstep, Private uint64
 }
 
 func (s *ReplayStats) add(o ReplayStats) {
@@ -51,6 +53,8 @@ func (s *ReplayStats) add(o ReplayStats) {
 	s.Groups += o.Groups
 	s.LaneSum += o.LaneSum
 	s.FastForward += o.FastForward
+	s.Lockstep += o.Lockstep
+	s.Private += o.Private
 }
 
 // Replayer is one replay engine instance: it drains a producer of

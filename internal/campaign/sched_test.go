@@ -11,18 +11,15 @@ import (
 )
 
 // normalizeSched strips the fields legitimately allowed to differ
-// between two schedules of one campaign: wall-clock timings and the
-// fast-forward accounting (the cursor's whole point is spending fewer
-// golden cycles; everything else must be byte-identical).
+// between two schedules of one campaign: what normalizeResult clears and
+// the fast-forward accounting (the cursor's whole point is spending
+// fewer golden cycles; everything else must be byte-identical).
 func normalizeSched(res *campaign.Result) {
-	res.Elapsed = 0
-	res.AvgSecPerRun = 0
-	res.GoldenElapsed = 0
+	normalizeResult(res)
 	res.FastForwardCycles = 0
 	res.FastForwardSaved = 0
 	res.Config.Sched = campaign.SchedStream
 	res.Config.SnapPolicy = campaign.SnapStride
-	res.Config.Workers = 0
 }
 
 // TestCursorSchedMatchesStream asserts the injection-locality cursor

@@ -31,12 +31,15 @@ func factoryFor(t *testing.T, workload string, m core.Model) campaign.Factory {
 }
 
 // normalizeResult clears the fields that legitimately differ between
-// two executions of the same campaign (wall time, pool size).
+// two executions of the same campaign: wall time, pool size, and the
+// lane accounting, which follows how the pool happened to chunk the plan
+// (and is absent when replays were resumed or driven one by one).
 func normalizeResult(r *campaign.Result) {
 	r.Elapsed = 0
 	r.AvgSecPerRun = 0
 	r.GoldenElapsed = 0
 	r.Config.Workers = 0
+	r.BatchedRuns, r.PeeledRuns, r.LaneOccupancy = 0, 0, 0
 }
 
 // driveManually executes a planned campaign by hand: pull every replay

@@ -104,6 +104,66 @@ func (s *maSim) Restore(snap campaign.Snapshot) {
 	s.cpu.RestoreFrom(base)
 }
 
+// SnapshotInto recycles old, an earlier capture of this simulator, as
+// the storage of a new one (campaign.BatchCapable's ring capture): an
+// in-place RestoreFrom the live CPU instead of a Clone.
+func (s *maSim) SnapshotInto(old campaign.Snapshot) campaign.Snapshot {
+	prev, _ := old.(*microarch.CPU)
+	if prev == nil {
+		return s.cpu.Clone()
+	}
+	prev.RestoreFrom(s.cpu)
+	return prev
+}
+
+// BatchLanes exposes the microarchitectural model's lockstep replay
+// surface: a lane tracker over the physical register file or the L1D
+// data array, fed by the hooks that record the lifetime trace.
+func (s *maSim) BatchLanes(t fault.Target) (campaign.LaneSet, bool) {
+	var tr *lifetime.Lanes
+	switch t {
+	case fault.TargetRF:
+		tr = lifetime.NewLanes(s.cpu.RFBits()/32, 32, s.cpu.RFBit)
+		s.cpu.SetLanes(tr, nil)
+	case fault.TargetL1D:
+		lineBits := s.cpu.L1D.Config().LineBytes * 8
+		tr = lifetime.NewLanes(s.cpu.L1DBits()/lineBits, lineBits, s.cpu.L1D.DataBit)
+		s.cpu.SetLanes(nil, tr)
+	default:
+		return nil, false
+	}
+	return &maLanes{Lanes: tr, cpu: s.cpu, target: t}, true
+}
+
+var _ campaign.BatchCapable = (*maSim)(nil)
+
+// maLanes adapts a lifetime.Lanes attached to a microarch CPU to the
+// campaign's LaneSet; the tracker's flat bit space is the target's
+// Simulator.Flip space.
+type maLanes struct {
+	*lifetime.Lanes
+	cpu    *microarch.CPU
+	target fault.Target
+}
+
+// Activate is a no-op: the tracker follows a lane from its first dirty
+// bit.
+func (l *maLanes) Activate(int) {}
+
+func (l *maLanes) Detach() { l.cpu.SetLanes(nil, nil) }
+
+// ApplyPeelDiff flips the lane's pre-tick dirty bits on a scalar
+// simulator through the campaign flip primitive.
+func (l *maLanes) ApplyPeelDiff(lane int, sim campaign.Simulator) error {
+	var applyErr error
+	l.PeelDiff(lane, func(bit int) {
+		if applyErr == nil {
+			applyErr = sim.Flip(l.target, bit)
+		}
+	})
+	return applyErr
+}
+
 // rtlSim adapts the RTL core. Snapshots restore in place (the kernel
 // state layout is identical across instances built from the same
 // program and configuration).

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"math/bits"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/bench"
@@ -9,11 +12,8 @@ import (
 	"repro/internal/fault"
 )
 
-// runLanePair runs one campaign config twice over the RTL model —
-// scalar (Lanes=1) and bit-parallel (Lanes=64) — and requires the
-// outcome streams to be byte-identical: same specs, classes, end
-// cycles, convergence flags and pruning annotations for every index.
-func runLanePair(t *testing.T, workload string, cfg campaign.Config) (*campaign.Result, *campaign.Result) {
+// benchFactory builds the campaign factory of one workload on one model.
+func benchFactory(t *testing.T, m Model, workload string) campaign.Factory {
 	t.Helper()
 	w, err := bench.ByName(workload)
 	if err != nil {
@@ -23,17 +23,25 @@ func runLanePair(t *testing.T, workload string, cfg campaign.Config) (*campaign.
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := Factory(ModelRTL, p, CampaignSetup())
+	return Factory(m, p, CampaignSetup())
+}
+
+// runLanePair runs one campaign config twice over one model — scalar
+// in stream order (Lanes=1, the oracle) and lockstep as cfg asks (0
+// lanes means all 64) — and requires the outcome streams to be
+// byte-identical: same specs, classes, end cycles, convergence flags
+// and pruning annotations for every index.
+func runLanePair(t *testing.T, m Model, workload string, cfg campaign.Config) (*campaign.Result, *campaign.Result) {
+	t.Helper()
+	f := benchFactory(t, m, workload)
 
 	scalarCfg := cfg
-	scalarCfg.Lanes = 1
+	scalarCfg.Lanes, scalarCfg.Sched = 1, campaign.SchedStream
 	scalar, err := campaign.Run(f, scalarCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchCfg := cfg
-	batchCfg.Lanes = campaign.MaxLanes
-	batch, err := campaign.Run(f, batchCfg)
+	batch, err := campaign.Run(f, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,48 +70,69 @@ func runLanePair(t *testing.T, workload string, cfg campaign.Config) (*campaign.
 	return scalar, batch
 }
 
+var faultModels = []struct {
+	name  string
+	fault fault.Params
+}{
+	{"transient", fault.Params{Model: fault.ModelTransient}},
+	{"burst", fault.Params{Model: fault.ModelBurst}},
+	{"stuck-at", fault.Params{Model: fault.ModelStuckAt, Stuck: fault.StuckRandom}},
+	{"intermittent", fault.Params{Model: fault.ModelIntermittent, Stuck: fault.StuckRandom}},
+}
+
 // TestBatchMatchesScalarAllModels is the engine's equivalence
-// acceptance: for every fault model, a 64-lane RTL campaign classifies
-// byte-identically to the scalar engine — lockstep retirement and
-// lane peeling change throughput, never results.
+// acceptance: for every fault model, on both simulators, a 64-lane
+// campaign classifies byte-identically to the scalar engine — lockstep
+// retirement and lane peeling change throughput, never results. The
+// microarchitectural model additionally runs its L1D target and a
+// run-to-end replay, where live lanes ride thousands of cycles before
+// they peel.
 func TestBatchMatchesScalarAllModels(t *testing.T) {
-	models := []struct {
-		name  string
-		fault fault.Params
+	shapes := []struct {
+		name   string
+		model  Model
+		target fault.Target
+		window uint64
+		n      int
 	}{
-		{"transient", fault.Params{Model: fault.ModelTransient}},
-		{"burst", fault.Params{Model: fault.ModelBurst}},
-		{"stuck-at", fault.Params{Model: fault.ModelStuckAt, Stuck: fault.StuckRandom}},
-		{"intermittent", fault.Params{Model: fault.ModelIntermittent, Stuck: fault.StuckRandom}},
+		{"rtl/rf", ModelRTL, fault.TargetRF, 400, 30},
+		{"microarch/rf", ModelMicroarch, fault.TargetRF, 400, 30},
+		{"microarch/l1d", ModelMicroarch, fault.TargetL1D, 400, 30},
+		{"microarch/rf/run-to-end", ModelMicroarch, fault.TargetRF, 0, 12},
+		{"microarch/l1d/run-to-end", ModelMicroarch, fault.TargetL1D, 0, 12},
 	}
-	for _, m := range models {
-		m := m
-		t.Run(m.name, func(t *testing.T) {
-			t.Parallel()
-			cfg := campaign.Config{
-				Injections: 30,
-				Seed:       7,
-				Target:     fault.TargetRF,
-				Window:     400,
-				Fault:      m.fault,
-				Workers:    3,
-			}
-			_, batch := runLanePair(t, "qsort", cfg)
-			if batch.BatchedRuns+batch.PeeledRuns != len(batch.Outcomes) {
-				t.Errorf("batch accounting %d+%d does not cover %d outcomes",
-					batch.BatchedRuns, batch.PeeledRuns, len(batch.Outcomes))
-			}
-			if batch.LaneOccupancy <= 1 {
-				t.Errorf("lane occupancy %.2f: batching never packed lanes", batch.LaneOccupancy)
-			}
-		})
+	for _, sh := range shapes {
+		for _, m := range faultModels {
+			sh, m := sh, m
+			t.Run(sh.name+"/"+m.name, func(t *testing.T) {
+				t.Parallel()
+				cfg := campaign.Config{
+					Injections: sh.n,
+					Seed:       7,
+					Target:     sh.target,
+					Window:     sh.window,
+					Fault:      m.fault,
+					Workers:    3,
+				}
+				_, batch := runLanePair(t, sh.model, "qsort", cfg)
+				if batch.BatchedRuns+batch.PeeledRuns != len(batch.Outcomes) {
+					t.Errorf("batch accounting %d+%d does not cover %d outcomes",
+						batch.BatchedRuns, batch.PeeledRuns, len(batch.Outcomes))
+				}
+				if batch.LaneOccupancy <= 1 {
+					t.Errorf("lane occupancy %.2f: batching never packed lanes", batch.LaneOccupancy)
+				}
+			})
+		}
 	}
 }
 
 // TestBatchMatchesScalarComposed verifies the batch path composes with
-// the rest of the engine exactly as the scalar path does: convergence
-// early-exit, golden-trace pruning (both modes), sequential stopping
-// and the L1D target all yield byte-identical outcome streams.
+// the rest of the engine exactly as the scalar path does, on both
+// simulators: convergence early-exit, golden-trace pruning (both
+// modes), sequential stopping, protection, narrow and odd lane widths,
+// the cursor schedule and the L1D target all yield byte-identical
+// outcome streams.
 func TestBatchMatchesScalarComposed(t *testing.T) {
 	base := campaign.Config{
 		Injections: 30,
@@ -128,15 +157,102 @@ func TestBatchMatchesScalarComposed(t *testing.T) {
 			c.Target = fault.TargetL1D
 			c.EarlyStop = true
 		}},
+		{"protect", func(c *campaign.Config) { c.Protect = "rf=parity" }},
+		{"lanes7-cursor", func(c *campaign.Config) {
+			c.Lanes, c.Sched = 7, campaign.SchedCursor
+			c.EarlyStop = true
+		}},
+	}
+	// The microarchitectural model is cheap enough for the whole
+	// product of what composes: every fault model and both targets,
+	// windowed and run to end, under each engine option, at three lane
+	// widths and both schedules — each against its own scalar oracle.
+	maOptions := []struct {
+		name string
+		mod  func(*campaign.Config)
+	}{
+		{"plain", func(*campaign.Config) {}},
+		{"early-stop", func(c *campaign.Config) { c.EarlyStop = true }},
+		{"prune-dead", func(c *campaign.Config) { c.Prune = campaign.PruneDead; c.EarlyStop = true }},
+		{"protect", func(c *campaign.Config) { c.Protect = "rf=parity,l1d=secded" }},
+	}
+	type engine struct {
+		lanes int
+		sched campaign.Sched
+	}
+	maEngines := []engine{
+		{7, campaign.SchedStream}, {64, campaign.SchedStream},
+		{7, campaign.SchedCursor}, {64, campaign.SchedCursor},
+		{1, campaign.SchedCursor}, // the cursor engine, no longer what default lanes select
 	}
 	for _, tc := range cases {
 		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			t.Parallel()
-			cfg := base
-			tc.mod(&cfg)
-			runLanePair(t, "qsort", cfg)
-		})
+		for _, m := range []Model{ModelRTL, ModelMicroarch} {
+			m := m
+			t.Run(m.String()+"/"+tc.name, func(t *testing.T) {
+				t.Parallel()
+				cfg := base
+				tc.mod(&cfg)
+				runLanePair(t, m, "qsort", cfg)
+			})
+		}
+	}
+	for _, fm := range faultModels {
+		for _, target := range []fault.Target{fault.TargetRF, fault.TargetL1D} {
+			for _, window := range []uint64{400, 0} {
+				for oi, opt := range maOptions {
+					fm, target, window, oi, opt := fm, target, window, oi, opt
+					name := fmt.Sprintf("microarch/%s/%v/window%d/%s", fm.name, target, window, opt.name)
+					t.Run(name, func(t *testing.T) {
+						t.Parallel()
+						cfg := campaign.Config{
+							Injections: 24, Seed: 17, Target: target, Window: window,
+							Fault: fm.fault, Workers: 2,
+						}
+						engines := maEngines
+						if window == 0 {
+							// Run-to-end replays cost tens of thousands of
+							// cycles each: fewer faults, and two engines per
+							// case, rotating so each option meets them all.
+							cfg.Injections = 10
+							engines = []engine{maEngines[oi%len(maEngines)], maEngines[(oi+2)%len(maEngines)]}
+						}
+						opt.mod(&cfg)
+						f := benchFactory(t, ModelMicroarch, "sha")
+						oracle := cfg
+						oracle.Lanes, oracle.Sched = 1, campaign.SchedStream
+						want, err := campaign.Run(f, oracle)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, e := range engines {
+							cfg.Lanes, cfg.Sched = e.lanes, e.sched
+							got, err := campaign.Run(f, cfg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !reflect.DeepEqual(want.Outcomes, got.Outcomes) {
+								for i := range want.Outcomes {
+									if i < len(got.Outcomes) && !reflect.DeepEqual(want.Outcomes[i], got.Outcomes[i]) {
+										t.Fatalf("lanes %d %v: outcome %d differs:\nscalar %+v\ngot    %+v",
+											e.lanes, e.sched, i, want.Outcomes[i], got.Outcomes[i])
+									}
+								}
+								t.Fatalf("lanes %d %v: %d outcomes against the oracle's %d",
+									e.lanes, e.sched, len(got.Outcomes), len(want.Outcomes))
+							}
+							if !reflect.DeepEqual(want.Counts, got.Counts) || want.Unsafeness != got.Unsafeness {
+								t.Fatalf("lanes %d %v: aggregate differs: %v %+v against %v %+v",
+									e.lanes, e.sched, got.Counts, got.Unsafeness, want.Counts, want.Unsafeness)
+							}
+							if e.lanes > 1 && got.BatchedRuns+got.PeeledRuns == 0 && got.PrunedRuns+got.OverheadRuns < len(got.Outcomes) {
+								t.Errorf("lanes %d %v: the lockstep engine never ran", e.lanes, e.sched)
+							}
+						}
+					})
+				}
+			}
+		}
 	}
 }
 
@@ -144,28 +260,22 @@ func TestBatchMatchesScalarComposed(t *testing.T) {
 // acceptance: routing Sweep's shared worker pool through per-worker
 // BatchReplayers (Lanes=64) must reproduce the scalar sweep byte for
 // byte — same outcome streams, counts and unsafeness for every
-// campaign — while actually batching the lane-capable targets.
+// campaign, on both simulators at once — while actually batching the
+// lane-capable targets.
 func TestBatchSweepMatchesScalarSweep(t *testing.T) {
-	w, err := bench.ByName("qsort")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := w.Program()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := Factory(ModelRTL, p, CampaignSetup())
+	rtl := benchFactory(t, ModelRTL, "qsort")
+	ma := benchFactory(t, ModelMicroarch, "qsort")
 	matrix := func(lanes int) []campaign.SweepCampaign {
 		return []campaign.SweepCampaign{
 			{
-				Key: "rf", Group: "rtl/qsort", Factory: f,
+				Key: "rf", Group: "rtl/qsort", Factory: rtl,
 				Config: campaign.Config{
 					Injections: 30, Seed: 7, Target: fault.TargetRF,
 					Window: 400, Lanes: lanes,
 				},
 			},
 			{
-				Key: "l1d", Group: "rtl/qsort", Factory: f,
+				Key: "l1d", Group: "rtl/qsort", Factory: rtl,
 				Config: campaign.Config{
 					Injections: 30, Seed: 9, Target: fault.TargetL1D,
 					Window: 400, Lanes: lanes, EarlyStop: true,
@@ -174,14 +284,31 @@ func TestBatchSweepMatchesScalarSweep(t *testing.T) {
 			{
 				// No batch surface for latches: must fall back to the
 				// scalar path inside the batched sweep.
-				Key: "latches", Group: "rtl/qsort", Factory: f,
+				Key: "latches", Group: "rtl/qsort", Factory: rtl,
 				Config: campaign.Config{
 					Injections: 8, Seed: 3, Target: fault.TargetLatches,
 					Window: 300, Lanes: lanes,
 				},
 			},
+			{
+				Key: "ma-rf", Group: "microarch/qsort", Factory: ma,
+				Config: campaign.Config{
+					Injections: 90, Seed: 7, Target: fault.TargetRF,
+					Window: 400, Lanes: lanes,
+					Fault: fault.Params{Model: fault.ModelStuckAt, Stuck: fault.StuckRandom},
+				},
+			},
+			{
+				Key: "ma-l1d", Group: "microarch/qsort", Factory: ma,
+				Config: campaign.Config{
+					Injections: 90, Seed: 9, Target: fault.TargetL1D,
+					Lanes: lanes, EarlyStop: true, Prune: campaign.PruneDead,
+					Sched: campaign.SchedCursor,
+				},
+			},
 		}
 	}
+	batched := []string{"rf", "l1d", "ma-rf", "ma-l1d"}
 	scalar, err := campaign.Sweep(matrix(1), campaign.SweepOptions{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +317,7 @@ func TestBatchSweepMatchesScalarSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"rf", "l1d", "latches"} {
+	for _, key := range append([]string{"latches"}, batched...) {
 		s, b := scalar.Results[key], batch.Results[key]
 		if len(s.Outcomes) != len(b.Outcomes) {
 			t.Fatalf("%s: outcome counts differ: scalar %d, batch %d", key, len(s.Outcomes), len(b.Outcomes))
@@ -210,11 +337,11 @@ func TestBatchSweepMatchesScalarSweep(t *testing.T) {
 			t.Errorf("%s: scalar sweep reports batching (%d batched, %d peeled)", key, s.BatchedRuns, s.PeeledRuns)
 		}
 	}
-	for _, key := range []string{"rf", "l1d"} {
+	for _, key := range batched {
 		b := batch.Results[key]
-		if b.BatchedRuns+b.PeeledRuns != len(b.Outcomes) {
-			t.Errorf("%s: batch accounting %d+%d does not cover %d outcomes",
-				key, b.BatchedRuns, b.PeeledRuns, len(b.Outcomes))
+		if got, want := b.BatchedRuns+b.PeeledRuns, len(b.Outcomes)-b.PrunedRuns; got != want {
+			t.Errorf("%s: batch accounting %d+%d does not cover %d replayed outcomes",
+				key, b.BatchedRuns, b.PeeledRuns, want)
 		}
 		if b.LaneOccupancy <= 1 {
 			t.Errorf("%s: lane occupancy %.2f: the sweep never packed lanes", key, b.LaneOccupancy)
@@ -223,8 +350,8 @@ func TestBatchSweepMatchesScalarSweep(t *testing.T) {
 	if b := batch.Results["latches"]; b.BatchedRuns != 0 || b.PeeledRuns != 0 {
 		t.Errorf("latch sweep campaign reports batching: %d batched, %d peeled", b.BatchedRuns, b.PeeledRuns)
 	}
-	if batch.GoldenRuns != 1 {
-		t.Errorf("batched sweep executed %d golden runs, want 1 shared", batch.GoldenRuns)
+	if batch.GoldenRuns != 2 {
+		t.Errorf("batched sweep executed %d golden runs, want one shared per model", batch.GoldenRuns)
 	}
 }
 
@@ -239,9 +366,116 @@ func TestBatchLatchesFallsBackScalar(t *testing.T) {
 		Window:     300,
 		Workers:    2,
 	}
-	_, batch := runLanePair(t, "qsort", cfg)
+	_, batch := runLanePair(t, ModelRTL, "qsort", cfg)
 	if batch.BatchedRuns != 0 || batch.PeeledRuns != 0 || batch.LaneOccupancy != 0 {
 		t.Errorf("latch campaign reports batching: %d batched, %d peeled, occupancy %.2f",
 			batch.BatchedRuns, batch.PeeledRuns, batch.LaneOccupancy)
 	}
+}
+
+// TestLanePeelMatchesPruneVerdict cross-checks two independent
+// implementations of one claim — "the golden run first consumes this
+// flip at cycle C, or never inside the horizon". The lifetime trace
+// answers it after the golden run from recorded events
+// (Golden.PruneVerdict, what dead-interval pruning trusts); the lane
+// tracker answers it during a golden walk from live events (what the
+// lockstep engine trusts). For every planned transient fault a lane
+// must stay unpeeled to its horizon exactly when the trace says dead,
+// and otherwise peel in the very cycle the trace names.
+func TestLanePeelMatchesPruneVerdict(t *testing.T) {
+	f := benchFactory(t, ModelMicroarch, "qsort")
+	g, err := campaign.PrepareGolden(f, campaign.GoldenOptions{Lifetime: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, target := range []fault.Target{fault.TargetRF, fault.TargetL1D} {
+		for _, window := range []uint64{400, 0} {
+			for _, fm := range faultModels[:2] { // the transient models
+				cfg := campaign.Config{
+					Injections: 2 * campaign.MaxLanes, Seed: 23, Target: target,
+					Window: window, Fault: fm.fault,
+				}
+				specs, err := g.Plan(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sort.Slice(specs, func(i, j int) bool { return specs[i].Cycle < specs[j].Cycle })
+				live := 0
+				for len(specs) > 0 {
+					n := min(len(specs), campaign.MaxLanes)
+					live += checkPeelCycles(t, f, g, cfg, specs[:n])
+					specs = specs[n:]
+				}
+				if live == 0 || live == cfg.Injections {
+					t.Errorf("%v window %d %s: %d of %d faults live; one side of the claim went untested",
+						target, window, fm.name, live, cfg.Injections)
+				}
+			}
+		}
+	}
+}
+
+// checkPeelCycles walks one fresh golden instance over a cycle-sorted
+// group of at most MaxLanes transient faults, one lane each, and holds
+// every lane's fate against the lifetime trace's verdict. It returns the
+// number of live faults.
+func checkPeelCycles(t *testing.T, f campaign.Factory, g *campaign.Golden, cfg campaign.Config, specs []fault.Spec) (live int) {
+	t.Helper()
+	sim, err := f()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lanes, ok := sim.(campaign.BatchCapable).BatchLanes(cfg.Target)
+	if !ok {
+		t.Fatalf("no lane tracker over %v", cfg.Target)
+	}
+	defer lanes.Detach()
+	const never = ^uint64(0)
+	peeledAt := make([]uint64, len(specs))
+	horizon := make([]uint64, len(specs))
+	for k, sp := range specs {
+		peeledAt[k], horizon[k] = never, g.Cycles
+		if cfg.Window > 0 {
+			horizon[k] = sp.Cycle + cfg.Window
+		}
+	}
+	for stepped := true; stepped; {
+		c := sim.Cycles()
+		for k, sp := range specs {
+			if sp.Cycle == c {
+				lanes.Activate(k)
+				lo, hi := sp.BitSpan()
+				for b := lo; b < hi; b++ {
+					if err := lanes.Flip(k, b); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if c == horizon[k] {
+				lanes.Retire(k) // events past the horizon are nobody's business
+			}
+		}
+		lanes.BeginTick()
+		stepped = sim.Step()
+		for m := lanes.Peeled(); m != 0; m &= m - 1 {
+			k := bits.TrailingZeros64(m)
+			peeledAt[k] = sim.Cycles()
+			lanes.Retire(k)
+		}
+	}
+	for k, sp := range specs {
+		v := g.PruneVerdict(sp, cfg)
+		switch {
+		case !v.Tracked:
+			t.Fatalf("%+v: the lifetime trace does not cover the fault", sp)
+		case v.Dead && peeledAt[k] != never:
+			t.Errorf("%+v: trace says dead, lane peeled at cycle %d", sp, peeledAt[k])
+		case !v.Dead && peeledAt[k] != v.ConsumeCycle:
+			t.Errorf("%+v: trace says first consumed at %d, lane peeled at %d (^0 = never)", sp, v.ConsumeCycle, peeledAt[k])
+		}
+		if !v.Dead {
+			live++
+		}
+	}
+	return live
 }

@@ -48,8 +48,8 @@ type Params struct {
 	// campaign confidence.
 	TargetError float64
 
-	// Lanes bounds bit-parallel lockstep replay width on batch-capable
-	// (RTL) simulators in every figure's campaigns: 0 selects the
+	// Lanes bounds bit-parallel lockstep replay width (both models, RF
+	// and L1D targets) in every figure's campaigns: 0 selects the
 	// default of 64, 1 forces the scalar engine. Classifications are
 	// byte-identical at any width; see campaign.Config.Lanes.
 	Lanes int

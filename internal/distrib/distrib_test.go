@@ -47,13 +47,15 @@ func startWorker(t *testing.T, url, id string) context.CancelFunc {
 }
 
 // normalize clears the fields that legitimately differ between local
-// and distributed execution of one campaign: wall time and the
-// pool-size default, which is a per-process concern.
+// and distributed execution of one campaign: wall time, the pool-size
+// default, which is a per-process concern, and the lane accounting a
+// fleet worker keeps to itself.
 func normalize(r *campaign.Result) {
 	r.Elapsed = 0
 	r.AvgSecPerRun = 0
 	r.GoldenElapsed = 0
 	r.Config.Workers = 0
+	r.BatchedRuns, r.PeeledRuns, r.LaneOccupancy = 0, 0, 0
 }
 
 // TestDistributedMatchesSingleProcess is the acceptance test: one

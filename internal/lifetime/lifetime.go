@@ -20,6 +20,12 @@
 // identity of the first consuming read, which MeRLiN-style equivalence
 // grouping uses to collapse faults first consumed at the same point
 // into one representative replay.
+//
+// Lanes (lanes.go) is the same query answered live: attached to a
+// simulator in place of a Space, it follows up to 64 faulty machines as
+// sets of dirty bits along one golden walk and reports the tick in which
+// a read first consumes one — the microarchitectural model's batch
+// surface for the campaign engine's lockstep replay.
 package lifetime
 
 import "fmt"

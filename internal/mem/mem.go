@@ -14,6 +14,7 @@
 package mem
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/statehash"
@@ -36,6 +37,22 @@ type page struct {
 	// holding the page — this is what makes whole-memory hashing at
 	// convergence checkpoints O(dirty pages), not O(memory).
 	hash atomic.Uint64
+}
+
+// freePages recycles pages no Memory references any more. A replay
+// worker restores a snapshot, dirties a few pages (each a 4 KiB clone of
+// a shared one) and restores again; without reuse every such clone is
+// garbage the moment the next restore drops it.
+var freePages = sync.Pool{New: func() any { return new(page) }}
+
+// release drops one reference to p; the last one out recycles the page.
+// No Memory can reach p after that (a reference is only ever taken by
+// copying a page-table entry whose owner still holds its own), so the
+// page is free to be overwritten by its next user.
+func (p *page) release() {
+	if p.refs.Add(-1) == 0 {
+		freePages.Put(p)
+	}
 }
 
 // zeroPageHash is the digest of an all-zero page, used for unallocated
@@ -116,9 +133,11 @@ func (m *Memory) writablePage(addr uint32) *page {
 		return p
 	}
 	if p.refs.Load() > 1 {
-		clone := &page{data: p.data}
+		clone := freePages.Get().(*page)
+		clone.data = p.data
+		clone.hash.Store(0)
 		clone.refs.Store(1)
-		p.refs.Add(-1)
+		p.release()
 		m.pages[idx] = clone
 		return clone
 	}
@@ -292,19 +311,23 @@ func (m *Memory) Snapshot() *Memory {
 // share, reusing the existing page table instead of allocating a fresh
 // Memory — the allocation-free analogue of src.Snapshot() used by the
 // campaign engine's per-worker replay restores. The receiver's previous
-// page references are released; src is untouched and both sides keep
-// cloning lazily on write. Sizes must match (same program image).
+// page references are released (pages it alone held go back to the
+// clone pool); src is untouched and both sides keep cloning lazily on
+// write. Sizes must match (same program image).
 func (m *Memory) RestoreFrom(src *Memory) {
 	if m.size != src.size {
 		panic("mem: RestoreFrom across different memory sizes")
 	}
 	for i, p := range m.pages {
-		if p != nil {
-			p.refs.Add(-1)
-		}
 		q := src.pages[i]
+		if p == q {
+			continue
+		}
 		if q != nil {
 			q.refs.Add(1)
+		}
+		if p != nil {
+			p.release()
 		}
 		m.pages[i] = q
 	}

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -290,5 +291,82 @@ func TestRestoreFrom(t *testing.T) {
 	}
 	if !src.Equal(src.Snapshot()) {
 		t.Fatal("src no longer equals its own snapshot")
+	}
+}
+
+// TestRestoreReusesPages pins the clone pool: a worker that restores a
+// shared snapshot, dirties some of its pages and restores again gets its
+// clones from the pages the previous restore released, so the loop
+// allocates nothing once warm — and a recycled page carries neither the
+// data nor the memoised digest of its previous life.
+func TestRestoreReusesPages(t *testing.T) {
+	snap := New(8 * PageSize)
+	for p := uint32(0); p < 4; p++ {
+		snap.StoreWord(p*PageSize+8, 0xA0+p)
+	}
+	snapHash := snap.Hash()
+	w := New(8 * PageSize)
+	replay := func() {
+		w.RestoreFrom(snap)
+		for p := uint32(0); p < 4; p++ {
+			w.StoreWord(p*PageSize+16, 0xBEEF) // shared page: clones
+		}
+	}
+	replay()
+	if w.Hash() == snapHash { // memoises the digests of w's private clones
+		t.Fatal("dirtied memory hashes like the snapshot")
+	}
+	if allocs := testing.AllocsPerRun(200, replay); allocs != 0 && !raceEnabled {
+		t.Errorf("restore/write/restore allocates %.1f objects per round, want 0", allocs)
+	}
+	for p := uint32(0); p < 4; p++ {
+		if v, _ := snap.LoadWord(p*PageSize + 16); v != 0 {
+			t.Fatalf("write reached the shared snapshot: page %d holds %#x", p, v)
+		}
+		if v, _ := w.LoadWord(p*PageSize + 8); v != 0xA0+p {
+			t.Fatalf("recycled page lost the snapshot's data: page %d holds %#x", p, v)
+		}
+	}
+	w.RestoreFrom(snap)
+	if w.Hash() != snapHash || !w.Equal(snap) {
+		t.Error("restored memory differs from the snapshot")
+	}
+	w.StoreByte(3, 1) // a recycled page must not keep the digest it memoised before
+	if w.Hash() == snapHash {
+		t.Error("stale page digest survived recycling")
+	}
+}
+
+// TestConcurrentRestoreFromSharedSnapshot is the replay pool's access
+// pattern, for the race job: several workers restoring from one
+// read-only snapshot, writing their private copies and trading recycled
+// pages through the pool.
+func TestConcurrentRestoreFromSharedSnapshot(t *testing.T) {
+	snap := New(8 * PageSize)
+	for p := uint32(0); p < 8; p++ {
+		snap.StoreWord(p*PageSize, p+1)
+	}
+	want := snap.Hash()
+	var wg sync.WaitGroup
+	for g := uint32(0); g < 2; g++ {
+		wg.Add(1)
+		go func(g uint32) {
+			defer wg.Done()
+			w := New(8 * PageSize)
+			for round := uint32(0); round < 500; round++ {
+				w.RestoreFrom(snap)
+				for p := uint32(0); p < 8; p++ {
+					if v, _ := w.LoadWord(p * PageSize); v != p+1 {
+						t.Errorf("worker %d round %d: page %d reads %#x", g, round, p, v)
+						return
+					}
+					w.StoreWord(p*PageSize, 0xDEAD0000|g<<8|round&0xFF)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if snap.Hash() != want {
+		t.Error("shared snapshot changed under concurrent restores")
 	}
 }

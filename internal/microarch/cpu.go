@@ -134,6 +134,10 @@ type CPU struct {
 	// workers, so the hot path pays one nil check.
 	ltRF *lifetime.Space
 
+	// lanesRF, when non-nil, tracks lockstep replay lanes over the
+	// physical register file (see SetLanes) through the same hooks.
+	lanesRF *lifetime.Lanes
+
 	// Functional unit occupancy.
 	lsuBusyUntil uint64
 	mulBusyUntil uint64
@@ -695,6 +699,9 @@ func (c *CPU) writeback() {
 		if u.dst >= 0 {
 			if c.ltRF != nil {
 				c.ltRF.Write(c.Cycles, int(u.dst), 0, 32)
+			}
+			if c.lanesRF != nil {
+				c.lanesRF.Write(int(u.dst), 0, 32)
 			}
 			c.prf[u.dst] = u.result
 			c.prfReady[u.dst] = true

@@ -37,6 +37,10 @@ func (c *CPU) ForceRFBit(i int, v int) error {
 	return nil
 }
 
+// RFBit returns physical register file bit i (0 or 1), in FlipRFBit's
+// index space.
+func (c *CPU) RFBit(i int) int { return int(c.prf[i/32] >> (i % 32) & 1) }
+
 // L1DBits returns the size of the L1 data cache data array in bits.
 func (c *CPU) L1DBits() int { return c.L1D.DataBits() }
 

@@ -129,6 +129,15 @@ type ReplayPoint struct {
 	ReplaysPerS  float64 `json:"replaysPerSec"`
 	MCyclesPerS  float64 `json:"mcyclesPerSec"`
 	GoldenCycles uint64  `json:"goldenCycles"`
+
+	// Lockstep arms ("<model>-batch") only: the share of replays the
+	// design consumed (peeled to a scalar tail), mean lanes per group,
+	// and where the stepped cycles went — golden cycles the groups rode
+	// together against cycles peeled lanes simulated alone.
+	PeeledFrac     float64 `json:"peeledFrac,omitempty"`
+	LaneOccupancy  float64 `json:"laneOccupancy,omitempty"`
+	LockstepCycles uint64  `json:"lockstepCycles,omitempty"`
+	PrivateCycles  uint64  `json:"privateCycles,omitempty"`
 }
 
 // SweepPoint is the miniature full-sweep wall-time measurement.
@@ -257,14 +266,16 @@ func run(out, baseline string, maxReg float64) error {
 		doc.Replay = append(doc.Replay, pt)
 	}
 
-	// The bit-parallel arm replays the same planned-fault shape through
-	// the 64-lane lockstep engine; committed next to the scalar rtl
-	// point, the baseline gate pins the batched speedup too.
-	bp, err := measureReplayBatch(512)
-	if err != nil {
-		return err
+	// The bit-parallel arms replay the same planned-fault shape through
+	// the 64-lane lockstep engine on each model; committed next to the
+	// scalar points, the baseline gate pins the batched speedups too.
+	for _, m := range []core.Model{core.ModelRTL, core.ModelMicroarch} {
+		bp, err := measureReplayBatch(m, 512)
+		if err != nil {
+			return err
+		}
+		doc.Replay = append(doc.Replay, bp)
 	}
-	doc.Replay = append(doc.Replay, bp)
 
 	// The cursor-schedule arm replays the microarch arm's exact plan
 	// through the injection-locality scheduler; its throughput point
@@ -441,9 +452,11 @@ func measureReplay(m core.Model, n int) (ReplayPoint, error) {
 	if err != nil {
 		return ReplayPoint{}, err
 	}
+	// Lanes = 1: these rows are the scalar engine's trajectory, whatever
+	// engine the default lane width selects on the model.
 	cfg := campaign.Config{
 		Injections: 1, Seed: 1, Target: fault.TargetRF,
-		Obs: campaign.ObsPinout, Window: 500,
+		Obs: campaign.ObsPinout, Window: 500, Lanes: 1,
 	}
 	specs, err := fault.Plan(n, cfg.Target, sim.Bits(cfg.Target), g.Cycles,
 		fault.DistNormal, cfg.Fault, rand.New(rand.NewSource(1)))
@@ -468,19 +481,19 @@ func measureReplay(m core.Model, n int) (ReplayPoint, error) {
 	}, nil
 }
 
-// measureReplayBatch measures the bit-parallel lockstep engine on the
-// RTL model: n planned transients replayed through one 64-lane
+// measureReplayBatch measures the bit-parallel lockstep engine on one
+// model: n planned transients replayed through one 64-lane
 // BatchReplayer (cycle-clustered groups, lane peeling on first
-// consumption). Reported under model "rtl-batch" with the same
+// consumption). Reported under model "<model>-batch" with the same
 // replaysPerSec/mcyclesPerSec metrics as the scalar arms, so the
 // -baseline gate covers the batched path the moment the point lands in
-// the committed baseline.
-func measureReplayBatch(n int) (ReplayPoint, error) {
+// the committed baseline, plus the engine's own account of the pass.
+func measureReplayBatch(m core.Model, n int) (ReplayPoint, error) {
 	prog, err := workload("qsort")
 	if err != nil {
 		return ReplayPoint{}, err
 	}
-	factory := core.Factory(core.ModelRTL, prog, core.CampaignSetup())
+	factory := core.Factory(m, prog, core.CampaignSetup())
 	g, err := campaign.PrepareGolden(factory, campaign.GoldenOptions{})
 	if err != nil {
 		return ReplayPoint{}, err
@@ -504,7 +517,7 @@ func measureReplayBatch(n int) (ReplayPoint, error) {
 	}
 	defer br.Close()
 	if _, ok := br.(*campaign.BatchReplayer); !ok {
-		return ReplayPoint{}, fmt.Errorf("rtl model lost its batch surface")
+		return ReplayPoint{}, fmt.Errorf("%v model lost its batch surface", m)
 	}
 	var cycles uint64
 	i := 0
@@ -523,11 +536,16 @@ func measureReplayBatch(n int) (ReplayPoint, error) {
 		return ReplayPoint{}, err
 	}
 	el := time.Since(start).Seconds()
+	st := br.Stats()
 	return ReplayPoint{
-		Model: "rtl-batch", Replays: n,
-		ReplaysPerS:  float64(n) / el,
-		MCyclesPerS:  float64(cycles) / el / 1e6,
-		GoldenCycles: g.Cycles,
+		Model: m.String() + "-batch", Replays: n,
+		ReplaysPerS:    float64(n) / el,
+		MCyclesPerS:    float64(cycles) / el / 1e6,
+		GoldenCycles:   g.Cycles,
+		PeeledFrac:     float64(st.Peeled) / float64(n),
+		LaneOccupancy:  float64(st.LaneSum) / float64(st.Groups),
+		LockstepCycles: st.Lockstep,
+		PrivateCycles:  st.Private,
 	}, nil
 }
 
@@ -553,6 +571,7 @@ func measureReplaySched(scalar ReplayPoint) (ReplayPoint, ReplaySchedPoint, erro
 	cfg := campaign.Config{
 		Injections: 1, Seed: 1, Target: fault.TargetRF,
 		Obs: campaign.ObsPinout, Window: 500, Sched: campaign.SchedCursor,
+		Lanes: 1, // the cursor engine itself, not lanes under the cursor schedule
 	}
 	specs, err := fault.Plan(n, cfg.Target, probe.Bits(cfg.Target), g.Cycles,
 		fault.DistNormal, cfg.Fault, rand.New(rand.NewSource(1)))
@@ -777,16 +796,18 @@ const obsOverheadGate = 0.03
 // measureObsOverhead times the same full campaign (golden prep reused,
 // replay phase timed) with observability off and on, in obsPairs (or,
 // while the reading is above the gate, up to obsMaxPairs) back-to-back
-// pairs that alternate which arm runs first. The plan is
-// sized so an arm runs for ~0.15 s: at 120 injections the
-// allocation-free microarch kernel finishes in ~25 ms and run-to-run
-// noise alone crossed the 3% gate. Arms are compared pair by pair, not best against
-// best: one lucky plain run sets a bar no enabled run of another pair
-// ever saw, which tripped the gate about one run in three on a loaded
-// two-core box.
+// pairs that alternate which arm runs first. The plan is sized so an
+// arm runs for ~0.2 s — 7680 injections now that the default engine on
+// this model is the lockstep one, whose counters are what the enabled
+// arm exercises: an arm of a few tens of milliseconds (120 injections
+// on the scalar engine, 960 on this one) crossed the 3% gate on
+// run-to-run noise alone. Arms are compared pair by pair, not best
+// against best: one lucky plain run sets a bar no enabled run of
+// another pair ever saw, which tripped the gate about one run in three
+// on a loaded two-core box.
 func measureObsOverhead() (ObsOverheadPoint, error) {
 	cfg := campaign.Config{
-		Injections: 960, Seed: 9, Target: fault.TargetRF,
+		Injections: 7680, Seed: 9, Target: fault.TargetRF,
 		Obs: campaign.ObsPinout, Window: 500,
 	}
 	arm := func(enabled bool) (float64, error) {

@@ -2,10 +2,18 @@
 // campaign service: it runs a tiny E2-style campaign (L1D transients at
 // the core pinout, windowed) single-process, then boots one faultsimd
 // coordinator and two faultsimd worker PROCESSES, submits the same
-// campaign through the HTTP API, SIGKILLs one worker mid-run — forcing
-// lease expiry and shard re-issue — and asserts the fleet's final
-// classification counts and rendered report are byte-identical to the
-// single-process run.
+// campaign through the HTTP API, SIGKILLs one worker while it holds a
+// lease — forcing lease expiry and shard re-issue — and asserts the
+// fleet's final classification counts and rendered report are
+// byte-identical to the single-process run.
+//
+// The kill is decided on an observed state, not a timer: a shard is a
+// millisecond of work, so a poll-then-kill lands after the campaign
+// ended more often than inside it. The first worker runs alone and is
+// frozen (SIGSTOP) in short slices; while it cannot move, the
+// coordinator's lease counters say whether it holds a lease, and only
+// then is it killed. The second worker starts afterwards and inherits
+// the expired shard.
 //
 // It also exercises the observability surface end to end: the
 // coordinator's /metrics endpoint is scraped mid-run (while shards are
@@ -30,6 +38,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"flag"
@@ -54,7 +63,6 @@ func run() error {
 		bin        = flag.String("bin", "", "path to the faultsimd binary")
 		benchName  = flag.String("bench", "qsort", "workload of the check campaign")
 		injections = flag.Int("n", 90, "injections of the check campaign")
-		killAfter  = flag.Int("kill-after", 8, "worker replays after which one worker is SIGKILLed")
 	)
 	flag.Parse()
 	if *bin == "" {
@@ -93,15 +101,16 @@ func run() error {
 		return err
 	}
 
-	// Worker 1 survives to the end; give it a -metrics listener so the
-	// worker-side series can be scraped after the campaign completes.
+	// Worker 0 is the victim and runs alone until it is killed; worker 1
+	// survives to the end, with a -metrics listener so the worker-side
+	// series can be scraped after the campaign completes.
 	wmPort, err := freePort()
 	if err != nil {
 		return err
 	}
 	workerMetricsURL := fmt.Sprintf("http://127.0.0.1:%d", wmPort)
 	workers := make([]*exec.Cmd, 2)
-	for i := range workers {
+	startWorker := func(i int) error {
 		wargs := []string{
 			"-role", "worker", "-coordinator", url,
 			"-id", fmt.Sprintf("ci-w%d", i),
@@ -115,15 +124,19 @@ func run() error {
 			return fmt.Errorf("start worker %d: %w", i, err)
 		}
 		workers[i] = w
+		return nil
 	}
 	defer func() {
 		for _, w := range workers {
-			if w.Process != nil {
+			if w != nil {
 				w.Process.Kill()
 				w.Wait()
 			}
 		}
 	}()
+	if err := startWorker(0); err != nil {
+		return err
+	}
 
 	client := distrib.NewClient(url)
 	client.Poll = 100 * time.Millisecond
@@ -135,32 +148,26 @@ func run() error {
 	}
 	fmt.Printf("distribcheck: campaign %s submitted to %s\n", id, url)
 
-	// SIGKILL worker 0 once replays are flowing.
-	killed := false
+	if err := killHoldingLease(workers[0], url, client, id); err != nil {
+		return err
+	}
+	// Mid-run scrape: the coordinator must serve valid Prometheus text
+	// while a shard is still in flight (the dead worker's).
+	mid, err := scrape(url + "/metrics")
+	if err != nil {
+		return fmt.Errorf("mid-run /metrics scrape: %w", err)
+	}
+	fmt.Printf("distribcheck: mid-run scrape ok (%d series, %.0f leases issued)\n",
+		len(mid), mid["distrib_leases_issued_total"])
+	if err := startWorker(1); err != nil {
+		return err
+	}
+
 	deadline := time.Now().Add(10 * time.Minute)
 	for {
 		p, err := client.Progress(id)
 		if err != nil {
 			return err
-		}
-		if !killed && p.Replayed >= *killAfter {
-			fmt.Printf("distribcheck: SIGKILLing worker 0 at %d replays\n", p.Replayed)
-			if err := workers[0].Process.Kill(); err != nil {
-				return fmt.Errorf("kill worker 0: %w", err)
-			}
-			workers[0].Wait()
-			killed = true
-			// Mid-run scrape: the coordinator must serve valid
-			// Prometheus text while shards are still in flight.
-			mid, err := scrape(url + "/metrics")
-			if err != nil {
-				return fmt.Errorf("mid-run /metrics scrape: %w", err)
-			}
-			if _, ok := mid["distrib_leases_issued_total"]; !ok {
-				return fmt.Errorf("mid-run /metrics missing distrib_leases_issued_total")
-			}
-			fmt.Printf("distribcheck: mid-run scrape ok (%d series, %.0f leases issued)\n",
-				len(mid), mid["distrib_leases_issued_total"])
 		}
 		if p.Status == distrib.StatusDone {
 			break
@@ -173,12 +180,6 @@ func run() error {
 				p.Status, p.Delivered, p.Injections)
 		}
 		time.Sleep(100 * time.Millisecond)
-	}
-	if !killed {
-		// The campaign finished before the kill threshold: the check
-		// would silently not exercise re-leasing, so fail loudly —
-		// lower -kill-after or raise -n instead.
-		return fmt.Errorf("campaign finished before any worker was killed; raise -n or lower -kill-after")
 	}
 	got, err := client.Report(id)
 	if err != nil {
@@ -193,6 +194,8 @@ func run() error {
 	for _, r := range []*campaign.Result{want, got} {
 		r.Elapsed, r.AvgSecPerRun, r.GoldenElapsed = 0, 0, 0
 		r.Config.Workers = 0
+		// Lane accounting stays with the worker that packed the lanes.
+		r.BatchedRuns, r.PeeledRuns, r.LaneOccupancy = 0, 0, 0
 	}
 	if !reflect.DeepEqual(want.Counts, got.Counts) {
 		return fmt.Errorf("classification counts diverged:\n got %v\nwant %v", got.Counts, want.Counts)
@@ -208,6 +211,66 @@ func run() error {
 	fmt.Printf("distribcheck: fleet result byte-identical across %d outcomes (counts %v)\n",
 		len(got.Outcomes), got.Counts)
 	return nil
+}
+
+// leasesInFlight is the number of leases the coordinator has issued and
+// not yet seen finish, from its own counters.
+func leasesInFlight(m map[string]float64) float64 {
+	return m["distrib_leases_issued_total"] - m["distrib_shards_done_total"] -
+		m["distrib_leases_expired_total"] - m["distrib_shard_failures_total"]
+}
+
+// killHoldingLease SIGKILLs the fleet's only worker at a moment it
+// provably holds a lease. The worker runs in millisecond slices between
+// SIGSTOPs; frozen, it can neither finish a shard nor take one, so once
+// the coordinator has settled (two equal readings: any request the
+// worker had already sent is served) its counters describe the worker
+// exactly. A lease in flight then dies with the worker; none in flight
+// thaws it for another slice.
+func killHoldingLease(victim *exec.Cmd, url string, client *distrib.Client, id string) error {
+	const slice, settle = time.Millisecond, 25 * time.Millisecond
+	deadline := time.Now().Add(2 * time.Minute)
+	for time.Now().Before(deadline) {
+		if err := victim.Process.Signal(syscall.SIGSTOP); err != nil {
+			return fmt.Errorf("freeze worker 0: %w", err)
+		}
+		var m map[string]float64
+		for prev := -1.0; ; {
+			time.Sleep(settle)
+			var err error
+			if m, err = scrape(url + "/metrics"); err != nil {
+				return fmt.Errorf("coordinator /metrics: %w", err)
+			}
+			sum := m["distrib_leases_issued_total"] + m["distrib_shards_done_total"] + m["distrib_outcome_batches_total"]
+			if sum == prev {
+				break
+			}
+			prev = sum
+		}
+		if n := leasesInFlight(m); n >= 1 {
+			fmt.Printf("distribcheck: SIGKILLing worker 0 holding %.0f lease(s) (%.0f issued, %.0f shards done)\n",
+				n, m["distrib_leases_issued_total"], m["distrib_shards_done_total"])
+			if err := victim.Process.Kill(); err != nil {
+				return fmt.Errorf("kill worker 0: %w", err)
+			}
+			victim.Wait()
+			return nil
+		}
+		p, err := client.Progress(id)
+		if err != nil {
+			return err
+		}
+		if p.Status == distrib.StatusDone || p.Status == distrib.StatusFailed {
+			// Every slice ended between two shards: the check would
+			// silently not exercise re-leasing, so fail loudly.
+			return fmt.Errorf("campaign %s before worker 0 was caught holding a lease; raise -n", p.Status)
+		}
+		if err := victim.Process.Signal(syscall.SIGCONT); err != nil {
+			return fmt.Errorf("thaw worker 0: %w", err)
+		}
+		time.Sleep(slice)
+	}
+	return fmt.Errorf("worker 0 never took a lease")
 }
 
 // checkMetrics asserts the fleet's observability series after the
