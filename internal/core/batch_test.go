@@ -381,37 +381,43 @@ func TestBatchLatchesFallsBackScalar(t *testing.T) {
 // tracker answers it during a golden walk from live events (what the
 // lockstep engine trusts). For every planned transient fault a lane
 // must stay unpeeled to its horizon exactly when the trace says dead,
-// and otherwise peel in the very cycle the trace names.
+// and otherwise peel in the very cycle the trace names. Both models hold
+// to the same peel-cycle convention (the cycle count after the consuming
+// step), with no stamp offset between them.
 func TestLanePeelMatchesPruneVerdict(t *testing.T) {
-	f := benchFactory(t, ModelMicroarch, "qsort")
-	g, err := campaign.PrepareGolden(f, campaign.GoldenOptions{Lifetime: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, target := range []fault.Target{fault.TargetRF, fault.TargetL1D} {
-		for _, window := range []uint64{400, 0} {
-			for _, fm := range faultModels[:2] { // the transient models
-				cfg := campaign.Config{
-					Injections: 2 * campaign.MaxLanes, Seed: 23, Target: target,
-					Window: window, Fault: fm.fault,
-				}
-				specs, err := g.Plan(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sort.Slice(specs, func(i, j int) bool { return specs[i].Cycle < specs[j].Cycle })
-				live := 0
-				for len(specs) > 0 {
-					n := min(len(specs), campaign.MaxLanes)
-					live += checkPeelCycles(t, f, g, cfg, specs[:n])
-					specs = specs[n:]
-				}
-				if live == 0 || live == cfg.Injections {
-					t.Errorf("%v window %d %s: %d of %d faults live; one side of the claim went untested",
-						target, window, fm.name, live, cfg.Injections)
+	for _, model := range []Model{ModelMicroarch, ModelRTL} {
+		t.Run(model.String(), func(t *testing.T) {
+			f := benchFactory(t, model, "qsort")
+			g, err := campaign.PrepareGolden(f, campaign.GoldenOptions{Lifetime: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, target := range []fault.Target{fault.TargetRF, fault.TargetL1D} {
+				for _, window := range []uint64{400, 0} {
+					for _, fm := range faultModels[:2] { // the transient models
+						cfg := campaign.Config{
+							Injections: 2 * campaign.MaxLanes, Seed: 23, Target: target,
+							Window: window, Fault: fm.fault,
+						}
+						specs, err := g.Plan(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						sort.Slice(specs, func(i, j int) bool { return specs[i].Cycle < specs[j].Cycle })
+						live := 0
+						for len(specs) > 0 {
+							n := min(len(specs), campaign.MaxLanes)
+							live += checkPeelCycles(t, f, g, cfg, specs[:n])
+							specs = specs[n:]
+						}
+						if live == 0 || live == cfg.Injections {
+							t.Errorf("%v window %d %s: %d of %d faults live; one side of the claim went untested",
+								target, window, fm.name, live, cfg.Injections)
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
