@@ -266,13 +266,21 @@ func benchmarkStep(b *testing.B, model core.Model) {
 // finds work, plus the engine's per-tick BeginTick/Peeled pair. The
 // difference to BenchmarkMicroarchStep is what riding lanes costs a
 // cycle nobody is consumed in.
-func BenchmarkMicroarchLockstepStep(b *testing.B) {
-	sim := kernelSim(b, core.ModelMicroarch)
-	lanes, ok := sim.(campaign.BatchCapable).BatchLanes(fault.TargetRF)
+func BenchmarkMicroarchLockstepStep(b *testing.B) { benchmarkLockstepStep(b, core.ModelMicroarch) }
+
+// BenchmarkRTLLockstepStep is the same measurement on the RTL core,
+// whose hooks sit at the kernel's read port and clock edge: the
+// difference to BenchmarkRTLStep.
+func BenchmarkRTLLockstepStep(b *testing.B) { benchmarkLockstepStep(b, core.ModelRTL) }
+
+func benchmarkLockstepStep(b *testing.B, model core.Model) {
+	sim := kernelSim(b, model)
+	host := sim.(campaign.BatchCapable)
+	lanes, ok := host.AttachLanes(fault.TargetRF)
 	if !ok {
 		b.Fatal("no lane tracker over the register file")
 	}
-	defer lanes.Detach()
+	defer host.DetachLanes()
 	var peeled uint64
 	benchmarkKernel(b, sim, func(campaign.Simulator) {
 		peeled |= lanes.Peeled()

@@ -2,8 +2,8 @@ package campaign
 
 // Bit-parallel lockstep replay: up to MaxLanes faulty machines ride one
 // golden evaluation, each represented only by its sparse state diff
-// against the golden machine (internal/rtl's BatchMem for the RTL model,
-// internal/lifetime's Lanes for the microarchitectural one). While no
+// against the golden machine (internal/lifetime's Lanes, the one tracker
+// both models feed from their read and write hooks). While no
 // diffed word has been consumed by the design, a faulty machine's entire
 // behavior — every signal, register write, bus transaction and output
 // byte — is the golden machine's, so one golden tick advances every lane
@@ -29,11 +29,11 @@ import (
 	"sort"
 
 	"repro/internal/fault"
+	"repro/internal/lifetime"
 )
 
-// MaxLanes is the lane capacity of one replay batch — the 64 bits of the
-// uint64 per-word lane masks the diff tracker keys on.
-const MaxLanes = 64
+// MaxLanes is the lane capacity of one replay batch: the lane tracker's.
+const MaxLanes = lifetime.MaxLanes
 
 // batchRingEvery is the in-group golden snapshot stride: a peeled lane's
 // scalar rebuild replays at most this many golden catch-up cycles. A
@@ -54,46 +54,17 @@ const batchRingEvery = 64
 // coarser work distribution across workers.
 const batchPull = 8
 
-// LaneSet is one injection target's per-lane diff tracker, attached to a
-// batch-capable simulator's faultable structure. Lane indices are dense
-// [0, MaxLanes); bit indices are the same flat space Simulator.Flip
-// uses for the target.
-type LaneSet interface {
-	// Activate marks a lane live; Retire deactivates it and discards
-	// its diffs. Clean reports whether the lane currently has none (its
-	// machine state is bit-identical to golden).
-	Activate(lane int)
-	Retire(lane int)
-	Clean(lane int) bool
-
-	// Flip toggles one bit of a lane's machine; Force sets it to v —
-	// the per-lane forms of Simulator.Flip and Simulator.Force.
-	Flip(lane, bit int) error
-	Force(lane, bit, v int) error
-
-	// BeginTick starts a clock cycle's peel accounting; Peeled returns
-	// the lanes deactivated by design reads since then (bit k = lane
-	// k). A peeled lane's pre-tick diff stays reconstructable until the
-	// next BeginTick, even across golden writes that cleared it.
-	BeginTick()
-	Peeled() uint64
-
-	// ApplyPeelDiff replays a peeled lane's pre-tick diff onto a scalar
-	// simulator positioned at the pre-tick cycle, turning golden state
-	// into the lane's machine state.
-	ApplyPeelDiff(lane int, sim Simulator) error
-
-	// Detach disconnects the tracker from the simulator.
-	Detach()
-}
-
-// BatchCapable is implemented by simulators that can expose a LaneSet
+// BatchCapable is implemented by simulators that can ride lockstep lanes
 // over an injection target: both models do, for the register file and
 // the L1D data array (not for the RTL pipeline latches).
 type BatchCapable interface {
-	// BatchLanes attaches and returns a lane tracker for target t, or
-	// ok=false when the target has no batch surface.
-	BatchLanes(t fault.Target) (LaneSet, bool)
+	// AttachLanes attaches a fresh lane tracker over target t and
+	// returns it, or ok=false when the target has no lockstep surface.
+	// Lane indices are dense [0, MaxLanes); the tracker's flat bit space
+	// is the one Simulator.Flip uses for the target. DetachLanes
+	// disconnects whatever tracker is attached.
+	AttachLanes(t fault.Target) (lanes *lifetime.Lanes, ok bool)
+	DetachLanes()
 
 	// SnapshotInto captures like Simulator.Snapshot but may overwrite
 	// old, a capture this simulator returned earlier that the caller has
@@ -120,9 +91,9 @@ type BatchReplayer struct {
 	g      *Golden
 	cfg    Config
 	gold   Simulator
-	ring   BatchCapable // gold, as the ring capture's recycler
+	ring   BatchCapable // gold, as the lane host and the ring capture's recycler
 	scalar Simulator
-	lanes  LaneSet
+	lanes  *lifetime.Lanes
 	buf    replayBuf
 
 	states []laneState
@@ -173,7 +144,7 @@ func NewBatchReplayer(g *Golden, cfg Config, gold, scalar Simulator) *BatchRepla
 	if !ok {
 		return nil
 	}
-	lanes, ok := bc.BatchLanes(cfg.Target)
+	lanes, ok := bc.AttachLanes(cfg.Target)
 	if !ok {
 		return nil
 	}
@@ -186,7 +157,7 @@ func NewBatchReplayer(g *Golden, cfg Config, gold, scalar Simulator) *BatchRepla
 }
 
 // Close detaches the lane tracker from the golden instance.
-func (r *BatchReplayer) Close() { r.lanes.Detach() }
+func (r *BatchReplayer) Close() { r.ring.DetachLanes() }
 
 // Stats reports the replayer's accounting in the pool's common form.
 func (r *BatchReplayer) Stats() ReplayStats {
@@ -360,7 +331,6 @@ func (r *BatchReplayer) scanLanes(c uint64, earlyStop bool, deliver func(int, Ru
 				next = min(next, st.spec.Cycle)
 				continue
 			}
-			r.lanes.Activate(k)
 			if err := r.applyLaneFault(k, st.spec); err != nil {
 				return 0, err
 			}
@@ -466,8 +436,14 @@ func (r *BatchReplayer) peelOne(lane int, st *laneState, preTick uint64) (RunOut
 				s.Cycles(), preTick, s.StopReason())
 		}
 	}
-	if err := r.lanes.ApplyPeelDiff(lane, s); err != nil {
-		return RunOutcome{}, err
+	var flipErr error
+	r.lanes.PeelDiff(lane, func(bit int) {
+		if flipErr == nil {
+			flipErr = s.Flip(r.cfg.Target, bit)
+		}
+	})
+	if flipErr != nil {
+		return RunOutcome{}, flipErr
 	}
 	// The lane's pinout while batched was golden's: replay records
 	// transactions from the snapshot nearest the injection (exclusive),

@@ -2,17 +2,53 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/campaign"
 	"repro/internal/fault"
 	"repro/internal/lifetime"
 	"repro/internal/microarch"
 	"repro/internal/refsim"
-	"repro/internal/rtl"
 	"repro/internal/rtlcore"
 	"repro/internal/trace"
 )
+
+// geometry is one adapter's statement of a lockstep-capable target's
+// flat fault bit space — units × width bits, laid out as Simulator.Flip
+// indexes them — with a peek at the live machine's current bits; units
+// is 0 for a target the model neither traces nor tracks. Lifetime spaces
+// and lane trackers are both built from it, so the trace and the tracker
+// cannot disagree on the layout their cross-check assumes.
+type geometry func(t fault.Target) (units, width int, peek func(bit int) int)
+
+// setLifetime builds rec's spaces for the two traced targets and hands
+// them to a model's SetLifetime; a nil rec detaches.
+func setLifetime(geo geometry, rec *lifetime.Recorder, set func(rf, l1d *lifetime.Space)) {
+	if rec == nil {
+		set(nil, nil)
+		return
+	}
+	space := func(t fault.Target) *lifetime.Space {
+		units, width, _ := geo(t)
+		return rec.Space(int(t), units, width)
+	}
+	set(space(fault.TargetRF), space(fault.TargetL1D))
+}
+
+// attachLanes builds a lane tracker over target t and hands it to a
+// model's SetLanes, or reports that the target has no lockstep surface.
+func attachLanes(geo geometry, t fault.Target, set func(rf, l1d *lifetime.Lanes)) (*lifetime.Lanes, bool) {
+	units, width, peek := geo(t)
+	if units == 0 {
+		return nil, false
+	}
+	tr := lifetime.NewLanes(units, width, peek)
+	if t == fault.TargetRF {
+		set(tr, nil)
+	} else {
+		set(nil, tr)
+	}
+	return tr, true
+}
 
 // maSim adapts the microarchitectural model to the campaign interface.
 // Snapshots are self-contained clones, so Restore simply swaps the live
@@ -34,19 +70,24 @@ func (s *maSim) SetL1DAccessHook(fn func(set, way int)) { s.cpu.L1D.AccessHook =
 func (s *maSim) L1DLineOfBit(bit int) (int, int)        { return s.cpu.L1D.LineOfDataBit(bit) }
 func (s *maSim) StateHash() uint64                      { return s.cpu.StateHash() }
 
-// SetLifetime registers the microarchitectural lifetime traces: the
-// physical register file at register granularity and the L1D data array
-// at line granularity, both matching the flat fault bit spaces.
-func (s *maSim) SetLifetime(rec *lifetime.Recorder) {
-	if rec == nil {
-		s.cpu.SetLifetime(nil, nil)
-		return
+// geometry: the physical register file at register granularity and the
+// L1D data array at line granularity.
+func (s *maSim) geometry(t fault.Target) (units, width int, peek func(bit int) int) {
+	switch t {
+	case fault.TargetRF:
+		return s.cpu.RFBits() / 32, 32, s.cpu.RFBit
+	case fault.TargetL1D:
+		lineBits := s.cpu.L1D.Config().LineBytes * 8
+		return s.cpu.L1DBits() / lineBits, lineBits, s.cpu.L1D.DataBit
+	default:
+		return 0, 0, nil
 	}
-	lineBits := s.cpu.L1D.Config().LineBytes * 8
-	s.cpu.SetLifetime(
-		rec.Space(int(fault.TargetRF), s.cpu.RFBits()/32, 32),
-		rec.Space(int(fault.TargetL1D), s.cpu.L1DBits()/lineBits, lineBits),
-	)
+}
+
+// SetLifetime registers the microarchitectural lifetime traces of the
+// register file and the L1D data array.
+func (s *maSim) SetLifetime(rec *lifetime.Recorder) {
+	setLifetime(s.geometry, rec, s.cpu.SetLifetime)
 }
 
 func (s *maSim) Bits(t fault.Target) int {
@@ -116,53 +157,16 @@ func (s *maSim) SnapshotInto(old campaign.Snapshot) campaign.Snapshot {
 	return prev
 }
 
-// BatchLanes exposes the microarchitectural model's lockstep replay
+// AttachLanes exposes the microarchitectural model's lockstep replay
 // surface: a lane tracker over the physical register file or the L1D
 // data array, fed by the hooks that record the lifetime trace.
-func (s *maSim) BatchLanes(t fault.Target) (campaign.LaneSet, bool) {
-	var tr *lifetime.Lanes
-	switch t {
-	case fault.TargetRF:
-		tr = lifetime.NewLanes(s.cpu.RFBits()/32, 32, s.cpu.RFBit)
-		s.cpu.SetLanes(tr, nil)
-	case fault.TargetL1D:
-		lineBits := s.cpu.L1D.Config().LineBytes * 8
-		tr = lifetime.NewLanes(s.cpu.L1DBits()/lineBits, lineBits, s.cpu.L1D.DataBit)
-		s.cpu.SetLanes(nil, tr)
-	default:
-		return nil, false
-	}
-	return &maLanes{Lanes: tr, cpu: s.cpu, target: t}, true
+func (s *maSim) AttachLanes(t fault.Target) (*lifetime.Lanes, bool) {
+	return attachLanes(s.geometry, t, s.cpu.SetLanes)
 }
+
+func (s *maSim) DetachLanes() { s.cpu.SetLanes(nil, nil) }
 
 var _ campaign.BatchCapable = (*maSim)(nil)
-
-// maLanes adapts a lifetime.Lanes attached to a microarch CPU to the
-// campaign's LaneSet; the tracker's flat bit space is the target's
-// Simulator.Flip space.
-type maLanes struct {
-	*lifetime.Lanes
-	cpu    *microarch.CPU
-	target fault.Target
-}
-
-// Activate is a no-op: the tracker follows a lane from its first dirty
-// bit.
-func (l *maLanes) Activate(int) {}
-
-func (l *maLanes) Detach() { l.cpu.SetLanes(nil, nil) }
-
-// ApplyPeelDiff flips the lane's pre-tick dirty bits on a scalar
-// simulator through the campaign flip primitive.
-func (l *maLanes) ApplyPeelDiff(lane int, sim campaign.Simulator) error {
-	var applyErr error
-	l.PeelDiff(lane, func(bit int) {
-		if applyErr == nil {
-			applyErr = sim.Flip(l.target, bit)
-		}
-	})
-	return applyErr
-}
 
 // rtlSim adapts the RTL core. Snapshots restore in place (the kernel
 // state layout is identical across instances built from the same
@@ -183,19 +187,25 @@ func (s *rtlSim) SetL1DAccessHook(fn func(set, way int)) { s.core.SetL1DAccessHo
 func (s *rtlSim) L1DLineOfBit(bit int) (int, int)        { return s.core.L1DLineOfBit(bit) }
 func (s *rtlSim) StateHash() uint64                      { return s.core.StateHash() }
 
-// SetLifetime registers the RTL lifetime traces: the architectural
-// register file and the L1D data array, both word-granular through the
-// rtl kernel's memory ports. Pipeline latches stay untracked (latch
-// campaigns always replay).
-func (s *rtlSim) SetLifetime(rec *lifetime.Recorder) {
-	if rec == nil {
-		s.core.SetLifetime(nil, nil)
-		return
+// geometry: the architectural register file and the L1D data array,
+// both word-granular through the rtl kernel's memory ports. Pipeline
+// latches are neither traced nor tracked (rtlcore.Core.SetLanes says
+// why), so latch campaigns always replay, on the scalar engine.
+func (s *rtlSim) geometry(t fault.Target) (units, width int, peek func(bit int) int) {
+	switch t {
+	case fault.TargetRF:
+		return s.core.RFBits() / 32, 32, s.core.RFBit
+	case fault.TargetL1D:
+		return s.core.L1DBits() / 32, 32, s.core.L1DBit
+	default:
+		return 0, 0, nil
 	}
-	s.core.SetLifetime(
-		rec.Space(int(fault.TargetRF), s.core.RFBits()/32, 32),
-		rec.Space(int(fault.TargetL1D), s.core.L1DBits()/32, 32),
-	)
+}
+
+// SetLifetime registers the RTL lifetime traces of the register file and
+// the L1D data array.
+func (s *rtlSim) SetLifetime(rec *lifetime.Recorder) {
+	setLifetime(s.geometry, rec, s.core.SetLifetime)
 }
 
 func (s *rtlSim) Bits(t fault.Target) int {
@@ -254,57 +264,16 @@ func (s *rtlSim) Restore(snap campaign.Snapshot) {
 	s.core.Restore(st)
 }
 
-// BatchLanes exposes the RTL model's bit-parallel replay surface: a
-// per-lane diff tracker over the register file or L1D data array, the
-// two targets whose state lives in rtl kernel memory arrays. Pipeline
-// latches are read combinationally every cycle, so a latch fault would
-// peel immediately and lockstep batching could never win — latch
-// campaigns stay scalar.
-func (s *rtlSim) BatchLanes(t fault.Target) (campaign.LaneSet, bool) {
-	switch t {
-	case fault.TargetRF:
-		return &rtlLanes{bm: s.core.AttachRFBatch(), target: t}, true
-	case fault.TargetL1D:
-		return &rtlLanes{bm: s.core.AttachL1DBatch(), target: t}, true
-	default:
-		return nil, false
-	}
+// AttachLanes exposes the RTL model's lockstep replay surface: a lane
+// tracker over the register file or the L1D data array, the two targets
+// whose state lives in rtl kernel memory arrays. Its flat bit space is
+// the one rtl.Mem.FlipBit splits into word and local bit, so lane
+// injections and peel-diff replays cannot disagree with scalar
+// injections on targeting.
+func (s *rtlSim) AttachLanes(t fault.Target) (*lifetime.Lanes, bool) {
+	return attachLanes(s.geometry, t, s.core.SetLanes)
 }
 
-// rtlLanes adapts an rtl.BatchMem to the campaign's LaneSet. The flat
-// bit space is the target's Simulator.Flip space: bit i lives in array
-// word i/width, local bit i%width — the same split rtl.Mem.FlipBit
-// applies, so lane injections and peel-diff replays can never disagree
-// with scalar injections on targeting.
-type rtlLanes struct {
-	bm     *rtl.BatchMem
-	target fault.Target
-}
+func (s *rtlSim) DetachLanes() { s.core.SetLanes(nil, nil) }
 
-var _ campaign.LaneSet = (*rtlLanes)(nil)
-
-func (l *rtlLanes) Activate(lane int)   { l.bm.Activate(lane) }
-func (l *rtlLanes) Retire(lane int)     { l.bm.Retire(lane) }
-func (l *rtlLanes) Clean(lane int) bool { return l.bm.Clean(lane) }
-func (l *rtlLanes) BeginTick()          { l.bm.BeginTick() }
-func (l *rtlLanes) Peeled() uint64      { return l.bm.Peeled() }
-func (l *rtlLanes) Detach()             { l.bm.Detach() }
-
-func (l *rtlLanes) Flip(lane, bit int) error     { return l.bm.FlipBit(lane, bit) }
-func (l *rtlLanes) Force(lane, bit, v int) error { return l.bm.ForceBit(lane, bit, v) }
-
-// ApplyPeelDiff replays the lane's pre-tick diff onto a scalar
-// simulator through the campaign flip primitive, so the rebuilt machine
-// state equals golden XOR diff exactly.
-func (l *rtlLanes) ApplyPeelDiff(lane int, sim campaign.Simulator) error {
-	width := l.bm.Width()
-	var applyErr error
-	l.bm.LaneDiff(lane, func(word int, diff uint64) {
-		for d := diff; d != 0 && applyErr == nil; {
-			b := bits.TrailingZeros64(d)
-			d &^= 1 << uint(b)
-			applyErr = sim.Flip(l.target, word*width+b)
-		}
-	})
-	return applyErr
-}
+var _ campaign.BatchCapable = (*rtlSim)(nil)

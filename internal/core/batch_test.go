@@ -431,11 +431,12 @@ func checkPeelCycles(t *testing.T, f campaign.Factory, g *campaign.Golden, cfg c
 	if err != nil {
 		t.Fatal(err)
 	}
-	lanes, ok := sim.(campaign.BatchCapable).BatchLanes(cfg.Target)
+	host := sim.(campaign.BatchCapable)
+	lanes, ok := host.AttachLanes(cfg.Target)
 	if !ok {
 		t.Fatalf("no lane tracker over %v", cfg.Target)
 	}
-	defer lanes.Detach()
+	defer host.DetachLanes()
 	const never = ^uint64(0)
 	peeledAt := make([]uint64, len(specs))
 	horizon := make([]uint64, len(specs))
@@ -449,7 +450,6 @@ func checkPeelCycles(t *testing.T, f campaign.Factory, g *campaign.Golden, cfg c
 		c := sim.Cycles()
 		for k, sp := range specs {
 			if sp.Cycle == c {
-				lanes.Activate(k)
 				lo, hi := sp.BitSpan()
 				for b := lo; b < hi; b++ {
 					if err := lanes.Flip(k, b); err != nil {

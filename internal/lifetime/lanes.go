@@ -11,9 +11,10 @@ import (
 // Lanes answers it while the run happens, for up to MaxLanes faulty
 // machines at once. Each machine ("lane") is the golden machine plus a
 // sparse set of dirty bits — the bits of the structure in which it
-// currently differs. The simulator reports the very events it reports
-// to a Space, and the tracker applies the two rules dead-interval
-// pruning rests on:
+// currently differs. The simulator reports the events it reports to a
+// Space — at the moment they take effect, which for the RTL kernel's
+// queued writes is the clock edge that applies them — and the tracker
+// applies the two rules dead-interval pruning rests on:
 //
 //   - a write fully overwrites its range with a value computed from
 //     state the lane shares with golden, so it clears the lane's dirty

@@ -24,8 +24,8 @@
 // Lanes (lanes.go) is the same query answered live: attached to a
 // simulator in place of a Space, it follows up to 64 faulty machines as
 // sets of dirty bits along one golden walk and reports the tick in which
-// a read first consumes one — the microarchitectural model's batch
-// surface for the campaign engine's lockstep replay.
+// a read first consumes one — both models' batch surface for the
+// campaign engine's lockstep replay.
 package lifetime
 
 import "fmt"

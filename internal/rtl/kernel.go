@@ -159,10 +159,10 @@ type Mem struct {
 	// write ports pay one nil check.
 	lt *lifetime.Space
 
-	// batch, when non-nil, tracks up to 64 faulty machines as sparse
-	// per-word diffs against this array (see AttachBatch); nil outside
-	// bit-parallel replay, so the ports pay one nil check.
-	batch *BatchMem
+	// lanes, when non-nil, tracks lockstep replay lanes over this array
+	// (see SetLanes); nil outside bit-parallel replay, so the read port
+	// and the clock edge pay one nil check.
+	lanes *lifetime.Lanes
 }
 
 // Name returns the array's name.
@@ -184,13 +184,23 @@ func (m *Mem) Width() int { return m.width }
 // is exact for the dead-interval classification.
 func (m *Mem) SetLifetime(sp *lifetime.Space) { m.lt = sp }
 
+// SetLanes attaches (or, with nil, detaches) a lockstep lane tracker
+// over this array, one unit per word as in SetLifetime. Reads are
+// reported at the read port, where the trace records them. Writes are
+// reported when Simulator.Tick applies them at the clock edge, not at
+// queue time where the trace stamps them a cycle ahead: the tracker acts
+// on an event the moment it hears it, and until the edge the array still
+// holds a lane's corrupted word, so a read later in the same settle must
+// still peel the lane.
+func (m *Mem) SetLanes(t *lifetime.Lanes) { m.lanes = t }
+
 // Read returns the current value of word idx (asynchronous read port).
 func (m *Mem) Read(idx int) uint64 {
 	if m.lt != nil {
 		m.lt.Read(m.sim.CycleCount, idx, 0, m.width)
 	}
-	if m.batch != nil {
-		m.batch.onRead(idx)
+	if m.lanes != nil {
+		m.lanes.Read(idx, 0, m.width)
 	}
 	return m.data[idx]
 }
@@ -210,6 +220,10 @@ func (m *Mem) Init(idx int, v uint64) { m.data[idx] = v & m.mask }
 
 // Bits returns the total number of storage bits.
 func (m *Mem) Bits() int { return len(m.data) * m.width }
+
+// Bit returns bit b of the array (flat index word*width + bit) as 0 or
+// 1 — the golden peek of a lane tracker attached with SetLanes.
+func (m *Mem) Bit(b int) int { return int(m.data[b/m.width] >> (b % m.width) & 1) }
 
 // FlipBit injects a transient fault into bit b of the array (flat index
 // word*width + bit), effective immediately.
@@ -385,10 +399,10 @@ func (s *Simulator) Tick() error {
 		}
 	}
 	for _, m := range s.mems {
-		if m.batch != nil && len(m.queue) > 0 {
-			m.batch.onApply(m.queue)
-		}
 		for _, w := range m.queue {
+			if m.lanes != nil {
+				m.lanes.Write(w.idx, 0, m.width)
+			}
 			m.data[w.idx] = w.v
 		}
 		m.queue = m.queue[:0]

@@ -1,10 +1,35 @@
 package rtl
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
+	"repro/internal/lifetime"
 	"repro/internal/statehash"
 )
+
+// These tests drive a lifetime.Lanes through Mem's ports: the tracker's
+// own rules are held in internal/lifetime, what is held here is the
+// wiring — reads reported at the read port, writes as the clock edge
+// applies them, Force peeking the array's post-edge bits.
+
+// attachLanes puts a fresh tracker over m, one unit per word, the way
+// the campaign adapters do.
+func attachLanes(tb testing.TB, m *Mem) *lifetime.Lanes {
+	tr := lifetime.NewLanes(m.Words(), m.Width(), m.Bit)
+	m.SetLanes(tr)
+	tb.Cleanup(func() { m.SetLanes(nil) })
+	return tr
+}
+
+// peelDiff collects a lane's pre-tick dirty bits in ascending order.
+func peelDiff(tr *lifetime.Lanes, lane int) []int {
+	var bits []int
+	tr.PeelDiff(lane, func(bit int) { bits = append(bits, bit) })
+	sort.Ints(bits)
+	return bits
+}
 
 func stateDigest(s *Simulator) uint64 {
 	h := statehash.New()
@@ -12,162 +37,214 @@ func stateDigest(s *Simulator) uint64 {
 	return h.Sum()
 }
 
-// TestBatchMemLaneLifecycle covers the diff algebra: a lane's fault
-// lives as a sparse XOR diff, a full-word golden write erases it (the
-// reconvergence exit), and reads of clean words never peel.
-func TestBatchMemLaneLifecycle(t *testing.T) {
+// TestMemLanesLifecycle covers a lane's life through the ports: a fault
+// lives as a dirty bit, a full-word golden write erases it at the clock
+// edge (the reconvergence exit), and reads of clean words never peel.
+func TestMemLanesLifecycle(t *testing.T) {
 	sim := NewSimulator()
 	m := sim.Mem("rf", 4, 32)
 	m.Init(1, 0xF0)
-	b := m.AttachBatch()
-	defer b.Detach()
+	tr := attachLanes(t, m)
 
-	b.Activate(3)
-	if err := b.FlipBit(3, 32+1); err != nil { // word 1, bit 1
+	if err := tr.Flip(3, 32+1); err != nil { // word 1, bit 1
 		t.Fatal(err)
 	}
-	if b.Clean(3) {
+	if tr.Clean(3) {
 		t.Fatal("flip left lane clean")
 	}
-	if err := b.FlipBit(3, b.Bits()); err == nil {
+	if err := tr.Flip(3, m.Bits()); err == nil {
 		t.Error("out-of-range lane flip accepted")
+	}
+	// A second flip of the same bit cancels the first.
+	if err := tr.Flip(4, 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Flip(4, 7); err != nil {
+		t.Fatal(err)
+	}
+	if !tr.Clean(4) {
+		t.Fatal("double flip left lane dirty")
 	}
 
 	// A golden write overwrites the full word at the clock edge: the
 	// lane's diff there dies, exactly like the scalar fault would be
 	// overwritten.
 	m.Write(1, 0xAA)
-	b.BeginTick()
+	tr.BeginTick()
 	if err := sim.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	if b.Peeled() != 0 {
-		t.Fatalf("peeled = %#x on a write-only tick", b.Peeled())
+	if tr.Peeled() != 0 {
+		t.Fatalf("peeled = %#x on a write-only tick", tr.Peeled())
 	}
-	if !b.Clean(3) {
+	if !tr.Clean(3) {
 		t.Fatal("overwritten diff did not clear")
 	}
 	// Reading the now-clean word must not peel the lane.
 	if m.Read(1) != 0xAA {
 		t.Fatal("golden contents wrong")
 	}
-	if b.Peeled() != 0 {
-		t.Fatalf("read of clean word peeled %#x", b.Peeled())
+	if tr.Peeled() != 0 {
+		t.Fatalf("read of clean word peeled %#x", tr.Peeled())
 	}
 }
 
-// TestBatchMemPeelOnRead: the design reading a word a lane has
+// TestMemLanesPeelOnRead: the design reading a word a lane has
 // corrupted is the first consumption of the fault; the lane peels and
 // its diff is reported for scalar reconstruction.
-func TestBatchMemPeelOnRead(t *testing.T) {
+func TestMemLanesPeelOnRead(t *testing.T) {
 	sim := NewSimulator()
 	m := sim.Mem("rf", 4, 32)
-	b := m.AttachBatch()
-	defer b.Detach()
+	tr := attachLanes(t, m)
 
-	b.Activate(5)
-	b.Activate(9)
-	if err := b.FlipBit(5, 2); err != nil { // word 0, bit 2
+	if err := tr.Flip(5, 2); err != nil { // word 0, bit 2
 		t.Fatal(err)
 	}
-	if err := b.FlipBit(9, 32); err != nil { // word 1, bit 0
+	if err := tr.Flip(9, 32); err != nil { // word 1, bit 0
 		t.Fatal(err)
 	}
-	b.BeginTick()
+	tr.BeginTick()
 	if err := sim.Tick(); err != nil {
 		t.Fatal(err)
 	}
 	_ = m.Read(0)
-	if b.Peeled() != 1<<5 {
-		t.Fatalf("peeled = %#x, want lane 5 only", b.Peeled())
+	if tr.Peeled() != 1<<5 {
+		t.Fatalf("peeled = %#x, want lane 5 only", tr.Peeled())
 	}
-	var got [][2]uint64
-	b.LaneDiff(5, func(w int, d uint64) { got = append(got, [2]uint64{uint64(w), d}) })
-	if len(got) != 1 || got[0] != [2]uint64{0, 4} {
+	if got := peelDiff(tr, 5); !reflect.DeepEqual(got, []int{2}) {
 		t.Fatalf("lane 5 diff = %v", got)
 	}
-	b.Retire(5)
-	if !b.Clean(5) {
+	tr.Retire(5)
+	if !tr.Clean(5) {
 		t.Fatal("retire left diffs behind")
 	}
-	if b.Peeled() != 0 {
-		t.Fatalf("retire left peel bit: %#x", b.Peeled())
+	if tr.Peeled() != 0 {
+		t.Fatalf("retire left peel bit: %#x", tr.Peeled())
 	}
 	// Lane 9 is untouched and still in flight.
-	if b.Clean(9) {
+	if tr.Clean(9) {
 		t.Fatal("lane 9 diff lost")
 	}
 }
 
-// TestBatchMemUndoReconstruction: within one Tick the clock edge
+// TestMemLanesUndoReconstruction: within one Tick the clock edge
 // applies writes before combinational reads settle, so a lane can lose
 // a diff to an overwrite and peel on another word in the same tick. Its
 // pre-tick diff must include both words.
-func TestBatchMemUndoReconstruction(t *testing.T) {
+func TestMemLanesUndoReconstruction(t *testing.T) {
 	sim := NewSimulator()
 	m := sim.Mem("rf", 4, 32)
-	b := m.AttachBatch()
-	defer b.Detach()
+	tr := attachLanes(t, m)
 
-	b.Activate(2)
-	b.FlipBit(2, 3)    // word 0, bit 3
-	b.FlipBit(2, 32+4) // word 1, bit 4
-	m.Write(0, 123)    // golden overwrite of word 0, applies at the edge
-	b.BeginTick()
+	tr.Flip(2, 3)    // word 0, bit 3
+	tr.Flip(2, 32+4) // word 1, bit 4
+	m.Write(0, 123)  // golden overwrite of word 0, applies at the edge
+	tr.BeginTick()
 	if err := sim.Tick(); err != nil {
 		t.Fatal(err)
 	}
 	_ = m.Read(1) // consumes the lane's word-1 corruption: peel
-	if b.Peeled() != 1<<2 {
-		t.Fatalf("peeled = %#x, want lane 2", b.Peeled())
+	if tr.Peeled() != 1<<2 {
+		t.Fatalf("peeled = %#x, want lane 2", tr.Peeled())
 	}
-	diffs := map[int]uint64{}
-	b.LaneDiff(2, func(w int, d uint64) { diffs[w] = d })
-	if len(diffs) != 2 || diffs[0] != 1<<3 || diffs[1] != 1<<4 {
-		t.Fatalf("pre-tick diff = %v, want words 0 and 1", diffs)
+	if got := peelDiff(tr, 2); !reflect.DeepEqual(got, []int{3, 32 + 4}) {
+		t.Fatalf("pre-tick diff = %v, want words 0 and 1", got)
 	}
 }
 
-// TestBatchMemForceBit: Force is relative to the golden word's current
+// TestMemLanesQueuedWriteStillPeels holds the write hook to the clock
+// edge. A write queued during a settle has not reached the array: a read
+// of the same word later in that settle still sees a lane's corruption
+// and must peel it, and a lane dirty in a queued word stays dirty — and
+// out of the journal — until the edge that applies the write.
+func TestMemLanesQueuedWriteStillPeels(t *testing.T) {
+	sim := NewSimulator()
+	m := sim.Mem("rf", 4, 32)
+	phase := sim.Reg("phase", 2, 0)
+	sim.Process("ctl", func() {
+		if phase.Q() == 1 {
+			m.Write(0, 7)
+			_ = m.Read(0)
+			m.Write(1, 9)
+		}
+		phase.SetD(phase.Q() + 1)
+	})
+	if err := sim.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	tr := attachLanes(t, m)
+	tr.Flip(1, 5)    // word 0, bit 5: queued for write, then read
+	tr.Flip(2, 32+6) // word 1, bit 6: queued for write only
+
+	tr.BeginTick()
+	if err := sim.Tick(); err != nil { // phase 1: the settle queues both writes
+		t.Fatal(err)
+	}
+	if tr.Peeled() != 1<<1 {
+		t.Fatalf("peeled = %#x, want lane 1: the read followed only a queued write", tr.Peeled())
+	}
+	if got := peelDiff(tr, 1); !reflect.DeepEqual(got, []int{5}) {
+		t.Fatalf("lane 1 pre-tick diff = %v", got)
+	}
+	if tr.Clean(2) {
+		t.Fatal("a queued write cleared lane 2 before its clock edge")
+	}
+	if got := peelDiff(tr, 2); !reflect.DeepEqual(got, []int{32 + 6}) {
+		t.Fatalf("lane 2 diff = %v before the edge, want its bit once", got)
+	}
+	tr.Retire(1)
+
+	tr.BeginTick()
+	if err := sim.Tick(); err != nil { // the edge applies the queued writes
+		t.Fatal(err)
+	}
+	if tr.Peeled() != 0 {
+		t.Fatalf("peeled = %#x on the applying edge", tr.Peeled())
+	}
+	if !tr.Clean(2) {
+		t.Fatal("applied write did not clear lane 2")
+	}
+	if got := peelDiff(tr, 2); !reflect.DeepEqual(got, []int{32 + 6}) {
+		t.Fatalf("lane 2 pre-tick diff = %v, want the journalled bit", got)
+	}
+}
+
+// TestMemLanesForceBit: Force is relative to the golden word's current
 // bits and idempotent — the re-assertion contract of the persistent
 // fault models.
-func TestBatchMemForceBit(t *testing.T) {
+func TestMemLanesForceBit(t *testing.T) {
 	sim := NewSimulator()
 	m := sim.Mem("rf", 2, 32)
 	m.Init(0, 0b10000)
-	b := m.AttachBatch()
-	defer b.Detach()
+	tr := attachLanes(t, m)
 
-	b.Activate(0)
 	// Forcing to the golden value is a no-op: lane stays clean.
-	b.ForceBit(0, 4, 1)
-	if !b.Clean(0) {
+	tr.Force(0, 4, 1)
+	if !tr.Clean(0) {
 		t.Fatal("force-to-same dirtied the lane")
 	}
 	// Forcing against the golden value sets the diff; repeats hold it.
-	b.ForceBit(0, 4, 0)
-	b.ForceBit(0, 4, 0)
-	var diffs []uint64
-	b.LaneDiff(0, func(w int, d uint64) { diffs = append(diffs, uint64(w), d) })
-	if len(diffs) != 2 || diffs[0] != 0 || diffs[1] != 1<<4 {
-		t.Fatalf("diff after force = %v", diffs)
+	tr.Force(0, 4, 0)
+	tr.Force(0, 4, 0)
+	if got := peelDiff(tr, 0); !reflect.DeepEqual(got, []int{4}) {
+		t.Fatalf("diff after force = %v", got)
 	}
 	// The golden write erases the stuck bit at the edge; re-asserting
 	// afterwards re-establishes the diff against the NEW golden value.
 	m.Write(0, 0)
-	b.BeginTick()
+	tr.BeginTick()
 	if err := sim.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	if !b.Clean(0) {
+	if !tr.Clean(0) {
 		t.Fatal("write did not clear forced diff")
 	}
-	b.ForceBit(0, 4, 0) // golden bit is now already 0
-	if !b.Clean(0) {
+	tr.Force(0, 4, 0) // golden bit is now already 0
+	if !tr.Clean(0) {
 		t.Fatal("re-assert of satisfied stuck-at dirtied the lane")
 	}
-	b.ForceBit(0, 4, 1)
-	if b.Clean(0) {
+	tr.Force(0, 4, 1)
+	if tr.Clean(0) {
 		t.Fatal("re-assert against new golden value lost")
 	}
 }
@@ -232,10 +309,8 @@ func TestBatchLanePeelMatchesScalar(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	b := goldMem.AttachBatch()
-	defer b.Detach()
-	b.Activate(0)
-	if err := b.FlipBit(0, faultBit); err != nil {
+	tr := attachLanes(t, goldMem)
+	if err := tr.Flip(0, faultBit); err != nil {
 		t.Fatal(err)
 	}
 
@@ -243,11 +318,11 @@ func TestBatchLanePeelMatchesScalar(t *testing.T) {
 	var pre *State
 	for gold.CycleCount < total {
 		snap := gold.CaptureState(nil)
-		b.BeginTick()
+		tr.BeginTick()
 		if err := gold.Tick(); err != nil {
 			t.Fatal(err)
 		}
-		if b.Peeled()&1 != 0 {
+		if tr.Peeled()&1 != 0 {
 			peeledAt = snap.cycle
 			pre = snap
 			break
@@ -265,18 +340,10 @@ func TestBatchLanePeelMatchesScalar(t *testing.T) {
 	// Reconstruct the faulty machine: golden pre-tick state + diff.
 	faulty, faultyMem := peelTestDesign()
 	faulty.RestoreState(pre)
-	var derr error
-	b.LaneDiff(0, func(w int, d uint64) {
-		for bit := 0; bit < 32; bit++ {
-			if d&(1<<uint(bit)) != 0 {
-				if err := faultyMem.FlipBit(w*32 + bit); err != nil {
-					derr = err
-				}
-			}
+	for _, bit := range peelDiff(tr, 0) {
+		if err := faultyMem.FlipBit(bit); err != nil {
+			t.Fatal(err)
 		}
-	})
-	if derr != nil {
-		t.Fatal(derr)
 	}
 	for faulty.CycleCount < total {
 		if err := faulty.Tick(); err != nil {
@@ -301,19 +368,15 @@ func TestBatchLanePeelMatchesScalar(t *testing.T) {
 // the peel check — at zero allocations per operation.
 func BenchmarkBatchLaneStep(b *testing.B) {
 	sim, m := peelTestDesign()
-	bm := m.AttachBatch()
-	defer bm.Detach()
-	for lane := 0; lane < MaxLanes; lane++ {
-		bm.Activate(lane)
-	}
+	tr := attachLanes(b, m)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bm.BeginTick()
+		tr.BeginTick()
 		if err := sim.Tick(); err != nil {
 			b.Fatal(err)
 		}
-		if p := bm.Peeled(); p != 0 {
+		if p := tr.Peeled(); p != 0 {
 			// Lanes carry no diffs, so nothing ever peels; keep the
 			// check so the compiler cannot elide it.
 			b.Fatalf("unexpected peel %#x", p)
@@ -323,30 +386,32 @@ func BenchmarkBatchLaneStep(b *testing.B) {
 
 func TestBatchLaneStepDoesNotAllocate(t *testing.T) {
 	sim, m := peelTestDesign()
-	bm := m.AttachBatch()
-	defer bm.Detach()
-	for lane := 0; lane < MaxLanes; lane++ {
-		bm.Activate(lane)
-	}
+	tr := attachLanes(t, m)
 	// Each step re-corrupts the word the design is about to overwrite
 	// (the write queued last settle targets (cycle+2)%4), so every tick
-	// exercises the undo arena the way persistent-fault re-assertion
+	// exercises the undo journal the way persistent-fault re-assertion
 	// does, without ever peeling a lane.
 	step := func() {
 		for lane := 0; lane < 8; lane++ {
-			if err := bm.FlipBit(lane, int((sim.CycleCount+2)%4)*32+lane); err != nil {
+			if err := tr.Flip(lane, int((sim.CycleCount+2)%4)*32+lane); err != nil {
 				t.Fatal(err)
 			}
 		}
-		bm.BeginTick()
+		tr.BeginTick()
 		if err := sim.Tick(); err != nil {
 			t.Fatal(err)
 		}
-		if p := bm.Peeled(); p != 0 {
+		if p := tr.Peeled(); p != 0 {
 			t.Fatalf("unexpected peel %#x", p)
 		}
+		for lane := 0; lane < 8; lane++ {
+			if !tr.Clean(lane) {
+				t.Fatalf("lane %d survived the overwrite: the journal went unexercised", lane)
+			}
+		}
 	}
-	// Warm the undo arenas, then require a steady state of 0 allocs/op.
+	// Warm the journal and dirty lists, then require a steady state of 0
+	// allocs/op.
 	for i := 0; i < 8; i++ {
 		step()
 	}

@@ -19,7 +19,6 @@ import (
 type VCDDumper struct {
 	w       io.Writer
 	sim     *Simulator
-	scope   string
 	signals []*Signal
 	ids     []string
 	last    []uint64
@@ -31,21 +30,6 @@ type VCDDumper struct {
 // passed, every signal of the design — including register outputs) and
 // writes the VCD header. Call Sample after each Tick.
 func NewVCDDumper(w io.Writer, sim *Simulator, signals ...*Signal) (*VCDDumper, error) {
-	return newVCDDumper(w, sim, "core", signals)
-}
-
-// NewVCDDumperLane is NewVCDDumper for a machine peeled out of a
-// bit-parallel replay batch: the trace scope is stamped with the lane
-// index ("core_lane12"), so dumps of several peeled machines from the
-// same batch stay distinguishable side by side in a waveform viewer.
-func NewVCDDumperLane(w io.Writer, sim *Simulator, lane int, signals ...*Signal) (*VCDDumper, error) {
-	if lane < 0 || lane >= MaxLanes {
-		return nil, fmt.Errorf("rtl: vcd lane %d out of range [0,%d)", lane, MaxLanes)
-	}
-	return newVCDDumper(w, sim, fmt.Sprintf("core_lane%d", lane), signals)
-}
-
-func newVCDDumper(w io.Writer, sim *Simulator, scope string, signals []*Signal) (*VCDDumper, error) {
 	if len(signals) == 0 {
 		signals = append([]*Signal(nil), sim.signals...)
 		sort.Slice(signals, func(i, j int) bool { return signals[i].name < signals[j].name })
@@ -53,7 +37,6 @@ func newVCDDumper(w io.Writer, sim *Simulator, scope string, signals []*Signal) 
 	d := &VCDDumper{
 		w:       w,
 		sim:     sim,
-		scope:   scope,
 		signals: signals,
 		ids:     make([]string, len(signals)),
 		last:    make([]uint64, len(signals)),
@@ -86,7 +69,7 @@ func (d *VCDDumper) header() error {
 	fmt.Fprintf(d.w, "$date %s $end\n", time.Time{}.Format("2006-01-02"))
 	fmt.Fprintf(d.w, "$version repro rtl kernel $end\n")
 	fmt.Fprintf(d.w, "$timescale 1ns $end\n")
-	fmt.Fprintf(d.w, "$scope module %s $end\n", d.scope)
+	fmt.Fprintf(d.w, "$scope module core $end\n")
 	for i, s := range d.signals {
 		name := strings.ReplaceAll(s.name, " ", "_")
 		fmt.Fprintf(d.w, "$var wire %d %s %s $end\n", s.width, d.ids[i], name)

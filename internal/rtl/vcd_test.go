@@ -62,25 +62,6 @@ func TestVCDDefaultsToAllSignals(t *testing.T) {
 	}
 }
 
-func TestVCDLaneScope(t *testing.T) {
-	sim := NewSimulator()
-	sim.Reg("a", 8, 0)
-	var sb strings.Builder
-	d, err := NewVCDDumperLane(&sb, sim, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = d
-	if !strings.Contains(sb.String(), "$scope module core_lane17 $end") {
-		t.Errorf("lane dump lacks lane-stamped scope:\n%s", sb.String())
-	}
-	for _, lane := range []int{-1, MaxLanes} {
-		if _, err := NewVCDDumperLane(&sb, sim, lane); err == nil {
-			t.Errorf("lane %d accepted", lane)
-		}
-	}
-}
-
 func TestVCDIDsUnique(t *testing.T) {
 	seen := make(map[string]bool)
 	for i := 0; i < 10000; i++ {

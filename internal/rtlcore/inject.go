@@ -29,6 +29,10 @@ func (c *Core) FlipRFBit(i int) error { return c.regfile.FlipBit(i) }
 // models, re-asserted after every clock edge while the fault is active.
 func (c *Core) ForceRFBit(i int, v int) error { return c.regfile.ForceBit(i, v) }
 
+// RFBit returns register file bit i (0 or 1), in FlipRFBit's flat
+// indexing: the golden peek of a lane tracker.
+func (c *Core) RFBit(i int) int { return c.regfile.Bit(i) }
+
 // L1DBits returns the L1 data cache data-array size in bits.
 func (c *Core) L1DBits() int { return c.l1d.data.Bits() }
 
@@ -38,6 +42,10 @@ func (c *Core) FlipL1DBit(i int) error { return c.l1d.data.FlipBit(i) }
 // ForceL1DBit sets L1D data-array bit i to v (0 or 1); see ForceRFBit
 // for the re-assertion contract.
 func (c *Core) ForceL1DBit(i int, v int) error { return c.l1d.data.ForceBit(i, v) }
+
+// L1DBit returns L1D data-array bit i (0 or 1), in FlipL1DBit's flat
+// indexing.
+func (c *Core) L1DBit(i int) int { return c.l1d.data.Bit(i) }
 
 // L1DLineOfBit returns the (set, way) whose line holds L1D data bit i,
 // used by injection-time advancement.
@@ -98,18 +106,6 @@ func (c *Core) latchRegs() []*rtl.Reg {
 	return c.sim.RegsByPrefix("")
 }
 
-// AttachRFBatch attaches a bit-parallel lane tracker to the
-// architectural register file, the TargetRF fault bit space. The flat
-// bit indexing matches FlipRFBit/ForceRFBit exactly.
-func (c *Core) AttachRFBatch() *rtl.BatchMem { return c.regfile.AttachBatch() }
-
-// AttachL1DBatch attaches a bit-parallel lane tracker to the L1D data
-// array, the TargetL1D fault bit space (indexing as FlipL1DBit). The
-// pipeline latches have no batch surface: they are individual
-// registers read combinationally every cycle, so a latch fault would
-// peel on its first tick and lockstep batching could never win.
-func (c *Core) AttachL1DBatch() *rtl.BatchMem { return c.l1d.data.AttachBatch() }
-
 // SetLifetime attaches (or detaches, with nils) the golden-run lifetime
 // traces of the campaign fault targets: rf covers the architectural
 // register file (16 units of 32 bits), l1d the L1D data array (one unit
@@ -121,6 +117,18 @@ func (c *Core) AttachL1DBatch() *rtl.BatchMem { return c.l1d.data.AttachBatch() 
 func (c *Core) SetLifetime(rf, l1d *lifetime.Space) {
 	c.regfile.SetLifetime(rf)
 	c.l1d.data.SetLifetime(l1d)
+}
+
+// SetLanes attaches (or detaches, with nils) a lockstep lane tracker
+// over the register file or the L1D data array, with the geometry
+// SetLifetime documents. The kernel reports reads at the array's read
+// port and writes as the clock edge applies them (see rtl.Mem.SetLanes).
+// The pipeline latches have no lane surface: they are individual
+// registers read combinationally every cycle, so a latch fault would
+// peel on its first tick and lockstep batching could never win.
+func (c *Core) SetLanes(rf, l1d *lifetime.Lanes) {
+	c.regfile.SetLanes(rf)
+	c.l1d.data.SetLanes(l1d)
 }
 
 // SetL1DAccessHook installs a testbench callback observing every D-cache
