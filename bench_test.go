@@ -1,12 +1,15 @@
 package repro
 
 // One benchmark per reproduced table and figure (EXPERIMENTS.md's experiment
-// index E1-E9), plus throughput micro-benchmarks for the simulators
+// index E1-E13), plus throughput micro-benchmarks for the simulators
 // themselves. Campaign benchmarks use miniature samples so `go test
 // -bench=.` completes in minutes; cmd/paper runs the full versions.
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -15,6 +18,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/refsim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -697,3 +701,86 @@ func campaignProtectBench(b *testing.B, protect string) {
 func BenchmarkCampaignProtect_None(b *testing.B)   { campaignProtectBench(b, "") }
 func BenchmarkCampaignProtect_Parity(b *testing.B) { campaignProtectBench(b, "rf=parity") }
 func BenchmarkCampaignProtect_SECDED(b *testing.B) { campaignProtectBench(b, "rf=secded") }
+
+// ------------------------------------------------- observability overhead
+
+// BenchmarkObsOverhead measures what enabling the metrics registry costs
+// the engine hot path, the one comparison benchmark/ does not make. One
+// op is a back-to-back pair of the same campaign with observability off
+// and on, alternating which arm runs first; overhead_frac is the enabled
+// arm's fractional throughput loss at the median of the per-pair time
+// ratios. A pair shares whatever the machine was doing that half second,
+// so the ratio holds still where either arm's best time does not. The
+// plan is sized so an arm runs ~0.2 s on the default (lockstep) engine,
+// whose counters the enabled arm exercises: arms of tens of milliseconds
+// cross 3% on noise alone. CI runs -benchtime 32x (even: both orders
+// equally represented) and holds the column to 0.03 in a step of its own.
+func BenchmarkObsOverhead(b *testing.B) {
+	cfg := campaign.Config{
+		Injections: 7680, Seed: 9, Target: fault.TargetRF,
+		Obs: campaign.ObsPinout, Window: 500,
+	}
+	arms := [2][]float64{make([]float64, b.N), make([]float64, b.N)} // [plain, enabled]
+	for r := 0; r < b.N; r++ {
+		for k := 0; k < 2; k++ {
+			i := (r + k) % 2 // odd pairs run the enabled arm first
+			if i == 1 {
+				obs.Enable()
+			}
+			runtime.GC() // so neither arm pays for the other's garbage
+			start := time.Now()
+			_, err := core.RunCampaign("qsort", core.ModelMicroarch, core.CampaignSetup(), cfg)
+			arms[i][r] = time.Since(start).Seconds()
+			obs.Disable()
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(pairedOverhead(arms[0], arms[1]), "overhead_frac")
+}
+
+// pairedOverhead is the fractional throughput loss of the enabled arm at
+// the median of the per-pair time ratios observed[i]/plain[i], floored
+// at zero.
+func pairedOverhead(plain, observed []float64) float64 {
+	ratios := make([]float64, len(plain))
+	for i := range plain {
+		ratios[i] = observed[i] / plain[i]
+	}
+	return math.Max(0, 1-1/median(ratios))
+}
+
+func median(xs []float64) float64 {
+	xs = slices.Clone(xs)
+	slices.Sort(xs)
+	return (xs[(len(xs)-1)/2] + xs[len(xs)/2]) / 2
+}
+
+// TestPairedOverhead: the overhead arm reports the median of per-pair
+// ratios, so one pair caught by a scheduler hiccup — or one lucky plain
+// run — does not move it, while a real slowdown in every pair does.
+func TestPairedOverhead(t *testing.T) {
+	plain := []float64{0.100, 0.102, 0.098, 0.101, 0.100, 0.099, 0.100}
+	same := []float64{0.100, 0.102, 0.098, 0.101, 0.100, 0.099, 0.100}
+	if got := pairedOverhead(plain, same); got != 0 {
+		t.Errorf("identical arms: overhead %v, want 0", got)
+	}
+	hiccup := append([]float64(nil), same...)
+	hiccup[2] = 0.150 // one enabled run preempted
+	lucky := append([]float64(nil), plain...)
+	lucky[4] = 0.080 // one plain run on a quiet core
+	if got := pairedOverhead(lucky, hiccup); got > 0.001 {
+		t.Errorf("two outlier pairs of seven: overhead %v, want ~0", got)
+	}
+	slower := make([]float64, len(plain))
+	for i, p := range plain {
+		slower[i] = p * 1.05
+	}
+	if got := pairedOverhead(plain, slower); got < 0.047 || got > 0.048 {
+		t.Errorf("5%% slower in every pair: overhead %v, want 1-1/1.05", got)
+	}
+	if got := pairedOverhead(slower, plain); got != 0 {
+		t.Errorf("enabled arm faster: overhead %v, want the floor 0", got)
+	}
+}

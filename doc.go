@@ -6,5 +6,5 @@
 // equivalent configurations, identical binaries and identical observation
 // points. See README.md for the build and module layout, DESIGN.md for
 // the architecture walkthrough, and EXPERIMENTS.md for the experiment
-// index (E1-E9) and scaling rationale.
+// index (E1-E13) and scaling rationale.
 package repro

@@ -200,56 +200,67 @@ func TestAVFPredictionBoundsUnsafeness(t *testing.T) {
 // TestAVFPriorMovesOnlyStoppingIndex: seeding sequential stopping with
 // the AVF prediction may change where the campaign stops, but the
 // outcomes up to the shorter stopping index must be identical, the
-// seeded mass must be reported, and the run must stay deterministic.
+// seeded mass must be reported, and the run must stay deterministic. The
+// pinned row also holds the prediction and both stopping indices to
+// their exact seed-determined values, so a semantic drift fails by name.
 func TestAVFPriorMovesOnlyStoppingIndex(t *testing.T) {
-	factory, err := workloadFactoryModel("qsort", core.ModelMicroarch, core.CampaignSetup())
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name, workload string
+		cfg            campaign.Config
+		// pinned rows: Predicted × Injections, runs to margin without, with
+		predicted, plainRuns, priorRuns int
+	}{
+		{"qsort", "qsort", campaign.Config{
+			Injections: 150, Seed: 17, Target: fault.TargetRF,
+			Obs: campaign.ObsPinout, Window: 2000, Workers: 4,
+			TargetError: 0.12, Confidence: 0.95, AVF: true,
+		}, 0, 0, 0},
+		{"caes-pinned", "caes", campaign.Config{
+			Injections: 150, Seed: 5, Target: fault.TargetRF,
+			Obs: campaign.ObsPinout, Window: 2000,
+			EarlyStop: true, TargetError: 0.1, Confidence: 0.9, MinRuns: 30, AVF: true,
+		}, 26, 34, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			plain := runSmall(t, core.ModelMicroarch, cfg, tc.workload)
+			cfg.AVFPrior = true
+			prior := runSmall(t, core.ModelMicroarch, cfg, tc.workload)
+			again := runSmall(t, core.ModelMicroarch, cfg, tc.workload)
+			if len(prior.Outcomes) != len(again.Outcomes) {
+				t.Fatalf("prior stopping index nondeterministic: %d vs %d", len(prior.Outcomes), len(again.Outcomes))
+			}
+			if prior.AVF.PriorMass == 0 {
+				t.Error("PriorMass not reported with Config.AVFPrior")
+			}
+			if plain.AVF.PriorMass != 0 {
+				t.Error("PriorMass reported without Config.AVFPrior")
+			}
+			// The prior pre-satisfies the minimum-runs gate and adds Wilson
+			// mass, so stopping must come no later than the prior-less index.
+			if len(prior.Outcomes) > len(plain.Outcomes) {
+				t.Errorf("prior delayed stopping: %d runs vs %d without", len(prior.Outcomes), len(plain.Outcomes))
+			}
+			n := min(len(prior.Outcomes), len(plain.Outcomes))
+			for i := 0; i < n; i++ {
+				if plain.Outcomes[i] != prior.Outcomes[i] {
+					t.Fatalf("outcome %d changed under the prior: %+v vs %+v", i, plain.Outcomes[i], prior.Outcomes[i])
+				}
+			}
+			t.Logf("stopped after %d/%d runs with the prior, %d without (predicted %.3f, measured %.3f)",
+				len(prior.Outcomes), cfg.Injections, len(plain.Outcomes),
+				prior.AVF.Predicted, prior.Unsafeness.P)
+			if tc.plainRuns == 0 {
+				return
+			}
+			if plain.AVF.Predicted != float64(tc.predicted)/float64(cfg.Injections) ||
+				len(plain.Outcomes) != tc.plainRuns || len(prior.Outcomes) != tc.priorRuns {
+				t.Errorf("pins moved: predicted AVF %v, %d runs plain, %d with the prior; want %d/%d, %d, %d",
+					plain.AVF.Predicted, len(plain.Outcomes), len(prior.Outcomes),
+					tc.predicted, cfg.Injections, tc.plainRuns, tc.priorRuns)
+			}
+		})
 	}
-	cfg := campaign.Config{
-		Injections: 150, Seed: 17, Target: fault.TargetRF,
-		Obs: campaign.ObsPinout, Window: 2000, Workers: 4,
-		TargetError: 0.12, Confidence: 0.95, AVF: true,
-	}
-	plain, err := campaign.Run(factory, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.AVFPrior = true
-	prior, err := campaign.Run(factory, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := campaign.Run(factory, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prior.Outcomes) != len(again.Outcomes) {
-		t.Fatalf("prior stopping index nondeterministic: %d vs %d", len(prior.Outcomes), len(again.Outcomes))
-	}
-	if prior.AVF.PriorMass == 0 {
-		t.Error("PriorMass not reported with Config.AVFPrior")
-	}
-	if plain.AVF.PriorMass != 0 {
-		t.Error("PriorMass reported without Config.AVFPrior")
-	}
-	// The prior pre-satisfies the minimum-runs gate and adds Wilson
-	// mass, so stopping must come no later than the prior-less index.
-	if len(prior.Outcomes) > len(plain.Outcomes) {
-		t.Errorf("prior delayed stopping: %d runs vs %d without", len(prior.Outcomes), len(plain.Outcomes))
-	}
-	n := len(prior.Outcomes)
-	if len(plain.Outcomes) < n {
-		n = len(plain.Outcomes)
-	}
-	for i := 0; i < n; i++ {
-		if plain.Outcomes[i] != prior.Outcomes[i] {
-			t.Fatalf("outcome %d changed under the prior: %+v vs %+v", i, plain.Outcomes[i], prior.Outcomes[i])
-		}
-	}
-	t.Logf("stopped after %d/%d runs with the prior, %d without (predicted %.3f, measured %.3f)",
-		len(prior.Outcomes), cfg.Injections, len(plain.Outcomes),
-		prior.AVF.Predicted, prior.Unsafeness.P)
 }
 
 // TestAVFConfigValidation: nonsense AVF combinations are rejected.

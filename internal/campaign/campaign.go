@@ -295,8 +295,8 @@ const defaultSnapshotEvery = 2048
 // either model against ~14 µs (microarch) or ~18 µs (RTL) for the 64
 // cycles between two, so recording adds about a sixth to the golden
 // run's stepping time and as much to every early-stop replay (the
-// microarchStateHashUs and rtlStateHashUs rows of BENCH_campaign.json;
-// DESIGN.md "State digest").
+// benchmark's {microarch,rtlcore}.statehash_us and
+// campaign.golden_hash_overhead_frac; DESIGN.md "State digest").
 const defaultHashEvery = 64
 
 // defaultMinRuns floors sequential stopping when Config.MinRuns is 0.

@@ -14,18 +14,25 @@ import (
 // NOTHING but cycles — every replay's class is identical to the fixed
 // plan's, because a reconverged run retraces golden. It also enforces
 // the headline speedup: on a run-to-end campaign the adaptive engine
-// must cut total simulated replay cycles by well over 30%.
+// must cut total simulated replay cycles by well over 30%. The pinned
+// row also holds both arms, and a third that adds sequential stopping
+// (margin 0.1 at 90%, at least 30 runs), to their exact seed-determined
+// accounting: a change that moves it changed what the adaptive engine
+// does, not how fast.
 func TestConvergenceExitExact(t *testing.T) {
 	for _, tc := range []struct {
+		name     string
 		model    core.Model
 		workload string
 		n        int
+		pinned   bool
 	}{
-		{core.ModelMicroarch, "caes", 40},
-		{core.ModelRTL, "caes", 15},
+		{"microarch", core.ModelMicroarch, "caes", 40, false},
+		{"rtl", core.ModelRTL, "caes", 15, false},
+		{"microarch-pinned", core.ModelMicroarch, "caes", 80, true},
 	} {
 		tc := tc
-		t.Run(tc.model.String(), func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			cfg := campaign.Config{
 				Injections: tc.n, Seed: 5, Target: fault.TargetRF,
@@ -61,6 +68,19 @@ func TestConvergenceExitExact(t *testing.T) {
 			}
 			if adaptive.CyclesSaved == 0 {
 				t.Error("CyclesSaved not accounted")
+			}
+			if !tc.pinned {
+				return
+			}
+			cfg.TargetError, cfg.Confidence, cfg.MinRuns = 0.1, 0.9, 30
+			seq := runSmall(t, tc.model, cfg, tc.workload)
+			const wantMargin = 0.09993373197366234
+			got := [5]uint64{fixed.CyclesSimulated, adaptive.CyclesSimulated, seq.CyclesSimulated,
+				uint64(seq.ConvergedRuns), uint64(seq.RunsSaved)}
+			if want := [5]uint64{1_770_122, 771_024, 377_513, 21, 41}; got != want ||
+				math.Abs(seq.AchievedMargin-wantMargin) > 1e-12 {
+				t.Errorf("pins moved: (cycles fixed, converging, sequential; sequential runs converged, saved) = %v, want %v; margin %v, want %v",
+					got, want, seq.AchievedMargin, wantMargin)
 			}
 		})
 	}

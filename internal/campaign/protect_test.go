@@ -44,7 +44,10 @@ func rfDataBits(t *testing.T, model core.Model) int {
 // through every execution engine — stream order, the injection-locality
 // cursor schedule, the sweep pool, and (on RTL) scalar vs 64-lane
 // bit-parallel replay — and requires byte-identical outcome lists
-// including the DUE classifications.
+// including the DUE classifications. Its last case is determinism across
+// commits: one larger parity campaign held to its exact split, so a
+// change anywhere in the protection fold (word arity rule, overhead
+// synthesis, DUE classification) fails here.
 func TestProtectedOutcomeDeterminism(t *testing.T) {
 	base := campaign.Config{
 		Injections: 24, Seed: 9, Target: fault.TargetRF,
@@ -88,6 +91,16 @@ func TestProtectedOutcomeDeterminism(t *testing.T) {
 	}
 	if rs.Counts[campaign.ClassDUE] == 0 {
 		t.Errorf("RTL protected campaign produced no DUE outcomes: %v", rs.Counts)
+	}
+
+	pin := protRun(t, core.ModelMicroarch, campaign.Config{
+		Injections: 120, Seed: 7, Target: fault.TargetRF,
+		Obs: campaign.ObsPinout, Window: 2_000, Protect: "rf=parity",
+	})
+	got := [6]int{pin.ProtectDataBits, pin.ProtectOverheadBits, len(pin.Outcomes),
+		pin.OverheadRuns, pin.Counts[campaign.ClassMasked], pin.Counts[campaign.ClassDUE]}
+	if want := [6]int{1792, 112, 120, 8, 99, 21}; got != want {
+		t.Errorf("pinned split moved: (data bits, overhead bits, runs, overhead runs, masked, due) = %v, want %v", got, want)
 	}
 }
 

@@ -200,6 +200,36 @@ func TestPruneClassesAccounting(t *testing.T) {
 	}
 }
 
+// TestPruneClassesSeedPins holds class pruning on the paper's primary
+// flow — a windowed L1D pinout campaign, where a fault first consumed
+// beyond the window is provably Masked without replay — to its exact
+// seed-determined accounting on both levels: simulated cycles without
+// and with pruning, dead-classified runs, classes, an unchanged estimate.
+func TestPruneClassesSeedPins(t *testing.T) {
+	for _, tc := range []struct {
+		model core.Model
+		n     int
+		want  [5]uint64
+	}{
+		{core.ModelMicroarch, 60, [5]uint64{97_067, 16_462, 50, 10, 0}},
+		{core.ModelRTL, 24, [5]uint64{36_254, 11_839, 17, 7, 0}},
+	} {
+		cfg := campaign.Config{
+			Injections: tc.n, Seed: 5, Target: fault.TargetL1D,
+			Obs: campaign.ObsPinout, Window: 500,
+		}
+		full := runSmall(t, tc.model, cfg, "caes")
+		cfg.Prune = campaign.PruneClasses
+		pruned := runSmall(t, tc.model, cfg, "caes")
+		got := [5]uint64{full.CyclesSimulated, pruned.CyclesSimulated, uint64(pruned.PrunedRuns),
+			uint64(pruned.PruneClassCount), uint64(pruned.ExtrapolatedRuns)}
+		if got != tc.want || pruned.Unsafeness.P != full.Unsafeness.P {
+			t.Errorf("%v pins moved: (cycles full, pruned; runs dead-pruned, classes, runs extrapolated) = %v, want %v; unsafeness %v -> %v",
+				tc.model, got, tc.want, full.Unsafeness.P, pruned.Unsafeness.P)
+		}
+	}
+}
+
 // TestPruneClassesMembersMirrorRep verifies the extrapolation invariant
 // directly: re-running a classes-mode campaign with pruning disabled,
 // every extrapolated member's true class may differ (that is the

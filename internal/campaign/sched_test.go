@@ -94,6 +94,46 @@ func TestCursorSchedMatchesStream(t *testing.T) {
 	}
 }
 
+// TestCursorReplayerSeedPins drives one 120-transient plan through the
+// engine Lanes = 1 + SchedCursor must select, single-threaded, and holds
+// the cursor's account of the pass to its exact seed-determined values:
+// the fast-forward stream order would pay (Σ instant − nearest snapshot),
+// what the cursor stepped instead, and one fork per replay.
+func TestCursorReplayerSeedPins(t *testing.T) {
+	f, err := workloadFactory("qsort", core.CampaignSetup())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := campaign.Config{
+		Injections: 120, Seed: 1, Target: fault.TargetRF,
+		Obs: campaign.ObsPinout, Window: 500, Lanes: 1, Sched: campaign.SchedCursor,
+	}
+	g, err := campaign.PrepareGolden(f, campaign.GoldenOptionsFor(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := g.PlanCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := campaign.NewReplayer(&campaign.Work{Golden: g, Config: cfg, Factory: f})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	cr, ok := r.(*campaign.CursorReplayer)
+	if !ok {
+		t.Fatalf("cursor schedule selected %T, not the cursor engine", r)
+	}
+	if err := cr.Replay(p.NextReplay, func(int, campaign.RunOutcome) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	got := [3]uint64{cr.StreamFF, cr.FastForward, uint64(cr.Forks)}
+	if want := [3]uint64{118_971, 21_064, 120}; got != want {
+		t.Errorf("pins moved: (stream fast-forward, cursor fast-forward, forks) = %v, want %v", got, want)
+	}
+}
+
 // TestCursorSchedSweepMatchesStream runs a mixed matrix (both levels,
 // golden sharing, lanes) through the sweep scheduler under both
 // schedules and asserts identical results — the production path of

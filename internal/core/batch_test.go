@@ -373,6 +373,51 @@ func TestBatchLatchesFallsBackScalar(t *testing.T) {
 	}
 }
 
+// TestBatchReplayerSeedPins drives one 512-transient plan through the
+// engine 64 lanes must select on either model, single-threaded, and
+// holds the engine's account of the pass to its exact seed-determined
+// values: lanes retired in lockstep against lanes the design consumed,
+// groups and their lane sum, and where the stepped cycles went.
+func TestBatchReplayerSeedPins(t *testing.T) {
+	for _, tc := range []struct {
+		model Model
+		want  campaign.ReplayStats
+	}{
+		{ModelRTL, campaign.ReplayStats{Executed: 512, Batched: 233, Peeled: 279, Groups: 8, LaneSum: 512,
+			FastForward: 9_145, Lockstep: 51_431, Private: 121_874}},
+		{ModelMicroarch, campaign.ReplayStats{Executed: 512, Batched: 456, Peeled: 56, Groups: 8, LaneSum: 512,
+			FastForward: 9_201, Lockstep: 29_085, Private: 21_240}},
+	} {
+		f := benchFactory(t, tc.model, "qsort")
+		cfg := campaign.Config{
+			Injections: 512, Seed: 1, Target: fault.TargetRF,
+			Obs: campaign.ObsPinout, Window: 500, Lanes: campaign.MaxLanes,
+		}
+		g, err := campaign.PrepareGolden(f, campaign.GoldenOptionsFor(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := g.PlanCampaign(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := campaign.NewReplayer(&campaign.Work{Golden: g, Config: cfg, Factory: f})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := r.(*campaign.BatchReplayer); !ok {
+			t.Errorf("%v: %d lanes selected %T, not the lockstep engine", tc.model, cfg.Lanes, r)
+		}
+		if err := r.Replay(p.NextReplay, func(int, campaign.RunOutcome) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Stats(); got != tc.want {
+			t.Errorf("%v pins moved:\ngot  %+v\nwant %+v", tc.model, got, tc.want)
+		}
+		r.Close()
+	}
+}
+
 // TestLanePeelMatchesPruneVerdict cross-checks two independent
 // implementations of one claim — "the golden run first consumes this
 // flip at cycle C, or never inside the horizon". The lifetime trace

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -266,7 +267,10 @@ func stepAllocs(t *testing.T, c *CPU, n int) float64 {
 // backing array pre-grown, as the campaign engine's reused captures
 // are). AllocsPerRun(1, …) runs the window twice, so each bench is
 // measured over its second 10k cycles; neither window holds a syscall
-// (output is the one thing Step legitimately allocates for).
+// (output is the one thing Step legitimately allocates for). The last
+// case is therefore one whole golden run — the first 10k cycles, every
+// syscall and the program's end — bounded at one allocation per hundred
+// cycles: qsort makes 7 in 28 759, thirty times below the bound.
 func TestStepDoesNotAllocate(t *testing.T) {
 	for _, name := range []string{
 		"qsort",   // pinout-heavy: ~8 write-backs per kilocycle
@@ -279,6 +283,15 @@ func TestStepDoesNotAllocate(t *testing.T) {
 			t.Errorf("%s: %v allocations in 10k steady-state cycles", name, n)
 		}
 		t.Logf("%s: %d cycles, %d pinout transactions", name, c.Cycles, pin.Len())
+	}
+	c := campaignCPU(t, benchProgram(t, "qsort"))
+	c.Pinout = &trace.Pinout{Txns: make([]trace.Transaction, 0, 4096)}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c.Run(1 << 40)
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; float64(n) > 0.01*float64(c.Cycles) {
+		t.Errorf("whole golden run of qsort: %d allocations in %d cycles, bound 0.01 per cycle", n, c.Cycles)
 	}
 }
 

@@ -3,6 +3,7 @@ package rtlcore
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"runtime"
 	"testing"
 
 	"repro/internal/asm"
@@ -171,7 +172,10 @@ func TestPinnedRTLStateHashSequence(t *testing.T) {
 // campaign engine's reused captures are). AllocsPerRun(1, …) runs the
 // window twice, so each bench is measured over its second 10k cycles;
 // neither window holds a syscall (output is the one thing Step
-// legitimately allocates for).
+// legitimately allocates for). The last case is therefore one whole
+// golden run, bounded at one allocation per hundred cycles: qsort makes
+// 18 in 54 993, thirty times below the bound, while the cheapest
+// regression on record (the interlock's source list) added 0.1 per cycle.
 func TestRTLStepDoesNotAllocate(t *testing.T) {
 	for _, name := range []string{
 		"qsort",   // pinout-heavy: write-backs every few hundred cycles
@@ -190,6 +194,15 @@ func TestRTLStepDoesNotAllocate(t *testing.T) {
 			t.Errorf("%s: %v allocations in 10k steady-state cycles", name, n)
 		}
 		t.Logf("%s: %d cycles, %d pinout transactions", name, c.Cycles(), c.Pinout.Len())
+	}
+	c := campaignCore(t, benchProgram(t, "qsort"))
+	c.Pinout = &trace.Pinout{Txns: make([]trace.Transaction, 0, 4096)}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c.Run(1 << 40)
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; float64(n) > 0.01*float64(c.Cycles()) {
+		t.Errorf("whole golden run of qsort: %d allocations in %d cycles, bound 0.01 per cycle", n, c.Cycles())
 	}
 }
 

@@ -1,6 +1,10 @@
-// Command docscheck is the CI docs-integrity gate: it fails when any
-// package under internal/ or cmd/ lacks a package-level doc comment,
-// so the documentation layer cannot silently rot as packages are added.
+// Command docscheck is the CI docs-integrity gate, run from the
+// repository root. It fails when any package under internal/ or cmd/
+// lacks a package-level doc comment, so the documentation layer cannot
+// silently rot as packages are added, and when README.md, DESIGN.md or
+// EXPERIMENTS.md cites a test function or a source path that is not
+// there: the docs name tests as their evidence, so a renamed test or a
+// deleted tool must fail here rather than leave a pointer to nothing.
 //
 //	go run ./tools/docscheck
 package main
@@ -12,7 +16,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
+	"regexp"
+	"slices"
 	"strings"
 )
 
@@ -21,9 +26,15 @@ func main() {
 	if len(roots) == 0 {
 		roots = []string{"internal", "cmd"}
 	}
-	var missing []string
+	fatal := func(err error) {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "docscheck:", err)
+			os.Exit(1)
+		}
+	}
+	var problems []string
 	for _, root := range roots {
-		err := filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
+		fatal(filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
 			if err != nil || !d.IsDir() {
 				return err
 			}
@@ -32,23 +43,79 @@ func main() {
 				return fmt.Errorf("%s: %w", dir, err)
 			}
 			if checked && !ok {
-				missing = append(missing, dir)
+				problems = append(problems, dir+": no package doc comment")
 			}
 			return nil
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "docscheck:", err)
-			os.Exit(1)
-		}
+		}))
 	}
-	if len(missing) > 0 {
-		sort.Strings(missing)
-		fmt.Fprintln(os.Stderr, "docscheck: packages without a package doc comment:")
-		for _, dir := range missing {
-			fmt.Fprintln(os.Stderr, "  "+dir)
+	dangling, err := danglingRefs(".", []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"})
+	fatal(err)
+	if problems = append(problems, dangling...); len(problems) > 0 {
+		fmt.Fprintln(os.Stderr, "docscheck:")
+		for _, p := range problems {
+			fmt.Fprintln(os.Stderr, "  "+p)
 		}
 		os.Exit(1)
 	}
+}
+
+var (
+	// testRef is a code span that is exactly a test, benchmark or fuzz
+	// function, optionally qualified by its package directory and
+	// optionally followed by a subtest; a -run pattern inside a longer
+	// span is not one.
+	testRef = regexp.MustCompile("`((?:\\w+\\.)?(?:Test|Benchmark|Fuzz)\\w*)(?:/[^`]*)?`")
+	// pathRef is a path under one of the four source roots wherever the
+	// text names it — code span, command line (./cmd/paper,
+	// ./internal/...) or prose — but not an import path
+	// (repro/internal/obs).
+	pathRef  = regexp.MustCompile(`(?:^|[^\w/.-])(?:\./)?((?:tools|cmd|internal|examples)/[\w/.-]*)`)
+	testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+)
+
+// danglingRefs returns, sorted, one line per reference in the named docs
+// under root that resolves to nothing: a testRef no _test.go under root
+// declares (in the named directory, when qualified) or a pathRef that
+// does not exist.
+func danglingRefs(root string, docs []string) ([]string, error) {
+	funcs := map[string]bool{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testFunc.FindAllSubmatch(src, -1) {
+			funcs[string(m[1])] = true
+			funcs[filepath.Base(filepath.Dir(path))+"."+string(m[1])] = true
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var bad []string
+	for _, doc := range docs {
+		text, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			return nil, err
+		}
+		for _, m := range testRef.FindAllSubmatch(text, -1) {
+			if !funcs[string(m[1])] {
+				bad = append(bad, fmt.Sprintf("%s: no test function %s", doc, m[1]))
+			}
+		}
+		for _, m := range pathRef.FindAllSubmatch(text, -1) {
+			p := strings.TrimRight(strings.TrimSuffix(string(m[1]), "..."), "/.")
+			if _, err := os.Stat(filepath.Join(root, p)); err != nil {
+				bad = append(bad, fmt.Sprintf("%s: no path %s", doc, p))
+			}
+		}
+	}
+	slices.Sort(bad)
+	return slices.Compact(bad), nil
 }
 
 // packageHasDoc reports whether the non-test package in dir carries a

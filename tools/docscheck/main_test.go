@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -10,6 +11,9 @@ func writeDir(t *testing.T, files map[string]string) string {
 	t.Helper()
 	dir := t.TempDir()
 	for name, src := range files {
+		if err := os.MkdirAll(filepath.Join(dir, filepath.Dir(name)), 0o755); err != nil {
+			t.Fatal(err)
+		}
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -83,5 +87,49 @@ func TestPackageHasDocErrors(t *testing.T) {
 	dir := writeDir(t, map[string]string{"bad.go": "pack age a\n"})
 	if _, checked, err := packageHasDoc(dir); err == nil || !checked {
 		t.Errorf("unparsable file: err = %v, checked = %v; want parse error on a checked dir", err, checked)
+	}
+}
+
+// TestDanglingRefs pins what the gate reads as a reference in a doc and
+// what each kind resolves against, over one small tree.
+func TestDanglingRefs(t *testing.T) {
+	tree := map[string]string{
+		"internal/sim/sim.go":      "package sim\n\nfunc TestInNonTestFile() {}\n",
+		"internal/sim/sim_test.go": "package sim\n\nfunc TestStep(t *testing.T) {}\nfunc BenchmarkStep(b *testing.B) {}\n",
+		"internal/other/o_test.go": "package other\n\nfunc FuzzParse(f *testing.F) {}\n",
+		"tools/check/main.go":      "package main\n",
+	}
+	cases := []struct {
+		name, doc string
+		want      []string
+	}{
+		{"bare, qualified and subtest names resolve",
+			"`TestStep`, `sim.BenchmarkStep`, `other.FuzzParse`, `TestStep/case-1`", nil},
+		{"unknown name, wrong package, declared in a non-test file",
+			"`TestStepp` `other.TestStep` `TestInNonTestFile`",
+			[]string{"DOC.md: no test function TestInNonTestFile", "DOC.md: no test function TestStepp", "DOC.md: no test function other.TestStep"}},
+		{"patterns and prose are not references",
+			"`go test -run 'TestSte|TestX'`, Testing, BenchmarkNothing unquoted", nil},
+		{"paths in spans, commands and prose, as files, directories and patterns",
+			"`internal/sim`, `go run ./tools/check -v`, go test ./internal/..., internal/sim/sim.go. `tools/check/`", nil},
+		{"missing paths, reported once each",
+			"`tools/gone` and `go run ./tools/gone -out x`; `internal/sim/missing.go`",
+			[]string{"DOC.md: no path internal/sim/missing.go", "DOC.md: no path tools/gone"}},
+		{"import paths and other roots are not checked", "`repro/internal/nope`, `benchmark/nope`, docs/cmd/nope", nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tree["DOC.md"] = tc.doc
+			got, err := danglingRefs(writeDir(t, tree), []string{"DOC.md"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("danglingRefs = %q, want %q", got, tc.want)
+			}
+		})
+	}
+	if _, err := danglingRefs(writeDir(t, tree), []string{"MISSING.md"}); err == nil {
+		t.Error("missing doc accepted")
 	}
 }
