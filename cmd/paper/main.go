@@ -85,6 +85,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -103,7 +104,7 @@ import (
 var ablationWindows = []uint64{100, 500, 2_000, 20_000, 0}
 
 func main() {
-	err := run(os.Args[1:])
+	err := run(os.Args[1:], os.Stdout, cli.StopOnSignal("paper"))
 	switch {
 	case errors.Is(err, campaign.ErrInterrupted):
 		fmt.Fprintln(os.Stderr, "paper: interrupted; checkpoints flushed, re-run to resume")
@@ -114,7 +115,10 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+// run regenerates what args select onto w; stop, when closed, drains
+// in-flight replays and flushes checkpoint shards (the first
+// SIGINT/SIGTERM in main).
+func run(args []string, w io.Writer, stop <-chan struct{}) error {
 	fs := flag.NewFlagSet("paper", flag.ContinueOnError)
 	var (
 		table      = fs.String("table", "", "regenerate a table: 1, 2 or sample")
@@ -190,9 +194,7 @@ func run(args []string) error {
 	if *benches != "" {
 		params.Benches = strings.Split(*benches, ",")
 	}
-	// Graceful interruption: the first SIGINT/SIGTERM stops issuing
-	// replays, drains in-flight work and flushes checkpoint shards.
-	params.Stop = cli.StopOnSignal("paper")
+	params.Stop = stop
 	if *remote != "" {
 		params.Runner = distrib.NewClient(*remote).SweepRunner()
 	}
@@ -207,11 +209,11 @@ func run(args []string) error {
 			if err != nil {
 				return err
 			}
-			fmt.Print(s)
+			fmt.Fprint(w, s)
 		case *csv:
-			fmt.Print(report.FigureCSV(fig))
+			fmt.Fprint(w, report.FigureCSV(fig))
 		default:
-			fmt.Print(report.Figure(fig))
+			fmt.Fprint(w, report.Figure(fig))
 		}
 		return nil
 	}
@@ -221,16 +223,16 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("== Statistical sample (Leveugle et al.) ==\n\n")
-		fmt.Printf("error margin 2%%, confidence 99%%  ->  n = %d (paper rounds to 4000)\n", n)
-		fmt.Printf("this run uses n = %d per campaign\n\n", params.Injections)
+		fmt.Fprintf(w, "== Statistical sample (Leveugle et al.) ==\n\n")
+		fmt.Fprintf(w, "error margin 2%%, confidence 99%%  ->  n = %d (paper rounds to 4000)\n", n)
+		fmt.Fprintf(w, "this run uses n = %d per campaign\n\n", params.Injections)
 		return nil
 	}
 
 	if *all {
 		// One sweep for everything: goldens shared across figures and
 		// TABLE II, replays through one global pool.
-		fmt.Println(report.TableI(core.DefaultSetup()))
+		fmt.Fprintln(w, report.TableI(core.DefaultSetup()))
 		if err := emitSample(); err != nil {
 			return err
 		}
@@ -238,7 +240,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(report.TableII(res.Table2Rows, res.Table2AvgRatio))
+		fmt.Fprintln(w, report.TableII(res.Table2Rows, res.Table2AvgRatio))
 		for _, fig := range []*core.FigureResult{
 			res.Fig1, res.Fig2, res.Fig3, res.AblationWindow, res.AblationLatches,
 		} {
@@ -246,7 +248,7 @@ func run(args []string) error {
 				return err
 			}
 		}
-		fmt.Printf("\nsweep: %d golden runs, %d replays resumed from checkpoint, wall %.1fs\n",
+		fmt.Fprintf(w, "\nsweep: %d golden runs, %d replays resumed from checkpoint, wall %.1fs\n",
 			res.GoldenRuns, res.Resumed, res.Elapsed.Seconds())
 		return nil
 	}
@@ -257,7 +259,7 @@ func run(args []string) error {
 
 	if wantTable("1") {
 		did = true
-		fmt.Println(report.TableI(core.DefaultSetup()))
+		fmt.Fprintln(w, report.TableI(core.DefaultSetup()))
 	}
 	if wantTable("sample") {
 		did = true
@@ -271,7 +273,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(report.TableII(rows, avg))
+		fmt.Fprintln(w, report.TableII(rows, avg))
 	}
 	if wantFig("1") {
 		did = true
@@ -318,12 +320,12 @@ func run(args []string) error {
 				return err
 			}
 		case *csv:
-			fmt.Print(report.ClassBreakdownCSV(fig))
+			fmt.Fprint(w, report.ClassBreakdownCSV(fig))
 		default:
 			if err := emitFig(fig, nil); err != nil {
 				return err
 			}
-			fmt.Print(report.ClassBreakdown(fig))
+			fmt.Fprint(w, report.ClassBreakdown(fig))
 		}
 	}
 	if wantFig("early-stop") {
@@ -340,11 +342,11 @@ func run(args []string) error {
 			if err != nil {
 				return err
 			}
-			fmt.Print(s)
+			fmt.Fprint(w, s)
 		case *csv:
-			fmt.Print(report.EarlyStopCSV(res))
+			fmt.Fprint(w, report.EarlyStopCSV(res))
 		default:
-			fmt.Print(report.EarlyStop(res))
+			fmt.Fprint(w, report.EarlyStop(res))
 		}
 	}
 	if wantFig("pruning") {
@@ -361,11 +363,11 @@ func run(args []string) error {
 			if err != nil {
 				return err
 			}
-			fmt.Print(s)
+			fmt.Fprint(w, s)
 		case *csv:
-			fmt.Print(report.PruningCSV(res))
+			fmt.Fprint(w, report.PruningCSV(res))
 		default:
-			fmt.Print(report.Pruning(res))
+			fmt.Fprint(w, report.Pruning(res))
 		}
 	}
 	if wantFig("avf") {
@@ -382,11 +384,11 @@ func run(args []string) error {
 			if err != nil {
 				return err
 			}
-			fmt.Print(s)
+			fmt.Fprint(w, s)
 		case *csv:
-			fmt.Print(report.AvfCSV(res))
+			fmt.Fprint(w, report.AvfCSV(res))
 		default:
-			fmt.Print(report.Avf(res))
+			fmt.Fprint(w, report.Avf(res))
 		}
 	}
 	if wantFig("protection") {
@@ -403,11 +405,11 @@ func run(args []string) error {
 			if err != nil {
 				return err
 			}
-			fmt.Print(s)
+			fmt.Fprint(w, s)
 		case *csv:
-			fmt.Print(report.ProtectionCSV(res))
+			fmt.Fprint(w, report.ProtectionCSV(res))
 		default:
-			fmt.Print(report.Protection(res))
+			fmt.Fprint(w, report.Protection(res))
 		}
 	}
 	if !did {

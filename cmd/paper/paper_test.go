@@ -1,0 +1,131 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite the goldens under testdata/ from this build's output")
+
+// figNames is every -fig value the goldens cover.
+var figNames = []string{
+	"1", "2", "3", "ablation-latches", "ablation-window", "ablation-models",
+	"early-stop", "pruning", "avf", "protection",
+}
+
+// slowFigs are skipped under -short: the 80-campaign E13 matrix and the
+// run-to-end E9 matrix are most of the suite's wall time.
+var slowFigs = map[string]bool{"protection": true, "ablation-models": true}
+
+// wallMasks blank the wall-time cells, the only nondeterminism in
+// paper's output: TABLE II's s/run and ratio columns, E11's wall
+// columns, the sweep summary's wall, and the JSON duration fields.
+// Everything else — every estimate, interval, count and cycle total —
+// is compared byte for byte.
+var wallMasks = []struct {
+	re   *regexp.Regexp
+	repl string
+}{
+	{regexp.MustCompile(`\d+\.\d{3} s/run +\d+\.\d{3} s/run +\d+\.\d +`), "-.--- s/run  -.--- s/run  -.-  "},
+	{regexp.MustCompile(`(?m)^average +\d+\.\d +$`), "average  -.-"},
+	{regexp.MustCompile(`\b\d+\.\d\ds( |$)`), "-.--s$1"},
+	{regexp.MustCompile(`(?m)^(sweep: .*, wall )\d+\.\ds$`), "${1}-.-s"},
+	{regexp.MustCompile(`(?m)^(\s*"(?:Elapsed|GoldenElapsed|AvgSecPerRun|FullWall|DeadWall|ClassesWall)": )[^,\n]+`), "${1}0"},
+}
+
+// maskWall applies wallMasks, and in E11's CSV (the one CSV with wall
+// columns) blanks the cells under the "wall ..." headers.
+func maskWall(out string) string {
+	for _, m := range wallMasks {
+		out = m.re.ReplaceAllString(out, m.repl)
+	}
+	lines := strings.Split(out, "\n")
+	headers := strings.Split(lines[0], ",")
+	for col, h := range headers {
+		if !strings.HasPrefix(h, "wall ") {
+			continue
+		}
+		for i := 1; i < len(lines); i++ {
+			if cells := strings.Split(lines[i], ","); len(cells) == len(headers) {
+				cells[col] = "-"
+				lines[i] = strings.Join(cells, ",")
+			}
+		}
+	}
+	return strings.Join(lines, "\n")
+}
+
+// TestGoldenOutputs regenerates every -fig, -table and -all output in
+// table, CSV and JSON form at a fixed small sample and compares it
+// against testdata/: a refactor of the experiment, report or cmd layers
+// must not move a byte outside the wall-time cells.
+func TestGoldenOutputs(t *testing.T) {
+	type golden struct {
+		file string
+		args []string
+	}
+	var cases []golden
+	formats := []struct{ ext, flag string }{{"txt", ""}, {"csv", "-csv"}, {"json", "-json"}}
+	for _, f := range formats {
+		with := func(args ...string) []string {
+			if f.flag != "" {
+				args = append(args, f.flag)
+			}
+			return args
+		}
+		// Tables ignore the format flags: all three forms share one golden.
+		for _, tb := range []string{"1", "2", "sample"} {
+			cases = append(cases, golden{"table-" + tb + ".txt", with("-table", tb)})
+		}
+		for _, name := range figNames {
+			cases = append(cases, golden{"fig-" + name + "." + f.ext, with("-fig", name)})
+		}
+		cases = append(cases, golden{"all." + f.ext, with("-all")})
+	}
+	for _, c := range cases {
+		t.Run(strings.Join(c.args, ""), func(t *testing.T) {
+			t.Parallel()
+			if testing.Short() && c.args[0] == "-fig" && slowFigs[c.args[1]] {
+				t.Skip("slow matrix in -short mode")
+			}
+			var buf bytes.Buffer
+			args := append([]string{"-injections", "6", "-benches", "caes", "-seed", "1"}, c.args...)
+			if err := run(args, &buf, nil); err != nil {
+				t.Fatal(err)
+			}
+			got := maskWall(buf.String())
+			path := filepath.Join("testdata", c.file)
+			if *update {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Errorf("paper %s: output differs from %s (rerun with -update only if the change is intended)\n%s",
+					strings.Join(c.args, " "), path, firstDiff(got, string(want)))
+			}
+		})
+	}
+}
+
+// firstDiff names the first differing line of two outputs.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			return fmt.Sprintf("line %d:\n got: %s\nwant: %s", i+1, g[i], w[i])
+		}
+	}
+	return fmt.Sprintf("line counts differ: got %d, want %d", len(g), len(w))
+}
