@@ -72,7 +72,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/distrib"
 	"repro/internal/fault"
-	"repro/internal/prof"
 	"repro/internal/report"
 	"repro/internal/trace"
 )
@@ -96,9 +95,7 @@ func run(args []string) error {
 		model      = fs.String("model", "microarch", "simulation model: microarch or rtl")
 		target     = fs.String("target", "rf", "injection target: rf, l1d or latches (rtl only)")
 		obs        = fs.String("obs", "pinout", "observation point: pinout, sop or combined")
-		faultModel = fs.String("fault-model", "transient", "fault model: transient, burst, stuck-at, stuck-at-0, stuck-at-1, intermittent")
-		burst      = fs.Int("burst", 0, "adjacent bits per burst injection (default 2)")
-		span       = fs.Uint64("span", 0, "intermittent active window in cycles (default goldenCycles/16)")
+		faultFlags = cli.FaultFlags(fs, "", "")
 		n          = fs.Int("n", 400, "number of injections")
 		seed       = fs.Int64("seed", 1, "RNG seed")
 		window     = fs.Uint64("window", 500, "cycles simulated after injection (0 = to program end)")
@@ -116,36 +113,19 @@ func run(args []string) error {
 		lanes      = fs.Int("lanes", 64, "bit-parallel lockstep replay width, 1-64 (1 = scalar engine; byte-identical results at any width)")
 		sched      = fs.String("sched", "stream", "replay schedule: stream (plan order) or cursor (injection-locality order; byte-identical results)")
 		snapPolicy = fs.String("snap-policy", "stride", "golden snapshot placement: stride (fixed interval) or quantile (at the injection-instant distribution's quantiles)")
-		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
-		memprofile = fs.String("memprofile", "", "write a heap profile at exit to this file")
-		metricsAt  = fs.String("metrics", "", "serve /metrics (Prometheus text) and /debug/pprof on this address while the campaign runs")
-		metricsOut = fs.Bool("metrics-dump", false, "dump the final metric values to stderr at exit (Prometheus text)")
+		process    = cli.ProcessFlags(fs, "faultsim", "campaign")
 		checkpoint = fs.String("checkpoint", "", "stream per-run outcomes to JSONL shards in this directory and resume from them")
 		remote     = fs.String("remote", "", "submit the campaign to a faultsimd coordinator at this base URL instead of simulating locally")
 		jsonOut    = fs.Bool("json", false, "emit the result as machine-readable JSON")
-		version    = fs.Bool("version", false, "print version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *version {
-		cli.PrintVersion("faultsim")
-		return nil
-	}
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
-	if err != nil {
+	stopProcess, exit, err := process()
+	if exit || err != nil {
 		return err
 	}
-	defer func() {
-		if perr := stopProf(); perr != nil {
-			fmt.Fprintln(os.Stderr, "faultsim: profile:", perr)
-		}
-	}()
-	stopMetrics, err := cli.MetricsFlags{Addr: *metricsAt, Dump: *metricsOut}.Start("faultsim")
-	if err != nil {
-		return err
-	}
-	defer stopMetrics()
+	defer stopProcess()
 
 	m, err := core.ParseModel(*model)
 	if err != nil {
@@ -155,12 +135,10 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	fp, err := fault.ParseParams(*faultModel)
+	fp, err := faultFlags()
 	if err != nil {
 		return err
 	}
-	fp.Burst = *burst
-	fp.Span = *span
 	cfg := campaign.Config{
 		Injections:   *n,
 		Seed:         *seed,

@@ -16,6 +16,11 @@
 //	paper -fig protection          protection-scheme ROI (E13)
 //	paper -all                     everything above but E9-E13, as ONE sweep
 //
+// The -fig names are the entries of core.Experiments(): paper looks the
+// value up there, runs the descriptor and renders the result through
+// report.Experiment, so an unknown -fig (or -table) value is an error
+// naming the registered ones, and -csv with -json is rejected.
+//
 // -fault-model selects the fault model every figure's campaigns inject
 // (transient, burst, stuck-at, stuck-at-0, stuck-at-1, intermittent)
 // and -burst the burst width; the E9 ablation sweeps all four models
@@ -37,7 +42,9 @@
 // per first-consumer equivalence class and extrapolates MeRLiN-style
 // (approximate; intervals widen to the effective sample size). The E11
 // ablation (`-fig pruning`) runs full-vs-dead-vs-classes side by side
-// on both levels and reports cycles, wall time and drift.
+// on both levels and reports cycles, wall time and drift. E10, E12 and
+// E13 replay the full plan whatever -prune says: each registry entry
+// declares the flags it owns, and EXPERIMENTS.md's index lists them.
 //
 // The E12 experiment (`-fig avf`) sweeps the same golden lifetime trace
 // into an injection-free ACE/AVF estimate per tracked structure and
@@ -93,15 +100,9 @@ import (
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/distrib"
-	"repro/internal/fault"
-	"repro/internal/prof"
 	"repro/internal/report"
 	"repro/internal/stats"
 )
-
-// ablationWindows is the window-length sweep regenerated by
-// -fig ablation-window and -all (0 = run-to-end).
-var ablationWindows = []uint64{100, 500, 2_000, 20_000, 0}
 
 func main() {
 	err := run(os.Args[1:], os.Stdout, cli.StopOnSignal("paper"))
@@ -122,14 +123,12 @@ func run(args []string, w io.Writer, stop <-chan struct{}) error {
 	fs := flag.NewFlagSet("paper", flag.ContinueOnError)
 	var (
 		table      = fs.String("table", "", "regenerate a table: 1, 2 or sample")
-		figure     = fs.String("fig", "", "regenerate a figure: 1, 2, 3, ablation-window, ablation-latches, ablation-models, early-stop, pruning, avf, protection")
+		figure     = fs.String("fig", "", "regenerate a figure: "+strings.Join(core.ExperimentNames(), ", "))
 		all        = fs.Bool("all", false, "regenerate every table and figure as one sweep")
 		injections = fs.Int("injections", 0, "statistical sample size per campaign (default 400; paper: 4000)")
 		seed       = fs.Int64("seed", 1, "campaign RNG seed")
 		window     = fs.Int64("window", -1, "pinout observation window in cycles; 0 = run to program end (default 500, the scaled 20k)")
-		faultModel = fs.String("fault-model", "transient", "fault model injected by figures: transient, burst, stuck-at, stuck-at-0, stuck-at-1, intermittent")
-		burst      = fs.Int("burst", 0, "adjacent bits per burst injection (default 2)")
-		span       = fs.Uint64("span", 0, "intermittent active window in cycles (default goldenCycles/16)")
+		faultFlags = cli.FaultFlags(fs, " injected by figures", "")
 		workers    = fs.Int("workers", 0, "parallel sweep workers (default GOMAXPROCS)")
 		benches    = fs.String("benches", "", "comma-separated benchmark subset")
 		checkpoint = fs.String("checkpoint", "", "stream per-run outcomes to JSONL shards in this directory and resume from them")
@@ -137,36 +136,29 @@ func run(args []string, w io.Writer, stop <-chan struct{}) error {
 		targetErr  = fs.Float64("target-error", 0, "adaptive engine: stop issuing injections once every class proportion is within this margin at the campaign confidence (0 = run the full plan)")
 		prune      = fs.String("prune", "off", "golden-trace fault pruning: off, dead (exact, zero-replay Masked), classes (MeRLiN-style extrapolation)")
 		lanes      = fs.Int("lanes", 64, "bit-parallel lockstep replay width, 1-64 (1 = scalar engine; byte-identical results at any width)")
-		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the regeneration to this file")
-		memprofile = fs.String("memprofile", "", "write a heap profile at exit to this file")
-		metricsAt  = fs.String("metrics", "", "serve /metrics (Prometheus text) and /debug/pprof on this address while the regeneration runs")
-		metricsOut = fs.Bool("metrics-dump", false, "dump the final metric values to stderr at exit (Prometheus text)")
+		process    = cli.ProcessFlags(fs, "paper", "regeneration")
 		csv        = fs.Bool("csv", false, "emit figures as CSV instead of tables")
 		jsonOut    = fs.Bool("json", false, "emit figures as machine-readable JSON instead of tables")
 		remote     = fs.String("remote", "", "run every campaign on a faultsimd fleet via this coordinator base URL (checkpointing then lives coordinator-side; -checkpoint is ignored)")
-		version    = fs.Bool("version", false, "print version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *version {
-		cli.PrintVersion("paper")
-		return nil
-	}
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
-	if err != nil {
+	stopProcess, exit, err := process()
+	if exit || err != nil {
 		return err
 	}
-	defer func() {
-		if perr := stopProf(); perr != nil {
-			fmt.Fprintln(os.Stderr, "paper: profile:", perr)
-		}
-	}()
-	stopMetrics, err := cli.MetricsFlags{Addr: *metricsAt, Dump: *metricsOut}.Start("paper")
-	if err != nil {
-		return err
+	defer stopProcess()
+
+	format := report.FormatTable
+	switch {
+	case *csv && *jsonOut:
+		return errors.New("-csv and -json are mutually exclusive")
+	case *csv:
+		format = report.FormatCSV
+	case *jsonOut:
+		format = report.FormatJSON
 	}
-	defer stopMetrics()
 
 	params := core.DefaultParams()
 	if *injections > 0 {
@@ -176,13 +168,9 @@ func run(args []string, w io.Writer, stop <-chan struct{}) error {
 	if *window >= 0 {
 		params.Window = uint64(*window)
 	}
-	fp, err := fault.ParseParams(*faultModel)
-	if err != nil {
+	if params.Fault, err = faultFlags(); err != nil {
 		return err
 	}
-	fp.Burst = *burst
-	fp.Span = *span
-	params.Fault = fp
 	params.Workers = *workers
 	params.Checkpoint = *checkpoint
 	params.EarlyStop = *earlyStop
@@ -199,26 +187,17 @@ func run(args []string, w io.Writer, stop <-chan struct{}) error {
 		params.Runner = distrib.NewClient(*remote).SweepRunner()
 	}
 
-	emitFig := func(fig *core.FigureResult, err error) error {
+	emit := func(res *core.ExperimentResult) error {
+		s, err := report.Experiment(res, format)
 		if err != nil {
 			return err
 		}
-		switch {
-		case *jsonOut:
-			s, err := report.FigureJSON(fig)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, s)
-		case *csv:
-			fmt.Fprint(w, report.FigureCSV(fig))
-		default:
-			fmt.Fprint(w, report.Figure(fig))
-		}
+		fmt.Fprint(w, s)
 		return nil
 	}
 
-	emitSample := func() error {
+	tableI := func() { fmt.Fprintln(w, report.TableI(core.DefaultSetup())) }
+	sample := func() error {
 		n, err := stats.LeveugleSampleSize(0, 0.02, 0.99)
 		if err != nil {
 			return err
@@ -232,19 +211,17 @@ func run(args []string, w io.Writer, stop <-chan struct{}) error {
 	if *all {
 		// One sweep for everything: goldens shared across figures and
 		// TABLE II, replays through one global pool.
-		fmt.Fprintln(w, report.TableI(core.DefaultSetup()))
-		if err := emitSample(); err != nil {
+		tableI()
+		if err := sample(); err != nil {
 			return err
 		}
-		res, err := params.RunAll(ablationWindows)
+		res, err := params.RunAll()
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(w, report.TableII(res.Table2Rows, res.Table2AvgRatio))
-		for _, fig := range []*core.FigureResult{
-			res.Fig1, res.Fig2, res.Fig3, res.AblationWindow, res.AblationLatches,
-		} {
-			if err := emitFig(fig, nil); err != nil {
+		for _, fig := range res.Figures {
+			if err := emit(fig); err != nil {
 				return err
 			}
 		}
@@ -253,168 +230,39 @@ func run(args []string, w io.Writer, stop <-chan struct{}) error {
 		return nil
 	}
 
-	did := false
-	wantTable := func(name string) bool { return *table == name }
-	wantFig := func(name string) bool { return *figure == name }
-
-	if wantTable("1") {
-		did = true
-		fmt.Fprintln(w, report.TableI(core.DefaultSetup()))
+	if *table == "" && *figure == "" {
+		fs.Usage()
+		return errors.New("nothing selected: pass -table, -fig or -all")
 	}
-	if wantTable("sample") {
-		did = true
-		if err := emitSample(); err != nil {
+	// Name a bad selection before printing or simulating anything.
+	if *figure != "" {
+		if _, err := core.LookupExperiment(*figure); err != nil {
 			return err
 		}
 	}
-	if wantTable("2") {
-		did = true
+	switch *table {
+	case "":
+	case "1":
+		tableI()
+	case "2":
 		rows, avg, err := params.Table2()
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(w, report.TableII(rows, avg))
-	}
-	if wantFig("1") {
-		did = true
-		if err := emitFig(params.Figure1()); err != nil {
+	case "sample":
+		if err := sample(); err != nil {
 			return err
 		}
+	default:
+		return fmt.Errorf("unknown table %q (have: %s)", *table, strings.Join(core.PaperTables, ", "))
 	}
-	if wantFig("2") {
-		did = true
-		if err := emitFig(params.Figure2()); err != nil {
-			return err
-		}
+	if *figure == "" {
+		return nil
 	}
-	if wantFig("3") {
-		did = true
-		if err := emitFig(params.Figure3()); err != nil {
-			return err
-		}
+	res, err := params.Run(*figure)
+	if err != nil {
+		return err
 	}
-	if wantFig("ablation-window") {
-		did = true
-		if err := emitFig(params.AblationWindow(ablationWindows)); err != nil {
-			return err
-		}
-	}
-	if wantFig("ablation-latches") {
-		did = true
-		if err := emitFig(params.AblationLatches()); err != nil {
-			return err
-		}
-	}
-	if wantFig("ablation-models") {
-		did = true
-		fig, err := params.AblationModels()
-		if err != nil {
-			return err
-		}
-		// E9's deliverable is the class breakdown, so -csv emits it
-		// (including the per-series unsafeness column) rather than the
-		// unsafeness-only figure matrix; -json carries everything.
-		switch {
-		case *jsonOut:
-			if err := emitFig(fig, nil); err != nil {
-				return err
-			}
-		case *csv:
-			fmt.Fprint(w, report.ClassBreakdownCSV(fig))
-		default:
-			if err := emitFig(fig, nil); err != nil {
-				return err
-			}
-			fmt.Fprint(w, report.ClassBreakdown(fig))
-		}
-	}
-	if wantFig("early-stop") {
-		did = true
-		res, err := params.AblationEarlyStop()
-		if err != nil {
-			return err
-		}
-		// E10's deliverable is the savings table (runs/cycles saved vs
-		// estimate drift); -csv emits it for plotting pipelines.
-		switch {
-		case *jsonOut:
-			s, err := report.JSONValue(res)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, s)
-		case *csv:
-			fmt.Fprint(w, report.EarlyStopCSV(res))
-		default:
-			fmt.Fprint(w, report.EarlyStop(res))
-		}
-	}
-	if wantFig("pruning") {
-		did = true
-		res, err := params.AblationPruning()
-		if err != nil {
-			return err
-		}
-		// E11's deliverable is the full-vs-dead-vs-classes savings
-		// table (cycles, wall time, drift on both levels).
-		switch {
-		case *jsonOut:
-			s, err := report.JSONValue(res)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, s)
-		case *csv:
-			fmt.Fprint(w, report.PruningCSV(res))
-		default:
-			fmt.Fprint(w, report.Pruning(res))
-		}
-	}
-	if wantFig("avf") {
-		did = true
-		res, err := params.ExperimentAVF()
-		if err != nil {
-			return err
-		}
-		// E12's deliverable is the AVF-vs-FI table (estimates, intervals,
-		// masking gap and differential verdicts on both levels).
-		switch {
-		case *jsonOut:
-			s, err := report.JSONValue(res)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, s)
-		case *csv:
-			fmt.Fprint(w, report.AvfCSV(res))
-		default:
-			fmt.Fprint(w, report.Avf(res))
-		}
-	}
-	if wantFig("protection") {
-		did = true
-		res, err := params.ExperimentProtection()
-		if err != nil {
-			return err
-		}
-		// E13's deliverable is the protection-ROI table (class splits,
-		// per-kilobit ROI, and the parity-vs-stuck-at blind spot).
-		switch {
-		case *jsonOut:
-			s, err := report.JSONValue(res)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, s)
-		case *csv:
-			fmt.Fprint(w, report.ProtectionCSV(res))
-		default:
-			fmt.Fprint(w, report.Protection(res))
-		}
-	}
-	if !did {
-		fs.Usage()
-		return fmt.Errorf("nothing selected: pass -table, -fig or -all")
-	}
-	return nil
+	return emit(res)
 }

@@ -9,15 +9,11 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 var update = flag.Bool("update", false, "rewrite the goldens under testdata/ from this build's output")
-
-// figNames is every -fig value the goldens cover.
-var figNames = []string{
-	"1", "2", "3", "ablation-latches", "ablation-window", "ablation-models",
-	"early-stop", "pruning", "avf", "protection",
-}
 
 // slowFigs are skipped under -short: the 80-campaign E13 matrix and the
 // run-to-end E9 matrix are most of the suite's wall time.
@@ -83,8 +79,9 @@ func TestGoldenOutputs(t *testing.T) {
 		for _, tb := range []string{"1", "2", "sample"} {
 			cases = append(cases, golden{"table-" + tb + ".txt", with("-table", tb)})
 		}
-		for _, name := range figNames {
-			cases = append(cases, golden{"fig-" + name + "." + f.ext, with("-fig", name)})
+		// Every registered experiment: a new registry entry needs goldens.
+		for _, e := range core.Experiments() {
+			cases = append(cases, golden{"fig-" + e.Name + "." + f.ext, with("-fig", e.Name)})
 		}
 		cases = append(cases, golden{"all." + f.ext, with("-all")})
 	}
@@ -128,4 +125,29 @@ func firstDiff(got, want string) string {
 		}
 	}
 	return fmt.Sprintf("line counts differ: got %d, want %d", len(g), len(w))
+}
+
+// TestBadSelectionsAreNamed: an unknown -fig or -table value is an error
+// that names the value and the registered ones (not a usage dump and
+// "nothing selected"), checked before anything is simulated or printed;
+// -csv with -json is rejected instead of -json winning silently.
+func TestBadSelectionsAreNamed(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-fig", "nope"}, `unknown figure "nope" (have: 1, 2, 3, ablation-window, ablation-latches, ablation-models, early-stop, pruning, avf, protection)`},
+		{[]string{"-table", "3"}, `unknown table "3" (have: 1, 2, sample)`},
+		{[]string{"-table", "1", "-fig", "nope"}, `unknown figure "nope"`},
+		{[]string{"-fig", "1", "-csv", "-json"}, "-csv and -json are mutually exclusive"},
+	} {
+		var buf bytes.Buffer
+		err := run(tc.args, &buf, nil)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("paper %s: error = %v, want it to contain %q", strings.Join(tc.args, " "), err, tc.want)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("paper %s: wrote %q before failing", strings.Join(tc.args, " "), buf.String())
+		}
+	}
 }

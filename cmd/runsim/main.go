@@ -60,9 +60,7 @@ func run(args []string) error {
 		golden    = fs.Bool("golden", false, "run the campaign golden-artifact phase (snapshots + pinout + timeline) and report its cost")
 		snapEvery = fs.Uint64("snapshot-every", 0, "golden snapshot interval in cycles with -golden (0 = default 2048)")
 		inject    = fs.Int("inject", 0, "probe with an N-injection campaign and print each fault's classification")
-		faultMod  = fs.String("fault-model", "transient", "fault model with -inject: transient, burst, stuck-at, stuck-at-0, stuck-at-1, intermittent")
-		burst     = fs.Int("burst", 0, "adjacent bits per burst injection with -inject (default 2)")
-		span      = fs.Uint64("span", 0, "intermittent active window in cycles with -inject (default goldenCycles/16)")
+		faultFlg  = cli.FaultFlags(fs, " with -inject", " with -inject")
 		target    = fs.String("target", "rf", "injection target with -inject: rf, l1d or latches (rtl only)")
 		seed      = fs.Int64("seed", 1, "campaign RNG seed with -inject")
 		window    = fs.Uint64("window", 0, "cycles simulated after injection with -inject (0 = to program end)")
@@ -145,12 +143,10 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fp, err := fault.ParseParams(*faultMod)
+		fp, err := faultFlg()
 		if err != nil {
 			return err
 		}
-		fp.Burst = *burst
-		fp.Span = *span
 		// The probe replays each planned fault individually over one
 		// shared golden run recorded with state hashes (convergence
 		// cycles) AND the lifetime trace (pruning verdicts), so every

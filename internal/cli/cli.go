@@ -1,8 +1,10 @@
 // Package cli holds the plumbing every cmd/ binary shares: the
 // -version implementation (module version + VCS revision from the
-// embedded build info) and graceful-interrupt wiring (first
+// embedded build info), graceful-interrupt wiring (first
 // SIGINT/SIGTERM requests a clean stop so checkpoints flush; a second
-// kills the process).
+// kills the process), and the flag groups more than one binary declares
+// (FaultFlags, ProcessFlags, MetricsFlags) so their names, defaults and
+// help text exist once.
 package cli
 
 import (

@@ -211,21 +211,23 @@ func TestFigure1GoldenRunCount(t *testing.T) {
 	}
 }
 
-// TestAblationWindowSharesOneGolden: five window lengths on one model
-// and benchmark need exactly one golden run.
+// TestAblationWindowSharesOneGolden: every window length of the
+// registry's sweep on one model and benchmark needs exactly one golden
+// run between them.
 func TestAblationWindowSharesOneGolden(t *testing.T) {
 	p := DefaultParams()
 	p.Injections = 8
 	p.Benches = []string{"sha"}
-	fig, err := p.AblationWindow([]uint64{100, 500, 0})
+	res, err := p.Run("ablation-window")
 	if err != nil {
 		t.Fatal(err)
 	}
+	fig := res.Fig
 	if fig.GoldenRuns != 1 {
 		t.Errorf("window ablation ran %d golden runs, want 1", fig.GoldenRuns)
 	}
-	if len(fig.Series) != 3 {
-		t.Fatalf("series = %d", len(fig.Series))
+	if len(fig.Series) != len(ablationWindows) {
+		t.Fatalf("series = %d, want one per registered window", len(fig.Series))
 	}
 }
 
@@ -239,14 +241,18 @@ func TestRunAllSharesGoldens(t *testing.T) {
 	p := DefaultParams()
 	p.Injections = 8
 	p.Benches = []string{"sha"}
-	all, err := p.RunAll([]uint64{200, 0})
+	all, err := p.RunAll()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if all.GoldenRuns != 2 {
 		t.Errorf("full regeneration ran %d golden runs on one benchmark, want 2 (microarch + rtl)", all.GoldenRuns)
 	}
-	for _, fig := range []*FigureResult{all.Fig1, all.Fig2, all.Fig3, all.AblationWindow, all.AblationLatches} {
+	if len(all.Figures) != 5 {
+		t.Fatalf("RunAll returned %d figures, want the 5 InAll experiments", len(all.Figures))
+	}
+	for _, res := range all.Figures {
+		fig := res.Fig
 		if fig == nil || len(fig.Series) == 0 {
 			t.Fatalf("missing figure in RunAll result")
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"repro/internal/bench"
@@ -16,19 +17,22 @@ import (
 // injections per benchmark per component (Leveugle, 2% error at 99%
 // confidence); smaller samples trade precision for wall time, with the
 // widened confidence intervals reported alongside every estimate.
+//
+// The campaign knobs below (Fault, EarlyStop, TargetError, Lanes, Prune,
+// Window) reach every series of every experiment except where the
+// experiment's registry entry lists the field in Owns.
 type Params struct {
 	Injections int
 	Seed       int64
 	Window     uint64 // pinout observation window (the paper's 20k cycles)
 	Workers    int
 	Setup      Setup
-	Benches    []string // nil = the paper's TABLE II benchmark list
+	Benches    []string // nil = each experiment's default subset (Experiment.Benches)
 
 	// Fault selects the fault model every figure's campaigns inject
-	// (zero value = the paper's single transient bit flip). The
-	// fault-model ablation (E9) sweeps all models itself and only
-	// honours Fault.Burst and Fault.Span as its burst/intermittent
-	// parameters.
+	// (zero value = the paper's single transient bit flip). E9 and E13
+	// sweep all models themselves and only honour Fault.Burst and
+	// Fault.Span as their burst/intermittent parameters.
 	Fault fault.Params
 
 	// Checkpoint enables streaming per-run outcome checkpoints (JSONL
@@ -201,11 +205,384 @@ type seriesSpec struct {
 	cfg   campaign.Config
 }
 
-// figurePlan is one figure's campaign matrix before scheduling.
+// Experiment is one entry of the evaluation registry. The paper's
+// evaluation is one matrix — level x structure x observation point x
+// window over the same benchmarks — and every figure and ablation is a
+// slice of it: a descriptor says which slice (series), what it folds the
+// finished figure into (fold), and how cmd/paper and the docs name it.
+// internal/report keys the matching table spec by Figure.
+type Experiment struct {
+	ID     int    // E-number in EXPERIMENTS.md
+	Name   string // the `paper -fig` value
+	Figure string // FigureResult.Name, also the campaign-key prefix
+
+	// Benches is the benchmark subset used when Params.Benches is nil;
+	// nil = the paper's TABLE II list.
+	Benches []string
+
+	// InAll marks the experiments RunAll (`paper -all`) regenerates.
+	InAll bool
+
+	// Owns names the Params fields this experiment decides itself in
+	// every series, ignoring the global flag: because it sweeps the field
+	// (E8 Window, E9 Fault, E11 Prune) or because honouring it would
+	// corrupt what the experiment measures (E10's fixed-plan arm, the
+	// unpruned ground truth of E12 and E13). Every other field of
+	// baseConfig reaches every series untouched — the registry tests
+	// hold both directions.
+	Owns []string
+
+	// series expands the descriptor into campaign series. base is
+	// p.baseConfig(); the closure aims it (target, observation point,
+	// window) and overrides exactly the fields Owns names.
+	series func(p Params, base campaign.Config) []seriesSpec
+
+	// fold, when non-nil, reduces the assembled figure to the
+	// experiment's table rows (ExperimentResult.Rows).
+	fold func(p Params, fig *FigureResult) (rows any, err error)
+}
+
+// ExperimentResult is one experiment's deliverable: the figure, plus
+// the folded table rows ([]EarlyStopRow, []PruningRow, []AVFRow or
+// []ProtectionRow) when the experiment has a fold, nil otherwise.
+type ExperimentResult struct {
+	Fig  *FigureResult
+	Rows any
+}
+
+// baseConfig is the one place Params becomes a campaign.Config: every
+// global knob applied, run to program end, target and observation point
+// left for the experiment's series closure.
+func (p Params) baseConfig() campaign.Config {
+	return campaign.Config{
+		Injections: p.Injections, Seed: p.Seed, Workers: p.Workers, Fault: p.Fault,
+		EarlyStop: p.EarlyStop, TargetError: p.TargetError, Prune: p.Prune,
+		Lanes: p.Lanes,
+	}
+}
+
+// aim points a config at one structure through one observation point,
+// replays cut off window cycles after injection (0 = run to the end).
+func aim(cfg campaign.Config, t fault.Target, obs campaign.ObsPoint, window uint64) campaign.Config {
+	cfg.Target, cfg.Obs, cfg.Window = t, obs, window
+	return cfg
+}
+
+// levels are the two abstraction levels, in report order.
+var levels = []Model{ModelMicroarch, ModelRTL}
+
+// ablationWindows is E8's window-length sweep (0 = run to the end).
+var ablationWindows = []uint64{100, 500, 2_000, 20_000, 0}
+
+// earlyStopDefaultMargin is the sequential-stopping margin the E10
+// ablation uses when Params.TargetError is unset: loose enough to
+// trigger at laptop-scale sample sizes, and exactly the margin the
+// drift column is judged against.
+const earlyStopDefaultMargin = 0.05
+
+// avfTargets are the structures the golden lifetime trace covers on
+// both abstraction levels (pipeline latches are not lifetime-traced).
+var avfTargets = []fault.Target{fault.TargetRF, fault.TargetL1D}
+
+// sweptFaultModels are the four fault models E9 and E13 sweep, with
+// Params.Fault contributing only the burst width and intermittent span.
+// stuck is the persistent models' forced value: E9 samples it per
+// injection (fault.StuckRandom); E13 pins it to 0, because an asserted-0
+// checker path is exactly the parity blind spot that experiment exists
+// to demonstrate, and a sampled value would halve the signal.
+func sweptFaultModels(p fault.Params, stuck int) []fault.Params {
+	return []fault.Params{
+		{Model: fault.ModelTransient},
+		{Model: fault.ModelBurst, Burst: p.Burst},
+		{Model: fault.ModelStuckAt, Stuck: stuck},
+		{Model: fault.ModelIntermittent, Stuck: stuck, Span: p.Span},
+	}
+}
+
+// protectionTargets lists the structures E13 protects per level: the
+// register file and L1D data array on both levels, pipeline latches on
+// RTL only (the microarchitectural model keeps no latch state).
+func protectionTargets(m Model) []fault.Target {
+	if m == ModelRTL {
+		return []fault.Target{fault.TargetRF, fault.TargetL1D, fault.TargetLatches}
+	}
+	return []fault.Target{fault.TargetRF, fault.TargetL1D}
+}
+
+// protectionSchemes are E13's arms in report order; index 0 is the
+// unprotected baseline every ROI is measured against.
+var protectionSchemes = []protect.Scheme{
+	protect.SchemeNone, protect.SchemeParity, protect.SchemeSECDED, protect.SchemeDup,
+}
+
+func protectionLabel(m Model, fm fault.Model, tgt fault.Target, sc protect.Scheme) string {
+	return fmt.Sprintf("%v/%v/%s/%v", m, fm, protect.TargetKey(tgt), sc)
+}
+
+// experiments is the registry, in `paper -fig` help and `paper -all`
+// output order. Adding an experiment is one entry here plus, when it
+// folds rows, one table spec in internal/report.
+var experiments = []Experiment{
+	{
+		// Fig. 1: register-file unsafeness at the core pinout — the
+		// microarchitectural model and the RTL model with the windowed
+		// timeout, plus the microarchitectural model run to the end
+		// ("GeFIN-no timer"). The two GeFIN series share one golden run.
+		ID: 3, Name: "1", Figure: "fig1-rf-unsafeness", InAll: true,
+		series: func(p Params, base campaign.Config) []seriesSpec {
+			windowed := aim(base, fault.TargetRF, campaign.ObsPinout, p.Window)
+			return []seriesSpec{
+				{"GeFIN", ModelMicroarch, windowed},
+				{"RTL", ModelRTL, windowed},
+				{"GeFIN-no-timer", ModelMicroarch, aim(base, fault.TargetRF, campaign.ObsPinout, 0)},
+			}
+		},
+	},
+	{
+		// Fig. 2: L1 data cache unsafeness at the core pinout. The RTL
+		// series enables injection-time advancement, the optimisation the
+		// paper identifies as the cause of the GeFIN-vs-RTL gap on this
+		// figure.
+		ID: 4, Name: "2", Figure: "fig2-l1d-unsafeness", InAll: true,
+		series: func(p Params, base campaign.Config) []seriesSpec {
+			windowed := aim(base, fault.TargetL1D, campaign.ObsPinout, p.Window)
+			advanced := windowed
+			advanced.AdvanceToUse = true
+			return []seriesSpec{
+				{"GeFIN", ModelMicroarch, windowed},
+				{"RTL", ModelRTL, advanced},
+				{"GeFIN-no-timer", ModelMicroarch, aim(base, fault.TargetL1D, campaign.ObsPinout, 0)},
+			}
+		},
+	},
+	{
+		// Fig. 3: L1D AVF through the software observation point, run to
+		// the end of the program on both levels. The paper could only
+		// afford the shorter benchmarks at RTL; the default benchmark
+		// list mirrors that subset.
+		ID: 5, Name: "3", Figure: "fig3-l1d-avf-sop", InAll: true,
+		Benches: []string{"caes", "stringsearch", "susan_c", "susan_e", "susan_s"},
+		series: func(p Params, base campaign.Config) []seriesSpec {
+			cfg := aim(base, fault.TargetL1D, campaign.ObsSOP, 0)
+			return []seriesSpec{{"GeFIN", ModelMicroarch, cfg}, {"RTL", ModelRTL, cfg}}
+		},
+	},
+	{
+		// E8: the observation-window length sweep on the
+		// microarchitectural model (the early-stopping accuracy loss the
+		// paper's conclusions highlight). Every window length shares the
+		// same golden run per benchmark — the sweep runs one, not
+		// len(ablationWindows).
+		ID: 8, Name: "ablation-window", Figure: "ablation-window-sweep", InAll: true,
+		Owns: []string{"Window"},
+		series: func(p Params, base campaign.Config) []seriesSpec {
+			specs := make([]seriesSpec, 0, len(ablationWindows))
+			for _, w := range ablationWindows {
+				label := fmt.Sprintf("window-%d", w)
+				if w == 0 {
+					label = "window-to-end"
+				}
+				specs = append(specs, seriesSpec{label, ModelMicroarch,
+					aim(base, fault.TargetL1D, campaign.ObsPinout, w)})
+			}
+			return specs
+		},
+	},
+	{
+		// E7: the RTL-only pipeline-latch injection experiment — the
+		// fault space that has no microarchitectural counterpart.
+		ID: 7, Name: "ablation-latches", Figure: "ablation-rtl-latches", InAll: true,
+		series: func(p Params, base campaign.Config) []seriesSpec {
+			return []seriesSpec{{"RTL-latches", ModelRTL,
+				aim(base, fault.TargetLatches, campaign.ObsPinout, p.Window)}}
+		},
+	},
+	{
+		// E9: the same register-file campaign under all four fault
+		// models — transient, burst, stuck-at, intermittent — on both
+		// abstraction levels, run to program end with the combined
+		// observation point so the class breakdown separates Masked,
+		// Mismatch and SDC. All four models on one level share that
+		// level's single golden run: the golden run is fault-free, so the
+		// model only changes the plan and the replay. The default
+		// benchmark subset mirrors Fig. 3's short list (E9 replays run to
+		// the end on both levels).
+		ID: 9, Name: "ablation-models", Figure: "ablation-fault-models",
+		Benches: []string{"caes", "stringsearch"},
+		Owns:    []string{"Fault"},
+		series: func(p Params, base campaign.Config) []seriesSpec {
+			cfg := aim(base, fault.TargetRF, campaign.ObsCombined, 0)
+			var specs []seriesSpec
+			for _, m := range levels {
+				for _, fm := range sweptFaultModels(p.Fault, fault.StuckRandom) {
+					cfg.Fault = fm
+					specs = append(specs, seriesSpec{fmt.Sprintf("%v/%v", m, fm.Model), m, cfg})
+				}
+			}
+			return specs
+		},
+	},
+	{
+		// E10: the same run-to-end register-file campaign executed by
+		// the fixed-plan engine and by the adaptive engine (convergence
+		// exit + sequential stopping at 95% confidence). Run-to-end
+		// replays are where the paper-scale cost lives — the fig. 1 "no
+		// timer" series — so they are where the convergence exit pays.
+		// Both series share one golden run. The fixed arm is the
+		// yardstick, so no global engine flag may touch it; the adaptive
+		// arm takes Params.TargetError as its margin when set.
+		ID: 10, Name: "early-stop", Figure: "ablation-early-stop",
+		Benches: []string{"caes", "stringsearch"},
+		Owns:    []string{"EarlyStop", "TargetError", "Prune"},
+		series: func(p Params, base campaign.Config) []seriesSpec {
+			fixed := aim(base, fault.TargetRF, campaign.ObsPinout, 0)
+			fixed.EarlyStop, fixed.TargetError, fixed.Prune = false, 0, campaign.PruneOff
+			fixed.Confidence = 0.95
+			adaptive := fixed
+			adaptive.EarlyStop = true
+			adaptive.TargetError = p.TargetError
+			if adaptive.TargetError == 0 {
+				adaptive.TargetError = earlyStopDefaultMargin
+			}
+			return []seriesSpec{
+				{"fixed-plan", ModelMicroarch, fixed},
+				{"adaptive", ModelMicroarch, adaptive},
+			}
+		},
+		fold: foldEarlyStop,
+	},
+	{
+		// E11: the same windowed L1D campaign — the paper's primary
+		// pinout flow — executed by the full engine, with exact
+		// dead-interval pruning, and with MeRLiN-style class pruning, on
+		// both abstraction levels. The windowed flow is where pruning
+		// pays most: a fault whose first consumption lies beyond the
+		// observation window is provably Masked no matter what happens
+		// later, so the timeout that the paper introduced to cap replay
+		// cost ALSO caps the set of faults worth replaying at all. All
+		// three engines on one level share that level's single golden
+		// run.
+		ID: 11, Name: "pruning", Figure: "ablation-pruning",
+		Benches: []string{"caes", "stringsearch"},
+		Owns:    []string{"Prune"},
+		series: func(p Params, base campaign.Config) []seriesSpec {
+			cfg := aim(base, fault.TargetL1D, campaign.ObsPinout, p.Window)
+			var specs []seriesSpec
+			for _, m := range levels {
+				for _, mode := range []campaign.PruneMode{campaign.PruneOff, campaign.PruneDead, campaign.PruneClasses} {
+					cfg.Prune = mode
+					specs = append(specs, seriesSpec{fmt.Sprintf("%v/prune-%v", m, mode), m, cfg})
+				}
+			}
+			return specs
+		},
+		fold: foldPruning,
+	},
+	{
+		// E12: the same windowed pinout campaign per (level, target)
+		// with Config.AVF on, so the estimate is attached to the very
+		// campaign whose measured unsafeness cross-checks it — the FI arm
+		// doubles as ground truth and the estimator costs zero extra
+		// replays. The ground truth must be the full plan, so pruning is
+		// off whatever the global flag says.
+		ID: 12, Name: "avf", Figure: "avf",
+		Benches: []string{"caes", "stringsearch"},
+		Owns:    []string{"Prune"},
+		series: func(p Params, base campaign.Config) []seriesSpec {
+			base.Prune, base.AVF = campaign.PruneOff, true
+			var specs []seriesSpec
+			for _, m := range levels {
+				for _, tg := range avfTargets {
+					specs = append(specs, seriesSpec{fmt.Sprintf("%v/avf-%v", m, tg), m,
+						aim(base, tg, campaign.ObsPinout, p.Window)})
+				}
+			}
+			return specs
+		},
+		fold: foldAVF,
+	},
+	{
+		// E13: the same campaign per (level, fault model, structure) —
+		// run to program end with the combined observation point, like
+		// the fault-model ablation, so the class split separates Masked,
+		// Mismatch, SDC and DUE — once unprotected and once per scheme.
+		// All arms of one (level, benchmark) share that level's single
+		// golden run: protection extends only the fault plan and the
+		// classification, never the golden simulation. The default
+		// benchmark subset is one workload; the matrix is already
+		// 2 levels x 4 fault models x 2-3 structures x 4 arms per
+		// benchmark. Every ROI compares a protected arm with its
+		// unprotected twin, so all arms replay the full plan: pruning is
+		// off whatever the global flag says.
+		ID: 13, Name: "protection", Figure: "protection",
+		Benches: []string{"qsort"},
+		Owns:    []string{"Fault", "Prune"},
+		series: func(p Params, base campaign.Config) []seriesSpec {
+			base.Prune = campaign.PruneOff
+			var specs []seriesSpec
+			for _, m := range levels {
+				for _, fm := range sweptFaultModels(p.Fault, 0) {
+					for _, tgt := range protectionTargets(m) {
+						for _, sc := range protectionSchemes {
+							cfg := aim(base, tgt, campaign.ObsCombined, 0)
+							cfg.Fault = fm
+							if sc != protect.SchemeNone {
+								cfg.Protect = protect.TargetKey(tgt) + "=" + sc.String()
+							}
+							specs = append(specs, seriesSpec{protectionLabel(m, fm.Model, tgt, sc), m, cfg})
+						}
+					}
+				}
+			}
+			return specs
+		},
+		fold: foldProtection,
+	},
+}
+
+// Experiments returns the registry in `paper -fig` help order. The
+// slice is shared: callers must not modify it.
+func Experiments() []Experiment { return experiments }
+
+// ExperimentNames returns the registered `paper -fig` values, in
+// registry order.
+func ExperimentNames() []string {
+	names := make([]string, len(experiments))
+	for i := range experiments {
+		names[i] = experiments[i].Name
+	}
+	return names
+}
+
+// LookupExperiment resolves a `paper -fig` name, naming the known ones
+// when it is not registered.
+func LookupExperiment(name string) (*Experiment, error) {
+	for i := range experiments {
+		if experiments[i].Name == name {
+			return &experiments[i], nil
+		}
+	}
+	return nil, fmt.Errorf("unknown figure %q (have: %s)", name, strings.Join(ExperimentNames(), ", "))
+}
+
+// figurePlan is one experiment's campaign matrix before scheduling.
 type figurePlan struct {
-	name    string
-	benches []*bench.Workload // nil = p.benchList()
+	exp     *Experiment
+	benches []*bench.Workload
 	series  []seriesSpec
+}
+
+// plan expands one descriptor under p: its benchmark list (Params.Benches,
+// else the descriptor's default subset) and its series over baseConfig.
+func (p Params) plan(e *Experiment) (figurePlan, error) {
+	if p.Benches == nil {
+		p.Benches = e.Benches
+	}
+	workloads, err := p.benchList()
+	if err != nil {
+		return figurePlan{}, err
+	}
+	return figurePlan{exp: e, benches: workloads, series: e.series(p, p.baseConfig())}, nil
 }
 
 // sweepGroup names the golden-sharing group of (model, workload) under a
@@ -214,49 +591,43 @@ func sweepGroup(m Model, workload string, s Setup) string {
 	return fmt.Sprintf("%v/%s/%s", m, s.Name, workload)
 }
 
-// sweepBuilder accumulates figure plans into one campaign matrix,
-// reusing one factory (and one assembled program) per group.
-type sweepBuilder struct {
-	setup     Setup
-	items     []MatrixItem
-	factories map[string]campaign.Factory
-}
-
-func newSweepBuilder(setup Setup) *sweepBuilder {
-	return &sweepBuilder{setup: setup, factories: make(map[string]campaign.Factory)}
-}
-
 func campaignKey(figure, label, workload string) string {
 	return figure + "/" + label + "/" + workload
 }
 
-func (b *sweepBuilder) add(plan figurePlan) error {
-	for _, sp := range plan.series {
-		for _, w := range plan.benches {
-			group := sweepGroup(sp.model, w.Name, b.setup)
-			fac, ok := b.factories[group]
-			if !ok {
-				prog, err := w.Program()
-				if err != nil {
-					return err
+// matrix flattens figure plans into one campaign matrix, reusing one
+// factory (and one assembled program) per golden-sharing group.
+func matrix(plans []figurePlan, setup Setup) ([]MatrixItem, error) {
+	var items []MatrixItem
+	factories := make(map[string]campaign.Factory)
+	for _, plan := range plans {
+		for _, sp := range plan.series {
+			for _, w := range plan.benches {
+				group := sweepGroup(sp.model, w.Name, setup)
+				fac, ok := factories[group]
+				if !ok {
+					prog, err := w.Program()
+					if err != nil {
+						return nil, err
+					}
+					fac = Factory(sp.model, prog, setup)
+					factories[group] = fac
 				}
-				fac = Factory(sp.model, prog, b.setup)
-				b.factories[group] = fac
+				items = append(items, MatrixItem{
+					Campaign: campaign.SweepCampaign{
+						Key:     campaignKey(plan.exp.Figure, sp.label, w.Name),
+						Group:   group,
+						Factory: fac,
+						Config:  sp.cfg,
+					},
+					Workload: w.Name,
+					Model:    sp.model,
+					Setup:    setup.Name,
+				})
 			}
-			b.items = append(b.items, MatrixItem{
-				Campaign: campaign.SweepCampaign{
-					Key:     campaignKey(plan.name, sp.label, w.Name),
-					Group:   group,
-					Factory: fac,
-					Config:  sp.cfg,
-				},
-				Workload: w.Name,
-				Model:    sp.model,
-				Setup:    b.setup.Name,
-			})
 		}
 	}
-	return nil
+	return items, nil
 }
 
 // sweep executes an accumulated matrix through the configured runner
@@ -275,15 +646,16 @@ func (p Params) sweep(items []MatrixItem) (*campaign.SweepResult, error) {
 	return campaign.Sweep(camps, opt)
 }
 
-// assembleFigure extracts one figure's results from a sweep.
-func assembleFigure(plan figurePlan, sr *campaign.SweepResult, setup Setup) (*FigureResult, error) {
+// assemble extracts one experiment's figure from a sweep and folds it.
+func (p Params) assemble(plan figurePlan, sr *campaign.SweepResult) (*ExperimentResult, error) {
+	name := plan.exp.Figure
 	figGroups := make(map[string]bool)
 	for _, sp := range plan.series {
 		for _, w := range plan.benches {
-			figGroups[sweepGroup(sp.model, w.Name, setup)] = true
+			figGroups[sweepGroup(sp.model, w.Name, p.Setup)] = true
 		}
 	}
-	fig := &FigureResult{Name: plan.name, GoldenRuns: len(figGroups)}
+	fig := &FigureResult{Name: name, GoldenRuns: len(figGroups)}
 	for _, w := range plan.benches {
 		fig.Benches = append(fig.Benches, w.Name)
 	}
@@ -294,9 +666,9 @@ func assembleFigure(plan figurePlan, sr *campaign.SweepResult, setup Setup) (*Fi
 			Results: make(map[string]*campaign.Result, len(plan.benches)),
 		}
 		for _, w := range plan.benches {
-			res, ok := sr.Results[campaignKey(plan.name, sp.label, w.Name)]
+			res, ok := sr.Results[campaignKey(name, sp.label, w.Name)]
 			if !ok {
-				return nil, fmt.Errorf("%s/%s/%s: missing from sweep", plan.name, sp.label, w.Name)
+				return nil, fmt.Errorf("%s/%s/%s: missing from sweep", name, sp.label, w.Name)
 			}
 			s.Vuln[w.Name] = res.Unsafeness
 			s.Results[w.Name] = res
@@ -316,242 +688,81 @@ func assembleFigure(plan figurePlan, sr *campaign.SweepResult, setup Setup) (*Fi
 			return nil, err
 		}
 	}
-	return fig, nil
+	res := &ExperimentResult{Fig: fig}
+	if plan.exp.fold != nil {
+		var err error
+		if res.Rows, err = plan.exp.fold(p, fig); err != nil {
+			return nil, err
+		}
+	}
+	return res, nil
 }
 
-// runFigure schedules one figure's matrix as a sweep: one golden run per
-// (model, benchmark) shared across all series, all replays through one
-// global pool.
-func (p Params) runFigure(plan figurePlan, err error) (*FigureResult, error) {
+// runExperiments schedules the given descriptors' matrices as ONE
+// sweep — one golden run per (model, benchmark) shared across all their
+// series, all replays through one global pool — and assembles one result
+// per descriptor, in order.
+func (p Params) runExperiments(exps []*Experiment) ([]*ExperimentResult, *campaign.SweepResult, error) {
+	plans := make([]figurePlan, len(exps))
+	for i, e := range exps {
+		var err error
+		if plans[i], err = p.plan(e); err != nil {
+			return nil, nil, err
+		}
+	}
+	items, err := matrix(plans, p.Setup)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	b := newSweepBuilder(p.Setup)
-	if err := b.add(plan); err != nil {
-		return nil, err
-	}
-	sr, err := p.sweep(b.items)
+	sr, err := p.sweep(items)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return assembleFigure(plan, sr, p.Setup)
+	out := make([]*ExperimentResult, len(plans))
+	for i, plan := range plans {
+		if out[i], err = p.assemble(plan, sr); err != nil {
+			return nil, nil, err
+		}
+	}
+	return out, sr, nil
 }
 
-// figure1Plan is Fig. 1's matrix: register-file unsafeness at the core
-// pinout — the microarchitectural model and the RTL model with the
-// windowed timeout, plus the microarchitectural model run to the end
-// ("GeFIN-no timer"). The two GeFIN series share one golden run.
-func (p Params) figure1Plan() (figurePlan, error) {
-	workloads, err := p.benchList()
+// Run regenerates the experiment registered under the `paper -fig` name.
+func (p Params) Run(name string) (*ExperimentResult, error) {
+	e, err := LookupExperiment(name)
 	if err != nil {
-		return figurePlan{}, err
+		return nil, err
 	}
-	base := campaign.Config{
-		Injections: p.Injections, Seed: p.Seed, Target: fault.TargetRF,
-		Obs: campaign.ObsPinout, Workers: p.Workers, Fault: p.Fault,
-		EarlyStop: p.EarlyStop, TargetError: p.TargetError, Prune: p.Prune,
-		Lanes: p.Lanes,
+	out, _, err := p.runExperiments([]*Experiment{e})
+	if err != nil {
+		return nil, err
 	}
-	windowed := base
-	windowed.Window = p.Window
-	return figurePlan{
-		name:    "fig1-rf-unsafeness",
-		benches: workloads,
-		series: []seriesSpec{
-			{"GeFIN", ModelMicroarch, windowed},
-			{"RTL", ModelRTL, windowed},
-			{"GeFIN-no-timer", ModelMicroarch, base},
-		},
-	}, nil
+	return out[0], nil
+}
+
+// figure runs a fold-less experiment for its figure alone.
+func (p Params) figure(name string) (*FigureResult, error) {
+	res, err := p.Run(name)
+	if err != nil {
+		return nil, err
+	}
+	return res.Fig, nil
 }
 
 // Figure1 reproduces Fig. 1: register-file unsafeness per benchmark with
 // the core-pinout observation point.
-func (p Params) Figure1() (*FigureResult, error) {
-	return p.runFigure(p.figure1Plan())
-}
-
-// figure2Plan is Fig. 2's matrix: L1 data cache unsafeness at the core
-// pinout. The RTL series enables injection-time advancement, the
-// optimisation the paper identifies as the cause of the GeFIN-vs-RTL gap
-// on this figure.
-func (p Params) figure2Plan() (figurePlan, error) {
-	workloads, err := p.benchList()
-	if err != nil {
-		return figurePlan{}, err
-	}
-	base := campaign.Config{
-		Injections: p.Injections, Seed: p.Seed, Target: fault.TargetL1D,
-		Obs: campaign.ObsPinout, Workers: p.Workers, Fault: p.Fault,
-		EarlyStop: p.EarlyStop, TargetError: p.TargetError, Prune: p.Prune,
-		Lanes: p.Lanes,
-	}
-	ma := base
-	ma.Window = p.Window
-	rtl := ma
-	rtl.AdvanceToUse = true
-	return figurePlan{
-		name:    "fig2-l1d-unsafeness",
-		benches: workloads,
-		series: []seriesSpec{
-			{"GeFIN", ModelMicroarch, ma},
-			{"RTL", ModelRTL, rtl},
-			{"GeFIN-no-timer", ModelMicroarch, base},
-		},
-	}, nil
-}
+func (p Params) Figure1() (*FigureResult, error) { return p.figure("1") }
 
 // Figure2 reproduces Fig. 2: L1 data cache unsafeness at the core pinout.
-func (p Params) Figure2() (*FigureResult, error) {
-	return p.runFigure(p.figure2Plan())
-}
+func (p Params) Figure2() (*FigureResult, error) { return p.figure("2") }
 
-// figure3Plan is Fig. 3's matrix: L1D AVF through the software
-// observation point, run to the end of the program on both levels. The
-// paper could only afford the shorter benchmarks at RTL; the default
-// benchmark list mirrors that subset.
-func (p Params) figure3Plan() (figurePlan, error) {
-	if p.Benches == nil {
-		p.Benches = []string{"caes", "stringsearch", "susan_c", "susan_e", "susan_s"}
+// seriesByLabel indexes a figure's series for the folds.
+func seriesByLabel(fig *FigureResult) map[string]Series {
+	byLabel := make(map[string]Series, len(fig.Series))
+	for _, s := range fig.Series {
+		byLabel[s.Label] = s
 	}
-	workloads, err := p.benchList()
-	if err != nil {
-		return figurePlan{}, err
-	}
-	cfg := campaign.Config{
-		Injections: p.Injections, Seed: p.Seed, Target: fault.TargetL1D,
-		Obs: campaign.ObsSOP, Workers: p.Workers, Fault: p.Fault,
-		EarlyStop: p.EarlyStop, TargetError: p.TargetError, Prune: p.Prune,
-		Lanes: p.Lanes,
-	}
-	return figurePlan{
-		name:    "fig3-l1d-avf-sop",
-		benches: workloads,
-		series: []seriesSpec{
-			{"GeFIN", ModelMicroarch, cfg},
-			{"RTL", ModelRTL, cfg},
-		},
-	}, nil
-}
-
-// Figure3 reproduces Fig. 3: L1D AVF through the software observation
-// point.
-func (p Params) Figure3() (*FigureResult, error) {
-	return p.runFigure(p.figure3Plan())
-}
-
-// ablationLatchesPlan is the RTL-only pipeline-latch injection
-// experiment (E7 in EXPERIMENTS.md): the fault space that has no
-// microarchitectural counterpart.
-func (p Params) ablationLatchesPlan() (figurePlan, error) {
-	workloads, err := p.benchList()
-	if err != nil {
-		return figurePlan{}, err
-	}
-	cfg := campaign.Config{
-		Injections: p.Injections, Seed: p.Seed, Target: fault.TargetLatches,
-		Obs: campaign.ObsPinout, Window: p.Window, Workers: p.Workers, Fault: p.Fault,
-		EarlyStop: p.EarlyStop, TargetError: p.TargetError, Prune: p.Prune,
-		Lanes: p.Lanes,
-	}
-	return figurePlan{
-		name:    "ablation-rtl-latches",
-		benches: workloads,
-		series:  []seriesSpec{{"RTL-latches", ModelRTL, cfg}},
-	}, nil
-}
-
-// AblationLatches runs the RTL-only pipeline-latch injection experiment.
-func (p Params) AblationLatches() (*FigureResult, error) {
-	return p.runFigure(p.ablationLatchesPlan())
-}
-
-// ablationWindowPlan sweeps the observation-window length on the
-// microarchitectural model (E8: the early-stopping accuracy loss the
-// paper's conclusions highlight). Every window length shares the same
-// golden run per benchmark — the sweep runs one, not len(windows).
-func (p Params) ablationWindowPlan(windows []uint64) (figurePlan, error) {
-	workloads, err := p.benchList()
-	if err != nil {
-		return figurePlan{}, err
-	}
-	specs := make([]seriesSpec, 0, len(windows))
-	for _, w := range windows {
-		cfg := campaign.Config{
-			Injections: p.Injections, Seed: p.Seed, Target: fault.TargetL1D,
-			Obs: campaign.ObsPinout, Window: w, Workers: p.Workers, Fault: p.Fault,
-			EarlyStop: p.EarlyStop, TargetError: p.TargetError, Prune: p.Prune,
-			Lanes: p.Lanes,
-		}
-		label := fmt.Sprintf("window-%d", w)
-		if w == 0 {
-			label = "window-to-end"
-		}
-		specs = append(specs, seriesSpec{label, ModelMicroarch, cfg})
-	}
-	return figurePlan{
-		name:    "ablation-window-sweep",
-		benches: workloads,
-		series:  specs,
-	}, nil
-}
-
-// AblationWindow sweeps the observation-window length on the
-// microarchitectural model.
-func (p Params) AblationWindow(windows []uint64) (*FigureResult, error) {
-	return p.runFigure(p.ablationWindowPlan(windows))
-}
-
-// ablationModelsPlan is the fault-model ablation (E9 in
-// EXPERIMENTS.md): the same register-file campaign under all four fault
-// models — transient, burst, stuck-at, intermittent — on both
-// abstraction levels, run to program end with the combined observation
-// point so the class breakdown separates Masked, Mismatch and SDC. All
-// four models on one level share that level's single golden run: the
-// golden run is fault-free, so the model only changes the plan and the
-// replay. The default benchmark subset mirrors Fig. 3's short list (E9
-// replays run to the end on both levels).
-func (p Params) ablationModelsPlan() (figurePlan, error) {
-	if p.Benches == nil {
-		p.Benches = []string{"caes", "stringsearch"}
-	}
-	workloads, err := p.benchList()
-	if err != nil {
-		return figurePlan{}, err
-	}
-	models := []fault.Params{
-		{Model: fault.ModelTransient},
-		{Model: fault.ModelBurst, Burst: p.Fault.Burst},
-		{Model: fault.ModelStuckAt, Stuck: fault.StuckRandom},
-		{Model: fault.ModelIntermittent, Stuck: fault.StuckRandom, Span: p.Fault.Span},
-	}
-	var specs []seriesSpec
-	for _, m := range []Model{ModelMicroarch, ModelRTL} {
-		for _, fm := range models {
-			cfg := campaign.Config{
-				Injections: p.Injections, Seed: p.Seed, Target: fault.TargetRF,
-				Obs: campaign.ObsCombined, Workers: p.Workers, Fault: fm,
-				EarlyStop: p.EarlyStop, TargetError: p.TargetError, Prune: p.Prune,
-				Lanes: p.Lanes,
-			}
-			specs = append(specs, seriesSpec{
-				label: fmt.Sprintf("%v/%v", m, fm.Model),
-				model: m,
-				cfg:   cfg,
-			})
-		}
-	}
-	return figurePlan{
-		name:    "ablation-fault-models",
-		benches: workloads,
-		series:  specs,
-	}, nil
-}
-
-// AblationModels runs the fault-model ablation: all four fault models
-// on both abstraction levels.
-func (p Params) AblationModels() (*FigureResult, error) {
-	return p.runFigure(p.ablationModelsPlan())
+	return byLabel
 }
 
 // EarlyStopRow summarises one benchmark of the adaptive-engine ablation
@@ -569,62 +780,10 @@ type EarlyStopRow struct {
 	Drift           float64 // |unsafeness(adaptive) - unsafeness(fixed)|
 }
 
-// EarlyStopResult is the E10 deliverable: the two-series figure plus the
-// per-benchmark savings table.
-type EarlyStopResult struct {
-	Fig  *FigureResult
-	Rows []EarlyStopRow
-}
-
-// earlyStopDefaultMargin is the sequential-stopping margin the E10
-// ablation uses when Params.TargetError is unset: loose enough to
-// trigger at laptop-scale sample sizes, and exactly the margin the
-// drift column is judged against.
-const earlyStopDefaultMargin = 0.05
-
-// ablationEarlyStopPlan is the adaptive-engine ablation (E10): the same
-// run-to-end register-file campaign executed by the fixed-plan engine
-// and by the adaptive engine (convergence exit + sequential stopping at
-// 95% confidence). Run-to-end replays are where the paper-scale cost
-// lives — the fig. 1 "no timer" series — so they are where the
-// convergence exit pays. Both series share one golden run.
-func (p Params) ablationEarlyStopPlan() (figurePlan, error) {
-	if p.Benches == nil {
-		p.Benches = []string{"caes", "stringsearch"}
-	}
-	workloads, err := p.benchList()
-	if err != nil {
-		return figurePlan{}, err
-	}
-	fixed := campaign.Config{
-		Injections: p.Injections, Seed: p.Seed, Target: fault.TargetRF,
-		Obs: campaign.ObsPinout, Workers: p.Workers, Fault: p.Fault,
-		Confidence: 0.95, Lanes: p.Lanes,
-	}
-	adaptive := fixed
-	adaptive.EarlyStop = true
-	adaptive.TargetError = p.TargetError
-	if adaptive.TargetError == 0 {
-		adaptive.TargetError = earlyStopDefaultMargin
-	}
-	return figurePlan{
-		name:    "ablation-early-stop",
-		benches: workloads,
-		series: []seriesSpec{
-			{"fixed-plan", ModelMicroarch, fixed},
-			{"adaptive", ModelMicroarch, adaptive},
-		},
-	}, nil
-}
-
-// AblationEarlyStop runs the adaptive-engine ablation and folds the two
-// series into the per-benchmark savings table.
-func (p Params) AblationEarlyStop() (*EarlyStopResult, error) {
-	fig, err := p.runFigure(p.ablationEarlyStopPlan())
-	if err != nil {
-		return nil, err
-	}
-	res := &EarlyStopResult{Fig: fig}
+// foldEarlyStop folds E10's two series into the per-benchmark savings
+// table.
+func foldEarlyStop(_ Params, fig *FigureResult) (any, error) {
+	var rows []EarlyStopRow
 	fixed, adaptive := fig.Series[0], fig.Series[1]
 	for _, b := range fig.Benches {
 		fr, ar := fixed.Results[b], adaptive.Results[b]
@@ -641,9 +800,9 @@ func (p Params) AblationEarlyStop() (*EarlyStopResult, error) {
 		if fr.CyclesSimulated > 0 {
 			row.SavedFrac = 1 - float64(ar.CyclesSimulated)/float64(fr.CyclesSimulated)
 		}
-		res.Rows = append(res.Rows, row)
+		rows = append(rows, row)
 	}
-	return res, nil
+	return rows, nil
 }
 
 // PruningRow summarises one (level, benchmark) cell of the golden-trace
@@ -672,74 +831,18 @@ type PruningRow struct {
 	DriftClasses float64
 }
 
-// PruningResult is the E11 deliverable: the figure plus the savings table.
-type PruningResult struct {
-	Fig  *FigureResult
-	Rows []PruningRow
-}
-
-// ablationPruningPlan is the golden-trace pruning ablation (E11): the
-// same windowed L1D campaign — the paper's primary pinout flow —
-// executed by the full engine, with exact dead-interval pruning, and
-// with MeRLiN-style class pruning, on both abstraction levels. The
-// windowed flow is where pruning pays most: a fault whose first
-// consumption lies beyond the observation window is provably Masked no
-// matter what happens later, so the timeout that the paper introduced
-// to cap replay cost ALSO caps the set of faults worth replaying at
-// all. All three engines on one level share that level's single golden
-// run.
-func (p Params) ablationPruningPlan() (figurePlan, error) {
-	if p.Benches == nil {
-		p.Benches = []string{"caes", "stringsearch"}
-	}
-	workloads, err := p.benchList()
-	if err != nil {
-		return figurePlan{}, err
-	}
-	base := campaign.Config{
-		Injections: p.Injections, Seed: p.Seed, Target: fault.TargetL1D,
-		Obs: campaign.ObsPinout, Window: p.Window, Workers: p.Workers, Fault: p.Fault,
-		EarlyStop: p.EarlyStop, TargetError: p.TargetError,
-		Lanes: p.Lanes,
-	}
-	var specs []seriesSpec
-	for _, m := range []Model{ModelMicroarch, ModelRTL} {
-		for _, mode := range []campaign.PruneMode{campaign.PruneOff, campaign.PruneDead, campaign.PruneClasses} {
-			cfg := base
-			cfg.Prune = mode
-			specs = append(specs, seriesSpec{
-				label: fmt.Sprintf("%v/prune-%v", m, mode),
-				model: m,
-				cfg:   cfg,
-			})
-		}
-	}
-	return figurePlan{
-		name:    "ablation-pruning",
-		benches: workloads,
-		series:  specs,
-	}, nil
-}
-
-// AblationPruning runs the pruning ablation and folds the six series
-// into the per-(level, benchmark) savings table.
-func (p Params) AblationPruning() (*PruningResult, error) {
-	fig, err := p.runFigure(p.ablationPruningPlan())
-	if err != nil {
-		return nil, err
-	}
-	res := &PruningResult{Fig: fig}
-	byLabel := make(map[string]Series, len(fig.Series))
-	for _, s := range fig.Series {
-		byLabel[s.Label] = s
-	}
-	for _, m := range []Model{ModelMicroarch, ModelRTL} {
+// foldPruning folds E11's six series into the per-(level, benchmark)
+// savings table.
+func foldPruning(_ Params, fig *FigureResult) (any, error) {
+	var rows []PruningRow
+	byLabel := seriesByLabel(fig)
+	for _, m := range levels {
 		full := byLabel[fmt.Sprintf("%v/prune-off", m)]
 		dead := byLabel[fmt.Sprintf("%v/prune-dead", m)]
 		classes := byLabel[fmt.Sprintf("%v/prune-classes", m)]
 		for _, b := range fig.Benches {
 			fr, dr, cr := full.Results[b], dead.Results[b], classes.Results[b]
-			res.Rows = append(res.Rows, PruningRow{
+			rows = append(rows, PruningRow{
 				Bench:          b,
 				Level:          m.String(),
 				FullMCycles:    float64(fr.CyclesSimulated) / 1e6,
@@ -756,7 +859,7 @@ func (p Params) AblationPruning() (*PruningResult, error) {
 			})
 		}
 	}
-	return res, nil
+	return rows, nil
 }
 
 // AVFRow summarises one (level, target, benchmark) cell of the
@@ -790,67 +893,12 @@ type AVFRow struct {
 	Bounded bool    // FIUnsafe.P <= Predicted.P: the ACE upper bound held
 }
 
-// AVFResult is the E12 deliverable: the figure plus the AVF-vs-FI table.
-type AVFResult struct {
-	Fig  *FigureResult
-	Rows []AVFRow
-}
-
-// avfTargets are the structures the golden lifetime trace covers on
-// both abstraction levels (pipeline latches are not lifetime-traced).
-var avfTargets = []fault.Target{fault.TargetRF, fault.TargetL1D}
-
-// avfPlan is the injection-free estimation experiment (E12): the same
-// windowed pinout campaign per (level, target) with Config.AVF on, so
-// the estimate is attached to the very campaign whose measured
-// unsafeness cross-checks it — the FI arm doubles as ground truth and
-// the estimator costs zero extra replays.
-func (p Params) avfPlan() (figurePlan, error) {
-	if p.Benches == nil {
-		p.Benches = []string{"caes", "stringsearch"}
-	}
-	workloads, err := p.benchList()
-	if err != nil {
-		return figurePlan{}, err
-	}
-	base := campaign.Config{
-		Injections: p.Injections, Seed: p.Seed,
-		Obs: campaign.ObsPinout, Window: p.Window, Workers: p.Workers, Fault: p.Fault,
-		EarlyStop: p.EarlyStop, TargetError: p.TargetError,
-		Lanes: p.Lanes, AVF: true,
-	}
-	var specs []seriesSpec
-	for _, m := range []Model{ModelMicroarch, ModelRTL} {
-		for _, tg := range avfTargets {
-			cfg := base
-			cfg.Target = tg
-			specs = append(specs, seriesSpec{
-				label: fmt.Sprintf("%v/avf-%v", m, tg),
-				model: m,
-				cfg:   cfg,
-			})
-		}
-	}
-	return figurePlan{
-		name:    "avf",
-		benches: workloads,
-		series:  specs,
-	}, nil
-}
-
-// ExperimentAVF runs E12 and folds the series into the per-(level,
-// target, benchmark) AVF-vs-FI table.
-func (p Params) ExperimentAVF() (*AVFResult, error) {
-	fig, err := p.runFigure(p.avfPlan())
-	if err != nil {
-		return nil, err
-	}
-	res := &AVFResult{Fig: fig}
-	byLabel := make(map[string]Series, len(fig.Series))
-	for _, s := range fig.Series {
-		byLabel[s.Label] = s
-	}
-	for _, m := range []Model{ModelMicroarch, ModelRTL} {
+// foldAVF folds E12's series into the per-(level, target, benchmark)
+// AVF-vs-FI table.
+func foldAVF(_ Params, fig *FigureResult) (any, error) {
+	var rows []AVFRow
+	byLabel := seriesByLabel(fig)
+	for _, m := range levels {
 		for _, tg := range avfTargets {
 			s := byLabel[fmt.Sprintf("%v/avf-%v", m, tg)]
 			for _, b := range fig.Benches {
@@ -878,11 +926,11 @@ func (p Params) ExperimentAVF() (*AVFResult, error) {
 				}
 				row.Within = row.AVFWeighted >= pred.Lo && row.AVFWeighted <= pred.Hi
 				row.Bounded = r.Unsafeness.P <= pred.P
-				res.Rows = append(res.Rows, row)
+				rows = append(rows, row)
 			}
 		}
 	}
-	return res, nil
+	return rows, nil
 }
 
 // ProtectionRow summarises one (level, fault model, structure, scheme)
@@ -934,114 +982,19 @@ type ProtectionRow struct {
 	SDCROI    float64 // (BaseSDCFrac - SDCFrac) per kilobit of overhead
 }
 
-// ProtectionResult is the E13 deliverable: the raw figure (one series
-// per matrix cell) plus the folded ROI table.
-type ProtectionResult struct {
-	Fig  *FigureResult
-	Rows []ProtectionRow
-}
-
-// protectionTargets lists the structures E13 protects per level: the
-// register file and L1D data array on both levels, pipeline latches on
-// RTL only (the microarchitectural model keeps no latch state).
-func protectionTargets(m Model) []fault.Target {
-	if m == ModelRTL {
-		return []fault.Target{fault.TargetRF, fault.TargetL1D, fault.TargetLatches}
-	}
-	return []fault.Target{fault.TargetRF, fault.TargetL1D}
-}
-
-// protectionSchemes are E13's arms in report order; index 0 is the
-// unprotected baseline every ROI is measured against.
-var protectionSchemes = []protect.Scheme{
-	protect.SchemeNone, protect.SchemeParity, protect.SchemeSECDED, protect.SchemeDup,
-}
-
-// protectionModels are E13's four fault models. The persistent models
-// pin the forced value to 0 instead of sampling it per injection: an
-// asserted-0 checker path is exactly the parity blind spot the
-// experiment exists to demonstrate, and a sampled value would halve the
-// signal.
-func (p Params) protectionModels() []fault.Params {
-	return []fault.Params{
-		{Model: fault.ModelTransient},
-		{Model: fault.ModelBurst, Burst: p.Fault.Burst},
-		{Model: fault.ModelStuckAt, Stuck: 0},
-		{Model: fault.ModelIntermittent, Stuck: 0, Span: p.Fault.Span},
-	}
-}
-
-func protectionLabel(m Model, fm fault.Model, tgt fault.Target, sc protect.Scheme) string {
-	return fmt.Sprintf("%v/%v/%s/%v", m, fm, protect.TargetKey(tgt), sc)
-}
-
-// protectionPlan is the protection-ROI experiment (E13): the same
-// campaign per (level, fault model, structure) — run to program end
-// with the combined observation point, like the fault-model ablation,
-// so the class split separates Masked, Mismatch, SDC and DUE — once
-// unprotected and once per scheme. All arms of one (level, benchmark)
-// share that level's single golden run: protection extends only the
-// fault plan and the classification, never the golden simulation. The
-// default benchmark subset is one workload; the matrix is already
-// 2 levels x 4 fault models x 2-3 structures x 4 arms per benchmark.
-func (p Params) protectionPlan() (figurePlan, error) {
-	if p.Benches == nil {
-		p.Benches = []string{"qsort"}
-	}
-	workloads, err := p.benchList()
-	if err != nil {
-		return figurePlan{}, err
-	}
-	var specs []seriesSpec
-	for _, m := range []Model{ModelMicroarch, ModelRTL} {
-		for _, fm := range p.protectionModels() {
-			for _, tgt := range protectionTargets(m) {
-				for _, sc := range protectionSchemes {
-					cfg := campaign.Config{
-						Injections: p.Injections, Seed: p.Seed, Target: tgt,
-						Obs: campaign.ObsCombined, Workers: p.Workers, Fault: fm,
-						EarlyStop: p.EarlyStop, TargetError: p.TargetError,
-						Lanes: p.Lanes,
-					}
-					if sc != protect.SchemeNone {
-						cfg.Protect = protect.TargetKey(tgt) + "=" + sc.String()
-					}
-					specs = append(specs, seriesSpec{
-						label: protectionLabel(m, fm.Model, tgt, sc),
-						model: m,
-						cfg:   cfg,
-					})
-				}
-			}
-		}
-	}
-	return figurePlan{
-		name:    "protection",
-		benches: workloads,
-		series:  specs,
-	}, nil
-}
-
-// ExperimentProtection runs E13 and folds every protected arm against
-// its unprotected baseline into the ROI table.
-func (p Params) ExperimentProtection() (*ProtectionResult, error) {
-	fig, err := p.runFigure(p.protectionPlan())
-	if err != nil {
-		return nil, err
-	}
-	res := &ProtectionResult{Fig: fig}
-	byLabel := make(map[string]Series, len(fig.Series))
-	for _, s := range fig.Series {
-		byLabel[s.Label] = s
-	}
+// foldProtection folds every protected arm of E13 against its
+// unprotected baseline into the ROI table.
+func foldProtection(p Params, fig *FigureResult) (any, error) {
+	var rows []ProtectionRow
+	byLabel := seriesByLabel(fig)
 	frac := func(hits, n int) float64 {
 		if n == 0 {
 			return 0
 		}
 		return float64(hits) / float64(n)
 	}
-	for _, m := range []Model{ModelMicroarch, ModelRTL} {
-		for _, fm := range p.protectionModels() {
+	for _, m := range levels {
+		for _, fm := range sweptFaultModels(p.Fault, 0) {
 			for _, tgt := range protectionTargets(m) {
 				for _, b := range fig.Benches {
 					base := byLabel[protectionLabel(m, fm.Model, tgt, protect.SchemeNone)].Results[b]
@@ -1086,14 +1039,19 @@ func (p Params) ExperimentProtection() (*ProtectionResult, error) {
 						}
 						row.UnsafeROI = (row.BaseUnsafe.P - row.Unsafe.P) / kbits
 						row.SDCROI = (row.BaseSDCFrac - row.SDCFrac) / kbits
-						res.Rows = append(res.Rows, row)
+						rows = append(rows, row)
 					}
 				}
 			}
 		}
 	}
-	return res, nil
+	return rows, nil
 }
+
+// PaperTables are the `paper -table` values: TABLE I (E1), TABLE II
+// (E2) and the §IV sample-size formulation (E6) — the artifacts that are
+// not campaign matrices and so have no registry entry.
+var PaperTables = []string{"1", "2", "sample"}
 
 // ThroughputRow is one row of the paper's TABLE II.
 type ThroughputRow struct {
@@ -1105,21 +1063,22 @@ type ThroughputRow struct {
 	MAMCycles    float64
 }
 
-// table2Rows folds measured golden-run costs into TABLE II rows.
-func table2Rows(workloads []*bench.Workload, measured map[string]campaign.GoldenInfo,
-	measure func(m Model, w *bench.Workload) (campaign.GoldenInfo, error),
-	setup Setup) ([]ThroughputRow, float64, error) {
-
+// table2 folds golden-run costs into TABLE II rows and their average
+// ratio: a (model, benchmark) the sweep behind measured already ran is
+// reused, anything else is measured now.
+func (p Params) table2(measured map[string]campaign.GoldenInfo) ([]ThroughputRow, float64, error) {
+	workloads, err := p.benchList()
+	if err != nil {
+		return nil, 0, err
+	}
 	rows := make([]ThroughputRow, 0, len(workloads))
 	var ratioSum float64
 	for _, w := range workloads {
 		row := ThroughputRow{Bench: w.Name}
-		for _, m := range []Model{ModelMicroarch, ModelRTL} {
-			info, ok := measured[sweepGroup(m, w.Name, setup)]
+		for _, m := range levels {
+			info, ok := measured[sweepGroup(m, w.Name, p.Setup)]
 			if !ok {
-				var err error
-				info, err = measure(m, w)
-				if err != nil {
+				if info, err = p.measureGolden(m, w); err != nil {
 					return nil, 0, fmt.Errorf("table2 %s on %v: %w", w.Name, m, err)
 				}
 			}
@@ -1172,21 +1131,12 @@ func (p Params) measureGolden(m Model, w *bench.Workload) (campaign.GoldenInfo, 
 // flow additionally records its L1D access timeline (§IV.B), exactly as
 // in a campaign. In RunAll the goldens also run concurrently on the
 // pool, so expect some contention noise on loaded machines.
-func (p Params) Table2() ([]ThroughputRow, float64, error) {
-	workloads, err := p.benchList()
-	if err != nil {
-		return nil, 0, err
-	}
-	return table2Rows(workloads, nil, p.measureGolden, p.Setup)
-}
+func (p Params) Table2() ([]ThroughputRow, float64, error) { return p.table2(nil) }
 
 // AllResults holds every table and figure of one full regeneration.
 type AllResults struct {
-	Fig1            *FigureResult
-	Fig2            *FigureResult
-	Fig3            *FigureResult
-	AblationWindow  *FigureResult
-	AblationLatches *FigureResult
+	// Figures holds one result per InAll experiment, in registry order.
+	Figures []*ExperimentResult
 
 	Table2Rows     []ThroughputRow
 	Table2AvgRatio float64
@@ -1199,58 +1149,29 @@ type AllResults struct {
 	Elapsed    time.Duration
 }
 
-// RunAll regenerates every figure and TABLE II as ONE sweep: all five
-// campaign matrices are planned up front, goldens are shared across
+// RunAll regenerates every InAll experiment and TABLE II as ONE sweep:
+// all campaign matrices are planned up front, goldens are shared across
 // figures (at most one golden run per (model, benchmark)), every replay
 // goes through one global worker pool, and TABLE II reuses the measured
-// golden elapsed times instead of re-simulating. windows selects the
-// ablation sweep's window lengths.
-func (p Params) RunAll(windows []uint64) (*AllResults, error) {
-	plans := make([]figurePlan, 0, 5)
-	for _, mk := range []func() (figurePlan, error){
-		p.figure1Plan, p.figure2Plan, p.figure3Plan,
-		func() (figurePlan, error) { return p.ablationWindowPlan(windows) },
-		p.ablationLatchesPlan,
-	} {
-		plan, err := mk()
-		if err != nil {
-			return nil, err
-		}
-		plans = append(plans, plan)
-	}
-
-	b := newSweepBuilder(p.Setup)
-	for _, plan := range plans {
-		if err := b.add(plan); err != nil {
-			return nil, err
+// golden elapsed times instead of re-simulating.
+func (p Params) RunAll() (*AllResults, error) {
+	var exps []*Experiment
+	for i := range experiments {
+		if experiments[i].InAll {
+			exps = append(exps, &experiments[i])
 		}
 	}
-	sr, err := p.sweep(b.items)
+	figs, sr, err := p.runExperiments(exps)
 	if err != nil {
 		return nil, err
 	}
-
 	all := &AllResults{
+		Figures:    figs,
 		GoldenRuns: sr.GoldenRuns,
 		Resumed:    sr.Resumed,
 		Elapsed:    sr.Elapsed,
 	}
-	figs := []**FigureResult{
-		&all.Fig1, &all.Fig2, &all.Fig3, &all.AblationWindow, &all.AblationLatches,
-	}
-	for i, plan := range plans {
-		fig, err := assembleFigure(plan, sr, p.Setup)
-		if err != nil {
-			return nil, err
-		}
-		*figs[i] = fig
-	}
-
-	workloads, err := p.benchList()
-	if err != nil {
-		return nil, err
-	}
-	all.Table2Rows, all.Table2AvgRatio, err = table2Rows(workloads, sr.Goldens, p.measureGolden, p.Setup)
+	all.Table2Rows, all.Table2AvgRatio, err = p.table2(sr.Goldens)
 	if err != nil {
 		return nil, err
 	}

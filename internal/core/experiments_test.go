@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/campaign"
@@ -18,11 +21,11 @@ func TestAblationModelsDeterministic(t *testing.T) {
 	p.Benches = []string{"caes"}
 	run := func() *FigureResult {
 		t.Helper()
-		fig, err := p.AblationModels()
+		res, err := p.Run("ablation-models")
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fig
+		return res.Fig
 	}
 	a := run()
 	if len(a.Series) != 8 {
@@ -73,49 +76,121 @@ func TestAblationModelsDeterministic(t *testing.T) {
 	}
 }
 
-// TestFigurePlansCarryFaultModel: the -fault-model flag must reach every
-// figure's campaign configs.
-func TestFigurePlansCarryFaultModel(t *testing.T) {
+// paramsKnobs are the Params fields baseConfig forwards, by name, each
+// with a non-default value to set and the Config field it must arrive
+// in.
+var paramsKnobs = map[string]struct {
+	set  func(*Params)
+	got  func(campaign.Config) any
+	want any
+}{
+	"Fault": {func(p *Params) { p.Fault = fault.Params{Model: fault.ModelBurst, Burst: 4} },
+		func(c campaign.Config) any { return c.Fault }, fault.Params{Model: fault.ModelBurst, Burst: 4}},
+	"Prune": {func(p *Params) { p.Prune = campaign.PruneDead },
+		func(c campaign.Config) any { return c.Prune }, campaign.PruneDead},
+	"EarlyStop": {func(p *Params) { p.EarlyStop = true },
+		func(c campaign.Config) any { return c.EarlyStop }, true},
+	"TargetError": {func(p *Params) { p.TargetError = 0.125 },
+		func(c campaign.Config) any { return c.TargetError }, 0.125},
+	"Lanes": {func(p *Params) { p.Lanes = 7 },
+		func(c campaign.Config) any { return c.Lanes }, 7},
+}
+
+// checkKnobCarried asserts one Params knob against every series of
+// every registered experiment: it arrives untouched unless the
+// descriptor declares it owns the field, and a descriptor that owns it
+// really does decide it itself in at least one series.
+func checkKnobCarried(t *testing.T, field string) {
+	t.Helper()
+	k, ok := paramsKnobs[field]
+	if !ok {
+		t.Fatalf("no knob %q", field)
+	}
 	p := DefaultParams()
-	p.Fault = fault.Params{Model: fault.ModelBurst, Burst: 4}
-	for name, mk := range map[string]func() (figurePlan, error){
-		"fig1":    p.figure1Plan,
-		"fig2":    p.figure2Plan,
-		"fig3":    p.figure3Plan,
-		"latches": p.ablationLatchesPlan,
-	} {
-		plan, err := mk()
-		if err != nil {
-			t.Fatal(err)
+	k.set(&p)
+	for _, e := range Experiments() {
+		owned, overridden := slices.Contains(e.Owns, field), false
+		for _, s := range e.series(p, p.baseConfig()) {
+			carried := k.got(s.cfg) == k.want
+			if !carried && !owned {
+				t.Errorf("E%d %s/%s: %s = %v not carried (got %v) and not declared in Owns",
+					e.ID, e.Name, s.label, field, k.want, k.got(s.cfg))
+			}
+			overridden = overridden || !carried
 		}
-		for _, s := range plan.series {
-			if s.cfg.Fault != p.Fault {
-				t.Errorf("%s/%s: fault params %+v not carried", name, s.label, s.cfg.Fault)
+		if owned && !overridden {
+			t.Errorf("E%d %s: declares it owns %s but every series carries the global value", e.ID, e.Name, field)
+		}
+	}
+}
+
+// TestFigurePlansCarryFaultModel: the -fault-model flag must reach every
+// series of every experiment that does not sweep the fault model itself.
+func TestFigurePlansCarryFaultModel(t *testing.T) { checkKnobCarried(t, "Fault") }
+
+// TestFigurePlansCarryPrune: the -prune flag must reach every series of
+// every experiment that does not declare it owns pruning.
+func TestFigurePlansCarryPrune(t *testing.T) { checkKnobCarried(t, "Prune") }
+
+// TestFigurePlansCarryEngineKnobs: likewise -early-stop, -target-error
+// and -lanes; and -window reaches every windowed series (a series may
+// instead run to the end) unless the experiment sweeps the window.
+func TestFigurePlansCarryEngineKnobs(t *testing.T) {
+	for _, field := range []string{"EarlyStop", "TargetError", "Lanes"} {
+		checkKnobCarried(t, field)
+	}
+	p := DefaultParams()
+	p.Window = 777
+	for _, e := range Experiments() {
+		if slices.Contains(e.Owns, "Window") {
+			continue
+		}
+		for _, s := range e.series(p, p.baseConfig()) {
+			if s.cfg.Window != 0 && s.cfg.Window != p.Window {
+				t.Errorf("E%d %s/%s: window %d is neither run-to-end nor the global %d",
+					e.ID, e.Name, s.label, s.cfg.Window, p.Window)
 			}
 		}
 	}
 }
 
-// TestFigurePlansCarryPrune: the -prune flag must reach every figure's
-// campaign configs (E11 sweeps the modes itself and is excluded).
-func TestFigurePlansCarryPrune(t *testing.T) {
-	p := DefaultParams()
-	p.Prune = campaign.PruneDead
-	for name, mk := range map[string]func() (figurePlan, error){
-		"fig1":    p.figure1Plan,
-		"fig2":    p.figure2Plan,
-		"fig3":    p.figure3Plan,
-		"latches": p.ablationLatchesPlan,
-	} {
-		plan, err := mk()
-		if err != nil {
-			t.Fatal(err)
+// TestRegistryShape: names, figure names and E-numbers are unique, every
+// Owns entry names a forwarded Params field, and `paper -all` is exactly
+// the paper's three figures plus the two ablations that share their
+// goldens.
+func TestRegistryShape(t *testing.T) {
+	known := map[string]bool{"Window": true}
+	for field := range paramsKnobs {
+		known[field] = true
+	}
+	seen := map[string]bool{}
+	var inAll []int
+	for _, e := range Experiments() {
+		for _, key := range []string{"name " + e.Name, "figure " + e.Figure, fmt.Sprint("E", e.ID)} {
+			if seen[key] {
+				t.Errorf("duplicate %s in the registry", key)
+			}
+			seen[key] = true
 		}
-		for _, s := range plan.series {
-			if s.cfg.Prune != p.Prune {
-				t.Errorf("%s/%s: prune mode %v not carried", name, s.label, s.cfg.Prune)
+		for _, f := range e.Owns {
+			if !known[f] {
+				t.Errorf("E%d %s: Owns names %q, not a Params field baseConfig forwards", e.ID, e.Name, f)
 			}
 		}
+		if e.InAll {
+			inAll = append(inAll, e.ID)
+		}
+		if got, err := LookupExperiment(e.Name); err != nil || got.Figure != e.Figure {
+			t.Errorf("LookupExperiment(%q) = %v, %v", e.Name, got, err)
+		}
+	}
+	slices.Sort(inAll)
+	if want := []int{3, 4, 5, 7, 8}; !slices.Equal(inAll, want) {
+		t.Errorf("InAll experiments = E%v, want E%v", inAll, want)
+	}
+	_, err := LookupExperiment("nope")
+	if err == nil || !strings.Contains(err.Error(), `unknown figure "nope" (have: 1, 2, 3, ablation-window,`) {
+		t.Errorf("unknown name error = %v", err)
 	}
 }
 
@@ -130,21 +205,22 @@ func TestExperimentAVF(t *testing.T) {
 	p.Injections = 60
 	p.Seed = 5
 	p.Benches = []string{"caes"}
-	res, err := p.ExperimentAVF()
+	res, err := p.Run("avf")
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := res.Rows.([]AVFRow)
 	if len(res.Fig.Series) != 4 {
 		t.Fatalf("series = %d, want 2 targets x 2 levels", len(res.Fig.Series))
 	}
 	if res.Fig.GoldenRuns != 2 {
 		t.Errorf("E12 ran %d golden runs, want one per level", res.Fig.GoldenRuns)
 	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("rows = %d, want one per (level, target, benchmark)", len(res.Rows))
+	if len(rows) != 4 {
+		t.Fatalf("rows = %d, want one per (level, target, benchmark)", len(rows))
 	}
 	levels := map[string]bool{}
-	for _, r := range res.Rows {
+	for _, r := range rows {
 		levels[r.Level] = true
 		if r.AVF <= 0 || r.AVF >= 1 || r.AVFWeighted <= 0 || r.AVFWeighted >= 1 {
 			t.Errorf("%s/%s/%s: degenerate AVF estimate (%.3f, weighted %.3f)",
@@ -173,7 +249,7 @@ func TestExperimentAVF(t *testing.T) {
 	// one on the register file — the cross-level observable E12 exists
 	// to surface. Pin the ordering, not the magnitude.
 	gap := map[string]float64{}
-	for _, r := range res.Rows {
+	for _, r := range rows {
 		if r.Target == fault.TargetRF.String() {
 			gap[r.Level] = r.Gap
 		}
@@ -200,19 +276,20 @@ func TestExperimentProtection(t *testing.T) {
 	p.Injections = 16
 	p.Seed = 5
 	p.Benches = []string{"qsort"}
-	res, err := p.ExperimentProtection()
+	res, err := p.Run("protection")
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := res.Rows.([]ProtectionRow)
 	if res.Fig.GoldenRuns != 2 {
 		t.Errorf("E13 ran %d golden runs, want one per level", res.Fig.GoldenRuns)
 	}
 	// 4 fault models x (2 microarch + 3 rtl targets) x 3 schemes.
-	if want := 4 * (2 + 3) * 3; len(res.Rows) != want {
-		t.Fatalf("rows = %d, want %d", len(res.Rows), want)
+	if want := 4 * (2 + 3) * 3; len(rows) != want {
+		t.Fatalf("rows = %d, want %d", len(rows), want)
 	}
 	persistent := map[string]bool{"stuck-at": true, "intermittent": true}
-	for _, r := range res.Rows {
+	for _, r := range rows {
 		if r.OverheadBits <= 0 || r.DataBits <= 0 {
 			t.Errorf("%s/%s/%s/%s: missing bit accounting (%d data, %d overhead)",
 				r.Level, r.Model, r.Target, r.Scheme, r.DataBits, r.OverheadBits)
@@ -246,20 +323,21 @@ func TestAblationPruning(t *testing.T) {
 	p.Injections = 24
 	p.Seed = 5
 	p.Benches = []string{"caes"}
-	res, err := p.AblationPruning()
+	res, err := p.Run("pruning")
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := res.Rows.([]PruningRow)
 	if len(res.Fig.Series) != 6 {
 		t.Fatalf("series = %d, want 3 prune modes x 2 levels", len(res.Fig.Series))
 	}
 	if res.Fig.GoldenRuns != 2 {
 		t.Errorf("E11 ran %d golden runs, want one per level", res.Fig.GoldenRuns)
 	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d, want one per (level, benchmark)", len(res.Rows))
+	if len(rows) != 2 {
+		t.Fatalf("rows = %d, want one per (level, benchmark)", len(rows))
 	}
-	for _, r := range res.Rows {
+	for _, r := range rows {
 		if r.DriftDead != 0 {
 			t.Errorf("%s/%s: dead pruning drifted %.4f (must be exact)", r.Level, r.Bench, r.DriftDead)
 		}

@@ -1,10 +1,8 @@
 package distrib
 
 import (
-	"bytes"
-	"encoding/json"
+	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -165,71 +163,13 @@ func (c *Client) SweepRunner() core.SweepRunner {
 	}
 }
 
-// do issues one API call with bounded retry: transient failures
-// (transport errors, 5xx) back off exponentially with jitter, anything
-// else surfaces immediately. See retry.go for why retrying these POSTs
-// is safe.
+// do issues one API call through the shared retrying transport (see
+// retry.go for why retrying these POSTs is safe).
 func (c *Client) do(method, path string, in, out any) error {
-	attempts := c.Attempts
-	if attempts <= 0 {
-		attempts = retryAttempts
+	api := jsonAPI{http: c.httpClient(), base: c.Base, attempts: c.Attempts}
+	if api.attempts <= 0 {
+		api.attempts = retryAttempts
 	}
-	var (
-		code int
-		err  error
-	)
-	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			time.Sleep(backoffDelay(a - 1))
-		}
-		code, err = c.doOnce(method, path, in, out)
-		if !retryable(code, err) {
-			return err
-		}
-	}
+	_, err := api.call(context.Background(), method, path, in, out)
 	return err
-}
-
-// doOnce issues one API call, decoding the JSON response into out (when
-// non-nil) and turning non-2xx responses into errors carrying the
-// server's error envelope. The status code is returned (0 on transport
-// failure) so do can decide retryability.
-func (c *Client) doOnce(method, path string, in, out any) (int, error) {
-	var body io.Reader
-	if in != nil {
-		b, err := json.Marshal(in)
-		if err != nil {
-			return 0, err
-		}
-		body = bytes.NewReader(b)
-	}
-	req, err := http.NewRequest(method, c.Base+path, body)
-	if err != nil {
-		return 0, err
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		var eb errorBody
-		_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&eb)
-		if eb.Error == "" {
-			eb.Error = resp.Status
-		}
-		return resp.StatusCode, apiError(method+" "+path, resp.StatusCode, eb.Error)
-	}
-	if out != nil && resp.StatusCode != http.StatusNoContent {
-		if err := json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(out); err != nil {
-			return resp.StatusCode, fmt.Errorf("distrib: decode %s response: %w", path, err)
-		}
-	}
-	return resp.StatusCode, nil
 }

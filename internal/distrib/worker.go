@@ -1,12 +1,9 @@
 package distrib
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"runtime"
@@ -78,7 +75,7 @@ type WorkerOptions struct {
 // classifications back while heartbeating the lease.
 type Worker struct {
 	opt  WorkerOptions
-	http *http.Client
+	api  jsonAPI
 	logf func(string, ...any)
 
 	goldens map[goldenKey]*goldenEntry
@@ -107,7 +104,11 @@ func NewWorker(opt WorkerOptions) *Worker {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	return &Worker{opt: opt, http: hc, logf: logf, goldens: make(map[goldenKey]*goldenEntry)}
+	api := jsonAPI{
+		http: hc, base: opt.Coordinator, attempts: retryAttempts,
+		reqLog: opt.ReqLog, retries: obsWorkerHTTPRetries,
+	}
+	return &Worker{opt: opt, api: api, logf: logf, goldens: make(map[goldenKey]*goldenEntry)}
 }
 
 // Run pulls and executes leases until ctx is cancelled. Transient
@@ -368,72 +369,9 @@ func (w *Worker) postOutcomes(ctx context.Context, batch OutcomeBatch) error {
 	return err
 }
 
-// postJSON posts a JSON body with bounded retry: transient failures
-// (transport errors, 5xx) back off exponentially with jitter — a
-// coordinator restart mid-shard costs a pause, not the lease cycle —
-// while semantic responses (410 Gone above all) surface immediately
-// with their status code. Cancellation wins over the backoff.
+// postJSON posts to the coordinator through the shared retrying
+// transport, returning the status code for the callers above that map
+// 204 and 410 onto behavior.
 func (w *Worker) postJSON(ctx context.Context, path string, in, out any) (int, error) {
-	var (
-		code int
-		err  error
-	)
-	for a := 0; a < retryAttempts; a++ {
-		if a > 0 {
-			obsWorkerHTTPRetries.Inc()
-			if sleepCtx(ctx, backoffDelay(a-1)) != nil {
-				return code, err
-			}
-		}
-		code, err = w.postJSONOnce(ctx, path, in, out)
-		if !retryable(code, err) || ctx.Err() != nil {
-			return code, err
-		}
-	}
-	return code, err
-}
-
-// postJSONOnce posts a JSON body and decodes a JSON response (when out
-// is non-nil and the response has one). Non-2xx responses become errors
-// carrying the server's error envelope; the status code is returned for
-// callers that treat specific codes specially.
-func (w *Worker) postJSONOnce(ctx context.Context, path string, in, out any) (int, error) {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return 0, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.opt.Coordinator+path, bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	start := time.Now()
-	resp, err := w.http.Do(req)
-	if err != nil {
-		if w.opt.ReqLog != nil {
-			w.opt.ReqLog(http.MethodPost, path, 0, time.Since(start))
-		}
-		return 0, err
-	}
-	if w.opt.ReqLog != nil {
-		w.opt.ReqLog(http.MethodPost, path, resp.StatusCode, time.Since(start))
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		var eb errorBody
-		_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&eb)
-		if eb.Error == "" {
-			eb.Error = resp.Status
-		}
-		return resp.StatusCode, apiError("POST "+path, resp.StatusCode, eb.Error)
-	}
-	if out != nil && resp.StatusCode != http.StatusNoContent {
-		if err := json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(out); err != nil {
-			return resp.StatusCode, fmt.Errorf("distrib: decode %s response: %w", path, err)
-		}
-	}
-	return resp.StatusCode, nil
+	return w.api.call(ctx, http.MethodPost, path, in, out)
 }

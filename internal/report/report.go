@@ -1,5 +1,7 @@
 // Package report renders campaign and experiment results as paper-style
-// text tables, simple ASCII bar figures and CSV.
+// text tables, simple ASCII bar figures, CSV and JSON. Experiment is the
+// one entry point for everything `paper -fig` regenerates; the
+// per-experiment tables behind it are data (experiments.go).
 package report
 
 import (
@@ -17,19 +19,12 @@ import (
 // report endpoint serves. The full outcome list rides along, so
 // downstream tooling can re-derive any aggregate.
 func JSON(res *campaign.Result) (string, error) {
-	return JSONValue(res)
+	return jsonValue(res)
 }
 
-// FigureJSON renders a reproduced figure as indented JSON (paper
-// -json): every series' per-benchmark proportion with its interval,
-// plus the cross-series difference summary.
-func FigureJSON(fig *core.FigureResult) (string, error) {
-	return JSONValue(fig)
-}
-
-// JSONValue renders any result value as indented JSON with a trailing
+// jsonValue renders any result value as indented JSON with a trailing
 // newline — the shared implementation behind the -json flags.
-func JSONValue(v any) (string, error) {
+func jsonValue(v any) (string, error) {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return "", fmt.Errorf("report: marshal json: %w", err)
@@ -136,8 +131,8 @@ func Figure(fig *core.FigureResult) string {
 	return sb.String()
 }
 
-// FigureCSV renders a figure's point estimates as CSV.
-func FigureCSV(fig *core.FigureResult) string {
+// figureCSV renders a figure's point estimates as CSV.
+func figureCSV(fig *core.FigureResult) string {
 	headers := append([]string{"benchmark"}, seriesLabels(fig)...)
 	var rows [][]string
 	for _, b := range fig.Benches {
@@ -150,55 +145,13 @@ func FigureCSV(fig *core.FigureResult) string {
 	return CSV(headers, rows)
 }
 
-// breakdownClasses is the class order of ClassBreakdown rows. DUE is
-// last: it only occurs in protected campaigns, so unprotected
-// breakdowns render a zero column, never a missing class.
+// breakdownClasses is the class order of class-breakdown rows and of
+// Campaign's classes line. DUE is last: it only occurs in protected
+// campaigns, so unprotected breakdowns render a zero column, never a
+// missing class.
 var breakdownClasses = []campaign.Class{
 	campaign.ClassMasked, campaign.ClassMismatch, campaign.ClassSDC,
 	campaign.ClassCrash, campaign.ClassHang, campaign.ClassDUE,
-}
-
-// classBreakdownRows builds the per-class outcome fractions of every
-// (benchmark, series) campaign of a figure, formatting fractions with
-// the given verb.
-func classBreakdownRows(fig *core.FigureResult, verb string) (headers []string, rows [][]string) {
-	headers = []string{"benchmark", "series"}
-	for _, c := range breakdownClasses {
-		headers = append(headers, c.String())
-	}
-	headers = append(headers, "unsafe")
-	for _, b := range fig.Benches {
-		for _, s := range fig.Series {
-			res := s.Results[b]
-			if res == nil {
-				continue
-			}
-			n := len(res.Outcomes)
-			row := []string{b, s.Label}
-			for _, c := range breakdownClasses {
-				row = append(row, fmt.Sprintf(verb, float64(res.Counts[c])/float64(n)))
-			}
-			row = append(row, fmt.Sprintf(verb, res.Unsafeness.P))
-			rows = append(rows, row)
-		}
-	}
-	return headers, rows
-}
-
-// ClassBreakdown renders the per-class outcome fractions of every
-// (benchmark, series) campaign of a figure — the view the fault-model
-// ablation (E9) uses to compare how transients, bursts, stuck-ats and
-// intermittents split between Masked, Mismatch and SDC.
-func ClassBreakdown(fig *core.FigureResult) string {
-	headers, rows := classBreakdownRows(fig, "%.3f")
-	return fmt.Sprintf("== %s: class breakdown ==\n\n%s", fig.Name, Table(headers, rows))
-}
-
-// ClassBreakdownCSV renders the class breakdown as CSV for plotting
-// pipelines.
-func ClassBreakdownCSV(fig *core.FigureResult) string {
-	headers, rows := classBreakdownRows(fig, "%.5f")
-	return CSV(headers, rows)
 }
 
 func seriesLabels(fig *core.FigureResult) []string {
@@ -293,229 +246,4 @@ func Campaign(name string, res *campaign.Result) string {
 	fmt.Fprintf(&sb, "  campaign wall: %.2fs (%.4f s/injection)\n",
 		res.Elapsed.Seconds(), res.AvgSecPerRun)
 	return sb.String()
-}
-
-// earlyStopRows renders the E10 savings table. The human table shows
-// the saved fraction as a percentage; the CSV keeps it a raw fraction
-// so plotting pipelines parse every numeric column directly.
-func earlyStopRows(res *core.EarlyStopResult, verb string, percent bool) (headers []string, rows [][]string) {
-	headers = []string{
-		"benchmark", "runs fixed", "runs adaptive", "converged",
-		"Mcycles fixed", "Mcycles adaptive", "cycles saved", "margin", "drift",
-	}
-	for _, r := range res.Rows {
-		saved := fmt.Sprintf("%.4f", r.SavedFrac)
-		if percent {
-			saved = fmt.Sprintf("%.1f%%", r.SavedFrac*100)
-		}
-		rows = append(rows, []string{
-			r.Bench,
-			fmt.Sprintf("%d", r.FixedRuns),
-			fmt.Sprintf("%d", r.AdaptiveRuns),
-			fmt.Sprintf("%d", r.Converged),
-			fmt.Sprintf(verb, r.FixedMCycles),
-			fmt.Sprintf(verb, r.AdaptiveMCycles),
-			saved,
-			fmt.Sprintf("%.4f", r.Margin),
-			fmt.Sprintf("%.4f", r.Drift),
-		})
-	}
-	return headers, rows
-}
-
-// EarlyStop renders the adaptive-engine ablation (E10): the fixed-vs-
-// adaptive unsafeness figure plus the per-benchmark runs/cycles-saved
-// and estimate-drift table.
-func EarlyStop(res *core.EarlyStopResult) string {
-	headers, rows := earlyStopRows(res, "%.2f", true)
-	return Figure(res.Fig) +
-		fmt.Sprintf("\n== %s: savings ==\n\n%s", res.Fig.Name, Table(headers, rows))
-}
-
-// EarlyStopCSV renders the E10 savings table as CSV.
-func EarlyStopCSV(res *core.EarlyStopResult) string {
-	headers, rows := earlyStopRows(res, "%.4f", false)
-	return CSV(headers, rows)
-}
-
-// avfRows renders the E12 AVF-vs-FI table: the injection-free estimates
-// (structure-wide, planner-weighted, plan-sample with its interval)
-// against the measured unsafeness, the logical-masking gap, and the two
-// differential verdicts.
-func avfRows(res *core.AVFResult, verb string) (headers []string, rows [][]string) {
-	headers = []string{
-		"benchmark", "level", "target", "AVF", "AVF weighted",
-		"predicted", "pred lo", "pred hi", "FI unsafe", "FI lo", "FI hi",
-		"gap", "within", "bounded",
-	}
-	for _, r := range res.Rows {
-		rows = append(rows, []string{
-			r.Bench, r.Level, r.Target,
-			fmt.Sprintf(verb, r.AVF),
-			fmt.Sprintf(verb, r.AVFWeighted),
-			fmt.Sprintf(verb, r.Predicted.P),
-			fmt.Sprintf(verb, r.Predicted.Lo),
-			fmt.Sprintf(verb, r.Predicted.Hi),
-			fmt.Sprintf(verb, r.FIUnsafe.P),
-			fmt.Sprintf(verb, r.FIUnsafe.Lo),
-			fmt.Sprintf(verb, r.FIUnsafe.Hi),
-			fmt.Sprintf(verb, r.Gap),
-			fmt.Sprintf("%v", r.Within),
-			fmt.Sprintf("%v", r.Bounded),
-		})
-	}
-	return headers, rows
-}
-
-// Avf renders the injection-free estimation experiment (E12): the
-// FI unsafeness figure plus the per-(level, target, benchmark)
-// AVF-vs-FI table.
-func Avf(res *core.AVFResult) string {
-	headers, rows := avfRows(res, "%.3f")
-	return Figure(res.Fig) +
-		fmt.Sprintf("\n== %s: injection-free estimate vs fault injection ==\n\n%s",
-			res.Fig.Name, Table(headers, rows))
-}
-
-// AvfCSV renders the E12 AVF-vs-FI table as CSV.
-func AvfCSV(res *core.AVFResult) string {
-	headers, rows := avfRows(res, "%.5f")
-	return CSV(headers, rows)
-}
-
-// protectionRows renders the E13 ROI table: per (benchmark, level,
-// fault model, structure, scheme) the protected class split against the
-// unprotected baseline and the two per-kilobit ROI views.
-func protectionRows(res *core.ProtectionResult, verb string) (headers []string, rows [][]string) {
-	headers = []string{
-		"benchmark", "level", "model", "target", "scheme",
-		"data bits", "ovh bits", "runs", "ovh runs", "due",
-		"base unsafe", "unsafe", "base sdc", "sdc", "due frac", "logic due",
-		"unsafe ROI/kb", "sdc ROI/kb",
-	}
-	for _, r := range res.Rows {
-		rows = append(rows, []string{
-			r.Bench, r.Level, r.Model, r.Target, r.Scheme,
-			fmt.Sprintf("%d", r.DataBits),
-			fmt.Sprintf("%d", r.OverheadBits),
-			fmt.Sprintf("%d", r.Runs),
-			fmt.Sprintf("%d", r.Overhead),
-			fmt.Sprintf("%d", r.DUE),
-			fmt.Sprintf(verb, r.BaseUnsafe.P),
-			fmt.Sprintf(verb, r.Unsafe.P),
-			fmt.Sprintf(verb, r.BaseSDCFrac),
-			fmt.Sprintf(verb, r.SDCFrac),
-			fmt.Sprintf(verb, r.DUEFrac),
-			fmt.Sprintf(verb, r.LogicDUERate),
-			fmt.Sprintf(verb, r.UnsafeROI),
-			fmt.Sprintf(verb, r.SDCROI),
-		})
-	}
-	return headers, rows
-}
-
-// protectionBlindSpot extracts E13's headline observation: parity's
-// checker-logic DUE rate under transient faults next to the same cell
-// under stuck-at faults, where a persistent asserted-0 checker path
-// disarms detection (1.0 collapses to 0.0). The campaign-wide DUE
-// fraction cannot show this — persistent data faults keep being
-// detected and drown the checker path — so the summary reads the
-// logic-region rate the ROI table carries per row.
-func protectionBlindSpot(res *core.ProtectionResult) string {
-	type cell struct{ bench, level, target string }
-	transient := make(map[cell]float64)
-	stuck := make(map[cell]bool)
-	stuckVal := make(map[cell]float64)
-	var order []cell
-	for _, r := range res.Rows {
-		if r.Scheme != "parity" || r.LogicRuns == 0 {
-			continue
-		}
-		c := cell{r.Bench, r.Level, r.Target}
-		switch r.Model {
-		case "transient":
-			if _, ok := transient[c]; !ok {
-				order = append(order, c)
-			}
-			transient[c] = r.LogicDUERate
-		case "stuck-at":
-			stuck[c] = true
-			stuckVal[c] = r.LogicDUERate
-		}
-	}
-	var sb strings.Builder
-	for _, c := range order {
-		if !stuck[c] {
-			continue
-		}
-		fmt.Fprintf(&sb, "  %s/%s/%s: checker-logic DUE rate %.3f transient -> %.3f stuck-at\n",
-			c.level, c.target, c.bench, transient[c], stuckVal[c])
-	}
-	if sb.Len() == 0 {
-		return ""
-	}
-	return "\nparity blind spot (persistent stuck-at-0 disarms the checker):\n" + sb.String()
-}
-
-// Protection renders the protection-ROI experiment (E13) as the folded
-// table plus the parity blind-spot summary. The raw figure (one series
-// per matrix cell) is deliberately not bar-charted — at 2 levels x 4
-// fault models x 2-3 structures x 4 arms it reads better as rows.
-func Protection(res *core.ProtectionResult) string {
-	headers, rows := protectionRows(res, "%.3f")
-	return fmt.Sprintf("== %s: protection ROI ==\n\n%s", res.Fig.Name, Table(headers, rows)) +
-		protectionBlindSpot(res)
-}
-
-// ProtectionCSV renders the E13 ROI table as CSV.
-func ProtectionCSV(res *core.ProtectionResult) string {
-	headers, rows := protectionRows(res, "%.5f")
-	return CSV(headers, rows)
-}
-
-// pruningRows renders the E11 savings table: simulated cycles and wall
-// time under the full, dead-pruned and class-pruned engines, pruning
-// volumes and estimate drift per (level, benchmark).
-func pruningRows(res *core.PruningResult, verb string, human bool) (headers []string, rows [][]string) {
-	headers = []string{
-		"benchmark", "level", "Mcycles full", "Mcycles dead", "Mcycles classes",
-		"wall full", "wall dead", "wall classes",
-		"pruned", "classes", "extrapolated", "drift dead", "drift classes",
-	}
-	wallVerb := "%.4f"
-	if human {
-		wallVerb = "%.2fs"
-	}
-	for _, r := range res.Rows {
-		rows = append(rows, []string{
-			r.Bench, r.Level,
-			fmt.Sprintf(verb, r.FullMCycles),
-			fmt.Sprintf(verb, r.DeadMCycles),
-			fmt.Sprintf(verb, r.ClassesMCycles),
-			fmt.Sprintf(wallVerb, r.FullWall),
-			fmt.Sprintf(wallVerb, r.DeadWall),
-			fmt.Sprintf(wallVerb, r.ClassesWall),
-			fmt.Sprintf("%d", r.Pruned),
-			fmt.Sprintf("%d", r.Classes),
-			fmt.Sprintf("%d", r.Extrapolated),
-			fmt.Sprintf("%.4f", r.DriftDead),
-			fmt.Sprintf("%.4f", r.DriftClasses),
-		})
-	}
-	return headers, rows
-}
-
-// Pruning renders the golden-trace pruning ablation (E11): the
-// full-vs-dead-vs-classes unsafeness figure plus the per-(level,
-// benchmark) savings table.
-func Pruning(res *core.PruningResult) string {
-	headers, rows := pruningRows(res, "%.2f", true)
-	return Figure(res.Fig) +
-		fmt.Sprintf("\n== %s: savings ==\n\n%s", res.Fig.Name, Table(headers, rows))
-}
-
-// PruningCSV renders the E11 savings table as CSV.
-func PruningCSV(res *core.PruningResult) string {
-	headers, rows := pruningRows(res, "%.4f", false)
-	return CSV(headers, rows)
 }

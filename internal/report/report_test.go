@@ -76,8 +76,20 @@ func figFixture(t *testing.T) *core.FigureResult {
 	}
 }
 
+// render is Experiment with the error (JSON only) made fatal.
+func render(t *testing.T, res *core.ExperimentResult, format Format) string {
+	t.Helper()
+	out, err := Experiment(res, format)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestFigureRendering: an experiment with no table spec renders as its
+// figure.
 func TestFigureRendering(t *testing.T) {
-	out := Figure(figFixture(t))
+	out := render(t, &core.ExperimentResult{Fig: figFixture(t)}, FormatTable)
 	for _, want := range []string{"fig-test", "GeFIN", "RTL", "sha", "qsort", "average", "percentile units", "#"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("figure lacks %q:\n%s", want, out)
@@ -86,7 +98,7 @@ func TestFigureRendering(t *testing.T) {
 }
 
 func TestFigureCSV(t *testing.T) {
-	out := FigureCSV(figFixture(t))
+	out := render(t, &core.ExperimentResult{Fig: figFixture(t)}, FormatCSV)
 	if !strings.HasPrefix(out, "benchmark,GeFIN,RTL\n") {
 		t.Errorf("header: %q", out)
 	}
@@ -97,6 +109,7 @@ func TestFigureCSV(t *testing.T) {
 
 func TestClassBreakdownRendering(t *testing.T) {
 	fig := figFixture(t)
+	fig.Name = "ablation-fault-models"
 	mkRes := func(masked, sdc, mismatch int) *campaign.Result {
 		n := masked + sdc + mismatch
 		p, err := stats.EstimateProportion(n-masked, n, 0.99)
@@ -118,7 +131,8 @@ func TestClassBreakdownRendering(t *testing.T) {
 	fig.Series[1].Results = map[string]*campaign.Result{
 		"sha": mkRes(6, 0, 4), "qsort": mkRes(10, 0, 0),
 	}
-	out := ClassBreakdown(fig)
+	res := &core.ExperimentResult{Fig: fig}
+	out := render(t, res, FormatTable)
 	for _, want := range []string{
 		"class breakdown", "masked", "mismatch", "sdc", "crash", "hang", "due", "unsafe",
 		"0.500", // sha/GeFIN masked 5/10
@@ -128,7 +142,7 @@ func TestClassBreakdownRendering(t *testing.T) {
 			t.Errorf("breakdown lacks %q:\n%s", want, out)
 		}
 	}
-	csvOut := ClassBreakdownCSV(fig)
+	csvOut := render(t, res, FormatCSV)
 	if !strings.HasPrefix(csvOut, "benchmark,series,masked,mismatch,sdc,crash,hang,due,unsafe\n") {
 		t.Errorf("breakdown CSV header: %q", csvOut)
 	}
@@ -138,7 +152,7 @@ func TestClassBreakdownRendering(t *testing.T) {
 }
 
 func TestProtectionRendering(t *testing.T) {
-	res := &core.ProtectionResult{
+	res := &core.ExperimentResult{
 		Fig: &core.FigureResult{Name: "protection"},
 		Rows: []core.ProtectionRow{
 			{
@@ -154,7 +168,7 @@ func TestProtectionRendering(t *testing.T) {
 			},
 		},
 	}
-	out := Protection(res)
+	out := render(t, res, FormatTable)
 	for _, want := range []string{
 		"protection ROI", "unsafe ROI/kb", "logic due", "parity", "stuck-at",
 		"parity blind spot", "checker-logic DUE rate 1.000 transient -> 0.000 stuck-at",
@@ -163,12 +177,26 @@ func TestProtectionRendering(t *testing.T) {
 			t.Errorf("Protection output lacks %q:\n%s", want, out)
 		}
 	}
-	csvOut := ProtectionCSV(res)
+	csvOut := render(t, res, FormatCSV)
 	if !strings.HasPrefix(csvOut, "benchmark,level,model,target,scheme,") {
 		t.Errorf("protection CSV header: %q", csvOut)
 	}
 	if !strings.Contains(csvOut, "qsort,rtl,transient,rf,parity,1792,112,100,6,31,") {
 		t.Errorf("protection CSV rows: %q", csvOut)
+	}
+}
+
+// TestTableSpecsMatchRegistry: every table spec is keyed by a
+// registered figure name (cmd/paper's goldens hold what each renders).
+func TestTableSpecsMatchRegistry(t *testing.T) {
+	figures := map[string]bool{}
+	for _, e := range core.Experiments() {
+		figures[e.Figure] = true
+	}
+	for name := range tables {
+		if !figures[name] {
+			t.Errorf("table spec %q matches no registered experiment's figure name", name)
+		}
 	}
 }
 

@@ -5,6 +5,10 @@
 // EXPERIMENTS.md cites a test function or a source path that is not
 // there: the docs name tests as their evidence, so a renamed test or a
 // deleted tool must fail here rather than leave a pointer to nothing.
+// The same docs cite `paper -fig X` / `paper -table X` invocations: each
+// must name a registered experiment (core.Experiments) or table, and
+// every registered experiment must have its row in EXPERIMENTS.md's
+// index.
 //
 //	go run ./tools/docscheck
 package main
@@ -19,6 +23,8 @@ import (
 	"regexp"
 	"slices"
 	"strings"
+
+	"repro/internal/core"
 )
 
 func main() {
@@ -48,9 +54,12 @@ func main() {
 			return nil
 		}))
 	}
-	dangling, err := danglingRefs(".", []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"})
+	docs := []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+	dangling, err := danglingRefs(".", docs)
 	fatal(err)
-	if problems = append(problems, dangling...); len(problems) > 0 {
+	unregistered, err := experimentRefs(".", docs, "EXPERIMENTS.md", core.Experiments(), core.PaperTables)
+	fatal(err)
+	if problems = append(append(problems, dangling...), unregistered...); len(problems) > 0 {
 		fmt.Fprintln(os.Stderr, "docscheck:")
 		for _, p := range problems {
 			fmt.Fprintln(os.Stderr, "  "+p)
@@ -71,7 +80,52 @@ var (
 	// (repro/internal/obs).
 	pathRef  = regexp.MustCompile(`(?:^|[^\w/.-])(?:\./)?((?:tools|cmd|internal|examples)/[\w/.-]*)`)
 	testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	// paperRef is a cited paper invocation selecting a figure or table,
+	// whatever other flags sit between: `paper -fig 2 -window 0`,
+	// `go run ./cmd/paper -remote URL -table 2`.
+	paperRef = regexp.MustCompile("\\bpaper\\b[^`\n]*? -(fig|table) ([\\w-]+)")
+	// indexRow is one row of the experiment index: `| E10 | ... |`.
+	indexRow = regexp.MustCompile(`(?m)^\| E(\d+) \|.*$`)
 )
+
+// experimentRefs returns, sorted, one line per `paper -fig X` or
+// `paper -table X` the named docs cite that exps / tables do not
+// register, and one per experiment in exps whose E-number has no row in
+// indexDoc citing its `paper -fig` name.
+func experimentRefs(root string, docs []string, indexDoc string, exps []core.Experiment, tables []string) ([]string, error) {
+	figs := make([]string, len(exps))
+	for i, e := range exps {
+		figs[i] = e.Name
+	}
+	known := map[string][]string{"fig": figs, "table": tables}
+	var bad []string
+	for _, doc := range docs {
+		text, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			return nil, err
+		}
+		for _, m := range paperRef.FindAllSubmatch(text, -1) {
+			if kind, name := string(m[1]), string(m[2]); !slices.Contains(known[kind], name) {
+				bad = append(bad, fmt.Sprintf("%s: paper -%s %s is not registered (have: %s)",
+					doc, kind, name, strings.Join(known[kind], ", ")))
+			}
+		}
+		if doc != indexDoc {
+			continue
+		}
+		rows := map[string]string{}
+		for _, m := range indexRow.FindAllSubmatch(text, -1) {
+			rows[string(m[1])] = string(m[0])
+		}
+		for _, e := range exps {
+			if !strings.Contains(rows[fmt.Sprint(e.ID)], "`paper -fig "+e.Name+"`") {
+				bad = append(bad, fmt.Sprintf("%s: no index row for E%d citing `paper -fig %s`", doc, e.ID, e.Name))
+			}
+		}
+	}
+	slices.Sort(bad)
+	return slices.Compact(bad), nil
+}
 
 // danglingRefs returns, sorted, one line per reference in the named docs
 // under root that resolves to nothing: a testRef no _test.go under root

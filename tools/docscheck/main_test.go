@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func writeDir(t *testing.T, files map[string]string) string {
@@ -131,5 +133,72 @@ func TestDanglingRefs(t *testing.T) {
 	}
 	if _, err := danglingRefs(writeDir(t, tree), []string{"MISSING.md"}); err == nil {
 		t.Error("missing doc accepted")
+	}
+}
+
+// TestExperimentRefs pins the registry half of the gate over a fixture
+// registry: which invocations count as citations, that unknown names are
+// reported with the known ones, and that every registered experiment
+// needs its own index row citing its own -fig name.
+func TestExperimentRefs(t *testing.T) {
+	exps := []core.Experiment{
+		{ID: 3, Name: "1"},
+		{ID: 10, Name: "early-stop"},
+	}
+	tables := []string{"1", "sample"}
+	const index = "| # | what | how |\n|---|---|---|\n| E3 | fig | `paper -fig 1` |\n| E10 | ablation | `paper -fig early-stop` |\n"
+	cases := []struct {
+		name, doc, index string
+		want             []string
+	}{
+		{"spans, command lines and extra flags resolve",
+			"`paper -fig 1`, `go run ./cmd/paper -remote URL -fig early-stop -injections 9`\n\tgo run ./cmd/paper -table sample  # E6\n",
+			index, nil},
+		{"unknown figure and table, reported once each with the known names",
+			"`paper -fig nope` then `paper -fig nope -csv`; `paper -table 3`",
+			index,
+			[]string{
+				"DOC.md: paper -fig nope is not registered (have: 1, early-stop)",
+				"DOC.md: paper -table 3 is not registered (have: 1, sample)",
+			}},
+		{"prose about the flags is not a citation",
+			"the paper's `-fig` flag; `-fig nope` alone; `faultsim -table 3`", index, nil},
+		{"a registered experiment without its index row",
+			"", "| E3 | fig | `paper -fig 1` |\n",
+			[]string{"INDEX.md: no index row for E10 citing `paper -fig early-stop`"}},
+		{"a row under the wrong E-number or citing another name does not count",
+			"", "| E3 | fig | `paper -fig early-stop` |\n| E11 | ablation | `paper -fig early-stop` |\n",
+			[]string{
+				"INDEX.md: no index row for E10 citing `paper -fig early-stop`",
+				"INDEX.md: no index row for E3 citing `paper -fig 1`",
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := writeDir(t, map[string]string{"DOC.md": tc.doc, "INDEX.md": tc.index})
+			got, err := experimentRefs(dir, []string{"DOC.md", "INDEX.md"}, "INDEX.md", exps, tables)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("experimentRefs = %q, want %q", got, tc.want)
+			}
+		})
+	}
+	if _, err := experimentRefs(t.TempDir(), []string{"MISSING.md"}, "MISSING.md", exps, tables); err == nil {
+		t.Error("missing doc accepted")
+	}
+}
+
+// TestRepositoryDocsCiteRegisteredExperiments runs the registry half of
+// the gate on the real docs and the real registry.
+func TestRepositoryDocsCiteRegisteredExperiments(t *testing.T) {
+	bad, err := experimentRefs("../..", []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"},
+		"EXPERIMENTS.md", core.Experiments(), core.PaperTables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range bad {
+		t.Error(b)
 	}
 }
