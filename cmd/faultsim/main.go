@@ -53,12 +53,13 @@
 // injection-instant distribution instead of a fixed stride, equalising
 // expected fast-forward cost per replay.
 //
-// -checkpoint DIR streams per-run outcomes to JSONL shards; an
-// interrupted campaign (SIGINT/SIGTERM drains in-flight replays and
-// flushes the shards) resumes from them on the next run. -remote URL
-// submits the campaign to a faultsimd coordinator and waits for the
-// fleet's (byte-identical) result instead of simulating locally.
-// -json emits the result as machine-readable JSON.
+// A local campaign is a campaign.Sweep of one, on -workers goroutines
+// with or without checkpoints. -checkpoint DIR streams per-run outcomes
+// to JSONL shards; an interrupted campaign (SIGINT/SIGTERM drains
+// in-flight replays and flushes the shards) resumes from them on the
+// next run. -remote URL submits the campaign to a faultsimd coordinator
+// and waits for the fleet's (byte-identical) result instead of
+// simulating locally. -json emits the result as machine-readable JSON.
 package main
 
 import (
@@ -186,8 +187,7 @@ func run(args []string) error {
 	}
 
 	var res *campaign.Result
-	switch {
-	case *remote != "":
+	if *remote != "" {
 		// Remote execution: the coordinator's shard merge makes the
 		// fleet's result byte-identical to the local engine's.
 		client := distrib.NewClient(*remote)
@@ -200,22 +200,23 @@ func run(args []string) error {
 		if res, err = client.Wait(id, cli.StopOnSignal("faultsim")); err != nil {
 			return err
 		}
-	case *checkpoint != "":
-		// Checkpointed local execution goes through the sweep
-		// scheduler (bit-identical classifications): outcomes stream
-		// to JSONL shards and SIGINT/SIGTERM flushes them before exit.
-		res, err = core.RunCampaignOpts(*benchName, m, core.CampaignSetup(), cfg, campaign.SweepOptions{
+	} else {
+		// Local execution is a sweep of one: with -checkpoint outcomes
+		// stream to JSONL shards, and SIGINT/SIGTERM drains in-flight
+		// replays (flushing the shards) before exit either way.
+		c, err := core.Standalone(*benchName, m, core.CampaignSetup(), cfg)
+		if err != nil {
+			return err
+		}
+		sr, err := campaign.Sweep([]campaign.SweepCampaign{c}, campaign.SweepOptions{
+			Workers:       cfg.Workers,
 			CheckpointDir: *checkpoint,
 			Stop:          cli.StopOnSignal("faultsim"),
 		})
 		if err != nil {
 			return err
 		}
-	default:
-		res, err = core.RunCampaign(*benchName, m, core.CampaignSetup(), cfg)
-		if err != nil {
-			return err
-		}
+		res = sr.Results[c.Key]
 	}
 	if *jsonOut {
 		s, err := report.JSON(res)

@@ -19,7 +19,9 @@
 // Workers are stateless pullers: each prepares (and caches) its own
 // golden run per campaign, refuses shards whose golden fingerprint
 // disagrees with its local run, replays its leased fault indices in
-// parallel and posts the classifications back.
+// parallel — on the engine the lease's campaign config selects; the
+// lane width travels in the lease, there is no per-worker override —
+// and posts the classifications back.
 //
 // Both roles expose fleet observability: the coordinator serves
 // GET /metrics (Prometheus text) and /debug/pprof/... on its API
@@ -66,7 +68,6 @@ func run(args []string) error {
 		leaseTTL    = fs.Duration("lease-ttl", 0, "coordinator: shard lease TTL before a silent worker is presumed dead (default 15s)")
 		shardSize   = fs.Int("shard-size", 0, "coordinator: replay jobs per lease (default 64)")
 		workers     = fs.Int("workers", 0, "worker: parallel replays per shard (default GOMAXPROCS)")
-		lanes       = fs.Int("lanes", 0, "worker: cap bit-parallel replay lanes per shard (0 = honor campaign config, 1 = force scalar)")
 		poll        = fs.Duration("poll", 0, "worker: idle re-poll interval (default 500ms)")
 		id          = fs.String("id", "", "worker: worker ID in leases and logs (default host-pid)")
 		logLevel    = fs.String("log-level", "info", "log verbosity: debug, info, warn or error (debug traces every HTTP request)")
@@ -98,7 +99,7 @@ func run(args []string) error {
 		if *coordinator == "" {
 			return fmt.Errorf("worker role requires -coordinator URL")
 		}
-		return runWorker(logger, *coordinator, *id, *metrics, *workers, *lanes, *poll)
+		return runWorker(logger, *coordinator, *id, *metrics, *workers, *poll)
 	default:
 		return fmt.Errorf("unknown role %q (coordinator, worker)", *role)
 	}
@@ -165,7 +166,7 @@ func runCoordinator(logger *slog.Logger, listen, checkpoint, journalPath string,
 	return c.Close()
 }
 
-func runWorker(logger *slog.Logger, coordinator, id, metrics string, workers, lanes int, poll time.Duration) error {
+func runWorker(logger *slog.Logger, coordinator, id, metrics string, workers int, poll time.Duration) error {
 	if metrics != "" {
 		stop, err := cli.MetricsFlags{Addr: metrics}.Start("faultsimd")
 		if err != nil {
@@ -177,7 +178,6 @@ func runWorker(logger *slog.Logger, coordinator, id, metrics string, workers, la
 		Coordinator: coordinator,
 		ID:          id,
 		Workers:     workers,
-		MaxLanes:    lanes,
 		Poll:        poll,
 		ReqLog:      requestLogger(logger, "worker"),
 		Logf: func(format string, args ...any) {

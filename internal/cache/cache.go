@@ -104,6 +104,19 @@ func New(cfg Config, backing *mem.Memory) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	c := newShell(cfg, backing)
+	// Ages within a set must form a permutation of 0..ways-1 for the
+	// aging scheme in touch to maintain a total LRU order.
+	for i := range c.age {
+		c.age[i] = uint8(i % cfg.Ways)
+	}
+	return c, nil
+}
+
+// newShell allocates a cache of cfg's (validated) geometry with zeroed
+// arrays: New writes the reset state into it, Clone restores a copy over
+// it.
+func newShell(cfg Config, backing *mem.Memory) *Cache {
 	sets := cfg.Sets()
 	n := sets * cfg.Ways
 	c := &Cache{
@@ -117,18 +130,13 @@ func New(cfg Config, backing *mem.Memory) (*Cache, error) {
 		backing:  backing,
 		evictBuf: make([]byte, cfg.LineBytes),
 	}
-	// Ages within a set must form a permutation of 0..ways-1 for the
-	// aging scheme in touch to maintain a total LRU order.
-	for i := range c.age {
-		c.age[i] = uint8(i % cfg.Ways)
-	}
 	for c.cfg.LineBytes>>c.offBits > 1 {
 		c.offBits++
 	}
 	for sets>>c.setBits > 1 {
 		c.setBits++
 	}
-	return c, nil
+	return c
 }
 
 // Config returns the cache geometry.
@@ -479,21 +487,7 @@ func (c *Cache) RestoreFrom(src *Cache, backing *mem.Memory) {
 // Clone deep-copies the cache, rebinding it to the given backing memory
 // (typically a snapshot of the original backing). Statistics are copied.
 func (c *Cache) Clone(backing *mem.Memory) *Cache {
-	n := &Cache{
-		cfg:       c.cfg,
-		sets:      c.sets,
-		offBits:   c.offBits,
-		setBits:   c.setBits,
-		tags:      append([]uint32(nil), c.tags...),
-		valid:     append([]bool(nil), c.valid...),
-		dirty:     append([]bool(nil), c.dirty...),
-		age:       append([]uint8(nil), c.age...),
-		data:      append([]byte(nil), c.data...),
-		backing:   backing,
-		evictBuf:  make([]byte, c.cfg.LineBytes),
-		Accesses:  c.Accesses,
-		Misses:    c.Misses,
-		Evictions: c.Evictions,
-	}
+	n := newShell(c.cfg, backing)
+	n.RestoreFrom(c, backing)
 	return n
 }

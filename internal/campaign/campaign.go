@@ -821,31 +821,6 @@ func (p *lazyPlan) overheadOutcome(spec fault.Spec) (RunOutcome, bool) {
 // classified as a hang.
 func (g *Golden) hangBudget() uint64 { return g.Cycles*2 + 50_000 }
 
-// Run executes one standalone campaign: golden-artifact phase, fault
-// plan, replay/classify phase on a private pool, aggregation. Sweep
-// runs many campaigns over shared goldens and one global pool; both
-// produce bit-identical Outcomes for the same factory and config.
-func Run(factory Factory, cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	g, err := PrepareGolden(factory, GoldenOptionsFor(cfg))
-	if err != nil {
-		return nil, err
-	}
-	p, err := g.PlanCampaign(cfg)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	w := p.work("", factory)
-	w.Size = cfg.Injections
-	if err := ReplayPool(cfg.Workers, nil, w); err != nil {
-		return nil, err
-	}
-	return p.Result(time.Since(start))
-}
-
 // seqStop collects streamed replay outcomes and decides the sequential
 // stopping index. Outcomes may arrive in any order; the estimator only
 // ever consumes them in plan order (the frontier), so the stopping index
@@ -1041,12 +1016,8 @@ func aggregate(cfg Config, g *Golden, pl *lazyPlan, seq *seqStop, pr *pruner, el
 		res.ProtectDataBits = pl.dataBits
 		res.ProtectOverheadBits = protect.OverheadBits(pl.scheme, pl.dataBits)
 	}
-	unsafe := 0
 	for _, oc := range outcomes {
 		res.Counts[oc.Class]++
-		if oc.Class != ClassMasked {
-			unsafe++
-		}
 		base := nearestSnap(g.snaps, oc.Spec.Cycle).cycle
 		full := g.fullReplayEnd(oc.Spec, cfg)
 		switch {
@@ -1103,56 +1074,43 @@ func aggregate(cfg Config, g *Golden, pl *lazyPlan, seq *seqStop, pr *pruner, el
 	if err != nil {
 		return nil, err
 	}
-	if pr != nil && pr.mode == PruneClasses {
-		// MeRLiN extrapolation: the estimate must judge exactly the
-		// evidence the sequential estimator saw over this prefix —
-		// each replayed representative carries its full class weight
-		// (members in or beyond the counted prefix alike), members
-		// carry none — so the stop decision and the reported interval
-		// agree. One replay standing for a whole class is one piece of
-		// independent evidence, not class-size many: the interval uses
-		// the Kish effective sample size over those weights.
-		var sumW, sumW2, unsafeW float64
-		wcounts := make(map[Class]float64, int(numClasses))
-		for i, oc := range outcomes {
-			if pr.isRep[i] {
-				res.PruneClassCount++
-			}
-			if oc.Extrapolated {
-				continue
-			}
-			w := float64(oc.ClassSize)
-			if w < 1 {
-				w = 1
-			}
-			sumW += w
-			sumW2 += w * w
-			wcounts[oc.Class] += w
-			if oc.Class != ClassMasked {
-				unsafeW += w
-			}
+	// The estimate judges exactly the evidence the sequential estimator
+	// saw over this prefix. Outside PruneClasses that is every outcome
+	// at weight 1, so mass and effective sample size are both the count.
+	// Under MeRLiN extrapolation each replayed representative carries
+	// its full class weight (members in or beyond the counted prefix
+	// alike) and members carry none, so the stop decision and the
+	// reported interval agree; one replay standing for a whole class is
+	// one piece of independent evidence, not class-size many, hence the
+	// Kish effective sample size over those weights.
+	classes := pr != nil && pr.mode == PruneClasses
+	var sumW, sumW2, unsafeW float64
+	wcounts := make(map[Class]float64, int(numClasses))
+	for i, oc := range outcomes {
+		if classes && pr.isRep[i] {
+			res.PruneClassCount++
 		}
-		nEff := sumW
-		if sumW2 > 0 {
-			nEff = sumW * sumW / sumW2
+		if oc.Extrapolated {
+			continue
 		}
-		res.Unsafeness, err = stats.EstimateWeightedProportion(unsafeW, sumW, nEff, cfg.Confidence)
-		if err != nil {
-			return nil, err
+		w := max(float64(oc.ClassSize), 1)
+		sumW += w
+		sumW2 += w * w
+		wcounts[oc.Class] += w
+		if oc.Class != ClassMasked {
+			unsafeW += w
 		}
-		for _, c := range marginClasses(cfg) {
-			if w := stats.WilsonHalfWidthP(wcounts[c]/sumW, nEff, z); w > res.AchievedMargin {
-				res.AchievedMargin = w
-			}
-		}
-		return res, nil
 	}
-	res.Unsafeness, err = stats.EstimateProportion(unsafe, len(outcomes), cfg.Confidence)
+	nEff := sumW
+	if sumW2 > 0 {
+		nEff = sumW * sumW / sumW2
+	}
+	res.Unsafeness, err = stats.EstimateWeightedProportion(unsafeW, sumW, nEff, cfg.Confidence)
 	if err != nil {
 		return nil, err
 	}
 	for _, c := range marginClasses(cfg) {
-		if w := stats.WilsonHalfWidth(res.Counts[c], len(outcomes), z); w > res.AchievedMargin {
+		if w := stats.WilsonHalfWidthP(wcounts[c]/sumW, nEff, z); w > res.AchievedMargin {
 			res.AchievedMargin = w
 		}
 	}

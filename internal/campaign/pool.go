@@ -1,7 +1,7 @@
 package campaign
 
-// One replay pool: the single execution path behind Run, Sweep and the
-// distributed worker.
+// One replay pool: the single execution path behind Sweep (Run is a
+// sweep of one) and the distributed worker.
 //
 //	Work (one per campaign)          scheduler               goroutine × workers
 //	  Next ──────────────────▶ pull(campaign, chunk) ──▶ its own Replayer.Replay
@@ -92,13 +92,10 @@ type Work struct {
 	Next    func() (idx int, spec fault.Spec, ok bool)
 	Deliver func(idx int, oc RunOutcome) error
 
-	// Size, when positive, is the number of replays a finite source
-	// holds. Chunks are then capped at an even share per goroutine, so a
-	// source smaller than one engine chunk — a 64-job lease, a short
-	// standalone campaign — still spreads over the whole pool. Zero
-	// leaves the engine's chunk alone: a sweep keeps its goroutines busy
-	// across campaigns instead, and smaller chunks would only re-walk
-	// the golden timeline more often.
+	// Size is the number of replays the source holds at most: a plan's
+	// size, a lease's job count. Only the scheduler reads it, and only
+	// for the last campaign it holds (see pull). Zero means unknown and
+	// is never split.
 	Size int
 
 	stopped func() bool       // sequential stop decided (Planned.Stopped)
@@ -284,13 +281,21 @@ func (s *scheduler) current() *Work {
 // pull moves up to n of w's replays into buf. w.Next runs under the
 // scheduler's lock — that is what lets it be stateful — and a dry
 // source retires the campaign.
+//
+// While campaigns queue behind w a goroutine takes the engine's whole
+// chunk: the others find work in the next campaign, and smaller chunks
+// would only re-walk the golden timeline more often. Nothing queues
+// behind the last campaign, so there a chunk is capped at an even share
+// of Size — a source smaller than one engine chunk (a 64-job lease, a
+// standalone campaign, a sweep's tail) still spreads over the whole
+// pool.
 func (s *scheduler) pull(w *Work, n int, buf []pulledSpec) []pulledSpec {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.halted || len(s.work) == 0 || s.work[0] != w {
 		return buf
 	}
-	if share := (w.Size + s.workers - 1) / s.workers; w.Size > 0 && share < n {
+	if share := (w.Size + s.workers - 1) / s.workers; len(s.work) == 1 && w.Size > 0 && share < n {
 		n = share
 	}
 	buf = pullSpecs(w.Next, n, buf)

@@ -202,24 +202,26 @@ func TestCursorSchedCheckpointResume(t *testing.T) {
 		Obs: campaign.ObsPinout, Window: 500,
 		Sched: campaign.SchedCursor,
 	}
-	setup := core.CampaignSetup()
-	first, err := core.RunCampaignOpts("qsort", core.ModelMicroarch, setup, cfg, campaign.SweepOptions{CheckpointDir: dir})
-	if err != nil {
-		t.Fatal(err)
+	checkpointed := func(cfg campaign.Config) *campaign.Result {
+		t.Helper()
+		c, err := core.Standalone("qsort", core.ModelMicroarch, core.CampaignSetup(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sr, err := campaign.Sweep([]campaign.SweepCampaign{c}, campaign.SweepOptions{CheckpointDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sr.Results[c.Key]
 	}
-	second, err := core.RunCampaignOpts("qsort", core.ModelMicroarch, setup, cfg, campaign.SweepOptions{CheckpointDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := checkpointed(cfg)
+	second := checkpointed(cfg)
 	if second.Elapsed != 0 {
 		t.Errorf("resumed run attributed busy time %v; expected full resume", second.Elapsed)
 	}
 	streamCfg := cfg
 	streamCfg.Sched = campaign.SchedStream
-	resumedStream, err := core.RunCampaignOpts("qsort", core.ModelMicroarch, setup, streamCfg, campaign.SweepOptions{CheckpointDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	resumedStream := checkpointed(streamCfg)
 	normalizeSched(first)
 	normalizeSched(second)
 	normalizeSched(resumedStream)

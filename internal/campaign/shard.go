@@ -1,6 +1,6 @@
 package campaign
 
-// Shard execution: the engine state behind Run, exported so a
+// Shard execution: the engine state behind Sweep, exported so a
 // distributed coordinator (internal/distrib) can dispatch replays to
 // remote worker processes and merge their outcomes deterministically.
 //
@@ -27,8 +27,8 @@ import (
 // GoldenOptionsFor derives the golden-artifact options one campaign
 // needs: the snapshot schedule, the L1D timeline under AdvanceToUse,
 // state hashes under EarlyStop and the lifetime trace under Prune. Both
-// Run and a distributed worker preparing its local golden copy use it,
-// so the two golden runs capture identical artifacts.
+// Sweep and a distributed worker preparing its local golden copy use
+// it, so the two golden runs capture identical artifacts.
 func GoldenOptionsFor(cfg Config) GoldenOptions {
 	opts := GoldenOptions{
 		SnapshotEvery: cfg.SnapshotEvery,
@@ -213,7 +213,7 @@ func (p *Planned) Resumed() int {
 func (p *Planned) work(name string, factory Factory) *Work {
 	return &Work{
 		Name: name, Golden: p.g, Config: p.cfg, Factory: factory,
-		Next: p.NextReplay, Deliver: p.Deliver,
+		Next: p.NextReplay, Deliver: p.Deliver, Size: p.pl.n,
 		stopped: p.Stopped, note: p.note,
 	}
 }

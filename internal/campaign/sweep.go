@@ -143,9 +143,9 @@ func (o GoldenOptions) merge(b GoldenOptions) GoldenOptions {
 // Sweep plans a matrix of campaigns, executes one golden run per
 // (Group, snapshot schedule), shares its artifacts across every member
 // campaign, and dispatches ALL replays through one global replay pool.
-// Results are bit-identical to calling Run per campaign with the same
-// seeds: the fault plan depends only on seed + golden cycle count, which
-// sharing preserves.
+// Each campaign's result is bit-identical to sweeping it alone (Run)
+// with the same seed: the fault plan depends only on seed + golden cycle
+// count, which sharing preserves.
 func Sweep(campaigns []SweepCampaign, opt SweepOptions) (*SweepResult, error) {
 	if len(campaigns) == 0 {
 		return nil, fmt.Errorf("campaign: empty sweep")
@@ -281,6 +281,20 @@ func Sweep(campaigns []SweepCampaign, opt SweepOptions) (*SweepResult, error) {
 		sr.Resumed += p.Resumed()
 	}
 	return sr, nil
+}
+
+// Run executes one standalone campaign — a Sweep of one on cfg.Workers
+// goroutines, so its outcomes, stopping index and timing fields are by
+// construction what the same campaign reports inside a larger sweep.
+// The campaign is named "run" in errors.
+func Run(factory Factory, cfg Config) (*Result, error) {
+	const key = "run"
+	sr, err := Sweep([]SweepCampaign{{Key: key, Group: key, Factory: factory, Config: cfg}},
+		SweepOptions{Workers: cfg.Workers})
+	if err != nil {
+		return nil, err
+	}
+	return sr.Results[key], nil
 }
 
 // ---------------------------------------------------------- checkpoints

@@ -2,7 +2,10 @@ package campaign_test
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -23,6 +26,8 @@ type mockSim struct {
 	limit  uint64
 	stop   refsim.StopReason
 	broken bool // Step fails immediately (replay-error injection)
+
+	onFlip func() // called on every injection, when set
 }
 
 func (s *mockSim) Step() bool {
@@ -48,12 +53,17 @@ func (s *mockSim) Run(max uint64) refsim.StopReason {
 	return s.stop
 }
 
-func (s *mockSim) Cycles() uint64                     { return s.cycles }
-func (s *mockSim) StopReason() refsim.StopReason      { return s.stop }
-func (s *mockSim) Output() []byte                     { return []byte("ok") }
-func (s *mockSim) SetPinout(*trace.Pinout)            {}
-func (s *mockSim) Bits(fault.Target) int              { return 32 }
-func (s *mockSim) Flip(fault.Target, int) error       { return nil }
+func (s *mockSim) Cycles() uint64                { return s.cycles }
+func (s *mockSim) StopReason() refsim.StopReason { return s.stop }
+func (s *mockSim) Output() []byte                { return []byte("ok") }
+func (s *mockSim) SetPinout(*trace.Pinout)       {}
+func (s *mockSim) Bits(fault.Target) int         { return 32 }
+func (s *mockSim) Flip(fault.Target, int) error {
+	if s.onFlip != nil {
+		s.onFlip()
+	}
+	return nil
+}
 func (s *mockSim) Force(fault.Target, int, int) error { return nil }
 func (s *mockSim) Snapshot() campaign.Snapshot        { return s.cycles }
 func (s *mockSim) SetL1DAccessHook(func(int, int))    {}
@@ -397,5 +407,142 @@ func TestSweepCheckpointDiscardsOtherModel(t *testing.T) {
 	}
 	if third.Resumed != total {
 		t.Errorf("resumed %d of %d after the model change was checkpointed", third.Resumed, total)
+	}
+}
+
+// engineCounter builds mock simulators for one campaign and counts the
+// engines that replayed something: the instances injected into at least
+// once (an engine injects into one of its simulators only). With
+// together set, an engine's first injection waits for a second engine's
+// — so the count is 2 exactly when the pool split the campaign across
+// two goroutines, however they are scheduled — and gives up after a
+// timeout so an unsplit campaign fails the count instead of hanging.
+type engineCounter struct {
+	together bool
+	used     atomic.Int32
+	second   chan struct{}
+}
+
+func newEngineCounter(together bool) *engineCounter {
+	return &engineCounter{together: together, second: make(chan struct{})}
+}
+
+func (e *engineCounter) factory() (campaign.Simulator, error) {
+	var once sync.Once
+	return &mockSim{limit: 100, onFlip: func() {
+		once.Do(func() {
+			n := e.used.Add(1)
+			if !e.together {
+				return
+			}
+			if n == 2 {
+				close(e.second)
+			}
+			select {
+			case <-e.second:
+			case <-time.After(2 * time.Second):
+			}
+		})
+	}}, nil
+}
+
+// TestSweepSplitsLastCampaign holds the scheduler's even-split rule:
+// the last campaign a pool holds — the only one, for Run — is split
+// across its goroutines, while campaigns with others queued behind them
+// go out in whole engine chunks, one engine each. The cursor engine's
+// chunk (512) exceeds every campaign here, so only the rule can split
+// one. Results do not depend on the split.
+func TestSweepSplitsLastCampaign(t *testing.T) {
+	cfg := errCfg()
+	cfg.Injections, cfg.Sched = 400, campaign.SchedCursor
+	sweep := func(workers int, counters ...*engineCounter) *campaign.SweepResult {
+		t.Helper()
+		var camps []campaign.SweepCampaign
+		for i, c := range counters {
+			camps = append(camps, campaign.SweepCampaign{
+				Key: fmt.Sprint("c", i), Group: "mock", Factory: c.factory, Config: cfg,
+			})
+		}
+		sr, err := campaign.Sweep(camps, campaign.SweepOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range sr.Results {
+			normalizeEngine(r) // the cursors' walked cycles follow the chunking too
+		}
+		return sr
+	}
+
+	alone := newEngineCounter(true)
+	split := sweep(2, alone)
+	if n := alone.used.Load(); n != 2 {
+		t.Errorf("one-campaign sweep on 2 goroutines replayed on %d engine(s), want 2", n)
+	}
+	serial := sweep(1, newEngineCounter(false))
+	if !reflect.DeepEqual(split.Results, serial.Results) {
+		t.Error("split campaign differs from the one-goroutine run")
+	}
+
+	first, second, last := newEngineCounter(false), newEngineCounter(false), newEngineCounter(true)
+	sweep(2, first, second, last)
+	for i, c := range []*engineCounter{first, second} {
+		if n := c.used.Load(); n != 1 {
+			t.Errorf("campaign %d of 3 replayed on %d engines, want 1 (no early split)", i, n)
+		}
+	}
+	if n := last.used.Load(); n != 2 {
+		t.Errorf("last campaign of 3 replayed on %d engine(s), want 2", n)
+	}
+}
+
+// TestRunIsSweepOfOne: Run adds nothing to a one-campaign Sweep — same
+// result on both models, same error for a factory that fails.
+func TestRunIsSweepOfOne(t *testing.T) {
+	cfg := campaign.Config{
+		Injections: 40, Seed: 5, Target: fault.TargetRF, Window: 400,
+		Workers: 2, EarlyStop: true, Prune: campaign.PruneDead,
+	}
+	one := func(fac campaign.Factory) (*campaign.Result, error) {
+		sr, err := campaign.Sweep([]campaign.SweepCampaign{
+			{Key: "run", Group: "run", Factory: fac, Config: cfg},
+		}, campaign.SweepOptions{Workers: cfg.Workers})
+		if err != nil {
+			return nil, err
+		}
+		return sr.Results["run"], nil
+	}
+	for _, m := range []core.Model{core.ModelMicroarch, core.ModelRTL} {
+		fac := factoryFor(t, "sha", m)
+		got, err := campaign.Run(fac, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := one(fac)
+		if err != nil {
+			t.Fatal(err)
+		}
+		normalizeResult(got)
+		normalizeResult(want)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: Run differs from a one-campaign Sweep:\n got %+v\nwant %+v", m, got, want)
+		}
+	}
+
+	// Golden factory down, then only the engines' factory calls down.
+	for _, healthy := range []int32{0, 1} {
+		boom := errors.New("no simulator for you")
+		var calls atomic.Int32
+		fac := func() (campaign.Simulator, error) {
+			if calls.Add(1) <= healthy {
+				return &mockSim{limit: 100}, nil
+			}
+			return nil, boom
+		}
+		_, runErr := campaign.Run(fac, cfg)
+		calls.Store(0)
+		_, sweepErr := one(fac)
+		if runErr == nil || sweepErr == nil || runErr.Error() != sweepErr.Error() || !errors.Is(runErr, boom) {
+			t.Errorf("failing factory after %d good calls: Run says %v, Sweep says %v", healthy, runErr, sweepErr)
+		}
 	}
 }

@@ -129,48 +129,34 @@ func (p Params) benchList() ([]*bench.Workload, error) {
 	return out, nil
 }
 
-// RunCampaign runs one standalone (workload, model) campaign.
-func RunCampaign(workload string, m Model, setup Setup, cfg campaign.Config) (*campaign.Result, error) {
+// Standalone describes one (workload, model) campaign as a sweep of
+// one, keyed "<workload>/<model>" (the name its checkpoint records
+// carry): RunCampaign runs it with no options, cmd/faultsim with a
+// checkpoint directory and a stop channel.
+func Standalone(workload string, m Model, setup Setup, cfg campaign.Config) (campaign.SweepCampaign, error) {
 	w, err := bench.ByName(workload)
 	if err != nil {
-		return nil, err
-	}
-	p, err := w.Program()
-	if err != nil {
-		return nil, err
-	}
-	return campaign.Run(Factory(m, p, setup), cfg)
-}
-
-// RunCampaignOpts runs one standalone (workload, model) campaign
-// through the sweep scheduler instead of campaign.Run, which buys it
-// streaming JSONL checkpoints and graceful SweepOptions.Stop handling.
-// Classification results are bit-identical to RunCampaign by the
-// sweep's determinism contract; per-run timing is attributed busy time
-// rather than private-pool wall time.
-func RunCampaignOpts(workload string, m Model, setup Setup, cfg campaign.Config, opt campaign.SweepOptions) (*campaign.Result, error) {
-	w, err := bench.ByName(workload)
-	if err != nil {
-		return nil, err
+		return campaign.SweepCampaign{}, err
 	}
 	prog, err := w.Program()
 	if err != nil {
-		return nil, err
+		return campaign.SweepCampaign{}, err
 	}
-	if opt.Workers <= 0 {
-		opt.Workers = cfg.Workers
-	}
-	key := fmt.Sprintf("%s/%v", workload, m)
-	sr, err := campaign.Sweep([]campaign.SweepCampaign{{
-		Key:     key,
+	return campaign.SweepCampaign{
+		Key:     fmt.Sprintf("%s/%v", workload, m),
 		Group:   sweepGroup(m, workload, setup),
 		Factory: Factory(m, prog, setup),
 		Config:  cfg,
-	}}, opt)
+	}, nil
+}
+
+// RunCampaign runs one standalone (workload, model) campaign.
+func RunCampaign(workload string, m Model, setup Setup, cfg campaign.Config) (*campaign.Result, error) {
+	c, err := Standalone(workload, m, setup, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return sr.Results[key], nil
+	return campaign.Run(c.Factory, c.Config)
 }
 
 // Series is one bar group of a figure: a vulnerability estimate per

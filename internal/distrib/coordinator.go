@@ -20,7 +20,6 @@ const (
 	defaultShardSize     = 64
 	defaultMaxShardFails = 5
 	submitQueueDepth     = 256
-	maxGoldenCache       = 4
 	maxPrepWorkers       = 4
 
 	// cursorLookahead is how many shards' worth of jobs fillShardLocked
@@ -99,29 +98,10 @@ type Coordinator struct {
 	latSum time.Duration
 	latN   int
 
-	prepCh   chan *campState
-	goldenMu sync.Mutex
-	goldens  map[goldenKey]*goldenSlot
-	closed   chan struct{}
-	wg       sync.WaitGroup
-}
-
-// goldenSlot single-flights one golden shape's preparation: the first
-// prep worker to claim the key runs PrepareGolden, everyone else waits
-// on ready. Campaign fingerprints stay stable because every member of
-// the shape sees the one shared *Golden (or the one shared error).
-type goldenSlot struct {
-	ready chan struct{}
-	g     *campaign.Golden
-	err   error
-}
-
-// goldenKey identifies a shareable golden run: campaigns agreeing on
-// simulator identity and golden-artifact options replay against one
-// golden instance, exactly like a sweep group.
-type goldenKey struct {
-	workload, model, setup string
-	opts                   campaign.GoldenOptions
+	prepCh  chan *campState
+	goldens goldenCache
+	closed  chan struct{}
+	wg      sync.WaitGroup
 }
 
 // shardEntry is a queued (or re-queued) shard with its failure count.
@@ -151,9 +131,8 @@ type campState struct {
 	goldenFP     uint64
 	goldenCycles uint64
 
-	// Cached engine state Progress serves. Refreshed at merge time
-	// (prepare, lease fill, outcome merge) rather than recomputed from
-	// the collector on every poll, and final once planned is released.
+	// The engine state Progress serves once planned is released; while
+	// it is live, Progress reads planned itself.
 	delivered  int
 	resumed    int
 	stopped    bool
@@ -189,12 +168,12 @@ func NewCoordinator(opt CoordinatorOptions) *Coordinator {
 		campaigns: make(map[string]*campState),
 		leases:    make(map[string]*activeLease),
 		prepCh:    make(chan *campState, submitQueueDepth),
-		goldens:   make(map[goldenKey]*goldenSlot),
+		goldens:   goldenCache{evictions: obsGoldenEvictions},
 		closed:    make(chan struct{}),
 	}
 	// Golden runs dominate preparation and distinct shapes are
 	// independent, so a small pool preps them concurrently; identical
-	// shapes still share one run through the goldenSlot single-flight.
+	// shapes still share one run through the golden cache's single-flight.
 	// One P stays free of golden runs: they are pure compute that never
 	// enters the runtime (the microarch kernel does not allocate), so a
 	// pool as wide as GOMAXPROCS left the API's goroutines waiting ~10 ms
@@ -228,19 +207,6 @@ func (c *Coordinator) Close() error {
 
 // journal emits one event to the configured journal (nil-safe).
 func (c *Coordinator) journal(e obs.Event) { c.opt.Journal.Emit(e) }
-
-// syncStateLocked refreshes the campaign's cached progress fields from
-// the live collector — called at merge time (prepare, lease fill,
-// outcome merge), never from the poll path. No-op once planned has
-// been released: the last sync froze the terminal values.
-func syncStateLocked(cs *campState) {
-	if cs.planned == nil {
-		return
-	}
-	cs.delivered = cs.planned.Delivered()
-	cs.resumed = cs.planned.Resumed()
-	cs.stopped = cs.planned.Stopped()
-}
 
 // specID derives the deterministic campaign ID of a normalised spec:
 // identical campaigns — across submissions and coordinator restarts —
@@ -297,7 +263,7 @@ func (c *Coordinator) Submit(spec CampaignSpec) (SubmitResponse, error) {
 
 // prepLoop drains the submission queue; several instances run
 // concurrently, so distinct golden shapes prepare in parallel while
-// goldenFor single-flights identical shapes onto one run.
+// the golden cache single-flights identical shapes onto one run.
 func (c *Coordinator) prepLoop() {
 	defer c.wg.Done()
 	for {
@@ -319,20 +285,17 @@ func (c *Coordinator) prepare(cs *campState) {
 		cs.errMsg = err.Error()
 		c.mu.Unlock()
 	}
-	factory, err := cs.spec.factory()
+	e, fresh, err := c.goldens.get(cs.spec)
+	if fresh {
+		obsGoldenMisses.Inc()
+	} else {
+		obsGoldenHits.Inc()
+	}
 	if err != nil {
 		fail(err)
 		return
 	}
-	key := goldenKey{
-		workload: cs.spec.Workload, model: cs.spec.Model, setup: cs.spec.Setup,
-		opts: campaign.GoldenOptionsFor(cs.spec.Config),
-	}
-	g, err := c.goldenFor(key, factory)
-	if err != nil {
-		fail(err)
-		return
-	}
+	g := e.g
 	planned, err := g.PlanCampaign(cs.spec.Config)
 	if err != nil {
 		fail(err)
@@ -350,7 +313,6 @@ func (c *Coordinator) prepare(cs *campState) {
 	cs.goldenCycles = g.Cycles
 	cs.status = StatusRunning
 	cs.start = time.Now()
-	syncStateLocked(cs)
 	c.maybeFinishLocked(cs) // a fully checkpointed campaign needs no worker
 	c.mu.Unlock()
 	c.logf("distrib: campaign %s running (golden %d cycles, %d resumed)", cs.id, g.Cycles, planned.Resumed())
@@ -359,58 +321,6 @@ func (c *Coordinator) prepare(cs *campState) {
 		Workload: cs.spec.Workload, Model: cs.spec.Model, N: planned.Resumed(),
 		Detail: fmt.Sprintf("golden %d cycles", g.Cycles),
 	})
-}
-
-// goldenFor returns the shared golden run for one golden shape,
-// preparing it on first use. Concurrent prep workers hitting one key
-// single-flight: the claimant runs PrepareGolden, the rest block on the
-// slot, so identical campaigns always replay against one golden
-// instance (fingerprint-stable) no matter how submissions interleave.
-func (c *Coordinator) goldenFor(key goldenKey, factory campaign.Factory) (*campaign.Golden, error) {
-	c.goldenMu.Lock()
-	if s, ok := c.goldens[key]; ok {
-		c.goldenMu.Unlock()
-		obsGoldenHits.Inc()
-		<-s.ready
-		return s.g, s.err
-	}
-	s := &goldenSlot{ready: make(chan struct{})}
-	c.goldens[key] = s
-	c.goldenMu.Unlock()
-	obsGoldenMisses.Inc()
-
-	s.g, s.err = campaign.PrepareGolden(factory, key.opts)
-	close(s.ready)
-
-	c.goldenMu.Lock()
-	defer c.goldenMu.Unlock()
-	if s.err != nil {
-		// Drop the failed slot so a later resubmission retries the run
-		// instead of inheriting a stale error forever.
-		delete(c.goldens, key)
-		return nil, s.err
-	}
-	// Bound the cache: golden artifacts (snapshots, pinout and lifetime
-	// traces) are the coordinator's largest allocation, and a long-lived
-	// service must not accumulate one per distinct campaign shape
-	// forever. Only settled slots are evicted — an in-flight slot has
-	// waiters — and running campaigns hold their own reference, so
-	// eviction never invalidates them.
-	for k, old := range c.goldens {
-		if len(c.goldens) <= maxGoldenCache {
-			break
-		}
-		if k == key {
-			continue
-		}
-		select {
-		case <-old.ready:
-			delete(c.goldens, k)
-			obsGoldenEvictions.Inc()
-		default:
-		}
-	}
-	return s.g, nil
 }
 
 // Lease hands the next available shard to a pulling worker, or reports
@@ -434,7 +344,6 @@ func (c *Coordinator) Lease(req LeaseRequest) (*Lease, error) {
 			cs.queue = cs.queue[1:]
 		} else {
 			jobs := c.fillShardLocked(cs)
-			syncStateLocked(cs) // NextReplay may have delivered synthetics
 			if len(jobs) == 0 {
 				c.maybeFinishLocked(cs)
 				continue
@@ -579,7 +488,6 @@ func (c *Coordinator) Outcomes(batch OutcomeBatch) error {
 		}
 		cs.replayed++
 	}
-	syncStateLocked(cs)
 	obsShardsDone.Inc()
 	if !mergeStart.IsZero() {
 		obsMergeSeconds.Observe(time.Since(mergeStart).Seconds())
@@ -597,10 +505,10 @@ func (c *Coordinator) Outcomes(batch OutcomeBatch) error {
 		Event: obs.EvShardDone, Campaign: cs.id,
 		Shard: l.id, Worker: batch.Worker, N: len(l.shard.jobs),
 	})
-	if cs.stopped && !cs.stopLogged {
+	if !cs.stopLogged && cs.planned.Stopped() {
 		cs.stopLogged = true
 		c.journal(obs.Event{
-			Event: obs.EvStopFired, Campaign: cs.id, N: cs.delivered,
+			Event: obs.EvStopFired, Campaign: cs.id, N: cs.planned.Delivered(),
 			Detail: "sequential stopping margin reached",
 		})
 	}
@@ -636,12 +544,14 @@ func (c *Coordinator) failLocked(cs *campState, msg string) {
 	c.logf("distrib: campaign %s failed: %s", cs.id, msg)
 }
 
-// releasePlanned snapshots the engine state Progress reports and drops
+// releasePlanned freezes the engine state Progress reports and drops
 // the campaign's planning state (outcome arrays, pruner, golden
 // reference): finished campaigns keep only their Result, so a
 // long-lived coordinator's memory tracks live campaigns, not history.
 func releasePlanned(cs *campState) {
-	syncStateLocked(cs)
+	if p := cs.planned; p != nil {
+		cs.delivered, cs.resumed, cs.stopped = p.Delivered(), p.Resumed(), p.Stopped()
+	}
 	cs.planned = nil
 }
 
@@ -653,7 +563,6 @@ func (c *Coordinator) maybeFinishLocked(cs *campState) {
 		return
 	}
 	jobs := c.fillShardLocked(cs)
-	syncStateLocked(cs)
 	if len(jobs) > 0 {
 		cs.queue = append(cs.queue, shardEntry{jobs: jobs})
 		return
@@ -699,11 +608,11 @@ func (c *Coordinator) expireLocked(now time.Time) {
 	}
 }
 
-// Progress snapshots one campaign's live state. The poll path serves
-// the cached aggregate refreshed at merge time — it never walks the
-// collector or pulls the producer, so polling costs the same no matter
-// how large the campaign or how many clients watch it. (Completion is
-// always triggered by the merge/lease/prepare paths themselves.)
+// Progress snapshots one campaign's live state. The poll path reads
+// the collector's O(1) counters — it never walks the collector or pulls
+// the producer, so polling costs the same no matter how large the
+// campaign or how many clients watch it. (Completion is always
+// triggered by the merge/lease/prepare paths themselves.)
 func (c *Coordinator) Progress(id string) (Progress, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -726,6 +635,9 @@ func (c *Coordinator) progressLocked(cs *campState) Progress {
 		Delivered:    cs.delivered,
 		Resumed:      cs.resumed,
 		Stopped:      cs.stopped,
+	}
+	if pl := cs.planned; pl != nil {
+		p.Delivered, p.Resumed, p.Stopped = pl.Delivered(), pl.Resumed(), pl.Stopped()
 	}
 	switch {
 	case cs.status == StatusDone || cs.status == StatusFailed:

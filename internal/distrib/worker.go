@@ -15,22 +15,6 @@ import (
 	"repro/internal/obs"
 )
 
-// maxWorkerGoldens bounds the worker's golden cache, like the
-// coordinator's: a long-lived worker serving many campaign shapes must
-// not accumulate golden artifacts forever.
-const maxWorkerGoldens = 4
-
-// goldenEntry caches one golden run together with the simulator
-// instances warmed against it. Simulators are reused across leases — a
-// 4000-injection campaign is ~60 leases, and rebuilding every
-// simulator per lease would pay the program-load cost hundreds of
-// times for nothing (every replay starts from a snapshot restore).
-type goldenEntry struct {
-	g     *campaign.Golden
-	build campaign.Factory
-	sims  []campaign.Simulator
-}
-
 // WorkerOptions parameterises a pull-based worker.
 type WorkerOptions struct {
 	// Coordinator is the coordinator's base URL (e.g.
@@ -47,12 +31,6 @@ type WorkerOptions struct {
 	// Poll is the idle re-poll interval when the coordinator has no
 	// work (0 selects 500ms).
 	Poll time.Duration
-
-	// MaxLanes caps the bit-parallel replay width this worker uses per
-	// shard, regardless of the campaign's configured lanes (0 honors
-	// the campaign config; 1 forces a scalar engine). Classifications
-	// are byte-identical at any width, so a mixed fleet stays exact.
-	MaxLanes int
 
 	// HTTP overrides the transport (tests); nil uses a default client.
 	HTTP *http.Client
@@ -78,7 +56,7 @@ type Worker struct {
 	api  jsonAPI
 	logf func(string, ...any)
 
-	goldens map[goldenKey]*goldenEntry
+	goldens goldenCache
 }
 
 // NewWorker builds a worker engine.
@@ -108,7 +86,7 @@ func NewWorker(opt WorkerOptions) *Worker {
 		http: hc, base: opt.Coordinator, attempts: retryAttempts,
 		reqLog: opt.ReqLog, retries: obsWorkerHTTPRetries,
 	}
-	return &Worker{opt: opt, api: api, logf: logf, goldens: make(map[goldenKey]*goldenEntry)}
+	return &Worker{opt: opt, api: api, logf: logf}
 }
 
 // Run pulls and executes leases until ctx is cancelled. Transient
@@ -172,17 +150,14 @@ func (w *Worker) once(ctx context.Context) (bool, error) {
 
 // executeShard prepares golden artifacts for the lease's campaign,
 // verifies golden identity, and runs the lease's jobs through the
-// campaign replay pool — the engine is whichever one the (lane-clamped)
-// config selects — heartbeating the lease while it works. Anything
+// campaign replay pool — the engine is whichever one the lease's config
+// selects — heartbeating the lease while it works. Anything
 // wrong with the lease itself comes back as an error for the
 // coordinator, never as a panic: its fields arrive off the wire.
 func (w *Worker) executeShard(ctx context.Context, lease *Lease) ([]WireOutcome, error) {
 	cfg := lease.Spec.Config
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if w.opt.MaxLanes > 0 && cfg.Lanes > w.opt.MaxLanes {
-		cfg.Lanes = w.opt.MaxLanes
 	}
 	jobs := lease.Jobs
 	if len(jobs) == 0 {
@@ -198,9 +173,16 @@ func (w *Worker) executeShard(ctx context.Context, lease *Lease) ([]WireOutcome,
 		slot[j.Index] = i
 	}
 
-	entry, err := w.golden(lease.Spec)
+	// Identical golden needs share one local run, exactly as the
+	// coordinator and the sweep scheduler share theirs.
+	prepStart := time.Now()
+	entry, fresh, err := w.goldens.get(lease.Spec)
 	if err != nil {
 		return nil, err
+	}
+	if fresh {
+		w.logf("distrib worker %s: prepared golden %s/%s", w.opt.ID, lease.Spec.Workload, lease.Spec.Model)
+		obsWorkerGoldenSeconds.Observe(time.Since(prepStart).Seconds())
 	}
 	if fp := entry.g.Fingerprint(); fp != lease.GoldenFP {
 		obsWorkerFPRefusals.Inc()
@@ -296,40 +278,6 @@ func (e *goldenEntry) factory() campaign.Factory {
 		used++
 		return e.sims[used-1], nil
 	}
-}
-
-// golden returns (preparing on first use) the local golden artifacts
-// for a campaign spec. Identical golden needs share one run, exactly as
-// the coordinator and the sweep scheduler share theirs; the cache is
-// bounded like the coordinator's.
-func (w *Worker) golden(spec CampaignSpec) (*goldenEntry, error) {
-	key := goldenKey{
-		workload: spec.Workload, model: spec.Model, setup: spec.Setup,
-		opts: campaign.GoldenOptionsFor(spec.Config),
-	}
-	if e, ok := w.goldens[key]; ok {
-		return e, nil
-	}
-	factory, err := spec.factory()
-	if err != nil {
-		return nil, err
-	}
-	w.logf("distrib worker %s: preparing golden %s/%s", w.opt.ID, spec.Workload, spec.Model)
-	prepStart := time.Now()
-	g, err := campaign.PrepareGolden(factory, key.opts)
-	if err != nil {
-		return nil, err
-	}
-	obsWorkerGoldenSeconds.Observe(time.Since(prepStart).Seconds())
-	for k := range w.goldens {
-		if len(w.goldens) < maxWorkerGoldens {
-			break
-		}
-		delete(w.goldens, k)
-	}
-	e := &goldenEntry{g: g, build: factory}
-	w.goldens[key] = e
-	return e, nil
 }
 
 // ---------------------------------------------------------- transport

@@ -152,6 +152,32 @@ type CPU struct {
 	FaultDesc string
 }
 
+// newShell allocates a CPU of cfg's shape over the given memory and
+// caches, every state field zero and every slice at its fixed size or
+// capacity: New writes the reset state into it, Clone restores a copy
+// of a running CPU over it. The allocation shape lives here only.
+func newShell(cfg Config, m *mem.Memory, l1i, l1d *cache.Cache) *CPU {
+	return &CPU{
+		cfg:      cfg,
+		Mem:      m,
+		L1I:      l1i,
+		L1D:      l1d,
+		prf:      make([]uint32, cfg.NumPhysRegs),
+		prfReady: make([]bool, cfg.NumPhysRegs),
+		freeList: make([]int16, 0, cfg.NumPhysRegs),
+		bimodal:  make([]uint8, 1<<cfg.BimodalBits),
+		ras:      make([]uint32, cfg.RASDepth),
+
+		uops:     make([]uop, slabSlots(cfg)),
+		uopFree:  make([]slot, 0, slabSlots(cfg)),
+		decq:     newRing[fetched](cfg.DecodeQueue),
+		rob:      newRing[slot](cfg.ROBSize),
+		iq:       make([]slot, 0, cfg.IQSize),
+		lsq:      make([]slot, 0, cfg.LSQSize),
+		inflight: make([]slot, 0, cfg.ROBSize),
+	}
+}
+
 // New builds a CPU with the program loaded and the ABI initial state.
 func New(p *asm.Program, cfg Config) (*CPU, error) {
 	if err := cfg.Validate(); err != nil {
@@ -169,28 +195,9 @@ func New(p *asm.Program, cfg Config) (*CPU, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &CPU{
-		cfg:      cfg,
-		Mem:      m,
-		L1I:      l1i,
-		L1D:      l1d,
-		prf:      make([]uint32, cfg.NumPhysRegs),
-		prfReady: make([]bool, cfg.NumPhysRegs),
-		freeList: make([]int16, 0, cfg.NumPhysRegs),
-		bimodal:  make([]uint8, 1<<cfg.BimodalBits),
-		ras:      make([]uint32, cfg.RASDepth),
-		fetchPC:  p.TextBase,
-
-		uops:             make([]uop, slabSlots(cfg)),
-		uopFree:          make([]slot, 0, slabSlots(cfg)),
-		retiredFlags:     noSlot,
-		specFlagProducer: noSlot,
-		decq:             newRing[fetched](cfg.DecodeQueue),
-		rob:              newRing[slot](cfg.ROBSize),
-		iq:               make([]slot, 0, cfg.IQSize),
-		lsq:              make([]slot, 0, cfg.LSQSize),
-		inflight:         make([]slot, 0, cfg.ROBSize),
-	}
+	c := newShell(cfg, m, l1i, l1d)
+	c.fetchPC = p.TextBase
+	c.retiredFlags, c.specFlagProducer = noSlot, noSlot
 	for i := 0; i < 16; i++ {
 		c.rat[i] = int16(i)
 		c.arat[i] = int16(i)

@@ -1,7 +1,5 @@
 package microarch
 
-import "slices"
-
 // Clone returns a deep copy of the CPU, including every in-flight
 // instruction, the rename state, predictors, caches and a copy-on-write
 // snapshot of memory. The clone's Pinout is nil (the campaign engine
@@ -14,48 +12,9 @@ import "slices"
 // holds no pointer graph for the collector to trace.
 func (c *CPU) Clone() *CPU {
 	m := c.Mem.Snapshot()
-	return &CPU{
-		cfg:      c.cfg,
-		Mem:      m,
-		L1I:      c.L1I.Clone(m),
-		L1D:      c.L1D.Clone(m),
-		prf:      slices.Clone(c.prf),
-		prfReady: slices.Clone(c.prfReady),
-		rat:      c.rat,
-		arat:     c.arat,
-		freeList: cloneCap(c.freeList),
-
-		archFlags: c.archFlags,
-
-		uops:             slices.Clone(c.uops),
-		uopFree:          cloneCap(c.uopFree),
-		retiredFlags:     c.retiredFlags,
-		specFlagProducer: c.specFlagProducer,
-
-		fetchPC:         c.fetchPC,
-		fetchStallUntil: c.fetchStallUntil,
-		decq:            c.decq.clone(),
-
-		rob:      c.rob.clone(),
-		iq:       cloneCap(c.iq),
-		lsq:      cloneCap(c.lsq),
-		inflight: cloneCap(c.inflight),
-
-		bimodal: slices.Clone(c.bimodal),
-		ras:     slices.Clone(c.ras),
-		rasLen:  c.rasLen,
-
-		lsuBusyUntil: c.lsuBusyUntil,
-		mulBusyUntil: c.mulBusyUntil,
-
-		Cycles:    c.Cycles,
-		Insts:     c.Insts,
-		seq:       c.seq,
-		Output:    slices.Clone(c.Output),
-		Stop:      c.Stop,
-		ExitCode:  c.ExitCode,
-		FaultDesc: c.FaultDesc,
-	}
+	n := newShell(c.cfg, m, c.L1I.Clone(m), c.L1D.Clone(m))
+	n.restoreCore(c)
+	return n
 }
 
 // RestoreFrom overwrites this CPU's state with a deep copy of base,
@@ -69,7 +28,13 @@ func (c *CPU) RestoreFrom(base *CPU) {
 	c.Mem.RestoreFrom(base.Mem)
 	c.L1I.RestoreFrom(base.L1I, c.Mem)
 	c.L1D.RestoreFrom(base.L1D, c.Mem)
+	c.restoreCore(base)
+}
 
+// restoreCore copies everything outside memory and the caches from
+// base — the one field list behind Clone and RestoreFrom (StateHash
+// keeps the other).
+func (c *CPU) restoreCore(base *CPU) {
 	copy(c.prf, base.prf)
 	copy(c.prfReady, base.prfReady)
 	c.rat = base.rat

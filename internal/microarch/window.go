@@ -1,7 +1,6 @@
 package microarch
 
 import (
-	"slices"
 	"strconv"
 
 	"repro/internal/isa"
@@ -93,19 +92,9 @@ func (r *ring[T]) pop() {
 // truncate keeps the n oldest elements.
 func (r *ring[T]) truncate(n int) { r.n = n }
 
-func (r *ring[T]) clone() ring[T] {
-	return ring[T]{buf: slices.Clone(r.buf), head: r.head, n: r.n}
-}
-
 func (r *ring[T]) copyFrom(o *ring[T]) {
 	copy(r.buf, o.buf)
 	r.head, r.n = o.head, o.n
-}
-
-// cloneCap copies s keeping its capacity, so the copy's appends stay
-// within the fixed-size backing array like the original's.
-func cloneCap[T any](s []T) []T {
-	return append(make([]T, 0, cap(s)), s...)
 }
 
 // faultKind says why a uop faults when it reaches the ROB head. Most

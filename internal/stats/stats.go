@@ -119,7 +119,9 @@ type Proportion struct {
 }
 
 // EstimateProportion computes the point estimate and Wilson score
-// interval for hits successes out of n trials at the given confidence.
+// interval for hits successes out of n trials at the given confidence:
+// the weighted estimate with every weight 1, where represented mass and
+// effective sample size are both n.
 func EstimateProportion(hits, n int, conf float64) (Proportion, error) {
 	if n <= 0 {
 		return Proportion{}, fmt.Errorf("stats: n must be positive, got %d", n)
@@ -127,32 +129,16 @@ func EstimateProportion(hits, n int, conf float64) (Proportion, error) {
 	if hits < 0 || hits > n {
 		return Proportion{}, fmt.Errorf("stats: hits %d out of [0,%d]", hits, n)
 	}
-	z, err := ZForConfidence(conf)
-	if err != nil {
-		return Proportion{}, err
-	}
-	p := float64(hits) / float64(n)
-	nf := float64(n)
-	denom := 1 + z*z/nf
-	center := (p + z*z/(2*nf)) / denom
-	half := z / denom * math.Sqrt(p*(1-p)/nf+z*z/(4*nf*nf))
-	return Proportion{
-		Hits: hits, N: n, P: p,
-		Lo: math.Max(0, center-half), Hi: math.Min(1, center+half),
-		Conf:  conf,
-		Sigma: math.Sqrt(p * (1 - p) / nf),
-	}, nil
+	return EstimateWeightedProportion(float64(hits), float64(n), float64(n), conf)
 }
 
 // WilsonHalfWidth returns the half-width of the Wilson score interval
 // for hits successes out of n trials at normal quantile z. It is the
 // stopping statistic of the sequential campaign dispatcher: unlike the
 // Wald width it is well-behaved at p = 0 and p = 1, so a class that has
-// not been observed yet still reports an honest upper bound.
+// not been observed yet still reports an honest upper bound. An empty
+// sample saturates at 1 (WilsonHalfWidthP's n <= 0 rule).
 func WilsonHalfWidth(hits, n int, z float64) float64 {
-	if n <= 0 {
-		return 1
-	}
 	return WilsonHalfWidthP(float64(hits)/float64(n), float64(n), z)
 }
 
@@ -200,18 +186,6 @@ func EstimateWeightedProportion(hitW, totalW, nEff, conf float64) (Proportion, e
 		Conf:  conf,
 		Sigma: math.Sqrt(p * (1 - p) / nEff),
 	}, nil
-}
-
-// WaldHalfWidth returns the half-width of the normal-approximation
-// (Wald) interval for hits out of n at quantile z. Reported alongside
-// the Wilson width because Leveugle's sample-size formula is Wald-based,
-// so the achieved Wald margin is directly comparable to the planned one.
-func WaldHalfWidth(hits, n int, z float64) float64 {
-	if n <= 0 {
-		return 1
-	}
-	p := float64(hits) / float64(n)
-	return z * math.Sqrt(p*(1-p)/float64(n))
 }
 
 // Sequential is the incremental multinomial estimator behind the
@@ -325,22 +299,6 @@ func (s *Sequential) WilsonMargin() float64 {
 	worst := 0.0
 	for _, c := range s.classes {
 		if w := WilsonHalfWidthP(s.counts[c]/s.sumW, nEff, s.z); w > worst {
-			worst = w
-		}
-	}
-	return worst
-}
-
-// WaldMargin returns the widest Wald half-width across the universe.
-func (s *Sequential) WaldMargin() float64 {
-	if s.n == 0 {
-		return 1
-	}
-	nEff := s.EffectiveN()
-	worst := 0.0
-	for _, c := range s.classes {
-		p := s.counts[c] / s.sumW
-		if w := s.z * math.Sqrt(p*(1-p)/nEff); w > worst {
 			worst = w
 		}
 	}

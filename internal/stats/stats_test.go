@@ -149,7 +149,7 @@ func TestMean(t *testing.T) {
 
 // TestHalfWidths: the Wilson half-width must agree with the
 // EstimateProportion interval, stay finite at the p = 0 boundary, and
-// shrink with n; the Wald width must match its closed form.
+// shrink with n.
 func TestHalfWidths(t *testing.T) {
 	z, err := ZForConfidence(0.99)
 	if err != nil {
@@ -169,12 +169,8 @@ func TestHalfWidths(t *testing.T) {
 	if WilsonHalfWidth(30, 1000, z) >= WilsonHalfWidth(30, 100, z) {
 		t.Error("Wilson half-width did not shrink with n")
 	}
-	want := z * math.Sqrt(0.3*0.7/100)
-	if got := WaldHalfWidth(30, 100, z); math.Abs(got-want) > 1e-12 {
-		t.Errorf("Wald half-width %.6f != %.6f", got, want)
-	}
-	if WilsonHalfWidth(1, 0, z) != 1 || WaldHalfWidth(1, 0, z) != 1 {
-		t.Error("empty-sample half-widths must saturate at 1")
+	if WilsonHalfWidth(1, 0, z) != 1 {
+		t.Error("empty-sample half-width must saturate at 1")
 	}
 }
 
@@ -192,8 +188,8 @@ func TestSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.WilsonMargin() != 1 || s.WaldMargin() != 1 {
-		t.Error("empty estimator must report saturated margins")
+	if s.WilsonMargin() != 1 {
+		t.Error("empty estimator must report a saturated margin")
 	}
 	// Stream a deterministic 1-in-4 pattern and find the first n within
 	// a 0.15 margin; verify against the closed-form width at that n.
