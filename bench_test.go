@@ -18,6 +18,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/lifetime"
 	"repro/internal/obs"
 	"repro/internal/refsim"
 	"repro/internal/stats"
@@ -270,25 +271,45 @@ func benchmarkStep(b *testing.B, model core.Model) {
 // finds work, plus the engine's per-tick BeginTick/Peeled pair. The
 // difference to BenchmarkMicroarchStep is what riding lanes costs a
 // cycle nobody is consumed in.
-func BenchmarkMicroarchLockstepStep(b *testing.B) { benchmarkLockstepStep(b, core.ModelMicroarch) }
+func BenchmarkMicroarchLockstepStep(b *testing.B) {
+	benchmarkLockstepStep(b, core.ModelMicroarch, false)
+}
 
 // BenchmarkRTLLockstepStep is the same measurement on the RTL core,
 // whose hooks sit at the kernel's read port and clock edge: the
 // difference to BenchmarkRTLStep.
-func BenchmarkRTLLockstepStep(b *testing.B) { benchmarkLockstepStep(b, core.ModelRTL) }
+func BenchmarkRTLLockstepStep(b *testing.B) { benchmarkLockstepStep(b, core.ModelRTL, false) }
 
-func benchmarkLockstepStep(b *testing.B, model core.Model) {
+// BenchmarkMicroarchLockstepStepBoth is the golden step of a walk two
+// campaigns share: a register-file and an L1D tracker attached side by
+// side, nothing dirty in either. It must sit within noise of the
+// one-tracker step — the second tracker is one more nil check that
+// passes and one more mask word that reads zero.
+func BenchmarkMicroarchLockstepStepBoth(b *testing.B) {
+	benchmarkLockstepStep(b, core.ModelMicroarch, true)
+}
+
+// BenchmarkRTLLockstepStepBoth is the same measurement on the RTL core.
+func BenchmarkRTLLockstepStepBoth(b *testing.B) { benchmarkLockstepStep(b, core.ModelRTL, true) }
+
+func benchmarkLockstepStep(b *testing.B, model core.Model, both bool) {
 	sim := kernelSim(b, model)
 	host := sim.(campaign.BatchCapable)
-	lanes, ok := host.AttachLanes(fault.TargetRF)
-	if !ok {
-		b.Fatal("no lane tracker over the register file")
+	trackers := []*lifetime.Lanes{lifetime.NewLanes(host.LaneGeometry(fault.TargetRF)), nil}
+	if both {
+		trackers[1] = lifetime.NewLanes(host.LaneGeometry(fault.TargetL1D))
 	}
-	defer host.DetachLanes()
+	host.SetLanes(trackers[0], trackers[1])
+	defer host.SetLanes(nil, nil)
+	if !both {
+		trackers = trackers[:1]
+	}
 	var peeled uint64
 	benchmarkKernel(b, sim, func(campaign.Simulator) {
-		peeled |= lanes.Peeled()
-		lanes.BeginTick()
+		for _, lanes := range trackers {
+			peeled |= lanes.Peeled()
+			lanes.BeginTick()
+		}
 	})
 	if peeled != 0 {
 		b.Fatal("a lane peeled with nothing dirty")
@@ -575,6 +596,69 @@ func BenchmarkCursorReplayAllocs(b *testing.B) {
 	b.ResetTimer()
 	run(b.N)
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "replays/s")
+}
+
+// BenchmarkSharedWalk is the lockstep engine on one goroutine with the
+// two campaigns the paper runs over one benchmark — 1000 register-file
+// and 1000 L1D transients on qsort, 500-cycle windows — dispatched as
+// the pool dispatches them, one unit and one golden walk per pull
+// (shared), against the same two campaigns handed to the pool one after
+// the other, each walking the golden run on its own (apart). One op is a
+// back-to-back pair alternating which arm runs first, on fresh plans
+// over one prepared golden run; the arms' medians are reported in µs per
+// fault with their ratio. Run with -benchtime 4x for four alternations.
+func BenchmarkSharedWalk(b *testing.B) {
+	for _, model := range []core.Model{core.ModelMicroarch, core.ModelRTL} {
+		b.Run(model.String(), func(b *testing.B) {
+			factory := core.Factory(model, workloadProgram(b, "qsort"), core.CampaignSetup())
+			cfgs := []campaign.Config{
+				{Injections: 1000, Seed: 1, Target: fault.TargetRF, Obs: campaign.ObsPinout, Window: 500},
+				{Injections: 1000, Seed: 2, Target: fault.TargetL1D, Obs: campaign.ObsPinout, Window: 500},
+			}
+			g, err := campaign.PrepareGolden(factory, campaign.GoldenOptionsFor(cfgs[0]))
+			if err != nil {
+				b.Fatal(err)
+			}
+			const faults = 2000
+			arms := [2][]float64{make([]float64, b.N), make([]float64, b.N)} // [shared, apart]
+			b.ResetTimer()
+			for r := 0; r < b.N; r++ {
+				for k := 0; k < 2; k++ {
+					arm := (r + k) % 2 // odd pairs run the apart arm first
+					var work []*campaign.Work
+					for _, cfg := range cfgs {
+						p, err := g.PlanCampaign(cfg)
+						if err != nil {
+							b.Fatal(err)
+						}
+						work = append(work, &campaign.Work{
+							Golden: g, Config: p.Config(), Factory: factory,
+							Next: p.NextReplay, Deliver: p.Deliver, Size: cfg.Injections,
+						})
+					}
+					runtime.GC()
+					start := time.Now()
+					if arm == 0 {
+						err = campaign.ReplayPool(1, nil, work...)
+					} else {
+						for _, w := range work {
+							if err == nil {
+								err = campaign.ReplayPool(1, nil, w)
+							}
+						}
+					}
+					arms[arm][r] = time.Since(start).Seconds() * 1e6 / faults
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			shared, apart := median(arms[0]), median(arms[1])
+			b.ReportMetric(shared, "shared-µs/fault")
+			b.ReportMetric(apart, "apart-µs/fault")
+			b.ReportMetric(apart/shared, "apart/shared")
+		})
+	}
 }
 
 // BenchmarkSweepWall measures the full-sweep wall time of a miniature

@@ -94,8 +94,8 @@ func TestGoldenOutputs(t *testing.T) {
 			var buf bytes.Buffer
 			// The pool size is part of the output, so it is pinned: the JSON
 			// form prints Config.Workers, and the pool splits a sweep's last
-			// campaign evenly over its goroutines, which its lane accounting
-			// (LaneOccupancy) follows.
+			// unit evenly over its goroutines, which the lane accounting
+			// (LaneOccupancy: the lanes in flight on each walk) follows.
 			args := append([]string{"-injections", "6", "-benches", "caes", "-seed", "1", "-workers", "2"}, c.args...)
 			if err := run(args, &buf, nil); err != nil {
 				t.Fatal(err)

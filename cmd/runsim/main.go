@@ -202,7 +202,7 @@ func run(args []string) error {
 		if _, batched := r.(*campaign.BatchReplayer); batched {
 			st := r.Stats()
 			fmt.Printf("bit-parallel replay: %d lanes, %d retired in lockstep, %d peeled to scalar, %.1f mean lane occupancy\n",
-				*lanes, st.Batched, st.Peeled, float64(st.LaneSum)/float64(st.Groups))
+				*lanes, st.Batched, st.Peeled, float64(st.LaneCycles)/float64(st.Lockstep))
 		} else if *lanes > 1 {
 			fmt.Printf("bit-parallel replay unavailable on %v/%v; scalar probe\n", m, tgt)
 		}

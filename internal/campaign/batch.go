@@ -1,27 +1,36 @@
 package campaign
 
-// Bit-parallel lockstep replay: up to MaxLanes faulty machines ride one
-// golden evaluation, each represented only by its sparse state diff
-// against the golden machine (internal/lifetime's Lanes, the one tracker
-// both models feed from their read and write hooks). While no
-// diffed word has been consumed by the design, a faulty machine's entire
-// behavior — every signal, register write, bus transaction and output
-// byte — is the golden machine's, so one golden tick advances every lane
-// at once. The moment the design reads a word a lane has corrupted, that
-// lane's future genuinely diverges: it is peeled out of the batch and
-// finished on a scalar simulator rebuilt at the pre-tick cycle from a
-// ring snapshot plus the lane's reconstructed diff, then classified by
-// the exact finishRun tail the scalar engine uses. Lanes that never peel
-// can only ever be Masked — they retire at their convergence point,
-// observation-window limit or the golden program end without a single
-// private simulation cycle.
+// Bit-parallel lockstep replay: up to MaxLanes faulty machines per
+// injection target ride one golden evaluation, each represented only by
+// its sparse state diff against the golden machine (internal/lifetime's
+// Lanes, the one tracker both models feed from their read and write
+// hooks). While no diffed word has been consumed by the design, a faulty
+// machine's entire behavior — every signal, register write, bus
+// transaction and output byte — is the golden machine's, so one golden
+// tick advances every lane at once. The moment the design reads a word a
+// lane has corrupted, that lane's future genuinely diverges: it is
+// peeled out of the walk and finished on a scalar simulator rebuilt at
+// the pre-tick cycle from a ring snapshot plus the lane's reconstructed
+// diff, then classified by the exact finishRun tail the scalar engine
+// uses. Lanes that never peel can only ever be Masked — they retire at
+// their convergence point, observation-window limit or the golden
+// program end without a single private simulation cycle.
 //
-// Groups are cycle-clustered: the replayer pulls several batches' worth
-// of specs, sorts them by injection instant and packs adjacent instants
-// into one group, so the golden span a group replays stays a small slice
-// of the run instead of the whole program. Classifications are
-// byte-identical to the scalar path at any lane width; batching changes
-// only throughput.
+// The unit of replay is one forward walk of the golden run. A pull —
+// one chunk of every campaign riding the walk — is sorted by injection
+// instant and walked once: a spec takes a free lane slot of its
+// target's tracker when the walker reaches its instant and gives the
+// slot back when it retires or peels, so the next pending spec reuses
+// it. A spec that finds no free slot (or whose campaign already has
+// Config.Lanes lanes in flight) is deferred to a follow-up walk over
+// the leftovers. Stretches nobody rides are skipped through the nearest
+// golden snapshot or stepped plain (the fast-forward share). Campaigns
+// that share a golden run share the walk: one tracker per target (the
+// models take a register-file and an L1D tracker side by side), every
+// lane carrying the campaign it belongs to. A lane still peels exactly
+// when the design consumes it and is finished by the same tail, so
+// classifications are byte-identical to the scalar path at any lane
+// width and in any company; sharing changes only throughput.
 
 import (
 	"fmt"
@@ -32,39 +41,46 @@ import (
 	"repro/internal/lifetime"
 )
 
-// MaxLanes is the lane capacity of one replay batch: the lane tracker's.
+// MaxLanes is the lane capacity of one tracker: the most replays of one
+// injection target a walk carries at once.
 const MaxLanes = lifetime.MaxLanes
 
-// batchRingEvery is the in-group golden snapshot stride: a peeled lane's
-// scalar rebuild replays at most this many golden catch-up cycles. A
-// stride S costs one recycled capture per S lockstep cycles plus S/2
-// catch-up cycles per peel; on the RTL windowed L1D campaign (0.75 µs a
-// capture, 0.3 µs a cycle, one peel per 272 lockstep cycles) the sum is
-// minimal near S = 38 and within 0.5% of a replay's CPU from 16 to 64 —
-// measured flat there, 3% worse at 128. The microarchitectural model's
-// counters put its minimum at the same place (0.6 µs a capture, 0.2 µs a
-// cycle, one peel per 240 lockstep cycles on the windowed RF+L1D
-// campaigns: S = 38, and 64 costs 0.005 µs a lockstep cycle more, under
-// 1% of a replay's CPU), so both models share the one stride.
+// batchRingEvery is the golden snapshot stride while lanes ride: a
+// peeled lane's scalar rebuild replays at most this many golden catch-up
+// cycles. A stride S costs one recycled capture per S lockstep cycles
+// plus S/2 catch-up cycles per peel; on the RTL windowed L1D campaign
+// (0.75 µs a capture, 0.3 µs a cycle, one peel per 272 lockstep cycles)
+// the sum is minimal near S = 38 and within 0.5% of a replay's CPU from
+// 16 to 64 — measured flat there, 3% worse at 128. The
+// microarchitectural model's counters put its minimum at the same place
+// (0.6 µs a capture, 0.2 µs a cycle, one peel per 240 lockstep cycles on
+// the windowed RF+L1D campaigns: S = 38, and 64 costs 0.005 µs a
+// lockstep cycle more, under 1% of a replay's CPU), so both models share
+// the one stride.
 const batchRingEvery = 64
 
-// batchPull is how many groups' worth of specs one Replay pull drains
-// from the plan before cycle-sorting: larger pulls cluster injection
-// instants more tightly (smaller golden span per group) at the cost of
-// coarser work distribution across workers.
+// batchPull sizes one pull: a campaign contributes up to
+// Config.Lanes*batchPull specs to the walk it rides. Slots are recycled,
+// so the pull is not bound by the lane count; it is bound by what a pull
+// costs elsewhere — a goroutine holds it until the walk is done (coarser
+// work distribution across the pool) and a sequentially stopped campaign
+// has issued it whole before the stop can be decided.
 const batchPull = 8
 
 // BatchCapable is implemented by simulators that can ride lockstep lanes
 // over an injection target: both models do, for the register file and
 // the L1D data array (not for the RTL pipeline latches).
 type BatchCapable interface {
-	// AttachLanes attaches a fresh lane tracker over target t and
-	// returns it, or ok=false when the target has no lockstep surface.
-	// Lane indices are dense [0, MaxLanes); the tracker's flat bit space
-	// is the one Simulator.Flip uses for the target. DetachLanes
-	// disconnects whatever tracker is attached.
-	AttachLanes(t fault.Target) (lanes *lifetime.Lanes, ok bool)
-	DetachLanes()
+	// LaneGeometry states target t's flat fault bit space — units × width
+	// bits, laid out as Simulator.Flip indexes them — with a peek at this
+	// instance's current bits; units is 0 for a target without a lockstep
+	// surface. It is what a lifetime.Lanes over the target is built from.
+	LaneGeometry(t fault.Target) (units, width int, peek func(bit int) int)
+
+	// SetLanes attaches trackers over the register file and the L1D data
+	// array to this instance's read and write hooks; a nil leaves that
+	// target untracked, two nils detach.
+	SetLanes(rf, l1d *lifetime.Lanes)
 
 	// SnapshotInto captures like Simulator.Snapshot but may overwrite
 	// old, a capture this simulator returned earlier that the caller has
@@ -73,285 +89,322 @@ type BatchCapable interface {
 	SnapshotInto(old Snapshot) Snapshot
 }
 
-// laneState is one in-flight replay occupying a batch lane.
+// laneState is one in-flight replay occupying a lane slot. A slot is
+// assigned whole, so a recycled one inherits nothing.
 type laneState struct {
-	idx      int // plan index
-	spec     fault.Spec
-	limit    uint64 // observation-window limit (hang budget when run-to-end)
-	hi       int    // next golden hash index (convergence exit)
-	injected bool
-	done     bool
+	m     *walkMember
+	idx   int // plan index
+	spec  fault.Spec
+	limit uint64 // observation-window limit (hang budget when run-to-end)
+	hi    int    // next golden hash index (convergence exit)
 }
 
-// BatchReplayer drives bit-parallel lockstep replay for one worker: a
-// golden instance carrying the lane diffs, and a scalar instance that
-// finishes peeled lanes. Both must come from the campaign's factory. It
-// is single-goroutine; run one replayer per worker.
+// laneTrack is one target's tracker and the replays in its slots.
+type laneTrack struct {
+	lanes *lifetime.Lanes
+	slots [MaxLanes]laneState
+	busy  uint64 // occupied slots
+
+	// persist marks the occupied slots carrying a persistent fault: the
+	// only ones the walk must visit on every cycle (re-assertion).
+	persist uint64
+}
+
+// walkMember is one campaign riding the walk: what classifies and
+// delivers its lanes, and its share of the engine's account.
+type walkMember struct {
+	w         *Work
+	tr        *laneTrack
+	deliver   func(idx int, oc RunOutcome) error
+	earlyStop bool
+
+	// inFlight lanes since golden cycle `since`; laneCycles sums lanes in
+	// flight over the current walk's lockstep cycles, onWalk marks that
+	// the walk has carried one.
+	inFlight   int
+	since      uint64
+	laneCycles uint64
+	onWalk     bool
+
+	stats ReplayStats
+}
+
+// BatchReplayer drives bit-parallel lockstep replay for one goroutine: a
+// golden instance carrying the lane diffs of every campaign on the walk,
+// and a scalar instance that finishes peeled lanes. Both must come from
+// the campaigns' factory. It is single-goroutine; run one per worker.
 type BatchReplayer struct {
 	g      *Golden
-	cfg    Config
 	gold   Simulator
 	ring   BatchCapable // gold, as the lane host and the ring capture's recycler
 	scalar Simulator
-	lanes  *lifetime.Lanes
 	buf    replayBuf
 
-	states []laneState
-	pull   []pulledSpec
+	members []*walkMember
+	tracks  []*laneTrack
+	pull    []pulledSpec // Replay's pull buffer
 
-	// onGolden marks that the golden instance's state lies on this
-	// campaign's golden timeline: false at construction (a pooled sim
-	// may carry any state), latched true by the first group's restore.
+	// onGolden marks that the golden instance's state lies on this golden
+	// timeline: false at construction (a pooled sim may carry any state),
+	// latched true by the first seek's restore.
 	onGolden bool
-
 	ringSnap Snapshot
 
-	// persist marks the in-flight lanes carrying a persistent fault: the
-	// only ones the loop must visit on every cycle (re-assertion).
-	persist uint64
-
-	// Accounting, summed into Result by the caller: Batched counts
-	// replays retired entirely in lockstep, Peeled those finished on
-	// the scalar tail; LaneSum/Groups yield mean lane occupancy.
-	// FastForward counts golden catch-up cycles stepped before each
-	// group's earliest injection — the pre-injection work the cursor
-	// schedule shrinks by feeding cycle-contiguous groups to a golden
-	// instance that keeps walking forward instead of restoring.
-	// Lockstep counts the golden cycles groups rode together, Private
-	// the cycles peeled lanes then simulated alone (ring catch-up plus
-	// faulty tail): together with FastForward, every cycle the engine
-	// stepped.
-	Batched     int
-	Peeled      int
-	Groups      int
-	LaneSum     int
-	FastForward uint64
-	Lockstep    uint64
-	Private     uint64
+	// The walk in progress: pend is the cycle-sorted pull, pend[next:]
+	// still ahead of the walker; deferred reuses pend's storage behind
+	// the read position for the specs that found no free lane; inFlight
+	// counts occupied slots over all trackers.
+	pend     []pulledSpec
+	next     int
+	deferred []pulledSpec
+	inFlight int
 }
 
-// NewBatchReplayer builds a replayer over one worker's simulator pair,
-// or returns nil when batching does not apply: lanes disabled
-// (cfg.Lanes <= 1), a simulator without a batch surface, or a target it
-// cannot track (pipeline latches are read combinationally every cycle,
-// so a latch fault would peel on its first tick). Callers fall back to
-// the scalar path on nil.
+// NewBatchReplayer builds a replayer for one campaign over one worker's
+// simulator pair, or returns nil when batching does not apply: lanes
+// disabled (cfg.Lanes <= 1), a simulator without a batch surface, or a
+// target it cannot track (pipeline latches are read combinationally
+// every cycle, so a latch fault would peel on its first tick). Callers
+// fall back to the scalar path on nil.
 func NewBatchReplayer(g *Golden, cfg Config, gold, scalar Simulator) *BatchReplayer {
-	if cfg.Lanes <= 1 {
-		return nil
-	}
+	return newBatchReplayer(gold, scalar, []*Work{{Golden: g, Config: cfg}})
+}
+
+// newBatchReplayer builds the walk engine of campaigns sharing one
+// golden run — one tracker per target they inject into, all attached to
+// gold — or returns nil when any of them cannot ride lanes.
+func newBatchReplayer(gold, scalar Simulator, works []*Work) *BatchReplayer {
 	bc, ok := gold.(BatchCapable)
 	if !ok {
 		return nil
 	}
-	lanes, ok := bc.AttachLanes(cfg.Target)
-	if !ok {
-		return nil
+	r := &BatchReplayer{g: works[0].Golden, gold: gold, ring: bc, scalar: scalar}
+	byTarget := make(map[fault.Target]*laneTrack, 2)
+	for _, w := range works {
+		if w.Config.Lanes <= 1 {
+			return nil
+		}
+		tr := byTarget[w.Config.Target]
+		if tr == nil {
+			units, width, peek := bc.LaneGeometry(w.Config.Target)
+			if units == 0 {
+				return nil
+			}
+			tr = &laneTrack{lanes: lifetime.NewLanes(units, width, peek)}
+			byTarget[w.Config.Target] = tr
+			r.tracks = append(r.tracks, tr)
+		}
+		r.members = append(r.members, &walkMember{
+			w: w, tr: tr, deliver: w.Deliver,
+			earlyStop: w.Config.EarlyStop && len(r.g.hashes) > 0,
+		})
 	}
+	var rf, l1d *lifetime.Lanes
+	if tr := byTarget[fault.TargetRF]; tr != nil {
+		rf = tr.lanes
+	}
+	if tr := byTarget[fault.TargetL1D]; tr != nil {
+		l1d = tr.lanes
+	}
+	bc.SetLanes(rf, l1d)
 	gold.SetPinout(nil)
-	return &BatchReplayer{
-		g: g, cfg: cfg, gold: gold, ring: bc, scalar: scalar, lanes: lanes,
-		states: make([]laneState, 0, cfg.Lanes),
-		pull:   make([]pulledSpec, 0, cfg.Lanes*batchPull),
-	}
+	return r
 }
 
-// Close detaches the lane tracker from the golden instance.
-func (r *BatchReplayer) Close() { r.ring.DetachLanes() }
+// Close detaches the lane trackers from the golden instance.
+func (r *BatchReplayer) Close() { r.ring.SetLanes(nil, nil) }
 
-// Stats reports the replayer's accounting in the pool's common form.
+// Stats reports the replayer's accounting in the pool's common form,
+// summed over the campaigns it carries.
 func (r *BatchReplayer) Stats() ReplayStats {
-	return ReplayStats{
-		Executed: r.Batched + r.Peeled,
-		Batched:  r.Batched, Peeled: r.Peeled, Groups: r.Groups, LaneSum: r.LaneSum,
-		FastForward: r.FastForward, Lockstep: r.Lockstep, Private: r.Private,
+	var sum ReplayStats
+	for _, st := range r.memberStats() {
+		sum.add(st)
 	}
+	return sum
 }
 
-func (r *BatchReplayer) chunk() int { return r.cfg.Lanes * batchPull }
+// memberStats is the account per campaign, in the order they were given.
+func (r *BatchReplayer) memberStats() []ReplayStats {
+	sts := make([]ReplayStats, len(r.members))
+	for i, m := range r.members {
+		sts[i] = m.stats
+	}
+	return sts
+}
 
-// Replay drains the plan through the batch engine: it pulls up to
-// Lanes*batchPull specs from next, sorts them by injection instant,
-// packs adjacent instants into groups of at most Lanes and replays each
-// group in lockstep, delivering every outcome through deliver (in
-// whatever order lanes finish — the collector is order-agnostic).
+// Replay drains one campaign's plan through the engine: it pulls up to
+// Lanes*batchPull specs from next at a time and walks the golden run
+// once per pull (plus a follow-up walk when lanes ran out), delivering
+// every outcome through deliver in whatever order lanes finish — the
+// collector is order-agnostic.
 func (r *BatchReplayer) Replay(next func() (idx int, spec fault.Spec, ok bool), deliver func(idx int, oc RunOutcome) error) error {
-	ff0 := r.FastForward
-	defer func() { obsFFCycles.Add(r.FastForward - ff0) }()
+	m := r.members[0]
+	m.deliver = deliver
 	for {
-		r.pull = pullSpecs(next, r.chunk(), r.pull[:0])
+		r.pull = pullSpecs(next, m.w.Config.Lanes*batchPull, 0, r.pull[:0])
 		if len(r.pull) == 0 {
 			return nil
 		}
-		sortByCycle(r.pull)
-		for off := 0; off < len(r.pull); off += r.cfg.Lanes {
-			end := off + r.cfg.Lanes
-			if end > len(r.pull) {
-				end = len(r.pull)
-			}
-			if err := r.replayGroup(r.pull[off:end], deliver); err != nil {
-				return err
-			}
+		if err := r.replayPulled(r.pull); err != nil {
+			return err
 		}
 	}
 }
 
-// replayGroup runs one lane group to completion: golden catch-up to the
-// earliest injection, then a lockstep loop that injects lanes at their
-// instants, re-asserts persistent faults, retires lanes at their
-// convergence point / window limit / golden end, and peels lanes whose
-// corruption the design consumed. group must be cycle-sorted.
-func (r *BatchReplayer) replayGroup(group []pulledSpec, deliver func(int, RunOutcome) error) error {
-	g, cfg := r.g, r.cfg
-	first := group[0].spec.Cycle
-	base := nearestSnap(g.snaps, first)
-	// The golden instance's own state always lies on the golden
-	// timeline (lane corruption lives in the side diffs), so under the
-	// cursor schedule it keeps walking forward into the next
-	// cycle-clustered group whenever it sits at or before the target
-	// with no snapshot nearer; it restores only on a backward jump or
-	// when a snapshot would skip ahead of it.
-	if cur := r.gold.Cycles(); !r.onGolden || cfg.Sched != SchedCursor || cur > first || cur < base.cycle {
-		r.gold.Restore(base.snap)
-		r.onGolden = true
-	}
-	for r.gold.Cycles() < first {
-		if !r.gold.Step() {
-			return fmt.Errorf("campaign: replay stopped at %d before injection at %d (%v)",
-				r.gold.Cycles(), first, r.gold.StopReason())
-		}
-		r.FastForward++
-	}
-
-	earlyStop := cfg.EarlyStop && len(g.hashes) > 0
-	r.states = r.states[:0]
-	for _, ps := range group {
-		limit := g.hangBudget()
-		if cfg.Window > 0 {
-			limit = ps.spec.Cycle + cfg.Window
-		}
-		st := laneState{idx: ps.idx, spec: ps.spec, limit: limit}
-		if earlyStop {
-			// First hash point strictly after the injection instant,
-			// exactly as runConvergent seeds its scan.
-			st.hi = sort.Search(len(g.hashes), func(i int) bool { return g.hashes[i].cycle > ps.spec.Cycle })
-		}
-		r.states = append(r.states, st)
-	}
-	r.Groups++
-	r.LaneSum += len(group)
-	obsBatchGroups.Inc()
-	obsBatchLaneSlots.Add(uint64(len(group)))
-
-	remaining := len(r.states)
-	r.persist = 0
-	nextRing := r.gold.Cycles()
-	// nextScan is the earliest cycle at which some lane has anything to
-	// do besides riding along — be injected, meet a golden hash point or
-	// reach its limit. Cycles before it skip the lane scan: walking 64
-	// lane records on every cycle was a fifth of a windowed microarch
-	// replay's time and a tenth of an RTL one's.
-	nextScan := first
-	lockstep0 := r.gold.Cycles()
-	defer func() {
-		n := r.gold.Cycles() - lockstep0
-		r.Lockstep += n
-		obsLockstepCycles.Add(n)
-	}()
-	for remaining > 0 {
-		c := r.gold.Cycles()
-		if c >= nextRing {
-			r.ringSnap = r.ring.SnapshotInto(r.ringSnap)
-			nextRing = c + batchRingEvery
-		}
-		// Re-assert the still-active persistent faults before the edge —
-		// the mirror of the scalar loop's post-Step applyFault (design
-		// writes must not heal the bit).
-		for m := r.persist; m != 0; m &= m - 1 {
-			k := bits.TrailingZeros64(m)
-			if st := &r.states[k]; st.spec.ActiveAt(c) {
-				if err := r.applyLaneFault(k, st.spec); err != nil {
-					return err
-				}
-			}
-		}
-		if c >= nextScan {
-			var err error
-			if nextScan, err = r.scanLanes(c, earlyStop, deliver, &remaining); err != nil {
-				return err
-			}
-			if remaining == 0 {
-				break
-			}
-		}
-		r.lanes.BeginTick()
-		stepped := r.gold.Step()
-		if peeled := r.lanes.Peeled(); peeled != 0 {
-			if err := r.peelLanes(peeled, c, deliver, &remaining); err != nil {
-				return err
-			}
-		}
-		if !stepped {
-			// Golden program end: every still-batched lane retraced
-			// the fault-free run to its stop — Masked at either
-			// observation point, ending where golden ends.
-			endCycle := r.gold.Cycles()
-			for k := range r.states {
-				st := &r.states[k]
-				if st.done {
-					continue
-				}
-				if !st.injected {
-					return fmt.Errorf("campaign: replay stopped at %d before injection at %d (%v)",
-						endCycle, st.spec.Cycle, r.gold.StopReason())
-				}
-				if err := r.retire(k, RunOutcome{Spec: st.spec, Class: ClassMasked, EndCycle: endCycle}, deliver, &remaining); err != nil {
-					return err
-				}
-			}
+// replayPulled replays one pull, each item tagged with the campaign it
+// belongs to: cycle-sorted, walked once, and walked again over whatever
+// a walk had to defer until nothing is left. items is reordered.
+func (r *BatchReplayer) replayPulled(items []pulledSpec) error {
+	sortByCycle(items)
+	for len(items) > 0 {
+		var err error
+		if items, err = r.walk(items); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// scanLanes is the lockstep loop's per-lane work at golden cycle c:
-// inject the lanes whose instant has come, retire the ones at a hash
-// point they have reconverged by or at their limit. It returns the next
-// cycle at which any lane needs it again.
-func (r *BatchReplayer) scanLanes(c uint64, earlyStop bool, deliver func(int, RunOutcome) error, remaining *int) (next uint64, err error) {
-	g := r.g
-	next = ^uint64(0)
-	for k := range r.states {
-		st := &r.states[k]
-		if st.done {
-			continue
+// walk is one forward pass of the golden run over pend: it reaches each
+// stretch lanes ride by the shortest way (seek), hands lane slots to the
+// specs whose instant has come, re-asserts persistent faults, retires
+// lanes at their convergence point / window limit / golden end and peels
+// the ones whose corruption the design consumed. It returns the specs it
+// could not seat, still cycle-sorted, in pend's storage.
+func (r *BatchReplayer) walk(pend []pulledSpec) (deferred []pulledSpec, err error) {
+	r.pend, r.next, r.deferred = pend, 0, pend[:0]
+	obsBatchWalks.Inc()
+	var lockstep uint64
+	defer func() { r.settle(lockstep) }()
+
+	// nextScan is the earliest cycle at which anything but riding along
+	// is due — a pending spec's instant, a lane's golden hash point or
+	// limit. Cycles before it skip the scan: visiting every lane on every
+	// cycle was a fifth of a windowed microarch replay's time and a tenth
+	// of an RTL one's. nextRing is when the ring wants its next capture.
+	var nextScan, nextRing uint64
+	for {
+		if r.inFlight == 0 {
+			if r.next == len(r.pend) {
+				return r.deferred, nil
+			}
+			head := r.pend[r.next]
+			m := r.members[head.member]
+			n, err := r.seek(head.spec.Cycle)
+			m.stats.FastForward += n
+			obsFFCycles.Add(n)
+			if err != nil {
+				return nil, m.w.wrap(err)
+			}
+			nextScan, nextRing = head.spec.Cycle, head.spec.Cycle
 		}
-		if !st.injected {
-			if st.spec.Cycle != c {
-				next = min(next, st.spec.Cycle)
+		c := r.gold.Cycles()
+		// Re-assert the still-active persistent faults before the edge —
+		// the mirror of the scalar loop's post-Step applyFault (design
+		// writes must not heal the bit).
+		for _, tr := range r.tracks {
+			for set := tr.persist; set != 0; set &= set - 1 {
+				k := bits.TrailingZeros64(set)
+				if st := &tr.slots[k]; st.spec.ActiveAt(c) {
+					if err := applyLaneFault(tr.lanes, k, st.spec); err != nil {
+						return nil, st.m.w.wrap(err)
+					}
+				}
+			}
+		}
+		if c >= nextScan {
+			if nextScan, err = r.scan(c); err != nil {
+				return nil, err
+			}
+			if r.inFlight == 0 {
 				continue
 			}
-			if err := r.applyLaneFault(k, st.spec); err != nil {
-				return 0, err
+		}
+		if c >= nextRing {
+			r.ringSnap = r.ring.SnapshotInto(r.ringSnap)
+			nextRing = c + batchRingEvery
+		}
+		for _, tr := range r.tracks {
+			tr.lanes.BeginTick()
+		}
+		stepped := r.gold.Step()
+		lockstep += r.gold.Cycles() - c
+		for _, tr := range r.tracks {
+			if peeled := tr.lanes.Peeled(); peeled != 0 {
+				if err := r.peelLanes(tr, peeled, c); err != nil {
+					return nil, err
+				}
 			}
-			st.injected = true
-			if st.spec.Model.Persistent() {
-				r.persist |= 1 << uint(k)
+		}
+		if !stepped {
+			// Golden program end: every lane still riding retraced the
+			// fault-free run to its stop — Masked at either observation
+			// point, ending where golden ends.
+			end := r.gold.Cycles()
+			for _, tr := range r.tracks {
+				for set := tr.busy; set != 0; set &= set - 1 {
+					k := bits.TrailingZeros64(set)
+					if err := r.retire(tr, k, RunOutcome{Spec: tr.slots[k].spec, Class: ClassMasked, EndCycle: end}); err != nil {
+						return nil, err
+					}
+				}
 			}
-		} else {
-			// Convergence retire: at a golden hash point with the
-			// fault inactive, an empty diff means the lane's state IS
-			// golden (and its pinout prefix trivially matches), which
-			// is the scalar convergence exit's double match. Checked
-			// before the limit, as runConvergent reaches the hash at
-			// the limit cycle before its loop condition does.
-			if earlyStop {
+			if r.next < len(r.pend) {
+				head := r.pend[r.next]
+				return nil, r.members[head.member].w.wrap(fmt.Errorf("campaign: replay stopped at %d before injection at %d (%v)",
+					end, head.spec.Cycle, r.gold.StopReason()))
+			}
+		}
+	}
+}
+
+// seek brings the golden instance, no lane riding, to cycle `to` and
+// returns the cycles it stepped. The instance's own state always lies on
+// the golden timeline (lane corruption lives in the side diffs), so it
+// keeps walking forward whenever it sits at or before the target with no
+// snapshot nearer; it restores only on a backward jump or when a golden
+// snapshot lies between it and the target.
+func (r *BatchReplayer) seek(to uint64) (stepped uint64, err error) {
+	base := nearestSnap(r.g.snaps, to)
+	if cur := r.gold.Cycles(); !r.onGolden || cur > to || cur < base.cycle {
+		r.gold.Restore(base.snap)
+		r.onGolden = true
+	}
+	from := r.gold.Cycles()
+	for r.gold.Cycles() < to {
+		if !r.gold.Step() {
+			return r.gold.Cycles() - from, fmt.Errorf("campaign: replay stopped at %d before injection at %d (%v)",
+				r.gold.Cycles(), to, r.gold.StopReason())
+		}
+	}
+	return to - from, nil
+}
+
+// scan is the walk's per-lane work at golden cycle c: retire the lanes
+// at a hash point they have reconverged by or at their limit, then seat
+// the pending specs whose instant is c in the free slots — the ones just
+// vacated included. It returns the next cycle at which it is needed.
+func (r *BatchReplayer) scan(c uint64) (next uint64, err error) {
+	g := r.g
+	next = ^uint64(0)
+	for _, tr := range r.tracks {
+		for set := tr.busy; set != 0; set &= set - 1 {
+			k := bits.TrailingZeros64(set)
+			st := &tr.slots[k]
+			// Convergence retire: at a golden hash point with the fault
+			// inactive, an empty diff means the lane's state IS golden
+			// (and its pinout prefix trivially matches), which is the
+			// scalar convergence exit's double match. Checked before the
+			// limit, as runConvergent reaches the hash at the limit cycle
+			// before its loop condition does.
+			if st.m.earlyStop {
 				for st.hi < len(g.hashes) && g.hashes[st.hi].cycle < c {
 					st.hi++
 				}
 				if st.hi < len(g.hashes) && g.hashes[st.hi].cycle == c {
-					if !st.spec.ActiveAt(c) && r.lanes.Clean(k) {
-						if err := r.retire(k, RunOutcome{Spec: st.spec, Class: ClassMasked, EndCycle: c, Converged: true}, deliver, remaining); err != nil {
+					if !st.spec.ActiveAt(c) && tr.lanes.Clean(k) {
+						if err := r.retire(tr, k, RunOutcome{Spec: st.spec, Class: ClassMasked, EndCycle: c, Converged: true}); err != nil {
 							return 0, err
 						}
 						continue
@@ -360,56 +413,115 @@ func (r *BatchReplayer) scanLanes(c uint64, earlyStop bool, deliver func(int, Ru
 				}
 			}
 			// Window-limit retire: an unpeeled lane reaching its limit
-			// deviated nowhere inside the observation window — Masked,
-			// as the scalar window compare would conclude.
+			// deviated nowhere inside the observation window — Masked, as
+			// the scalar window compare would conclude.
 			if c >= st.limit {
-				if err := r.retire(k, RunOutcome{Spec: st.spec, Class: ClassMasked, EndCycle: st.limit}, deliver, remaining); err != nil {
+				if err := r.retire(tr, k, RunOutcome{Spec: st.spec, Class: ClassMasked, EndCycle: st.limit}); err != nil {
 					return 0, err
 				}
 				continue
 			}
+			next = min(next, st.nextEvent(g))
 		}
-		next = min(next, st.limit)
-		if earlyStop && st.hi < len(g.hashes) {
-			next = min(next, g.hashes[st.hi].cycle)
+	}
+	for ; r.next < len(r.pend) && r.pend[r.next].spec.Cycle == c; r.next++ {
+		p := r.pend[r.next]
+		m := r.members[p.member]
+		tr := m.tr
+		if m.inFlight == m.w.Config.Lanes || tr.busy == ^uint64(0) {
+			r.deferred = append(r.deferred, p)
+			m.stats.Deferred++
+			obsBatchDeferred.Inc()
+			continue
 		}
+		k := bits.TrailingZeros64(^tr.busy)
+		st := &tr.slots[k]
+		*st = laneState{m: m, idx: p.idx, spec: p.spec, limit: g.hangBudget()}
+		if m.w.Config.Window > 0 {
+			st.limit = p.spec.Cycle + m.w.Config.Window
+		}
+		if m.earlyStop {
+			// First hash point strictly after the injection instant,
+			// exactly as runConvergent seeds its scan.
+			st.hi = sort.Search(len(g.hashes), func(i int) bool { return g.hashes[i].cycle > c })
+		}
+		tr.busy |= 1 << uint(k)
+		if p.spec.Model.Persistent() {
+			tr.persist |= 1 << uint(k)
+		}
+		r.carry(m, c, +1)
+		if !m.onWalk {
+			m.onWalk = true
+			m.stats.Walks++
+		}
+		if err := applyLaneFault(tr.lanes, k, p.spec); err != nil {
+			return 0, m.w.wrap(err)
+		}
+		next = min(next, st.nextEvent(g))
+	}
+	if r.next < len(r.pend) {
+		next = min(next, r.pend[r.next].spec.Cycle)
 	}
 	return next, nil
 }
 
-// retire finishes a lane that never peeled, delivering its (always
-// Masked) outcome and recycling the lane slot's diffs.
-func (r *BatchReplayer) retire(k int, oc RunOutcome, deliver func(int, RunOutcome) error, remaining *int) error {
-	st := &r.states[k]
-	r.lanes.Retire(k)
-	r.persist &^= 1 << uint(k)
-	st.done = true
-	*remaining--
-	r.Batched++
-	obsBatchedRuns.Inc()
-	return deliver(st.idx, oc)
+// nextEvent is the next cycle a riding lane needs the scan at: its limit
+// or, under the convergence exit, its next golden hash point.
+func (st *laneState) nextEvent(g *Golden) uint64 {
+	if st.m.earlyStop && st.hi < len(g.hashes) {
+		return min(st.limit, g.hashes[st.hi].cycle)
+	}
+	return st.limit
 }
 
-// peelLanes finishes every lane the just-stepped tick peeled: each is
-// rebuilt on the scalar simulator at the pre-tick cycle and classified
-// by the exact scalar tail.
-func (r *BatchReplayer) peelLanes(peeled uint64, preTick uint64, deliver func(int, RunOutcome) error, remaining *int) error {
-	for m := peeled; m != 0; {
-		k := bits.TrailingZeros64(m)
-		m &^= 1 << uint(k)
-		st := &r.states[k]
-		oc, err := r.peelOne(k, st, preTick)
+// carry moves a campaign's lanes in flight by d at golden cycle c,
+// closing the account of the lane-cycles carried since the last change.
+func (r *BatchReplayer) carry(m *walkMember, c uint64, d int) {
+	m.laneCycles += uint64(m.inFlight) * (c - m.since)
+	m.since = c
+	m.inFlight += d
+	r.inFlight += d
+}
+
+// vacate returns a finished lane's slot to the tracker and counts the
+// replay executed: its diffs are dropped, so the next occupant starts
+// golden.
+func (r *BatchReplayer) vacate(tr *laneTrack, k int) {
+	tr.lanes.Retire(k)
+	tr.busy &^= 1 << uint(k)
+	tr.persist &^= 1 << uint(k)
+	m := tr.slots[k].m
+	r.carry(m, r.gold.Cycles(), -1)
+	m.stats.Executed++
+}
+
+// retire finishes a lane that never peeled, delivering its (always
+// Masked) outcome.
+func (r *BatchReplayer) retire(tr *laneTrack, k int, oc RunOutcome) error {
+	st := &tr.slots[k]
+	r.vacate(tr, k)
+	st.m.stats.Batched++
+	obsBatchedRuns.Inc()
+	return st.m.w.wrap(st.m.deliver(st.idx, oc))
+}
+
+// peelLanes finishes every lane of one tracker the just-stepped tick
+// peeled: each is rebuilt on the scalar simulator at the pre-tick cycle
+// and classified by the exact scalar tail. Two trackers peeling in one
+// tick rebuild from the same ring capture, one lane after the other.
+func (r *BatchReplayer) peelLanes(tr *laneTrack, peeled uint64, preTick uint64) error {
+	for ; peeled != 0; peeled &= peeled - 1 {
+		k := bits.TrailingZeros64(peeled)
+		st := &tr.slots[k]
+		oc, err := r.peelOne(tr, k, preTick)
 		if err != nil {
-			return err
+			return st.m.w.wrap(err)
 		}
-		r.lanes.Retire(k)
-		r.persist &^= 1 << uint(k)
-		st.done = true
-		*remaining--
-		r.Peeled++
+		r.vacate(tr, k)
+		st.m.stats.Peeled++
 		obsBatchPeeled.Inc()
-		if err := deliver(st.idx, oc); err != nil {
-			return err
+		if err := st.m.deliver(st.idx, oc); err != nil {
+			return st.m.w.wrap(err)
 		}
 	}
 	return nil
@@ -418,16 +530,16 @@ func (r *BatchReplayer) peelLanes(peeled uint64, preTick uint64, deliver func(in
 // peelOne rebuilds one peeled lane's machine on the scalar simulator —
 // ring snapshot, golden catch-up to the pre-tick cycle, lane diff — and
 // hands it to finishRun with the golden transaction prefix the lane
-// emitted while batched, so the classification is the one the scalar
+// emitted while it rode, so the classification is the one the scalar
 // engine would have produced from injection onward.
-func (r *BatchReplayer) peelOne(lane int, st *laneState, preTick uint64) (RunOutcome, error) {
-	g, s := r.g, r.scalar
+func (r *BatchReplayer) peelOne(tr *laneTrack, lane int, preTick uint64) (RunOutcome, error) {
+	g, s, st := r.g, r.scalar, &tr.slots[lane]
 	s.SetPinout(nil)
 	s.Restore(r.ringSnap)
 	private0 := s.Cycles()
 	defer func() {
 		n := s.Cycles() - private0
-		r.Private += n
+		st.m.stats.Private += n
 		obsPrivateCycles.Add(n)
 	}()
 	for s.Cycles() < preTick {
@@ -437,15 +549,15 @@ func (r *BatchReplayer) peelOne(lane int, st *laneState, preTick uint64) (RunOut
 		}
 	}
 	var flipErr error
-	r.lanes.PeelDiff(lane, func(bit int) {
+	tr.lanes.PeelDiff(lane, func(bit int) {
 		if flipErr == nil {
-			flipErr = s.Flip(r.cfg.Target, bit)
+			flipErr = s.Flip(st.m.w.Config.Target, bit)
 		}
 	})
 	if flipErr != nil {
 		return RunOutcome{}, flipErr
 	}
-	// The lane's pinout while batched was golden's: replay records
+	// The lane's pinout while it rode was golden's: replay records
 	// transactions from the snapshot nearest the injection (exclusive),
 	// so seed the faulty capture with that golden slice up to the
 	// pre-tick cycle. Transactions are stamped strictly after the cycle
@@ -454,18 +566,45 @@ func (r *BatchReplayer) peelOne(lane int, st *laneState, preTick uint64) (RunOut
 	base := nearestSnap(g.snaps, st.spec.Cycle)
 	pin := r.buf.seedGolden(g, base.cycle, preTick)
 	s.SetPinout(pin)
-	return finishRun(s, g, st.spec, r.cfg, base.cycle, pin)
+	return finishRun(s, g, st.spec, st.m.w.Config, base.cycle, pin)
+}
+
+// settle closes a walk's account: the lockstep cycles it stepped are
+// split between the campaigns by the lane-cycles each carried (the
+// remainder of the integer split goes to the one that carried most), so
+// the per-campaign numbers add up to what the walk stepped.
+func (r *BatchReplayer) settle(lockstep uint64) {
+	var total uint64
+	for _, m := range r.members {
+		total += m.laneCycles
+	}
+	obsLockstepCycles.Add(lockstep)
+	obsBatchLaneCycles.Add(total)
+	rest, top := lockstep, r.members[0]
+	for _, m := range r.members {
+		if total > 0 {
+			share := lockstep * m.laneCycles / total
+			m.stats.Lockstep += share
+			rest -= share
+		}
+		if m.laneCycles > top.laneCycles {
+			top = m
+		}
+		m.stats.LaneCycles += m.laneCycles
+		m.laneCycles, m.onWalk = 0, false
+	}
+	top.stats.Lockstep += rest
 }
 
 // applyLaneFault is applyFault's per-lane form.
-func (r *BatchReplayer) applyLaneFault(lane int, spec fault.Spec) error {
+func applyLaneFault(lanes *lifetime.Lanes, lane int, spec fault.Spec) error {
 	lo, hi := spec.BitSpan()
 	for b := lo; b < hi; b++ {
 		var err error
 		if spec.Model.Persistent() {
-			err = r.lanes.Force(lane, b, spec.Stuck)
+			err = lanes.Force(lane, b, spec.Stuck)
 		} else {
-			err = r.lanes.Flip(lane, b)
+			err = lanes.Flip(lane, b)
 		}
 		if err != nil {
 			return err

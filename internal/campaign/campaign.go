@@ -417,7 +417,9 @@ type Result struct {
 	// reconverged or stayed unconsumed to its window end); PeeledRuns
 	// counts replays whose corruption was consumed by the design and
 	// that finished on the scalar tail; LaneOccupancy is the mean
-	// number of occupied lanes per batch group (capacity Config.Lanes).
+	// number of lanes in flight per lockstep cycle of the golden walks
+	// the campaign rode — on a walk shared with other campaigns of the
+	// same golden run, theirs included.
 	BatchedRuns   int
 	PeeledRuns    int
 	LaneOccupancy float64

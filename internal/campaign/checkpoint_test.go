@@ -12,7 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/campaign"
@@ -97,20 +97,27 @@ func TestSweepResumesLegacyShardLayout(t *testing.T) {
 }
 
 // TestInterruptedSweepResumesEveryEngine stops a three-campaign sweep
-// part-way — the first campaign complete, the second cut inside or just
-// after its first chunk, the third never started — and asserts a second
-// sweep over the same checkpoint directory reproduces the uninterrupted
-// result, for each replay engine.
+// part-way and asserts a second sweep over the same checkpoint directory
+// reproduces the uninterrupted result, for each replay engine. The
+// scalar and cursor engines serve one campaign each: the first is
+// complete, the second cut inside or just after its first chunk, the
+// third never started. The lockstep campaigns share a golden run and so
+// one walk: all three are cut after the first pull, 16 replays each.
 func TestInterruptedSweepResumesEveryEngine(t *testing.T) {
 	engines := []struct {
 		name  string
 		model core.Model
 		lanes int
 		sched campaign.Sched
+		// The interrupt fires on call tripAt of campaign trip's factory:
+		// the first that builds an engine (a unit's first campaign also
+		// built the golden run).
+		trip   int
+		tripAt int32
 	}{
-		{"scalar", core.ModelMicroarch, 1, campaign.SchedStream},
-		{"cursor", core.ModelMicroarch, 1, campaign.SchedCursor},
-		{"batch", core.ModelRTL, 8, campaign.SchedStream},
+		{"scalar", core.ModelMicroarch, 1, campaign.SchedStream, 1, 1},
+		{"cursor", core.ModelMicroarch, 1, campaign.SchedCursor, 1, 1},
+		{"batch", core.ModelRTL, 2, campaign.SchedStream, 0, 2},
 	}
 	for _, e := range engines {
 		e := e
@@ -118,13 +125,13 @@ func TestInterruptedSweepResumesEveryEngine(t *testing.T) {
 			t.Parallel()
 			fac := factoryFor(t, "sha", e.model)
 			stop := make(chan struct{})
-			var once sync.Once
-			matrix := func(second campaign.Factory) []campaign.SweepCampaign {
+			var calls atomic.Int32
+			matrix := func(tripping campaign.Factory) []campaign.SweepCampaign {
 				var m []campaign.SweepCampaign
 				for i, key := range []string{"a", "b", "c"} {
 					f := fac
-					if i == 1 {
-						f = second
+					if i == e.trip {
+						f = tripping
 					}
 					m = append(m, campaign.SweepCampaign{Key: key, Group: "g", Factory: f, Config: campaign.Config{
 						Injections: 20, Seed: int64(11 + i), Target: fault.TargetRF, Window: 400,
@@ -139,11 +146,13 @@ func TestInterruptedSweepResumesEveryEngine(t *testing.T) {
 			}
 
 			// One pool goroutine, and the interrupt fires as it builds the
-			// second campaign's engine: campaign a is done, b runs the one
-			// chunk it was about to pull, c is left unissued.
+			// tripping campaign's engine, which it does for the pull it has
+			// just made: that pull runs, the rest is left unissued.
 			dir := t.TempDir()
 			interrupting := func() (campaign.Simulator, error) {
-				once.Do(func() { close(stop) })
+				if calls.Add(1) == e.tripAt {
+					close(stop)
+				}
 				return fac()
 			}
 			_, err = campaign.Sweep(matrix(interrupting), campaign.SweepOptions{Workers: 1, CheckpointDir: dir, Stop: stop})
@@ -156,7 +165,7 @@ func TestInterruptedSweepResumesEveryEngine(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got.Resumed < 20 || got.Resumed >= 60 {
-				t.Errorf("resumed %d replays; want campaign a's 20 plus part of b, never c", got.Resumed)
+				t.Errorf("resumed %d replays; want more than one campaign's 20 and fewer than all 60", got.Resumed)
 			}
 			for key, w := range want.Results {
 				g := got.Results[key]

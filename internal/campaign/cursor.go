@@ -174,7 +174,7 @@ func (r *CursorReplayer) Replay(next func() (int, fault.Spec, bool), deliver fun
 	ff0 := r.FastForward
 	defer func() { obsFFCycles.Add(r.FastForward - ff0) }()
 	for {
-		r.pend = pullSpecs(next, cursorPull, r.pend[:0])
+		r.pend = pullSpecs(next, cursorPull, 0, r.pend[:0])
 		if len(r.pend) == 0 {
 			return nil
 		}
@@ -201,8 +201,6 @@ func (r *CursorReplayer) Stats() ReplayStats {
 
 // Close is a no-op: the cursor attaches nothing to its simulators.
 func (r *CursorReplayer) Close() {}
-
-func (r *CursorReplayer) chunk() int { return cursorPull }
 
 // one replays a single injection off the cursor. The replay simulator
 // ends up in exactly the state oneRunBuf's restore-and-fast-forward

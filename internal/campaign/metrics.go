@@ -34,20 +34,22 @@ var (
 		"golden reference runs prepared")
 	obsGoldenSeconds = obs.NewHistogram("campaign_golden_prep_seconds",
 		"golden run preparation time (simulate + snapshot + trace)", obs.DurationBuckets)
-	obsBatchGroups = obs.NewCounter("campaign_batch_groups_total",
-		"bit-parallel lane groups formed")
-	obsBatchLaneSlots = obs.NewCounter("campaign_batch_lanes_total",
-		"lanes summed over batch groups (mean occupancy = this over groups)")
+	obsBatchWalks = obs.NewCounter("campaign_batch_walks_total",
+		"forward walks of a golden run by the lockstep engine")
+	obsBatchDeferred = obs.NewCounter("campaign_batch_deferred_total",
+		"replays a walk had no free lane for and left to a follow-up walk")
+	obsBatchLaneCycles = obs.NewCounter("campaign_batch_lane_cycles_total",
+		"lanes in flight summed over lockstep cycles (mean occupancy = this over lockstep cycles)")
 	obsBatchedRuns = obs.NewCounter("campaign_batched_runs_total",
 		"replays retired entirely in bit-parallel lockstep")
 	obsBatchPeeled = obs.NewCounter("campaign_batch_peeled_total",
 		"replays peeled from a batch to the scalar tail")
 	obsLockstepCycles = obs.NewCounter("campaign_batch_lockstep_cycles_total",
-		"golden cycles lane groups rode in lockstep")
+		"golden cycles stepped with at least one lane in flight")
 	obsPrivateCycles = obs.NewCounter("campaign_batch_private_cycles_total",
 		"cycles peeled lanes simulated alone (ring catch-up plus faulty tail)")
 	obsFFCycles = obs.NewCounter("campaign_fastforward_cycles_total",
-		"golden catch-up cycles stepped by cursor and batch replayers")
+		"golden cycles cursor and batch replayers stepped with nothing riding")
 	obsCursorForks = obs.NewCounter("campaign_cursor_forks_total",
 		"cursor forks (one per replay executed on the cursor schedule)")
 

@@ -3,19 +3,21 @@ package campaign
 // One replay pool: the single execution path behind Sweep (Run is a
 // sweep of one) and the distributed worker.
 //
-//	Work (one per campaign)          scheduler               goroutine × workers
-//	  Next ──────────────────▶ pull(campaign, chunk) ──▶ its own Replayer.Replay
-//	  Deliver ◀─────────────────────────────────────────── every outcome
+//	Work (one per campaign)          scheduler                goroutine × workers
+//	  Next ──────────────────▶ next(unit, one chunk each) ──▶ its own engine
+//	  Deliver ◀─────────────────────────────────────────────── every outcome
 //
 // A host describes each campaign as a Work — where its replays come
-// from and where outcomes go — and the pool does the rest: each
-// goroutine owns one Replayer (the engine NewReplayer picks for the
-// campaign), pulls chunks of the campaign currently being dispatched
-// from a mutex-guarded scheduler, and rebuilds its replayer only when
-// the campaign changes. Outcomes may land in any order; the in-order
-// collector behind Planned.Deliver stays the sole decider of stopping
-// indices and cuts, which is why every host and every engine yields the
-// same bytes.
+// from and where outcomes go — and the pool does the rest. The scheduler
+// dispatches units: a run of consecutive campaigns that ride lockstep
+// lanes over one golden run is one unit (they share its walk), any other
+// campaign is a unit of its own. Each goroutine pulls one chunk of every
+// member of the unit currently being dispatched from the mutex-guarded
+// scheduler, owns one engine (the one NewReplayer would pick), and
+// builds it only after a pull brought work and only when the unit
+// changes. Outcomes may land in any order; the in-order collector behind
+// Planned.Deliver stays the sole decider of stopping indices and cuts,
+// which is why every host and every engine yields the same bytes.
 
 import (
 	"fmt"
@@ -27,22 +29,30 @@ import (
 	"repro/internal/obs"
 )
 
-// ReplayStats is what one replayer did since it was built. The pool
-// folds it into the campaign when a goroutine moves on.
+// ReplayStats is what one replayer did for one campaign since it was
+// built. The pool folds it into the campaign when a goroutine moves on.
 type ReplayStats struct {
-	Executed int           // replays run to a classification
-	Busy     time.Duration // wall time inside Replay, stamped by the pool
+	Executed int // replays run to a classification
 
-	// Bit-parallel engine only: replays retired in lockstep, replays
-	// finished on the scalar tail, and the group count / lane sum behind
-	// the mean lane occupancy.
-	Batched, Peeled, Groups, LaneSum int
+	// Busy is the wall time spent replaying, stamped by the pool: an
+	// engine shared by several campaigns has its time split between them
+	// in proportion to the cycles it stepped for each.
+	Busy time.Duration
 
-	// FastForward is the golden pre-injection cycles a cursor or batch
-	// replayer actually stepped; Lockstep the golden cycles the batch
-	// engine's lane groups rode together and Private the cycles its
+	// Bit-parallel engine only: replays retired in lockstep and replays
+	// finished on the scalar tail; golden walks that carried a lane of
+	// the campaign, and specs a walk had no free lane for and left to a
+	// follow-up walk.
+	Batched, Peeled, Walks, Deferred int
+
+	// Where the stepped cycles went. FastForward is golden cycles stepped
+	// with nothing riding: a cursor's advance to each fork, a walk's
+	// advance to the next pending instant when no lane is in flight.
+	// Lockstep is the campaign's share of the golden cycles lanes rode —
+	// a walk's are split between its campaigns by LaneCycles, the lanes
+	// in flight summed over those cycles — and Private the cycles its
 	// peeled lanes then simulated alone.
-	FastForward, Lockstep, Private uint64
+	FastForward, Lockstep, Private, LaneCycles uint64
 }
 
 func (s *ReplayStats) add(o ReplayStats) {
@@ -50,28 +60,24 @@ func (s *ReplayStats) add(o ReplayStats) {
 	s.Busy += o.Busy
 	s.Batched += o.Batched
 	s.Peeled += o.Peeled
-	s.Groups += o.Groups
-	s.LaneSum += o.LaneSum
+	s.Walks += o.Walks
+	s.Deferred += o.Deferred
 	s.FastForward += o.FastForward
 	s.Lockstep += o.Lockstep
 	s.Private += o.Private
+	s.LaneCycles += o.LaneCycles
 }
 
 // Replayer is one replay engine instance: it drains a producer of
 // planned injections, executes each replay on simulators it owns and
 // streams every classified outcome through deliver. The three engines
-// (scalar stream order, golden cursor, 64-lane lockstep batch) differ
-// only in how they order and share the golden pre-injection work —
-// classifications are byte-identical. Single-goroutine: one per worker.
+// (scalar stream order, golden cursor, lockstep walk) differ only in how
+// they order and share the golden pre-injection work — classifications
+// are byte-identical. Single-goroutine: one per worker.
 type Replayer interface {
 	Replay(next func() (idx int, spec fault.Spec, ok bool), deliver func(idx int, oc RunOutcome) error) error
 	Stats() ReplayStats
 	Close()
-
-	// chunk is how many replays the engine wants per pull: enough for
-	// its cycle sort to cluster injection instants, 1 when order buys
-	// nothing.
-	chunk() int
 }
 
 // Work is one campaign's replays as the pool sees them.
@@ -94,8 +100,8 @@ type Work struct {
 
 	// Size is the number of replays the source holds at most: a plan's
 	// size, a lease's job count. Only the scheduler reads it, and only
-	// for the last campaign it holds (see pull). Zero means unknown and
-	// is never split.
+	// for the last unit it holds (see next). Zero means unknown and is
+	// never split.
 	Size int
 
 	stopped func() bool       // sequential stop decided (Planned.Stopped)
@@ -103,29 +109,60 @@ type Work struct {
 }
 
 func (w *Work) wrap(err error) error {
-	if w.Name == "" {
+	if err == nil || w.Name == "" {
 		return err
 	}
 	return fmt.Errorf("%s: %w", w.Name, err)
 }
 
+// lockstep reports whether the campaign rides lanes: lanes enabled on a
+// model with a lockstep surface for the target. Decided from the golden
+// run's own instance, so no simulator is built to find out.
+func (w *Work) lockstep() bool {
+	bc, ok := w.Golden.sim.(BatchCapable)
+	if !ok || w.Config.Lanes <= 1 {
+		return false
+	}
+	units, _, _ := bc.LaneGeometry(w.Config.Target)
+	return units > 0
+}
+
+// chunk is how many of the campaign's replays one pull takes: enough for
+// the walk's or the cursor's cycle sort to cluster injection instants, 1
+// when order buys nothing.
+func (w *Work) chunk() int {
+	switch {
+	case w.lockstep():
+		return w.Config.Lanes * batchPull
+	case w.Config.Sched == SchedCursor:
+		return cursorPull
+	}
+	return 1
+}
+
 // NewReplayer is the one place an engine is chosen, from what the code
 // can observe: lanes enabled on a model with a batch surface for the
-// target selects the lockstep batch engine, the cursor schedule selects
-// the golden-cursor engine, anything else replays in stream order. It
+// target selects the lockstep walk, the cursor schedule selects the
+// golden-cursor engine, anything else replays in stream order. It
 // validates the config, so callers may pass one straight off the wire.
 func NewReplayer(w *Work) (Replayer, error) {
-	cfg := w.Config
-	if err := cfg.Validate(); err != nil {
+	v := *w
+	if err := v.Config.Validate(); err != nil {
 		return nil, err
 	}
+	return newReplayer([]*Work{&v})
+}
+
+// newReplayer builds the engine of one unit — campaigns with validated
+// configs that share a golden run and, when there are several, all ride
+// lanes — on simulators of the first one's factory.
+func newReplayer(unit []*Work) (Replayer, error) {
+	w := unit[0]
 	a, err := w.Factory()
 	if err != nil {
 		return nil, fmt.Errorf("worker simulator: %w", err)
 	}
-	_, lanes := a.(BatchCapable)
-	lanes = lanes && cfg.Lanes > 1
-	cursor := cfg.Sched == SchedCursor
+	lanes, cursor := w.lockstep(), w.Config.Sched == SchedCursor
 	var b Simulator
 	if lanes || cursor {
 		// Both of those engines drive a pair: one instance that only ever
@@ -134,19 +171,19 @@ func NewReplayer(w *Work) (Replayer, error) {
 			return nil, fmt.Errorf("worker simulator: %w", err)
 		}
 	}
-	if lanes {
-		// nil when the model tracks no lanes over this target (the RTL
-		// pipeline latches).
-		if br := NewBatchReplayer(w.Golden, cfg, a, b); br != nil {
-			return br, nil
+	switch {
+	case lanes:
+		br := newBatchReplayer(a, b, unit)
+		if br == nil {
+			return nil, fmt.Errorf("campaign: the factory's simulators track no lanes over %v, the golden run's does", w.Config.Target)
 		}
-	}
-	if cursor {
-		cr := NewCursorReplayer(w.Golden, cfg, a, b)
+		return br, nil
+	case cursor:
+		cr := NewCursorReplayer(w.Golden, w.Config, a, b)
 		cr.Stop = w.stopped
 		return cr, nil
 	}
-	return &scalarReplayer{g: w.Golden, cfg: cfg, sim: a}, nil
+	return &scalarReplayer{g: w.Golden, cfg: w.Config, sim: a}, nil
 }
 
 // scalarReplayer is the stream-order engine: every replay restores the
@@ -185,61 +222,103 @@ func (r *scalarReplayer) Replay(next func() (int, fault.Spec, bool), deliver fun
 
 func (r *scalarReplayer) Stats() ReplayStats { return ReplayStats{Executed: r.n} }
 func (r *scalarReplayer) Close()             {}
-func (r *scalarReplayer) chunk() int         { return 1 }
 
-// pulledSpec is one plan entry drained from a producer.
+// pulledSpec is one plan entry drained from a producer: member names the
+// campaign it belongs to within the unit that was pulled.
 type pulledSpec struct {
-	idx  int
-	spec fault.Spec
+	idx    int
+	spec   fault.Spec
+	member int
 }
 
-// pullSpecs drains up to n entries of next into buf.
-func pullSpecs(next func() (int, fault.Spec, bool), n int, buf []pulledSpec) []pulledSpec {
-	for len(buf) < n {
+// pullSpecs drains up to n entries of next into buf, tagged with member.
+func pullSpecs(next func() (int, fault.Spec, bool), n, member int, buf []pulledSpec) []pulledSpec {
+	for ; n > 0; n-- {
 		idx, spec, ok := next()
 		if !ok {
 			break
 		}
-		buf = append(buf, pulledSpec{idx: idx, spec: spec})
+		buf = append(buf, pulledSpec{idx: idx, spec: spec, member: member})
 	}
 	return buf
 }
 
-// sortByCycle orders a pull by injection cycle with plan order as the
-// tie-break, so a walk along the golden timeline only moves forward.
+// sortByCycle orders a pull by injection cycle with unit and plan order
+// as the tie-break, so a walk along the golden timeline only moves
+// forward.
 func sortByCycle(ps []pulledSpec) {
 	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].spec.Cycle != ps[j].spec.Cycle {
-			return ps[i].spec.Cycle < ps[j].spec.Cycle
+		a, b := &ps[i], &ps[j]
+		if a.spec.Cycle != b.spec.Cycle {
+			return a.spec.Cycle < b.spec.Cycle
 		}
-		return ps[i].idx < ps[j].idx
+		if a.member != b.member {
+			return a.member < b.member
+		}
+		return a.idx < b.idx
 	})
 }
 
-// chunkIter feeds one pulled chunk to a replayer as its producer.
-type chunkIter struct {
-	items []pulledSpec
-	k     int
+// engine is a replayer as a pool goroutine drives it: fed one pull of
+// its unit at a time, accounting per member.
+type engine interface {
+	replayPulled(items []pulledSpec) error
+	memberStats() []ReplayStats
+	Close()
 }
 
-func (c *chunkIter) next() (int, fault.Spec, bool) {
-	if c.k >= len(c.items) {
+// soloEngine drives the scalar and cursor replayers, whose unit is
+// always one campaign, from a pull.
+type soloEngine struct {
+	Replayer
+	w *Work
+	k int
+	p []pulledSpec
+}
+
+func (e *soloEngine) next() (int, fault.Spec, bool) {
+	if e.k >= len(e.p) {
 		return 0, fault.Spec{}, false
 	}
-	c.k++
-	return c.items[c.k-1].idx, c.items[c.k-1].spec, true
+	e.k++
+	return e.p[e.k-1].idx, e.p[e.k-1].spec, true
 }
 
+func (e *soloEngine) replayPulled(items []pulledSpec) error {
+	e.p, e.k = items, 0
+	return e.w.wrap(e.Replay(e.next, e.w.Deliver))
+}
+
+func (e *soloEngine) memberStats() []ReplayStats { return []ReplayStats{e.Stats()} }
+
 // ReplayPool runs every campaign in work, in order, on `workers`
-// goroutines and returns the first error any of them hit. Closing stop
-// ceases dispatch: chunks already pulled drain, and the pool returns
-// ErrInterrupted if work was left unissued. It returns only after every
-// goroutine has exited.
+// goroutines and returns the first error any of them hit. It validates
+// each Work's Config in place (filling its defaults) first. Closing stop
+// ceases dispatch: pulls already made drain, and the pool returns
+// ErrInterrupted if replays were left unissued. It returns only after
+// every goroutine has exited.
 func ReplayPool(workers int, stop <-chan struct{}, work ...*Work) error {
 	if workers < 1 {
 		workers = 1
 	}
-	s := &scheduler{workers: workers, stop: stop, work: work}
+	s := &scheduler{workers: workers, stop: stop}
+	for _, w := range work {
+		if err := w.Config.Validate(); err != nil {
+			return w.wrap(err)
+		}
+		// Consecutive lockstep campaigns over one golden run (Sweep orders
+		// its work group-major) ride one walk; anything else — no lanes, a
+		// latch target — stays on its own engine.
+		lanes := w.lockstep()
+		if n := len(s.units); n > 0 && lanes && s.units[n-1].lanes && s.units[n-1].members[0].Golden == w.Golden {
+			s.units[n-1].members = append(s.units[n-1].members, w)
+			continue
+		}
+		s.units = append(s.units, &unit{members: []*Work{w}, lanes: lanes})
+	}
+	for _, u := range s.units {
+		u.dry = make([]bool, len(u.members))
+	}
 	err := fanOut(workers, workers, func(int) error { return s.serve() })
 	if err == nil && s.interrupted {
 		return ErrInterrupted
@@ -247,62 +326,90 @@ func ReplayPool(workers int, stop <-chan struct{}, work ...*Work) error {
 	return err
 }
 
-// scheduler hands (campaign, chunk) pairs to the pool's goroutines.
-// Campaigns are dispatched one after another (a sweep passes them
+// unit is what the scheduler dispatches as one: the campaigns of one
+// engine. dry marks the members whose source has run out.
+type unit struct {
+	members []*Work
+	lanes   bool
+	dry     []bool
+}
+
+// scheduler hands (unit, pull) pairs to the pool's goroutines. Units are
+// dispatched one after another (a sweep passes its campaigns
 // group-major, so at most a few goldens are hot at once); goroutines
-// still finishing an earlier campaign's chunk simply arrive later.
+// still finishing an earlier unit's pull simply arrive later.
 type scheduler struct {
 	workers int
 	stop    <-chan struct{}
 
 	mu          sync.Mutex
-	work        []*Work // campaigns not yet run dry; work[0] is being dispatched
+	units       []*unit // not yet run dry; units[0] is being dispatched
 	halted      bool    // a goroutine failed or stop fired: issue nothing more
-	interrupted bool
+	interrupted bool    // stop fired with replays still unissued
 }
 
-// current returns the campaign being dispatched, nil when nothing more
-// is to be issued.
-func (s *scheduler) current() *Work {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.halted || len(s.work) == 0 {
-		return nil
-	}
-	select {
-	case <-s.stop:
-		s.halted, s.interrupted = true, true
-		return nil
-	default:
-	}
-	return s.work[0]
-}
-
-// pull moves up to n of w's replays into buf. w.Next runs under the
-// scheduler's lock — that is what lets it be stateful — and a dry
-// source retires the campaign.
+// next moves up to one chunk of every member of the unit being
+// dispatched into buf and returns the unit; a nil unit means nothing
+// more is to be issued. Work.Next runs under the scheduler's lock — that
+// is what lets it be stateful — and a unit whose sources are all dry is
+// retired.
 //
-// While campaigns queue behind w a goroutine takes the engine's whole
-// chunk: the others find work in the next campaign, and smaller chunks
-// would only re-walk the golden timeline more often. Nothing queues
-// behind the last campaign, so there a chunk is capped at an even share
-// of Size — a source smaller than one engine chunk (a 64-job lease, a
+// While units queue behind this one a goroutine takes each member's
+// whole chunk: the others find work in the next unit, and smaller pulls
+// would only walk the golden timeline more often. Nothing queues behind
+// the last unit, so there every member's chunk is capped at an even
+// share of its Size — a source smaller than one chunk (a 64-job lease, a
 // standalone campaign, a sweep's tail) still spreads over the whole
-// pool.
-func (s *scheduler) pull(w *Work, n int, buf []pulledSpec) []pulledSpec {
+// pool, and every goroutine's walk still carries all the members.
+func (s *scheduler) next(buf []pulledSpec) (*unit, []pulledSpec) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.halted || len(s.work) == 0 || s.work[0] != w {
-		return buf
+	for !s.halted && len(s.units) > 0 {
+		select {
+		case <-s.stop:
+			s.halted, s.interrupted = true, s.unissued()
+			return nil, buf
+		default:
+		}
+		u, last, live := s.units[0], len(s.units) == 1, false
+		for i, w := range u.members {
+			if u.dry[i] {
+				continue
+			}
+			n := w.chunk()
+			if share := (w.Size + s.workers - 1) / s.workers; last && w.Size > 0 && share < n {
+				n = share
+			}
+			have := len(buf)
+			buf = pullSpecs(w.Next, n, i, buf)
+			u.dry[i] = len(buf)-have < n
+			live = live || !u.dry[i]
+		}
+		if !live {
+			s.units = s.units[1:]
+		}
+		if len(buf) > 0 {
+			return u, buf
+		}
 	}
-	if share := (w.Size + s.workers - 1) / s.workers; len(s.work) == 1 && w.Size > 0 && share < n {
-		n = share
+	return nil, buf
+}
+
+// unissued reports whether any source still holds a replay, by drawing
+// one: a source whose last pull came back full may be dry all the same,
+// and a pool stopped after everything was issued was not interrupted.
+// The caller holds the lock and issues nothing afterwards.
+func (s *scheduler) unissued() bool {
+	for _, u := range s.units {
+		for i, w := range u.members {
+			if !u.dry[i] {
+				if _, _, ok := w.Next(); ok {
+					return true
+				}
+			}
+		}
 	}
-	buf = pullSpecs(w.Next, n, buf)
-	if len(buf) < n {
-		s.work = s.work[1:]
-	}
-	return buf
+	return false
 }
 
 func (s *scheduler) halt() {
@@ -311,27 +418,29 @@ func (s *scheduler) halt() {
 	s.mu.Unlock()
 }
 
-// serve is one pool goroutine: one live replayer, rebuilt when the
-// campaign changes, its stats folded into the campaign it served.
+// serve is one pool goroutine: one live engine, built for the first
+// non-empty pull of a unit and rebuilt when the unit changes, its stats
+// folded into the campaigns it served.
 func (s *scheduler) serve() (err error) {
 	var (
-		cur  *Work
-		r    Replayer
-		busy time.Duration
-		it   chunkIter
+		cur   *unit
+		eng   engine
+		busy  time.Duration
+		items []pulledSpec
 	)
-	next := it.next
 	fold := func() {
-		if r == nil {
+		if eng == nil {
 			return
 		}
-		st := r.Stats()
-		st.Busy = busy
-		r.Close()
-		if cur.note != nil {
-			cur.note(st)
+		sts := eng.memberStats()
+		eng.Close()
+		splitBusy(busy, sts)
+		for i, st := range sts {
+			if note := cur.members[i].note; note != nil {
+				note(st)
+			}
 		}
-		r, busy = nil, 0
+		eng, busy = nil, 0
 	}
 	defer func() {
 		fold()
@@ -340,30 +449,51 @@ func (s *scheduler) serve() (err error) {
 		}
 	}()
 	for {
-		w := s.current()
-		if w == nil {
+		var u *unit
+		if u, items = s.next(items[:0]); u == nil {
 			return nil
 		}
-		if w != cur {
+		if u != cur {
 			fold()
-			cur = w
-			if r, err = NewReplayer(w); err != nil {
-				return w.wrap(err)
+			cur = u
+			r, err := newReplayer(u.members)
+			if err != nil {
+				return u.members[0].wrap(err)
+			}
+			if br, ok := r.(*BatchReplayer); ok {
+				eng = br
+			} else {
+				eng = &soloEngine{Replayer: r, w: u.members[0]}
 			}
 		}
-		it.items, it.k = s.pull(w, r.chunk(), it.items[:0]), 0
-		if len(it.items) == 0 {
-			continue
-		}
 		t0 := time.Now()
-		err = r.Replay(next, w.Deliver)
+		err = eng.replayPulled(items)
 		d := time.Since(t0)
 		busy += d
 		obsBusy(d)
 		if err != nil {
-			return w.wrap(err)
+			return err
 		}
 	}
+}
+
+// splitBusy attributes an engine's replay wall time to the campaigns it
+// served, in proportion to the cycles it stepped for each; whatever the
+// rounding leaves goes to the last.
+func splitBusy(busy time.Duration, sts []ReplayStats) {
+	var total uint64
+	for _, st := range sts {
+		total += st.FastForward + st.Lockstep + st.Private
+	}
+	rest := busy
+	for i := range sts[:len(sts)-1] {
+		if total > 0 {
+			st := &sts[i]
+			st.Busy = time.Duration(float64(busy) * float64(st.FastForward+st.Lockstep+st.Private) / float64(total))
+			rest -= st.Busy
+		}
+	}
+	sts[len(sts)-1].Busy = rest
 }
 
 // fanOut runs fn(0) … fn(n-1) on up to `workers` goroutines, stops

@@ -9,6 +9,7 @@ package campaign_test
 import (
 	"errors"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -53,6 +54,18 @@ func mockWork(t *testing.T, deliver func(idx int) error) (*campaign.Work, *atomi
 		},
 		Deliver: func(idx int, _ campaign.RunOutcome) error { return deliver(idx) },
 	}, &produced
+}
+
+// finiteNext is a source of n replays, indices 0 … n-1.
+func finiteNext(n int) func() (int, fault.Spec, bool) {
+	k := 0
+	return func() (int, fault.Spec, bool) {
+		if k >= n {
+			return 0, fault.Spec{}, false
+		}
+		k++
+		return k - 1, fault.Spec{Target: fault.TargetRF, Cycle: uint64(10 + k%80), Model: fault.ModelTransient}, true
+	}
 }
 
 // poolWithTimeout runs the pool, failing the test if it hangs.
@@ -151,17 +164,10 @@ func TestPoolDeliversEverythingOnce(t *testing.T) {
 	seen := make([][]atomic.Int32, len(sizes))
 	var work []*campaign.Work
 	for c, n := range sizes {
-		c, n, k := c, n, 0
+		c := c
 		seen[c] = make([]atomic.Int32, n)
 		work = append(work, &campaign.Work{
-			Golden: g, Config: errCfg(), Factory: factory, Size: n,
-			Next: func() (int, fault.Spec, bool) {
-				if k >= n {
-					return 0, fault.Spec{}, false
-				}
-				k++
-				return k - 1, fault.Spec{Target: fault.TargetRF, Cycle: uint64(10 + k%80), Model: fault.ModelTransient}, true
-			},
+			Golden: g, Config: errCfg(), Factory: factory, Size: n, Next: finiteNext(n),
 			Deliver: func(idx int, _ campaign.RunOutcome) error { seen[c][idx].Add(1); return nil },
 		})
 	}
@@ -176,15 +182,119 @@ func TestPoolDeliversEverythingOnce(t *testing.T) {
 		}
 	}
 	// A fired stop ceases dispatch even on a producer that never runs
-	// dry, and says so.
+	// dry, and says so: it draws the one replay that proves work was
+	// left, and runs none.
 	stop := make(chan struct{})
 	close(stop)
-	w, produced := mockWork(t, func(int) error { return nil })
+	var ran atomic.Int64
+	w, produced := mockWork(t, func(int) error { ran.Add(1); return nil })
 	if err := campaign.ReplayPool(8, stop, w); !errors.Is(err, campaign.ErrInterrupted) {
 		t.Errorf("stopped pool returned %v, want ErrInterrupted", err)
 	}
-	if n := produced.Load(); n != 0 {
-		t.Errorf("stopped pool still pulled %d replays", n)
+	if n, r := produced.Load(), ran.Load(); n > 1 || r != 0 {
+		t.Errorf("stopped pool still pulled %d replays and ran %d", n, r)
+	}
+	waitNoLeak(t, base)
+}
+
+// usedSim is a mock simulator that remembers whether anything was ever
+// replayed on it (every replay starts with a Restore).
+type usedSim struct {
+	mockSim
+	used atomic.Bool
+}
+
+func (s *usedSim) Restore(snap campaign.Snapshot) {
+	s.used.Store(true)
+	s.mockSim.Restore(snap)
+}
+
+// TestPoolBuildsEnginesOnlyForServedUnits: a goroutine pulls before it
+// builds, so one that arrives at a unit another goroutine has just
+// drained pays for no engine. Eight goroutines race for sources of one
+// or two replays; every simulator the factory handed out must have been
+// replayed on.
+func TestPoolBuildsEnginesOnlyForServedUnits(t *testing.T) {
+	base := runtime.NumGoroutine()
+	plain := func() (campaign.Simulator, error) { return &mockSim{limit: 100}, nil }
+	g, err := campaign.PrepareGolden(plain, campaign.GoldenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu    sync.Mutex
+		built []*usedSim
+	)
+	counting := func() (campaign.Simulator, error) {
+		s := &usedSim{mockSim: mockSim{limit: 100}}
+		mu.Lock()
+		built = append(built, s)
+		mu.Unlock()
+		return s, nil
+	}
+	var work []*campaign.Work
+	var delivered atomic.Int64
+	total := 0
+	for _, n := range []int{1, 0, 2, 1, 1, 0, 1} {
+		total += n
+		work = append(work, &campaign.Work{
+			Golden: g, Config: errCfg(), Factory: counting, Size: n, Next: finiteNext(n),
+			Deliver: func(int, campaign.RunOutcome) error { delivered.Add(1); return nil },
+		})
+	}
+	if err := campaign.ReplayPool(8, nil, work...); err != nil {
+		t.Fatal(err)
+	}
+	if got := int(delivered.Load()); got != total {
+		t.Fatalf("delivered %d of %d replays", got, total)
+	}
+	if len(built) == 0 || len(built) > total {
+		t.Errorf("%d engines built for %d replays", len(built), total)
+	}
+	for i, s := range built {
+		if !s.used.Load() {
+			t.Errorf("engine %d of %d was built and never served a replay", i, len(built))
+		}
+	}
+	waitNoLeak(t, base)
+}
+
+// TestPoolStopAfterLastIssueIsNotAnInterrupt: a source whose pulls all
+// came back full is not known to be dry. A stop that fires then — every
+// replay issued and delivered — interrupted nothing, and the pool must
+// not say it did; one that fires with a replay still unissued must.
+func TestPoolStopAfterLastIssueIsNotAnInterrupt(t *testing.T) {
+	base := runtime.NumGoroutine()
+	factory := func() (campaign.Simulator, error) { return &mockSim{limit: 100}, nil }
+	g, err := campaign.PrepareGolden(factory, campaign.GoldenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 4
+	for _, stopAt := range []int64{n, n - 1} {
+		stop := make(chan struct{})
+		var delivered atomic.Int64
+		w := &campaign.Work{
+			Golden: g, Config: errCfg(), Factory: factory, Size: n, Next: finiteNext(n),
+			Deliver: func(int, campaign.RunOutcome) error {
+				if delivered.Add(1) == stopAt {
+					close(stop)
+				}
+				return nil
+			},
+		}
+		// One goroutine, one replay a pull: the pool meets the stop right
+		// after delivery stopAt.
+		err := campaign.ReplayPool(1, stop, w)
+		switch {
+		case stopAt == n && err != nil:
+			t.Errorf("stop after the last replay was delivered: ReplayPool = %v, want nil", err)
+		case stopAt < n && !errors.Is(err, campaign.ErrInterrupted):
+			t.Errorf("stop with a replay unissued: ReplayPool = %v, want ErrInterrupted", err)
+		}
+		if got := delivered.Load(); got != stopAt {
+			t.Errorf("stop at %d: %d replays delivered", stopAt, got)
+		}
 	}
 	waitNoLeak(t, base)
 }

@@ -247,8 +247,8 @@ func (p *Planned) Result(elapsed time.Duration) (*Result, error) {
 	defer p.mu.Unlock()
 	res.BatchedRuns = p.stats.Batched
 	res.PeeledRuns = p.stats.Peeled
-	if p.stats.Groups > 0 {
-		res.LaneOccupancy = float64(p.stats.LaneSum) / float64(p.stats.Groups)
+	if p.stats.Lockstep > 0 {
+		res.LaneOccupancy = float64(p.stats.LaneCycles) / float64(p.stats.Lockstep)
 	}
 	if p.ffNoted {
 		// aggregate filled FastForwardCycles with the stream-order

@@ -15,9 +15,11 @@ import (
 // geometry is one adapter's statement of a lockstep-capable target's
 // flat fault bit space — units × width bits, laid out as Simulator.Flip
 // indexes them — with a peek at the live machine's current bits; units
-// is 0 for a target the model neither traces nor tracks. Lifetime spaces
-// and lane trackers are both built from it, so the trace and the tracker
-// cannot disagree on the layout their cross-check assumes.
+// is 0 for a target the model neither traces nor tracks. It is the
+// adapter's campaign.BatchCapable LaneGeometry: lifetime spaces (here)
+// and lane trackers (the lockstep engine) are both built from it, so the
+// trace and the tracker cannot disagree on the layout their cross-check
+// assumes.
 type geometry func(t fault.Target) (units, width int, peek func(bit int) int)
 
 // setLifetime builds rec's spaces for the two traced targets and hands
@@ -32,22 +34,6 @@ func setLifetime(geo geometry, rec *lifetime.Recorder, set func(rf, l1d *lifetim
 		return rec.Space(int(t), units, width)
 	}
 	set(space(fault.TargetRF), space(fault.TargetL1D))
-}
-
-// attachLanes builds a lane tracker over target t and hands it to a
-// model's SetLanes, or reports that the target has no lockstep surface.
-func attachLanes(geo geometry, t fault.Target, set func(rf, l1d *lifetime.Lanes)) (*lifetime.Lanes, bool) {
-	units, width, peek := geo(t)
-	if units == 0 {
-		return nil, false
-	}
-	tr := lifetime.NewLanes(units, width, peek)
-	if t == fault.TargetRF {
-		set(tr, nil)
-	} else {
-		set(nil, tr)
-	}
-	return tr, true
 }
 
 // maSim adapts the microarchitectural model to the campaign interface.
@@ -70,9 +56,9 @@ func (s *maSim) SetL1DAccessHook(fn func(set, way int)) { s.cpu.L1D.AccessHook =
 func (s *maSim) L1DLineOfBit(bit int) (int, int)        { return s.cpu.L1D.LineOfDataBit(bit) }
 func (s *maSim) StateHash() uint64                      { return s.cpu.StateHash() }
 
-// geometry: the physical register file at register granularity and the
-// L1D data array at line granularity.
-func (s *maSim) geometry(t fault.Target) (units, width int, peek func(bit int) int) {
+// LaneGeometry: the physical register file at register granularity and
+// the L1D data array at line granularity.
+func (s *maSim) LaneGeometry(t fault.Target) (units, width int, peek func(bit int) int) {
 	switch t {
 	case fault.TargetRF:
 		return s.cpu.RFBits() / 32, 32, s.cpu.RFBit
@@ -87,7 +73,7 @@ func (s *maSim) geometry(t fault.Target) (units, width int, peek func(bit int) i
 // SetLifetime registers the microarchitectural lifetime traces of the
 // register file and the L1D data array.
 func (s *maSim) SetLifetime(rec *lifetime.Recorder) {
-	setLifetime(s.geometry, rec, s.cpu.SetLifetime)
+	setLifetime(s.LaneGeometry, rec, s.cpu.SetLifetime)
 }
 
 func (s *maSim) Bits(t fault.Target) int {
@@ -157,14 +143,11 @@ func (s *maSim) SnapshotInto(old campaign.Snapshot) campaign.Snapshot {
 	return prev
 }
 
-// AttachLanes exposes the microarchitectural model's lockstep replay
-// surface: a lane tracker over the physical register file or the L1D
-// data array, fed by the hooks that record the lifetime trace.
-func (s *maSim) AttachLanes(t fault.Target) (*lifetime.Lanes, bool) {
-	return attachLanes(s.geometry, t, s.cpu.SetLanes)
-}
-
-func (s *maSim) DetachLanes() { s.cpu.SetLanes(nil, nil) }
+// SetLanes exposes the microarchitectural model's lockstep replay
+// surface: lane trackers over the physical register file and the L1D
+// data array, side by side, fed by the hooks that record the lifetime
+// trace.
+func (s *maSim) SetLanes(rf, l1d *lifetime.Lanes) { s.cpu.SetLanes(rf, l1d) }
 
 var _ campaign.BatchCapable = (*maSim)(nil)
 
@@ -187,11 +170,11 @@ func (s *rtlSim) SetL1DAccessHook(fn func(set, way int)) { s.core.SetL1DAccessHo
 func (s *rtlSim) L1DLineOfBit(bit int) (int, int)        { return s.core.L1DLineOfBit(bit) }
 func (s *rtlSim) StateHash() uint64                      { return s.core.StateHash() }
 
-// geometry: the architectural register file and the L1D data array,
+// LaneGeometry: the architectural register file and the L1D data array,
 // both word-granular through the rtl kernel's memory ports. Pipeline
 // latches are neither traced nor tracked (rtlcore.Core.SetLanes says
 // why), so latch campaigns always replay, on the scalar engine.
-func (s *rtlSim) geometry(t fault.Target) (units, width int, peek func(bit int) int) {
+func (s *rtlSim) LaneGeometry(t fault.Target) (units, width int, peek func(bit int) int) {
 	switch t {
 	case fault.TargetRF:
 		return s.core.RFBits() / 32, 32, s.core.RFBit
@@ -205,7 +188,7 @@ func (s *rtlSim) geometry(t fault.Target) (units, width int, peek func(bit int) 
 // SetLifetime registers the RTL lifetime traces of the register file and
 // the L1D data array.
 func (s *rtlSim) SetLifetime(rec *lifetime.Recorder) {
-	setLifetime(s.geometry, rec, s.core.SetLifetime)
+	setLifetime(s.LaneGeometry, rec, s.core.SetLifetime)
 }
 
 func (s *rtlSim) Bits(t fault.Target) int {
@@ -264,16 +247,12 @@ func (s *rtlSim) Restore(snap campaign.Snapshot) {
 	s.core.Restore(st)
 }
 
-// AttachLanes exposes the RTL model's lockstep replay surface: a lane
-// tracker over the register file or the L1D data array, the two targets
-// whose state lives in rtl kernel memory arrays. Its flat bit space is
-// the one rtl.Mem.FlipBit splits into word and local bit, so lane
-// injections and peel-diff replays cannot disagree with scalar
+// SetLanes exposes the RTL model's lockstep replay surface: lane
+// trackers over the register file and the L1D data array, the two
+// targets whose state lives in rtl kernel memory arrays. Their flat bit
+// space is the one rtl.Mem.FlipBit splits into word and local bit, so
+// lane injections and peel-diff replays cannot disagree with scalar
 // injections on targeting.
-func (s *rtlSim) AttachLanes(t fault.Target) (*lifetime.Lanes, bool) {
-	return attachLanes(s.geometry, t, s.core.SetLanes)
-}
-
-func (s *rtlSim) DetachLanes() { s.core.SetLanes(nil, nil) }
+func (s *rtlSim) SetLanes(rf, l1d *lifetime.Lanes) { s.core.SetLanes(rf, l1d) }
 
 var _ campaign.BatchCapable = (*rtlSim)(nil)

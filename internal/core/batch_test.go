@@ -10,6 +10,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/campaign"
 	"repro/internal/fault"
+	"repro/internal/lifetime"
 )
 
 // benchFactory builds the campaign factory of one workload on one model.
@@ -355,6 +356,86 @@ func TestBatchSweepMatchesScalarSweep(t *testing.T) {
 	}
 }
 
+// TestBatchFusedUnitMatchesScalarRuns is the shared walk's equivalence
+// acceptance. Campaigns of one golden group that ride lanes are
+// dispatched as one unit: one goroutine pulls a chunk of each, one
+// golden walk carries them all — a register-file and an L1D tracker side
+// by side, windowed and run-to-end lanes in the slots of one tracker, a
+// persistent model beside transients, a seven-lane campaign that must
+// defer beside 64-lane ones. A Lanes = 1 campaign in the middle of the
+// group stays on the scalar engine and splits the unit in two. Whatever
+// the company and however the pool's goroutines cut the pulls, every
+// campaign must reproduce its own scalar standalone Run.
+func TestBatchFusedUnitMatchesScalarRuns(t *testing.T) {
+	group := []struct {
+		key string
+		cfg campaign.Config
+	}{
+		{"rf-windowed", campaign.Config{Injections: 40, Seed: 7, Target: fault.TargetRF, Window: 400}},
+		{"l1d-windowed", campaign.Config{Injections: 40, Seed: 9, Target: fault.TargetL1D, Window: 400}},
+		{"rf-run-to-end", campaign.Config{Injections: 10, Seed: 11, Target: fault.TargetRF}},
+		{"rf-lanes1", campaign.Config{Injections: 16, Seed: 13, Target: fault.TargetRF, Window: 400, Lanes: 1}},
+		{"l1d-early-stop-prune", campaign.Config{
+			Injections: 24, Seed: 15, Target: fault.TargetL1D,
+			EarlyStop: true, Prune: campaign.PruneDead, Sched: campaign.SchedCursor,
+		}},
+		{"rf-stuck-at", campaign.Config{
+			Injections: 30, Seed: 17, Target: fault.TargetRF, Window: 400,
+			Fault: fault.Params{Model: fault.ModelStuckAt, Stuck: fault.StuckRandom},
+		}},
+		{"rf-lanes7", campaign.Config{Injections: 60, Seed: 19, Target: fault.TargetRF, Window: 6000, Lanes: 7, EarlyStop: true}},
+	}
+	for _, model := range []Model{ModelMicroarch, ModelRTL} {
+		model := model
+		t.Run(model.String(), func(t *testing.T) {
+			t.Parallel()
+			f := benchFactory(t, model, "qsort")
+			want := make(map[string]*campaign.Result, len(group))
+			var matrix []campaign.SweepCampaign
+			for _, c := range group {
+				oracle := c.cfg
+				oracle.Lanes, oracle.Sched, oracle.Workers = 1, campaign.SchedStream, 2
+				res, err := campaign.Run(f, oracle)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[c.key] = res
+				matrix = append(matrix, campaign.SweepCampaign{Key: c.key, Group: "g", Factory: f, Config: c.cfg})
+			}
+			for _, workers := range []int{1, 2} {
+				sr, err := campaign.Sweep(matrix, campaign.SweepOptions{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sr.GoldenRuns != 1 {
+					t.Fatalf("%d golden runs; the group was meant to share one", sr.GoldenRuns)
+				}
+				for _, c := range group {
+					w, g := want[c.key], sr.Results[c.key]
+					for i := range w.Outcomes {
+						if i >= len(g.Outcomes) || w.Outcomes[i] != g.Outcomes[i] {
+							t.Fatalf("%d workers, %s outcome %d differs:\nscalar %+v\nfused  %+v (of %d)",
+								workers, c.key, i, w.Outcomes[i], g.Outcomes[min(i, len(g.Outcomes)-1)], len(g.Outcomes))
+						}
+					}
+					if len(g.Outcomes) != len(w.Outcomes) || !reflect.DeepEqual(w.Counts, g.Counts) || w.Unsafeness != g.Unsafeness {
+						t.Fatalf("%d workers, %s: aggregate differs: %d outcomes %v %+v against %d %v %+v",
+							workers, c.key, len(g.Outcomes), g.Counts, g.Unsafeness, len(w.Outcomes), w.Counts, w.Unsafeness)
+					}
+					rode, replayed := g.BatchedRuns+g.PeeledRuns, len(g.Outcomes)-g.PrunedRuns
+					if c.cfg.Lanes == 1 {
+						replayed = 0
+					}
+					if rode != replayed {
+						t.Errorf("%d workers, %s: %d+%d replays rode lanes, want %d",
+							workers, c.key, g.BatchedRuns, g.PeeledRuns, replayed)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestBatchLatchesFallsBackScalar pins the capability boundary: the
 // pipeline-latch target has no batch surface, so a Lanes=64 campaign
 // silently runs the scalar engine and reports no batching.
@@ -377,16 +458,20 @@ func TestBatchLatchesFallsBackScalar(t *testing.T) {
 // engine 64 lanes must select on either model, single-threaded, and
 // holds the engine's account of the pass to its exact seed-determined
 // values: lanes retired in lockstep against lanes the design consumed,
-// groups and their lane sum, and where the stepped cycles went.
+// the one walk that carried them all, and where the stepped cycles went
+// — a walk steps no golden cycle twice, so what it rode and what it
+// stepped with nobody riding fit inside the golden run (the RTL lanes
+// peel early and leave the sparse ends of the plan unridden: most of its
+// fast-forward is those gaps, not the approach to the first instant).
 func TestBatchReplayerSeedPins(t *testing.T) {
 	for _, tc := range []struct {
 		model Model
 		want  campaign.ReplayStats
 	}{
-		{ModelRTL, campaign.ReplayStats{Executed: 512, Batched: 233, Peeled: 279, Groups: 8, LaneSum: 512,
-			FastForward: 9_145, Lockstep: 51_431, Private: 121_874}},
-		{ModelMicroarch, campaign.ReplayStats{Executed: 512, Batched: 456, Peeled: 56, Groups: 8, LaneSum: 512,
-			FastForward: 9_201, Lockstep: 29_085, Private: 21_240}},
+		{ModelRTL, campaign.ReplayStats{Executed: 512, Batched: 233, Peeled: 279, Walks: 1,
+			FastForward: 8_812, Lockstep: 38_084, Private: 121_715, LaneCycles: 126_998}},
+		{ModelMicroarch, campaign.ReplayStats{Executed: 512, Batched: 456, Peeled: 56, Walks: 1,
+			FastForward: 1_827, Lockstep: 24_645, Private: 20_875, LaneCycles: 229_393}},
 	} {
 		f := benchFactory(t, tc.model, "qsort")
 		cfg := campaign.Config{
@@ -411,10 +496,83 @@ func TestBatchReplayerSeedPins(t *testing.T) {
 		if err := r.Replay(p.NextReplay, func(int, campaign.RunOutcome) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
-		if got := r.Stats(); got != tc.want {
+		got := r.Stats()
+		if got != tc.want {
 			t.Errorf("%v pins moved:\ngot  %+v\nwant %+v", tc.model, got, tc.want)
 		}
+		if got.FastForward+got.Lockstep > g.Cycles {
+			t.Errorf("%v: one walk stepped %d + %d golden cycles of %d", tc.model, got.FastForward, got.Lockstep, g.Cycles)
+		}
 		r.Close()
+	}
+}
+
+// TestBatchDeferralMatchesScalar packs a plan too dense for seven lanes
+// — windows of thousands of cycles keep more faults alive than that — so
+// instants arrive with every lane of the campaign taken: those specs are
+// deferred and replayed by follow-up walks over the leftovers, and every
+// outcome must still be the scalar engine's.
+func TestBatchDeferralMatchesScalar(t *testing.T) {
+	for _, tc := range []struct {
+		model  Model
+		window uint64
+	}{
+		{ModelMicroarch, 3000},
+		{ModelRTL, 8000}, // its lanes peel earlier: longer windows to crowd seven
+	} {
+		model := tc.model
+		f := benchFactory(t, model, "qsort")
+		cfg := campaign.Config{
+			Injections: 96, Seed: 5, Target: fault.TargetRF,
+			Window: tc.window, Lanes: 7, EarlyStop: true,
+		}
+		g, err := campaign.PrepareGolden(f, campaign.GoldenOptionsFor(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs, err := g.Plan(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := campaign.NewReplayer(&campaign.Work{Golden: g, Config: cfg, Factory: f})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]campaign.RunOutcome, len(specs))
+		k := 0
+		err = r.Replay(func() (int, fault.Spec, bool) {
+			if k == len(specs) {
+				return 0, fault.Spec{}, false
+			}
+			k++
+			return k - 1, specs[k-1], true
+		}, func(idx int, oc campaign.RunOutcome) error { got[idx] = oc; return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := r.Stats()
+		r.Close()
+		if st.Deferred == 0 || st.Walks < 3 {
+			t.Errorf("%v: %d specs deferred over %d walks; the plan was meant to outrun seven lanes", model, st.Deferred, st.Walks)
+		}
+		if st.Executed != len(specs) {
+			t.Errorf("%v: %d of %d replays executed", model, st.Executed, len(specs))
+		}
+		sim, err := f()
+		if err != nil {
+			t.Fatal(err)
+		}
+		scalar := cfg
+		scalar.Lanes = 1
+		for i, sp := range specs {
+			want, err := g.ReplayOne(sim, sp, scalar)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[i] != want {
+				t.Fatalf("%v outcome %d differs:\nscalar %+v\nbatch  %+v", model, i, want, got[i])
+			}
+		}
 	}
 }
 
@@ -477,11 +635,17 @@ func checkPeelCycles(t *testing.T, f campaign.Factory, g *campaign.Golden, cfg c
 		t.Fatal(err)
 	}
 	host := sim.(campaign.BatchCapable)
-	lanes, ok := host.AttachLanes(cfg.Target)
-	if !ok {
+	units, width, peek := host.LaneGeometry(cfg.Target)
+	if units == 0 {
 		t.Fatalf("no lane tracker over %v", cfg.Target)
 	}
-	defer host.DetachLanes()
+	lanes := lifetime.NewLanes(units, width, peek)
+	if cfg.Target == fault.TargetRF {
+		host.SetLanes(lanes, nil)
+	} else {
+		host.SetLanes(nil, lanes)
+	}
+	defer host.SetLanes(nil, nil)
 	const never = ^uint64(0)
 	peeledAt := make([]uint64, len(specs))
 	horizon := make([]uint64, len(specs))

@@ -8,6 +8,7 @@ package core_test
 
 import (
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -70,16 +71,93 @@ func TestMetricsAreInert(t *testing.T) {
 	}
 
 	// Sanity: the enabled runs above must actually have exercised the
-	// instrumentation, otherwise inertness is vacuously true.
-	var sb strings.Builder
-	obs.Default.WritePrometheus(&sb)
-	for _, line := range strings.Split(sb.String(), "\n") {
-		if strings.HasPrefix(line, "campaign_replays_total ") {
-			if strings.TrimPrefix(line, "campaign_replays_total ") == "0" {
-				t.Error("campaign_replays_total is 0 — the enabled run recorded nothing")
-			}
-			return
+	// instrumentation — the collector's and the lockstep walk's —
+	// otherwise inertness is vacuously true.
+	s := series(t)
+	for _, name := range []string{"campaign_replays_total", "campaign_batch_walks_total", "campaign_batch_lockstep_cycles_total"} {
+		if s[name] == 0 {
+			t.Errorf("%s is 0 or missing — the enabled runs recorded nothing there", name)
 		}
 	}
-	t.Error("campaign_replays_total missing from exposition")
+	if _, ok := s["campaign_batch_deferred_total"]; !ok {
+		t.Error("campaign_batch_deferred_total missing from exposition")
+	}
+}
+
+// series reads the current value of every un-labelled series of the
+// registry.
+func series(t *testing.T) map[string]uint64 {
+	t.Helper()
+	var sb strings.Builder
+	if err := obs.Default.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]uint64)
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if name, val, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			if v, err := strconv.ParseUint(val, 10, 64); err == nil {
+				out[name] = v
+			}
+		}
+	}
+	return out
+}
+
+// TestFusedWalkSeedPins sweeps the register-file and the L1D campaign of
+// one qsort golden run on one goroutine and holds the engine's ledger —
+// the series an operator reads — to its exact seed-determined values.
+// The two campaigns are one unit: one pull, one walk with both trackers
+// attached, so together they ride no more than one golden run's cycles
+// (5% allowed for what a follow-up walk over deferred specs would
+// re-step), where each used to walk the run on its own, group by group.
+func TestFusedWalkSeedPins(t *testing.T) {
+	type ledger struct{ walks, deferred, lockstep, fastForward, private, batched, peeled uint64 }
+	for _, tc := range []struct {
+		model core.Model
+		want  ledger
+	}{
+		{core.ModelMicroarch, ledger{walks: 1, lockstep: 26_566, fastForward: 1_213, private: 83_225, batched: 760, peeled: 264}},
+		{core.ModelRTL, ledger{walks: 1, lockstep: 47_637, fastForward: 5_565, private: 163_019, batched: 614, peeled: 410}},
+	} {
+		var matrix []campaign.SweepCampaign
+		for i, target := range []fault.Target{fault.TargetRF, fault.TargetL1D} {
+			c, err := core.Standalone("qsort", tc.model, core.CampaignSetup(), campaign.Config{
+				Injections: 512, Seed: int64(1 + i), Target: target,
+				Obs: campaign.ObsPinout, Window: 500,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Key, c.Group = target.String(), "qsort"
+			matrix = append(matrix, c)
+		}
+		obs.Default.Reset()
+		obs.Enable()
+		sr, err := campaign.Sweep(matrix, campaign.SweepOptions{Workers: 1})
+		obs.Disable()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := series(t)
+		got := ledger{
+			walks: s["campaign_batch_walks_total"], deferred: s["campaign_batch_deferred_total"],
+			lockstep: s["campaign_batch_lockstep_cycles_total"], fastForward: s["campaign_fastforward_cycles_total"],
+			private: s["campaign_batch_private_cycles_total"],
+			batched: s["campaign_batched_runs_total"], peeled: s["campaign_batch_peeled_total"],
+		}
+		if got != tc.want {
+			t.Errorf("%v pins moved:\ngot  %+v\nwant %+v", tc.model, got, tc.want)
+		}
+		golden := sr.Goldens["qsort"].Cycles
+		if float64(got.lockstep) > 1.05*float64(golden) {
+			t.Errorf("%v: both campaigns rode %d lockstep cycles, the golden run has %d", tc.model, got.lockstep, golden)
+		}
+		var rode int
+		for _, r := range sr.Results {
+			rode += r.BatchedRuns + r.PeeledRuns
+		}
+		if uint64(rode) != got.batched+got.peeled || rode != 1024 {
+			t.Errorf("%v: results account for %d lane replays, the series for %d + %d", tc.model, rode, got.batched, got.peeled)
+		}
+	}
 }

@@ -188,3 +188,97 @@ func TestLanesFlipAndBounds(t *testing.T) {
 		t.Fatal("out-of-range bit accepted")
 	}
 }
+
+// The lockstep walk hands a finished lane's slot to the next pending
+// fault. A slot retired at its limit and reused before the next tick
+// carries nothing over: the old occupant's bits neither peel nor show up
+// in the new one's diff.
+func TestLanesSlotReuseAfterRetire(t *testing.T) {
+	tr := NewLanes(4, 32, zeros)
+	tr.Flip(4, 1*32+7)
+	tr.Flip(4, 1*32+9)
+	tr.BeginTick()
+	tr.Write(1, 0, 8) // journalled: the old occupant lost bit 7 this tick
+	tr.Retire(4)      // window limit reached, never consumed
+	tr.Flip(4, 2*32+3)
+	tr.BeginTick()
+	tr.Read(1, 0, 32)
+	if tr.Peeled() != 0 {
+		t.Fatal("the previous occupant's bits peeled the reused slot")
+	}
+	tr.Read(2, 0, 32)
+	if got := tr.Peeled(); got != 1<<4 {
+		t.Fatalf("peeled %b, want the reused lane 4", got)
+	}
+	if got := peelDiff(tr, 4); !reflect.DeepEqual(got, []int{2*32 + 3}) {
+		t.Fatalf("reused slot's diff %v, want its own flip only", got)
+	}
+}
+
+// A lane peeled by a tick is retired right after it and its slot may be
+// taken at the very next cycle, before another tick begins: the peel
+// mark, the dirty bits and the tick's write journal of the old occupant
+// must all be gone.
+func TestLanesSlotReuseAfterPeelInSameTick(t *testing.T) {
+	tr := NewLanes(4, 32, zeros)
+	tr.Flip(3, 0*32+1)
+	tr.Flip(3, 1*32+2)
+	tr.Flip(5, 1*32+2) // a neighbour peeled by the same read
+	tr.BeginTick()
+	tr.Write(0, 0, 8) // clears lane 3's first bit, journalled
+	tr.Read(1, 0, 8)  // consumes the second: lanes 3 and 5 peel
+	if got := tr.Peeled(); got != 1<<3|1<<5 {
+		t.Fatalf("peeled %b, want lanes 3 and 5", got)
+	}
+	if got := peelDiff(tr, 3); !reflect.DeepEqual(got, []int{1, 32 + 2}) {
+		t.Fatalf("pre-tick diff %v, want both bits", got)
+	}
+	tr.Retire(3)
+	if got := tr.Peeled(); got != 1<<5 {
+		t.Fatalf("peeled %b after retiring lane 3, want lane 5 still marked", got)
+	}
+	tr.Flip(3, 3*32+30) // the next pending fault takes the slot
+	if got := peelDiff(tr, 5); !reflect.DeepEqual(got, []int{32 + 2}) {
+		t.Fatalf("neighbour's diff %v disturbed by the reuse", got)
+	}
+	tr.Retire(5)
+	tr.BeginTick()
+	tr.Read(0, 0, 32)
+	tr.Read(1, 0, 32)
+	if tr.Peeled() != 0 {
+		t.Fatal("the peeled occupant's bits are still live in the reused slot")
+	}
+	tr.Read(3, 24, 32)
+	if got := tr.Peeled(); got != 1<<3 {
+		t.Fatalf("peeled %b, want the new occupant of lane 3", got)
+	}
+	if got := peelDiff(tr, 3); !reflect.DeepEqual(got, []int{3*32 + 30}) {
+		t.Fatalf("new occupant's diff %v carries the old journal", got)
+	}
+}
+
+// A persistent fault's lane is only a difference from golden while the
+// walk re-asserts it. Once its slot goes to a transient fault, golden
+// writes under the old stuck bit are nobody's business.
+func TestLanesPersistentSlotReusedByTransient(t *testing.T) {
+	golden := map[int]int{}
+	tr := NewLanes(2, 32, func(bit int) int { return golden[bit] })
+	const stuck, flip = 5, 32 + 11
+	tr.Force(0, stuck, 1)
+	tr.BeginTick()
+	tr.Retire(0)
+	tr.Flip(0, flip)
+	tr.BeginTick()
+	golden[stuck] = 1
+	tr.Write(0, 0, 32)
+	golden[stuck] = 0
+	tr.Write(0, 0, 32)
+	tr.Read(0, 0, 32)
+	if tr.Peeled() != 0 {
+		t.Fatal("the retired stuck-at bit came back under the transient occupant")
+	}
+	tr.Read(1, 8, 16)
+	if got := peelDiff(tr, 0); tr.Peeled() != 1 || !reflect.DeepEqual(got, []int{flip}) {
+		t.Fatalf("peeled %b diff %v, want lane 0 with its flip only", tr.Peeled(), got)
+	}
+}
