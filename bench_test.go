@@ -18,7 +18,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/lifetime"
 	"repro/internal/obs"
 	"repro/internal/refsim"
 	"repro/internal/stats"
@@ -295,14 +294,11 @@ func BenchmarkRTLLockstepStepBoth(b *testing.B) { benchmarkLockstepStep(b, core.
 func benchmarkLockstepStep(b *testing.B, model core.Model, both bool) {
 	sim := kernelSim(b, model)
 	host := sim.(campaign.BatchCapable)
-	trackers := []*lifetime.Lanes{lifetime.NewLanes(host.LaneGeometry(fault.TargetRF)), nil}
+	rf, l1d := host.AttachLanes(true, both)
+	defer host.DetachLanes()
+	trackers := []campaign.LaneSet{rf}
 	if both {
-		trackers[1] = lifetime.NewLanes(host.LaneGeometry(fault.TargetL1D))
-	}
-	host.SetLanes(trackers[0], trackers[1])
-	defer host.SetLanes(nil, nil)
-	if !both {
-		trackers = trackers[:1]
+		trackers = append(trackers, l1d)
 	}
 	var peeled uint64
 	benchmarkKernel(b, sim, func(campaign.Simulator) {
@@ -792,9 +788,12 @@ func BenchmarkCampaignProtect_SECDED(b *testing.B) { campaignProtectBench(b, "rf
 // the engine hot path, the one comparison benchmark/ does not make. One
 // op is a back-to-back pair of the same campaign with observability off
 // and on, alternating which arm runs first; overhead_frac is the enabled
-// arm's fractional throughput loss at the median of the per-pair time
-// ratios. A pair shares whatever the machine was doing that half second,
-// so the ratio holds still where either arm's best time does not. The
+// arm's fractional throughput loss at the geometric mean of two medians
+// of the per-pair time ratios, one per arm order. A pair shares whatever
+// the machine was doing that half second, so the ratio holds still where
+// either arm's best time does not, and pairing the orders cancels what
+// running second costs or saves (a warm cache, a GC the first arm left).
+// The
 // plan is sized so an arm runs ~0.2 s on the default (lockstep) engine,
 // whose counters the enabled arm exercises: arms of tens of milliseconds
 // cross 3% on noise alone. CI runs -benchtime 32x (even: both orders
@@ -824,15 +823,20 @@ func BenchmarkObsOverhead(b *testing.B) {
 	b.ReportMetric(pairedOverhead(arms[0], arms[1]), "overhead_frac")
 }
 
-// pairedOverhead is the fractional throughput loss of the enabled arm at
-// the median of the per-pair time ratios observed[i]/plain[i], floored
-// at zero.
+// pairedOverhead is the fractional throughput loss of the enabled arm,
+// floored at zero, from the per-pair time ratios observed[i]/plain[i]:
+// even pairs ran the plain arm first, odd pairs the enabled one, and the
+// loss is taken at the geometric mean of the two orders' median ratios.
 func pairedOverhead(plain, observed []float64) float64 {
-	ratios := make([]float64, len(plain))
+	var orders [2][]float64
 	for i := range plain {
-		ratios[i] = observed[i] / plain[i]
+		orders[i%2] = append(orders[i%2], observed[i]/plain[i])
 	}
-	return math.Max(0, 1-1/median(ratios))
+	gm := median(orders[0])
+	if len(orders[1]) > 0 {
+		gm = math.Sqrt(gm * median(orders[1]))
+	}
+	return math.Max(0, 1-1/gm)
 }
 
 func median(xs []float64) float64 {
@@ -841,9 +845,10 @@ func median(xs []float64) float64 {
 	return (xs[(len(xs)-1)/2] + xs[len(xs)/2]) / 2
 }
 
-// TestPairedOverhead: the overhead arm reports the median of per-pair
-// ratios, so one pair caught by a scheduler hiccup — or one lucky plain
-// run — does not move it, while a real slowdown in every pair does.
+// TestPairedOverhead: the overhead arm reports per-order medians of the
+// per-pair ratios, so one pair caught by a scheduler hiccup — or one
+// lucky plain run — does not move it, nor does a cost that only the arm
+// running second pays, while a real slowdown in every pair does.
 func TestPairedOverhead(t *testing.T) {
 	plain := []float64{0.100, 0.102, 0.098, 0.101, 0.100, 0.099, 0.100}
 	same := []float64{0.100, 0.102, 0.098, 0.101, 0.100, 0.099, 0.100}
@@ -853,7 +858,7 @@ func TestPairedOverhead(t *testing.T) {
 	hiccup := append([]float64(nil), same...)
 	hiccup[2] = 0.150 // one enabled run preempted
 	lucky := append([]float64(nil), plain...)
-	lucky[4] = 0.080 // one plain run on a quiet core
+	lucky[3] = 0.080 // one plain run on a quiet core
 	if got := pairedOverhead(lucky, hiccup); got > 0.001 {
 		t.Errorf("two outlier pairs of seven: overhead %v, want ~0", got)
 	}
@@ -866,5 +871,17 @@ func TestPairedOverhead(t *testing.T) {
 	}
 	if got := pairedOverhead(slower, plain); got != 0 {
 		t.Errorf("enabled arm faster: overhead %v, want the floor 0", got)
+	}
+	second := append([]float64(nil), same...) // the enabled arm when it ran second
+	first := append([]float64(nil), plain...) // the plain arm when it ran second
+	for i := range plain {
+		if i%2 == 0 {
+			second[i] *= 1.04
+		} else {
+			first[i] *= 1.04
+		}
+	}
+	if got := pairedOverhead(first, second); got > 1e-9 {
+		t.Errorf("running second costs 4%%, whichever arm: overhead %v, want 0", got)
 	}
 }

@@ -29,6 +29,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/asm"
@@ -203,6 +204,9 @@ func run(args []string) error {
 			st := r.Stats()
 			fmt.Printf("bit-parallel replay: %d lanes, %d retired in lockstep, %d peeled to scalar, %.1f mean lane occupancy\n",
 				*lanes, st.Batched, st.Peeled, float64(st.LaneCycles)/float64(st.Lockstep))
+			if mix := peelMix(st); mix != "" {
+				fmt.Printf("peels by reason: %s\n", mix)
+			}
 		} else if *lanes > 1 {
 			fmt.Printf("bit-parallel replay unavailable on %v/%v; scalar probe\n", m, tgt)
 		}
@@ -276,4 +280,16 @@ func run(args []string) error {
 		os.Stdout.Write(sim.Output())
 	}
 	return nil
+}
+
+// peelMix renders the value-lane peels of st by reason ("branch 3,
+// address 2"), empty when no lane peeled with a reason.
+func peelMix(st campaign.ReplayStats) string {
+	var parts []string
+	for r, n := range st.Peels {
+		if n > 0 {
+			parts = append(parts, fmt.Sprintf("%v %d", campaign.PeelReason(r), n))
+		}
+	}
+	return strings.Join(parts, ", ")
 }

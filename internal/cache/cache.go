@@ -59,6 +59,11 @@ type Result struct {
 	EvictData []byte // line content written back (aliases internal buffer)
 	Filled    bool   // a line was fetched from backing memory
 	FillAddr  uint32
+
+	// Line is the flat index (set*ways+way) of the line the access used:
+	// the resident line on a hit, the refilled victim way on a miss. Its
+	// data starts at byte Line*LineBytes of the data array.
+	Line int
 }
 
 // Cache is a set-associative write-back cache bound to a backing memory.
@@ -87,10 +92,6 @@ type Cache struct {
 	// SetLifetime; pure observation, never perturbs the simulation.
 	lt      *lifetime.Space
 	ltCycle *uint64
-
-	// lanes, when non-nil, tracks lockstep replay lanes over the data
-	// array through the same hooks (see SetLanes).
-	lanes *lifetime.Lanes
 
 	// Statistics.
 	Accesses  uint64
@@ -202,31 +203,32 @@ func (c *Cache) SetLifetime(sp *lifetime.Space, cycle *uint64) {
 	c.ltCycle = cycle
 }
 
-// SetLanes attaches (or, with nil, detaches) a lockstep lane tracker
-// over the data array, one unit per line as in SetLifetime. It hears
-// exactly the events the lifetime trace records.
-func (c *Cache) SetLanes(t *lifetime.Lanes) { c.lanes = t }
-
 // ltRead reports a read of bits [lo,hi) of line (set,way) to the
-// lifetime trace and the lane tracker.
+// lifetime trace.
 func (c *Cache) ltRead(set, way, lo, hi int) {
 	if c.lt != nil {
 		c.lt.Read(*c.ltCycle, set*c.cfg.Ways+way, lo, hi)
 	}
-	if c.lanes != nil {
-		c.lanes.Read(set*c.cfg.Ways+way, lo, hi)
-	}
 }
 
 // ltWrite reports an overwrite of bits [lo,hi) of line (set,way) to the
-// lifetime trace and the lane tracker.
+// lifetime trace.
 func (c *Cache) ltWrite(set, way, lo, hi int) {
 	if c.lt != nil {
 		c.lt.Write(*c.ltCycle, set*c.cfg.Ways+way, lo, hi)
 	}
-	if c.lanes != nil {
-		c.lanes.Write(set*c.cfg.Ways+way, lo, hi)
+}
+
+// Resident returns the data-array byte index holding addr when its line
+// is resident, with no side effect on LRU state, statistics or hooks: the
+// lookup a caller tracking per-byte data beside the array needs to find
+// what PeekByte would read.
+func (c *Cache) Resident(addr uint32) (int, bool) {
+	set, tag, off := c.index(addr)
+	if way := c.lookup(set, tag); way >= 0 {
+		return c.lineBase(set, way) + off, true
 	}
+	return 0, false
 }
 
 // access ensures the line containing addr is resident and returns its way.
@@ -236,6 +238,7 @@ func (c *Cache) access(addr uint32, res *Result) (set, way, off int, ok bool) {
 	way = c.lookup(set, tag)
 	if way >= 0 {
 		res.Hit = true
+		res.Line = set*c.cfg.Ways + way
 		c.touch(set, way)
 		if c.AccessHook != nil {
 			c.AccessHook(set, way)
@@ -272,6 +275,7 @@ func (c *Cache) access(addr uint32, res *Result) (set, way, off int, ok bool) {
 	c.touch(set, way)
 	res.Filled = true
 	res.FillAddr = fillAddr
+	res.Line = i
 	if c.AccessHook != nil {
 		c.AccessHook(set, way)
 	}

@@ -417,75 +417,3 @@ func TestLifetimeEvents(t *testing.T) {
 		t.Fatalf("evicted line bit: %+v, want live @40 (write-back consumed the line)", v)
 	}
 }
-
-// TestLaneEvents drives a lockstep lane tracker through the real cache
-// hooks: a store clears just the bytes it writes, evicting a corrupted
-// clean line drops the corruption with the line (the fill overwrites
-// it), and evicting a corrupted dirty line consumes it (the write-back
-// puts it on the pins).
-func TestLaneEvents(t *testing.T) {
-	c, _ := testCache(t, 1024, 2, 32) // 16 sets, conflicts 512 bytes apart
-	lineBits := c.Config().LineBytes * 8
-	tr := lifetime.NewLanes(c.Config().Sets()*c.Config().Ways, lineBits, c.DataBit)
-	c.SetLanes(tr)
-	var r Result
-	bitOf := func(addr uint32, bit int) int {
-		s, tg, off := c.index(addr)
-		w := c.lookup(s, tg)
-		if w < 0 {
-			t.Fatalf("line for %#x not resident", addr)
-		}
-		return (s*c.Config().Ways+w)*lineBits + off*8 + bit
-	}
-	// evict pushes addr's line out by loading two conflicting lines.
-	evict := func(addr uint32) {
-		for i := uint32(1); i <= 2; i++ {
-			if _, ok := c.LoadWord(addr+i*512, &r); !ok {
-				t.Fatal("conflict load failed")
-			}
-		}
-	}
-
-	// Byte store beside a flip: the neighbour survives and is consumed.
-	c.LoadWord(0x100, &r)
-	tr.Flip(0, bitOf(0x100, 3))
-	tr.Flip(1, bitOf(0x101, 3))
-	tr.BeginTick()
-	c.StoreByte(0x100, 0x5A, &r)
-	if !tr.Clean(0) || tr.Clean(1) {
-		t.Fatalf("after a byte store clean = %v, %v; want true, false", tr.Clean(0), tr.Clean(1))
-	}
-	c.LoadWord(0x100, &r)
-	if got := tr.Peeled(); got != 1<<1 {
-		t.Fatalf("word load peeled %b, want lane 1", got)
-	}
-	tr.Retire(1)
-
-	// Corrupted clean line: evicted without a write-back, gone for good.
-	c.LoadWord(0x40, &r)
-	tr.Flip(2, bitOf(0x44, 0))
-	tr.BeginTick()
-	evict(0x40)
-	if tr.Peeled() != 0 || !tr.Clean(2) {
-		t.Fatalf("evicting a clean line: peeled %b, clean %v; want the fault dropped unread", tr.Peeled(), tr.Clean(2))
-	}
-
-	// Corrupted dirty line: the write-back reads all of it.
-	c.StoreWord(0x80, 7, &r)
-	tr.Flip(3, bitOf(0x9C, 5)) // a byte the store never touched
-	tr.BeginTick()
-	evict(0x80)
-	if got := tr.Peeled(); got != 1<<3 {
-		t.Fatalf("evicting a dirty line peeled %b, want lane 3", got)
-	}
-
-	// Detached, the hooks are silent again.
-	c.SetLanes(nil)
-	c.LoadWord(0x100, &r)
-	tr.Flip(4, bitOf(0x100, 0))
-	tr.BeginTick()
-	c.LoadWord(0x100, &r)
-	if tr.Peeled() != 0 {
-		t.Fatal("a detached tracker still heard the cache")
-	}
-}

@@ -2,19 +2,22 @@ package campaign
 
 // Bit-parallel lockstep replay: up to MaxLanes faulty machines per
 // injection target ride one golden evaluation, each represented only by
-// its sparse state diff against the golden machine (internal/lifetime's
-// Lanes, the one tracker both models feed from their read and write
-// hooks). While no diffed word has been consumed by the design, a faulty
-// machine's entire behavior — every signal, register write, bus
-// transaction and output byte — is the golden machine's, so one golden
-// tick advances every lane at once. The moment the design reads a word a
-// lane has corrupted, that lane's future genuinely diverges: it is
-// peeled out of the walk and finished on a scalar simulator rebuilt at
-// the pre-tick cycle from a ring snapshot plus the lane's reconstructed
-// diff, then classified by the exact finishRun tail the scalar engine
-// uses. Lanes that never peel can only ever be Masked — they retire at
-// their convergence point, observation-window limit or the golden
-// program end without a single private simulation cycle.
+// its sparse diff against the golden machine (a LaneSet, which the model
+// feeds from hooks on its golden step). While a faulty machine takes
+// every control decision the golden one takes — same branches, same
+// addresses, same bus traffic — one golden tick advances every lane at
+// once. Two trackers exist. The microarchitectural model's value lanes
+// carry corrupted data through registers, flags, L1D and memory and peel
+// a lane only when its data would change a control outcome; the RTL
+// model's lifetime.Lanes peels a lane the moment the design reads a word
+// it has corrupted. A peeled lane is finished on a scalar simulator
+// rebuilt at the pre-tick cycle from a ring snapshot plus the lane's
+// diff, with the pinout it emitted while riding, then classified by the
+// exact finishRun tail the scalar engine uses. A lane that never peels
+// retires at its convergence point, observation-window limit or the
+// golden program end without a single private simulation cycle, and is
+// classified by the same rule as finishRun (classify): its output and
+// pinout are golden's with the lane's diffs applied.
 //
 // The unit of replay is one forward walk of the golden run. A pull —
 // one chunk of every campaign riding the walk — is sorted by injection
@@ -39,6 +42,8 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/lifetime"
+	"repro/internal/refsim"
+	"repro/internal/trace"
 )
 
 // MaxLanes is the lane capacity of one tracker: the most replays of one
@@ -74,19 +79,102 @@ type BatchCapable interface {
 	// LaneGeometry states target t's flat fault bit space — units × width
 	// bits, laid out as Simulator.Flip indexes them — with a peek at this
 	// instance's current bits; units is 0 for a target without a lockstep
-	// surface. It is what a lifetime.Lanes over the target is built from.
+	// surface.
 	LaneGeometry(t fault.Target) (units, width int, peek func(bit int) int)
 
-	// SetLanes attaches trackers over the register file and the L1D data
-	// array to this instance's read and write hooks; a nil leaves that
-	// target untracked, two nils detach.
-	SetLanes(rf, l1d *lifetime.Lanes)
+	// AttachLanes builds lane sets over the register file and the L1D
+	// data array (a false leaves that target untracked, its set nil) and
+	// attaches them to this instance's hooks; DetachLanes takes them off.
+	AttachLanes(rf, l1d bool) (rfLanes, l1dLanes LaneSet)
+	DetachLanes()
 
 	// SnapshotInto captures like Simulator.Snapshot but may overwrite
 	// old, a capture this simulator returned earlier that the caller has
 	// finished with (nil allocates). The replayer's ring keeps only its
 	// latest capture, so each one recycles the storage of the last.
 	SnapshotInto(old Snapshot) Snapshot
+}
+
+// LaneSet is one target's lockstep tracker on a golden instance: up to
+// MaxLanes faulty machines, each golden plus a diff.
+type LaneSet interface {
+	// Flip toggles, Force sets, one target bit of a lane (Simulator.Flip's
+	// index space); a forced lane peels on its first read.
+	Flip(lane, bit int) error
+	Force(lane, bit, v int) error
+
+	// BeginTick opens a golden step; Peeled then names the lanes that step
+	// took out of lockstep (bit k = lane k) and Reason why.
+	BeginTick()
+	Peeled() uint64
+	Reason(lane int) PeelReason
+
+	// Rebuild applies a lane's machine as it stood when the current step
+	// began onto sim, an instance of the same factory holding golden's
+	// state at that cycle. Retire drops a lane's diff.
+	Rebuild(lane int, sim Simulator) error
+	Retire(lane int)
+
+	// Clean reports whether a lane's machine is golden's: identical state
+	// digest and pinout. AppendDiverged appends the write-backs whose
+	// payload differed on the lane (golden's transactions with the lane's
+	// digests) and OutputDiffers whether its program output differs.
+	Clean(lane int) bool
+	AppendDiverged(lane int, buf []trace.Transaction) []trace.Transaction
+	OutputDiffers(lane int) bool
+}
+
+// PeelReason says which control outcome a lane's diff changed. The set
+// is fixed: it labels campaign_batch_peels_total.
+type PeelReason uint8
+
+// Peel reasons. PeelOnRead is a peel-on-read tracker's (the RTL model's):
+// it carries no reason and is not broken down.
+const (
+	PeelBranch     PeelReason = iota // a conditional branch direction
+	PeelTarget                       // a branch or RET target
+	PeelAddress                      // a load or store address, a forwarding overlap
+	PeelSyscall                      // a syscall's number or argument registers
+	PeelIFetch                       // an instruction fetch or L1I fill from diffed memory
+	PeelPersistent                   // a persistent fault's bit was read
+	PeelFault                        // a fault condition
+	NumPeelReasons
+	PeelOnRead = NumPeelReasons
+)
+
+var peelReasonNames = [NumPeelReasons]string{"branch", "target", "address", "syscall", "ifetch", "persistent", "fault"}
+
+func (r PeelReason) String() string {
+	if r < NumPeelReasons {
+		return peelReasonNames[r]
+	}
+	return "read"
+}
+
+// ReadLanes adapts a peel-on-read tracker over target t to LaneSet: a
+// lane leaves lockstep the moment the design reads a word it corrupted,
+// so while it rides its output and pinout are golden's.
+func ReadLanes(l *lifetime.Lanes, t fault.Target) LaneSet { return readLanes{l, t} }
+
+type readLanes struct {
+	*lifetime.Lanes
+	t fault.Target
+}
+
+func (readLanes) Reason(int) PeelReason { return PeelOnRead }
+
+func (readLanes) AppendDiverged(_ int, buf []trace.Transaction) []trace.Transaction { return buf }
+
+func (readLanes) OutputDiffers(int) bool { return false }
+
+func (l readLanes) Rebuild(lane int, sim Simulator) error {
+	var err error
+	l.PeelDiff(lane, func(bit int) {
+		if err == nil {
+			err = sim.Flip(l.t, bit)
+		}
+	})
+	return err
 }
 
 // laneState is one in-flight replay occupying a lane slot. A slot is
@@ -101,7 +189,7 @@ type laneState struct {
 
 // laneTrack is one target's tracker and the replays in its slots.
 type laneTrack struct {
-	lanes *lifetime.Lanes
+	lanes LaneSet
 	slots [MaxLanes]laneState
 	busy  uint64 // occupied slots
 
@@ -143,6 +231,7 @@ type BatchReplayer struct {
 	members []*walkMember
 	tracks  []*laneTrack
 	pull    []pulledSpec // Replay's pull buffer
+	wbs     []trace.Transaction
 
 	// onGolden marks that the golden instance's state lies on this golden
 	// timeline: false at construction (a pooled sim may carry any state),
@@ -186,11 +275,10 @@ func newBatchReplayer(gold, scalar Simulator, works []*Work) *BatchReplayer {
 		}
 		tr := byTarget[w.Config.Target]
 		if tr == nil {
-			units, width, peek := bc.LaneGeometry(w.Config.Target)
-			if units == 0 {
+			if units, _, _ := bc.LaneGeometry(w.Config.Target); units == 0 {
 				return nil
 			}
-			tr = &laneTrack{lanes: lifetime.NewLanes(units, width, peek)}
+			tr = &laneTrack{}
 			byTarget[w.Config.Target] = tr
 			r.tracks = append(r.tracks, tr)
 		}
@@ -199,20 +287,20 @@ func newBatchReplayer(gold, scalar Simulator, works []*Work) *BatchReplayer {
 			earlyStop: w.Config.EarlyStop && len(r.g.hashes) > 0,
 		})
 	}
-	var rf, l1d *lifetime.Lanes
-	if tr := byTarget[fault.TargetRF]; tr != nil {
-		rf = tr.lanes
+	rf, l1d := byTarget[fault.TargetRF], byTarget[fault.TargetL1D]
+	rfLanes, l1dLanes := bc.AttachLanes(rf != nil, l1d != nil)
+	if rf != nil {
+		rf.lanes = rfLanes
 	}
-	if tr := byTarget[fault.TargetL1D]; tr != nil {
-		l1d = tr.lanes
+	if l1d != nil {
+		l1d.lanes = l1dLanes
 	}
-	bc.SetLanes(rf, l1d)
 	gold.SetPinout(nil)
 	return r
 }
 
 // Close detaches the lane trackers from the golden instance.
-func (r *BatchReplayer) Close() { r.ring.SetLanes(nil, nil) }
+func (r *BatchReplayer) Close() { r.ring.DetachLanes() }
 
 // Stats reports the replayer's accounting in the pool's common form,
 // summed over the campaigns it carries.
@@ -338,14 +426,12 @@ func (r *BatchReplayer) walk(pend []pulledSpec) (deferred []pulledSpec, err erro
 			}
 		}
 		if !stepped {
-			// Golden program end: every lane still riding retraced the
-			// fault-free run to its stop — Masked at either observation
-			// point, ending where golden ends.
+			// Golden program end: every lane still riding took golden's
+			// control to its stop, and ends where golden ends.
 			end := r.gold.Cycles()
 			for _, tr := range r.tracks {
 				for set := tr.busy; set != 0; set &= set - 1 {
-					k := bits.TrailingZeros64(set)
-					if err := r.retire(tr, k, RunOutcome{Spec: tr.slots[k].spec, Class: ClassMasked, EndCycle: end}); err != nil {
+					if err := r.retireAt(tr, bits.TrailingZeros64(set), r.gold.StopReason(), end); err != nil {
 						return nil, err
 					}
 				}
@@ -393,9 +479,9 @@ func (r *BatchReplayer) scan(c uint64) (next uint64, err error) {
 			k := bits.TrailingZeros64(set)
 			st := &tr.slots[k]
 			// Convergence retire: at a golden hash point with the fault
-			// inactive, an empty diff means the lane's state IS golden
-			// (and its pinout prefix trivially matches), which is the
-			// scalar convergence exit's double match. Checked before the
+			// inactive, a clean lane's state digest and pinout prefix are
+			// golden's, which is the scalar convergence exit's double
+			// match. Checked before the
 			// limit, as runConvergent reaches the hash at the limit cycle
 			// before its loop condition does.
 			if st.m.earlyStop {
@@ -413,10 +499,9 @@ func (r *BatchReplayer) scan(c uint64) (next uint64, err error) {
 				}
 			}
 			// Window-limit retire: an unpeeled lane reaching its limit
-			// deviated nowhere inside the observation window — Masked, as
-			// the scalar window compare would conclude.
+			// took golden's control through the whole observation window.
 			if c >= st.limit {
-				if err := r.retire(tr, k, RunOutcome{Spec: st.spec, Class: ClassMasked, EndCycle: st.limit}); err != nil {
+				if err := r.retireAt(tr, k, refsim.StopLimit, st.limit); err != nil {
 					return 0, err
 				}
 				continue
@@ -495,8 +580,27 @@ func (r *BatchReplayer) vacate(tr *laneTrack, k int) {
 	m.stats.Executed++
 }
 
-// retire finishes a lane that never peeled, delivering its (always
-// Masked) outcome.
+// retireAt finishes a lane that never peeled at cycle end, where its
+// machine stopped as stop: classified like a scalar tail, from the
+// lane's output and the write-backs its diff made diverge.
+func (r *BatchReplayer) retireAt(tr *laneTrack, k int, stop refsim.StopReason, end uint64) error {
+	st := &tr.slots[k]
+	base := nearestSnap(r.g.snaps, st.spec.Cycle).cycle
+	r.wbs = tr.lanes.AppendDiverged(k, r.wbs[:0])
+	oc := classify(r.g, st.spec, st.m.w.Config, stop, end,
+		func() bool { return tr.lanes.OutputDiffers(k) },
+		func(upto uint64) bool {
+			for _, t := range r.wbs {
+				if t.Cycle > base && t.Cycle <= upto {
+					return false
+				}
+			}
+			return true
+		})
+	return r.retire(tr, k, oc)
+}
+
+// retire finishes a lane that never peeled, delivering its outcome.
 func (r *BatchReplayer) retire(tr *laneTrack, k int, oc RunOutcome) error {
 	st := &tr.slots[k]
 	r.vacate(tr, k)
@@ -517,9 +621,14 @@ func (r *BatchReplayer) peelLanes(tr *laneTrack, peeled uint64, preTick uint64) 
 		if err != nil {
 			return st.m.w.wrap(err)
 		}
+		reason := tr.lanes.Reason(k)
 		r.vacate(tr, k)
 		st.m.stats.Peeled++
 		obsBatchPeeled.Inc()
+		if reason < NumPeelReasons {
+			st.m.stats.Peels[reason]++
+			obsBatchPeels[reason].Inc()
+		}
 		if err := st.m.deliver(st.idx, oc); err != nil {
 			return st.m.w.wrap(err)
 		}
@@ -548,23 +657,21 @@ func (r *BatchReplayer) peelOne(tr *laneTrack, lane int, preTick uint64) (RunOut
 				s.Cycles(), preTick, s.StopReason())
 		}
 	}
-	var flipErr error
-	tr.lanes.PeelDiff(lane, func(bit int) {
-		if flipErr == nil {
-			flipErr = s.Flip(st.m.w.Config.Target, bit)
-		}
-	})
-	if flipErr != nil {
-		return RunOutcome{}, flipErr
+	if err := tr.lanes.Rebuild(lane, s); err != nil {
+		return RunOutcome{}, err
 	}
-	// The lane's pinout while it rode was golden's: replay records
-	// transactions from the snapshot nearest the injection (exclusive),
-	// so seed the faulty capture with that golden slice up to the
-	// pre-tick cycle. Transactions are stamped strictly after the cycle
-	// a tick left, so the scalar tail appends from preTick+1 with no
-	// overlap.
+	// The lane's pinout while it rode was golden's with its diverged
+	// write-backs' digests: replay records transactions from the
+	// snapshot nearest the injection (exclusive), so seed the faulty
+	// capture with that slice up to the pre-tick cycle. Transactions are
+	// stamped strictly after the cycle a tick left, so the scalar tail
+	// appends from preTick+1 with no overlap.
 	base := nearestSnap(g.snaps, st.spec.Cycle)
 	pin := r.buf.seedGolden(g, base.cycle, preTick)
+	r.wbs = tr.lanes.AppendDiverged(lane, r.wbs[:0])
+	if err := substituteDigests(pin, r.wbs, preTick); err != nil {
+		return RunOutcome{}, err
+	}
 	s.SetPinout(pin)
 	return finishRun(s, g, st.spec, st.m.w.Config, base.cycle, pin)
 }
@@ -596,8 +703,28 @@ func (r *BatchReplayer) settle(lockstep uint64) {
 	top.stats.Lockstep += rest
 }
 
+// substituteDigests gives the golden write-backs in pin the digests a
+// lane's diff made them carry, for every diverged one up to cycle upto.
+func substituteDigests(pin *trace.Pinout, wbs []trace.Transaction, upto uint64) error {
+	for _, w := range wbs {
+		if w.Cycle > upto {
+			continue
+		}
+		txns := pin.Txns
+		i := sort.Search(len(txns), func(i int) bool { return txns[i].Cycle >= w.Cycle })
+		for i < len(txns) && txns[i].Cycle == w.Cycle && (txns[i].Addr != w.Addr || txns[i].Kind != w.Kind) {
+			i++
+		}
+		if i == len(txns) || txns[i].Cycle != w.Cycle {
+			return fmt.Errorf("campaign: lane write-back of %#x at %d is not in the golden pinout", w.Addr, w.Cycle)
+		}
+		txns[i].Digest = w.Digest
+	}
+	return nil
+}
+
 // applyLaneFault is applyFault's per-lane form.
-func applyLaneFault(lanes *lifetime.Lanes, lane int, spec fault.Spec) error {
+func applyLaneFault(lanes LaneSet, lane int, spec fault.Spec) error {
 	lo, hi := spec.BitSpan()
 	for b := lo; b < hi; b++ {
 		var err error

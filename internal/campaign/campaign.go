@@ -1252,8 +1252,6 @@ func oneRunBuf(sim Simulator, g *Golden, spec fault.Spec, cfg Config, buf *repla
 // run the identical tail, which is what keeps batched classifications
 // byte-identical to the scalar path.
 func finishRun(sim Simulator, g *Golden, spec fault.Spec, cfg Config, baseCycle uint64, pin *trace.Pinout) (RunOutcome, error) {
-	goldenPin, goldenOut, goldenCycles := g.pin, g.Output, g.Cycles
-
 	// Simulate the observation window, re-asserting persistent faults.
 	// With EarlyStop and a hash-recording golden run, the convergence
 	// exit classifies the replay as Masked the moment its state digest
@@ -1274,16 +1272,30 @@ func finishRun(sim Simulator, g *Golden, spec fault.Spec, cfg Config, baseCycle 
 		return RunOutcome{}, err
 	}
 
-	oc := RunOutcome{Spec: spec, EndCycle: sim.Cycles()}
 	if converged {
 		// The faulty state, output and pinout prefix all match golden
 		// with no fault active: every future of this replay retraces
 		// the fault-free run, so it is Masked at either observation
 		// point — exactly the class the full simulation would report.
-		oc.Class = ClassMasked
-		oc.Converged = true
-		return oc, nil
+		return RunOutcome{Spec: spec, EndCycle: sim.Cycles(), Class: ClassMasked, Converged: true}, nil
 	}
+	return classify(g, spec, cfg, stop, sim.Cycles(),
+		func() bool { return string(sim.Output()) != string(g.Output) },
+		func(upto uint64) bool {
+			return trace.CompareWindow(g.pin, pin, baseCycle, upto, cfg.CompareMode).Match
+		}), nil
+}
+
+// classify is the one classification rule of a finished faulty run:
+// finishRun's scalar tail and a lockstep lane retired without peeling
+// both end here. The run stopped as stop at cycle end; outputDiffers
+// reports whether its program output differs from golden's, and
+// pinoutMatches whether its pinout capture matches golden's over
+// (base snapshot, upto].
+func classify(g *Golden, spec fault.Spec, cfg Config, stop refsim.StopReason, end uint64,
+	outputDiffers func() bool, pinoutMatches func(upto uint64) bool) RunOutcome {
+
+	oc := RunOutcome{Spec: spec, EndCycle: end}
 	switch {
 	case stop == refsim.StopFault:
 		oc.Class = ClassCrash
@@ -1294,38 +1306,32 @@ func finishRun(sim Simulator, g *Golden, spec fault.Spec, cfg Config, baseCycle 
 		// pinout over the full observation window either way — the
 		// golden core keeps emitting transactions after a premature
 		// exit, and their absence is a mismatch on real pins too.
-		d := trace.CompareWindow(goldenPin, pin, baseCycle, limit, cfg.CompareMode)
-		if !d.Match {
+		if !pinoutMatches(spec.Cycle + cfg.Window) {
 			oc.Class = ClassMismatch
 		} else {
 			oc.Class = ClassMasked
 		}
 	case cfg.Obs == ObsSOP:
-		if string(sim.Output()) != string(goldenOut) {
+		if outputDiffers() {
 			oc.Class = ClassSDC
 		} else {
 			oc.Class = ClassMasked
 		}
-	case cfg.Obs == ObsCombined && string(sim.Output()) != string(goldenOut):
+	case cfg.Obs == ObsCombined && outputDiffers():
 		// Combined observation: SDC dominates (the corruption reached
 		// software); otherwise fall through to the run-to-end pinout
 		// compare below.
 		oc.Class = ClassSDC
 	default:
 		// Run-to-end pinout: compare everything both runs produced.
-		end := sim.Cycles()
-		if goldenCycles > end {
-			end = goldenCycles
-		}
-		d := trace.CompareWindow(goldenPin, pin, baseCycle, end, cfg.CompareMode)
-		if !d.Match {
+		if !pinoutMatches(max(end, g.Cycles)) {
 			oc.Class = ClassMismatch
 		} else {
 			oc.Class = ClassMasked
 		}
 	}
 	applyProtection(&oc, cfg)
-	return oc, nil
+	return oc
 }
 
 // applyProtection post-classifies a replayed data fault under the

@@ -44,6 +44,13 @@ var (
 		"replays retired entirely in bit-parallel lockstep")
 	obsBatchPeeled = obs.NewCounter("campaign_batch_peeled_total",
 		"replays peeled from a batch to the scalar tail")
+	obsBatchPeels = func() (cs [NumPeelReasons]*obs.Counter) {
+		for r := range cs {
+			cs[r] = obs.NewCounter(`campaign_batch_peels_total{reason="`+PeelReason(r).String()+`"}`,
+				"value lanes peeled to the scalar tail, by the control outcome their data changed")
+		}
+		return cs
+	}()
 	obsLockstepCycles = obs.NewCounter("campaign_batch_lockstep_cycles_total",
 		"golden cycles stepped with at least one lane in flight")
 	obsPrivateCycles = obs.NewCounter("campaign_batch_private_cycles_total",

@@ -45,6 +45,11 @@ type ReplayStats struct {
 	// follow-up walk.
 	Batched, Peeled, Walks, Deferred int
 
+	// Peels breaks Peeled down by the control outcome a lane's diff
+	// changed (value lanes only; a peel-on-read tracker's peels carry no
+	// reason).
+	Peels [NumPeelReasons]int
+
 	// Where the stepped cycles went. FastForward is golden cycles stepped
 	// with nothing riding: a cursor's advance to each fork, a walk's
 	// advance to the next pending instant when no lane is in flight.
@@ -62,6 +67,9 @@ func (s *ReplayStats) add(o ReplayStats) {
 	s.Peeled += o.Peeled
 	s.Walks += o.Walks
 	s.Deferred += o.Deferred
+	for i, n := range o.Peels {
+		s.Peels[i] += n
+	}
 	s.FastForward += o.FastForward
 	s.Lockstep += o.Lockstep
 	s.Private += o.Private

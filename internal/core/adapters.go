@@ -143,13 +143,49 @@ func (s *maSim) SnapshotInto(old campaign.Snapshot) campaign.Snapshot {
 	return prev
 }
 
-// SetLanes exposes the microarchitectural model's lockstep replay
-// surface: lane trackers over the physical register file and the L1D
-// data array, side by side, fed by the hooks that record the lifetime
-// trace.
-func (s *maSim) SetLanes(rf, l1d *lifetime.Lanes) { s.cpu.SetLanes(rf, l1d) }
+// AttachLanes exposes the microarchitectural model's lockstep replay
+// surface: value lanes over the physical register file and the L1D data
+// array, side by side in one store on the CPU (microarch/lanes.go).
+func (s *maSim) AttachLanes(rf, l1d bool) (campaign.LaneSet, campaign.LaneSet) {
+	r, d := s.cpu.AttachLanes(rf, l1d)
+	return maLaneSet(r), maLaneSet(d)
+}
+
+func (s *maSim) DetachLanes() { s.cpu.DetachLanes() }
 
 var _ campaign.BatchCapable = (*maSim)(nil)
+
+// maLanes adapts one group of microarchitectural value lanes to the
+// engine's LaneSet.
+type maLanes struct{ *microarch.LaneGroup }
+
+func maLaneSet(g *microarch.LaneGroup) campaign.LaneSet {
+	if g == nil {
+		return nil
+	}
+	return maLanes{g}
+}
+
+// maPeelReasons maps the model's peel reasons onto the engine's labels.
+var maPeelReasons = [...]campaign.PeelReason{
+	microarch.PeelBranch:     campaign.PeelBranch,
+	microarch.PeelTarget:     campaign.PeelTarget,
+	microarch.PeelAddress:    campaign.PeelAddress,
+	microarch.PeelSyscall:    campaign.PeelSyscall,
+	microarch.PeelIFetch:     campaign.PeelIFetch,
+	microarch.PeelPersistent: campaign.PeelPersistent,
+}
+
+func (l maLanes) Reason(lane int) campaign.PeelReason { return maPeelReasons[l.LaneGroup.Reason(lane)] }
+
+func (l maLanes) Rebuild(lane int, sim campaign.Simulator) error {
+	s, ok := sim.(*maSim)
+	if !ok {
+		return fmt.Errorf("core: microarch lanes rebuilt onto a %T", sim)
+	}
+	l.LaneGroup.Rebuild(lane, s.cpu)
+	return nil
+}
 
 // rtlSim adapts the RTL core. Snapshots restore in place (the kernel
 // state layout is identical across instances built from the same
@@ -247,12 +283,27 @@ func (s *rtlSim) Restore(snap campaign.Snapshot) {
 	s.core.Restore(st)
 }
 
-// SetLanes exposes the RTL model's lockstep replay surface: lane
-// trackers over the register file and the L1D data array, the two
+// AttachLanes exposes the RTL model's lockstep replay surface: peel-on-
+// read trackers over the register file and the L1D data array, the two
 // targets whose state lives in rtl kernel memory arrays. Their flat bit
 // space is the one rtl.Mem.FlipBit splits into word and local bit, so
 // lane injections and peel-diff replays cannot disagree with scalar
 // injections on targeting.
-func (s *rtlSim) SetLanes(rf, l1d *lifetime.Lanes) { s.core.SetLanes(rf, l1d) }
+func (s *rtlSim) AttachLanes(rf, l1d bool) (campaign.LaneSet, campaign.LaneSet) {
+	var rfLanes, l1dLanes *lifetime.Lanes
+	var rfSet, l1dSet campaign.LaneSet
+	if rf {
+		rfLanes = lifetime.NewLanes(s.LaneGeometry(fault.TargetRF))
+		rfSet = campaign.ReadLanes(rfLanes, fault.TargetRF)
+	}
+	if l1d {
+		l1dLanes = lifetime.NewLanes(s.LaneGeometry(fault.TargetL1D))
+		l1dSet = campaign.ReadLanes(l1dLanes, fault.TargetL1D)
+	}
+	s.core.SetLanes(rfLanes, l1dLanes)
+	return rfSet, l1dSet
+}
+
+func (s *rtlSim) DetachLanes() { s.core.SetLanes(nil, nil) }
 
 var _ campaign.BatchCapable = (*rtlSim)(nil)

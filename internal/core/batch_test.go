@@ -10,7 +10,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/campaign"
 	"repro/internal/fault"
-	"repro/internal/lifetime"
 )
 
 // benchFactory builds the campaign factory of one workload on one model.
@@ -470,8 +469,9 @@ func TestBatchReplayerSeedPins(t *testing.T) {
 	}{
 		{ModelRTL, campaign.ReplayStats{Executed: 512, Batched: 233, Peeled: 279, Walks: 1,
 			FastForward: 8_812, Lockstep: 38_084, Private: 121_715, LaneCycles: 126_998}},
-		{ModelMicroarch, campaign.ReplayStats{Executed: 512, Batched: 456, Peeled: 56, Walks: 1,
-			FastForward: 1_827, Lockstep: 24_645, Private: 20_875, LaneCycles: 229_393}},
+		{ModelMicroarch, campaign.ReplayStats{Executed: 512, Batched: 469, Peeled: 43, Walks: 1,
+			Peels:       [campaign.NumPeelReasons]int{campaign.PeelBranch: 14, campaign.PeelAddress: 29},
+			FastForward: 1_827, Lockstep: 24_645, Private: 12_866, LaneCycles: 237_061}},
 	} {
 		f := benchFactory(t, tc.model, "qsort")
 		cfg := campaign.Config{
@@ -635,17 +635,23 @@ func checkPeelCycles(t *testing.T, f campaign.Factory, g *campaign.Golden, cfg c
 		t.Fatal(err)
 	}
 	host := sim.(campaign.BatchCapable)
-	units, width, peek := host.LaneGeometry(cfg.Target)
-	if units == 0 {
+	if units, _, _ := host.LaneGeometry(cfg.Target); units == 0 {
 		t.Fatalf("no lane tracker over %v", cfg.Target)
 	}
-	lanes := lifetime.NewLanes(units, width, peek)
-	if cfg.Target == fault.TargetRF {
-		host.SetLanes(lanes, nil)
-	} else {
-		host.SetLanes(nil, lanes)
+	rfLanes, l1dLanes := host.AttachLanes(cfg.Target == fault.TargetRF, cfg.Target == fault.TargetL1D)
+	lanes := rfLanes
+	if lanes == nil {
+		lanes = l1dLanes
 	}
-	defer host.SetLanes(nil, nil)
+	defer host.DetachLanes()
+	// A peel-on-read tracker peels at the first read; value lanes note
+	// every read of a diff and peel later, on control. Before its first
+	// read a lane's diff sits only where it was injected, so that read is
+	// the one the trace names.
+	consumed := lanes.Peeled
+	if v, ok := lanes.(interface{ Consumed() uint64 }); ok {
+		consumed = v.Consumed
+	}
 	const never = ^uint64(0)
 	peeledAt := make([]uint64, len(specs))
 	horizon := make([]uint64, len(specs))
@@ -672,7 +678,7 @@ func checkPeelCycles(t *testing.T, f campaign.Factory, g *campaign.Golden, cfg c
 		}
 		lanes.BeginTick()
 		stepped = sim.Step()
-		for m := lanes.Peeled(); m != 0; m &= m - 1 {
+		for m := consumed(); m != 0; m &= m - 1 {
 			k := bits.TrailingZeros64(m)
 			peeledAt[k] = sim.Cycles()
 			lanes.Retire(k)

@@ -1,0 +1,276 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/asm"
+	"repro/internal/bench"
+	"repro/internal/campaign"
+	"repro/internal/fault"
+	"repro/internal/microarch"
+	"repro/internal/refsim"
+)
+
+// fusedAgainstScalar runs the campaigns as one golden group — a fused
+// unit, every member riding the same walk — on a pool of the given size,
+// and holds every outcome to the scalar ReplayOne of its spec. It returns
+// the sweep's results.
+func fusedAgainstScalar(t *testing.T, f campaign.Factory, camps []campaign.SweepCampaign, workers int) *campaign.SweepResult {
+	t.Helper()
+	sr, err := campaign.Sweep(camps, campaign.SweepOptions{Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := campaign.GoldenOptions{}
+	for _, c := range camps {
+		o := campaign.GoldenOptionsFor(c.Config)
+		opts.HashEvery = max(opts.HashEvery, o.HashEvery)
+		opts.SnapshotEvery, opts.SnapPolicy = o.SnapshotEvery, o.SnapPolicy
+	}
+	g, err := campaign.PrepareGolden(f, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := f()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range camps {
+		scalar := c.Config
+		scalar.Lanes = 1
+		if err := scalar.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		res := sr.Results[c.Key]
+		if len(res.Outcomes) != c.Config.Injections {
+			t.Fatalf("%s: %d outcomes for %d injections", c.Key, len(res.Outcomes), c.Config.Injections)
+		}
+		for i, got := range res.Outcomes {
+			want, err := g.ReplayOne(sim, got.Spec, scalar)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d workers, %s outcome %d:\nscalar %+v\nlanes  %+v", workers, c.Key, i, want, got)
+			}
+		}
+		if res.BatchedRuns+res.PeeledRuns != len(res.Outcomes) {
+			t.Errorf("%s: %d+%d replays rode lanes, want %d", c.Key, res.BatchedRuns, res.PeeledRuns, len(res.Outcomes))
+		}
+	}
+	return sr
+}
+
+// valueLaneMatrix is one golden group of value-lane campaigns over both
+// targets: every fault model windowed, and run to the end under the
+// combined observation point with the convergence exit.
+func valueLaneMatrix(f campaign.Factory, seed int64, window uint64, n int) []campaign.SweepCampaign {
+	var camps []campaign.SweepCampaign
+	add := func(key string, cfg campaign.Config) {
+		cfg.Seed = seed + int64(len(camps))
+		camps = append(camps, campaign.SweepCampaign{Key: key, Group: "g", Factory: f, Config: cfg})
+	}
+	for _, tg := range []fault.Target{fault.TargetRF, fault.TargetL1D} {
+		for _, fm := range faultModels {
+			add(fmt.Sprintf("%v/%s/window", tg, fm.name), campaign.Config{
+				Injections: n, Target: tg, Fault: fm.fault, Window: window,
+			})
+			add(fmt.Sprintf("%v/%s/run-to-end", tg, fm.name), campaign.Config{
+				Injections: max(1, n/4), Target: tg, Fault: fm.fault,
+				Obs: campaign.ObsCombined, EarlyStop: true,
+			})
+		}
+	}
+	return camps
+}
+
+// TestValueLanesMatchScalar is the value-lane engine's equivalence matrix
+// on the eight benches: a fused unit of register-file and L1D campaigns
+// over every fault model, windowed and run to the end, on pools of one
+// and two goroutines, must classify every fault exactly as a scalar
+// replay does — class, end cycle and convergence flag. Beside the
+// outcomes, lanesTrackScalar holds each bench's lanes to scalar machines
+// digest for digest, cycle by cycle.
+func TestValueLanesMatchScalar(t *testing.T) {
+	for _, w := range bench.All() {
+		w := w
+		t.Run(w.Name, func(t *testing.T) {
+			t.Parallel()
+			f := benchFactory(t, ModelMicroarch, w.Name)
+			n := 12
+			if testing.Short() {
+				n = 4
+			}
+			camps := valueLaneMatrix(f, 31, 500, n)
+			for _, workers := range []int{1, 2} {
+				fusedAgainstScalar(t, f, camps, workers)
+			}
+			p, err := w.Program()
+			if err != nil {
+				t.Fatal(err)
+			}
+			lanesTrackScalar(t, p, trackedSpecs(t, f, 41, 2*n), 300)
+		})
+	}
+}
+
+// valueLaneProgram is a generated program for FuzzValueLanes:
+// randomProgram's blocks, ending with a write syscall of the scratch
+// buffer's first bytes when shape asks, so corrupted memory reaches the
+// output through the L1D view.
+func valueLaneProgram(seed int64, shape uint8) string {
+	src := randomProgram(rand.New(rand.NewSource(seed)))
+	if shape&1 != 0 {
+		const exit = "\tmovi\tr7, #1\n\tsvc\t#0\n"
+		src = strings.Replace(src, exit, "\tli\tr0, buf\n\tmovi\tr1, #48\n\tmovi\tr7, #2\n\tsvc\t#0\n"+exit, 1)
+	}
+	return src
+}
+
+// FuzzValueLanes holds value lanes to the scalar engine over generated
+// programs: per program, register-file and L1D faults of all four models,
+// windowed and run to the end, as one fused unit with a seven-lane member
+// that has to defer. shape picks the window, the sample size and whether
+// the program writes its buffer to the output. Every outcome must equal
+// the scalar ReplayOne of its spec, and every transient lane must track
+// its scalar machine to the program's end (lanesTrackScalar).
+func FuzzValueLanes(f *testing.F) {
+	for _, c := range []struct {
+		seed  int64
+		shape uint8
+	}{{1, 0}, {2, 3}, {3, 0x15}, {7, 0x2e}} {
+		f.Add(c.seed, c.shape)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
+		prog, err := asm.Assemble("fuzz.s", valueLaneProgram(seed, shape))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fac := Factory(ModelMicroarch, prog, CampaignSetup())
+		window := 100 + 60*uint64(shape>>1&7)
+		camps := valueLaneMatrix(fac, seed, window, 4+int(shape>>4&3)*2)
+		camps = append(camps, campaign.SweepCampaign{Key: "rf/lanes7", Group: "g", Factory: fac, Config: campaign.Config{
+			Injections: 24, Seed: seed, Target: fault.TargetRF, Window: 4 * window, Lanes: 7,
+		}})
+		fusedAgainstScalar(t, fac, camps, 1)
+		lanesTrackScalar(t, prog, trackedSpecs(t, fac, seed, 32), 0)
+	})
+}
+
+// lanesTrackScalar is the value-lane invariant checked cycle by cycle:
+// on one golden CPU carrying a lane per spec (transient models only), a
+// riding lane's machine — golden's state with the lane's diff applied —
+// digests exactly like a scalar CPU that took the same fault, at every
+// cycle from the injection until the lane peels or horizon cycles pass
+// (0: the program's end);
+// and a lane peeled during a step is rebuilt, undo journal applied, as
+// the scalar machine stood before that step. specs must be cycle-sorted,
+// at most 64 per target.
+func lanesTrackScalar(t *testing.T, prog *asm.Program, specs []fault.Spec, horizon uint64) {
+	t.Helper()
+	gold, err := microarch.New(prog, microarch.CampaignConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rf, l1d := gold.AttachLanes(true, true)
+	defer gold.DetachLanes()
+	group := func(tg fault.Target) *microarch.LaneGroup {
+		if tg == fault.TargetRF {
+			return rf
+		}
+		return l1d
+	}
+	type rider struct {
+		spec  fault.Spec
+		lane  int
+		cpu   *microarch.CPU
+		until uint64
+	}
+	var riding []*rider
+	used := map[fault.Target]int{}
+	next := 0
+	for gold.Stop == refsim.StopNone && (next < len(specs) || len(riding) > 0) {
+		c := gold.Cycles
+		for ; next < len(specs) && specs[next].Cycle == c; next++ {
+			sp := specs[next]
+			r := &rider{spec: sp, lane: used[sp.Target], cpu: gold.Clone(), until: ^uint64(0)}
+			if horizon > 0 {
+				r.until = c + horizon
+			}
+			used[sp.Target]++
+			lo, hi := sp.BitSpan()
+			for b := lo; b < hi; b++ {
+				var err error
+				if sp.Target == fault.TargetRF {
+					err = r.cpu.FlipRFBit(b)
+				} else {
+					err = r.cpu.FlipL1DBit(b)
+				}
+				if err == nil {
+					err = group(sp.Target).Flip(r.lane, b)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			riding = append(riding, r)
+		}
+		rf.BeginTick()
+		l1d.BeginTick()
+		pre := gold.Clone()
+		preHash := make([]uint64, len(riding))
+		for i, r := range riding {
+			view := gold.Clone()
+			group(r.spec.Target).Rebuild(r.lane, view)
+			preHash[i] = r.cpu.StateHash()
+			if got := view.StateHash(); got != preHash[i] {
+				t.Fatalf("%+v: at cycle %d the lane's machine digests %#x, the scalar one %#x", r.spec, c, got, preHash[i])
+			}
+		}
+		gold.Step()
+		kept := riding[:0]
+		for i, r := range riding {
+			g := group(r.spec.Target)
+			if g.Peeled()>>r.lane&1 != 0 {
+				view := pre.Clone()
+				g.Rebuild(r.lane, view)
+				if got := view.StateHash(); got != preHash[i] {
+					t.Fatalf("%+v: peeled in the step from %d, rebuilt as %#x, the scalar machine was %#x", r.spec, c, got, preHash[i])
+				}
+				g.Retire(r.lane)
+				continue
+			}
+			if r.cpu.Step(); gold.Cycles >= r.until {
+				g.Retire(r.lane)
+				continue
+			}
+			kept = append(kept, r)
+		}
+		riding = kept
+	}
+}
+
+// trackedSpecs plans n transient or burst faults per target on a
+// program's golden run, cycle-sorted.
+func trackedSpecs(t *testing.T, f campaign.Factory, seed int64, n int) []fault.Spec {
+	t.Helper()
+	g, err := campaign.PrepareGolden(f, campaign.GoldenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var specs []fault.Spec
+	for i, tg := range []fault.Target{fault.TargetRF, fault.TargetL1D} {
+		s, err := g.Plan(campaign.Config{Injections: n, Seed: seed + int64(i), Target: tg, Fault: faultModels[i].fault})
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, s...)
+	}
+	sort.Slice(specs, func(i, j int) bool { return specs[i].Cycle < specs[j].Cycle })
+	return specs
+}

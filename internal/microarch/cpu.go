@@ -134,9 +134,9 @@ type CPU struct {
 	// workers, so the hot path pays one nil check.
 	ltRF *lifetime.Space
 
-	// lanesRF, when non-nil, tracks lockstep replay lanes over the
-	// physical register file (see SetLanes) through the same hooks.
-	lanesRF *lifetime.Lanes
+	// lanes, when non-nil, is the value-lane store of the lockstep replay
+	// lanes riding this instance (lanes.go, AttachLanes).
+	lanes *laneStore
 
 	// Functional unit occupancy.
 	lsuBusyUntil uint64
@@ -291,6 +291,9 @@ func (c *CPU) fetch() {
 			return
 		}
 		if res.Filled {
+			if c.lanes != nil && c.lanes.mem.any() {
+				c.lanes.ifetch(res.FillAddr, uint32(c.cfg.L1I.LineBytes))
+			}
 			// I-miss: the line is resident now, but expose the fill
 			// latency before any instruction from it enters decode.
 			c.fetchStallUntil = c.Cycles + uint64(c.cfg.MemLatency)
@@ -429,6 +432,9 @@ func (c *CPU) rename() {
 			u.ratSnap = c.rat
 			u.flagSnap = c.specFlagProducer
 			u.flagsInSnap = c.archFlags
+			if c.lanes != nil && c.lanes.flag.any() {
+				c.lanes.rename(s, op.IsCondBranch())
+			}
 		}
 
 		u.size = 4
@@ -464,31 +470,29 @@ func (c *CPU) readFlags(u *uop) isa.Flags {
 }
 
 // loadMayIssue enforces LSQ ordering: every older store must have a known
-// address; an exact-match store forwards, any partial overlap blocks.
-func (c *CPU) loadMayIssue(u *uop) (forward bool, val uint32, blocked bool) {
-	var match *uop
+// address; an exact-match store (slot from) forwards, any partial
+// overlap blocks.
+func (c *CPU) loadMayIssue(u *uop) (forward bool, from slot, blocked bool) {
+	from = noSlot
 	for _, sl := range c.lsq {
 		s := &c.uops[sl]
 		if s.seq >= u.seq || !s.isStore {
 			continue
 		}
 		if !s.addrReady {
-			return false, 0, true
+			return false, noSlot, true
 		}
 		aLo, aHi := s.addr, s.addr+uint32(s.size)
 		bLo, bHi := u.addr, u.addr+uint32(u.size)
 		if aLo < bHi && bLo < aHi {
 			if s.addr == u.addr && s.size == u.size {
-				match = s // youngest exact match wins
+				from = sl // youngest exact match wins
 			} else {
-				return false, 0, true // partial overlap: wait for commit
+				return false, noSlot, true // partial overlap: wait for commit
 			}
 		}
 	}
-	if match != nil {
-		return true, match.storeVal, false
-	}
-	return false, 0, false
+	return from != noSlot, from, false
 }
 
 func (c *CPU) issue() {
@@ -525,23 +529,30 @@ func (c *CPU) issue() {
 		}
 		if op.IsMem() {
 			// Compute the effective address first.
+			regForm := !(op == isa.OpLDR || op == isa.OpSTR || op == isa.OpLDRB || op == isa.OpSTRB)
 			addr := c.readPRF(u.src1)
-			if op == isa.OpLDR || op == isa.OpSTR || op == isa.OpLDRB || op == isa.OpSTRB {
-				addr += uint32(u.inst.Imm)
-			} else {
+			if regForm {
 				addr += c.readPRF(u.src2)
+			} else {
+				addr += uint32(u.inst.Imm)
 			}
 			u.addr = addr
+			if c.lanes != nil && (c.lanes.reg(u.src1) || regForm && c.lanes.reg(u.src2)) {
+				c.lanes.address(u, regForm)
+			}
 			if u.isLoad {
-				if fwd, val, blocked := c.loadMayIssue(u); blocked {
+				if fwd, from, blocked := c.loadMayIssue(u); blocked {
 					continue // stay in the IQ
 				} else if fwd {
-					u.result = val
+					u.result = c.uops[from].storeVal
 					if u.size == 1 {
 						u.result &= 0xFF
 					}
+					if c.lanes != nil && c.lanes.uop[from].any() {
+						c.lanes.forward(s, from, u.size)
+					}
 					u.execDone = c.Cycles + 1
-				} else if !c.execLoad(u) {
+				} else if !c.execLoad(s, u) {
 					u.execDone = c.Cycles + 1 // fault recorded
 				}
 			} else {
@@ -549,11 +560,14 @@ func (c *CPU) issue() {
 				if u.size == 1 {
 					u.storeVal &= 0xFF
 				}
+				if c.lanes != nil && c.lanes.reg(u.src3) {
+					c.lanes.storeValue(s, u)
+				}
 				u.addrReady = true
 				u.execDone = c.Cycles + 1
 			}
 		} else {
-			c.execALU(u)
+			c.execALU(s, u)
 		}
 		u.issued = true
 		u.inIQ = false
@@ -587,9 +601,9 @@ func (c *CPU) noteIssued(s slot) {
 	c.inflight[i] = s
 }
 
-// execLoad performs the functional D-cache access for a load at issue
-// time. It returns false when the access faults.
-func (c *CPU) execLoad(u *uop) bool {
+// execLoad performs the functional D-cache access for a load in slot s at
+// issue time. It returns false when the access faults.
+func (c *CPU) execLoad(s slot, u *uop) bool {
 	var res cache.Result
 	var ok bool
 	if u.size == 4 {
@@ -603,6 +617,12 @@ func (c *CPU) execLoad(u *uop) bool {
 		u.fault = faultLoad
 		return false
 	}
+	if c.lanes != nil {
+		c.lanes.access(&res)
+		if c.lanes.line[res.Line].any() {
+			c.lanes.load(s, c.lanes.index(&res, u.addr), u.size)
+		}
+	}
 	if res.Evicted {
 		c.Pinout.Record(c.Cycles, res.EvictAddr, trace.KindWriteback, res.EvictData)
 	}
@@ -615,9 +635,9 @@ func (c *CPU) execLoad(u *uop) bool {
 	return true
 }
 
-// execALU computes ALU, compare and branch results at issue time; the
-// result becomes architecturally visible at writeback.
-func (c *CPU) execALU(u *uop) {
+// execALU computes ALU, compare and branch results at issue time for the
+// uop in slot s; the result becomes architecturally visible at writeback.
+func (c *CPU) execALU(s slot, u *uop) {
 	in := u.inst
 	op := in.Op
 	a, b := uint32(0), uint32(0)
@@ -668,6 +688,14 @@ func (c *CPU) execALU(u *uop) {
 			c.bimodal[i]--
 		}
 	}
+	if c.lanes != nil {
+		if c.lanes.reg(u.src1) || c.lanes.reg(u.src2) {
+			c.lanes.alu(s, u, a, b)
+		}
+		if op.IsCondBranch() && c.lanes.flagsDiffer(s, u) {
+			c.lanes.branch(s, u, c.readFlags(u))
+		}
+	}
 	u.execDone = c.Cycles + lat
 	if op.IsBranch() {
 		actual := u.pc + isa.InstBytes
@@ -707,8 +735,8 @@ func (c *CPU) writeback() {
 			if c.ltRF != nil {
 				c.ltRF.Write(c.Cycles, int(u.dst), 0, 32)
 			}
-			if c.lanesRF != nil {
-				c.lanesRF.Write(int(u.dst), 0, 32)
+			if c.lanes != nil && (c.lanes.prf[u.dst].any() || c.lanes.uop[s].any()) {
+				c.lanes.writeback(s, u.dst)
 			}
 			c.prf[u.dst] = u.result
 			c.prfReady[u.dst] = true
@@ -815,7 +843,7 @@ func (c *CPU) commit() {
 			c.commitSyscall(s)
 			return // serializing: flushed and redirected (or stopped)
 		case u.isStore:
-			if !c.commitStore(u) {
+			if !c.commitStore(s, u) {
 				return
 			}
 		}
@@ -828,6 +856,9 @@ func (c *CPU) commit() {
 		}
 		if u.writesFlags {
 			c.archFlags = u.flags
+			if c.lanes != nil && (c.lanes.flag.any() || c.lanes.uop[s].any()) {
+				c.lanes.commitFlags(s)
+			}
 		}
 		c.rob.pop()
 		c.retireUop(s)
@@ -847,11 +878,18 @@ func (c *CPU) lsqRemove(s slot) {
 
 func (c *CPU) commitSyscall(s slot) {
 	u := &c.uops[s]
-	frag, exited, ok := refsim.Syscall(c.archReg(isa.R7), c.archReg(isa.R0), c.archReg(isa.R1), c.L1D.View())
+	num, a0, a1 := c.archReg(isa.R7), c.archReg(isa.R0), c.archReg(isa.R1)
+	if c.lanes != nil && (c.lanes.reg(c.arat[isa.R7]) || c.lanes.reg(c.arat[isa.R0]) || c.lanes.reg(c.arat[isa.R1])) {
+		c.lanes.syscall(c.arat[isa.R7], c.arat[isa.R0], c.arat[isa.R1])
+	}
+	frag, exited, ok := refsim.Syscall(num, a0, a1, c.L1D.View())
 	if !ok {
 		c.Stop = refsim.StopFault
 		c.FaultDesc = fmt.Sprintf("syscall %d failed at %#x", c.archReg(isa.R7), u.pc)
 		return
+	}
+	if c.lanes != nil && num == isa.SysWrite && (c.lanes.l1d.any() || c.lanes.mem.any()) {
+		c.lanes.output(a0, a1, len(c.Output))
 	}
 	c.Output = append(c.Output, frag...)
 	c.rob.pop()
@@ -879,7 +917,7 @@ func (c *CPU) commitSyscall(s slot) {
 	}
 }
 
-func (c *CPU) commitStore(u *uop) bool {
+func (c *CPU) commitStore(s slot, u *uop) bool {
 	var res cache.Result
 	var ok bool
 	if u.size == 4 {
@@ -891,6 +929,12 @@ func (c *CPU) commitStore(u *uop) bool {
 		c.Stop = refsim.StopFault
 		c.FaultDesc = fmt.Sprintf("store out of range or unaligned at %#x (pc %#x)", u.addr, u.pc)
 		return false
+	}
+	if c.lanes != nil {
+		c.lanes.access(&res)
+		if c.lanes.line[res.Line].any() || c.lanes.uop[s].any() {
+			c.lanes.store(s, c.lanes.index(&res, u.addr), u.size)
+		}
 	}
 	if res.Evicted {
 		c.Pinout.Record(c.Cycles, res.EvictAddr, trace.KindWriteback, res.EvictData)

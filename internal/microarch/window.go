@@ -36,7 +36,13 @@ func (c *CPU) allocUop() slot {
 // freeUop recycles a slot that nothing names any more. A squashed uop
 // qualifies at once: only younger uops ever named it, they are squashed
 // with it, and recovery rewinds specFlagProducer past it.
-func (c *CPU) freeUop(s slot) { c.uopFree = append(c.uopFree, s) }
+// Its value-lane diffs go with it.
+func (c *CPU) freeUop(s slot) {
+	if c.lanes != nil && c.lanes.uop[s].any() {
+		c.lanes.free(s)
+	}
+	c.uopFree = append(c.uopFree, s)
+}
 
 // retireUop recycles the slot of a committed uop — unless it writes the
 // flags. Leaving the ROB does not end a compare's life: it keeps feeding
