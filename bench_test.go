@@ -275,8 +275,8 @@ func BenchmarkMicroarchLockstepStep(b *testing.B) {
 }
 
 // BenchmarkRTLLockstepStep is the same measurement on the RTL core,
-// whose hooks sit at the kernel's read port and clock edge: the
-// difference to BenchmarkRTLStep.
+// whose hooks sit in eval, the L1D's line traffic and the clock edge:
+// the difference to BenchmarkRTLStep.
 func BenchmarkRTLLockstepStep(b *testing.B) { benchmarkLockstepStep(b, core.ModelRTL, false) }
 
 // BenchmarkMicroarchLockstepStepBoth is the golden step of a walk two

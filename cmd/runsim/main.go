@@ -38,6 +38,7 @@ import (
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/lanestore"
 	"repro/internal/refsim"
 	"repro/internal/trace"
 )
@@ -288,7 +289,7 @@ func peelMix(st campaign.ReplayStats) string {
 	var parts []string
 	for r, n := range st.Peels {
 		if n > 0 {
-			parts = append(parts, fmt.Sprintf("%v %d", campaign.PeelReason(r), n))
+			parts = append(parts, fmt.Sprintf("%v %d", lanestore.PeelReason(r), n))
 		}
 	}
 	return strings.Join(parts, ", ")

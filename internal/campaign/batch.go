@@ -6,13 +6,13 @@ package campaign
 // feeds from hooks on its golden step). While a faulty machine takes
 // every control decision the golden one takes — same branches, same
 // addresses, same bus traffic — one golden tick advances every lane at
-// once. Two trackers exist. The microarchitectural model's value lanes
-// carry corrupted data through registers, flags, L1D and memory and peel
-// a lane only when its data would change a control outcome; the RTL
-// model's lifetime.Lanes peels a lane the moment the design reads a word
-// it has corrupted. A peeled lane is finished on a scalar simulator
-// rebuilt at the pre-tick cycle from a ring snapshot plus the lane's
-// diff, with the pinout it emitted while riding, then classified by the
+// once. Both models carry them as value lanes (package lanestore, with
+// each model's hooks): corrupted data travels through registers,
+// latches, flags, L1D and memory, and a lane peels only when its data
+// would change a control outcome — a branch, a target, an address, a
+// syscall, an instruction fetch. A peeled lane is finished on a scalar
+// simulator rebuilt at the pre-tick cycle from a ring snapshot plus the
+// lane's diff, with the pinout it emitted while riding, then classified by the
 // exact finishRun tail the scalar engine uses. A lane that never peels
 // retires at its convergence point, observation-window limit or the
 // golden program end without a single private simulation cycle, and is
@@ -31,7 +31,7 @@ package campaign
 // that share a golden run share the walk: one tracker per target (the
 // models take a register-file and an L1D tracker side by side), every
 // lane carrying the campaign it belongs to. A lane still peels exactly
-// when the design consumes it and is finished by the same tail, so
+// when its data decides control and is finished by the same tail, so
 // classifications are byte-identical to the scalar path at any lane
 // width and in any company; sharing changes only throughput.
 
@@ -41,14 +41,14 @@ import (
 	"sort"
 
 	"repro/internal/fault"
-	"repro/internal/lifetime"
+	"repro/internal/lanestore"
 	"repro/internal/refsim"
 	"repro/internal/trace"
 )
 
 // MaxLanes is the lane capacity of one tracker: the most replays of one
 // injection target a walk carries at once.
-const MaxLanes = lifetime.MaxLanes
+const MaxLanes = 64
 
 // batchRingEvery is the golden snapshot stride while lanes ride: a
 // peeled lane's scalar rebuild replays at most this many golden catch-up
@@ -72,15 +72,15 @@ const batchRingEvery = 64
 // has issued it whole before the stop can be decided.
 const batchPull = 8
 
-// BatchCapable is implemented by simulators that can ride lockstep lanes
+// BatchCapable is implemented by simulators that can ride value lanes
 // over an injection target: both models do, for the register file and
-// the L1D data array (not for the RTL pipeline latches).
+// the L1D data array. The RTL pipeline latches have no lane surface: a
+// latch fault sits in control state as often as in data.
 type BatchCapable interface {
 	// LaneGeometry states target t's flat fault bit space — units × width
-	// bits, laid out as Simulator.Flip indexes them — with a peek at this
-	// instance's current bits; units is 0 for a target without a lockstep
-	// surface.
-	LaneGeometry(t fault.Target) (units, width int, peek func(bit int) int)
+	// bits, laid out as Simulator.Flip indexes them; units is 0 for a
+	// target without a lockstep surface.
+	LaneGeometry(t fault.Target) (units, width int)
 
 	// AttachLanes builds lane sets over the register file and the L1D
 	// data array (a false leaves that target untracked, its set nil) and
@@ -99,7 +99,7 @@ type BatchCapable interface {
 // MaxLanes faulty machines, each golden plus a diff.
 type LaneSet interface {
 	// Flip toggles, Force sets, one target bit of a lane (Simulator.Flip's
-	// index space); a forced lane peels on its first read.
+	// index space); a forced lane peels on its first read of a diff.
 	Flip(lane, bit int) error
 	Force(lane, bit, v int) error
 
@@ -107,7 +107,7 @@ type LaneSet interface {
 	// took out of lockstep (bit k = lane k) and Reason why.
 	BeginTick()
 	Peeled() uint64
-	Reason(lane int) PeelReason
+	Reason(lane int) lanestore.PeelReason
 
 	// Rebuild applies a lane's machine as it stood when the current step
 	// began onto sim, an instance of the same factory holding golden's
@@ -122,59 +122,6 @@ type LaneSet interface {
 	Clean(lane int) bool
 	AppendDiverged(lane int, buf []trace.Transaction) []trace.Transaction
 	OutputDiffers(lane int) bool
-}
-
-// PeelReason says which control outcome a lane's diff changed. The set
-// is fixed: it labels campaign_batch_peels_total.
-type PeelReason uint8
-
-// Peel reasons. PeelOnRead is a peel-on-read tracker's (the RTL model's):
-// it carries no reason and is not broken down.
-const (
-	PeelBranch     PeelReason = iota // a conditional branch direction
-	PeelTarget                       // a branch or RET target
-	PeelAddress                      // a load or store address, a forwarding overlap
-	PeelSyscall                      // a syscall's number or argument registers
-	PeelIFetch                       // an instruction fetch or L1I fill from diffed memory
-	PeelPersistent                   // a persistent fault's bit was read
-	PeelFault                        // a fault condition
-	NumPeelReasons
-	PeelOnRead = NumPeelReasons
-)
-
-var peelReasonNames = [NumPeelReasons]string{"branch", "target", "address", "syscall", "ifetch", "persistent", "fault"}
-
-func (r PeelReason) String() string {
-	if r < NumPeelReasons {
-		return peelReasonNames[r]
-	}
-	return "read"
-}
-
-// ReadLanes adapts a peel-on-read tracker over target t to LaneSet: a
-// lane leaves lockstep the moment the design reads a word it corrupted,
-// so while it rides its output and pinout are golden's.
-func ReadLanes(l *lifetime.Lanes, t fault.Target) LaneSet { return readLanes{l, t} }
-
-type readLanes struct {
-	*lifetime.Lanes
-	t fault.Target
-}
-
-func (readLanes) Reason(int) PeelReason { return PeelOnRead }
-
-func (readLanes) AppendDiverged(_ int, buf []trace.Transaction) []trace.Transaction { return buf }
-
-func (readLanes) OutputDiffers(int) bool { return false }
-
-func (l readLanes) Rebuild(lane int, sim Simulator) error {
-	var err error
-	l.PeelDiff(lane, func(bit int) {
-		if err == nil {
-			err = sim.Flip(l.t, bit)
-		}
-	})
-	return err
 }
 
 // laneState is one in-flight replay occupying a lane slot. A slot is
@@ -252,9 +199,8 @@ type BatchReplayer struct {
 // NewBatchReplayer builds a replayer for one campaign over one worker's
 // simulator pair, or returns nil when batching does not apply: lanes
 // disabled (cfg.Lanes <= 1), a simulator without a batch surface, or a
-// target it cannot track (pipeline latches are read combinationally
-// every cycle, so a latch fault would peel on its first tick). Callers
-// fall back to the scalar path on nil.
+// target it cannot track (the RTL pipeline latches, which no value plane
+// carries). Callers fall back to the scalar path on nil.
 func NewBatchReplayer(g *Golden, cfg Config, gold, scalar Simulator) *BatchReplayer {
 	return newBatchReplayer(gold, scalar, []*Work{{Golden: g, Config: cfg}})
 }
@@ -275,7 +221,7 @@ func newBatchReplayer(gold, scalar Simulator, works []*Work) *BatchReplayer {
 		}
 		tr := byTarget[w.Config.Target]
 		if tr == nil {
-			if units, _, _ := bc.LaneGeometry(w.Config.Target); units == 0 {
+			if units, _ := bc.LaneGeometry(w.Config.Target); units == 0 {
 				return nil
 			}
 			tr = &laneTrack{}
@@ -358,7 +304,7 @@ func (r *BatchReplayer) replayPulled(items []pulledSpec) error {
 // stretch lanes ride by the shortest way (seek), hands lane slots to the
 // specs whose instant has come, re-asserts persistent faults, retires
 // lanes at their convergence point / window limit / golden end and peels
-// the ones whose corruption the design consumed. It returns the specs it
+// the ones whose data decided control. It returns the specs it
 // could not seat, still cycle-sorted, in pend's storage.
 func (r *BatchReplayer) walk(pend []pulledSpec) (deferred []pulledSpec, err error) {
 	r.pend, r.next, r.deferred = pend, 0, pend[:0]
@@ -625,10 +571,8 @@ func (r *BatchReplayer) peelLanes(tr *laneTrack, peeled uint64, preTick uint64) 
 		r.vacate(tr, k)
 		st.m.stats.Peeled++
 		obsBatchPeeled.Inc()
-		if reason < NumPeelReasons {
-			st.m.stats.Peels[reason]++
-			obsBatchPeels[reason].Inc()
-		}
+		st.m.stats.Peels[reason]++
+		obsBatchPeels[reason].Inc()
 		if err := st.m.deliver(st.idx, oc); err != nil {
 			return st.m.w.wrap(err)
 		}

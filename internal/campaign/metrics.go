@@ -10,6 +10,7 @@ package campaign
 import (
 	"time"
 
+	"repro/internal/lanestore"
 	"repro/internal/obs"
 )
 
@@ -44,9 +45,9 @@ var (
 		"replays retired entirely in bit-parallel lockstep")
 	obsBatchPeeled = obs.NewCounter("campaign_batch_peeled_total",
 		"replays peeled from a batch to the scalar tail")
-	obsBatchPeels = func() (cs [NumPeelReasons]*obs.Counter) {
+	obsBatchPeels = func() (cs [lanestore.NumPeelReasons]*obs.Counter) {
 		for r := range cs {
-			cs[r] = obs.NewCounter(`campaign_batch_peels_total{reason="`+PeelReason(r).String()+`"}`,
+			cs[r] = obs.NewCounter(`campaign_batch_peels_total{reason="`+lanestore.PeelReason(r).String()+`"}`,
 				"value lanes peeled to the scalar tail, by the control outcome their data changed")
 		}
 		return cs

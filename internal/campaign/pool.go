@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/lanestore"
 	"repro/internal/obs"
 )
 
@@ -46,9 +47,8 @@ type ReplayStats struct {
 	Batched, Peeled, Walks, Deferred int
 
 	// Peels breaks Peeled down by the control outcome a lane's diff
-	// changed (value lanes only; a peel-on-read tracker's peels carry no
-	// reason).
-	Peels [NumPeelReasons]int
+	// changed.
+	Peels [lanestore.NumPeelReasons]int
 
 	// Where the stepped cycles went. FastForward is golden cycles stepped
 	// with nothing riding: a cursor's advance to each fork, a walk's
@@ -131,7 +131,7 @@ func (w *Work) lockstep() bool {
 	if !ok || w.Config.Lanes <= 1 {
 		return false
 	}
-	units, _, _ := bc.LaneGeometry(w.Config.Target)
+	units, _ := bc.LaneGeometry(w.Config.Target)
 	return units > 0
 }
 

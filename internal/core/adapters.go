@@ -14,13 +14,10 @@ import (
 
 // geometry is one adapter's statement of a lockstep-capable target's
 // flat fault bit space — units × width bits, laid out as Simulator.Flip
-// indexes them — with a peek at the live machine's current bits; units
-// is 0 for a target the model neither traces nor tracks. It is the
-// adapter's campaign.BatchCapable LaneGeometry: lifetime spaces (here)
-// and lane trackers (the lockstep engine) are both built from it, so the
-// trace and the tracker cannot disagree on the layout their cross-check
-// assumes.
-type geometry func(t fault.Target) (units, width int, peek func(bit int) int)
+// indexes them; units is 0 for a target the model neither traces nor
+// tracks. It is the adapter's campaign.BatchCapable LaneGeometry, which
+// the lifetime spaces (here) are built from.
+type geometry func(t fault.Target) (units, width int)
 
 // setLifetime builds rec's spaces for the two traced targets and hands
 // them to a model's SetLifetime; a nil rec detaches.
@@ -30,7 +27,7 @@ func setLifetime(geo geometry, rec *lifetime.Recorder, set func(rf, l1d *lifetim
 		return
 	}
 	space := func(t fault.Target) *lifetime.Space {
-		units, width, _ := geo(t)
+		units, width := geo(t)
 		return rec.Space(int(t), units, width)
 	}
 	set(space(fault.TargetRF), space(fault.TargetL1D))
@@ -58,15 +55,15 @@ func (s *maSim) StateHash() uint64                      { return s.cpu.StateHash
 
 // LaneGeometry: the physical register file at register granularity and
 // the L1D data array at line granularity.
-func (s *maSim) LaneGeometry(t fault.Target) (units, width int, peek func(bit int) int) {
+func (s *maSim) LaneGeometry(t fault.Target) (units, width int) {
 	switch t {
 	case fault.TargetRF:
-		return s.cpu.RFBits() / 32, 32, s.cpu.RFBit
+		return s.cpu.RFBits() / 32, 32
 	case fault.TargetL1D:
 		lineBits := s.cpu.L1D.Config().LineBytes * 8
-		return s.cpu.L1DBits() / lineBits, lineBits, s.cpu.L1D.DataBit
+		return s.cpu.L1DBits() / lineBits, lineBits
 	default:
-		return 0, 0, nil
+		return 0, 0
 	}
 }
 
@@ -166,18 +163,6 @@ func maLaneSet(g *microarch.LaneGroup) campaign.LaneSet {
 	return maLanes{g}
 }
 
-// maPeelReasons maps the model's peel reasons onto the engine's labels.
-var maPeelReasons = [...]campaign.PeelReason{
-	microarch.PeelBranch:     campaign.PeelBranch,
-	microarch.PeelTarget:     campaign.PeelTarget,
-	microarch.PeelAddress:    campaign.PeelAddress,
-	microarch.PeelSyscall:    campaign.PeelSyscall,
-	microarch.PeelIFetch:     campaign.PeelIFetch,
-	microarch.PeelPersistent: campaign.PeelPersistent,
-}
-
-func (l maLanes) Reason(lane int) campaign.PeelReason { return maPeelReasons[l.LaneGroup.Reason(lane)] }
-
 func (l maLanes) Rebuild(lane int, sim campaign.Simulator) error {
 	s, ok := sim.(*maSim)
 	if !ok {
@@ -208,16 +193,16 @@ func (s *rtlSim) StateHash() uint64                      { return s.core.StateHa
 
 // LaneGeometry: the architectural register file and the L1D data array,
 // both word-granular through the rtl kernel's memory ports. Pipeline
-// latches are neither traced nor tracked (rtlcore.Core.SetLanes says
+// latches are neither traced nor tracked (rtlcore.Core.SetLifetime says
 // why), so latch campaigns always replay, on the scalar engine.
-func (s *rtlSim) LaneGeometry(t fault.Target) (units, width int, peek func(bit int) int) {
+func (s *rtlSim) LaneGeometry(t fault.Target) (units, width int) {
 	switch t {
 	case fault.TargetRF:
-		return s.core.RFBits() / 32, 32, s.core.RFBit
+		return s.core.RFBits() / 32, 32
 	case fault.TargetL1D:
-		return s.core.L1DBits() / 32, 32, s.core.L1DBit
+		return s.core.L1DBits() / 32, 32
 	default:
-		return 0, 0, nil
+		return 0, 0
 	}
 }
 
@@ -283,27 +268,34 @@ func (s *rtlSim) Restore(snap campaign.Snapshot) {
 	s.core.Restore(st)
 }
 
-// AttachLanes exposes the RTL model's lockstep replay surface: peel-on-
-// read trackers over the register file and the L1D data array, the two
-// targets whose state lives in rtl kernel memory arrays. Their flat bit
-// space is the one rtl.Mem.FlipBit splits into word and local bit, so
-// lane injections and peel-diff replays cannot disagree with scalar
-// injections on targeting.
+// AttachLanes exposes the RTL model's lockstep replay surface: value
+// lanes over the register file and the L1D data array, side by side in
+// one store on the core (rtlcore/lanes.go), in the flat bit spaces of
+// FlipRFBit and FlipL1DBit.
 func (s *rtlSim) AttachLanes(rf, l1d bool) (campaign.LaneSet, campaign.LaneSet) {
-	var rfLanes, l1dLanes *lifetime.Lanes
-	var rfSet, l1dSet campaign.LaneSet
-	if rf {
-		rfLanes = lifetime.NewLanes(s.LaneGeometry(fault.TargetRF))
-		rfSet = campaign.ReadLanes(rfLanes, fault.TargetRF)
-	}
-	if l1d {
-		l1dLanes = lifetime.NewLanes(s.LaneGeometry(fault.TargetL1D))
-		l1dSet = campaign.ReadLanes(l1dLanes, fault.TargetL1D)
-	}
-	s.core.SetLanes(rfLanes, l1dLanes)
-	return rfSet, l1dSet
+	r, d := s.core.AttachLanes(rf, l1d)
+	return rtlLaneSet(r), rtlLaneSet(d)
 }
 
-func (s *rtlSim) DetachLanes() { s.core.SetLanes(nil, nil) }
+func (s *rtlSim) DetachLanes() { s.core.DetachLanes() }
 
 var _ campaign.BatchCapable = (*rtlSim)(nil)
+
+// rtlLanes adapts one group of RTL value lanes to the engine's LaneSet.
+type rtlLanes struct{ *rtlcore.LaneGroup }
+
+func rtlLaneSet(g *rtlcore.LaneGroup) campaign.LaneSet {
+	if g == nil {
+		return nil
+	}
+	return rtlLanes{g}
+}
+
+func (l rtlLanes) Rebuild(lane int, sim campaign.Simulator) error {
+	s, ok := sim.(*rtlSim)
+	if !ok {
+		return fmt.Errorf("core: RTL lanes rebuilt onto a %T", sim)
+	}
+	l.LaneGroup.Rebuild(lane, s.core)
+	return nil
+}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/campaign"
 	"repro/internal/fault"
+	"repro/internal/lanestore"
 )
 
 // benchFactory builds the campaign factory of one workload on one model.
@@ -459,18 +460,19 @@ func TestBatchLatchesFallsBackScalar(t *testing.T) {
 // values: lanes retired in lockstep against lanes the design consumed,
 // the one walk that carried them all, and where the stepped cycles went
 // — a walk steps no golden cycle twice, so what it rode and what it
-// stepped with nobody riding fit inside the golden run (the RTL lanes
-// peel early and leave the sparse ends of the plan unridden: most of its
-// fast-forward is those gaps, not the approach to the first instant).
+// stepped with nobody riding fit inside the golden run (most of the
+// fast-forward is the sparse ends of the plan, where lanes that peeled
+// leave stretches unridden, not the approach to the first instant).
 func TestBatchReplayerSeedPins(t *testing.T) {
 	for _, tc := range []struct {
 		model Model
 		want  campaign.ReplayStats
 	}{
-		{ModelRTL, campaign.ReplayStats{Executed: 512, Batched: 233, Peeled: 279, Walks: 1,
-			FastForward: 8_812, Lockstep: 38_084, Private: 121_715, LaneCycles: 126_998}},
+		{ModelRTL, campaign.ReplayStats{Executed: 512, Batched: 361, Peeled: 151, Walks: 1,
+			Peels:       [lanestore.NumPeelReasons]int{lanestore.PeelBranch: 59, lanestore.PeelTarget: 1, lanestore.PeelAddress: 91},
+			FastForward: 6_039, Lockstep: 41_390, Private: 53_243, LaneCycles: 191_240}},
 		{ModelMicroarch, campaign.ReplayStats{Executed: 512, Batched: 469, Peeled: 43, Walks: 1,
-			Peels:       [campaign.NumPeelReasons]int{campaign.PeelBranch: 14, campaign.PeelAddress: 29},
+			Peels:       [lanestore.NumPeelReasons]int{lanestore.PeelBranch: 14, lanestore.PeelAddress: 29},
 			FastForward: 1_827, Lockstep: 24_645, Private: 12_866, LaneCycles: 237_061}},
 	} {
 		f := benchFactory(t, tc.model, "qsort")
@@ -635,7 +637,7 @@ func checkPeelCycles(t *testing.T, f campaign.Factory, g *campaign.Golden, cfg c
 		t.Fatal(err)
 	}
 	host := sim.(campaign.BatchCapable)
-	if units, _, _ := host.LaneGeometry(cfg.Target); units == 0 {
+	if units, _ := host.LaneGeometry(cfg.Target); units == 0 {
 		t.Fatalf("no lane tracker over %v", cfg.Target)
 	}
 	rfLanes, l1dLanes := host.AttachLanes(cfg.Target == fault.TargetRF, cfg.Target == fault.TargetL1D)
@@ -644,14 +646,14 @@ func checkPeelCycles(t *testing.T, f campaign.Factory, g *campaign.Golden, cfg c
 		lanes = l1dLanes
 	}
 	defer host.DetachLanes()
-	// A peel-on-read tracker peels at the first read; value lanes note
-	// every read of a diff and peel later, on control. Before its first
-	// read a lane's diff sits only where it was injected, so that read is
-	// the one the trace names.
-	consumed := lanes.Peeled
-	if v, ok := lanes.(interface{ Consumed() uint64 }); ok {
-		consumed = v.Consumed
+	// Value lanes note every read of a diff and peel later, on control.
+	// Before its first read a lane's diff sits only where it was
+	// injected, so that read is the one the trace names.
+	v, ok := lanes.(interface{ Consumed() uint64 })
+	if !ok {
+		t.Fatalf("%T does not report the reads of a diff", lanes)
 	}
+	consumed := v.Consumed
 	const never = ^uint64(0)
 	peeledAt := make([]uint64, len(specs))
 	horizon := make([]uint64, len(specs))

@@ -15,6 +15,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/lanestore"
 	"repro/internal/obs"
 	"repro/internal/report"
 )
@@ -85,7 +86,7 @@ func TestMetricsAreInert(t *testing.T) {
 	// The microarchitectural campaign's value lanes peel by reason; every
 	// label of the fixed set is exposed, and together they saw its peels.
 	var peels uint64
-	for r := campaign.PeelReason(0); r < campaign.NumPeelReasons; r++ {
+	for r := lanestore.PeelReason(0); r < lanestore.NumPeelReasons; r++ {
 		name := `campaign_batch_peels_total{reason="` + r.String() + `"}`
 		v, ok := s[name]
 		if !ok {
@@ -131,7 +132,7 @@ func TestFusedWalkSeedPins(t *testing.T) {
 		want  ledger
 	}{
 		{core.ModelMicroarch, ledger{walks: 1, lockstep: 27_496, fastForward: 659, private: 23_088, batched: 944, peeled: 80}},
-		{core.ModelRTL, ledger{walks: 1, lockstep: 47_637, fastForward: 5_565, private: 163_019, batched: 614, peeled: 410}},
+		{core.ModelRTL, ledger{walks: 1, lockstep: 48_697, fastForward: 4_505, private: 57_114, batched: 859, peeled: 165}},
 	} {
 		var matrix []campaign.SweepCampaign
 		for i, target := range []fault.Target{fault.TargetRF, fault.TargetL1D} {

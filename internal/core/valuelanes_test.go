@@ -12,7 +12,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/campaign"
 	"repro/internal/fault"
-	"repro/internal/microarch"
 	"repro/internal/refsim"
 )
 
@@ -90,33 +89,43 @@ func valueLaneMatrix(f campaign.Factory, seed int64, window uint64, n int) []cam
 }
 
 // TestValueLanesMatchScalar is the value-lane engine's equivalence matrix
-// on the eight benches: a fused unit of register-file and L1D campaigns
-// over every fault model, windowed and run to the end, on pools of one
-// and two goroutines, must classify every fault exactly as a scalar
-// replay does — class, end cycle and convergence flag. Beside the
-// outcomes, lanesTrackScalar holds each bench's lanes to scalar machines
-// digest for digest, cycle by cycle.
+// on the benches: a fused unit of register-file and L1D campaigns over
+// every fault model, windowed and run to the end, on pools of one and two
+// goroutines, must classify every fault exactly as a scalar replay does —
+// class, end cycle and convergence flag. Beside the outcomes,
+// lanesTrackScalar holds each bench's lanes to scalar machines digest for
+// digest, cycle by cycle. The microarchitectural model runs all eight
+// benches; the RTL model, twice as slow a cycle, the three that span its
+// traffic (pinout-heavy qsort and fft, quiet caes) — FuzzValueLanes
+// carries it over generated programs.
 func TestValueLanesMatchScalar(t *testing.T) {
 	for _, w := range bench.All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			f := benchFactory(t, ModelMicroarch, w.Name)
-			n := 12
-			if testing.Short() {
-				n = 4
-			}
-			camps := valueLaneMatrix(f, 31, 500, n)
-			for _, workers := range []int{1, 2} {
-				fusedAgainstScalar(t, f, camps, workers)
-			}
-			p, err := w.Program()
-			if err != nil {
-				t.Fatal(err)
-			}
-			lanesTrackScalar(t, p, trackedSpecs(t, f, 41, 2*n), 300)
+			valueLanesMatchScalar(t, ModelMicroarch, w.Name)
 		})
 	}
+	for _, name := range []string{"qsort", "fft", "caes"} {
+		name := name
+		t.Run("rtl/"+name, func(t *testing.T) {
+			t.Parallel()
+			valueLanesMatchScalar(t, ModelRTL, name)
+		})
+	}
+}
+
+func valueLanesMatchScalar(t *testing.T, m Model, name string) {
+	f := benchFactory(t, m, name)
+	n := 12
+	if testing.Short() {
+		n = 4
+	}
+	camps := valueLaneMatrix(f, 31, 500, n)
+	for _, workers := range []int{1, 2} {
+		fusedAgainstScalar(t, f, camps, workers)
+	}
+	lanesTrackScalar(t, f, trackedSpecs(t, f, 41, 2*n), 300)
 }
 
 // valueLaneProgram is a generated program for FuzzValueLanes:
@@ -133,12 +142,13 @@ func valueLaneProgram(seed int64, shape uint8) string {
 }
 
 // FuzzValueLanes holds value lanes to the scalar engine over generated
-// programs: per program, register-file and L1D faults of all four models,
-// windowed and run to the end, as one fused unit with a seven-lane member
-// that has to defer. shape picks the window, the sample size and whether
-// the program writes its buffer to the output. Every outcome must equal
-// the scalar ReplayOne of its spec, and every transient lane must track
-// its scalar machine to the program's end (lanesTrackScalar).
+// programs, on both models: per program and model, register-file and L1D
+// faults of all four fault models, windowed and run to the end, as one
+// fused unit with a seven-lane member that has to defer. shape picks the
+// window, the sample size and whether the program writes its buffer to
+// the output. Every outcome must equal the scalar ReplayOne of its spec,
+// and every transient lane must track its scalar machine to the
+// program's end (lanesTrackScalar).
 func FuzzValueLanes(f *testing.F) {
 	for _, c := range []struct {
 		seed  int64
@@ -151,70 +161,75 @@ func FuzzValueLanes(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fac := Factory(ModelMicroarch, prog, CampaignSetup())
-		window := 100 + 60*uint64(shape>>1&7)
-		camps := valueLaneMatrix(fac, seed, window, 4+int(shape>>4&3)*2)
-		camps = append(camps, campaign.SweepCampaign{Key: "rf/lanes7", Group: "g", Factory: fac, Config: campaign.Config{
-			Injections: 24, Seed: seed, Target: fault.TargetRF, Window: 4 * window, Lanes: 7,
-		}})
-		fusedAgainstScalar(t, fac, camps, 1)
-		lanesTrackScalar(t, prog, trackedSpecs(t, fac, seed, 32), 0)
+		for _, m := range []Model{ModelMicroarch, ModelRTL} {
+			t.Run(m.String(), func(t *testing.T) {
+				fac := Factory(m, prog, CampaignSetup())
+				window := 100 + 60*uint64(shape>>1&7)
+				camps := valueLaneMatrix(fac, seed, window, 4+int(shape>>4&3)*2)
+				camps = append(camps, campaign.SweepCampaign{Key: "rf/lanes7", Group: "g", Factory: fac, Config: campaign.Config{
+					Injections: 24, Seed: seed, Target: fault.TargetRF, Window: 4 * window, Lanes: 7,
+				}})
+				fusedAgainstScalar(t, fac, camps, 1)
+				lanesTrackScalar(t, fac, trackedSpecs(t, fac, seed, 32), 0)
+			})
+		}
 	})
 }
 
 // lanesTrackScalar is the value-lane invariant checked cycle by cycle:
-// on one golden CPU carrying a lane per spec (transient models only), a
-// riding lane's machine — golden's state with the lane's diff applied —
-// digests exactly like a scalar CPU that took the same fault, at every
-// cycle from the injection until the lane peels or horizon cycles pass
-// (0: the program's end);
-// and a lane peeled during a step is rebuilt, undo journal applied, as
-// the scalar machine stood before that step. specs must be cycle-sorted,
-// at most 64 per target.
-func lanesTrackScalar(t *testing.T, prog *asm.Program, specs []fault.Spec, horizon uint64) {
+// on one golden instance carrying a lane per spec (transient models
+// only), a riding lane's machine — golden's state with the lane's diff
+// applied — digests exactly like a scalar instance that took the same
+// fault, at every cycle from the injection until the lane peels or
+// horizon cycles pass (0: the program's end); and a lane peeled during a
+// step is rebuilt, undo journal applied, as the scalar machine stood
+// before that step. specs must be cycle-sorted, at most 64 per target.
+func lanesTrackScalar(t *testing.T, f campaign.Factory, specs []fault.Spec, horizon uint64) {
 	t.Helper()
-	gold, err := microarch.New(prog, microarch.CampaignConfig())
-	if err != nil {
-		t.Fatal(err)
+	newSim := func() campaign.Simulator {
+		s, err := f()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
-	rf, l1d := gold.AttachLanes(true, true)
-	defer gold.DetachLanes()
-	group := func(tg fault.Target) *microarch.LaneGroup {
+	gold := newSim()
+	host := gold.(campaign.BatchCapable)
+	rf, l1d := host.AttachLanes(true, true)
+	defer host.DetachLanes()
+	group := func(tg fault.Target) campaign.LaneSet {
 		if tg == fault.TargetRF {
 			return rf
 		}
 		return l1d
 	}
 	type rider struct {
-		spec  fault.Spec
-		lane  int
-		cpu   *microarch.CPU
-		until uint64
+		spec      fault.Spec
+		lane      int
+		sim, view campaign.Simulator
+		until     uint64
 	}
 	var riding []*rider
+	var pre campaign.Snapshot
 	used := map[fault.Target]int{}
 	next := 0
-	for gold.Stop == refsim.StopNone && (next < len(specs) || len(riding) > 0) {
-		c := gold.Cycles
+	for gold.StopReason() == refsim.StopNone && (next < len(specs) || len(riding) > 0) {
+		c := gold.Cycles()
+		pre = host.SnapshotInto(pre)
 		for ; next < len(specs) && specs[next].Cycle == c; next++ {
 			sp := specs[next]
-			r := &rider{spec: sp, lane: used[sp.Target], cpu: gold.Clone(), until: ^uint64(0)}
+			r := &rider{spec: sp, lane: used[sp.Target], sim: newSim(), view: newSim(), until: ^uint64(0)}
+			r.sim.Restore(pre)
 			if horizon > 0 {
 				r.until = c + horizon
 			}
 			used[sp.Target]++
 			lo, hi := sp.BitSpan()
 			for b := lo; b < hi; b++ {
-				var err error
-				if sp.Target == fault.TargetRF {
-					err = r.cpu.FlipRFBit(b)
-				} else {
-					err = r.cpu.FlipL1DBit(b)
+				if err := r.sim.Flip(sp.Target, b); err != nil {
+					t.Fatal(err)
 				}
-				if err == nil {
-					err = group(sp.Target).Flip(r.lane, b)
-				}
-				if err != nil {
+				if err := group(sp.Target).Flip(r.lane, b); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -222,13 +237,14 @@ func lanesTrackScalar(t *testing.T, prog *asm.Program, specs []fault.Spec, horiz
 		}
 		rf.BeginTick()
 		l1d.BeginTick()
-		pre := gold.Clone()
 		preHash := make([]uint64, len(riding))
 		for i, r := range riding {
-			view := gold.Clone()
-			group(r.spec.Target).Rebuild(r.lane, view)
-			preHash[i] = r.cpu.StateHash()
-			if got := view.StateHash(); got != preHash[i] {
+			r.view.Restore(pre)
+			if err := group(r.spec.Target).Rebuild(r.lane, r.view); err != nil {
+				t.Fatal(err)
+			}
+			preHash[i] = r.sim.StateHash()
+			if got := r.view.StateHash(); got != preHash[i] {
 				t.Fatalf("%+v: at cycle %d the lane's machine digests %#x, the scalar one %#x", r.spec, c, got, preHash[i])
 			}
 		}
@@ -237,15 +253,17 @@ func lanesTrackScalar(t *testing.T, prog *asm.Program, specs []fault.Spec, horiz
 		for i, r := range riding {
 			g := group(r.spec.Target)
 			if g.Peeled()>>r.lane&1 != 0 {
-				view := pre.Clone()
-				g.Rebuild(r.lane, view)
-				if got := view.StateHash(); got != preHash[i] {
+				r.view.Restore(pre)
+				if err := g.Rebuild(r.lane, r.view); err != nil {
+					t.Fatal(err)
+				}
+				if got := r.view.StateHash(); got != preHash[i] {
 					t.Fatalf("%+v: peeled in the step from %d, rebuilt as %#x, the scalar machine was %#x", r.spec, c, got, preHash[i])
 				}
 				g.Retire(r.lane)
 				continue
 			}
-			if r.cpu.Step(); gold.Cycles >= r.until {
+			if r.sim.Step(); gold.Cycles() >= r.until {
 				g.Retire(r.lane)
 				continue
 			}

@@ -19,13 +19,9 @@
 // Masked without replaying a single cycle. A live verdict carries the
 // identity of the first consuming read, which MeRLiN-style equivalence
 // grouping uses to collapse faults first consumed at the same point
-// into one representative replay.
-//
-// Lanes (lanes.go) is the same query answered live: attached to a
-// simulator in place of a Space, it follows up to 64 faulty machines as
-// sets of dirty bits along one golden walk and reports the tick in which
-// a read first consumes one — both models' batch surface for the
-// campaign engine's lockstep replay.
+// into one representative replay. The lockstep engine's value lanes
+// (package lanestore) report the same first read live, as Consumed; a
+// core test holds the two answers equal on both models.
 package lifetime
 
 import "fmt"

@@ -291,8 +291,8 @@ func (c *CPU) fetch() {
 			return
 		}
 		if res.Filled {
-			if c.lanes != nil && c.lanes.mem.any() {
-				c.lanes.ifetch(res.FillAddr, uint32(c.cfg.L1I.LineBytes))
+			if c.lanes != nil && c.lanes.Mem.Any() {
+				c.lanes.IFetch(res.FillAddr, uint32(c.cfg.L1I.LineBytes))
 			}
 			// I-miss: the line is resident now, but expose the fill
 			// latency before any instruction from it enters decode.
@@ -432,7 +432,7 @@ func (c *CPU) rename() {
 			u.ratSnap = c.rat
 			u.flagSnap = c.specFlagProducer
 			u.flagsInSnap = c.archFlags
-			if c.lanes != nil && c.lanes.flag.any() {
+			if c.lanes != nil && c.lanes.flag.Any() {
 				c.lanes.rename(s, op.IsCondBranch())
 			}
 		}
@@ -548,7 +548,7 @@ func (c *CPU) issue() {
 					if u.size == 1 {
 						u.result &= 0xFF
 					}
-					if c.lanes != nil && c.lanes.uop[from].any() {
+					if c.lanes != nil && c.lanes.uop[from].Any() {
 						c.lanes.forward(s, from, u.size)
 					}
 					u.execDone = c.Cycles + 1
@@ -619,7 +619,7 @@ func (c *CPU) execLoad(s slot, u *uop) bool {
 	}
 	if c.lanes != nil {
 		c.lanes.access(&res)
-		if c.lanes.line[res.Line].any() {
+		if c.lanes.Line[res.Line].Any() {
 			c.lanes.load(s, c.lanes.index(&res, u.addr), u.size)
 		}
 	}
@@ -735,7 +735,7 @@ func (c *CPU) writeback() {
 			if c.ltRF != nil {
 				c.ltRF.Write(c.Cycles, int(u.dst), 0, 32)
 			}
-			if c.lanes != nil && (c.lanes.prf[u.dst].any() || c.lanes.uop[s].any()) {
+			if c.lanes != nil && (c.lanes.prf[u.dst].Any() || c.lanes.uop[s].Any()) {
 				c.lanes.writeback(s, u.dst)
 			}
 			c.prf[u.dst] = u.result
@@ -856,7 +856,7 @@ func (c *CPU) commit() {
 		}
 		if u.writesFlags {
 			c.archFlags = u.flags
-			if c.lanes != nil && (c.lanes.flag.any() || c.lanes.uop[s].any()) {
+			if c.lanes != nil && (c.lanes.flag.Any() || c.lanes.uop[s].Any()) {
 				c.lanes.commitFlags(s)
 			}
 		}
@@ -888,7 +888,7 @@ func (c *CPU) commitSyscall(s slot) {
 		c.FaultDesc = fmt.Sprintf("syscall %d failed at %#x", c.archReg(isa.R7), u.pc)
 		return
 	}
-	if c.lanes != nil && num == isa.SysWrite && (c.lanes.l1d.any() || c.lanes.mem.any()) {
+	if c.lanes != nil && num == isa.SysWrite && (c.lanes.L1D.Any() || c.lanes.Mem.Any()) {
 		c.lanes.output(a0, a1, len(c.Output))
 	}
 	c.Output = append(c.Output, frag...)
@@ -932,7 +932,7 @@ func (c *CPU) commitStore(s slot, u *uop) bool {
 	}
 	if c.lanes != nil {
 		c.lanes.access(&res)
-		if c.lanes.line[res.Line].any() || c.lanes.uop[s].any() {
+		if c.lanes.Line[res.Line].Any() || c.lanes.uop[s].Any() {
 			c.lanes.store(s, c.lanes.index(&res, u.addr), u.size)
 		}
 	}

@@ -87,7 +87,7 @@ func TestFieldsAreControlOrData(t *testing.T) {
 			t.Errorf("uop.%s is data but has no value plane", name)
 			continue
 		}
-		rf.l.set(rf.machine(0), kind, uint32(s), 1)
+		rf.l.Set(rf.Machine(0), kind, uint32(s), 1)
 		rf.BeginTick()
 		view := c.Clone()
 		rf.Rebuild(0, view)
@@ -111,7 +111,7 @@ func TestValueLaneCacheEvents(t *testing.T) {
 	_, l1d := c.AttachLanes(false, true)
 	defer c.DetachLanes()
 	l, d := l1d.l, c.L1D
-	m := l1d.machine(0)
+	m := l1d.Machine(0)
 	sets := d.Config().Sets() * d.Config().LineBytes // addresses this far apart share a set
 	access := func(addr uint32, store bool) *cache.Result {
 		t.Helper()
@@ -153,16 +153,16 @@ func TestValueLaneCacheEvents(t *testing.T) {
 	flip(a, 3)
 	flip(a+1, 3)
 	access(a, true)
-	if got := l.get(m, kL1D, uint32(mustResident(t, d, a+1))); got != 1<<3 || l.get(m, kL1D, uint32(mustResident(t, d, a))) != 0 {
+	if got := l.Get(m, kL1D, uint32(mustResident(t, d, a+1))); got != 1<<3 || l.Get(m, kL1D, uint32(mustResident(t, d, a))) != 0 {
 		t.Fatalf("after a byte store the neighbour's diff is %#x and the stored byte's %#x; want 0x8 and 0",
-			got, l.get(m, kL1D, uint32(mustResident(t, d, a))))
+			got, l.Get(m, kL1D, uint32(mustResident(t, d, a))))
 	}
 
 	// The line is dirty now: evicting it writes the corruption back.
 	evict(a)
-	if !l.wb.has(m) || !l.mem.has(m) || l.l1d.has(m) {
+	if !l.WB.Has(m) || !l.Mem.Has(m) || l.L1D.Has(m) {
 		t.Fatalf("dirty eviction: diverged %v, memory diff %v, L1D diff %v; want true, true, false",
-			l.wb.has(m), l.mem.has(m), l.l1d.has(m))
+			l.WB.Has(m), l.Mem.Has(m), l.L1D.Has(m))
 	}
 	if wbs := l1d.AppendDiverged(0, nil); len(wbs) != 1 || wbs[0].Addr != a || wbs[0].Kind != trace.KindWriteback {
 		t.Fatalf("diverged write-backs %+v, want one of %#x", wbs, a)
@@ -172,7 +172,7 @@ func TestValueLaneCacheEvents(t *testing.T) {
 	}
 	// Refilling the line brings the diff back from memory.
 	access(a, false)
-	if got := l.get(m, kL1D, uint32(mustResident(t, d, a+1))); got != 1<<3 {
+	if got := l.Get(m, kL1D, uint32(mustResident(t, d, a+1))); got != 1<<3 {
 		t.Fatalf("refilled byte diff %#x, want 0x8", got)
 	}
 
@@ -209,8 +209,8 @@ func TestValueLaneGroupsAreSeparateMachines(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Carry each into the other's structure too.
-	rf.l.set(rf.machine(0), kL1D, 40, 0x10)
-	l1d.l.set(l1d.machine(0), kPRF, 7, 0x100)
+	rf.l.Set(rf.Machine(0), kL1D, 40, 0x10)
+	l1d.l.Set(l1d.Machine(0), kPRF, 7, 0x100)
 	rf.BeginTick()
 	l1d.BeginTick()
 	for _, tc := range []struct {
@@ -223,10 +223,10 @@ func TestValueLaneGroupsAreSeparateMachines(t *testing.T) {
 		view := c.Clone()
 		tc.g.Rebuild(0, view)
 		if view.prf[tc.own]^c.prf[tc.own] != tc.ownX || view.prf[tc.other] != c.prf[tc.other] {
-			t.Errorf("group %d: the rebuild mixed the groups' register diffs", tc.g.g)
+			t.Errorf("group %d: the rebuild mixed the groups' register diffs", tc.g.G)
 		}
 		if view.L1D.DataBit(tc.otherBit) != c.L1D.DataBit(tc.otherBit) {
-			t.Errorf("group %d: the rebuild took the other group's L1D diff", tc.g.g)
+			t.Errorf("group %d: the rebuild took the other group's L1D diff", tc.g.G)
 		}
 	}
 }
@@ -243,9 +243,9 @@ func TestValueLaneUndo(t *testing.T) {
 	want := c.Clone()
 	want.prf[3] ^= 1
 	rf.BeginTick()
-	m := rf.machine(0)
-	rf.l.set(m, kPRF, 3, 0)                      // overwritten by a write-back
-	rf.l.set(m, kResult, uint32(c.rob.at(0)), 2) // and a new diff taken on
+	m := rf.Machine(0)
+	rf.l.Set(m, kPRF, 3, 0)                      // overwritten by a write-back
+	rf.l.Set(m, kResult, uint32(c.rob.at(0)), 2) // and a new diff taken on
 	view := c.Clone()
 	rf.Rebuild(0, view)
 	if view.StateHash() != want.StateHash() {
@@ -260,12 +260,12 @@ func TestValueLaneSlotFree(t *testing.T) {
 	rf, _ := c.AttachLanes(true, false)
 	defer c.DetachLanes()
 	s := c.rob.at(c.rob.n - 1)
-	rf.l.set(rf.machine(0), kStoreVal, uint32(s), 0xFF)
-	if !rf.l.uop[s].any() {
+	rf.l.Set(rf.Machine(0), kStoreVal, uint32(s), 0xFF)
+	if !rf.l.uop[s].Any() {
 		t.Fatal("the diff did not land")
 	}
 	c.squash(s)
-	if rf.l.uop[s].any() || rf.l.get(rf.machine(0), kStoreVal, uint32(s)) != 0 {
+	if rf.l.uop[s].Any() || rf.l.Get(rf.Machine(0), kStoreVal, uint32(s)) != 0 {
 		t.Fatal("a squashed slot kept its lane diff")
 	}
 }

@@ -38,7 +38,7 @@ func (c *CPU) allocUop() slot {
 // with it, and recovery rewinds specFlagProducer past it.
 // Its value-lane diffs go with it.
 func (c *CPU) freeUop(s slot) {
-	if c.lanes != nil && c.lanes.uop[s].any() {
+	if c.lanes != nil && c.lanes.uop[s].Any() {
 		c.lanes.free(s)
 	}
 	c.uopFree = append(c.uopFree, s)

@@ -137,6 +137,13 @@ func (r *Reg) ForceBit(b int, v int) {
 	}
 }
 
+// Xor flips bits q of the latched value and bits d of the pending D
+// input, effective immediately.
+func (r *Reg) Xor(q, d uint64) {
+	r.out.cur ^= q & r.out.mask
+	r.d ^= d & r.out.mask
+}
+
 // memWrite is a queued synchronous memory write.
 type memWrite struct {
 	idx int
@@ -158,11 +165,6 @@ type Mem struct {
 	// golden run (see SetLifetime); nil everywhere else, so the read and
 	// write ports pay one nil check.
 	lt *lifetime.Space
-
-	// lanes, when non-nil, tracks lockstep replay lanes over this array
-	// (see SetLanes); nil outside bit-parallel replay, so the read port
-	// and the clock edge pay one nil check.
-	lanes *lifetime.Lanes
 }
 
 // Name returns the array's name.
@@ -184,23 +186,10 @@ func (m *Mem) Width() int { return m.width }
 // is exact for the dead-interval classification.
 func (m *Mem) SetLifetime(sp *lifetime.Space) { m.lt = sp }
 
-// SetLanes attaches (or, with nil, detaches) a lockstep lane tracker
-// over this array, one unit per word as in SetLifetime. Reads are
-// reported at the read port, where the trace records them. Writes are
-// reported when Simulator.Tick applies them at the clock edge, not at
-// queue time where the trace stamps them a cycle ahead: the tracker acts
-// on an event the moment it hears it, and until the edge the array still
-// holds a lane's corrupted word, so a read later in the same settle must
-// still peel the lane.
-func (m *Mem) SetLanes(t *lifetime.Lanes) { m.lanes = t }
-
 // Read returns the current value of word idx (asynchronous read port).
 func (m *Mem) Read(idx int) uint64 {
 	if m.lt != nil {
 		m.lt.Read(m.sim.CycleCount, idx, 0, m.width)
-	}
-	if m.lanes != nil {
-		m.lanes.Read(idx, 0, m.width)
 	}
 	return m.data[idx]
 }
@@ -222,7 +211,7 @@ func (m *Mem) Init(idx int, v uint64) { m.data[idx] = v & m.mask }
 func (m *Mem) Bits() int { return len(m.data) * m.width }
 
 // Bit returns bit b of the array (flat index word*width + bit) as 0 or
-// 1 — the golden peek of a lane tracker attached with SetLanes.
+// 1 — the golden peek behind a lane's forced bit.
 func (m *Mem) Bit(b int) int { return int(m.data[b/m.width] >> (b % m.width) & 1) }
 
 // FlipBit injects a transient fault into bit b of the array (flat index
@@ -250,6 +239,18 @@ func (m *Mem) ForceBit(b int, v int) error {
 	}
 	return nil
 }
+
+// Xor flips bits x of word idx, effective immediately.
+func (m *Mem) Xor(idx int, x uint64) { m.data[idx] ^= x & m.mask }
+
+// Queued returns the number of writes queued for the next clock edge;
+// QueuedWord names the word the i-th of them overwrites, and XorQueued
+// flips bits x of the value it carries. Value lanes follow golden's
+// queue with them: a queued write overwrites a lane's word at the edge,
+// not when it is queued.
+func (m *Mem) Queued() int               { return len(m.queue) }
+func (m *Mem) QueuedWord(i int) int      { return m.queue[i].idx }
+func (m *Mem) XorQueued(i int, x uint64) { m.queue[i].v ^= x & m.mask }
 
 // Snapshot returns a copy of the array contents.
 func (m *Mem) Snapshot() []uint64 { return append([]uint64(nil), m.data...) }
@@ -400,9 +401,6 @@ func (s *Simulator) Tick() error {
 	}
 	for _, m := range s.mems {
 		for _, w := range m.queue {
-			if m.lanes != nil {
-				m.lanes.Write(w.idx, 0, m.width)
-			}
 			m.data[w.idx] = w.v
 		}
 		m.queue = m.queue[:0]

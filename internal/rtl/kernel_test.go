@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/lifetime"
+	"repro/internal/statehash"
 )
 
 // TestCounter builds a 4-bit counter: reg <- reg + 1 every cycle.
@@ -317,5 +318,39 @@ func TestHashStateCoversSequentialState(t *testing.T) {
 	m.queue = m.queue[:1]
 	if stateDigest(sim) != base {
 		t.Error("undoing every mutation did not restore the digest")
+	}
+}
+
+func stateDigest(s *Simulator) uint64 {
+	h := statehash.New()
+	s.HashState(h)
+	return h.Sum()
+}
+
+// TestQueuedWritesAndXor covers the surface value lanes rebuild a
+// machine through: the queue of writes pending the next edge, named in
+// order, and flips of a word, a queued value and a register's Q and D
+// sides that take effect exactly where golden's own values would.
+func TestQueuedWritesAndXor(t *testing.T) {
+	sim := NewSimulator()
+	m := sim.Mem("rf", 4, 8)
+	r := sim.Reg("r", 8, 0)
+	m.Write(2, 0x11)
+	m.Write(1, 0x22)
+	r.SetD(0x33)
+	if m.Queued() != 2 || m.QueuedWord(0) != 2 || m.QueuedWord(1) != 1 {
+		t.Fatalf("queue: %d writes, words %d, %d", m.Queued(), m.QueuedWord(0), m.QueuedWord(1))
+	}
+	m.XorQueued(1, 0x1FF) // the mask keeps the word's width
+	m.Xor(3, 0x4)
+	r.Xor(0x1, 0x30)
+	if r.Q() != 0x1 {
+		t.Fatalf("Xor on Q: %#x", r.Q())
+	}
+	if err := sim.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Queued() != 0 || m.data[2] != 0x11 || m.data[1] != 0xDD || m.data[3] != 0x4 || r.Q() != 0x03 {
+		t.Fatalf("after the edge: queue %d, words %#x %#x %#x, r %#x", m.Queued(), m.data[1], m.data[2], m.data[3], r.Q())
 	}
 }

@@ -52,6 +52,10 @@ type rtlCache struct {
 	// instrumentation for injection-time advancement).
 	accessHook func(set, way int)
 
+	// lanes, when non-nil, is the value-lane store riding the L1D: the
+	// line traffic moves its diffs (Core.AttachLanes).
+	lanes *laneStore
+
 	// Statistics (testbench-side, not design state).
 	accesses  uint64
 	misses    uint64
@@ -185,13 +189,20 @@ func (c *rtlCache) access(addr uint32, cycle uint64, pin *trace.Pinout) (accessR
 		}
 		c.backing.StoreBytes(evAddr, line)
 		pin.Record(cycle, evAddr, trace.KindWriteback, line)
+		if l := c.lanes; l != nil && (l.Line[i].Any() || l.Mem.Any()) {
+			l.WriteBack(i, uint32(i*c.cfg.LineBytes), line, evAddr, cycle)
+		}
 	}
 	fill := c.fillBuf
+	pos := c.data.Queued()
 	c.backing.ReadBytes(fillAddr, fill) // in range: checked above
 	for w := 0; w < c.lineWords; w++ {
 		v := uint32(fill[4*w]) | uint32(fill[4*w+1])<<8 |
 			uint32(fill[4*w+2])<<16 | uint32(fill[4*w+3])<<24
 		c.data.Write(i*c.lineWords+w, uint64(v))
+	}
+	if c.lanes != nil && c.lanes.Mem.Any() {
+		c.lanes.fill(pos, fillAddr)
 	}
 	c.tag.Write(i, tag)
 	c.valid.Write(i, 1)
@@ -276,14 +287,28 @@ func (c *rtlCache) storeByte(addr uint32, v byte, cycle uint64, pin *trace.Pinou
 	return r, true
 }
 
+// byteIdx is the data-array byte an access touched.
+func (r accessResult) byteIdx(c *rtlCache) int {
+	return c.lineIdx(r.set, r.way)*c.cfg.LineBytes + r.off
+}
+
+// resident returns the data-array byte holding addr when its line is
+// resident.
+func (c *rtlCache) resident(addr uint32) (int, bool) {
+	set, tag, off := c.index(addr)
+	if way := c.lookup(set, tag); way >= 0 {
+		return c.lineIdx(set, way)*c.cfg.LineBytes + off, true
+	}
+	return 0, false
+}
+
 // peekByte returns the byte at addr as the core observes it (cache line
 // if resident, else backing memory), with no state changes. Used by the
 // syscall unit's software observation point.
 func (c *rtlCache) peekByte(addr uint32) (byte, bool) {
-	set, tag, off := c.index(addr)
-	if way := c.lookup(set, tag); way >= 0 {
-		w := c.data.Read(c.lineIdx(set, way)*c.lineWords + off/4)
-		return byte(w >> (8 * uint(off&3))), true
+	if idx, ok := c.resident(addr); ok {
+		w := c.data.Read(idx / 4)
+		return byte(w >> (8 * uint(idx&3))), true
 	}
 	return c.backing.LoadByte(addr)
 }

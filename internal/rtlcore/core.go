@@ -6,6 +6,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/cache"
 	"repro/internal/isa"
+	"repro/internal/lanestore"
 	"repro/internal/mem"
 	"repro/internal/refsim"
 	"repro/internal/rtl"
@@ -112,6 +113,10 @@ type Core struct {
 	l1i *rtlCache
 	l1d *rtlCache
 
+	// lanes, when non-nil, is the value-lane store of the lockstep replay
+	// lanes riding this instance (lanes.go, AttachLanes).
+	lanes *laneStore
+
 	// Testbench state.
 	Output    []byte
 	Stop      refsim.StopReason
@@ -176,6 +181,9 @@ func (c *Core) Cycles() uint64 { return c.sim.CycleCount }
 func (c *Core) Step() bool {
 	if c.Stop != refsim.StopNone {
 		return false
+	}
+	if c.lanes != nil {
+		c.lanes.edge()
 	}
 	if err := c.sim.Tick(); err != nil {
 		c.Stop = refsim.StopFault
@@ -250,6 +258,9 @@ func (c *Core) eval() {
 		return
 	}
 	var stallCycles uint64
+	// Lanes with a register or latch diff: the hooks on those planes run
+	// only then (lanes.go).
+	dense := c.lanes != nil && c.lanes.dense.Any()
 
 	// Each stage latch is decoded once; the stages below share the
 	// result (MEM and the EX forwarding network both look at exmem.ir,
@@ -288,6 +299,11 @@ func (c *Core) eval() {
 			return
 		case in.Op == isa.OpSVC:
 			c.Insts++
+			if dense {
+				for _, r := range [...]src{src(isa.R7), src(isa.R0), src(isa.R1)} {
+					c.lanes.peelOn(r, lanestore.PeelSyscall)
+				}
+			}
 			num := uint32(c.regfile.Read(int(isa.R7)))
 			a0 := uint32(c.regfile.Read(int(isa.R0)))
 			a1 := uint32(c.regfile.Read(int(isa.R1)))
@@ -295,6 +311,9 @@ func (c *Core) eval() {
 			if !ok {
 				c.halt(refsim.StopFault, fmt.Sprintf("syscall %d failed at %#x", num, uint32(c.memwb.pc.Q())))
 				return
+			}
+			if l := c.lanes; l != nil && num == isa.SysWrite && (l.L1D.Any() || l.Mem.Any()) {
+				l.output(a0, a1, len(c.Output))
 			}
 			c.Output = append(c.Output, frag...)
 			if exited {
@@ -307,6 +326,9 @@ func (c *Core) eval() {
 			if d := dstReg(in); d >= 0 {
 				wbDst = d
 				c.regfile.Write(d, uint64(wbVal))
+				if dense && c.lanes.q[latV].Any() {
+					c.lanes.writeReg()
+				}
 			}
 		}
 	}
@@ -314,12 +336,16 @@ func (c *Core) eval() {
 	// ------------------------------------------------------------ MEM
 	c.memwb.pass(c.exmem)
 	memResult := uint32(c.exmemR.Q())
+	memSrc := srcLat + latR // where memResult comes from, if not a load
 	if c.exmem.valid.QBool() && c.exmem.exc.Q() == excNone {
 		in := memIn
 		if memErr != nil {
 			c.memwb.exc.SetD(excDecode)
 		} else if in.Op.IsMem() {
 			addr := uint32(c.exmemR.Q())
+			if dense && c.lanes.q[latR].Any() {
+				c.lanes.peelOn(srcLat+latR, lanestore.PeelAddress)
+			}
 			cyc := c.sim.CycleCount
 			byteOp := in.Op == isa.OpLDRB || in.Op == isa.OpLDRBR ||
 				in.Op == isa.OpSTRB || in.Op == isa.OpSTRBR
@@ -342,28 +368,47 @@ func (c *Core) eval() {
 			} else if res.miss {
 				stallCycles = uint64(c.cfg.MemLatency)
 			}
+			if in.Op.IsLoad() {
+				memSrc = srcNone
+				if l := c.lanes; ok && l != nil && (l.L1D.Any() || l.Mem.Any() || l.d[latV].Any()) {
+					size := uint32(4)
+					if byteOp {
+						size = 1
+					}
+					l.load(addr, res.byteIdx(c.l1d), res.miss, size)
+					memSrc = srcLoaded
+				}
+			} else if l := c.lanes; ok && l != nil && (l.q[latMSt].Any() || byteOp && (l.L1D.Any() || l.Mem.Any())) {
+				l.store(c.l1d.data.Queued()-1, addr, res.byteIdx(c.l1d), res.miss, byteOp)
+			}
 		}
 	}
 	c.memwbV.SetD(uint64(memResult))
+	if dense && memSrc != srcLoaded {
+		c.lanes.move(latV, memSrc)
+	}
 
 	// ------------------------------------------------------------- EX
 	// Forwarding: ALU results from the instruction now in MEM, any
-	// result (including loads) from the instruction now in WB.
-	fwd := func(r isa.Reg, latched uint32) uint32 {
+	// result (including loads) from the instruction now in WB. The
+	// source is returned with the value: value lanes take their diff
+	// from the source golden selected.
+	fwd := func(r isa.Reg, latched *rtl.Reg, lat src) (uint32, src) {
 		if c.exmem.valid.QBool() && c.exmem.exc.Q() == excNone && memErr == nil &&
 			!memIn.Op.IsLoad() && dstReg(memIn) == int(r) {
-			return uint32(c.exmemR.Q())
+			return uint32(c.exmemR.Q()), srcLat + latR
 		}
 		if wbDst == int(r) {
-			return wbVal
+			return wbVal, srcLat + latV
 		}
-		return latched
+		return uint32(latched.Q()), lat
 	}
 	redirect := false
 	var redirTarget uint32
 	c.exmem.pass(c.idex)
 	exResult := uint64(0)
-	exSt := c.idexSt.Q()
+	exSt, stSrc := c.idexSt.Q(), srcLat+latSt
+	exDst := -1 // the data latch the execute datapath drives
 	if c.idex.valid.QBool() && c.idex.exc.Q() == excNone {
 		in := exIn
 		if exErr != nil {
@@ -371,42 +416,49 @@ func (c *Core) eval() {
 		} else {
 			pc := uint32(c.idex.pc.Q())
 			op := in.Op
+			imm := uint32(in.Imm)
 			var a, b uint32
+			sa, sb := srcNone, srcNone
 			if op == isa.OpRET {
-				a = fwd(isa.LR, uint32(c.idexA.Q()))
+				a, sa = fwd(isa.LR, c.idexA, srcLat+latA)
 			} else if op.ReadsRn() {
-				a = fwd(in.Rn, uint32(c.idexA.Q()))
+				a, sa = fwd(in.Rn, c.idexA, srcLat+latA)
 			}
 			if op.ReadsRm() {
-				b = fwd(in.Rm, uint32(c.idexB.Q()))
+				b, sb = fwd(in.Rm, c.idexB, srcLat+latB)
 			}
 			if op.IsStore() {
-				exSt = uint64(fwd(in.Rd, uint32(c.idexSt.Q())))
+				var st uint32
+				st, stSrc = fwd(in.Rd, c.idexSt, srcLat+latSt)
+				exSt = uint64(st)
 			}
 			// The execute datapath evaluates structurally every
 			// cycle; the opcode muxes the outputs (datapath.go).
 			switch {
 			case op == isa.OpCMP:
-				c.flags.SetD(uint64(evalDatapath(op, a, b).flags.Pack()))
+				exDst = latFlags
 			case op == isa.OpCMPI:
-				c.flags.SetD(uint64(evalDatapath(op, a, uint32(in.Imm)).flags.Pack()))
+				b, sb, exDst = imm, srcNone, latFlags
 			case op == isa.OpMOVI:
-				exResult = uint64(evalDatapath(op, 0, uint32(in.Imm)).result)
+				a, sa, b, sb, exDst = 0, srcNone, imm, srcNone, latR
 			case op == isa.OpMOVT:
-				exResult = uint64(evalDatapath(op, fwd(in.Rd, uint32(c.idexA.Q())), uint32(in.Imm)).result)
+				a, sa = fwd(in.Rd, c.idexA, srcLat+latA)
+				b, sb, exDst = imm, srcNone, latR
 			case op.IsALUReg():
-				exResult = uint64(evalDatapath(op, a, b).result)
+				exDst = latR
 			case op.IsALUImm():
-				exResult = uint64(evalDatapath(op, a, uint32(in.Imm)).result)
+				b, sb, exDst = imm, srcNone, latR
 			case op.IsMem():
-				off := b
 				if op == isa.OpLDR || op == isa.OpSTR || op == isa.OpLDRB || op == isa.OpSTRB {
-					off = uint32(in.Imm)
+					b, sb = imm, srcNone
 				}
-				exResult = uint64(evalDatapath(op, a, off).result)
+				exDst = latR
 			case op == isa.OpRET:
 				redirect = true
 				redirTarget = a
+				if dense && c.lanes.members(sa).Any() {
+					c.lanes.peelOn(sa, lanestore.PeelTarget)
+				}
 			case op == isa.OpBL:
 				redirect = true
 				redirTarget = branchAdder(pc, in)
@@ -415,18 +467,41 @@ func (c *Core) eval() {
 				redirect = true
 				redirTarget = branchAdder(pc, in)
 			case op.IsCondBranch():
-				if isa.CondHolds(op, isa.UnpackFlags(uint8(c.flags.Q()))) {
+				f := uint8(c.flags.Q())
+				taken := isa.CondHolds(op, isa.UnpackFlags(f))
+				if taken {
 					redirect = true
 					redirTarget = branchAdder(pc, in)
+				}
+				if dense && c.lanes.q[latFlags].Any() {
+					c.lanes.branch(op, f, taken)
+				}
+			}
+			if exDst >= 0 {
+				out := evalDatapath(op, a, b)
+				if exDst == latFlags {
+					c.flags.SetD(uint64(out.flags.Pack()))
+				} else {
+					exResult = uint64(out.result)
+				}
+				if dense {
+					c.lanes.exec(op, exDst, sa, sb, a, b, out)
 				}
 			}
 		}
 	}
 	c.exmemR.SetD(exResult)
 	c.exmemSt.SetD(exSt)
+	if dense {
+		if exDst != latR {
+			c.lanes.move(latR, srcNone)
+		}
+		c.lanes.move(latMSt, stSrc)
+	}
 
 	// ------------------------------------------------------------- ID
 	loadUse := false
+	srcA, srcB, srcSt := srcNone, srcNone, srcNone // what the operand latches read
 	idValid := c.ifid.valid.QBool()
 	if idValid && c.ifid.exc.Q() == excNone && !redirect {
 		in, err := isa.Decode(uint32(c.ifid.ir.Q()))
@@ -459,33 +534,33 @@ func (c *Core) eval() {
 				c.idexSt.SetD(0)
 			} else {
 				// Register read with WB bypass (write-first regfile).
-				read := func(r isa.Reg) uint64 {
+				read := func(r isa.Reg) (uint64, src) {
 					if wbDst == int(r) {
-						return uint64(wbVal)
+						return uint64(wbVal), srcLat + latV
 					}
-					return c.regfile.Read(int(r))
+					return c.regfile.Read(int(r)), src(r)
 				}
 				c.idex.pass(c.ifid)
+				var v uint64
 				switch {
 				case in.Op == isa.OpRET:
-					c.idexA.SetD(read(isa.LR))
+					v, srcA = read(isa.LR)
 				case in.Op == isa.OpMOVT:
-					c.idexA.SetD(read(in.Rd))
+					v, srcA = read(in.Rd)
 				case in.Op.ReadsRn():
-					c.idexA.SetD(read(in.Rn))
-				default:
-					c.idexA.SetD(0)
+					v, srcA = read(in.Rn)
 				}
+				c.idexA.SetD(v)
+				v = 0
 				if in.Op.ReadsRm() {
-					c.idexB.SetD(read(in.Rm))
-				} else {
-					c.idexB.SetD(0)
+					v, srcB = read(in.Rm)
 				}
+				c.idexB.SetD(v)
+				v = 0
 				if in.Op.IsStore() {
-					c.idexSt.SetD(read(in.Rd))
-				} else {
-					c.idexSt.SetD(0)
+					v, srcSt = read(in.Rd)
 				}
+				c.idexSt.SetD(v)
 			}
 		}
 	} else if idValid && c.ifid.exc.Q() != excNone && !redirect {
@@ -498,6 +573,11 @@ func (c *Core) eval() {
 		c.idexA.SetD(0)
 		c.idexB.SetD(0)
 		c.idexSt.SetD(0)
+	}
+	if dense {
+		c.lanes.move(latA, srcA)
+		c.lanes.move(latB, srcB)
+		c.lanes.move(latSt, srcSt)
 	}
 
 	// ------------------------------------------------------------- IF
@@ -518,6 +598,10 @@ func (c *Core) eval() {
 			c.ifid.exc.SetD(excFetch)
 			c.pc.SetD(uint64(netAdd(pc, isa.InstBytes)))
 		case res.miss:
+			if l := c.lanes; l != nil && l.Mem.Any() {
+				lb := uint32(c.cfg.L1I.LineBytes)
+				l.IFetch(pc&^(lb-1), lb)
+			}
 			if uint64(c.cfg.MemLatency) > stallCycles {
 				stallCycles = uint64(c.cfg.MemLatency)
 			}

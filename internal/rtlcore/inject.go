@@ -113,22 +113,13 @@ func (c *Core) latchRegs() []*rtl.Reg {
 // FlipRFBit and FlipL1DBit. Every design-side read and clock-edge write
 // of those arrays funnels through the rtl kernel's memory ports, where
 // the events are recorded; pipeline latches stay untracked, so latch
-// campaigns always fall back to full replay.
+// campaigns always fall back to full replay. The pipeline latches have
+// no lane surface either (lanes.go): a latch fault's diff would sit in
+// control state as often as in data, so latch campaigns replay on the
+// scalar engine.
 func (c *Core) SetLifetime(rf, l1d *lifetime.Space) {
 	c.regfile.SetLifetime(rf)
 	c.l1d.data.SetLifetime(l1d)
-}
-
-// SetLanes attaches (or detaches, with nils) a lockstep lane tracker
-// over the register file or the L1D data array, with the geometry
-// SetLifetime documents. The kernel reports reads at the array's read
-// port and writes as the clock edge applies them (see rtl.Mem.SetLanes).
-// The pipeline latches have no lane surface: they are individual
-// registers read combinationally every cycle, so a latch fault would
-// peel on its first tick and lockstep batching could never win.
-func (c *Core) SetLanes(rf, l1d *lifetime.Lanes) {
-	c.regfile.SetLanes(rf)
-	c.l1d.data.SetLanes(l1d)
 }
 
 // SetL1DAccessHook installs a testbench callback observing every D-cache

@@ -8,7 +8,9 @@
 // The same docs cite `paper -fig X` / `paper -table X` invocations: each
 // must name a registered experiment (core.Experiments) or table, and
 // every registered experiment must have its row in EXPERIMENTS.md's
-// index.
+// index. DESIGN.md's metric table must name exactly the series the
+// process registers with obs, no more and no fewer, so a new series
+// cannot go undocumented and a removed one cannot linger.
 //
 //	go run ./tools/docscheck
 package main
@@ -25,6 +27,9 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	_ "repro/internal/distrib" // registers the coordinator and worker series
+	"repro/internal/obs"
+	"repro/internal/prof"
 )
 
 func main() {
@@ -59,6 +64,13 @@ func main() {
 	fatal(err)
 	unregistered, err := experimentRefs(".", docs, "EXPERIMENTS.md", core.Experiments(), core.PaperTables)
 	fatal(err)
+	prof.EnableRuntimeMetrics()
+	var series strings.Builder
+	fatal(obs.Default.WritePrometheus(&series))
+	text, err := os.ReadFile("DESIGN.md")
+	fatal(err)
+	undocumented := metricRefs("DESIGN.md", string(text), registeredSeries(series.String()))
+	problems = append(problems, undocumented...)
 	if problems = append(append(problems, dangling...), unregistered...); len(problems) > 0 {
 		fmt.Fprintln(os.Stderr, "docscheck:")
 		for _, p := range problems {
@@ -125,6 +137,83 @@ func experimentRefs(root string, docs []string, indexDoc string, exps []core.Exp
 	}
 	slices.Sort(bad)
 	return slices.Compact(bad), nil
+}
+
+var (
+	// typeLine is an exposition header naming one registered series.
+	typeLine = regexp.MustCompile(`(?m)^# TYPE (\S+) `)
+	// codeSpan is a code span; braceGroup a {a,b,...} alternation inside
+	// one, or a label set ({reason}, {class=...}) ending it.
+	codeSpan   = regexp.MustCompile("`([^`]+)`")
+	braceGroup = regexp.MustCompile(`\{([^}]*)\}`)
+)
+
+// registeredSeries returns the series names, labels dropped, of a
+// Prometheus text exposition.
+func registeredSeries(exposition string) []string {
+	var names []string
+	for _, m := range typeLine.FindAllStringSubmatch(exposition, -1) {
+		names = append(names, m[1])
+	}
+	return names
+}
+
+// metricRefs returns, sorted, one line per series the metric table of doc
+// (the table headed "| Series |") names that registered lacks, and one
+// per registered series it does not name. A brace group with commas in a
+// name expands (distrib_campaigns_{submitted,done}_total names two
+// series); any other brace group is a label set and is dropped.
+func metricRefs(doc, text string, registered []string) []string {
+	documented := map[string]bool{}
+	inTable := false
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "| Series |") {
+			inTable = true
+			continue
+		}
+		if !inTable || strings.HasPrefix(line, "|---") {
+			continue
+		}
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		cell := strings.SplitN(line, "|", 3)[1]
+		for _, m := range codeSpan.FindAllStringSubmatch(cell, -1) {
+			for _, name := range expandBraces(m[1]) {
+				documented[name] = true
+			}
+		}
+	}
+	var bad []string
+	for _, name := range registered {
+		if !documented[name] {
+			bad = append(bad, fmt.Sprintf("%s: series %s is registered but not in the metric table", doc, name))
+		}
+		delete(documented, name)
+	}
+	for name := range documented {
+		bad = append(bad, fmt.Sprintf("%s: metric table names %s, which no package registers", doc, name))
+	}
+	slices.Sort(bad)
+	return bad
+}
+
+// expandBraces expands a series name's comma brace groups and drops its
+// label set.
+func expandBraces(name string) []string {
+	m := braceGroup.FindStringSubmatchIndex(name)
+	if m == nil {
+		return []string{name}
+	}
+	alts := strings.Split(name[m[2]:m[3]], ",")
+	if len(alts) == 1 {
+		return expandBraces(name[:m[0]] + name[m[1]:])
+	}
+	var out []string
+	for _, a := range alts {
+		out = append(out, expandBraces(name[:m[0]]+a+name[m[1]:])...)
+	}
+	return out
 }
 
 // danglingRefs returns, sorted, one line per reference in the named docs

@@ -202,3 +202,27 @@ func TestRepositoryDocsCiteRegisteredExperiments(t *testing.T) {
 		t.Error(b)
 	}
 }
+
+// TestMetricRefs pins the metric-table check: brace alternations expand,
+// label sets drop, rows outside the table do not count, and a series is
+// reported on whichever side it is missing from.
+func TestMetricRefs(t *testing.T) {
+	if got := expandBraces("d_{a,b}_x_{c,e}_total{reason}"); !slices.Equal(got, []string{"d_a_x_c_total", "d_a_x_e_total", "d_b_x_c_total", "d_b_x_e_total"}) {
+		t.Errorf("expandBraces: %v", got)
+	}
+	doc := "`stray_total` before the table\n\n" +
+		"| Series | Tier | Meaning |\n|---|---|---|\n" +
+		"| `a_total{class=...}`, `b_{x,y}_total` | engine | `not_a_series` in the meaning |\n" +
+		"| `gone_total` | engine | |\n\n| `after_total` | x | |\n"
+	got := metricRefs("D.md", doc, []string{"a_total", "b_x_total", "b_y_total", "new_total"})
+	want := []string{
+		"D.md: metric table names gone_total, which no package registers",
+		"D.md: series new_total is registered but not in the metric table",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("metricRefs:\ngot  %q\nwant %q", got, want)
+	}
+	if got := registeredSeries("# HELP a_total h\n# TYPE a_total counter\na_total{class=\"x\"} 1\n"); !slices.Equal(got, []string{"a_total"}) {
+		t.Errorf("registeredSeries: %v", got)
+	}
+}
