@@ -35,7 +35,7 @@ import (
 // an instruction fill from diffed memory. A dirty line written back with
 // a diff does not peel (lanestore.Store.WriteBack).
 //
-// Persistent faults keep peel-on-read, as on the microarchitectural
+// Persistent faults peel on read, as on the microarchitectural
 // model: a lane forced by Force peels at the first read of a diff.
 //
 // The exec-stage data latches, in a lane's plane order.
