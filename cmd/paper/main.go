@@ -94,6 +94,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/campaign"
@@ -118,8 +119,33 @@ func main() {
 
 // run regenerates what args select onto w; stop, when closed, drains
 // in-flight replays and flushes checkpoint shards (the first
-// SIGINT/SIGTERM in main).
+// SIGINT/SIGTERM in main). It is parse, one regenerate and one render.
 func run(args []string, w io.Writer, stop <-chan struct{}) error {
+	sel, stopProcess, err := parse(args, stop)
+	if sel == nil || err != nil {
+		return err
+	}
+	defer stopProcess()
+	res, err := sel.regenerate()
+	if err != nil {
+		return err
+	}
+	return sel.render(w, res)
+}
+
+// selection is what one invocation regenerates, and in which format.
+type selection struct {
+	table, figure string
+	all           bool
+	format        report.Format
+	params        core.Params
+}
+
+// parse reads args into a selection, rejecting a bad one before anything
+// is simulated or printed, and starts the profiles and metrics the flags
+// ask for; the caller defers the returned stop. A nil selection with a
+// nil error means -version was printed.
+func parse(args []string, stop <-chan struct{}) (sel *selection, stopProcess func(), err error) {
 	fs := flag.NewFlagSet("paper", flag.ContinueOnError)
 	var (
 		table      = fs.String("table", "", "regenerate a table: 1, 2 or sample")
@@ -142,127 +168,109 @@ func run(args []string, w io.Writer, stop <-chan struct{}) error {
 		remote     = fs.String("remote", "", "run every campaign on a faultsimd fleet via this coordinator base URL (checkpointing then lives coordinator-side; -checkpoint is ignored)")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, nil, err
 	}
-	stopProcess, exit, err := process()
+	halt, exit, err := process()
 	if exit || err != nil {
-		return err
+		return nil, nil, err
 	}
-	defer stopProcess()
+	defer func() {
+		if err != nil {
+			halt()
+		}
+	}()
 
-	format := report.FormatTable
+	sel = &selection{table: *table, figure: *figure, all: *all, params: core.DefaultParams()}
 	switch {
 	case *csv && *jsonOut:
-		return errors.New("-csv and -json are mutually exclusive")
+		return nil, nil, errors.New("-csv and -json are mutually exclusive")
 	case *csv:
-		format = report.FormatCSV
+		sel.format = report.FormatCSV
 	case *jsonOut:
-		format = report.FormatJSON
+		sel.format = report.FormatJSON
 	}
-
-	params := core.DefaultParams()
+	params := &sel.params
 	if *injections > 0 {
 		params.Injections = *injections
 	}
-	params.Seed = *seed
 	if *window >= 0 {
 		params.Window = uint64(*window)
 	}
 	if params.Fault, err = faultFlags(); err != nil {
-		return err
+		return nil, nil, err
 	}
-	params.Workers = *workers
-	params.Checkpoint = *checkpoint
-	params.EarlyStop = *earlyStop
-	params.TargetError = *targetErr
 	if params.Prune, err = campaign.ParsePruneMode(*prune); err != nil {
-		return err
+		return nil, nil, err
 	}
-	params.Lanes = *lanes
+	params.Seed, params.Workers, params.Checkpoint, params.Lanes = *seed, *workers, *checkpoint, *lanes
+	params.EarlyStop, params.TargetError, params.Stop = *earlyStop, *targetErr, stop
 	if *benches != "" {
 		params.Benches = strings.Split(*benches, ",")
 	}
-	params.Stop = stop
 	if *remote != "" {
 		params.Runner = distrib.NewClient(*remote).SweepRunner()
 	}
 
-	emit := func(res *core.ExperimentResult) error {
-		s, err := report.Experiment(res, format)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, s)
-		return nil
+	switch {
+	case sel.all:
+	case *table == "" && *figure == "":
+		fs.Usage()
+		return nil, nil, errors.New("nothing selected: pass -table, -fig or -all")
+	case *figure != "" && !slices.Contains(core.ExperimentNames(), *figure):
+		_, err = core.LookupExperiment(*figure)
+		return nil, nil, err
+	case *table != "" && !slices.Contains(core.PaperTables, *table):
+		return nil, nil, fmt.Errorf("unknown table %q (have: %s)", *table, strings.Join(core.PaperTables, ", "))
 	}
+	return sel, halt, nil
+}
 
-	tableI := func() { fmt.Fprintln(w, report.TableI(core.DefaultSetup())) }
-	sample := func() error {
+// regenerate runs the campaigns the selection needs, once: -all as one
+// sweep (goldens shared across figures and TABLE II, replays through
+// one global pool), -table 2's golden runs, and -fig's experiment as
+// the only entry of Figures.
+func (s *selection) regenerate() (res *core.AllResults, err error) {
+	if s.all {
+		return s.params.RunAll()
+	}
+	res = &core.AllResults{}
+	if s.table == "2" {
+		res.Table2Rows, res.Table2AvgRatio, err = s.params.Table2()
+	}
+	if s.figure != "" && err == nil {
+		res.Figures = make([]*core.ExperimentResult, 1)
+		res.Figures[0], err = s.params.Run(s.figure)
+	}
+	return res, err
+}
+
+// render prints regenerated results onto w in the selection's format.
+func (s *selection) render(w io.Writer, res *core.AllResults) error {
+	if s.all || s.table == "1" {
+		fmt.Fprintln(w, report.TableI(core.DefaultSetup()))
+	}
+	if s.all || s.table == "sample" {
 		n, err := stats.LeveugleSampleSize(0, 0.02, 0.99)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "== Statistical sample (Leveugle et al.) ==\n\n")
 		fmt.Fprintf(w, "error margin 2%%, confidence 99%%  ->  n = %d (paper rounds to 4000)\n", n)
-		fmt.Fprintf(w, "this run uses n = %d per campaign\n\n", params.Injections)
-		return nil
+		fmt.Fprintf(w, "this run uses n = %d per campaign\n\n", s.params.Injections)
 	}
-
-	if *all {
-		// One sweep for everything: goldens shared across figures and
-		// TABLE II, replays through one global pool.
-		tableI()
-		if err := sample(); err != nil {
-			return err
-		}
-		res, err := params.RunAll()
+	if s.all || s.table == "2" {
+		fmt.Fprintln(w, report.TableII(res.Table2Rows, res.Table2AvgRatio))
+	}
+	for _, fig := range res.Figures {
+		out, err := report.Experiment(fig, s.format)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(w, report.TableII(res.Table2Rows, res.Table2AvgRatio))
-		for _, fig := range res.Figures {
-			if err := emit(fig); err != nil {
-				return err
-			}
-		}
+		fmt.Fprint(w, out)
+	}
+	if s.all {
 		fmt.Fprintf(w, "\nsweep: %d golden runs, %d replays resumed from checkpoint, wall %.1fs\n",
 			res.GoldenRuns, res.Resumed, res.Elapsed.Seconds())
-		return nil
 	}
-
-	if *table == "" && *figure == "" {
-		fs.Usage()
-		return errors.New("nothing selected: pass -table, -fig or -all")
-	}
-	// Name a bad selection before printing or simulating anything.
-	if *figure != "" {
-		if _, err := core.LookupExperiment(*figure); err != nil {
-			return err
-		}
-	}
-	switch *table {
-	case "":
-	case "1":
-		tableI()
-	case "2":
-		rows, avg, err := params.Table2()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, report.TableII(rows, avg))
-	case "sample":
-		if err := sample(); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown table %q (have: %s)", *table, strings.Join(core.PaperTables, ", "))
-	}
-	if *figure == "" {
-		return nil
-	}
-	res, err := params.Run(*figure)
-	if err != nil {
-		return err
-	}
-	return emit(res)
+	return nil
 }

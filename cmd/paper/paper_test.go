@@ -8,9 +8,11 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/report"
 )
 
 var update = flag.Bool("update", false, "rewrite the goldens under testdata/ from this build's output")
@@ -57,66 +59,71 @@ func maskWall(out string) string {
 	return strings.Join(lines, "\n")
 }
 
-// TestGoldenOutputs regenerates every -fig, -table and -all output in
-// table, CSV and JSON form at a fixed small sample and compares it
-// against testdata/: a refactor of the experiment, report or cmd layers
-// must not move a byte outside the wall-time cells.
+// TestGoldenOutputs regenerates every -fig, -table and -all selection
+// once at a fixed small sample, renders it in table, CSV and JSON form
+// and compares each against testdata/: a refactor of the experiment,
+// report or cmd layers must not move a byte outside the wall-time cells.
 func TestGoldenOutputs(t *testing.T) {
-	type golden struct {
-		file string
-		args []string
+	selections := [][]string{{"-all"}, {"-table", "1"}, {"-table", "2"}, {"-table", "sample"}}
+	// Every registered experiment: a new registry entry needs goldens.
+	for _, e := range core.Experiments() {
+		selections = append(selections, []string{"-fig", e.Name})
 	}
-	var cases []golden
-	formats := []struct{ ext, flag string }{{"txt", ""}, {"csv", "-csv"}, {"json", "-json"}}
-	for _, f := range formats {
-		with := func(args ...string) []string {
-			if f.flag != "" {
-				args = append(args, f.flag)
-			}
-			return args
+	formats := []struct {
+		flag, ext string
+		format    report.Format
+	}{{"", "txt", report.FormatTable}, {"-csv", "csv", report.FormatCSV}, {"-json", "json", report.FormatJSON}}
+	for _, args := range selections {
+		// The pool size is part of the output, so it is pinned: the JSON
+		// form prints Config.Workers, and the pool splits a sweep's last
+		// unit evenly over its goroutines, which the lane accounting
+		// (LaneOccupancy: the lanes in flight on each walk) follows.
+		sel, stopProcess, err := parse(append([]string{"-injections", "6", "-benches", "caes", "-seed", "1", "-workers", "2"}, args...), nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Tables ignore the format flags: all three forms share one golden.
-		for _, tb := range []string{"1", "2", "sample"} {
-			cases = append(cases, golden{"table-" + tb + ".txt", with("-table", tb)})
-		}
-		// Every registered experiment: a new registry entry needs goldens.
-		for _, e := range core.Experiments() {
-			cases = append(cases, golden{"fig-" + e.Name + "." + f.ext, with("-fig", e.Name)})
-		}
-		cases = append(cases, golden{"all." + f.ext, with("-all")})
-	}
-	for _, c := range cases {
-		t.Run(strings.Join(c.args, ""), func(t *testing.T) {
-			t.Parallel()
-			if testing.Short() && c.args[0] == "-fig" && slowFigs[c.args[1]] {
-				t.Skip("slow matrix in -short mode")
-			}
-			var buf bytes.Buffer
-			// The pool size is part of the output, so it is pinned: the JSON
-			// form prints Config.Workers, and the pool splits a sweep's last
-			// unit evenly over its goroutines, which the lane accounting
-			// (LaneOccupancy: the lanes in flight on each walk) follows.
-			args := append([]string{"-injections", "6", "-benches", "caes", "-seed", "1", "-workers", "2"}, c.args...)
-			if err := run(args, &buf, nil); err != nil {
-				t.Fatal(err)
-			}
-			got := maskWall(buf.String())
-			path := filepath.Join("testdata", c.file)
-			if *update {
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+		stopProcess()
+		regenerate := sync.OnceValues(sel.regenerate)
+		for _, f := range formats {
+			t.Run(strings.Join(args, "")+f.flag, func(t *testing.T) {
+				t.Parallel()
+				if testing.Short() && args[0] == "-fig" && slowFigs[args[1]] {
+					t.Skip("slow matrix in -short mode")
+				}
+				res, err := regenerate()
+				if err != nil {
 					t.Fatal(err)
 				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != string(want) {
-				t.Errorf("paper %s: output differs from %s (rerun with -update only if the change is intended)\n%s",
-					strings.Join(c.args, " "), path, firstDiff(got, string(want)))
-			}
-		})
+				var buf bytes.Buffer
+				s := *sel
+				s.format = f.format
+				if err := s.render(&buf, res); err != nil {
+					t.Fatal(err)
+				}
+				got := maskWall(buf.String())
+				// table-N.txt, fig-NAME.EXT, all.EXT: tables ignore the
+				// format flags, so all three forms share one golden.
+				ext := f.ext
+				if args[0] == "-table" {
+					ext = "txt"
+				}
+				path := filepath.Join("testdata", strings.TrimPrefix(strings.Join(args, "-"), "-")+"."+ext)
+				if *update {
+					if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+						t.Fatal(err)
+					}
+					return
+				}
+				want, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != string(want) {
+					t.Errorf("paper %s %s: output differs from %s (rerun with -update only if the change is intended)\n%s",
+						strings.Join(args, " "), f.flag, path, firstDiff(got, string(want)))
+				}
+			})
+		}
 	}
 }
 

@@ -36,15 +36,11 @@ var avfMatrix = []struct {
 // (lifetime.ClassifyBit via PruneVerdict) must return the same verdict
 // — tracked iff tracked, ACE iff live, and the same consuming cycle.
 func TestAVFVerdictAgreesWithPruneVerdict(t *testing.T) {
-	setup := core.CampaignSetup()
 	for _, tc := range avfMatrix {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			factory, err := workloadFactoryModel("qsort", tc.model, setup)
-			if err != nil {
-				t.Fatal(err)
-			}
+			factory := factoryFor(t, "qsort", tc.model)
 			g, err := campaign.PrepareGolden(factory, campaign.GoldenOptions{Lifetime: true})
 			if err != nil {
 				t.Fatal(err)
@@ -92,26 +88,17 @@ func TestAVFVerdictAgreesWithPruneVerdict(t *testing.T) {
 // injection machinery at all — proof the AVF path performs zero
 // replays — and enabling AVF must leave every outcome untouched.
 func TestAVFZeroReplayEstimate(t *testing.T) {
-	factory, err := workloadFactoryModel("qsort", core.ModelMicroarch, core.CampaignSetup())
-	if err != nil {
-		t.Fatal(err)
-	}
+	factory := factoryFor(t, "qsort", core.ModelMicroarch)
 	cfg := campaign.Config{
 		Injections: 40, Seed: 13, Target: fault.TargetRF,
 		Obs: campaign.ObsPinout, Window: 3000, Workers: 4,
 	}
-	plain, err := campaign.Run(factory, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := mustRun(t, factory, cfg)
 	if plain.AVF != nil {
 		t.Fatal("Result.AVF set with Config.AVF off")
 	}
 	cfg.AVF = true
-	res, err := campaign.Run(factory, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, factory, cfg)
 	if res.AVF == nil {
 		t.Fatal("Result.AVF missing with Config.AVF on")
 	}
@@ -154,15 +141,11 @@ func TestAVFZeroReplayEstimate(t *testing.T) {
 // fraction must upper-bound the measured unsafe fraction — and every
 // fault predicted dead must measure Masked.
 func TestAVFPredictionBoundsUnsafeness(t *testing.T) {
-	setup := core.CampaignSetup()
 	for _, model := range []core.Model{core.ModelMicroarch, core.ModelRTL} {
 		model := model
 		t.Run(model.String(), func(t *testing.T) {
 			t.Parallel()
-			factory, err := workloadFactoryModel("qsort", model, setup)
-			if err != nil {
-				t.Fatal(err)
-			}
+			factory := factoryFor(t, "qsort", model)
 			n := 60
 			if model == core.ModelRTL {
 				n = 24
@@ -171,10 +154,7 @@ func TestAVFPredictionBoundsUnsafeness(t *testing.T) {
 				Injections: n, Seed: 29, Target: fault.TargetRF,
 				Obs: campaign.ObsPinout, Window: 3000, Workers: 4, AVF: true,
 			}
-			res, err := campaign.Run(factory, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := mustRun(t, factory, cfg)
 			g, err := campaign.PrepareGolden(factory, campaign.GoldenOptions{Lifetime: true})
 			if err != nil {
 				t.Fatal(err)
@@ -288,10 +268,7 @@ func TestAVFConfigValidation(t *testing.T) {
 // versa) — the prior moves the stopping index, so reusing it across
 // the switch would silently truncate the campaign.
 func TestAVFPriorStopRecordStaleness(t *testing.T) {
-	factory, err := workloadFactoryModel("qsort", core.ModelMicroarch, core.CampaignSetup())
-	if err != nil {
-		t.Fatal(err)
-	}
+	factory := factoryFor(t, "qsort", core.ModelMicroarch)
 	dir := t.TempDir()
 	mk := func(prior bool) []campaign.SweepCampaign {
 		return []campaign.SweepCampaign{{
@@ -304,20 +281,11 @@ func TestAVFPriorStopRecordStaleness(t *testing.T) {
 			},
 		}}
 	}
-	withPrior, err := campaign.Sweep(mk(true), campaign.SweepOptions{Workers: 4, CheckpointDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	withPrior := mustSweep(t, mk(true), campaign.SweepOptions{Workers: 4, CheckpointDir: dir})
 	// Same shards, prior off: outcome records may resume, but the
 	// stopping index must be re-derived, matching a checkpoint-less run.
-	resumed, err := campaign.Sweep(mk(false), campaign.SweepOptions{Workers: 4, CheckpointDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := campaign.Sweep(mk(false), campaign.SweepOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	resumed := mustSweep(t, mk(false), campaign.SweepOptions{Workers: 4, CheckpointDir: dir})
+	fresh := mustSweep(t, mk(false), campaign.SweepOptions{Workers: 4})
 	a, b := resumed.Results["avf"], fresh.Results["avf"]
 	if len(a.Outcomes) != len(b.Outcomes) {
 		t.Fatalf("stale prior stop record capped the resume: %d outcomes, want %d",

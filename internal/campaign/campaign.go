@@ -139,6 +139,12 @@ var classNames = map[Class]string{
 	ClassCrash: "crash", ClassHang: "hang", ClassDUE: "due",
 }
 
+// Valid reports whether c is a defined class. Outcomes decoded from
+// outside the process — checkpoint records, worker batches — must pass
+// it before they merge: a missing "class" field decodes to Class(0),
+// which would otherwise count as unsafe.
+func (c Class) Valid() bool { return c >= ClassMasked && c < numClasses }
+
 func (c Class) String() string {
 	if s, ok := classNames[c]; ok {
 		return s
@@ -425,14 +431,16 @@ type Result struct {
 	LaneOccupancy float64
 
 	// Replay-scheduling accounting. FastForwardCycles is the golden
-	// pre-injection work the replay phase paid: under SchedStream, the
-	// sum over replayed outcomes of (injection instant − nearest
-	// snapshot cycle), which is exactly what the workers stepped; under
-	// SchedCursor, the cycles the workers' golden cursors actually
-	// walked. FastForwardSaved is the stream-order cost minus the
-	// actual cost — the fast-forward work the cursor schedule
-	// eliminated — and stays 0 under SchedStream. Both cover counted
-	// (non-pruned, non-extrapolated) replays only.
+	// pre-injection work of the replay phase. A campaign not on
+	// SchedCursor reports the stream-order estimate — the sum over
+	// counted (non-pruned, non-extrapolated) replays of (injection
+	// instant − nearest snapshot cycle) — whatever engine replayed it,
+	// lane walks included. A SchedCursor campaign reports the golden
+	// cycles its engine actually stepped, seek cycles included, and
+	// FastForwardSaved is the stream-order estimate minus that, clamped
+	// at 0; FastForwardSaved stays 0 on every other schedule, and on a
+	// SchedCursor campaign this process replayed nothing of (fully
+	// resumed), which reports the estimate.
 	FastForwardCycles uint64
 	FastForwardSaved  uint64
 

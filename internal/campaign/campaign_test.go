@@ -9,6 +9,26 @@ import (
 	"repro/internal/trace"
 )
 
+// mustRun is campaign.Run, failing the test on error.
+func mustRun(t *testing.T, f campaign.Factory, cfg campaign.Config) *campaign.Result {
+	t.Helper()
+	res, err := campaign.Run(f, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// mustSweep is campaign.Sweep, failing the test on error.
+func mustSweep(t *testing.T, m []campaign.SweepCampaign, opt campaign.SweepOptions) *campaign.SweepResult {
+	t.Helper()
+	sr, err := campaign.Sweep(m, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sr
+}
+
 func runSmall(t *testing.T, model core.Model, cfg campaign.Config, workload string) *campaign.Result {
 	t.Helper()
 	res, err := core.RunCampaign(workload, model, core.CampaignSetup(), cfg)

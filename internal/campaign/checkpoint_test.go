@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -37,10 +38,7 @@ func TestSweepResumesLegacyShardLayout(t *testing.T) {
 		}},
 	}
 	opt := campaign.SweepOptions{Workers: 2, CheckpointDir: dir}
-	first, err := campaign.Sweep(matrix, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := mustSweep(t, matrix, opt)
 	if first.Results["fig/l1d"].RunsSaved == 0 {
 		t.Fatal("sequential stop never fired; no stop record to carry over")
 	}
@@ -76,10 +74,7 @@ func TestSweepResumesLegacyShardLayout(t *testing.T) {
 		}
 	}
 
-	second, err := campaign.Sweep(matrix, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	second := mustSweep(t, matrix, opt)
 	if second.Resumed != len(outcomes) {
 		t.Errorf("resumed %d replays, want all %d", second.Resumed, len(outcomes))
 	}
@@ -93,6 +88,43 @@ func TestSweepResumesLegacyShardLayout(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("%s: result resumed from the legacy layout differs:\n got %+v\nwant %+v", key, got, want)
 		}
+	}
+}
+
+// TestResumeSkipsOutOfRangeClasses: a checkpoint record whose class is
+// missing (decoding to 0) or unknown is damaged, not an outcome — resume
+// replays its index instead of merging it as unsafe.
+func TestResumeSkipsOutOfRangeClasses(t *testing.T) {
+	dir := t.TempDir()
+	matrix := []campaign.SweepCampaign{{Key: "k", Group: "g", Factory: factoryFor(t, "caes", core.ModelMicroarch),
+		Config: campaign.Config{Injections: 40, Seed: 1, Target: fault.TargetRF, Window: 500}}}
+	opt := campaign.SweepOptions{Workers: 2, CheckpointDir: dir}
+	first := mustSweep(t, matrix, opt)
+	shards, err := filepath.Glob(filepath.Join(dir, "shard-*.jsonl"))
+	if err != nil || len(shards) != 1 {
+		t.Fatalf("shards %v (%v), want one", shards, err)
+	}
+	b, err := os.ReadFile(shards[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	class := regexp.MustCompile(`"class":\d+,`)
+	lines := strings.Split(string(b), "\n")
+	lines[0] = class.ReplaceAllString(lines[0], "")
+	lines[1] = class.ReplaceAllString(lines[1], `"class":99,`)
+	if err := os.WriteFile(shards[0], []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	second := mustSweep(t, matrix, opt)
+	if want := matrix[0].Config.Injections - 2; second.Resumed != want {
+		t.Errorf("resumed %d replays, want %d", second.Resumed, want)
+	}
+	want, got := first.Results["k"], second.Results["k"]
+	normalizeResult(want)
+	normalizeResult(got)
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("resume merged a damaged record: counts %v, unsafe %d; want %v, %d",
+			got.Counts, got.Unsafeness.Hits, want.Counts, want.Unsafeness.Hits)
 	}
 }
 
@@ -140,10 +172,7 @@ func TestInterruptedSweepResumesEveryEngine(t *testing.T) {
 				}
 				return m
 			}
-			want, err := campaign.Sweep(matrix(fac), campaign.SweepOptions{Workers: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := mustSweep(t, matrix(fac), campaign.SweepOptions{Workers: 2})
 
 			// One pool goroutine, and the interrupt fires as it builds the
 			// tripping campaign's engine, which it does for the pull it has
@@ -155,15 +184,12 @@ func TestInterruptedSweepResumesEveryEngine(t *testing.T) {
 				}
 				return fac()
 			}
-			_, err = campaign.Sweep(matrix(interrupting), campaign.SweepOptions{Workers: 1, CheckpointDir: dir, Stop: stop})
+			_, err := campaign.Sweep(matrix(interrupting), campaign.SweepOptions{Workers: 1, CheckpointDir: dir, Stop: stop})
 			if !errors.Is(err, campaign.ErrInterrupted) {
 				t.Fatalf("interrupted sweep returned %v, want ErrInterrupted", err)
 			}
 
-			got, err := campaign.Sweep(matrix(fac), campaign.SweepOptions{Workers: 2, CheckpointDir: dir})
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := mustSweep(t, matrix(fac), campaign.SweepOptions{Workers: 2, CheckpointDir: dir})
 			if got.Resumed < 20 || got.Resumed >= 60 {
 				t.Errorf("resumed %d replays; want more than one campaign's 20 and fewer than all 60", got.Resumed)
 			}

@@ -187,11 +187,7 @@ func TestSequentialStoppingConfigValidation(t *testing.T) {
 // (shared goldens, global pool, group-major streaming dispatch) must
 // reproduce standalone Run bit for bit, stopping index included.
 func TestSweepEarlyStopMatchesStandalone(t *testing.T) {
-	setup := core.CampaignSetup()
-	f, err := workloadFactory("qsort", setup)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := factoryFor(t, "qsort", core.ModelMicroarch)
 	cfg := campaign.Config{
 		Injections: 120, Seed: 23, Target: fault.TargetRF,
 		Obs: campaign.ObsPinout, Window: 2_000, Workers: 4,
@@ -203,10 +199,7 @@ func TestSweepEarlyStopMatchesStandalone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	standalone, err := campaign.Run(f, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	standalone := mustRun(t, f, cfg)
 	got := sr.Results["adaptive/qsort"]
 	if len(got.Outcomes) != len(standalone.Outcomes) {
 		t.Fatalf("stopping index differs: sweep %d vs standalone %d",
@@ -231,11 +224,7 @@ func TestSweepEarlyStopMatchesStandalone(t *testing.T) {
 // stop record) without re-simulating, and a changed stopping rule must
 // invalidate the stop record but keep the outcome records.
 func TestSweepEarlyStopCheckpointResume(t *testing.T) {
-	setup := core.CampaignSetup()
-	f, err := workloadFactory("qsort", setup)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := factoryFor(t, "qsort", core.ModelMicroarch)
 	cfg := campaign.Config{
 		Injections: 120, Seed: 23, Target: fault.TargetRF,
 		Obs: campaign.ObsPinout, Window: 2_000, Workers: 4,
@@ -246,14 +235,8 @@ func TestSweepEarlyStopCheckpointResume(t *testing.T) {
 	}
 	dir := t.TempDir()
 	opt := campaign.SweepOptions{Workers: 4, CheckpointDir: dir}
-	first, err := campaign.Sweep(matrix, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := campaign.Sweep(matrix, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := mustSweep(t, matrix, opt)
+	second := mustSweep(t, matrix, opt)
 	a, b := first.Results["adaptive/qsort"], second.Results["adaptive/qsort"]
 	if second.Resumed < len(a.Outcomes) {
 		t.Errorf("resumed only %d of %d counted replays", second.Resumed, len(a.Outcomes))
@@ -273,14 +256,8 @@ func TestSweepEarlyStopCheckpointResume(t *testing.T) {
 	// index derived fresh.
 	loose := matrix[0]
 	loose.Config.TargetError = 0.2
-	third, err := campaign.Sweep([]campaign.SweepCampaign{loose}, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := campaign.Run(f, loose.Config)
-	if err != nil {
-		t.Fatal(err)
-	}
+	third := mustSweep(t, []campaign.SweepCampaign{loose}, opt)
+	ref := mustRun(t, f, loose.Config)
 	got := third.Results["adaptive/qsort"]
 	if len(got.Outcomes) != len(ref.Outcomes) || got.Unsafeness != ref.Unsafeness {
 		t.Errorf("remargined resume: %d/%+v vs standalone %d/%+v",

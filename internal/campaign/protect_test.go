@@ -13,14 +13,8 @@ import (
 // protRun executes one standalone protected campaign on the given model.
 func protRun(t *testing.T, model core.Model, cfg campaign.Config) *campaign.Result {
 	t.Helper()
-	f, err := workloadFactoryModel("qsort", model, core.CampaignSetup())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := campaign.Run(f, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := factoryFor(t, "qsort", model)
+	res := mustRun(t, f, cfg)
 	return res
 }
 
@@ -29,10 +23,7 @@ func protRun(t *testing.T, model core.Model, cfg campaign.Config) *campaign.Resu
 // synthesised overhead region.
 func rfDataBits(t *testing.T, model core.Model) int {
 	t.Helper()
-	f, err := workloadFactoryModel("qsort", model, core.CampaignSetup())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := factoryFor(t, "qsort", model)
 	sim, err := f()
 	if err != nil {
 		t.Fatal(err)
@@ -66,10 +57,7 @@ func TestProtectedOutcomeDeterminism(t *testing.T) {
 		t.Errorf("cursor schedule diverged from stream order under protection")
 	}
 
-	f, err := workloadFactoryModel("qsort", core.ModelMicroarch, core.CampaignSetup())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := factoryFor(t, "qsort", core.ModelMicroarch)
 	sr, err := campaign.Sweep([]campaign.SweepCampaign{
 		{Key: "prot", Group: "ma/qsort", Factory: f, Config: base},
 	}, campaign.SweepOptions{Workers: 4})
@@ -219,10 +207,7 @@ func TestProtectOtherTargetIdentity(t *testing.T) {
 // round-tripping through the JSONL shards intact.
 func TestProtectCheckpointStaleness(t *testing.T) {
 	dir := t.TempDir()
-	f, err := workloadFactoryModel("qsort", core.ModelMicroarch, core.CampaignSetup())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := factoryFor(t, "qsort", core.ModelMicroarch)
 	cfg := campaign.Config{
 		Injections: 12, Seed: 5, Target: fault.TargetRF,
 		Obs: campaign.ObsPinout, Window: 3_000, Workers: 2,

@@ -54,13 +54,9 @@ func TestPruneDeadExactness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full replay matrix is slow")
 	}
-	setup := core.CampaignSetup()
 	prunedTransients := 0
 	for _, tc := range pruneMatrix {
-		factory, err := workloadFactoryModel("qsort", tc.model, setup)
-		if err != nil {
-			t.Fatal(err)
-		}
+		factory := factoryFor(t, "qsort", tc.model)
 		full, err := campaign.Run(factory, pruneCfg(tc, campaign.PruneOff))
 		if err != nil {
 			t.Fatalf("%s full: %v", tc.name, err)
@@ -110,23 +106,14 @@ func TestPruneDeadExactnessSOP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("run-to-end replays are slow")
 	}
-	factory, err := workloadFactoryModel("qsort", core.ModelMicroarch, core.CampaignSetup())
-	if err != nil {
-		t.Fatal(err)
-	}
+	factory := factoryFor(t, "qsort", core.ModelMicroarch)
 	cfg := campaign.Config{
 		Injections: 24, Seed: 7, Target: fault.TargetL1D,
 		Obs: campaign.ObsSOP, Workers: 4,
 	}
-	full, err := campaign.Run(factory, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := mustRun(t, factory, cfg)
 	cfg.Prune = campaign.PruneDead
-	dead, err := campaign.Run(factory, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dead := mustRun(t, factory, cfg)
 	for i := range full.Outcomes {
 		if full.Outcomes[i].Class != dead.Outcomes[i].Class {
 			t.Errorf("outcome %d: %v vs %v (pruned=%v)", i,
@@ -144,19 +131,13 @@ func TestPruneDeadExactnessSOP(t *testing.T) {
 // members mirror their representative's class, and a rerun reproduces
 // the result bit for bit.
 func TestPruneClassesAccounting(t *testing.T) {
-	factory, err := workloadFactoryModel("qsort", core.ModelMicroarch, core.CampaignSetup())
-	if err != nil {
-		t.Fatal(err)
-	}
+	factory := factoryFor(t, "qsort", core.ModelMicroarch)
 	cfg := campaign.Config{
 		Injections: 60, Seed: 11, Target: fault.TargetL1D,
 		Obs: campaign.ObsPinout, Window: 3000, Workers: 4,
 		Prune: campaign.PruneClasses,
 	}
-	res, err := campaign.Run(factory, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, factory, cfg)
 	if res.ExtrapolatedRuns == 0 {
 		t.Error("no fault was extrapolated; the class-fanout assertions below are vacuous")
 	}
@@ -183,10 +164,7 @@ func TestPruneClassesAccounting(t *testing.T) {
 	if res.PruneClassCount == 0 || res.PruneClassCount > replayed {
 		t.Errorf("PruneClassCount = %d with %d replayed outcomes", res.PruneClassCount, replayed)
 	}
-	again, err := campaign.Run(factory, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	again := mustRun(t, factory, cfg)
 	if len(again.Outcomes) != len(res.Outcomes) {
 		t.Fatalf("rerun produced %d outcomes, want %d", len(again.Outcomes), len(res.Outcomes))
 	}
@@ -236,19 +214,13 @@ func TestPruneClassesSeedPins(t *testing.T) {
 // documented approximation), but the member must have inherited exactly
 // its representative's class in the pruned run.
 func TestPruneClassesMembersMirrorRep(t *testing.T) {
-	factory, err := workloadFactoryModel("qsort", core.ModelMicroarch, core.CampaignSetup())
-	if err != nil {
-		t.Fatal(err)
-	}
+	factory := factoryFor(t, "qsort", core.ModelMicroarch)
 	cfg := campaign.Config{
 		Injections: 60, Seed: 11, Target: fault.TargetL1D,
 		Obs: campaign.ObsPinout, Window: 3000, Workers: 1,
 		Prune: campaign.PruneClasses,
 	}
-	res, err := campaign.Run(factory, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, factory, cfg)
 	// Each extrapolated outcome copies some replayed outcome's class.
 	classes := map[campaign.Class]bool{}
 	for _, oc := range res.Outcomes {
@@ -269,11 +241,7 @@ func TestPruneClassesMembersMirrorRep(t *testing.T) {
 // results exactly, including the re-derived pruning accounting. A
 // third sweep with pruning off must ignore the pruned shards.
 func TestPruneSweepCheckpointResume(t *testing.T) {
-	setup := core.CampaignSetup()
-	factory, err := workloadFactoryModel("qsort", core.ModelMicroarch, setup)
-	if err != nil {
-		t.Fatal(err)
-	}
+	factory := factoryFor(t, "qsort", core.ModelMicroarch)
 	dir := t.TempDir()
 	matrix := []campaign.SweepCampaign{
 		{
@@ -294,14 +262,8 @@ func TestPruneSweepCheckpointResume(t *testing.T) {
 			},
 		},
 	}
-	first, err := campaign.Sweep(matrix, campaign.SweepOptions{Workers: 4, CheckpointDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := campaign.Sweep(matrix, campaign.SweepOptions{Workers: 4, CheckpointDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := mustSweep(t, matrix, campaign.SweepOptions{Workers: 4, CheckpointDir: dir})
+	second := mustSweep(t, matrix, campaign.SweepOptions{Workers: 4, CheckpointDir: dir})
 	if second.Resumed == 0 {
 		t.Fatal("nothing resumed from the pruned shards")
 	}
@@ -346,10 +308,7 @@ func TestPruneSweepCheckpointResume(t *testing.T) {
 			Obs: campaign.ObsPinout, Window: 3000,
 		},
 	}}
-	off, err := campaign.Sweep(offMatrix, campaign.SweepOptions{Workers: 4, CheckpointDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	off := mustSweep(t, offMatrix, campaign.SweepOptions{Workers: 4, CheckpointDir: dir})
 	if off.Resumed != 0 {
 		t.Errorf("prune-off sweep resumed %d outcomes from pruned shards", off.Resumed)
 	}
@@ -359,10 +318,7 @@ func TestPruneSweepCheckpointResume(t *testing.T) {
 // a golden run with recording enabled must produce events and classify
 // known-dead faults, and the default-off path must record nothing.
 func TestPruneGoldenOverhead(t *testing.T) {
-	factory, err := workloadFactoryModel("qsort", core.ModelMicroarch, core.CampaignSetup())
-	if err != nil {
-		t.Fatal(err)
-	}
+	factory := factoryFor(t, "qsort", core.ModelMicroarch)
 	plain, err := campaign.PrepareGolden(factory, campaign.GoldenOptions{})
 	if err != nil {
 		t.Fatal(err)

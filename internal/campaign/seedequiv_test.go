@@ -3,7 +3,6 @@ package campaign_test
 import (
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -43,13 +42,9 @@ var seedClassCounts = []struct {
 // disabled and asserts byte-identical class counts to the recorded seed
 // results.
 func TestSeedPathEquivalence(t *testing.T) {
-	setup := core.CampaignSetup()
 	var matrix []campaign.SweepCampaign
 	for _, tc := range seedClassCounts {
-		w, err := workloadFactoryModel("qsort", tc.model, setup)
-		if err != nil {
-			t.Fatal(err)
-		}
+		w := factoryFor(t, "qsort", tc.model)
 		matrix = append(matrix, campaign.SweepCampaign{
 			Key:     tc.model.String() + "/" + tc.prm.Model.String(),
 			Group:   tc.model.String() + "/qsort",
@@ -60,10 +55,7 @@ func TestSeedPathEquivalence(t *testing.T) {
 			},
 		})
 	}
-	sr, err := campaign.Sweep(matrix, campaign.SweepOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sr := mustSweep(t, matrix, campaign.SweepOptions{Workers: 4})
 	for _, tc := range seedClassCounts {
 		key := tc.model.String() + "/" + tc.prm.Model.String()
 		res := sr.Results[key]
@@ -84,16 +76,4 @@ func TestSeedPathEquivalence(t *testing.T) {
 				key, res.RunsSaved, res.ConvergedRuns)
 		}
 	}
-}
-
-func workloadFactoryModel(workload string, m core.Model, setup core.Setup) (campaign.Factory, error) {
-	w, err := bench.ByName(workload)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := w.Program()
-	if err != nil {
-		return nil, err
-	}
-	return core.Factory(m, prog, setup), nil
 }

@@ -42,6 +42,16 @@ func normalizeResult(r *campaign.Result) {
 	r.BatchedRuns, r.PeeledRuns, r.LaneOccupancy = 0, 0, 0
 }
 
+// normalizeEngine clears, beyond normalizeResult, what legitimately
+// differs between two engines executing one campaign: the config knobs
+// that select the engine and each engine's account of the golden
+// cycles it walked.
+func normalizeEngine(r *campaign.Result) {
+	normalizeResult(r)
+	r.Config.Lanes, r.Config.Sched = 0, 0
+	r.FastForwardCycles, r.FastForwardSaved = 0, 0
+}
+
 // driveManually executes a planned campaign by hand: pull every replay
 // job, execute each against a fresh simulator, deliver the outcomes in
 // REVERSE order (the collector must not care), and aggregate.
@@ -117,10 +127,7 @@ func TestPlannedManualDispatchMatchesRun(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fac := factoryFor(t, "qsort", core.ModelMicroarch)
-			want, err := campaign.Run(fac, tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := mustRun(t, fac, tc.cfg)
 			got := driveManually(t, fac, tc.cfg)
 			normalizeResult(want)
 			normalizeResult(got)
@@ -152,10 +159,7 @@ func TestSweepStopInterrupts(t *testing.T) {
 		t.Fatalf("Sweep error = %v, want ErrInterrupted", err)
 	}
 
-	sr, err := campaign.Sweep(matrix, campaign.SweepOptions{Workers: 2, CheckpointDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sr := mustSweep(t, matrix, campaign.SweepOptions{Workers: 2, CheckpointDir: dir})
 	if got := len(sr.Results["k"].Outcomes); got != cfg.Injections {
 		t.Fatalf("resumed sweep produced %d outcomes, want %d", got, cfg.Injections)
 	}
@@ -168,10 +172,7 @@ func TestPlannedCheckpointResume(t *testing.T) {
 		Obs: campaign.ObsPinout, Window: 2_000, Workers: 4,
 	}
 	fac := factoryFor(t, "qsort", core.ModelMicroarch)
-	want, err := campaign.Run(fac, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := mustRun(t, fac, cfg)
 	g, err := campaign.PrepareGolden(fac, campaign.GoldenOptionsFor(cfg))
 	if err != nil {
 		t.Fatal(err)

@@ -554,8 +554,9 @@ func forEachCkptRecord(dir string, fn func(ckptRecord)) error {
 // applyRecord validates one decoded record against the campaign's
 // freshly derived plan, classification config and golden fingerprint
 // and, when everything agrees, delivers it (outcome records) or pins
-// the stopping index (stop records). Mismatching records are skipped
-// silently — stale shards are harmless by construction.
+// the stopping index (stop records). Mismatching records, and outcome
+// records whose class is out of range, are skipped silently — stale or
+// damaged shards are harmless by construction.
 func (p *Planned) applyRecord(r ckptRecord) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -595,7 +596,7 @@ func (p *Planned) applyRecord(r ckptRecord) {
 		p.stopHint = r.Index
 		return
 	}
-	if r.Index < 0 || r.Index >= p.pl.n {
+	if r.Index < 0 || r.Index >= p.pl.n || !Class(r.Class).Valid() {
 		return
 	}
 	spec := p.pl.spec(r.Index)

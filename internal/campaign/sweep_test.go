@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -195,14 +194,7 @@ func TestSweepRejectsBadMatrices(t *testing.T) {
 // group's golden run.
 func sweepFixture(t *testing.T) []campaign.SweepCampaign {
 	t.Helper()
-	setup := core.CampaignSetup()
-	mk := func(workload string) campaign.Factory {
-		f, err := workloadFactory(workload, setup)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
+	mk := func(workload string) campaign.Factory { return factoryFor(t, workload, core.ModelMicroarch) }
 	qsort := mk("qsort")
 	return []campaign.SweepCampaign{
 		{
@@ -237,36 +229,18 @@ func sweepFixture(t *testing.T) []campaign.SweepCampaign {
 	}
 }
 
-func workloadFactory(workload string, setup core.Setup) (campaign.Factory, error) {
-	w, err := bench.ByName(workload)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := w.Program()
-	if err != nil {
-		return nil, err
-	}
-	return core.Factory(core.ModelMicroarch, prog, setup), nil
-}
-
 // TestSweepMatchesStandaloneRuns is the determinism contract: a sweep
 // must produce bit-identical Unsafeness and Outcomes to standalone
 // campaign.Run with the same seeds, while executing one golden run per
 // shared (model, workload) group instead of one per campaign.
 func TestSweepMatchesStandaloneRuns(t *testing.T) {
 	campaigns := sweepFixture(t)
-	sr, err := campaign.Sweep(campaigns, campaign.SweepOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sr := mustSweep(t, campaigns, campaign.SweepOptions{Workers: 4})
 	if sr.GoldenRuns != 2 {
 		t.Errorf("sweep ran %d golden runs for 4 campaigns in 2 groups", sr.GoldenRuns)
 	}
 	for _, c := range campaigns {
-		standalone, err := campaign.Run(c.Factory, c.Config)
-		if err != nil {
-			t.Fatal(err)
-		}
+		standalone := mustRun(t, c.Factory, c.Config)
 		got := sr.Results[c.Key]
 		if got == nil {
 			t.Fatalf("%s: missing sweep result", c.Key)
@@ -300,17 +274,11 @@ func TestSweepCheckpointResume(t *testing.T) {
 	campaigns := sweepFixture(t)
 	dir := t.TempDir()
 	opt := campaign.SweepOptions{Workers: 4, CheckpointDir: dir}
-	first, err := campaign.Sweep(campaigns, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := mustSweep(t, campaigns, opt)
 	if first.Resumed != 0 {
 		t.Errorf("fresh sweep resumed %d replays", first.Resumed)
 	}
-	second, err := campaign.Sweep(campaigns, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	second := mustSweep(t, campaigns, opt)
 	total := 0
 	for _, c := range campaigns {
 		total += c.Config.Injections
@@ -333,10 +301,7 @@ func TestSweepCheckpointResume(t *testing.T) {
 	changed := make([]campaign.SweepCampaign, len(campaigns))
 	copy(changed, campaigns)
 	changed[0].Config.Seed = 999
-	third, err := campaign.Sweep(changed, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	third := mustSweep(t, changed, opt)
 	if third.Resumed > total-changed[0].Config.Injections {
 		t.Errorf("stale checkpoints reused after seed change: resumed %d", third.Resumed)
 	}
@@ -345,17 +310,11 @@ func TestSweepCheckpointResume(t *testing.T) {
 	rewindowed := make([]campaign.SweepCampaign, len(campaigns))
 	copy(rewindowed, campaigns)
 	rewindowed[0].Config.Window = 20_000
-	fourth, err := campaign.Sweep(rewindowed, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fourth := mustSweep(t, rewindowed, opt)
 	if fourth.Resumed > total-rewindowed[0].Config.Injections {
 		t.Errorf("stale checkpoints reused after window change: resumed %d", fourth.Resumed)
 	}
-	ref, err := campaign.Run(rewindowed[0].Factory, rewindowed[0].Config)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := mustRun(t, rewindowed[0].Factory, rewindowed[0].Config)
 	if got := fourth.Results[rewindowed[0].Key].Unsafeness; got != ref.Unsafeness {
 		t.Errorf("rewindowed sweep result %+v != standalone %+v", got, ref.Unsafeness)
 	}
@@ -379,17 +338,11 @@ func TestSweepCheckpointDiscardsOtherModel(t *testing.T) {
 	remodeled := make([]campaign.SweepCampaign, len(campaigns))
 	copy(remodeled, campaigns)
 	remodeled[0].Config.Fault = fault.Params{Model: fault.ModelBurst, Burst: 3}
-	second, err := campaign.Sweep(remodeled, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	second := mustSweep(t, remodeled, opt)
 	if second.Resumed > total-remodeled[0].Config.Injections {
 		t.Errorf("stale checkpoints reused after fault-model change: resumed %d", second.Resumed)
 	}
-	ref, err := campaign.Run(remodeled[0].Factory, remodeled[0].Config)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := mustRun(t, remodeled[0].Factory, remodeled[0].Config)
 	got := second.Results[remodeled[0].Key]
 	if got.Unsafeness != ref.Unsafeness {
 		t.Errorf("remodeled sweep result %+v != standalone %+v", got.Unsafeness, ref.Unsafeness)
@@ -401,10 +354,7 @@ func TestSweepCheckpointDiscardsOtherModel(t *testing.T) {
 	}
 	// Re-running the remodeled matrix resumes everything, including
 	// the burst campaign's fresh records.
-	third, err := campaign.Sweep(remodeled, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	third := mustSweep(t, remodeled, opt)
 	if third.Resumed != total {
 		t.Errorf("resumed %d of %d after the model change was checkpointed", third.Resumed, total)
 	}
@@ -463,10 +413,7 @@ func TestSweepSplitsLastCampaign(t *testing.T) {
 				Key: fmt.Sprint("c", i), Group: "mock", Factory: c.factory, Config: cfg,
 			})
 		}
-		sr, err := campaign.Sweep(camps, campaign.SweepOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
+		sr := mustSweep(t, camps, campaign.SweepOptions{Workers: workers})
 		for _, r := range sr.Results {
 			normalizeEngine(r) // the cursors' walked cycles follow the chunking too
 		}
@@ -513,10 +460,7 @@ func TestRunIsSweepOfOne(t *testing.T) {
 	}
 	for _, m := range []core.Model{core.ModelMicroarch, core.ModelRTL} {
 		fac := factoryFor(t, "sha", m)
-		got, err := campaign.Run(fac, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := mustRun(t, fac, cfg)
 		want, err := one(fac)
 		if err != nil {
 			t.Fatal(err)

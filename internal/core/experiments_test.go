@@ -267,15 +267,17 @@ func TestExperimentAVF(t *testing.T) {
 // overhead, SECDED never posts a worse SDC fraction than its baseline,
 // and the checker-logic region obeys the analytic blind-spot rule:
 // non-persistent overhead-logic faults always detect (rate 1), pinned
-// stuck-at-0 ones never do (rate 0).
+// stuck-at-0 ones never do (rate 0). Every arm runs, on the shortest
+// bench at the smallest sample that puts checker-logic faults on both
+// sides of the rule.
 func TestExperimentProtection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the 80-campaign E13 matrix; exercised by the full suite and `paper -fig protection`")
 	}
 	p := DefaultParams()
-	p.Injections = 16
+	p.Injections = 5
 	p.Seed = 5
-	p.Benches = []string{"qsort"}
+	p.Benches = []string{"sha"}
 	res, err := p.Run("protection")
 	if err != nil {
 		t.Fatal(err)
@@ -289,6 +291,7 @@ func TestExperimentProtection(t *testing.T) {
 		t.Fatalf("rows = %d, want %d", len(rows), want)
 	}
 	persistent := map[string]bool{"stuck-at": true, "intermittent": true}
+	ruled := map[bool]int{}
 	for _, r := range rows {
 		if r.OverheadBits <= 0 || r.DataBits <= 0 {
 			t.Errorf("%s/%s/%s/%s: missing bit accounting (%d data, %d overhead)",
@@ -312,6 +315,11 @@ func TestExperimentProtection(t *testing.T) {
 			t.Errorf("%s/%s/%s/%s: checker-logic DUE rate %.3f over %d faults, want %.1f",
 				r.Level, r.Model, r.Target, r.Scheme, r.LogicDUERate, r.LogicRuns, want)
 		}
+		ruled[persistent[r.Model]]++
+	}
+	if ruled[false] == 0 || ruled[true] == 0 {
+		t.Errorf("the blind-spot rule met %d non-persistent and %d persistent arms with checker-logic faults; the sample must reach both",
+			ruled[false], ruled[true])
 	}
 }
 

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"fmt"
+	"flag"
 	"math/rand"
-	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -15,71 +15,19 @@ import (
 	"repro/internal/refsim"
 )
 
-// fusedAgainstScalar runs the campaigns as one golden group — a fused
-// unit, every member riding the same walk — on a pool of the given size,
-// and holds every outcome to the scalar ReplayOne of its spec. It returns
-// the sweep's results.
-func fusedAgainstScalar(t *testing.T, f campaign.Factory, camps []campaign.SweepCampaign, workers int) *campaign.SweepResult {
-	t.Helper()
-	sr, err := campaign.Sweep(camps, campaign.SweepOptions{Workers: workers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := campaign.GoldenOptions{}
-	for _, c := range camps {
-		o := campaign.GoldenOptionsFor(c.Config)
-		opts.HashEvery = max(opts.HashEvery, o.HashEvery)
-		opts.SnapshotEvery, opts.SnapPolicy = o.SnapshotEvery, o.SnapPolicy
-	}
-	g, err := campaign.PrepareGolden(f, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := f()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range camps {
-		scalar := c.Config
-		scalar.Lanes = 1
-		if err := scalar.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		res := sr.Results[c.Key]
-		if len(res.Outcomes) != c.Config.Injections {
-			t.Fatalf("%s: %d outcomes for %d injections", c.Key, len(res.Outcomes), c.Config.Injections)
-		}
-		for i, got := range res.Outcomes {
-			want, err := g.ReplayOne(sim, got.Spec, scalar)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%d workers, %s outcome %d:\nscalar %+v\nlanes  %+v", workers, c.Key, i, want, got)
-			}
-		}
-		if res.BatchedRuns+res.PeeledRuns != len(res.Outcomes) {
-			t.Errorf("%s: %d+%d replays rode lanes, want %d", c.Key, res.BatchedRuns, res.PeeledRuns, len(res.Outcomes))
-		}
-	}
-	return sr
-}
-
 // valueLaneMatrix is one golden group of value-lane campaigns over both
 // targets: every fault model windowed, and run to the end under the
 // combined observation point with the convergence exit.
-func valueLaneMatrix(f campaign.Factory, seed int64, window uint64, n int) []campaign.SweepCampaign {
-	var camps []campaign.SweepCampaign
-	add := func(key string, cfg campaign.Config) {
+func valueLaneMatrix(m Model, seed int64, window uint64, n int) []oracleCamp {
+	var camps []oracleCamp
+	add := func(cfg campaign.Config) {
 		cfg.Seed = seed + int64(len(camps))
-		camps = append(camps, campaign.SweepCampaign{Key: key, Group: "g", Factory: f, Config: cfg})
+		camps = append(camps, oracleCamp{m, cfg})
 	}
 	for _, tg := range []fault.Target{fault.TargetRF, fault.TargetL1D} {
 		for _, fm := range faultModels {
-			add(fmt.Sprintf("%v/%s/window", tg, fm.name), campaign.Config{
-				Injections: n, Target: tg, Fault: fm.fault, Window: window,
-			})
-			add(fmt.Sprintf("%v/%s/run-to-end", tg, fm.name), campaign.Config{
+			add(campaign.Config{Injections: n, Target: tg, Fault: fm.fault, Window: window})
+			add(campaign.Config{
 				Injections: max(1, n/4), Target: tg, Fault: fm.fault,
 				Obs: campaign.ObsCombined, EarlyStop: true,
 			})
@@ -88,43 +36,48 @@ func valueLaneMatrix(f campaign.Factory, seed int64, window uint64, n int) []cam
 	return camps
 }
 
+// slowBenches are the workloads whose golden runs are longest: tier-1
+// holds their value lanes to the scalar engine on windowed campaigns
+// only, and FuzzValueLanes draws the rest when fuzzing.
+var slowBenches = []string{"susan_c", "susan_e", "susan_s", "stringsearch"}
+
 // TestValueLanesMatchScalar is the value-lane engine's equivalence matrix
 // on the benches: a fused unit of register-file and L1D campaigns over
-// every fault model, windowed and run to the end, on pools of one and two
-// goroutines, must classify every fault exactly as a scalar replay does —
-// class, end cycle and convergence flag. Beside the outcomes,
+// every fault model, windowed and run to the end, on a pool of one or two
+// goroutines (alternating by bench), must match the scalar oracle, and
 // lanesTrackScalar holds each bench's lanes to scalar machines digest for
 // digest, cycle by cycle. The microarchitectural model runs all eight
-// benches; the RTL model, twice as slow a cycle, the three that span its
-// traffic (pinout-heavy qsort and fft, quiet caes) — FuzzValueLanes
-// carries it over generated programs.
+// benches (the slow ones windowed only); the RTL model, twice as slow a
+// cycle, the three that span its traffic (pinout-heavy qsort and fft,
+// quiet caes) — FuzzValueLanes carries both over generated programs.
 func TestValueLanesMatchScalar(t *testing.T) {
-	for _, w := range bench.All() {
-		w := w
+	for i, w := range bench.All() {
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			valueLanesMatchScalar(t, ModelMicroarch, w.Name)
+			valueLanesMatchScalar(t, ModelMicroarch, w.Name, 1+i%2)
 		})
 	}
-	for _, name := range []string{"qsort", "fft", "caes"} {
-		name := name
+	for i, name := range []string{"qsort", "fft", "caes"} {
 		t.Run("rtl/"+name, func(t *testing.T) {
 			t.Parallel()
-			valueLanesMatchScalar(t, ModelRTL, name)
+			valueLanesMatchScalar(t, ModelRTL, name, 1+i%2)
 		})
 	}
 }
 
-func valueLanesMatchScalar(t *testing.T, m Model, name string) {
-	f := benchFactory(t, m, name)
-	n := 12
+func valueLanesMatchScalar(t *testing.T, m Model, name string, workers int) {
+	n := 8
 	if testing.Short() {
 		n = 4
 	}
-	camps := valueLaneMatrix(f, 31, 500, n)
-	for _, workers := range []int{1, 2} {
-		fusedAgainstScalar(t, f, camps, workers)
+	camps := valueLaneMatrix(m, 31, 500, n)
+	if slices.Contains(slowBenches, name) {
+		camps = slices.DeleteFunc(camps, func(c oracleCamp) bool { return c.cfg.Window == 0 })
+		checkOracle(t, oracleCase{bench: name, camps: camps, expect: expRides})
+		return
 	}
+	checkOracle(t, oracleCase{bench: name, camps: camps, workers: workers, expect: expRides})
+	f := benchFactory(t, m, name)
 	lanesTrackScalar(t, f, trackedSpecs(t, f, 41, 2*n), 300)
 }
 
@@ -141,14 +94,15 @@ func valueLaneProgram(seed int64, shape uint8) string {
 	return src
 }
 
-// FuzzValueLanes holds value lanes to the scalar engine over generated
-// programs, on both models: per program and model, register-file and L1D
+// FuzzValueLanes holds the engines to the scalar oracle over generated
+// programs, on both models. Per program and model: register-file and L1D
 // faults of all four fault models, windowed and run to the end, as one
-// fused unit with a seven-lane member that has to defer. shape picks the
+// fused unit with a seven-lane member that has to defer (shape picks the
 // window, the sample size and whether the program writes its buffer to
-// the output. Every outcome must equal the scalar ReplayOne of its spec,
-// and every transient lane must track its scalar machine to the
-// program's end (lanesTrackScalar).
+// the output); every transient lane tracked against its scalar machine
+// to the program's end (lanesTrackScalar); and one random point of the
+// harness's cross-product (drawCase). Under -fuzz each input also draws
+// a case on one of the slow benches, picked by seed.
 func FuzzValueLanes(f *testing.F) {
 	for _, c := range []struct {
 		seed  int64
@@ -156,21 +110,32 @@ func FuzzValueLanes(f *testing.F) {
 	}{{1, 0}, {2, 3}, {3, 0x15}, {7, 0x2e}} {
 		f.Add(c.seed, c.shape)
 	}
+	fuzzing := flag.Lookup("test.fuzz").Value.String() != ""
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
 		prog, err := asm.Assemble("fuzz.s", valueLaneProgram(seed, shape))
 		if err != nil {
 			t.Fatal(err)
 		}
+		rng := rand.New(rand.NewSource(seed<<8 | int64(shape)))
 		for _, m := range []Model{ModelMicroarch, ModelRTL} {
 			t.Run(m.String(), func(t *testing.T) {
-				fac := Factory(m, prog, CampaignSetup())
 				window := 100 + 60*uint64(shape>>1&7)
-				camps := valueLaneMatrix(fac, seed, window, 4+int(shape>>4&3)*2)
-				camps = append(camps, campaign.SweepCampaign{Key: "rf/lanes7", Group: "g", Factory: fac, Config: campaign.Config{
+				camps := append(valueLaneMatrix(m, seed, window, 4+int(shape>>4&3)*2), oracleCamp{m, campaign.Config{
 					Injections: 24, Seed: seed, Target: fault.TargetRF, Window: 4 * window, Lanes: 7,
 				}})
-				fusedAgainstScalar(t, fac, camps, 1)
+				checkOracle(t, oracleCase{prog: prog, camps: camps, workers: 1, expect: expRides})
+				fac := Factory(m, prog, CampaignSetup())
 				lanesTrackScalar(t, fac, trackedSpecs(t, fac, seed, 32), 0)
+				c := drawCase(rng, m, 12)
+				c.prog = prog
+				checkOracle(t, c)
+			})
+		}
+		if fuzzing {
+			t.Run("bench", func(t *testing.T) {
+				c := drawCase(rng, ModelMicroarch, 6)
+				c.bench = slowBenches[uint64(seed)%uint64(len(slowBenches))]
+				checkOracle(t, c)
 			})
 		}
 	})

@@ -466,6 +466,10 @@ func (c *Coordinator) Outcomes(batch OutcomeBatch) error {
 	}
 	byIdx := make(map[int]WireOutcome, len(batch.Outcomes))
 	for _, oc := range batch.Outcomes {
+		if !campaign.Class(oc.Class).Valid() {
+			c.requeueLocked(cs, l.shard, fmt.Sprintf("shard %s: index %d: class %d out of range", l.id, oc.Index, oc.Class))
+			return nil
+		}
 		byIdx[oc.Index] = oc
 	}
 	for _, j := range l.shard.jobs {

@@ -295,12 +295,10 @@ func TestLeaseExpiryReissues(t *testing.T) {
 	}
 }
 
-// TestShardFailureBudget: a shard that keeps failing must fail the
-// campaign instead of looping forever.
-func TestShardFailureBudget(t *testing.T) {
-	c, _ := startCoordinator(t, distrib.CoordinatorOptions{
-		LeaseTTL: time.Second, ShardSize: 4, MaxShardFails: 2,
-	})
+// submitRunning submits a small RF campaign to c and waits until its
+// shards are leasable.
+func submitRunning(t *testing.T, c *distrib.Coordinator) string {
+	t.Helper()
 	cfg := campaign.Config{
 		Injections: 8, Seed: 2, Target: fault.TargetRF,
 		Obs: campaign.ObsPinout, Window: 500,
@@ -316,13 +314,22 @@ func TestShardFailureBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		if p.Status == distrib.StatusRunning {
-			break
+			return resp.ID
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("campaign never started: %+v", p)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// TestShardFailureBudget: a shard that keeps failing must fail the
+// campaign instead of looping forever.
+func TestShardFailureBudget(t *testing.T) {
+	c, _ := startCoordinator(t, distrib.CoordinatorOptions{
+		LeaseTTL: time.Second, ShardSize: 4, MaxShardFails: 2,
+	})
+	id := submitRunning(t, c)
 	for i := 0; i < 2; i++ {
 		l, err := c.Lease(distrib.LeaseRequest{Worker: "flaky"})
 		if err != nil || l == nil {
@@ -332,12 +339,46 @@ func TestShardFailureBudget(t *testing.T) {
 			t.Fatalf("error batch %d: %v", i, err)
 		}
 	}
-	p, err := c.Progress(resp.ID)
+	p, err := c.Progress(id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Status != distrib.StatusFailed {
 		t.Fatalf("campaign status %q after exhausting the shard budget, want failed", p.Status)
+	}
+}
+
+// TestOutOfRangeClassRequeues: a worker batch with an outcome whose
+// class is missing (decoding to 0) or unknown is a failed shard —
+// requeued against the retry budget — and none of its outcomes merge.
+func TestOutOfRangeClassRequeues(t *testing.T) {
+	c, _ := startCoordinator(t, distrib.CoordinatorOptions{
+		LeaseTTL: time.Second, ShardSize: 4, MaxShardFails: 2,
+	})
+	id := submitRunning(t, c)
+	for i, class := range []int{0, 99} {
+		l, err := c.Lease(distrib.LeaseRequest{Worker: "garbled"})
+		if err != nil || l == nil {
+			t.Fatalf("lease %d: %v %v", i, l, err)
+		}
+		outs := make([]distrib.WireOutcome, len(l.Jobs))
+		for k, j := range l.Jobs {
+			outs[k] = distrib.WireOutcome{Index: j.Index, Class: int(campaign.ClassMasked), EndCycle: j.Spec.Cycle + 1}
+		}
+		outs[len(outs)-1].Class = class
+		if err := c.Outcomes(distrib.OutcomeBatch{Lease: l.ID, Worker: "garbled", Outcomes: outs}); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		p, err := c.Progress(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Delivered != 0 {
+			t.Fatalf("class %d: %d outcomes merged from a batch that should have been requeued", class, p.Delivered)
+		}
+	}
+	if p, err := c.Progress(id); err != nil || p.Status != distrib.StatusFailed {
+		t.Fatalf("campaign status %+v (%v) after two garbled batches, want failed", p, err)
 	}
 }
 
