@@ -211,15 +211,19 @@ func parse(args []string, stop <-chan struct{}) (sel *selection, stopProcess fun
 		params.Runner = distrib.NewClient(*remote).SweepRunner()
 	}
 
-	switch {
-	case sel.all:
-	case *table == "" && *figure == "":
+	if sel.all {
+		return sel, halt, nil
+	}
+	if *table == "" && *figure == "" {
 		fs.Usage()
 		return nil, nil, errors.New("nothing selected: pass -table, -fig or -all")
-	case *figure != "" && !slices.Contains(core.ExperimentNames(), *figure):
-		_, err = core.LookupExperiment(*figure)
-		return nil, nil, err
-	case *table != "" && !slices.Contains(core.PaperTables, *table):
+	}
+	if *figure != "" {
+		if _, err = core.LookupExperiment(*figure); err != nil {
+			return nil, nil, err
+		}
+	}
+	if *table != "" && !slices.Contains(core.PaperTables, *table) {
 		return nil, nil, fmt.Errorf("unknown table %q (have: %s)", *table, strings.Join(core.PaperTables, ", "))
 	}
 	return sel, halt, nil

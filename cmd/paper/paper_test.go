@@ -74,17 +74,29 @@ func TestGoldenOutputs(t *testing.T) {
 		format    report.Format
 	}{{"", "txt", report.FormatTable}, {"-csv", "csv", report.FormatCSV}, {"-json", "json", report.FormatJSON}}
 	for _, args := range selections {
-		// The pool size is part of the output, so it is pinned: the JSON
-		// form prints Config.Workers, and the pool splits a sweep's last
-		// unit evenly over its goroutines, which the lane accounting
-		// (LaneOccupancy: the lanes in flight on each walk) follows.
-		sel, stopProcess, err := parse(append([]string{"-injections", "6", "-benches", "caes", "-seed", "1", "-workers", "2"}, args...), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stopProcess()
-		regenerate := sync.OnceValues(sel.regenerate)
+		var regenerate func() (*core.AllResults, error)
 		for _, f := range formats {
+			// The pool size is part of the output, so it is pinned: the
+			// JSON form prints Config.Workers, and the pool splits a
+			// sweep's last unit evenly over its goroutines, which the lane
+			// accounting (LaneOccupancy: the lanes in flight on each walk)
+			// follows.
+			a := append([]string{"-injections", "6", "-benches", "caes", "-seed", "1", "-workers", "2"}, args...)
+			if f.flag != "" {
+				a = append(a, f.flag)
+			}
+			sel, stopProcess, err := parse(a, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stopProcess()
+			if sel.format != f.format {
+				t.Errorf("paper %s parsed as format %v, want %v", strings.Join(a, " "), sel.format, f.format)
+			}
+			// One run per selection: every format renders its results.
+			if regenerate == nil {
+				regenerate = sync.OnceValues(sel.regenerate)
+			}
 			t.Run(strings.Join(args, "")+f.flag, func(t *testing.T) {
 				t.Parallel()
 				if testing.Short() && args[0] == "-fig" && slowFigs[args[1]] {
@@ -95,9 +107,7 @@ func TestGoldenOutputs(t *testing.T) {
 					t.Fatal(err)
 				}
 				var buf bytes.Buffer
-				s := *sel
-				s.format = f.format
-				if err := s.render(&buf, res); err != nil {
+				if err := sel.render(&buf, res); err != nil {
 					t.Fatal(err)
 				}
 				got := maskWall(buf.String())

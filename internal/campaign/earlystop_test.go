@@ -193,12 +193,9 @@ func TestSweepEarlyStopMatchesStandalone(t *testing.T) {
 		Obs: campaign.ObsPinout, Window: 2_000, Workers: 4,
 		Confidence: 0.95, EarlyStop: true, TargetError: 0.12,
 	}
-	sr, err := campaign.Sweep([]campaign.SweepCampaign{
+	sr := mustSweep(t, []campaign.SweepCampaign{
 		{Key: "adaptive/qsort", Group: "ma/qsort", Factory: f, Config: cfg},
 	}, campaign.SweepOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
 	standalone := mustRun(t, f, cfg)
 	got := sr.Results["adaptive/qsort"]
 	if len(got.Outcomes) != len(standalone.Outcomes) {

@@ -58,12 +58,9 @@ func TestProtectedOutcomeDeterminism(t *testing.T) {
 	}
 
 	f := factoryFor(t, "qsort", core.ModelMicroarch)
-	sr, err := campaign.Sweep([]campaign.SweepCampaign{
+	sr := mustSweep(t, []campaign.SweepCampaign{
 		{Key: "prot", Group: "ma/qsort", Factory: f, Config: base},
 	}, campaign.SweepOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !reflect.DeepEqual(stream.Outcomes, sr.Results["prot"].Outcomes) {
 		t.Errorf("sweep pool diverged from standalone Run under protection")
 	}
@@ -215,12 +212,9 @@ func TestProtectCheckpointStaleness(t *testing.T) {
 	run := func(protectSpec string) (*campaign.Result, int) {
 		c := cfg
 		c.Protect = protectSpec
-		sr, err := campaign.Sweep([]campaign.SweepCampaign{
+		sr := mustSweep(t, []campaign.SweepCampaign{
 			{Key: "ckpt", Group: "ma/qsort", Factory: f, Config: c},
 		}, campaign.SweepOptions{Workers: 2, CheckpointDir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
 		return sr.Results["ckpt"], sr.Resumed
 	}
 

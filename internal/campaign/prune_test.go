@@ -57,14 +57,8 @@ func TestPruneDeadExactness(t *testing.T) {
 	prunedTransients := 0
 	for _, tc := range pruneMatrix {
 		factory := factoryFor(t, "qsort", tc.model)
-		full, err := campaign.Run(factory, pruneCfg(tc, campaign.PruneOff))
-		if err != nil {
-			t.Fatalf("%s full: %v", tc.name, err)
-		}
-		dead, err := campaign.Run(factory, pruneCfg(tc, campaign.PruneDead))
-		if err != nil {
-			t.Fatalf("%s dead: %v", tc.name, err)
-		}
+		full := mustRun(t, factory, pruneCfg(tc, campaign.PruneOff))
+		dead := mustRun(t, factory, pruneCfg(tc, campaign.PruneDead))
 		if len(full.Outcomes) != len(dead.Outcomes) {
 			t.Fatalf("%s: outcome counts differ (%d vs %d)", tc.name, len(full.Outcomes), len(dead.Outcomes))
 		}

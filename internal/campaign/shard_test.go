@@ -11,7 +11,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -19,15 +18,11 @@ import (
 
 func factoryFor(t *testing.T, workload string, m core.Model) campaign.Factory {
 	t.Helper()
-	w, err := bench.ByName(workload)
+	c, err := core.Standalone(workload, m, core.CampaignSetup(), campaign.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := w.Program()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return core.Factory(m, prog, core.CampaignSetup())
+	return c.Factory
 }
 
 // normalizeResult clears the fields that legitimately differ between

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/bench"
 	"repro/internal/campaign"
 	"repro/internal/fault"
@@ -14,6 +15,12 @@ import (
 // benchFactory builds the campaign factory of one workload on one model.
 func benchFactory(t *testing.T, m Model, workload string) campaign.Factory {
 	t.Helper()
+	return Factory(m, benchProgram(t, workload), CampaignSetup())
+}
+
+// benchProgram is one workload's assembled program.
+func benchProgram(t *testing.T, workload string) *asm.Program {
+	t.Helper()
 	w, err := bench.ByName(workload)
 	if err != nil {
 		t.Fatal(err)
@@ -22,7 +29,7 @@ func benchFactory(t *testing.T, m Model, workload string) campaign.Factory {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Factory(m, p, CampaignSetup())
+	return p
 }
 
 var faultModels = []struct {

@@ -70,9 +70,9 @@ type oracleCamp struct {
 }
 
 type oracleCase struct {
-	name       string // subtest; cases sharing a name run in it in order
-	bench      string // workload; empty runs prog
-	prog       *asm.Program
+	name       string       // subtest; cases sharing a name run in it in order
+	bench      string       // workload; empty runs prog
+	prog       *asm.Program // checkOracle sets it from bench
 	camps      []oracleCamp
 	host       host
 	workers    int    // pool size; 0 means 2
@@ -82,11 +82,8 @@ type oracleCase struct {
 	expect     int
 }
 
-func (c oracleCase) factory(t *testing.T, m Model) campaign.Factory {
-	if c.prog != nil {
-		return Factory(m, c.prog, CampaignSetup())
-	}
-	return benchFactory(t, m, c.bench)
+func (c oracleCase) factory(m Model) campaign.Factory {
+	return Factory(m, c.prog, CampaignSetup())
 }
 
 // runOracleCases runs cases as parallel subtests, one per distinct name.
@@ -114,13 +111,25 @@ func runOracleCases(t *testing.T, cases []oracleCase) {
 // scalar stream oracle.
 func checkOracle(t *testing.T, c oracleCase) {
 	t.Helper()
-	must := func(res []*campaign.Result, err error) []*campaign.Result {
+	if c.prog == nil {
+		c.prog = benchProgram(t, c.bench)
+	}
+	want, err := scalarOracle(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// sweep runs the case's own sweep and checks its golden runs.
+	sweep := func(opt campaign.SweepOptions) []*campaign.Result {
+		t.Helper()
+		res, goldenRuns, err := c.sweep(opt)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if c.goldenRuns > 0 && goldenRuns != c.goldenRuns {
+			t.Errorf("%d golden runs, want %d", goldenRuns, c.goldenRuns)
+		}
 		return res
 	}
-	want := must(scalarOracle(t, c))
 	opt := campaign.SweepOptions{Workers: cmp.Or(c.workers, 2)}
 	var got []*campaign.Result
 	switch c.host {
@@ -128,7 +137,7 @@ func checkOracle(t *testing.T, c oracleCase) {
 		for _, oc := range c.camps {
 			cfg := oc.cfg
 			cfg.Workers = opt.Workers
-			res, err := campaign.Run(c.factory(t, oc.model), cfg)
+			res, err := campaign.Run(c.factory(oc.model), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,24 +148,26 @@ func checkOracle(t *testing.T, c oracleCase) {
 			got = append(got, driveManually(t, c, oc))
 		}
 	case hostSweep:
-		got = must(c.sweep(t, opt))
+		got = sweep(opt)
 	case hostResume:
 		opt.CheckpointDir = t.TempDir()
-		matchOracle(t, c, want, must(c.sweep(t, opt)))
+		matchOracle(t, c, want, sweep(opt))
 		cutShards(t, opt.CheckpointDir, c.resumeAt)
-		got = must(c.sweep(t, opt))
+		got = sweep(opt)
 	}
 	matchOracle(t, c, want, got)
 }
 
 // oracles memoises the scalar oracles of bench cases by campaign list,
-// so hosts and engines held to one oracle share its run.
+// so hosts and engines held to one oracle share its run. An oracle is
+// shared across tests and goroutines, so it reports only through its
+// error, never through a test.
 var oracles sync.Map
 
 // scalarOracle runs the case's distinct campaigns with Lanes 1 and
 // SchedStream as one Sweep (each campaign is bit-identical to its
 // standalone Run) and returns the normalised results in case order.
-func scalarOracle(t *testing.T, c oracleCase) ([]*campaign.Result, error) {
+func scalarOracle(c oracleCase) ([]*campaign.Result, error) {
 	o, idx := c, make([]int, len(c.camps))
 	o.camps = nil
 	for i, oc := range c.camps {
@@ -167,13 +178,13 @@ func scalarOracle(t *testing.T, c oracleCase) ([]*campaign.Result, error) {
 		}
 	}
 	run := sync.OnceValues(func() ([]*campaign.Result, error) {
-		res, err := o.sweep(t, campaign.SweepOptions{Workers: 2})
+		res, _, err := o.sweep(campaign.SweepOptions{Workers: 2})
 		for _, r := range res {
 			normalizeEngine(r)
 		}
 		return res, err
 	})
-	if c.prog == nil {
+	if c.bench != "" {
 		v, _ := oracles.LoadOrStore(fmt.Sprintf("%s %+v", c.bench, o.camps), run)
 		run = v.(func() ([]*campaign.Result, error))
 	}
@@ -189,24 +200,21 @@ func scalarOracle(t *testing.T, c oracleCase) ([]*campaign.Result, error) {
 }
 
 // sweep runs the case's campaigns as one Sweep and returns their results
-// in case order.
-func (c oracleCase) sweep(t *testing.T, opt campaign.SweepOptions) ([]*campaign.Result, error) {
+// in case order, and the golden runs the sweep executed.
+func (c oracleCase) sweep(opt campaign.SweepOptions) ([]*campaign.Result, int, error) {
 	camps := make([]campaign.SweepCampaign, len(c.camps))
 	for i, oc := range c.camps {
-		camps[i] = campaign.SweepCampaign{Key: fmt.Sprint(i), Group: oc.model.String(), Factory: c.factory(t, oc.model), Config: oc.cfg}
+		camps[i] = campaign.SweepCampaign{Key: fmt.Sprint(i), Group: oc.model.String(), Factory: c.factory(oc.model), Config: oc.cfg}
 	}
 	sr, err := campaign.Sweep(camps, opt)
 	if err != nil {
-		return nil, err
-	}
-	if c.goldenRuns > 0 && sr.GoldenRuns != c.goldenRuns {
-		t.Errorf("%d golden runs, want %d", sr.GoldenRuns, c.goldenRuns)
+		return nil, 0, err
 	}
 	res := make([]*campaign.Result, len(camps))
 	for i := range res {
 		res[i] = sr.Results[fmt.Sprint(i)]
 	}
-	return res, nil
+	return res, sr.GoldenRuns, nil
 }
 
 // cutShards keeps the first keep records of every checkpoint shard in
@@ -235,7 +243,7 @@ func cutShards(t *testing.T, dir string, keep int) {
 // aggregate.
 func driveManually(t *testing.T, c oracleCase, oc oracleCamp) *campaign.Result {
 	t.Helper()
-	fac, cfg := c.factory(t, oc.model), oc.cfg
+	fac, cfg := c.factory(oc.model), oc.cfg
 	if err := cfg.Validate(); err != nil { // as a coordinator does on submission
 		t.Fatal(err)
 	}
@@ -317,6 +325,9 @@ func matchOracle(t *testing.T, c oracleCase, want, got []*campaign.Result) {
 		}
 		if c.expect&expStops != 0 && oc.cfg.TargetError > 0 && w.RunsSaved == 0 {
 			t.Errorf("campaign %d: the sequential stop never fired; the case tests nothing", i)
+		}
+		if g.Config.Sched != oc.cfg.Sched {
+			t.Errorf("%s campaign %d ran schedule %v, reports %v", c.host, i, oc.cfg.Sched, g.Config.Sched)
 		}
 		normalizeEngine(g)
 		if reflect.DeepEqual(w, g) {
@@ -404,7 +415,7 @@ func TestEngineHostMatrix(t *testing.T) {
 		for _, sc := range scenarios {
 			for i, e := range engines {
 				for h := range numHosts {
-					if h == hostRun && i == 0 || h == hostResume && i != len(engines)-1 {
+					if h == hostSweep && i == 0 || h == hostResume && i != len(engines)-1 {
 						continue // the oracle itself; resume once, on the lanes
 					}
 					cfg := sc.cfg

@@ -37,8 +37,9 @@ func valueLaneMatrix(m Model, seed int64, window uint64, n int) []oracleCamp {
 }
 
 // slowBenches are the workloads whose golden runs are longest: tier-1
-// holds their value lanes to the scalar engine on windowed campaigns
-// only, and FuzzValueLanes draws the rest when fuzzing.
+// holds them to the scalar engine on windowed campaigns and tracks their
+// lanes cycle by cycle; FuzzValueLanes adds their run-to-end campaigns
+// when fuzzing.
 var slowBenches = []string{"susan_c", "susan_e", "susan_s", "stringsearch"}
 
 // TestValueLanesMatchScalar is the value-lane engine's equivalence matrix
@@ -47,9 +48,10 @@ var slowBenches = []string{"susan_c", "susan_e", "susan_s", "stringsearch"}
 // goroutines (alternating by bench), must match the scalar oracle, and
 // lanesTrackScalar holds each bench's lanes to scalar machines digest for
 // digest, cycle by cycle. The microarchitectural model runs all eight
-// benches (the slow ones windowed only); the RTL model, twice as slow a
-// cycle, the three that span its traffic (pinout-heavy qsort and fft,
-// quiet caes) — FuzzValueLanes carries both over generated programs.
+// benches (the slow ones' run-to-end campaigns only under -fuzz); the
+// RTL model, twice as slow a cycle, the three that span its traffic
+// (pinout-heavy qsort and fft, quiet caes) — FuzzValueLanes carries
+// both over generated programs.
 func TestValueLanesMatchScalar(t *testing.T) {
 	for i, w := range bench.All() {
 		t.Run(w.Name, func(t *testing.T) {
@@ -72,14 +74,14 @@ func valueLanesMatchScalar(t *testing.T, m Model, name string, workers int) {
 	}
 	camps := valueLaneMatrix(m, 31, 500, n)
 	if slices.Contains(slowBenches, name) {
-		camps = slices.DeleteFunc(camps, func(c oracleCamp) bool { return c.cfg.Window == 0 })
-		checkOracle(t, oracleCase{bench: name, camps: camps, expect: expRides})
-		return
+		camps = slices.DeleteFunc(camps, runsToEnd)
 	}
 	checkOracle(t, oracleCase{bench: name, camps: camps, workers: workers, expect: expRides})
 	f := benchFactory(t, m, name)
 	lanesTrackScalar(t, f, trackedSpecs(t, f, 41, 2*n), 300)
 }
+
+func runsToEnd(c oracleCamp) bool { return c.cfg.Window == 0 }
 
 // valueLaneProgram is a generated program for FuzzValueLanes:
 // randomProgram's blocks, ending with a write syscall of the scratch
@@ -101,8 +103,10 @@ func valueLaneProgram(seed int64, shape uint8) string {
 // window, the sample size and whether the program writes its buffer to
 // the output); every transient lane tracked against its scalar machine
 // to the program's end (lanesTrackScalar); and one random point of the
-// harness's cross-product (drawCase). Under -fuzz each input also draws
-// a case on one of the slow benches, picked by seed.
+// harness's cross-product (drawCase). Under -fuzz each input also runs
+// one of the slow benches, picked by seed, as tier-1 does not: the
+// run-to-end campaigns of its valueLaneMatrix, its lanes tracked, and a
+// drawn case, all sampled by the input's seed.
 func FuzzValueLanes(f *testing.F) {
 	for _, c := range []struct {
 		seed  int64
@@ -133,8 +137,13 @@ func FuzzValueLanes(f *testing.F) {
 		}
 		if fuzzing {
 			t.Run("bench", func(t *testing.T) {
+				name := slowBenches[uint64(seed)%uint64(len(slowBenches))]
+				camps := slices.DeleteFunc(valueLaneMatrix(ModelMicroarch, seed, 500, 4), func(c oracleCamp) bool { return !runsToEnd(c) })
+				checkOracle(t, oracleCase{bench: name, camps: camps, workers: 1 + int(shape&1), expect: expRides})
+				fac := benchFactory(t, ModelMicroarch, name)
+				lanesTrackScalar(t, fac, trackedSpecs(t, fac, seed, 8), 300)
 				c := drawCase(rng, ModelMicroarch, 6)
-				c.bench = slowBenches[uint64(seed)%uint64(len(slowBenches))]
+				c.bench = name
 				checkOracle(t, c)
 			})
 		}
