@@ -542,10 +542,10 @@ func BenchmarkOneRunReplayAllocs(b *testing.B) {
 }
 
 // BenchmarkCursorReplayAllocs pins the allocation profile of the
-// injection-locality cursor schedule: forking the replay instance off
-// the live cursor (RestoreFrom into pooled storage, reused pin buffer)
-// must not allocate more per replay than the scalar stream path it
-// replaces.
+// injection-locality cursor schedule without lanes — the walk's fork
+// path: forking the scalar instance off the walker's live state
+// (RestoreFrom into pooled storage, reused pin buffer) must not allocate
+// more per replay than the scalar stream path it replaces.
 func BenchmarkCursorReplayAllocs(b *testing.B) {
 	p := workloadProgram(b, "qsort")
 	factory := core.Factory(core.ModelMicroarch, p, core.CampaignSetup())

@@ -43,12 +43,13 @@
 // counted unsafe), corrections as Masked, and campaigns whose protected
 // targets are elsewhere stay byte-identical to unprotected runs.
 //
-// -sched cursor replays in injection-locality order: each worker sorts
-// its pending replays by injection cycle and walks a golden cursor
-// along the timeline, forking a replay at each instant, so
-// inter-injection golden cycles simulate once per pass instead of once
-// per replay — classifications, stopping indices and reports are
-// byte-identical to the default stream order. -snap-policy quantile
+// -sched cursor replays in injection-locality order: a campaign that
+// rides no lanes (-lanes 1, -target latches) goes to the lockstep walk
+// too, which sorts each worker's pull by injection cycle, advances one
+// golden instance along the timeline and forks a replay off it at each
+// instant, so inter-injection golden cycles simulate once per pull
+// instead of once per replay — classifications, stopping indices and
+// reports are byte-identical to the default stream order. -snap-policy quantile
 // places the golden snapshots at quantiles of the planner's
 // injection-instant distribution instead of a fixed stride, equalising
 // expected fast-forward cost per replay.

@@ -34,6 +34,13 @@ package campaign
 // when its data decides control and is finished by the same tail, so
 // classifications are byte-identical to the scalar path at any lane
 // width and in any company; sharing changes only throughput.
+//
+// A campaign that rides no lanes — Lanes 1, a target without a lane
+// surface, a model without one — may still take the walk (the cursor
+// schedule): the walker seeks each of its injection instants in order
+// and forks the replay there, restoring its own state into the scalar
+// instance and finishing the run by the scalar tail. Inter-injection
+// golden cycles are then stepped once per pull, not once per replay.
 
 import (
 	"fmt"
@@ -149,7 +156,7 @@ type laneTrack struct {
 // delivers its lanes, and its share of the engine's account.
 type walkMember struct {
 	w         *Work
-	tr        *laneTrack
+	tr        *laneTrack // nil: the member rides no lanes and forks
 	deliver   func(idx int, oc RunOutcome) error
 	earlyStop bool
 
@@ -166,14 +173,23 @@ type walkMember struct {
 
 // BatchReplayer drives bit-parallel lockstep replay for one goroutine: a
 // golden instance carrying the lane diffs of every campaign on the walk,
-// and a scalar instance that finishes peeled lanes. Both must come from
-// the campaigns' factory. It is single-goroutine; run one per worker.
+// and a scalar instance that finishes peeled lanes and forked replays.
+// Both must come from the campaigns' factory. It is single-goroutine;
+// run one per worker.
 type BatchReplayer struct {
 	g      *Golden
 	gold   Simulator
-	ring   BatchCapable // gold, as the lane host and the ring capture's recycler
+	ring   BatchCapable // gold, as the lane host and the ring capture's recycler; nil when no lanes ride
 	scalar Simulator
 	buf    replayBuf
+
+	// Stop, when set, is polled before each fork: once it reports true
+	// (the sequential stop was decided) the rest of the pull is
+	// abandoned. Safe because a decided stop means every index below the
+	// stopping point has been delivered, so whatever the pull still holds
+	// lies past the counted prefix and would be discarded by the
+	// collector's cut anyway.
+	Stop func() bool
 
 	members []*walkMember
 	tracks  []*laneTrack
@@ -202,51 +218,58 @@ type BatchReplayer struct {
 // target it cannot track (the RTL pipeline latches, which no value plane
 // carries). Callers fall back to the scalar path on nil.
 func NewBatchReplayer(g *Golden, cfg Config, gold, scalar Simulator) *BatchReplayer {
-	return newBatchReplayer(gold, scalar, []*Work{{Golden: g, Config: cfg}})
-}
-
-// newBatchReplayer builds the walk engine of campaigns sharing one
-// golden run — one tracker per target they inject into, all attached to
-// gold — or returns nil when any of them cannot ride lanes.
-func newBatchReplayer(gold, scalar Simulator, works []*Work) *BatchReplayer {
-	bc, ok := gold.(BatchCapable)
-	if !ok {
+	r := newBatchReplayer(gold, scalar, []*Work{{Golden: g, Config: cfg}})
+	if r.ring == nil {
 		return nil
 	}
-	r := &BatchReplayer{g: works[0].Golden, gold: gold, ring: bc, scalar: scalar}
-	byTarget := make(map[fault.Target]*laneTrack, 2)
-	for _, w := range works {
-		if w.Config.Lanes <= 1 {
-			return nil
-		}
-		tr := byTarget[w.Config.Target]
-		if tr == nil {
-			if units, _ := bc.LaneGeometry(w.Config.Target); units == 0 {
-				return nil
-			}
-			tr = &laneTrack{}
-			byTarget[w.Config.Target] = tr
-			r.tracks = append(r.tracks, tr)
-		}
-		r.members = append(r.members, &walkMember{
-			w: w, tr: tr, deliver: w.Deliver,
-			earlyStop: w.Config.EarlyStop && len(r.g.hashes) > 0,
-		})
-	}
-	rf, l1d := byTarget[fault.TargetRF], byTarget[fault.TargetL1D]
-	rfLanes, l1dLanes := bc.AttachLanes(rf != nil, l1d != nil)
-	if rf != nil {
-		rf.lanes = rfLanes
-	}
-	if l1d != nil {
-		l1d.lanes = l1dLanes
-	}
-	gold.SetPinout(nil)
 	return r
 }
 
-// Close detaches the lane trackers from the golden instance.
-func (r *BatchReplayer) Close() { r.ring.DetachLanes() }
+// newBatchReplayer builds the walk engine of campaigns sharing one
+// golden run: one tracker per target the lane-riding ones inject into,
+// all attached to gold. A campaign rides lanes when it has more than one
+// and gold tracks its target; any other forks.
+func newBatchReplayer(gold, scalar Simulator, works []*Work) *BatchReplayer {
+	bc, _ := gold.(BatchCapable)
+	r := &BatchReplayer{g: works[0].Golden, gold: gold, scalar: scalar}
+	byTarget := make(map[fault.Target]*laneTrack, 2)
+	for _, w := range works {
+		m := &walkMember{w: w, deliver: w.Deliver, earlyStop: w.Config.EarlyStop && len(r.g.hashes) > 0}
+		r.members = append(r.members, m)
+		if bc == nil || w.Config.Lanes <= 1 {
+			continue
+		}
+		if m.tr = byTarget[w.Config.Target]; m.tr == nil {
+			if units, _ := bc.LaneGeometry(w.Config.Target); units == 0 {
+				continue
+			}
+			m.tr = &laneTrack{}
+			byTarget[w.Config.Target] = m.tr
+			r.tracks = append(r.tracks, m.tr)
+		}
+	}
+	if len(r.tracks) > 0 {
+		r.ring = bc
+		rf, l1d := byTarget[fault.TargetRF], byTarget[fault.TargetL1D]
+		rfLanes, l1dLanes := bc.AttachLanes(rf != nil, l1d != nil)
+		if rf != nil {
+			rf.lanes = rfLanes
+		}
+		if l1d != nil {
+			l1d.lanes = l1dLanes
+		}
+	}
+	gold.SetPinout(nil) // the walker retraces golden; nothing observes its pins
+	return r
+}
+
+// Close detaches the lane trackers from the golden instance, if any
+// were attached.
+func (r *BatchReplayer) Close() {
+	if r.ring != nil {
+		r.ring.DetachLanes()
+	}
+}
 
 // Stats reports the replayer's accounting in the pool's common form,
 // summed over the campaigns it carries.
@@ -267,16 +290,16 @@ func (r *BatchReplayer) memberStats() []ReplayStats {
 	return sts
 }
 
-// Replay drains one campaign's plan through the engine: it pulls up to
-// Lanes*batchPull specs from next at a time and walks the golden run
-// once per pull (plus a follow-up walk when lanes ran out), delivering
-// every outcome through deliver in whatever order lanes finish — the
-// collector is order-agnostic.
+// Replay drains one campaign's plan through the engine: it pulls one
+// chunk of specs from next at a time and walks the golden run once per
+// pull (plus a follow-up walk when lanes ran out), delivering every
+// outcome through deliver in whatever order lanes finish — the collector
+// is order-agnostic.
 func (r *BatchReplayer) Replay(next func() (idx int, spec fault.Spec, ok bool), deliver func(idx int, oc RunOutcome) error) error {
 	m := r.members[0]
 	m.deliver = deliver
 	for {
-		r.pull = pullSpecs(next, m.w.Config.Lanes*batchPull, 0, r.pull[:0])
+		r.pull = pullSpecs(next, m.w.chunk(), 0, r.pull[:0])
 		if len(r.pull) == 0 {
 			return nil
 		}
@@ -304,8 +327,10 @@ func (r *BatchReplayer) replayPulled(items []pulledSpec) error {
 // stretch lanes ride by the shortest way (seek), hands lane slots to the
 // specs whose instant has come, re-asserts persistent faults, retires
 // lanes at their convergence point / window limit / golden end and peels
-// the ones whose data decided control. It returns the specs it
-// could not seat, still cycle-sorted, in pend's storage.
+// the ones whose data decided control. A spec of a member that rides no
+// lanes is forked where it heads the pull with nothing in flight. It
+// returns the specs it could not seat, still cycle-sorted, in pend's
+// storage.
 func (r *BatchReplayer) walk(pend []pulledSpec) (deferred []pulledSpec, err error) {
 	r.pend, r.next, r.deferred = pend, 0, pend[:0]
 	obsBatchWalks.Inc()
@@ -325,11 +350,21 @@ func (r *BatchReplayer) walk(pend []pulledSpec) (deferred []pulledSpec, err erro
 			}
 			head := r.pend[r.next]
 			m := r.members[head.member]
+			if m.tr == nil && r.Stop != nil && r.Stop() {
+				return nil, nil
+			}
 			n, err := r.seek(head.spec.Cycle)
 			m.stats.FastForward += n
 			obsFFCycles.Add(n)
 			if err != nil {
 				return nil, m.w.wrap(err)
+			}
+			if m.tr == nil {
+				r.next++
+				if err := r.fork(m, head); err != nil {
+					return nil, m.w.wrap(err)
+				}
+				continue
 			}
 			nextScan, nextRing = head.spec.Cycle, head.spec.Cycle
 		}
@@ -459,7 +494,7 @@ func (r *BatchReplayer) scan(c uint64) (next uint64, err error) {
 		p := r.pend[r.next]
 		m := r.members[p.member]
 		tr := m.tr
-		if m.inFlight == m.w.Config.Lanes || tr.busy == ^uint64(0) {
+		if tr == nil || m.inFlight == m.w.Config.Lanes || tr.busy == ^uint64(0) {
 			r.deferred = append(r.deferred, p)
 			m.stats.Deferred++
 			obsBatchDeferred.Inc()
@@ -618,6 +653,35 @@ func (r *BatchReplayer) peelOne(tr *laneTrack, lane int, preTick uint64) (RunOut
 	}
 	s.SetPinout(pin)
 	return finishRun(s, g, st.spec, st.m.w.Config, base.cycle, pin)
+}
+
+// fork replays one spec of a member that rides no lanes off the golden
+// instance standing at its injection instant: the scalar instance takes
+// the walker's state — Restore deep-copies, so the walker is untouched by
+// what the faulty replay does next — and its pinout is seeded with the
+// golden transactions since the nearest snapshot, the prefix a stream
+// replay records while fast-forwarding. The scalar instance then holds
+// exactly what oneRunBuf's restore-and-fast-forward produces, so
+// finishRun classifies byte-identically to stream order.
+func (r *BatchReplayer) fork(m *walkMember, p pulledSpec) error {
+	if ls, ok := r.gold.(LiveSnapshotter); ok {
+		r.scalar.Restore(ls.LiveSnapshot())
+	} else {
+		r.scalar.Restore(r.gold.Snapshot())
+	}
+	m.stats.Executed++
+	obsCursorForks.Inc()
+	base := nearestSnap(r.g.snaps, p.spec.Cycle).cycle
+	pin := r.buf.seedGolden(r.g, base, p.spec.Cycle)
+	r.scalar.SetPinout(pin)
+	if err := applyFault(r.scalar, p.spec); err != nil {
+		return err
+	}
+	oc, err := finishRun(r.scalar, r.g, p.spec, m.w.Config, base, pin)
+	if err != nil {
+		return err
+	}
+	return m.deliver(p.idx, oc)
 }
 
 // settle closes a walk's account: the lockstep cycles it stepped are

@@ -192,9 +192,11 @@ type Config struct {
 
 	// Sched selects the replay execution schedule: SchedStream
 	// (default) replays in dispatch order, each run fast-forwarding
-	// from its nearest snapshot; SchedCursor executes each worker's
-	// replays in injection-cycle order off a monotonic golden cursor,
-	// paying inter-injection golden cycles once per pass. Outcomes are
+	// from its nearest snapshot; SchedCursor hands the campaign to the
+	// lockstep walk even without lanes, which executes each worker's
+	// pull in injection-cycle order, forking each replay off one
+	// monotonic golden instance and paying inter-injection golden
+	// cycles once per pull. Outcomes are
 	// consumed in plan order either way, so results are byte-identical
 	// across schedules.
 	Sched Sched
@@ -436,7 +438,8 @@ type Result struct {
 	// counted (non-pruned, non-extrapolated) replays of (injection
 	// instant − nearest snapshot cycle) — whatever engine replayed it,
 	// lane walks included. A SchedCursor campaign reports the golden
-	// cycles its engine actually stepped, seek cycles included, and
+	// cycles its walks actually stepped with nothing riding, on their
+	// way to each lane seated or replay forked, and
 	// FastForwardSaved is the stream-order estimate minus that, clamped
 	// at 0; FastForwardSaved stays 0 on every other schedule, and on a
 	// SchedCursor campaign this process replayed nothing of (fully
@@ -1055,7 +1058,7 @@ func aggregate(cfg Config, g *Golden, pl *lazyPlan, seq *seqStop, pr *pruner, el
 			res.CyclesSimulated += oc.EndCycle - base
 		}
 		// Stream-order fast-forward cost of this replay; Planned.Result
-		// swaps in the cursors' actual cycle count under SchedCursor.
+		// swaps in the walks' actual cycle count under SchedCursor.
 		if oc.Spec.Cycle > base {
 			res.FastForwardCycles += oc.Spec.Cycle - base
 		}

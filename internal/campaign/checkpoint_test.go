@@ -131,7 +131,8 @@ func TestResumeSkipsOutOfRangeClasses(t *testing.T) {
 // TestInterruptedSweepResumesEveryEngine stops a three-campaign sweep
 // part-way and asserts a second sweep over the same checkpoint directory
 // reproduces the uninterrupted result, for each replay engine. The
-// scalar and cursor engines serve one campaign each: the first is
+// scalar engine and the walk's fork path (the cursor row: Lanes 1, every
+// replay forked off the walk) serve one campaign each: the first is
 // complete, the second cut inside or just after its first chunk, the
 // third never started. The lockstep campaigns share a golden run and so
 // one walk: all three are cut after the first pull, 16 replays each.

@@ -36,7 +36,7 @@ var (
 	obsGoldenSeconds = obs.NewHistogram("campaign_golden_prep_seconds",
 		"golden run preparation time (simulate + snapshot + trace)", obs.DurationBuckets)
 	obsBatchWalks = obs.NewCounter("campaign_batch_walks_total",
-		"forward walks of a golden run by the lockstep engine")
+		"forward walks of a golden run by the lockstep engine (lane-less pulls that only fork included)")
 	obsBatchDeferred = obs.NewCounter("campaign_batch_deferred_total",
 		"replays a walk had no free lane for and left to a follow-up walk")
 	obsBatchLaneCycles = obs.NewCounter("campaign_batch_lane_cycles_total",
@@ -57,9 +57,9 @@ var (
 	obsPrivateCycles = obs.NewCounter("campaign_batch_private_cycles_total",
 		"cycles peeled lanes simulated alone (ring catch-up plus faulty tail)")
 	obsFFCycles = obs.NewCounter("campaign_fastforward_cycles_total",
-		"golden cycles cursor and batch replayers stepped with nothing riding")
+		"golden cycles the walk stepped with nothing riding")
 	obsCursorForks = obs.NewCounter("campaign_cursor_forks_total",
-		"cursor forks (one per replay executed on the cursor schedule)")
+		"replays forked off the walk (campaigns riding no lanes, cursor schedule)")
 
 	obsClassCounters = map[Class]*obs.Counter{
 		ClassMasked:   obs.NewCounter(`campaign_outcomes_total{class="masked"}`, "delivered outcomes by fault-effect class"),
@@ -73,7 +73,7 @@ var (
 
 // obsNoteOutcome classifies one delivered outcome into the counter set.
 // Called from the in-order collector, so every tier (local scalar,
-// batch, cursor, sweep pool, fleet merge) funnels through it exactly
+// walk, forks, sweep pool, fleet merge) funnels through it exactly
 // once per outcome.
 func obsNoteOutcome(oc RunOutcome) {
 	if !obs.Enabled() {

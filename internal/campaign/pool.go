@@ -50,9 +50,9 @@ type ReplayStats struct {
 	// changed.
 	Peels [lanestore.NumPeelReasons]int
 
-	// Where the stepped cycles went. FastForward is golden cycles stepped
-	// with nothing riding: a cursor's advance to each fork, a walk's
-	// advance to the next pending instant when no lane is in flight.
+	// Where the stepped cycles went. FastForward is golden cycles a walk
+	// stepped with nothing riding, on its way to the next pending instant
+	// — to the next lane it seats or the next replay it forks.
 	// Lockstep is the campaign's share of the golden cycles lanes rode —
 	// a walk's are split between its campaigns by LaneCycles, the lanes
 	// in flight summed over those cycles — and Private the cycles its
@@ -78,14 +78,19 @@ func (s *ReplayStats) add(o ReplayStats) {
 
 // Replayer is one replay engine instance: it drains a producer of
 // planned injections, executes each replay on simulators it owns and
-// streams every classified outcome through deliver. The three engines
-// (scalar stream order, golden cursor, lockstep walk) differ only in how
-// they order and share the golden pre-injection work — classifications
-// are byte-identical. Single-goroutine: one per worker.
+// streams every classified outcome through deliver. The two engines
+// (scalar stream order and the lockstep walk, which forks the replays
+// that ride no lanes) differ only in how they order and share the golden
+// pre-injection work — classifications are byte-identical.
+// Single-goroutine: one per worker. A pool goroutine drives it one pull
+// of its unit at a time (replayPulled) and folds its account per member.
 type Replayer interface {
 	Replay(next func() (idx int, spec fault.Spec, ok bool), deliver func(idx int, oc RunOutcome) error) error
 	Stats() ReplayStats
 	Close()
+
+	replayPulled(items []pulledSpec) error
+	memberStats() []ReplayStats
 }
 
 // Work is one campaign's replays as the pool sees them.
@@ -136,23 +141,27 @@ func (w *Work) lockstep() bool {
 }
 
 // chunk is how many of the campaign's replays one pull takes: enough for
-// the walk's or the cursor's cycle sort to cluster injection instants, 1
-// when order buys nothing.
+// the walk's cycle sort to cluster injection instants, 1 when order buys
+// nothing. A campaign forking off the walk pulls 512: larger pulls
+// cluster instants more tightly (less backtracking across pulls), and
+// the bound keeps a sequential stop from over-issuing the whole plan to
+// one goroutine.
 func (w *Work) chunk() int {
 	switch {
 	case w.lockstep():
 		return w.Config.Lanes * batchPull
 	case w.Config.Sched == SchedCursor:
-		return cursorPull
+		return 512
 	}
 	return 1
 }
 
 // NewReplayer is the one place an engine is chosen, from what the code
 // can observe: lanes enabled on a model with a batch surface for the
-// target selects the lockstep walk, the cursor schedule selects the
-// golden-cursor engine, anything else replays in stream order. It
-// validates the config, so callers may pass one straight off the wire.
+// target, or the cursor schedule, selects the lockstep walk (a campaign
+// without lanes forks every replay off it); anything else replays in
+// stream order. It validates the config, so callers may pass one
+// straight off the wire.
 func NewReplayer(w *Work) (Replayer, error) {
 	v := *w
 	if err := v.Config.Validate(); err != nil {
@@ -170,35 +179,28 @@ func newReplayer(unit []*Work) (Replayer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("worker simulator: %w", err)
 	}
-	lanes, cursor := w.lockstep(), w.Config.Sched == SchedCursor
-	var b Simulator
-	if lanes || cursor {
-		// Both of those engines drive a pair: one instance that only ever
-		// walks the fault-free timeline, one that runs the faulty tails.
-		if b, err = w.Factory(); err != nil {
-			return nil, fmt.Errorf("worker simulator: %w", err)
-		}
+	lanes := w.lockstep()
+	if !lanes && w.Config.Sched != SchedCursor {
+		return &scalarReplayer{w: w, sim: a}, nil
 	}
-	switch {
-	case lanes:
-		br := newBatchReplayer(a, b, unit)
-		if br == nil {
-			return nil, fmt.Errorf("campaign: the factory's simulators track no lanes over %v, the golden run's does", w.Config.Target)
-		}
-		return br, nil
-	case cursor:
-		cr := NewCursorReplayer(w.Golden, w.Config, a, b)
-		cr.Stop = w.stopped
-		return cr, nil
+	// The walk drives a pair: one instance that only ever walks the
+	// fault-free timeline, one that runs the faulty tails.
+	b, err := w.Factory()
+	if err != nil {
+		return nil, fmt.Errorf("worker simulator: %w", err)
 	}
-	return &scalarReplayer{g: w.Golden, cfg: w.Config, sim: a}, nil
+	br := newBatchReplayer(a, b, unit)
+	if lanes && br.ring == nil {
+		return nil, fmt.Errorf("campaign: the factory's simulators track no lanes over %v, the golden run's does", w.Config.Target)
+	}
+	br.Stop = w.stopped
+	return br, nil
 }
 
 // scalarReplayer is the stream-order engine: every replay restores the
 // snapshot nearest its injection instant and fast-forwards to it.
 type scalarReplayer struct {
-	g   *Golden
-	cfg Config
+	w   *Work
 	sim Simulator
 	buf replayBuf
 	n   int
@@ -210,26 +212,41 @@ func (r *scalarReplayer) Replay(next func() (int, fault.Spec, bool), deliver fun
 		if !ok {
 			return nil
 		}
-		var t0 time.Time
-		if obs.Enabled() {
-			t0 = time.Now()
-		}
-		oc, err := oneRunBuf(r.sim, r.g, spec, r.cfg, &r.buf)
-		if err != nil {
-			return err
-		}
-		if !t0.IsZero() {
-			obsReplaySeconds.Observe(time.Since(t0).Seconds())
-		}
-		r.n++
-		if err := deliver(idx, oc); err != nil {
+		if err := r.one(idx, spec, deliver); err != nil {
 			return err
 		}
 	}
 }
 
-func (r *scalarReplayer) Stats() ReplayStats { return ReplayStats{Executed: r.n} }
-func (r *scalarReplayer) Close()             {}
+func (r *scalarReplayer) replayPulled(items []pulledSpec) error {
+	for _, p := range items {
+		if err := r.one(p.idx, p.spec, r.w.Deliver); err != nil {
+			return r.w.wrap(err)
+		}
+	}
+	return nil
+}
+
+// one replays and delivers a single spec.
+func (r *scalarReplayer) one(idx int, spec fault.Spec, deliver func(int, RunOutcome) error) error {
+	var t0 time.Time
+	if obs.Enabled() {
+		t0 = time.Now()
+	}
+	oc, err := oneRunBuf(r.sim, r.w.Golden, spec, r.w.Config, &r.buf)
+	if err != nil {
+		return err
+	}
+	if !t0.IsZero() {
+		obsReplaySeconds.Observe(time.Since(t0).Seconds())
+	}
+	r.n++
+	return deliver(idx, oc)
+}
+
+func (r *scalarReplayer) Stats() ReplayStats         { return ReplayStats{Executed: r.n} }
+func (r *scalarReplayer) memberStats() []ReplayStats { return []ReplayStats{r.Stats()} }
+func (r *scalarReplayer) Close()                     {}
 
 // pulledSpec is one plan entry drained from a producer: member names the
 // campaign it belongs to within the unit that was pulled.
@@ -266,38 +283,6 @@ func sortByCycle(ps []pulledSpec) {
 		return a.idx < b.idx
 	})
 }
-
-// engine is a replayer as a pool goroutine drives it: fed one pull of
-// its unit at a time, accounting per member.
-type engine interface {
-	replayPulled(items []pulledSpec) error
-	memberStats() []ReplayStats
-	Close()
-}
-
-// soloEngine drives the scalar and cursor replayers, whose unit is
-// always one campaign, from a pull.
-type soloEngine struct {
-	Replayer
-	w *Work
-	k int
-	p []pulledSpec
-}
-
-func (e *soloEngine) next() (int, fault.Spec, bool) {
-	if e.k >= len(e.p) {
-		return 0, fault.Spec{}, false
-	}
-	e.k++
-	return e.p[e.k-1].idx, e.p[e.k-1].spec, true
-}
-
-func (e *soloEngine) replayPulled(items []pulledSpec) error {
-	e.p, e.k = items, 0
-	return e.w.wrap(e.Replay(e.next, e.w.Deliver))
-}
-
-func (e *soloEngine) memberStats() []ReplayStats { return []ReplayStats{e.Stats()} }
 
 // ReplayPool runs every campaign in work, in order, on `workers`
 // goroutines and returns the first error any of them hit. It validates
@@ -432,7 +417,7 @@ func (s *scheduler) halt() {
 func (s *scheduler) serve() (err error) {
 	var (
 		cur   *unit
-		eng   engine
+		eng   Replayer
 		busy  time.Duration
 		items []pulledSpec
 	)
@@ -464,14 +449,8 @@ func (s *scheduler) serve() (err error) {
 		if u != cur {
 			fold()
 			cur = u
-			r, err := newReplayer(u.members)
-			if err != nil {
+			if eng, err = newReplayer(u.members); err != nil {
 				return u.members[0].wrap(err)
-			}
-			if br, ok := r.(*BatchReplayer); ok {
-				eng = br
-			} else {
-				eng = &soloEngine{Replayer: r, w: u.members[0]}
 			}
 		}
 		t0 := time.Now()

@@ -10,39 +10,73 @@ import (
 )
 
 // TestCursorReplayerSeedPins drives one 120-transient plan through the
-// engine Lanes = 1 + SchedCursor must select, single-threaded, and holds
-// the cursor's account of the pass to its exact seed-determined values:
-// the fast-forward stream order would pay (Σ instant − nearest snapshot),
-// what the cursor stepped instead, and one fork per replay.
+// engine SchedCursor must select for a campaign that rides no lanes —
+// the walk, forking every replay — single-threaded, and holds its
+// account of the pass to exact seed-determined values: one fork per
+// replay and the golden cycles the walker stepped to reach them. The
+// same campaign on one worker reports those cycles as FastForwardCycles
+// and, as FastForwardSaved, what stream order would have stepped beyond
+// them (Σ instant − nearest snapshot, minus the walker's). The RTL
+// latch row is the cursor schedule at default lanes: latches have no
+// lane surface. The plain-sim row hides every optional capability of
+// the microarchitectural simulator — no lanes at any width, no zero-copy
+// fork source — and must reproduce the first row's pins exactly.
 func TestCursorReplayerSeedPins(t *testing.T) {
-	f := factoryFor(t, "qsort", core.ModelMicroarch)
-	cfg := campaign.Config{
-		Injections: 120, Seed: 1, Target: fault.TargetRF,
-		Obs: campaign.ObsPinout, Window: 500, Lanes: 1, Sched: campaign.SchedCursor,
-	}
-	g, err := campaign.PrepareGolden(f, campaign.GoldenOptionsFor(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := g.PlanCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := campaign.NewReplayer(&campaign.Work{Golden: g, Config: cfg, Factory: f})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	cr, ok := r.(*campaign.CursorReplayer)
-	if !ok {
-		t.Fatalf("cursor schedule selected %T, not the cursor engine", r)
-	}
-	if err := cr.Replay(p.NextReplay, func(int, campaign.RunOutcome) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	got := [3]uint64{cr.StreamFF, cr.FastForward, uint64(cr.Forks)}
-	if want := [3]uint64{118_971, 21_064, 120}; got != want {
-		t.Errorf("pins moved: (stream fast-forward, cursor fast-forward, forks) = %v, want %v", got, want)
+	for _, tc := range []struct {
+		name      string
+		model     core.Model
+		target    fault.Target
+		lanes     int
+		plain     bool
+		ff, saved uint64
+	}{
+		{"microarch/rf", core.ModelMicroarch, fault.TargetRF, 1, false, 21_064, 97_907},
+		{"microarch/rf/plain-sim", core.ModelMicroarch, fault.TargetRF, 0, true, 21_064, 97_907},
+		{"rtl/latches", core.ModelRTL, fault.TargetLatches, 0, false, 35_864, 92_036},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := factoryFor(t, "qsort", tc.model)
+			if tc.plain {
+				inner := f
+				f = func() (campaign.Simulator, error) {
+					s, err := inner()
+					return plainSim{s}, err
+				}
+			}
+			cfg := campaign.Config{
+				Injections: 120, Seed: 1, Target: tc.target,
+				Obs: campaign.ObsPinout, Window: 500, Lanes: tc.lanes, Sched: campaign.SchedCursor,
+			}
+			g, err := campaign.PrepareGolden(f, campaign.GoldenOptionsFor(cfg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := g.PlanCampaign(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := campaign.NewReplayer(&campaign.Work{Golden: g, Config: cfg, Factory: f})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if _, ok := r.(*campaign.BatchReplayer); !ok {
+				t.Fatalf("cursor schedule selected %T, not the walk", r)
+			}
+			if err := r.Replay(p.NextReplay, func(int, campaign.RunOutcome) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+			st := r.Stats()
+			if st.Executed != 120 || st.FastForward != tc.ff || st.Batched+st.Peeled != 0 {
+				t.Errorf("pins moved: executed %d, fast-forward %d, %d rode lanes; want 120, %d, 0",
+					st.Executed, st.FastForward, st.Batched+st.Peeled, tc.ff)
+			}
+			cfg.Workers = 1
+			res := mustRun(t, f, cfg)
+			if got := [2]uint64{res.FastForwardCycles, res.FastForwardSaved}; got != [2]uint64{tc.ff, tc.saved} {
+				t.Errorf("one worker reports (FastForwardCycles, FastForwardSaved) = %v, want [%d %d]", got, tc.ff, tc.saved)
+			}
+		})
 	}
 }
 
@@ -110,3 +144,8 @@ func TestSnapPolicyPlacementIndependence(t *testing.T) {
 		t.Errorf("quantile snapshot placement changed campaign results:\nstride:   %+v\nquantile: %+v", stride, quantRes)
 	}
 }
+
+// plainSim exposes only the Simulator interface of the simulator it
+// wraps: none of the optional capabilities (BatchCapable,
+// LiveSnapshotter) an engine may look for.
+type plainSim struct{ campaign.Simulator }

@@ -252,9 +252,9 @@ func (p *Planned) Result(elapsed time.Duration) (*Result, error) {
 	}
 	if p.ffNoted {
 		// aggregate filled FastForwardCycles with the stream-order
-		// cost; swap in what the cursors actually stepped. A cursor
-		// may overshoot the counted prefix (stop-decision races), so
-		// the saving is clamped at zero.
+		// cost; swap in what the walks actually stepped. A walk may
+		// overshoot the counted prefix (stop-decision races), so the
+		// saving is clamped at zero.
 		actual := p.stats.FastForward
 		if stream := res.FastForwardCycles; stream > actual {
 			res.FastForwardSaved = stream - actual

@@ -5,6 +5,9 @@ package campaign_test
 // replays executed by a "remote" simulator instance — must produce a
 // Result identical to campaign.Run's, because the distributed
 // coordinator is exactly such a driver.
+//
+// Reverse-order hand dispatch through NewReplayer is the oracle
+// harness's manual host (internal/core, TestManualDispatchMatchesOracle).
 
 import (
 	"errors"
@@ -45,92 +48,6 @@ func normalizeEngine(r *campaign.Result) {
 	normalizeResult(r)
 	r.Config.Lanes, r.Config.Sched = 0, 0
 	r.FastForwardCycles, r.FastForwardSaved = 0, 0
-}
-
-// driveManually executes a planned campaign by hand: pull every replay
-// job, execute each against a fresh simulator, deliver the outcomes in
-// REVERSE order (the collector must not care), and aggregate.
-func driveManually(t *testing.T, fac campaign.Factory, cfg campaign.Config) *campaign.Result {
-	t.Helper()
-	g, err := campaign.PrepareGolden(fac, campaign.GoldenOptionsFor(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := g.PlanCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type job struct {
-		idx  int
-		spec fault.Spec
-	}
-	var jobs []job
-	for {
-		idx, spec, ok := p.NextReplay()
-		if !ok {
-			break
-		}
-		jobs = append(jobs, job{idx, spec})
-	}
-	sim, err := fac()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ocs := make([]campaign.RunOutcome, len(jobs))
-	for i, j := range jobs {
-		if ocs[i], err = g.ReplayOne(sim, j.spec, cfg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := len(jobs) - 1; i >= 0; i-- {
-		if err := p.Deliver(jobs[i].idx, ocs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := p.Result(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-func TestPlannedManualDispatchMatchesRun(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  campaign.Config
-	}{
-		{"baseline-rf", campaign.Config{
-			Injections: 60, Seed: 7, Target: fault.TargetRF,
-			Obs: campaign.ObsPinout, Window: 2_000, Workers: 4,
-		}},
-		{"seqstop", campaign.Config{
-			Injections: 120, Seed: 9, Target: fault.TargetRF,
-			Obs: campaign.ObsPinout, Window: 2_000, Workers: 4,
-			TargetError: 0.12, MinRuns: 20, Confidence: 0.95,
-		}},
-		{"prune-dead-l1d", campaign.Config{
-			Injections: 60, Seed: 11, Target: fault.TargetL1D,
-			Obs: campaign.ObsPinout, Window: 500, Workers: 4,
-			Prune: campaign.PruneDead,
-		}},
-		{"prune-classes-earlystop", campaign.Config{
-			Injections: 60, Seed: 13, Target: fault.TargetL1D,
-			Obs: campaign.ObsPinout, Window: 500, Workers: 4,
-			Prune: campaign.PruneClasses, EarlyStop: true,
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			fac := factoryFor(t, "qsort", core.ModelMicroarch)
-			want := mustRun(t, fac, tc.cfg)
-			got := driveManually(t, fac, tc.cfg)
-			normalizeResult(want)
-			normalizeResult(got)
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("manual shard dispatch diverged from Run:\n got %+v\nwant %+v", got, want)
-			}
-		})
-	}
 }
 
 // TestSweepStopInterrupts: a fired Stop channel makes Sweep drain,

@@ -2,7 +2,7 @@ package core
 
 // The oracle harness. The paper's result is a difference between two
 // simulators, so every shortcut the replay engines take — bit-parallel
-// lanes and their deferral, the cursor schedule, fused units, the pool's
+// lanes and their deferral, the walk's forks, fused units, the pool's
 // splits, the hosts, checkpoint resume — must reproduce the scalar
 // stream replay: the same campaigns with Lanes 1 and SchedStream. An
 // oracleCase is one point of the cross-product model × program × fault
@@ -407,7 +407,7 @@ func TestEngineHostMatrix(t *testing.T) {
 		typ   string
 	}{
 		{1, campaign.SchedStream, "*campaign.scalarReplayer"},
-		{1, campaign.SchedCursor, "*campaign.CursorReplayer"},
+		{1, campaign.SchedCursor, "*campaign.BatchReplayer"}, // every replay forked off the walk
 		{8, campaign.SchedStream, "*campaign.BatchReplayer"},
 	}
 	var cases []oracleCase
@@ -427,6 +427,39 @@ func TestEngineHostMatrix(t *testing.T) {
 				}
 			}
 		}
+	}
+	runOracleCases(t, cases)
+}
+
+// TestManualDispatchMatchesOracle: campaigns planned and dispatched by
+// hand, as a coordinator drives them — every replay pulled through the
+// engine the config selects, outcomes delivered in reverse — reproduce
+// the scalar oracle under a sequential stop and both pruning modes.
+func TestManualDispatchMatchesOracle(t *testing.T) {
+	var cases []oracleCase
+	for _, sc := range []struct {
+		name   string
+		cfg    campaign.Config
+		expect int
+	}{
+		{"baseline-rf", campaign.Config{Injections: 60, Seed: 7, Target: fault.TargetRF, Obs: campaign.ObsPinout, Window: 2_000}, 0},
+		{"seqstop", campaign.Config{
+			Injections: 120, Seed: 9, Target: fault.TargetRF, Obs: campaign.ObsPinout, Window: 2_000,
+			TargetError: 0.12, MinRuns: 20, Confidence: 0.95,
+		}, expStops},
+		{"prune-dead-l1d", campaign.Config{
+			Injections: 60, Seed: 11, Target: fault.TargetL1D, Obs: campaign.ObsPinout, Window: 500,
+			Prune: campaign.PruneDead,
+		}, 0},
+		{"prune-classes-earlystop", campaign.Config{
+			Injections: 60, Seed: 13, Target: fault.TargetL1D, Obs: campaign.ObsPinout, Window: 500,
+			Prune: campaign.PruneClasses, EarlyStop: true,
+		}, 0},
+	} {
+		cases = append(cases, oracleCase{
+			name: sc.name, bench: "qsort", camps: []oracleCamp{{ModelMicroarch, sc.cfg}},
+			host: hostManual, expect: sc.expect,
+		})
 	}
 	runOracleCases(t, cases)
 }
@@ -628,7 +661,9 @@ func TestBatchDeferralMatchesScalar(t *testing.T) {
 // TestCursorSchedMatchesStream: the injection-locality cursor schedule is
 // an execution-order optimisation only — under every engine option on
 // both levels, classifications, stopping indices and per-outcome end
-// cycles are the stream schedule's.
+// cycles are the stream schedule's. The latch row forks off the walk at
+// every lane width (latches have no lane surface), and its sequential
+// stop makes the fork path poll Stop.
 func TestCursorSchedMatchesStream(t *testing.T) {
 	var cases []oracleCase
 	for _, tc := range []struct {
@@ -643,6 +678,7 @@ func TestCursorSchedMatchesStream(t *testing.T) {
 		{"rtl/plain", ModelRTL, func(*campaign.Config) {}},
 		{"rtl/lanes", ModelRTL, func(c *campaign.Config) { c.Lanes = 8 }},
 		{"rtl/earlystop", ModelRTL, func(c *campaign.Config) { c.EarlyStop, c.TargetError = true, 0.2 }},
+		{"rtl/latches", ModelRTL, func(c *campaign.Config) { c.Target, c.EarlyStop, c.TargetError = fault.TargetLatches, true, 0.2 }},
 	} {
 		cfg := campaign.Config{Injections: 20, Seed: 31, Target: fault.TargetRF, Obs: campaign.ObsPinout, Window: 500}
 		tc.mod(&cfg)

@@ -382,7 +382,7 @@ func (c *Coordinator) Lease(req LeaseRequest) (*Lease, error) {
 // single-process dispatch loop. For a cursor-scheduled campaign it
 // pulls several shards' worth at once, sorts by injection cycle and
 // slices cycle-contiguous shards (extras queue immediately), so each
-// worker's golden cursor walks a compact cycle span instead of the
+// worker's golden walk covers a compact cycle span instead of the
 // plan's random one. Shard composition changes nothing downstream: the
 // coordinator's collector consumes outcomes in plan order regardless.
 func (c *Coordinator) fillShardLocked(cs *campState) []Job {

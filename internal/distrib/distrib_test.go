@@ -402,7 +402,7 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 // TestDistributedCursorSchedMatchesLocal proves the injection-locality
 // cursor schedule survives distribution: the coordinator slices
 // cycle-contiguous shards, the workers replay them on per-goroutine
-// golden cursors, and the merged result equals both the local cursor
+// golden walks, and the merged result equals both the local cursor
 // run and the local stream run (normalised for timings and the
 // fast-forward accounting the schedule exists to change).
 func TestDistributedCursorSchedMatchesLocal(t *testing.T) {
