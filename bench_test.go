@@ -542,8 +542,7 @@ func BenchmarkOneRunReplayAllocs(b *testing.B) {
 }
 
 // BenchmarkCursorReplayAllocs pins the allocation profile of the
-// injection-locality cursor schedule without lanes — the walk's fork
-// path: forking the scalar instance off the walker's live state
+// walk's fork path, which a campaign riding no lanes takes: forking the scalar instance off the walker's live state
 // (RestoreFrom into pooled storage, reused pin buffer) must not allocate
 // more per replay than the scalar stream path it replaces.
 func BenchmarkCursorReplayAllocs(b *testing.B) {
@@ -563,7 +562,7 @@ func BenchmarkCursorReplayAllocs(b *testing.B) {
 	}
 	cfg := campaign.Config{
 		Injections: 1, Seed: 1, Target: fault.TargetRF,
-		Obs: campaign.ObsPinout, Window: 500, Sched: campaign.SchedCursor,
+		Obs: campaign.ObsPinout, Window: 500,
 	}
 	specs, err := fault.Plan(64, cfg.Target, cursor.Bits(cfg.Target), g.Cycles,
 		fault.DistNormal, cfg.Fault, rand.New(rand.NewSource(1)))

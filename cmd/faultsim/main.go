@@ -43,16 +43,13 @@
 // counted unsafe), corrections as Masked, and campaigns whose protected
 // targets are elsewhere stay byte-identical to unprotected runs.
 //
-// -sched cursor replays in injection-locality order: a campaign that
-// rides no lanes (-lanes 1, -target latches) goes to the lockstep walk
-// too, which sorts each worker's pull by injection cycle, advances one
-// golden instance along the timeline and forks a replay off it at each
-// instant, so inter-injection golden cycles simulate once per pull
-// instead of once per replay — classifications, stopping indices and
-// reports are byte-identical to the default stream order. -snap-policy quantile
-// places the golden snapshots at quantiles of the planner's
-// injection-instant distribution instead of a fixed stride, equalising
-// expected fast-forward cost per replay.
+// -lanes picks the replay engine: 1 is the scalar stream replayer, every
+// replay restoring the snapshot nearest its injection instant; any
+// wider setting is the lockstep walk, on which RF and L1D replays ride
+// value lanes and the others (-target latches) fork off the one golden
+// instance at their instants, so inter-injection golden cycles simulate
+// once per pull instead of once per replay. Classifications, stopping
+// indices and reports are byte-identical on either engine.
 //
 // A local campaign is a campaign.Sweep of one, on -workers goroutines
 // with or without checkpoints. -checkpoint DIR streams per-run outcomes
@@ -113,8 +110,6 @@ func run(args []string) error {
 		avf        = fs.Bool("avf", false, "attach an injection-free ACE/AVF estimate from the golden lifetime trace (zero extra replays, transient models only)")
 		avfPrior   = fs.Bool("avf-prior", false, "seed sequential stopping from the AVF prediction (implies -avf, requires -target-error)")
 		lanes      = fs.Int("lanes", 64, "bit-parallel lockstep replay width, 1-64 (1 = scalar engine; byte-identical results at any width)")
-		sched      = fs.String("sched", "stream", "replay schedule: stream (plan order) or cursor (injection-locality order; byte-identical results)")
-		snapPolicy = fs.String("snap-policy", "stride", "golden snapshot placement: stride (fixed interval) or quantile (at the injection-instant distribution's quantiles)")
 		process    = cli.ProcessFlags(fs, "faultsim", "campaign")
 		checkpoint = fs.String("checkpoint", "", "stream per-run outcomes to JSONL shards in this directory and resume from them")
 		remote     = fs.String("remote", "", "submit the campaign to a faultsimd coordinator at this base URL instead of simulating locally")
@@ -157,12 +152,6 @@ func run(args []string) error {
 		Protect:      *protectStr,
 	}
 	if cfg.Prune, err = campaign.ParsePruneMode(*prune); err != nil {
-		return err
-	}
-	if cfg.Sched, err = campaign.ParseSched(*sched); err != nil {
-		return err
-	}
-	if cfg.SnapPolicy, err = campaign.ParseSnapPolicy(*snapPolicy); err != nil {
 		return err
 	}
 	if *fullSize {

@@ -35,12 +35,12 @@ package campaign
 // classifications are byte-identical to the scalar path at any lane
 // width and in any company; sharing changes only throughput.
 //
-// A campaign that rides no lanes — Lanes 1, a target without a lane
-// surface, a model without one — may still take the walk (the cursor
-// schedule): the walker seeks each of its injection instants in order
-// and forks the replay there, restoring its own state into the scalar
-// instance and finishing the run by the scalar tail. Inter-injection
-// golden cycles are then stepped once per pull, not once per replay.
+// A campaign that rides no lanes at a width above 1 — a target without
+// a lane surface, a model without one — still takes the walk: the
+// walker seeks each of its injection instants in order and forks the
+// replay there, restoring its own state into the scalar instance and
+// finishing the run by the scalar tail. Inter-injection golden cycles
+// are then stepped once per pull, not once per replay.
 
 import (
 	"fmt"

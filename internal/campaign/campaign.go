@@ -182,23 +182,11 @@ type Config struct {
 	// 2048 cycles: 7 to 21 snapshots on the benchmark programs.
 	SnapshotEvery uint64
 
-	// SnapPolicy selects snapshot placement: SnapStride (default) is
-	// the fixed SnapshotEvery grid; SnapQuantile spends the same
-	// snapshot budget at quantiles of the planner's injection-instant
-	// distribution, minimising expected fast-forward distance.
-	// Placement changes restoration points only, never observations, so
-	// it changes throughput, not classifications.
+	// Deprecated: SnapPolicy selects nothing; snapshots are taken every
+	// SnapshotEvery cycles.
 	SnapPolicy SnapPolicy
 
-	// Sched selects the replay execution schedule: SchedStream
-	// (default) replays in dispatch order, each run fast-forwarding
-	// from its nearest snapshot; SchedCursor hands the campaign to the
-	// lockstep walk even without lanes, which executes each worker's
-	// pull in injection-cycle order, forking each replay off one
-	// monotonic golden instance and paying inter-injection golden
-	// cycles once per pull. Outcomes are
-	// consumed in plan order either way, so results are byte-identical
-	// across schedules.
+	// Deprecated: Sched selects nothing; Lanes alone picks the engine.
 	Sched Sched
 
 	// Workers bounds campaign parallelism; zero uses GOMAXPROCS.
@@ -231,15 +219,16 @@ type Config struct {
 	// trigger (0 selects 50). Requires TargetError.
 	MinRuns int
 
-	// Lanes bounds the width of bit-parallel lockstep replay on
-	// batch-capable simulators (both models, for the register file and
-	// the L1D data array): up to Lanes faulty machines ride one golden
-	// evaluation as sparse state diffs, each peeling out to a scalar
-	// replay the moment the design first consumes its corruption. 0
-	// selects the default of 64 (the lane capacity of a uint64 mask); 1
-	// forces the scalar path. Targets without a batch surface ignore
-	// the setting. Classifications are byte-identical at any width —
-	// batching changes only throughput.
+	// Lanes picks the replay engine and bounds the width of bit-parallel
+	// lockstep replay on batch-capable simulators (both models, for the
+	// register file and the L1D data array): up to Lanes faulty machines
+	// ride one golden evaluation as sparse state diffs, each peeling out
+	// to a scalar replay the moment the design first consumes its
+	// corruption. 0 selects the default of 64 (the lane capacity of a
+	// uint64 mask); 1 selects the scalar stream replayer. On a target
+	// without a batch surface any width above 1 forks every replay off
+	// the walk. Classifications are byte-identical at any width — the
+	// engine changes only throughput.
 	Lanes int
 
 	// Prune enables golden-trace fault pruning (see PruneMode): the
@@ -432,20 +421,16 @@ type Result struct {
 	PeeledRuns    int
 	LaneOccupancy float64
 
-	// Replay-scheduling accounting. FastForwardCycles is the golden
-	// pre-injection work of the replay phase. A campaign not on
-	// SchedCursor reports the stream-order estimate — the sum over
-	// counted (non-pruned, non-extrapolated) replays of (injection
-	// instant − nearest snapshot cycle) — whatever engine replayed it,
-	// lane walks included. A SchedCursor campaign reports the golden
-	// cycles its walks actually stepped with nothing riding, on their
-	// way to each lane seated or replay forked, and
-	// FastForwardSaved is the stream-order estimate minus that, clamped
-	// at 0; FastForwardSaved stays 0 on every other schedule, and on a
-	// SchedCursor campaign this process replayed nothing of (fully
-	// resumed), which reports the estimate.
+	// FastForwardCycles is the stream-order estimate of the replay
+	// phase's golden pre-injection work, whatever engine replayed the
+	// campaign: the sum over counted (non-pruned, non-extrapolated)
+	// replays of (injection instant − nearest snapshot cycle). The golden
+	// cycles the walks actually stepped are ReplayStats.FastForward and
+	// the campaign_fastforward_cycles_total series.
 	FastForwardCycles uint64
-	FastForwardSaved  uint64
+
+	// Deprecated: FastForwardSaved is always 0.
+	FastForwardSaved uint64
 
 	// Protection accounting, non-zero only when Config.Protect covers
 	// the injection target. ProtectDataBits is the structure's real bit
@@ -541,15 +526,7 @@ type GoldenOptions struct {
 	// the artifacts to be shareable with that campaign.
 	SnapshotEvery uint64
 
-	// SnapPolicy selects snapshot placement (see Config.SnapPolicy).
-	// Under SnapQuantile, SnapshotEvery still sets the snapshot budget
-	// — the count a stride of that interval would have produced — but
-	// the snapshots land at quantiles of the planner's truncated-normal
-	// instant distribution, placed by a second snapshot-only golden
-	// pass once the run length is known. Like SnapshotEvery it must
-	// match the campaign's policy for artifact sharing: replays
-	// restored from differently placed snapshots compare over different
-	// window bases.
+	// Deprecated: SnapPolicy selects nothing.
 	SnapPolicy SnapPolicy
 
 	// Timeline records the L1D access timeline during the golden run,
@@ -656,13 +633,7 @@ func PrepareGolden(factory Factory, opts GoldenOptions) (*Golden, error) {
 	}
 
 	start := time.Now()
-	every := opts.SnapshotEvery
-	if opts.SnapPolicy == SnapQuantile {
-		// Quantile placement needs the run length first: suppress the
-		// stride grid here and place the snapshots in a second pass.
-		every = snapSuppress
-	}
-	snaps, hashes, err := goldenRunWithSnapshots(sim, every, opts.MaxCycles, opts.HashEvery)
+	snaps, hashes, err := goldenRunWithSnapshots(sim, opts.SnapshotEvery, opts.MaxCycles, opts.HashEvery)
 	if err != nil {
 		return nil, err
 	}
@@ -683,58 +654,9 @@ func PrepareGolden(factory Factory, opts GoldenOptions) (*Golden, error) {
 	if g.Cycles < 16 {
 		return nil, fmt.Errorf("campaign: golden run too short (%d cycles)", g.Cycles)
 	}
-	if opts.SnapPolicy == SnapQuantile {
-		if err := placeQuantileSnapshots(factory, g, opts); err != nil {
-			return nil, err
-		}
-		g.Elapsed = time.Since(start)
-	}
 	obsGoldenRuns.Inc()
 	obsGoldenSeconds.Observe(g.Elapsed.Seconds())
 	return g, nil
-}
-
-// snapSuppress is a SnapshotEvery value no run reaches, used to skip
-// the stride grid when snapshots are placed by a later quantile pass
-// (the cycle-0 snapshot is still captured).
-const snapSuppress = ^uint64(0)
-
-// placeQuantileSnapshots replaces the golden snapshot set with
-// plan-aware placement: the same snapshot budget a SnapshotEvery stride
-// would have spent, placed at quantiles of the planner's truncated-
-// normal injection-instant distribution over the now-known golden run
-// length, so each snapshot gap carries equal expected replay mass. A
-// fresh factory instance retraces the (deterministic) golden timeline,
-// snapshotting at each quantile cycle.
-func placeQuantileSnapshots(factory Factory, g *Golden, opts GoldenOptions) error {
-	every := opts.SnapshotEvery
-	if every == 0 {
-		every = defaultSnapshotEvery
-	}
-	k := int((g.Cycles - 1) / every)
-	if k <= 0 {
-		return nil // short run: the cycle-0 snapshot is the whole budget either way
-	}
-	qs := fault.InstantQuantiles(g.Cycles, fault.DistNormal, k)
-	sim, err := factory()
-	if err != nil {
-		return fmt.Errorf("campaign: quantile snapshot pass: %w", err)
-	}
-	snaps := []snapAt{{cycle: sim.Cycles(), snap: sim.Snapshot()}}
-	for _, q := range qs {
-		if q <= snaps[len(snaps)-1].cycle {
-			continue
-		}
-		for sim.Cycles() < q {
-			if !sim.Step() {
-				return fmt.Errorf("campaign: quantile snapshot pass stopped at %d before %d (%v)",
-					sim.Cycles(), q, sim.StopReason())
-			}
-		}
-		snaps = append(snaps, snapAt{cycle: sim.Cycles(), snap: sim.Snapshot()})
-	}
-	g.snaps = snaps
-	return nil
 }
 
 // lazyPlan is a campaign's fault plan as a deterministic stream: spec i
@@ -1057,8 +979,7 @@ func aggregate(cfg Config, g *Golden, pl *lazyPlan, seq *seqStop, pr *pruner, el
 		if oc.EndCycle > base {
 			res.CyclesSimulated += oc.EndCycle - base
 		}
-		// Stream-order fast-forward cost of this replay; Planned.Result
-		// swaps in the walks' actual cycle count under SchedCursor.
+		// Stream-order fast-forward cost of this replay.
 		if oc.Spec.Cycle > base {
 			res.FastForwardCycles += oc.Spec.Cycle - base
 		}
@@ -1143,7 +1064,7 @@ func goldenRunWithSnapshots(sim Simulator, every, max, hashEvery uint64) ([]snap
 	next := sim.Cycles() + every
 	nextHash := sim.Cycles() + hashEvery
 	for sim.Step() {
-		if every != snapSuppress && sim.Cycles() >= next {
+		if sim.Cycles() >= next {
 			snaps = append(snaps, snapAt{cycle: sim.Cycles(), snap: sim.Snapshot()})
 			next = sim.Cycles() + every
 		}

@@ -131,26 +131,27 @@ func TestResumeSkipsOutOfRangeClasses(t *testing.T) {
 // TestInterruptedSweepResumesEveryEngine stops a three-campaign sweep
 // part-way and asserts a second sweep over the same checkpoint directory
 // reproduces the uninterrupted result, for each replay engine. The
-// scalar engine and the walk's fork path (the cursor row: Lanes 1, every
-// replay forked off the walk) serve one campaign each: the first is
-// complete, the second cut inside or just after its first chunk, the
-// third never started. The lockstep campaigns share a golden run and so
-// one walk: all three are cut after the first pull, 16 replays each.
+// scalar engine (Lanes 1) and the walk's fork path (the cursor row: RTL
+// latches at default lanes, every replay forked off the walk) serve one
+// campaign each: the first is complete, the second cut inside or just
+// after its first chunk, the third never started. The lockstep
+// campaigns share a golden run and so one walk: all three are cut after
+// the first pull, 16 replays each.
 func TestInterruptedSweepResumesEveryEngine(t *testing.T) {
 	engines := []struct {
-		name  string
-		model core.Model
-		lanes int
-		sched campaign.Sched
+		name   string
+		model  core.Model
+		target fault.Target
+		lanes  int
 		// The interrupt fires on call tripAt of campaign trip's factory:
 		// the first that builds an engine (a unit's first campaign also
 		// built the golden run).
 		trip   int
 		tripAt int32
 	}{
-		{"scalar", core.ModelMicroarch, 1, campaign.SchedStream, 1, 1},
-		{"cursor", core.ModelMicroarch, 1, campaign.SchedCursor, 1, 1},
-		{"batch", core.ModelRTL, 2, campaign.SchedStream, 0, 2},
+		{"scalar", core.ModelMicroarch, fault.TargetRF, 1, 1, 1},
+		{"cursor", core.ModelRTL, fault.TargetLatches, 0, 1, 1},
+		{"batch", core.ModelRTL, fault.TargetRF, 2, 0, 2},
 	}
 	for _, e := range engines {
 		e := e
@@ -167,8 +168,8 @@ func TestInterruptedSweepResumesEveryEngine(t *testing.T) {
 						f = tripping
 					}
 					m = append(m, campaign.SweepCampaign{Key: key, Group: "g", Factory: f, Config: campaign.Config{
-						Injections: 20, Seed: int64(11 + i), Target: fault.TargetRF, Window: 400,
-						Lanes: e.lanes, Sched: e.sched,
+						Injections: 20, Seed: int64(11 + i), Target: e.target, Window: 400,
+						Lanes: e.lanes,
 					}})
 				}
 				return m

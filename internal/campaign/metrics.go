@@ -59,7 +59,7 @@ var (
 	obsFFCycles = obs.NewCounter("campaign_fastforward_cycles_total",
 		"golden cycles the walk stepped with nothing riding")
 	obsCursorForks = obs.NewCounter("campaign_cursor_forks_total",
-		"replays forked off the walk (campaigns riding no lanes, cursor schedule)")
+		"replays forked off the walk (members riding no lanes)")
 
 	obsClassCounters = map[Class]*obs.Counter{
 		ClassMasked:   obs.NewCounter(`campaign_outcomes_total{class="masked"}`, "delivered outcomes by fault-effect class"),

@@ -141,27 +141,27 @@ func (w *Work) lockstep() bool {
 }
 
 // chunk is how many of the campaign's replays one pull takes: enough for
-// the walk's cycle sort to cluster injection instants, 1 when order buys
-// nothing. A campaign forking off the walk pulls 512: larger pulls
-// cluster instants more tightly (less backtracking across pulls), and
-// the bound keeps a sequential stop from over-issuing the whole plan to
-// one goroutine.
+// the walk's cycle sort to cluster injection instants, 1 on the scalar
+// engine, where order buys nothing. A campaign forking off the walk
+// pulls 512: larger pulls cluster instants more tightly (less
+// backtracking across pulls), and the bound keeps a sequential stop from
+// over-issuing the whole plan to one goroutine.
 func (w *Work) chunk() int {
 	switch {
+	case w.Config.Lanes == 1:
+		return 1
 	case w.lockstep():
 		return w.Config.Lanes * batchPull
-	case w.Config.Sched == SchedCursor:
-		return 512
 	}
-	return 1
+	return 512
 }
 
-// NewReplayer is the one place an engine is chosen, from what the code
-// can observe: lanes enabled on a model with a batch surface for the
-// target, or the cursor schedule, selects the lockstep walk (a campaign
-// without lanes forks every replay off it); anything else replays in
-// stream order. It validates the config, so callers may pass one
-// straight off the wire.
+// NewReplayer is the one place an engine is chosen, from Config.Lanes
+// alone: 1 selects the scalar stream replayer (the oracle), any wider
+// setting the lockstep walk, on which a campaign rides lanes where the
+// model tracks its target and forks every replay off the walk where it
+// does not. It validates the config, so callers may pass one straight
+// off the wire.
 func NewReplayer(w *Work) (Replayer, error) {
 	v := *w
 	if err := v.Config.Validate(); err != nil {
@@ -179,8 +179,7 @@ func newReplayer(unit []*Work) (Replayer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("worker simulator: %w", err)
 	}
-	lanes := w.lockstep()
-	if !lanes && w.Config.Sched != SchedCursor {
+	if w.Config.Lanes == 1 {
 		return &scalarReplayer{w: w, sim: a}, nil
 	}
 	// The walk drives a pair: one instance that only ever walks the
@@ -190,7 +189,7 @@ func newReplayer(unit []*Work) (Replayer, error) {
 		return nil, fmt.Errorf("worker simulator: %w", err)
 	}
 	br := newBatchReplayer(a, b, unit)
-	if lanes && br.ring == nil {
+	if w.lockstep() && br.ring == nil {
 		return nil, fmt.Errorf("campaign: the factory's simulators track no lanes over %v, the golden run's does", w.Config.Target)
 	}
 	br.Stop = w.stopped

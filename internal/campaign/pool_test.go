@@ -213,7 +213,9 @@ func (s *usedSim) Restore(snap campaign.Snapshot) {
 // builds, so one that arrives at a unit another goroutine has just
 // drained pays for no engine. Eight goroutines race for sources of one
 // or two replays; every simulator the factory handed out must have been
-// replayed on.
+// replayed on. The scalar engine (Lanes 1) owns one simulator; the walk
+// (default lanes, forking every replay: the mock tracks no lanes) owns a
+// pair.
 func TestPoolBuildsEnginesOnlyForServedUnits(t *testing.T) {
 	base := runtime.NumGoroutine()
 	plain := func() (campaign.Simulator, error) { return &mockSim{limit: 100}, nil }
@@ -221,40 +223,52 @@ func TestPoolBuildsEnginesOnlyForServedUnits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var (
-		mu    sync.Mutex
-		built []*usedSim
-	)
-	counting := func() (campaign.Simulator, error) {
-		s := &usedSim{mockSim: mockSim{limit: 100}}
-		mu.Lock()
-		built = append(built, s)
-		mu.Unlock()
-		return s, nil
-	}
-	var work []*campaign.Work
-	var delivered atomic.Int64
-	total := 0
-	for _, n := range []int{1, 0, 2, 1, 1, 0, 1} {
-		total += n
-		work = append(work, &campaign.Work{
-			Golden: g, Config: errCfg(), Factory: counting, Size: n, Next: finiteNext(n),
-			Deliver: func(int, campaign.RunOutcome) error { delivered.Add(1); return nil },
+	for _, tc := range []struct {
+		name        string
+		lanes, sims int // Config.Lanes; simulators per engine
+	}{
+		{"scalar", 1, 1},
+		{"walk", 0, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var (
+				mu    sync.Mutex
+				built []*usedSim
+			)
+			counting := func() (campaign.Simulator, error) {
+				s := &usedSim{mockSim: mockSim{limit: 100}}
+				mu.Lock()
+				built = append(built, s)
+				mu.Unlock()
+				return s, nil
+			}
+			cfg := errCfg()
+			cfg.Lanes = tc.lanes
+			var work []*campaign.Work
+			var delivered atomic.Int64
+			total := 0
+			for _, n := range []int{1, 0, 2, 1, 1, 0, 1} {
+				total += n
+				work = append(work, &campaign.Work{
+					Golden: g, Config: cfg, Factory: counting, Size: n, Next: finiteNext(n),
+					Deliver: func(int, campaign.RunOutcome) error { delivered.Add(1); return nil },
+				})
+			}
+			if err := campaign.ReplayPool(8, nil, work...); err != nil {
+				t.Fatal(err)
+			}
+			if got := int(delivered.Load()); got != total {
+				t.Fatalf("delivered %d of %d replays", got, total)
+			}
+			if len(built) == 0 || len(built) > tc.sims*total {
+				t.Errorf("%d simulators built for %d replays, want at most %d per replay", len(built), total, tc.sims)
+			}
+			for i, s := range built {
+				if !s.used.Load() {
+					t.Errorf("simulator %d of %d was built and never served a replay", i, len(built))
+				}
+			}
 		})
-	}
-	if err := campaign.ReplayPool(8, nil, work...); err != nil {
-		t.Fatal(err)
-	}
-	if got := int(delivered.Load()); got != total {
-		t.Fatalf("delivered %d of %d replays", got, total)
-	}
-	if len(built) == 0 || len(built) > total {
-		t.Errorf("%d engines built for %d replays", len(built), total)
-	}
-	for i, s := range built {
-		if !s.used.Load() {
-			t.Errorf("engine %d of %d was built and never served a replay", i, len(built))
-		}
 	}
 	waitNoLeak(t, base)
 }
@@ -271,11 +285,13 @@ func TestPoolStopAfterLastIssueIsNotAnInterrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 4
+	cfg := errCfg()
+	cfg.Lanes = 1
 	for _, stopAt := range []int64{n, n - 1} {
 		stop := make(chan struct{})
 		var delivered atomic.Int64
 		w := &campaign.Work{
-			Golden: g, Config: errCfg(), Factory: factory, Size: n, Next: finiteNext(n),
+			Golden: g, Config: cfg, Factory: factory, Size: n, Next: finiteNext(n),
 			Deliver: func(int, campaign.RunOutcome) error {
 				if delivered.Add(1) == stopAt {
 					close(stop)
@@ -283,8 +299,8 @@ func TestPoolStopAfterLastIssueIsNotAnInterrupt(t *testing.T) {
 				return nil
 			},
 		}
-		// One goroutine, one replay a pull: the pool meets the stop right
-		// after delivery stopAt.
+		// One goroutine on the scalar engine, one replay a pull: the pool
+		// meets the stop right after delivery stopAt.
 		err := campaign.ReplayPool(1, stop, w)
 		switch {
 		case stopAt == n && err != nil:

@@ -32,9 +32,9 @@ func rfDataBits(t *testing.T, model core.Model) int {
 }
 
 // TestProtectedOutcomeDeterminism runs the same protected campaign
-// through every execution engine — stream order, the injection-locality
-// cursor schedule, the sweep pool, and (on RTL) scalar vs 64-lane
-// bit-parallel replay — and requires byte-identical outcome lists
+// through every execution engine — the 64-lane walk against the scalar
+// stream replayer (Lanes 1) on both models, and the sweep pool — and
+// requires byte-identical outcome lists
 // including the DUE classifications. Its last case is determinism across
 // commits: one larger parity campaign held to its exact split, so a
 // change anywhere in the protection fold (word arity rule, overhead
@@ -45,23 +45,23 @@ func TestProtectedOutcomeDeterminism(t *testing.T) {
 		Obs: campaign.ObsPinout, Window: 3_000, Workers: 4,
 		Protect: "rf=parity",
 	}
-	stream := protRun(t, core.ModelMicroarch, base)
-	if stream.Counts[campaign.ClassDUE] == 0 {
-		t.Fatalf("protected parity campaign produced no DUE outcomes: %v", stream.Counts)
+	walk := protRun(t, core.ModelMicroarch, base)
+	if walk.Counts[campaign.ClassDUE] == 0 {
+		t.Fatalf("protected parity campaign produced no DUE outcomes: %v", walk.Counts)
 	}
 
-	cur := base
-	cur.Sched = campaign.SchedCursor
-	cursor := protRun(t, core.ModelMicroarch, cur)
-	if !reflect.DeepEqual(stream.Outcomes, cursor.Outcomes) {
-		t.Errorf("cursor schedule diverged from stream order under protection")
+	one := base
+	one.Lanes = 1
+	scalarMA := protRun(t, core.ModelMicroarch, one)
+	if !reflect.DeepEqual(walk.Outcomes, scalarMA.Outcomes) {
+		t.Errorf("lane walk diverged from scalar replay under protection")
 	}
 
 	f := factoryFor(t, "qsort", core.ModelMicroarch)
 	sr := mustSweep(t, []campaign.SweepCampaign{
 		{Key: "prot", Group: "ma/qsort", Factory: f, Config: base},
 	}, campaign.SweepOptions{Workers: 4})
-	if !reflect.DeepEqual(stream.Outcomes, sr.Results["prot"].Outcomes) {
+	if !reflect.DeepEqual(walk.Outcomes, sr.Results["prot"].Outcomes) {
 		t.Errorf("sweep pool diverged from standalone Run under protection")
 	}
 

@@ -1,6 +1,7 @@
 package campaign_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -10,29 +11,29 @@ import (
 )
 
 // TestCursorReplayerSeedPins drives one 120-transient plan through the
-// engine SchedCursor must select for a campaign that rides no lanes —
-// the walk, forking every replay — single-threaded, and holds its
-// account of the pass to exact seed-determined values: one fork per
-// replay and the golden cycles the walker stepped to reach them. The
-// same campaign on one worker reports those cycles as FastForwardCycles
-// and, as FastForwardSaved, what stream order would have stepped beyond
-// them (Σ instant − nearest snapshot, minus the walker's). The RTL
-// latch row is the cursor schedule at default lanes: latches have no
-// lane surface. The plain-sim row hides every optional capability of
-// the microarchitectural simulator — no lanes at any width, no zero-copy
-// fork source — and must reproduce the first row's pins exactly.
+// engine NewReplayer picks, single-threaded, and holds its account of
+// the pass to exact seed-determined values. At default lanes a campaign
+// that rides no lanes — the RTL latches, which have no lane surface, and
+// a microarchitectural simulator that hides every optional capability
+// (no lanes at any width, no zero-copy fork source) — gets the walk,
+// forking every replay: one fork per replay and the golden cycles the
+// walker stepped to reach them. The Lanes 1 row gets the scalar stream
+// replayer, which reports no walked cycles. Whatever the engine, the
+// same campaign on one worker reports the stream-order estimate
+// (Σ instant − nearest snapshot) as FastForwardCycles.
 func TestCursorReplayerSeedPins(t *testing.T) {
 	for _, tc := range []struct {
-		name      string
-		model     core.Model
-		target    fault.Target
-		lanes     int
-		plain     bool
-		ff, saved uint64
+		name       string
+		model      core.Model
+		target     fault.Target
+		lanes      int
+		plain      bool
+		engine     string
+		ff, stream uint64
 	}{
-		{"microarch/rf", core.ModelMicroarch, fault.TargetRF, 1, false, 21_064, 97_907},
-		{"microarch/rf/plain-sim", core.ModelMicroarch, fault.TargetRF, 0, true, 21_064, 97_907},
-		{"rtl/latches", core.ModelRTL, fault.TargetLatches, 0, false, 35_864, 92_036},
+		{"microarch/rf", core.ModelMicroarch, fault.TargetRF, 1, false, "*campaign.scalarReplayer", 0, 118_971},
+		{"microarch/rf/plain-sim", core.ModelMicroarch, fault.TargetRF, 0, true, "*campaign.BatchReplayer", 21_064, 118_971},
+		{"rtl/latches", core.ModelRTL, fault.TargetLatches, 0, false, "*campaign.BatchReplayer", 35_864, 127_900},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := factoryFor(t, "qsort", tc.model)
@@ -45,7 +46,7 @@ func TestCursorReplayerSeedPins(t *testing.T) {
 			}
 			cfg := campaign.Config{
 				Injections: 120, Seed: 1, Target: tc.target,
-				Obs: campaign.ObsPinout, Window: 500, Lanes: tc.lanes, Sched: campaign.SchedCursor,
+				Obs: campaign.ObsPinout, Window: 500, Lanes: tc.lanes,
 			}
 			g, err := campaign.PrepareGolden(f, campaign.GoldenOptionsFor(cfg))
 			if err != nil {
@@ -60,8 +61,8 @@ func TestCursorReplayerSeedPins(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer r.Close()
-			if _, ok := r.(*campaign.BatchReplayer); !ok {
-				t.Fatalf("cursor schedule selected %T, not the walk", r)
+			if typ := fmt.Sprintf("%T", r); typ != tc.engine {
+				t.Fatalf("Lanes %d selected %s, want %s", tc.lanes, typ, tc.engine)
 			}
 			if err := r.Replay(p.NextReplay, func(int, campaign.RunOutcome) error { return nil }); err != nil {
 				t.Fatal(err)
@@ -73,28 +74,27 @@ func TestCursorReplayerSeedPins(t *testing.T) {
 			}
 			cfg.Workers = 1
 			res := mustRun(t, f, cfg)
-			if got := [2]uint64{res.FastForwardCycles, res.FastForwardSaved}; got != [2]uint64{tc.ff, tc.saved} {
-				t.Errorf("one worker reports (FastForwardCycles, FastForwardSaved) = %v, want [%d %d]", got, tc.ff, tc.saved)
+			if got := [2]uint64{res.FastForwardCycles, res.FastForwardSaved}; got != [2]uint64{tc.stream, 0} {
+				t.Errorf("one worker reports (FastForwardCycles, FastForwardSaved) = %v, want [%d 0]", got, tc.stream)
 			}
 		})
 	}
 }
 
-// TestCursorSchedCheckpointResume asserts a cursor-scheduled campaign's
-// checkpoint shards resume exactly: a second run over the same
-// directory re-executes nothing and reproduces the first run's result,
-// and the shards equally resume a stream-scheduled run (records carry
-// no schedule — classifications are schedule-independent).
+// TestCursorSchedCheckpointResume asserts the checkpoint shards of an
+// RTL latch campaign resume exactly on either engine: a second run over
+// the same directory re-executes nothing and reproduces the first run's
+// result, and the shards the walk's fork path wrote equally resume a
+// scalar (Lanes 1) run — records carry no engine.
 func TestCursorSchedCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
 	cfg := campaign.Config{
-		Injections: 16, Seed: 9, Target: fault.TargetRF,
+		Injections: 16, Seed: 9, Target: fault.TargetLatches,
 		Obs: campaign.ObsPinout, Window: 500,
-		Sched: campaign.SchedCursor,
 	}
 	checkpointed := func(cfg campaign.Config) *campaign.Result {
 		t.Helper()
-		c, err := core.Standalone("qsort", core.ModelMicroarch, core.CampaignSetup(), cfg)
+		c, err := core.Standalone("qsort", core.ModelRTL, core.CampaignSetup(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,42 +106,17 @@ func TestCursorSchedCheckpointResume(t *testing.T) {
 	if second.Elapsed != 0 {
 		t.Errorf("resumed run attributed busy time %v; expected full resume", second.Elapsed)
 	}
-	streamCfg := cfg
-	streamCfg.Sched = campaign.SchedStream
-	resumedStream := checkpointed(streamCfg)
+	scalarCfg := cfg
+	scalarCfg.Lanes = 1
+	resumedScalar := checkpointed(scalarCfg)
 	normalizeEngine(first)
 	normalizeEngine(second)
-	normalizeEngine(resumedStream)
+	normalizeEngine(resumedScalar)
 	if !reflect.DeepEqual(first, second) {
-		t.Errorf("resumed cursor result differs from original")
+		t.Errorf("resumed fork result differs from original")
 	}
-	if !reflect.DeepEqual(first, resumedStream) {
-		t.Errorf("cursor shards did not resume a stream-scheduled run identically")
-	}
-}
-
-// TestSnapPolicyPlacementIndependence asserts snapshot placement is
-// pure accounting: quantile-placed snapshots produce the same
-// classifications, end cycles and stopping behavior as the stride
-// default (only the fast-forward spend may differ).
-func TestSnapPolicyPlacementIndependence(t *testing.T) {
-	cfg := campaign.Config{
-		Injections: 20, Seed: 5, Target: fault.TargetRF,
-		Obs: campaign.ObsPinout, Window: 500,
-		EarlyStop: true, TargetError: 0.2,
-	}
-	quant := cfg
-	quant.SnapPolicy = campaign.SnapQuantile
-	stride, quantRes := runSmall(t, core.ModelMicroarch, cfg, "qsort"), runSmall(t, core.ModelMicroarch, quant, "qsort")
-	// Placement moves the per-replay base snapshots, so cycle accounting
-	// (simulated/saved totals) may differ along with the fast-forward
-	// spend; the classified science must not.
-	for _, res := range []*campaign.Result{stride, quantRes} {
-		normalizeEngine(res)
-		res.Config.SnapPolicy, res.CyclesSimulated, res.CyclesSaved = 0, 0, 0
-	}
-	if !reflect.DeepEqual(stride, quantRes) {
-		t.Errorf("quantile snapshot placement changed campaign results:\nstride:   %+v\nquantile: %+v", stride, quantRes)
+	if !reflect.DeepEqual(first, resumedScalar) {
+		t.Errorf("fork shards did not resume a scalar run identically")
 	}
 }
 

@@ -32,7 +32,6 @@ import (
 func GoldenOptionsFor(cfg Config) GoldenOptions {
 	opts := GoldenOptions{
 		SnapshotEvery: cfg.SnapshotEvery,
-		SnapPolicy:    cfg.SnapPolicy,
 		Timeline:      cfg.AdvanceToUse,
 		Lifetime:      cfg.Prune != PruneOff || cfg.AVF,
 	}
@@ -64,11 +63,8 @@ type Planned struct {
 	avfInfo *AVFInfo
 
 	// What the pool's replayers did for this campaign, folded in by
-	// note. ffNoted marks that replays ran under the cursor schedule, so
-	// Result reports the golden cycles actually walked (and the delta
-	// from stream order) instead of the stream-order cost.
-	stats   ReplayStats
-	ffNoted bool
+	// note.
+	stats ReplayStats
 
 	// Checkpointing, attached by OpenCheckpoint: the shard is opened by
 	// the first record written, so a campaign that resumes complete (or
@@ -223,9 +219,6 @@ func (p *Planned) note(st ReplayStats) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.stats.add(st)
-	if p.cfg.Sched == SchedCursor && st.Executed > 0 {
-		p.ffNoted = true
-	}
 }
 
 // replayStats returns what the pool's replayers have done for this
@@ -249,17 +242,6 @@ func (p *Planned) Result(elapsed time.Duration) (*Result, error) {
 	res.PeeledRuns = p.stats.Peeled
 	if p.stats.Lockstep > 0 {
 		res.LaneOccupancy = float64(p.stats.LaneCycles) / float64(p.stats.Lockstep)
-	}
-	if p.ffNoted {
-		// aggregate filled FastForwardCycles with the stream-order
-		// cost; swap in what the walks actually stepped. A walk may
-		// overshoot the counted prefix (stop-decision races), so the
-		// saving is clamped at zero.
-		actual := p.stats.FastForward
-		if stream := res.FastForwardCycles; stream > actual {
-			res.FastForwardSaved = stream - actual
-		}
-		res.FastForwardCycles = actual
 	}
 	res.AVF = p.avfInfo
 	return res, nil

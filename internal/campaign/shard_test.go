@@ -40,14 +40,11 @@ func normalizeResult(r *campaign.Result) {
 	r.BatchedRuns, r.PeeledRuns, r.LaneOccupancy = 0, 0, 0
 }
 
-// normalizeEngine clears, beyond normalizeResult, what legitimately
-// differs between two engines executing one campaign: the config knobs
-// that select the engine and each engine's account of the golden
-// cycles it walked.
+// normalizeEngine clears, beyond normalizeResult, the config knob that
+// selects the engine.
 func normalizeEngine(r *campaign.Result) {
 	normalizeResult(r)
-	r.Config.Lanes, r.Config.Sched = 0, 0
-	r.FastForwardCycles, r.FastForwardSaved = 0, 0
+	r.Config.Lanes = 0
 }
 
 // TestSweepStopInterrupts: a fired Stop channel makes Sweep drain,

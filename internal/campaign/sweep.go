@@ -102,19 +102,17 @@ type SweepOptions struct {
 }
 
 // groupKey derives the internal golden-sharing key: the caller's Group
-// plus the normalised snapshot schedule AND placement policy, so
-// artifact sharing can never pair a campaign with snapshots taken on a
-// different schedule (the determinism contract is "bit-identical to
-// standalone Run", and snapshot placement feeds the per-replay base
-// accounting even though classifications are placement-independent).
-// The replay schedule (Config.Sched) is deliberately absent: it changes
-// execution order only, so cursor and stream campaigns share goldens.
+// plus the normalised snapshot stride, so artifact sharing can never
+// pair a campaign with snapshots taken on a different schedule (the
+// determinism contract is "bit-identical to standalone Run", and
+// snapshot placement feeds the per-replay base accounting even though
+// classifications are placement-independent).
 func groupKey(c SweepCampaign) string {
 	every := c.Config.SnapshotEvery
 	if every == 0 {
 		every = defaultSnapshotEvery
 	}
-	return fmt.Sprintf("%s/snap%d/%s", c.Group, every, c.Config.SnapPolicy)
+	return fmt.Sprintf("%s/snap%d", c.Group, every)
 }
 
 // sweepGroup is one golden-sharing group: the merged artifact needs of

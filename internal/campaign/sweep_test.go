@@ -399,12 +399,13 @@ func (e *engineCounter) factory() (campaign.Simulator, error) {
 // TestSweepSplitsLastCampaign holds the scheduler's even-split rule:
 // the last campaign a pool holds — the only one, for Run — is split
 // across its goroutines, while campaigns with others queued behind them
-// go out in whole engine chunks, one engine each. The cursor engine's
-// chunk (512) exceeds every campaign here, so only the rule can split
-// one. Results do not depend on the split.
+// go out in whole engine chunks, one engine each. The mock tracks no
+// lanes, so every replay forks off the walk, whose chunk (512) exceeds
+// every campaign here: only the rule can split one. Results do not
+// depend on the split.
 func TestSweepSplitsLastCampaign(t *testing.T) {
 	cfg := errCfg()
-	cfg.Injections, cfg.Sched = 400, campaign.SchedCursor
+	cfg.Injections = 400
 	sweep := func(workers int, counters ...*engineCounter) *campaign.SweepResult {
 		t.Helper()
 		var camps []campaign.SweepCampaign
@@ -415,7 +416,7 @@ func TestSweepSplitsLastCampaign(t *testing.T) {
 		}
 		sr := mustSweep(t, camps, campaign.SweepOptions{Workers: workers})
 		for _, r := range sr.Results {
-			normalizeEngine(r) // the cursors' walked cycles follow the chunking too
+			normalizeResult(r)
 		}
 		return sr
 	}

@@ -40,7 +40,7 @@ func TestMetricsAreInert(t *testing.T) {
 		}},
 		{"rtl-batch-cursor", core.ModelRTL, campaign.Config{
 			Injections: 40, Seed: 7, Target: fault.TargetRF, Window: 300,
-			Lanes: 8, Sched: campaign.SchedCursor, EarlyStop: true, TargetError: 0.08,
+			Lanes: 8, EarlyStop: true, TargetError: 0.08,
 		}},
 	}
 	for _, tc := range cases {

@@ -4,11 +4,11 @@ package core
 // simulators, so every shortcut the replay engines take — bit-parallel
 // lanes and their deferral, the walk's forks, fused units, the pool's
 // splits, the hosts, checkpoint resume — must reproduce the scalar
-// stream replay: the same campaigns with Lanes 1 and SchedStream. An
-// oracleCase is one point of the cross-product model × program × fault
-// model × target × window/observation point × prune × early stop ×
-// target error × AVF prior × protection × lanes × schedule ×
-// fused-or-alone × pool size × host × checkpoint resume; checkOracle
+// stream replay: the same campaigns with Lanes 1. An oracleCase is one
+// point of the cross-product model × program × fault model × target ×
+// window/observation point × prune × early stop × target error × AVF
+// prior × protection × lanes × simulator capabilities × fused-or-alone ×
+// pool size × host × checkpoint resume; checkOracle
 // runs it and requires each campaign's result, engine accounting aside,
 // to DeepEqual its oracle's. The tests in this file are fixed-seed case
 // lists; FuzzValueLanes draws random cases (drawCase).
@@ -47,8 +47,8 @@ func (h host) String() string {
 }
 
 // What a case holds the engines to beyond the oracle. Whatever a case
-// expects, a campaign off lanes (Lanes 1, or the latch target, which
-// has no batch surface) must report no lane accounting.
+// expects, a campaign off lanes (Lanes 1, the latch target, which has no
+// batch surface, or a plain simulator) must report no lane accounting.
 const (
 	// expRides: every replayed outcome of a campaign on lanes rode one
 	// (batched or peeled).
@@ -78,13 +78,26 @@ type oracleCase struct {
 	workers    int    // pool size; 0 means 2
 	resumeAt   int    // hostResume: records each shard keeps
 	engine     string // hostManual: the replayer type NewReplayer must pick
+	plain      bool   // simulators hide BatchCapable and LiveSnapshotter
 	goldenRuns int    // hostSweep, hostResume: golden runs the sweep must execute (0: unchecked)
 	expect     int
 }
 
 func (c oracleCase) factory(m Model) campaign.Factory {
-	return Factory(m, c.prog, CampaignSetup())
+	f := Factory(m, c.prog, CampaignSetup())
+	if !c.plain {
+		return f
+	}
+	return func() (campaign.Simulator, error) {
+		s, err := f()
+		return plainSim{s}, err
+	}
 }
+
+// plainSim exposes only the Simulator interface of the simulator it
+// wraps: none of the optional capabilities (BatchCapable,
+// LiveSnapshotter) an engine may look for.
+type plainSim struct{ campaign.Simulator }
 
 // runOracleCases runs cases as parallel subtests, one per distinct name.
 func runOracleCases(t *testing.T, cases []oracleCase) {
@@ -164,14 +177,14 @@ func checkOracle(t *testing.T, c oracleCase) {
 // error, never through a test.
 var oracles sync.Map
 
-// scalarOracle runs the case's distinct campaigns with Lanes 1 and
-// SchedStream as one Sweep (each campaign is bit-identical to its
-// standalone Run) and returns the normalised results in case order.
+// scalarOracle runs the case's distinct campaigns with Lanes 1 as one
+// Sweep (each campaign is bit-identical to its standalone Run) and
+// returns the normalised results in case order.
 func scalarOracle(c oracleCase) ([]*campaign.Result, error) {
 	o, idx := c, make([]int, len(c.camps))
 	o.camps = nil
 	for i, oc := range c.camps {
-		oc.cfg.Lanes, oc.cfg.Sched, oc.cfg.Workers = 1, campaign.SchedStream, 0
+		oc.cfg.Lanes, oc.cfg.Workers = 1, 0
 		if idx[i] = slices.Index(o.camps, oc); idx[i] < 0 {
 			idx[i] = len(o.camps)
 			o.camps = append(o.camps, oc)
@@ -293,14 +306,13 @@ func driveManually(t *testing.T, c oracleCase, oc oracleCamp) *campaign.Result {
 
 // normalizeEngine clears what legitimately differs between two engines
 // or hosts running one campaign: wall time, the execution-only knobs
-// that pick the engine and the pool, and each engine's account of how
-// it got there (lanes ridden, golden cycles walked). Everything
-// observable about the faults stays.
+// that pick the engine and the pool, and the lanes each engine rode.
+// Everything observable about the faults stays, the stream-order
+// fast-forward estimate included.
 func normalizeEngine(r *campaign.Result) {
 	r.Elapsed, r.AvgSecPerRun, r.GoldenElapsed = 0, 0, 0
-	r.Config.Workers, r.Config.Lanes, r.Config.Sched = 0, 0, 0
+	r.Config.Workers, r.Config.Lanes = 0, 0
 	r.BatchedRuns, r.PeeledRuns, r.LaneOccupancy = 0, 0, 0
-	r.FastForwardCycles, r.FastForwardSaved = 0, 0
 }
 
 // matchOracle checks the case's expectations on got and then requires
@@ -313,7 +325,7 @@ func matchOracle(t *testing.T, c oracleCase, want, got []*campaign.Result) {
 		rode := g.BatchedRuns + g.PeeledRuns
 		replayed := len(g.Outcomes) - g.PrunedRuns - g.ExtrapolatedRuns - g.OverheadRuns
 		switch {
-		case lanes == 1 || oc.cfg.Target == fault.TargetLatches:
+		case lanes == 1 || oc.cfg.Target == fault.TargetLatches || c.plain:
 			if rode != 0 || g.LaneOccupancy != 0 {
 				t.Errorf("%s campaign %d is off lanes yet reports %d batched, %d peeled, occupancy %.2f",
 					c.host, i, g.BatchedRuns, g.PeeledRuns, g.LaneOccupancy)
@@ -325,9 +337,6 @@ func matchOracle(t *testing.T, c oracleCase, want, got []*campaign.Result) {
 		}
 		if c.expect&expStops != 0 && oc.cfg.TargetError > 0 && w.RunsSaved == 0 {
 			t.Errorf("campaign %d: the sequential stop never fired; the case tests nothing", i)
-		}
-		if g.Config.Sched != oc.cfg.Sched {
-			t.Errorf("%s campaign %d ran schedule %v, reports %v", c.host, i, oc.cfg.Sched, g.Config.Sched)
 		}
 		normalizeEngine(g)
 		if reflect.DeepEqual(w, g) {
@@ -363,7 +372,6 @@ func drawCase(rng *rand.Rand, m Model, maxN int) oracleCase {
 			Prune:     campaign.PruneMode(rng.Intn(3)),
 			EarlyStop: rng.Intn(2) == 0,
 			Lanes:     []int{1, 7, campaign.MaxLanes}[rng.Intn(3)],
-			Sched:     campaign.Sched(rng.Intn(2)),
 		}
 		if cfg.Window == 0 {
 			cfg.Obs = campaign.ObsPoint(1 + rng.Intn(3))
@@ -383,7 +391,10 @@ func drawCase(rng *rand.Rand, m Model, maxN int) oracleCase {
 // TestEngineHostMatrix: every replay engine, under every host — and the
 // lane engine under a checkpointed sweep resumed from seven records per
 // shard — reproduces the scalar oracle field for field on both models,
-// and each row really selects its engine.
+// and each row really selects its engine. Lanes alone picks it: 1 the
+// scalar replayer, anything wider the walk, which the RTL latch row
+// rides at default lanes by forking every replay (latches have no lane
+// surface).
 func TestEngineHostMatrix(t *testing.T) {
 	scenarios := []struct {
 		name   string
@@ -402,24 +413,27 @@ func TestEngineHostMatrix(t *testing.T) {
 		{"protected", campaign.Config{Injections: 24, Seed: 9, Target: fault.TargetRF, Window: 400, Protect: "rf=parity"}, 0},
 	}
 	engines := []struct {
-		lanes int
-		sched campaign.Sched
-		typ   string
+		lanes   int
+		latches bool // RTL only
+		typ     string
 	}{
-		{1, campaign.SchedStream, "*campaign.scalarReplayer"},
-		{1, campaign.SchedCursor, "*campaign.BatchReplayer"}, // every replay forked off the walk
-		{8, campaign.SchedStream, "*campaign.BatchReplayer"},
+		{1, false, "*campaign.scalarReplayer"},
+		{0, true, "*campaign.BatchReplayer"}, // every replay forked off the walk
+		{8, false, "*campaign.BatchReplayer"},
 	}
 	var cases []oracleCase
 	for _, m := range []Model{ModelRTL, ModelMicroarch} {
 		for _, sc := range scenarios {
 			for i, e := range engines {
 				for h := range numHosts {
-					if h == hostSweep && i == 0 || h == hostResume && i != len(engines)-1 {
-						continue // the oracle itself; resume once, on the lanes
+					if h == hostSweep && i == 0 || h == hostResume && i != len(engines)-1 || e.latches && m != ModelRTL {
+						continue // the oracle itself; resume once, on the lanes; latches only on RTL
 					}
 					cfg := sc.cfg
-					cfg.Lanes, cfg.Sched = e.lanes, e.sched
+					cfg.Lanes = e.lanes
+					if e.latches {
+						cfg.Target = fault.TargetLatches
+					}
 					cases = append(cases, oracleCase{
 						name: m.String() + "/" + sc.name, bench: "sha", camps: []oracleCamp{{m, cfg}},
 						host: h, resumeAt: 7, engine: e.typ, expect: sc.expect,
@@ -497,11 +511,14 @@ func TestBatchMatchesScalarAllModels(t *testing.T) {
 
 // TestBatchMatchesScalarComposed: the lane engine composes with the rest
 // of the engine exactly as the scalar one does, on both simulators —
-// convergence exit, both pruning modes, sequential stopping, protection,
-// narrow lane widths, the cursor schedule and the L1D target — and, on
-// the microarchitectural model, over the product of fault model, target,
-// windowed or run to the end, and engine option, with the engines (three
-// lane widths, both schedules) as campaigns of one sweep.
+// convergence exit, both pruning modes, sequential stopping, protection
+// and the L1D target — and, on the microarchitectural model, over the
+// product of fault model, target, windowed or run to the end, and engine
+// option, with two lane widths as campaigns of one sweep. The walk's
+// fork path composes too, at default lanes: the RTL latches, which have
+// no lane surface, under a convergence exit and a sequential stop; and
+// a microarchitectural simulator hiding BatchCapable and
+// LiveSnapshotter, which forks from Snapshot().
 func TestBatchMatchesScalarComposed(t *testing.T) {
 	base := campaign.Config{Injections: 30, Seed: 11, Target: fault.TargetRF, Window: 400}
 	var cases []oracleCase
@@ -516,7 +533,6 @@ func TestBatchMatchesScalarComposed(t *testing.T) {
 		{"seq-stop", func(c *campaign.Config) { c.Injections, c.TargetError, c.MinRuns = 60, 0.25, 20 }, expStops},
 		{"l1d", func(c *campaign.Config) { c.Target, c.EarlyStop = fault.TargetL1D, true }, expRides},
 		{"protect", func(c *campaign.Config) { c.Protect = "rf=parity" }, expRides},
-		{"lanes7-cursor", func(c *campaign.Config) { c.Lanes, c.Sched, c.EarlyStop = 7, campaign.SchedCursor, true }, expRides},
 	} {
 		for _, m := range []Model{ModelRTL, ModelMicroarch} {
 			cfg := base
@@ -527,6 +543,14 @@ func TestBatchMatchesScalarComposed(t *testing.T) {
 			})
 		}
 	}
+	fork := campaign.Config{Injections: 20, Seed: 31, Obs: campaign.ObsPinout, Window: 500}
+	latches, plain := fork, fork
+	latches.Target, latches.EarlyStop, latches.TargetError = fault.TargetLatches, true, 0.2
+	plain.Target = fault.TargetRF
+	cases = append(cases,
+		oracleCase{name: "rtl/latches", bench: "qsort", camps: []oracleCamp{{ModelRTL, latches}}, host: hostRun},
+		oracleCase{name: "microarch/plain-sim", bench: "qsort", camps: []oracleCamp{{ModelMicroarch, plain}}, host: hostRun, plain: true},
+	)
 	options := []struct {
 		name string
 		mod  func(*campaign.Config)
@@ -536,35 +560,21 @@ func TestBatchMatchesScalarComposed(t *testing.T) {
 		{"prune-dead", func(c *campaign.Config) { c.Prune = campaign.PruneDead; c.EarlyStop = true }},
 		{"protect", func(c *campaign.Config) { c.Protect = "rf=parity,l1d=secded" }},
 	}
-	type engine struct {
-		lanes int
-		sched campaign.Sched
-	}
-	engines := []engine{
-		{7, campaign.SchedStream}, {64, campaign.SchedStream},
-		{7, campaign.SchedCursor}, {64, campaign.SchedCursor},
-		{1, campaign.SchedCursor},
-	}
 	for _, fm := range faultModels {
 		for _, target := range []fault.Target{fault.TargetRF, fault.TargetL1D} {
 			for _, window := range []uint64{400, 0} {
 				for _, opt := range options {
 					cfg := campaign.Config{Injections: 12, Seed: 17, Target: target, Window: window, Fault: fm.fault}
-					// Three engines per case (two run to the end, where a
-					// replay costs tens of thousands of cycles, on fewer
-					// faults), rotating so each option meets them all.
-					k := len(cases)
-					engs := []engine{engines[k%5], engines[(k+2)%5], engines[(k+4)%5]}
 					if window == 0 {
-						cfg.Injections, engs = 5, engs[:2]
+						cfg.Injections = 5 // a replay run to the end costs tens of thousands of cycles
 					}
 					opt.mod(&cfg)
 					c := oracleCase{
 						name:  fmt.Sprintf("microarch/%s/%v/window%d/%s", fm.name, target, window, opt.name),
 						bench: "sha", expect: expRides,
 					}
-					for _, e := range engs {
-						cfg.Lanes, cfg.Sched = e.lanes, e.sched
+					for _, lanes := range []int{7, 64} {
+						cfg.Lanes = lanes
 						c.camps = append(c.camps, oracleCamp{ModelMicroarch, cfg})
 					}
 					cases = append(cases, c)
@@ -577,8 +587,8 @@ func TestBatchMatchesScalarComposed(t *testing.T) {
 
 // TestBatchSweepMatchesScalarSweep: Sweep's shared pool on 64-lane
 // engines reproduces the scalar sweep on both simulators at once — one
-// golden run per model, the latch campaign on the scalar engine inside
-// the batched sweep, every lane-capable campaign actually packed.
+// golden run per model, the latch campaign forking off its own walk
+// inside the batched sweep, every lane-capable campaign actually packed.
 func TestBatchSweepMatchesScalarSweep(t *testing.T) {
 	stuck := fault.Params{Model: fault.ModelStuckAt, Stuck: fault.StuckRandom}
 	checkOracle(t, oracleCase{bench: "qsort", host: hostSweep, workers: 3, goldenRuns: 2, expect: expRides | expPacks, camps: []oracleCamp{
@@ -588,7 +598,7 @@ func TestBatchSweepMatchesScalarSweep(t *testing.T) {
 		{ModelMicroarch, campaign.Config{Injections: 90, Seed: 7, Target: fault.TargetRF, Window: 400, Fault: stuck}},
 		{ModelMicroarch, campaign.Config{
 			Injections: 90, Seed: 9, Target: fault.TargetL1D,
-			EarlyStop: true, Prune: campaign.PruneDead, Sched: campaign.SchedCursor,
+			EarlyStop: true, Prune: campaign.PruneDead,
 		}},
 	}})
 }
@@ -606,7 +616,7 @@ func TestBatchFusedUnitMatchesScalarRuns(t *testing.T) {
 		{Injections: 40, Seed: 9, Target: fault.TargetL1D, Window: 400},
 		{Injections: 10, Seed: 11, Target: fault.TargetRF},
 		{Injections: 16, Seed: 13, Target: fault.TargetRF, Window: 400, Lanes: 1},
-		{Injections: 24, Seed: 15, Target: fault.TargetL1D, EarlyStop: true, Prune: campaign.PruneDead, Sched: campaign.SchedCursor},
+		{Injections: 24, Seed: 15, Target: fault.TargetL1D, EarlyStop: true, Prune: campaign.PruneDead},
 		{Injections: 30, Seed: 17, Target: fault.TargetRF, Window: 400, Fault: fault.Params{Model: fault.ModelStuckAt, Stuck: fault.StuckRandom}},
 		{Injections: 60, Seed: 19, Target: fault.TargetRF, Window: 6000, Lanes: 7, EarlyStop: true},
 	}
@@ -627,8 +637,8 @@ func TestBatchFusedUnitMatchesScalarRuns(t *testing.T) {
 }
 
 // TestBatchLatchesFallsBackScalar: the pipeline-latch target has no batch
-// surface, so a 64-lane campaign silently runs the scalar engine and
-// reports no batching.
+// surface, so a 64-lane campaign forks every replay off the walk onto
+// its scalar instance and reports no batching.
 func TestBatchLatchesFallsBackScalar(t *testing.T) {
 	checkOracle(t, oracleCase{bench: "qsort", host: hostRun, camps: []oracleCamp{
 		{ModelRTL, campaign.Config{Injections: 8, Seed: 3, Target: fault.TargetLatches, Window: 300}},
@@ -656,54 +666,4 @@ func TestBatchDeferralMatchesScalar(t *testing.T) {
 		})
 	}
 	runOracleCases(t, cases)
-}
-
-// TestCursorSchedMatchesStream: the injection-locality cursor schedule is
-// an execution-order optimisation only — under every engine option on
-// both levels, classifications, stopping indices and per-outcome end
-// cycles are the stream schedule's. The latch row forks off the walk at
-// every lane width (latches have no lane surface), and its sequential
-// stop makes the fork path poll Stop.
-func TestCursorSchedMatchesStream(t *testing.T) {
-	var cases []oracleCase
-	for _, tc := range []struct {
-		name  string
-		model Model
-		mod   func(*campaign.Config)
-	}{
-		{"microarch/plain", ModelMicroarch, func(*campaign.Config) {}},
-		{"microarch/earlystop", ModelMicroarch, func(c *campaign.Config) { c.EarlyStop, c.TargetError = true, 0.2 }},
-		{"microarch/prune-classes", ModelMicroarch, func(c *campaign.Config) { c.Prune = campaign.PruneClasses }},
-		{"microarch/quantile-snaps", ModelMicroarch, func(c *campaign.Config) { c.SnapPolicy = campaign.SnapQuantile }},
-		{"rtl/plain", ModelRTL, func(*campaign.Config) {}},
-		{"rtl/lanes", ModelRTL, func(c *campaign.Config) { c.Lanes = 8 }},
-		{"rtl/earlystop", ModelRTL, func(c *campaign.Config) { c.EarlyStop, c.TargetError = true, 0.2 }},
-		{"rtl/latches", ModelRTL, func(c *campaign.Config) { c.Target, c.EarlyStop, c.TargetError = fault.TargetLatches, true, 0.2 }},
-	} {
-		cfg := campaign.Config{Injections: 20, Seed: 31, Target: fault.TargetRF, Obs: campaign.ObsPinout, Window: 500}
-		tc.mod(&cfg)
-		for _, lanes := range []int{1, cfg.Lanes} {
-			cfg.Lanes, cfg.Sched = lanes, campaign.SchedCursor
-			cases = append(cases, oracleCase{name: tc.name, bench: "qsort", camps: []oracleCamp{{tc.model, cfg}}, host: hostRun})
-		}
-	}
-	runOracleCases(t, cases)
-}
-
-// TestCursorSchedSweepMatchesStream runs a mixed matrix — both levels,
-// golden sharing, lanes — through the sweep under the cursor schedule:
-// the production path of cmd/paper and checkpointed runs. The schedule
-// must not split golden sharing either.
-func TestCursorSchedSweepMatchesStream(t *testing.T) {
-	var camps []oracleCamp
-	for _, m := range []Model{ModelMicroarch, ModelRTL} {
-		cfg := campaign.Config{Injections: 16, Seed: 7, Target: fault.TargetRF, Obs: campaign.ObsPinout, Window: 500, Sched: campaign.SchedCursor}
-		l1d := cfg
-		l1d.Target = fault.TargetL1D
-		if m == ModelRTL {
-			l1d.Lanes = 8
-		}
-		camps = append(camps, oracleCamp{m, cfg}, oracleCamp{m, l1d})
-	}
-	checkOracle(t, oracleCase{bench: "qsort", camps: camps, host: hostSweep, workers: 4, goldenRuns: 2})
 }

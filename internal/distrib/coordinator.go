@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -21,11 +20,6 @@ const (
 	defaultMaxShardFails = 5
 	submitQueueDepth     = 256
 	maxPrepWorkers       = 4
-
-	// cursorLookahead is how many shards' worth of jobs fillShardLocked
-	// pulls at once for a cursor-scheduled campaign, so the cycle sort
-	// has enough material to slice cycle-contiguous shards from.
-	cursorLookahead = 4
 )
 
 // Sentinel errors the HTTP layer maps onto status codes.
@@ -379,45 +373,16 @@ func (c *Coordinator) Lease(req LeaseRequest) (*Lease, error) {
 // fillShardLocked pulls up to ShardSize replay jobs from the campaign's
 // producer. Pruning-resolved indices never become jobs — their
 // synthetic outcomes are delivered inside NextReplay, exactly as in the
-// single-process dispatch loop. For a cursor-scheduled campaign it
-// pulls several shards' worth at once, sorts by injection cycle and
-// slices cycle-contiguous shards (extras queue immediately), so each
-// worker's golden walk covers a compact cycle span instead of the
-// plan's random one. Shard composition changes nothing downstream: the
-// coordinator's collector consumes outcomes in plan order regardless.
+// single-process dispatch loop. Each worker's walk sorts its own shard
+// by injection cycle.
 func (c *Coordinator) fillShardLocked(cs *campState) []Job {
-	pull := c.opt.ShardSize
-	cursor := cs.spec.Config.Sched == campaign.SchedCursor
-	if cursor {
-		pull *= cursorLookahead
-	}
 	var jobs []Job
-	for len(jobs) < pull {
+	for len(jobs) < c.opt.ShardSize {
 		idx, spec, ok := cs.planned.NextReplay()
 		if !ok {
 			break
 		}
 		jobs = append(jobs, Job{Index: idx, Spec: spec})
-	}
-	if cursor && len(jobs) > 1 {
-		sort.Slice(jobs, func(i, j int) bool {
-			if jobs[i].Spec.Cycle != jobs[j].Spec.Cycle {
-				return jobs[i].Spec.Cycle < jobs[j].Spec.Cycle
-			}
-			return jobs[i].Index < jobs[j].Index
-		})
-		if len(jobs) > c.opt.ShardSize {
-			rest := jobs[c.opt.ShardSize:]
-			jobs = jobs[:c.opt.ShardSize:c.opt.ShardSize]
-			for len(rest) > 0 {
-				n := c.opt.ShardSize
-				if n > len(rest) {
-					n = len(rest)
-				}
-				cs.queue = append(cs.queue, shardEntry{jobs: rest[:n:n]})
-				rest = rest[n:]
-			}
-		}
 	}
 	return jobs
 }

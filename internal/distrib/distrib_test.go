@@ -399,25 +399,17 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 	}
 }
 
-// TestDistributedCursorSchedMatchesLocal proves the injection-locality
-// cursor schedule survives distribution: the coordinator slices
-// cycle-contiguous shards, the workers replay them on per-goroutine
-// golden walks, and the merged result equals both the local cursor
-// run and the local stream run (normalised for timings and the
-// fast-forward accounting the schedule exists to change).
+// TestDistributedCursorSchedMatchesLocal proves the walk's fork path
+// survives distribution: an RTL latch campaign at default lanes (latches
+// have no lane surface) forks every replay of each lease off a worker
+// goroutine's golden walk, and the merged result equals the local run
+// field for field, the stream-order fast-forward estimate included.
 func TestDistributedCursorSchedMatchesLocal(t *testing.T) {
 	cfg := campaign.Config{
-		Injections: 90, Seed: 21, Target: fault.TargetRF,
+		Injections: 90, Seed: 21, Target: fault.TargetLatches,
 		Obs: campaign.ObsPinout, Window: 500, Workers: 4,
-		Sched: campaign.SchedCursor,
 	}
-	want, err := core.RunCampaign("qsort", core.ModelMicroarch, core.CampaignSetup(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamCfg := cfg
-	streamCfg.Sched = campaign.SchedStream
-	stream, err := core.RunCampaign("qsort", core.ModelMicroarch, core.CampaignSetup(), streamCfg)
+	want, err := core.RunCampaign("qsort", core.ModelRTL, core.CampaignSetup(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,24 +422,14 @@ func TestDistributedCursorSchedMatchesLocal(t *testing.T) {
 	client := distrib.NewClient(srv.URL)
 	client.Poll = 20 * time.Millisecond
 	got, err := client.RunCampaign(distrib.CampaignSpec{
-		Workload: "qsort", Model: "microarch", Config: cfg,
+		Workload: "qsort", Model: "rtl", Config: cfg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	for _, r := range []*campaign.Result{want, stream, got} {
-		normalize(r)
-		// Fast-forward spend is schedule- and shard-shape-dependent by
-		// design; the classified science must not be.
-		r.FastForwardCycles = 0
-		r.FastForwardSaved = 0
-		r.Config.Sched = campaign.SchedStream
-	}
+	normalize(want)
+	normalize(got)
 	if !reflect.DeepEqual(want, got) {
-		t.Errorf("distributed cursor result diverged from local cursor run:\n got %+v\nwant %+v", got, want)
-	}
-	if !reflect.DeepEqual(stream, got) {
-		t.Errorf("distributed cursor result diverged from local stream run:\n got %+v\nwant %+v", got, stream)
+		t.Errorf("distributed fork result diverged from the local run:\n got %+v\nwant %+v", got, want)
 	}
 }

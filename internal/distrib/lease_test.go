@@ -23,10 +23,10 @@ import (
 
 func TestWorkerSurvivesDegenerateLeases(t *testing.T) {
 	cfg := campaign.Config{
-		Injections: 8, Seed: 1, Target: fault.TargetRF, Window: 200,
-		// The scalar-lane cursor path is the one that used to split the
-		// lease by a worker count of zero.
-		Lanes: 1, Sched: campaign.SchedCursor,
+		// At default lanes the latch target forks every replay off the
+		// walk: the path that used to split the lease by a worker count
+		// of zero.
+		Injections: 8, Seed: 1, Target: fault.TargetLatches, Window: 200,
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
@@ -39,7 +39,7 @@ func TestWorkerSurvivesDegenerateLeases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := campaign.PrepareGolden(core.Factory(core.ModelMicroarch, prog, core.CampaignSetup()), campaign.GoldenOptionsFor(cfg))
+	g, err := campaign.PrepareGolden(core.Factory(core.ModelRTL, prog, core.CampaignSetup()), campaign.GoldenOptionsFor(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestWorkerSurvivesDegenerateLeases(t *testing.T) {
 	lease := func(id string, c campaign.Config, jobs ...distrib.Job) distrib.Lease {
 		return distrib.Lease{
 			API: distrib.APIVersion, ID: id, CampaignID: "c",
-			Spec:     distrib.CampaignSpec{Workload: "sha", Model: "microarch", Config: c},
+			Spec:     distrib.CampaignSpec{Workload: "sha", Model: "rtl", Config: c},
 			GoldenFP: g.Fingerprint(), Jobs: jobs, TTLMillis: 60_000,
 		}
 	}

@@ -14,10 +14,7 @@ package fault
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-
-	"repro/internal/stats"
 )
 
 // Target identifies the structure a fault is injected into.
@@ -331,53 +328,6 @@ func Plan(n int, target Target, bits int, window uint64, dist TimeDist, prm Para
 		out[i] = g.Next()
 	}
 	return out, nil
-}
-
-// InstantQuantiles returns up to k strictly increasing cycles that
-// split the injection-instant distribution over [1, window-1] into k+1
-// gaps of equal probability mass — the plan-aware snapshot placement
-// surface. A snapshot at each quantile equalises the expected replay
-// mass per snapshot gap, so the expected fast-forward distance from the
-// nearest snapshot to a sampled instant is minimised at a fixed
-// snapshot count, wherever the plan's instants cluster.
-//
-// For DistUniform the quantiles are evenly spaced (degenerating to the
-// classic fixed stride). For DistNormal they are the exact quantiles of
-// the same truncated normal sampleCycle draws from: mean window/2,
-// sigma window/6, conditioned on [1, window-1], inverted via
-// q = μ + σ·Φ⁻¹(Φ(a) + p·(Φ(b)−Φ(a))). Adjacent quantiles that round
-// to the same cycle are merged, so the result may be shorter than k.
-func InstantQuantiles(window uint64, dist TimeDist, k int) []uint64 {
-	if k <= 0 || window < 3 {
-		return nil
-	}
-	max := float64(window - 1)
-	out := make([]uint64, 0, k)
-	push := func(q float64) {
-		q = math.Max(1, math.Min(q, max))
-		c := uint64(q)
-		if len(out) == 0 && c > 0 || len(out) > 0 && c > out[len(out)-1] {
-			out = append(out, c)
-		}
-	}
-	switch dist {
-	case DistUniform:
-		for i := 1; i <= k; i++ {
-			push(1 + (max-1)*float64(i)/float64(k+1))
-		}
-	default: // DistNormal
-		mean := float64(window) / 2
-		sigma := float64(window) / 6
-		cdf := func(x float64) float64 {
-			return 0.5 * (1 + math.Erf((x-mean)/(sigma*math.Sqrt2)))
-		}
-		lo, hi := cdf(1), cdf(max)
-		for i := 1; i <= k; i++ {
-			p := lo + (hi-lo)*float64(i)/float64(k+1)
-			push(mean + sigma*stats.Probit(p))
-		}
-	}
-	return out
 }
 
 func sampleCycle(window uint64, dist TimeDist, rng *rand.Rand) uint64 {

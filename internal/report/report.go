@@ -224,11 +224,6 @@ func Campaign(name string, res *campaign.Result) string {
 		fmt.Fprintf(&sb, "  bit-parallel: %d lanes, %d retired in lockstep, %d peeled to scalar, %.1f mean lane occupancy\n",
 			res.Config.Lanes, res.BatchedRuns, res.PeeledRuns, res.LaneOccupancy)
 	}
-	if res.Config.Sched == campaign.SchedCursor || res.FastForwardSaved > 0 {
-		fmt.Fprintf(&sb, "  replay schedule (%v/%v snapshots): %.2f Mcycles fast-forwarded, %.2f Mcycles eliminated vs stream order\n",
-			res.Config.Sched, res.Config.SnapPolicy,
-			float64(res.FastForwardCycles)/1e6, float64(res.FastForwardSaved)/1e6)
-	}
 	if res.Config.Prune != campaign.PruneOff {
 		fmt.Fprintf(&sb, "  pruning (%v): %d dead-pruned, %d extrapolated over %d classes, %.2f Mcycles saved, %.2f Mcycles simulated\n",
 			res.Config.Prune, res.PrunedRuns, res.ExtrapolatedRuns, res.PruneClassCount,

@@ -36,13 +36,6 @@ func ZForConfidence(conf float64) (float64, error) {
 	return z, nil
 }
 
-// Probit returns the standard normal quantile Φ⁻¹(p) for p in (0, 1).
-// Outside (0, 1) the result is NaN or ±Inf, mirroring the tails of the
-// underlying approximation. Beyond confidence levels, it is the inverse-
-// CDF surface behind plan-aware snapshot placement: quantiles of the
-// planner's truncated-normal instant distribution.
-func Probit(p float64) float64 { return probit(p) }
-
 // probit approximates the standard normal quantile function using the
 // Beasley-Springer-Moro algorithm.
 func probit(p float64) float64 {
