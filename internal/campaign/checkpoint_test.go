@@ -91,6 +91,74 @@ func TestSweepResumesLegacyShardLayout(t *testing.T) {
 	}
 }
 
+// TestSweepResumesCommittedShard resumes testdata/shard-format.jsonl, a
+// shard written once by the checkpoint code and committed, so a record
+// key renamed or retyped on both the write and the read side fails here
+// (TestSweepResumesLegacyShardLayout reads shards the code under test
+// has just written, and would pass). Its records, against microarch
+// qsort: every outcome of a plain campaign, the replayed representatives
+// of a PruneClasses campaign (some carrying csize), every outcome of a
+// parity-protected campaign, and a stop record pinning terr, minRuns,
+// conf and avfPrior. That record caps its campaign at 8 injections,
+// where the estimator alone would run to 58, and the shard holds just
+// that prefix: only an honoured stop record yields 8 outcomes. The
+// records pin qsort's golden fingerprint; a simulator change that moves
+// it strands them, and the shard must then be re-recorded.
+func TestSweepResumesCommittedShard(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("testdata", "shard-format.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "shard-format.jsonl"), src, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fac := factoryFor(t, "qsort", core.ModelMicroarch)
+	const stopAt = 8
+	stopCfg := campaign.Config{
+		Injections: 60, Seed: 4, Target: fault.TargetRF, Window: 500,
+		TargetError: 0.06, MinRuns: 10, Confidence: 0.9, AVFPrior: true,
+	}
+	matrix := []campaign.SweepCampaign{
+		{Key: "plain", Group: "qsort", Factory: fac, Config: campaign.Config{
+			Injections: 4, Seed: 1, Target: fault.TargetRF, Window: 500}},
+		{Key: "classes", Group: "qsort", Factory: fac, Config: campaign.Config{
+			Injections: 60, Seed: 11, Target: fault.TargetL1D, Window: 3000, Prune: campaign.PruneClasses}},
+		{Key: "protected", Group: "qsort", Factory: fac, Config: campaign.Config{
+			Injections: 6, Seed: 3, Target: fault.TargetRF, Window: 500, Protect: "rf=parity"}},
+		{Key: "stop", Group: "qsort", Factory: fac, Config: stopCfg},
+	}
+	got := mustSweep(t, matrix, campaign.SweepOptions{Workers: 2, CheckpointDir: dir})
+	records := strings.Count(string(src), "\n") - strings.Count(string(src), `"kind":"stop"`)
+	if got.Resumed != records {
+		t.Errorf("resumed %d replays, want the shard's %d outcome records", got.Resumed, records)
+	}
+	want := mustSweep(t, matrix, campaign.SweepOptions{Workers: 2})
+	for key, g := range got.Results {
+		if g.Elapsed != 0 {
+			t.Errorf("%s: replays executed (%v busy); every outcome should come from the shard", key, g.Elapsed)
+		}
+		w := want.Results[key]
+		if key == "stop" {
+			if len(g.Outcomes) != stopAt || g.RunsSaved != stopCfg.Injections-stopAt {
+				t.Errorf("stop: %d outcomes, %d saved; the stop record caps at %d", len(g.Outcomes), g.RunsSaved, stopAt)
+			}
+			if len(w.Outcomes) <= stopAt {
+				t.Fatalf("stop: the estimator alone stops at %d, so the record's cap is vacuous", len(w.Outcomes))
+			}
+			if !reflect.DeepEqual(g.Outcomes, w.Outcomes[:stopAt]) {
+				t.Errorf("stop: resumed outcomes differ from a fresh run's first %d", stopAt)
+			}
+			continue
+		}
+		normalizeResult(w)
+		normalizeResult(g)
+		if !reflect.DeepEqual(w, g) {
+			t.Errorf("%s: result resumed from the committed shard differs:\n got %+v\nwant %+v", key, g, w)
+		}
+	}
+}
+
 // TestResumeSkipsOutOfRangeClasses: a checkpoint record whose class is
 // missing (decoding to 0) or unknown is damaged, not an outcome — resume
 // replays its index instead of merging it as unsafe.
