@@ -24,6 +24,7 @@ import (
 	"repro/internal/avf"
 	"repro/internal/fault"
 	"repro/internal/lifetime"
+	"repro/internal/stats"
 )
 
 // AVFInfo is a campaign's injection-free vulnerability estimate,
@@ -170,19 +171,13 @@ func failureClass(cfg Config) Class {
 }
 
 // seedAVFPrior seeds a campaign's sequential estimator from the plan
-// prediction (Config.AVFPrior): MinRuns-worth of unit-weight
-// pseudo-observations, the predicted fraction in the failure class and
-// the rest Masked. Stamps the seeded mass into info.
-func seedAVFPrior(seq *seqStop, info *AVFInfo, cfg Config) {
-	if seq.est == nil || info == nil {
-		return
-	}
-	w := float64(cfg.MinRuns)
-	if w <= 0 {
-		w = defaultMinRuns
-	}
+// prediction (Config.AVFPrior): mass unit-weight pseudo-observations
+// (the stopping floor's worth), the predicted fraction in the failure
+// class and the rest Masked. Stamps the seeded mass into info.
+func seedAVFPrior(est *stats.Sequential, info *AVFInfo, cfg Config, mass int) {
+	w := float64(mass)
 	info.PriorMass = w
-	seq.est.SeedPrior(map[int]float64{
+	est.SeedPrior(map[int]float64{
 		int(ClassMasked):       (1 - info.Predicted) * w,
 		int(failureClass(cfg)): info.Predicted * w,
 	})

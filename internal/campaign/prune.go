@@ -188,9 +188,6 @@ const (
 // is valid and inert.
 type pruner struct {
 	mode PruneMode
-	g    *Golden
-	cfg  Config
-	pl   *lazyPlan
 
 	// PruneClasses state, materialised up front (grouping needs the
 	// whole plan; this is MeRLiN's "prune before the campaign" shape).
@@ -198,7 +195,6 @@ type pruner struct {
 	repOf   []int   // index -> its representative, -1 when it replays itself
 	members [][]int // representative -> member indices (excluding itself)
 	isRep   []bool
-	classes int // equivalence classes with a dispatched representative
 }
 
 // newPruner derives the campaign's pruning state from the golden
@@ -212,7 +208,7 @@ func newPruner(g *Golden, pl *lazyPlan, cfg Config) (*pruner, error) {
 	if g.life == nil {
 		return nil, fmt.Errorf("campaign: Prune=%v requires a golden run with GoldenOptions.Lifetime", cfg.Prune)
 	}
-	p := &pruner{mode: cfg.Prune, g: g, cfg: cfg, pl: pl}
+	p := &pruner{mode: cfg.Prune}
 	if p.mode != PruneClasses {
 		// Dead mode classifies lazily at dispatch, but the lifetime
 		// index build behind the first classification is a hidden
@@ -242,7 +238,6 @@ func newPruner(g *Golden, pl *lazyPlan, cfg Config) (*pruner, error) {
 			} else {
 				repByClass[v.classID] = i
 				p.isRep[i] = true
-				p.classes++
 			}
 		}
 	}
@@ -256,9 +251,10 @@ func syntheticDead(spec fault.Spec) RunOutcome {
 	return RunOutcome{Spec: spec, Class: ClassMasked, EndCycle: spec.Cycle, Pruned: true}
 }
 
-// decide returns the dispatcher's action for plan index i. Called only
-// from Planned.NextReplay, under its lock.
-func (p *pruner) decide(i int, spec fault.Spec) (pruneAction, RunOutcome) {
+// decide returns the dispatcher's action for plan index i of a campaign
+// planned as cfg against g. Called only from Planned.NextReplay, under
+// its lock.
+func (p *pruner) decide(i int, spec fault.Spec, g *Golden, cfg Config) (pruneAction, RunOutcome) {
 	if p == nil {
 		return pruneDispatch, RunOutcome{}
 	}
@@ -271,70 +267,17 @@ func (p *pruner) decide(i int, spec fault.Spec) (pruneAction, RunOutcome) {
 		}
 		return pruneDispatch, RunOutcome{}
 	}
-	if p.g.preclassify(spec, p.cfg).kind == preDead {
+	if g.preclassify(spec, cfg).kind == preDead {
 		return pruneSynthetic, syntheticDead(spec)
 	}
 	return pruneDispatch, RunOutcome{}
 }
 
-// afterReplay stamps a replayed representative's class size and returns
-// the member outcomes extrapolated from it. Safe from worker
-// goroutines: the classes-mode plan is fully materialised, so spec
-// lookups are read-only.
-func (p *pruner) afterReplay(i int, oc *RunOutcome) []idxOutcome {
-	if p == nil || p.mode != PruneClasses || len(p.members[i]) == 0 {
+// membersOf returns the plan indices whose outcomes are extrapolated
+// from representative i: none outside PruneClasses.
+func (p *pruner) membersOf(i int) []int {
+	if p == nil || p.mode != PruneClasses {
 		return nil
 	}
-	oc.ClassSize = 1 + len(p.members[i])
-	out := make([]idxOutcome, 0, len(p.members[i]))
-	for _, m := range p.members[i] {
-		spec := p.pl.spec(m)
-		out = append(out, idxOutcome{idx: m, oc: RunOutcome{
-			Spec: spec, Class: oc.Class, EndCycle: spec.Cycle, Extrapolated: true,
-		}})
-	}
-	return out
-}
-
-// idxOutcome pairs an outcome with its plan index for class fanout.
-type idxOutcome struct {
-	idx int
-	oc  RunOutcome
-}
-
-// deliverReplay routes one replayed outcome through the collector:
-// class weight stamped, representative delivered, extrapolated members
-// fanned out. It returns the stamped outcome — the form checkpoint
-// records persist.
-func deliverReplay(p *pruner, seq *seqStop, idx int, oc RunOutcome) RunOutcome {
-	members := p.afterReplay(idx, &oc)
-	seq.deliver(idx, oc)
-	for _, m := range members {
-		seq.deliver(m.idx, m.oc)
-	}
-	return oc
-}
-
-// resumedFanout re-delivers member outcomes for representatives that
-// were restored from checkpoint shards instead of replayed (shards
-// record representatives only; extrapolation is re-derived).
-func (p *pruner) resumedFanout(seq *seqStop) {
-	if p == nil || p.mode != PruneClasses {
-		return
-	}
-	for rep, mem := range p.members {
-		if len(mem) == 0 {
-			continue
-		}
-		oc, ok := seq.get(rep)
-		if !ok || oc.Pruned || oc.Extrapolated {
-			continue
-		}
-		for _, m := range mem {
-			spec := p.pl.spec(m)
-			seq.deliver(m, RunOutcome{
-				Spec: spec, Class: oc.Class, EndCycle: spec.Cycle, Extrapolated: true,
-			})
-		}
-	}
+	return p.members[i]
 }

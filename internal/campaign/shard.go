@@ -5,23 +5,25 @@ package campaign
 // remote worker processes and merge their outcomes deterministically.
 //
 // A Planned campaign couples one golden run's artifacts with a
-// validated config, the lazy fault plan, the pruning pre-classifier and
-// the in-order outcome collector. NextReplay is the producer the replay
-// pool pulls from — it resolves pruning verdicts producer-side and
-// stops issuing once the sequential estimator converges — and Deliver
-// is the consumer path every replayed outcome flows through (class
-// fanout, sequential stopping, checkpoint streaming). Because the
-// coordinator drives exactly this producer/consumer pair and the merge
-// consumes outcomes strictly in fault-index order, a campaign sharded
-// over any number of worker processes produces classification counts,
-// outcome lists and report tables byte-identical to the same campaign
-// run single-process.
+// validated config, the lazy fault plan, the pruning pre-classifier,
+// the in-order outcome collector and the checkpoint stream, all under
+// one lock. NextReplay is the producer the replay pool pulls from — it
+// resolves pruning verdicts producer-side and stops issuing once the
+// sequential estimator converges — and Deliver is the consumer path
+// every replayed outcome flows through (class fanout, sequential
+// stopping, checkpoint streaming). Because the coordinator drives
+// exactly this producer/consumer pair and the collector consumes
+// outcomes strictly in fault-index order, a campaign sharded over any
+// number of worker processes produces classification counts, outcome
+// lists and report tables byte-identical to the same campaign run
+// single-process.
 
 import (
 	"sync"
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/stats"
 )
 
 // GoldenOptionsFor derives the golden-artifact options one campaign
@@ -42,25 +44,40 @@ func GoldenOptionsFor(cfg Config) GoldenOptions {
 }
 
 // Planned is one campaign planned against a golden run: the validated
-// config, lazy fault plan, pruning state and streaming outcome
-// collector. It is safe for concurrent use: NextReplay and Deliver may
-// be called from any goroutine (the replay pool, a coordinator's HTTP
-// handlers).
+// config, lazy fault plan, pruning state, in-order outcome collector
+// and checkpoint stream. It is safe for concurrent use: NextReplay and
+// Deliver may be called from any goroutine (the replay pool, a
+// coordinator's HTTP handlers). Its one mutex guards everything a
+// campaign changes as it runs; callers that hold a lock of their own
+// (the pool's scheduler, the coordinator) take it before this one.
 type Planned struct {
-	mu  sync.Mutex
-	cfg Config
-	g   *Golden
-	fp  uint64 // g.Fingerprint(), stamped on every checkpoint record
-	pl  *lazyPlan
-	seq *seqStop
-	pr  *pruner
+	// Fixed at plan time.
+	cfg     Config
+	g       *Golden
+	pr      *pruner
+	pin     ckptPin // what every checkpoint record must match
+	stopPin stopPin // what a stop record must also match
+	minRuns int     // sequential stopping floor, defaults filled
+	avfInfo *AVFInfo
+
+	mu sync.Mutex
+	pl *lazyPlan // generates specs on demand, so guarded too
+
+	// The collector: outcomes arrive in any order, but the estimator
+	// only ever consumes them in plan order (the frontier), so the
+	// stopping index — the first prefix length at which every class
+	// proportion is within the target margin — is a deterministic
+	// function of the plan, immune to worker scheduling. With
+	// TargetError == 0 est is nil and the campaign never stops early.
+	outcomes  []RunOutcome
+	have      []bool
+	delivered int
+	frontier  int
+	stopAt    int // -1 until decided
+	est       *stats.Sequential
 
 	nextIdx  int
 	stopHint int // checkpointed stopping index, -1 when none
-
-	// Injection-free estimate attached to Result under Config.AVF,
-	// computed at plan time (zero replays).
-	avfInfo *AVFInfo
 
 	// What the pool's replayers did for this campaign, folded in by
 	// note.
@@ -86,35 +103,48 @@ func (g *Golden) PlanCampaign(cfg Config) (*Planned, error) {
 	if err != nil {
 		return nil, err
 	}
-	seq, err := newSeqStop(cfg)
-	if err != nil {
-		return nil, err
-	}
 	pr, err := newPruner(g, pl, cfg)
 	if err != nil {
 		return nil, err
 	}
-	var info *AVFInfo
+	p := &Planned{
+		cfg: cfg, g: g, pl: pl, pr: pr,
+		pin: ckptPin{
+			Window: cfg.Window, Obs: int(cfg.Obs), Compare: int(cfg.CompareMode),
+			Golden: g.Fingerprint(), EarlyStop: cfg.EarlyStop,
+			Prune: int(cfg.Prune), Protect: cfg.Protect,
+		},
+		stopPin: stopPin{
+			TargetErr: cfg.TargetError, MinRuns: cfg.MinRuns,
+			Conf: cfg.Confidence, AvfPrior: cfg.AVFPrior,
+		},
+		outcomes: make([]RunOutcome, cfg.Injections),
+		have:     make([]bool, cfg.Injections),
+		stopAt:   -1,
+		stopHint: -1,
+	}
+	if cfg.TargetError > 0 {
+		p.minRuns = cfg.MinRuns
+		if p.minRuns == 0 {
+			p.minRuns = defaultMinRuns
+		}
+		if p.est, err = stats.NewSequential(cfg.Confidence, classUniverse(cfg)...); err != nil {
+			return nil, err
+		}
+	}
 	if cfg.AVF {
-		if info, err = buildAVFInfo(g, pl, cfg); err != nil {
+		if p.avfInfo, err = buildAVFInfo(g, pl, cfg); err != nil {
 			return nil, err
 		}
 		if cfg.AVFPrior {
-			seedAVFPrior(seq, info, cfg)
+			seedAVFPrior(p.est, p.avfInfo, cfg, p.minRuns)
 		}
 	}
-	return &Planned{cfg: cfg, g: g, fp: g.Fingerprint(), pl: pl, seq: seq, pr: pr, stopHint: -1, avfInfo: info}, nil
+	return p, nil
 }
 
 // Config returns the validated campaign config (defaults filled).
 func (p *Planned) Config() Config { return p.cfg }
-
-// Injections returns the planned sample size.
-func (p *Planned) Injections() int { return p.pl.n }
-
-// GoldenFingerprint returns the backing golden run's fingerprint — the
-// value a shard carries so remote workers can verify golden identity.
-func (p *Planned) GoldenFingerprint() uint64 { return p.fp }
 
 // Spec returns planned injection i — the coordinator's source of truth
 // when rebuilding a remote outcome for delivery.
@@ -138,10 +168,10 @@ func (p *Planned) NextReplay() (idx int, spec fault.Spec, ok bool) {
 	if p.stopHint >= 0 && p.stopHint < limit {
 		limit = p.stopHint
 	}
-	for p.nextIdx < limit && !p.seq.stopped() {
+	for p.nextIdx < limit && p.stopAt < 0 {
 		i := p.nextIdx
 		p.nextIdx++
-		if p.seq.done(i) {
+		if p.have[i] {
 			continue
 		}
 		s := p.pl.spec(i)
@@ -149,12 +179,12 @@ func (p *Planned) NextReplay() (idx int, spec fault.Spec, ok bool) {
 		// only in the scheme model: classify producer-side, never
 		// dispatch them to a simulator.
 		if oc, ok := p.pl.overheadOutcome(s); ok {
-			p.seq.deliver(i, oc)
+			p.collect(i, oc)
 			continue
 		}
-		switch act, oc := p.pr.decide(i, s); act {
+		switch act, oc := p.pr.decide(i, s, p.g, p.cfg); act {
 		case pruneSynthetic:
-			p.seq.deliver(i, oc)
+			p.collect(i, oc)
 			continue
 		case pruneSkip:
 			continue
@@ -164,36 +194,86 @@ func (p *Planned) NextReplay() (idx int, spec fault.Spec, ok bool) {
 	return 0, fault.Spec{}, false
 }
 
-// Deliver records one replayed outcome: the pruning state fans the
-// representative's outcome over its equivalence class, the sequential
-// collector consumes everything in plan order, and — when a checkpoint
-// is attached — the replayed outcome is streamed to the campaign's shard
-// (only the stamped representative reaches it; extrapolation is
-// re-derived on resume). Duplicate deliveries of one index are ignored,
-// so a re-issued lease whose original worker was merely slow (not dead)
-// stays harmless.
+// Deliver records one replayed outcome: a class representative is
+// stamped with its class size and its outcome fanned over its class
+// members, the collector consumes everything in plan order, and — when
+// a checkpoint is attached — the replayed outcome is streamed to the
+// campaign's shard (only the stamped representative reaches it;
+// extrapolation is re-derived on resume). Duplicate deliveries of one
+// index are ignored, so a re-issued lease whose original worker was
+// merely slow (not dead) stays harmless.
 func (p *Planned) Deliver(idx int, oc RunOutcome) error {
-	oc = deliverReplay(p.pr, p.seq, idx, oc)
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if members := p.pr.membersOf(idx); len(members) > 0 {
+		oc.ClassSize = 1 + len(members)
+	}
+	p.collect(idx, oc)
+	p.fanout(idx)
 	if p.ckptDir == "" {
 		return nil
 	}
-	return p.writeRecord(outcomeRecord(p.ckptKey, idx, oc, p.cfg, p.fp))
+	return p.writeRecord(p.outcomeRecord(idx, oc))
 }
 
-// Done reports whether outcome idx has been delivered.
-func (p *Planned) Done(idx int) bool { return p.seq.done(idx) }
+// collect records outcome idx and advances the in-order frontier,
+// deciding the stopping index when the estimator converges. The caller
+// holds p.mu.
+func (p *Planned) collect(idx int, oc RunOutcome) {
+	if p.have[idx] {
+		return
+	}
+	p.outcomes[idx] = oc
+	p.have[idx] = true
+	p.delivered++
+	obsNoteOutcome(oc)
+	for p.frontier < len(p.outcomes) && p.have[p.frontier] {
+		if p.est != nil && p.stopAt < 0 {
+			// Extrapolated class members carry no independent evidence
+			// (their mass rides their representative's class weight),
+			// so the estimator sees representatives weighted by class
+			// size and skips the members.
+			if fr := p.outcomes[p.frontier]; !fr.Extrapolated {
+				p.est.ObserveWeighted(int(fr.Class), float64(max(fr.ClassSize, 1)))
+			}
+			if p.est.Converged(p.cfg.TargetError, p.minRuns) {
+				p.stopAt = p.frontier + 1
+				obsStopFired.Inc()
+			}
+		}
+		p.frontier++
+	}
+}
+
+// fanout delivers the outcomes extrapolated from representative rep,
+// once rep's own outcome is in, to every member of its class (none
+// outside PruneClasses). The caller holds p.mu.
+func (p *Planned) fanout(rep int) {
+	for _, m := range p.pr.membersOf(rep) {
+		spec := p.pl.spec(m)
+		p.collect(m, RunOutcome{
+			Spec: spec, Class: p.outcomes[rep].Class, EndCycle: spec.Cycle, Extrapolated: true,
+		})
+	}
+}
 
 // Delivered reports how many outcomes have been delivered so far —
 // synthetic, extrapolated and replayed alike — the campaign's live
-// progress numerator (Injections is the denominator; a sequential stop
-// may finish the campaign below it).
-func (p *Planned) Delivered() int { return p.seq.count() }
+// progress numerator (the planned size is the denominator; a sequential
+// stop may finish the campaign below it).
+func (p *Planned) Delivered() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.delivered
+}
 
 // Stopped reports whether the sequential stop has triggered: no further
 // replays are needed beyond those already issued.
-func (p *Planned) Stopped() bool { return p.seq.stopped() }
+func (p *Planned) Stopped() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.stopAt >= 0
+}
 
 // Resumed reports how many replays were restored from checkpoint shards
 // by OpenCheckpoint instead of re-executed.
@@ -232,12 +312,12 @@ func (p *Planned) replayStats() ReplayStats {
 // Result aggregates the campaign once every needed outcome has been
 // delivered. elapsed is the replay phase's attributed wall time.
 func (p *Planned) Result(elapsed time.Duration) (*Result, error) {
-	res, err := aggregate(p.cfg, p.g, p.pl, p.seq, p.pr, elapsed)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	res, err := p.aggregate(elapsed)
 	if err != nil {
 		return nil, err
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	res.BatchedRuns = p.stats.Batched
 	res.PeeledRuns = p.stats.Peeled
 	if p.stats.Lockstep > 0 {
@@ -287,8 +367,8 @@ func (p *Planned) CloseCheckpoint() error {
 		return nil
 	}
 	var err error
-	if s := p.seq.stopIndex(); s > 0 && s != p.stopHint {
-		err = p.writeRecord(stopRecord(p.ckptKey, s, p.cfg, p.pl.spec(s-1), p.fp))
+	if s := p.stopAt; s > 0 && s != p.stopHint {
+		err = p.writeRecord(p.stopRecord(s))
 	}
 	p.ckptDir = ""
 	if p.ckpt != nil {

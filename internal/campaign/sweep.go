@@ -298,16 +298,15 @@ func Run(factory Factory, cfg Config) (*Result, error) {
 // ---------------------------------------------------------- checkpoints
 
 // ckptRecord is one streamed replay outcome (or, with Kind "stop", a
-// campaign's sequential stopping state). The planned spec, the
-// classification-affecting config (window, observation point, compare
-// mode, adaptive-engine switch — which the spec does not depend on) AND
-// a fingerprint of the golden run are embedded so resume can
-// self-validate: a record is only accepted when the sweep's freshly
-// derived plan, config and golden all agree with it, which makes stale
-// shards (different seed, window, matrix, or simulator/workload
-// behavior) harmless. Stop records additionally pin the stopping
-// parameters, so a changed margin or confidence re-derives the index
-// instead of trusting a stale one.
+// campaign's sequential stopping state). The planned spec and the
+// campaign's ckptPin are embedded so resume can self-validate: a record
+// is only accepted when the freshly derived plan and pin agree with it,
+// which makes stale shards (different seed, window, matrix, or
+// simulator/workload behavior) harmless. Stop records additionally
+// carry the stopPin, so a changed margin or confidence re-derives the
+// index instead of trusting a stale one. Keys added after the first
+// shards were written decode to their zero values in older records,
+// which only ever match campaigns with that feature off.
 type ckptRecord struct {
 	Campaign string `json:"campaign"`
 	Index    int    `json:"index"`
@@ -318,47 +317,46 @@ type ckptRecord struct {
 	Width    int    `json:"width"`
 	Stuck    int    `json:"stuck"`
 	Span     uint64 `json:"span"`
-	Window   uint64 `json:"window"`
-	Obs      int    `json:"obs"`
-	Compare  int    `json:"compare"`
-	Golden   uint64 `json:"golden"` // Golden.Fingerprint() of the backing run
+	ckptPin
 	Class    int    `json:"class"`
 	EndCycle uint64 `json:"endCycle"`
 
-	// Adaptive-engine fields. Records written before the adaptive
-	// engine existed decode to the zero values, which only ever match
-	// campaigns with the engine off.
-	Kind      string  `json:"kind,omitempty"` // "" = outcome, ckptKindStop = stopping state
-	EarlyStop bool    `json:"estop,omitempty"`
-	Converged bool    `json:"conv,omitempty"`
+	Kind      string `json:"kind,omitempty"` // "" = outcome, ckptKindStop = stopping state
+	Converged bool   `json:"conv,omitempty"`
+	// CSize is a class representative's class size, so a resumed
+	// campaign re-weights its estimator identically. Only replayed
+	// outcomes reach shards; dead-pruned, extrapolated and
+	// protection-overhead outcomes are re-derived on resume.
+	CSize int `json:"csize,omitempty"`
+	stopPin
+}
+
+// ckptPin is what every checkpoint record must match besides its
+// planned spec: the classification config, which the spec does not
+// depend on, and the backing golden run's fingerprint.
+type ckptPin struct {
+	Window  uint64 `json:"window"`
+	Obs     int    `json:"obs"`
+	Compare int    `json:"compare"`
+	Golden  uint64 `json:"golden"` // Golden.Fingerprint() of the backing run
+	// EarlyStop: convergence exits change EndCycle accounting.
+	EarlyStop bool `json:"estop,omitempty"`
+	// Prune: pruning changes which indices replay and how outcomes weigh.
+	Prune int `json:"prune,omitempty"`
+	// Protect is the canonical protection plan (empty = unprotected):
+	// protection changes the planned bit space and every class, so
+	// records never merge across a change of scheme.
+	Protect string `json:"protect,omitempty"`
+}
+
+// stopPin is the stopping rule a stop record must also match; outcome
+// records leave it zero. AvfPrior belongs here: seeding the estimator
+// with the AVF prediction moves the stopping index but never a class.
+type stopPin struct {
 	TargetErr float64 `json:"terr,omitempty"`
 	MinRuns   int     `json:"minRuns,omitempty"`
 	Conf      float64 `json:"conf,omitempty"`
-
-	// AvfPrior pins stop records only: seeding the estimator with the
-	// AVF prediction moves the stopping index, so a stop record decided
-	// with the prior must not cap a prior-less resume (and vice versa).
-	// Outcome records are unaffected — the prior never touches classes.
-	AvfPrior bool `json:"avfPrior,omitempty"`
-
-	// Pruning fields: the campaign's prune mode (a mode change makes
-	// every shard stale — pruning alters which indices replay and how
-	// outcomes weigh) and, on class representatives, the represented
-	// class size so a resumed campaign re-weights its estimator
-	// identically. Only replayed outcomes reach shards; dead-pruned and
-	// extrapolated outcomes are re-derived from the golden trace.
-	Prune int `json:"prune,omitempty"`
-	CSize int `json:"csize,omitempty"`
-
-	// Protect pins the campaign's protection plan (canonical string
-	// form, empty = unprotected), mirroring the fault-model staleness
-	// rule: protection changes the planned bit space and every
-	// classification, so records from an unprotected run (including all
-	// pre-protection shards, which decode to "") must never merge into a
-	// protected campaign, nor vice versa. Overhead-region outcomes never
-	// reach shards; they are re-synthesised from the scheme model on
-	// resume.
-	Protect string `json:"protect,omitempty"`
+	AvfPrior  bool    `json:"avfPrior,omitempty"`
 }
 
 // ckptKindStop marks a record carrying a campaign's sequential stopping
@@ -402,40 +400,33 @@ func (w *shardWriter) encode(r ckptRecord) error {
 	return nil
 }
 
-// outcomeRecord builds one replayed outcome's record.
-func outcomeRecord(key string, idx int, oc RunOutcome, cfg Config, goldenFp uint64) ckptRecord {
+// record starts campaign p's checkpoint record for plan index idx,
+// whose planned spec is spec.
+func (p *Planned) record(idx int, spec fault.Spec) ckptRecord {
 	return ckptRecord{
-		Campaign: key, Index: idx,
-		Target: int(oc.Spec.Target), Bit: oc.Spec.Bit, Cycle: oc.Spec.Cycle,
-		Model: int(oc.Spec.Model), Width: oc.Spec.Width,
-		Stuck: oc.Spec.Stuck, Span: oc.Spec.Span,
-		Window: cfg.Window, Obs: int(cfg.Obs), Compare: int(cfg.CompareMode),
-		Golden: goldenFp,
-		Class:  int(oc.Class), EndCycle: oc.EndCycle,
-		EarlyStop: cfg.EarlyStop, Converged: oc.Converged,
-		Prune: int(cfg.Prune), CSize: oc.ClassSize,
-		Protect: cfg.Protect,
+		Campaign: p.ckptKey, Index: idx,
+		Target: int(spec.Target), Bit: spec.Bit, Cycle: spec.Cycle,
+		Model: int(spec.Model), Width: spec.Width, Stuck: spec.Stuck, Span: spec.Span,
+		ckptPin: p.pin,
 	}
 }
 
-// stopRecord builds a campaign's sequential-stopping record. The spec
-// at the last counted index pins the fault-plan identity (seed, target,
-// model parameters, distribution): a stop record from a different plan
-// must not cap a resumed campaign, exactly as outcome records
-// self-validate.
-func stopRecord(key string, idx int, cfg Config, last fault.Spec, goldenFp uint64) ckptRecord {
-	return ckptRecord{
-		Kind: ckptKindStop, Campaign: key, Index: idx,
-		Target: int(last.Target), Bit: last.Bit, Cycle: last.Cycle,
-		Model: int(last.Model), Width: last.Width,
-		Stuck: last.Stuck, Span: last.Span,
-		Window: cfg.Window, Obs: int(cfg.Obs), Compare: int(cfg.CompareMode),
-		Golden: goldenFp, EarlyStop: cfg.EarlyStop,
-		TargetErr: cfg.TargetError, MinRuns: cfg.MinRuns, Conf: cfg.Confidence,
-		AvfPrior: cfg.AVFPrior,
-		Prune:    int(cfg.Prune),
-		Protect:  cfg.Protect,
-	}
+// outcomeRecord builds one replayed outcome's record.
+func (p *Planned) outcomeRecord(idx int, oc RunOutcome) ckptRecord {
+	r := p.record(idx, oc.Spec)
+	r.Class, r.EndCycle, r.Converged, r.CSize = int(oc.Class), oc.EndCycle, oc.Converged, oc.ClassSize
+	return r
+}
+
+// stopRecord builds the campaign's sequential-stopping record for
+// stopping index idx. The spec at the last counted index pins the
+// fault-plan identity (seed, target, model parameters, distribution): a
+// stop record from a different plan must not cap a resumed campaign,
+// exactly as outcome records self-validate.
+func (p *Planned) stopRecord(idx int) ckptRecord {
+	r := p.record(idx, p.pl.spec(idx-1))
+	r.Kind, r.stopPin = ckptKindStop, p.stopPin
+	return r
 }
 
 // shardName maps an arbitrary campaign key onto a filesystem-safe shard
@@ -501,7 +492,11 @@ func openCheckpoints(dir string, byKey map[string]*Planned) error {
 		p.mu.Lock()
 		// Shards record class representatives only; re-derive the
 		// extrapolated member outcomes of every resumed representative.
-		p.pr.resumedFanout(p.seq)
+		for i, ok := range p.have {
+			if ok {
+				p.fanout(i)
+			}
+		}
 		p.ckptDir, p.ckptKey = dir, key
 		p.mu.Unlock()
 	}
@@ -550,48 +545,23 @@ func forEachCkptRecord(dir string, fn func(ckptRecord)) error {
 }
 
 // applyRecord validates one decoded record against the campaign's
-// freshly derived plan, classification config and golden fingerprint
-// and, when everything agrees, delivers it (outcome records) or pins
-// the stopping index (stop records). Mismatching records, and outcome
-// records whose class is out of range, are skipped silently — stale or
-// damaged shards are harmless by construction.
+// freshly derived plan and pins and, when everything agrees, delivers it
+// (outcome records) or pins the stopping index (stop records).
+// Mismatching records, and outcome records whose class is out of range,
+// are skipped silently — stale or damaged shards are harmless by
+// construction.
 func (p *Planned) applyRecord(r ckptRecord) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	cfg := p.cfg
-	if r.Window != cfg.Window || r.Obs != int(cfg.Obs) || r.Compare != int(cfg.CompareMode) {
-		return // same plan but a different classification config
-	}
-	if r.Golden != p.fp {
-		return // simulator or workload behavior changed under the plan
-	}
-	if r.EarlyStop != cfg.EarlyStop {
-		return // convergence exits change EndCycle accounting
-	}
-	if r.Prune != int(cfg.Prune) {
-		return // pruning changes which indices replay and their weights
-	}
-	if r.Protect != cfg.Protect {
-		// Protection changes the planned bit space and every class:
-		// pre-protection (or differently protected) shards are stale for
-		// a protected campaign, and protected shards for an unprotected
-		// one — the fault-model staleness rule extended to schemes.
-		return
+	if r.ckptPin != p.pin {
+		return // a different classification config or golden run
 	}
 	if r.Kind == ckptKindStop {
-		if r.TargetErr != cfg.TargetError || r.MinRuns != cfg.MinRuns || r.Conf != cfg.Confidence {
-			return // different stopping rule: re-derive the index
+		// A different stopping rule re-derives the index; a stop record
+		// from a different fault plan must not cap this one.
+		if r.stopPin == p.stopPin && r.Index > 0 && r.Index <= p.pl.n && p.pl.spec(r.Index-1) == r.spec() {
+			p.stopHint = r.Index
 		}
-		if r.AvfPrior != cfg.AVFPrior {
-			return // the prior moves the stopping index
-		}
-		if r.Index <= 0 || r.Index > p.pl.n {
-			return
-		}
-		if p.pl.spec(r.Index-1) != r.spec() {
-			return // stop record from a different fault plan
-		}
-		p.stopHint = r.Index
 		return
 	}
 	if r.Index < 0 || r.Index >= p.pl.n || !Class(r.Class).Valid() {
@@ -601,10 +571,10 @@ func (p *Planned) applyRecord(r ckptRecord) {
 	if spec != r.spec() {
 		return // stale shard from a different plan or fault model
 	}
-	if !p.seq.done(r.Index) {
+	if !p.have[r.Index] {
 		p.resumed++
 	}
-	p.seq.deliver(r.Index, RunOutcome{
+	p.collect(r.Index, RunOutcome{
 		Spec: spec, Class: Class(r.Class), EndCycle: r.EndCycle,
 		Converged: r.Converged, ClassSize: r.CSize,
 	})
