@@ -28,6 +28,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -44,13 +45,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "runsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("runsim", flag.ContinueOnError)
 	var (
 		benchName = fs.String("bench", "", "built-in workload name")
@@ -85,8 +86,8 @@ func run(args []string) error {
 	}
 	defer stopMetrics()
 	if *list {
-		for _, w := range bench.All() {
-			fmt.Printf("%-14s %s\n", w.Name, w.Desc)
+		for _, wl := range bench.All() {
+			fmt.Fprintf(w, "%-14s %s\n", wl.Name, wl.Desc)
 		}
 		return nil
 	}
@@ -103,11 +104,11 @@ func run(args []string) error {
 			return err
 		}
 	case *benchName != "":
-		w, err := bench.ByName(*benchName)
+		wl, err := bench.ByName(*benchName)
 		if err != nil {
 			return err
 		}
-		prog, err = w.Program()
+		prog, err = wl.Program()
 		if err != nil {
 			return err
 		}
@@ -122,12 +123,12 @@ func run(args []string) error {
 		}
 		start := time.Now()
 		stop := cpu.Run(*maxCycles)
-		fmt.Printf("model=ref stop=%v insts=%d wall=%v\n", stop, cpu.InstCount, time.Since(start))
+		fmt.Fprintf(w, "model=ref stop=%v insts=%d wall=%v\n", stop, cpu.InstCount, time.Since(start))
 		if stop == refsim.StopFault {
-			fmt.Printf("fault: %s\n", cpu.FaultDesc)
+			fmt.Fprintf(w, "fault: %s\n", cpu.FaultDesc)
 		}
 		if *verbose {
-			os.Stdout.Write(cpu.Output)
+			w.Write(cpu.Output)
 		}
 		return nil
 	}
@@ -170,7 +171,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("model=%v setup=%s golden=%d cycles, %d injections (%v on %v), %d lifetime events\n",
+		fmt.Fprintf(w, "model=%v setup=%s golden=%d cycles, %d injections (%v on %v), %d lifetime events\n",
 			m, setup.Name, g.Cycles, len(specs), fp.Model, tgt, g.LifetimeEvents())
 		// The probe replays through the engine a campaign with these
 		// settings would use: with -lanes > 1 on a batch-capable model and
@@ -202,14 +203,7 @@ func run(args []string) error {
 			return err
 		}
 		if _, batched := r.(*campaign.BatchReplayer); batched {
-			st := r.Stats()
-			fmt.Printf("bit-parallel replay: %d lanes, %d retired in lockstep, %d peeled to scalar, %.1f mean lane occupancy\n",
-				*lanes, st.Batched, st.Peeled, float64(st.LaneCycles)/float64(st.Lockstep))
-			if mix := peelMix(st); mix != "" {
-				fmt.Printf("peels by reason: %s\n", mix)
-			}
-		} else if *lanes > 1 {
-			fmt.Printf("bit-parallel replay unavailable on %v/%v; scalar probe\n", m, tgt)
+			fmt.Fprint(w, walkSummary(*lanes, r.Stats()))
 		}
 		for i, s := range specs {
 			oc := outs[i]
@@ -246,7 +240,7 @@ func run(args []string) error {
 			default:
 				ace = "dead"
 			}
-			fmt.Printf("  bit=%-6d cycle=%-8d%s -> %v (end cycle %d, converged %s, lifetime: %s, ace: %s)\n",
+			fmt.Fprintf(w, "  bit=%-6d cycle=%-8d%s -> %v (end cycle %d, converged %s, lifetime: %s, ace: %s)\n",
 				s.Bit, s.Cycle, extra, oc.Class, oc.EndCycle, conv, verdict, ace)
 		}
 		return nil
@@ -257,11 +251,11 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("model=%v setup=%s golden: %d cycles, %d pinout txns, %d snapshots, %d output bytes, wall=%v (%.2f Mcyc/s)\n",
+		fmt.Fprintf(w, "model=%v setup=%s golden: %d cycles, %d pinout txns, %d snapshots, %d output bytes, wall=%v (%.2f Mcyc/s)\n",
 			m, setup.Name, g.Cycles, g.Txns, g.Snapshots(), len(g.Output),
 			g.Elapsed, float64(g.Cycles)/g.Elapsed.Seconds()/1e6)
 		if *verbose {
-			os.Stdout.Write(g.Output)
+			w.Write(g.Output)
 		}
 		return nil
 	}
@@ -274,23 +268,41 @@ func run(args []string) error {
 	start := time.Now()
 	stop := sim.Run(*maxCycles)
 	wall := time.Since(start)
-	fmt.Printf("model=%v setup=%s stop=%v cycles=%d pinout-txns=%d wall=%v (%.2f Mcyc/s)\n",
+	fmt.Fprintf(w, "model=%v setup=%s stop=%v cycles=%d pinout-txns=%d wall=%v (%.2f Mcyc/s)\n",
 		m, setup.Name, stop, sim.Cycles(), pin.Len(), wall,
 		float64(sim.Cycles())/wall.Seconds()/1e6)
 	if *verbose {
-		os.Stdout.Write(sim.Output())
+		w.Write(sim.Output())
 	}
 	return nil
 }
 
-// peelMix renders the value-lane peels of st by reason ("branch 3,
-// address 2"), empty when no lane peeled with a reason.
-func peelMix(st campaign.ReplayStats) string {
-	var parts []string
-	for r, n := range st.Peels {
-		if n > 0 {
-			parts = append(parts, fmt.Sprintf("%v %d", lanestore.PeelReason(r), n))
+// walkSummary renders what the bit-parallel engine did for a probe:
+// the lane packing and the peels by reason when any lane rode (the
+// guard report.Campaign's bit-parallel line uses), and the replays
+// forked off the golden walk when any were (a target with no lane
+// geometry, such as RTL pipeline latches, forks every replay).
+func walkSummary(lanes int, st campaign.ReplayStats) string {
+	var sb strings.Builder
+	if st.Batched+st.Peeled > 0 {
+		occupancy := 0.0
+		if st.Lockstep > 0 {
+			occupancy = float64(st.LaneCycles) / float64(st.Lockstep)
+		}
+		fmt.Fprintf(&sb, "bit-parallel replay: %d lanes, %d retired in lockstep, %d peeled to scalar, %.1f mean lane occupancy\n",
+			lanes, st.Batched, st.Peeled, occupancy)
+		var parts []string
+		for r, n := range st.Peels {
+			if n > 0 {
+				parts = append(parts, fmt.Sprintf("%v %d", lanestore.PeelReason(r), n))
+			}
+		}
+		if len(parts) > 0 {
+			fmt.Fprintf(&sb, "peels by reason: %s\n", strings.Join(parts, ", "))
 		}
 	}
-	return strings.Join(parts, ", ")
+	if forks := st.Executed - st.Batched - st.Peeled; forks > 0 {
+		fmt.Fprintf(&sb, "bit-parallel replay: %d replays forked off the golden walk\n", forks)
+	}
+	return sb.String()
 }
