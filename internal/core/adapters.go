@@ -109,10 +109,10 @@ func (s *maSim) Force(t fault.Target, bit, v int) error {
 func (s *maSim) Snapshot() campaign.Snapshot { return s.cpu.Clone() }
 
 // LiveSnapshot exposes the live CPU as a zero-copy restore source for
-// the cursor fork: RestoreFrom only reads its base, so the replay
-// worker can deep-copy straight out of the cursor's current state
-// without paying a full Clone per fork. The value is invalidated by the
-// next Step.
+// a fork off the golden walk: RestoreFrom only reads its base, so the
+// replay worker can deep-copy straight out of the walker's current
+// state without paying a full Clone per fork. The value is invalidated
+// by the next Step.
 func (s *maSim) LiveSnapshot() campaign.Snapshot { return s.cpu }
 
 var _ campaign.LiveSnapshotter = (*maSim)(nil)
@@ -194,7 +194,8 @@ func (s *rtlSim) StateHash() uint64                      { return s.core.StateHa
 // LaneGeometry: the architectural register file and the L1D data array,
 // both word-granular through the rtl kernel's memory ports. Pipeline
 // latches are neither traced nor tracked (rtlcore.Core.SetLifetime says
-// why), so latch campaigns always replay, on the scalar engine.
+// why), so latch campaigns always replay, each forked off the golden
+// walk.
 func (s *rtlSim) LaneGeometry(t fault.Target) (units, width int) {
 	switch t {
 	case fault.TargetRF:

@@ -23,12 +23,6 @@ type Client struct {
 	// Poll is the progress polling interval while waiting (0 selects
 	// 500ms).
 	Poll time.Duration
-
-	// Attempts bounds transport-retry tries per API call (0 selects 5;
-	// 1 disables retry). Transient failures — transport errors, 5xx —
-	// back off exponentially with jitter between tries; 4xx responses
-	// surface immediately.
-	Attempts int
 }
 
 // NewClient builds a client for a coordinator base URL.
@@ -166,10 +160,7 @@ func (c *Client) SweepRunner() core.SweepRunner {
 // do issues one API call through the shared retrying transport (see
 // retry.go for why retrying these POSTs is safe).
 func (c *Client) do(method, path string, in, out any) error {
-	api := jsonAPI{http: c.httpClient(), base: c.Base, attempts: c.Attempts}
-	if api.attempts <= 0 {
-		api.attempts = retryAttempts
-	}
+	api := jsonAPI{http: c.httpClient(), base: c.Base, attempts: retryAttempts}
 	_, err := api.call(context.Background(), method, path, in, out)
 	return err
 }

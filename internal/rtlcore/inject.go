@@ -115,8 +115,8 @@ func (c *Core) latchRegs() []*rtl.Reg {
 // the events are recorded; pipeline latches stay untracked, so latch
 // campaigns always fall back to full replay. The pipeline latches have
 // no lane surface either (lanes.go): a latch fault's diff would sit in
-// control state as often as in data, so latch campaigns replay on the
-// scalar engine.
+// control state as often as in data, so a latch replay forks off the
+// golden walk instead of riding a lane.
 func (c *Core) SetLifetime(rf, l1d *lifetime.Space) {
 	c.regfile.SetLifetime(rf)
 	c.l1d.data.SetLifetime(l1d)
