@@ -86,13 +86,15 @@ func randomProgram(rng *rand.Rand) string {
 	aluRegOps := []string{"add", "sub", "rsb", "and", "orr", "eor", "mul", "udiv", "sdiv"}
 	aluImmOps := []string{"addi", "subi", "andi", "orri", "eori"}
 	shiftOps := []string{"lsl", "lsr", "asr"}
+	divOps := []string{"udiv", "sdiv"}
+	divEdges := []int32{0, -1 << 31, -1}
 	conds := []string{"beq", "bne", "blt", "bge", "bgt", "ble", "bhs", "blo", "bhi", "bls"}
 	label := 0
 
 	reg := func() int { return rng.Intn(10) } // r0..r9 only
 
 	emitBlock := func() {
-		switch rng.Intn(10) {
+		switch rng.Intn(12) {
 		case 0, 1, 2:
 			op := aluRegOps[rng.Intn(len(aluRegOps))]
 			fmt.Fprintf(&sb, "\t%s\tr%d, r%d, r%d\n", op, reg(), reg(), reg())
@@ -119,6 +121,18 @@ func randomProgram(rng *rand.Rand) string {
 			fmt.Fprintf(&sb, "\taddi\tr%d, r%d, #1\n", reg(), reg())
 			fmt.Fprintf(&sb, "\teor\tr%d, r%d, r%d\n", reg(), reg(), reg())
 			fmt.Fprintf(&sb, "L%d:\n", label)
+		case 9:
+			// Divide edges: dividend and divisor each 0, INT_MIN or -1,
+			// so division by zero and INT_MIN / -1 occur.
+			n, m := reg(), reg()
+			fmt.Fprintf(&sb, "\tli\tr%d, %d\n", n, divEdges[rng.Intn(len(divEdges))])
+			fmt.Fprintf(&sb, "\tli\tr%d, %d\n", m, divEdges[rng.Intn(len(divEdges))])
+			fmt.Fprintf(&sb, "\t%s\tr%d, r%d, r%d\n", divOps[rng.Intn(len(divOps))], reg(), n, m)
+		case 10:
+			// Register-amount shift by 31, 32 or 33: the five-bit wrap.
+			amt := reg()
+			fmt.Fprintf(&sb, "\tmovi\tr%d, #%d\n", amt, 31+rng.Intn(3))
+			fmt.Fprintf(&sb, "\t%s\tr%d, r%d, r%d\n", shiftOps[rng.Intn(len(shiftOps))], reg(), reg(), amt)
 		default:
 			// Counted loop with a fixed trip count (always terminates).
 			label++

@@ -8,7 +8,8 @@
 // It plays the role of the commercial Cortex-A9 RTL model in the paper:
 // every storage bit — architectural register file, cache arrays, and
 // every pipeline latch — is enumerable and injectable, and every cycle
-// evaluates the whole core, all execute units included. The substitution
+// evaluates the whole core except the execute units the opcode does not
+// select, whose outputs reach no storage bit. The substitution
 // (in-order scalar instead of the proprietary out-of-order A9 netlist,
 // whose host cost is reported by TABLE II rather than emulated) is
 // documented in EXPERIMENTS.md.

@@ -432,8 +432,9 @@ func (c *Core) eval() {
 				st, stSrc = fwd(in.Rd, c.idexSt, srcLat+latSt)
 				exSt = uint64(st)
 			}
-			// The execute datapath evaluates structurally every
-			// cycle; the opcode muxes the outputs (datapath.go).
+			// The opcode gates the execute datapath: beside the flags
+			// subtractor only its unit evaluates, exact because no
+			// fault site lies inside a unit (datapath.go).
 			switch {
 			case op == isa.OpCMP:
 				exDst = latFlags

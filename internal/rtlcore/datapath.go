@@ -16,12 +16,13 @@ import "repro/internal/isa"
 // combinational net — only Reg and Mem bits are enumerable — so walking
 // the cells one at a time could not change any outcome, only its cost.
 //
-// What stays structural is the shape of the design: every unit evaluates
-// on the operand buses on every cycle the EX stage holds an instruction,
-// and the opcode only steers the result multiplexer. Nothing here calls
-// the architectural definitions in package isa; the two levels remain
-// independent implementations, which is what TestDatapathMatchesISA and
-// the cross-level comparison rest on.
+// The opcode gates the units: each EX cycle the subtractor (whose NZCV is
+// the flags bus) and the one unit the opcode selects evaluate, the rest
+// stay idle. That is exact for the same reason: an unselected unit's
+// output reaches no register or memory bit, so evaluating it could only
+// cost time. Nothing here calls the architectural definitions in package
+// isa; the two levels remain independent implementations, which is what
+// TestDatapathMatchesISA and the cross-level comparison rest on.
 
 // fan drives all 32 nets of a bus from one net (0 or 1): the select of a
 // bus-wide multiplexer.
@@ -112,32 +113,17 @@ type aluOut struct {
 	flags  isa.Flags
 }
 
-// evalDatapath evaluates the full execute datapath on operand buses a and
-// b: all units compute, then the opcode selects the result, mirroring the
-// structural design. MOVT passes the old destination value through a.
+// evalDatapath evaluates the execute datapath on operand buses a and b:
+// the subtractor always, for the flags, and of the other units only the
+// one the opcode selects. MOVT passes the old destination value through a.
 func evalDatapath(op isa.Opcode, a, b uint32) aluOut {
-	sum, _, _ := adder(a, b, 0)
-	diff, subFl := subtract(a, b)
-	rdiff, _ := subtract(b, a)
-	shl := barrelShift(a, b&31, true, false)
-	shr := barrelShift(a, b&31, false, false)
-	sar := barrelShift(a, b&31, false, true)
-	prod := arrayMultiply(a, b)
-
-	// The signed divider operates on magnitudes; sign correction is a mux.
-	aNeg, bNeg := fan(a>>31), fan(b>>31)
-	udivQ := restoringDivide(a, b)
-	sdivQ := restoringDivide(mux(aNeg, a, negate(a)), mux(bNeg, b, negate(b)))
-	sdivQ = mux(aNeg^bNeg, sdivQ, negate(sdivQ))
-
+	diff, flags := subtract(a, b)
 	var r uint32
 	switch op {
-	case isa.OpADD, isa.OpADDI:
-		r = sum
 	case isa.OpSUB, isa.OpSUBI:
 		r = diff
 	case isa.OpRSB, isa.OpRSBI:
-		r = rdiff
+		r, _ = subtract(b, a)
 	case isa.OpAND, isa.OpANDI:
 		r = a & b
 	case isa.OpORR, isa.OpORRI:
@@ -145,15 +131,15 @@ func evalDatapath(op isa.Opcode, a, b uint32) aluOut {
 	case isa.OpEOR, isa.OpEORI:
 		r = a ^ b
 	case isa.OpLSL, isa.OpLSLI:
-		r = shl
+		r = barrelShift(a, b&31, true, false)
 	case isa.OpLSR, isa.OpLSRI:
-		r = shr
+		r = barrelShift(a, b&31, false, false)
 	case isa.OpASR, isa.OpASRI:
-		r = sar
+		r = barrelShift(a, b&31, false, true)
 	case isa.OpMUL:
-		r = prod
+		r = arrayMultiply(a, b)
 	case isa.OpUDIV:
-		r = udivQ
+		r = restoringDivide(a, b)
 	case isa.OpSDIV:
 		switch {
 		case b == 0:
@@ -161,7 +147,10 @@ func evalDatapath(op isa.Opcode, a, b uint32) aluOut {
 		case a == 0x80000000 && b == 0xFFFFFFFF:
 			r = a // overflow case: quotient wraps to the dividend
 		default:
-			r = sdivQ
+			// The signed divider operates on magnitudes; sign correction is a mux.
+			aNeg, bNeg := fan(a>>31), fan(b>>31)
+			q := restoringDivide(mux(aNeg, a, negate(a)), mux(bNeg, b, negate(b)))
+			r = mux(aNeg^bNeg, q, negate(q))
 		}
 	case isa.OpMOV, isa.OpMOVI:
 		r = b
@@ -169,10 +158,10 @@ func evalDatapath(op isa.Opcode, a, b uint32) aluOut {
 		r = ^b
 	case isa.OpMOVT:
 		r = a&0xFFFF | b<<16
-	default:
-		r = sum // address adder path
+	default: // ADD, ADDI and the address adder path
+		r, _, _ = adder(a, b, 0)
 	}
-	return aluOut{result: r, flags: subFl}
+	return aluOut{result: r, flags: flags}
 }
 
 // netAdd is the 32-bit incrementer/adder used outside the main ALU (PC

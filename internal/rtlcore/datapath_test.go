@@ -136,3 +136,127 @@ func TestNetAddAndBranchAdder(t *testing.T) {
 		t.Errorf("branchAdder = %d, want %d", got, want)
 	}
 }
+
+// evalAllUnits is the ungated execute datapath, verbatim: every unit
+// evaluates on the operand buses, then the opcode selects the result. It
+// is the reference evalDatapath's gating is held to.
+func evalAllUnits(op isa.Opcode, a, b uint32) aluOut {
+	sum, _, _ := adder(a, b, 0)
+	diff, subFl := subtract(a, b)
+	rdiff, _ := subtract(b, a)
+	shl := barrelShift(a, b&31, true, false)
+	shr := barrelShift(a, b&31, false, false)
+	sar := barrelShift(a, b&31, false, true)
+	prod := arrayMultiply(a, b)
+
+	// The signed divider operates on magnitudes; sign correction is a mux.
+	aNeg, bNeg := fan(a>>31), fan(b>>31)
+	udivQ := restoringDivide(a, b)
+	sdivQ := restoringDivide(mux(aNeg, a, negate(a)), mux(bNeg, b, negate(b)))
+	sdivQ = mux(aNeg^bNeg, sdivQ, negate(sdivQ))
+
+	var r uint32
+	switch op {
+	case isa.OpADD, isa.OpADDI:
+		r = sum
+	case isa.OpSUB, isa.OpSUBI:
+		r = diff
+	case isa.OpRSB, isa.OpRSBI:
+		r = rdiff
+	case isa.OpAND, isa.OpANDI:
+		r = a & b
+	case isa.OpORR, isa.OpORRI:
+		r = a | b
+	case isa.OpEOR, isa.OpEORI:
+		r = a ^ b
+	case isa.OpLSL, isa.OpLSLI:
+		r = shl
+	case isa.OpLSR, isa.OpLSRI:
+		r = shr
+	case isa.OpASR, isa.OpASRI:
+		r = sar
+	case isa.OpMUL:
+		r = prod
+	case isa.OpUDIV:
+		r = udivQ
+	case isa.OpSDIV:
+		switch {
+		case b == 0:
+			r = 0
+		case a == 0x80000000 && b == 0xFFFFFFFF:
+			r = a // overflow case: quotient wraps to the dividend
+		default:
+			r = sdivQ
+		}
+	case isa.OpMOV, isa.OpMOVI:
+		r = b
+	case isa.OpMVN:
+		r = ^b
+	case isa.OpMOVT:
+		r = a&0xFFFF | b<<16
+	default:
+		r = sum // address adder path
+	}
+	return aluOut{result: r, flags: subFl}
+}
+
+// checkGating holds the gated datapath to the all-units reference on one
+// opcode and operand pair, and the ALU opcodes also to isa.EvalALU.
+func checkGating(t *testing.T, op isa.Opcode, a, b uint32) {
+	t.Helper()
+	got, want := evalDatapath(op, a, b), evalAllUnits(op, a, b)
+	if got != want {
+		t.Fatalf("opcode %d (%s) on %#x, %#x: gated %+v, all units %+v", op, op, a, b, got, want)
+	}
+	if (op.IsALUReg() || op.IsALUImm()) && got.result != isa.EvalALU(op, a, b) {
+		t.Fatalf("%s(%#x, %#x) = %#x, want %#x", op, a, b, got.result, isa.EvalALU(op, a, b))
+	}
+}
+
+// gatingGrid is TestDatapathEdgeCases' operand grid: the boundary words
+// of the adder and dividers, and the shift amounts around the wrap.
+var gatingGrid = []uint32{0, 1, 0x80000000, 0x7fffffff, 0xffffffff, 0xfffffff9, 31, 32, 33}
+
+// TestDatapathGatingIsExact checks that gating the units on the opcode
+// changes no result and no flag: for every opcode value (the ALU ops,
+// CMP/CMPI, the memory-address default and invalid encodings) the gated
+// datapath equals the ungated one on the edge grid and on drawn operands.
+func TestDatapathGatingIsExact(t *testing.T) {
+	draws := 400
+	if testing.Short() {
+		draws = 50
+	}
+	for op := 0; op < 256; op++ {
+		for _, a := range gatingGrid {
+			for _, b := range gatingGrid {
+				checkGating(t, isa.Opcode(op), a, b)
+			}
+		}
+		rng := rand.New(rand.NewSource(int64(op)))
+		for i := 0; i < draws; i++ {
+			checkGating(t, isa.Opcode(op), operand(rng), operand(rng))
+		}
+	}
+}
+
+// FuzzDatapath is TestDatapathGatingIsExact's check on fuzzed opcodes
+// and operands.
+func FuzzDatapath(f *testing.F) {
+	for _, c := range []struct {
+		op   isa.Opcode
+		a, b uint32
+	}{
+		{isa.OpSDIV, 0x80000000, 0xffffffff},
+		{isa.OpSDIV, 0xfffffff9, 0},
+		{isa.OpUDIV, 7, 0},
+		{isa.OpASR, 0x80000000, 33},
+		{isa.OpRSBI, 1, 0x7fffffff},
+		{isa.OpCMP, 0, 1},
+		{isa.OpLDR, 0x1000, 4},
+	} {
+		f.Add(uint8(c.op), c.a, c.b)
+	}
+	f.Fuzz(func(t *testing.T, op uint8, a, b uint32) {
+		checkGating(t, isa.Opcode(op), a, b)
+	})
+}
