@@ -113,6 +113,11 @@ type Core struct {
 	l1i *rtlCache
 	l1d *rtlCache
 
+	// latches is every non-array state element in name order: the flat
+	// latch fault space of FlipLatchBit, built once (persistent latch
+	// faults are re-forced after every cycle).
+	latches []*rtl.Reg
+
 	// lanes, when non-nil, is the value-lane store of the lockstep replay
 	// lanes riding this instance (lanes.go, AttachLanes).
 	lanes *laneStore
@@ -164,6 +169,7 @@ func New(p *asm.Program, cfg Config) (*Core, error) {
 		return nil, err
 	}
 	c.regfile.Init(int(isa.SP), uint64(isa.StackTop))
+	c.latches = sim.RegsByPrefix("")
 	sim.Process("pipeline", c.eval)
 	if err := sim.Settle(); err != nil {
 		return nil, err

@@ -191,6 +191,22 @@ func TestLatchInjectionSurface(t *testing.T) {
 	}
 }
 
+// TestForceLatchBitDoesNotAllocate pins the latch space's lookup to the
+// list New builds: a persistent latch fault is re-forced after every
+// cycle, so a per-call enumeration of the design's registers dominated
+// run-to-end latch campaigns.
+func TestForceLatchBitDoesNotAllocate(t *testing.T) {
+	c := newCore(t, assemble(t, "hlt\n"))
+	last := c.LatchBits() - 1
+	if n := testing.AllocsPerRun(100, func() {
+		if err := c.ForceLatchBit(last, 1); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("ForceLatchBit: %v allocs/op, want 0", n)
+	}
+}
+
 func TestStateInventoryContainsTargets(t *testing.T) {
 	c := newCore(t, assemble(t, "hlt\n"))
 	names := map[string]bool{}

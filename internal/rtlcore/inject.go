@@ -61,7 +61,7 @@ func (c *Core) StateInventory() []rtl.StateElement { return c.sim.StateInventory
 // the state that exists only at RTL (no microarchitectural counterpart).
 func (c *Core) LatchBits() int {
 	n := 0
-	for _, r := range c.latchRegs() {
+	for _, r := range c.latches {
 		n += r.Width()
 	}
 	return n
@@ -73,7 +73,7 @@ func (c *Core) latchAt(i int) (*rtl.Reg, int, error) {
 	if i < 0 {
 		return nil, 0, fmt.Errorf("rtlcore: latch bit %d out of range", i)
 	}
-	for _, r := range c.latchRegs() {
+	for _, r := range c.latches {
 		if i < r.Width() {
 			return r, i, nil
 		}
@@ -99,11 +99,6 @@ func (c *Core) ForceLatchBit(i int, v int) error {
 		r.ForceBit(b, v)
 	}
 	return err
-}
-
-// latchRegs enumerates the non-array state elements in a stable order.
-func (c *Core) latchRegs() []*rtl.Reg {
-	return c.sim.RegsByPrefix("")
 }
 
 // SetLifetime attaches (or detaches, with nils) the golden-run lifetime
