@@ -294,12 +294,12 @@ func BenchmarkRTLLockstepStepBoth(b *testing.B) { benchmarkLockstepStep(b, core.
 func benchmarkLockstepStep(b *testing.B, model core.Model, both bool) {
 	sim := kernelSim(b, model)
 	host := sim.(campaign.BatchCapable)
-	rf, l1d := host.AttachLanes(true, both)
-	defer host.DetachLanes()
-	trackers := []campaign.LaneSet{rf}
+	targets := []fault.Target{fault.TargetRF}
 	if both {
-		trackers = append(trackers, l1d)
+		targets = append(targets, fault.TargetL1D)
 	}
+	trackers := host.AttachLanes(targets)
+	defer host.DetachLanes()
 	var peeled uint64
 	benchmarkKernel(b, sim, func(campaign.Simulator) {
 		for _, lanes := range trackers {
@@ -539,58 +539,6 @@ func BenchmarkOneRunReplayAllocs(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkCursorReplayAllocs pins the allocation profile of the
-// walk's fork path, which a campaign riding no lanes takes: forking the scalar instance off the walker's live state
-// (RestoreFrom into pooled storage, reused pin buffer) must not allocate
-// more per replay than the scalar stream path it replaces.
-func BenchmarkCursorReplayAllocs(b *testing.B) {
-	p := workloadProgram(b, "qsort")
-	factory := core.Factory(core.ModelMicroarch, p, core.CampaignSetup())
-	g, err := campaign.PrepareGolden(factory, campaign.GoldenOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cursor, err := factory()
-	if err != nil {
-		b.Fatal(err)
-	}
-	replay, err := factory()
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := campaign.Config{
-		Injections: 1, Seed: 1, Target: fault.TargetRF,
-		Obs: campaign.ObsPinout, Window: 500,
-	}
-	specs, err := fault.Plan(64, cfg.Target, cursor.Bits(cfg.Target), g.Cycles,
-		fault.DistNormal, cfg.Fault, rand.New(rand.NewSource(1)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	cr := campaign.NewCursorReplayer(g, cfg, cursor, replay)
-	deliver := func(int, campaign.RunOutcome) error { return nil }
-	run := func(n int) {
-		k := 0
-		next := func() (int, fault.Spec, bool) {
-			if k >= n {
-				return 0, fault.Spec{}, false
-			}
-			i := k
-			k++
-			return i, specs[i%len(specs)], true
-		}
-		if err := cr.Replay(next, deliver); err != nil {
-			b.Fatal(err)
-		}
-	}
-	// Warm the reusable buffers to steady state before measuring.
-	run(len(specs))
-	b.ReportAllocs()
-	b.ResetTimer()
-	run(b.N)
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "replays/s")
 }
 
 // BenchmarkSharedWalk is the lockstep engine on one goroutine with the

@@ -45,11 +45,11 @@
 //
 // -lanes picks the replay engine: 1 is the scalar stream replayer, every
 // replay restoring the snapshot nearest its injection instant; any
-// wider setting is the lockstep walk, on which RF and L1D replays ride
-// value lanes and the others (-target latches) fork off the one golden
-// instance at their instants, so inter-injection golden cycles simulate
-// once per pull instead of once per replay. Classifications, stopping
-// indices and reports are byte-identical on either engine.
+// wider setting is the lockstep walk, on which every replay rides a
+// value lane of the one golden instance (RF, L1D and, on the RTL model,
+// pipeline latches), so inter-injection golden cycles simulate once per
+// pull instead of once per replay. Classifications, stopping indices and
+// reports are byte-identical on either engine.
 //
 // A local campaign is a campaign.Sweep of one, on -workers goroutines
 // with or without checkpoints. -checkpoint DIR streams per-run outcomes

@@ -277,11 +277,9 @@ func run(args []string, w io.Writer) error {
 	return nil
 }
 
-// walkSummary renders what the bit-parallel engine did for a probe:
-// the lane packing and the peels by reason when any lane rode (the
-// guard report.Campaign's bit-parallel line uses), and the replays
-// forked off the golden walk when any were (a target with no lane
-// geometry, such as RTL pipeline latches, forks every replay).
+// walkSummary renders what the bit-parallel engine did for a probe: the
+// lane packing and the peels by reason when any lane rode (the guard
+// report.Campaign's bit-parallel line uses).
 func walkSummary(lanes int, st campaign.ReplayStats) string {
 	var sb strings.Builder
 	if st.Batched+st.Peeled > 0 {
@@ -300,9 +298,6 @@ func walkSummary(lanes int, st campaign.ReplayStats) string {
 		if len(parts) > 0 {
 			fmt.Fprintf(&sb, "peels by reason: %s\n", strings.Join(parts, ", "))
 		}
-	}
-	if forks := st.Executed - st.Batched - st.Peeled; forks > 0 {
-		fmt.Fprintf(&sb, "bit-parallel replay: %d replays forked off the golden walk\n", forks)
 	}
 	return sb.String()
 }

@@ -10,7 +10,9 @@ package campaign
 // each model's hooks): corrupted data travels through registers,
 // latches, flags, L1D and memory, and a lane peels only when its data
 // would change a control outcome — a branch, a target, an address, a
-// syscall, an instruction fetch. A peeled lane is finished on a scalar
+// syscall, an instruction fetch — or, for a fault outside every value
+// plane (an RTL control-latch flip, a forced latch bit), on its first
+// tick. A peeled lane is finished on a scalar
 // simulator rebuilt at the pre-tick cycle from a ring snapshot plus the
 // lane's diff, with the pinout it emitted while riding, then classified by the
 // exact finishRun tail the scalar engine uses. A lane that never peels
@@ -28,19 +30,14 @@ package campaign
 // Config.Lanes lanes in flight) is deferred to a follow-up walk over
 // the leftovers. Stretches nobody rides are skipped through the nearest
 // golden snapshot or stepped plain (the fast-forward share). Campaigns
-// that share a golden run share the walk: one tracker per target (the
-// models take a register-file and an L1D tracker side by side), every
-// lane carrying the campaign it belongs to. A lane still peels exactly
-// when its data decides control and is finished by the same tail, so
-// classifications are byte-identical to the scalar path at any lane
-// width and in any company; sharing changes only throughput.
-//
-// A campaign that rides no lanes at a width above 1 — a target without
-// a lane surface, a model without one — still takes the walk: the
-// walker seeks each of its injection instants in order and forks the
-// replay there, restoring its own state into the scalar instance and
-// finishing the run by the scalar tail. Inter-injection golden cycles
-// are then stepped once per pull, not once per replay.
+// that share a golden run share the walk: one tracker per target (a
+// model's store takes two side by side), every lane carrying the
+// campaign it belongs to. A lane still peels exactly when its data
+// decides control and is finished by the same tail, so classifications
+// are byte-identical to the scalar path at any lane width and in any
+// company; sharing changes only throughput. Every member of a walk
+// rides lanes: a campaign that cannot (Lanes 1, a simulator without a
+// lane surface) is replayed by the scalar stream replayer.
 
 import (
 	"fmt"
@@ -81,18 +78,17 @@ const batchPull = 8
 
 // BatchCapable is implemented by simulators that can ride value lanes
 // over an injection target: both models do, for the register file and
-// the L1D data array. The RTL pipeline latches have no lane surface: a
-// latch fault sits in control state as often as in data.
+// the L1D data array, and the RTL model for its pipeline latches.
 type BatchCapable interface {
 	// LaneGeometry states target t's flat fault bit space — units × width
 	// bits, laid out as Simulator.Flip indexes them; units is 0 for a
 	// target without a lockstep surface.
 	LaneGeometry(t fault.Target) (units, width int)
 
-	// AttachLanes builds lane sets over the register file and the L1D
-	// data array (a false leaves that target untracked, its set nil) and
+	// AttachLanes builds one lane set per target, in order — each on a
+	// lane group of the instance's store, at most lanestore.Groups — and
 	// attaches them to this instance's hooks; DetachLanes takes them off.
-	AttachLanes(rf, l1d bool) (rfLanes, l1dLanes LaneSet)
+	AttachLanes(targets []fault.Target) []LaneSet
 	DetachLanes()
 
 	// SnapshotInto captures like Simulator.Snapshot but may overwrite
@@ -156,7 +152,7 @@ type laneTrack struct {
 // delivers its lanes, and its share of the engine's account.
 type walkMember struct {
 	w         *Work
-	tr        *laneTrack // nil: the member rides no lanes and forks
+	tr        *laneTrack
 	deliver   func(idx int, oc RunOutcome) error
 	earlyStop bool
 
@@ -173,22 +169,19 @@ type walkMember struct {
 
 // BatchReplayer drives bit-parallel lockstep replay for one goroutine: a
 // golden instance carrying the lane diffs of every campaign on the walk,
-// and a scalar instance that finishes peeled lanes and forked replays.
-// Both must come from the campaigns' factory. It is single-goroutine;
-// run one per worker.
+// and a scalar instance that finishes peeled lanes. Both must come from
+// the campaigns' factory. It is single-goroutine; run one per worker.
 type BatchReplayer struct {
 	g      *Golden
 	gold   Simulator
-	ring   BatchCapable // gold, as the lane host and the ring capture's recycler; nil when no lanes ride
+	ring   BatchCapable // gold, as the lane host and the ring capture's recycler
 	scalar Simulator
 	buf    replayBuf
 
-	// Stop, when set, is polled before each fork: once it reports true
-	// (the sequential stop was decided) the rest of the pull is
-	// abandoned. Safe because a decided stop means every index below the
-	// stopping point has been delivered, so whatever the pull still holds
-	// lies past the counted prefix and would be discarded by the
-	// collector's cut anyway.
+	// Deprecated: nothing reads Stop. Its one poll was before a fork off
+	// the walk, which no longer exists, and a walk never abandons a pull:
+	// on a fused walk the pull carries other campaigns too, and outcomes
+	// past a decided stop are cut by the collector anyway.
 	Stop func() bool
 
 	members []*walkMember
@@ -213,63 +206,44 @@ type BatchReplayer struct {
 }
 
 // NewBatchReplayer builds a replayer for one campaign over one worker's
-// simulator pair, or returns nil when batching does not apply: lanes
-// disabled (cfg.Lanes <= 1), a simulator without a batch surface, or a
-// target it cannot track (the RTL pipeline latches, which no value plane
-// carries). Callers fall back to the scalar path on nil.
+// simulator pair, or returns nil when the campaign does not ride lanes:
+// cfg.Lanes <= 1, or a simulator without a lane surface for its target.
+// Callers fall back to the scalar path on nil.
 func NewBatchReplayer(g *Golden, cfg Config, gold, scalar Simulator) *BatchReplayer {
-	r := newBatchReplayer(gold, scalar, []*Work{{Golden: g, Config: cfg}})
-	if r.ring == nil {
+	w := &Work{Golden: g, Config: cfg}
+	if _, ok := gold.(BatchCapable); !ok || !w.lockstep() {
 		return nil
 	}
-	return r
+	return newBatchReplayer(gold, scalar, []*Work{w})
 }
 
 // newBatchReplayer builds the walk engine of campaigns sharing one
-// golden run: one tracker per target the lane-riding ones inject into,
-// all attached to gold. A campaign rides lanes when it has more than one
-// and gold tracks its target; any other forks.
+// golden run, every one riding lanes (Work.lockstep) over at most
+// lanestore.Groups targets: one tracker per target, attached to gold.
 func newBatchReplayer(gold, scalar Simulator, works []*Work) *BatchReplayer {
-	bc, _ := gold.(BatchCapable)
-	r := &BatchReplayer{g: works[0].Golden, gold: gold, scalar: scalar}
-	byTarget := make(map[fault.Target]*laneTrack, 2)
+	bc := gold.(BatchCapable)
+	r := &BatchReplayer{g: works[0].Golden, gold: gold, ring: bc, scalar: scalar}
+	var targets []fault.Target
+	byTarget := make(map[fault.Target]*laneTrack, lanestore.Groups)
 	for _, w := range works {
 		m := &walkMember{w: w, deliver: w.Deliver, earlyStop: w.Config.EarlyStop && len(r.g.hashes) > 0}
 		r.members = append(r.members, m)
-		if bc == nil || w.Config.Lanes <= 1 {
-			continue
-		}
 		if m.tr = byTarget[w.Config.Target]; m.tr == nil {
-			if units, _ := bc.LaneGeometry(w.Config.Target); units == 0 {
-				continue
-			}
 			m.tr = &laneTrack{}
 			byTarget[w.Config.Target] = m.tr
 			r.tracks = append(r.tracks, m.tr)
+			targets = append(targets, w.Config.Target)
 		}
 	}
-	if len(r.tracks) > 0 {
-		r.ring = bc
-		rf, l1d := byTarget[fault.TargetRF], byTarget[fault.TargetL1D]
-		rfLanes, l1dLanes := bc.AttachLanes(rf != nil, l1d != nil)
-		if rf != nil {
-			rf.lanes = rfLanes
-		}
-		if l1d != nil {
-			l1d.lanes = l1dLanes
-		}
+	for i, lanes := range bc.AttachLanes(targets) {
+		r.tracks[i].lanes = lanes
 	}
 	gold.SetPinout(nil) // the walker retraces golden; nothing observes its pins
 	return r
 }
 
-// Close detaches the lane trackers from the golden instance, if any
-// were attached.
-func (r *BatchReplayer) Close() {
-	if r.ring != nil {
-		r.ring.DetachLanes()
-	}
-}
+// Close detaches the lane trackers from the golden instance.
+func (r *BatchReplayer) Close() { r.ring.DetachLanes() }
 
 // Stats reports the replayer's accounting in the pool's common form,
 // summed over the campaigns it carries.
@@ -327,10 +301,8 @@ func (r *BatchReplayer) replayPulled(items []pulledSpec) error {
 // stretch lanes ride by the shortest way (seek), hands lane slots to the
 // specs whose instant has come, re-asserts persistent faults, retires
 // lanes at their convergence point / window limit / golden end and peels
-// the ones whose data decided control. A spec of a member that rides no
-// lanes is forked where it heads the pull with nothing in flight. It
-// returns the specs it could not seat, still cycle-sorted, in pend's
-// storage.
+// the ones whose data decided control. It returns the specs it could not
+// seat, still cycle-sorted, in pend's storage.
 func (r *BatchReplayer) walk(pend []pulledSpec) (deferred []pulledSpec, err error) {
 	r.pend, r.next, r.deferred = pend, 0, pend[:0]
 	obsBatchWalks.Inc()
@@ -350,21 +322,11 @@ func (r *BatchReplayer) walk(pend []pulledSpec) (deferred []pulledSpec, err erro
 			}
 			head := r.pend[r.next]
 			m := r.members[head.member]
-			if m.tr == nil && r.Stop != nil && r.Stop() {
-				return nil, nil
-			}
 			n, err := r.seek(head.spec.Cycle)
 			m.stats.FastForward += n
 			obsFFCycles.Add(n)
 			if err != nil {
 				return nil, m.w.wrap(err)
-			}
-			if m.tr == nil {
-				r.next++
-				if err := r.fork(m, head); err != nil {
-					return nil, m.w.wrap(err)
-				}
-				continue
 			}
 			nextScan, nextRing = head.spec.Cycle, head.spec.Cycle
 		}
@@ -494,7 +456,7 @@ func (r *BatchReplayer) scan(c uint64) (next uint64, err error) {
 		p := r.pend[r.next]
 		m := r.members[p.member]
 		tr := m.tr
-		if tr == nil || m.inFlight == m.w.Config.Lanes || tr.busy == ^uint64(0) {
+		if m.inFlight == m.w.Config.Lanes || tr.busy == ^uint64(0) {
 			r.deferred = append(r.deferred, p)
 			m.stats.Deferred++
 			obsBatchDeferred.Inc()
@@ -653,35 +615,6 @@ func (r *BatchReplayer) peelOne(tr *laneTrack, lane int, preTick uint64) (RunOut
 	}
 	s.SetPinout(pin)
 	return finishRun(s, g, st.spec, st.m.w.Config, base.cycle, pin)
-}
-
-// fork replays one spec of a member that rides no lanes off the golden
-// instance standing at its injection instant: the scalar instance takes
-// the walker's state — Restore deep-copies, so the walker is untouched by
-// what the faulty replay does next — and its pinout is seeded with the
-// golden transactions since the nearest snapshot, the prefix a stream
-// replay records while fast-forwarding. The scalar instance then holds
-// exactly what oneRunBuf's restore-and-fast-forward produces, so
-// finishRun classifies byte-identically to stream order.
-func (r *BatchReplayer) fork(m *walkMember, p pulledSpec) error {
-	if ls, ok := r.gold.(LiveSnapshotter); ok {
-		r.scalar.Restore(ls.LiveSnapshot())
-	} else {
-		r.scalar.Restore(r.gold.Snapshot())
-	}
-	m.stats.Executed++
-	obsCursorForks.Inc()
-	base := nearestSnap(r.g.snaps, p.spec.Cycle).cycle
-	pin := r.buf.seedGolden(r.g, base, p.spec.Cycle)
-	r.scalar.SetPinout(pin)
-	if err := applyFault(r.scalar, p.spec); err != nil {
-		return err
-	}
-	oc, err := finishRun(r.scalar, r.g, p.spec, m.w.Config, base, pin)
-	if err != nil {
-		return err
-	}
-	return m.deliver(p.idx, oc)
 }
 
 // settle closes a walk's account: the lockstep cycles it stepped are

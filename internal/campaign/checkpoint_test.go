@@ -199,11 +199,11 @@ func TestResumeSkipsOutOfRangeClasses(t *testing.T) {
 // TestInterruptedSweepResumesEveryEngine stops a three-campaign sweep
 // part-way and asserts a second sweep over the same checkpoint directory
 // reproduces the uninterrupted result, for each replay engine. The
-// scalar engine (Lanes 1) and the walk's fork path (the cursor row: RTL
-// latches at default lanes, every replay forked off the walk) serve one
-// campaign each: the first is complete, the second cut inside or just
-// after its first chunk, the third never started. The lockstep
-// campaigns share a golden run and so one walk: all three are cut after
+// scalar engine (Lanes 1) serves one campaign at a time: the first is
+// complete, the second cut just after its first chunk, the third never
+// started. The lockstep campaigns — register-file lanes, and RTL latch
+// lanes, whose faults peel on their first tick or ride as data-latch
+// diffs — share a golden run and so one walk: all three are cut after
 // the first pull, 16 replays each.
 func TestInterruptedSweepResumesEveryEngine(t *testing.T) {
 	engines := []struct {
@@ -218,8 +218,8 @@ func TestInterruptedSweepResumesEveryEngine(t *testing.T) {
 		tripAt int32
 	}{
 		{"scalar", core.ModelMicroarch, fault.TargetRF, 1, 1, 1},
-		{"cursor", core.ModelRTL, fault.TargetLatches, 0, 1, 1},
 		{"batch", core.ModelRTL, fault.TargetRF, 2, 0, 2},
+		{"latches", core.ModelRTL, fault.TargetLatches, 2, 0, 2},
 	}
 	for _, e := range engines {
 		e := e

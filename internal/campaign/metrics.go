@@ -36,7 +36,7 @@ var (
 	obsGoldenSeconds = obs.NewHistogram("campaign_golden_prep_seconds",
 		"golden run preparation time (simulate + snapshot + trace)", obs.DurationBuckets)
 	obsBatchWalks = obs.NewCounter("campaign_batch_walks_total",
-		"forward walks of a golden run by the lockstep engine (lane-less pulls that only fork included)")
+		"forward walks of a golden run by the lockstep engine")
 	obsBatchDeferred = obs.NewCounter("campaign_batch_deferred_total",
 		"replays a walk had no free lane for and left to a follow-up walk")
 	obsBatchLaneCycles = obs.NewCounter("campaign_batch_lane_cycles_total",
@@ -58,8 +58,6 @@ var (
 		"cycles peeled lanes simulated alone (ring catch-up plus faulty tail)")
 	obsFFCycles = obs.NewCounter("campaign_fastforward_cycles_total",
 		"golden cycles the walk stepped with nothing riding")
-	obsCursorForks = obs.NewCounter("campaign_cursor_forks_total",
-		"replays forked off the walk (members riding no lanes)")
 
 	obsClassCounters = map[Class]*obs.Counter{
 		ClassMasked:   obs.NewCounter(`campaign_outcomes_total{class="masked"}`, "delivered outcomes by fault-effect class"),

@@ -21,6 +21,7 @@ package campaign
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -51,8 +52,7 @@ type ReplayStats struct {
 	Peels [lanestore.NumPeelReasons]int
 
 	// Where the stepped cycles went. FastForward is golden cycles a walk
-	// stepped with nothing riding, on its way to the next pending instant
-	// — to the next lane it seats or the next replay it forks.
+	// stepped with nothing riding, on its way to the next lane it seats.
 	// Lockstep is the campaign's share of the golden cycles lanes rode —
 	// a walk's are split between its campaigns by LaneCycles, the lanes
 	// in flight summed over those cycles — and Private the cycles its
@@ -79,9 +79,9 @@ func (s *ReplayStats) add(o ReplayStats) {
 // Replayer is one replay engine instance: it drains a producer of
 // planned injections, executes each replay on simulators it owns and
 // streams every classified outcome through deliver. The two engines
-// (scalar stream order and the lockstep walk, which forks the replays
-// that ride no lanes) differ only in how they order and share the golden
-// pre-injection work — classifications are byte-identical.
+// (scalar stream order and the lockstep walk) differ only in how they
+// order and share the golden pre-injection work — classifications are
+// byte-identical.
 // Single-goroutine: one per worker. A pool goroutine drives it one pull
 // of its unit at a time (replayPulled) and folds its account per member.
 type Replayer interface {
@@ -117,8 +117,7 @@ type Work struct {
 	// never split.
 	Size int
 
-	stopped func() bool       // sequential stop decided (Planned.Stopped)
-	note    func(ReplayStats) // per-replayer accounting sink (Planned.note)
+	note func(ReplayStats) // per-replayer accounting sink (Planned.note)
 }
 
 func (w *Work) wrap(err error) error {
@@ -142,25 +141,18 @@ func (w *Work) lockstep() bool {
 
 // chunk is how many of the campaign's replays one pull takes: enough for
 // the walk's cycle sort to cluster injection instants, 1 on the scalar
-// engine, where order buys nothing. A campaign forking off the walk
-// pulls 512: larger pulls cluster instants more tightly (less
-// backtracking across pulls), and the bound keeps a sequential stop from
-// over-issuing the whole plan to one goroutine.
+// engine, where order buys nothing.
 func (w *Work) chunk() int {
-	switch {
-	case w.Config.Lanes == 1:
-		return 1
-	case w.lockstep():
+	if w.lockstep() {
 		return w.Config.Lanes * batchPull
 	}
-	return 512
+	return 1
 }
 
-// NewReplayer is the one place an engine is chosen, from Config.Lanes
-// alone: 1 selects the scalar stream replayer (the oracle), any wider
-// setting the lockstep walk, on which a campaign rides lanes where the
-// model tracks its target and forks every replay off the walk where it
-// does not. It validates the config, so callers may pass one straight
+// NewReplayer is the one place an engine is chosen: a campaign that
+// rides lanes (Config.Lanes above 1 on a model that tracks its target)
+// gets the lockstep walk, any other the scalar stream replayer (the
+// oracle). It validates the config, so callers may pass one straight
 // off the wire.
 func NewReplayer(w *Work) (Replayer, error) {
 	v := *w
@@ -179,8 +171,11 @@ func newReplayer(unit []*Work) (Replayer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("worker simulator: %w", err)
 	}
-	if w.Config.Lanes == 1 {
+	if !w.lockstep() {
 		return &scalarReplayer{w: w, sim: a}, nil
+	}
+	if _, ok := a.(BatchCapable); !ok {
+		return nil, fmt.Errorf("campaign: the factory's simulators track no lanes over %v, the golden run's does", w.Config.Target)
 	}
 	// The walk drives a pair: one instance that only ever walks the
 	// fault-free timeline, one that runs the faulty tails.
@@ -188,12 +183,7 @@ func newReplayer(unit []*Work) (Replayer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("worker simulator: %w", err)
 	}
-	br := newBatchReplayer(a, b, unit)
-	if w.lockstep() && br.ring == nil {
-		return nil, fmt.Errorf("campaign: the factory's simulators track no lanes over %v, the golden run's does", w.Config.Target)
-	}
-	br.Stop = w.stopped
-	return br, nil
+	return newBatchReplayer(a, b, unit), nil
 }
 
 // scalarReplayer is the stream-order engine: every replay restores the
@@ -299,10 +289,10 @@ func ReplayPool(workers int, stop <-chan struct{}, work ...*Work) error {
 			return w.wrap(err)
 		}
 		// Consecutive lockstep campaigns over one golden run (Sweep orders
-		// its work group-major) ride one walk; anything else — no lanes, a
-		// latch target — stays on its own engine.
+		// its work group-major) ride one walk while its store has a lane
+		// group for their target; anything else stays on its own engine.
 		lanes := w.lockstep()
-		if n := len(s.units); n > 0 && lanes && s.units[n-1].lanes && s.units[n-1].members[0].Golden == w.Golden {
+		if n := len(s.units); n > 0 && lanes && s.units[n-1].admits(w) {
 			s.units[n-1].members = append(s.units[n-1].members, w)
 			continue
 		}
@@ -324,6 +314,25 @@ type unit struct {
 	members []*Work
 	lanes   bool
 	dry     []bool
+}
+
+// admits reports whether lockstep campaign w may join the unit's walk:
+// the unit rides lanes over w's golden run, and its target is tracked
+// already or the walk's store has a lane group left.
+func (u *unit) admits(w *Work) bool {
+	if !u.lanes || u.members[0].Golden != w.Golden {
+		return false
+	}
+	var targets []fault.Target
+	for _, m := range u.members {
+		if m.Config.Target == w.Config.Target {
+			return true
+		}
+		if !slices.Contains(targets, m.Config.Target) {
+			targets = append(targets, m.Config.Target)
+		}
+	}
+	return len(targets) < lanestore.Groups
 }
 
 // scheduler hands (unit, pull) pairs to the pool's goroutines. Units are

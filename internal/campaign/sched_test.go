@@ -12,28 +12,29 @@ import (
 
 // TestCursorReplayerSeedPins drives one 120-transient plan through the
 // engine NewReplayer picks, single-threaded, and holds its account of
-// the pass to exact seed-determined values. At default lanes a campaign
-// that rides no lanes — the RTL latches, which have no lane surface, and
-// a microarchitectural simulator that hides every optional capability
-// (no lanes at any width, no zero-copy fork source) — gets the walk,
-// forking every replay: one fork per replay and the golden cycles the
-// walker stepped to reach them. The Lanes 1 row gets the scalar stream
-// replayer, which reports no walked cycles. Whatever the engine, the
-// same campaign on one worker reports the stream-order estimate
-// (Σ instant − nearest snapshot) as FastForwardCycles.
+// the pass to exact seed-determined values. The RTL latches ride the
+// walk's lanes at default lanes: every replay rides (batched or peeled),
+// and the walker steps the golden cycles between lanes. A campaign that
+// can ride no lanes — Lanes 1, or a microarchitectural simulator hiding
+// every optional capability — gets the scalar stream replayer, which
+// reports no walked cycles. Whatever the engine, the same campaign on
+// one worker reports the stream-order estimate (Σ instant − nearest
+// snapshot) as FastForwardCycles.
 func TestCursorReplayerSeedPins(t *testing.T) {
 	for _, tc := range []struct {
-		name       string
-		model      core.Model
-		target     fault.Target
-		lanes      int
-		plain      bool
-		engine     string
-		ff, stream uint64
+		name   string
+		model  core.Model
+		target fault.Target
+		lanes  int
+		plain  bool
+		engine string
+		ff     uint64
+		rode   int
+		stream uint64
 	}{
-		{"microarch/rf", core.ModelMicroarch, fault.TargetRF, 1, false, "*campaign.scalarReplayer", 0, 118_971},
-		{"microarch/rf/plain-sim", core.ModelMicroarch, fault.TargetRF, 0, true, "*campaign.BatchReplayer", 21_064, 118_971},
-		{"rtl/latches", core.ModelRTL, fault.TargetLatches, 0, false, "*campaign.BatchReplayer", 35_864, 127_900},
+		{"microarch/rf", core.ModelMicroarch, fault.TargetRF, 1, false, "*campaign.scalarReplayer", 0, 0, 118_971},
+		{"microarch/rf/plain-sim", core.ModelMicroarch, fault.TargetRF, 0, true, "*campaign.scalarReplayer", 0, 0, 118_971},
+		{"rtl/latches", core.ModelRTL, fault.TargetLatches, 0, false, "*campaign.BatchReplayer", 20_786, 120, 127_900},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := factoryFor(t, "qsort", tc.model)
@@ -68,9 +69,9 @@ func TestCursorReplayerSeedPins(t *testing.T) {
 				t.Fatal(err)
 			}
 			st := r.Stats()
-			if st.Executed != 120 || st.FastForward != tc.ff || st.Batched+st.Peeled != 0 {
-				t.Errorf("pins moved: executed %d, fast-forward %d, %d rode lanes; want 120, %d, 0",
-					st.Executed, st.FastForward, st.Batched+st.Peeled, tc.ff)
+			if st.Executed != 120 || st.FastForward != tc.ff || st.Batched+st.Peeled != tc.rode {
+				t.Errorf("pins moved: executed %d, fast-forward %d, %d rode lanes; want 120, %d, %d",
+					st.Executed, st.FastForward, st.Batched+st.Peeled, tc.ff, tc.rode)
 			}
 			cfg.Workers = 1
 			res := mustRun(t, f, cfg)
@@ -84,8 +85,8 @@ func TestCursorReplayerSeedPins(t *testing.T) {
 // TestCursorSchedCheckpointResume asserts the checkpoint shards of an
 // RTL latch campaign resume exactly on either engine: a second run over
 // the same directory re-executes nothing and reproduces the first run's
-// result, and the shards the walk's fork path wrote equally resume a
-// scalar (Lanes 1) run — records carry no engine.
+// result, and the shards its lanes wrote equally resume a scalar
+// (Lanes 1) run — records carry no engine.
 func TestCursorSchedCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
 	cfg := campaign.Config{
@@ -113,14 +114,14 @@ func TestCursorSchedCheckpointResume(t *testing.T) {
 	normalizeEngine(second)
 	normalizeEngine(resumedScalar)
 	if !reflect.DeepEqual(first, second) {
-		t.Errorf("resumed fork result differs from original")
+		t.Errorf("resumed lane result differs from original")
 	}
 	if !reflect.DeepEqual(first, resumedScalar) {
-		t.Errorf("fork shards did not resume a scalar run identically")
+		t.Errorf("lane shards did not resume a scalar run identically")
 	}
 }
 
 // plainSim exposes only the Simulator interface of the simulator it
-// wraps: none of the optional capabilities (BatchCapable,
-// LiveSnapshotter) an engine may look for.
+// wraps: none of the optional capabilities (BatchCapable) an engine may
+// look for.
 type plainSim struct{ campaign.Simulator }

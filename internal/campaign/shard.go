@@ -290,7 +290,7 @@ func (p *Planned) work(name string, factory Factory) *Work {
 	return &Work{
 		Name: name, Golden: p.g, Config: p.cfg, Factory: factory,
 		Next: p.NextReplay, Deliver: p.Deliver, Size: p.pl.n,
-		stopped: p.Stopped, note: p.note,
+		note: p.note,
 	}
 }
 

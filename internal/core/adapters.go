@@ -108,15 +108,6 @@ func (s *maSim) Force(t fault.Target, bit, v int) error {
 
 func (s *maSim) Snapshot() campaign.Snapshot { return s.cpu.Clone() }
 
-// LiveSnapshot exposes the live CPU as a zero-copy restore source for
-// a fork off the golden walk: RestoreFrom only reads its base, so the
-// replay worker can deep-copy straight out of the walker's current
-// state without paying a full Clone per fork. The value is invalidated
-// by the next Step.
-func (s *maSim) LiveSnapshot() campaign.Snapshot { return s.cpu }
-
-var _ campaign.LiveSnapshotter = (*maSim)(nil)
-
 func (s *maSim) Restore(snap campaign.Snapshot) {
 	base, ok := snap.(*microarch.CPU)
 	if !ok {
@@ -143,9 +134,12 @@ func (s *maSim) SnapshotInto(old campaign.Snapshot) campaign.Snapshot {
 // AttachLanes exposes the microarchitectural model's lockstep replay
 // surface: value lanes over the physical register file and the L1D data
 // array, side by side in one store on the CPU (microarch/lanes.go).
-func (s *maSim) AttachLanes(rf, l1d bool) (campaign.LaneSet, campaign.LaneSet) {
-	r, d := s.cpu.AttachLanes(rf, l1d)
-	return maLaneSet(r), maLaneSet(d)
+func (s *maSim) AttachLanes(targets []fault.Target) []campaign.LaneSet {
+	var sets []campaign.LaneSet
+	for _, g := range s.cpu.AttachLanes(targets...) {
+		sets = append(sets, maLanes{g})
+	}
+	return sets
 }
 
 func (s *maSim) DetachLanes() { s.cpu.DetachLanes() }
@@ -155,13 +149,6 @@ var _ campaign.BatchCapable = (*maSim)(nil)
 // maLanes adapts one group of microarchitectural value lanes to the
 // engine's LaneSet.
 type maLanes struct{ *microarch.LaneGroup }
-
-func maLaneSet(g *microarch.LaneGroup) campaign.LaneSet {
-	if g == nil {
-		return nil
-	}
-	return maLanes{g}
-}
 
 func (l maLanes) Rebuild(lane int, sim campaign.Simulator) error {
 	s, ok := sim.(*maSim)
@@ -192,16 +179,17 @@ func (s *rtlSim) L1DLineOfBit(bit int) (int, int)        { return s.core.L1DLine
 func (s *rtlSim) StateHash() uint64                      { return s.core.StateHash() }
 
 // LaneGeometry: the architectural register file and the L1D data array,
-// both word-granular through the rtl kernel's memory ports. Pipeline
-// latches are neither traced nor tracked (rtlcore.Core.SetLifetime says
-// why), so latch campaigns always replay, each forked off the golden
-// walk.
+// both word-granular through the rtl kernel's memory ports, and the
+// pipeline latches bit by bit (latches of differing widths, which no
+// lifetime trace covers: rtlcore.Core.SetLifetime).
 func (s *rtlSim) LaneGeometry(t fault.Target) (units, width int) {
 	switch t {
 	case fault.TargetRF:
 		return s.core.RFBits() / 32, 32
 	case fault.TargetL1D:
 		return s.core.L1DBits() / 32, 32
+	case fault.TargetLatches:
+		return s.core.LatchBits(), 1
 	default:
 		return 0, 0
 	}
@@ -270,12 +258,16 @@ func (s *rtlSim) Restore(snap campaign.Snapshot) {
 }
 
 // AttachLanes exposes the RTL model's lockstep replay surface: value
-// lanes over the register file and the L1D data array, side by side in
-// one store on the core (rtlcore/lanes.go), in the flat bit spaces of
-// FlipRFBit and FlipL1DBit.
-func (s *rtlSim) AttachLanes(rf, l1d bool) (campaign.LaneSet, campaign.LaneSet) {
-	r, d := s.core.AttachLanes(rf, l1d)
-	return rtlLaneSet(r), rtlLaneSet(d)
+// lanes over the register file, the L1D data array and the pipeline
+// latches, two side by side in one store on the core
+// (rtlcore/lanes.go), in the flat bit spaces of FlipRFBit, FlipL1DBit
+// and FlipLatchBit.
+func (s *rtlSim) AttachLanes(targets []fault.Target) []campaign.LaneSet {
+	var sets []campaign.LaneSet
+	for _, g := range s.core.AttachLanes(targets...) {
+		sets = append(sets, rtlLanes{g})
+	}
+	return sets
 }
 
 func (s *rtlSim) DetachLanes() { s.core.DetachLanes() }
@@ -284,13 +276,6 @@ var _ campaign.BatchCapable = (*rtlSim)(nil)
 
 // rtlLanes adapts one group of RTL value lanes to the engine's LaneSet.
 type rtlLanes struct{ *rtlcore.LaneGroup }
-
-func rtlLaneSet(g *rtlcore.LaneGroup) campaign.LaneSet {
-	if g == nil {
-		return nil
-	}
-	return rtlLanes{g}
-}
 
 func (l rtlLanes) Rebuild(lane int, sim campaign.Simulator) error {
 	s, ok := sim.(*rtlSim)

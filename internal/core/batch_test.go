@@ -159,11 +159,7 @@ func checkPeelCycles(t *testing.T, f campaign.Factory, g *campaign.Golden, cfg c
 	if units, _ := host.LaneGeometry(cfg.Target); units == 0 {
 		t.Fatalf("no lane tracker over %v", cfg.Target)
 	}
-	rfLanes, l1dLanes := host.AttachLanes(cfg.Target == fault.TargetRF, cfg.Target == fault.TargetL1D)
-	lanes := rfLanes
-	if lanes == nil {
-		lanes = l1dLanes
-	}
+	lanes := host.AttachLanes([]fault.Target{cfg.Target})[0]
 	defer host.DetachLanes()
 	// Value lanes note every read of a diff and peel later, on control.
 	// Before its first read a lane's diff sits only where it was

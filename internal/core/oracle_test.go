@@ -2,7 +2,7 @@ package core
 
 // The oracle harness. The paper's result is a difference between two
 // simulators, so every shortcut the replay engines take — bit-parallel
-// lanes and their deferral, the walk's forks, fused units, the pool's
+// lanes and their deferral and peels, fused units, the pool's
 // splits, the hosts, checkpoint resume — must reproduce the scalar
 // stream replay: the same campaigns with Lanes 1. An oracleCase is one
 // point of the cross-product model × program × fault model × target ×
@@ -47,8 +47,8 @@ func (h host) String() string {
 }
 
 // What a case holds the engines to beyond the oracle. Whatever a case
-// expects, a campaign off lanes (Lanes 1, the latch target, which has no
-// batch surface, or a plain simulator) must report no lane accounting.
+// expects, a campaign off lanes (Lanes 1 or a plain simulator) must
+// report no lane accounting.
 const (
 	// expRides: every replayed outcome of a campaign on lanes rode one
 	// (batched or peeled).
@@ -78,7 +78,7 @@ type oracleCase struct {
 	workers    int    // pool size; 0 means 2
 	resumeAt   int    // hostResume: records each shard keeps
 	engine     string // hostManual: the replayer type NewReplayer must pick
-	plain      bool   // simulators hide BatchCapable and LiveSnapshotter
+	plain      bool   // simulators hide BatchCapable
 	goldenRuns int    // hostSweep, hostResume: golden runs the sweep must execute (0: unchecked)
 	expect     int
 }
@@ -95,8 +95,8 @@ func (c oracleCase) factory(m Model) campaign.Factory {
 }
 
 // plainSim exposes only the Simulator interface of the simulator it
-// wraps: none of the optional capabilities (BatchCapable,
-// LiveSnapshotter) an engine may look for.
+// wraps: none of the optional capabilities (BatchCapable) an engine may
+// look for.
 type plainSim struct{ campaign.Simulator }
 
 // runOracleCases runs cases as parallel subtests, one per distinct name.
@@ -325,7 +325,7 @@ func matchOracle(t *testing.T, c oracleCase, want, got []*campaign.Result) {
 		rode := g.BatchedRuns + g.PeeledRuns
 		replayed := len(g.Outcomes) - g.PrunedRuns - g.ExtrapolatedRuns - g.OverheadRuns
 		switch {
-		case lanes == 1 || oc.cfg.Target == fault.TargetLatches || c.plain:
+		case lanes == 1 || c.plain:
 			if rode != 0 || g.LaneOccupancy != 0 {
 				t.Errorf("%s campaign %d is off lanes yet reports %d batched, %d peeled, occupancy %.2f",
 					c.host, i, g.BatchedRuns, g.PeeledRuns, g.LaneOccupancy)
@@ -392,9 +392,8 @@ func drawCase(rng *rand.Rand, m Model, maxN int) oracleCase {
 // lane engine under a checkpointed sweep resumed from seven records per
 // shard — reproduces the scalar oracle field for field on both models,
 // and each row really selects its engine. Lanes alone picks it: 1 the
-// scalar replayer, anything wider the walk, which the RTL latch row
-// rides at default lanes by forking every replay (latches have no lane
-// surface).
+// scalar replayer, anything wider the walk, whose lanes the RTL latch
+// row rides at default lanes like any other target.
 func TestEngineHostMatrix(t *testing.T) {
 	scenarios := []struct {
 		name   string
@@ -418,7 +417,7 @@ func TestEngineHostMatrix(t *testing.T) {
 		typ     string
 	}{
 		{1, false, "*campaign.scalarReplayer"},
-		{0, true, "*campaign.BatchReplayer"}, // every replay forked off the walk
+		{0, true, "*campaign.BatchReplayer"},
 		{8, false, "*campaign.BatchReplayer"},
 	}
 	var cases []oracleCase
@@ -514,11 +513,10 @@ func TestBatchMatchesScalarAllModels(t *testing.T) {
 // convergence exit, both pruning modes, sequential stopping, protection
 // and the L1D target — and, on the microarchitectural model, over the
 // product of fault model, target, windowed or run to the end, and engine
-// option, with two lane widths as campaigns of one sweep. The walk's
-// fork path composes too, at default lanes: the RTL latches, which have
-// no lane surface, under a convergence exit and a sequential stop; and
-// a microarchitectural simulator hiding BatchCapable and
-// LiveSnapshotter, which forks from Snapshot().
+// option, with two lane widths as campaigns of one sweep. At default
+// lanes the RTL latches ride under a convergence exit and a sequential
+// stop, and a microarchitectural simulator hiding BatchCapable falls to
+// the scalar replayer.
 func TestBatchMatchesScalarComposed(t *testing.T) {
 	base := campaign.Config{Injections: 30, Seed: 11, Target: fault.TargetRF, Window: 400}
 	var cases []oracleCase
@@ -543,12 +541,12 @@ func TestBatchMatchesScalarComposed(t *testing.T) {
 			})
 		}
 	}
-	fork := campaign.Config{Injections: 20, Seed: 31, Obs: campaign.ObsPinout, Window: 500}
-	latches, plain := fork, fork
+	other := campaign.Config{Injections: 20, Seed: 31, Obs: campaign.ObsPinout, Window: 500}
+	latches, plain := other, other
 	latches.Target, latches.EarlyStop, latches.TargetError = fault.TargetLatches, true, 0.2
 	plain.Target = fault.TargetRF
 	cases = append(cases,
-		oracleCase{name: "rtl/latches", bench: "qsort", camps: []oracleCamp{{ModelRTL, latches}}, host: hostRun},
+		oracleCase{name: "rtl/latches", bench: "qsort", camps: []oracleCamp{{ModelRTL, latches}}, host: hostRun, expect: expRides},
 		oracleCase{name: "microarch/plain-sim", bench: "qsort", camps: []oracleCamp{{ModelMicroarch, plain}}, host: hostRun, plain: true},
 	)
 	options := []struct {
@@ -587,14 +585,15 @@ func TestBatchMatchesScalarComposed(t *testing.T) {
 
 // TestBatchSweepMatchesScalarSweep: Sweep's shared pool on 64-lane
 // engines reproduces the scalar sweep on both simulators at once — one
-// golden run per model, the latch campaign forking off its own walk
-// inside the batched sweep, every lane-capable campaign actually packed.
+// golden run per model, the latch campaign on a walk of its own beside
+// the RTL register-file and L1D one (a store tracks two targets), every
+// campaign actually packed.
 func TestBatchSweepMatchesScalarSweep(t *testing.T) {
 	stuck := fault.Params{Model: fault.ModelStuckAt, Stuck: fault.StuckRandom}
 	checkOracle(t, oracleCase{bench: "qsort", host: hostSweep, workers: 3, goldenRuns: 2, expect: expRides | expPacks, camps: []oracleCamp{
 		{ModelRTL, campaign.Config{Injections: 30, Seed: 7, Target: fault.TargetRF, Window: 400}},
 		{ModelRTL, campaign.Config{Injections: 30, Seed: 9, Target: fault.TargetL1D, Window: 400, EarlyStop: true}},
-		{ModelRTL, campaign.Config{Injections: 8, Seed: 3, Target: fault.TargetLatches, Window: 300}},
+		{ModelRTL, campaign.Config{Injections: 40, Seed: 3, Target: fault.TargetLatches, Window: 3000}},
 		{ModelMicroarch, campaign.Config{Injections: 90, Seed: 7, Target: fault.TargetRF, Window: 400, Fault: stuck}},
 		{ModelMicroarch, campaign.Config{
 			Injections: 90, Seed: 9, Target: fault.TargetL1D,
@@ -636,13 +635,20 @@ func TestBatchFusedUnitMatchesScalarRuns(t *testing.T) {
 	runOracleCases(t, cases)
 }
 
-// TestBatchLatchesFallsBackScalar: the pipeline-latch target has no batch
-// surface, so a 64-lane campaign forks every replay off the walk onto
-// its scalar instance and reports no batching.
-func TestBatchLatchesFallsBackScalar(t *testing.T) {
-	checkOracle(t, oracleCase{bench: "qsort", host: hostRun, camps: []oracleCamp{
-		{ModelRTL, campaign.Config{Injections: 8, Seed: 3, Target: fault.TargetLatches, Window: 300}},
-	}})
+// TestBatchLatchesRideLanes: under every fault model a 64-lane
+// pipeline-latch campaign rides the walk's lanes with every replay — a
+// data-latch flip as a diff, any other latch fault peeled on its first
+// tick — and classifies exactly as the scalar engine.
+func TestBatchLatchesRideLanes(t *testing.T) {
+	var cases []oracleCase
+	for _, fm := range faultModels {
+		cases = append(cases, oracleCase{
+			name: fm.name, bench: "qsort", host: hostRun, expect: expRides, camps: []oracleCamp{
+				{ModelRTL, campaign.Config{Injections: 24, Seed: 3, Target: fault.TargetLatches, Window: 300, Fault: fm.fault}},
+			},
+		})
+	}
+	runOracleCases(t, cases)
 }
 
 // TestBatchDeferralMatchesScalar packs a plan too dense for seven lanes —

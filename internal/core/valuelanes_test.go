@@ -78,7 +78,10 @@ func valueLanesMatchScalar(t *testing.T, m Model, name string, workers int) {
 	}
 	checkOracle(t, oracleCase{bench: name, camps: camps, workers: workers, expect: expRides})
 	f := benchFactory(t, m, name)
-	lanesTrackScalar(t, f, trackedSpecs(t, f, 41, 2*n), 300)
+	lanesTrackScalar(t, f, trackedSpecs(t, f, 41, 2*n, fault.TargetRF, fault.TargetL1D), 300)
+	if m == ModelRTL {
+		lanesTrackScalar(t, f, trackedSpecs(t, f, 43, 4*n, fault.TargetLatches), 300)
+	}
 }
 
 func runsToEnd(c oracleCamp) bool { return c.cfg.Window == 0 }
@@ -99,9 +102,10 @@ func valueLaneProgram(seed int64, shape uint8) string {
 // FuzzValueLanes holds the engines to the scalar oracle over generated
 // programs, on both models. Per program and model: register-file and L1D
 // faults of all four fault models, windowed and run to the end, as one
-// fused unit with a seven-lane member that has to defer (shape picks the
-// window, the sample size and whether the program writes its buffer to
-// the output); every transient lane tracked against its scalar machine
+// fused unit with a seven-lane member that has to defer, and on the RTL
+// model a pipeline-latch campaign of a fault model shape picks (shape
+// also picks the window, the sample size and whether the program writes
+// its buffer to the output); every transient lane tracked against its scalar machine
 // to the program's end (lanesTrackScalar); and one random point of the
 // harness's cross-product (drawCase). Under -fuzz each input also runs
 // one of the slow benches, picked by seed, as tier-1 does not: the
@@ -127,9 +131,18 @@ func FuzzValueLanes(f *testing.F) {
 				camps := append(valueLaneMatrix(m, seed, window, 4+int(shape>>4&3)*2), oracleCamp{m, campaign.Config{
 					Injections: 24, Seed: seed, Target: fault.TargetRF, Window: 4 * window, Lanes: 7,
 				}})
+				if m == ModelRTL {
+					camps = append(camps, oracleCamp{m, campaign.Config{
+						Injections: 16, Seed: seed, Target: fault.TargetLatches, Window: window,
+						Fault: faultModels[int(shape)%len(faultModels)].fault,
+					}})
+				}
 				checkOracle(t, oracleCase{prog: prog, camps: camps, workers: 1, expect: expRides})
 				fac := Factory(m, prog, CampaignSetup())
-				lanesTrackScalar(t, fac, trackedSpecs(t, fac, seed, 32), 0)
+				lanesTrackScalar(t, fac, trackedSpecs(t, fac, seed, 32, fault.TargetRF, fault.TargetL1D), 0)
+				if m == ModelRTL {
+					lanesTrackScalar(t, fac, trackedSpecs(t, fac, seed, 32, fault.TargetLatches), 0)
+				}
 				c := drawCase(rng, m, 12)
 				c.prog = prog
 				checkOracle(t, c)
@@ -141,7 +154,7 @@ func FuzzValueLanes(f *testing.F) {
 				camps := slices.DeleteFunc(valueLaneMatrix(ModelMicroarch, seed, 500, 4), func(c oracleCamp) bool { return !runsToEnd(c) })
 				checkOracle(t, oracleCase{bench: name, camps: camps, workers: 1 + int(shape&1), expect: expRides})
 				fac := benchFactory(t, ModelMicroarch, name)
-				lanesTrackScalar(t, fac, trackedSpecs(t, fac, seed, 8), 300)
+				lanesTrackScalar(t, fac, trackedSpecs(t, fac, seed, 8, fault.TargetRF, fault.TargetL1D), 300)
 				c := drawCase(rng, ModelMicroarch, 6)
 				c.bench = name
 				checkOracle(t, c)
@@ -157,7 +170,8 @@ func FuzzValueLanes(f *testing.F) {
 // fault, at every cycle from the injection until the lane peels or
 // horizon cycles pass (0: the program's end); and a lane peeled during a
 // step is rebuilt, undo journal applied, as the scalar machine stood
-// before that step. specs must be cycle-sorted, at most 64 per target.
+// before that step. specs must be cycle-sorted, at most 64 per target
+// and over at most two targets.
 func lanesTrackScalar(t *testing.T, f campaign.Factory, specs []fault.Spec, horizon uint64) {
 	t.Helper()
 	newSim := func() campaign.Simulator {
@@ -167,16 +181,17 @@ func lanesTrackScalar(t *testing.T, f campaign.Factory, specs []fault.Spec, hori
 		}
 		return s
 	}
+	var targets []fault.Target
+	for _, sp := range specs {
+		if !slices.Contains(targets, sp.Target) {
+			targets = append(targets, sp.Target)
+		}
+	}
 	gold := newSim()
 	host := gold.(campaign.BatchCapable)
-	rf, l1d := host.AttachLanes(true, true)
+	sets := host.AttachLanes(targets)
 	defer host.DetachLanes()
-	group := func(tg fault.Target) campaign.LaneSet {
-		if tg == fault.TargetRF {
-			return rf
-		}
-		return l1d
-	}
+	group := func(tg fault.Target) campaign.LaneSet { return sets[slices.Index(targets, tg)] }
 	type rider struct {
 		spec      fault.Spec
 		lane      int
@@ -209,8 +224,9 @@ func lanesTrackScalar(t *testing.T, f campaign.Factory, specs []fault.Spec, hori
 			}
 			riding = append(riding, r)
 		}
-		rf.BeginTick()
-		l1d.BeginTick()
+		for _, lanes := range sets {
+			lanes.BeginTick()
+		}
 		preHash := make([]uint64, len(riding))
 		for i, r := range riding {
 			r.view.Restore(pre)
@@ -247,16 +263,16 @@ func lanesTrackScalar(t *testing.T, f campaign.Factory, specs []fault.Spec, hori
 	}
 }
 
-// trackedSpecs plans n transient or burst faults per target on a
-// program's golden run, cycle-sorted.
-func trackedSpecs(t *testing.T, f campaign.Factory, seed int64, n int) []fault.Spec {
+// trackedSpecs plans n faults per target on a program's golden run,
+// transient on the first target and burst on the second, cycle-sorted.
+func trackedSpecs(t *testing.T, f campaign.Factory, seed int64, n int, targets ...fault.Target) []fault.Spec {
 	t.Helper()
 	g, err := campaign.PrepareGolden(f, campaign.GoldenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var specs []fault.Spec
-	for i, tg := range []fault.Target{fault.TargetRF, fault.TargetL1D} {
+	for i, tg := range targets {
 		s, err := g.Plan(campaign.Config{Injections: n, Seed: seed + int64(i), Target: tg, Fault: faultModels[i].fault})
 		if err != nil {
 			t.Fatal(err)

@@ -7,9 +7,9 @@
 // are the dense planes that carry its register and pipeline diffs. This
 // package holds what the models share:
 //
-//   - Machines, the bitset naming lanes: two groups of 64 (a register-file
-//     tracker and an L1D tracker riding one golden simulator), machine
-//     m = group<<6 | lane;
+//   - Machines, the bitset naming lanes: two groups of 64 (the trackers
+//     of two injection targets riding one golden simulator, in the slots
+//     a model's AttachLanes hands out), machine m = group<<6 | lane;
 //   - the sparse byte planes of L1D data, memory and output, with their
 //     membership sets;
 //   - the tick journal, which rebuilds a lane peeled mid-step as it stood
@@ -41,7 +41,10 @@ const (
 	PeelSyscall                      // a syscall's number or argument registers
 	PeelIFetch                       // an instruction fetch or fill from diffed memory
 	PeelPersistent                   // a persistent fault's bit was read
-	PeelFault                        // a fault condition
+	// PeelFault: the fault sits outside every value plane — an RTL
+	// control-latch flip, any forced latch bit — and the lane peels on
+	// its first tick.
+	PeelFault
 	NumPeelReasons
 )
 
@@ -49,12 +52,10 @@ var peelReasonNames = [NumPeelReasons]string{"branch", "target", "address", "sys
 
 func (r PeelReason) String() string { return peelReasonNames[r] }
 
-// Lane groups: the targets a store can track side by side.
-const (
-	GroupRF  = 0 // register file
-	GroupL1D = 1 // L1D data array
-	Groups   = 2
-)
+// Groups is how many targets a store can track side by side: its lane
+// groups are slots, handed out in attach order. Every lane operation
+// pays for the width of Machines, so it stays two words.
+const Groups = 2
 
 // NM is the machine capacity of a store: two groups of 64.
 const NM = Groups * 64

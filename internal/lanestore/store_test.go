@@ -17,8 +17,8 @@ func newStore() *Store {
 // are different machines, and Pop drains a set lowest first.
 func TestMachinesAreTwoGroups(t *testing.T) {
 	var s Machines
-	s.Add(Group{G: GroupRF}.Machine(3))
-	s.Add(Group{G: GroupL1D}.Machine(3))
+	s.Add(Group{G: 0}.Machine(3))
+	s.Add(Group{G: 1}.Machine(3))
 	if !s.Has(3) || !s.Has(64+3) || s.Has(4) {
 		t.Fatalf("membership: %v", s)
 	}
@@ -54,7 +54,7 @@ func TestUndoRestoresTickStart(t *testing.T) {
 	s := newStore()
 	s.SetByte(1, KOut, 0, 7)
 	s.SetByte(2, KOut, 0, 9)
-	s.BeginTick(GroupRF)
+	s.BeginTick(0)
 	s.SetByte(1, KOut, 0, 8)
 	s.SetByte(1, KOut, 0, 0)
 	s.SetByte(2, KOut, 0, 1)
@@ -77,7 +77,7 @@ func TestWriteBackDivergesAndRefills(t *testing.T) {
 	if s.Byte(0, KMem, 0x201) != 0x40 || s.Byte(0, KMem, 0x200) != 0 || s.Byte(1, KMem, 0x300) != 1 {
 		t.Fatalf("memory plane after the write-back: %v", s.Bytes(0))
 	}
-	wbs := Group{S: s, G: GroupRF}.AppendDiverged(0, nil)
+	wbs := Group{S: s, G: 0}.AppendDiverged(0, nil)
 	want := append([]byte(nil), evict...)
 	want[1] ^= 0x40
 	if len(wbs) != 1 || wbs[0] != (trace.Transaction{Cycle: 99, Addr: 0x200, Kind: trace.KindWriteback, Digest: trace.DigestBytes(want)}) {

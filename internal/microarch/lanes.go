@@ -1,9 +1,11 @@
 package microarch
 
 import (
+	"fmt"
 	"math/bits"
 
 	"repro/internal/cache"
+	"repro/internal/fault"
 	"repro/internal/isa"
 	"repro/internal/lanestore"
 )
@@ -36,18 +38,15 @@ import (
 // re-asserted every cycle rather than carried as data.
 //
 // One store serves two groups of up to 64 lanes each (a register-file
-// tracker and an L1D tracker riding the same golden CPU). A machine is
+// tracker and an L1D tracker riding the same golden CPU, in the slots
+// AttachLanes hands out). A machine is
 // named by group and lane, m = group<<6 | lane, so lane k of one group
 // and lane k of the other never share a diff. The byte planes, the
 // journal, the write-back list and the peel accounting are package
 // lanestore's, which the RTL model's lanes use too; this file keeps the
 // hooks and the register and uop planes.
 
-const (
-	groupRF  = lanestore.GroupRF
-	groupL1D = lanestore.GroupL1D
-	nm       = lanestore.NM
-)
+const nm = lanestore.NM
 
 type machines = lanestore.Machines
 
@@ -112,10 +111,14 @@ type laneStore struct {
 // stores recycles value-lane stores between the engines of a process.
 var stores lanestore.FreeList[*laneStore]
 
-// AttachLanes gives the CPU a value-lane store and returns its groups
-// over the register file and the L1D data array (nil for a target not
-// asked for). Every lane starts golden.
-func (c *CPU) AttachLanes(rf, l1d bool) (rfLanes, l1dLanes *LaneGroup) {
+// AttachLanes gives the CPU a value-lane store and returns one group per
+// target, in order: the register file or the L1D data array. The store's
+// lane groups are slots handed out in attach order, at most
+// lanestore.Groups of them. Every lane starts golden.
+func (c *CPU) AttachLanes(targets ...fault.Target) []*LaneGroup {
+	if len(targets) > lanestore.Groups {
+		panic(fmt.Sprintf("microarch: %d lane groups asked for, a store has %d", len(targets), lanestore.Groups))
+	}
 	c.DetachLanes()
 	lines, lb := c.L1D.DataBits()/8/c.cfg.L1D.LineBytes, c.cfg.L1D.LineBytes
 	l := stores.Take(func(s *laneStore) bool {
@@ -132,15 +135,20 @@ func (c *CPU) AttachLanes(rf, l1d bool) (rfLanes, l1dLanes *LaneGroup) {
 	}
 	l.c = c
 	c.lanes = l
-	if rf {
-		rfLanes = &LaneGroup{lanestore.Group{S: &l.Store, P: l, G: groupRF,
-			Kind: kPRF, Width: 32, Bits: c.RFBits(), Golden: c.RFBit}, l}
+	groups := make([]*LaneGroup, len(targets))
+	for g, t := range targets {
+		grp := lanestore.Group{S: &l.Store, P: l, G: g}
+		switch t {
+		case fault.TargetRF:
+			grp.Kind, grp.Width, grp.Bits, grp.Golden = kPRF, 32, c.RFBits(), c.RFBit
+		case fault.TargetL1D:
+			grp.Kind, grp.Width, grp.Bits, grp.Golden = kL1D, 8, c.L1DBits(), c.L1D.DataBit
+		default:
+			panic(fmt.Sprintf("microarch: no lanes over %v", t))
+		}
+		groups[g] = &LaneGroup{grp, l}
 	}
-	if l1d {
-		l1dLanes = &LaneGroup{lanestore.Group{S: &l.Store, P: l, G: groupL1D,
-			Kind: kL1D, Width: 8, Bits: c.L1DBits(), Golden: c.L1D.DataBit}, l}
-	}
-	return rfLanes, l1dLanes
+	return groups
 }
 
 // DetachLanes takes the store off the CPU's hooks, every lane retired,

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/fault"
 	"repro/internal/trace"
 )
 
@@ -72,7 +73,7 @@ func TestFieldsAreControlOrData(t *testing.T) {
 	}
 
 	c := midRunCPU(t)
-	rf, _ := c.AttachLanes(true, false)
+	rf := c.AttachLanes(fault.TargetRF)[0]
 	defer c.DetachLanes()
 	s := c.rob.at(0)
 	planes := map[string]uint8{
@@ -108,7 +109,7 @@ func TestFieldsAreControlOrData(t *testing.T) {
 // and leaves its diff in memory, and refilling the line brings it back.
 func TestValueLaneCacheEvents(t *testing.T) {
 	c := campaignCPU(t, assemble(t, "hlt\n"))
-	_, l1d := c.AttachLanes(false, true)
+	l1d := c.AttachLanes(fault.TargetL1D)[0]
 	defer c.DetachLanes()
 	l, d := l1d.l, c.L1D
 	m := l1d.Machine(0)
@@ -200,7 +201,8 @@ func mustResident(t *testing.T, d *cache.Cache, addr uint32) int {
 // on never shows on the other, whichever structure it lands in.
 func TestValueLaneGroupsAreSeparateMachines(t *testing.T) {
 	c := midRunCPU(t)
-	rf, l1d := c.AttachLanes(true, true)
+	g := c.AttachLanes(fault.TargetRF, fault.TargetL1D)
+	rf, l1d := g[0], g[1]
 	defer c.DetachLanes()
 	if err := rf.Flip(0, 5*32+1); err != nil {
 		t.Fatal(err)
@@ -235,7 +237,7 @@ func TestValueLaneGroupsAreSeparateMachines(t *testing.T) {
 // the tick began, though the tick already overwrote its diffs.
 func TestValueLaneUndo(t *testing.T) {
 	c := midRunCPU(t)
-	rf, _ := c.AttachLanes(true, false)
+	rf := c.AttachLanes(fault.TargetRF)[0]
 	defer c.DetachLanes()
 	if err := rf.Flip(0, 3*32); err != nil {
 		t.Fatal(err)
@@ -257,7 +259,7 @@ func TestValueLaneUndo(t *testing.T) {
 // squash, a commit, a recovery — takes its diffs with it.
 func TestValueLaneSlotFree(t *testing.T) {
 	c := midRunCPU(t)
-	rf, _ := c.AttachLanes(true, false)
+	rf := c.AttachLanes(fault.TargetRF)[0]
 	defer c.DetachLanes()
 	s := c.rob.at(c.rob.n - 1)
 	rf.l.Set(rf.Machine(0), kStoreVal, uint32(s), 0xFF)
@@ -282,7 +284,8 @@ func TestLaneStoresRecycleAcrossGoroutines(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				rf, l1d := c.AttachLanes(true, true)
+				g := c.AttachLanes(fault.TargetRF, fault.TargetL1D)
+				rf, l1d := g[0], g[1]
 				if !rf.Clean(i%64) || !l1d.Clean(i%64) {
 					t.Error("a recycled store carried a diff")
 				}

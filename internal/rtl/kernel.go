@@ -137,6 +137,10 @@ func (r *Reg) ForceBit(b int, v int) {
 	}
 }
 
+// Held reports that no D input was driven since the last clock edge:
+// the next edge keeps the latched value.
+func (r *Reg) Held() bool { return !r.dSet }
+
 // Xor flips bits q of the latched value and bits d of the pending D
 // input, effective immediately.
 func (r *Reg) Xor(q, d uint64) {

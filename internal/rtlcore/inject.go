@@ -108,10 +108,9 @@ func (c *Core) ForceLatchBit(i int, v int) error {
 // FlipRFBit and FlipL1DBit. Every design-side read and clock-edge write
 // of those arrays funnels through the rtl kernel's memory ports, where
 // the events are recorded; pipeline latches stay untracked, so latch
-// campaigns always fall back to full replay. The pipeline latches have
-// no lane surface either (lanes.go): a latch fault's diff would sit in
-// control state as often as in data, so a latch replay forks off the
-// golden walk instead of riding a lane.
+// campaigns always fall back to full replay. They ride value lanes all
+// the same (lanes.go): a data-latch flip as a diff, any other latch
+// fault to a peel on the lane's first tick.
 func (c *Core) SetLifetime(rf, l1d *lifetime.Space) {
 	c.regfile.SetLifetime(rf)
 	c.l1d.data.SetLifetime(l1d)

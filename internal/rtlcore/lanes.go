@@ -1,8 +1,11 @@
 package rtlcore
 
 import (
+	"fmt"
 	"math/bits"
+	"slices"
 
+	"repro/internal/fault"
 	"repro/internal/isa"
 	"repro/internal/lanestore"
 	"repro/internal/rtl"
@@ -20,7 +23,8 @@ import (
 // (TestStateIsControlOrData holds every state element to one side).
 //
 // Diffs move as golden's values move, at the clock edge: a latch's D-side
-// diff becomes its Q-side diff, and a queued register-file or L1D write
+// diff becomes its Q-side diff when golden drives the latch (a held latch
+// keeps its Q-side diff), and a queued register-file or L1D write
 // overwrites the lane's word with the diff the write carried. Inside
 // eval a lane's value follows golden's through the same selects: a
 // register read (or its write-back bypass) into an operand latch,
@@ -37,6 +41,12 @@ import (
 //
 // Persistent faults peel on read, as on the microarchitectural
 // model: a lane forced by Force peels at the first read of a diff.
+//
+// A latch fault rides too. A flip in a data latch is a diff on its Q
+// side. A flip in a control latch, and any forced latch bit, is kept for
+// Rebuild, and the lane peels on its first tick (lanestore.PeelFault):
+// its scalar tail starts from exactly the state the fault gives a scalar
+// core at that cycle.
 //
 // The exec-stage data latches, in a lane's plane order.
 const (
@@ -103,14 +113,31 @@ type laneStore struct {
 	// eval skips its register and latch hooks when it is empty: exact at
 	// the edge, grown by writes in between.
 	dense machines
+
+	// held keeps each machine's latch faults outside the value planes
+	// for Rebuild; faulted holds the machines with any.
+	held    [nm][]latchFault
+	faulted machines
+}
+
+// latchFault is a flip of, or a force to v of, one bit of the flat latch
+// space (FlipLatchBit's indexing).
+type latchFault struct {
+	bit, v int
+	force  bool
 }
 
 var stores lanestore.FreeList[*laneStore]
 
-// AttachLanes gives the core a value-lane store and returns its groups
-// over the register file and the L1D data array (nil for a target not
-// asked for). Every lane starts golden.
-func (c *Core) AttachLanes(rf, l1d bool) (rfLanes, l1dLanes *LaneGroup) {
+// AttachLanes gives the core a value-lane store and returns one group per
+// target, in order: the register file, the L1D data array or the
+// pipeline latches. The store's lane groups are slots handed out in
+// attach order, at most lanestore.Groups of them. Every lane starts
+// golden.
+func (c *Core) AttachLanes(targets ...fault.Target) []*LaneGroup {
+	if len(targets) > lanestore.Groups {
+		panic(fmt.Sprintf("rtlcore: %d lane groups asked for, a store has %d", len(targets), lanestore.Groups))
+	}
 	c.DetachLanes()
 	lines, lb := c.l1d.sets*c.l1d.ways, c.l1d.cfg.LineBytes
 	l := stores.Take(func(s *laneStore) bool { return s.Fits(lines, lb) })
@@ -123,15 +150,21 @@ func (c *Core) AttachLanes(rf, l1d bool) (rfLanes, l1dLanes *LaneGroup) {
 	}
 	l.c = c
 	c.lanes, c.l1d.lanes = l, l
-	if rf {
-		rfLanes = &LaneGroup{lanestore.Group{S: &l.Store, P: l, G: lanestore.GroupRF,
-			Kind: kRF, Width: 32, Bits: c.RFBits(), Golden: c.RFBit}, l}
+	groups := make([]*LaneGroup, len(targets))
+	for g, t := range targets {
+		grp := lanestore.Group{S: &l.Store, P: l, G: g}
+		switch t {
+		case fault.TargetRF:
+			grp.Kind, grp.Width, grp.Bits, grp.Golden = kRF, 32, c.RFBits(), c.RFBit
+		case fault.TargetL1D:
+			grp.Kind, grp.Width, grp.Bits, grp.Golden = kL1D, 8, c.L1DBits(), c.L1DBit
+		case fault.TargetLatches:
+		default:
+			panic(fmt.Sprintf("rtlcore: no lanes over %v", t))
+		}
+		groups[g] = &LaneGroup{grp, l, t == fault.TargetLatches}
 	}
-	if l1d {
-		l1dLanes = &LaneGroup{lanestore.Group{S: &l.Store, P: l, G: lanestore.GroupL1D,
-			Kind: kL1D, Width: 8, Bits: c.L1DBits(), Golden: c.L1DBit}, l}
-	}
-	return rfLanes, l1dLanes
+	return groups
 }
 
 // DetachLanes takes the store off the core's hooks, every lane retired,
@@ -221,6 +254,8 @@ func (l *laneStore) setWord(m int, kind uint8, at, x uint32) {
 
 // retire returns machine m to golden.
 func (l *laneStore) retire(m int) {
+	l.held[m] = l.held[m][:0]
+	l.faulted.Del(m)
 	l.eachPlane(func(kind uint8, at uint32, set *machines) {
 		if set.Has(m) {
 			l.put(m, kind, at, 0)
@@ -269,12 +304,15 @@ func (l *laneStore) diff(m int, s src) uint32 {
 // ------------------------------------------------------- golden-step hooks
 
 // edge moves every lane's pending diffs as Simulator.Tick is about to
-// move golden's values: each latch's D side over its Q side (a latch golden
-// holds keeps D equal to Q, so this holds it too), each queued write over
-// its word, in queue order.
+// move golden's values: each driven latch's D side over its Q side (a
+// latch golden holds keeps its Q side, a latch fault's flip included),
+// each queued write over its word, in queue order.
 func (l *laneStore) edge() {
 	if l.dense.Any() {
-		for i := range l.q {
+		for i, r := range l.c.dataLatches() {
+			if r.Held() {
+				continue
+			}
 			for set := l.q[i].Or(l.d[i]); set.Any(); {
 				if m := set.Pop(); l.qX[i*nm+m] != l.dX[i*nm+m] {
 					l.Set(m, kQ, uint32(i), l.dX[i*nm+m])
@@ -497,17 +535,64 @@ func (l *laneStore) output(addr, n uint32, at int) {
 type LaneGroup struct {
 	lanestore.Group
 	l *laneStore
+
+	// latches: the target is the flat latch space, where Flip and Force
+	// go through latchFault.
+	latches bool
+}
+
+// Flip toggles bit of the group's target in a lane.
+func (t *LaneGroup) Flip(lane, bit int) error {
+	if t.latches {
+		return t.l.latchFault(t.Machine(lane), latchFault{bit: bit})
+	}
+	return t.Group.Flip(lane, bit)
+}
+
+// Force sets bit of the group's target to v in a lane.
+func (t *LaneGroup) Force(lane, bit, v int) error {
+	if t.latches {
+		return t.l.latchFault(t.Machine(lane), latchFault{bit: bit, v: v, force: true})
+	}
+	return t.Group.Force(lane, bit, v)
+}
+
+// latchFault applies f to machine m: a flip in a data latch becomes a
+// diff on its Q side; any other is kept for Rebuild and peels the
+// machine on its next tick.
+func (l *laneStore) latchFault(m int, f latchFault) error {
+	r, b, err := l.c.latchAt(f.bit)
+	if err != nil {
+		return err
+	}
+	lat := l.c.dataLatches()
+	if i := slices.Index(lat[:], r); i >= 0 && !f.force {
+		l.Set(m, kQ, uint32(i), l.qX[i*nm+m]^1<<b)
+		return nil
+	}
+	l.held[m] = append(l.held[m], f)
+	l.faulted.Add(m)
+	return nil
+}
+
+// BeginTick starts a golden step's peel accounting and undo journal; a
+// lane holding a latch fault outside the value planes peels on it.
+func (t *LaneGroup) BeginTick() {
+	t.Group.BeginTick()
+	for set := t.l.faulted[t.G]; set != 0; set &= set - 1 {
+		t.l.Peel(t.Machine(bits.TrailingZeros64(set)), lanestore.PeelFault)
+	}
 }
 
 // Retire returns a lane to golden.
 func (t *LaneGroup) Retire(lane int) { t.l.retire(t.Machine(lane)) }
 
 // Clean reports whether a lane's machine is state-identical to golden
-// with an identical pinout: no diverged write-back and no diff anywhere
-// (StateHash covers every plane).
+// with an identical pinout: no diverged write-back, no kept latch fault
+// and no diff anywhere (StateHash covers every plane).
 func (t *LaneGroup) Clean(lane int) bool {
 	l, m := t.l, t.Machine(lane)
-	if l.WB.Has(m) || len(l.Bytes(m)) > 0 {
+	if l.WB.Has(m) || l.faulted.Has(m) || len(l.Bytes(m)) > 0 {
 		return false
 	}
 	clean := true
@@ -517,7 +602,8 @@ func (t *LaneGroup) Clean(lane int) bool {
 
 // Rebuild applies a lane's machine, as it stood when the current tick
 // began, onto dst: a core of the same design holding golden's state at
-// that cycle. The lane's diffs are consumed; retire it next.
+// that cycle, its kept latch faults last. The lane's diffs are consumed;
+// retire it next.
 func (t *LaneGroup) Rebuild(lane int, dst *Core) {
 	l, m := t.l, t.Machine(lane)
 	l.Undo(m, func(kind uint8, at, old uint32) { l.put(m, kind, at, old) })
@@ -545,6 +631,13 @@ func (t *LaneGroup) Rebuild(lane int, dst *Core) {
 			}
 		case kOut:
 			dst.Output[e.At] ^= e.X
+		}
+	}
+	for _, f := range l.held[m] {
+		if f.force {
+			dst.ForceLatchBit(f.bit, f.v)
+		} else {
+			dst.FlipLatchBit(f.bit)
 		}
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/isa"
+	"repro/internal/lanestore"
 )
 
 // Roles a state element plays for a riding value lane: control elements
@@ -49,7 +51,11 @@ func elementState(c *Core) map[string]any {
 
 // TestStateIsControlOrData holds the declaration to the design, both
 // ways, and each data element to its plane: a lane diff there rebuilds
-// into exactly that element.
+// into exactly that element. Then every latch bit goes through the latch
+// group: a flip in a data latch rides as a diff that rebuilds into
+// exactly FlipLatchBit's state, and a flip anywhere else, or any force,
+// peels on the first tick with PeelFault and rebuilds into exactly
+// FlipLatchBit's or ForceLatchBit's state.
 func TestStateIsControlOrData(t *testing.T) {
 	c := campaignCore(t, benchProgram(t, "qsort"))
 	for i := 0; i < 3000; i++ {
@@ -68,8 +74,9 @@ func TestStateIsControlOrData(t *testing.T) {
 		}
 	}
 
-	rf, _ := c.AttachLanes(true, false)
+	groups := c.AttachLanes(fault.TargetRF, fault.TargetLatches)
 	defer c.DetachLanes()
+	rf, lat := groups[0], groups[1]
 	latches := map[string]int{}
 	for i, r := range c.dataLatches() {
 		latches[r.Name()] = i
@@ -103,6 +110,94 @@ func TestStateIsControlOrData(t *testing.T) {
 			}
 		}
 	}
+
+	ref := campaignCore(t, benchProgram(t, "qsort"))
+	for bit := 0; bit < c.LatchBits(); bit++ {
+		r, _, err := c.latchAt(bit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, force := range []bool{false, true} {
+			ref.Restore(snap)
+			if force {
+				err = lat.Force(0, bit, 1)
+				ref.ForceLatchBit(bit, 1)
+			} else {
+				err = lat.Flip(0, bit)
+				ref.FlipLatchBit(bit)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			lat.BeginTick()
+			peels := force || stateRoles[r.Name()] != data
+			if got := lat.Peeled()&1 != 0; got != peels || peels && lat.Reason(0) != lanestore.PeelFault {
+				t.Errorf("latch bit %d (%s, force %v): peeled %v (%v) on the first tick, want %v", bit, r.Name(), force, got, lat.Reason(0), peels)
+			}
+			view.Restore(snap)
+			lat.Rebuild(0, view)
+			lat.Retire(0)
+			if view.StateHash() != ref.StateHash() {
+				t.Errorf("latch bit %d (%s, force %v) rebuilt unlike the scalar fault", bit, r.Name(), force)
+			}
+		}
+	}
+}
+
+// TestHeldLatchKeepsLaneDiff steps data-latch lanes through a cache-miss
+// stall, when golden drives no latch: a flip there must survive the
+// stall's clock edges on the lane as it does on a scalar core, and each
+// lane must rebuild into its scalar core's exact state at every cycle
+// until the pipeline has run past the stall.
+func TestHeldLatchKeepsLaneDiff(t *testing.T) {
+	p := benchProgram(t, "qsort")
+	gold := campaignCore(t, p)
+	for gold.Cycles() < 2000 || gold.stall.Q() == 0 {
+		gold.Step()
+	}
+	lat := gold.AttachLanes(fault.TargetLatches)[0]
+	defer gold.DetachLanes()
+	snap := gold.Snapshot()
+	var refs []*Core
+	for i, r := range gold.dataLatches() {
+		bit := 0 // the latch's top bit in the flat latch space
+		for _, l := range gold.latches {
+			bit += l.Width()
+			if l == r {
+				break
+			}
+		}
+		ref := campaignCore(t, p)
+		ref.Restore(snap)
+		ref.FlipLatchBit(bit - 1)
+		if err := lat.Flip(i, bit-1); err != nil {
+			t.Fatal(err)
+		}
+		refs = append(refs, ref)
+	}
+	view := campaignCore(t, p)
+	for end := gold.Cycles() + gold.stall.Q() + 8; gold.Cycles() < end; {
+		pre := gold.Snapshot()
+		lat.BeginTick()
+		for i, ref := range refs {
+			if ref == nil {
+				continue
+			}
+			view.Restore(pre)
+			lat.Rebuild(i, view)
+			if view.StateHash() != ref.StateHash() {
+				t.Fatalf("%s: at cycle %d the lane's machine differs from the scalar one", gold.dataLatches()[i].Name(), gold.Cycles())
+			}
+		}
+		gold.Step()
+		for i, ref := range refs {
+			if lat.Peeled()>>i&1 != 0 {
+				refs[i] = nil
+			} else if ref != nil {
+				ref.Step()
+			}
+		}
+	}
 }
 
 // TestBatchLanePeelMatchesScalar drives the full peel protocol on the
@@ -125,7 +220,7 @@ func TestBatchLanePeelMatchesScalar(t *testing.T) {
 	for gold.Cycles() < at {
 		gold.Step()
 	}
-	rf, _ := gold.AttachLanes(true, false)
+	rf := gold.AttachLanes(fault.TargetRF)[0]
 	defer gold.DetachLanes()
 	if err := rf.Flip(0, bit); err != nil {
 		t.Fatal(err)
@@ -168,7 +263,8 @@ func TestBatchLanePeelMatchesScalar(t *testing.T) {
 // grown.
 func TestBatchLaneStepDoesNotAllocate(t *testing.T) {
 	c := campaignCore(t, benchProgram(t, "qsort"))
-	rf, l1d := c.AttachLanes(true, true)
+	g := c.AttachLanes(fault.TargetRF, fault.TargetL1D)
+	rf, l1d := g[0], g[1]
 	defer c.DetachLanes()
 	step := func() {
 		for lane := 0; lane < 8; lane++ {
