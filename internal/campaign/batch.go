@@ -178,10 +178,9 @@ type BatchReplayer struct {
 	scalar Simulator
 	buf    replayBuf
 
-	// Deprecated: nothing reads Stop. Its one poll was before a fork off
-	// the walk, which no longer exists, and a walk never abandons a pull:
-	// on a fused walk the pull carries other campaigns too, and outcomes
-	// past a decided stop are cut by the collector anyway.
+	// Deprecated: nothing reads Stop. A walk never abandons a pull: on a
+	// fused walk the pull carries other campaigns too, and outcomes past
+	// a decided stop are cut by the collector anyway.
 	Stop func() bool
 
 	members []*walkMember

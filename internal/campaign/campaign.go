@@ -220,14 +220,14 @@ type Config struct {
 
 	// Lanes picks the replay engine and bounds the width of bit-parallel
 	// lockstep replay on batch-capable simulators (both models, for the
-	// register file and the L1D data array): up to Lanes faulty machines
-	// ride one golden evaluation as sparse state diffs, each peeling out
-	// to a scalar replay the moment the design first consumes its
-	// corruption. 0 selects the default of 64 (the lane capacity of a
-	// uint64 mask); 1 selects the scalar stream replayer. On a target
-	// without a batch surface any width above 1 forks every replay off
-	// the walk. Classifications are byte-identical at any width — the
-	// engine changes only throughput.
+	// register file and the L1D data array, and the RTL model for its
+	// pipeline latches): up to Lanes faulty machines ride one golden
+	// evaluation as sparse state diffs, each peeling out to a scalar
+	// replay the moment its corruption decides control. 0 selects the
+	// default of 64 (the lane capacity of a uint64 mask); 1 selects the
+	// scalar stream replayer, which a simulator without a lane surface
+	// gets at any width. Classifications are byte-identical at any width
+	// — the engine changes only throughput.
 	Lanes int
 
 	// Prune enables golden-trace fault pruning (see PruneMode): the
@@ -1153,8 +1153,8 @@ func classify(g *Golden, spec fault.Spec, cfg Config, stop refsim.StopReason, en
 // corruption was overwritten or never consumed, so the checker never
 // observed it) — which is also why the convergence exit's early return
 // needs no transform. This is the single choke point finishRun funnels
-// every replayed classification through, so scalar, forked and peeled
-// replays transform identically.
+// every replayed classification through, so scalar and peeled replays
+// transform identically.
 func applyProtection(oc *RunOutcome, cfg Config) {
 	sc := cfg.protScheme()
 	if sc == protect.SchemeNone || oc.Class == ClassMasked {

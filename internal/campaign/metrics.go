@@ -71,8 +71,8 @@ var (
 
 // obsNoteOutcome classifies one delivered outcome into the counter set.
 // Called from the in-order collector, so every tier (local scalar,
-// walk, forks, sweep pool, fleet merge) funnels through it exactly
-// once per outcome.
+// walk, sweep pool, fleet merge) funnels through it exactly once per
+// outcome.
 func obsNoteOutcome(oc RunOutcome) {
 	if !obs.Enabled() {
 		return

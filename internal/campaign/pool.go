@@ -10,18 +10,17 @@ package campaign
 // A host describes each campaign as a Work — where its replays come
 // from and where outcomes go — and the pool does the rest. The scheduler
 // dispatches units: a run of consecutive campaigns that ride lockstep
-// lanes over one golden run is one unit (they share its walk), any other
-// campaign is a unit of its own. Each goroutine pulls one chunk of every
-// member of the unit currently being dispatched from the mutex-guarded
-// scheduler, owns one engine (the one NewReplayer would pick), and
-// builds it only after a pull brought work and only when the unit
-// changes. Outcomes may land in any order; the in-order collector behind
+// lanes over one golden run, on at most two targets, is one unit (they
+// share its walk), any other campaign is a unit of its own. Each
+// goroutine pulls one chunk of every member of the unit currently being
+// dispatched from the mutex-guarded scheduler, owns one engine (the one
+// NewReplayer would pick), and builds it only after a pull brought work
+// and only when the unit changes. Outcomes may land in any order; the in-order collector behind
 // Planned.Deliver stays the sole decider of stopping indices and cuts,
 // which is why every host and every engine yields the same bytes.
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -317,22 +316,17 @@ type unit struct {
 }
 
 // admits reports whether lockstep campaign w may join the unit's walk:
-// the unit rides lanes over w's golden run, and its target is tracked
-// already or the walk's store has a lane group left.
+// the unit rides lanes over w's golden run, and the walk's store has a
+// lane group for every target with w's added.
 func (u *unit) admits(w *Work) bool {
 	if !u.lanes || u.members[0].Golden != w.Golden {
 		return false
 	}
-	var targets []fault.Target
+	targets := map[fault.Target]bool{w.Config.Target: true}
 	for _, m := range u.members {
-		if m.Config.Target == w.Config.Target {
-			return true
-		}
-		if !slices.Contains(targets, m.Config.Target) {
-			targets = append(targets, m.Config.Target)
-		}
+		targets[m.Config.Target] = true
 	}
-	return len(targets) < lanestore.Groups
+	return len(targets) <= lanestore.Groups
 }
 
 // scheduler hands (unit, pull) pairs to the pool's goroutines. Units are

@@ -214,15 +214,9 @@ func (s *usedSim) Restore(snap campaign.Snapshot) {
 // drained pays for no engine. Eight goroutines race for sources of one
 // or two replays; every simulator the factory handed out must have been
 // replayed on. The scalar engine (Lanes 1) owns one simulator; the walk
-// (default lanes, forking every replay: the mock tracks no lanes) owns a
-// pair.
+// (default lanes over the mock's lanes, which all peel) owns a pair.
 func TestPoolBuildsEnginesOnlyForServedUnits(t *testing.T) {
 	base := runtime.NumGoroutine()
-	plain := func() (campaign.Simulator, error) { return &mockSim{limit: 100}, nil }
-	g, err := campaign.PrepareGolden(plain, campaign.GoldenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name        string
 		lanes, sims int // Config.Lanes; simulators per engine
@@ -231,6 +225,12 @@ func TestPoolBuildsEnginesOnlyForServedUnits(t *testing.T) {
 		{"walk", 0, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			g, err := campaign.PrepareGolden(func() (campaign.Simulator, error) {
+				return laneSim{&mockSim{limit: 100}}, nil
+			}, campaign.GoldenOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
 			var (
 				mu    sync.Mutex
 				built []*usedSim
@@ -240,7 +240,7 @@ func TestPoolBuildsEnginesOnlyForServedUnits(t *testing.T) {
 				mu.Lock()
 				built = append(built, s)
 				mu.Unlock()
-				return s, nil
+				return laneSim{s}, nil
 			}
 			cfg := errCfg()
 			cfg.Lanes = tc.lanes

@@ -13,6 +13,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/lanestore"
 	"repro/internal/lifetime"
 	"repro/internal/refsim"
 	"repro/internal/trace"
@@ -70,6 +71,49 @@ func (s *mockSim) SetLifetime(*lifetime.Recorder)     {}
 func (s *mockSim) L1DLineOfBit(int) (int, int)        { return 0, 0 }
 func (s *mockSim) Restore(snap campaign.Snapshot)     { s.cycles = snap.(uint64); s.stop = 0 }
 func (s *mockSim) StateHash() uint64                  { return s.cycles }
+
+// laneSim gives a simulator a lane surface over every target on which
+// each lane peels on its first tick, as an RTL control-latch fault does:
+// a walk over it restores both of its simulators, and its injections
+// reach the walker's Flip.
+type laneSim struct{ campaign.Simulator }
+
+func (s laneSim) LaneGeometry(fault.Target) (int, int) { return 1, 32 }
+func (s laneSim) DetachLanes()                         {}
+func (s laneSim) SnapshotInto(campaign.Snapshot) campaign.Snapshot {
+	return s.Snapshot()
+}
+func (s laneSim) AttachLanes(targets []fault.Target) []campaign.LaneSet {
+	sets := make([]campaign.LaneSet, len(targets))
+	for i := range sets {
+		sets[i] = &peelingLanes{sim: s.Simulator}
+	}
+	return sets
+}
+
+type peelingLanes struct {
+	sim  campaign.Simulator
+	busy uint64
+}
+
+func (l *peelingLanes) Flip(lane, bit int) error {
+	l.busy |= 1 << lane
+	return l.sim.Flip(fault.TargetRF, bit)
+}
+func (l *peelingLanes) Force(lane, bit, v int) error {
+	l.busy |= 1 << lane
+	return l.sim.Force(fault.TargetRF, bit, v)
+}
+func (l *peelingLanes) BeginTick()                            {}
+func (l *peelingLanes) Peeled() uint64                        { return l.busy }
+func (l *peelingLanes) Reason(int) lanestore.PeelReason       { return lanestore.PeelFault }
+func (l *peelingLanes) Rebuild(int, campaign.Simulator) error { return nil }
+func (l *peelingLanes) Retire(lane int)                       { l.busy &^= 1 << lane }
+func (l *peelingLanes) Clean(int) bool                        { return false }
+func (l *peelingLanes) OutputDiffers(int) bool                { return false }
+func (l *peelingLanes) AppendDiverged(_ int, buf []trace.Transaction) []trace.Transaction {
+	return buf
+}
 
 // runWithTimeout guards against the historical all-workers-dead
 // deadlock: the campaign must terminate, not hang the test binary.
@@ -379,7 +423,7 @@ func newEngineCounter(together bool) *engineCounter {
 
 func (e *engineCounter) factory() (campaign.Simulator, error) {
 	var once sync.Once
-	return &mockSim{limit: 100, onFlip: func() {
+	return laneSim{&mockSim{limit: 100, onFlip: func() {
 		once.Do(func() {
 			n := e.used.Add(1)
 			if !e.together {
@@ -393,16 +437,16 @@ func (e *engineCounter) factory() (campaign.Simulator, error) {
 			case <-time.After(2 * time.Second):
 			}
 		})
-	}}, nil
+	}}}, nil
 }
 
 // TestSweepSplitsLastCampaign holds the scheduler's even-split rule:
 // the last campaign a pool holds — the only one, for Run — is split
 // across its goroutines, while campaigns with others queued behind them
-// go out in whole engine chunks, one engine each. The mock tracks no
-// lanes, so every replay forks off the walk, whose chunk (512) exceeds
-// every campaign here: only the rule can split one. Results do not
-// depend on the split.
+// go out in whole engine chunks, one engine each. Every campaign has a
+// golden run of its own and rides the mock's lanes, so a pull is a walk's
+// chunk (Lanes × 8 = 512), larger than every campaign here: only the
+// rule can split one. Results do not depend on the split.
 func TestSweepSplitsLastCampaign(t *testing.T) {
 	cfg := errCfg()
 	cfg.Injections = 400
@@ -411,7 +455,7 @@ func TestSweepSplitsLastCampaign(t *testing.T) {
 		var camps []campaign.SweepCampaign
 		for i, c := range counters {
 			camps = append(camps, campaign.SweepCampaign{
-				Key: fmt.Sprint("c", i), Group: "mock", Factory: c.factory, Config: cfg,
+				Key: fmt.Sprint("c", i), Group: fmt.Sprint("mock", i), Factory: c.factory, Config: cfg,
 			})
 		}
 		sr := mustSweep(t, camps, campaign.SweepOptions{Workers: workers})

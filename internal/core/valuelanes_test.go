@@ -46,8 +46,9 @@ var slowBenches = []string{"susan_c", "susan_e", "susan_s", "stringsearch"}
 // on the benches: a fused unit of register-file and L1D campaigns over
 // every fault model, windowed and run to the end, on a pool of one or two
 // goroutines (alternating by bench), must match the scalar oracle, and
-// lanesTrackScalar holds each bench's lanes to scalar machines digest for
-// digest, cycle by cycle. The microarchitectural model runs all eight
+// lanesTrackScalar holds each bench's lanes — on the RTL model its
+// pipeline-latch lanes too — to scalar machines digest for digest, cycle
+// by cycle. The microarchitectural model runs all eight
 // benches (the slow ones' run-to-end campaigns only under -fuzz); the
 // RTL model, twice as slow a cycle, the three that span its traffic
 // (pinout-heavy qsort and fft, quiet caes) — FuzzValueLanes carries

@@ -399,11 +399,12 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 	}
 }
 
-// TestDistributedCursorSchedMatchesLocal proves the walk's fork path
-// survives distribution: an RTL latch campaign at default lanes (latches
-// have no lane surface) forks every replay of each lease off a worker
-// goroutine's golden walk, and the merged result equals the local run
-// field for field, the stream-order fast-forward estimate included.
+// TestDistributedCursorSchedMatchesLocal proves latch lanes survive
+// distribution: an RTL latch campaign at default lanes rides every
+// replay of each lease on a worker goroutine's golden walk (data-latch
+// flips as diffs, the rest peeled on their first tick), and the merged
+// result equals the local run field for field, the stream-order
+// fast-forward estimate included.
 func TestDistributedCursorSchedMatchesLocal(t *testing.T) {
 	cfg := campaign.Config{
 		Injections: 90, Seed: 21, Target: fault.TargetLatches,
@@ -430,6 +431,6 @@ func TestDistributedCursorSchedMatchesLocal(t *testing.T) {
 	normalize(want)
 	normalize(got)
 	if !reflect.DeepEqual(want, got) {
-		t.Errorf("distributed fork result diverged from the local run:\n got %+v\nwant %+v", got, want)
+		t.Errorf("distributed latch result diverged from the local run:\n got %+v\nwant %+v", got, want)
 	}
 }

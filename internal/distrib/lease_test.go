@@ -23,9 +23,7 @@ import (
 
 func TestWorkerSurvivesDegenerateLeases(t *testing.T) {
 	cfg := campaign.Config{
-		// At default lanes the latch target forks every replay off the
-		// walk: the path that used to split the lease by a worker count
-		// of zero.
+		// At default lanes the latch target rides the walk's lanes.
 		Injections: 8, Seed: 1, Target: fault.TargetLatches, Window: 200,
 	}
 	if err := cfg.Validate(); err != nil {

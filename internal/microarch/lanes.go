@@ -1,7 +1,6 @@
 package microarch
 
 import (
-	"fmt"
 	"math/bits"
 
 	"repro/internal/cache"
@@ -112,13 +111,11 @@ type laneStore struct {
 var stores lanestore.FreeList[*laneStore]
 
 // AttachLanes gives the CPU a value-lane store and returns one group per
-// target, in order: the register file or the L1D data array. The store's
-// lane groups are slots handed out in attach order, at most
-// lanestore.Groups of them. Every lane starts golden.
+// target, in order: the register file or the L1D data array (a group
+// over any other target has no bits). The store's lane groups are slots
+// handed out in attach order, at most lanestore.Groups of them. Every
+// lane starts golden.
 func (c *CPU) AttachLanes(targets ...fault.Target) []*LaneGroup {
-	if len(targets) > lanestore.Groups {
-		panic(fmt.Sprintf("microarch: %d lane groups asked for, a store has %d", len(targets), lanestore.Groups))
-	}
 	c.DetachLanes()
 	lines, lb := c.L1D.DataBits()/8/c.cfg.L1D.LineBytes, c.cfg.L1D.LineBytes
 	l := stores.Take(func(s *laneStore) bool {
@@ -143,8 +140,6 @@ func (c *CPU) AttachLanes(targets ...fault.Target) []*LaneGroup {
 			grp.Kind, grp.Width, grp.Bits, grp.Golden = kPRF, 32, c.RFBits(), c.RFBit
 		case fault.TargetL1D:
 			grp.Kind, grp.Width, grp.Bits, grp.Golden = kL1D, 8, c.L1DBits(), c.L1D.DataBit
-		default:
-			panic(fmt.Sprintf("microarch: no lanes over %v", t))
 		}
 		groups[g] = &LaneGroup{grp, l}
 	}

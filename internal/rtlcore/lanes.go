@@ -1,7 +1,6 @@
 package rtlcore
 
 import (
-	"fmt"
 	"math/bits"
 	"slices"
 
@@ -120,24 +119,18 @@ type laneStore struct {
 	faulted machines
 }
 
-// latchFault is a flip of, or a force to v of, one bit of the flat latch
-// space (FlipLatchBit's indexing).
-type latchFault struct {
-	bit, v int
-	force  bool
-}
+// latchFault is one bit of the flat latch space (FlipLatchBit's
+// indexing) and the value a fault forces it to, or -1 for a flip.
+type latchFault struct{ bit, v int }
 
 var stores lanestore.FreeList[*laneStore]
 
 // AttachLanes gives the core a value-lane store and returns one group per
 // target, in order: the register file, the L1D data array or the
-// pipeline latches. The store's lane groups are slots handed out in
-// attach order, at most lanestore.Groups of them. Every lane starts
-// golden.
+// pipeline latches (a group over any other target has no bits). The
+// store's lane groups are slots handed out in attach order, at most
+// lanestore.Groups of them. Every lane starts golden.
 func (c *Core) AttachLanes(targets ...fault.Target) []*LaneGroup {
-	if len(targets) > lanestore.Groups {
-		panic(fmt.Sprintf("rtlcore: %d lane groups asked for, a store has %d", len(targets), lanestore.Groups))
-	}
 	c.DetachLanes()
 	lines, lb := c.l1d.sets*c.l1d.ways, c.l1d.cfg.LineBytes
 	l := stores.Take(func(s *laneStore) bool { return s.Fits(lines, lb) })
@@ -158,9 +151,6 @@ func (c *Core) AttachLanes(targets ...fault.Target) []*LaneGroup {
 			grp.Kind, grp.Width, grp.Bits, grp.Golden = kRF, 32, c.RFBits(), c.RFBit
 		case fault.TargetL1D:
 			grp.Kind, grp.Width, grp.Bits, grp.Golden = kL1D, 8, c.L1DBits(), c.L1DBit
-		case fault.TargetLatches:
-		default:
-			panic(fmt.Sprintf("rtlcore: no lanes over %v", t))
 		}
 		groups[g] = &LaneGroup{grp, l, t == fault.TargetLatches}
 	}
@@ -544,7 +534,7 @@ type LaneGroup struct {
 // Flip toggles bit of the group's target in a lane.
 func (t *LaneGroup) Flip(lane, bit int) error {
 	if t.latches {
-		return t.l.latchFault(t.Machine(lane), latchFault{bit: bit})
+		return t.l.latchFault(t.Machine(lane), latchFault{bit, -1})
 	}
 	return t.Group.Flip(lane, bit)
 }
@@ -552,7 +542,7 @@ func (t *LaneGroup) Flip(lane, bit int) error {
 // Force sets bit of the group's target to v in a lane.
 func (t *LaneGroup) Force(lane, bit, v int) error {
 	if t.latches {
-		return t.l.latchFault(t.Machine(lane), latchFault{bit: bit, v: v, force: true})
+		return t.l.latchFault(t.Machine(lane), latchFault{bit, v & 1})
 	}
 	return t.Group.Force(lane, bit, v)
 }
@@ -566,7 +556,7 @@ func (l *laneStore) latchFault(m int, f latchFault) error {
 		return err
 	}
 	lat := l.c.dataLatches()
-	if i := slices.Index(lat[:], r); i >= 0 && !f.force {
+	if i := slices.Index(lat[:], r); i >= 0 && f.v < 0 {
 		l.Set(m, kQ, uint32(i), l.qX[i*nm+m]^1<<b)
 		return nil
 	}
@@ -634,10 +624,10 @@ func (t *LaneGroup) Rebuild(lane int, dst *Core) {
 		}
 	}
 	for _, f := range l.held[m] {
-		if f.force {
-			dst.ForceLatchBit(f.bit, f.v)
-		} else {
+		if f.v < 0 {
 			dst.FlipLatchBit(f.bit)
+		} else {
+			dst.ForceLatchBit(f.bit, f.v)
 		}
 	}
 }
