@@ -32,6 +32,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.SizeBytes <= 0 || c.Ways <= 0 || c.LineBytes <= 0:
 		return fmt.Errorf("cache %s: non-positive geometry %+v", c.Name, c)
+	case c.LineBytes < 4:
+		return fmt.Errorf("cache %s: line size %d cannot hold a word", c.Name, c.LineBytes)
 	case c.LineBytes&(c.LineBytes-1) != 0:
 		return fmt.Errorf("cache %s: line size %d not a power of two", c.Name, c.LineBytes)
 	case c.SizeBytes%(c.Ways*c.LineBytes) != 0:
@@ -292,9 +294,18 @@ func (c *Cache) LoadWord(addr uint32, res *Result) (uint32, bool) {
 		return 0, false
 	}
 	c.ltRead(set, way, off*8, off*8+32)
-	b := c.lineBase(set, way) + off
-	d := c.data
-	return uint32(d[b]) | uint32(d[b+1])<<8 | uint32(d[b+2])<<16 | uint32(d[b+3])<<24, true
+	return c.WordAt(set*c.cfg.Ways+way, off), true
+}
+
+// WordAt returns the aligned word at byte off of the line at flat index
+// line (Result.Line), as LoadWord read it there — with no side effect
+// on LRU state, statistics, the access hook or the lifetime trace. The
+// caller vouches that the line still holds the address it was accessed
+// for (no fill or restore since).
+func (c *Cache) WordAt(line, off int) uint32 {
+	b := line*c.cfg.LineBytes + off
+	d := c.data[b : b+4]
+	return uint32(d[0]) | uint32(d[1])<<8 | uint32(d[2])<<16 | uint32(d[3])<<24
 }
 
 // LoadByte reads one byte through the cache.

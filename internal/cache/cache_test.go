@@ -26,6 +26,8 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "b", SizeBytes: 1024, Ways: 3, LineBytes: 31},
 		{Name: "b", SizeBytes: 1000, Ways: 4, LineBytes: 32},
 		{Name: "b", SizeBytes: 4096 * 3, Ways: 4, LineBytes: 32}, // 96 sets
+		{Name: "b", SizeBytes: 64, Ways: 2, LineBytes: 2},        // a word spans two lines
+		{Name: "b", SizeBytes: 64, Ways: 1, LineBytes: 1},
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -38,6 +40,38 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if good.Sets() != 256 {
 		t.Errorf("Sets() = %d, want 256", good.Sets())
+	}
+	if small := (Config{Name: "g", SizeBytes: 64, Ways: 2, LineBytes: 4}); small.Validate() != nil {
+		t.Errorf("Validate(%+v) failed: one word per line is enough", small)
+	}
+}
+
+// TestWordAt: WordAt on the line an access used reads what LoadWord
+// read, and moves nothing a later access or the digest could see.
+func TestWordAt(t *testing.T) {
+	c, m := testCache(t, 256, 2, 16)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		addr := uint32(rng.Intn(1<<12)) &^ 3
+		if rng.Intn(4) == 0 {
+			m.StoreWord(addr, rng.Uint32())
+		}
+		var r Result
+		v, ok := c.LoadWord(addr, &r)
+		if !ok {
+			t.Fatalf("LoadWord(%#x) failed", addr)
+		}
+		h, acc := statehash.New(), c.Accesses
+		c.HashState(h)
+		before := h.Sum()
+		if got := c.WordAt(r.Line, int(addr&15)); got != v {
+			t.Fatalf("WordAt(%d, %d) = %#x, LoadWord(%#x) = %#x", r.Line, addr&15, got, addr, v)
+		}
+		h = statehash.New()
+		c.HashState(h)
+		if h.Sum() != before || c.Accesses != acc {
+			t.Fatal("WordAt changed the cache state")
+		}
 	}
 }
 
