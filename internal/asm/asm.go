@@ -37,6 +37,7 @@ func Assemble(name, src string) (*Program, error) {
 	if len(a.errs) > 0 {
 		return nil, errors.Join(a.errs...)
 	}
+	a.prog.decoded = decodeText(a.prog.Text)
 	return a.prog, nil
 }
 

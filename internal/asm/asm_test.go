@@ -329,3 +329,23 @@ func TestMultipleLabelsSameAddress(t *testing.T) {
 		t.Errorf("symbols: %v", p.Symbols)
 	}
 }
+
+// TestDecodedMatchesDecode: the shared decode table holds, for every
+// text word — instructions and .word data alike — exactly what
+// isa.Decode returns for it.
+func TestDecodedMatchesDecode(t *testing.T) {
+	p := mustAssemble(t, "add r1, r2, r3\nbeq 0\n.word 0xFF001234\nmovi r4, #-7\nhlt\n")
+	d := p.Decoded()
+	if len(d) != len(p.Text) {
+		t.Fatalf("%d entries for %d text words", len(d), len(p.Text))
+	}
+	for i, w := range p.Text {
+		in, err := isa.Decode(w)
+		if want := (Decoded{Word: w, Inst: in, Bad: err != nil}); d[i] != want {
+			t.Errorf("entry %d = %+v, isa.Decode says %+v", i, d[i], want)
+		}
+	}
+	if !d[2].Bad {
+		t.Error("the .word entry decoded")
+	}
+}

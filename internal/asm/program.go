@@ -32,6 +32,32 @@ type Program struct {
 	TextBase uint32            // load address of Text (the entry point)
 	DataBase uint32            // load address of Data
 	Symbols  map[string]uint32 // label and .equ values
+
+	decoded []Decoded // Text decoded word by word, built by Assemble
+}
+
+// Decoded is one text word and what isa.Decode makes of it.
+type Decoded struct {
+	Word uint32
+	Inst isa.Inst // zero when Bad
+	Bad  bool     // Word is not an instruction
+}
+
+// Decoded returns the text section decoded word by word, entry i for
+// Text[i]. It is built once, by Assemble, and shared read-only by every
+// simulator loaded from the program (nil for a Program built by hand).
+// An entry speaks for its own Word only: a simulator whose memory holds
+// another word at that address — a store into the text, a fault —
+// decodes that word itself.
+func (p *Program) Decoded() []Decoded { return p.decoded }
+
+func decodeText(text []uint32) []Decoded {
+	out := make([]Decoded, len(text))
+	for i, w := range text {
+		in, err := isa.Decode(w)
+		out[i] = Decoded{Word: w, Inst: in, Bad: err != nil}
+	}
+	return out
 }
 
 // TextBytes returns the text section encoded as little-endian bytes.
