@@ -93,8 +93,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("microarch: non-positive width in %+v", c)
 	case c.NumPhysRegs < 20:
 		return fmt.Errorf("microarch: %d physical registers cannot rename 16+1 architectural", c.NumPhysRegs)
+	case c.NumPhysRegs > 64:
+		return fmt.Errorf("microarch: %d physical registers, more than the 64 the readiness masks hold", c.NumPhysRegs)
 	case c.IQSize <= 0 || c.ROBSize <= 0 || c.LSQSize <= 0 || c.DecodeQueue <= 0:
 		return fmt.Errorf("microarch: non-positive queue size in %+v", c)
+	case slabSlots(c) > 64:
+		return fmt.Errorf("microarch: a %d-entry ROB needs %d uop slots, more than the 64 the readiness masks hold", c.ROBSize, slabSlots(c))
 	case c.MemLatency < 1 || c.LoadHitLat < 1 || c.MulLat < 1 || c.DivLat < 1:
 		return fmt.Errorf("microarch: latencies must be >= 1 in %+v", c)
 	case c.RASDepth <= 0 || c.BimodalBits <= 0 || c.BTBBits <= 0:

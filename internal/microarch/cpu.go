@@ -14,7 +14,9 @@ import (
 )
 
 // uop is one instruction in flight. It lives in a slot of CPU.uops and
-// holds no pointers: other uops are named by slot (see window.go).
+// holds no pointers: other uops are named by slot (see window.go). Its
+// fields are ordered to pack into 128 bytes without padding holes:
+// Clone, RestoreFrom and the lanes copy the slab flat.
 type uop struct {
 	seq  uint64
 	pc   uint32
@@ -23,46 +25,45 @@ type uop struct {
 	// Renamed operands: physical register indices, -1 when unused.
 	dst    int16 // destination physical register
 	oldDst int16 // previous mapping of the destination arch register
-	dstAr  int8  // destination architectural register (-1 none)
 	src1   int16 // rn (or LR for RET)
 	src2   int16 // rm
 	src3   int16 // store data (rd)
+	dstAr  int8  // destination architectural register (-1 none)
 
 	writesFlags  bool
 	flagProducer slot      // older flag writer, noSlot = use flagsIn
 	flagsIn      isa.Flags // committed flags captured at rename
 
-	// Pipeline status.
-	inIQ     bool
-	issued   bool
-	executed bool
-	squashed bool
-	execDone uint64
+	// Pipeline and branch status.
+	inIQ         bool
+	issued       bool
+	executed     bool
+	squashed     bool
+	taken        bool
+	predTaken    bool
+	mispredicted bool
+	recovered    bool
+	execDone     uint64
 
 	// Results.
 	result uint32
 	flags  isa.Flags
-	taken  bool
 	target uint32
 
-	// Branch prediction state and recovery snapshot.
-	predTaken    bool
-	predTarget   uint32
-	ratSnap      [16]int16
-	flagSnap     slot
-	flagsInSnap  isa.Flags
-	mispredicted bool
-	recovered    bool
+	// Branch prediction and recovery snapshot.
+	predTarget  uint32
+	ratSnap     [16]int16
+	flagSnap    slot
+	flagsInSnap isa.Flags
 
-	// Memory.
+	// Memory, and the fault raised when the uop reaches the ROB head.
 	isLoad    bool
 	isStore   bool
-	size      uint8 // 1 or 4
-	addr      uint32
 	addrReady bool
-	storeVal  uint32
-
+	size      uint8 // 1 or 4
 	fault     faultKind
+	addr      uint32
+	storeVal  uint32
 	faultWord uint32 // the undecodable word of a faultDecode
 }
 
@@ -92,10 +93,11 @@ type CPU struct {
 	Pinout *trace.Pinout
 
 	// Register state. prf is the physical register file (the RF fault
-	// injection target); rat/arat are the speculative and architectural
-	// rename tables.
+	// injection target); bit p of prfReady is set once register p holds
+	// its value; rat/arat are the speculative and architectural rename
+	// tables.
 	prf       []uint32
-	prfReady  []bool
+	prfReady  uint64
 	rat       [16]int16
 	arat      [16]int16
 	freeList  []int16
@@ -109,10 +111,19 @@ type CPU struct {
 	retiredFlags     slot
 	specFlagProducer slot
 
-	// Frontend.
+	// Frontend. fbLine is the fetch buffer: the flat index of the L1I
+	// line the last fetch hit, whose address is fbBase, or -1 after a
+	// fill or a restore (fetch has why reading it directly is exact).
+	// text is the program's shared decode table (asm.Program.Decoded),
+	// entry i for the word at textBase+4i. All four are derived state,
+	// so StateHash leaves them out.
 	fetchPC         uint32
 	fetchStallUntil uint64
 	decq            ring[fetched]
+	fbLine          int
+	fbBase          uint32
+	text            []asm.Decoded
+	textBase        uint32
 
 	// Backend queues of slab slots, all in program order and all of
 	// fixed capacity (ROBSize, IQSize, LSQSize). inflight names the
@@ -123,6 +134,12 @@ type CPU struct {
 	iq       []slot
 	lsq      []slot
 	inflight []slot
+
+	// Operand readiness, derived state like inflight: deps[s] is what
+	// the uop in slot s waits on, and cmpBusy has bit s set while slot s
+	// holds a flag writer that has not executed (see issue).
+	deps    []deps
+	cmpBusy uint64
 
 	// Predictors.
 	bimodal []uint8
@@ -163,7 +180,6 @@ func newShell(cfg Config, m *mem.Memory, l1i, l1d *cache.Cache) *CPU {
 		L1I:      l1i,
 		L1D:      l1d,
 		prf:      make([]uint32, cfg.NumPhysRegs),
-		prfReady: make([]bool, cfg.NumPhysRegs),
 		freeList: make([]int16, 0, cfg.NumPhysRegs),
 		bimodal:  make([]uint8, 1<<cfg.BimodalBits),
 		ras:      make([]uint32, cfg.RASDepth),
@@ -171,10 +187,12 @@ func newShell(cfg Config, m *mem.Memory, l1i, l1d *cache.Cache) *CPU {
 		uops:     make([]uop, slabSlots(cfg)),
 		uopFree:  make([]slot, 0, slabSlots(cfg)),
 		decq:     newRing[fetched](cfg.DecodeQueue),
+		fbLine:   -1,
 		rob:      newRing[slot](cfg.ROBSize),
 		iq:       make([]slot, 0, cfg.IQSize),
 		lsq:      make([]slot, 0, cfg.LSQSize),
 		inflight: make([]slot, 0, cfg.ROBSize),
+		deps:     make([]deps, slabSlots(cfg)),
 	}
 }
 
@@ -197,12 +215,13 @@ func New(p *asm.Program, cfg Config) (*CPU, error) {
 	}
 	c := newShell(cfg, m, l1i, l1d)
 	c.fetchPC = p.TextBase
+	c.text, c.textBase = p.Decoded(), p.TextBase
 	c.retiredFlags, c.specFlagProducer = noSlot, noSlot
 	for i := 0; i < 16; i++ {
 		c.rat[i] = int16(i)
 		c.arat[i] = int16(i)
-		c.prfReady[i] = true
 	}
+	c.prfReady = 1<<16 - 1
 	for i := 16; i < cfg.NumPhysRegs; i++ {
 		c.freeList = append(c.freeList, int16(i))
 	}
@@ -274,34 +293,63 @@ func (c *CPU) rasPop() (uint32, bool) {
 	return c.ras[c.rasLen], true
 }
 
+// fetch reads up to FetchWidth words through the L1I and predicts the
+// next PC. Two shortcuts keep it cheap, both exact:
+//
+//   - The fetch buffer: a word from the line the last fetch hit is read
+//     straight out of the data array (cache.WordAt), skipping the lookup
+//     and the LRU touch. Only fetch accesses the L1I, so that line is
+//     still resident and still the most recently used of its set, and
+//     touching it again would change nothing. A fill drops the buffer
+//     (the new line is MRU now), and so does a restore.
+//   - The decode table: the program's text is decoded once, shared by
+//     every CPU built from it, and an entry is used only when the word
+//     fetched equals the word it was decoded from. Decoding is a pure
+//     function of the word, so a text word rewritten by a store or a
+//     fault is decoded afresh and nothing else changes.
 func (c *CPU) fetch() {
 	if c.Cycles < c.fetchStallUntil {
 		return
 	}
+	lineMask := uint32(c.cfg.L1I.LineBytes - 1)
 	for n := 0; n < c.cfg.FetchWidth; n++ {
 		if c.decq.n >= c.cfg.DecodeQueue {
 			return
 		}
 		pc := c.fetchPC
-		var res cache.Result
-		w, ok := c.L1I.LoadWord(pc, &res)
-		if !ok {
-			c.decq.push(fetched{pc: pc, bad: true})
-			c.fetchPC += isa.InstBytes
-			return
-		}
-		if res.Filled {
-			if c.lanes != nil && c.lanes.Mem.Any() {
-				c.lanes.IFetch(res.FillAddr, uint32(c.cfg.L1I.LineBytes))
+		var w uint32
+		if pc&^lineMask|pc&3 == c.fbBase && c.fbLine >= 0 {
+			w = c.L1I.WordAt(c.fbLine, int(pc&lineMask))
+		} else {
+			var res cache.Result
+			var ok bool
+			w, ok = c.L1I.LoadWord(pc, &res)
+			if !ok {
+				c.decq.push(fetched{pc: pc, bad: true})
+				c.fetchPC += isa.InstBytes
+				return
 			}
-			// I-miss: the line is resident now, but expose the fill
-			// latency before any instruction from it enters decode.
-			c.fetchStallUntil = c.Cycles + uint64(c.cfg.MemLatency)
-			return
+			if res.Filled {
+				c.fbLine = -1
+				if c.lanes != nil && c.lanes.Mem.Any() {
+					c.lanes.IFetch(res.FillAddr, lineMask+1)
+				}
+				// I-miss: the line is resident now, but expose the fill
+				// latency before any instruction from it enters decode.
+				c.fetchStallUntil = c.Cycles + uint64(c.cfg.MemLatency)
+				return
+			}
+			c.fbLine, c.fbBase = res.Line, pc&^lineMask
 		}
-		in, err := isa.Decode(w)
-		f := fetched{pc: pc, word: w, inst: in, undecodable: err != nil}
-		if in.Op.IsBranch() {
+		f := c.decq.grow()
+		*f = fetched{pc: pc, word: w}
+		if i := (pc - c.textBase) / isa.InstBytes; i < uint32(len(c.text)) && c.text[i].Word == w {
+			f.inst, f.undecodable = c.text[i].Inst, c.text[i].Bad
+		} else {
+			in, err := isa.Decode(w)
+			f.inst, f.undecodable = in, err != nil
+		}
+		if in := f.inst; opClasses[in.Op]&clBranch != 0 {
 			switch {
 			case in.Op == isa.OpB:
 				f.predTaken = true
@@ -325,7 +373,6 @@ func (c *CPU) fetch() {
 				}
 			}
 		}
-		c.decq.push(f)
 		if f.predTaken {
 			c.fetchPC = f.predTarget
 		} else {
@@ -336,22 +383,72 @@ func (c *CPU) fetch() {
 
 // --------------------------------------------------------------- rename
 
+// opClass is what rename and issue ask of an opcode: one table load
+// instead of a chain of isa.Opcode predicates.
+type opClass uint16
+
+const (
+	clCommitOnly opClass = 1 << iota // NOP, HLT, SVC: handled entirely at commit
+	clLoad
+	clStore
+	clByte    // byte-sized memory access
+	clRegAddr // register-offset memory access (address rn + rm)
+	clBranch
+	clCond // conditional branch
+	clCompare
+	clWritesRd
+	clReadsRn
+	clReadsRm
+	clMul // MUL, UDIV, SDIV: the multiply/divide unit
+
+	clMem = clLoad | clStore
+)
+
+var opClasses = func() (t [256]opClass) {
+	for i := range t {
+		o := isa.Opcode(i)
+		if !o.Valid() {
+			continue
+		}
+		for cl, is := range map[opClass]bool{
+			clCommitOnly: o == isa.OpNOP || o == isa.OpHLT || o == isa.OpSVC,
+			clLoad:       o.IsLoad(),
+			clStore:      o.IsStore(),
+			clByte:       o == isa.OpLDRB || o == isa.OpSTRB || o == isa.OpLDRBR || o == isa.OpSTRBR,
+			clRegAddr:    o == isa.OpLDRR || o == isa.OpSTRR || o == isa.OpLDRBR || o == isa.OpSTRBR,
+			clBranch:     o.IsBranch(),
+			clCond:       o.IsCondBranch(),
+			clCompare:    o.IsCompare(),
+			clWritesRd:   o.WritesRd(),
+			clReadsRn:    o.ReadsRn(),
+			clReadsRm:    o.ReadsRm(),
+			clMul:        o == isa.OpMUL || o == isa.OpUDIV || o == isa.OpSDIV,
+		} {
+			if is {
+				t[i] |= cl
+			}
+		}
+	}
+	return t
+}()
+
 func (c *CPU) rename() {
 	for n := 0; n < c.cfg.FetchWidth && c.decq.n > 0; n++ {
 		if c.rob.n >= c.cfg.ROBSize {
 			return
 		}
-		f := c.decq.at(0)
+		f := c.decq.front()
 		c.seq++
 		in := f.inst
 		op := in.Op
+		cl := opClasses[op]
 
 		// Fetch and decode faults surface at commit; NOP, HLT and SVC are
 		// handled entirely there. None of them needs a backend resource.
-		done := f.bad || f.undecodable || op == isa.OpNOP || op == isa.OpHLT || op == isa.OpSVC
+		done := f.bad || f.undecodable || cl&clCommitOnly != 0
 		dstAr := int8(-1)
 		if !done {
-			if op.IsMem() && len(c.lsq) >= c.cfg.LSQSize {
+			if cl&clMem != 0 && len(c.lsq) >= c.cfg.LSQSize {
 				return
 			}
 			if len(c.iq) >= c.cfg.IQSize {
@@ -361,7 +458,7 @@ func (c *CPU) rename() {
 			switch {
 			case op == isa.OpBL:
 				dstAr = int8(isa.LR)
-			case op.WritesRd():
+			case cl&clWritesRd != 0:
 				dstAr = int8(in.Rd)
 			}
 			if dstAr >= 0 && len(c.freeList) == 0 {
@@ -370,7 +467,8 @@ func (c *CPU) rename() {
 		}
 
 		// Past the last stall: build the uop in a slab slot at the ROB
-		// tail and consume its decode-queue entry.
+		// tail and consume its decode-queue entry (f still reads it:
+		// only fetch, later in the cycle, overwrites it).
 		s := c.allocUop()
 		c.rob.push(s)
 		c.decq.pop()
@@ -392,28 +490,33 @@ func (c *CPU) rename() {
 			}
 			continue
 		}
-		u.isLoad = op.IsLoad()
-		u.isStore = op.IsStore()
+		u.isLoad = cl&clLoad != 0
+		u.isStore = cl&clStore != 0
 
-		// Sources.
+		// Sources, and the masks issue tests them by.
 		if op == isa.OpRET {
 			u.src1 = c.rat[isa.LR]
-		} else if op.ReadsRn() {
+		} else if cl&clReadsRn != 0 {
 			u.src1 = c.rat[in.Rn]
 		}
-		if op.ReadsRm() {
+		if cl&clReadsRm != 0 {
 			u.src2 = c.rat[in.Rm]
 		}
 		if u.isStore {
 			u.src3 = c.rat[in.Rd]
 		}
-		if op.IsCondBranch() {
+		d := &c.deps[s]
+		d.regs = bit(u.src1) | bit(u.src2) | bit(u.src3)
+		d.cmp = 0
+		if cl&clCond != 0 {
 			u.flagProducer = c.specFlagProducer
 			u.flagsIn = c.archFlags
+			d.cmp = bit(u.flagProducer)
 		}
-		if op.IsCompare() {
+		if cl&clCompare != 0 {
 			u.writesFlags = true
 			c.specFlagProducer = s
+			c.cmpBusy |= bit(s)
 		}
 
 		// Rename the destination.
@@ -424,27 +527,27 @@ func (c *CPU) rename() {
 			u.dstAr = dstAr
 			u.oldDst = c.rat[dstAr]
 			c.rat[dstAr] = p
-			c.prfReady[p] = false
+			c.prfReady &^= bit(p)
 		}
 
 		// Branches snapshot the rename state for recovery.
-		if op.IsBranch() {
+		if cl&clBranch != 0 {
 			u.ratSnap = c.rat
 			u.flagSnap = c.specFlagProducer
 			u.flagsInSnap = c.archFlags
 			if c.lanes != nil && c.lanes.flag.Any() {
-				c.lanes.rename(s, op.IsCondBranch())
+				c.lanes.rename(s, cl&clCond != 0)
 			}
 		}
 
 		u.size = 4
-		if op == isa.OpLDRB || op == isa.OpSTRB || op == isa.OpLDRBR || op == isa.OpSTRBR {
+		if cl&clByte != 0 {
 			u.size = 1
 		}
 
 		u.inIQ = true
 		c.iq = append(c.iq, s)
-		if op.IsMem() {
+		if cl&clMem != 0 {
 			c.lsq = append(c.lsq, s)
 		}
 	}
@@ -452,14 +555,20 @@ func (c *CPU) rename() {
 
 // ---------------------------------------------------------------- issue
 
-func (c *CPU) ready(p int16) bool { return p < 0 || c.prfReady[p] }
+// deps is what a waiting uop needs before it may issue: regs has bit p
+// set for each physical register it reads, cmp bit s for the flag
+// writer in slot s it reads the flags of. It is ready once none of
+// those registers is still being produced (prfReady) and that writer
+// has executed (cmpBusy) — one AND each instead of a lookup per
+// operand.
+type deps struct{ regs, cmp uint64 }
 
-func (c *CPU) flagsReady(u *uop) bool {
-	if u.flagProducer == noSlot {
-		return true
+// bit is the mask of a register or slot index, zero for none (-1).
+func bit(i int16) uint64 {
+	if i < 0 {
+		return 0
 	}
-	p := &c.uops[u.flagProducer]
-	return p.executed || p.squashed
+	return 1 << i
 }
 
 func (c *CPU) readFlags(u *uop) isa.Flags {
@@ -500,25 +609,30 @@ func (c *CPU) issue() {
 	aluUsed := 0
 	// Oldest-first selection: the IQ holds exactly the waiting uops, in
 	// program order. The walk compacts it in place: every uop visited is
-	// kept, and un-kept again at the bottom if it issued.
-	kept := c.iq[:0]
+	// written at kept, and kept steps back over one that issues.
+	// Issuing changes neither readiness word (writeback sets them), so
+	// both are read once.
+	kept := 0
+	deps, ready, cmpBusy := c.deps, c.prfReady, c.cmpBusy
 	for i, s := range c.iq {
 		if issued >= c.cfg.IssueWidth {
-			kept = append(kept, c.iq[i:]...)
+			kept += copy(c.iq[kept:], c.iq[i:])
 			break
 		}
-		kept = append(kept, s)
-		u := &c.uops[s]
-		if !c.ready(u.src1) || !c.ready(u.src2) || !c.ready(u.src3) || !c.flagsReady(u) {
+		c.iq[kept] = s
+		kept++
+		if d := &deps[s]; d.regs&^ready|d.cmp&cmpBusy != 0 {
 			continue
 		}
+		u := &c.uops[s]
 		op := u.inst.Op
+		cl := opClasses[op]
 		switch {
-		case op == isa.OpMUL || op == isa.OpUDIV || op == isa.OpSDIV:
+		case cl&clMul != 0:
 			if c.mulBusyUntil > c.Cycles {
 				continue
 			}
-		case op.IsMem():
+		case cl&clMem != 0:
 			if c.lsuBusyUntil > c.Cycles {
 				continue
 			}
@@ -527,9 +641,9 @@ func (c *CPU) issue() {
 				continue
 			}
 		}
-		if op.IsMem() {
+		if cl&clMem != 0 {
 			// Compute the effective address first.
-			regForm := !(op == isa.OpLDR || op == isa.OpSTR || op == isa.OpLDRB || op == isa.OpSTRB)
+			regForm := cl&clRegAddr != 0
 			addr := c.readPRF(u.src1)
 			if regForm {
 				addr += c.readPRF(u.src2)
@@ -571,21 +685,21 @@ func (c *CPU) issue() {
 		}
 		u.issued = true
 		u.inIQ = false
-		kept = kept[:len(kept)-1]
+		kept--
 		c.noteIssued(s)
 		issued++
 		switch {
 		case op == isa.OpMUL:
 			c.mulBusyUntil = c.Cycles + 1 // pipelined multiplier
-		case op == isa.OpUDIV || op == isa.OpSDIV:
+		case cl&clMul != 0: // UDIV, SDIV
 			c.mulBusyUntil = c.Cycles + uint64(c.cfg.DivLat)
-		case op.IsMem():
+		case cl&clMem != 0:
 			c.lsuBusyUntil = u.execDone
 		default:
 			aluUsed++
 		}
 	}
-	c.iq = kept
+	c.iq = c.iq[:kept]
 }
 
 // noteIssued files a uop that just issued under inflight, keeping the
@@ -730,6 +844,7 @@ func (c *CPU) writeback() {
 			continue
 		}
 		u.executed = true
+		c.cmpBusy &^= bit(s)
 		written++
 		if u.dst >= 0 {
 			if c.ltRF != nil {
@@ -739,7 +854,7 @@ func (c *CPU) writeback() {
 				c.lanes.writeback(s, u.dst)
 			}
 			c.prf[u.dst] = u.result
-			c.prfReady[u.dst] = true
+			c.prfReady |= bit(u.dst)
 		}
 		if u.mispredicted && !u.recovered && recover == noSlot {
 			recover = s
@@ -791,6 +906,7 @@ func (c *CPU) squash(s slot) {
 	u := &c.uops[s]
 	u.squashed = true
 	u.inIQ = false
+	c.cmpBusy &^= bit(s)
 	if u.dst >= 0 {
 		c.freeList = append(c.freeList, u.dst)
 	}

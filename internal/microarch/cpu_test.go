@@ -306,4 +306,16 @@ func TestConfigValidation(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("zero fetch width accepted")
 	}
+	// The readiness masks are one word: 64 registers and 64 uop slots
+	// (ROBSize+1) fit, one more does not.
+	for _, tc := range []struct {
+		regs, rob int
+		ok        bool
+	}{{64, 63, true}, {65, 40, false}, {56, 64, false}} {
+		cfg := DefaultConfig()
+		cfg.NumPhysRegs, cfg.ROBSize = tc.regs, tc.rob
+		if err := cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%d registers, %d-entry ROB: Validate() = %v", tc.regs, tc.rob, err)
+		}
+	}
 }

@@ -44,7 +44,9 @@ var cpuRoles = map[string]string{
 	"uops":    data, // per uopRoles
 	"uopFree": control, "retiredFlags": control, "specFlagProducer": control,
 	"fetchPC": control, "fetchStallUntil": control, "decq": control,
+	"fbLine": control, "fbBase": control, "text": control, "textBase": control,
 	"rob": control, "iq": control, "lsq": control, "inflight": control,
+	"deps": control, "cmpBusy": control,
 	"bimodal": control, "ras": control, "rasLen": control,
 	"ltRF": control, "lanes": control,
 	"lsuBusyUntil": control, "mulBusyUntil": control,

@@ -36,7 +36,7 @@ func (c *CPU) RestoreFrom(base *CPU) {
 // keeps the other).
 func (c *CPU) restoreCore(base *CPU) {
 	copy(c.prf, base.prf)
-	copy(c.prfReady, base.prfReady)
+	c.prfReady = base.prfReady
 	c.rat = base.rat
 	c.arat = base.arat
 	c.freeList = append(c.freeList[:0], base.freeList...)
@@ -50,11 +50,15 @@ func (c *CPU) restoreCore(base *CPU) {
 	c.fetchPC = base.fetchPC
 	c.fetchStallUntil = base.fetchStallUntil
 	c.decq.copyFrom(&base.decq)
+	c.fbLine = -1 // the L1I was just rewritten
+	c.text, c.textBase = base.text, base.textBase
 
 	c.rob.copyFrom(&base.rob)
 	c.iq = append(c.iq[:0], base.iq...)
 	c.lsq = append(c.lsq[:0], base.lsq...)
 	c.inflight = append(c.inflight[:0], base.inflight...)
+	copy(c.deps, base.deps)
+	c.cmpBusy = base.cmpBusy
 
 	copy(c.bimodal, base.bimodal)
 	copy(c.ras, base.ras)

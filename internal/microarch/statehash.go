@@ -27,7 +27,7 @@ func (c *CPU) StateHash() uint64 {
 	h := statehash.New()
 
 	foldU32s(h, c.prf)
-	foldBools(h, c.prfReady)
+	h.U64(c.prfReady) // bit p for register p: at most 64 (Config.Validate)
 	foldI16s(h, c.rat[:])
 	foldI16s(h, c.arat[:])
 	h.U64(uint64(c.archFlags.Pack()) | uint64(len(c.freeList))<<32)
@@ -103,17 +103,6 @@ func foldI16s(h *statehash.Hash, p []int16) {
 
 func pack16(a, b, c, d int16) uint64 {
 	return uint64(uint16(a)) | uint64(uint16(b))<<16 | uint64(uint16(c))<<32 | uint64(uint16(d))<<48
-}
-
-// foldBools folds p as bit masks, 64 values to a word.
-func foldBools(h *statehash.Hash, p []bool) {
-	for ; len(p) > 0; p = p[min(64, len(p)):] {
-		var m uint64
-		for i, b := range p[:min(64, len(p))] {
-			m |= b2u(b) << i
-		}
-		h.U64(m)
-	}
 }
 
 // uopRef packs a uop reference into one word: its age relative to the

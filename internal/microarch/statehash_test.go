@@ -224,10 +224,10 @@ func TestStateHashCoversRegisterState(t *testing.T) {
 			c.prf[i] ^= 1 << bit
 		}
 	}
-	for i := range c.prfReady {
-		c.prfReady[i] = !c.prfReady[i]
+	for i := 0; i < c.cfg.NumPhysRegs; i++ {
+		c.prfReady ^= 1 << i
 		check("prfReady", i)
-		c.prfReady[i] = !c.prfReady[i]
+		c.prfReady ^= 1 << i
 	}
 	for name, p := range map[string][]int16{"rat": c.rat[:], "arat": c.arat[:], "freeList": c.freeList} {
 		for i := range p {

@@ -84,9 +84,17 @@ func (r *ring[T]) index(i int) int {
 // at returns the i-th oldest element.
 func (r *ring[T]) at(i int) T { return r.buf[r.index(i)] }
 
-func (r *ring[T]) push(v T) {
-	r.buf[r.index(r.n)] = v
+// front points at the oldest element, in place.
+func (r *ring[T]) front() *T { return &r.buf[r.head] }
+
+func (r *ring[T]) push(v T) { *r.grow() = v }
+
+// grow appends an element and points at it, in place: the caller
+// overwrites whatever an earlier lap left there.
+func (r *ring[T]) grow() *T {
+	p := &r.buf[r.index(r.n)]
 	r.n++
+	return p
 }
 
 // pop drops the oldest element.

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/asm"
 	"repro/internal/bench"
@@ -424,7 +425,8 @@ func TestConcurrentRestoreFromSharedSnapshot(t *testing.T) {
 // everything the model can still reach — the ROB's uops, the flag
 // producers and flag snapshots they name, the queues' entries and the
 // speculative flag producer — sits in a slot that is not on the free
-// list, and the free list holds no slot twice.
+// list, and the free list holds no slot twice. It also recomputes the
+// derived state (inflight and the readiness masks) from the uops.
 func checkWindow(t *testing.T, c *CPU) {
 	t.Helper()
 	free := make([]bool, len(c.uops))
@@ -463,6 +465,36 @@ func checkWindow(t *testing.T, c *CPU) {
 	if !slices.Equal(flying, c.inflight) {
 		t.Fatalf("cycle %d: inflight %v, the ROB's issued-but-unfinished uops %v", c.Cycles, c.inflight, flying)
 	}
+	// The readiness masks are derived too: cmpBusy is exactly the ROB's
+	// flag writers that have not executed, and each waiting uop's deps
+	// name its source registers and its flag producer.
+	var cmpBusy uint64
+	for i := 0; i < c.rob.n; i++ {
+		if u := &c.uops[c.rob.at(i)]; u.writesFlags && !u.executed {
+			cmpBusy |= 1 << c.rob.at(i)
+		}
+	}
+	if cmpBusy != c.cmpBusy {
+		t.Fatalf("cycle %d: cmpBusy %#x, the ROB's unexecuted flag writers %#x", c.Cycles, c.cmpBusy, cmpBusy)
+	}
+	for _, s := range c.iq {
+		u := &c.uops[s]
+		var want deps
+		for _, p := range []int16{u.src1, u.src2, u.src3} {
+			if p >= 0 {
+				want.regs |= 1 << p
+			}
+		}
+		if u.flagProducer != noSlot {
+			want.cmp = 1 << u.flagProducer
+		}
+		if c.deps[s] != want {
+			t.Fatalf("cycle %d: slot %d waits on %+v, its operands name %+v", c.Cycles, s, c.deps[s], want)
+		}
+	}
+	if c.prfReady>>c.cfg.NumPhysRegs != 0 {
+		t.Fatalf("cycle %d: prfReady %#x marks registers past the %d there are", c.Cycles, c.prfReady, c.cfg.NumPhysRegs)
+	}
 }
 
 // TestSlotLifetimeInvariant checks the rule at every cycle of the
@@ -487,5 +519,13 @@ func TestSlotLifetimeInvariant(t *testing.T) {
 			run(t, campaignCPU(t, p), 0)
 			run(t, campaignCPU(t, p), 257)
 		})
+	}
+}
+
+// TestUopIsPacked holds uop to the 128 bytes its fields fill (see its
+// comment): a reordering that opens padding holes grows every snapshot.
+func TestUopIsPacked(t *testing.T) {
+	if n := unsafe.Sizeof(uop{}); n != 128 {
+		t.Errorf("uop is %d bytes, want 128", n)
 	}
 }
