@@ -8,10 +8,9 @@ import "repro/internal/statehash"
 // microarchitectural model's Clone and enables differential fault
 // injection (replay from the snapshot nearest the injection cycle).
 //
-// Pure wires are not captured: designs whose processes communicate only
-// through registers and memories (such as the AL32 core) resume correctly
-// on the next Tick. A design that latches wire state across cycles would
-// need an explicit Settle after RestoreState.
+// The capture is complete only for a design whose combinational logic
+// keeps no state of its own: it reads registers and memories, drives
+// their inputs, and runs again after the next Tick.
 type State struct {
 	regs  []regState
 	mems  []memState
@@ -38,7 +37,7 @@ func (s *Simulator) CaptureState(st *State) *State {
 	}
 	st.cycle = s.CycleCount
 	for i, r := range s.regs {
-		st.regs[i] = regState{cur: r.out.cur, d: r.d, dSet: r.dSet}
+		st.regs[i] = regState{cur: r.cur, d: r.d, dSet: r.dSet}
 	}
 	for i, m := range s.mems {
 		ms := &st.mems[i]
@@ -52,7 +51,7 @@ func (s *Simulator) CaptureState(st *State) *State {
 // capture itself is not consumed and may be restored repeatedly.
 func (s *Simulator) RestoreState(st *State) {
 	for i, r := range s.regs {
-		r.out.cur = st.regs[i].cur
+		r.cur = st.regs[i].cur
 		r.d = st.regs[i].d
 		r.dSet = st.regs[i].dSet
 	}
@@ -61,28 +60,19 @@ func (s *Simulator) RestoreState(st *State) {
 		m.queue = append(m.queue[:0], st.mems[i].queue...)
 	}
 	s.CycleCount = st.cycle
-	// Discard any in-flight activations; the next Tick re-evaluates.
-	for _, p := range s.active {
-		p.queued = false
-	}
-	s.active = s.active[:0]
-	for _, sig := range s.pending {
-		sig.hasNext = false
-	}
-	s.pending = s.pending[:0]
 }
 
 // HashState folds the design's complete sequential state — every
 // register's latched value and pending D input, every memory's contents
 // and queued writes, and the cycle counter — into h, in declaration
 // order. It covers exactly the state CaptureState snapshots, which is
-// the state that determines the design's future (pure wires settle from
-// it), so equal digests at equal cycles imply equal futures.
+// the state that determines the design's future, so equal digests at
+// equal cycles imply equal futures.
 func (s *Simulator) HashState(h *statehash.Hash) {
 	// Two words per register; the dSet bits ride in masks of 64.
 	var dSet uint64
 	for i, r := range s.regs {
-		h.U64(r.out.cur)
+		h.U64(r.cur)
 		h.U64(r.d)
 		if r.dSet {
 			dSet |= 1 << (i % 64)

@@ -170,10 +170,7 @@ func New(p *asm.Program, cfg Config) (*Core, error) {
 	}
 	c.regfile.Init(int(isa.SP), uint64(isa.StackTop))
 	c.latches = sim.RegsByPrefix("")
-	sim.Process("pipeline", c.eval)
-	if err := sim.Settle(); err != nil {
-		return nil, err
-	}
+	c.eval() // reset release
 	return c, nil
 }
 
@@ -191,11 +188,8 @@ func (c *Core) Step() bool {
 	if c.lanes != nil {
 		c.lanes.edge()
 	}
-	if err := c.sim.Tick(); err != nil {
-		c.Stop = refsim.StopFault
-		c.FaultDesc = err.Error()
-		return false
-	}
+	c.sim.Tick()
+	c.eval()
 	return c.Stop == refsim.StopNone
 }
 
@@ -251,10 +245,11 @@ func srcRegs(in isa.Inst) (regs [3]isa.Reg, n int) {
 	return regs, n
 }
 
-// eval is the whole-core combinational process, evaluated once per clock.
-// Stages are computed WB-first so same-cycle dataflow (forwarding, branch
-// squash) reads consistent values, exactly as a synthesis-style RTL
-// description would resolve within one cycle.
+// eval is the whole-core combinational logic, evaluated once after every
+// clock edge (and once at reset release, in New). Stages are computed
+// WB-first so same-cycle dataflow (forwarding, branch squash) reads
+// consistent values, exactly as a synthesis-style RTL description would
+// resolve within one cycle.
 func (c *Core) eval() {
 	if c.halted.QBool() || c.Stop != refsim.StopNone {
 		return
