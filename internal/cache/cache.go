@@ -427,18 +427,6 @@ func (c *Cache) LineOfDataBit(i int) (set, way int) {
 	return line / c.cfg.Ways, line % c.cfg.Ways
 }
 
-// AddrOfSet returns a representative address selector for a set: any
-// address whose set index equals set. Used in reports.
-func (c *Cache) AddrOfSet(set int) uint32 {
-	return uint32(set) << c.offBits
-}
-
-// LineState reports residency information for tests and reports.
-func (c *Cache) LineState(set, way int) (tag uint32, valid, dirty bool) {
-	i := set*c.cfg.Ways + way
-	return c.tags[i], c.valid[i], c.dirty[i]
-}
-
 // WriteBackAll flushes every dirty line to backing memory, invoking fn
 // (if non-nil) per line in (set, way) order. Used to compare end-of-run
 // memory images and by the drain-at-exit ablation.

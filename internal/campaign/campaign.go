@@ -575,10 +575,6 @@ type Golden struct {
 // Snapshots reports how many differential-injection snapshots were taken.
 func (g *Golden) Snapshots() int { return len(g.snaps) }
 
-// Hashes reports how many golden state digests were recorded for the
-// convergence exit.
-func (g *Golden) Hashes() int { return len(g.hashes) }
-
 // LifetimeEvents reports how many lifetime events the golden run
 // recorded (0 without GoldenOptions.Lifetime) — the overhead metric of
 // the pruning trace.

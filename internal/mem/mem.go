@@ -76,31 +76,11 @@ func (p *page) digest() uint64 {
 	return v
 }
 
-// AccessObserver observes one access at the memory's public ports: the
-// starting address, the byte count and the direction. It is the tracing
-// hook behind golden-run traffic accounting and a future main-memory
-// fault target's lifetime trace; observation never perturbs contents.
-type AccessObserver func(addr, n uint32, write bool)
-
 // Memory is a sparse byte-addressable physical memory of fixed size.
 // The zero value is not usable; call New.
 type Memory struct {
 	pages []*page
 	size  uint32
-
-	// obs, when non-nil, observes every public-port access exactly once
-	// (bulk transfers report one event, not one per byte). Fault
-	// injection via FlipBit deliberately bypasses it.
-	obs AccessObserver
-}
-
-// SetObserver attaches (or detaches, with nil) the access observer.
-func (m *Memory) SetObserver(fn AccessObserver) { m.obs = fn }
-
-func (m *Memory) observe(addr, n uint32, write bool) {
-	if m.obs != nil {
-		m.obs(addr, n, write)
-	}
 }
 
 // New returns a zeroed memory of the given size in bytes. Size is rounded
@@ -167,14 +147,6 @@ func (m *Memory) LoadByte(addr uint32) (b byte, ok bool) {
 	if addr >= m.size {
 		return 0, false
 	}
-	m.observe(addr, 1, false)
-	return m.loadByte(addr)
-}
-
-func (m *Memory) loadByte(addr uint32) (b byte, ok bool) {
-	if addr >= m.size {
-		return 0, false
-	}
 	p := m.pages[addr>>PageBits]
 	if p == nil {
 		return 0, true
@@ -184,14 +156,6 @@ func (m *Memory) loadByte(addr uint32) (b byte, ok bool) {
 
 // StoreByte writes one byte. ok is false when addr is out of range.
 func (m *Memory) StoreByte(addr uint32, b byte) bool {
-	if addr >= m.size {
-		return false
-	}
-	m.observe(addr, 1, true)
-	return m.storeByte(addr, b)
-}
-
-func (m *Memory) storeByte(addr uint32, b byte) bool {
 	if addr >= m.size {
 		return false
 	}
@@ -205,7 +169,6 @@ func (m *Memory) LoadWord(addr uint32) (w uint32, ok bool) {
 	if !m.InRange(addr, 4) {
 		return 0, false
 	}
-	m.observe(addr, 4, false)
 	if addr&pageMask <= PageSize-4 {
 		p := m.pages[addr>>PageBits]
 		if p == nil {
@@ -216,7 +179,7 @@ func (m *Memory) LoadWord(addr uint32) (w uint32, ok bool) {
 			uint32(p.data[o+2])<<16 | uint32(p.data[o+3])<<24, true
 	}
 	for i := uint32(0); i < 4; i++ {
-		b, _ := m.loadByte(addr + i)
+		b, _ := m.LoadByte(addr + i)
 		w |= uint32(b) << (8 * i)
 	}
 	return w, true
@@ -228,7 +191,6 @@ func (m *Memory) StoreWord(addr, w uint32) bool {
 	if !m.InRange(addr, 4) {
 		return false
 	}
-	m.observe(addr, 4, true)
 	if addr&pageMask <= PageSize-4 {
 		p := m.writablePage(addr)
 		o := addr & pageMask
@@ -239,7 +201,7 @@ func (m *Memory) StoreWord(addr, w uint32) bool {
 		return true
 	}
 	for i := uint32(0); i < 4; i++ {
-		m.storeByte(addr+i, byte(w>>(8*i)))
+		m.StoreByte(addr+i, byte(w>>(8*i)))
 	}
 	return true
 }
@@ -262,9 +224,8 @@ func (m *Memory) ReadBytes(addr uint32, dst []byte) bool {
 	if !m.InRange(addr, n) {
 		return false
 	}
-	m.observe(addr, n, false)
 	for i := range dst {
-		dst[i], _ = m.loadByte(addr + uint32(i))
+		dst[i], _ = m.LoadByte(addr + uint32(i))
 	}
 	return true
 }
@@ -275,9 +236,8 @@ func (m *Memory) StoreBytes(addr uint32, buf []byte) bool {
 	if !m.InRange(addr, uint32(len(buf))) {
 		return false
 	}
-	m.observe(addr, uint32(len(buf)), true)
 	for i, b := range buf {
-		m.storeByte(addr+uint32(i), b)
+		m.StoreByte(addr+uint32(i), b)
 	}
 	return true
 }
@@ -286,11 +246,11 @@ func (m *Memory) StoreBytes(addr uint32, buf []byte) bool {
 // It reports whether addr was in range. This is the memory-array fault
 // injection primitive.
 func (m *Memory) FlipBit(addr uint32, bit uint) bool {
-	b, ok := m.loadByte(addr)
+	b, ok := m.LoadByte(addr)
 	if !ok {
 		return false
 	}
-	return m.storeByte(addr, b^(1<<(bit&7)))
+	return m.StoreByte(addr, b^(1<<(bit&7)))
 }
 
 // Snapshot returns a copy-on-write snapshot of the memory. The snapshot

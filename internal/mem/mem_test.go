@@ -231,45 +231,6 @@ func TestSizeRounding(t *testing.T) {
 	}
 }
 
-func TestAccessObserver(t *testing.T) {
-	m := New(1 << 14)
-	type ev struct {
-		addr, n uint32
-		write   bool
-	}
-	var got []ev
-	m.SetObserver(func(addr, n uint32, write bool) {
-		got = append(got, ev{addr, n, write})
-	})
-	m.StoreWord(16, 0xAABBCCDD)
-	m.LoadWord(16)
-	m.StoreBytes(100, []byte{1, 2, 3})
-	m.LoadBytes(100, 3)
-	m.LoadByte(101)
-	m.FlipBit(16, 0) // injection bypasses the observer
-
-	want := []ev{
-		{16, 4, true},
-		{16, 4, false},
-		{100, 3, true}, // ONE event per bulk transfer, not one per byte
-		{100, 3, false},
-		{101, 1, false},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("observed %d events, want %d: %+v", len(got), len(want), got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("event %d: %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	m.SetObserver(nil)
-	m.StoreWord(16, 1)
-	if len(got) != len(want) {
-		t.Error("detached observer still fired")
-	}
-}
-
 func TestRestoreFrom(t *testing.T) {
 	src := New(1 << 14)
 	src.StoreWord(0x20, 0x11223344)

@@ -24,7 +24,6 @@ package protect
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -156,24 +155,9 @@ func (p Plan) String() string {
 	return strings.Join(parts, ",")
 }
 
-// Empty reports whether the plan protects nothing.
-func (p Plan) Empty() bool { return len(p.schemes) == 0 }
-
 // Scheme returns the scheme protecting target t (SchemeNone if
 // unprotected).
 func (p Plan) Scheme(t fault.Target) Scheme { return p.schemes[t] }
-
-// Targets returns the protected targets in canonical order.
-func (p Plan) Targets() []fault.Target {
-	var out []fault.Target
-	for _, t := range planOrder {
-		if p.schemes[t] != SchemeNone {
-			out = append(out, t)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // lookupCache memoises Lookup: the campaign engine resolves the plan on
 // hot paths (every classified outcome), and config strings are already
