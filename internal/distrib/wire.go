@@ -46,8 +46,9 @@ type CampaignSpec struct {
 
 // normalize validates the spec's identities and campaign config,
 // filling config defaults so the wire always carries the normalised
-// form (Workers is zeroed: pool sizes are a per-process concern and
-// must not split otherwise-identical campaigns into distinct IDs).
+// form. Workers is zeroed: pool sizes are a per-process concern and
+// must not split otherwise-identical campaigns into distinct IDs. So
+// are the deprecated Sched and SnapPolicy, which select nothing.
 func (s *CampaignSpec) normalize() error {
 	if _, err := bench.ByName(s.Workload); err != nil {
 		return err
@@ -62,6 +63,8 @@ func (s *CampaignSpec) normalize() error {
 		return err
 	}
 	s.Config.Workers = 0
+	s.Config.Sched = 0
+	s.Config.SnapPolicy = 0
 	return nil
 }
 
