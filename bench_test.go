@@ -700,35 +700,6 @@ func BenchmarkCampaignPrune_Full(b *testing.B)    { campaignPruneBench(b, campai
 func BenchmarkCampaignPrune_Dead(b *testing.B)    { campaignPruneBench(b, campaign.PruneDead) }
 func BenchmarkCampaignPrune_Classes(b *testing.B) { campaignPruneBench(b, campaign.PruneClasses) }
 
-// ------------------------------------------------- E13 + protection
-
-// campaignProtectBench runs one register-file campaign under a
-// protection plan next to its unprotected twin. The protection fold
-// costs only the extended fault plan and the per-outcome arity
-// evaluation — no extra simulation — so the protected arms should sit
-// within noise of the None arm.
-func campaignProtectBench(b *testing.B, protect string) {
-	cfg := campaign.Config{
-		Injections: 60, Seed: 7, Target: fault.TargetRF,
-		Obs: campaign.ObsPinout, Window: 2_000, Protect: protect,
-	}
-	b.ResetTimer()
-	var res *campaign.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = core.RunCampaign("qsort", core.ModelMicroarch, core.CampaignSetup(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(res.Counts[campaign.ClassDUE]), "due")
-	b.ReportMetric(float64(res.OverheadRuns), "overhead")
-}
-
-func BenchmarkCampaignProtect_None(b *testing.B)   { campaignProtectBench(b, "") }
-func BenchmarkCampaignProtect_Parity(b *testing.B) { campaignProtectBench(b, "rf=parity") }
-func BenchmarkCampaignProtect_SECDED(b *testing.B) { campaignProtectBench(b, "rf=secded") }
-
 // ------------------------------------------------- observability overhead
 
 // BenchmarkObsOverhead measures what enabling the metrics registry costs

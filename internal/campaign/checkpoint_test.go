@@ -7,7 +7,9 @@ package campaign_test
 
 import (
 	"bufio"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -98,8 +100,9 @@ func TestSweepResumesLegacyShardLayout(t *testing.T) {
 // has just written, and would pass). Its records, against microarch
 // qsort: every outcome of a plain campaign, the replayed representatives
 // of a PruneClasses campaign (some carrying csize), every outcome of a
-// parity-protected campaign, and a stop record pinning terr, minRuns,
-// conf and avfPrior. That record caps its campaign at 8 injections,
+// campaign the engine once replayed parity-protected (which must never
+// land: TestOldProtectedShardNeverMerges), and a stop record pinning
+// terr, minRuns, conf and avfPrior. That record caps its campaign at 8 injections,
 // where the estimator alone would run to 58, and the shard holds just
 // that prefix: only an honoured stop record yields 8 outcomes. The
 // records pin qsort's golden fingerprint; a simulator change that moves
@@ -124,12 +127,11 @@ func TestSweepResumesCommittedShard(t *testing.T) {
 			Injections: 4, Seed: 1, Target: fault.TargetRF, Window: 500}},
 		{Key: "classes", Group: "qsort", Factory: fac, Config: campaign.Config{
 			Injections: 60, Seed: 11, Target: fault.TargetL1D, Window: 3000, Prune: campaign.PruneClasses}},
-		{Key: "protected", Group: "qsort", Factory: fac, Config: campaign.Config{
-			Injections: 6, Seed: 3, Target: fault.TargetRF, Window: 500, Protect: "rf=parity"}},
 		{Key: "stop", Group: "qsort", Factory: fac, Config: stopCfg},
 	}
 	got := mustSweep(t, matrix, campaign.SweepOptions{Workers: 2, CheckpointDir: dir})
-	records := strings.Count(string(src), "\n") - strings.Count(string(src), `"kind":"stop"`)
+	records := strings.Count(string(src), "\n") - strings.Count(string(src), `"kind":"stop"`) -
+		strings.Count(string(src), `"protect":"rf=parity"`)
 	if got.Resumed != records {
 		t.Errorf("resumed %d replays, want the shard's %d outcome records", got.Resumed, records)
 	}
@@ -156,6 +158,62 @@ func TestSweepResumesCommittedShard(t *testing.T) {
 		if !reflect.DeepEqual(w, g) {
 			t.Errorf("%s: result resumed from the committed shard differs:\n got %+v\nwant %+v", key, g, w)
 		}
+	}
+}
+
+// TestOldProtectedShardNeverMerges resumes the committed shard's six
+// records of an "rf=parity" campaign — written when the engine replayed
+// protected campaigns, so they hold post-protection classes — into the
+// unprotected campaign with that key and config, the twin a protected
+// arm now derives from. The records' protect pin must keep every one
+// out. That campaign drew over the 1904 bits of data plus parity
+// overhead, its twin draws over the 1792 data bits, so the test first
+// moves each record's bit to the twin's: spec agreement alone must not
+// admit them (a draw agreeing modulo both spaces does so in the field).
+// With the pin stripped the same six records land, which shows the pin
+// is what stops them.
+func TestOldProtectedShardNeverMerges(t *testing.T) {
+	fac := factoryFor(t, "qsort", core.ModelMicroarch)
+	cfg := campaign.Config{Injections: 6, Seed: 3, Target: fault.TargetRF, Window: 500}
+	twin := mustRun(t, fac, cfg)
+	src, err := os.ReadFile(filepath.Join("testdata", "shard-format.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bit := regexp.MustCompile(`"bit":\d+`)
+	var parity []string
+	for _, line := range strings.Split(string(src), "\n") {
+		if !strings.Contains(line, `"protect":"rf=parity"`) {
+			continue
+		}
+		var r struct{ Index int }
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
+			t.Fatal(err)
+		}
+		parity = append(parity, bit.ReplaceAllString(line, fmt.Sprintf(`"bit":%d`, twin.Outcomes[r.Index].Spec.Bit)))
+	}
+	if len(parity) != cfg.Injections {
+		t.Fatalf("committed shard holds %d rf=parity records, want %d", len(parity), cfg.Injections)
+	}
+	resume := func(lines []string) int {
+		t.Helper()
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "shard-old.jsonl"), []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sr := mustSweep(t, []campaign.SweepCampaign{{Key: "protected", Group: "qsort", Factory: fac, Config: cfg}},
+			campaign.SweepOptions{Workers: 2, CheckpointDir: dir})
+		return sr.Resumed
+	}
+	if n := resume(parity); n != 0 {
+		t.Errorf("%d of %d rf=parity records merged into the unprotected twin", n, len(parity))
+	}
+	unpinned := make([]string, len(parity))
+	for i, line := range parity {
+		unpinned[i] = strings.Replace(line, `,"protect":"rf=parity"`, "", 1)
+	}
+	if n := resume(unpinned); n != len(parity) {
+		t.Fatalf("without the pin %d of %d records landed; the test no longer reaches the pin", n, len(parity))
 	}
 }
 

@@ -20,15 +20,13 @@ var (
 	obsBusySeconds = obs.NewGauge("campaign_pool_busy_seconds",
 		"cumulative worker-pool busy time spent replaying (seconds); busy fraction = rate of this over workers")
 	obsReplays = obs.NewCounter("campaign_replays_total",
-		"injections actually replayed (pruned/extrapolated/overhead synthetics excluded)")
+		"injections actually replayed (pruned/extrapolated synthetics excluded)")
 	obsConverged = obs.NewCounter("campaign_converged_total",
 		"replays ended early by golden-state reconvergence")
 	obsPrunedOut = obs.NewCounter("campaign_pruned_total",
 		"outcomes classified producer-side by golden-trace pruning (zero replays)")
 	obsExtrapolated = obs.NewCounter("campaign_extrapolated_total",
 		"outcomes extrapolated from an equivalence-class representative")
-	obsOverheadOut = obs.NewCounter("campaign_overhead_total",
-		"protection-overhead faults classified producer-side")
 	obsStopFired = obs.NewCounter("campaign_seqstop_fired_total",
 		"sequential-stopping decisions (a campaign's stop index was fixed)")
 	obsGoldenRuns = obs.NewCounter("campaign_golden_runs_total",
@@ -65,7 +63,6 @@ var (
 		ClassSDC:      obs.NewCounter(`campaign_outcomes_total{class="sdc"}`, "delivered outcomes by fault-effect class"),
 		ClassCrash:    obs.NewCounter(`campaign_outcomes_total{class="crash"}`, "delivered outcomes by fault-effect class"),
 		ClassHang:     obs.NewCounter(`campaign_outcomes_total{class="hang"}`, "delivered outcomes by fault-effect class"),
-		ClassDUE:      obs.NewCounter(`campaign_outcomes_total{class="due"}`, "delivered outcomes by fault-effect class"),
 	}
 )
 
@@ -82,8 +79,6 @@ func obsNoteOutcome(oc RunOutcome) {
 		obsPrunedOut.Inc()
 	case oc.Extrapolated:
 		obsExtrapolated.Inc()
-	case oc.Overhead:
-		obsOverheadOut.Inc()
 	default:
 		obsReplays.Inc()
 		if oc.Converged {

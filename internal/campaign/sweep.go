@@ -325,8 +325,8 @@ type ckptRecord struct {
 	Converged bool   `json:"conv,omitempty"`
 	// CSize is a class representative's class size, so a resumed
 	// campaign re-weights its estimator identically. Only replayed
-	// outcomes reach shards; dead-pruned, extrapolated and
-	// protection-overhead outcomes are re-derived on resume.
+	// outcomes reach shards; dead-pruned and extrapolated outcomes are
+	// re-derived on resume.
 	CSize int `json:"csize,omitempty"`
 	stopPin
 }
@@ -343,9 +343,11 @@ type ckptPin struct {
 	EarlyStop bool `json:"estop,omitempty"`
 	// Prune: pruning changes which indices replay and how outcomes weigh.
 	Prune int `json:"prune,omitempty"`
-	// Protect is the canonical protection plan (empty = unprotected):
-	// protection changes the planned bit space and every class, so
-	// records never merge across a change of scheme.
+	// Protect must stay empty. Shards written when the engine replayed
+	// protected campaigns carry their plan here ("rf=parity") and hold
+	// post-protection classes, DUE included; such a campaign shares its
+	// key with the unprotected twin a derived arm now comes from, so its
+	// records must never merge into that twin.
 	Protect string `json:"protect,omitempty"`
 }
 

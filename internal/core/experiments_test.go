@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/fault"
+	"repro/internal/protect"
 )
 
 // TestAblationModelsDeterministic is E9's acceptance test: the
@@ -267,16 +268,16 @@ func TestExperimentAVF(t *testing.T) {
 // overhead, SECDED never posts a worse SDC fraction than its baseline,
 // and the checker-logic region obeys the analytic blind-spot rule:
 // non-persistent overhead-logic faults always detect (rate 1), pinned
-// stuck-at-0 ones never do (rate 0). Every arm runs, on the shortest
+// stuck-at-0 ones never do (rate 0). Every twin replays, on the shortest
 // bench at the smallest sample that puts checker-logic faults on both
 // sides of the rule.
 func TestExperimentProtection(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the 80-campaign E13 matrix; exercised by the full suite and `paper -fig protection`")
+		t.Skip("runs the E13 matrix (20 replayed campaigns, 60 derived arms); exercised by the full suite and `paper -fig protection`")
 	}
 	p := DefaultParams()
 	p.Injections = 5
-	p.Seed = 5
+	p.Seed = 1
 	p.Benches = []string{"sha"}
 	res, err := p.Run("protection")
 	if err != nil {
@@ -320,6 +321,86 @@ func TestExperimentProtection(t *testing.T) {
 	if ruled[false] == 0 || ruled[true] == 0 {
 		t.Errorf("the blind-spot rule met %d non-persistent and %d persistent arms with checker-logic faults; the sample must reach both",
 			ruled[false], ruled[true])
+	}
+}
+
+// TestProtectedArmsDeriveFromTwins holds every protected arm E13
+// reports — both levels, all four fault models, every structure and
+// scheme — to its unprotected twin: a fault landing in data is the
+// twin's fault at the same index, its class the per-word arity rule's
+// transform of the twin's (detect gives DUE, correct gives Masked, a
+// Masked twin stays Masked); every other fault reaches the overhead
+// region and carries OverheadDUE's verdict on its first overhead bit.
+// Only the unprotected arms replay.
+func TestProtectedArmsDeriveFromTwins(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs E13's 20 unprotected campaigns; exercised by the full suite")
+	}
+	p := DefaultParams()
+	p.Injections = 8
+	p.Seed = 3
+	p.Benches = []string{"caes"}
+	res, err := p.Run("protection")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 4 * (2 + 3) * len(protectionSchemes); len(res.Fig.Series) != want {
+		t.Fatalf("%d series, want %d", len(res.Fig.Series), want)
+	}
+	byLabel := seriesByLabel(res.Fig)
+	kinds := map[bool]int{}
+	for _, m := range levels {
+		for _, fm := range sweptFaultModels(p.Fault, 0) {
+			for _, tgt := range protectionTargets(m) {
+				twin := byLabel[protectionLabel(m, fm.Model, tgt, protect.SchemeNone)].Results["caes"]
+				bits, err := TargetBits("caes", m, p.Setup, tgt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, sc := range protectionSchemes[1:] {
+					label := protectionLabel(m, fm.Model, tgt, sc)
+					arm := byLabel[label].Results["caes"]
+					if arm.BatchedRuns+arm.PeeledRuns != 0 || arm.CyclesSimulated != 0 {
+						t.Errorf("%s replayed: %d+%d lane runs, %d cycles", label, arm.BatchedRuns, arm.PeeledRuns, arm.CyclesSimulated)
+					}
+					if len(arm.Outcomes) != len(twin.Outcomes) {
+						t.Fatalf("%s: %d outcomes, twin has %d", label, len(arm.Outcomes), len(twin.Outcomes))
+					}
+					for i, oc := range arm.Outcomes {
+						lo, hi := oc.Spec.BitSpan()
+						kinds[oc.Overhead]++
+						want := campaign.ClassMasked
+						if !oc.Overhead {
+							tw := twin.Outcomes[i]
+							if want = tw.Class; want != campaign.ClassMasked {
+								switch protect.EvalSpan(sc, lo, hi) {
+								case protect.ActionDetect:
+									want = campaign.ClassDUE
+								case protect.ActionCorrect:
+									want = campaign.ClassMasked
+								}
+							}
+							if oc.Spec != tw.Spec || hi > bits {
+								t.Errorf("%s data fault %d: spec %+v, twin's %+v (%d data bits)", label, i, oc.Spec, tw.Spec, bits)
+							}
+						} else {
+							if hi <= bits {
+								t.Errorf("%s overhead fault %d lies in data: bits [%d,%d) of %d", label, i, lo, hi, bits)
+							}
+							if protect.OverheadDUE(sc, protect.RegionOf(sc, bits, max(lo, bits)), oc.Spec.Model, oc.Spec.Stuck) {
+								want = campaign.ClassDUE
+							}
+						}
+						if oc.Class != want {
+							t.Errorf("%s fault %d (overhead %v, bits [%d,%d)): class %v, want %v", label, i, oc.Overhead, lo, hi, oc.Class, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	if kinds[false] == 0 || kinds[true] == 0 {
+		t.Errorf("the draws met %d data and %d overhead faults; the sample must reach both", kinds[false], kinds[true])
 	}
 }
 

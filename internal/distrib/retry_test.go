@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/distrib"
 	"repro/internal/fault"
+	"repro/internal/protect"
 )
 
 // TestClientRetriesTransient5xx: a coordinator answering 503 while it
@@ -186,23 +188,23 @@ func TestCoordinatorRestartMidWait(t *testing.T) {
 	}
 }
 
-// TestDistributedProtectedMatchesLocal: a protected campaign's DUE
-// classifications — both use-time detections and synthesised overhead
-// faults — must survive the wire byte-identically. Overhead faults are
-// resolved coordinator-side by the producer, so workers only ever
-// replay real data faults.
+// TestDistributedProtectedMatchesLocal: `faultsim -protect -remote`
+// runs the plain campaign on the fleet and derives the protected arm
+// locally, so the fleet's twin must derive to the same arm — DUE
+// classifications, use-time detections and overhead faults alike — as
+// the local twin.
 func TestDistributedProtectedMatchesLocal(t *testing.T) {
 	cfg := campaign.Config{
 		Injections: 80, Seed: 11, Target: fault.TargetRF,
 		Obs: campaign.ObsPinout, Window: 1_000, Workers: 4,
-		Protect: "rf=parity",
 	}
-	want, err := core.RunCampaign("qsort", core.ModelMicroarch, core.CampaignSetup(), cfg)
+	bits, err := core.TargetBits("qsort", core.ModelMicroarch, core.CampaignSetup(), fault.TargetRF)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want.Counts[campaign.ClassDUE] == 0 {
-		t.Fatalf("local protected campaign produced no DUE outcomes: %v", want.Counts)
+	local, err := core.RunCampaign("qsort", core.ModelMicroarch, core.CampaignSetup(), cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	_, srv := startCoordinator(t, distrib.CoordinatorOptions{
@@ -212,15 +214,49 @@ func TestDistributedProtectedMatchesLocal(t *testing.T) {
 	startWorker(t, srv.URL, "w2")
 	client := distrib.NewClient(srv.URL)
 	client.Poll = 20 * time.Millisecond
-	got, err := client.RunCampaign(distrib.CampaignSpec{
+	fleet, err := client.RunCampaign(distrib.CampaignSpec{
 		Workload: "qsort", Model: "microarch", Config: cfg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	normalize(want)
-	normalize(got)
+	normalize(local)
+	normalize(fleet)
+	want, err := protect.Derive(local, protect.SchemeParity, bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := protect.Derive(fleet, protect.SchemeParity, bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Counts[campaign.ClassDUE] == 0 {
+		t.Fatalf("derived parity arm has no DUE outcomes: %v", want.Counts)
+	}
 	if !reflect.DeepEqual(want, got) {
-		t.Errorf("distributed protected result diverged:\n got %+v\nwant %+v", got, want)
+		t.Errorf("protected arm derived from the fleet diverged:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestSubmitRejectsUnknownConfigFields: an older client's submission
+// still carries config.Protect. Decoded leniently it would run
+// unprotected and report as if protected; it must be a 400 instead.
+func TestSubmitRejectsUnknownConfigFields(t *testing.T) {
+	_, srv := startCoordinator(t, distrib.CoordinatorOptions{Logf: t.Logf})
+	submit := func(config string) int {
+		t.Helper()
+		body := `{"workload":"qsort","model":"microarch","config":{"Injections":4,"Target":1,"Window":200` + config + `}}`
+		resp, err := http.Post(srv.URL+"/api/v1/campaigns", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := submit(`,"Protect":"rf=parity"`); code != http.StatusBadRequest {
+		t.Errorf("submission with config.Protect: status %d, want %d", code, http.StatusBadRequest)
+	}
+	if code := submit(""); code != http.StatusOK {
+		t.Errorf("the same submission without it: status %d, want %d", code, http.StatusOK)
 	}
 }

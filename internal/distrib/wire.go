@@ -27,8 +27,10 @@ import (
 
 // APIVersion is the wire-protocol version; coordinator and worker
 // exchange it on every lease so a mixed-version fleet fails loudly
-// instead of corrupting a campaign.
-const APIVersion = 1
+// instead of corrupting a campaign. Version 2 dropped protection from
+// the campaign config: a version-1 coordinator expects its workers to
+// apply it.
+const APIVersion = 2
 
 // CampaignSpec identifies one campaign on the wire: the workload and
 // model name resolve to a simulator factory on whichever machine reads

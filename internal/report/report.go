@@ -146,9 +146,9 @@ func figureCSV(fig *core.FigureResult) string {
 }
 
 // breakdownClasses is the class order of class-breakdown rows and of
-// Campaign's classes line. DUE is last: it only occurs in protected
-// campaigns, so unprotected breakdowns render a zero column, never a
-// missing class.
+// Campaign's classes line. DUE is last: it only occurs in derived
+// protected arms, so unprotected breakdowns render a zero column, never
+// a missing class.
 var breakdownClasses = []campaign.Class{
 	campaign.ClassMasked, campaign.ClassMismatch, campaign.ClassSDC,
 	campaign.ClassCrash, campaign.ClassHang, campaign.ClassDUE,
@@ -206,9 +206,9 @@ func Campaign(name string, res *campaign.Result) string {
 		}
 	}
 	sb.WriteByte('\n')
-	if res.Config.Protect != "" {
+	if res.Protect != "" {
 		fmt.Fprintf(&sb, "  protection (%s): %d data + %d overhead bits, %d overhead faults modelled, %d detected-unrecoverable\n",
-			res.Config.Protect, res.ProtectDataBits, res.ProtectOverheadBits,
+			res.Protect, res.ProtectDataBits, res.ProtectOverheadBits,
 			res.OverheadRuns, res.Counts[campaign.ClassDUE])
 	}
 	u := res.Unsafeness
