@@ -56,9 +56,10 @@
 //
 // The E13 experiment (`-fig protection`) wraps the register file, L1D
 // and (RTL-only) pipeline latches in parity, SECDED and
-// duplication-with-compare, runs each protected campaign against its
-// unprotected twin under all four fault models on both levels, and
-// folds the class splits into an ROI table: unsafeness and
+// duplication-with-compare under all four fault models on both levels:
+// it replays each unprotected twin, derives every protected arm from
+// the twin's outcomes (protect.Derive, no replay), and folds the class
+// splits into an ROI table: unsafeness and
 // silent-corruption reduction per kilobit of overhead, with the
 // checker-logic DUE rate as the blind-spot observable — it collapses
 // from 1 to 0 between the transient and stuck-at rows because an
