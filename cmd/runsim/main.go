@@ -67,7 +67,7 @@ func run(args []string, w io.Writer) error {
 		target    = fs.String("target", "rf", "injection target with -inject: rf, l1d or latches (rtl only)")
 		seed      = fs.Int64("seed", 1, "campaign RNG seed with -inject")
 		window    = fs.Uint64("window", 0, "cycles simulated after injection with -inject (0 = to program end)")
-		lanes     = fs.Int("lanes", 1, "bit-parallel replay lanes with -inject, 1-64 (1 = scalar probe)")
+		lanes     = fs.Int("lanes", 1, "bit-parallel replay lanes with -inject, 1-64 (1 = scalar probe, 0 = 64)")
 		verbose   = fs.Bool("v", false, "print program output")
 		metricsAt = fs.String("metrics", "", "serve /metrics (Prometheus text) and /debug/pprof on this address while the run executes")
 		metricsD  = fs.Bool("metrics-dump", false, "dump the final metric values to stderr at exit (Prometheus text)")
@@ -173,38 +173,34 @@ func run(args []string, w io.Writer) error {
 		}
 		fmt.Fprintf(w, "model=%v setup=%s golden=%d cycles, %d injections (%v on %v), %d lifetime events\n",
 			m, setup.Name, g.Cycles, len(specs), fp.Model, tgt, g.LifetimeEvents())
-		// The probe replays through the engine a campaign with these
-		// settings would use: with -lanes > 1 on a batch-capable model and
-		// target that is the bit-parallel lockstep engine instead of one
-		// scalar replay per fault — same classifications (the batch path
-		// is byte-identical), printed with a packing summary.
-		if *lanes < 1 || *lanes > campaign.MaxLanes {
-			return fmt.Errorf("-lanes %d out of range [1,%d]", *lanes, campaign.MaxLanes)
-		}
+		// The probe replays through the pool on one goroutine, so it gets
+		// the engine a campaign with these settings would use: with
+		// -lanes > 1 on a model that tracks the target that is the
+		// bit-parallel lockstep walk instead of one scalar replay per
+		// fault — same classifications (the walk is byte-identical),
+		// printed with a packing summary when lanes rode.
 		cfg.Lanes = *lanes
-		r, err := campaign.NewReplayer(&campaign.Work{Golden: g, Config: cfg, Factory: factory})
-		if err != nil {
-			return err
-		}
 		outs := make([]campaign.RunOutcome, len(specs))
+		var st campaign.ReplayStats
 		i := 0
-		err = r.Replay(func() (int, fault.Spec, bool) {
-			if i >= len(specs) {
-				return 0, fault.Spec{}, false
-			}
-			i++
-			return i - 1, specs[i-1], true
-		}, func(idx int, oc campaign.RunOutcome) error {
-			outs[idx] = oc
-			return nil
-		})
-		r.Close()
-		if err != nil {
+		work := &campaign.Work{Golden: g, Config: cfg, Factory: factory,
+			Next: func() (int, fault.Spec, bool) {
+				if i >= len(specs) {
+					return 0, fault.Spec{}, false
+				}
+				i++
+				return i - 1, specs[i-1], true
+			},
+			Deliver: func(idx int, oc campaign.RunOutcome) error {
+				outs[idx] = oc
+				return nil
+			},
+			Note: func(s campaign.ReplayStats) { st = s },
+		}
+		if err := campaign.ReplayPool(1, nil, work); err != nil {
 			return err
 		}
-		if _, batched := r.(*campaign.BatchReplayer); batched {
-			fmt.Fprint(w, walkSummary(*lanes, r.Stats()))
-		}
+		fmt.Fprint(w, walkSummary(work.Config.Lanes, st))
 		for i, s := range specs {
 			oc := outs[i]
 			extra := ""

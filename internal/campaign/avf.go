@@ -82,21 +82,6 @@ func (g *Golden) avfOptions(cfg Config) avf.Options {
 	return avf.Options{Horizon: g.Cycles, Window: cfg.Window}
 }
 
-// AVFEstimate sweeps this golden run's lifetime trace for cfg's target
-// structure — the probe surface behind `faultsim -avf` and the E12
-// experiment. Requires a golden run prepared with GoldenOptions.Lifetime
-// and a model that traces the target.
-func (g *Golden) AVFEstimate(cfg Config) (avf.Estimate, error) {
-	if err := cfg.Validate(); err != nil {
-		return avf.Estimate{}, err
-	}
-	sp, err := g.avfSpace(cfg)
-	if err != nil {
-		return avf.Estimate{}, err
-	}
-	return avf.Analyze(sp, g.avfOptions(cfg))
-}
-
 // AVFVerdict classifies one planned fault with the independent ACE
 // interval scan — the per-fault probe `runsim -inject` prints next to
 // the pruning verdict, and the differential tests compare against
@@ -114,18 +99,6 @@ func (g *Golden) AVFVerdict(spec fault.Spec, cfg Config) (avf.Verdict, bool) {
 	return aceVerdict(sp, spec, g.avfOptions(cfg))
 }
 
-// avfSpace resolves the lifetime trace behind cfg's target.
-func (g *Golden) avfSpace(cfg Config) (*lifetime.Space, error) {
-	if g.life == nil {
-		return nil, fmt.Errorf("campaign: AVF requires a golden run with GoldenOptions.Lifetime")
-	}
-	sp := g.life.Get(int(cfg.Target))
-	if sp == nil {
-		return nil, fmt.Errorf("campaign: AVF: target %v is not lifetime-traced by this model", cfg.Target)
-	}
-	return sp, nil
-}
-
 // buildAVFInfo computes a campaign's AVF attachment: the structure-wide
 // sweep plus the plan-sample prediction. Called at plan time, while the
 // plan is still dispatched single-threaded (it materialises the full
@@ -133,9 +106,12 @@ func (g *Golden) avfSpace(cfg Config) (*lifetime.Space, error) {
 // freezes the trace's lazy index, so sharing the golden across
 // concurrently dispatched campaigns stays safe.
 func buildAVFInfo(g *Golden, pl *lazyPlan, cfg Config) (*AVFInfo, error) {
-	sp, err := g.avfSpace(cfg)
-	if err != nil {
-		return nil, err
+	if g.life == nil {
+		return nil, fmt.Errorf("campaign: AVF requires a golden run with GoldenOptions.Lifetime")
+	}
+	sp := g.life.Get(int(cfg.Target))
+	if sp == nil {
+		return nil, fmt.Errorf("campaign: AVF: target %v is not lifetime-traced by this model", cfg.Target)
 	}
 	sp.Freeze()
 	opt := g.avfOptions(cfg)

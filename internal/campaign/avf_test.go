@@ -83,10 +83,10 @@ func TestAVFVerdictAgreesWithPruneVerdict(t *testing.T) {
 	}
 }
 
-// TestAVFZeroReplayEstimate: the estimate attached to a campaign's
-// Result must equal the one computed from a bare golden run with no
-// injection machinery at all — proof the AVF path performs zero
-// replays — and enabling AVF must leave every outcome untouched.
+// TestAVFZeroReplayEstimate: enabling AVF must attach an estimate to
+// the campaign's Result — a proper AVF fraction, a prediction for every
+// planned transient and no prior mass — and leave every outcome
+// untouched.
 func TestAVFZeroReplayEstimate(t *testing.T) {
 	factory := factoryFor(t, "qsort", core.ModelMicroarch)
 	cfg := campaign.Config{
@@ -108,23 +108,7 @@ func TestAVFZeroReplayEstimate(t *testing.T) {
 				i, plain.Outcomes[i], res.Outcomes[i])
 		}
 	}
-
-	// The injection-free path: golden run only, no campaign.
-	g, err := campaign.PrepareGolden(factory, campaign.GoldenOptions{Lifetime: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := g.AVFEstimate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := res.AVF.Estimate
-	if got.ACEBitCycles != est.ACEBitCycles || got.AVF != est.AVF ||
-		got.AVFWeighted != est.AVFWeighted || got.Bits != est.Bits ||
-		got.Horizon != est.Horizon || got.Window != est.Window {
-		t.Fatalf("campaign estimate %+v diverges from injection-free estimate %+v", got, est)
-	}
-	if got.AVF <= 0 || got.AVF >= 1 {
+	if got := res.AVF.Estimate; got.AVF <= 0 || got.AVF >= 1 {
 		t.Errorf("AVF = %v, want a proper fraction on this workload", got.AVF)
 	}
 	if res.AVF.PlanN != cfg.Injections {

@@ -185,7 +185,6 @@ type BatchReplayer struct {
 
 	members []*walkMember
 	tracks  []*laneTrack
-	pull    []pulledSpec // Replay's pull buffer
 	wbs     []trace.Transaction
 
 	// onGolden marks that the golden instance's state lies on this golden
@@ -208,6 +207,8 @@ type BatchReplayer struct {
 // simulator pair, or returns nil when the campaign does not ride lanes:
 // cfg.Lanes <= 1, or a simulator without a lane surface for its target.
 // Callers fall back to the scalar path on nil.
+//
+// Deprecated: drive engines through ReplayPool, which picks the engine.
 func NewBatchReplayer(g *Golden, cfg Config, gold, scalar Simulator) *BatchReplayer {
 	w := &Work{Golden: g, Config: cfg}
 	if _, ok := gold.(BatchCapable); !ok || !w.lockstep() {
@@ -244,16 +245,6 @@ func newBatchReplayer(gold, scalar Simulator, works []*Work) *BatchReplayer {
 // Close detaches the lane trackers from the golden instance.
 func (r *BatchReplayer) Close() { r.ring.DetachLanes() }
 
-// Stats reports the replayer's accounting in the pool's common form,
-// summed over the campaigns it carries.
-func (r *BatchReplayer) Stats() ReplayStats {
-	var sum ReplayStats
-	for _, st := range r.memberStats() {
-		sum.add(st)
-	}
-	return sum
-}
-
 // memberStats is the account per campaign, in the order they were given.
 func (r *BatchReplayer) memberStats() []ReplayStats {
 	sts := make([]ReplayStats, len(r.members))
@@ -268,15 +259,18 @@ func (r *BatchReplayer) memberStats() []ReplayStats {
 // pull (plus a follow-up walk when lanes ran out), delivering every
 // outcome through deliver in whatever order lanes finish — the collector
 // is order-agnostic.
+//
+// Deprecated: drive engines through ReplayPool, which pulls for them.
 func (r *BatchReplayer) Replay(next func() (idx int, spec fault.Spec, ok bool), deliver func(idx int, oc RunOutcome) error) error {
 	m := r.members[0]
 	m.deliver = deliver
+	var pull []pulledSpec
 	for {
-		r.pull = pullSpecs(next, m.w.chunk(), 0, r.pull[:0])
-		if len(r.pull) == 0 {
+		pull = pullSpecs(next, m.w.chunk(), 0, pull[:0])
+		if len(pull) == 0 {
 			return nil
 		}
-		if err := r.replayPulled(r.pull); err != nil {
+		if err := r.replayPulled(pull); err != nil {
 			return err
 		}
 	}
@@ -423,9 +417,8 @@ func (r *BatchReplayer) scan(c uint64) (next uint64, err error) {
 			// Convergence retire: at a golden hash point with the fault
 			// inactive, a clean lane's state digest and pinout prefix are
 			// golden's, which is the scalar convergence exit's double
-			// match. Checked before the
-			// limit, as runConvergent reaches the hash at the limit cycle
-			// before its loop condition does.
+			// match. Checked before the limit, as runTail reaches the hash
+			// at the limit cycle before its loop condition does.
 			if st.m.earlyStop {
 				for st.hi < len(g.hashes) && g.hashes[st.hi].cycle < c {
 					st.hi++
@@ -469,7 +462,7 @@ func (r *BatchReplayer) scan(c uint64) (next uint64, err error) {
 		}
 		if m.earlyStop {
 			// First hash point strictly after the injection instant,
-			// exactly as runConvergent seeds its scan.
+			// exactly as runTail seeds its scan.
 			st.hi = sort.Search(len(g.hashes), func(i int) bool { return g.hashes[i].cycle > c })
 		}
 		tr.busy |= 1 << uint(k)

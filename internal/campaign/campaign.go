@@ -966,14 +966,7 @@ func finishRun(sim Simulator, g *Golden, spec fault.Spec, cfg Config, baseCycle 
 	if cfg.Window > 0 {
 		limit = spec.Cycle + cfg.Window
 	}
-	var stop refsim.StopReason
-	var err error
-	converged := false
-	if cfg.EarlyStop && len(g.hashes) > 0 {
-		stop, converged, err = runConvergent(sim, g, spec, cfg, baseCycle, pin, limit)
-	} else {
-		stop, err = runWindow(sim, spec, limit)
-	}
+	stop, converged, err := runTail(sim, g, spec, cfg, baseCycle, pin, limit)
 	if err != nil {
 		return RunOutcome{}, err
 	}
@@ -1058,65 +1051,53 @@ func applyFault(sim Simulator, spec fault.Spec) error {
 	return nil
 }
 
-// runConvergent is the adaptive replay loop: it steps the simulation
-// like runWindow (re-asserting persistent faults every active cycle)
-// and, at every golden hash point past the injection with no fault
-// active, compares the faulty state digest and the pinout prefix
-// against golden. A double match means the corrupted state has
-// reconverged with the fault-free run — the replay's entire remaining
-// future is golden's, so it terminates immediately as converged.
-func runConvergent(sim Simulator, g *Golden, spec fault.Spec, cfg Config,
+// runTail is the one replay loop after injection: it steps the
+// simulation until the program stops or limit cycles elapse, re-applying
+// a persistent fault after every cycle it is active (the design may
+// overwrite the forced bit on any clock edge). Under EarlyStop it
+// compares, at every golden hash point past the injection with no fault
+// active, the faulty state digest and pinout prefix against golden: a
+// double match means the corrupted state has reconverged with the
+// fault-free run, so its entire remaining future is golden's and it
+// terminates at once as converged. With no fault active and no hash
+// point left before limit, the rest is the model's own Run.
+func runTail(sim Simulator, g *Golden, spec fault.Spec, cfg Config,
 	baseCycle uint64, pin *trace.Pinout, limit uint64) (refsim.StopReason, bool, error) {
 
-	// First hash point strictly after the injection instant: before it
-	// the replay is golden by construction and a match means nothing.
-	hi := sort.Search(len(g.hashes), func(i int) bool { return g.hashes[i].cycle > spec.Cycle })
-	for sim.Cycles() < limit {
+	// Hash points strictly after the injection instant — before it the
+	// replay is golden by construction and a match means nothing — and
+	// no later than limit, the last cycle the loop reaches.
+	var hashes []hashAt
+	if cfg.EarlyStop {
+		hashes = g.hashes[sort.Search(len(g.hashes), func(i int) bool { return g.hashes[i].cycle > spec.Cycle }):]
+		hashes = hashes[:sort.Search(len(hashes), func(i int) bool { return hashes[i].cycle > limit })]
+	}
+	for {
+		if len(hashes) == 0 && !spec.ActiveAt(sim.Cycles()) {
+			return sim.Run(limit), false, nil
+		}
+		if sim.Cycles() >= limit {
+			return refsim.StopLimit, false, nil
+		}
 		if !sim.Step() {
 			return sim.StopReason(), false, nil
 		}
-		if spec.ActiveAt(sim.Cycles()) {
+		c := sim.Cycles()
+		active := spec.ActiveAt(c)
+		if active {
 			if err := applyFault(sim, spec); err != nil {
 				return 0, false, err
 			}
 		}
-		for hi < len(g.hashes) && g.hashes[hi].cycle < sim.Cycles() {
-			hi++
+		for len(hashes) > 0 && hashes[0].cycle < c {
+			hashes = hashes[1:]
 		}
-		if hi < len(g.hashes) && g.hashes[hi].cycle == sim.Cycles() {
-			if !spec.ActiveAt(sim.Cycles()) &&
-				sim.StateHash() == g.hashes[hi].hash &&
-				trace.CompareWindow(g.pin, pin, baseCycle, sim.Cycles(), cfg.CompareMode).Match {
+		if len(hashes) > 0 && hashes[0].cycle == c {
+			if !active && sim.StateHash() == hashes[0].hash &&
+				trace.CompareWindow(g.pin, pin, baseCycle, c, cfg.CompareMode).Match {
 				return sim.StopReason(), true, nil
 			}
-			hi++
+			hashes = hashes[1:]
 		}
 	}
-	return refsim.StopLimit, false, nil
-}
-
-// runWindow simulates until the program stops or limit cycles elapse,
-// mirroring Simulator.Run's semantics. Persistent faults are re-applied
-// after every cycle while active — the design may overwrite the forced
-// bit on any clock edge — and once a fault deactivates (an intermittent
-// fault's span expires) the run falls through to the model's own fast
-// path.
-func runWindow(sim Simulator, spec fault.Spec, limit uint64) (refsim.StopReason, error) {
-	if !spec.Model.Persistent() {
-		return sim.Run(limit), nil
-	}
-	for sim.Cycles() < limit {
-		if !spec.ActiveAt(sim.Cycles()) {
-			return sim.Run(limit), nil
-		}
-		if !sim.Step() {
-			return sim.StopReason(), nil
-		}
-		if spec.ActiveAt(sim.Cycles()) {
-			if err := applyFault(sim, spec); err != nil {
-				return 0, err
-			}
-		}
-	}
-	return refsim.StopLimit, nil
 }

@@ -33,12 +33,12 @@ const (
 
 // CursorReplayer is the lockstep walk.
 //
-// Deprecated: use BatchReplayer.
+// Deprecated: drive engines through ReplayPool.
 type CursorReplayer = BatchReplayer
 
 // NewCursorReplayer is NewBatchReplayer.
 //
-// Deprecated: use NewBatchReplayer.
+// Deprecated: drive engines through ReplayPool.
 func NewCursorReplayer(g *Golden, cfg Config, cursor, replay Simulator) *CursorReplayer {
 	return NewBatchReplayer(g, cfg, cursor, replay)
 }

@@ -1,6 +1,8 @@
 package campaign_test
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -88,37 +90,64 @@ func TestConvergenceExitExact(t *testing.T) {
 
 // TestConvergenceExitWindowed: the exactness contract holds for windowed
 // campaigns and for every fault model, including the persistent ones
-// whose faults must be inactive before a convergence exit is legal.
+// whose faults must be inactive before a convergence exit is legal; and
+// it holds for them run to end, where a persistent fault's tail goes on
+// past the golden run's last hash point. Each adaptive arm is also
+// pinned per outcome — its (Class, EndCycle, Converged) in plan order,
+// folded by outcomeDigest — so a replay tail that stops re-asserting a
+// still-active persistent fault, or exits where it should not, moves a
+// pin even when the two arms move together.
 func TestConvergenceExitWindowed(t *testing.T) {
-	for _, prm := range []fault.Params{
-		{Model: fault.ModelTransient},
-		{Model: fault.ModelBurst, Burst: 3},
-		{Model: fault.ModelStuckAt, Stuck: fault.StuckRandom},
-		{Model: fault.ModelIntermittent, Stuck: fault.StuckRandom, Span: 200},
+	for _, tc := range []struct {
+		prm fault.Params
+		pin [2]uint64 // window 2000, run to end
+	}{
+		{fault.Params{Model: fault.ModelTransient}, [2]uint64{0x9aa0_7086_0c41_9ed9, 0x4611_b5b5_6b74_5270}},
+		{fault.Params{Model: fault.ModelBurst, Burst: 3}, [2]uint64{0x4714_35a8_2960_5316, 0xf9b6_13ac_2f79_9796}},
+		{fault.Params{Model: fault.ModelStuckAt, Stuck: fault.StuckRandom}, [2]uint64{0x019e_9c43_0abc_4808, 0x9534_2503_aad7_5a55}},
+		{fault.Params{Model: fault.ModelIntermittent, Stuck: fault.StuckRandom, Span: 200}, [2]uint64{0xba25_5c08_5ef2_02cb, 0x3d4d_0742_060e_7015}},
 	} {
-		prm := prm
+		prm := tc.prm
 		t.Run(prm.Model.String(), func(t *testing.T) {
 			t.Parallel()
-			cfg := campaign.Config{
-				Injections: 20, Seed: 9, Target: fault.TargetRF, Fault: prm,
-				Obs: campaign.ObsPinout, Window: 2_000, Workers: 4,
-			}
-			fixed := runSmall(t, core.ModelMicroarch, cfg, "qsort")
-			cfg.EarlyStop = true
-			adaptive := runSmall(t, core.ModelMicroarch, cfg, "qsort")
-			for i := range fixed.Outcomes {
-				if fixed.Outcomes[i].Class != adaptive.Outcomes[i].Class {
-					t.Errorf("outcome %d class changed: %v -> %v",
-						i, fixed.Outcomes[i].Class, adaptive.Outcomes[i].Class)
+			for k, window := range []uint64{2_000, 0} {
+				cfg := campaign.Config{
+					Injections: 20, Seed: 9, Target: fault.TargetRF, Fault: prm,
+					Obs: campaign.ObsPinout, Window: window, Workers: 4,
 				}
+				fixed := runSmall(t, core.ModelMicroarch, cfg, "qsort")
+				cfg.EarlyStop = true
+				adaptive := runSmall(t, core.ModelMicroarch, cfg, "qsort")
+				for i := range fixed.Outcomes {
+					if fixed.Outcomes[i].Class != adaptive.Outcomes[i].Class {
+						t.Errorf("window %d: outcome %d class changed: %v -> %v",
+							window, i, fixed.Outcomes[i].Class, adaptive.Outcomes[i].Class)
+					}
+				}
+				if prm.Model == fault.ModelStuckAt && adaptive.ConvergedRuns != 0 {
+					t.Errorf("window %d: %d stuck-at replays converged; permanent faults never deactivate", window, adaptive.ConvergedRuns)
+				}
+				if got := outcomeDigest(adaptive.Outcomes); got != tc.pin[k] {
+					t.Errorf("window %d: adaptive outcomes moved: digest %#x, want %#x", window, got, tc.pin[k])
+					for i, oc := range adaptive.Outcomes {
+						t.Logf("outcome %d: %v end %d converged %v", i, oc.Class, oc.EndCycle, oc.Converged)
+					}
+				}
+				t.Logf("%v window %d: converged %d/20, cycles %d -> %d", prm.Model, window,
+					adaptive.ConvergedRuns, fixed.CyclesSimulated, adaptive.CyclesSimulated)
 			}
-			if prm.Model == fault.ModelStuckAt && adaptive.ConvergedRuns != 0 {
-				t.Errorf("%d stuck-at replays converged; permanent faults never deactivate", adaptive.ConvergedRuns)
-			}
-			t.Logf("%v: converged %d/20, cycles %d -> %d", prm.Model,
-				adaptive.ConvergedRuns, fixed.CyclesSimulated, adaptive.CyclesSimulated)
 		})
 	}
+}
+
+// outcomeDigest folds each outcome's (Class, EndCycle, Converged), in
+// order, into one FNV-1a digest.
+func outcomeDigest(ocs []campaign.RunOutcome) uint64 {
+	h := fnv.New64a()
+	for _, oc := range ocs {
+		fmt.Fprintf(h, "%d %d %t;", oc.Class, oc.EndCycle, oc.Converged)
+	}
+	return h.Sum64()
 }
 
 // TestSequentialStopping: with a target error margin the dispatcher must

@@ -1,7 +1,7 @@
 package campaign
 
-// One replay pool: the single execution path behind Sweep (Run is a
-// sweep of one) and the distributed worker.
+// One replay pool: the only way a host drives a replay engine — Sweep
+// (Run is a sweep of one), the distributed worker and runsim's probe.
 //
 //	Work (one per campaign)          scheduler                goroutine × workers
 //	  Next ──────────────────▶ next(unit, one chunk each) ──▶ its own engine
@@ -14,10 +14,11 @@ package campaign
 // share its walk), any other campaign is a unit of its own. Each
 // goroutine pulls one chunk of every member of the unit currently being
 // dispatched from the mutex-guarded scheduler, owns one engine (the one
-// NewReplayer would pick), and builds it only after a pull brought work
-// and only when the unit changes. Outcomes may land in any order; the in-order collector behind
-// Planned.Deliver stays the sole decider of stopping indices and cuts,
-// which is why every host and every engine yields the same bytes.
+// newReplayer picks for the unit), and builds it only after a pull
+// brought work and only when the unit changes. Outcomes may land in any
+// order; the in-order collector behind Planned.Deliver stays the sole
+// decider of stopping indices and cuts, which is why every host and
+// every engine yields the same bytes.
 
 import (
 	"fmt"
@@ -30,8 +31,9 @@ import (
 	"repro/internal/obs"
 )
 
-// ReplayStats is what one replayer did for one campaign since it was
-// built. The pool folds it into the campaign when a goroutine moves on.
+// ReplayStats is what one engine did for one campaign since it was
+// built. The pool hands it to the campaign's Work.Note when a goroutine
+// moves on.
 type ReplayStats struct {
 	Executed int // replays run to a classification
 
@@ -75,21 +77,17 @@ func (s *ReplayStats) add(o ReplayStats) {
 	s.LaneCycles += o.LaneCycles
 }
 
-// Replayer is one replay engine instance: it drains a producer of
-// planned injections, executes each replay on simulators it owns and
-// streams every classified outcome through deliver. The two engines
-// (scalar stream order and the lockstep walk) differ only in how they
-// order and share the golden pre-injection work — classifications are
-// byte-identical.
-// Single-goroutine: one per worker. A pool goroutine drives it one pull
-// of its unit at a time (replayPulled) and folds its account per member.
-type Replayer interface {
-	Replay(next func() (idx int, spec fault.Spec, ok bool), deliver func(idx int, oc RunOutcome) error) error
-	Stats() ReplayStats
-	Close()
-
+// replayer is one replay engine instance: it executes pulled replays on
+// simulators it owns and streams every classified outcome to its
+// campaign's Deliver. The two engines (scalar stream order and the
+// lockstep walk) differ only in how they order and share the golden
+// pre-injection work — classifications are byte-identical.
+// Single-goroutine: each pool goroutine owns one, drives it one pull of
+// its unit at a time and folds its account per member.
+type replayer interface {
 	replayPulled(items []pulledSpec) error
 	memberStats() []ReplayStats
+	Close()
 }
 
 // Work is one campaign's replays as the pool sees them.
@@ -116,7 +114,10 @@ type Work struct {
 	// never split.
 	Size int
 
-	note func(ReplayStats) // per-replayer accounting sink (Planned.note)
+	// Note, when set, receives each engine's account of the campaign as
+	// a pool goroutine moves on from it, possibly from several
+	// goroutines at once: the way a host reads its ReplayStats.
+	Note func(ReplayStats)
 }
 
 func (w *Work) wrap(err error) error {
@@ -148,23 +149,12 @@ func (w *Work) chunk() int {
 	return 1
 }
 
-// NewReplayer is the one place an engine is chosen: a campaign that
-// rides lanes (Config.Lanes above 1 on a model that tracks its target)
-// gets the lockstep walk, any other the scalar stream replayer (the
-// oracle). It validates the config, so callers may pass one straight
-// off the wire.
-func NewReplayer(w *Work) (Replayer, error) {
-	v := *w
-	if err := v.Config.Validate(); err != nil {
-		return nil, err
-	}
-	return newReplayer([]*Work{&v})
-}
-
-// newReplayer builds the engine of one unit — campaigns with validated
-// configs that share a golden run and, when there are several, all ride
-// lanes — on simulators of the first one's factory.
-func newReplayer(unit []*Work) (Replayer, error) {
+// newReplayer is the one place an engine is chosen: a unit that rides
+// lanes (Config.Lanes above 1 on a model that tracks its target) gets
+// the lockstep walk, any other the scalar stream replayer (the oracle).
+// The unit's campaigns have validated configs and share a golden run;
+// the engine runs on simulators of the first one's factory.
+func newReplayer(unit []*Work) (replayer, error) {
 	w := unit[0]
 	a, err := w.Factory()
 	if err != nil {
@@ -194,46 +184,28 @@ type scalarReplayer struct {
 	n   int
 }
 
-func (r *scalarReplayer) Replay(next func() (int, fault.Spec, bool), deliver func(int, RunOutcome) error) error {
-	for {
-		idx, spec, ok := next()
-		if !ok {
-			return nil
-		}
-		if err := r.one(idx, spec, deliver); err != nil {
-			return err
-		}
-	}
-}
-
 func (r *scalarReplayer) replayPulled(items []pulledSpec) error {
 	for _, p := range items {
-		if err := r.one(p.idx, p.spec, r.w.Deliver); err != nil {
+		var t0 time.Time
+		if obs.Enabled() {
+			t0 = time.Now()
+		}
+		oc, err := oneRunBuf(r.sim, r.w.Golden, p.spec, r.w.Config, &r.buf)
+		if err != nil {
+			return r.w.wrap(err)
+		}
+		if !t0.IsZero() {
+			obsReplaySeconds.Observe(time.Since(t0).Seconds())
+		}
+		r.n++
+		if err := r.w.Deliver(p.idx, oc); err != nil {
 			return r.w.wrap(err)
 		}
 	}
 	return nil
 }
 
-// one replays and delivers a single spec.
-func (r *scalarReplayer) one(idx int, spec fault.Spec, deliver func(int, RunOutcome) error) error {
-	var t0 time.Time
-	if obs.Enabled() {
-		t0 = time.Now()
-	}
-	oc, err := oneRunBuf(r.sim, r.w.Golden, spec, r.w.Config, &r.buf)
-	if err != nil {
-		return err
-	}
-	if !t0.IsZero() {
-		obsReplaySeconds.Observe(time.Since(t0).Seconds())
-	}
-	r.n++
-	return deliver(idx, oc)
-}
-
-func (r *scalarReplayer) Stats() ReplayStats         { return ReplayStats{Executed: r.n} }
-func (r *scalarReplayer) memberStats() []ReplayStats { return []ReplayStats{r.Stats()} }
+func (r *scalarReplayer) memberStats() []ReplayStats { return []ReplayStats{{Executed: r.n}} }
 func (r *scalarReplayer) Close()                     {}
 
 // pulledSpec is one plan entry drained from a producer: member names the
@@ -419,7 +391,7 @@ func (s *scheduler) halt() {
 func (s *scheduler) serve() (err error) {
 	var (
 		cur   *unit
-		eng   Replayer
+		eng   replayer
 		busy  time.Duration
 		items []pulledSpec
 	)
@@ -431,7 +403,7 @@ func (s *scheduler) serve() (err error) {
 		eng.Close()
 		splitBusy(busy, sts)
 		for i, st := range sts {
-			if note := cur.members[i].note; note != nil {
+			if note := cur.members[i].Note; note != nil {
 				note(st)
 			}
 		}

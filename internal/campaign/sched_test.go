@@ -1,7 +1,6 @@
 package campaign_test
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -11,15 +10,15 @@ import (
 )
 
 // TestCursorReplayerSeedPins drives one 120-transient plan through the
-// engine NewReplayer picks, single-threaded, and holds its account of
-// the pass to exact seed-determined values. The RTL latches ride the
-// walk's lanes at default lanes: every replay rides (batched or peeled),
-// and the walker steps the golden cycles between lanes. A campaign that
-// can ride no lanes — Lanes 1, or a microarchitectural simulator hiding
-// every optional capability — gets the scalar stream replayer, which
-// reports no walked cycles. Whatever the engine, the same campaign on
-// one worker reports the stream-order estimate (Σ instant − nearest
-// snapshot) as FastForwardCycles.
+// pool on one worker and holds the engine's account of the pass to exact
+// seed-determined values. The RTL latches ride the walk's lanes at
+// default lanes: one walk carries them, every replay rides (batched or
+// peeled), and the walker steps the golden cycles between lanes. A
+// campaign that can ride no lanes — Lanes 1, or a microarchitectural
+// simulator hiding every optional capability — gets the scalar stream
+// replayer, which reports no walk and no walked cycles. Whatever the
+// engine, the same campaign on one worker reports the stream-order
+// estimate (Σ instant − nearest snapshot) as FastForwardCycles.
 func TestCursorReplayerSeedPins(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -27,14 +26,14 @@ func TestCursorReplayerSeedPins(t *testing.T) {
 		target fault.Target
 		lanes  int
 		plain  bool
-		engine string
+		walks  int
 		ff     uint64
 		rode   int
 		stream uint64
 	}{
-		{"microarch/rf", core.ModelMicroarch, fault.TargetRF, 1, false, "*campaign.scalarReplayer", 0, 0, 118_971},
-		{"microarch/rf/plain-sim", core.ModelMicroarch, fault.TargetRF, 0, true, "*campaign.scalarReplayer", 0, 0, 118_971},
-		{"rtl/latches", core.ModelRTL, fault.TargetLatches, 0, false, "*campaign.BatchReplayer", 20_786, 120, 127_900},
+		{"microarch/rf", core.ModelMicroarch, fault.TargetRF, 1, false, 0, 0, 0, 118_971},
+		{"microarch/rf/plain-sim", core.ModelMicroarch, fault.TargetRF, 0, true, 0, 0, 0, 118_971},
+		{"rtl/latches", core.ModelRTL, fault.TargetLatches, 0, false, 1, 20_786, 120, 127_900},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := factoryFor(t, "qsort", tc.model)
@@ -57,21 +56,17 @@ func TestCursorReplayerSeedPins(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := campaign.NewReplayer(&campaign.Work{Golden: g, Config: cfg, Factory: f})
-			if err != nil {
+			var st campaign.ReplayStats
+			w := &campaign.Work{Golden: g, Config: cfg, Factory: f, Next: p.NextReplay,
+				Deliver: func(int, campaign.RunOutcome) error { return nil },
+				Note:    func(s campaign.ReplayStats) { st = s },
+			}
+			if err := campaign.ReplayPool(1, nil, w); err != nil {
 				t.Fatal(err)
 			}
-			defer r.Close()
-			if typ := fmt.Sprintf("%T", r); typ != tc.engine {
-				t.Fatalf("Lanes %d selected %s, want %s", tc.lanes, typ, tc.engine)
-			}
-			if err := r.Replay(p.NextReplay, func(int, campaign.RunOutcome) error { return nil }); err != nil {
-				t.Fatal(err)
-			}
-			st := r.Stats()
-			if st.Executed != 120 || st.FastForward != tc.ff || st.Batched+st.Peeled != tc.rode {
-				t.Errorf("pins moved: executed %d, fast-forward %d, %d rode lanes; want 120, %d, %d",
-					st.Executed, st.FastForward, st.Batched+st.Peeled, tc.ff, tc.rode)
+			if st.Executed != 120 || st.Walks != tc.walks || st.FastForward != tc.ff || st.Batched+st.Peeled != tc.rode {
+				t.Errorf("pins moved: executed %d, %d walks, fast-forward %d, %d rode lanes; want 120, %d, %d, %d",
+					st.Executed, st.Walks, st.FastForward, st.Batched+st.Peeled, tc.walks, tc.ff, tc.rode)
 			}
 			cfg.Workers = 1
 			res := mustRun(t, f, cfg)

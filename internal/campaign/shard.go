@@ -278,12 +278,11 @@ func (p *Planned) Resumed() int {
 
 // work describes this campaign to the replay pool: replays pulled from
 // NextReplay on simulators built by factory, outcomes into Deliver, each
-// replayer's accounting into note. name prefixes errors.
+// engine's account into note. name prefixes errors.
 func (p *Planned) work(name string, factory Factory) *Work {
 	return &Work{
 		Name: name, Golden: p.g, Config: p.cfg, Factory: factory,
-		Next: p.NextReplay, Deliver: p.Deliver, Size: p.pl.n,
-		note: p.note,
+		Next: p.NextReplay, Deliver: p.Deliver, Size: p.pl.n, Note: p.note,
 	}
 }
 

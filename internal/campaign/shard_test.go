@@ -6,7 +6,7 @@ package campaign_test
 // Result identical to campaign.Run's, because the distributed
 // coordinator is exactly such a driver.
 //
-// Reverse-order hand dispatch through NewReplayer is the oracle
+// Reverse-order delivery from a one-worker ReplayPool is the oracle
 // harness's manual host (internal/core, TestManualDispatchMatchesOracle).
 
 import (

@@ -43,14 +43,16 @@ var faultModels = []struct {
 }
 
 // TestBatchReplayerSeedPins drives one 512-transient plan through the
-// engine 64 lanes must select on either model, single-threaded, and
-// holds the engine's account of the pass to its exact seed-determined
-// values: lanes retired in lockstep against lanes the design consumed,
-// the one walk that carried them all, and where the stepped cycles went
-// — a walk steps no golden cycle twice, so what it rode and what it
-// stepped with nobody riding fit inside the golden run (most of the
-// fast-forward is the sparse ends of the plan, where lanes that peeled
-// leave stretches unridden, not the approach to the first instant).
+// pool on one worker at 64 lanes on either model, and holds the engine's
+// account of the pass (the pool's Busy stamp aside) to its exact
+// seed-determined values: lanes retired in lockstep against lanes the
+// design consumed, the one walk that carried them all (the scalar
+// engine walks nothing, so it shows the pool picked the lockstep one),
+// and where the stepped cycles went — a walk steps no golden cycle
+// twice, so what it rode and what it stepped with nobody riding fit
+// inside the golden run (most of the fast-forward is the sparse ends of
+// the plan, where lanes that peeled leave stretches unridden, not the
+// approach to the first instant).
 func TestBatchReplayerSeedPins(t *testing.T) {
 	for _, tc := range []struct {
 		model Model
@@ -76,25 +78,28 @@ func TestBatchReplayerSeedPins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := campaign.NewReplayer(&campaign.Work{Golden: g, Config: cfg, Factory: f})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := r.(*campaign.BatchReplayer); !ok {
-			t.Errorf("%v: %d lanes selected %T, not the lockstep engine", tc.model, cfg.Lanes, r)
-		}
-		if err := r.Replay(p.NextReplay, func(int, campaign.RunOutcome) error { return nil }); err != nil {
-			t.Fatal(err)
-		}
-		got := r.Stats()
+		got := replayOnOne(t, &campaign.Work{Golden: g, Config: cfg, Factory: f, Next: p.NextReplay,
+			Deliver: func(int, campaign.RunOutcome) error { return nil }})
 		if got != tc.want {
 			t.Errorf("%v pins moved:\ngot  %+v\nwant %+v", tc.model, got, tc.want)
 		}
 		if got.FastForward+got.Lockstep > g.Cycles {
 			t.Errorf("%v: one walk stepped %d + %d golden cycles of %d", tc.model, got.FastForward, got.Lockstep, g.Cycles)
 		}
-		r.Close()
 	}
+}
+
+// replayOnOne drives w through the replay pool on one worker and returns
+// the engine's account of it, without the wall time the pool stamps.
+func replayOnOne(t *testing.T, w *campaign.Work) campaign.ReplayStats {
+	t.Helper()
+	var st campaign.ReplayStats
+	w.Note = func(s campaign.ReplayStats) { st = s }
+	if err := campaign.ReplayPool(1, nil, w); err != nil {
+		t.Fatal(err)
+	}
+	st.Busy = 0
+	return st
 }
 
 // TestLanePeelMatchesPruneVerdict cross-checks two independent

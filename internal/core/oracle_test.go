@@ -38,7 +38,7 @@ type host int
 const (
 	hostSweep  host = iota // one Sweep: campaigns of one model share a golden run, and those on lanes ride fused
 	hostRun                // each campaign alone through campaign.Run
-	hostManual             // each campaign planned and dispatched by hand, its outcomes delivered in reverse
+	hostManual             // each campaign planned by hand, replayed by a one-worker pool, its outcomes delivered in reverse
 	hostResume             // hostSweep with checkpoints, then again from shards cut to resumeAt records each
 	numHosts
 )
@@ -78,7 +78,7 @@ type oracleCase struct {
 	host       host
 	workers    int    // pool size; 0 means 2
 	resumeAt   int    // hostResume: records each shard keeps
-	engine     string // hostManual: the replayer type NewReplayer must pick
+	engine     string // hostManual: "scalar" or "walk", the engine the pool must pick (read off its account)
 	plain      bool   // simulators hide BatchCapable
 	goldenRuns int    // hostSweep, hostResume: golden runs the sweep must execute (0: unchecked)
 	expect     int
@@ -252,10 +252,10 @@ func cutShards(t *testing.T, dir string, keep int) {
 	}
 }
 
-// driveManually is the coordinator-shaped host: plan the campaign, pull
-// every replay by hand through the engine the config selects, deliver
-// the outcomes in REVERSE order (the collector must not care), and
-// aggregate.
+// driveManually is the coordinator-shaped host: plan the campaign,
+// replay it through the pool on one worker into a list of its own,
+// deliver the outcomes in REVERSE order (the collector must not care),
+// and aggregate.
 func driveManually(t *testing.T, c oracleCase, oc oracleCamp) *campaign.Result {
 	t.Helper()
 	fac, cfg := c.factory(oc.model), oc.cfg
@@ -270,24 +270,25 @@ func driveManually(t *testing.T, c oracleCase, oc oracleCamp) *campaign.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := campaign.NewReplayer(&campaign.Work{Golden: g, Config: cfg, Factory: fac})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if typ := fmt.Sprintf("%T", r); c.engine != "" && typ != c.engine {
-		t.Errorf("NewReplayer picked %s, want %s", typ, c.engine)
-	}
 	var idx []int
 	var outs []campaign.RunOutcome
-	err = r.Replay(p.NextReplay, func(i int, oc campaign.RunOutcome) error {
-		idx, outs = append(idx, i), append(outs, oc)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	st := replayOnOne(t, &campaign.Work{Golden: g, Config: cfg, Factory: fac, Next: p.NextReplay,
+		Deliver: func(i int, oc campaign.RunOutcome) error {
+			idx, outs = append(idx, i), append(outs, oc)
+			return nil
+		}})
+	// The walk carries every replay on lanes; the scalar engine walks
+	// nothing and rides no lane.
+	engine, rode, wantRode := "scalar", st.Batched+st.Peeled, 0
+	if st.Walks > 0 {
+		engine, wantRode = "walk", st.Executed
 	}
-	st := r.Stats()
+	if c.engine != "" && engine != c.engine {
+		t.Errorf("the pool picked the %s engine, want %s", engine, c.engine)
+	}
+	if rode != wantRode {
+		t.Errorf("%d of %d replays rode lanes on the %s engine, want %d", rode, st.Executed, engine, wantRode)
+	}
 	if st.Executed != len(outs) {
 		t.Errorf("replayer reports %d executed, delivered %d", st.Executed, len(outs))
 	}
@@ -448,9 +449,9 @@ func TestEngineHostMatrix(t *testing.T) {
 		latches bool // RTL only
 		typ     string
 	}{
-		{1, false, "*campaign.scalarReplayer"},
-		{0, true, "*campaign.BatchReplayer"},
-		{8, false, "*campaign.BatchReplayer"},
+		{1, false, "scalar"},
+		{0, true, "walk"},
+		{8, false, "walk"},
 	}
 	var cases []oracleCase
 	for _, m := range []Model{ModelRTL, ModelMicroarch} {
@@ -477,9 +478,10 @@ func TestEngineHostMatrix(t *testing.T) {
 }
 
 // TestManualDispatchMatchesOracle: campaigns planned and dispatched by
-// hand, as a coordinator drives them — every replay pulled through the
-// engine the config selects, outcomes delivered in reverse — reproduce
-// the scalar oracle under a sequential stop and both pruning modes.
+// hand, as a coordinator drives them — every replay run by a one-worker
+// pool on the engine the config selects, outcomes delivered in reverse —
+// reproduce the scalar oracle under a sequential stop and both pruning
+// modes.
 func TestManualDispatchMatchesOracle(t *testing.T) {
 	var cases []oracleCase
 	for _, sc := range []struct {
@@ -703,7 +705,7 @@ func TestBatchDeferralMatchesScalar(t *testing.T) {
 		cfg := campaign.Config{Injections: 96, Seed: 5, Target: fault.TargetRF, Window: tc.window, Lanes: 7, EarlyStop: true}
 		cases = append(cases, oracleCase{
 			name: tc.model.String(), bench: "qsort", camps: []oracleCamp{{tc.model, cfg}},
-			host: hostManual, engine: "*campaign.BatchReplayer", expect: expDefers,
+			host: hostManual, engine: "walk", expect: expDefers,
 		})
 	}
 	runOracleCases(t, cases)

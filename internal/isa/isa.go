@@ -312,7 +312,5 @@ const (
 	DataBase  = 0x10000 // default .data section base
 	StackTop  = 0x7FFF0 // initial stack pointer (grows down)
 	MemSize   = 0x80000 // 512 KiB simulated physical memory
-	WordBytes = 4       // bytes per word
 	InstBytes = 4       // bytes per instruction
-	MemMask   = MemSize - 1
 )

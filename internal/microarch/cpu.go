@@ -741,7 +741,6 @@ func (c *CPU) execLoad(s slot, u *uop) bool {
 		c.Pinout.Record(c.Cycles, res.EvictAddr, trace.KindWriteback, res.EvictData)
 	}
 	if res.Filled {
-		c.Pinout.Record(c.Cycles, res.FillAddr, trace.KindFill, nil)
 		u.execDone = c.Cycles + uint64(c.cfg.LoadHitLat+c.cfg.MemLatency)
 	} else {
 		u.execDone = c.Cycles + uint64(c.cfg.LoadHitLat)
@@ -1054,9 +1053,6 @@ func (c *CPU) commitStore(s slot, u *uop) bool {
 	}
 	if res.Evicted {
 		c.Pinout.Record(c.Cycles, res.EvictAddr, trace.KindWriteback, res.EvictData)
-	}
-	if res.Filled {
-		c.Pinout.Record(c.Cycles, res.FillAddr, trace.KindFill, nil)
 	}
 	return true
 }

@@ -211,7 +211,6 @@ func (c *rtlCache) access(addr uint32, cycle uint64, pin *trace.Pinout) (accessR
 		c.dirty.Write(i, 0)
 	}
 	c.touch(set, way)
-	pin.Record(cycle, fillAddr, trace.KindFill, nil)
 	if c.accessHook != nil {
 		c.accessHook(set, way)
 	}

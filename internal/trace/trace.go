@@ -17,15 +17,12 @@ type Kind uint8
 // Transaction kinds.
 const (
 	KindWriteback Kind = iota + 1 // dirty line leaving the L1
-	KindFill                      // line fetched from the lower hierarchy
 )
 
 func (k Kind) String() string {
 	switch k {
 	case KindWriteback:
 		return "writeback"
-	case KindFill:
-		return "fill"
 	default:
 		return "unknown"
 	}
@@ -56,20 +53,11 @@ func DigestBytes(b []byte) uint64 {
 // Pinout is an ordered capture of core-boundary transactions.
 type Pinout struct {
 	Txns []Transaction
-
-	// RecordFills controls whether line fills are captured in addition
-	// to write-backs. The Safeness methodology compares write-backs
-	// only; fills are available for ablations.
-	RecordFills bool
 }
 
-// Record appends a transaction. Fill transactions are dropped unless
-// RecordFills is set.
+// Record appends a transaction.
 func (p *Pinout) Record(cycle uint64, addr uint32, kind Kind, data []byte) {
 	if p == nil {
-		return
-	}
-	if kind == KindFill && !p.RecordFills {
 		return
 	}
 	p.Txns = append(p.Txns, Transaction{

@@ -30,17 +30,11 @@ func TestDigestBytes(t *testing.T) {
 	}
 }
 
-func TestRecordFiltersFills(t *testing.T) {
+func TestRecord(t *testing.T) {
 	p := &Pinout{}
 	p.Record(1, 0x100, KindWriteback, []byte{1})
-	p.Record(2, 0x200, KindFill, nil)
 	if p.Len() != 1 {
-		t.Errorf("fills recorded by default: %d", p.Len())
-	}
-	p.RecordFills = true
-	p.Record(3, 0x300, KindFill, nil)
-	if p.Len() != 2 {
-		t.Errorf("fill not recorded when enabled: %d", p.Len())
+		t.Errorf("write-back not recorded: %d", p.Len())
 	}
 	var nilPin *Pinout
 	nilPin.Record(1, 0, KindWriteback, nil) // must not panic
@@ -113,7 +107,7 @@ func TestCompareWindowFromCycle(t *testing.T) {
 }
 
 func TestKindString(t *testing.T) {
-	if KindWriteback.String() != "writeback" || KindFill.String() != "fill" || Kind(9).String() != "unknown" {
+	if KindWriteback.String() != "writeback" || Kind(9).String() != "unknown" {
 		t.Error("Kind.String")
 	}
 }
