@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/campaign"
@@ -28,20 +30,6 @@ type Client struct {
 // NewClient builds a client for a coordinator base URL.
 func NewClient(base string) *Client {
 	return &Client{Base: base}
-}
-
-func (c *Client) httpClient() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return &http.Client{Timeout: 60 * time.Second}
-}
-
-func (c *Client) poll() time.Duration {
-	if c.Poll > 0 {
-		return c.Poll
-	}
-	return 500 * time.Millisecond
 }
 
 // Submit registers a campaign and returns its (deterministic) ID.
@@ -72,21 +60,33 @@ func (c *Client) Report(id string) (*campaign.Result, error) {
 // Wait polls until the campaign finishes (or fails, or stop fires) and
 // returns its result.
 func (c *Client) Wait(id string, stop <-chan struct{}) (*campaign.Result, error) {
+	res, _, err := c.wait(id, stop)
+	return res, err
+}
+
+// wait is Wait that also returns the last Progress it polled, which
+// holds the finished campaign's frozen counters.
+func (c *Client) wait(id string, stop <-chan struct{}) (*campaign.Result, Progress, error) {
+	poll := c.Poll
+	if poll <= 0 {
+		poll = 500 * time.Millisecond
+	}
 	for {
 		p, err := c.Progress(id)
 		if err != nil {
-			return nil, err
+			return nil, p, err
 		}
 		switch p.Status {
 		case StatusDone:
-			return c.Report(id)
+			res, err := c.Report(id)
+			return res, p, err
 		case StatusFailed:
-			return nil, fmt.Errorf("distrib: campaign %s failed: %s", id, p.Error)
+			return nil, p, fmt.Errorf("distrib: campaign %s failed: %s", id, p.Error)
 		}
 		select {
 		case <-stop:
-			return nil, campaign.ErrInterrupted
-		case <-time.After(c.poll()):
+			return nil, p, campaign.ErrInterrupted
+		case <-time.After(poll):
 		}
 	}
 }
@@ -103,7 +103,9 @@ func (c *Client) RunCampaign(spec CampaignSpec) (*campaign.Result, error) {
 
 // SweepRunner returns a core.SweepRunner that executes a planned figure
 // matrix on the coordinator's fleet: every item is submitted up front
-// (so the fleet pipelines goldens and shards across campaigns), then
+// (so the fleet pipelines goldens and shards across campaigns), the
+// campaigns of one golden-sharing group back to back, so the
+// coordinator starts them together and leases them as one unit; then
 // results are collected and folded into the same SweepResult shape the
 // local scheduler produces — bit-identical classifications by the
 // shard-merge determinism contract. Checkpointing is coordinator-side,
@@ -111,8 +113,12 @@ func (c *Client) RunCampaign(spec CampaignSpec) (*campaign.Result, error) {
 func (c *Client) SweepRunner() core.SweepRunner {
 	return func(items []core.MatrixItem, opt campaign.SweepOptions) (*campaign.SweepResult, error) {
 		start := time.Now()
-		ids := make([]string, len(items))
-		for i, it := range items {
+		byGroup := slices.Clone(items)
+		slices.SortStableFunc(byGroup, func(a, b core.MatrixItem) int {
+			return strings.Compare(a.Campaign.Group, b.Campaign.Group)
+		})
+		ids := make(map[string]string, len(items))
+		for _, it := range byGroup {
 			spec := CampaignSpec{
 				Workload: it.Workload,
 				Model:    it.Model.String(),
@@ -123,18 +129,14 @@ func (c *Client) SweepRunner() core.SweepRunner {
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", it.Campaign.Key, err)
 			}
-			ids[i] = id
+			ids[it.Campaign.Key] = id
 		}
 		sr := &campaign.SweepResult{
 			Results: make(map[string]*campaign.Result, len(items)),
 			Goldens: make(map[string]campaign.GoldenInfo),
 		}
-		for i, it := range items {
-			res, err := c.Wait(ids[i], opt.Stop)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", it.Campaign.Key, err)
-			}
-			p, err := c.Progress(ids[i])
+		for _, it := range items {
+			res, p, err := c.wait(ids[it.Campaign.Key], opt.Stop)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", it.Campaign.Key, err)
 			}
@@ -160,7 +162,11 @@ func (c *Client) SweepRunner() core.SweepRunner {
 // do issues one API call through the shared retrying transport (see
 // retry.go for why retrying these POSTs is safe).
 func (c *Client) do(method, path string, in, out any) error {
-	api := jsonAPI{http: c.httpClient(), base: c.Base, attempts: retryAttempts}
+	hc := c.HTTP
+	if hc == nil {
+		hc = &http.Client{Timeout: 60 * time.Second}
+	}
+	api := jsonAPI{http: hc, base: c.Base, attempts: retryAttempts}
 	_, err := api.call(context.Background(), method, path, in, out)
 	return err
 }

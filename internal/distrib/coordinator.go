@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -73,8 +74,9 @@ type CoordinatorOptions struct {
 // accepts submissions, prepares golden artifacts and fault plans in a
 // small background worker pool — distinct golden shapes prepare
 // concurrently, while campaigns with identical golden needs
-// single-flight onto one shared run — splits plans into shards, leases
-// shards to pulling workers, merges outcome batches in fault-index
+// single-flight onto one shared run and start together — splits plans
+// into shards, leases the shards of campaigns sharing a golden run to
+// pulling workers as one unit, merges outcome batches in fault-index
 // order through the campaign engine's own collector, and serves
 // progress and final reports.
 type Coordinator struct {
@@ -83,7 +85,7 @@ type Coordinator struct {
 
 	mu        sync.Mutex
 	campaigns map[string]*campState
-	order     []string
+	order     []*campState // submission order
 	leases    map[string]*activeLease
 	leaseSeq  int
 
@@ -98,17 +100,23 @@ type Coordinator struct {
 	wg      sync.WaitGroup
 }
 
-// shardEntry is a queued (or re-queued) shard with its failure count.
+// shardEntry is a queued (or re-queued) shard of one campaign with its
+// failure count.
 type shardEntry struct {
 	jobs  []Job
 	fails int
 }
 
-// activeLease is one shard out with one worker.
+// leasePart is one member campaign's shard within a lease.
+type leasePart struct {
+	cs    *campState
+	shard shardEntry
+}
+
+// activeLease is one unit out with one worker: a shard of each member.
 type activeLease struct {
 	id       string
-	campID   string
-	shard    shardEntry
+	parts    []leasePart
 	worker   string
 	issuedAt time.Time
 	deadline time.Time
@@ -118,9 +126,12 @@ type activeLease struct {
 type campState struct {
 	id     string
 	spec   CampaignSpec
+	key    goldenKey
 	status string
 	errMsg string
 
+	claimed      bool         // a preparation has taken the campaign
+	golden       *goldenEntry // pinned while the campaign is live
 	planned      *campaign.Planned
 	goldenFP     uint64
 	goldenCycles uint64
@@ -132,12 +143,31 @@ type campState struct {
 	stopped    bool
 	stopLogged bool // stop-fired journal event emitted
 
+	next     int  // plan index after the last one pulled
+	drained  bool // the producer has nothing left to pull
 	queue    []shardEntry
 	leased   int
 	replayed int
 	result   *campaign.Result
 	start    time.Time
 	elapsed  time.Duration // frozen at completion
+}
+
+// cyclesLeft models the replay cycles the campaign still owes: its jobs
+// not yet leased, each a window long, or a golden run long when it runs
+// to the end.
+func (cs *campState) cyclesLeft() uint64 {
+	jobs := 0
+	if !cs.drained {
+		jobs = cs.spec.Config.Injections - cs.next
+	}
+	for _, se := range cs.queue {
+		jobs += len(se.jobs)
+	}
+	if w := cs.spec.Config.Window; w > 0 {
+		return uint64(jobs) * w
+	}
+	return uint64(jobs) * cs.goldenCycles
 }
 
 // NewCoordinator builds and starts a coordinator engine. Close releases
@@ -207,11 +237,7 @@ func (c *Coordinator) journal(e obs.Event) { c.opt.Journal.Emit(e) }
 // share an ID, which is what lets checkpoint resume work without any
 // client-side bookkeeping.
 func specID(spec CampaignSpec) string {
-	b, err := json.Marshal(spec)
-	if err != nil {
-		// CampaignSpec is marshalable by construction (plain values).
-		panic(fmt.Sprintf("distrib: spec marshal: %v", err))
-	}
+	b, _ := json.Marshal(spec) // plain values: marshalable by construction
 	h := fnv.New64a()
 	h.Write(b)
 	return fmt.Sprintf("c%016x", h.Sum64())
@@ -236,11 +262,11 @@ func (c *Coordinator) Submit(spec CampaignSpec) (SubmitResponse, error) {
 	// Register and enqueue atomically: the non-blocking send decides
 	// admission while the lock is still held, so a full queue never
 	// has to roll back state a concurrent submission may have built on.
-	cs := &campState{id: id, spec: spec, status: StatusPreparing}
+	cs := &campState{id: id, spec: spec, key: keyOf(spec), status: StatusPreparing}
 	select {
 	case c.prepCh <- cs:
 		c.campaigns[id] = cs
-		c.order = append(c.order, id)
+		c.order = append(c.order, cs)
 		c.mu.Unlock()
 	default:
 		c.mu.Unlock()
@@ -270,15 +296,64 @@ func (c *Coordinator) prepLoop() {
 	}
 }
 
-// prepare executes one campaign's golden-artifact phase and planning.
+// prepare runs the golden-artifact phase and planning of cs and of
+// every campaign of its golden key still waiting, then of those
+// submitted meanwhile, and starts them all together, so the unit's
+// first lease already carries them all. A campaign a sibling's
+// preparation took is skipped when its own turn comes.
 func (c *Coordinator) prepare(cs *campState) {
-	fail := func(err error) {
-		c.logf("distrib: campaign %s failed to prepare: %v", cs.id, err)
-		c.mu.Lock()
-		cs.status = StatusFailed
-		cs.errMsg = err.Error()
-		c.mu.Unlock()
+	type prepped struct {
+		cs  *campState
+		e   *goldenEntry
+		p   *campaign.Planned
+		err error
 	}
+	var ready []prepped
+	for {
+		c.mu.Lock()
+		var batch []*campState
+		for _, m := range c.order {
+			if m.key == cs.key && m.status == StatusPreparing && !m.claimed {
+				m.claimed = true
+				batch = append(batch, m)
+			}
+		}
+		c.mu.Unlock()
+		if len(batch) == 0 {
+			break
+		}
+		for _, m := range batch {
+			e, p, err := c.plan(m)
+			ready = append(ready, prepped{m, e, p, err})
+		}
+	}
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, r := range ready {
+		m := r.cs
+		if r.err != nil {
+			c.logf("distrib: campaign %s failed to prepare: %v", m.id, r.err)
+			m.status, m.errMsg = StatusFailed, r.err.Error()
+			continue
+		}
+		m.golden, m.planned, m.goldenFP, m.goldenCycles = r.e, r.p, r.e.fp, r.e.g.Cycles
+		m.status, m.start = StatusRunning, time.Now()
+		c.logf("distrib: campaign %s running (golden %d cycles, %d resumed)", m.id, r.e.g.Cycles, r.p.Resumed())
+		c.journal(obs.Event{
+			Event: obs.EvGoldenReady, Campaign: m.id,
+			Workload: m.spec.Workload, Model: m.spec.Model, N: r.p.Resumed(),
+			Detail: fmt.Sprintf("golden %d cycles", r.e.g.Cycles),
+		})
+	}
+	for _, r := range ready {
+		c.maybeFinishLocked(r.cs) // a fully checkpointed campaign needs no worker
+	}
+}
+
+// plan fetches the campaign's golden run from the cache, pinned, and
+// plans the campaign against it.
+func (c *Coordinator) plan(cs *campState) (*goldenEntry, *campaign.Planned, error) {
 	e, fresh, err := c.goldens.get(cs.spec)
 	if fresh {
 		obsGoldenMisses.Inc()
@@ -286,40 +361,27 @@ func (c *Coordinator) prepare(cs *campState) {
 		obsGoldenHits.Inc()
 	}
 	if err != nil {
-		fail(err)
-		return
+		return nil, nil, err
 	}
-	g := e.g
-	planned, err := g.PlanCampaign(cs.spec.Config)
+	planned, err := e.g.PlanCampaign(cs.spec.Config)
+	if err == nil && c.opt.CheckpointDir != "" {
+		err = planned.OpenCheckpoint(c.opt.CheckpointDir, cs.id)
+	}
 	if err != nil {
-		fail(err)
-		return
+		c.goldens.release(e)
+		return nil, nil, err
 	}
-	if c.opt.CheckpointDir != "" {
-		if err := planned.OpenCheckpoint(c.opt.CheckpointDir, cs.id); err != nil {
-			fail(err)
-			return
-		}
-	}
-	c.mu.Lock()
-	cs.planned = planned
-	cs.goldenFP = g.Fingerprint()
-	cs.goldenCycles = g.Cycles
-	cs.status = StatusRunning
-	cs.start = time.Now()
-	c.maybeFinishLocked(cs) // a fully checkpointed campaign needs no worker
-	c.mu.Unlock()
-	c.logf("distrib: campaign %s running (golden %d cycles, %d resumed)", cs.id, g.Cycles, planned.Resumed())
-	c.journal(obs.Event{
-		Event: obs.EvGoldenReady, Campaign: cs.id,
-		Workload: cs.spec.Workload, Model: cs.spec.Model, N: planned.Resumed(),
-		Detail: fmt.Sprintf("golden %d cycles", g.Cycles),
-	})
+	return e, planned, nil
 }
 
-// Lease hands the next available shard to a pulling worker, or reports
-// none available. Expired leases are reclaimed first, so a dead
-// worker's shard goes to the next puller.
+// Lease hands the next available unit to a pulling worker, or reports
+// none available: a shard of every running campaign of one golden run,
+// each member's oldest requeued shard or else up to ShardSize fresh
+// jobs. The unit is one whose golden run the worker names as held, if
+// any is leasable, and among those, or else among all, the one with the
+// most modelled replay cycles left, so the longest unit does not start
+// last. Expired leases are reclaimed first, so a dead worker's shards
+// go to the next pullers.
 func (c *Coordinator) Lease(req LeaseRequest) (*Lease, error) {
 	if req.API != 0 && req.API != APIVersion {
 		return nil, fmt.Errorf("distrib: worker API v%d, coordinator v%d", req.API, APIVersion)
@@ -327,47 +389,75 @@ func (c *Coordinator) Lease(req LeaseRequest) (*Lease, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.expireLocked(time.Now())
-	for _, id := range c.order {
-		cs := c.campaigns[id]
-		if cs.status != StatusRunning {
-			continue
-		}
-		var se shardEntry
-		if len(cs.queue) > 0 {
-			se = cs.queue[0]
-			cs.queue = cs.queue[1:]
-		} else {
-			jobs := c.fillShardLocked(cs)
-			if len(jobs) == 0 {
-				c.maybeFinishLocked(cs)
-				continue
+	// Each pass leases, or drains (and may finish) every member it
+	// picked, so the loop ends.
+	for members := c.pickUnitLocked(req.Golden); members != nil; members = c.pickUnitLocked(req.Golden) {
+		var parts []leasePart
+		for _, cs := range members {
+			if len(cs.queue) == 0 {
+				if jobs := c.fillShardLocked(cs); len(jobs) > 0 {
+					cs.queue = append(cs.queue, shardEntry{jobs: jobs})
+				} else {
+					c.maybeFinishLocked(cs)
+					continue
+				}
 			}
-			se = shardEntry{jobs: jobs}
+			parts = append(parts, leasePart{cs: cs, shard: cs.queue[0]})
+			cs.queue = cs.queue[1:]
+		}
+		if len(parts) == 0 {
+			continue
 		}
 		c.leaseSeq++
 		now := time.Now()
-		l := &activeLease{
-			id:       fmt.Sprintf("l%06d", c.leaseSeq),
-			campID:   cs.id,
-			shard:    se,
-			worker:   req.Worker,
-			issuedAt: now,
-			deadline: now.Add(c.opt.LeaseTTL),
-		}
+		l := &activeLease{id: fmt.Sprintf("l%06d", c.leaseSeq), parts: parts, worker: req.Worker,
+			issuedAt: now, deadline: now.Add(c.opt.LeaseTTL)}
 		c.leases[l.id] = l
-		cs.leased++
+		out := &Lease{API: APIVersion, ID: l.id, GoldenFP: parts[0].cs.goldenFP, TTLMillis: c.opt.LeaseTTL.Milliseconds()}
+		for i, p := range parts {
+			p.cs.leased++
+			out.Members = append(out.Members, LeaseMember{CampaignID: p.cs.id, Spec: p.cs.spec})
+			for _, j := range p.shard.jobs {
+				j.Member = i
+				out.Jobs = append(out.Jobs, j)
+			}
+			c.journal(obs.Event{
+				Event: obs.EvShardLeased, Campaign: p.cs.id,
+				Shard: l.id, Worker: req.Worker, N: len(p.shard.jobs),
+			})
+		}
 		obsLeasesIssued.Inc()
-		c.journal(obs.Event{
-			Event: obs.EvShardLeased, Campaign: cs.id,
-			Shard: l.id, Worker: req.Worker, N: len(se.jobs),
-		})
-		return &Lease{
-			API: APIVersion, ID: l.id, CampaignID: cs.id, Spec: cs.spec,
-			GoldenFP: cs.goldenFP, Jobs: se.jobs,
-			TTLMillis: c.opt.LeaseTTL.Milliseconds(),
-		}, nil
+		return out, nil
 	}
 	return nil, nil
+}
+
+// pickUnitLocked returns the campaigns with work to lease, in
+// submission order, of the unit the next lease serves (see Lease); nil
+// means none has work.
+func (c *Coordinator) pickUnitLocked(held []uint64) []*campState {
+	var keys []goldenKey
+	units := make(map[goldenKey][]*campState)
+	cycles := make(map[goldenKey]uint64)
+	for _, cs := range c.order {
+		if cs.status != StatusRunning || cs.drained && len(cs.queue) == 0 {
+			continue
+		}
+		if units[cs.key] == nil {
+			keys = append(keys, cs.key)
+		}
+		units[cs.key] = append(units[cs.key], cs)
+		cycles[cs.key] += cs.cyclesLeft()
+	}
+	var best []*campState
+	for _, k := range keys {
+		u := units[k]
+		h, hb := slices.Contains(held, u[0].goldenFP), best != nil && slices.Contains(held, best[0].goldenFP)
+		if best == nil || h && !hb || h == hb && cycles[k] > cycles[best[0].key] {
+			best = u
+		}
+	}
+	return best
 }
 
 // fillShardLocked pulls up to ShardSize replay jobs from the campaign's
@@ -377,11 +467,13 @@ func (c *Coordinator) Lease(req LeaseRequest) (*Lease, error) {
 // by injection cycle.
 func (c *Coordinator) fillShardLocked(cs *campState) []Job {
 	var jobs []Job
-	for len(jobs) < c.opt.ShardSize {
+	for !cs.drained && len(jobs) < c.opt.ShardSize {
 		idx, spec, ok := cs.planned.NextReplay()
 		if !ok {
+			cs.drained = true
 			break
 		}
+		cs.next = idx + 1
 		jobs = append(jobs, Job{Index: idx, Spec: spec})
 	}
 	return jobs
@@ -401,10 +493,11 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) error {
 }
 
 // Outcomes completes (or fails) a lease. Outcomes are merged through
-// the campaign collector in whatever order batches arrive; the
+// each member's collector in whatever order batches arrive; the
 // collector itself only ever consumes them in fault-index order, which
 // is what keeps sequential stopping and pruning extrapolation
-// byte-identical to single-process execution.
+// byte-identical to single-process execution. A failed, incomplete or
+// malformed batch merges nothing and requeues every member's shard.
 func (c *Coordinator) Outcomes(batch OutcomeBatch) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -415,64 +508,68 @@ func (c *Coordinator) Outcomes(batch OutcomeBatch) error {
 		return ErrGone
 	}
 	delete(c.leases, batch.Lease)
-	cs := c.campaigns[l.campID]
-	cs.leased--
-	if cs.status != StatusRunning {
-		return nil // campaign already failed; drop silently
+	byJob := make(map[[2]int]WireOutcome, len(batch.Outcomes))
+	for _, oc := range batch.Outcomes {
+		byJob[[2]int{oc.Member, oc.Index}] = oc
 	}
-	if batch.Error != "" {
-		c.logf("distrib: campaign %s: worker %s failed shard %s: %s", cs.id, l.worker, l.id, batch.Error)
-		c.requeueLocked(cs, l.shard, batch.Error)
+	reason := batch.Error
+	for i, p := range l.parts {
+		p.cs.leased--
+		for _, j := range p.shard.jobs {
+			oc, ok := byJob[[2]int{i, j.Index}]
+			switch {
+			case reason != "":
+			case !ok:
+				reason = fmt.Sprintf("incomplete batch (campaign %s, missing index %d)", p.cs.id, j.Index)
+			case !campaign.Class(oc.Class).Valid():
+				reason = fmt.Sprintf("campaign %s, index %d: class %d out of range", p.cs.id, j.Index, oc.Class)
+			}
+		}
+	}
+	if reason != "" {
+		c.logf("distrib: worker %s failed lease %s: %s", l.worker, l.id, reason)
+		for _, p := range l.parts {
+			c.requeueLocked(p.cs, p.shard, reason)
+		}
 		return nil
 	}
-	var mergeStart time.Time
-	if obs.Enabled() {
-		mergeStart = time.Now()
-	}
-	byIdx := make(map[int]WireOutcome, len(batch.Outcomes))
-	for _, oc := range batch.Outcomes {
-		if !campaign.Class(oc.Class).Valid() {
-			c.requeueLocked(cs, l.shard, fmt.Sprintf("shard %s: index %d: class %d out of range", l.id, oc.Index, oc.Class))
-			return nil
-		}
-		byIdx[oc.Index] = oc
-	}
-	for _, j := range l.shard.jobs {
-		oc, ok := byIdx[j.Index]
-		if !ok {
-			c.requeueLocked(cs, l.shard, fmt.Sprintf("shard %s: incomplete batch (missing index %d)", l.id, j.Index))
-			return nil
-		}
-		ro := campaign.RunOutcome{
-			Spec:      cs.planned.Spec(j.Index),
-			Class:     campaign.Class(oc.Class),
-			EndCycle:  oc.EndCycle,
-			Converged: oc.Converged,
-		}
-		if err := cs.planned.Deliver(j.Index, ro); err != nil {
-			// A checkpoint write failure breaks the durability the
-			// campaign was promised; surface it terminally.
-			c.failLocked(cs, err.Error())
-			return nil
-		}
-		cs.replayed++
+	mergeStart := time.Now()
+	for i, p := range l.parts {
+		c.mergeLocked(l, i, p, byJob)
 	}
 	obsShardsDone.Inc()
-	if !mergeStart.IsZero() {
-		obsMergeSeconds.Observe(time.Since(mergeStart).Seconds())
-	}
-	// Lease round trip, issue to merge; the average gauge divides only
-	// once at least one lease has completed.
+	obsMergeSeconds.Observe(time.Since(mergeStart).Seconds())
+	// Lease round trip, issue to merge, and its running average.
 	rtt := time.Since(l.issuedAt)
 	obsLeaseLatency.Observe(rtt.Seconds())
 	c.latSum += rtt
 	c.latN++
-	if c.latN > 0 {
-		obsLeaseLatencyAvg.Set(c.latSum.Seconds() / float64(c.latN))
+	obsLeaseLatencyAvg.Set(c.latSum.Seconds() / float64(c.latN))
+	return nil
+}
+
+// mergeLocked merges member i's outcomes of lease l into its campaign.
+// A campaign that ended meanwhile takes nothing.
+func (c *Coordinator) mergeLocked(l *activeLease, i int, p leasePart, byJob map[[2]int]WireOutcome) {
+	cs := p.cs
+	if cs.status != StatusRunning {
+		return
+	}
+	for _, j := range p.shard.jobs {
+		oc := byJob[[2]int{i, j.Index}]
+		ro := campaign.RunOutcome{Spec: cs.planned.Spec(j.Index), Class: campaign.Class(oc.Class),
+			EndCycle: oc.EndCycle, Converged: oc.Converged}
+		if err := cs.planned.Deliver(j.Index, ro); err != nil {
+			// A checkpoint write failure breaks the durability the
+			// campaign was promised; surface it terminally.
+			c.failLocked(cs, err.Error())
+			return
+		}
+		cs.replayed++
 	}
 	c.journal(obs.Event{
 		Event: obs.EvShardDone, Campaign: cs.id,
-		Shard: l.id, Worker: batch.Worker, N: len(l.shard.jobs),
+		Shard: l.id, Worker: l.worker, N: len(p.shard.jobs),
 	})
 	if !cs.stopLogged && cs.planned.Stopped() {
 		cs.stopLogged = true
@@ -482,12 +579,15 @@ func (c *Coordinator) Outcomes(batch OutcomeBatch) error {
 		})
 	}
 	c.maybeFinishLocked(cs)
-	return nil
 }
 
 // requeueLocked puts a failed shard back on its campaign's queue, or
-// fails the campaign once the shard has burned its retry budget.
+// fails the campaign once the shard has burned its retry budget. A
+// campaign that already ended takes nothing back.
 func (c *Coordinator) requeueLocked(cs *campState, se shardEntry, reason string) {
+	if cs.status != StatusRunning {
+		return
+	}
 	se.fails++
 	if se.fails >= c.opt.MaxShardFails {
 		obsShardFailures.Inc()
@@ -508,20 +608,25 @@ func (c *Coordinator) failLocked(cs *campState, msg string) {
 			c.logf("distrib: campaign %s: checkpoint close: %v", cs.id, err)
 		}
 	}
-	releasePlanned(cs)
+	c.releaseLocked(cs)
 	obsCampaignsFailed.Inc()
 	c.logf("distrib: campaign %s failed: %s", cs.id, msg)
 }
 
-// releasePlanned freezes the engine state Progress reports and drops
-// the campaign's planning state (outcome arrays, pruner, golden
-// reference): finished campaigns keep only their Result, so a
-// long-lived coordinator's memory tracks live campaigns, not history.
-func releasePlanned(cs *campState) {
+// releaseLocked freezes the engine state Progress reports, drops the
+// campaign's planning state (outcome arrays, pruner, golden reference)
+// and unpins its golden run: finished campaigns keep only their Result,
+// so a long-lived coordinator's memory tracks live campaigns, not
+// history.
+func (c *Coordinator) releaseLocked(cs *campState) {
 	if p := cs.planned; p != nil {
 		cs.delivered, cs.resumed, cs.stopped = p.Delivered(), p.Resumed(), p.Stopped()
 	}
 	cs.planned = nil
+	if cs.golden != nil {
+		c.goldens.release(cs.golden)
+		cs.golden = nil
+	}
 }
 
 // maybeFinishLocked finalises a campaign once nothing is queued, leased
@@ -531,8 +636,7 @@ func (c *Coordinator) maybeFinishLocked(cs *campState) {
 	if cs.status != StatusRunning || len(cs.queue) > 0 || cs.leased > 0 {
 		return
 	}
-	jobs := c.fillShardLocked(cs)
-	if len(jobs) > 0 {
+	if jobs := c.fillShardLocked(cs); len(jobs) > 0 {
 		cs.queue = append(cs.queue, shardEntry{jobs: jobs})
 		return
 	}
@@ -548,7 +652,7 @@ func (c *Coordinator) maybeFinishLocked(cs *campState) {
 	}
 	cs.result = res
 	cs.status = StatusDone
-	releasePlanned(cs)
+	c.releaseLocked(cs)
 	obsCampaignsDone.Inc()
 	c.journal(obs.Event{
 		Event: obs.EvResultMerged, Campaign: cs.id,
@@ -558,7 +662,7 @@ func (c *Coordinator) maybeFinishLocked(cs *campState) {
 		cs.id, cs.replayed, cs.resumed, cs.elapsed.Seconds())
 }
 
-// expireLocked reclaims shards of leases whose worker stopped
+// expireLocked reclaims the shards of leases whose worker stopped
 // heartbeating — the re-issue path behind worker-death recovery.
 func (c *Coordinator) expireLocked(now time.Time) {
 	for id, l := range c.leases {
@@ -566,14 +670,12 @@ func (c *Coordinator) expireLocked(now time.Time) {
 			continue
 		}
 		delete(c.leases, id)
-		cs := c.campaigns[l.campID]
-		cs.leased--
-		if cs.status != StatusRunning {
-			continue
-		}
 		obsLeasesExpired.Inc()
-		c.logf("distrib: lease %s (worker %s) expired; re-issuing %d jobs", l.id, l.worker, len(l.shard.jobs))
-		c.requeueLocked(cs, l.shard, "lease expired (worker presumed dead)")
+		c.logf("distrib: lease %s (worker %s) expired; re-issuing its %d shards", l.id, l.worker, len(l.parts))
+		for _, p := range l.parts {
+			p.cs.leased--
+			c.requeueLocked(p.cs, p.shard, "lease expired (worker presumed dead)")
+		}
 	}
 }
 
@@ -623,8 +725,8 @@ func (c *Coordinator) List() []Progress {
 	defer c.mu.Unlock()
 	c.expireLocked(time.Now())
 	out := make([]Progress, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, c.progressLocked(c.campaigns[id]))
+	for _, cs := range c.order {
+		out = append(out, c.progressLocked(cs))
 	}
 	return out
 }
@@ -637,9 +739,7 @@ func (c *Coordinator) Report(id string) (*campaign.Result, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	if cs.status == StatusRunning {
-		c.maybeFinishLocked(cs)
-	}
+	c.maybeFinishLocked(cs)
 	switch cs.status {
 	case StatusDone:
 		return cs.result, nil

@@ -7,11 +7,14 @@ import (
 	"repro/internal/obs"
 )
 
-// maxGoldenCache bounds a golden cache: golden artifacts (snapshots,
-// pinout and lifetime traces) are a fleet process's largest allocation,
-// and a long-lived coordinator or worker must not accumulate one per
-// distinct campaign shape forever.
-const maxGoldenCache = 4
+// maxGoldenCache bounds the settled golden runs a cache keeps that
+// nobody holds: golden artifacts (snapshots, pinout and lifetime
+// traces) are a fleet process's largest allocation, and a long-lived
+// coordinator or worker must not accumulate one per distinct campaign
+// shape forever. Entries in use do not count against it. Sixteen idle
+// runs cover both levels of Figures 1 and 2 over four benchmarks (12
+// keys), so a matrix that revisits a golden key finds it still cached.
+const maxGoldenCache = 16
 
 // goldenKey identifies a shareable golden run: campaigns agreeing on
 // simulator identity and golden-artifact options replay against one
@@ -21,11 +24,22 @@ type goldenKey struct {
 	opts                   campaign.GoldenOptions
 }
 
+// keyOf is the golden key a campaign of spec replays against.
+func keyOf(spec CampaignSpec) goldenKey {
+	return goldenKey{
+		workload: spec.Workload, model: spec.Model, setup: spec.Setup,
+		opts: campaign.GoldenOptionsFor(spec.Config),
+	}
+}
+
 // goldenEntry is one golden shape's run. ready closes once preparation
-// has settled g or err; build is the factory g was run on.
+// has settled g (and its fingerprint fp) or err; build is the factory g
+// was run on.
 type goldenEntry struct {
+	key   goldenKey
 	ready chan struct{}
 	g     *campaign.Golden
+	fp    uint64
 	err   error
 	build campaign.Factory
 
@@ -35,37 +49,48 @@ type goldenEntry struct {
 	// cost hundreds of times for nothing (every replay starts from a
 	// snapshot restore).
 	sims []campaign.Simulator
+
+	// Guarded by the cache's mutex: how many holders pin the entry (a
+	// live campaign, a running lease, a caller waiting on ready), whether
+	// preparation succeeded, and the cache clock at its last release.
+	pins    int
+	settled bool
+	used    uint64
 }
 
 // goldenCache is the keyed, bounded golden-run cache of both fleet
 // roles. Preparation is single-flight: the first caller to claim a
 // shape runs PrepareGolden and everyone else waits on the entry, so
 // identical campaigns always replay against one golden instance
-// (fingerprint-stable) no matter how requests interleave.
+// (fingerprint-stable) no matter how requests interleave. Every
+// successful get pins its entry until the matching release; once the
+// settled entries nobody pins outnumber maxGoldenCache, the least
+// recently released go.
 type goldenCache struct {
 	evictions *obs.Counter // nil: evictions go uncounted (the worker)
 
 	mu      sync.Mutex
 	entries map[goldenKey]*goldenEntry
+	clock   uint64
 }
 
-// get returns the settled entry for spec's golden shape; fresh reports
-// that this call prepared it (a miss) rather than joined an existing
-// entry.
+// get returns the settled entry for spec's golden shape, pinned until
+// the caller releases it; fresh reports that this call prepared it (a
+// miss) rather than joined an existing entry. A failed preparation
+// leaves nothing to release and is dropped, so a later request retries
+// the run instead of inheriting a stale error forever.
 func (c *goldenCache) get(spec CampaignSpec) (e *goldenEntry, fresh bool, err error) {
-	key := goldenKey{
-		workload: spec.Workload, model: spec.Model, setup: spec.Setup,
-		opts: campaign.GoldenOptionsFor(spec.Config),
-	}
+	key := keyOf(spec)
 	c.mu.Lock()
 	if c.entries == nil {
 		c.entries = make(map[goldenKey]*goldenEntry)
 	}
 	e, ok := c.entries[key]
 	if !ok {
-		e = &goldenEntry{ready: make(chan struct{})}
+		e = &goldenEntry{key: key, ready: make(chan struct{})}
 		c.entries[key] = e
 	}
+	e.pins++
 	c.mu.Unlock()
 	if ok {
 		<-e.ready
@@ -73,36 +98,60 @@ func (c *goldenCache) get(spec CampaignSpec) (e *goldenEntry, fresh bool, err er
 	}
 
 	if e.build, e.err = spec.factory(); e.err == nil {
-		e.g, e.err = campaign.PrepareGolden(e.build, key.opts)
+		if e.g, e.err = campaign.PrepareGolden(e.build, key.opts); e.err == nil {
+			e.fp = e.g.Fingerprint()
+		}
 	}
 	close(e.ready)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e.err != nil {
-		// Drop the failed entry so a later request retries the run instead
-		// of inheriting a stale error forever.
 		delete(c.entries, key)
-		return e, true, e.err
+	} else {
+		e.settled = true
 	}
-	// Only settled entries are evicted — an in-flight one has waiters —
-	// and whoever is using an entry holds its own reference, so eviction
-	// never invalidates a running campaign or lease.
-	for k, old := range c.entries {
-		if len(c.entries) <= maxGoldenCache {
-			break
-		}
-		if k == key {
-			continue
-		}
-		select {
-		case <-old.ready:
-			delete(c.entries, k)
-			if c.evictions != nil {
-				c.evictions.Inc()
+	return e, true, e.err
+}
+
+// release drops one pin on e and, once the settled entries nobody pins
+// outnumber the bound, evicts the least recently released of them (one
+// release idles at most one entry, so one eviction restores the bound).
+// Whoever still uses an evicted entry holds its own reference, so
+// eviction never invalidates a running campaign or lease.
+func (c *goldenCache) release(e *goldenEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e.pins--
+	c.clock++
+	e.used = c.clock
+	idle, oldest := 0, e
+	for _, o := range c.entries {
+		if o.settled && o.pins == 0 {
+			idle++
+			if o.used < oldest.used {
+				oldest = o
 			}
-		default:
 		}
 	}
-	return e, true, nil
+	if idle > maxGoldenCache {
+		delete(c.entries, oldest.key)
+		if c.evictions != nil {
+			c.evictions.Inc()
+		}
+	}
+}
+
+// held lists the fingerprints of the golden runs the cache has ready:
+// what a worker names in its lease requests.
+func (c *goldenCache) held() []uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var fps []uint64
+	for _, e := range c.entries {
+		if e.settled {
+			fps = append(fps, e.fp)
+		}
+	}
+	return fps
 }

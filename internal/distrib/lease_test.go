@@ -50,8 +50,8 @@ func TestWorkerSurvivesDegenerateLeases(t *testing.T) {
 	}
 	lease := func(id string, c campaign.Config, jobs ...distrib.Job) distrib.Lease {
 		return distrib.Lease{
-			API: distrib.APIVersion, ID: id, CampaignID: "c",
-			Spec:     distrib.CampaignSpec{Workload: "sha", Model: "rtl", Config: c},
+			API: distrib.APIVersion, ID: id,
+			Members:  []distrib.LeaseMember{{CampaignID: "c", Spec: distrib.CampaignSpec{Workload: "sha", Model: "rtl", Config: c}}},
 			GoldenFP: g.Fingerprint(), Jobs: jobs, TTLMillis: 60_000,
 		}
 	}
@@ -61,6 +61,7 @@ func TestWorkerSurvivesDegenerateLeases(t *testing.T) {
 		lease("empty", cfg),
 		lease("duplicate", cfg, distrib.Job{Index: 0, Spec: specs[0]}, distrib.Job{Index: 1, Spec: specs[1]}, distrib.Job{Index: 0, Spec: specs[0]}),
 		lease("invalid-config", badLanes, distrib.Job{Index: 0, Spec: specs[0]}),
+		lease("no-such-member", cfg, distrib.Job{Member: 1, Index: 0, Spec: specs[0]}),
 		// A sound lease last: the worker is still alive and still works.
 		lease("sound", cfg, distrib.Job{Index: 0, Spec: specs[0]}, distrib.Job{Index: 1, Spec: specs[1]}),
 	}
@@ -108,7 +109,7 @@ func TestWorkerSurvivesDegenerateLeases(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	for _, id := range []string{"empty", "duplicate", "invalid-config"} {
+	for _, id := range []string{"empty", "duplicate", "invalid-config", "no-such-member"} {
 		if b := batches[id]; b.Error == "" || len(b.Outcomes) != 0 {
 			t.Errorf("lease %q: worker posted error %q and %d outcomes; want a shard error and none", id, b.Error, len(b.Outcomes))
 		}
@@ -120,20 +121,28 @@ func TestWorkerSurvivesDegenerateLeases(t *testing.T) {
 
 // TestWorkerRefusesOlderAPILease: a version-1 coordinator expects its
 // workers to apply protection, which this build's engine no longer
-// does. Its lease must be refused before anything replays, and no
-// outcome may reach it.
+// does, and a version-2 one leases a single campaign per lease, without
+// members. Either lease must be refused before anything replays, and no
+// outcome may reach its coordinator.
 func TestWorkerRefusesOlderAPILease(t *testing.T) {
+	for api := 1; api < distrib.APIVersion; api++ {
+		t.Run(fmt.Sprintf("v%d", api), func(t *testing.T) { refuseLease(t, api) })
+	}
+}
+
+func refuseLease(t *testing.T, api int) {
 	var posted sync.Once
 	outcomes := make(chan struct{})
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /api/v1/lease", func(rw http.ResponseWriter, _ *http.Request) {
-		_ = json.NewEncoder(rw).Encode(distrib.Lease{
-			API: 1, ID: "old", CampaignID: "c",
-			Spec: distrib.CampaignSpec{Workload: "qsort", Model: "microarch", Config: campaign.Config{
+		// The older wire forms: the campaign at the top level, no members.
+		_ = json.NewEncoder(rw).Encode(map[string]any{
+			"api": api, "id": "old", "campaignId": "c",
+			"spec": distrib.CampaignSpec{Workload: "qsort", Model: "microarch", Config: campaign.Config{
 				Injections: 1, Target: fault.TargetRF, Window: 200,
 			}},
-			Jobs:      []distrib.Job{{Index: 0, Spec: fault.Spec{Target: fault.TargetRF, Cycle: 100, Model: fault.ModelTransient, Width: 1}}},
-			TTLMillis: 60_000,
+			"jobs":      []distrib.Job{{Index: 0, Spec: fault.Spec{Target: fault.TargetRF, Cycle: 100, Model: fault.ModelTransient, Width: 1}}},
+			"ttlMillis": 60_000,
 		})
 	})
 	mux.HandleFunc("POST /api/v1/outcomes", func(http.ResponseWriter, *http.Request) {
@@ -142,13 +151,14 @@ func TestWorkerRefusesOlderAPILease(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
+	want := fmt.Sprintf("lease API v%d", api)
 	refused := make(chan string, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	w := distrib.NewWorker(distrib.WorkerOptions{
 		Coordinator: srv.URL, ID: "w-new", Workers: 1, Poll: 10 * time.Millisecond,
 		Logf: func(format string, args ...any) {
-			if msg := fmt.Sprintf(format, args...); strings.Contains(msg, "lease API v1") {
+			if msg := fmt.Sprintf(format, args...); strings.Contains(msg, want) {
 				select {
 				case refused <- msg:
 				default:
@@ -165,15 +175,15 @@ func TestWorkerRefusesOlderAPILease(t *testing.T) {
 	case msg := <-refused:
 		t.Logf("worker: %s", msg)
 	case <-outcomes:
-		t.Fatal("worker answered a version-1 lease with outcomes")
+		t.Fatalf("worker answered a version-%d lease with outcomes", api)
 	case <-time.After(30 * time.Second):
-		t.Fatal("worker never refused the version-1 lease")
+		t.Fatalf("worker never refused the version-%d lease", api)
 	}
 	cancel()
 	<-done
 	select {
 	case <-outcomes:
-		t.Error("worker answered a version-1 lease with outcomes")
+		t.Errorf("worker answered a version-%d lease with outcomes", api)
 	default:
 	}
 }

@@ -163,7 +163,7 @@ func (a jsonAPI) once(ctx context.Context, method, path string, body []byte, out
 		if eb.Error == "" {
 			eb.Error = resp.Status
 		}
-		return resp.StatusCode, apiError(method+" "+path, resp.StatusCode, eb.Error)
+		return resp.StatusCode, fmt.Errorf("distrib: %s %s: HTTP %d: %s", method, path, resp.StatusCode, eb.Error)
 	}
 	if out != nil && resp.StatusCode != http.StatusNoContent {
 		if err := json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(out); err != nil {

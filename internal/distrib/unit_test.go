@@ -1,0 +1,233 @@
+package distrib_test
+
+// A lease is a golden unit: a shard of every running campaign that
+// replays against one golden run. These tests hold the fleet to the
+// local sweep on a matrix whose campaigns share goldens, and count the
+// golden runs a coordinator prepares across two figures.
+
+import (
+	"io"
+	"net/http"
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/bench"
+	"repro/internal/campaign"
+	"repro/internal/core"
+	"repro/internal/distrib"
+	"repro/internal/fault"
+	"repro/internal/obs"
+)
+
+// TestFleetUnitsMatchLocal submits windowed and run-to-end microarch
+// campaigns, which share a golden run, plus an RTL campaign. A worker
+// that takes the heaviest unit and dies must have been handed both
+// microarch campaigns in one lease; a request naming the RTL golden run
+// must get the RTL unit although it is lighter; and once two workers
+// have finished the matrix, the expired shards included, every result
+// must equal the local sweep's.
+func TestFleetUnitsMatchLocal(t *testing.T) {
+	base := campaign.Config{Injections: 24, Seed: 9, Target: fault.TargetRF, Obs: campaign.ObsPinout, Window: 500}
+	runToEnd := base
+	runToEnd.Window = 0
+	specs := []distrib.CampaignSpec{
+		{Workload: "qsort", Model: "microarch", Config: base},
+		{Workload: "qsort", Model: "microarch", Config: runToEnd},
+		{Workload: "qsort", Model: "rtl", Config: base},
+	}
+	want := localSweep(t, specs)
+
+	c, srv := startCoordinator(t, distrib.CoordinatorOptions{
+		LeaseTTL: 300 * time.Millisecond, ShardSize: 4, Logf: t.Logf,
+	})
+	client := distrib.NewClient(srv.URL)
+	client.Poll = 20 * time.Millisecond
+	ids := make([]string, len(specs))
+	for i, s := range specs {
+		id, err := client.Submit(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	waitRunning(t, c, ids...)
+
+	dead, err := c.Lease(distrib.LeaseRequest{API: distrib.APIVersion, Worker: "dies-mid-unit"})
+	if err != nil || dead == nil {
+		t.Fatalf("unit lease: %v %v", dead, err)
+	}
+	if got := memberIDs(dead); !reflect.DeepEqual(got, ids[:2]) {
+		t.Fatalf("the heaviest unit leased campaigns %v, want both microarch campaigns %v", got, ids[:2])
+	}
+	rtlFP := goldenFP(t, "qsort", core.ModelRTL, base)
+	held, err := c.Lease(distrib.LeaseRequest{API: distrib.APIVersion, Worker: "holds-rtl", Golden: []uint64{rtlFP}})
+	if err != nil || held == nil {
+		t.Fatalf("affinity lease: %v %v", held, err)
+	}
+	if got := memberIDs(held); held.GoldenFP != rtlFP || !reflect.DeepEqual(got, ids[2:]) {
+		t.Errorf("a request holding the RTL golden got golden %016x, campaigns %v; want %016x, %v", held.GoldenFP, got, rtlFP, ids[2:])
+	}
+	// Neither lessee returns: both leases expire and are re-issued.
+
+	startWorker(t, srv.URL, "w1")
+	startWorker(t, srv.URL, "w2")
+	for i, id := range ids {
+		got, err := client.Wait(id, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		normalize(got)
+		if !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("%s/%s window %d: fleet result diverged from the local sweep:\n got %+v\nwant %+v",
+				specs[i].Workload, specs[i].Model, specs[i].Config.Window, got, want[i])
+		}
+	}
+}
+
+// TestCoordinatorPreparesEachGoldenOnce regenerates Figures 1 and 2
+// through a fleet, one after the other as cmd/paper -remote does. The
+// second figure's microarch campaigns share their golden runs with the
+// first's, so the coordinator prepares each distinct golden key once,
+// and no worker prepares more golden runs than there are keys.
+func TestCoordinatorPreparesEachGoldenOnce(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	_, srv := startCoordinator(t, distrib.CoordinatorOptions{ShardSize: 8, Logf: t.Logf})
+	startWorker(t, srv.URL, "w1")
+	startWorker(t, srv.URL, "w2")
+	client := distrib.NewClient(srv.URL)
+	client.Poll = 20 * time.Millisecond
+
+	series := []string{"distrib_golden_cache_misses_total", "worker_golden_prep_seconds_count"}
+	before := scrapeSeries(t, srv.URL, series...)
+	benches := []string{"caes", "fft", "sha"}
+	p := core.Params{
+		Injections: 6, Seed: 4, Window: 500, Workers: 1, Setup: core.CampaignSetup(),
+		Benches: benches, Runner: client.SweepRunner(),
+	}
+	if _, err := p.Figure1(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Figure2(); err != nil {
+		t.Fatal(err)
+	}
+	after := scrapeSeries(t, srv.URL, series...)
+
+	// Per bench: the microarch run (Figure 1's and Figure 2's microarch
+	// series alike), the RTL run, and the RTL run with the L1D timeline.
+	keys := 3 * len(benches)
+	if got := after[series[0]] - before[series[0]]; got != float64(keys) {
+		t.Errorf("coordinator prepared %v golden runs for %d distinct keys", got, keys)
+	}
+	if got := after[series[1]] - before[series[1]]; got > float64(2*keys) {
+		t.Errorf("two workers prepared %v golden runs for %d distinct keys", got, keys)
+	}
+}
+
+// localSweep runs specs as one local sweep, grouped by golden run as a
+// figure groups them, and returns the normalised results in spec order.
+func localSweep(t *testing.T, specs []distrib.CampaignSpec) []*campaign.Result {
+	t.Helper()
+	var matrix []campaign.SweepCampaign
+	for i, s := range specs {
+		m, err := core.ParseModel(s.Model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := core.Standalone(s.Workload, m, core.CampaignSetup(), s.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matrix = append(matrix, campaign.SweepCampaign{
+			Key: strconv.Itoa(i), Group: s.Workload + "/" + s.Model, Factory: st.Factory, Config: s.Config,
+		})
+	}
+	sr, err := campaign.Sweep(matrix, campaign.SweepOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]*campaign.Result, len(specs))
+	for i := range specs {
+		out[i] = sr.Results[strconv.Itoa(i)]
+		normalize(out[i])
+	}
+	return out
+}
+
+// waitRunning waits until every campaign is leasable.
+func waitRunning(t *testing.T, c *distrib.Coordinator, ids ...string) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for _, id := range ids {
+		for {
+			p, err := c.Progress(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Status == distrib.StatusRunning {
+				break
+			}
+			if p.Status != distrib.StatusPreparing || time.Now().After(deadline) {
+				t.Fatalf("campaign never started running: %+v", p)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+}
+
+func memberIDs(l *distrib.Lease) []string {
+	var ids []string
+	for _, m := range l.Members {
+		ids = append(ids, m.CampaignID)
+	}
+	return ids
+}
+
+// goldenFP is the fingerprint of the golden run a campaign of cfg on
+// workload replays against at level m.
+func goldenFP(t *testing.T, workload string, m core.Model, cfg campaign.Config) uint64 {
+	t.Helper()
+	w, err := bench.ByName(workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := w.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := campaign.PrepareGolden(core.Factory(m, prog, core.CampaignSetup()), campaign.GoldenOptionsFor(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g.Fingerprint()
+}
+
+// scrapeSeries reads the named series off a /metrics endpoint.
+func scrapeSeries(t *testing.T, base string, names ...string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]float64)
+	for _, line := range strings.Split(string(body), "\n") {
+		for _, n := range names {
+			if v, ok := strings.CutPrefix(line, n+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatalf("series %s: %v", n, err)
+				}
+				out[n] = f
+			}
+		}
+	}
+	return out
+}

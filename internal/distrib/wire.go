@@ -1,8 +1,9 @@
 // Package distrib turns the campaign library into a distributed
 // service: a coordinator that accepts campaign submissions, splits them
-// into self-contained shards of planned fault indices, and hands the
-// shards to a fleet of pull-based worker processes over a JSON-over-
-// HTTP wire protocol; plus the worker engine and a client library.
+// into self-contained shards of planned fault indices, and leases the
+// shards of campaigns sharing a golden run together, as one unit, to a
+// fleet of pull-based worker processes over a JSON-over-HTTP wire
+// protocol; plus the worker engine and a client library.
 //
 // The science is unchanged by distribution. The coordinator runs the
 // exact producer/consumer pair campaign.Run runs (Planned.NextReplay /
@@ -17,8 +18,6 @@
 package distrib
 
 import (
-	"fmt"
-
 	"repro/internal/bench"
 	"repro/internal/campaign"
 	"repro/internal/core"
@@ -29,8 +28,10 @@ import (
 // exchange it on every lease so a mixed-version fleet fails loudly
 // instead of corrupting a campaign. Version 2 dropped protection from
 // the campaign config: a version-1 coordinator expects its workers to
-// apply it.
-const APIVersion = 2
+// apply it. Version 3 leases golden units: a lease lists its member
+// campaigns and every job and outcome names its member, where a
+// version-2 lease carried one campaign.
+const APIVersion = 3
 
 // CampaignSpec identifies one campaign on the wire: the workload and
 // model name resolve to a simulator factory on whichever machine reads
@@ -91,33 +92,45 @@ func (s CampaignSpec) factory() (campaign.Factory, error) {
 	return core.Factory(m, prog, setup), nil
 }
 
-// Job is one planned injection of a shard: the plan index (the merge
-// and stopping order) and the fully generated spec (so workers never
-// need to materialise the fault plan themselves).
+// Job is one planned injection of a lease: the member campaign it
+// belongs to (an index into Lease.Members), its plan index there (the
+// merge and stopping order) and the fully generated spec (so workers
+// never need to materialise the fault plan themselves).
 type Job struct {
-	Index int        `json:"index"`
-	Spec  fault.Spec `json:"spec"`
+	Member int        `json:"member,omitempty"`
+	Index  int        `json:"index"`
+	Spec   fault.Spec `json:"spec"`
 }
 
-// LeaseRequest is a worker's pull for work.
+// LeaseRequest is a worker's pull for work. Golden lists the
+// fingerprints of the golden runs the worker holds ready; the
+// coordinator prefers a unit of one of them.
 type LeaseRequest struct {
-	API    int    `json:"api"`
-	Worker string `json:"worker"`
+	API    int      `json:"api"`
+	Worker string   `json:"worker"`
+	Golden []uint64 `json:"golden,omitempty"`
 }
 
-// Lease is one shard handed to one worker: the campaign identity a
-// worker needs to prepare (or reuse) its local golden artifacts, the
-// golden fingerprint those artifacts must match, and the jobs to
-// replay. The lease expires TTLMillis after issue unless heartbeated;
-// an expired lease's shard is re-issued to the next puller.
+// Lease is one golden unit handed to one worker: a shard of every
+// member campaign, all replaying against one golden run. It carries the
+// campaign identities a worker needs to prepare (or reuse) its local
+// golden artifacts, the golden fingerprint those artifacts must match,
+// and the jobs to replay, every member's in one flat list. The lease
+// expires TTLMillis after issue unless heartbeated; an expired lease's
+// shards are re-issued to the next pullers.
 type Lease struct {
-	API        int          `json:"api"`
-	ID         string       `json:"id"`
+	API       int           `json:"api"`
+	ID        string        `json:"id"`
+	Members   []LeaseMember `json:"members"`
+	GoldenFP  uint64        `json:"goldenFp"`
+	Jobs      []Job         `json:"jobs"`
+	TTLMillis int64         `json:"ttlMillis"`
+}
+
+// LeaseMember is one campaign of a lease.
+type LeaseMember struct {
 	CampaignID string       `json:"campaignId"`
 	Spec       CampaignSpec `json:"spec"`
-	GoldenFP   uint64       `json:"goldenFp"`
-	Jobs       []Job        `json:"jobs"`
-	TTLMillis  int64        `json:"ttlMillis"`
 }
 
 // HeartbeatRequest extends a lease's deadline.
@@ -131,7 +144,9 @@ type HeartbeatRequest struct {
 // is its, not the worker's, source of truth) and stamps pruning class
 // weights itself, so a worker can only ever contribute the
 // (class, endCycle, converged) triple a local replay would produce.
+// Member and Index name the job it answers.
 type WireOutcome struct {
+	Member    int    `json:"member,omitempty"`
 	Index     int    `json:"index"`
 	Class     int    `json:"class"`
 	EndCycle  uint64 `json:"endCycle"`
@@ -140,7 +155,8 @@ type WireOutcome struct {
 
 // OutcomeBatch returns a completed (or failed) lease's outcomes. A
 // non-empty Error reports shard failure — golden fingerprint mismatch,
-// simulator error — and requeues the shard for another worker.
+// simulator error — and requeues every member's shard for another
+// worker.
 type OutcomeBatch struct {
 	Lease    string        `json:"lease"`
 	Worker   string        `json:"worker"`
@@ -185,11 +201,4 @@ type SubmitResponse struct {
 // errorBody is the JSON error envelope every non-2xx response carries.
 type errorBody struct {
 	Error string `json:"error"`
-}
-
-func (e errorBody) String() string { return e.Error }
-
-// apiError decorates an HTTP failure with its endpoint.
-func apiError(op string, code int, msg string) error {
-	return fmt.Errorf("distrib: %s: HTTP %d: %s", op, code, msg)
 }

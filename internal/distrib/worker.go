@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/fault"
-	"repro/internal/obs"
 )
 
 // WorkerOptions parameterises a pull-based worker.
@@ -45,12 +44,13 @@ type WorkerOptions struct {
 	ReqLog func(method, path string, status int, d time.Duration)
 }
 
-// Worker is the fleet side of a distributed campaign: it pulls shard
-// leases from the coordinator, prepares (and caches) the campaign's
-// golden artifacts locally, verifies the coordinator's golden
-// fingerprint — refusing to contribute outcomes from a skewed golden
-// run — replays the shard's planned injections, and posts the
-// classifications back while heartbeating the lease.
+// Worker is the fleet side of a distributed campaign: it pulls unit
+// leases from the coordinator, naming the golden runs it holds,
+// prepares (and caches) the members' golden artifacts locally, verifies
+// the coordinator's golden fingerprint — refusing to contribute
+// outcomes from a skewed golden run — replays the lease's planned
+// injections, and posts the classifications back while heartbeating the
+// lease.
 type Worker struct {
 	opt  WorkerOptions
 	api  jsonAPI
@@ -125,19 +125,14 @@ func (w *Worker) once(ctx context.Context) (bool, error) {
 	}
 
 	batch := OutcomeBatch{Lease: lease.ID, Worker: w.opt.ID}
-	var shardStart time.Time
-	if obs.Enabled() {
-		shardStart = time.Now()
-	}
+	shardStart := time.Now()
 	outs, err := w.executeShard(ctx, lease)
 	if err != nil {
 		batch.Error = err.Error()
 	} else {
 		batch.Outcomes = outs
 		obsWorkerShards.Inc()
-		if !shardStart.IsZero() {
-			obsWorkerShardSeconds.Observe(time.Since(shardStart).Seconds())
-		}
+		obsWorkerShardSeconds.Observe(time.Since(shardStart).Seconds())
 	}
 	if err := w.postOutcomes(ctx, batch); err != nil {
 		return true, err
@@ -148,45 +143,81 @@ func (w *Worker) once(ctx context.Context) (bool, error) {
 	return true, nil
 }
 
-// executeShard prepares golden artifacts for the lease's campaign,
+// executeShard prepares the golden artifacts the lease's members share,
 // verifies golden identity, and runs the lease's jobs through the
-// campaign replay pool — the engine is whichever one the lease's config
-// selects — heartbeating the lease while it works. Anything
-// wrong with the lease itself comes back as an error for the
-// coordinator, never as a panic: its fields arrive off the wire.
+// campaign replay pool, one Work per member — the engine is whichever
+// one each member's config selects — heartbeating the lease while it
+// works. Anything wrong with the lease itself comes back as an error
+// for the coordinator, never as a panic: its fields arrive off the
+// wire.
 func (w *Worker) executeShard(ctx context.Context, lease *Lease) ([]WireOutcome, error) {
-	cfg := lease.Spec.Config
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	jobs := lease.Jobs
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("lease %s carries no jobs", lease.ID)
 	}
-	// Outcomes land in out at each job's shard slot, whatever order the
-	// engine finishes them in.
-	slot := make(map[int]int, len(jobs))
+	// The pool sees each member's jobs by their lease slots, which double
+	// as the replay indices, so an outcome lands at its job's slot
+	// whatever order the engine finishes them in.
+	seen := make(map[[2]int]bool, len(jobs))
+	slots := make([][]int, len(lease.Members))
 	for i, j := range jobs {
-		if _, dup := slot[j.Index]; dup {
-			return nil, fmt.Errorf("lease %s lists fault index %d twice", lease.ID, j.Index)
+		if j.Member < 0 || j.Member >= len(lease.Members) {
+			return nil, fmt.Errorf("lease %s: job names member %d of %d", lease.ID, j.Member, len(lease.Members))
 		}
-		slot[j.Index] = i
+		if seen[[2]int{j.Member, j.Index}] {
+			return nil, fmt.Errorf("lease %s lists fault index %d of member %d twice", lease.ID, j.Index, j.Member)
+		}
+		seen[[2]int{j.Member, j.Index}] = true
+		slots[j.Member] = append(slots[j.Member], i)
 	}
 
 	// Identical golden needs share one local run, exactly as the
-	// coordinator and the sweep scheduler share theirs.
-	prepStart := time.Now()
-	entry, fresh, err := w.goldens.get(lease.Spec)
+	// coordinator and the sweep scheduler share theirs. Every member of a
+	// unit replays against that run, on one simulator factory, so the
+	// pool fuses the members that ride lanes into one walk.
+	start := time.Now()
+	entry, fresh, err := w.goldens.get(lease.Members[0].Spec)
 	if err != nil {
 		return nil, err
 	}
+	defer w.goldens.release(entry)
 	if fresh {
-		w.logf("distrib worker %s: prepared golden %s/%s", w.opt.ID, lease.Spec.Workload, lease.Spec.Model)
-		obsWorkerGoldenSeconds.Observe(time.Since(prepStart).Seconds())
+		w.logf("distrib worker %s: prepared golden %s/%s", w.opt.ID, entry.key.workload, entry.key.model)
+		obsWorkerGoldenSeconds.Observe(time.Since(start).Seconds())
 	}
-	if fp := entry.g.Fingerprint(); fp != lease.GoldenFP {
+	if entry.fp != lease.GoldenFP {
 		obsWorkerFPRefusals.Inc()
-		return nil, fmt.Errorf("golden fingerprint mismatch (worker %016x, coordinator %016x): version or workload skew", fp, lease.GoldenFP)
+		return nil, fmt.Errorf("golden fingerprint mismatch (worker %016x, coordinator %016x): version or workload skew", entry.fp, lease.GoldenFP)
+	}
+	factory := entry.factory()
+	out := make([]WireOutcome, len(jobs))
+	deliver := func(i int, oc campaign.RunOutcome) error {
+		out[i] = WireOutcome{
+			Member: jobs[i].Member, Index: jobs[i].Index, Class: int(oc.Class),
+			EndCycle: oc.EndCycle, Converged: oc.Converged,
+		}
+		return nil
+	}
+	work := make([]*campaign.Work, len(lease.Members))
+	for mi, m := range lease.Members {
+		if keyOf(m.Spec) != entry.key {
+			return nil, fmt.Errorf("lease %s: member %d needs another golden run than member 0", lease.ID, mi)
+		}
+		mine, k := slots[mi], 0
+		work[mi] = &campaign.Work{
+			Golden: entry.g, Config: m.Spec.Config, Factory: factory, Deliver: deliver,
+			// A lease is a finite, cycle-contiguous source: Size makes the
+			// pool split it evenly, so each goroutine's engine walks one
+			// contiguous stretch of the golden timeline.
+			Size: len(mine),
+			Next: func() (int, fault.Spec, bool) {
+				if k >= len(mine) {
+					return 0, fault.Spec{}, false
+				}
+				k++
+				return mine[k-1], jobs[mine[k-1]].Spec, true
+			},
+		}
 	}
 
 	// Heartbeat for as long as the replays run. The shard context also
@@ -198,10 +229,7 @@ func (w *Worker) executeShard(ctx context.Context, lease *Lease) ([]WireOutcome,
 	hbWG.Add(1)
 	go func() {
 		defer hbWG.Done()
-		interval := time.Duration(lease.TTLMillis) * time.Millisecond / 3
-		if interval < 50*time.Millisecond {
-			interval = 50 * time.Millisecond
-		}
+		interval := max(time.Duration(lease.TTLMillis)*time.Millisecond/3, 50*time.Millisecond)
 		for {
 			select {
 			case <-shardCtx.Done():
@@ -224,29 +252,7 @@ func (w *Worker) executeShard(ctx context.Context, lease *Lease) ([]WireOutcome,
 		hbWG.Wait()
 	}()
 
-	out := make([]WireOutcome, len(jobs))
-	k := 0
-	err = campaign.ReplayPool(min(w.opt.Workers, len(jobs)), shardCtx.Done(), &campaign.Work{
-		Golden: entry.g, Config: cfg, Factory: entry.factory(),
-		// A lease is a finite, cycle-contiguous source: Size makes the
-		// pool split it evenly, so each goroutine's engine walks one
-		// contiguous stretch of the golden timeline.
-		Size: len(jobs),
-		Next: func() (int, fault.Spec, bool) {
-			if k >= len(jobs) {
-				return 0, fault.Spec{}, false
-			}
-			k++
-			return jobs[k-1].Index, jobs[k-1].Spec, true
-		},
-		Deliver: func(idx int, oc campaign.RunOutcome) error {
-			out[slot[idx]] = WireOutcome{
-				Index: idx, Class: int(oc.Class),
-				EndCycle: oc.EndCycle, Converged: oc.Converged,
-			}
-			return nil
-		},
-	})
+	err = campaign.ReplayPool(min(w.opt.Workers, len(jobs)), shardCtx.Done(), work...)
 	switch {
 	case err != nil && !errors.Is(err, campaign.ErrInterrupted):
 		return nil, err
@@ -283,14 +289,11 @@ func (e *goldenEntry) factory() campaign.Factory {
 // ---------------------------------------------------------- transport
 
 func (w *Worker) pullLease(ctx context.Context) (*Lease, error) {
-	req := LeaseRequest{API: APIVersion, Worker: w.opt.ID}
+	req := LeaseRequest{API: APIVersion, Worker: w.opt.ID, Golden: w.goldens.held()}
 	var lease Lease
-	code, err := w.postJSON(ctx, "/api/v1/lease", req, &lease)
-	if err != nil {
+	code, err := w.api.call(ctx, http.MethodPost, "/api/v1/lease", req, &lease)
+	if err != nil || code == http.StatusNoContent {
 		return nil, err
-	}
-	if code == http.StatusNoContent {
-		return nil, nil
 	}
 	return &lease, nil
 }
@@ -298,7 +301,7 @@ func (w *Worker) pullLease(ctx context.Context) (*Lease, error) {
 // heartbeat extends the lease, mapping the coordinator's 410 onto
 // ErrGone so the shard executor can abort disowned work.
 func (w *Worker) heartbeat(ctx context.Context, leaseID string) error {
-	code, err := w.postJSON(ctx, "/api/v1/heartbeat", HeartbeatRequest{Worker: w.opt.ID, Lease: leaseID}, nil)
+	code, err := w.api.call(ctx, http.MethodPost, "/api/v1/heartbeat", HeartbeatRequest{Worker: w.opt.ID, Lease: leaseID}, nil)
 	if code == http.StatusGone {
 		return ErrGone
 	}
@@ -309,17 +312,10 @@ func (w *Worker) heartbeat(ctx context.Context, leaseID string) error {
 // means the coordinator presumed this worker dead and handed the shard
 // elsewhere, so the batch is redundant, not wrong.
 func (w *Worker) postOutcomes(ctx context.Context, batch OutcomeBatch) error {
-	code, err := w.postJSON(ctx, "/api/v1/outcomes", batch, nil)
+	code, err := w.api.call(ctx, http.MethodPost, "/api/v1/outcomes", batch, nil)
 	if code == http.StatusGone {
 		w.logf("distrib worker %s: lease %s re-issued under us; dropping batch", w.opt.ID, batch.Lease)
 		return nil
 	}
 	return err
-}
-
-// postJSON posts to the coordinator through the shared retrying
-// transport, returning the status code for the callers above that map
-// 204 and 410 onto behavior.
-func (w *Worker) postJSON(ctx context.Context, path string, in, out any) (int, error) {
-	return w.api.call(ctx, http.MethodPost, path, in, out)
 }

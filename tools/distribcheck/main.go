@@ -1,28 +1,31 @@
 // Command distribcheck is the CI integration check for the distributed
-// campaign service: it runs a tiny E2-style campaign (L1D transients at
-// the core pinout, windowed) single-process, then boots one faultsimd
-// coordinator and two faultsimd worker PROCESSES, submits the same
-// campaign through the HTTP API, SIGKILLs one worker while it holds a
-// lease — forcing lease expiry and shard re-issue — and asserts the
-// fleet's final classification counts and rendered report are
-// byte-identical to the single-process run.
+// campaign service: it runs two tiny E2-style campaigns (L1D transients
+// at the core pinout, windowed, two seeds and windows over one golden
+// run) single-process, then boots one faultsimd coordinator and two
+// faultsimd worker PROCESSES, submits the same campaigns through the
+// HTTP API, SIGKILLs one worker while it holds a unit lease spanning
+// both campaigns — forcing lease expiry and the re-issue of both
+// shards — and asserts the fleet's final classification counts and
+// rendered reports are byte-identical to the single-process runs.
 //
 // The kill is decided on an observed state, not a timer: a shard is a
-// millisecond of work, so a poll-then-kill lands after the campaign
-// ended more often than inside it. The first worker runs alone and is
+// millisecond of work, so a poll-then-kill lands after the campaigns
+// ended more often than inside them. The first worker runs alone and is
 // frozen (SIGSTOP) in short slices; while it cannot move, the
-// coordinator's lease counters say whether it holds a lease, and only
-// then is it killed. The second worker starts afterwards and inherits
-// the expired shard.
+// coordinator's lease counters say whether it holds a lease, and each
+// campaign's progress whether that lease spans both; only then is it
+// killed. The second worker starts afterwards and inherits the expired
+// shards.
 //
 // It also exercises the observability surface end to end: the
 // coordinator's /metrics endpoint is scraped mid-run (while shards are
 // in flight) and after completion, the surviving worker's -metrics
 // listener is scraped at the end, and the check asserts the key series
 // are present and consistent — the lease-latency histogram, the
-// golden-cache hit/miss counters, at least one shard retry (the killed
-// worker's lease), leases issued >= shards done, and a non-zero
-// worker-side shard count.
+// golden-cache hit/miss counters (one miss: one golden key), at least
+// one shard retry (the killed worker's lease), leases issued >= shards
+// done, a non-zero worker-side shard count, and at most one golden
+// preparation on the surviving worker.
 //
 //	go build -o /tmp/faultsimd ./cmd/faultsimd
 //	go run ./tools/distribcheck -bin /tmp/faultsimd
@@ -69,14 +72,20 @@ func run() error {
 		return fmt.Errorf("-bin is required (build it with: go build -o /tmp/faultsimd ./cmd/faultsimd)")
 	}
 
-	cfg := campaign.Config{
-		Injections: *injections, Seed: 21, Target: fault.TargetL1D,
-		Obs: campaign.ObsPinout, Window: 2_000,
+	// Two campaigns over one golden run: the coordinator leases them as
+	// one unit.
+	cfgs := []campaign.Config{
+		{Injections: *injections, Seed: 21, Target: fault.TargetL1D, Obs: campaign.ObsPinout, Window: 2_000},
+		{Injections: *injections, Seed: 22, Target: fault.TargetL1D, Obs: campaign.ObsPinout, Window: 1_000},
 	}
-	fmt.Printf("distribcheck: single-process reference (%s, n=%d)\n", *benchName, cfg.Injections)
-	want, err := core.RunCampaign(*benchName, core.ModelMicroarch, core.CampaignSetup(), cfg)
-	if err != nil {
-		return err
+	const goldenKeys = 1
+	want := make([]*campaign.Result, len(cfgs))
+	for i, cfg := range cfgs {
+		fmt.Printf("distribcheck: single-process reference %d (%s, n=%d, window %d)\n", i, *benchName, cfg.Injections, cfg.Window)
+		var err error
+		if want[i], err = core.RunCampaign(*benchName, core.ModelMicroarch, core.CampaignSetup(), cfg); err != nil {
+			return err
+		}
 	}
 
 	// ------------------------------------------------ real fleet
@@ -140,19 +149,23 @@ func run() error {
 
 	client := distrib.NewClient(url)
 	client.Poll = 100 * time.Millisecond
-	id, err := client.Submit(distrib.CampaignSpec{
-		Workload: *benchName, Model: "microarch", Config: cfg,
-	})
-	if err != nil {
-		return err
+	ids := make([]string, len(cfgs))
+	for i, cfg := range cfgs {
+		id, err := client.Submit(distrib.CampaignSpec{
+			Workload: *benchName, Model: "microarch", Config: cfg,
+		})
+		if err != nil {
+			return err
+		}
+		ids[i] = id
+		fmt.Printf("distribcheck: campaign %s submitted to %s\n", id, url)
 	}
-	fmt.Printf("distribcheck: campaign %s submitted to %s\n", id, url)
 
-	if err := killHoldingLease(workers[0], url, client, id); err != nil {
+	if err := killHoldingLease(workers[0], url, client, ids); err != nil {
 		return err
 	}
 	// Mid-run scrape: the coordinator must serve valid Prometheus text
-	// while a shard is still in flight (the dead worker's).
+	// while shards are still in flight (the dead worker's).
 	mid, err := scrape(url + "/metrics")
 	if err != nil {
 		return fmt.Errorf("mid-run /metrics scrape: %w", err)
@@ -163,53 +176,55 @@ func run() error {
 		return err
 	}
 
+	got := make([]*campaign.Result, len(ids))
 	deadline := time.Now().Add(10 * time.Minute)
-	for {
-		p, err := client.Progress(id)
-		if err != nil {
+	for i, id := range ids {
+		for {
+			p, err := client.Progress(id)
+			if err != nil {
+				return err
+			}
+			if p.Status == distrib.StatusDone {
+				break
+			}
+			if p.Status == distrib.StatusFailed {
+				return fmt.Errorf("campaign %s failed: %s", id, p.Error)
+			}
+			if time.Now().After(deadline) {
+				return fmt.Errorf("campaign %s did not finish in time (status %s, %d/%d delivered)",
+					id, p.Status, p.Delivered, p.Injections)
+			}
+			time.Sleep(100 * time.Millisecond)
+		}
+		if got[i], err = client.Report(id); err != nil {
 			return err
 		}
-		if p.Status == distrib.StatusDone {
-			break
-		}
-		if p.Status == distrib.StatusFailed {
-			return fmt.Errorf("campaign failed: %s", p.Error)
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("campaign did not finish in time (status %s, %d/%d delivered)",
-				p.Status, p.Delivered, p.Injections)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	got, err := client.Report(id)
-	if err != nil {
-		return err
 	}
 
-	if err := checkMetrics(url, workerMetricsURL); err != nil {
+	if err := checkMetrics(url, workerMetricsURL, goldenKeys); err != nil {
 		return err
 	}
 
 	// -------------------------------------------------- comparison
-	for _, r := range []*campaign.Result{want, got} {
-		r.Elapsed, r.AvgSecPerRun, r.GoldenElapsed = 0, 0, 0
-		r.Config.Workers = 0
-		// Lane accounting stays with the worker that packed the lanes.
-		r.BatchedRuns, r.PeeledRuns, r.LaneOccupancy = 0, 0, 0
+	for i := range ids {
+		for _, r := range []*campaign.Result{want[i], got[i]} {
+			r.Elapsed, r.AvgSecPerRun, r.GoldenElapsed = 0, 0, 0
+			r.Config.Workers = 0
+			// Lane accounting stays with the worker that packed the lanes.
+			r.BatchedRuns, r.PeeledRuns, r.LaneOccupancy = 0, 0, 0
+		}
+		if !reflect.DeepEqual(want[i].Counts, got[i].Counts) {
+			return fmt.Errorf("campaign %d: classification counts diverged:\n got %v\nwant %v", i, got[i].Counts, want[i].Counts)
+		}
+		if !reflect.DeepEqual(want[i], got[i]) {
+			return fmt.Errorf("campaign %d: distributed result diverged from single-process:\n got %+v\nwant %+v", i, got[i], want[i])
+		}
+		if gr, wr := report.Campaign("check", got[i]), report.Campaign("check", want[i]); gr != wr {
+			return fmt.Errorf("campaign %d: report tables diverged:\n got:\n%s\nwant:\n%s", i, gr, wr)
+		}
+		fmt.Printf("distribcheck: fleet result %d byte-identical across %d outcomes (counts %v)\n",
+			i, len(got[i].Outcomes), got[i].Counts)
 	}
-	if !reflect.DeepEqual(want.Counts, got.Counts) {
-		return fmt.Errorf("classification counts diverged:\n got %v\nwant %v", got.Counts, want.Counts)
-	}
-	if !reflect.DeepEqual(want, got) {
-		return fmt.Errorf("distributed result diverged from single-process:\n got %+v\nwant %+v", got, want)
-	}
-	gr := report.Campaign("check", got)
-	wr := report.Campaign("check", want)
-	if gr != wr {
-		return fmt.Errorf("report tables diverged:\n got:\n%s\nwant:\n%s", gr, wr)
-	}
-	fmt.Printf("distribcheck: fleet result byte-identical across %d outcomes (counts %v)\n",
-		len(got.Outcomes), got.Counts)
 	return nil
 }
 
@@ -221,13 +236,14 @@ func leasesInFlight(m map[string]float64) float64 {
 }
 
 // killHoldingLease SIGKILLs the fleet's only worker at a moment it
-// provably holds a lease. The worker runs in millisecond slices between
-// SIGSTOPs; frozen, it can neither finish a shard nor take one, so once
-// the coordinator has settled (two equal readings: any request the
-// worker had already sent is served) its counters describe the worker
-// exactly. A lease in flight then dies with the worker; none in flight
-// thaws it for another slice.
-func killHoldingLease(victim *exec.Cmd, url string, client *distrib.Client, id string) error {
+// provably holds a unit lease spanning every campaign in ids. The
+// worker runs in millisecond slices between SIGSTOPs; frozen, it can
+// neither finish a lease nor take one, so once the coordinator has
+// settled (two equal readings: any request the worker had already sent
+// is served) its counters and the campaigns' progress describe the
+// worker exactly. A lease in flight with a shard of every campaign then
+// dies with the worker; anything else thaws it for another slice.
+func killHoldingLease(victim *exec.Cmd, url string, client *distrib.Client, ids []string) error {
 	const slice, settle = time.Millisecond, 25 * time.Millisecond
 	deadline := time.Now().Add(2 * time.Minute)
 	for time.Now().Before(deadline) {
@@ -247,36 +263,41 @@ func killHoldingLease(victim *exec.Cmd, url string, client *distrib.Client, id s
 			}
 			prev = sum
 		}
-		if n := leasesInFlight(m); n >= 1 {
-			fmt.Printf("distribcheck: SIGKILLing worker 0 holding %.0f lease(s) (%.0f issued, %.0f shards done)\n",
-				n, m["distrib_leases_issued_total"], m["distrib_shards_done_total"])
+		spanned := leasesInFlight(m) >= 1
+		for _, id := range ids {
+			p, err := client.Progress(id)
+			if err != nil {
+				return err
+			}
+			if p.Status == distrib.StatusDone || p.Status == distrib.StatusFailed {
+				// Every slice ended between two leases: the check would
+				// silently not exercise re-leasing, so fail loudly.
+				return fmt.Errorf("campaign %s %s before worker 0 was caught holding a unit lease; raise -n", id, p.Status)
+			}
+			spanned = spanned && p.Leased >= 1
+		}
+		if spanned {
+			fmt.Printf("distribcheck: SIGKILLing worker 0 holding a lease over %d campaigns (%.0f issued, %.0f shards done)\n",
+				len(ids), m["distrib_leases_issued_total"], m["distrib_shards_done_total"])
 			if err := victim.Process.Kill(); err != nil {
 				return fmt.Errorf("kill worker 0: %w", err)
 			}
 			victim.Wait()
 			return nil
 		}
-		p, err := client.Progress(id)
-		if err != nil {
-			return err
-		}
-		if p.Status == distrib.StatusDone || p.Status == distrib.StatusFailed {
-			// Every slice ended between two shards: the check would
-			// silently not exercise re-leasing, so fail loudly.
-			return fmt.Errorf("campaign %s before worker 0 was caught holding a lease; raise -n", p.Status)
-		}
 		if err := victim.Process.Signal(syscall.SIGCONT); err != nil {
 			return fmt.Errorf("thaw worker 0: %w", err)
 		}
 		time.Sleep(slice)
 	}
-	return fmt.Errorf("worker 0 never took a lease")
+	return fmt.Errorf("worker 0 never took a unit lease")
 }
 
 // checkMetrics asserts the fleet's observability series after the
-// campaign: coordinator lease/cache/retry accounting and the surviving
-// worker's shard counters.
-func checkMetrics(coordURL, workerURL string) error {
+// campaigns: coordinator lease/cache/retry accounting and the surviving
+// worker's shard counters. Neither role may prepare a golden run more
+// than once per distinct golden key.
+func checkMetrics(coordURL, workerURL string, goldenKeys float64) error {
 	cm, err := scrape(coordURL + "/metrics")
 	if err != nil {
 		return fmt.Errorf("coordinator /metrics: %w", err)
@@ -285,8 +306,8 @@ func checkMetrics(coordURL, workerURL string) error {
 		return fmt.Errorf("coordinator /metrics missing the lease-latency histogram")
 	}
 	hits, misses := cm["distrib_golden_cache_hits_total"], cm["distrib_golden_cache_misses_total"]
-	if hits+misses == 0 {
-		return fmt.Errorf("coordinator /metrics: golden cache saw no traffic (hits %v, misses %v)", hits, misses)
+	if hits+misses == 0 || misses > goldenKeys {
+		return fmt.Errorf("coordinator /metrics: golden cache hits %v, misses %v; want traffic and at most %v misses", hits, misses, goldenKeys)
 	}
 	if cm["distrib_shard_retries_total"] < 1 {
 		return fmt.Errorf("coordinator /metrics: no shard retry recorded despite the killed worker")
@@ -302,8 +323,8 @@ func checkMetrics(coordURL, workerURL string) error {
 	if wm["worker_shards_total"] == 0 {
 		return fmt.Errorf("worker /metrics: worker_shards_total is 0")
 	}
-	if wm["worker_golden_prep_seconds_count"] == 0 {
-		return fmt.Errorf("worker /metrics: no golden preparation recorded")
+	if n := wm["worker_golden_prep_seconds_count"]; n == 0 || n > goldenKeys {
+		return fmt.Errorf("worker /metrics: %v golden preparations for %v golden keys", n, goldenKeys)
 	}
 	fmt.Printf("distribcheck: metrics ok (leases %v >= shards done %v, retries %v, cache %v hit / %v miss, worker shards %v)\n",
 		issued, done, cm["distrib_shard_retries_total"], hits, misses, wm["worker_shards_total"])
