@@ -15,15 +15,15 @@ var (
 	obsCampaignsFailed = obs.NewCounter("distrib_campaigns_failed_total",
 		"campaigns terminated by a preparation, checkpoint or shard failure")
 	obsLeasesIssued = obs.NewCounter("distrib_leases_issued_total",
-		"shard leases handed to pulling workers")
+		"leases handed to pulling workers (one unit: a shard of each member campaign)")
 	obsLeasesExpired = obs.NewCounter("distrib_leases_expired_total",
 		"leases reclaimed after heartbeat expiry (worker presumed dead)")
 	obsShardRetries = obs.NewCounter("distrib_shard_retries_total",
-		"shards re-queued after a worker failure or lease expiry (failure-budget burn)")
+		"member shards re-queued after a worker failure or lease expiry (failure-budget burn)")
 	obsShardFailures = obs.NewCounter("distrib_shard_failures_total",
 		"shards that exhausted their retry budget and failed their campaign")
 	obsShardsDone = obs.NewCounter("distrib_shards_done_total",
-		"shards merged successfully")
+		"leases whose member shards all merged")
 	obsOutcomeBatches = obs.NewCounter("distrib_outcome_batches_total",
 		"outcome batches received, including failed and incomplete ones")
 	obsLeaseLatency = obs.NewHistogram("distrib_lease_latency_seconds",
@@ -40,13 +40,13 @@ var (
 		"settled golden artifacts evicted by the cache bound")
 
 	obsWorkerGoldenSeconds = obs.NewHistogram("worker_golden_prep_seconds",
-		"worker-side golden fetch + preparation time per campaign shape", obs.DurationBuckets)
+		"worker-side golden fetch + preparation time per golden key", obs.DurationBuckets)
 	obsWorkerFPRefusals = obs.NewCounter("worker_fingerprint_refusals_total",
 		"shards refused because the local golden fingerprint diverged from the lease")
 	obsWorkerHTTPRetries = obs.NewCounter("worker_http_retries_total",
 		"HTTP requests re-attempted after a transport error or 5xx (backoff spins)")
 	obsWorkerShards = obs.NewCounter("worker_shards_total",
-		"shards executed to completion by this worker")
+		"leases executed to completion by this worker")
 	obsWorkerShardSeconds = obs.NewHistogram("worker_shard_seconds",
-		"wall time per executed shard", obs.DurationBuckets)
+		"wall time per executed lease", obs.DurationBuckets)
 )
