@@ -61,7 +61,6 @@ func run(args []string, w io.Writer) error {
 		maxCycles = fs.Uint64("max-cycles", 1<<32, "cycle budget")
 		paperCfg  = fs.Bool("tableI", false, "use TABLE I caches (32KB) instead of the campaign scaling")
 		golden    = fs.Bool("golden", false, "run the campaign golden-artifact phase (snapshots + pinout + timeline) and report its cost")
-		snapEvery = fs.Uint64("snapshot-every", 0, "golden snapshot interval in cycles with -golden (0 = default 2048)")
 		inject    = fs.Int("inject", 0, "probe with an N-injection campaign and print each fault's classification")
 		faultFlg  = cli.FaultFlags(fs, " with -inject", " with -inject")
 		target    = fs.String("target", "rf", "injection target with -inject: rf, l1d or latches (rtl only)")
@@ -243,7 +242,7 @@ func run(args []string, w io.Writer) error {
 	}
 	if *golden {
 		g, err := campaign.PrepareGolden(core.Factory(m, prog, setup),
-			campaign.GoldenOptions{SnapshotEvery: *snapEvery, Timeline: true, MaxCycles: *maxCycles})
+			campaign.GoldenOptions{Timeline: true, MaxCycles: *maxCycles})
 		if err != nil {
 			return err
 		}

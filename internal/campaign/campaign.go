@@ -175,13 +175,8 @@ type Config struct {
 	// observable inside the window.
 	AdvanceToUse bool
 
-	// SnapshotEvery is the cycle stride of the snapshots taken along the
-	// golden run (differential injection). Zero selects the default of
-	// 2048 cycles: 7 to 21 snapshots on the benchmark programs.
-	SnapshotEvery uint64
-
 	// Deprecated: SnapPolicy selects nothing; snapshots are taken every
-	// SnapshotEvery cycles.
+	// 2048 cycles.
 	SnapPolicy SnapPolicy
 
 	// Deprecated: Sched selects nothing; Lanes alone picks the engine.
@@ -265,10 +260,10 @@ type Config struct {
 	AVFPrior bool
 }
 
-// defaultSnapshotEvery is the golden-run snapshot interval selected by
-// SnapshotEvery == 0 (7 to 21 snapshots on the 13k-42k-cycle benchmark
-// programs).
-const defaultSnapshotEvery = 2048
+// snapshotEvery is the cycle stride of the snapshots taken along every
+// golden run for differential injection: 7 to 21 snapshots on the
+// 13k-42k-cycle benchmark programs.
+const snapshotEvery = 2048
 
 // defaultHashEvery is the golden state-hash stride used by the
 // convergence exit: dense enough that a masked windowed replay is
@@ -484,11 +479,6 @@ func (c *Config) Validate() error {
 
 // GoldenOptions parameterises the golden-artifact phase.
 type GoldenOptions struct {
-	// SnapshotEvery is the snapshot interval in cycles (0 selects the
-	// default of 2048). It must match the campaign's SnapshotEvery for
-	// the artifacts to be shareable with that campaign.
-	SnapshotEvery uint64
-
 	// Deprecated: SnapPolicy selects nothing.
 	SnapPolicy SnapPolicy
 
@@ -533,7 +523,6 @@ type Golden struct {
 	hashes   []hashAt           // golden state digests (convergence exit), cycle-ascending
 	life     *lifetime.Recorder // per-target access lifetimes (fault pruning), nil unless recorded
 	timeline map[[2]int][]uint64
-	opts     GoldenOptions
 }
 
 // Snapshots reports how many differential-injection snapshots were taken.
@@ -576,7 +565,7 @@ func PrepareGolden(factory Factory, opts GoldenOptions) (*Golden, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: golden simulator: %w", err)
 	}
-	g := &Golden{sim: sim, pin: &trace.Pinout{}, opts: opts}
+	g := &Golden{sim: sim, pin: &trace.Pinout{}}
 	sim.SetPinout(g.pin)
 
 	if opts.Timeline {
@@ -592,7 +581,7 @@ func PrepareGolden(factory Factory, opts GoldenOptions) (*Golden, error) {
 	}
 
 	start := time.Now()
-	snaps, hashes, err := goldenRunWithSnapshots(sim, opts.SnapshotEvery, opts.MaxCycles, opts.HashEvery)
+	snaps, hashes, err := goldenRunWithSnapshots(sim, opts.MaxCycles, opts.HashEvery)
 	if err != nil {
 		return nil, err
 	}
@@ -825,22 +814,19 @@ func Estimate(outcomes []RunOutcome, conf float64) (stats.Proportion, float64, e
 	return unsafe, margin, nil
 }
 
-// goldenRunWithSnapshots runs to completion capturing periodic snapshots
-// (including one at cycle 0) and, when hashEvery is non-zero, golden
-// state digests every hashEvery cycles for the convergence exit. A
-// non-zero max aborts a runaway program.
-func goldenRunWithSnapshots(sim Simulator, every, max, hashEvery uint64) ([]snapAt, []hashAt, error) {
+// goldenRunWithSnapshots runs to completion capturing a snapshot every
+// snapshotEvery cycles (and one at cycle 0) and, when hashEvery is
+// non-zero, golden state digests every hashEvery cycles for the
+// convergence exit. A non-zero max aborts a runaway program.
+func goldenRunWithSnapshots(sim Simulator, max, hashEvery uint64) ([]snapAt, []hashAt, error) {
 	snaps := []snapAt{{cycle: sim.Cycles(), snap: sim.Snapshot()}}
-	if every == 0 {
-		every = defaultSnapshotEvery
-	}
 	var hashes []hashAt
-	next := sim.Cycles() + every
+	next := sim.Cycles() + snapshotEvery
 	nextHash := sim.Cycles() + hashEvery
 	for sim.Step() {
 		if sim.Cycles() >= next {
 			snaps = append(snaps, snapAt{cycle: sim.Cycles(), snap: sim.Snapshot()})
-			next = sim.Cycles() + every
+			next = sim.Cycles() + snapshotEvery
 		}
 		if hashEvery > 0 && sim.Cycles() >= nextHash {
 			hashes = append(hashes, hashAt{cycle: sim.Cycles(), hash: sim.StateHash()})

@@ -18,7 +18,7 @@ const (
 )
 
 // SnapPolicy once selected where the golden run's snapshots are placed.
-// Snapshots are now always taken every SnapshotEvery cycles.
+// Snapshots are now always taken every 2048 cycles.
 //
 // Deprecated: SnapPolicy selects nothing.
 type SnapPolicy int

@@ -27,15 +27,14 @@ import (
 )
 
 // GoldenOptionsFor derives the golden-artifact options one campaign
-// needs: the snapshot schedule, the L1D timeline under AdvanceToUse,
-// state hashes under EarlyStop and the lifetime trace under Prune. Both
-// Sweep and a distributed worker preparing its local golden copy use
-// it, so the two golden runs capture identical artifacts.
+// needs: the L1D timeline under AdvanceToUse, state hashes under
+// EarlyStop and the lifetime trace under Prune. Both Sweep and a
+// distributed worker preparing its local golden copy use it, so the two
+// golden runs capture identical artifacts.
 func GoldenOptionsFor(cfg Config) GoldenOptions {
 	opts := GoldenOptions{
-		SnapshotEvery: cfg.SnapshotEvery,
-		Timeline:      cfg.AdvanceToUse,
-		Lifetime:      cfg.Prune != PruneOff || cfg.AVF,
+		Timeline: cfg.AdvanceToUse,
+		Lifetime: cfg.Prune != PruneOff || cfg.AVF,
 	}
 	if cfg.EarlyStop {
 		opts.HashEvery = defaultHashEvery

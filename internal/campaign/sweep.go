@@ -43,11 +43,10 @@ type SweepCampaign struct {
 // II reports, exposed so callers never re-simulate a golden run the
 // sweep already executed.
 type GoldenInfo struct {
-	Group     string
-	Cycles    uint64
-	Txns      int
-	Elapsed   time.Duration
-	Snapshots int
+	Group   string
+	Cycles  uint64
+	Txns    int
+	Elapsed time.Duration
 }
 
 // SweepResult aggregates a sweep.
@@ -59,10 +58,8 @@ type SweepResult struct {
 	// nothing, so a fully resumed campaign reports both as zero.
 	Results map[string]*Result
 
-	// Goldens maps each golden-sharing Group to its measured run. If
-	// several snapshot schedules split one Group into multiple golden
-	// runs, the first-planned schedule's run is recorded. Golden runs
-	// execute concurrently on the pool, so Elapsed values include
+	// Goldens maps each golden-sharing Group to its measured run. Golden
+	// runs execute concurrently on the pool, so Elapsed values include
 	// whatever contention the machine exhibits under parallel load.
 	Goldens map[string]GoldenInfo
 
@@ -101,24 +98,10 @@ type SweepOptions struct {
 	Stop <-chan struct{}
 }
 
-// groupKey derives the internal golden-sharing key: the caller's Group
-// plus the normalised snapshot stride, so artifact sharing can never
-// pair a campaign with snapshots taken on a different schedule (the
-// determinism contract is "bit-identical to standalone Run", and
-// snapshot placement feeds the per-replay base accounting even though
-// classifications are placement-independent).
-func groupKey(c SweepCampaign) string {
-	every := c.Config.SnapshotEvery
-	if every == 0 {
-		every = defaultSnapshotEvery
-	}
-	return fmt.Sprintf("%s/snap%d", c.Group, every)
-}
-
 // sweepGroup is one golden-sharing group: the merged artifact needs of
 // its members and, after the golden phase, the run that serves them.
 type sweepGroup struct {
-	name    string // caller-visible Group
+	name    string
 	factory Factory
 	opts    GoldenOptions
 	golden  *Golden
@@ -127,8 +110,7 @@ type sweepGroup struct {
 
 // merge widens o to also serve a campaign that needs b. Every artifact
 // is pure observation, so one golden run recorded with the union serves
-// the group's plainer members too. The snapshot schedule stays o's:
-// golden sharing is keyed on it.
+// the group's plainer members too.
 func (o GoldenOptions) merge(b GoldenOptions) GoldenOptions {
 	o.Timeline = o.Timeline || b.Timeline
 	o.Lifetime = o.Lifetime || b.Lifetime
@@ -138,12 +120,12 @@ func (o GoldenOptions) merge(b GoldenOptions) GoldenOptions {
 	return o
 }
 
-// Sweep plans a matrix of campaigns, executes one golden run per
-// (Group, snapshot schedule), shares its artifacts across every member
-// campaign, and dispatches ALL replays through one global replay pool.
-// Each campaign's result is bit-identical to sweeping it alone (Run)
-// with the same seed: the fault plan depends only on seed + golden cycle
-// count, which sharing preserves.
+// Sweep plans a matrix of campaigns, executes one golden run per Group,
+// shares its artifacts across every member campaign, and dispatches ALL
+// replays through one global replay pool. Each campaign's result is
+// bit-identical to sweeping it alone (Run) with the same seed: the fault
+// plan depends only on seed + golden cycle count, which sharing
+// preserves.
 func Sweep(campaigns []SweepCampaign, opt SweepOptions) (*SweepResult, error) {
 	if len(campaigns) == 0 {
 		return nil, fmt.Errorf("campaign: empty sweep")
@@ -176,11 +158,11 @@ func Sweep(campaigns []SweepCampaign, opt SweepOptions) (*SweepResult, error) {
 	var order []*sweepGroup
 	for i := range campaigns {
 		c := &campaigns[i]
-		k, need := groupKey(*c), GoldenOptionsFor(c.Config)
-		gr, ok := groups[k]
+		need := GoldenOptionsFor(c.Config)
+		gr, ok := groups[c.Group]
 		if !ok {
 			gr = &sweepGroup{name: c.Group, factory: c.Factory, opts: need}
-			groups[k] = gr
+			groups[c.Group] = gr
 			order = append(order, gr)
 		}
 		gr.opts = gr.opts.merge(need)
@@ -203,14 +185,8 @@ func Sweep(campaigns []SweepCampaign, opt SweepOptions) (*SweepResult, error) {
 	}
 	goldens := make(map[string]GoldenInfo, len(groups))
 	for _, gr := range order {
-		if _, ok := goldens[gr.name]; ok {
-			continue // first-planned snapshot schedule wins for a split Group
-		}
 		g := gr.golden
-		goldens[gr.name] = GoldenInfo{
-			Group: gr.name, Cycles: g.Cycles, Txns: g.Txns,
-			Elapsed: g.Elapsed, Snapshots: g.Snapshots(),
-		}
+		goldens[gr.name] = GoldenInfo{Group: gr.name, Cycles: g.Cycles, Txns: g.Txns, Elapsed: g.Elapsed}
 	}
 
 	// ------------------------------------- fault plans + checkpoint resume

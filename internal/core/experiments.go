@@ -1131,7 +1131,7 @@ func (p Params) measureGolden(m Model, w *bench.Workload) (campaign.GoldenInfo, 
 	}
 	return campaign.GoldenInfo{
 		Group: sweepGroup(m, w.Name, p.Setup), Cycles: g.Cycles,
-		Txns: g.Txns, Elapsed: g.Elapsed, Snapshots: g.Snapshots(),
+		Txns: g.Txns, Elapsed: g.Elapsed,
 	}, nil
 }
 

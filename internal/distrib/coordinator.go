@@ -133,7 +133,6 @@ type campState struct {
 	claimed      bool         // a preparation has taken the campaign
 	golden       *goldenEntry // pinned while the campaign is live
 	planned      *campaign.Planned
-	goldenFP     uint64
 	goldenCycles uint64
 
 	// The engine state Progress serves once planned is released; while
@@ -337,7 +336,7 @@ func (c *Coordinator) prepare(cs *campState) {
 			m.status, m.errMsg = StatusFailed, r.err.Error()
 			continue
 		}
-		m.golden, m.planned, m.goldenFP, m.goldenCycles = r.e, r.p, r.e.fp, r.e.g.Cycles
+		m.golden, m.planned, m.goldenCycles = r.e, r.p, r.e.g.Cycles
 		m.status, m.start = StatusRunning, time.Now()
 		c.logf("distrib: campaign %s running (golden %d cycles, %d resumed)", m.id, r.e.g.Cycles, r.p.Resumed())
 		c.journal(obs.Event{
@@ -413,7 +412,7 @@ func (c *Coordinator) Lease(req LeaseRequest) (*Lease, error) {
 		l := &activeLease{id: fmt.Sprintf("l%06d", c.leaseSeq), parts: parts, worker: req.Worker,
 			issuedAt: now, deadline: now.Add(c.opt.LeaseTTL)}
 		c.leases[l.id] = l
-		out := &Lease{API: APIVersion, ID: l.id, GoldenFP: parts[0].cs.goldenFP, TTLMillis: c.opt.LeaseTTL.Milliseconds()}
+		out := &Lease{API: APIVersion, ID: l.id, GoldenFP: parts[0].cs.golden.fp, TTLMillis: c.opt.LeaseTTL.Milliseconds()}
 		for i, p := range parts {
 			p.cs.leased++
 			out.Members = append(out.Members, LeaseMember{CampaignID: p.cs.id, Spec: p.cs.spec})
@@ -452,7 +451,7 @@ func (c *Coordinator) pickUnitLocked(held []uint64) []*campState {
 	var best []*campState
 	for _, k := range keys {
 		u := units[k]
-		h, hb := slices.Contains(held, u[0].goldenFP), best != nil && slices.Contains(held, best[0].goldenFP)
+		h, hb := slices.Contains(held, u[0].golden.id), best != nil && slices.Contains(held, best[0].golden.id)
 		if best == nil || h && !hb || h == hb && cycles[k] > cycles[best[0].key] {
 			best = u
 		}

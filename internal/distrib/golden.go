@@ -1,6 +1,8 @@
 package distrib
 
 import (
+	"fmt"
+	"hash/fnv"
 	"sync"
 
 	"repro/internal/campaign"
@@ -24,6 +26,16 @@ type goldenKey struct {
 	opts                   campaign.GoldenOptions
 }
 
+// id names the key on the wire: a worker lists the ids of the golden
+// runs it holds in its lease requests. It covers the artifact options,
+// so a plain run is never taken for the advance-to-use run of the same
+// simulator, although both have one behavioural fingerprint.
+func (k goldenKey) id() uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%+v", k)
+	return h.Sum64()
+}
+
 // keyOf is the golden key a campaign of spec replays against.
 func keyOf(spec CampaignSpec) goldenKey {
 	return goldenKey{
@@ -32,11 +44,12 @@ func keyOf(spec CampaignSpec) goldenKey {
 	}
 }
 
-// goldenEntry is one golden shape's run. ready closes once preparation
-// has settled g (and its fingerprint fp) or err; build is the factory g
-// was run on.
+// goldenEntry is one golden shape's run, named id on the wire. ready
+// closes once preparation has settled g (and its fingerprint fp) or
+// err; build is the factory g was run on.
 type goldenEntry struct {
 	key   goldenKey
+	id    uint64
 	ready chan struct{}
 	g     *campaign.Golden
 	fp    uint64
@@ -87,7 +100,7 @@ func (c *goldenCache) get(spec CampaignSpec) (e *goldenEntry, fresh bool, err er
 	}
 	e, ok := c.entries[key]
 	if !ok {
-		e = &goldenEntry{key: key, ready: make(chan struct{})}
+		e = &goldenEntry{key: key, id: key.id(), ready: make(chan struct{})}
 		c.entries[key] = e
 	}
 	e.pins++
@@ -142,16 +155,16 @@ func (c *goldenCache) release(e *goldenEntry) {
 	}
 }
 
-// held lists the fingerprints of the golden runs the cache has ready:
-// what a worker names in its lease requests.
+// held lists the ids of the golden runs the cache has ready: what a
+// worker names in its lease requests.
 func (c *goldenCache) held() []uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var fps []uint64
+	var ids []uint64
 	for _, e := range c.entries {
 		if e.settled {
-			fps = append(fps, e.fp)
+			ids = append(ids, e.id)
 		}
 	}
-	return fps
+	return ids
 }

@@ -2,6 +2,7 @@ package distrib
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/fault"
@@ -14,10 +15,18 @@ import (
 // are, and a failed preparation is dropped so a resubmission retries it
 // instead of inheriting the error.
 func TestGoldenCacheBoundAndRetry(t *testing.T) {
+	// Shape i is one of 32 distinct golden keys: two workloads, two
+	// models and the eight combinations of the artifact options (the L1D
+	// timeline, state hashes, the lifetime trace).
 	shape := func(i uint64) CampaignSpec {
-		return CampaignSpec{Workload: "sha", Model: "microarch", Config: campaign.Config{
-			Injections: 4, Seed: 1, Target: fault.TargetRF, Window: 100, SnapshotEvery: 1000 + 100*i,
-		}}
+		cfg := campaign.Config{
+			Injections: 4, Seed: 1, Target: fault.TargetRF, Window: 100,
+			AdvanceToUse: i&1 != 0, EarlyStop: i&2 != 0,
+		}
+		if i&4 != 0 {
+			cfg.Prune = campaign.PruneDead
+		}
+		return CampaignSpec{Workload: []string{"sha", "fft"}[i/16], Model: []string{"microarch", "rtl"}[i/8%2], Config: cfg}
 	}
 	var c goldenCache
 	cached := func(s CampaignSpec) bool {
@@ -36,7 +45,7 @@ func TestGoldenCacheBoundAndRetry(t *testing.T) {
 	c.release(again) // still pinned once: first is held
 
 	// A preparation somebody is still waiting on.
-	inflight := shape(7777)
+	inflight := shape(31)
 	c.entries[keyOf(inflight)] = &goldenEntry{key: keyOf(inflight), ready: make(chan struct{})}
 
 	// Fill the bound with idle entries, released in order 1, 2, ...
@@ -96,5 +105,78 @@ func TestGoldenCacheBoundAndRetry(t *testing.T) {
 	}
 	if cached(bad) {
 		t.Error("failed preparation stayed cached")
+	}
+}
+
+// TestLeaseAffinityNamesGoldenOptions runs two qsort/rtl units, one
+// plain and one with advance-to-use, whose golden runs share one
+// behavioural fingerprint. A worker holding only the plain run must be
+// handed the plain unit although the advance unit is heavier, and a
+// request naming no run must get the heavier one.
+func TestLeaseAffinityNamesGoldenOptions(t *testing.T) {
+	c := NewCoordinator(CoordinatorOptions{ShardSize: 4, Logf: t.Logf})
+	defer c.Close()
+	plain := CampaignSpec{Workload: "qsort", Model: "rtl", Config: campaign.Config{
+		Injections: 8, Seed: 3, Target: fault.TargetL1D, Window: 500,
+	}}
+	advance := plain
+	advance.Config.Injections, advance.Config.AdvanceToUse = 24, true
+	var ids []string
+	for _, s := range []CampaignSpec{plain, advance} {
+		resp, err := c.Submit(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, resp.ID)
+	}
+	waitRunning(t, c, ids...)
+
+	// What a worker that ran the plain unit's golden names in its pull.
+	var worker goldenCache
+	e, _, err := worker.get(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	worker.release(e)
+	lease := func(held []uint64) *Lease {
+		t.Helper()
+		l, err := c.Lease(LeaseRequest{API: APIVersion, Worker: "w", Golden: held})
+		if err != nil || l == nil || len(l.Members) != 1 {
+			t.Fatalf("lease: %+v %v", l, err)
+		}
+		if l.GoldenFP != e.fp {
+			t.Errorf("lease carries golden fingerprint %016x, want %016x", l.GoldenFP, e.fp)
+		}
+		return l
+	}
+	if got := lease(worker.held()).Members[0].CampaignID; got != ids[0] {
+		t.Errorf("a request holding the plain run got campaign %s, want the plain unit %s", got, ids[0])
+	}
+	if got := lease(nil).Members[0].CampaignID; got != ids[1] {
+		t.Errorf("a request holding nothing got campaign %s, want the heavier advance unit %s", got, ids[1])
+	}
+}
+
+// WaitRunning lends waitRunning to the package's external tests.
+var WaitRunning = waitRunning
+
+// waitRunning waits until every campaign is leasable.
+func waitRunning(t *testing.T, c *Coordinator, ids ...string) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for _, id := range ids {
+		for {
+			p, err := c.Progress(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Status == StatusRunning {
+				break
+			}
+			if p.Status != StatusPreparing || time.Now().After(deadline) {
+				t.Fatalf("campaign never started running: %+v", p)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
 	}
 }

@@ -36,6 +36,10 @@ func TestHandlerServesMetricsAndJournal(t *testing.T) {
 	})
 	startWorker(t, srv.URL, "obs-w1")
 
+	// The registry is process-global: other tests, and earlier runs of
+	// this one under -count, move the same counters.
+	counted := []string{"distrib_campaigns_submitted_total", "distrib_campaigns_done_total"}
+	before := scrapeSeries(t, srv.URL, counted...)
 	client := distrib.NewClient(srv.URL)
 	id, err := client.Submit(distrib.CampaignSpec{
 		Workload: "qsort", Model: "microarch",
@@ -48,6 +52,12 @@ func TestHandlerServesMetricsAndJournal(t *testing.T) {
 	}
 	if _, err := client.Wait(id, nil); err != nil {
 		t.Fatal(err)
+	}
+	after := scrapeSeries(t, srv.URL, counted...)
+	for _, series := range counted {
+		if got := after[series] - before[series]; got != 1 {
+			t.Errorf("%s moved by %v over one campaign, want 1", series, got)
+		}
 	}
 
 	resp, err := http.Get(srv.URL + "/metrics")
@@ -67,8 +77,6 @@ func TestHandlerServesMetricsAndJournal(t *testing.T) {
 	}
 	text := string(body)
 	for _, series := range []string{
-		"distrib_campaigns_submitted_total 1",
-		"distrib_campaigns_done_total 1",
 		"distrib_lease_latency_seconds_bucket",
 		"distrib_golden_cache_misses_total",
 		"worker_shards_total",

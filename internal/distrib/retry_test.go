@@ -239,8 +239,10 @@ func TestDistributedProtectedMatchesLocal(t *testing.T) {
 }
 
 // TestSubmitRejectsUnknownConfigFields: an older client's submission
-// still carries config.Protect. Decoded leniently it would run
-// unprotected and report as if protected; it must be a 400 instead.
+// carries config fields this build no longer has, and each must be a
+// 400. Decoded leniently, config.Protect would run unprotected and
+// report as if protected, and config.SnapshotEvery would ask for a
+// snapshot stride the golden run no longer varies.
 func TestSubmitRejectsUnknownConfigFields(t *testing.T) {
 	_, srv := startCoordinator(t, distrib.CoordinatorOptions{Logf: t.Logf})
 	submit := func(config string) int {
@@ -253,8 +255,10 @@ func TestSubmitRejectsUnknownConfigFields(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	if code := submit(`,"Protect":"rf=parity"`); code != http.StatusBadRequest {
-		t.Errorf("submission with config.Protect: status %d, want %d", code, http.StatusBadRequest)
+	for _, field := range []string{`"Protect":"rf=parity"`, `"SnapshotEvery":0`} {
+		if code := submit("," + field); code != http.StatusBadRequest {
+			t.Errorf("submission with config %s: status %d, want %d", field, code, http.StatusBadRequest)
+		}
 	}
 	if code := submit(""); code != http.StatusOK {
 		t.Errorf("the same submission without it: status %d, want %d", code, http.StatusOK)

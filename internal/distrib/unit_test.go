@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/distrib"
@@ -25,10 +24,10 @@ import (
 // TestFleetUnitsMatchLocal submits windowed and run-to-end microarch
 // campaigns, which share a golden run, plus an RTL campaign. A worker
 // that takes the heaviest unit and dies must have been handed both
-// microarch campaigns in one lease; a request naming the RTL golden run
-// must get the RTL unit although it is lighter; and once two workers
-// have finished the matrix, the expired shards included, every result
-// must equal the local sweep's.
+// microarch campaigns in one lease, and once two workers have finished
+// the matrix, the expired shard included, every result must equal the
+// local sweep's. TestLeaseAffinityNamesGoldenOptions covers a request
+// that names a held golden run.
 func TestFleetUnitsMatchLocal(t *testing.T) {
 	base := campaign.Config{Injections: 24, Seed: 9, Target: fault.TargetRF, Obs: campaign.ObsPinout, Window: 500}
 	runToEnd := base
@@ -53,7 +52,7 @@ func TestFleetUnitsMatchLocal(t *testing.T) {
 		}
 		ids[i] = id
 	}
-	waitRunning(t, c, ids...)
+	distrib.WaitRunning(t, c, ids...)
 
 	dead, err := c.Lease(distrib.LeaseRequest{API: distrib.APIVersion, Worker: "dies-mid-unit"})
 	if err != nil || dead == nil {
@@ -62,15 +61,7 @@ func TestFleetUnitsMatchLocal(t *testing.T) {
 	if got := memberIDs(dead); !reflect.DeepEqual(got, ids[:2]) {
 		t.Fatalf("the heaviest unit leased campaigns %v, want both microarch campaigns %v", got, ids[:2])
 	}
-	rtlFP := goldenFP(t, "qsort", core.ModelRTL, base)
-	held, err := c.Lease(distrib.LeaseRequest{API: distrib.APIVersion, Worker: "holds-rtl", Golden: []uint64{rtlFP}})
-	if err != nil || held == nil {
-		t.Fatalf("affinity lease: %v %v", held, err)
-	}
-	if got := memberIDs(held); held.GoldenFP != rtlFP || !reflect.DeepEqual(got, ids[2:]) {
-		t.Errorf("a request holding the RTL golden got golden %016x, campaigns %v; want %016x, %v", held.GoldenFP, got, rtlFP, ids[2:])
-	}
-	// Neither lessee returns: both leases expire and are re-issued.
+	// The lessee never returns: the lease expires and is re-issued.
 
 	startWorker(t, srv.URL, "w1")
 	startWorker(t, srv.URL, "w2")
@@ -157,52 +148,12 @@ func localSweep(t *testing.T, specs []distrib.CampaignSpec) []*campaign.Result {
 	return out
 }
 
-// waitRunning waits until every campaign is leasable.
-func waitRunning(t *testing.T, c *distrib.Coordinator, ids ...string) {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for _, id := range ids {
-		for {
-			p, err := c.Progress(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if p.Status == distrib.StatusRunning {
-				break
-			}
-			if p.Status != distrib.StatusPreparing || time.Now().After(deadline) {
-				t.Fatalf("campaign never started running: %+v", p)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-}
-
 func memberIDs(l *distrib.Lease) []string {
 	var ids []string
 	for _, m := range l.Members {
 		ids = append(ids, m.CampaignID)
 	}
 	return ids
-}
-
-// goldenFP is the fingerprint of the golden run a campaign of cfg on
-// workload replays against at level m.
-func goldenFP(t *testing.T, workload string, m core.Model, cfg campaign.Config) uint64 {
-	t.Helper()
-	w, err := bench.ByName(workload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := w.Program()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := campaign.PrepareGolden(core.Factory(m, prog, core.CampaignSetup()), campaign.GoldenOptionsFor(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g.Fingerprint()
 }
 
 // scrapeSeries reads the named series off a /metrics endpoint.

@@ -102,9 +102,11 @@ type Job struct {
 	Spec   fault.Spec `json:"spec"`
 }
 
-// LeaseRequest is a worker's pull for work. Golden lists the
-// fingerprints of the golden runs the worker holds ready; the
-// coordinator prefers a unit of one of them.
+// LeaseRequest is a worker's pull for work. Golden names the golden
+// runs the worker holds ready, each by an id of its golden key
+// (workload, model, setup and artifact options); the coordinator
+// prefers a unit of one of them. It is only a hint: an id that names no
+// unit, such as a fingerprint from an older worker, matches nothing.
 type LeaseRequest struct {
 	API    int      `json:"api"`
 	Worker string   `json:"worker"`
