@@ -108,10 +108,11 @@ type sweepGroup struct {
 	members []*SweepCampaign
 }
 
-// merge widens o to also serve a campaign that needs b. Every artifact
+// Merge widens o to also serve a campaign that needs b. Every artifact
 // is pure observation, so one golden run recorded with the union serves
-// the group's plainer members too.
-func (o GoldenOptions) merge(b GoldenOptions) GoldenOptions {
+// the group's plainer members too: a run prepared with o covers a need
+// b exactly when o.Merge(b) == o.
+func (o GoldenOptions) Merge(b GoldenOptions) GoldenOptions {
 	o.Timeline = o.Timeline || b.Timeline
 	o.Lifetime = o.Lifetime || b.Lifetime
 	if o.HashEvery == 0 {
@@ -165,7 +166,7 @@ func Sweep(campaigns []SweepCampaign, opt SweepOptions) (*SweepResult, error) {
 			groups[c.Group] = gr
 			order = append(order, gr)
 		}
-		gr.opts = gr.opts.merge(need)
+		gr.opts = gr.opts.Merge(need)
 		gr.members = append(gr.members, c)
 	}
 	// Groups are independent, so golden runs fan out too — with the

@@ -72,9 +72,9 @@ type CoordinatorOptions struct {
 
 // Coordinator owns the service side of a distributed campaign: it
 // accepts submissions, prepares golden artifacts and fault plans in a
-// small background worker pool — distinct golden shapes prepare
-// concurrently, while campaigns with identical golden needs
-// single-flight onto one shared run and start together — splits plans
+// small background worker pool — distinct simulators prepare
+// concurrently, while the campaigns of one simulator single-flight onto
+// one shared run and start together — splits plans
 // into shards, leases the shards of campaigns sharing a golden run to
 // pulling workers as one unit, merges outcome batches in fault-index
 // order through the campaign engine's own collector, and serves
@@ -194,9 +194,10 @@ func NewCoordinator(opt CoordinatorOptions) *Coordinator {
 		goldens:   goldenCache{evictions: obsGoldenEvictions},
 		closed:    make(chan struct{}),
 	}
-	// Golden runs dominate preparation and distinct shapes are
-	// independent, so a small pool preps them concurrently; identical
-	// shapes still share one run through the golden cache's single-flight.
+	// Golden runs dominate preparation and distinct simulators are
+	// independent, so a small pool preps them concurrently; one
+	// simulator's campaigns still share one run through the golden
+	// cache's single-flight.
 	// One P stays free of golden runs: they are pure compute that never
 	// enters the runtime (the microarch kernel does not allocate), so a
 	// pool as wide as GOMAXPROCS left the API's goroutines waiting ~10 ms
@@ -281,8 +282,8 @@ func (c *Coordinator) Submit(spec CampaignSpec) (SubmitResponse, error) {
 }
 
 // prepLoop drains the submission queue; several instances run
-// concurrently, so distinct golden shapes prepare in parallel while
-// the golden cache single-flights identical shapes onto one run.
+// concurrently, so distinct simulators prepare in parallel while the
+// golden cache single-flights each simulator's campaigns onto one run.
 func (c *Coordinator) prepLoop() {
 	defer c.wg.Done()
 	for {
@@ -298,8 +299,10 @@ func (c *Coordinator) prepLoop() {
 // prepare runs the golden-artifact phase and planning of cs and of
 // every campaign of its golden key still waiting, then of those
 // submitted meanwhile, and starts them all together, so the unit's
-// first lease already carries them all. A campaign a sibling's
-// preparation took is skipped when its own turn comes.
+// first lease already carries them all. Each batch asks the cache once,
+// for the union of its members' needs, pinning the run once per member,
+// and plans every member against it. A campaign a sibling's preparation
+// took is skipped when its own turn comes.
 func (c *Coordinator) prepare(cs *campState) {
 	type prepped struct {
 		cs  *campState
@@ -311,19 +314,37 @@ func (c *Coordinator) prepare(cs *campState) {
 	for {
 		c.mu.Lock()
 		var batch []*campState
+		var need campaign.GoldenOptions
 		for _, m := range c.order {
 			if m.key == cs.key && m.status == StatusPreparing && !m.claimed {
 				m.claimed = true
 				batch = append(batch, m)
+				need = need.Merge(needOf(m.spec))
 			}
 		}
 		c.mu.Unlock()
 		if len(batch) == 0 {
 			break
 		}
+		e, fresh, err := c.goldens.get(cs.spec, need, len(batch))
+		hits := len(batch)
+		if fresh {
+			obsGoldenMisses.Inc()
+			hits--
+		}
+		obsGoldenHits.Add(uint64(hits))
 		for _, m := range batch {
-			e, p, err := c.plan(m)
-			ready = append(ready, prepped{m, e, p, err})
+			r := prepped{cs: m, e: e, err: err}
+			if err == nil {
+				r.p, r.err = e.g.PlanCampaign(m.spec.Config)
+				if r.err == nil && c.opt.CheckpointDir != "" {
+					r.err = r.p.OpenCheckpoint(c.opt.CheckpointDir, m.id)
+				}
+				if r.err != nil {
+					c.goldens.release(e) // the pin get took for m
+				}
+			}
+			ready = append(ready, r)
 		}
 	}
 
@@ -348,29 +369,6 @@ func (c *Coordinator) prepare(cs *campState) {
 	for _, r := range ready {
 		c.maybeFinishLocked(r.cs) // a fully checkpointed campaign needs no worker
 	}
-}
-
-// plan fetches the campaign's golden run from the cache, pinned, and
-// plans the campaign against it.
-func (c *Coordinator) plan(cs *campState) (*goldenEntry, *campaign.Planned, error) {
-	e, fresh, err := c.goldens.get(cs.spec)
-	if fresh {
-		obsGoldenMisses.Inc()
-	} else {
-		obsGoldenHits.Inc()
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	planned, err := e.g.PlanCampaign(cs.spec.Config)
-	if err == nil && c.opt.CheckpointDir != "" {
-		err = planned.OpenCheckpoint(c.opt.CheckpointDir, cs.id)
-	}
-	if err != nil {
-		c.goldens.release(e)
-		return nil, nil, err
-	}
-	return e, planned, nil
 }
 
 // Lease hands the next available unit to a pulling worker, or reports
@@ -451,7 +449,7 @@ func (c *Coordinator) pickUnitLocked(held []uint64) []*campState {
 	var best []*campState
 	for _, k := range keys {
 		u := units[k]
-		h, hb := slices.Contains(held, u[0].golden.id), best != nil && slices.Contains(held, best[0].golden.id)
+		h, hb := slices.Contains(held, u[0].golden.fp), best != nil && slices.Contains(held, best[0].golden.fp)
 		if best == nil || h && !hb || h == hb && cycles[k] > cycles[best[0].key] {
 			best = u
 		}

@@ -1,59 +1,54 @@
 package distrib
 
 import (
-	"fmt"
-	"hash/fnv"
 	"sync"
 
 	"repro/internal/campaign"
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
 // maxGoldenCache bounds the settled golden runs a cache keeps that
 // nobody holds: golden artifacts (snapshots, pinout and lifetime
 // traces) are a fleet process's largest allocation, and a long-lived
-// coordinator or worker must not accumulate one per distinct campaign
-// shape forever. Entries in use do not count against it. Sixteen idle
-// runs cover both levels of Figures 1 and 2 over four benchmarks (12
-// keys), so a matrix that revisits a golden key finds it still cached.
+// coordinator or worker must not accumulate one per distinct simulator
+// forever. Entries in use do not count against it. Both levels of
+// Figures 1 and 2 over four benchmarks are 8 keys, one per benchmark
+// and level, so a matrix that revisits a simulator finds its golden run
+// still cached.
 const maxGoldenCache = 16
 
-// goldenKey identifies a shareable golden run: campaigns agreeing on
-// simulator identity and golden-artifact options replay against one
-// golden instance, exactly like a sweep group.
-type goldenKey struct {
-	workload, model, setup string
-	opts                   campaign.GoldenOptions
-}
-
-// id names the key on the wire: a worker lists the ids of the golden
-// runs it holds in its lease requests. It covers the artifact options,
-// so a plain run is never taken for the advance-to-use run of the same
-// simulator, although both have one behavioural fingerprint.
-func (k goldenKey) id() uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v", k)
-	return h.Sum64()
-}
+// goldenKey identifies a simulator: the workload, the model and the
+// parsed setup name, the triple core names a local sweep group by.
+// Campaigns of one key replay against one golden run, whose artifacts
+// cover what each of them needs, so they share one behavioural
+// fingerprint too.
+type goldenKey struct{ workload, model, setup string }
 
 // keyOf is the golden key a campaign of spec replays against.
 func keyOf(spec CampaignSpec) goldenKey {
-	return goldenKey{
-		workload: spec.Workload, model: spec.Model, setup: spec.Setup,
-		opts: campaign.GoldenOptionsFor(spec.Config),
-	}
+	return goldenKey{spec.Workload, spec.Model, spec.Setup}
 }
 
-// goldenEntry is one golden shape's run, named id on the wire. ready
+// needOf returns the golden artifacts a campaign of spec needs. An RTL
+// run always records its L1D access timeline, as core's TABLE II golden
+// runs do: it costs a few percent of an RTL preparation, less than the
+// separate run an advance-to-use campaign would otherwise need.
+func needOf(spec CampaignSpec) campaign.GoldenOptions {
+	rtl := campaign.GoldenOptions{Timeline: spec.Model == core.ModelRTL.String()}
+	return campaign.GoldenOptionsFor(spec.Config).Merge(rtl)
+}
+
+// goldenEntry is one golden run of a key, prepared with opts. ready
 // closes once preparation has settled g (and its fingerprint fp) or
-// err; build is the factory g was run on.
+// failed; build is the factory g was run on. g, fp and build are
+// written under the cache's mutex, and an entry is settled once g is.
 type goldenEntry struct {
 	key   goldenKey
-	id    uint64
+	opts  campaign.GoldenOptions
 	ready chan struct{}
 	g     *campaign.Golden
 	fp    uint64
-	err   error
 	build campaign.Factory
 
 	// Worker side: the simulators warmed against g. They are reused
@@ -64,20 +59,23 @@ type goldenEntry struct {
 	sims []campaign.Simulator
 
 	// Guarded by the cache's mutex: how many holders pin the entry (a
-	// live campaign, a running lease, a caller waiting on ready), whether
-	// preparation succeeded, and the cache clock at its last release.
-	pins    int
-	settled bool
-	used    uint64
+	// live campaign, a running lease) and the cache clock at its last
+	// release.
+	pins int
+	used uint64
 }
 
 // goldenCache is the keyed, bounded golden-run cache of both fleet
-// roles. Preparation is single-flight: the first caller to claim a
-// shape runs PrepareGolden and everyone else waits on the entry, so
-// identical campaigns always replay against one golden instance
-// (fingerprint-stable) no matter how requests interleave. Every
-// successful get pins its entry until the matching release; once the
-// settled entries nobody pins outnumber maxGoldenCache, the least
+// roles, one entry per simulator. An entry serves every need its
+// artifacts cover; a need it does not cover gets a replacement prepared
+// with the union of both, as a local sweep prepares one run per group
+// with the union of its members' needs. Whoever holds the replaced
+// entry keeps its reference. Preparation is single-flight: the first
+// caller to miss runs PrepareGolden and everyone else waits on the
+// entry, so campaigns of one simulator replay against one golden
+// instance (fingerprint-stable) no matter how requests interleave.
+// Every successful get pins its entry until the matching release; once
+// the settled entries nobody pins outnumber maxGoldenCache, the least
 // recently released go.
 type goldenCache struct {
 	evictions *obs.Counter // nil: evictions go uncounted (the worker)
@@ -87,44 +85,50 @@ type goldenCache struct {
 	clock   uint64
 }
 
-// get returns the settled entry for spec's golden shape, pinned until
-// the caller releases it; fresh reports that this call prepared it (a
-// miss) rather than joined an existing entry. A failed preparation
-// leaves nothing to release and is dropped, so a later request retries
-// the run instead of inheriting a stale error forever.
-func (c *goldenCache) get(spec CampaignSpec) (e *goldenEntry, fresh bool, err error) {
+// get returns a settled golden run of spec's simulator whose artifacts
+// cover need, pinned pins times until the caller releases each pin;
+// fresh reports that this call prepared it (a miss) rather than joined
+// an existing entry. A failed preparation leaves nothing to release and
+// is dropped, so whoever asks next, a caller that waited on it
+// included, retries the run instead of inheriting a stale error.
+func (c *goldenCache) get(spec CampaignSpec, need campaign.GoldenOptions, pins int) (e *goldenEntry, fresh bool, err error) {
 	key := keyOf(spec)
 	c.mu.Lock()
+	// Nobody replaces an entry in flight: wait for it, then look again.
+	for e = c.entries[key]; e != nil && e.g == nil; e = c.entries[key] {
+		c.mu.Unlock()
+		<-e.ready
+		c.mu.Lock()
+	}
+	opts := need
+	if e != nil {
+		if opts = e.opts.Merge(need); opts == e.opts {
+			e.pins += pins
+			c.mu.Unlock()
+			return e, false, nil
+		}
+	}
+	e = &goldenEntry{key: key, opts: opts, ready: make(chan struct{}), pins: pins}
 	if c.entries == nil {
 		c.entries = make(map[goldenKey]*goldenEntry)
 	}
-	e, ok := c.entries[key]
-	if !ok {
-		e = &goldenEntry{key: key, id: key.id(), ready: make(chan struct{})}
-		c.entries[key] = e
-	}
-	e.pins++
+	c.entries[key] = e
 	c.mu.Unlock()
-	if ok {
-		<-e.ready
-		return e, false, e.err
-	}
 
-	if e.build, e.err = spec.factory(); e.err == nil {
-		if e.g, e.err = campaign.PrepareGolden(e.build, key.opts); e.err == nil {
-			e.fp = e.g.Fingerprint()
-		}
+	build, err := spec.factory()
+	var g *campaign.Golden
+	if err == nil {
+		g, err = campaign.PrepareGolden(build, opts)
 	}
-	close(e.ready)
-
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e.err != nil {
+	if err != nil {
 		delete(c.entries, key)
 	} else {
-		e.settled = true
+		e.build, e.g, e.fp = build, g, g.Fingerprint()
 	}
-	return e, true, e.err
+	c.mu.Unlock()
+	close(e.ready)
+	return e, true, err
 }
 
 // release drops one pin on e and, once the settled entries nobody pins
@@ -140,7 +144,7 @@ func (c *goldenCache) release(e *goldenEntry) {
 	e.used = c.clock
 	idle, oldest := 0, e
 	for _, o := range c.entries {
-		if o.settled && o.pins == 0 {
+		if o.g != nil && o.pins == 0 {
 			idle++
 			if o.used < oldest.used {
 				oldest = o
@@ -155,16 +159,16 @@ func (c *goldenCache) release(e *goldenEntry) {
 	}
 }
 
-// held lists the ids of the golden runs the cache has ready: what a
-// worker names in its lease requests.
+// held lists the fingerprints of the golden runs the cache has ready:
+// what a worker names in its lease requests.
 func (c *goldenCache) held() []uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var ids []uint64
+	var fps []uint64
 	for _, e := range c.entries {
-		if e.settled {
-			ids = append(ids, e.id)
+		if e.g != nil {
+			fps = append(fps, e.fp)
 		}
 	}
-	return ids
+	return fps
 }

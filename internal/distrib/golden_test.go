@@ -9,36 +9,34 @@ import (
 )
 
 // TestGoldenCacheBoundAndRetry drives the one golden cache both fleet
-// roles use past its bound: a shape asked for twice is prepared once,
-// the least recently released settled entry is evicted first, entries
-// somebody pins and in-flight preparations (they have waiters) never
-// are, and a failed preparation is dropped so a resubmission retries it
-// instead of inheriting the error.
+// roles use past its bound: a simulator asked for twice is prepared
+// once, the least recently released settled entry is evicted first,
+// entries somebody pins and in-flight preparations never are, and a
+// failed preparation is dropped so a resubmission retries it instead of
+// inheriting the error.
 func TestGoldenCacheBoundAndRetry(t *testing.T) {
-	// Shape i is one of 32 distinct golden keys: two workloads, two
-	// models and the eight combinations of the artifact options (the L1D
-	// timeline, state hashes, the lifetime trace).
+	// Shape i is one of 32 distinct simulators: eight workloads, two
+	// models and two setups.
 	shape := func(i uint64) CampaignSpec {
-		cfg := campaign.Config{
-			Injections: 4, Seed: 1, Target: fault.TargetRF, Window: 100,
-			AdvanceToUse: i&1 != 0, EarlyStop: i&2 != 0,
+		return CampaignSpec{
+			Workload: []string{"caes", "fft", "qsort", "sha", "stringsearch", "susan_c", "susan_e", "susan_s"}[i/4],
+			Model:    []string{"microarch", "rtl"}[i/2%2],
+			Setup:    []string{"campaign", "tableI"}[i%2],
+			Config:   campaign.Config{Injections: 4, Seed: 1, Target: fault.TargetRF, Window: 100},
 		}
-		if i&4 != 0 {
-			cfg.Prune = campaign.PruneDead
-		}
-		return CampaignSpec{Workload: []string{"sha", "fft"}[i/16], Model: []string{"microarch", "rtl"}[i/8%2], Config: cfg}
 	}
 	var c goldenCache
+	get := func(s CampaignSpec) (*goldenEntry, bool, error) { return c.get(s, needOf(s), 1) }
 	cached := func(s CampaignSpec) bool {
 		_, ok := c.entries[keyOf(s)]
 		return ok
 	}
 
-	first, fresh, err := c.get(shape(0))
+	first, fresh, err := get(shape(0))
 	if err != nil || !fresh {
 		t.Fatalf("first request: fresh=%v err=%v", fresh, err)
 	}
-	again, fresh, err := c.get(shape(0))
+	again, fresh, err := get(shape(0))
 	if err != nil || fresh || again != first {
 		t.Fatalf("repeated shape: fresh=%v err=%v same entry=%v", fresh, err, again == first)
 	}
@@ -50,14 +48,14 @@ func TestGoldenCacheBoundAndRetry(t *testing.T) {
 
 	// Fill the bound with idle entries, released in order 1, 2, ...
 	for i := uint64(1); i <= maxGoldenCache; i++ {
-		e, fresh, err := c.get(shape(i))
+		e, fresh, err := get(shape(i))
 		if err != nil || !fresh || e.g == nil || e.build == nil || e.fp != e.g.Fingerprint() {
 			t.Fatalf("shape %d: fresh=%v err=%v entry=%+v", i, fresh, err, e)
 		}
 		c.release(e)
 	}
 	// Touch shape 1 again: shape 2 is now the least recently released.
-	e, fresh, err := c.get(shape(1))
+	e, fresh, err := get(shape(1))
 	if err != nil || fresh {
 		t.Fatalf("cached shape 1: fresh=%v err=%v", fresh, err)
 	}
@@ -69,7 +67,7 @@ func TestGoldenCacheBoundAndRetry(t *testing.T) {
 	// Two more idle entries push two out: shapes 2 and 3, never the pinned
 	// first entry, never the in-flight one, never the touched shape 1.
 	for i := uint64(maxGoldenCache + 1); i <= maxGoldenCache+2; i++ {
-		e, _, err := c.get(shape(i))
+		e, _, err := get(shape(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +97,7 @@ func TestGoldenCacheBoundAndRetry(t *testing.T) {
 	bad := shape(0)
 	bad.Workload = "no-such-workload"
 	for attempt := 1; attempt <= 2; attempt++ {
-		if _, fresh, err := c.get(bad); err == nil || !fresh {
+		if _, fresh, err := get(bad); err == nil || !fresh {
 			t.Errorf("failing shape, attempt %d: fresh=%v err=%v; want a fresh failure each time", attempt, fresh, err)
 		}
 	}
@@ -108,21 +106,21 @@ func TestGoldenCacheBoundAndRetry(t *testing.T) {
 	}
 }
 
-// TestLeaseAffinityNamesGoldenOptions runs two qsort/rtl units, one
-// plain and one with advance-to-use, whose golden runs share one
-// behavioural fingerprint. A worker holding only the plain run must be
-// handed the plain unit although the advance unit is heavier, and a
-// request naming no run must get the heavier one.
-func TestLeaseAffinityNamesGoldenOptions(t *testing.T) {
+// TestLeaseAffinityNamesGoldenFingerprint runs a light qsort/rtl unit
+// and a heavier unit of another simulator. A worker that holds the
+// qsort/rtl golden run names its fingerprint and must be handed the
+// qsort/rtl unit although the other is heavier, and a request naming no
+// run must get the heavier one.
+func TestLeaseAffinityNamesGoldenFingerprint(t *testing.T) {
 	c := NewCoordinator(CoordinatorOptions{ShardSize: 4, Logf: t.Logf})
 	defer c.Close()
-	plain := CampaignSpec{Workload: "qsort", Model: "rtl", Config: campaign.Config{
+	light := CampaignSpec{Workload: "qsort", Model: "rtl", Config: campaign.Config{
 		Injections: 8, Seed: 3, Target: fault.TargetL1D, Window: 500,
 	}}
-	advance := plain
-	advance.Config.Injections, advance.Config.AdvanceToUse = 24, true
+	heavy := light
+	heavy.Workload, heavy.Config.Injections = "sha", 24
 	var ids []string
-	for _, s := range []CampaignSpec{plain, advance} {
+	for _, s := range []CampaignSpec{light, heavy} {
 		resp, err := c.Submit(s)
 		if err != nil {
 			t.Fatal(err)
@@ -131,9 +129,9 @@ func TestLeaseAffinityNamesGoldenOptions(t *testing.T) {
 	}
 	waitRunning(t, c, ids...)
 
-	// What a worker that ran the plain unit's golden names in its pull.
+	// What a worker that ran the light unit's golden names in its pull.
 	var worker goldenCache
-	e, _, err := worker.get(plain)
+	e, _, err := worker.get(light, needOf(light), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,17 +142,24 @@ func TestLeaseAffinityNamesGoldenOptions(t *testing.T) {
 		if err != nil || l == nil || len(l.Members) != 1 {
 			t.Fatalf("lease: %+v %v", l, err)
 		}
-		if l.GoldenFP != e.fp {
-			t.Errorf("lease carries golden fingerprint %016x, want %016x", l.GoldenFP, e.fp)
-		}
 		return l
 	}
-	if got := lease(worker.held()).Members[0].CampaignID; got != ids[0] {
-		t.Errorf("a request holding the plain run got campaign %s, want the plain unit %s", got, ids[0])
+	if l := lease(worker.held()); l.Members[0].CampaignID != ids[0] || l.GoldenFP != e.fp {
+		t.Errorf("a request holding golden %016x got campaign %s (golden %016x), want the light unit %s",
+			e.fp, l.Members[0].CampaignID, l.GoldenFP, ids[0])
 	}
 	if got := lease(nil).Members[0].CampaignID; got != ids[1] {
-		t.Errorf("a request holding nothing got campaign %s, want the heavier advance unit %s", got, ids[1])
+		t.Errorf("a request holding nothing got campaign %s, want the heavier unit %s", got, ids[1])
 	}
+}
+
+// CampaignGolden reports the golden run a live campaign is planned
+// against and the artifact options it was prepared with.
+func CampaignGolden(c *Coordinator, id string) (*campaign.Golden, campaign.GoldenOptions) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.campaigns[id].golden
+	return e.g, e.opts
 }
 
 // WaitRunning lends waitRunning to the package's external tests.

@@ -121,9 +121,10 @@ func TestWorkerSurvivesDegenerateLeases(t *testing.T) {
 
 // TestWorkerRefusesOlderAPILease: a version-1 coordinator expects its
 // workers to apply protection, which this build's engine no longer
-// does, and a version-2 one leases a single campaign per lease, without
-// members. Either lease must be refused before anything replays, and no
-// outcome may reach its coordinator.
+// does, a version-2 one leases a single campaign per lease, without
+// members, and a version-3 one keys its units by artifact options and
+// keeps setups as spelled. Each such lease must be refused before
+// anything replays, and no outcome may reach its coordinator.
 func TestWorkerRefusesOlderAPILease(t *testing.T) {
 	for api := 1; api < distrib.APIVersion; api++ {
 		t.Run(fmt.Sprintf("v%d", api), func(t *testing.T) { refuseLease(t, api) })

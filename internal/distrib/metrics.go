@@ -33,14 +33,14 @@ var (
 	obsMergeSeconds = obs.NewHistogram("distrib_merge_seconds",
 		"time one outcome batch spends in the in-order collector (merge lag)", obs.DurationBuckets)
 	obsGoldenHits = obs.NewCounter("distrib_golden_cache_hits_total",
-		"golden-shape cache hits (campaign joined an existing golden run)")
+		"golden cache hits (a campaign joined a golden run whose artifacts cover it)")
 	obsGoldenMisses = obs.NewCounter("distrib_golden_cache_misses_total",
-		"golden-shape cache misses (a fresh golden run was prepared)")
+		"golden cache misses (a golden run was prepared, fresh or widening a cached one)")
 	obsGoldenEvictions = obs.NewCounter("distrib_golden_cache_evictions_total",
 		"settled golden artifacts evicted by the cache bound")
 
 	obsWorkerGoldenSeconds = obs.NewHistogram("worker_golden_prep_seconds",
-		"worker-side golden fetch + preparation time per golden key", obs.DurationBuckets)
+		"worker-side golden fetch + preparation time per golden run prepared", obs.DurationBuckets)
 	obsWorkerFPRefusals = obs.NewCounter("worker_fingerprint_refusals_total",
 		"shards refused because the local golden fingerprint diverged from the lease")
 	obsWorkerHTTPRetries = obs.NewCounter("worker_http_retries_total",

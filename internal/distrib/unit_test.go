@@ -26,8 +26,8 @@ import (
 // that takes the heaviest unit and dies must have been handed both
 // microarch campaigns in one lease, and once two workers have finished
 // the matrix, the expired shard included, every result must equal the
-// local sweep's. TestLeaseAffinityNamesGoldenOptions covers a request
-// that names a held golden run.
+// local sweep's. TestLeaseAffinityNamesGoldenFingerprint covers a
+// request that names a held golden run.
 func TestFleetUnitsMatchLocal(t *testing.T) {
 	base := campaign.Config{Injections: 24, Seed: 9, Target: fault.TargetRF, Obs: campaign.ObsPinout, Window: 500}
 	runToEnd := base
@@ -79,10 +79,12 @@ func TestFleetUnitsMatchLocal(t *testing.T) {
 }
 
 // TestCoordinatorPreparesEachGoldenOnce regenerates Figures 1 and 2
-// through a fleet, one after the other as cmd/paper -remote does. The
-// second figure's microarch campaigns share their golden runs with the
-// first's, so the coordinator prepares each distinct golden key once,
-// and no worker prepares more golden runs than there are keys.
+// through a fleet, one after the other as cmd/paper -remote does. A
+// golden key is a simulator, and an RTL golden run always records the
+// L1D timeline Figure 2's advance-to-use campaigns need, so the second
+// figure's campaigns, on both levels, replay against the first's golden
+// runs: the coordinator prepares each simulator's once, and no worker
+// prepares more golden runs than there are keys.
 func TestCoordinatorPreparesEachGoldenOnce(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
@@ -107,14 +109,98 @@ func TestCoordinatorPreparesEachGoldenOnce(t *testing.T) {
 	}
 	after := scrapeSeries(t, srv.URL, series...)
 
-	// Per bench: the microarch run (Figure 1's and Figure 2's microarch
-	// series alike), the RTL run, and the RTL run with the L1D timeline.
-	keys := 3 * len(benches)
+	// Per bench: the microarch run and the RTL run, each serving both
+	// figures.
+	keys := 2 * len(benches)
 	if got := after[series[0]] - before[series[0]]; got != float64(keys) {
 		t.Errorf("coordinator prepared %v golden runs for %d distinct keys", got, keys)
 	}
 	if got := after[series[1]] - before[series[1]]; got > float64(2*keys) {
 		t.Errorf("two workers prepared %v golden runs for %d distinct keys", got, keys)
+	}
+}
+
+// TestSetupSpellingsAreOneCampaign submits one config with the setup
+// left empty, as faultsim -remote does, and spelled "campaign", as
+// paper -remote does. Both name one simulator, so the coordinator must
+// see one campaign ID and prepare one golden run.
+func TestSetupSpellingsAreOneCampaign(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	c, srv := startCoordinator(t, distrib.CoordinatorOptions{Logf: t.Logf})
+	const misses = "distrib_golden_cache_misses_total"
+	before := scrapeSeries(t, srv.URL, misses)[misses]
+	cfg := campaign.Config{Injections: 8, Seed: 2, Target: fault.TargetRF, Obs: campaign.ObsPinout, Window: 500}
+	var ids []string
+	for _, setup := range []string{"", "campaign"} {
+		resp, err := c.Submit(distrib.CampaignSpec{Workload: "qsort", Model: "microarch", Setup: setup, Config: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, resp.ID)
+	}
+	distrib.WaitRunning(t, c, ids...)
+	if ids[0] != ids[1] {
+		t.Errorf("setups \"\" and \"campaign\" got campaign IDs %s and %s, want one", ids[0], ids[1])
+	}
+	if got := scrapeSeries(t, srv.URL, misses)[misses] - before; got != 1 {
+		t.Errorf("coordinator prepared %v golden runs for one simulator", got)
+	}
+}
+
+// TestFleetWidensGoldenForNewNeed submits a plain microarch campaign
+// and, while it is running, a PruneDead campaign of the same simulator,
+// which needs the lifetime trace the running golden run lacks. The
+// coordinator must prepare exactly one more golden run, recorded with
+// the union of both needs, while the running campaign keeps the run it
+// was planned against; both results must equal the local sweep's.
+func TestFleetWidensGoldenForNewNeed(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	plain := campaign.Config{Injections: 24, Seed: 6, Target: fault.TargetRF, Obs: campaign.ObsPinout, Window: 500}
+	pruned := plain
+	pruned.Prune = campaign.PruneDead
+	specs := []distrib.CampaignSpec{
+		{Workload: "qsort", Model: "microarch", Config: plain},
+		{Workload: "qsort", Model: "microarch", Config: pruned},
+	}
+	want := localSweep(t, specs)
+
+	c, srv := startCoordinator(t, distrib.CoordinatorOptions{ShardSize: 4, Logf: t.Logf})
+	const misses = "distrib_golden_cache_misses_total"
+	before := scrapeSeries(t, srv.URL, misses)[misses]
+	ids := make([]string, len(specs))
+	for i, s := range specs {
+		resp, err := c.Submit(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = resp.ID
+		distrib.WaitRunning(t, c, ids[i])
+	}
+	if got := scrapeSeries(t, srv.URL, misses)[misses] - before; got != 2 {
+		t.Errorf("coordinator prepared %v golden runs, want 2: the plain run and one widened for pruning", got)
+	}
+	g0, opts0 := distrib.CampaignGolden(c, ids[0])
+	g1, opts1 := distrib.CampaignGolden(c, ids[1])
+	if wide := opts0.Merge(campaign.GoldenOptionsFor(pruned)); g1 == g0 || opts1 != wide || opts0 == wide {
+		t.Errorf("golden options: running campaign %+v, pruned campaign %+v (same run %v); want the pruned one on a separate run with %+v",
+			opts0, opts1, g1 == g0, wide)
+	}
+
+	client := distrib.NewClient(srv.URL)
+	client.Poll = 20 * time.Millisecond
+	startWorker(t, srv.URL, "w1")
+	startWorker(t, srv.URL, "w2")
+	for i, id := range ids {
+		got, err := client.Wait(id, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		normalize(got)
+		if !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("campaign %d: fleet result diverged from the local sweep:\n got %+v\nwant %+v", i, got, want[i])
+		}
 	}
 }
 

@@ -30,8 +30,11 @@ import (
 // the campaign config: a version-1 coordinator expects its workers to
 // apply it. Version 3 leases golden units: a lease lists its member
 // campaigns and every job and outcome names its member, where a
-// version-2 lease carried one campaign.
-const APIVersion = 3
+// version-2 lease carried one campaign. Version 4 keys a unit by
+// simulator alone, so one lease may mix members whose golden-artifact
+// needs differ, which a version-3 worker refuses; it also normalises
+// the setup and model names, which changes some campaign IDs.
+const APIVersion = 4
 
 // CampaignSpec identifies one campaign on the wire: the workload and
 // model name resolve to a simulator factory on whichever machine reads
@@ -49,19 +52,25 @@ type CampaignSpec struct {
 
 // normalize validates the spec's identities and campaign config,
 // filling config defaults so the wire always carries the normalised
-// form. Workers is zeroed: pool sizes are a per-process concern and
-// must not split otherwise-identical campaigns into distinct IDs. So
-// are the deprecated Sched and SnapPolicy, which select nothing.
+// form. The model and setup are rewritten to their canonical names, so
+// every spelling of one simulator ("" and "campaign", "ma" and
+// "microarch") is one campaign ID and one golden key. Workers is zeroed:
+// pool sizes are a per-process concern and must not split
+// otherwise-identical campaigns into distinct IDs. So are the
+// deprecated Sched and SnapPolicy, which select nothing.
 func (s *CampaignSpec) normalize() error {
 	if _, err := bench.ByName(s.Workload); err != nil {
 		return err
 	}
-	if _, err := core.ParseModel(s.Model); err != nil {
+	m, err := core.ParseModel(s.Model)
+	if err != nil {
 		return err
 	}
-	if _, err := core.ParseSetup(s.Setup); err != nil {
+	setup, err := core.ParseSetup(s.Setup)
+	if err != nil {
 		return err
 	}
+	s.Model, s.Setup = m.String(), setup.Name
 	if err := s.Config.Validate(); err != nil {
 		return err
 	}
@@ -103,10 +112,10 @@ type Job struct {
 }
 
 // LeaseRequest is a worker's pull for work. Golden names the golden
-// runs the worker holds ready, each by an id of its golden key
-// (workload, model, setup and artifact options); the coordinator
-// prefers a unit of one of them. It is only a hint: an id that names no
-// unit, such as a fingerprint from an older worker, matches nothing.
+// runs the worker holds ready, each by its behavioural fingerprint,
+// which every golden run of one simulator shares; the coordinator
+// prefers a unit of one of them. It is only a hint: a fingerprint that
+// names no unit matches nothing.
 type LeaseRequest struct {
 	API    int      `json:"api"`
 	Worker string   `json:"worker"`

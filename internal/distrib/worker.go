@@ -171,12 +171,20 @@ func (w *Worker) executeShard(ctx context.Context, lease *Lease) ([]WireOutcome,
 		slots[j.Member] = append(slots[j.Member], i)
 	}
 
-	// Identical golden needs share one local run, exactly as the
-	// coordinator and the sweep scheduler share theirs. Every member of a
-	// unit replays against that run, on one simulator factory, so the
-	// pool fuses the members that ride lanes into one walk.
+	// The members share one local run of their simulator, recorded with
+	// the union of their needs, exactly as the coordinator and the sweep
+	// scheduler share theirs. Every member replays against that run, on
+	// one simulator factory, so the pool fuses the members that ride
+	// lanes into one walk.
+	var need campaign.GoldenOptions
+	for mi, m := range lease.Members {
+		if keyOf(m.Spec) != keyOf(lease.Members[0].Spec) {
+			return nil, fmt.Errorf("lease %s: member %d needs another golden run than member 0", lease.ID, mi)
+		}
+		need = need.Merge(needOf(m.Spec))
+	}
 	start := time.Now()
-	entry, fresh, err := w.goldens.get(lease.Members[0].Spec)
+	entry, fresh, err := w.goldens.get(lease.Members[0].Spec, need, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -200,9 +208,6 @@ func (w *Worker) executeShard(ctx context.Context, lease *Lease) ([]WireOutcome,
 	}
 	work := make([]*campaign.Work, len(lease.Members))
 	for mi, m := range lease.Members {
-		if keyOf(m.Spec) != entry.key {
-			return nil, fmt.Errorf("lease %s: member %d needs another golden run than member 0", lease.ID, mi)
-		}
 		mine, k := slots[mi], 0
 		work[mi] = &campaign.Work{
 			Golden: entry.g, Config: m.Spec.Config, Factory: factory, Deliver: deliver,

@@ -3,10 +3,12 @@
 // at the core pinout, windowed, two seeds and windows over one golden
 // run) single-process, then boots one faultsimd coordinator and two
 // faultsimd worker PROCESSES, submits the same campaigns through the
-// HTTP API, SIGKILLs one worker while it holds a unit lease spanning
-// both campaigns — forcing lease expiry and the re-issue of both
-// shards — and asserts the fleet's final classification counts and
-// rendered reports are byte-identical to the single-process runs.
+// HTTP API (one with the setup left empty, as faultsim -remote sends
+// it, one spelled "campaign", as paper -remote does: still one golden
+// key), SIGKILLs one worker while it holds a unit lease spanning both
+// campaigns — forcing lease expiry and the re-issue of both shards —
+// and asserts the fleet's final classification counts and rendered
+// reports are byte-identical to the single-process runs.
 //
 // The kill is decided on an observed state, not a timer: a shard is a
 // millisecond of work, so a poll-then-kill lands after the campaigns
@@ -73,11 +75,12 @@ func run() error {
 	}
 
 	// Two campaigns over one golden run: the coordinator leases them as
-	// one unit.
+	// one unit. The two spellings of the default setup name one simulator.
 	cfgs := []campaign.Config{
 		{Injections: *injections, Seed: 21, Target: fault.TargetL1D, Obs: campaign.ObsPinout, Window: 2_000},
 		{Injections: *injections, Seed: 22, Target: fault.TargetL1D, Obs: campaign.ObsPinout, Window: 1_000},
 	}
+	setups := []string{"", "campaign"}
 	const goldenKeys = 1
 	want := make([]*campaign.Result, len(cfgs))
 	for i, cfg := range cfgs {
@@ -152,7 +155,7 @@ func run() error {
 	ids := make([]string, len(cfgs))
 	for i, cfg := range cfgs {
 		id, err := client.Submit(distrib.CampaignSpec{
-			Workload: *benchName, Model: "microarch", Config: cfg,
+			Workload: *benchName, Model: "microarch", Setup: setups[i], Config: cfg,
 		})
 		if err != nil {
 			return err
