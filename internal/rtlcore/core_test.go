@@ -104,7 +104,7 @@ func TestCampaignConfigProducesPinoutTraffic(t *testing.T) {
 			if string(c.Output) != string(w.Expected()) {
 				t.Error("output mismatch under campaign config")
 			}
-			_, misses, evictions := c.L1DStats()
+			_, misses, evictions := c.l1dStats()
 			t.Logf("%s: %d L1D misses, %d evictions, %d pinout txns", w.Name, misses, evictions, pin.Len())
 			if pin.Len() == 0 {
 				t.Error("no pinout traffic under campaign config")

@@ -199,8 +199,8 @@ func (c *Core) StateHash() uint64 {
 	return h.Sum()
 }
 
-// L1DStats reports (accesses, misses, evictions) for reports and tests.
-func (c *Core) L1DStats() (accesses, misses, evictions uint64) {
+// l1dStats reports the L1D's (accesses, misses, evictions) for tests.
+func (c *Core) l1dStats() (accesses, misses, evictions uint64) {
 	return c.l1d.accesses, c.l1d.misses, c.l1d.evictions
 }
 

@@ -125,19 +125,14 @@ func EstimateProportion(hits, n int, conf float64) (Proportion, error) {
 	return EstimateWeightedProportion(float64(hits), float64(n), float64(n), conf)
 }
 
-// WilsonHalfWidth returns the half-width of the Wilson score interval
-// for hits successes out of n trials at normal quantile z. It is the
-// stopping statistic of the sequential campaign dispatcher: unlike the
-// Wald width it is well-behaved at p = 0 and p = 1, so a class that has
-// not been observed yet still reports an honest upper bound. An empty
-// sample saturates at 1 (WilsonHalfWidthP's n <= 0 rule).
-func WilsonHalfWidth(hits, n int, z float64) float64 {
-	return WilsonHalfWidthP(float64(hits)/float64(n), float64(n), z)
-}
-
-// WilsonHalfWidthP is WilsonHalfWidth over a precomputed proportion and
-// a (possibly fractional) sample size — the form weighted estimates
-// use, with n the Kish effective sample size instead of a raw count.
+// WilsonHalfWidthP returns the half-width of the Wilson score interval
+// for a proportion p observed over n trials at normal quantile z. It is
+// the stopping statistic of the sequential campaign dispatcher: unlike
+// the Wald width it is well-behaved at p = 0 and p = 1, so a class that
+// has not been observed yet still reports an honest upper bound. n may
+// be fractional — weighted estimates pass the Kish effective sample
+// size instead of a raw count — and an empty sample (n <= 0) saturates
+// at 1.
 func WilsonHalfWidthP(p, n, z float64) float64 {
 	if n <= 0 {
 		return 1
@@ -302,18 +297,6 @@ func (s *Sequential) WilsonMargin() float64 {
 // margin at the estimator's confidence, with at least minRuns samples.
 func (s *Sequential) Converged(margin float64, minRuns int) bool {
 	return s.n >= minRuns && s.WilsonMargin() <= margin
-}
-
-// Mean returns the arithmetic mean of xs (0 for an empty slice).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }
 
 // AbsDiffStats summarises the per-benchmark differences between two

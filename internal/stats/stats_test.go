@@ -138,15 +138,6 @@ func TestCompareSeries(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil)")
-	}
-	if Mean([]float64{1, 2, 3}) != 2 {
-		t.Error("Mean([1 2 3])")
-	}
-}
-
 // TestHalfWidths: the Wilson half-width must agree with the
 // EstimateProportion interval, stay finite at the p = 0 boundary, and
 // shrink with n.
@@ -159,17 +150,17 @@ func TestHalfWidths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	half := WilsonHalfWidth(30, 100, z)
+	half := WilsonHalfWidthP(0.3, 100, z)
 	if got := (p.Hi - p.Lo) / 2; math.Abs(got-half) > 1e-12 {
 		t.Errorf("Wilson half-width %.6f != interval half-span %.6f", half, got)
 	}
-	if w := WilsonHalfWidth(0, 200, z); w <= 0 || w >= 0.1 {
+	if w := WilsonHalfWidthP(0, 200, z); w <= 0 || w >= 0.1 {
 		t.Errorf("Wilson half-width at p=0, n=200: %v", w)
 	}
-	if WilsonHalfWidth(30, 1000, z) >= WilsonHalfWidth(30, 100, z) {
+	if WilsonHalfWidthP(0.03, 1000, z) >= WilsonHalfWidthP(0.3, 100, z) {
 		t.Error("Wilson half-width did not shrink with n")
 	}
-	if WilsonHalfWidth(1, 0, z) != 1 {
+	if WilsonHalfWidthP(1, 0, z) != 1 {
 		t.Error("empty-sample half-width must saturate at 1")
 	}
 }
@@ -211,7 +202,7 @@ func TestSequential(t *testing.T) {
 	}
 	worst := 0.0
 	for _, hits := range []int{s.Count(1), s.Count(2), s.Count(3)} {
-		if w := WilsonHalfWidth(hits, stopped, z); w > worst {
+		if w := WilsonHalfWidthP(float64(hits)/float64(stopped), float64(stopped), z); w > worst {
 			worst = w
 		}
 	}
