@@ -1,9 +1,11 @@
 package repro
 
-// One benchmark per reproduced table and figure (EXPERIMENTS.md's experiment
-// index E1-E13), plus throughput micro-benchmarks for the simulators
-// themselves. Campaign benchmarks use miniature samples so `go test
-// -bench=.` completes in minutes; cmd/paper runs the full versions.
+// Go benchmarks of single layers: the kernels' zero-allocation step
+// (and what the lockstep hooks add to it), the reference interpreter and
+// the assembler, the replay path's allocation profile, the shared
+// lockstep walk, a miniature sweep, and the overhead of enabling
+// metrics. Golden runs, restores, state digests and whole campaigns are
+// measured by benchmark/'s per-layer and end-to-end metrics instead.
 
 import (
 	"math"
@@ -20,7 +22,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/refsim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -37,221 +38,14 @@ func workloadProgram(b *testing.B, name string) *asm.Program {
 	return p
 }
 
-// ------------------------------------------------------------------- E1
-
-// BenchmarkTable1Config regenerates TABLE I (configuration rendering and
-// validation; the content check lives in the core package tests).
-func BenchmarkTable1Config(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		setup := core.DefaultSetup()
-		if err := setup.Validate(); err != nil {
-			b.Fatal(err)
-		}
-		if rows := core.TableI(setup); len(rows) != 7 {
-			b.Fatalf("TABLE I has %d rows", len(rows))
-		}
-	}
-}
-
-// ------------------------------------------------------------------- E2
-
-// goldenRun measures one full golden run (a TABLE II cell).
-func goldenRun(b *testing.B, model core.Model, workload string) {
-	b.Helper()
-	p := workloadProgram(b, workload)
-	setup := core.CampaignSetup()
-	b.ResetTimer()
-	var cycles uint64
-	for i := 0; i < b.N; i++ {
-		sim, err := core.NewSimulator(model, p, setup)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sim.SetPinout(&trace.Pinout{})
-		if stop := sim.Run(1 << 40); stop != refsim.StopExit && stop != refsim.StopHalt {
-			b.Fatalf("stop = %v", stop)
-		}
-		cycles = sim.Cycles()
-	}
-	b.ReportMetric(float64(cycles)/1e6, "Mcycles/run")
-}
-
-func BenchmarkTable2_FFT_GeFIN(b *testing.B)   { goldenRun(b, core.ModelMicroarch, "fft") }
-func BenchmarkTable2_FFT_RTL(b *testing.B)     { goldenRun(b, core.ModelRTL, "fft") }
-func BenchmarkTable2_Qsort_GeFIN(b *testing.B) { goldenRun(b, core.ModelMicroarch, "qsort") }
-func BenchmarkTable2_Qsort_RTL(b *testing.B)   { goldenRun(b, core.ModelRTL, "qsort") }
-func BenchmarkTable2_CAES_GeFIN(b *testing.B)  { goldenRun(b, core.ModelMicroarch, "caes") }
-func BenchmarkTable2_CAES_RTL(b *testing.B)    { goldenRun(b, core.ModelRTL, "caes") }
-func BenchmarkTable2_SHA_GeFIN(b *testing.B)   { goldenRun(b, core.ModelMicroarch, "sha") }
-func BenchmarkTable2_SHA_RTL(b *testing.B)     { goldenRun(b, core.ModelRTL, "sha") }
-func BenchmarkTable2_Stringsearch_GeFIN(b *testing.B) {
-	goldenRun(b, core.ModelMicroarch, "stringsearch")
-}
-func BenchmarkTable2_Stringsearch_RTL(b *testing.B) { goldenRun(b, core.ModelRTL, "stringsearch") }
-func BenchmarkTable2_SusanC_GeFIN(b *testing.B)     { goldenRun(b, core.ModelMicroarch, "susan_c") }
-func BenchmarkTable2_SusanC_RTL(b *testing.B)       { goldenRun(b, core.ModelRTL, "susan_c") }
-func BenchmarkTable2_SusanE_GeFIN(b *testing.B)     { goldenRun(b, core.ModelMicroarch, "susan_e") }
-func BenchmarkTable2_SusanE_RTL(b *testing.B)       { goldenRun(b, core.ModelRTL, "susan_e") }
-func BenchmarkTable2_SusanS_GeFIN(b *testing.B)     { goldenRun(b, core.ModelMicroarch, "susan_s") }
-func BenchmarkTable2_SusanS_RTL(b *testing.B)       { goldenRun(b, core.ModelRTL, "susan_s") }
-
-// --------------------------------------------------------------- E3-E5
-
-// miniCampaign runs a miniature of one figure's campaign cell and reports
-// the unsafeness estimate as a metric.
-func miniCampaign(b *testing.B, model core.Model, workload string, cfg campaign.Config) {
-	b.Helper()
-	b.ResetTimer()
-	var unsafe float64
-	for i := 0; i < b.N; i++ {
-		res, err := core.RunCampaign(workload, model, core.CampaignSetup(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		unsafe = res.Unsafeness.P
-	}
-	b.ReportMetric(unsafe, "unsafeness")
-}
-
-func fig1Cfg() campaign.Config {
-	return campaign.Config{
-		Injections: 20, Seed: 1, Target: fault.TargetRF,
-		Obs: campaign.ObsPinout, Window: 500,
-	}
-}
-
-func BenchmarkFig1_RF_GeFIN(b *testing.B) {
-	miniCampaign(b, core.ModelMicroarch, "sha", fig1Cfg())
-}
-
-func BenchmarkFig1_RF_RTL(b *testing.B) {
-	miniCampaign(b, core.ModelRTL, "sha", fig1Cfg())
-}
-
-func BenchmarkFig1_RF_GeFIN_NoTimer(b *testing.B) {
-	cfg := fig1Cfg()
-	cfg.Window = 0
-	miniCampaign(b, core.ModelMicroarch, "sha", cfg)
-}
-
-func fig2Cfg() campaign.Config {
-	return campaign.Config{
-		Injections: 20, Seed: 1, Target: fault.TargetL1D,
-		Obs: campaign.ObsPinout, Window: 500,
-	}
-}
-
-func BenchmarkFig2_L1D_GeFIN(b *testing.B) {
-	miniCampaign(b, core.ModelMicroarch, "sha", fig2Cfg())
-}
-
-func BenchmarkFig2_L1D_RTL_Advanced(b *testing.B) {
-	cfg := fig2Cfg()
-	cfg.AdvanceToUse = true
-	miniCampaign(b, core.ModelRTL, "sha", cfg)
-}
-
-func BenchmarkFig2_L1D_GeFIN_NoTimer(b *testing.B) {
-	cfg := fig2Cfg()
-	cfg.Window = 0
-	miniCampaign(b, core.ModelMicroarch, "sha", cfg)
-}
-
-func fig3Cfg() campaign.Config {
-	return campaign.Config{
-		Injections: 10, Seed: 1, Target: fault.TargetL1D,
-		Obs: campaign.ObsSOP,
-	}
-}
-
-func BenchmarkFig3_SOP_GeFIN(b *testing.B) {
-	miniCampaign(b, core.ModelMicroarch, "caes", fig3Cfg())
-}
-
-func BenchmarkFig3_SOP_RTL(b *testing.B) {
-	miniCampaign(b, core.ModelRTL, "caes", fig3Cfg())
-}
-
-// ------------------------------------------------------------------- E6
-
-func BenchmarkLeveugleSampleSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		n, err := stats.LeveugleSampleSize(0, 0.02, 0.99)
-		if err != nil || n < 4000 {
-			b.Fatalf("n = %d, err = %v", n, err)
-		}
-	}
-}
-
-// --------------------------------------------------------------- E7-E8
-
-func BenchmarkAblationLatches_RTL(b *testing.B) {
-	cfg := campaign.Config{
-		Injections: 20, Seed: 1, Target: fault.TargetLatches,
-		Obs: campaign.ObsPinout, Window: 500,
-	}
-	miniCampaign(b, core.ModelRTL, "sha", cfg)
-}
-
-func BenchmarkAblationWindow_GeFIN(b *testing.B) {
-	cfg := fig2Cfg()
-	cfg.Window = 2000
-	miniCampaign(b, core.ModelMicroarch, "sha", cfg)
-}
-
-// ------------------------------------------------------------------- E9
-
-// modelCfg is one fault-model ablation cell: register file, combined
-// observation point, run to program end.
-func modelCfg(prm fault.Params) campaign.Config {
-	return campaign.Config{
-		Injections: 10, Seed: 1, Target: fault.TargetRF,
-		Fault: prm, Obs: campaign.ObsCombined,
-	}
-}
-
-func BenchmarkAblationModels_Transient_GeFIN(b *testing.B) {
-	miniCampaign(b, core.ModelMicroarch, "caes", modelCfg(fault.Params{Model: fault.ModelTransient}))
-}
-
-func BenchmarkAblationModels_Burst_GeFIN(b *testing.B) {
-	miniCampaign(b, core.ModelMicroarch, "caes", modelCfg(fault.Params{Model: fault.ModelBurst}))
-}
-
-func BenchmarkAblationModels_StuckAt_GeFIN(b *testing.B) {
-	miniCampaign(b, core.ModelMicroarch, "caes",
-		modelCfg(fault.Params{Model: fault.ModelStuckAt, Stuck: fault.StuckRandom}))
-}
-
-func BenchmarkAblationModels_Intermittent_RTL(b *testing.B) {
-	miniCampaign(b, core.ModelRTL, "caes",
-		modelCfg(fault.Params{Model: fault.ModelIntermittent, Stuck: fault.StuckRandom}))
-}
-
 // ------------------------------------------- simulator micro-benchmarks
-
-func BenchmarkMicroarchCyclesPerSecond(b *testing.B) {
-	p := workloadProgram(b, "qsort")
-	b.ResetTimer()
-	var cycles uint64
-	for i := 0; i < b.N; i++ {
-		sim, err := core.NewSimulator(core.ModelMicroarch, p, core.CampaignSetup())
-		if err != nil {
-			b.Fatal(err)
-		}
-		sim.Run(1 << 40)
-		cycles += sim.Cycles()
-	}
-	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds()/1e6, "Mcyc/s")
-}
 
 // BenchmarkMicroarchStep is the microarch kernel at steady state: one op
 // is one simulated cycle of qsort with the pinout capture attached, the
 // simulator built outside the timer and rewound when the program ends.
 // It pins the window's zero-allocation contract (0 allocs/op; what a
 // run allocates for syscalls and first-touched pages is a few per ten
-// thousand cycles), next to BenchmarkMicroarchCyclesPerSecond, which
-// pays for construction every run.
+// thousand cycles).
 func BenchmarkMicroarchStep(b *testing.B) { benchmarkStep(b, core.ModelMicroarch) }
 
 // BenchmarkRTLStep is the same measurement one abstraction level down:
@@ -313,28 +107,6 @@ func benchmarkLockstepStep(b *testing.B, model core.Model, both bool) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcyc/s")
 }
 
-// BenchmarkMicroarchStateHash is one full state digest of the microarch
-// model — the convergence exit takes one every 64 cycles of the golden
-// run and of every early-stop replay. One op steps qsort a cycle, so the
-// digested state moves through the whole program, and digests it;
-// hash-ns/op is the digest alone, timed inside the op.
-func BenchmarkMicroarchStateHash(b *testing.B) { benchmarkStateHash(b, core.ModelMicroarch) }
-
-// BenchmarkRTLStateHash is the same measurement on the RTL core.
-func BenchmarkRTLStateHash(b *testing.B) { benchmarkStateHash(b, core.ModelRTL) }
-
-var hashSink uint64
-
-func benchmarkStateHash(b *testing.B, model core.Model) {
-	var hashing time.Duration
-	benchmarkKernel(b, kernelSim(b, model), func(sim campaign.Simulator) {
-		t0 := time.Now()
-		hashSink = sim.StateHash()
-		hashing += time.Since(t0)
-	})
-	b.ReportMetric(float64(hashing.Nanoseconds())/float64(b.N), "hash-ns/op")
-}
-
 // kernelSim builds the simulator the kernel benchmarks step: qsort under
 // the campaign configuration, at cycle zero.
 func kernelSim(b *testing.B, model core.Model) campaign.Simulator {
@@ -364,21 +136,6 @@ func benchmarkKernel(b *testing.B, sim campaign.Simulator, each func(campaign.Si
 	}
 }
 
-func BenchmarkRTLCyclesPerSecond(b *testing.B) {
-	p := workloadProgram(b, "qsort")
-	b.ResetTimer()
-	var cycles uint64
-	for i := 0; i < b.N; i++ {
-		sim, err := core.NewSimulator(core.ModelRTL, p, core.CampaignSetup())
-		if err != nil {
-			b.Fatal(err)
-		}
-		sim.Run(1 << 40)
-		cycles += sim.Cycles()
-	}
-	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds()/1e6, "Mcyc/s")
-}
-
 func BenchmarkReferenceInterpreter(b *testing.B) {
 	p := workloadProgram(b, "qsort")
 	b.ResetTimer()
@@ -405,99 +162,6 @@ func BenchmarkAssembler(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkSnapshotRestoreRTL(b *testing.B) {
-	p := workloadProgram(b, "sha")
-	sim, err := core.NewSimulator(core.ModelRTL, p, core.CampaignSetup())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 2000; i++ {
-		sim.Step()
-	}
-	snap := sim.Snapshot()
-	b.ReportAllocs() // in-place restore: 0 allocs/op at steady state
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.Restore(snap)
-	}
-}
-
-func BenchmarkCloneMicroarch(b *testing.B) {
-	p := workloadProgram(b, "sha")
-	sim, err := core.NewSimulator(core.ModelMicroarch, p, core.CampaignSetup())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 2000; i++ {
-		sim.Step()
-	}
-	snap := sim.Snapshot()
-	b.ReportAllocs() // flat-copy restore into the worker's own storage: 0 allocs/op
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.Restore(snap)
-	}
-}
-
-// ------------------------------------------------- E10 + engine paths
-
-// replayBench measures the engine's hottest path: one differential
-// replay (snapshot restore, roll to the injection instant, fault, window
-// simulation, classification) against a prepared golden run.
-func replayBench(b *testing.B, model core.Model, cfg campaign.Config) {
-	p := workloadProgram(b, "qsort")
-	factory := core.Factory(model, p, core.CampaignSetup())
-	opts := campaign.GoldenOptions{}
-	if cfg.EarlyStop {
-		opts.HashEvery = 64
-	}
-	g, err := campaign.PrepareGolden(factory, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sim, err := factory()
-	if err != nil {
-		b.Fatal(err)
-	}
-	specs, err := fault.Plan(256, cfg.Target, sim.Bits(cfg.Target), g.Cycles,
-		fault.DistNormal, cfg.Fault, rand.New(rand.NewSource(cfg.Seed)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var cycles uint64
-	for i := 0; i < b.N; i++ {
-		oc, err := g.ReplayOne(sim, specs[i%len(specs)], cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles += oc.EndCycle - specs[i%len(specs)].Cycle
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "replays/s")
-	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds()/1e6, "Mcyc/s")
-}
-
-func BenchmarkOneRunReplay_GeFIN(b *testing.B) {
-	replayBench(b, core.ModelMicroarch, campaign.Config{
-		Injections: 1, Seed: 1, Target: fault.TargetRF,
-		Obs: campaign.ObsPinout, Window: 500,
-	})
-}
-
-func BenchmarkOneRunReplay_RTL(b *testing.B) {
-	replayBench(b, core.ModelRTL, campaign.Config{
-		Injections: 1, Seed: 1, Target: fault.TargetRF,
-		Obs: campaign.ObsPinout, Window: 500,
-	})
-}
-
-func BenchmarkOneRunReplay_GeFIN_EarlyStop(b *testing.B) {
-	replayBench(b, core.ModelMicroarch, campaign.Config{
-		Injections: 1, Seed: 1, Target: fault.TargetRF,
-		Obs: campaign.ObsPinout, Window: 500, EarlyStop: true,
-	})
 }
 
 // BenchmarkOneRunReplayAllocs pins the allocation profile of the
@@ -631,74 +295,6 @@ func BenchmarkSweepWall(b *testing.B) {
 		}
 	}
 }
-
-// campaignCyclesBench reports the simulated replay cycles of one
-// run-to-end campaign configuration — the quantity the adaptive engine
-// exists to cut (compare the Fixed and Adaptive variants).
-func campaignCyclesBench(b *testing.B, early bool) {
-	cfg := campaign.Config{
-		Injections: 40, Seed: 5, Target: fault.TargetRF,
-		Obs: campaign.ObsPinout, EarlyStop: early,
-	}
-	b.ResetTimer()
-	var res *campaign.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = core.RunCampaign("caes", core.ModelMicroarch, core.CampaignSetup(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(res.CyclesSimulated)/1e6, "Mcycles/campaign")
-	b.ReportMetric(float64(res.ConvergedRuns), "converged")
-}
-
-func BenchmarkCampaignRunToEnd_Fixed(b *testing.B)    { campaignCyclesBench(b, false) }
-func BenchmarkCampaignRunToEnd_Adaptive(b *testing.B) { campaignCyclesBench(b, true) }
-
-// goldenPhaseBench measures one golden-artifact phase; the Lifetime
-// variant quantifies the recording overhead of the pruning trace
-// (target: within ~10% of the plain golden run).
-func goldenPhaseBench(b *testing.B, life bool) {
-	p := workloadProgram(b, "qsort")
-	factory := core.Factory(core.ModelMicroarch, p, core.CampaignSetup())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := campaign.PrepareGolden(factory, campaign.GoldenOptions{Lifetime: life}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGoldenPlain(b *testing.B)        { goldenPhaseBench(b, false) }
-func BenchmarkGoldenWithLifetime(b *testing.B) { goldenPhaseBench(b, true) }
-
-// ------------------------------------------------- E11 + pruning paths
-
-// campaignPruneBench reports the simulated replay cycles of one
-// run-to-end L1D campaign under a pruning mode — the quantity
-// golden-trace pruning exists to cut (compare Full, Dead, Classes).
-func campaignPruneBench(b *testing.B, mode campaign.PruneMode) {
-	cfg := campaign.Config{
-		Injections: 40, Seed: 5, Target: fault.TargetL1D,
-		Obs: campaign.ObsPinout, Prune: mode,
-	}
-	b.ResetTimer()
-	var res *campaign.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = core.RunCampaign("caes", core.ModelMicroarch, core.CampaignSetup(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(res.CyclesSimulated)/1e6, "Mcycles/campaign")
-	b.ReportMetric(float64(res.PrunedRuns+res.ExtrapolatedRuns), "pruned")
-}
-
-func BenchmarkCampaignPrune_Full(b *testing.B)    { campaignPruneBench(b, campaign.PruneOff) }
-func BenchmarkCampaignPrune_Dead(b *testing.B)    { campaignPruneBench(b, campaign.PruneDead) }
-func BenchmarkCampaignPrune_Classes(b *testing.B) { campaignPruneBench(b, campaign.PruneClasses) }
 
 // ------------------------------------------------- observability overhead
 

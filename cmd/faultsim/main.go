@@ -53,19 +53,23 @@
 // pull instead of once per replay. Classifications, stopping indices and
 // reports are byte-identical on either engine.
 //
-// A local campaign is a campaign.Sweep of one, on -workers goroutines
-// with or without checkpoints. -checkpoint DIR streams per-run outcomes
-// to JSONL shards; an interrupted campaign (SIGINT/SIGTERM drains
-// in-flight replays and flushes the shards) resumes from them on the
-// next run. -remote URL submits the campaign to a faultsimd coordinator
-// and waits for the fleet's (byte-identical) result instead of
-// simulating locally. -json emits the result as machine-readable JSON.
+// The campaign is a one-item matrix run through a core.SweepRunner: a
+// local campaign is a campaign.Sweep of one (core.LocalSweep), on
+// -workers goroutines with or without checkpoints. -checkpoint DIR
+// streams per-run outcomes to JSONL shards; an interrupted campaign
+// (SIGINT/SIGTERM drains in-flight replays and flushes the shards)
+// resumes from them on the next run. -remote URL runs the same matrix
+// through the distributed client's runner, which submits it to a
+// faultsimd coordinator and waits for the fleet's (byte-identical)
+// result instead of simulating locally. -json emits the result as
+// machine-readable JSON.
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/campaign"
@@ -79,7 +83,7 @@ import (
 )
 
 func main() {
-	err := run(os.Args[1:])
+	err := run(os.Args[1:], os.Stdout)
 	switch {
 	case errors.Is(err, campaign.ErrInterrupted):
 		fmt.Fprintln(os.Stderr, "faultsim: interrupted; checkpoints flushed, re-run to resume")
@@ -90,7 +94,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("faultsim", flag.ContinueOnError)
 	var (
 		benchName  = fs.String("bench", "qsort", "workload name (see cmd/runsim -list)")
@@ -188,38 +192,28 @@ func run(args []string) error {
 		cfg.CompareMode = trace.CompareStrictCycle
 	}
 
-	var res *campaign.Result
-	if *remote != "" {
-		// Remote execution: the coordinator's shard merge makes the
-		// fleet's result byte-identical to the local engine's.
-		client := distrib.NewClient(*remote)
-		id, err := client.Submit(distrib.CampaignSpec{
-			Workload: *benchName, Model: m.String(), Config: cfg,
-		})
-		if err != nil {
-			return err
-		}
-		if res, err = client.Wait(id, cli.StopOnSignal("faultsim")); err != nil {
-			return err
-		}
-	} else {
-		// Local execution is a sweep of one: with -checkpoint outcomes
-		// stream to JSONL shards, and SIGINT/SIGTERM drains in-flight
-		// replays (flushing the shards) before exit either way.
-		c, err := core.Standalone(*benchName, m, core.CampaignSetup(), cfg)
-		if err != nil {
-			return err
-		}
-		sr, err := campaign.Sweep([]campaign.SweepCampaign{c}, campaign.SweepOptions{
-			Workers:       cfg.Workers,
-			CheckpointDir: *checkpoint,
-			Stop:          cli.StopOnSignal("faultsim"),
-		})
-		if err != nil {
-			return err
-		}
-		res = sr.Results[c.Key]
+	// The campaign is a matrix of one. Locally it is a campaign.Sweep:
+	// with -checkpoint outcomes stream to JSONL shards, and
+	// SIGINT/SIGTERM drains in-flight replays (flushing the shards)
+	// before exit either way. Remotely the coordinator's shard merge
+	// makes the fleet's result byte-identical to the local engine's.
+	it, err := core.Standalone(*benchName, m, core.CampaignSetup(), cfg)
+	if err != nil {
+		return err
 	}
+	runner := core.LocalSweep
+	if *remote != "" {
+		runner = distrib.NewClient(*remote).SweepRunner()
+	}
+	sr, err := runner([]core.MatrixItem{it}, campaign.SweepOptions{
+		Workers:       cfg.Workers,
+		CheckpointDir: *checkpoint,
+		Stop:          cli.StopOnSignal("faultsim"),
+	})
+	if err != nil {
+		return err
+	}
+	res := sr.Results[it.Campaign.Key]
 	if s := plan.Scheme(tgt); s != protect.SchemeNone {
 		bits, err := core.TargetBits(*benchName, m, core.CampaignSetup(), tgt)
 		if err != nil {
@@ -234,9 +228,9 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Print(s)
-		return nil
+		_, err = fmt.Fprint(w, s)
+		return err
 	}
-	fmt.Print(report.Campaign(fmt.Sprintf("%s/%s", *benchName, m), res))
-	return nil
+	_, err = fmt.Fprint(w, report.Campaign(fmt.Sprintf("%s/%s", *benchName, m), res))
+	return err
 }

@@ -1,0 +1,85 @@
+package main
+
+import (
+	"context"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/distrib"
+)
+
+// startFleet serves an in-process coordinator with one worker and
+// returns its base URL.
+func startFleet(t *testing.T) string {
+	t.Helper()
+	coord := distrib.NewCoordinator(distrib.CoordinatorOptions{
+		LeaseTTL: time.Second, ShardSize: 16, Logf: t.Logf,
+	})
+	srv := httptest.NewServer(coord.Handler())
+	t.Cleanup(func() {
+		srv.Close()
+		if err := coord.Close(); err != nil {
+			t.Errorf("coordinator close: %v", err)
+		}
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	w := distrib.NewWorker(distrib.WorkerOptions{
+		Coordinator: srv.URL, ID: "w1", Workers: 2, Poll: 10 * time.Millisecond,
+		Logf: t.Logf,
+	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = w.Run(ctx)
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-done
+	})
+	return srv.URL
+}
+
+// hostFields are the JSON fields that say how a campaign was executed
+// rather than what it found: wall time, the pool size and the lane
+// accounting, which a fleet worker keeps to itself.
+var hostFields = []string{
+	`"Elapsed":`, `"AvgSecPerRun":`, `"GoldenElapsed":`, `"Workers":`,
+	`"BatchedRuns":`, `"PeeledRuns":`, `"LaneOccupancy":`,
+}
+
+// faultsim runs the command and returns its output without hostFields.
+func faultsim(t *testing.T, args ...string) string {
+	t.Helper()
+	var out strings.Builder
+	if err := run(args, &out); err != nil {
+		t.Fatalf("faultsim %s: %v", strings.Join(args, " "), err)
+	}
+	var keep []string
+	for _, l := range strings.Split(out.String(), "\n") {
+		host := false
+		for _, f := range hostFields {
+			host = host || strings.HasPrefix(strings.TrimSpace(l), f)
+		}
+		if !host {
+			keep = append(keep, l)
+		}
+	}
+	return strings.Join(keep, "\n")
+}
+
+// TestRemoteMatchesLocal: the same campaign run in this process and
+// with -remote against a coordinator and a worker prints the same JSON,
+// host fields aside.
+func TestRemoteMatchesLocal(t *testing.T) {
+	args := []string{"-bench", "caes", "-n", "60", "-json"}
+	local := faultsim(t, args...)
+	if !strings.Contains(local, `"Injections": 60`) {
+		t.Fatalf("local output is not a 60-injection campaign:\n%s", local)
+	}
+	remote := faultsim(t, append(args, "-remote", startFleet(t))...)
+	if remote != local {
+		t.Errorf("-remote output differs from the local run:\n%s\nwant\n%s", remote, local)
+	}
+}

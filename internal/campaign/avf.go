@@ -88,7 +88,6 @@ func (g *Golden) avfOptions(cfg Config) avf.Options {
 // PruneVerdict. ok is false when the golden run records no lifetime
 // trace for the spec's target or the spec carries no prediction.
 func (g *Golden) AVFVerdict(spec fault.Spec, cfg Config) (avf.Verdict, bool) {
-	cfg.fillDefaults()
 	if g.life == nil {
 		return avf.Verdict{}, false
 	}

@@ -710,6 +710,8 @@ func (p *Planned) aggregate(elapsed time.Duration) (*Result, error) {
 		res.AvgSecPerRun = elapsed.Seconds() / float64(len(outcomes))
 	}
 	classes := pr != nil && pr.mode == PruneClasses
+	// prefixFull sums the counted replays' fixed-plan lengths.
+	var prefixFull uint64
 	for i, oc := range outcomes {
 		res.Counts[oc.Class]++
 		if classes && pr.isRep[i] {
@@ -717,20 +719,21 @@ func (p *Planned) aggregate(elapsed time.Duration) (*Result, error) {
 		}
 		base := nearestSnap(g.snaps, oc.Spec.Cycle).cycle
 		full := g.fullReplayEnd(oc.Spec, cfg)
+		var fixed uint64
+		if full > base {
+			fixed = full - base
+		}
+		prefixFull += fixed
 		switch {
 		case oc.Pruned:
 			// Classified from the golden trace alone: the whole
 			// fixed-plan replay is saved, nothing was simulated.
 			res.PrunedRuns++
-			if full > base {
-				res.PruneSavedCycles += full - base
-			}
+			res.PruneSavedCycles += fixed
 			continue
 		case oc.Extrapolated:
 			res.ExtrapolatedRuns++
-			if full > base {
-				res.PruneSavedCycles += full - base
-			}
+			res.PruneSavedCycles += fixed
 			continue
 		}
 		if oc.EndCycle > base {
@@ -752,13 +755,6 @@ func (p *Planned) aggregate(elapsed time.Duration) (*Result, error) {
 	// replay length — injection instants are identically distributed
 	// across the plan — so the skipped tail is never materialised.
 	if skipped := pl.n - len(outcomes); skipped > 0 && len(outcomes) > 0 {
-		var prefixFull uint64
-		for _, oc := range outcomes {
-			base := nearestSnap(g.snaps, oc.Spec.Cycle).cycle
-			if full := g.fullReplayEnd(oc.Spec, cfg); full > base {
-				prefixFull += full - base
-			}
-		}
 		res.CyclesSaved += prefixFull / uint64(len(outcomes)) * uint64(skipped)
 	}
 	var err error
@@ -769,9 +765,10 @@ func (p *Planned) aggregate(elapsed time.Duration) (*Result, error) {
 // Estimate judges a campaign's counted outcomes: the unsafeness (every
 // non-Masked class) with its Wilson interval, and the widest
 // class-proportion Wilson half-width, both at confidence conf. It
-// judges exactly the evidence the sequential estimator saw over this
-// prefix. Outside PruneClasses that is every outcome at weight 1, so
-// mass and effective sample size are both the count. Under MeRLiN
+// folds the outcomes into a fresh stats.Sequential, the estimator the
+// sequential stop runs, so both judge the same evidence. Outside
+// PruneClasses that is every outcome at weight 1, so mass and
+// effective sample size are both the count. Under MeRLiN
 // extrapolation each replayed representative carries its full class
 // weight (members in or beyond the counted prefix alike) and members
 // carry none, so the stop decision and the reported interval agree; one
@@ -779,39 +776,30 @@ func (p *Planned) aggregate(elapsed time.Duration) (*Result, error) {
 // evidence, not class-size many, hence the Kish effective sample size
 // over those weights.
 func Estimate(outcomes []RunOutcome, conf float64) (stats.Proportion, float64, error) {
-	z, err := stats.ZForConfidence(conf)
+	est, err := stats.NewSequential(conf, classUniverse...)
 	if err != nil {
 		return stats.Proportion{}, 0, err
 	}
-	var sumW, sumW2, unsafeW float64
-	wcounts := make(map[Class]float64, int(numClasses))
 	for _, oc := range outcomes {
-		if oc.Extrapolated {
-			continue
-		}
-		w := max(float64(oc.ClassSize), 1)
-		sumW += w
-		sumW2 += w * w
-		wcounts[oc.Class] += w
-		if oc.Class != ClassMasked {
-			unsafeW += w
-		}
+		observe(est, oc)
 	}
-	nEff := sumW
-	if sumW2 > 0 {
-		nEff = sumW * sumW / sumW2
-	}
-	unsafe, err := stats.EstimateWeightedProportion(unsafeW, sumW, nEff, conf)
+	// Class weights are integers, so the masses are exact sums.
+	unsafeW := est.Mass() - float64(est.Count(int(ClassMasked)))
+	unsafe, err := stats.EstimateWeightedProportion(unsafeW, est.Mass(), est.EffectiveN(), conf)
 	if err != nil {
 		return stats.Proportion{}, 0, err
 	}
-	var margin float64
-	for c := ClassMasked; c < numClasses; c++ {
-		if w := stats.WilsonHalfWidthP(wcounts[c]/sumW, nEff, z); w > margin {
-			margin = w
-		}
+	return unsafe, est.WilsonMargin(), nil
+}
+
+// observe folds one counted outcome into est. Extrapolated class
+// members carry no independent evidence (their mass rides their
+// representative's class weight), so est sees representatives weighted
+// by class size and skips the members.
+func observe(est *stats.Sequential, oc RunOutcome) {
+	if !oc.Extrapolated {
+		est.ObserveWeighted(int(oc.Class), float64(max(oc.ClassSize, 1)))
 	}
-	return unsafe, margin, nil
 }
 
 // goldenRunWithSnapshots runs to completion capturing a snapshot every
@@ -851,7 +839,7 @@ type hashAt struct {
 }
 
 // nearestSnap returns the latest snapshot at or before cycle. Snapshots
-// are cycle-ascending, so this is a binary search — it runs twice per
+// are cycle-ascending, so this is a binary search — it runs once per
 // outcome in aggregate and once per replay on the hot path.
 func nearestSnap(snaps []snapAt, cycle uint64) snapAt {
 	i := sort.Search(len(snaps), func(i int) bool { return snaps[i].cycle > cycle })
@@ -882,7 +870,7 @@ func (g *Golden) ReplayOne(sim Simulator, spec fault.Spec, cfg Config) (RunOutco
 	if err := cfg.Validate(); err != nil {
 		return RunOutcome{}, err
 	}
-	return oneRun(sim, g, spec, cfg)
+	return oneRunBuf(sim, g, spec, cfg, new(replayBuf))
 }
 
 // replayBuf is per-worker scratch reused across replays: the faulty
@@ -903,14 +891,6 @@ func (b *replayBuf) seedGolden(g *Golden, base, upto uint64) *trace.Pinout {
 	hi := sort.Search(len(txns), func(i int) bool { return txns[i].Cycle > upto })
 	b.pin.Txns = append(b.pin.Txns, txns[lo:hi]...)
 	return &b.pin
-}
-
-// oneRun replays a single faulty simulation and classifies it with
-// private scratch (probe/benchmark path; the scalar replayer reuses its
-// own buffer through oneRunBuf).
-func oneRun(sim Simulator, g *Golden, spec fault.Spec, cfg Config) (RunOutcome, error) {
-	var buf replayBuf
-	return oneRunBuf(sim, g, spec, cfg, &buf)
 }
 
 // oneRunBuf replays a single faulty simulation and classifies it.

@@ -145,7 +145,6 @@ type PruneInfo struct {
 // run's lifetime trace (see GoldenOptions.Lifetime). Without a trace
 // every fault reports Tracked=false.
 func (g *Golden) PruneVerdict(spec fault.Spec, cfg Config) PruneInfo {
-	cfg.fillDefaults()
 	v := g.preclassify(spec, cfg)
 	switch v.kind {
 	case preDead:

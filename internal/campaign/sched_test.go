@@ -90,12 +90,12 @@ func TestCursorSchedCheckpointResume(t *testing.T) {
 	}
 	checkpointed := func(cfg campaign.Config) *campaign.Result {
 		t.Helper()
-		c, err := core.Standalone("qsort", core.ModelRTL, core.CampaignSetup(), cfg)
+		it, err := core.Standalone("qsort", core.ModelRTL, core.CampaignSetup(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sr := mustSweep(t, []campaign.SweepCampaign{c}, campaign.SweepOptions{CheckpointDir: dir})
-		return sr.Results[c.Key]
+		sr := mustSweep(t, []campaign.SweepCampaign{it.Campaign}, campaign.SweepOptions{CheckpointDir: dir})
+		return sr.Results[it.Campaign.Key]
 	}
 	first := checkpointed(cfg)
 	second := checkpointed(cfg)

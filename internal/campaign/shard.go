@@ -221,13 +221,7 @@ func (p *Planned) collect(idx int, oc RunOutcome) {
 	obsNoteOutcome(oc)
 	for p.frontier < len(p.outcomes) && p.have[p.frontier] {
 		if p.est != nil && p.stopAt < 0 {
-			// Extrapolated class members carry no independent evidence
-			// (their mass rides their representative's class weight),
-			// so the estimator sees representatives weighted by class
-			// size and skips the members.
-			if fr := p.outcomes[p.frontier]; !fr.Extrapolated {
-				p.est.ObserveWeighted(int(fr.Class), float64(max(fr.ClassSize, 1)))
-			}
+			observe(p.est, p.outcomes[p.frontier])
 			if p.est.Converged(p.cfg.TargetError, p.minRuns) {
 				p.stopAt = p.frontier + 1
 				obsStopFired.Inc()

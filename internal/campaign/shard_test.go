@@ -21,11 +21,11 @@ import (
 
 func factoryFor(t *testing.T, workload string, m core.Model) campaign.Factory {
 	t.Helper()
-	c, err := core.Standalone(workload, m, core.CampaignSetup(), campaign.Config{})
+	it, err := core.Standalone(workload, m, core.CampaignSetup(), campaign.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c.Factory
+	return it.Campaign.Factory
 }
 
 // normalizeResult clears the fields that legitimately differ between

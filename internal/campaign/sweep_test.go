@@ -167,7 +167,7 @@ func TestAllWorkerFactoriesFailNoDeadlock(t *testing.T) {
 
 func TestAllWorkersReplayErrorNoDeadlock(t *testing.T) {
 	// Every replay instance breaks on its first Step, so every worker
-	// exits early through the oneRun error path.
+	// exits early through the oneRunBuf error path.
 	var calls int32
 	factory := func() (campaign.Simulator, error) {
 		broken := atomic.AddInt32(&calls, 1) > 1

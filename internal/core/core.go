@@ -151,8 +151,6 @@ type TableIRow struct {
 // TABLE I rows.
 func TableI(s Setup) []TableIRow {
 	c := s.MA
-	cacheStr := func(cc interface{ String() string }) string { return cc.String() }
-	_ = cacheStr
 	return []TableIRow{
 		{"ISA / Core", "AL32 (ARM-inspired) / Out-of-order"},
 		{"Data cache", fmt.Sprintf("%dKB %d-way", c.L1D.SizeBytes/1024, c.L1D.Ways)},

@@ -89,9 +89,8 @@ type MatrixItem struct {
 }
 
 // SweepRunner executes a planned campaign matrix. The default (nil
-// Params.Runner) strips the items down to their campaigns and runs
-// campaign.Sweep locally; a distributed runner submits each item to a
-// coordinator and assembles the same SweepResult from the fleet's
+// Params.Runner) is LocalSweep; a distributed runner submits each item
+// to a coordinator and assembles the same SweepResult from the fleet's
 // merged outcomes — bit-identical by the shard-merge determinism
 // contract, so figure assembly cannot tell the difference.
 type SweepRunner func(items []MatrixItem, opt campaign.SweepOptions) (*campaign.SweepResult, error)
@@ -129,44 +128,49 @@ func (p Params) benchList() ([]*bench.Workload, error) {
 	return out, nil
 }
 
-// Standalone describes one (workload, model) campaign as a sweep of
+// Standalone describes one (workload, model) campaign as a matrix of
 // one, keyed "<workload>/<model>" (the name its checkpoint records
-// carry): RunCampaign runs it with no options, cmd/faultsim with a
-// checkpoint directory and a stop channel.
-func Standalone(workload string, m Model, setup Setup, cfg campaign.Config) (campaign.SweepCampaign, error) {
+// carry): RunCampaign runs it with no options, cmd/faultsim through a
+// SweepRunner with a checkpoint directory and a stop channel.
+func Standalone(workload string, m Model, setup Setup, cfg campaign.Config) (MatrixItem, error) {
 	w, err := bench.ByName(workload)
 	if err != nil {
-		return campaign.SweepCampaign{}, err
+		return MatrixItem{}, err
 	}
 	prog, err := w.Program()
 	if err != nil {
-		return campaign.SweepCampaign{}, err
+		return MatrixItem{}, err
 	}
-	return campaign.SweepCampaign{
-		Key:     fmt.Sprintf("%s/%v", workload, m),
-		Group:   sweepGroup(m, workload, setup),
-		Factory: Factory(m, prog, setup),
-		Config:  cfg,
+	return MatrixItem{
+		Campaign: campaign.SweepCampaign{
+			Key:     fmt.Sprintf("%s/%v", workload, m),
+			Group:   sweepGroup(m, workload, setup),
+			Factory: Factory(m, prog, setup),
+			Config:  cfg,
+		},
+		Workload: workload,
+		Model:    m,
+		Setup:    setup.Name,
 	}, nil
 }
 
 // RunCampaign runs one standalone (workload, model) campaign.
 func RunCampaign(workload string, m Model, setup Setup, cfg campaign.Config) (*campaign.Result, error) {
-	c, err := Standalone(workload, m, setup, cfg)
+	it, err := Standalone(workload, m, setup, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return campaign.Run(c.Factory, c.Config)
+	return campaign.Run(it.Campaign.Factory, it.Campaign.Config)
 }
 
 // TargetBits is the size of target t's bit space on workload's
 // simulator at level m — the data bits a protection scheme guards.
 func TargetBits(workload string, m Model, setup Setup, t fault.Target) (int, error) {
-	c, err := Standalone(workload, m, setup, campaign.Config{})
+	it, err := Standalone(workload, m, setup, campaign.Config{})
 	if err != nil {
 		return 0, err
 	}
-	sim, err := c.Factory()
+	sim, err := it.Campaign.Factory()
 	if err != nil {
 		return 0, err
 	}
@@ -628,14 +632,20 @@ func matrix(plans []figurePlan, setup Setup) ([]MatrixItem, error) {
 }
 
 // sweep executes an accumulated matrix through the configured runner
-// (local campaign.Sweep by default).
+// (LocalSweep by default).
 func (p Params) sweep(items []MatrixItem) (*campaign.SweepResult, error) {
-	opt := campaign.SweepOptions{
+	run := p.Runner
+	if run == nil {
+		run = LocalSweep
+	}
+	return run(items, campaign.SweepOptions{
 		Workers: p.Workers, CheckpointDir: p.Checkpoint, Stop: p.Stop,
-	}
-	if p.Runner != nil {
-		return p.Runner(items, opt)
-	}
+	})
+}
+
+// LocalSweep is the in-process SweepRunner: it strips the items down to
+// their campaigns and runs them as one campaign.Sweep.
+func LocalSweep(items []MatrixItem, opt campaign.SweepOptions) (*campaign.SweepResult, error) {
 	camps := make([]campaign.SweepCampaign, len(items))
 	for i, it := range items {
 		camps[i] = it.Campaign

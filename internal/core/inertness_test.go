@@ -136,13 +136,14 @@ func TestFusedWalkSeedPins(t *testing.T) {
 	} {
 		var matrix []campaign.SweepCampaign
 		for i, target := range []fault.Target{fault.TargetRF, fault.TargetL1D} {
-			c, err := core.Standalone("qsort", tc.model, core.CampaignSetup(), campaign.Config{
+			it, err := core.Standalone("qsort", tc.model, core.CampaignSetup(), campaign.Config{
 				Injections: 512, Seed: int64(1 + i), Target: target,
 				Obs: campaign.ObsPinout, Window: 500,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			c := it.Campaign
 			c.Key, c.Group = target.String(), "qsort"
 			matrix = append(matrix, c)
 		}

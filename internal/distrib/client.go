@@ -13,8 +13,9 @@ import (
 )
 
 // Client is the submission-side library: it talks to a coordinator's
-// API and exposes both single-campaign execution and a core.SweepRunner
-// so cmd/paper -remote can regenerate any figure against a fleet.
+// API and exposes a core.SweepRunner, so cmd/paper -remote can
+// regenerate any figure, and cmd/faultsim -remote run its one campaign,
+// against a fleet.
 type Client struct {
 	// Base is the coordinator's base URL.
 	Base string
@@ -89,16 +90,6 @@ func (c *Client) wait(id string, stop <-chan struct{}) (*campaign.Result, Progre
 		case <-time.After(poll):
 		}
 	}
-}
-
-// RunCampaign submits a campaign and blocks until its result — the
-// remote drop-in for core.RunCampaign.
-func (c *Client) RunCampaign(spec CampaignSpec) (*campaign.Result, error) {
-	id, err := c.Submit(spec)
-	if err != nil {
-		return nil, err
-	}
-	return c.Wait(id, nil)
 }
 
 // SweepRunner returns a core.SweepRunner that executes a planned figure

@@ -46,6 +46,21 @@ func startWorker(t *testing.T, url, id string) context.CancelFunc {
 	return cancel
 }
 
+// runOnFleet runs one standalone campaign as a matrix of one through
+// the client's SweepRunner, as faultsim -remote does.
+func runOnFleet(t *testing.T, client *distrib.Client, workload string, m core.Model, cfg campaign.Config) *campaign.Result {
+	t.Helper()
+	it, err := core.Standalone(workload, m, core.CampaignSetup(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := client.SweepRunner()([]core.MatrixItem{it}, campaign.SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sr.Results[it.Campaign.Key]
+}
+
 // normalize clears the fields that legitimately differ between local
 // and distributed execution of one campaign: wall time, the pool-size
 // default, which is a per-process concern, and the lane accounting a
@@ -167,12 +182,7 @@ func TestDistributedAdaptiveEngines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := client.RunCampaign(distrib.CampaignSpec{
-				Workload: "qsort", Model: "microarch", Config: tc.cfg,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := runOnFleet(t, client, "qsort", core.ModelMicroarch, tc.cfg)
 			normalize(want)
 			normalize(got)
 			if !reflect.DeepEqual(want, got) {
@@ -422,12 +432,7 @@ func TestDistributedCursorSchedMatchesLocal(t *testing.T) {
 	startWorker(t, srv.URL, "w2")
 	client := distrib.NewClient(srv.URL)
 	client.Poll = 20 * time.Millisecond
-	got, err := client.RunCampaign(distrib.CampaignSpec{
-		Workload: "qsort", Model: "rtl", Config: cfg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := runOnFleet(t, client, "qsort", core.ModelRTL, cfg)
 	normalize(want)
 	normalize(got)
 	if !reflect.DeepEqual(want, got) {

@@ -214,12 +214,7 @@ func TestDistributedProtectedMatchesLocal(t *testing.T) {
 	startWorker(t, srv.URL, "w2")
 	client := distrib.NewClient(srv.URL)
 	client.Poll = 20 * time.Millisecond
-	fleet, err := client.RunCampaign(distrib.CampaignSpec{
-		Workload: "qsort", Model: "microarch", Config: cfg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fleet := runOnFleet(t, client, "qsort", core.ModelMicroarch, cfg)
 	normalize(local)
 	normalize(fleet)
 	want, err := protect.Derive(local, protect.SchemeParity, bits)

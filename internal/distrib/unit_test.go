@@ -219,7 +219,7 @@ func localSweep(t *testing.T, specs []distrib.CampaignSpec) []*campaign.Result {
 			t.Fatal(err)
 		}
 		matrix = append(matrix, campaign.SweepCampaign{
-			Key: strconv.Itoa(i), Group: s.Workload + "/" + s.Model, Factory: st.Factory, Config: s.Config,
+			Key: strconv.Itoa(i), Group: s.Workload + "/" + s.Model, Factory: st.Campaign.Factory, Config: s.Config,
 		})
 	}
 	sr, err := campaign.Sweep(matrix, campaign.SweepOptions{Workers: 2})

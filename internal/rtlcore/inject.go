@@ -8,7 +8,6 @@ import (
 	"repro/internal/refsim"
 	"repro/internal/rtl"
 	"repro/internal/statehash"
-	"repro/internal/trace"
 )
 
 // Fault-injection surfaces. The campaign targets match the
@@ -203,6 +202,3 @@ func (c *Core) StateHash() uint64 {
 func (c *Core) l1dStats() (accesses, misses, evictions uint64) {
 	return c.l1d.accesses, c.l1d.misses, c.l1d.evictions
 }
-
-// Pin returns the current pinout capture (may be nil).
-func (c *Core) Pin() *trace.Pinout { return c.Pinout }

@@ -60,21 +60,8 @@ func (h *Hash) U64(v uint64) {
 	h.sum = s*5 + c3
 }
 
-// U32 folds a 32-bit value as one word.
-func (h *Hash) U32(v uint32) { h.U64(uint64(v)) }
-
 // Int folds an int as one word.
 func (h *Hash) Int(v int) { h.U64(uint64(int64(v))) }
-
-// Bool folds a boolean as one word (0 or 1). State with several
-// booleans should pack them into a mask and fold that instead.
-func (h *Hash) Bool(v bool) {
-	if v {
-		h.U64(1)
-	} else {
-		h.U64(0)
-	}
-}
 
 // Bytes folds a byte slice: its length, then its content eight bytes
 // (one little-endian word) per step, the last word zero-padded. Folding
@@ -92,10 +79,6 @@ func (h *Hash) Bytes(p []byte) {
 		h.U64(binary.LittleEndian.Uint64(tail[:]))
 	}
 }
-
-// Str folds a string exactly as Bytes folds its bytes. No simulator
-// state is a string; it is for tests and tools, off any hot path.
-func (h *Hash) Str(s string) { h.Bytes([]byte(s)) }
 
 // Sum returns the digest of everything folded so far: the running state
 // through a final avalanche (the splitmix64 finaliser), so every folded

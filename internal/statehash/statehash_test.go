@@ -31,12 +31,7 @@ func TestFoldMethods(t *testing.T) {
 	for name, fold := range map[string]func(*Hash){
 		"U64":   func(h *Hash) { h.U64(1) },
 		"U64-0": func(h *Hash) { h.U64(0) },
-		"U32":   func(h *Hash) { h.U32(1) },
 		"Int":   func(h *Hash) { h.Int(-1) },
-		"Bool":  func(h *Hash) { h.Bool(true) },
-		"Bool0": func(h *Hash) { h.Bool(false) },
-		"Str":   func(h *Hash) { h.Str("x") },
-		"Str0":  func(h *Hash) { h.Str("") },
 		"Bytes": func(h *Hash) { h.Bytes(nil) },
 	} {
 		h := New()
@@ -46,9 +41,7 @@ func TestFoldMethods(t *testing.T) {
 		}
 	}
 	for name, pair := range map[string][2]func(*Hash){
-		"U32":  {func(h *Hash) { h.U32(0xdeadbeef) }, func(h *Hash) { h.U64(0xdeadbeef) }},
-		"Int":  {func(h *Hash) { h.Int(-2) }, func(h *Hash) { h.U64(^uint64(1)) }},
-		"Bool": {func(h *Hash) { h.Bool(true) }, func(h *Hash) { h.U64(1) }},
+		"Int": {func(h *Hash) { h.Int(-2) }, func(h *Hash) { h.U64(^uint64(1)) }},
 	} {
 		a, b := New(), New()
 		pair[0](a)
@@ -170,8 +163,8 @@ func referenceBytes(h *Hash, p []byte) {
 }
 
 // TestBytesMatchesReference: at every length 0–33 and every split of
-// that length into two consecutive folds, Bytes and Str equal the
-// word-by-word reference; and no two splits of the same bytes collide,
+// that length into two consecutive folds, Bytes equals the word-by-word
+// reference; and no two splits of the same bytes collide,
 // which is what folding the length buys.
 func TestBytesMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
@@ -181,15 +174,13 @@ func TestBytesMatchesReference(t *testing.T) {
 		p := buf[:n]
 		seen := map[uint64]int{}
 		for k := 0; k <= n; k++ {
-			got, str, want := New(), New(), New()
+			got, want := New(), New()
 			got.Bytes(p[:k])
 			got.Bytes(p[k:])
-			str.Str(string(p[:k]))
-			str.Str(string(p[k:]))
 			referenceBytes(want, p[:k])
 			referenceBytes(want, p[k:])
-			if got.Sum() != want.Sum() || str.Sum() != want.Sum() {
-				t.Errorf("length %d split %d: Bytes %#x, Str %#x, reference %#x", n, k, got.Sum(), str.Sum(), want.Sum())
+			if got.Sum() != want.Sum() {
+				t.Errorf("length %d split %d: Bytes %#x, reference %#x", n, k, got.Sum(), want.Sum())
 			}
 			if prev, dup := seen[got.Sum()]; dup {
 				t.Errorf("length %d: splits %d and %d digest alike", n, prev, k)

@@ -267,6 +267,9 @@ func (s *Sequential) N() int { return s.n }
 // Count returns the represented outcomes of one class, rounded.
 func (s *Sequential) Count(class int) int { return int(math.Round(s.counts[class])) }
 
+// Mass returns the represented outcomes of every class together.
+func (s *Sequential) Mass() float64 { return s.sumW }
+
 // EffectiveN returns the Kish effective sample size: n when every
 // weight is 1, smaller under extrapolation.
 func (s *Sequential) EffectiveN() float64 {
