@@ -61,7 +61,9 @@
 // resumes from them on the next run. -remote URL runs the same matrix
 // through the distributed client's runner, which submits it to a
 // faultsimd coordinator and waits for the fleet's (byte-identical)
-// result instead of simulating locally. -json emits the result as
+// result instead of simulating locally; the coordinator keeps a fleet
+// campaign's checkpoints, so -remote with -checkpoint is rejected up
+// front. -json emits the result as
 // machine-readable JSON.
 package main
 
@@ -119,11 +121,14 @@ func run(args []string, w io.Writer) error {
 		lanes      = fs.Int("lanes", 64, "bit-parallel lockstep replay width, 1-64 (1 = scalar engine; byte-identical results at any width)")
 		process    = cli.ProcessFlags(fs, "faultsim", "campaign")
 		checkpoint = fs.String("checkpoint", "", "stream per-run outcomes to JSONL shards in this directory and resume from them")
-		remote     = fs.String("remote", "", "submit the campaign to a faultsimd coordinator at this base URL instead of simulating locally")
+		remote     = fs.String("remote", "", "submit the campaign to a faultsimd coordinator at this base URL instead of simulating locally (checkpointing then lives coordinator-side; not with -checkpoint)")
 		jsonOut    = fs.Bool("json", false, "emit the result as machine-readable JSON")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *remote != "" && *checkpoint != "" {
+		return errors.New("-checkpoint is local only: with -remote, checkpoints live on the coordinator (faultsimd -role coordinator -checkpoint DIR)")
 	}
 	stopProcess, exit, err := process()
 	if exit || err != nil {

@@ -3,6 +3,8 @@ package main
 import (
 	"context"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -81,5 +83,23 @@ func TestRemoteMatchesLocal(t *testing.T) {
 	remote := faultsim(t, append(args, "-remote", startFleet(t))...)
 	if remote != local {
 		t.Errorf("-remote output differs from the local run:\n%s\nwant\n%s", remote, local)
+	}
+}
+
+// TestRemoteRejectsCheckpoint: a fleet campaign's checkpoints live on
+// the coordinator, so -checkpoint with -remote is an error before any
+// request is made or directory created, not a flag dropped in silence.
+func TestRemoteRejectsCheckpoint(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ck")
+	var out strings.Builder
+	err := run([]string{"-bench", "caes", "-n", "4", "-remote", "http://127.0.0.1:1", "-checkpoint", dir}, &out)
+	if err == nil || !strings.Contains(err.Error(), "checkpoints live on the coordinator") {
+		t.Fatalf("error = %v, want the -checkpoint/-remote rejection", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("wrote %q before failing", out.String())
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("the checkpoint directory exists after the rejection: %v", err)
 	}
 }

@@ -76,7 +76,9 @@
 // -remote URL runs every campaign on a faultsimd worker fleet through
 // the coordinator at URL instead of simulating locally; the shard
 // merge's determinism contract makes the regenerated figures
-// byte-identical either way. -json emits figures as machine-readable
+// byte-identical either way. The coordinator keeps the checkpoints of a
+// fleet's campaigns, so -remote with -checkpoint is rejected up front.
+// -json emits figures as machine-readable
 // JSON, and SIGINT/SIGTERM drains in-flight replays and flushes
 // checkpoint shards before exiting, so `-checkpoint` resumes cleanly.
 //
@@ -166,10 +168,13 @@ func parse(args []string, stop <-chan struct{}) (sel *selection, stopProcess fun
 		process    = cli.ProcessFlags(fs, "paper", "regeneration")
 		csv        = fs.Bool("csv", false, "emit figures as CSV instead of tables")
 		jsonOut    = fs.Bool("json", false, "emit figures as machine-readable JSON instead of tables")
-		remote     = fs.String("remote", "", "run every campaign on a faultsimd fleet via this coordinator base URL (checkpointing then lives coordinator-side; -checkpoint is ignored)")
+		remote     = fs.String("remote", "", "run every campaign on a faultsimd fleet via this coordinator base URL (checkpointing then lives coordinator-side; not with -checkpoint)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return nil, nil, err
+	}
+	if *remote != "" && *checkpoint != "" {
+		return nil, nil, errors.New("-checkpoint is local only: with -remote, checkpoints live on the coordinator (faultsimd -role coordinator -checkpoint DIR)")
 	}
 	halt, exit, err := process()
 	if exit || err != nil {

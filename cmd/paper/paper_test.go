@@ -151,7 +151,9 @@ func firstDiff(got, want string) string {
 // TestBadSelectionsAreNamed: an unknown -fig or -table value is an error
 // that names the value and the registered ones (not a usage dump and
 // "nothing selected"), checked before anything is simulated or printed;
-// -csv with -json is rejected instead of -json winning silently.
+// -csv with -json is rejected instead of -json winning silently, and
+// -checkpoint with -remote instead of being dropped (a fleet's
+// checkpoints live on the coordinator).
 func TestBadSelectionsAreNamed(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -161,6 +163,7 @@ func TestBadSelectionsAreNamed(t *testing.T) {
 		{[]string{"-table", "3"}, `unknown table "3" (have: 1, 2, sample)`},
 		{[]string{"-table", "1", "-fig", "nope"}, `unknown figure "nope"`},
 		{[]string{"-fig", "1", "-csv", "-json"}, "-csv and -json are mutually exclusive"},
+		{[]string{"-fig", "1", "-remote", "http://127.0.0.1:1", "-checkpoint", "ck"}, "-checkpoint is local only: with -remote, checkpoints live on the coordinator"},
 	} {
 		var buf bytes.Buffer
 		err := run(tc.args, &buf, nil)

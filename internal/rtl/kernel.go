@@ -7,8 +7,14 @@
 // input and memory write for the next edge. The kernel owns the clock:
 //
 //	Tick: every register whose D input was driven latches it, every
-//	      memory applies its queued writes, and the cycle counter
-//	      advances.
+//	      memory with queued writes applies them, and the cycle
+//	      counter advances.
+//
+// A memory's first queued write of a cycle puts it on the simulator's
+// pending list, and Tick walks that list rather than every memory (a
+// cycle of the rtlcore CPU writes two or three of its ten arrays).
+// RestoreState rebuilds the list from the restored queues, so a capture
+// stays complete without it.
 //
 // A design steps by calling Tick and then its evaluation function, and
 // evaluates once after elaboration (reset release) so that the first
@@ -97,8 +103,7 @@ type memWrite struct {
 // Register files and cache tag/data/state arrays are built from it.
 type Mem struct {
 	name  string
-	width int
-	mask  uint64
+	width int // 1 to 64; mask derives the word mask from it
 	data  []uint64
 	queue []memWrite
 	sim   *Simulator
@@ -107,10 +112,17 @@ type Mem struct {
 	// golden run (see SetLifetime); nil everywhere else, so the read and
 	// write ports pay one nil check.
 	lt *lifetime.Space
+
+	// next links the simulator's pending list while the queue is
+	// non-empty.
+	next *Mem
 }
 
 // Name returns the array's name.
 func (m *Mem) Name() string { return m.name }
+
+// mask is the word mask: the low width bits.
+func (m *Mem) mask() uint64 { return ^uint64(0) >> uint(64-m.width) }
 
 // Words returns the number of words.
 func (m *Mem) Words() int { return len(m.data) }
@@ -142,12 +154,15 @@ func (m *Mem) Write(idx int, v uint64) {
 	if m.lt != nil {
 		m.lt.Write(m.sim.CycleCount+1, idx, 0, m.width)
 	}
-	m.queue = append(m.queue, memWrite{idx: idx, v: v & m.mask})
+	if len(m.queue) == 0 {
+		m.next, m.sim.pending = m.sim.pending, m
+	}
+	m.queue = append(m.queue, memWrite{idx: idx, v: v & m.mask()})
 }
 
 // Init sets word idx directly, bypassing the synchronous write port. It
 // is for design elaboration (reset values) only, before simulation runs.
-func (m *Mem) Init(idx int, v uint64) { m.data[idx] = v & m.mask }
+func (m *Mem) Init(idx int, v uint64) { m.data[idx] = v & m.mask() }
 
 // Bits returns the total number of storage bits.
 func (m *Mem) Bits() int { return len(m.data) * m.width }
@@ -183,7 +198,7 @@ func (m *Mem) ForceBit(b int, v int) error {
 }
 
 // Xor flips bits x of word idx, effective immediately.
-func (m *Mem) Xor(idx int, x uint64) { m.data[idx] ^= x & m.mask }
+func (m *Mem) Xor(idx int, x uint64) { m.data[idx] ^= x & m.mask() }
 
 // Queued returns the number of writes queued for the next clock edge;
 // QueuedWord names the word the i-th of them overwrites, and XorQueued
@@ -192,7 +207,7 @@ func (m *Mem) Xor(idx int, x uint64) { m.data[idx] ^= x & m.mask }
 // not when it is queued.
 func (m *Mem) Queued() int               { return len(m.queue) }
 func (m *Mem) QueuedWord(i int) int      { return m.queue[i].idx }
-func (m *Mem) XorQueued(i int, x uint64) { m.queue[i].v ^= x & m.mask }
+func (m *Mem) XorQueued(i int, x uint64) { m.queue[i].v ^= x & m.mask() }
 
 // Snapshot returns a copy of the array contents.
 func (m *Mem) Snapshot() []uint64 { return append([]uint64(nil), m.data...) }
@@ -206,6 +221,10 @@ func (m *Mem) Restore(data []uint64) {
 type Simulator struct {
 	regs []*Reg
 	mems []*Mem
+
+	// pending heads the list, linked through Mem.next, of the memories
+	// whose queues are non-empty: the ones the next Tick has to apply.
+	pending *Mem
 
 	// CycleCount is the number of completed Tick calls.
 	CycleCount uint64
@@ -236,7 +255,6 @@ func (s *Simulator) Mem(name string, words, width int) *Mem {
 	m := &Mem{
 		name:  name,
 		width: width,
-		mask:  maskFor(width),
 		data:  make([]uint64, words),
 		sim:   s,
 	}
@@ -245,7 +263,8 @@ func (s *Simulator) Mem(name string, words, width int) *Mem {
 }
 
 // Tick is the clock edge: every register whose D input was set latches
-// it, every memory applies its queued writes, and CycleCount advances.
+// it, every memory on the pending list applies its queued writes in
+// queue order, and CycleCount advances.
 func (s *Simulator) Tick() {
 	for _, r := range s.regs {
 		if r.dSet {
@@ -253,12 +272,13 @@ func (s *Simulator) Tick() {
 			r.cur = r.d
 		}
 	}
-	for _, m := range s.mems {
+	for m := s.pending; m != nil; m = m.next {
 		for _, w := range m.queue {
 			m.data[w.idx] = w.v
 		}
 		m.queue = m.queue[:0]
 	}
+	s.pending = nil
 	s.CycleCount++
 }
 

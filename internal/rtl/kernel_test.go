@@ -281,3 +281,53 @@ func TestQueuedWritesAndXor(t *testing.T) {
 		t.Fatalf("after the edge: queue %d, words %#x %#x %#x, r %#x", m.Queued(), m.data[1], m.data[2], m.data[3], r.Q())
 	}
 }
+
+// TestRestoreRebuildsPendingList: Tick applies only the memories on the
+// pending list, so RestoreState must rebuild it from the capture. A
+// capture with writes queued on two memories, restored right after an
+// edge emptied the list, has both applied at the next edge; a capture
+// with none, restored over a queued write, has nothing applied.
+func TestRestoreRebuildsPendingList(t *testing.T) {
+	sim := NewSimulator()
+	a := sim.Mem("a", 4, 32)
+	b := sim.Mem("b", 4, 32)
+	c := sim.Mem("c", 4, 32)
+	idle := sim.CaptureState(nil)
+	a.Write(1, 11)
+	c.Write(2, 22)
+	c.Write(3, 33)
+	queued := sim.CaptureState(nil)
+	sim.Tick()
+	a.Xor(1, 0xFF) // restored below
+
+	sim.RestoreState(queued)
+	if pendingLen(sim) != 2 {
+		t.Fatalf("pending list after restore: %d memories, want 2", pendingLen(sim))
+	}
+	sim.Tick()
+	if a.Read(1) != 11 || c.Read(2) != 22 || c.Read(3) != 33 || b.Read(0) != 0 {
+		t.Fatalf("after the edge: a[1]=%d c[2]=%d c[3]=%d b[0]=%d, want 11 22 33 0", a.Read(1), c.Read(2), c.Read(3), b.Read(0))
+	}
+
+	b.Write(0, 44)
+	sim.RestoreState(idle)
+	if pendingLen(sim) != 0 || b.Queued() != 0 {
+		t.Fatalf("pending list %d, b's queue %d after restoring a capture with none", pendingLen(sim), b.Queued())
+	}
+	sim.Tick()
+	for _, m := range []*Mem{a, b, c} {
+		for i := 0; i < m.Words(); i++ {
+			if v := m.Read(i); v != 0 {
+				t.Errorf("%s[%d] = %d after restoring the empty capture, want 0", m.Name(), i, v)
+			}
+		}
+	}
+}
+
+func pendingLen(s *Simulator) int {
+	n := 0
+	for m := s.pending; m != nil; m = m.next {
+		n++
+	}
+	return n
+}

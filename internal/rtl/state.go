@@ -55,9 +55,13 @@ func (s *Simulator) RestoreState(st *State) {
 		r.d = st.regs[i].d
 		r.dSet = st.regs[i].dSet
 	}
+	s.pending = nil
 	for i, m := range s.mems {
 		copy(m.data, st.mems[i].data)
 		m.queue = append(m.queue[:0], st.mems[i].queue...)
+		if len(m.queue) > 0 {
+			m.next, s.pending = s.pending, m
+		}
 	}
 	s.CycleCount = st.cycle
 }

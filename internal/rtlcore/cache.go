@@ -49,6 +49,13 @@ type rtlCache struct {
 	victimBuf []byte
 	fillBuf   []byte
 
+	// fbLine is the fetch buffer: the flat index of the line the last
+	// fetch hit, whose address is fbBase, or -1 after a miss or a
+	// restore (fetch has why reading it directly is exact). It is
+	// derived state, so the design's captures and digests leave it out.
+	fbLine int32
+	fbBase uint32
+
 	// accessHook, when set, observes every access (testbench
 	// instrumentation for injection-time advancement).
 	accessHook func(set, way int)
@@ -234,6 +241,31 @@ func (c *rtlCache) loadWord(addr uint32, cycle uint64, pin *trace.Pinout) (uint3
 	}
 	w := c.data.Read(c.lineIdx(r.set, r.way)*c.lineWords + r.off/4)
 	return uint32(w), r, true
+}
+
+// fetch is loadWord for the instruction fetch, the L1I's only port,
+// returning whether the access missed. A fetch from the line the last
+// fetch hit reads the word straight from the data array and queues the
+// one LRU write touch would: that line's age is already 0, so touch
+// ages no other way of the set. This is exact because nothing else
+// changes the L1I arrays between two fetches — no fault target,
+// lifetime space, access hook or value lane covers them, and
+// Core.Restore, the only writer outside the ports, drops the buffer —
+// and a miss, a fill included, drops it too.
+func (c *rtlCache) fetch(addr uint32, cycle uint64, pin *trace.Pinout) (w uint32, miss, ok bool) {
+	lineMask := uint32(c.cfg.LineBytes - 1)
+	if c.fbLine >= 0 && addr&^lineMask|addr&3 == c.fbBase {
+		c.accesses++
+		line := int(c.fbLine)
+		c.lru.Write(line, 0)
+		return uint32(c.data.Read(line*c.lineWords + int(addr&lineMask)/4)), false, true
+	}
+	w, r, ok := c.loadWord(addr, cycle, pin)
+	c.fbLine = -1
+	if ok && !r.miss {
+		c.fbLine, c.fbBase = int32(c.lineIdx(r.set, r.way)), addr&^lineMask
+	}
+	return w, r.miss, ok
 }
 
 // loadByte reads one byte.

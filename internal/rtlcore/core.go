@@ -113,6 +113,12 @@ type Core struct {
 	l1i *rtlCache
 	l1d *rtlCache
 
+	// prog is the loaded program, whose shared decode table
+	// (asm.Program.Decoded) decode reads for the very word a stage
+	// latches. It is the program's, not the design's: no state rides on
+	// it.
+	prog *asm.Program
+
 	// latches is every non-array state element in name order: the flat
 	// latch fault space of FlipLatchBit, built once (persistent latch
 	// faults are re-forced after every cycle).
@@ -170,6 +176,8 @@ func New(p *asm.Program, cfg Config) (*Core, error) {
 	}
 	c.regfile.Init(int(isa.SP), uint64(isa.StackTop))
 	c.latches = sim.RegsByPrefix("")
+	c.prog = p
+	c.l1i.fbLine = -1
 	c.eval() // reset release
 	return c, nil
 }
@@ -245,6 +253,20 @@ func srcRegs(in isa.Inst) (regs [3]isa.Reg, n int) {
 	return regs, n
 }
 
+// decode returns the instruction a stage's latches hold and whether its
+// word decodes at all. The decode table's entry for the latched pc
+// serves when it holds the latched word — the word check makes it exact
+// for any pc and any word, a store into the text or a flipped latch
+// included; otherwise the word is decoded here.
+func (c *Core) decode(s stage) (isa.Inst, bool) {
+	w, text := uint32(s.ir.Q()), c.prog.Decoded()
+	if i := (uint32(s.pc.Q()) - c.prog.TextBase) / isa.InstBytes; i < uint32(len(text)) && text[i].Word == w {
+		return text[i].Inst, !text[i].Bad
+	}
+	in, err := isa.Decode(w)
+	return in, err == nil
+}
+
 // eval is the whole-core combinational logic, evaluated once after every
 // clock edge (and once at reset release, in New). Stages are computed
 // WB-first so same-cycle dataflow (forwarding, branch squash) reads
@@ -263,12 +285,21 @@ func (c *Core) eval() {
 	// only then (lanes.go).
 	dense := c.lanes != nil && c.lanes.dense.Any()
 
-	// Each stage latch is decoded once; the stages below share the
+	// Each valid stage latch is decoded once; the stages below share the
 	// result (MEM and the EX forwarding network both look at exmem.ir,
-	// EX and the ID load-use check both at idex.ir).
-	wbIn, wbErr := isa.Decode(uint32(c.memwb.ir.Q()))
-	memIn, memErr := isa.Decode(uint32(c.exmem.ir.Q()))
-	exIn, exErr := isa.Decode(uint32(c.idex.ir.Q()))
+	// EX and the ID load-use check both at idex.ir). Every use is gated
+	// by the stage's valid latch, so an empty slot is not decoded.
+	var wbIn, memIn, exIn isa.Inst
+	var wbOK, memOK, exOK bool
+	if c.memwb.valid.QBool() {
+		wbIn, wbOK = c.decode(c.memwb)
+	}
+	if c.exmem.valid.QBool() {
+		memIn, memOK = c.decode(c.exmem)
+	}
+	if c.idex.valid.QBool() {
+		exIn, exOK = c.decode(c.idex)
+	}
 
 	// ------------------------------------------------------------- WB
 	wbValid := c.memwb.valid.QBool()
@@ -288,7 +319,7 @@ func (c *Core) eval() {
 			return
 		}
 		in := wbIn
-		if wbErr != nil {
+		if !wbOK {
 			// Possible only under fault injection into the latches.
 			c.halt(refsim.StopFault, fmt.Sprintf("latched garbage at WB (pc %#x)", uint32(c.memwb.pc.Q())))
 			return
@@ -340,7 +371,7 @@ func (c *Core) eval() {
 	memSrc := srcLat + latR // where memResult comes from, if not a load
 	if c.exmem.valid.QBool() && c.exmem.exc.Q() == excNone {
 		in := memIn
-		if memErr != nil {
+		if !memOK {
 			c.memwb.exc.SetD(excDecode)
 		} else if in.Op.IsMem() {
 			addr := uint32(c.exmemR.Q())
@@ -395,7 +426,7 @@ func (c *Core) eval() {
 	// source is returned with the value: value lanes take their diff
 	// from the source golden selected.
 	fwd := func(r isa.Reg, latched *rtl.Reg, lat src) (uint32, src) {
-		if c.exmem.valid.QBool() && c.exmem.exc.Q() == excNone && memErr == nil &&
+		if c.exmem.valid.QBool() && c.exmem.exc.Q() == excNone && memOK &&
 			!memIn.Op.IsLoad() && dstReg(memIn) == int(r) {
 			return uint32(c.exmemR.Q()), srcLat + latR
 		}
@@ -412,7 +443,7 @@ func (c *Core) eval() {
 	exDst := -1 // the data latch the execute datapath drives
 	if c.idex.valid.QBool() && c.idex.exc.Q() == excNone {
 		in := exIn
-		if exErr != nil {
+		if !exOK {
 			c.exmem.exc.SetD(excDecode)
 		} else {
 			pc := uint32(c.idex.pc.Q())
@@ -506,8 +537,8 @@ func (c *Core) eval() {
 	srcA, srcB, srcSt := srcNone, srcNone, srcNone // what the operand latches read
 	idValid := c.ifid.valid.QBool()
 	if idValid && c.ifid.exc.Q() == excNone && !redirect {
-		in, err := isa.Decode(uint32(c.ifid.ir.Q()))
-		if err != nil {
+		in, ok := c.decode(c.ifid)
+		if !ok {
 			c.idex.pass(c.ifid)
 			c.idex.exc.SetD(excDecode)
 			c.idexA.SetD(0)
@@ -516,7 +547,7 @@ func (c *Core) eval() {
 		} else {
 			// Load-use interlock: producer load in EX this cycle.
 			if c.idex.valid.QBool() && c.idex.exc.Q() == excNone {
-				if exErr == nil && exIn.Op.IsLoad() {
+				if exOK && exIn.Op.IsLoad() {
 					regs, n := srcRegs(in)
 					for _, s := range regs[:n] {
 						if int(s) == dstReg(exIn) {
@@ -591,7 +622,7 @@ func (c *Core) eval() {
 		// Hold pc and ifid (no SetD = hold).
 	default:
 		pc := uint32(c.pc.Q())
-		w, res, ok := c.l1i.loadWord(pc, c.sim.CycleCount, c.Pinout)
+		w, miss, ok := c.l1i.fetch(pc, c.sim.CycleCount, c.Pinout)
 		switch {
 		case !ok:
 			c.ifid.ir.SetD(0)
@@ -599,7 +630,7 @@ func (c *Core) eval() {
 			c.ifid.valid.SetD(1)
 			c.ifid.exc.SetD(excFetch)
 			c.pc.SetD(uint64(netAdd(pc, isa.InstBytes)))
-		case res.miss:
+		case miss:
 			if l := c.lanes; l != nil && l.Mem.Any() {
 				lb := uint32(c.cfg.L1I.LineBytes)
 				l.IFetch(pc&^(lb-1), lb)

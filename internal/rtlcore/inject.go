@@ -169,6 +169,7 @@ func (c *Core) SnapshotInto(s *Snapshot) *Snapshot {
 // the memory image).
 func (c *Core) Restore(s *Snapshot) {
 	c.sim.RestoreState(s.kernel)
+	c.l1i.fbLine = -1 // the L1I arrays may have changed under it
 	// Rewind the existing backing memory in place (copy-on-write share
 	// with the snapshot) instead of allocating a fresh Memory: the
 	// cache bindings stay valid and the replay restore stays
