@@ -75,6 +75,15 @@ func run(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// The reference ISA model has no fault surface and no golden phase.
+	if *model == "ref" {
+		if *inject > 0 {
+			return fmt.Errorf("-inject needs -model microarch or rtl: the reference model has no fault surface")
+		}
+		if *golden {
+			return fmt.Errorf("-golden needs -model microarch or rtl: the reference model has no golden phase")
+		}
+	}
 	if *version {
 		cli.PrintVersion("runsim")
 		return nil
@@ -158,7 +167,10 @@ func run(args []string, w io.Writer) error {
 		factory := core.Factory(m, prog, setup)
 		cfg := campaign.Config{
 			Injections: *inject, Seed: *seed, Target: tgt, Fault: fp,
-			Window: *window, Obs: campaign.ObsPinout, EarlyStop: true,
+			Window: *window, Obs: campaign.ObsPinout, EarlyStop: true, Lanes: *lanes,
+		}
+		if err := cfg.Validate(); err != nil {
+			return err
 		}
 		g, err := campaign.PrepareGolden(factory, campaign.GoldenOptions{
 			HashEvery: 64, Lifetime: true, MaxCycles: *maxCycles,
@@ -178,7 +190,6 @@ func run(args []string, w io.Writer) error {
 		// bit-parallel lockstep walk instead of one scalar replay per
 		// fault — same classifications (the walk is byte-identical),
 		// printed with a packing summary when lanes rode.
-		cfg.Lanes = *lanes
 		outs := make([]campaign.RunOutcome, len(specs))
 		var st campaign.ReplayStats
 		i := 0

@@ -54,3 +54,25 @@ func TestProbeEngineSummary(t *testing.T) {
 		})
 	}
 }
+
+// TestRejectsUpFront: a flag the run cannot honour fails before any
+// simulation and prints nothing. The reference model has no fault
+// surface and no golden phase, and an out-of-range -lanes is the
+// config's error before the golden run is paid for.
+func TestRejectsUpFront(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-model", "ref", "-inject", "2"}, "-inject"},
+		{[]string{"-model", "ref", "-golden"}, "-golden"},
+		{[]string{"-inject", "3", "-lanes", "65"}, "Lanes 65"},
+	} {
+		var out strings.Builder
+		err := run(append([]string{"-bench", "qsort"}, tc.args...), &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || out.Len() > 0 {
+			t.Errorf("runsim %v: err %v, output %q; want an error naming %q and no output",
+				tc.args, err, out.String(), tc.want)
+		}
+	}
+}

@@ -77,14 +77,10 @@ const batchRingEvery = 64
 const batchPull = 8
 
 // BatchCapable is implemented by simulators that can ride value lanes
-// over an injection target: both models do, for the register file and
-// the L1D data array, and the RTL model for its pipeline latches.
+// over every injection target they have bits for: both models do, for
+// the register file and the L1D data array, and the RTL model for its
+// pipeline latches.
 type BatchCapable interface {
-	// LaneGeometry states target t's flat fault bit space — units × width
-	// bits, laid out as Simulator.Flip indexes them; units is 0 for a
-	// target without a lockstep surface.
-	LaneGeometry(t fault.Target) (units, width int)
-
 	// AttachLanes builds one lane set per target, in order — each on a
 	// lane group of the instance's store, at most lanestore.Groups — and
 	// attaches them to this instance's hooks; DetachLanes takes them off.
@@ -205,8 +201,8 @@ type BatchReplayer struct {
 
 // NewBatchReplayer builds a replayer for one campaign over one worker's
 // simulator pair, or returns nil when the campaign does not ride lanes:
-// cfg.Lanes <= 1, or a simulator without a lane surface for its target.
-// Callers fall back to the scalar path on nil.
+// cfg.Lanes <= 1, or a simulator that is not BatchCapable. Callers fall
+// back to the scalar path on nil.
 //
 // Deprecated: drive engines through ReplayPool, which picks the engine.
 func NewBatchReplayer(g *Golden, cfg Config, gold, scalar Simulator) *BatchReplayer {

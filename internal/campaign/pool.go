@@ -128,15 +128,13 @@ func (w *Work) wrap(err error) error {
 }
 
 // lockstep reports whether the campaign rides lanes: lanes enabled on a
-// model with a lockstep surface for the target. Decided from the golden
-// run's own instance, so no simulator is built to find out.
+// BatchCapable model, which has lanes for every target it has bits for
+// (a target without bits never plans: fault.NewGenerator rejects it).
+// Decided from the golden run's own instance, so no simulator is built
+// to find out.
 func (w *Work) lockstep() bool {
-	bc, ok := w.Golden.sim.(BatchCapable)
-	if !ok || w.Config.Lanes <= 1 {
-		return false
-	}
-	units, _ := bc.LaneGeometry(w.Config.Target)
-	return units > 0
+	_, ok := w.Golden.sim.(BatchCapable)
+	return ok && w.Config.Lanes > 1
 }
 
 // chunk is how many of the campaign's replays one pull takes: enough for

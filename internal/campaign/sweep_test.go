@@ -78,8 +78,7 @@ func (s *mockSim) StateHash() uint64                  { return s.cycles }
 // reach the walker's Flip.
 type laneSim struct{ campaign.Simulator }
 
-func (s laneSim) LaneGeometry(fault.Target) (int, int) { return 1, 32 }
-func (s laneSim) DetachLanes()                         {}
+func (s laneSim) DetachLanes() {}
 func (s laneSim) SnapshotInto(campaign.Snapshot) campaign.Snapshot {
 	return s.Snapshot()
 }

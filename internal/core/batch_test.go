@@ -161,7 +161,7 @@ func checkPeelCycles(t *testing.T, f campaign.Factory, g *campaign.Golden, cfg c
 		t.Fatal(err)
 	}
 	host := sim.(campaign.BatchCapable)
-	if units, _ := host.LaneGeometry(cfg.Target); units == 0 {
+	if sim.Bits(cfg.Target) == 0 {
 		t.Fatalf("no lane tracker over %v", cfg.Target)
 	}
 	lanes := host.AttachLanes([]fault.Target{cfg.Target})[0]

@@ -123,13 +123,13 @@ func NewSimulator(m Model, p *asm.Program, s Setup) (campaign.Simulator, error) 
 		if err != nil {
 			return nil, err
 		}
-		return &maSim{cpu: cpu}, nil
+		return &maSim{cpu}, nil
 	case ModelRTL:
 		c, err := rtlcore.New(p, s.RTL)
 		if err != nil {
 			return nil, err
 		}
-		return &rtlSim{core: c}, nil
+		return &rtlSim{c}, nil
 	}
 	return nil, fmt.Errorf("core: unknown model %v", m)
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/campaign"
 	"repro/internal/fault"
+	"repro/internal/lifetime"
 	"repro/internal/refsim"
 	"repro/internal/trace"
 )
@@ -130,6 +131,11 @@ func TestAdapterSnapshotPortability(t *testing.T) {
 	}
 }
 
+// TestLatchBitsOnlyAtRTL holds each model's one fault surface to its
+// contract over every (model, target) pair: the bit spaces the levels
+// are compared on, a range check at both ends, a flip a second flip
+// undoes, an idempotent force, and lifetime spaces laid out as the
+// fault space they trace.
 func TestLatchBitsOnlyAtRTL(t *testing.T) {
 	w, err := bench.ByName("qsort")
 	if err != nil {
@@ -139,34 +145,68 @@ func TestLatchBitsOnlyAtRTL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ma, err := NewSimulator(ModelMicroarch, p, CampaignSetup())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rtl, err := NewSimulator(ModelRTL, p, CampaignSetup())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ma.Bits(fault.TargetLatches) != 0 {
-		t.Error("microarch claims latch bits")
-	}
-	if rtl.Bits(fault.TargetLatches) == 0 {
-		t.Error("rtl has no latch bits")
-	}
-	if err := ma.Flip(fault.TargetLatches, 0); err == nil {
-		t.Error("microarch latch flip accepted")
-	}
-	// RF bit spaces intentionally differ (56 physical vs 16
-	// architectural registers) — the substitution EXPERIMENTS.md documents.
-	if ma.Bits(fault.TargetRF) != 56*32 {
-		t.Errorf("microarch RF bits = %d", ma.Bits(fault.TargetRF))
-	}
-	if rtl.Bits(fault.TargetRF) != 16*32 {
-		t.Errorf("rtl RF bits = %d", rtl.Bits(fault.TargetRF))
-	}
-	// L1D spaces agree exactly under an equivalent setup.
-	if ma.Bits(fault.TargetL1D) != rtl.Bits(fault.TargetL1D) {
-		t.Error("L1D bit spaces differ between equivalent setups")
+	setup := CampaignSetup()
+	l1dBits := setup.MA.L1D.SizeBytes * 8
+	for _, tc := range []struct {
+		m    Model
+		t    fault.Target
+		bits int // -1: some
+	}{
+		// RF bit spaces intentionally differ (56 physical vs 16
+		// architectural registers) — the substitution EXPERIMENTS.md
+		// documents; L1D spaces agree exactly under an equivalent setup;
+		// latches exist at RTL only.
+		{ModelMicroarch, fault.TargetRF, 56 * 32},
+		{ModelMicroarch, fault.TargetL1D, l1dBits},
+		{ModelMicroarch, fault.TargetLatches, 0},
+		{ModelRTL, fault.TargetRF, 16 * 32},
+		{ModelRTL, fault.TargetL1D, l1dBits},
+		{ModelRTL, fault.TargetLatches, -1},
+	} {
+		t.Run(tc.m.String()+"/"+tc.t.String(), func(t *testing.T) {
+			sim, err := NewSimulator(tc.m, p, setup)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := sim.Bits(tc.t)
+			if n != tc.bits && (tc.bits >= 0 || n <= 0) {
+				t.Fatalf("Bits = %d, want %d", n, tc.bits)
+			}
+			for _, i := range []int{-1, n} {
+				if sim.Flip(tc.t, i) == nil || sim.Force(tc.t, i, 1) == nil {
+					t.Errorf("bit %d of %d accepted", i, n)
+				}
+			}
+			if n == 0 {
+				return
+			}
+			sim.Run(3000)
+			for _, i := range []int{0, n / 3, n - 1} {
+				h := sim.StateHash()
+				if sim.Flip(tc.t, i) != nil || sim.StateHash() == h {
+					t.Errorf("flip of bit %d left the state as it was", i)
+				}
+				if sim.Flip(tc.t, i) != nil || sim.StateHash() != h {
+					t.Errorf("a second flip of bit %d did not restore the state", i)
+				}
+				for _, v := range []int{0, 1} {
+					sim.Force(tc.t, i, v)
+					h := sim.StateHash()
+					if sim.Force(tc.t, i, v) != nil || sim.StateHash() != h {
+						t.Errorf("a second force of bit %d to %d changed the state", i, v)
+					}
+				}
+			}
+			if tc.t == fault.TargetLatches {
+				return // no lifetime trace covers the latches
+			}
+			rec := lifetime.NewRecorder()
+			sim.SetLifetime(rec)
+			defer sim.SetLifetime(nil)
+			if sp := rec.Get(int(tc.t)); sp == nil || sp.Bits() != n {
+				t.Errorf("lifetime space %v does not span the %d-bit fault space", sp, n)
+			}
+		})
 	}
 }
 

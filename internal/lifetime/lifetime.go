@@ -291,8 +291,12 @@ func NewRecorder() *Recorder {
 
 // Space returns the trace registered for target id, creating it with the
 // given geometry on first use. Re-registering with a different geometry
-// is a programming error.
+// is a programming error. A nil recorder traces nothing: its Space is
+// nil, which detaches a model's hooks.
 func (r *Recorder) Space(id, units, width int) *Space {
+	if r == nil {
+		return nil
+	}
 	if sp, ok := r.spaces[id]; ok {
 		if sp.units != units || sp.width != width {
 			panic(fmt.Sprintf("lifetime: target %d re-registered as %dx%d (was %dx%d)",

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/bench"
+	"repro/internal/fault"
 	"repro/internal/isa"
 	"repro/internal/refsim"
 	"repro/internal/trace"
@@ -179,8 +180,8 @@ func TestCloneIsolated(t *testing.T) {
 	}
 	snap := c.Clone()
 	// Corrupt the clone heavily; the original must still complete.
-	for i := 0; i < snap.RFBits(); i += 7 {
-		snap.FlipRFBit(i)
+	for i := 0; i < snap.Bits(fault.TargetRF); i += 7 {
+		snap.Flip(fault.TargetRF, i)
 	}
 	snap.Run(1_000_000)
 	if got := c.Run(100_000_000); got != refsim.StopExit {
@@ -203,7 +204,7 @@ func TestRFInjectionChangesOutcome(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := newCPU(t, p)
-	if err := c.FlipRFBit(int(isa.SP)*32 + 19); err != nil {
+	if err := c.Flip(fault.TargetRF, int(isa.SP)*32+19); err != nil {
 		t.Fatal(err)
 	}
 	c.Run(100_000_000)
@@ -214,13 +215,13 @@ func TestRFInjectionChangesOutcome(t *testing.T) {
 
 func TestInjectionBounds(t *testing.T) {
 	c := newCPU(t, assemble(t, "hlt\n"))
-	if err := c.FlipRFBit(-1); err == nil {
+	if err := c.Flip(fault.TargetRF, -1); err == nil {
 		t.Error("negative RF bit accepted")
 	}
-	if err := c.FlipRFBit(c.RFBits()); err == nil {
+	if err := c.Flip(fault.TargetRF, c.Bits(fault.TargetRF)); err == nil {
 		t.Error("RF bit overflow accepted")
 	}
-	if err := c.FlipL1DBit(c.L1DBits()); err == nil {
+	if err := c.Flip(fault.TargetL1D, c.Bits(fault.TargetL1D)); err == nil {
 		t.Error("L1D bit overflow accepted")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/fault"
 	"repro/internal/isa"
 	"repro/internal/refsim"
 )
@@ -42,9 +43,9 @@ func lockstep(t *testing.T, fast, slow *CPU, flipEvery, maxCycles uint64) {
 			return
 		}
 		if flipEvery != 0 && fast.Cycles%flipEvery == 0 {
-			i := rng.Intn(fast.RFBits())
-			fast.FlipRFBit(i)
-			slow.FlipRFBit(i)
+			i := rng.Intn(fast.Bits(fault.TargetRF))
+			fast.Flip(fault.TargetRF, i)
+			slow.Flip(fault.TargetRF, i)
 		}
 	}
 }

@@ -1,35 +1,60 @@
 package microarch
 
-import "fmt"
+import (
+	"fmt"
 
-// Fault-injection surfaces of the microarchitectural model. The paper's
+	"repro/internal/fault"
+)
+
+// Fault-injection surface of the microarchitectural model. The paper's
 // campaigns target the physical register file and the L1 data cache
-// array; both are exposed here as flat bit spaces so statistical sampling
-// is uniform over bits.
+// array; each is one flat bit space so statistical sampling is uniform
+// over bits. The pipeline latches are not modelled at this level.
 
-// RFBits returns the size of the physical register file in bits.
-func (c *CPU) RFBits() int { return c.cfg.NumPhysRegs * 32 }
-
-// FlipRFBit injects a single transient bit flip into the physical
-// register file: bit index i selects register i/32, bit i%32.
-func (c *CPU) FlipRFBit(i int) error {
-	if i < 0 || i >= c.RFBits() {
-		return fmt.Errorf("microarch: RF bit %d out of range [0,%d)", i, c.RFBits())
+// geometry states target t's flat bit space: units × width bits, the
+// physical register file by register and the L1D data array by line.
+// Bits, Flip, Force, SetLifetime and the lane groups all read it; units
+// is 0 for a target this level does not model.
+func (c *CPU) geometry(t fault.Target) (units, width int) {
+	switch t {
+	case fault.TargetRF:
+		return len(c.prf), 32
+	case fault.TargetL1D:
+		lb := c.cfg.L1D.LineBytes * 8
+		return c.L1D.DataBits() / lb, lb
 	}
-	c.prf[i/32] ^= 1 << (i % 32)
-	return nil
+	return 0, 0
 }
 
-// ForceRFBit sets physical register file bit i to v (0 or 1). It is the
-// idempotent primitive behind the permanent and intermittent fault
-// models, which re-assert it every active cycle so design writes cannot
-// heal the fault.
-func (c *CPU) ForceRFBit(i int, v int) error {
-	if i < 0 || i >= c.RFBits() {
-		return fmt.Errorf("microarch: RF bit %d out of range [0,%d)", i, c.RFBits())
+// Bits returns the size of target t's bit space (0 if not modelled).
+func (c *CPU) Bits(t fault.Target) int {
+	units, width := c.geometry(t)
+	return units * width
+}
+
+// Flip injects a single transient bit flip into bit i of target t:
+// register i/32, bit i%32, of the register file, or data-array bit i of
+// the L1D.
+func (c *CPU) Flip(t fault.Target, i int) error { return c.inject(t, i, -1) }
+
+// Force sets bit i of target t to v (0 or 1). It is the idempotent
+// primitive behind the permanent and intermittent fault models, which
+// re-assert it every active cycle so design writes cannot heal the
+// fault.
+func (c *CPU) Force(t fault.Target, i, v int) error { return c.inject(t, i, v) }
+
+// inject sets bit i of target t to v, or toggles it when v is negative.
+func (c *CPU) inject(t fault.Target, i, v int) error {
+	if n := c.Bits(t); i < 0 || i >= n {
+		return fmt.Errorf("microarch: %v bit %d out of range [0,%d)", t, i, n)
 	}
-	mask := uint32(1) << (i % 32)
-	if v != 0 {
+	if v < 0 {
+		v = c.bit(t, i) ^ 1
+	}
+	if t == fault.TargetL1D {
+		return c.L1D.ForceDataBit(i, v)
+	}
+	if mask := uint32(1) << (i % 32); v != 0 {
 		c.prf[i/32] |= mask
 	} else {
 		c.prf[i/32] &^= mask
@@ -37,20 +62,14 @@ func (c *CPU) ForceRFBit(i int, v int) error {
 	return nil
 }
 
-// RFBit returns physical register file bit i (0 or 1), in FlipRFBit's
-// index space.
-func (c *CPU) RFBit(i int) int { return int(c.prf[i/32] >> (i % 32) & 1) }
-
-// L1DBits returns the size of the L1 data cache data array in bits.
-func (c *CPU) L1DBits() int { return c.L1D.DataBits() }
-
-// FlipL1DBit injects a single transient bit flip into the L1 data cache
-// data array.
-func (c *CPU) FlipL1DBit(i int) error { return c.L1D.FlipDataBit(i) }
-
-// ForceL1DBit sets L1 data cache data-array bit i to v (0 or 1); see
-// ForceRFBit for the re-assertion contract.
-func (c *CPU) ForceL1DBit(i int, v int) error { return c.L1D.ForceDataBit(i, v) }
+// bit returns bit i of target t (0 or 1): the golden peek of a lane
+// group.
+func (c *CPU) bit(t fault.Target, i int) int {
+	if t == fault.TargetL1D {
+		return c.L1D.DataBit(i)
+	}
+	return int(c.prf[i/32] >> (i % 32) & 1)
+}
 
 // ReadArchReg returns the committed architectural value of register r,
 // used by tests and the software observation point.

@@ -134,12 +134,13 @@ func (c *CPU) AttachLanes(targets ...fault.Target) []*LaneGroup {
 	c.lanes = l
 	groups := make([]*LaneGroup, len(targets))
 	for g, t := range targets {
-		grp := lanestore.Group{S: &l.Store, P: l, G: g}
+		grp := lanestore.Group{S: &l.Store, P: l, G: g, Bits: c.Bits(t),
+			Golden: func(i int) int { return c.bit(t, i) }}
 		switch t {
 		case fault.TargetRF:
-			grp.Kind, grp.Width, grp.Bits, grp.Golden = kPRF, 32, c.RFBits(), c.RFBit
+			grp.Kind, grp.Width = kPRF, 32
 		case fault.TargetL1D:
-			grp.Kind, grp.Width, grp.Bits, grp.Golden = kL1D, 8, c.L1DBits(), c.L1D.DataBit
+			grp.Kind, grp.Width = kL1D, 8
 		}
 		groups[g] = &LaneGroup{grp, l}
 	}

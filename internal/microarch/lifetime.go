@@ -1,6 +1,9 @@
 package microarch
 
-import "repro/internal/lifetime"
+import (
+	"repro/internal/fault"
+	"repro/internal/lifetime"
+)
 
 // Golden-run lifetime tracing. The campaign engine attaches lifetime
 // spaces to the golden simulator only (and value lanes, AttachLanes, to a
@@ -13,13 +16,15 @@ import "repro/internal/lifetime"
 // granularity inside the cache model itself (loads, stores, fills,
 // write-backs and syscall peeks — see cache.SetLifetime).
 
-// SetLifetime attaches (or detaches, with nils) the golden-run lifetime
-// traces: rf covers the physical register file (NumPhysRegs units of 32
-// bits, matching the flat RF fault space), l1d the L1 data cache data
-// array (lines of LineBytes*8 bits, matching the flat L1D fault space).
-func (c *CPU) SetLifetime(rf, l1d *lifetime.Space) {
-	c.ltRF = rf
-	c.L1D.SetLifetime(l1d, &c.Cycles)
+// SetLifetime attaches (or detaches, with nil) rec's golden-run traces
+// of the physical register file and the L1 data cache data array, each a
+// space in its target's fault geometry (registers of 32 bits, lines of
+// LineBytes*8 bits).
+func (c *CPU) SetLifetime(rec *lifetime.Recorder) {
+	units, width := c.geometry(fault.TargetRF)
+	c.ltRF = rec.Space(int(fault.TargetRF), units, width)
+	units, width = c.geometry(fault.TargetL1D)
+	c.L1D.SetLifetime(rec.Space(int(fault.TargetL1D), units, width), &c.Cycles)
 }
 
 // readPRF returns physical register p's value, reporting the consuming

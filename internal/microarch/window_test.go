@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/bench"
+	"repro/internal/fault"
 	"repro/internal/isa"
 	"repro/internal/refsim"
 	"repro/internal/statehash"
@@ -351,8 +352,8 @@ func TestSnapshotProperty(t *testing.T) {
 					t.Fatalf("cycle %d: clone digest differs from its source", c.Cycles)
 				}
 				clone := snap.Clone()
-				for i := 0; i < dirty.RFBits(); i += 5 {
-					dirty.FlipRFBit(i)
+				for i := 0; i < dirty.Bits(fault.TargetRF); i += 5 {
+					dirty.Flip(fault.TargetRF, i)
 				}
 				dirty.RestoreFrom(snap)
 				for i := 0; i < horizon; i++ {
@@ -507,7 +508,7 @@ func TestSlotLifetimeInvariant(t *testing.T) {
 		for c.Step() && c.Cycles < 60_000 {
 			checkWindow(t, c)
 			if flipEvery != 0 && c.Cycles%flipEvery == 0 {
-				c.FlipRFBit(rng.Intn(c.RFBits()))
+				c.Flip(fault.TargetRF, rng.Intn(c.Bits(fault.TargetRF)))
 			}
 		}
 		checkWindow(t, c)

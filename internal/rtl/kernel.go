@@ -235,16 +235,9 @@ func NewSimulator() *Simulator {
 	return &Simulator{}
 }
 
-func maskFor(width int) uint64 {
-	if width >= 64 {
-		return ^uint64(0)
-	}
-	return 1<<uint(width) - 1
-}
-
 // Reg declares a clocked register with a reset value.
 func (s *Simulator) Reg(name string, width int, init uint64) *Reg {
-	r := &Reg{name: name, width: width, mask: maskFor(width)}
+	r := &Reg{name: name, width: width, mask: ^uint64(0) >> uint(64-width)}
 	r.cur = init & r.mask
 	s.regs = append(s.regs, r)
 	return r

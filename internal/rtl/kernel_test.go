@@ -65,6 +65,18 @@ func TestMemWidthMasking(t *testing.T) {
 	}
 }
 
+// TestRegMaskEveryWidth: a register and a memory word of the same width
+// keep the same low bits, for every width from 1 to 64.
+func TestRegMaskEveryWidth(t *testing.T) {
+	for w := 1; w <= 64; w++ {
+		sim := NewSimulator()
+		r, m := sim.Reg("r", w, ^uint64(0)), sim.Mem("m", 1, w)
+		if m.Init(0, ^uint64(0)); r.Q() != m.Read(0) || r.Q()>>(w-1) != 1 {
+			t.Errorf("width %d: reg holds %#x, mem word %#x", w, r.Q(), m.Read(0))
+		}
+	}
+}
+
 func TestFlipBits(t *testing.T) {
 	sim := NewSimulator()
 	r := sim.Reg("r", 8, 0)

@@ -120,9 +120,10 @@ type Core struct {
 	prog *asm.Program
 
 	// latches is every non-array state element in name order: the flat
-	// latch fault space of FlipLatchBit, built once (persistent latch
-	// faults are re-forced after every cycle).
-	latches []*rtl.Reg
+	// latch fault space of fault.TargetLatches, latchBits bits, built
+	// once (persistent latch faults are re-forced after every cycle).
+	latches   []*rtl.Reg
+	latchBits int
 
 	// lanes, when non-nil, is the value-lane store of the lockstep replay
 	// lanes riding this instance (lanes.go, AttachLanes).
@@ -176,6 +177,9 @@ func New(p *asm.Program, cfg Config) (*Core, error) {
 	}
 	c.regfile.Init(int(isa.SP), uint64(isa.StackTop))
 	c.latches = sim.RegsByPrefix("")
+	for _, r := range c.latches {
+		c.latchBits += r.Width()
+	}
 	c.prog = p
 	c.l1i.fbLine = -1
 	c.eval() // reset release

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/bench"
+	"repro/internal/fault"
 	"repro/internal/isa"
 	"repro/internal/refsim"
 	"repro/internal/trace"
@@ -160,8 +161,8 @@ func TestSnapshotReplayWithInjectionIsolated(t *testing.T) {
 
 	// Faulty replay with heavy corruption.
 	c.Restore(snap)
-	for i := 0; i < c.RFBits(); i += 5 {
-		c.FlipRFBit(i)
+	for i := 0; i < c.Bits(fault.TargetRF); i += 5 {
+		c.Flip(fault.TargetRF, i)
 	}
 	c.Run(500_000)
 
@@ -177,33 +178,33 @@ func TestSnapshotReplayWithInjectionIsolated(t *testing.T) {
 
 func TestLatchInjectionSurface(t *testing.T) {
 	c := newCore(t, assemble(t, "hlt\n"))
-	if c.LatchBits() == 0 {
+	if c.Bits(fault.TargetLatches) == 0 {
 		t.Fatal("no latch bits")
 	}
-	if err := c.FlipLatchBit(c.LatchBits() - 1); err != nil {
+	if err := c.Flip(fault.TargetLatches, c.Bits(fault.TargetLatches)-1); err != nil {
 		t.Errorf("last latch bit: %v", err)
 	}
-	if err := c.FlipLatchBit(c.LatchBits()); err == nil {
+	if err := c.Flip(fault.TargetLatches, c.Bits(fault.TargetLatches)); err == nil {
 		t.Error("latch overflow accepted")
 	}
-	if err := c.FlipLatchBit(-1); err == nil {
+	if err := c.Flip(fault.TargetLatches, -1); err == nil {
 		t.Error("negative latch bit accepted")
 	}
 }
 
-// TestForceLatchBitDoesNotAllocate pins the latch space's lookup to the
+// TestForceLatchDoesNotAllocate pins the latch space's lookup to the
 // list New builds: a persistent latch fault is re-forced after every
 // cycle, so a per-call enumeration of the design's registers dominated
 // run-to-end latch campaigns.
-func TestForceLatchBitDoesNotAllocate(t *testing.T) {
+func TestForceLatchDoesNotAllocate(t *testing.T) {
 	c := newCore(t, assemble(t, "hlt\n"))
-	last := c.LatchBits() - 1
+	last := c.Bits(fault.TargetLatches) - 1
 	if n := testing.AllocsPerRun(100, func() {
-		if err := c.ForceLatchBit(last, 1); err != nil {
+		if err := c.Force(fault.TargetLatches, last, 1); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Errorf("ForceLatchBit: %v allocs/op, want 0", n)
+		t.Errorf("Force(TargetLatches): %v allocs/op, want 0", n)
 	}
 }
 
@@ -220,10 +221,10 @@ func TestStateInventoryContainsTargets(t *testing.T) {
 			t.Errorf("state inventory lacks %q", want)
 		}
 	}
-	if c.RFBits() != 16*32 {
-		t.Errorf("RFBits = %d", c.RFBits())
+	if c.Bits(fault.TargetRF) != 16*32 {
+		t.Errorf("Bits(TargetRF) = %d", c.Bits(fault.TargetRF))
 	}
-	if total < c.RFBits()+c.L1DBits() {
+	if total < c.Bits(fault.TargetRF)+c.Bits(fault.TargetL1D) {
 		t.Errorf("total state bits %d too small", total)
 	}
 }
@@ -294,9 +295,9 @@ func TestInjectedLatchGarbageHalts(t *testing.T) {
 	}
 	// Flip the top bit of every latch in turn across separate replays.
 	snap := c.Snapshot()
-	for bit := 0; bit < c.LatchBits(); bit += 97 {
+	for bit := 0; bit < c.Bits(fault.TargetLatches); bit += 97 {
 		c.Restore(snap)
-		if err := c.FlipLatchBit(bit); err != nil {
+		if err := c.Flip(fault.TargetLatches, bit); err != nil {
 			t.Fatal(err)
 		}
 		c.Run(2_000_000)

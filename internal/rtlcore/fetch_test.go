@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/bench"
+	"repro/internal/fault"
 	"repro/internal/refsim"
 )
 
@@ -54,9 +55,9 @@ func lockstep(t *testing.T, fast, slow *Core, steps int) {
 		case 0:
 			fastSnap, slowSnap = fast.SnapshotInto(fastSnap), slow.SnapshotInto(slowSnap)
 		case 100, 200:
-			i := rng.Intn(fast.RFBits())
-			fast.FlipRFBit(i)
-			slow.FlipRFBit(i)
+			i := rng.Intn(fast.Bits(fault.TargetRF))
+			fast.Flip(fault.TargetRF, i)
+			slow.Flip(fault.TargetRF, i)
 		case rewindAt:
 			fast.Restore(fastSnap)
 			slow.Restore(slowSnap)

@@ -3,6 +3,7 @@ package rtlcore
 import (
 	"fmt"
 
+	"repro/internal/fault"
 	"repro/internal/lifetime"
 	"repro/internal/mem"
 	"repro/internal/refsim"
@@ -10,41 +11,97 @@ import (
 	"repro/internal/statehash"
 )
 
-// Fault-injection surfaces. The campaign targets match the
+// Fault-injection surface. The campaign targets match the
 // microarchitectural model's (register file, L1D data array); the RTL
-// model additionally exposes every pipeline latch and cache state bit —
-// the capability gap §II.B of the paper describes.
+// model additionally exposes every pipeline latch — the capability gap
+// §II.B of the paper describes. Each target is one flat bit space.
 
-// RFBits returns the architectural register file size in bits. (The RTL
-// core is in-order and has no renaming, so its register file is the 16
-// architectural registers; see EXPERIMENTS.md for this substitution.)
-func (c *Core) RFBits() int { return c.regfile.Bits() }
+// geometry states target t's flat bit space: units × width bits, the
+// architectural register file and the L1D data array by word (the rtl
+// kernel's memory ports), the pipeline latches bit by bit (latches of
+// differing widths, flattened in name order). Bits, Flip, Force,
+// SetLifetime and the lane groups all read it; units is 0 for any other
+// target. (The RTL core is in-order and has no renaming, so its register
+// file is the 16 architectural registers; see EXPERIMENTS.md for this
+// substitution.)
+func (c *Core) geometry(t fault.Target) (units, width int) {
+	switch t {
+	case fault.TargetRF:
+		return c.regfile.Words(), c.regfile.Width()
+	case fault.TargetL1D:
+		return c.l1d.data.Words(), c.l1d.data.Width()
+	case fault.TargetLatches:
+		return c.latchBits, 1
+	}
+	return 0, 0
+}
 
-// FlipRFBit injects a single transient bit flip into the register file.
-func (c *Core) FlipRFBit(i int) error { return c.regfile.FlipBit(i) }
+// Bits returns the size of target t's bit space (0 for no target of
+// the design).
+func (c *Core) Bits(t fault.Target) int {
+	units, width := c.geometry(t)
+	return units * width
+}
 
-// ForceRFBit sets register file bit i to v (0 or 1). It is the
-// idempotent primitive behind the permanent and intermittent fault
-// models, re-asserted after every clock edge while the fault is active.
-func (c *Core) ForceRFBit(i int, v int) error { return c.regfile.ForceBit(i, v) }
+// Flip injects a single transient bit flip into bit i of target t.
+func (c *Core) Flip(t fault.Target, i int) error { return c.inject(t, i, -1) }
 
-// RFBit returns register file bit i (0 or 1), in FlipRFBit's flat
-// indexing: the golden peek of a lane tracker.
-func (c *Core) RFBit(i int) int { return c.regfile.Bit(i) }
+// Force sets bit i of target t to v (0 or 1). It is the idempotent
+// primitive behind the permanent and intermittent fault models,
+// re-asserted after every clock edge while the fault is active.
+func (c *Core) Force(t fault.Target, i, v int) error { return c.inject(t, i, v) }
 
-// L1DBits returns the L1 data cache data-array size in bits.
-func (c *Core) L1DBits() int { return c.l1d.data.Bits() }
+// checkBit reports an index outside target t's bit space.
+func (c *Core) checkBit(t fault.Target, i int) error {
+	if n := c.Bits(t); i < 0 || i >= n {
+		return fmt.Errorf("rtlcore: %v bit %d out of range [0,%d)", t, i, n)
+	}
+	return nil
+}
 
-// FlipL1DBit injects a single transient bit flip into the L1D data array.
-func (c *Core) FlipL1DBit(i int) error { return c.l1d.data.FlipBit(i) }
+// inject sets bit i of target t to v, or toggles it when v is negative.
+func (c *Core) inject(t fault.Target, i, v int) error {
+	if err := c.checkBit(t, i); err != nil {
+		return err
+	}
+	if v < 0 {
+		v = c.bit(t, i) ^ 1
+	}
+	switch t {
+	case fault.TargetRF:
+		return c.regfile.ForceBit(i, v)
+	case fault.TargetL1D:
+		return c.l1d.data.ForceBit(i, v)
+	}
+	r, b := c.latchAt(i)
+	r.ForceBit(b, v)
+	return nil
+}
 
-// ForceL1DBit sets L1D data-array bit i to v (0 or 1); see ForceRFBit
-// for the re-assertion contract.
-func (c *Core) ForceL1DBit(i int, v int) error { return c.l1d.data.ForceBit(i, v) }
+// bit returns bit i of target t (0 or 1): the golden peek of a lane
+// group.
+func (c *Core) bit(t fault.Target, i int) int {
+	switch t {
+	case fault.TargetRF:
+		return c.regfile.Bit(i)
+	case fault.TargetL1D:
+		return c.l1d.data.Bit(i)
+	}
+	r, b := c.latchAt(i)
+	return int(r.Q() >> b & 1)
+}
 
-// L1DBit returns L1D data-array bit i (0 or 1), in FlipL1DBit's flat
-// indexing.
-func (c *Core) L1DBit(i int) int { return c.l1d.data.Bit(i) }
+// latchAt resolves in-range latch-space bit i to its register and local
+// bit, so Flip, Force and the lanes never disagree on targeting.
+func (c *Core) latchAt(i int) (*rtl.Reg, int) {
+	for _, r := range c.latches {
+		if i < r.Width() {
+			return r, i
+		}
+		i -= r.Width()
+	}
+	panic(fmt.Sprintf("rtlcore: latch bit %d beyond the latch space", i))
+}
 
 // L1DLineOfBit returns the (set, way) whose line holds L1D data bit i,
 // used by injection-time advancement.
@@ -56,63 +113,19 @@ func (c *Core) L1DLineOfBit(i int) (set, way int) {
 // StateInventory lists every injectable state element of the design.
 func (c *Core) StateInventory() []rtl.StateElement { return c.sim.StateInventory() }
 
-// LatchBits returns the total size of the pipeline and control latches —
-// the state that exists only at RTL (no microarchitectural counterpart).
-func (c *Core) LatchBits() int {
-	n := 0
-	for _, r := range c.latches {
-		n += r.Width()
-	}
-	return n
-}
-
-// latchAt resolves flat latch-space bit i to its register and local
-// bit, so Flip and Force can never disagree on targeting.
-func (c *Core) latchAt(i int) (*rtl.Reg, int, error) {
-	if i < 0 {
-		return nil, 0, fmt.Errorf("rtlcore: latch bit %d out of range", i)
-	}
-	for _, r := range c.latches {
-		if i < r.Width() {
-			return r, i, nil
-		}
-		i -= r.Width()
-	}
-	return nil, 0, fmt.Errorf("rtlcore: latch bit beyond %d", c.LatchBits())
-}
-
-// FlipLatchBit injects into the flattened pipeline/control latch space.
-func (c *Core) FlipLatchBit(i int) error {
-	r, b, err := c.latchAt(i)
-	if err == nil {
-		r.FlipBit(b)
-	}
-	return err
-}
-
-// ForceLatchBit sets bit i of the flattened pipeline/control latch
-// space to v (0 or 1); see ForceRFBit for the re-assertion contract.
-func (c *Core) ForceLatchBit(i int, v int) error {
-	r, b, err := c.latchAt(i)
-	if err == nil {
-		r.ForceBit(b, v)
-	}
-	return err
-}
-
-// SetLifetime attaches (or detaches, with nils) the golden-run lifetime
-// traces of the campaign fault targets: rf covers the architectural
-// register file (16 units of 32 bits), l1d the L1D data array (one unit
-// per 32-bit array word) — both matching the flat fault bit spaces of
-// FlipRFBit and FlipL1DBit. Every design-side read and clock-edge write
+// SetLifetime attaches (or detaches, with nil) rec's golden-run traces
+// of the register file and the L1D data array, each a space in its
+// target's fault geometry. Every design-side read and clock-edge write
 // of those arrays funnels through the rtl kernel's memory ports, where
 // the events are recorded; pipeline latches stay untracked, so latch
 // campaigns always fall back to full replay. They ride value lanes all
 // the same (lanes.go): a data-latch flip as a diff, any other latch
 // fault to a peel on the lane's first tick.
-func (c *Core) SetLifetime(rf, l1d *lifetime.Space) {
-	c.regfile.SetLifetime(rf)
-	c.l1d.data.SetLifetime(l1d)
+func (c *Core) SetLifetime(rec *lifetime.Recorder) {
+	units, width := c.geometry(fault.TargetRF)
+	c.regfile.SetLifetime(rec.Space(int(fault.TargetRF), units, width))
+	units, width = c.geometry(fault.TargetL1D)
+	c.l1d.data.SetLifetime(rec.Space(int(fault.TargetL1D), units, width))
 }
 
 // SetL1DAccessHook installs a testbench callback observing every D-cache

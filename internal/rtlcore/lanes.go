@@ -119,8 +119,9 @@ type laneStore struct {
 	faulted machines
 }
 
-// latchFault is one bit of the flat latch space (FlipLatchBit's
-// indexing) and the value a fault forces it to, or -1 for a flip.
+// latchFault is one bit of the flat latch space (Flip's indexing for
+// fault.TargetLatches) and the value a fault forces it to, or -1 for a
+// flip.
 type latchFault struct{ bit, v int }
 
 var stores lanestore.FreeList[*laneStore]
@@ -145,12 +146,13 @@ func (c *Core) AttachLanes(targets ...fault.Target) []*LaneGroup {
 	c.lanes, c.l1d.lanes = l, l
 	groups := make([]*LaneGroup, len(targets))
 	for g, t := range targets {
-		grp := lanestore.Group{S: &l.Store, P: l, G: g}
+		grp := lanestore.Group{S: &l.Store, P: l, G: g, Bits: c.Bits(t),
+			Golden: func(i int) int { return c.bit(t, i) }}
 		switch t {
 		case fault.TargetRF:
-			grp.Kind, grp.Width, grp.Bits, grp.Golden = kRF, 32, c.RFBits(), c.RFBit
+			grp.Kind, grp.Width = kRF, 32
 		case fault.TargetL1D:
-			grp.Kind, grp.Width, grp.Bits, grp.Golden = kL1D, 8, c.L1DBits(), c.L1DBit
+			grp.Kind, grp.Width = kL1D, 8
 		}
 		groups[g] = &LaneGroup{grp, l, t == fault.TargetLatches}
 	}
@@ -551,10 +553,10 @@ func (t *LaneGroup) Force(lane, bit, v int) error {
 // diff on its Q side; any other is kept for Rebuild and peels the
 // machine on its next tick.
 func (l *laneStore) latchFault(m int, f latchFault) error {
-	r, b, err := l.c.latchAt(f.bit)
-	if err != nil {
+	if err := l.c.checkBit(fault.TargetLatches, f.bit); err != nil {
 		return err
 	}
+	r, b := l.c.latchAt(f.bit)
 	lat := l.c.dataLatches()
 	if i := slices.Index(lat[:], r); i >= 0 && f.v < 0 {
 		l.Set(m, kQ, uint32(i), l.qX[i*nm+m]^1<<b)
@@ -624,10 +626,6 @@ func (t *LaneGroup) Rebuild(lane int, dst *Core) {
 		}
 	}
 	for _, f := range l.held[m] {
-		if f.v < 0 {
-			dst.FlipLatchBit(f.bit)
-		} else {
-			dst.ForceLatchBit(f.bit, f.v)
-		}
+		_ = dst.inject(fault.TargetLatches, f.bit, f.v) // latchFault checked the range
 	}
 }

@@ -53,9 +53,9 @@ func elementState(c *Core) map[string]any {
 // ways, and each data element to its plane: a lane diff there rebuilds
 // into exactly that element. Then every latch bit goes through the latch
 // group: a flip in a data latch rides as a diff that rebuilds into
-// exactly FlipLatchBit's state, and a flip anywhere else, or any force,
-// peels on the first tick with PeelFault and rebuilds into exactly
-// FlipLatchBit's or ForceLatchBit's state.
+// exactly Flip's state, and a flip anywhere else, or any force, peels on
+// the first tick with PeelFault and rebuilds into exactly Flip's or
+// Force's state.
 func TestStateIsControlOrData(t *testing.T) {
 	c := campaignCore(t, benchProgram(t, "qsort"))
 	for i := 0; i < 3000; i++ {
@@ -112,19 +112,17 @@ func TestStateIsControlOrData(t *testing.T) {
 	}
 
 	ref := campaignCore(t, benchProgram(t, "qsort"))
-	for bit := 0; bit < c.LatchBits(); bit++ {
-		r, _, err := c.latchAt(bit)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for bit := 0; bit < c.Bits(fault.TargetLatches); bit++ {
+		r, _ := c.latchAt(bit)
 		for _, force := range []bool{false, true} {
 			ref.Restore(snap)
+			var err error
 			if force {
 				err = lat.Force(0, bit, 1)
-				ref.ForceLatchBit(bit, 1)
+				ref.Force(fault.TargetLatches, bit, 1)
 			} else {
 				err = lat.Flip(0, bit)
-				ref.FlipLatchBit(bit)
+				ref.Flip(fault.TargetLatches, bit)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -169,7 +167,7 @@ func TestHeldLatchKeepsLaneDiff(t *testing.T) {
 		}
 		ref := campaignCore(t, p)
 		ref.Restore(snap)
-		ref.FlipLatchBit(bit - 1)
+		ref.Flip(fault.TargetLatches, bit-1)
 		if err := lat.Flip(i, bit-1); err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +210,7 @@ func TestBatchLanePeelMatchesScalar(t *testing.T) {
 	for ref.Cycles() < at {
 		ref.Step()
 	}
-	if err := ref.FlipRFBit(bit); err != nil {
+	if err := ref.Flip(fault.TargetRF, bit); err != nil {
 		t.Fatal(err)
 	}
 
@@ -268,8 +266,8 @@ func TestBatchLaneStepDoesNotAllocate(t *testing.T) {
 	defer c.DetachLanes()
 	step := func() {
 		for lane := 0; lane < 8; lane++ {
-			_ = rf.Flip(lane, (int(c.Cycles())+lane)%c.RFBits())
-			_ = l1d.Flip(lane, (int(c.Cycles())*37+lane)%c.L1DBits())
+			_ = rf.Flip(lane, (int(c.Cycles())+lane)%c.Bits(fault.TargetRF))
+			_ = l1d.Flip(lane, (int(c.Cycles())*37+lane)%c.Bits(fault.TargetL1D))
 		}
 		rf.BeginTick()
 		l1d.BeginTick()

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/bench"
+	"repro/internal/fault"
 	"repro/internal/statehash"
 	"repro/internal/trace"
 )
@@ -126,9 +127,9 @@ var pinnedFaulted = []struct {
 	desc   string // FaultDesc at the stop
 	want   pinnedRun
 }{
-	{"rf", 9000, func(c *Core) error { return c.FlipRFBit(8) }, "", pinnedRun{46939, 0xcb54f8d0448d50a3, 0x83d7f916b3d804b}},
-	{"l1d", 9000, func(c *Core) error { return c.FlipL1DBit(3) }, "", pinnedRun{54993, 0x452265d9dfb324ce, 0xaca831c82a9a0370}},
-	{"latch", 9055, func(c *Core) error { return c.FlipLatchBit(398) }, "latched garbage at WB (pc 0x100)", pinnedRun{9073, 0x6819773d6525cf0a, 0x133a0502f70db6cb}},
+	{"rf", 9000, func(c *Core) error { return c.Flip(fault.TargetRF, 8) }, "", pinnedRun{46939, 0xcb54f8d0448d50a3, 0x83d7f916b3d804b}},
+	{"l1d", 9000, func(c *Core) error { return c.Flip(fault.TargetL1D, 3) }, "", pinnedRun{54993, 0x452265d9dfb324ce, 0xaca831c82a9a0370}},
+	{"latch", 9055, func(c *Core) error { return c.Flip(fault.TargetLatches, 398) }, "latched garbage at WB (pc 0x100)", pinnedRun{9073, 0x6819773d6525cf0a, 0x133a0502f70db6cb}},
 }
 
 func TestPinnedRTLStateHashSequence(t *testing.T) {
