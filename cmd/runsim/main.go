@@ -172,9 +172,18 @@ func run(args []string, w io.Writer) error {
 		if err := cfg.Validate(); err != nil {
 			return err
 		}
-		g, err := campaign.PrepareGolden(factory, campaign.GoldenOptions{
-			HashEvery: 64, Lifetime: true, MaxCycles: *maxCycles,
-		})
+		// Reject a target the model has no bits of before the golden
+		// run is paid for; planning would reject it only after.
+		sim, err := factory()
+		if err != nil {
+			return err
+		}
+		if sim.Bits(tgt) == 0 {
+			return fmt.Errorf("-target %s: the %v model has no bits there", *target, m)
+		}
+		opts := campaign.GoldenOptionsFor(cfg).Merge(campaign.GoldenOptions{Lifetime: true})
+		opts.MaxCycles = *maxCycles
+		g, err := campaign.PrepareGolden(factory, opts)
 		if err != nil {
 			return err
 		}

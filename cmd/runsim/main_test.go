@@ -58,7 +58,9 @@ func TestProbeEngineSummary(t *testing.T) {
 // TestRejectsUpFront: a flag the run cannot honour fails before any
 // simulation and prints nothing. The reference model has no fault
 // surface and no golden phase, and an out-of-range -lanes is the
-// config's error before the golden run is paid for.
+// config's error before the golden run is paid for; so is a target the
+// model has no bits of (the microarch model has no pipeline latches),
+// which a golden budget too short for the run would otherwise mask.
 func TestRejectsUpFront(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -67,6 +69,7 @@ func TestRejectsUpFront(t *testing.T) {
 		{[]string{"-model", "ref", "-inject", "2"}, "-inject"},
 		{[]string{"-model", "ref", "-golden"}, "-golden"},
 		{[]string{"-inject", "3", "-lanes", "65"}, "Lanes 65"},
+		{[]string{"-model", "microarch", "-inject", "3", "-target", "latches", "-max-cycles", "100"}, "no bits"},
 	} {
 		var out strings.Builder
 		err := run(append([]string{"-bench", "qsort"}, tc.args...), &out)

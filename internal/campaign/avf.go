@@ -99,11 +99,9 @@ func (g *Golden) AVFVerdict(spec fault.Spec, cfg Config) (avf.Verdict, bool) {
 }
 
 // buildAVFInfo computes a campaign's AVF attachment: the structure-wide
-// sweep plus the plan-sample prediction. Called at plan time, while the
-// plan is still dispatched single-threaded (it materialises the full
-// spec stream, exactly like the PruneClasses grouping pass); it also
-// freezes the trace's lazy index, so sharing the golden across
-// concurrently dispatched campaigns stays safe.
+// sweep plus the plan-sample prediction. Called at plan time, before
+// the plan is dispatched (it materialises the full spec stream, exactly
+// like the PruneClasses grouping pass).
 func buildAVFInfo(g *Golden, pl *lazyPlan, cfg Config) (*AVFInfo, error) {
 	if g.life == nil {
 		return nil, fmt.Errorf("campaign: AVF requires a golden run with GoldenOptions.Lifetime")
@@ -112,7 +110,6 @@ func buildAVFInfo(g *Golden, pl *lazyPlan, cfg Config) (*AVFInfo, error) {
 	if sp == nil {
 		return nil, fmt.Errorf("campaign: AVF: target %v is not lifetime-traced by this model", cfg.Target)
 	}
-	sp.Freeze()
 	opt := g.avfOptions(cfg)
 	est, err := avf.Analyze(sp, opt)
 	if err != nil {

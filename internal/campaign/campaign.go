@@ -559,7 +559,9 @@ func (g *Golden) Fingerprint() uint64 {
 
 // PrepareGolden executes the golden-artifact phase: one full fault-free
 // run capturing snapshots, the pinout trace, the program output and
-// (when opts.Timeline is set) the L1D access timeline.
+// (when opts.Timeline is set) the L1D access timeline. A lifetime trace
+// is sealed when recording stops, so the returned run is read-only:
+// campaigns may plan and replay against it from any goroutine.
 func PrepareGolden(factory Factory, opts GoldenOptions) (*Golden, error) {
 	sim, err := factory()
 	if err != nil {
@@ -591,6 +593,7 @@ func PrepareGolden(factory Factory, opts GoldenOptions) (*Golden, error) {
 	sim.SetL1DAccessHook(nil)
 	if opts.Lifetime {
 		sim.SetLifetime(nil)
+		g.life.Seal()
 	}
 	stop := sim.StopReason()
 	if stop != refsim.StopExit && stop != refsim.StopHalt {

@@ -209,15 +209,7 @@ func newPruner(g *Golden, pl *lazyPlan, cfg Config) (*pruner, error) {
 	}
 	p := &pruner{mode: cfg.Prune}
 	if p.mode != PruneClasses {
-		// Dead mode classifies lazily at dispatch, but the lifetime
-		// index build behind the first classification is a hidden
-		// write; freeze it here, while planning is still
-		// single-threaded, so campaigns sharing this golden can
-		// dispatch concurrently (the distributed coordinator does).
-		if sp := g.life.Get(int(cfg.Target)); sp != nil {
-			sp.Freeze()
-		}
-		return p, nil
+		return p, nil // dead mode classifies lazily at dispatch
 	}
 	p.dead = make([]bool, pl.n)
 	p.repOf = make([]int, pl.n)

@@ -74,6 +74,46 @@ func TestSweepStopInterrupts(t *testing.T) {
 	}
 }
 
+// TestPlannedGoldenIsReadOnly: planning only reads a prepared golden
+// run, so campaigns of one simulator may plan against it at once, as
+// the coordinator's preparation loops do. Each mode's first plan would
+// otherwise build the lifetime trace's query index: dead pruning and
+// AVF through the target's space, class pruning through its first
+// classification. Run under -race; a fresh golden per mode keeps every
+// index unbuilt until PrepareGolden has returned.
+func TestPlannedGoldenIsReadOnly(t *testing.T) {
+	fac := factoryFor(t, "qsort", core.ModelMicroarch)
+	for _, tc := range []struct {
+		name string
+		cfg  campaign.Config
+	}{
+		{"dead", campaign.Config{Prune: campaign.PruneDead}},
+		{"classes", campaign.Config{Prune: campaign.PruneClasses}},
+		{"avf", campaign.Config{AVF: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := campaign.PrepareGolden(fac, campaign.GoldenOptions{Lifetime: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := tc.cfg
+			cfg.Injections, cfg.Seed, cfg.Target, cfg.Window = 40, 9, fault.TargetRF, 1_000
+			errs := make(chan error, 2)
+			for range 2 {
+				go func() {
+					_, err := g.PlanCampaign(cfg)
+					errs <- err
+				}()
+			}
+			for range 2 {
+				if err := <-errs; err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func TestPlannedCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
 	cfg := campaign.Config{

@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"repro/internal/asm"
+	"repro/internal/bench"
 	"repro/internal/campaign"
 	"repro/internal/microarch"
 	"repro/internal/rtlcore"
@@ -72,19 +73,6 @@ func CampaignSetup() Setup {
 	return Setup{Name: "campaign", MA: ma, RTL: rtlFrom(ma)}
 }
 
-// ParseSetup resolves a named equivalent-configuration pair — the
-// wire-level setup identity a distributed campaign spec carries, since
-// a Setup value itself never crosses the wire. Names match Setup.Name.
-func ParseSetup(name string) (Setup, error) {
-	switch name {
-	case "", "campaign":
-		return CampaignSetup(), nil
-	case "tableI":
-		return DefaultSetup(), nil
-	}
-	return Setup{}, fmt.Errorf("core: unknown setup %q (campaign, tableI)", name)
-}
-
 // rtlFrom derives the RTL configuration from the microarchitectural one,
 // guaranteeing the two levels agree on every shared parameter.
 func rtlFrom(ma microarch.Config) rtlcore.Config {
@@ -139,6 +127,69 @@ func Factory(m Model, p *asm.Program, s Setup) campaign.Factory {
 	return func() (campaign.Simulator, error) {
 		return NewSimulator(m, p, s)
 	}
+}
+
+// Sim identifies one simulator: a workload on one model under one
+// equivalent setup, the paper's unit of comparison. It is the golden
+// run's identity everywhere: a local sweep groups campaigns by its
+// Group, and the fleet keys its golden cache by the value itself, so
+// campaigns of one Sim replay against one golden run whose artifacts
+// cover each of their needs.
+type Sim struct {
+	Workload string
+	Model    Model
+	Setup    Setup
+}
+
+// ParseSim resolves a simulator from its names, as CLIs and the wire
+// spell them (a Setup value never crosses the wire; its name does, and
+// names match Setup.Name): every accepted spelling of one simulator
+// ("ma" and "microarch", "" and "campaign") is one Sim.
+func ParseSim(workload, model, setup string) (Sim, error) {
+	if _, err := bench.ByName(workload); err != nil {
+		return Sim{}, err
+	}
+	m, err := ParseModel(model)
+	if err != nil {
+		return Sim{}, err
+	}
+	s := Sim{Workload: workload, Model: m}
+	switch setup {
+	case "", "campaign":
+		s.Setup = CampaignSetup()
+	case "tableI":
+		s.Setup = DefaultSetup()
+	default:
+		return Sim{}, fmt.Errorf("core: unknown setup %q (campaign, tableI)", setup)
+	}
+	return s, nil
+}
+
+// Group names s as a sweep's golden-sharing group.
+func (s Sim) Group() string {
+	return fmt.Sprintf("%v/%s/%s", s.Model, s.Setup.Name, s.Workload)
+}
+
+// Factory assembles the workload (once per process) and returns the
+// campaign factory of s.
+func (s Sim) Factory() (campaign.Factory, error) {
+	w, err := bench.ByName(s.Workload)
+	if err != nil {
+		return nil, err
+	}
+	prog, err := w.Program()
+	if err != nil {
+		return nil, err
+	}
+	return Factory(s.Model, prog, s.Setup), nil
+}
+
+// GoldenOptions returns the golden artifacts a campaign of cfg on s
+// records: what cfg needs, and on the RTL model always the L1D access
+// timeline, which costs a few percent of an RTL golden run and lets the
+// run serve an advance-to-use campaign too (§IV.B).
+func (s Sim) GoldenOptions(cfg campaign.Config) campaign.GoldenOptions {
+	return campaign.GoldenOptionsFor(cfg).Merge(campaign.GoldenOptions{Timeline: s.Model == ModelRTL})
 }
 
 // TableIRow is one attribute of the paper's TABLE I.

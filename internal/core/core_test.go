@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -55,6 +56,65 @@ func TestParseModel(t *testing.T) {
 	}
 	if _, err := ParseModel("spice"); err == nil {
 		t.Error("unknown model accepted")
+	}
+}
+
+// TestSimIdentity: every accepted spelling of one simulator parses to
+// one Sim, and every matrix item sits in the sweep group its simulator
+// names: a standalone campaign's, and every item of the `paper -all`
+// matrix, collected through a capturing SweepRunner the way a fleet
+// submitter collects it.
+func TestSimIdentity(t *testing.T) {
+	want, err := ParseSim("qsort", "microarch", "campaign")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, model := range []string{"ma", "microarch"} {
+		for _, setup := range []string{"", "campaign"} {
+			if got, err := ParseSim("qsort", model, setup); err != nil || got != want {
+				t.Errorf("ParseSim(qsort, %q, %q) = %+v, %v; want %+v", model, setup, got, err, want)
+			}
+		}
+	}
+	if _, err := ParseSim("no-such-bench", "rtl", ""); err == nil {
+		t.Error("unknown workload accepted")
+	}
+
+	inGroup := func(it MatrixItem) {
+		t.Helper()
+		sim, err := ParseSim(it.Workload, it.Model.String(), it.Setup)
+		if err != nil {
+			t.Fatalf("%s: %v", it.Campaign.Key, err)
+		}
+		if sim.Group() != it.Campaign.Group {
+			t.Errorf("%s: group %q, its simulator names %q", it.Campaign.Key, it.Campaign.Group, sim.Group())
+		}
+	}
+	for _, setup := range []Setup{CampaignSetup(), DefaultSetup()} {
+		for _, m := range levels {
+			it, err := Standalone("sha", m, setup, campaign.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inGroup(it)
+		}
+	}
+
+	errCollected := errors.New("collected")
+	var items []MatrixItem
+	p := DefaultParams()
+	p.Runner = func(its []MatrixItem, _ campaign.SweepOptions) (*campaign.SweepResult, error) {
+		items = append(items, its...)
+		return nil, errCollected
+	}
+	if _, err := p.RunAll(); !errors.Is(err, errCollected) {
+		t.Fatalf("RunAll with a collecting runner: %v", err)
+	}
+	if len(items) == 0 {
+		t.Fatal("the -all matrix is empty")
+	}
+	for _, it := range items {
+		inGroup(it)
 	}
 }
 

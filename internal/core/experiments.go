@@ -85,7 +85,7 @@ type MatrixItem struct {
 	Campaign campaign.SweepCampaign
 	Workload string
 	Model    Model
-	Setup    string // Setup.Name, resolvable via ParseSetup
+	Setup    string // Setup.Name, resolvable via ParseSim
 }
 
 // SweepRunner executes a planned campaign matrix. The default (nil
@@ -133,25 +133,7 @@ func (p Params) benchList() ([]*bench.Workload, error) {
 // carry): RunCampaign runs it with no options, cmd/faultsim through a
 // SweepRunner with a checkpoint directory and a stop channel.
 func Standalone(workload string, m Model, setup Setup, cfg campaign.Config) (MatrixItem, error) {
-	w, err := bench.ByName(workload)
-	if err != nil {
-		return MatrixItem{}, err
-	}
-	prog, err := w.Program()
-	if err != nil {
-		return MatrixItem{}, err
-	}
-	return MatrixItem{
-		Campaign: campaign.SweepCampaign{
-			Key:     fmt.Sprintf("%s/%v", workload, m),
-			Group:   sweepGroup(m, workload, setup),
-			Factory: Factory(m, prog, setup),
-			Config:  cfg,
-		},
-		Workload: workload,
-		Model:    m,
-		Setup:    setup.Name,
-	}, nil
+	return Sim{workload, m, setup}.item(fmt.Sprintf("%s/%v", workload, m), cfg)
 }
 
 // RunCampaign runs one standalone (workload, model) campaign.
@@ -586,45 +568,35 @@ func (p Params) plan(e *Experiment) (figurePlan, error) {
 	return figurePlan{exp: e, benches: workloads, series: e.series(p, p.baseConfig())}, nil
 }
 
-// sweepGroup names the golden-sharing group of (model, workload) under a
-// setup: every campaign in the group shares one golden run.
-func sweepGroup(m Model, workload string, s Setup) string {
-	return fmt.Sprintf("%v/%s/%s", m, s.Name, workload)
-}
-
 func campaignKey(figure, label, workload string) string {
 	return figure + "/" + label + "/" + workload
 }
 
-// matrix flattens figure plans into one campaign matrix, reusing one
-// factory (and one assembled program) per golden-sharing group.
+// item is the matrix item of one campaign of s, keyed key.
+func (s Sim) item(key string, cfg campaign.Config) (MatrixItem, error) {
+	fac, err := s.Factory()
+	if err != nil {
+		return MatrixItem{}, err
+	}
+	return MatrixItem{
+		Campaign: campaign.SweepCampaign{Key: key, Group: s.Group(), Factory: fac, Config: cfg},
+		Workload: s.Workload,
+		Model:    s.Model,
+		Setup:    s.Setup.Name,
+	}, nil
+}
+
+// matrix flattens figure plans into one campaign matrix.
 func matrix(plans []figurePlan, setup Setup) ([]MatrixItem, error) {
 	var items []MatrixItem
-	factories := make(map[string]campaign.Factory)
 	for _, plan := range plans {
 		for _, sp := range plan.series {
 			for _, w := range plan.benches {
-				group := sweepGroup(sp.model, w.Name, setup)
-				fac, ok := factories[group]
-				if !ok {
-					prog, err := w.Program()
-					if err != nil {
-						return nil, err
-					}
-					fac = Factory(sp.model, prog, setup)
-					factories[group] = fac
+				it, err := Sim{w.Name, sp.model, setup}.item(campaignKey(plan.exp.Figure, sp.label, w.Name), sp.cfg)
+				if err != nil {
+					return nil, err
 				}
-				items = append(items, MatrixItem{
-					Campaign: campaign.SweepCampaign{
-						Key:     campaignKey(plan.exp.Figure, sp.label, w.Name),
-						Group:   group,
-						Factory: fac,
-						Config:  sp.cfg,
-					},
-					Workload: w.Name,
-					Model:    sp.model,
-					Setup:    setup.Name,
-				})
+				items = append(items, it)
 			}
 		}
 	}
@@ -656,10 +628,10 @@ func LocalSweep(items []MatrixItem, opt campaign.SweepOptions) (*campaign.SweepR
 // assemble extracts one experiment's figure from a sweep and folds it.
 func (p Params) assemble(plan figurePlan, sr *campaign.SweepResult) (*ExperimentResult, error) {
 	name := plan.exp.Figure
-	figGroups := make(map[string]bool)
+	figGroups := make(map[Sim]bool)
 	for _, sp := range plan.series {
 		for _, w := range plan.benches {
-			figGroups[sweepGroup(sp.model, w.Name, p.Setup)] = true
+			figGroups[Sim{w.Name, sp.model, p.Setup}] = true
 		}
 	}
 	fig := &FigureResult{Name: name, GoldenRuns: len(figGroups)}
@@ -1100,9 +1072,10 @@ func (p Params) table2(measured map[string]campaign.GoldenInfo) ([]ThroughputRow
 	for _, w := range workloads {
 		row := ThroughputRow{Bench: w.Name}
 		for _, m := range levels {
-			info, ok := measured[sweepGroup(m, w.Name, p.Setup)]
+			sim := Sim{w.Name, m, p.Setup}
+			info, ok := measured[sim.Group()]
 			if !ok {
-				if info, err = p.measureGolden(m, w); err != nil {
+				if info, err = measureGolden(sim); err != nil {
 					return nil, 0, fmt.Errorf("table2 %s on %v: %w", w.Name, m, err)
 				}
 			}
@@ -1124,25 +1097,21 @@ func (p Params) table2(measured map[string]campaign.GoldenInfo) ([]ThroughputRow
 	return rows, ratioSum / float64(len(rows)), nil
 }
 
-// measureGolden times one golden run through the shared golden-artifact
-// phase, mirroring the sweep's golden configuration — the default
-// snapshot schedule, and the L1D access timeline on the RTL flow (its
-// §IV.B advancement records one) — so `-table 2` standalone and the
-// sweep-reusing RunAll report the same kind of cost.
-func (p Params) measureGolden(m Model, w *bench.Workload) (campaign.GoldenInfo, error) {
-	prog, err := w.Program()
+// measureGolden times one golden run of s through the shared
+// golden-artifact phase, recording what every run of s records — the
+// default snapshot schedule, and the L1D access timeline on the RTL flow
+// (its §IV.B advancement records one) — so `-table 2` standalone and
+// the sweep-reusing RunAll report the same kind of cost.
+func measureGolden(s Sim) (campaign.GoldenInfo, error) {
+	fac, err := s.Factory()
 	if err != nil {
 		return campaign.GoldenInfo{}, err
 	}
-	g, err := campaign.PrepareGolden(Factory(m, prog, p.Setup),
-		campaign.GoldenOptions{Timeline: m == ModelRTL})
+	g, err := campaign.PrepareGolden(fac, s.GoldenOptions(campaign.Config{}))
 	if err != nil {
 		return campaign.GoldenInfo{}, err
 	}
-	return campaign.GoldenInfo{
-		Group: sweepGroup(m, w.Name, p.Setup), Cycles: g.Cycles,
-		Txns: g.Txns, Elapsed: g.Elapsed,
-	}, nil
+	return campaign.GoldenInfo{Group: s.Group(), Cycles: g.Cycles, Txns: g.Txns, Elapsed: g.Elapsed}, nil
 }
 
 // Table2 reproduces TABLE II standalone: the wall-clock cost of one full

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -89,11 +90,6 @@ type Coordinator struct {
 	leases    map[string]*activeLease
 	leaseSeq  int
 
-	// Completed-lease round-trip accounting behind the average-latency
-	// gauge; latN guards the division until a first lease completes.
-	latSum time.Duration
-	latN   int
-
 	prepCh  chan *campState
 	goldens goldenCache
 	closed  chan struct{}
@@ -126,7 +122,7 @@ type activeLease struct {
 type campState struct {
 	id     string
 	spec   CampaignSpec
-	key    goldenKey
+	sim    core.Sim
 	status string
 	errMsg string
 
@@ -249,7 +245,8 @@ func (c *Coordinator) Submit(spec CampaignSpec) (SubmitResponse, error) {
 	if err := spec.normalize(); err != nil {
 		return SubmitResponse{}, err
 	}
-	if _, err := spec.factory(); err != nil {
+	sim, err := core.ParseSim(spec.Workload, spec.Model, spec.Setup)
+	if err != nil {
 		return SubmitResponse{}, err
 	}
 	id := specID(spec)
@@ -262,7 +259,7 @@ func (c *Coordinator) Submit(spec CampaignSpec) (SubmitResponse, error) {
 	// Register and enqueue atomically: the non-blocking send decides
 	// admission while the lock is still held, so a full queue never
 	// has to roll back state a concurrent submission may have built on.
-	cs := &campState{id: id, spec: spec, key: keyOf(spec), status: StatusPreparing}
+	cs := &campState{id: id, spec: spec, sim: sim, status: StatusPreparing}
 	select {
 	case c.prepCh <- cs:
 		c.campaigns[id] = cs
@@ -297,7 +294,7 @@ func (c *Coordinator) prepLoop() {
 }
 
 // prepare runs the golden-artifact phase and planning of cs and of
-// every campaign of its golden key still waiting, then of those
+// every campaign of its simulator still waiting, then of those
 // submitted meanwhile, and starts them all together, so the unit's
 // first lease already carries them all. Each batch asks the cache once,
 // for the union of its members' needs, pinning the run once per member,
@@ -316,17 +313,17 @@ func (c *Coordinator) prepare(cs *campState) {
 		var batch []*campState
 		var need campaign.GoldenOptions
 		for _, m := range c.order {
-			if m.key == cs.key && m.status == StatusPreparing && !m.claimed {
+			if m.sim == cs.sim && m.status == StatusPreparing && !m.claimed {
 				m.claimed = true
 				batch = append(batch, m)
-				need = need.Merge(needOf(m.spec))
+				need = need.Merge(m.sim.GoldenOptions(m.spec.Config))
 			}
 		}
 		c.mu.Unlock()
 		if len(batch) == 0 {
 			break
 		}
-		e, fresh, err := c.goldens.get(cs.spec, need, len(batch))
+		e, fresh, err := c.goldens.get(cs.sim, need, len(batch))
 		hits := len(batch)
 		if fresh {
 			obsGoldenMisses.Inc()
@@ -433,24 +430,24 @@ func (c *Coordinator) Lease(req LeaseRequest) (*Lease, error) {
 // submission order, of the unit the next lease serves (see Lease); nil
 // means none has work.
 func (c *Coordinator) pickUnitLocked(held []uint64) []*campState {
-	var keys []goldenKey
-	units := make(map[goldenKey][]*campState)
-	cycles := make(map[goldenKey]uint64)
+	var sims []core.Sim
+	units := make(map[core.Sim][]*campState)
+	cycles := make(map[core.Sim]uint64)
 	for _, cs := range c.order {
 		if cs.status != StatusRunning || cs.drained && len(cs.queue) == 0 {
 			continue
 		}
-		if units[cs.key] == nil {
-			keys = append(keys, cs.key)
+		if units[cs.sim] == nil {
+			sims = append(sims, cs.sim)
 		}
-		units[cs.key] = append(units[cs.key], cs)
-		cycles[cs.key] += cs.cyclesLeft()
+		units[cs.sim] = append(units[cs.sim], cs)
+		cycles[cs.sim] += cs.cyclesLeft()
 	}
 	var best []*campState
-	for _, k := range keys {
+	for _, k := range sims {
 		u := units[k]
 		h, hb := slices.Contains(held, u[0].golden.fp), best != nil && slices.Contains(held, best[0].golden.fp)
-		if best == nil || h && !hb || h == hb && cycles[k] > cycles[best[0].key] {
+		if best == nil || h && !hb || h == hb && cycles[k] > cycles[best[0].sim] {
 			best = u
 		}
 	}
@@ -536,12 +533,9 @@ func (c *Coordinator) Outcomes(batch OutcomeBatch) error {
 	}
 	obsShardsDone.Inc()
 	obsMergeSeconds.Observe(time.Since(mergeStart).Seconds())
-	// Lease round trip, issue to merge, and its running average.
-	rtt := time.Since(l.issuedAt)
-	obsLeaseLatency.Observe(rtt.Seconds())
-	c.latSum += rtt
-	c.latN++
-	obsLeaseLatencyAvg.Set(c.latSum.Seconds() / float64(c.latN))
+	// Lease round trip, issue to merge; the histogram's _sum/_count
+	// give its mean.
+	obsLeaseLatency.Observe(time.Since(l.issuedAt).Seconds())
 	return nil
 }
 

@@ -18,33 +18,12 @@ import (
 // still cached.
 const maxGoldenCache = 16
 
-// goldenKey identifies a simulator: the workload, the model and the
-// parsed setup name, the triple core names a local sweep group by.
-// Campaigns of one key replay against one golden run, whose artifacts
-// cover what each of them needs, so they share one behavioural
-// fingerprint too.
-type goldenKey struct{ workload, model, setup string }
-
-// keyOf is the golden key a campaign of spec replays against.
-func keyOf(spec CampaignSpec) goldenKey {
-	return goldenKey{spec.Workload, spec.Model, spec.Setup}
-}
-
-// needOf returns the golden artifacts a campaign of spec needs. An RTL
-// run always records its L1D access timeline, as core's TABLE II golden
-// runs do: it costs a few percent of an RTL preparation, less than the
-// separate run an advance-to-use campaign would otherwise need.
-func needOf(spec CampaignSpec) campaign.GoldenOptions {
-	rtl := campaign.GoldenOptions{Timeline: spec.Model == core.ModelRTL.String()}
-	return campaign.GoldenOptionsFor(spec.Config).Merge(rtl)
-}
-
-// goldenEntry is one golden run of a key, prepared with opts. ready
+// goldenEntry is one golden run of a simulator, prepared with opts. ready
 // closes once preparation has settled g (and its fingerprint fp) or
 // failed; build is the factory g was run on. g, fp and build are
 // written under the cache's mutex, and an entry is settled once g is.
 type goldenEntry struct {
-	key   goldenKey
+	sim   core.Sim
 	opts  campaign.GoldenOptions
 	ready chan struct{}
 	g     *campaign.Golden
@@ -81,21 +60,20 @@ type goldenCache struct {
 	evictions *obs.Counter // nil: evictions go uncounted (the worker)
 
 	mu      sync.Mutex
-	entries map[goldenKey]*goldenEntry
+	entries map[core.Sim]*goldenEntry
 	clock   uint64
 }
 
-// get returns a settled golden run of spec's simulator whose artifacts
-// cover need, pinned pins times until the caller releases each pin;
-// fresh reports that this call prepared it (a miss) rather than joined
-// an existing entry. A failed preparation leaves nothing to release and
+// get returns a settled golden run of sim whose artifacts cover need,
+// pinned pins times until the caller releases each pin; fresh reports
+// that this call prepared it (a miss) rather than joined an existing
+// entry. A failed preparation leaves nothing to release and
 // is dropped, so whoever asks next, a caller that waited on it
 // included, retries the run instead of inheriting a stale error.
-func (c *goldenCache) get(spec CampaignSpec, need campaign.GoldenOptions, pins int) (e *goldenEntry, fresh bool, err error) {
-	key := keyOf(spec)
+func (c *goldenCache) get(sim core.Sim, need campaign.GoldenOptions, pins int) (e *goldenEntry, fresh bool, err error) {
 	c.mu.Lock()
 	// Nobody replaces an entry in flight: wait for it, then look again.
-	for e = c.entries[key]; e != nil && e.g == nil; e = c.entries[key] {
+	for e = c.entries[sim]; e != nil && e.g == nil; e = c.entries[sim] {
 		c.mu.Unlock()
 		<-e.ready
 		c.mu.Lock()
@@ -108,21 +86,21 @@ func (c *goldenCache) get(spec CampaignSpec, need campaign.GoldenOptions, pins i
 			return e, false, nil
 		}
 	}
-	e = &goldenEntry{key: key, opts: opts, ready: make(chan struct{}), pins: pins}
+	e = &goldenEntry{sim: sim, opts: opts, ready: make(chan struct{}), pins: pins}
 	if c.entries == nil {
-		c.entries = make(map[goldenKey]*goldenEntry)
+		c.entries = make(map[core.Sim]*goldenEntry)
 	}
-	c.entries[key] = e
+	c.entries[sim] = e
 	c.mu.Unlock()
 
-	build, err := spec.factory()
+	build, err := sim.Factory()
 	var g *campaign.Golden
 	if err == nil {
 		g, err = campaign.PrepareGolden(build, opts)
 	}
 	c.mu.Lock()
 	if err != nil {
-		delete(c.entries, key)
+		delete(c.entries, sim)
 	} else {
 		e.build, e.g, e.fp = build, g, g.Fingerprint()
 	}
@@ -152,7 +130,7 @@ func (c *goldenCache) release(e *goldenEntry) {
 		}
 	}
 	if idle > maxGoldenCache {
-		delete(c.entries, oldest.key)
+		delete(c.entries, oldest.sim)
 		if c.evictions != nil {
 			c.evictions.Inc()
 		}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/core"
 	"repro/internal/fault"
 )
 
@@ -17,18 +18,17 @@ import (
 func TestGoldenCacheBoundAndRetry(t *testing.T) {
 	// Shape i is one of 32 distinct simulators: eight workloads, two
 	// models and two setups.
-	shape := func(i uint64) CampaignSpec {
-		return CampaignSpec{
+	shape := func(i uint64) core.Sim {
+		return core.Sim{
 			Workload: []string{"caes", "fft", "qsort", "sha", "stringsearch", "susan_c", "susan_e", "susan_s"}[i/4],
-			Model:    []string{"microarch", "rtl"}[i/2%2],
-			Setup:    []string{"campaign", "tableI"}[i%2],
-			Config:   campaign.Config{Injections: 4, Seed: 1, Target: fault.TargetRF, Window: 100},
+			Model:    []core.Model{core.ModelMicroarch, core.ModelRTL}[i/2%2],
+			Setup:    []core.Setup{core.CampaignSetup(), core.DefaultSetup()}[i%2],
 		}
 	}
 	var c goldenCache
-	get := func(s CampaignSpec) (*goldenEntry, bool, error) { return c.get(s, needOf(s), 1) }
-	cached := func(s CampaignSpec) bool {
-		_, ok := c.entries[keyOf(s)]
+	get := func(s core.Sim) (*goldenEntry, bool, error) { return c.get(s, s.GoldenOptions(campaign.Config{}), 1) }
+	cached := func(s core.Sim) bool {
+		_, ok := c.entries[s]
 		return ok
 	}
 
@@ -44,7 +44,7 @@ func TestGoldenCacheBoundAndRetry(t *testing.T) {
 
 	// A preparation somebody is still waiting on.
 	inflight := shape(31)
-	c.entries[keyOf(inflight)] = &goldenEntry{key: keyOf(inflight), ready: make(chan struct{})}
+	c.entries[inflight] = &goldenEntry{sim: inflight, ready: make(chan struct{})}
 
 	// Fill the bound with idle entries, released in order 1, 2, ...
 	for i := uint64(1); i <= maxGoldenCache; i++ {
@@ -84,7 +84,7 @@ func TestGoldenCacheBoundAndRetry(t *testing.T) {
 	// Released, the first entry is the most recent one: the oldest idle
 	// entry, shape 4, goes instead. Its run stays good for whoever still
 	// holds it.
-	four := c.entries[keyOf(shape(4))]
+	four := c.entries[shape(4)]
 	c.release(first)
 	if !cached(shape(0)) || cached(shape(4)) {
 		t.Errorf("after releasing the first entry: shape 0 cached=%v, shape 4 cached=%v; want the oldest idle one, shape 4, evicted",
@@ -131,7 +131,11 @@ func TestLeaseAffinityNamesGoldenFingerprint(t *testing.T) {
 
 	// What a worker that ran the light unit's golden names in its pull.
 	var worker goldenCache
-	e, _, err := worker.get(light, needOf(light), 1)
+	sim, err := core.ParseSim(light.Workload, light.Model, light.Setup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, _, err := worker.get(sim, sim.GoldenOptions(light.Config), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

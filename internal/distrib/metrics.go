@@ -28,8 +28,6 @@ var (
 		"outcome batches received, including failed and incomplete ones")
 	obsLeaseLatency = obs.NewHistogram("distrib_lease_latency_seconds",
 		"shard round trip from lease issue to merged outcome batch", obs.DurationBuckets)
-	obsLeaseLatencyAvg = obs.NewGauge("distrib_lease_latency_avg_seconds",
-		"mean lease round trip; stays 0 until a lease has completed")
 	obsMergeSeconds = obs.NewHistogram("distrib_merge_seconds",
 		"time one outcome batch spends in the in-order collector (merge lag)", obs.DurationBuckets)
 	obsGoldenHits = obs.NewCounter("distrib_golden_cache_hits_total",

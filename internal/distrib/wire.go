@@ -18,7 +18,6 @@
 package distrib
 
 import (
-	"repro/internal/bench"
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -54,23 +53,16 @@ type CampaignSpec struct {
 // filling config defaults so the wire always carries the normalised
 // form. The model and setup are rewritten to their canonical names, so
 // every spelling of one simulator ("" and "campaign", "ma" and
-// "microarch") is one campaign ID and one golden key. Workers is zeroed:
-// pool sizes are a per-process concern and must not split
+// "microarch") is one campaign ID and one golden run. Workers is
+// zeroed: pool sizes are a per-process concern and must not split
 // otherwise-identical campaigns into distinct IDs. So are the
 // deprecated Sched and SnapPolicy, which select nothing.
 func (s *CampaignSpec) normalize() error {
-	if _, err := bench.ByName(s.Workload); err != nil {
-		return err
-	}
-	m, err := core.ParseModel(s.Model)
+	sim, err := core.ParseSim(s.Workload, s.Model, s.Setup)
 	if err != nil {
 		return err
 	}
-	setup, err := core.ParseSetup(s.Setup)
-	if err != nil {
-		return err
-	}
-	s.Model, s.Setup = m.String(), setup.Name
+	s.Model, s.Setup = sim.Model.String(), sim.Setup.Name
 	if err := s.Config.Validate(); err != nil {
 		return err
 	}
@@ -78,27 +70,6 @@ func (s *CampaignSpec) normalize() error {
 	s.Config.Sched = 0
 	s.Config.SnapPolicy = 0
 	return nil
-}
-
-// factory rebuilds the spec's simulator factory locally.
-func (s CampaignSpec) factory() (campaign.Factory, error) {
-	w, err := bench.ByName(s.Workload)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := w.Program()
-	if err != nil {
-		return nil, err
-	}
-	m, err := core.ParseModel(s.Model)
-	if err != nil {
-		return nil, err
-	}
-	setup, err := core.ParseSetup(s.Setup)
-	if err != nil {
-		return nil, err
-	}
-	return core.Factory(m, prog, setup), nil
 }
 
 // Job is one planned injection of a lease: the member campaign it

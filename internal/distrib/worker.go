@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/core"
 	"repro/internal/fault"
 )
 
@@ -176,21 +177,26 @@ func (w *Worker) executeShard(ctx context.Context, lease *Lease) ([]WireOutcome,
 	// scheduler share theirs. Every member replays against that run, on
 	// one simulator factory, so the pool fuses the members that ride
 	// lanes into one walk.
+	var sim core.Sim
 	var need campaign.GoldenOptions
 	for mi, m := range lease.Members {
-		if keyOf(m.Spec) != keyOf(lease.Members[0].Spec) {
+		ms, err := core.ParseSim(m.Spec.Workload, m.Spec.Model, m.Spec.Setup)
+		if err != nil {
+			return nil, err
+		}
+		if mi > 0 && ms != sim {
 			return nil, fmt.Errorf("lease %s: member %d needs another golden run than member 0", lease.ID, mi)
 		}
-		need = need.Merge(needOf(m.Spec))
+		sim, need = ms, need.Merge(ms.GoldenOptions(m.Spec.Config))
 	}
 	start := time.Now()
-	entry, fresh, err := w.goldens.get(lease.Members[0].Spec, need, 1)
+	entry, fresh, err := w.goldens.get(sim, need, 1)
 	if err != nil {
 		return nil, err
 	}
 	defer w.goldens.release(entry)
 	if fresh {
-		w.logf("distrib worker %s: prepared golden %s/%s", w.opt.ID, entry.key.workload, entry.key.model)
+		w.logf("distrib worker %s: prepared golden %s/%v", w.opt.ID, sim.Workload, sim.Model)
 		obsWorkerGoldenSeconds.Observe(time.Since(start).Seconds())
 	}
 	if entry.fp != lease.GoldenFP {

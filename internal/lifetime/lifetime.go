@@ -155,9 +155,8 @@ func (s *Space) record(cycle uint64, unit, lo, hi, kind int) {
 }
 
 // freeze (re)builds the per-unit query index from the flat stream. It
-// is invoked lazily from the first classification after recording;
-// both recording and classification run single-threaded (golden phase,
-// then the dispatch loop), so no locking is needed.
+// runs when a Recorder is sealed, or lazily from the first query after
+// new events on a space recorded and queried by one goroutine.
 func (s *Space) freeze() {
 	idx := make([]int32, s.units+1)
 	for _, u := range s.unit {
@@ -177,18 +176,6 @@ func (s *Space) freeze() {
 	s.idx = idx
 	s.byUnit = byUnit
 	s.dirty = false
-}
-
-// Freeze eagerly builds the per-unit query index. Classification
-// otherwise builds it lazily on first use, which is a hidden write: a
-// campaign coordinator sharing one golden run's trace across
-// concurrently dispatched campaigns must freeze each space while still
-// single-threaded. Idempotent; after recording stops, a frozen space is
-// read-only and safe for concurrent classification.
-func (s *Space) Freeze() {
-	if s.dirty || s.idx == nil {
-		s.freeze()
-	}
 }
 
 // Verdict is the injection-less fate of one transient bit flip.
@@ -263,8 +250,7 @@ type Event struct {
 
 // ForEachEvent calls fn for every event of one unit in execution order —
 // the same order ClassifyBit scans, so an interval sweep over these
-// events reproduces its verdicts exactly. Freezes the index if needed
-// (single-threaded, like the first classification).
+// events reproduces its verdicts exactly.
 func (s *Space) ForEachEvent(unit int, fn func(Event)) {
 	if s.dirty || s.idx == nil {
 		s.freeze()
@@ -307,6 +293,15 @@ func (r *Recorder) Space(id, units, width int) *Space {
 	sp := NewSpace(units, width)
 	r.spaces[id] = sp
 	return sp
+}
+
+// Seal ends recording: it builds every space's query index, so from
+// here on a query only reads and any number of goroutines may classify
+// against the trace at once.
+func (r *Recorder) Seal() {
+	for _, sp := range r.spaces {
+		sp.freeze()
+	}
 }
 
 // Get returns the trace for target id, or nil when the simulator does
