@@ -43,37 +43,20 @@ func startFleet(t *testing.T) string {
 	return srv.URL
 }
 
-// hostFields are the JSON fields that say how a campaign was executed
-// rather than what it found: wall time, the pool size and the lane
-// accounting, which a fleet worker keeps to itself.
-var hostFields = []string{
-	`"Elapsed":`, `"AvgSecPerRun":`, `"GoldenElapsed":`, `"Workers":`,
-	`"BatchedRuns":`, `"PeeledRuns":`, `"LaneOccupancy":`,
-}
-
-// faultsim runs the command and returns its output without hostFields.
+// faultsim runs the command and returns its output.
 func faultsim(t *testing.T, args ...string) string {
 	t.Helper()
 	var out strings.Builder
 	if err := run(args, &out); err != nil {
 		t.Fatalf("faultsim %s: %v", strings.Join(args, " "), err)
 	}
-	var keep []string
-	for _, l := range strings.Split(out.String(), "\n") {
-		host := false
-		for _, f := range hostFields {
-			host = host || strings.HasPrefix(strings.TrimSpace(l), f)
-		}
-		if !host {
-			keep = append(keep, l)
-		}
-	}
-	return strings.Join(keep, "\n")
+	return out.String()
 }
 
 // TestRemoteMatchesLocal: the same campaign run in this process and
 // with -remote against a coordinator and a worker prints the same JSON,
-// host fields aside.
+// byte for byte: a result carries what the campaign found, not how or
+// where it ran.
 func TestRemoteMatchesLocal(t *testing.T) {
 	args := []string{"-bench", "caes", "-n", "60", "-json"}
 	local := faultsim(t, args...)

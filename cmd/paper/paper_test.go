@@ -23,9 +23,10 @@ var slowFigs = map[string]bool{"protection": true, "ablation-models": true}
 
 // wallMasks blank the wall-time cells, the only nondeterminism in
 // paper's output: TABLE II's s/run and ratio columns, E11's wall
-// columns, the sweep summary's wall, and the JSON duration fields.
-// Everything else — every estimate, interval, count and cycle total —
-// is compared byte for byte.
+// columns (wall time is that table's finding), and the sweep summary's
+// wall. Everything else — every estimate, interval, count and cycle
+// total — is compared byte for byte; a campaign result's JSON carries
+// no wall time (campaign.Account).
 var wallMasks = []struct {
 	re   *regexp.Regexp
 	repl string
@@ -34,7 +35,7 @@ var wallMasks = []struct {
 	{regexp.MustCompile(`(?m)^average +\d+\.\d +$`), "average  -.-"},
 	{regexp.MustCompile(`\b\d+\.\d\ds( |$)`), "-.--s$1"},
 	{regexp.MustCompile(`(?m)^(sweep: .*, wall )\d+\.\ds$`), "${1}-.-s"},
-	{regexp.MustCompile(`(?m)^(\s*"(?:Elapsed|GoldenElapsed|AvgSecPerRun|FullWall|DeadWall|ClassesWall)": )[^,\n]+`), "${1}0"},
+	{regexp.MustCompile(`(?m)^(\s*"(?:FullWall|DeadWall|ClassesWall)": )[^,\n]+`), "${1}0"},
 }
 
 // maskWall applies wallMasks, and in E11's CSV (the one CSV with wall
@@ -60,28 +61,36 @@ func maskWall(out string) string {
 }
 
 // TestGoldenOutputs regenerates every -fig, -table and -all selection
-// once at a fixed small sample, renders it in table, CSV and JSON form
-// and compares each against testdata/: a refactor of the experiment,
-// report or cmd layers must not move a byte outside the wall-time cells.
+// at a fixed small sample, renders it in table, CSV and JSON form and
+// compares each against testdata/: a refactor of the experiment, report
+// or cmd layers must not move a byte outside the wall-time cells. The
+// JSON form is regenerated on one, two and four workers and on the
+// scalar engine, and each must match the selection's one golden: what
+// a campaign found does not depend on how it was executed.
 func TestGoldenOutputs(t *testing.T) {
 	selections := [][]string{{"-all"}, {"-table", "1"}, {"-table", "2"}, {"-table", "sample"}}
 	// Every registered experiment: a new registry entry needs goldens.
 	for _, e := range core.Experiments() {
 		selections = append(selections, []string{"-fig", e.Name})
 	}
-	formats := []struct {
-		flag, ext string
-		format    report.Format
-	}{{"", "txt", report.FormatTable}, {"-csv", "csv", report.FormatCSV}, {"-json", "json", report.FormatJSON}}
+	const pinned = "-workers 2" // the execution the table and CSV forms run on
+	forms := []struct {
+		flag, ext, exec string
+		format          report.Format
+	}{
+		{"", "txt", pinned, report.FormatTable},
+		{"-csv", "csv", pinned, report.FormatCSV},
+		{"-json", "json", pinned, report.FormatJSON},
+		{"-json", "json", "-workers 1", report.FormatJSON},
+		{"-json", "json", "-workers 4", report.FormatJSON},
+		{"-json", "json", "-lanes 1", report.FormatJSON},
+	}
 	for _, args := range selections {
-		var regenerate func() (*core.AllResults, error)
-		for _, f := range formats {
-			// The pool size is part of the output, so it is pinned: the
-			// JSON form prints Config.Workers, and the pool splits a
-			// sweep's last unit evenly over its goroutines, which the lane
-			// accounting (LaneOccupancy: the lanes in flight on each walk)
-			// follows.
-			a := append([]string{"-injections", "6", "-benches", "caes", "-seed", "1", "-workers", "2"}, args...)
+		// One run per selection and execution: every form renders it.
+		regenerate := map[string]func() (*core.AllResults, error){}
+		for _, f := range forms {
+			a := append([]string{"-injections", "6", "-benches", "caes", "-seed", "1"}, strings.Fields(f.exec)...)
+			a = append(a, args...)
 			if f.flag != "" {
 				a = append(a, f.flag)
 			}
@@ -93,16 +102,20 @@ func TestGoldenOutputs(t *testing.T) {
 			if sel.format != f.format {
 				t.Errorf("paper %s parsed as format %v, want %v", strings.Join(a, " "), sel.format, f.format)
 			}
-			// One run per selection: every format renders its results.
-			if regenerate == nil {
-				regenerate = sync.OnceValues(sel.regenerate)
+			if regenerate[f.exec] == nil {
+				regenerate[f.exec] = sync.OnceValues(sel.regenerate)
 			}
-			t.Run(strings.Join(args, "")+f.flag, func(t *testing.T) {
+			name := strings.Join(args, "") + f.flag
+			if f.exec != pinned {
+				name += strings.ReplaceAll(f.exec, " ", "")
+			}
+			run := regenerate[f.exec]
+			t.Run(name, func(t *testing.T) {
 				t.Parallel()
 				if testing.Short() && args[0] == "-fig" && slowFigs[args[1]] {
 					t.Skip("slow matrix in -short mode")
 				}
-				res, err := regenerate()
+				res, err := run()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -112,13 +125,16 @@ func TestGoldenOutputs(t *testing.T) {
 				}
 				got := maskWall(buf.String())
 				// table-N.txt, fig-NAME.EXT, all.EXT: tables ignore the
-				// format flags, so all three forms share one golden.
+				// format flags, so all their forms share one golden.
 				ext := f.ext
 				if args[0] == "-table" {
 					ext = "txt"
 				}
 				path := filepath.Join("testdata", strings.TrimPrefix(strings.Join(args, "-"), "-")+"."+ext)
 				if *update {
+					if f.exec != pinned {
+						return // one writer per golden
+					}
 					if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 						t.Fatal(err)
 					}
@@ -129,8 +145,8 @@ func TestGoldenOutputs(t *testing.T) {
 					t.Fatal(err)
 				}
 				if got != string(want) {
-					t.Errorf("paper %s %s: output differs from %s (rerun with -update only if the change is intended)\n%s",
-						strings.Join(args, " "), f.flag, path, firstDiff(got, string(want)))
+					t.Errorf("paper %s %s %s: output differs from %s (rerun with -update only if the change is intended)\n%s",
+						f.exec, strings.Join(args, " "), f.flag, path, firstDiff(got, string(want)))
 				}
 			})
 		}

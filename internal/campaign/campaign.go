@@ -388,19 +388,6 @@ type Result struct {
 	PruneClassCount  int
 	PruneSavedCycles uint64
 
-	// Bit-parallel replay accounting, non-zero only when a target with
-	// a batch surface ran with Config.Lanes > 1. BatchedRuns
-	// counts replays finished entirely in lockstep (the fault died,
-	// reconverged or stayed unconsumed to its window end); PeeledRuns
-	// counts replays whose corruption was consumed by the design and
-	// that finished on the scalar tail; LaneOccupancy is the mean
-	// number of lanes in flight per lockstep cycle of the golden walks
-	// the campaign rode — on a walk shared with other campaigns of the
-	// same golden run, theirs included.
-	BatchedRuns   int
-	PeeledRuns    int
-	LaneOccupancy float64
-
 	// FastForwardCycles is the stream-order estimate of the replay
 	// phase's golden pre-injection work, whatever engine replayed the
 	// campaign: the sum over counted (non-pruned, non-extrapolated)
@@ -429,6 +416,31 @@ type Result struct {
 	// from the golden lifetime trace with zero replays; nil unless
 	// Config.AVF.
 	AVF *AVFInfo
+
+	// Account says how this process executed the campaign, not what
+	// the campaign found, so no JSON form of a result carries it.
+	Account `json:"-"`
+}
+
+// Account is a campaign's execution record: wall times and the lanes
+// its replays rode. It is the part of a Result that differs between two
+// executions of one campaign — with another pool size or lane width,
+// resumed from a checkpoint, or on a fleet, whose coordinator reports
+// the wall times in its Progress and whose workers keep the lane
+// accounting. A test that compares two executions clears it whole.
+type Account struct {
+	// Bit-parallel replay accounting, non-zero only when a target with
+	// a batch surface ran with Config.Lanes > 1. BatchedRuns counts
+	// replays finished entirely in lockstep (the fault died,
+	// reconverged or stayed unconsumed to its window end); PeeledRuns
+	// counts replays whose corruption was consumed by the design and
+	// that finished on the scalar tail; LaneOccupancy is the mean
+	// number of lanes in flight per lockstep cycle of the golden walks
+	// the campaign rode — on a walk shared with other campaigns of the
+	// same golden run, theirs included.
+	BatchedRuns   int
+	PeeledRuns    int
+	LaneOccupancy float64
 
 	Elapsed       time.Duration
 	AvgSecPerRun  float64
@@ -691,26 +703,19 @@ func (g *Golden) fullReplayEnd(spec fault.Spec, cfg Config) uint64 {
 // The counted prefix ends at the stopping index when one was decided,
 // discarding the in-flight overshoot so the result is deterministic.
 // The caller holds p.mu.
-func (p *Planned) aggregate(elapsed time.Duration) (*Result, error) {
+func (p *Planned) aggregate() (*Result, error) {
 	cfg, g, pl, pr := p.cfg, p.g, p.pl, p.pr
 	outcomes := p.outcomes[:p.frontier]
 	if p.stopAt >= 0 {
 		outcomes = p.outcomes[:p.stopAt]
 	}
 	res := &Result{
-		Config:        cfg,
-		GoldenCycles:  g.Cycles,
-		GoldenTxns:    g.Txns,
-		Counts:        make(map[Class]int, int(numClasses)),
-		Outcomes:      outcomes,
-		RunsSaved:     pl.n - len(outcomes),
-		Elapsed:       elapsed,
-		GoldenElapsed: g.Elapsed,
-	}
-	if len(outcomes) > 0 {
-		// Guarded: a fully-pruned or fully-resumed campaign counts zero
-		// replays, and Inf/NaN must not leak into JSON reports.
-		res.AvgSecPerRun = elapsed.Seconds() / float64(len(outcomes))
+		Config:       cfg,
+		GoldenCycles: g.Cycles,
+		GoldenTxns:   g.Txns,
+		Counts:       make(map[Class]int, int(numClasses)),
+		Outcomes:     outcomes,
+		RunsSaved:    pl.n - len(outcomes),
 	}
 	classes := pr != nil && pr.mode == PruneClasses
 	// prefixFull sums the counted replays' fixed-plan lengths.

@@ -192,8 +192,8 @@ func TestProtectOtherTargetIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	normalizeResult(twin)
-	normalizeResult(again)
+	twin.Account = campaign.Account{}
+	again.Account = campaign.Account{}
 	if !reflect.DeepEqual(twin, again) {
 		t.Errorf("deriving protected arms changed the twin")
 	}
@@ -223,7 +223,7 @@ func TestProtectCheckpointStaleness(t *testing.T) {
 			{Key: "ckpt", Group: "ma/qsort", Factory: f, Config: cfg},
 		}, campaign.SweepOptions{Workers: 2, CheckpointDir: dir})
 		res := sr.Results["ckpt"]
-		normalizeResult(res)
+		res.Account = campaign.Account{}
 		arm, err := protect.Derive(res, protect.SchemeDup, rfDataBits(t, core.ModelMicroarch))
 		if err != nil {
 			t.Fatal(err)

@@ -295,18 +295,27 @@ func (p *Planned) replayStats() ReplayStats {
 }
 
 // Result aggregates the campaign once every needed outcome has been
-// delivered. elapsed is the replay phase's attributed wall time.
+// delivered. elapsed is the replay phase's attributed wall time; with
+// the replays this process executed (ReplayStats, a pool's Work.Note)
+// and the golden run's wall, it makes the result's Account.
 func (p *Planned) Result(elapsed time.Duration) (*Result, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	res, err := p.aggregate(elapsed)
+	res, err := p.aggregate()
 	if err != nil {
 		return nil, err
 	}
-	res.BatchedRuns = p.stats.Batched
-	res.PeeledRuns = p.stats.Peeled
+	// The pool size and the lane width say how the campaign ran, not
+	// what it found: a result reads the same bytes at any setting.
+	res.Config.Workers, res.Config.Lanes = 0, 0
+	res.Account = Account{BatchedRuns: p.stats.Batched, PeeledRuns: p.stats.Peeled, Elapsed: elapsed, GoldenElapsed: p.g.Elapsed}
 	if p.stats.Lockstep > 0 {
 		res.LaneOccupancy = float64(p.stats.LaneCycles) / float64(p.stats.Lockstep)
+	}
+	if p.stats.Executed > 0 {
+		// A fully-pruned or fully-resumed campaign executed no replay
+		// here: it reports 0, never Inf or a bogus tiny figure.
+		res.AvgSecPerRun = elapsed.Seconds() / float64(p.stats.Executed)
 	}
 	res.AVF = p.avfInfo
 	return res, nil

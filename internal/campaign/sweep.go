@@ -240,17 +240,10 @@ func Sweep(campaigns []SweepCampaign, opt SweepOptions) (*SweepResult, error) {
 		Elapsed:    time.Since(start),
 	}
 	for key, p := range planned {
-		st := p.replayStats()
-		res, err := p.Result(st.Busy)
+		// Busy time only accrues on replays executed this sweep.
+		res, err := p.Result(p.replayStats().Busy)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", key, err)
-		}
-		// Busy time only accrues on replays executed this sweep, so the
-		// per-run average must use that count, not the total: a fully
-		// resumed campaign reports 0, never a bogus tiny throughput.
-		res.AvgSecPerRun = 0
-		if st.Executed > 0 {
-			res.AvgSecPerRun = st.Busy.Seconds() / float64(st.Executed)
 		}
 		sr.Results[key] = res
 		sr.Resumed += p.Resumed()

@@ -459,7 +459,7 @@ func TestSweepSplitsLastCampaign(t *testing.T) {
 		}
 		sr := mustSweep(t, camps, campaign.SweepOptions{Workers: workers})
 		for _, r := range sr.Results {
-			normalizeResult(r)
+			r.Account = campaign.Account{}
 		}
 		return sr
 	}
@@ -509,8 +509,8 @@ func TestRunIsSweepOfOne(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		normalizeResult(got)
-		normalizeResult(want)
+		got.Account = campaign.Account{}
+		want.Account = campaign.Account{}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%v: Run differs from a one-campaign Sweep:\n got %+v\nwant %+v", m, got, want)
 		}

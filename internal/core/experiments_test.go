@@ -331,7 +331,8 @@ func TestExperimentProtection(t *testing.T) {
 // transform of the twin's (detect gives DUE, correct gives Masked, a
 // Masked twin stays Masked); every other fault reaches the overhead
 // region and carries OverheadDUE's verdict on its first overhead bit.
-// Only the unprotected arms replay.
+// Only the unprotected arms replay: an arm simulates no cycle, and its
+// execution account is its twin's.
 func TestProtectedArmsDeriveFromTwins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs E13's 20 unprotected campaigns; exercised by the full suite")
@@ -360,8 +361,8 @@ func TestProtectedArmsDeriveFromTwins(t *testing.T) {
 				for _, sc := range protectionSchemes[1:] {
 					label := protectionLabel(m, fm.Model, tgt, sc)
 					arm := byLabel[label].Results["caes"]
-					if arm.BatchedRuns+arm.PeeledRuns != 0 || arm.CyclesSimulated != 0 {
-						t.Errorf("%s replayed: %d+%d lane runs, %d cycles", label, arm.BatchedRuns, arm.PeeledRuns, arm.CyclesSimulated)
+					if arm.Account != twin.Account || arm.CyclesSimulated != 0 {
+						t.Errorf("%s replayed: account %+v (twin's %+v), %d cycles", label, arm.Account, twin.Account, arm.CyclesSimulated)
 					}
 					if len(arm.Outcomes) != len(twin.Outcomes) {
 						t.Fatalf("%s: %d outcomes, twin has %d", label, len(arm.Outcomes), len(twin.Outcomes))

@@ -59,14 +59,16 @@ func (c *Client) Report(id string) (*campaign.Result, error) {
 }
 
 // Wait polls until the campaign finishes (or fails, or stop fires) and
-// returns its result.
+// returns its result. The report carries no campaign.Account; Wait
+// fills its wall times from the coordinator's final Progress, and the
+// lane accounting stays with the workers that packed the lanes.
 func (c *Client) Wait(id string, stop <-chan struct{}) (*campaign.Result, error) {
 	res, _, err := c.wait(id, stop)
 	return res, err
 }
 
 // wait is Wait that also returns the last Progress it polled, which
-// holds the finished campaign's frozen counters.
+// holds the finished campaign's frozen counters and wall times.
 func (c *Client) wait(id string, stop <-chan struct{}) (*campaign.Result, Progress, error) {
 	poll := c.Poll
 	if poll <= 0 {
@@ -80,6 +82,13 @@ func (c *Client) wait(id string, stop <-chan struct{}) (*campaign.Result, Progre
 		switch p.Status {
 		case StatusDone:
 			res, err := c.Report(id)
+			if err == nil {
+				res.Elapsed = time.Duration(p.ElapsedSecs * float64(time.Second))
+				res.GoldenElapsed = time.Duration(p.GoldenSecs * float64(time.Second))
+				if p.Replayed > 0 {
+					res.AvgSecPerRun = p.ElapsedSecs / float64(p.Replayed)
+				}
+			}
 			return res, p, err
 		case StatusFailed:
 			return nil, p, fmt.Errorf("distrib: campaign %s failed: %s", id, p.Error)

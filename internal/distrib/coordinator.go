@@ -130,6 +130,7 @@ type campState struct {
 	golden       *goldenEntry // pinned while the campaign is live
 	planned      *campaign.Planned
 	goldenCycles uint64
+	goldenWall   time.Duration // the golden run's wall, served by Progress
 
 	// The engine state Progress serves once planned is released; while
 	// it is live, Progress reads planned itself.
@@ -354,7 +355,7 @@ func (c *Coordinator) prepare(cs *campState) {
 			m.status, m.errMsg = StatusFailed, r.err.Error()
 			continue
 		}
-		m.golden, m.planned, m.goldenCycles = r.e, r.p, r.e.g.Cycles
+		m.golden, m.planned, m.goldenCycles, m.goldenWall = r.e, r.p, r.e.g.Cycles, r.e.g.Elapsed
 		m.status, m.start = StatusRunning, time.Now()
 		c.logf("distrib: campaign %s running (golden %d cycles, %d resumed)", m.id, r.e.g.Cycles, r.p.Resumed())
 		c.journal(obs.Event{
@@ -694,6 +695,7 @@ func (c *Coordinator) progressLocked(cs *campState) Progress {
 		Queued:     len(cs.queue), Leased: cs.leased,
 		Replayed: cs.replayed, Error: cs.errMsg,
 		GoldenCycles: cs.goldenCycles,
+		GoldenSecs:   cs.goldenWall.Seconds(),
 		Delivered:    cs.delivered,
 		Resumed:      cs.resumed,
 		Stopped:      cs.stopped,

@@ -61,18 +61,6 @@ func runOnFleet(t *testing.T, client *distrib.Client, workload string, m core.Mo
 	return sr.Results[it.Campaign.Key]
 }
 
-// normalize clears the fields that legitimately differ between local
-// and distributed execution of one campaign: wall time, the pool-size
-// default, which is a per-process concern, and the lane accounting a
-// fleet worker keeps to itself.
-func normalize(r *campaign.Result) {
-	r.Elapsed = 0
-	r.AvgSecPerRun = 0
-	r.GoldenElapsed = 0
-	r.Config.Workers = 0
-	r.BatchedRuns, r.PeeledRuns, r.LaneOccupancy = 0, 0, 0
-}
-
 // TestDistributedMatchesSingleProcess is the acceptance test: one
 // campaign distributed over two worker engines — one of which is
 // killed mid-run, forcing lease expiry and shard re-issue — must
@@ -135,8 +123,8 @@ func TestDistributedMatchesSingleProcess(t *testing.T) {
 	}
 	<-killed
 
-	normalize(want)
-	normalize(got)
+	want.Account = campaign.Account{}
+	got.Account = campaign.Account{}
 	if !reflect.DeepEqual(want.Counts, got.Counts) {
 		t.Errorf("classification counts diverged: got %v, want %v", got.Counts, want.Counts)
 	}
@@ -146,6 +134,34 @@ func TestDistributedMatchesSingleProcess(t *testing.T) {
 	// The rendered report table must be byte-identical too.
 	if gr, wr := report.Campaign("qsort/microarch", got), report.Campaign("qsort/microarch", want); gr != wr {
 		t.Errorf("report tables diverged:\n got:\n%s\nwant:\n%s", gr, wr)
+	}
+}
+
+// TestSweepRunnerCarriesWallTimes: a report carries no account, so the
+// fleet runner takes the wall times from the coordinator's Progress.
+// Without them TABLE II under paper -remote reads a zero golden cost
+// and prints ratio 0, and nothing else fails.
+func TestSweepRunnerCarriesWallTimes(t *testing.T) {
+	_, srv := startCoordinator(t, distrib.CoordinatorOptions{LeaseTTL: time.Second, ShardSize: 8, Logf: t.Logf})
+	startWorker(t, srv.URL, "w1")
+	client := distrib.NewClient(srv.URL)
+	client.Poll = 20 * time.Millisecond
+	it, err := core.Standalone("caes", core.ModelMicroarch, core.CampaignSetup(), campaign.Config{
+		Injections: 16, Seed: 2, Target: fault.TargetRF, Obs: campaign.ObsPinout, Window: 500,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := client.SweepRunner()([]core.MatrixItem{it}, campaign.SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := sr.Goldens[it.Campaign.Group]; g.Elapsed <= 0 || g.Cycles == 0 {
+		t.Errorf("golden %s: %v over %d cycles; want the coordinator's golden run", it.Campaign.Group, g.Elapsed, g.Cycles)
+	}
+	res := sr.Results[it.Campaign.Key]
+	if res.Elapsed <= 0 || res.GoldenElapsed <= 0 || res.AvgSecPerRun <= 0 {
+		t.Errorf("result walls: elapsed %v, golden %v, %.6f s/run; want all positive", res.Elapsed, res.GoldenElapsed, res.AvgSecPerRun)
 	}
 }
 
@@ -183,8 +199,8 @@ func TestDistributedAdaptiveEngines(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := runOnFleet(t, client, "qsort", core.ModelMicroarch, tc.cfg)
-			normalize(want)
-			normalize(got)
+			want.Account = campaign.Account{}
+			got.Account = campaign.Account{}
 			if !reflect.DeepEqual(want, got) {
 				t.Errorf("distributed %s diverged:\n got %+v\nwant %+v", tc.name, got, want)
 			}
@@ -247,8 +263,8 @@ func TestCoordinatorRestartResumes(t *testing.T) {
 	if p.Replayed != 0 {
 		t.Errorf("restarted coordinator re-executed %d replays despite full checkpoints", p.Replayed)
 	}
-	normalize(want)
-	normalize(got)
+	want.Account = campaign.Account{}
+	got.Account = campaign.Account{}
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("resumed result diverged:\n got %+v\nwant %+v", got, want)
 	}
@@ -433,8 +449,8 @@ func TestDistributedCursorSchedMatchesLocal(t *testing.T) {
 	client := distrib.NewClient(srv.URL)
 	client.Poll = 20 * time.Millisecond
 	got := runOnFleet(t, client, "qsort", core.ModelRTL, cfg)
-	normalize(want)
-	normalize(got)
+	want.Account = campaign.Account{}
+	got.Account = campaign.Account{}
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("distributed latch result diverged from the local run:\n got %+v\nwant %+v", got, want)
 	}

@@ -169,9 +169,15 @@ type Progress struct {
 	Leased     int  `json:"leased"`    // shards out on active leases
 	Stopped    bool `json:"stopped"`   // sequential stop triggered
 
-	GoldenCycles uint64  `json:"goldenCycles,omitempty"`
-	ElapsedSecs  float64 `json:"elapsedSecs"`
-	Error        string  `json:"error,omitempty"`
+	GoldenCycles uint64 `json:"goldenCycles,omitempty"`
+
+	// The wall times the campaign's report does not carry (see
+	// campaign.Account): its golden run's, and its own from the start
+	// of replay to the last merge.
+	GoldenSecs  float64 `json:"goldenSecs,omitempty"`
+	ElapsedSecs float64 `json:"elapsedSecs"`
+
+	Error string `json:"error,omitempty"`
 }
 
 // SubmitResponse acknowledges a campaign submission.

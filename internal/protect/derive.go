@@ -30,9 +30,9 @@ import (
 // the twin is paired on the shared faults.
 //
 // Under sequential stopping the derived arm covers the twin's counted
-// prefix. Replay accounting (cycles, lanes, convergence exits) stays
-// zero, since the derivation simulates nothing; the wall-time fields
-// are the twin's, whose campaign the arm cost.
+// prefix. Replay accounting (cycles, convergence exits) stays zero,
+// since the derivation simulates nothing; the execution Account (wall
+// times, lanes) is the twin's, whose campaign the arm cost.
 func Derive(twin *campaign.Result, s Scheme, dataBits int) (*campaign.Result, error) {
 	cfg := twin.Config
 	if cfg.Prune == campaign.PruneClasses {
@@ -56,9 +56,7 @@ func Derive(twin *campaign.Result, s Scheme, dataBits int) (*campaign.Result, er
 		Protect:             TargetKey(cfg.Target) + "=" + s.String(),
 		ProtectDataBits:     dataBits,
 		ProtectOverheadBits: overhead,
-		Elapsed:             twin.Elapsed,
-		AvgSecPerRun:        twin.AvgSecPerRun,
-		GoldenElapsed:       twin.GoldenElapsed,
+		Account:             twin.Account,
 	}
 	for i, oc := range twin.Outcomes {
 		draw := gen.Next()

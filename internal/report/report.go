@@ -221,8 +221,8 @@ func Campaign(name string, res *campaign.Result) string {
 			res.AchievedMargin)
 	}
 	if res.BatchedRuns+res.PeeledRuns > 0 {
-		fmt.Fprintf(&sb, "  bit-parallel: %d lanes, %d retired in lockstep, %d peeled to scalar, %.1f mean lane occupancy\n",
-			res.Config.Lanes, res.BatchedRuns, res.PeeledRuns, res.LaneOccupancy)
+		fmt.Fprintf(&sb, "  bit-parallel: %d retired in lockstep, %d peeled to scalar, %.1f mean lane occupancy\n",
+			res.BatchedRuns, res.PeeledRuns, res.LaneOccupancy)
 	}
 	if res.Config.Prune != campaign.PruneOff {
 		fmt.Fprintf(&sb, "  pruning (%v): %d dead-pruned, %d extrapolated over %d classes, %.2f Mcycles saved, %.2f Mcycles simulated\n",
