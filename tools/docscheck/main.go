@@ -86,11 +86,11 @@ var (
 	// optionally followed by a subtest; a -run pattern inside a longer
 	// span is not one.
 	testRef = regexp.MustCompile("`((?:\\w+\\.)?(?:Test|Benchmark|Fuzz)\\w*)(?:/[^`]*)?`")
-	// pathRef is a path under one of the four source roots wherever the
+	// pathRef is a path under one of the three source roots wherever the
 	// text names it — code span, command line (./cmd/paper,
 	// ./internal/...) or prose — but not an import path
 	// (repro/internal/obs).
-	pathRef  = regexp.MustCompile(`(?:^|[^\w/.-])(?:\./)?((?:tools|cmd|internal|examples)/[\w/.-]*)`)
+	pathRef  = regexp.MustCompile(`(?:^|[^\w/.-])(?:\./)?((?:tools|cmd|internal)/[\w/.-]*)`)
 	testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
 	// paperRef is a cited paper invocation selecting a figure or table,
 	// whatever other flags sit between: `paper -fig 2 -window 0`,
