@@ -99,10 +99,10 @@ func (g *Golden) AVFVerdict(spec fault.Spec, cfg Config) (avf.Verdict, bool) {
 }
 
 // buildAVFInfo computes a campaign's AVF attachment: the structure-wide
-// sweep plus the plan-sample prediction. Called at plan time, before
-// the plan is dispatched (it materialises the full spec stream, exactly
-// like the PruneClasses grouping pass).
-func buildAVFInfo(g *Golden, pl *lazyPlan, cfg Config) (*AVFInfo, error) {
+// sweep plus the prediction over every planned spec. Called at plan
+// time, before the plan is dispatched, like the PruneClasses grouping
+// pass.
+func buildAVFInfo(g *Golden, plan []fault.Spec, cfg Config) (*AVFInfo, error) {
 	if g.life == nil {
 		return nil, fmt.Errorf("campaign: AVF requires a golden run with GoldenOptions.Lifetime")
 	}
@@ -116,8 +116,8 @@ func buildAVFInfo(g *Golden, pl *lazyPlan, cfg Config) (*AVFInfo, error) {
 		return nil, err
 	}
 	info := &AVFInfo{Estimate: est}
-	for i := 0; i < pl.n; i++ {
-		v, ok := aceVerdict(sp, pl.spec(i), opt)
+	for _, spec := range plan {
+		v, ok := aceVerdict(sp, spec, opt)
 		if !ok {
 			continue
 		}

@@ -247,10 +247,11 @@ func TestAVFConfigValidation(t *testing.T) {
 	}
 }
 
-// TestAVFPriorStopRecordStaleness: a checkpointed stopping index
-// decided with the prior must not cap a prior-less resume (and vice
-// versa) — the prior moves the stopping index, so reusing it across
-// the switch would silently truncate the campaign.
+// TestAVFPriorStopRecordStaleness: a stopping index decided with the
+// prior must not cap a prior-less resume of its checkpoint (and vice
+// versa) — the prior moves the stopping index, so carrying it across
+// the switch would silently truncate the campaign. Shards hold outcome
+// records only and resume re-derives the index, which this holds.
 func TestAVFPriorStopRecordStaleness(t *testing.T) {
 	factory := factoryFor(t, "qsort", core.ModelMicroarch)
 	dir := t.TempDir()

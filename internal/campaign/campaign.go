@@ -622,50 +622,27 @@ func PrepareGolden(factory Factory, opts GoldenOptions) (*Golden, error) {
 	return g, nil
 }
 
-// lazyPlan is a campaign's fault plan as a deterministic stream: spec i
-// is generated on first demand (advancement applied at generation), so a
-// sequentially stopped campaign never materialises the tail it skipped.
-// The stream depends only on (seed, fault model, target bit space,
-// golden cycle count, distribution), so campaigns sharing a Golden
-// produce plans bit-identical to standalone runs.
-type lazyPlan struct {
-	n     int
-	gen   *fault.Generator
-	specs []fault.Spec
-	g     *Golden
-	adv   bool
-}
-
-// planner derives the campaign's lazy fault plan from the golden
-// artifacts.
-func (g *Golden) planner(cfg Config) (*lazyPlan, error) {
+// planner derives the campaign's fault plan from the golden artifacts:
+// cfg.Injections specs, injection-time advancement applied. The plan
+// depends only on (seed, fault model, target bit space, golden cycle
+// count, distribution), so campaigns sharing a Golden produce plans
+// bit-identical to standalone runs.
+func (g *Golden) planner(cfg Config) ([]fault.Spec, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	gen, err := fault.NewGenerator(cfg.Target, g.sim.Bits(cfg.Target), g.Cycles, cfg.TimeDist, cfg.Fault, rng)
+	plan, err := fault.Plan(cfg.Injections, cfg.Target, g.sim.Bits(cfg.Target), g.Cycles, cfg.TimeDist, cfg.Fault, rng)
 	if err != nil {
 		return nil, err
 	}
-	adv := cfg.AdvanceToUse && cfg.Target == fault.TargetL1D
-	if adv && g.timeline == nil {
+	if !cfg.AdvanceToUse || cfg.Target != fault.TargetL1D {
+		return plan, nil
+	}
+	if g.timeline == nil {
 		return nil, fmt.Errorf("campaign: AdvanceToUse requires a golden run with GoldenOptions.Timeline")
 	}
-	return &lazyPlan{
-		n: cfg.Injections, gen: gen, g: g, adv: adv,
-		specs: make([]fault.Spec, 0, cfg.Injections),
-	}, nil
-}
-
-// spec returns planned injection i, generating the stream up to it. Not
-// safe for concurrent use; Planned calls it under its lock (dispatch and
-// the pre-dispatch checkpoint loader alike).
-func (p *lazyPlan) spec(i int) fault.Spec {
-	for len(p.specs) <= i {
-		s := p.gen.Next()
-		if p.adv {
-			s.Cycle = advance(s, p.g.timeline, p.g.sim)
-		}
-		p.specs = append(p.specs, s)
+	for i := range plan {
+		plan[i].Cycle = advance(plan[i], g.timeline, g.sim)
 	}
-	return p.specs[i]
+	return plan, nil
 }
 
 // hangBudget is the cycle limit beyond which a run-to-end replay is
@@ -704,7 +681,7 @@ func (g *Golden) fullReplayEnd(spec fault.Spec, cfg Config) uint64 {
 // discarding the in-flight overshoot so the result is deterministic.
 // The caller holds p.mu.
 func (p *Planned) aggregate() (*Result, error) {
-	cfg, g, pl, pr := p.cfg, p.g, p.pl, p.pr
+	cfg, g, pr := p.cfg, p.g, p.pr
 	outcomes := p.outcomes[:p.frontier]
 	if p.stopAt >= 0 {
 		outcomes = p.outcomes[:p.stopAt]
@@ -715,7 +692,7 @@ func (p *Planned) aggregate() (*Result, error) {
 		GoldenTxns:   g.Txns,
 		Counts:       make(map[Class]int, int(numClasses)),
 		Outcomes:     outcomes,
-		RunsSaved:    pl.n - len(outcomes),
+		RunsSaved:    len(p.plan) - len(outcomes),
 	}
 	classes := pr != nil && pr.mode == PruneClasses
 	// prefixFull sums the counted replays' fixed-plan lengths.
@@ -761,8 +738,9 @@ func (p *Planned) aggregate() (*Result, error) {
 	// Injections the sequential stop never issued are saved wholesale.
 	// Their cost is estimated as the counted prefix's mean fixed-plan
 	// replay length — injection instants are identically distributed
-	// across the plan — so the skipped tail is never materialised.
-	if skipped := pl.n - len(outcomes); skipped > 0 && len(outcomes) > 0 {
+	// across the plan — so the saving depends on the counted outcomes
+	// alone, not on the specs past the stopping index.
+	if skipped := len(p.plan) - len(outcomes); skipped > 0 && len(outcomes) > 0 {
 		res.CyclesSaved += prefixFull / uint64(len(outcomes)) * uint64(skipped)
 	}
 	var err error

@@ -27,6 +27,10 @@ import (
 // the layout sweeps wrote before the pool (one outcome shard per pool
 // worker, stop records in their own shard-stop.jsonl) and resumes from
 // them: every replay is restored, none re-executes, results are equal.
+// The writer emits no stop record, so shard-stop.jsonl holds the
+// committed fixture's old one, which the loader must skip; the
+// sequentially stopped campaign re-derives its stopping index from the
+// restored outcomes alone.
 func TestSweepResumesLegacyShardLayout(t *testing.T) {
 	dir := t.TempDir()
 	fac := factoryFor(t, "qsort", core.ModelMicroarch)
@@ -42,33 +46,33 @@ func TestSweepResumesLegacyShardLayout(t *testing.T) {
 	opt := campaign.SweepOptions{Workers: 2, CheckpointDir: dir}
 	first := mustSweep(t, matrix, opt)
 	if first.Results["fig/l1d"].RunsSaved == 0 {
-		t.Fatal("sequential stop never fired; no stop record to carry over")
+		t.Fatal("sequential stop never fired; resume has no stopping index to re-derive")
 	}
 
 	shards, err := filepath.Glob(filepath.Join(dir, "shard-*.jsonl"))
 	if err != nil || len(shards) == 0 {
 		t.Fatalf("no shards written (%v)", err)
 	}
-	var outcomes, stops []string
+	var outcomes []string
 	for _, name := range shards {
 		f, err := os.Open(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for sc := bufio.NewScanner(f); sc.Scan(); {
-			if strings.Contains(sc.Text(), `"kind":"stop"`) {
-				stops = append(stops, sc.Text())
-			} else {
-				outcomes = append(outcomes, sc.Text())
+			if strings.Contains(sc.Text(), `"kind"`) {
+				t.Fatalf("%s holds a stop record: %s", name, sc.Text())
 			}
+			outcomes = append(outcomes, sc.Text())
 		}
 		f.Close()
 		if err := os.Remove(name); err != nil {
 			t.Fatal(err)
 		}
 	}
+	stops := fixtureLines(t, `"kind":"stop"`)
 	if len(stops) != 1 {
-		t.Fatalf("%d stop records, want 1", len(stops))
+		t.Fatalf("committed shard holds %d stop records, want 1", len(stops))
 	}
 	for name, lines := range map[string][]string{"shard-000.jsonl": outcomes, "shard-stop.jsonl": stops} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
@@ -93,71 +97,134 @@ func TestSweepResumesLegacyShardLayout(t *testing.T) {
 	}
 }
 
+// fixtureLines returns the non-empty lines of testdata/shard-format.jsonl
+// that contain sub.
+func fixtureLines(t *testing.T, sub string) []string {
+	t.Helper()
+	src, err := os.ReadFile(filepath.Join("testdata", "shard-format.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, line := range strings.Split(string(src), "\n") {
+		if line != "" && strings.Contains(line, sub) {
+			out = append(out, line)
+		}
+	}
+	return out
+}
+
+// resumeFromLines sweeps matrix over a checkpoint directory holding
+// lines as its one shard.
+func resumeFromLines(t *testing.T, matrix []campaign.SweepCampaign, lines []string) *campaign.SweepResult {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "shard-format.jsonl"), []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return mustSweep(t, matrix, campaign.SweepOptions{Workers: 2, CheckpointDir: dir})
+}
+
+// committedShardMatrix is the matrix whose records
+// testdata/shard-format.jsonl holds, against microarch qsort.
+func committedShardMatrix(t *testing.T) []campaign.SweepCampaign {
+	t.Helper()
+	fac := factoryFor(t, "qsort", core.ModelMicroarch)
+	return []campaign.SweepCampaign{
+		{Key: "plain", Group: "qsort", Factory: fac, Config: campaign.Config{
+			Injections: 4, Seed: 1, Target: fault.TargetRF, Window: 500}},
+		{Key: "classes", Group: "qsort", Factory: fac, Config: campaign.Config{
+			Injections: 60, Seed: 11, Target: fault.TargetL1D, Window: 3000, Prune: campaign.PruneClasses}},
+		{Key: "stop", Group: "qsort", Factory: fac, Config: campaign.Config{
+			Injections: 60, Seed: 4, Target: fault.TargetRF, Window: 500,
+			TargetError: 0.06, MinRuns: 10, Confidence: 0.9, AVFPrior: true}},
+	}
+}
+
 // TestSweepResumesCommittedShard resumes testdata/shard-format.jsonl, a
 // shard written once by the checkpoint code and committed, so a record
 // key renamed or retyped on both the write and the read side fails here
 // (TestSweepResumesLegacyShardLayout reads shards the code under test
 // has just written, and would pass). Its records, against microarch
 // qsort: every outcome of a plain campaign, the replayed representatives
-// of a PruneClasses campaign (some carrying csize), every outcome of a
-// campaign the engine once replayed parity-protected (which must never
-// land: TestOldProtectedShardNeverMerges), and a stop record pinning
-// terr, minRuns, conf and avfPrior. That record caps its campaign at 8 injections,
-// where the estimator alone would run to 58, and the shard holds just
-// that prefix: only an honoured stop record yields 8 outcomes. The
-// records pin qsort's golden fingerprint; a simulator change that moves
-// it strands them, and the shard must then be re-recorded.
+// of a PruneClasses campaign (some carrying the csize key older writers
+// emitted), every outcome of a campaign the engine once replayed
+// parity-protected (which must never land: TestOldProtectedShardNeverMerges),
+// and the first 8 outcomes of a sequentially stopped campaign with the
+// stop record older writers emitted, which capped it at 8 where its
+// estimator reaches 58. The stop record must load and be ignored: the
+// campaign resumes its 8 outcomes, replays only the indices past them,
+// and equals a fresh run. The records pin qsort's golden fingerprint; a
+// simulator change that moves it strands them, and the shard must then
+// be re-recorded.
 func TestSweepResumesCommittedShard(t *testing.T) {
-	src, err := os.ReadFile(filepath.Join("testdata", "shard-format.jsonl"))
-	if err != nil {
-		t.Fatal(err)
+	matrix := committedShardMatrix(t)
+	got := resumeFromLines(t, matrix, fixtureLines(t, ""))
+	stops := len(fixtureLines(t, `"kind":"stop"`))
+	if stops != 1 {
+		t.Fatalf("committed shard holds %d stop records, want 1", stops)
 	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "shard-format.jsonl"), src, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fac := factoryFor(t, "qsort", core.ModelMicroarch)
-	const stopAt = 8
-	stopCfg := campaign.Config{
-		Injections: 60, Seed: 4, Target: fault.TargetRF, Window: 500,
-		TargetError: 0.06, MinRuns: 10, Confidence: 0.9, AVFPrior: true,
-	}
-	matrix := []campaign.SweepCampaign{
-		{Key: "plain", Group: "qsort", Factory: fac, Config: campaign.Config{
-			Injections: 4, Seed: 1, Target: fault.TargetRF, Window: 500}},
-		{Key: "classes", Group: "qsort", Factory: fac, Config: campaign.Config{
-			Injections: 60, Seed: 11, Target: fault.TargetL1D, Window: 3000, Prune: campaign.PruneClasses}},
-		{Key: "stop", Group: "qsort", Factory: fac, Config: stopCfg},
-	}
-	got := mustSweep(t, matrix, campaign.SweepOptions{Workers: 2, CheckpointDir: dir})
-	records := strings.Count(string(src), "\n") - strings.Count(string(src), `"kind":"stop"`) -
-		strings.Count(string(src), `"protect":"rf=parity"`)
+	records := len(fixtureLines(t, "")) - stops - len(fixtureLines(t, `"protect":"rf=parity"`))
 	if got.Resumed != records {
 		t.Errorf("resumed %d replays, want the shard's %d outcome records", got.Resumed, records)
 	}
+	recorded := len(fixtureLines(t, `"campaign":"stop"`)) - stops
 	want := mustSweep(t, matrix, campaign.SweepOptions{Workers: 2})
 	for key, g := range got.Results {
-		if g.Elapsed != 0 {
-			t.Errorf("%s: replays executed (%v busy); every outcome should come from the shard", key, g.Elapsed)
-		}
 		w := want.Results[key]
 		if key == "stop" {
-			if len(g.Outcomes) != stopAt || g.RunsSaved != stopCfg.Injections-stopAt {
-				t.Errorf("stop: %d outcomes, %d saved; the stop record caps at %d", len(g.Outcomes), g.RunsSaved, stopAt)
+			if len(w.Outcomes) <= recorded {
+				t.Fatalf("stop: the estimator stops at %d, inside the %d recorded outcomes", len(w.Outcomes), recorded)
 			}
-			if len(w.Outcomes) <= stopAt {
-				t.Fatalf("stop: the estimator alone stops at %d, so the record's cap is vacuous", len(w.Outcomes))
+			// Every index past the recorded prefix up to the stopping
+			// index replays, and no recorded one does.
+			ran := g.BatchedRuns + g.PeeledRuns
+			if ran < len(w.Outcomes)-recorded || ran > len(w.Outcomes)-recorded+w.Config.Injections-len(w.Outcomes) {
+				t.Errorf("stop: %d replays executed, want %d past the %d recorded outcomes (plus any overshoot)",
+					ran, len(w.Outcomes)-recorded, recorded)
 			}
-			if !reflect.DeepEqual(g.Outcomes, w.Outcomes[:stopAt]) {
-				t.Errorf("stop: resumed outcomes differ from a fresh run's first %d", stopAt)
-			}
-			continue
+		} else if g.Elapsed != 0 {
+			t.Errorf("%s: replays executed (%v busy); every outcome should come from the shard", key, g.Elapsed)
 		}
 		w.Account = campaign.Account{}
 		g.Account = campaign.Account{}
 		if !reflect.DeepEqual(w, g) {
 			t.Errorf("%s: result resumed from the committed shard differs:\n got %+v\nwant %+v", key, g, w)
 		}
+	}
+}
+
+// TestResumeDerivesClassSizes strips the csize key from the committed
+// shard's class representatives: a resumed campaign works out each class
+// size from its own pruning pass, not from the record, so its outcomes
+// and class-weighted estimate still equal a fresh run's.
+func TestResumeDerivesClassSizes(t *testing.T) {
+	matrix := committedShardMatrix(t)[1:2] // "classes"
+	csize := regexp.MustCompile(`,"csize":\d+`)
+	var lines []string
+	stripped := 0
+	for _, line := range fixtureLines(t, `"campaign":"classes"`) {
+		if csize.MatchString(line) {
+			stripped++
+		}
+		lines = append(lines, csize.ReplaceAllString(line, ""))
+	}
+	if stripped == 0 {
+		t.Fatal("committed shard holds no csize key to strip")
+	}
+	got := resumeFromLines(t, matrix, lines)
+	if got.Resumed != len(lines) {
+		t.Errorf("resumed %d replays, want all %d", got.Resumed, len(lines))
+	}
+	want := mustSweep(t, matrix, campaign.SweepOptions{Workers: 2})
+	g, w := got.Results["classes"], want.Results["classes"]
+	if g.Elapsed != 0 {
+		t.Errorf("replays executed (%v busy); every representative should come from the shard", g.Elapsed)
+	}
+	w.Account = campaign.Account{}
+	g.Account = campaign.Account{}
+	if !reflect.DeepEqual(w, g) {
+		t.Errorf("result resumed without class sizes differs:\n got %+v\nwant %+v", g, w)
 	}
 }
 
@@ -176,16 +243,9 @@ func TestOldProtectedShardNeverMerges(t *testing.T) {
 	fac := factoryFor(t, "qsort", core.ModelMicroarch)
 	cfg := campaign.Config{Injections: 6, Seed: 3, Target: fault.TargetRF, Window: 500}
 	twin := mustRun(t, fac, cfg)
-	src, err := os.ReadFile(filepath.Join("testdata", "shard-format.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	bit := regexp.MustCompile(`"bit":\d+`)
 	var parity []string
-	for _, line := range strings.Split(string(src), "\n") {
-		if !strings.Contains(line, `"protect":"rf=parity"`) {
-			continue
-		}
+	for _, line := range fixtureLines(t, `"protect":"rf=parity"`) {
 		var r struct{ Index int }
 		if err := json.Unmarshal([]byte(line), &r); err != nil {
 			t.Fatal(err)
@@ -195,24 +255,15 @@ func TestOldProtectedShardNeverMerges(t *testing.T) {
 	if len(parity) != cfg.Injections {
 		t.Fatalf("committed shard holds %d rf=parity records, want %d", len(parity), cfg.Injections)
 	}
-	resume := func(lines []string) int {
-		t.Helper()
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "shard-old.jsonl"), []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		sr := mustSweep(t, []campaign.SweepCampaign{{Key: "protected", Group: "qsort", Factory: fac, Config: cfg}},
-			campaign.SweepOptions{Workers: 2, CheckpointDir: dir})
-		return sr.Resumed
-	}
-	if n := resume(parity); n != 0 {
+	matrix := []campaign.SweepCampaign{{Key: "protected", Group: "qsort", Factory: fac, Config: cfg}}
+	if n := resumeFromLines(t, matrix, parity).Resumed; n != 0 {
 		t.Errorf("%d of %d rf=parity records merged into the unprotected twin", n, len(parity))
 	}
 	unpinned := make([]string, len(parity))
 	for i, line := range parity {
 		unpinned[i] = strings.Replace(line, `,"protect":"rf=parity"`, "", 1)
 	}
-	if n := resume(unpinned); n != len(parity) {
+	if n := resumeFromLines(t, matrix, unpinned).Resumed; n != len(parity) {
 		t.Fatalf("without the pin %d of %d records landed; the test no longer reaches the pin", n, len(parity))
 	}
 }

@@ -246,9 +246,9 @@ func TestSweepEarlyStopMatchesStandalone(t *testing.T) {
 }
 
 // TestSweepEarlyStopCheckpointResume: a resumed adaptive sweep must
-// reproduce the original stopping state from its shards (including the
-// stop record) without re-simulating, and a changed stopping rule must
-// invalidate the stop record but keep the outcome records.
+// reproduce the original stopping state from the outcome records in its
+// shards without re-simulating, and under a changed stopping rule the
+// same outcome records must yield the new rule's stopping index.
 func TestSweepEarlyStopCheckpointResume(t *testing.T) {
 	f := factoryFor(t, "qsort", core.ModelMicroarch)
 	cfg := campaign.Config{
@@ -277,9 +277,8 @@ func TestSweepEarlyStopCheckpointResume(t *testing.T) {
 		}
 	}
 
-	// Loosening the margin changes the stopping rule: the stop record
-	// must be ignored, outcome records reused, and the new (earlier)
-	// index derived fresh.
+	// Loosening the margin changes the stopping rule: outcome records
+	// are reused and the new (earlier) index is derived from them.
 	loose := matrix[0]
 	loose.Config.TargetError = 0.2
 	third := mustSweep(t, []campaign.SweepCampaign{loose}, opt)

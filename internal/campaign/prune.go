@@ -156,22 +156,14 @@ func (g *Golden) PruneVerdict(spec fault.Spec, cfg Config) PruneInfo {
 	}
 }
 
-// Plan materialises the campaign's planned injection stream against
-// this golden run — the same specs Run replays, exposed for probe
-// tooling and benchmarks.
+// Plan returns the campaign's planned injections against this golden
+// run — the specs Run replays, exposed for probe tooling and
+// benchmarks.
 func (g *Golden) Plan(cfg Config) ([]fault.Spec, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	pl, err := g.planner(cfg)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]fault.Spec, pl.n)
-	for i := range out {
-		out[i] = pl.spec(i)
-	}
-	return out, nil
+	return g.planner(cfg)
 }
 
 // pruneAction is the dispatcher's decision for one plan index.
@@ -198,7 +190,7 @@ type pruner struct {
 
 // newPruner derives the campaign's pruning state from the golden
 // artifacts; nil when pruning is off.
-func newPruner(g *Golden, pl *lazyPlan, cfg Config) (*pruner, error) {
+func newPruner(g *Golden, plan []fault.Spec, cfg Config) (*pruner, error) {
 	if cfg.Prune == PruneOff {
 		return nil, nil
 	}
@@ -211,14 +203,15 @@ func newPruner(g *Golden, pl *lazyPlan, cfg Config) (*pruner, error) {
 	if p.mode != PruneClasses {
 		return p, nil // dead mode classifies lazily at dispatch
 	}
-	p.dead = make([]bool, pl.n)
-	p.repOf = make([]int, pl.n)
-	p.members = make([][]int, pl.n)
-	p.isRep = make([]bool, pl.n)
+	n := len(plan)
+	p.dead = make([]bool, n)
+	p.repOf = make([]int, n)
+	p.members = make([][]int, n)
+	p.isRep = make([]bool, n)
 	repByClass := make(map[uint64]int)
-	for i := 0; i < pl.n; i++ {
+	for i, spec := range plan {
 		p.repOf[i] = -1
-		v := g.preclassify(pl.spec(i), cfg)
+		v := g.preclassify(spec, cfg)
 		switch v.kind {
 		case preDead:
 			p.dead[i] = true

@@ -5,9 +5,10 @@ package campaign
 // remote worker processes and merge their outcomes deterministically.
 //
 // A Planned campaign couples one golden run's artifacts with a
-// validated config, the lazy fault plan, the pruning pre-classifier,
-// the in-order outcome collector and the checkpoint stream, all under
-// one lock. NextReplay is the producer the replay pool pulls from — it
+// validated config, the fault plan, the pruning pre-classifier, the
+// in-order outcome collector and the checkpoint stream. Everything a
+// campaign changes as it runs is under one lock; the plan never
+// changes. NextReplay is the producer the replay pool pulls from — it
 // resolves pruning verdicts producer-side and stops issuing once the
 // sequential estimator converges — and Deliver is the consumer path
 // every replayed outcome flows through (class fanout, sequential
@@ -43,24 +44,23 @@ func GoldenOptionsFor(cfg Config) GoldenOptions {
 }
 
 // Planned is one campaign planned against a golden run: the validated
-// config, lazy fault plan, pruning state, in-order outcome collector
-// and checkpoint stream. It is safe for concurrent use: NextReplay and
+// config, fault plan, pruning state, in-order outcome collector and
+// checkpoint stream. It is safe for concurrent use: NextReplay and
 // Deliver may be called from any goroutine (the replay pool, a
 // coordinator's HTTP handlers). Its one mutex guards everything a
 // campaign changes as it runs; callers that hold a lock of their own
 // (the pool's scheduler, the coordinator) take it before this one.
 type Planned struct {
-	// Fixed at plan time.
+	// Fixed at plan time, so read without the lock.
 	cfg     Config
 	g       *Golden
+	plan    []fault.Spec
 	pr      *pruner
 	pin     ckptPin // what every checkpoint record must match
-	stopPin stopPin // what a stop record must also match
 	minRuns int     // sequential stopping floor, defaults filled
 	avfInfo *AVFInfo
 
 	mu sync.Mutex
-	pl *lazyPlan // generates specs on demand, so guarded too
 
 	// The collector: outcomes arrive in any order, but the estimator
 	// only ever consumes them in plan order (the frontier), so the
@@ -75,8 +75,7 @@ type Planned struct {
 	stopAt    int // -1 until decided
 	est       *stats.Sequential
 
-	nextIdx  int
-	stopHint int // checkpointed stopping index, -1 when none
+	nextIdx int
 
 	// What the pool's replayers did for this campaign, folded in by
 	// note.
@@ -98,29 +97,24 @@ func (g *Golden) PlanCampaign(cfg Config) (*Planned, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	pl, err := g.planner(cfg)
+	plan, err := g.planner(cfg)
 	if err != nil {
 		return nil, err
 	}
-	pr, err := newPruner(g, pl, cfg)
+	pr, err := newPruner(g, plan, cfg)
 	if err != nil {
 		return nil, err
 	}
 	p := &Planned{
-		cfg: cfg, g: g, pl: pl, pr: pr,
+		cfg: cfg, g: g, plan: plan, pr: pr,
 		pin: ckptPin{
 			Window: cfg.Window, Obs: int(cfg.Obs), Compare: int(cfg.CompareMode),
 			Golden: g.Fingerprint(), EarlyStop: cfg.EarlyStop,
 			Prune: int(cfg.Prune),
 		},
-		stopPin: stopPin{
-			TargetErr: cfg.TargetError, MinRuns: cfg.MinRuns,
-			Conf: cfg.Confidence, AvfPrior: cfg.AVFPrior,
-		},
 		outcomes: make([]RunOutcome, cfg.Injections),
 		have:     make([]bool, cfg.Injections),
 		stopAt:   -1,
-		stopHint: -1,
 	}
 	if cfg.TargetError > 0 {
 		p.minRuns = cfg.MinRuns
@@ -132,7 +126,7 @@ func (g *Golden) PlanCampaign(cfg Config) (*Planned, error) {
 		}
 	}
 	if cfg.AVF {
-		if p.avfInfo, err = buildAVFInfo(g, pl, cfg); err != nil {
+		if p.avfInfo, err = buildAVFInfo(g, plan, cfg); err != nil {
 			return nil, err
 		}
 		if cfg.AVFPrior {
@@ -147,33 +141,24 @@ func (p *Planned) Config() Config { return p.cfg }
 
 // Spec returns planned injection i — the coordinator's source of truth
 // when rebuilding a remote outcome for delivery.
-func (p *Planned) Spec(i int) fault.Spec {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.pl.spec(i)
-}
+func (p *Planned) Spec(i int) fault.Spec { return p.plan[i] }
 
 // NextReplay returns the next plan index that needs an actual replay,
 // advancing past indices the pruning pre-classifier resolves
 // injection-lessly (their synthetic outcomes are delivered internally)
 // and past indices already delivered (checkpoint resume). It returns
-// ok=false once the plan is exhausted, the sequential stop has
-// triggered, or a checkpointed stopping index is reached — terminally:
-// a false return never becomes true again.
+// ok=false once the plan is exhausted or the sequential stop has
+// triggered — terminally: a false return never becomes true again.
 func (p *Planned) NextReplay() (idx int, spec fault.Spec, ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	limit := p.pl.n
-	if p.stopHint >= 0 && p.stopHint < limit {
-		limit = p.stopHint
-	}
-	for p.nextIdx < limit && p.stopAt < 0 {
+	for p.nextIdx < len(p.plan) && p.stopAt < 0 {
 		i := p.nextIdx
 		p.nextIdx++
 		if p.have[i] {
 			continue
 		}
-		s := p.pl.spec(i)
+		s := p.plan[i]
 		switch act, oc := p.pr.decide(i, s, p.g, p.cfg); act {
 		case pruneSynthetic:
 			p.collect(i, oc)
@@ -186,20 +171,17 @@ func (p *Planned) NextReplay() (idx int, spec fault.Spec, ok bool) {
 	return 0, fault.Spec{}, false
 }
 
-// Deliver records one replayed outcome: a class representative is
-// stamped with its class size and its outcome fanned over its class
-// members, the collector consumes everything in plan order, and — when
-// a checkpoint is attached — the replayed outcome is streamed to the
-// campaign's shard (only the stamped representative reaches it;
-// extrapolation is re-derived on resume). Duplicate deliveries of one
-// index are ignored, so a re-issued lease whose original worker was
-// merely slow (not dead) stays harmless.
+// Deliver records one replayed outcome: the collector consumes
+// everything in plan order, a class representative's outcome is fanned
+// over its class members, and — when a checkpoint is attached — the
+// replayed outcome is streamed to the campaign's shard (only the
+// representative reaches it; class sizes and extrapolation are
+// re-derived on resume). Duplicate deliveries of one index are ignored,
+// so a re-issued lease whose original worker was merely slow (not dead)
+// stays harmless.
 func (p *Planned) Deliver(idx int, oc RunOutcome) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if members := p.pr.membersOf(idx); len(members) > 0 {
-		oc.ClassSize = 1 + len(members)
-	}
 	p.collect(idx, oc)
 	p.fanout(idx)
 	if p.ckptDir == "" {
@@ -208,12 +190,15 @@ func (p *Planned) Deliver(idx int, oc RunOutcome) error {
 	return p.writeRecord(p.outcomeRecord(idx, oc))
 }
 
-// collect records outcome idx and advances the in-order frontier,
-// deciding the stopping index when the estimator converges. The caller
-// holds p.mu.
+// collect records outcome idx — a class representative stamped with
+// its class size — and advances the in-order frontier, deciding the
+// stopping index when the estimator converges. The caller holds p.mu.
 func (p *Planned) collect(idx int, oc RunOutcome) {
 	if p.have[idx] {
 		return
+	}
+	if members := p.pr.membersOf(idx); len(members) > 0 {
+		oc.ClassSize = 1 + len(members)
 	}
 	p.outcomes[idx] = oc
 	p.have[idx] = true
@@ -236,7 +221,7 @@ func (p *Planned) collect(idx int, oc RunOutcome) {
 // outside PruneClasses). The caller holds p.mu.
 func (p *Planned) fanout(rep int) {
 	for _, m := range p.pr.membersOf(rep) {
-		spec := p.pl.spec(m)
+		spec := p.plan[m]
 		p.collect(m, RunOutcome{
 			Spec: spec, Class: p.outcomes[rep].Class, EndCycle: spec.Cycle, Extrapolated: true,
 		})
@@ -275,7 +260,7 @@ func (p *Planned) Resumed() int {
 func (p *Planned) work(name string, factory Factory) *Work {
 	return &Work{
 		Name: name, Golden: p.g, Config: p.cfg, Factory: factory,
-		Next: p.NextReplay, Deliver: p.Deliver, Size: p.pl.n, Note: p.note,
+		Next: p.NextReplay, Deliver: p.Deliver, Size: len(p.plan), Note: p.note,
 	}
 }
 
@@ -350,28 +335,17 @@ func (p *Planned) writeRecord(r ckptRecord) error {
 	return p.ckpt.encode(r)
 }
 
-// CloseCheckpoint appends the campaign's sequential stopping record
-// (when one was decided this run, so a resume neither re-derives the
-// index nor re-executes the skipped tail) and flushes and closes the
-// shard. Safe to call without an open checkpoint.
+// CloseCheckpoint flushes and closes the campaign's shard. A failed
+// close means completed records may not be durable, so it reaches the
+// caller. Safe to call without an open checkpoint.
 func (p *Planned) CloseCheckpoint() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.ckptDir == "" {
+	p.ckptDir = ""
+	if p.ckpt == nil {
 		return nil
 	}
-	var err error
-	if s := p.stopAt; s > 0 && s != p.stopHint {
-		err = p.writeRecord(p.stopRecord(s))
-	}
-	p.ckptDir = ""
-	if p.ckpt != nil {
-		// A failed close means completed records may not be durable, so
-		// it must reach the caller.
-		if cerr := p.ckpt.close(); err == nil {
-			err = cerr
-		}
-		p.ckpt = nil
-	}
+	err := p.ckpt.close()
+	p.ckpt = nil
 	return err
 }

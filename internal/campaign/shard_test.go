@@ -11,7 +11,9 @@ package campaign_test
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/campaign"
@@ -95,6 +97,13 @@ func TestPlannedGoldenIsReadOnly(t *testing.T) {
 	}
 }
 
+// TestPlannedCheckpointResume: a campaign half replayed by hand and
+// checkpointed resumes that half in a fresh Planned and dispatches only
+// the tail, through the replay pool, to the uninterrupted result. While
+// the pool runs, other goroutines read the plan through Planned.Spec,
+// as a coordinator's handlers do when rebuilding remote outcomes; Spec
+// takes no lock, so under -race this checks that nothing writes the
+// plan after PlanCampaign.
 func TestPlannedCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
 	cfg := campaign.Config{
@@ -151,22 +160,53 @@ func TestPlannedCheckpointResume(t *testing.T) {
 	if got := p2.Resumed(); got != half {
 		t.Fatalf("resumed %d outcomes, want %d", got, half)
 	}
-	rest := 0
-	for {
-		idx, spec, ok := p2.NextReplay()
-		if !ok {
-			break
-		}
-		rest++
-		oc, err := g.ReplayOne(sim, spec, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p2.Deliver(idx, oc); err != nil {
-			t.Fatal(err)
+	plan, err := g.Plan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rest atomic.Int32
+	w := &campaign.Work{
+		Name: "camp", Golden: g, Config: p2.Config(), Factory: fac, Size: cfg.Injections,
+		Next: func() (int, fault.Spec, bool) {
+			idx, spec, ok := p2.NextReplay()
+			if ok {
+				rest.Add(1)
+			}
+			return idx, spec, ok
+		},
+		Deliver: p2.Deliver,
+	}
+	done := make(chan struct{})
+	readers := make(chan error, 2)
+	for range 2 {
+		go func() {
+			for {
+				for i, want := range plan {
+					if got := p2.Spec(i); got != want {
+						readers <- fmt.Errorf("Spec(%d) = %+v during dispatch, want %+v", i, got, want)
+						return
+					}
+				}
+				select {
+				case <-done:
+					readers <- nil
+					return
+				default:
+				}
+			}
+		}()
+	}
+	err = campaign.ReplayPool(2, nil, w)
+	close(done)
+	for range 2 {
+		if rerr := <-readers; rerr != nil {
+			t.Error(rerr)
 		}
 	}
-	if rest != cfg.Injections-half {
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rest := int(rest.Load()); rest != cfg.Injections-half {
 		t.Fatalf("resumed run dispatched %d replays, want %d", rest, cfg.Injections-half)
 	}
 	if err := p2.CloseCheckpoint(); err != nil {

@@ -191,13 +191,10 @@ func Sweep(campaigns []SweepCampaign, opt SweepOptions) (*SweepResult, error) {
 	}
 
 	// ------------------------------------- fault plans + checkpoint resume
-	// Plans are lazy generators: a sequentially stopped campaign never
-	// materialises the specs it does not run. The pool's work list is
-	// group-major, so each goroutine sees a non-decreasing group sequence
-	// and at most a few goldens are hot at once; it moves on from a
-	// campaign the moment its sequential stop triggers (or its
-	// checkpointed stopping index is reached), so stopped campaigns stop
-	// consuming the pool.
+	// The pool's work list is group-major, so each goroutine sees a
+	// non-decreasing group sequence and at most a few goldens are hot at
+	// once; it moves on from a campaign the moment its sequential stop
+	// triggers, so stopped campaigns stop consuming the pool.
 	planned := make(map[string]*Planned, len(campaigns))
 	work := make([]*Work, 0, len(campaigns))
 	for _, gr := range order {
@@ -267,16 +264,17 @@ func Run(factory Factory, cfg Config) (*Result, error) {
 
 // ---------------------------------------------------------- checkpoints
 
-// ckptRecord is one streamed replay outcome (or, with Kind "stop", a
-// campaign's sequential stopping state). The planned spec and the
+// ckptRecord is one streamed replay outcome. The planned spec and the
 // campaign's ckptPin are embedded so resume can self-validate: a record
 // is only accepted when the freshly derived plan and pin agree with it,
 // which makes stale shards (different seed, window, matrix, or
-// simulator/workload behavior) harmless. Stop records additionally
-// carry the stopPin, so a changed margin or confidence re-derives the
-// index instead of trusting a stale one. Keys added after the first
+// simulator/workload behavior) harmless. Keys added after the first
 // shards were written decode to their zero values in older records,
-// which only ever match campaigns with that feature off.
+// which only ever match campaigns with that feature off. Keys that
+// older writers emitted and this one does not — a class size ("csize"),
+// or a whole sequential-stopping record ("kind":"stop", which carries
+// no class) — are ignored: a resumed campaign re-derives both, and
+// its stopping index, from the plan and the outcomes.
 type ckptRecord struct {
 	Campaign string `json:"campaign"`
 	Index    int    `json:"index"`
@@ -288,17 +286,9 @@ type ckptRecord struct {
 	Stuck    int    `json:"stuck"`
 	Span     uint64 `json:"span"`
 	ckptPin
-	Class    int    `json:"class"`
-	EndCycle uint64 `json:"endCycle"`
-
-	Kind      string `json:"kind,omitempty"` // "" = outcome, ckptKindStop = stopping state
+	Class     int    `json:"class"`
+	EndCycle  uint64 `json:"endCycle"`
 	Converged bool   `json:"conv,omitempty"`
-	// CSize is a class representative's class size, so a resumed
-	// campaign re-weights its estimator identically. Only replayed
-	// outcomes reach shards; dead-pruned and extrapolated outcomes are
-	// re-derived on resume.
-	CSize int `json:"csize,omitempty"`
-	stopPin
 }
 
 // ckptPin is what every checkpoint record must match besides its
@@ -320,20 +310,6 @@ type ckptPin struct {
 	// records must never merge into that twin.
 	Protect string `json:"protect,omitempty"`
 }
-
-// stopPin is the stopping rule a stop record must also match; outcome
-// records leave it zero. AvfPrior belongs here: seeding the estimator
-// with the AVF prediction moves the stopping index but never a class.
-type stopPin struct {
-	TargetErr float64 `json:"terr,omitempty"`
-	MinRuns   int     `json:"minRuns,omitempty"`
-	Conf      float64 `json:"conf,omitempty"`
-	AvfPrior  bool    `json:"avfPrior,omitempty"`
-}
-
-// ckptKindStop marks a record carrying a campaign's sequential stopping
-// index (in Index) instead of a replay outcome.
-const ckptKindStop = "stop"
 
 // spec reconstructs the planned injection the record describes. Records
 // written before the fault-model fields existed decode to Model 0 and
@@ -372,33 +348,17 @@ func (w *shardWriter) encode(r ckptRecord) error {
 	return nil
 }
 
-// record starts campaign p's checkpoint record for plan index idx,
-// whose planned spec is spec.
-func (p *Planned) record(idx int, spec fault.Spec) ckptRecord {
+// outcomeRecord builds the checkpoint record of replayed outcome oc at
+// plan index idx.
+func (p *Planned) outcomeRecord(idx int, oc RunOutcome) ckptRecord {
+	s := oc.Spec
 	return ckptRecord{
 		Campaign: p.ckptKey, Index: idx,
-		Target: int(spec.Target), Bit: spec.Bit, Cycle: spec.Cycle,
-		Model: int(spec.Model), Width: spec.Width, Stuck: spec.Stuck, Span: spec.Span,
+		Target: int(s.Target), Bit: s.Bit, Cycle: s.Cycle,
+		Model: int(s.Model), Width: s.Width, Stuck: s.Stuck, Span: s.Span,
 		ckptPin: p.pin,
+		Class:   int(oc.Class), EndCycle: oc.EndCycle, Converged: oc.Converged,
 	}
-}
-
-// outcomeRecord builds one replayed outcome's record.
-func (p *Planned) outcomeRecord(idx int, oc RunOutcome) ckptRecord {
-	r := p.record(idx, oc.Spec)
-	r.Class, r.EndCycle, r.Converged, r.CSize = int(oc.Class), oc.EndCycle, oc.Converged, oc.ClassSize
-	return r
-}
-
-// stopRecord builds the campaign's sequential-stopping record for
-// stopping index idx. The spec at the last counted index pins the
-// fault-plan identity (seed, target, model parameters, distribution): a
-// stop record from a different plan must not cap a resumed campaign,
-// exactly as outcome records self-validate.
-func (p *Planned) stopRecord(idx int) ckptRecord {
-	r := p.record(idx, p.pl.spec(idx-1))
-	r.Kind, r.stopPin = ckptKindStop, p.stopPin
-	return r
 }
 
 // shardName maps an arbitrary campaign key onto a filesystem-safe shard
@@ -441,8 +401,7 @@ func (w *shardWriter) close() error {
 // match no campaign key, planned spec or classification config are
 // skipped silently. Delivery order does not matter: each collector's
 // estimator consumes outcomes strictly in plan order, so a resumed
-// campaign re-derives the exact stopping index the original run chose
-// (a matching stop record short-circuits that by capping the producer).
+// campaign re-derives the exact stopping index the original run chose.
 func openCheckpoints(dir string, byKey map[string]*Planned) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("campaign: checkpoint dir: %w", err)
@@ -517,29 +476,20 @@ func forEachCkptRecord(dir string, fn func(ckptRecord)) error {
 }
 
 // applyRecord validates one decoded record against the campaign's
-// freshly derived plan and pins and, when everything agrees, delivers it
-// (outcome records) or pins the stopping index (stop records).
-// Mismatching records, and outcome records whose class is out of range,
-// are skipped silently — stale or damaged shards are harmless by
-// construction.
+// freshly derived plan and pin and, when everything agrees, delivers
+// it. Mismatching records, and records whose class is out of range (an
+// old stop record among them), are skipped silently — stale or damaged
+// shards are harmless by construction.
 func (p *Planned) applyRecord(r ckptRecord) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if r.ckptPin != p.pin {
 		return // a different classification config or golden run
 	}
-	if r.Kind == ckptKindStop {
-		// A different stopping rule re-derives the index; a stop record
-		// from a different fault plan must not cap this one.
-		if r.stopPin == p.stopPin && r.Index > 0 && r.Index <= p.pl.n && p.pl.spec(r.Index-1) == r.spec() {
-			p.stopHint = r.Index
-		}
+	if r.Index < 0 || r.Index >= len(p.plan) || !Class(r.Class).Valid() {
 		return
 	}
-	if r.Index < 0 || r.Index >= p.pl.n || !Class(r.Class).Valid() {
-		return
-	}
-	spec := p.pl.spec(r.Index)
+	spec := p.plan[r.Index]
 	if spec != r.spec() {
 		return // stale shard from a different plan or fault model
 	}
@@ -547,7 +497,6 @@ func (p *Planned) applyRecord(r ckptRecord) {
 		p.resumed++
 	}
 	p.collect(r.Index, RunOutcome{
-		Spec: spec, Class: Class(r.Class), EndCycle: r.EndCycle,
-		Converged: r.Converged, ClassSize: r.CSize,
+		Spec: spec, Class: Class(r.Class), EndCycle: r.EndCycle, Converged: r.Converged,
 	})
 }

@@ -251,9 +251,7 @@ func (s Spec) ActiveAt(cycle uint64) bool {
 	}
 }
 
-// Generator yields the injection specs of a plan one at a time — the
-// lazy form the adaptive campaign engine streams from, so a sequentially
-// stopped campaign never materialises the specs it will not run. The
+// Generator yields the injection specs of a plan one at a time. The
 // stream is deterministic per (rng seed, model parameters, bit space,
 // window, distribution) and consumes the RNG exactly as Plan does, so
 // Generator and Plan produce identical sequences from identical seeds.
