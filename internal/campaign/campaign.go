@@ -365,11 +365,15 @@ type Result struct {
 	// half-width at Confidence) are always populated; ConvergedRuns,
 	// RunsSaved and CyclesSaved are non-zero only under EarlyStop /
 	// TargetError. CyclesSaved is exact for convergence exits (a
-	// masked run's fixed-plan end is known) and, for injections the
-	// sequential stop never issued, a prefix-mean estimate that never
-	// materialises the skipped tail. Replays a worker had already
-	// started when the stopping index was decided are excluded from
-	// all counts, keeping every field deterministic.
+	// masked run's fixed-plan end is known) and, for injections past
+	// the stopping index, a prefix-mean estimate that never
+	// materialises the skipped tail. RunsSaved and that estimate count
+	// injections past the stopping index relative to the fixed plan,
+	// not replays this process avoided: on lanes one pull of up to
+	// Lanes×batchPull specs may already have replayed them before the
+	// stop was decided, and Account.BatchedRuns+PeeledRuns is what
+	// actually ran. Such replays are excluded from every other count,
+	// keeping every field deterministic.
 	ConvergedRuns   int
 	RunsSaved       int
 	CyclesSimulated uint64
@@ -694,12 +698,11 @@ func (p *Planned) aggregate() (*Result, error) {
 		Outcomes:     outcomes,
 		RunsSaved:    len(p.plan) - len(outcomes),
 	}
-	classes := pr != nil && pr.mode == PruneClasses
 	// prefixFull sums the counted replays' fixed-plan lengths.
 	var prefixFull uint64
 	for i, oc := range outcomes {
 		res.Counts[oc.Class]++
-		if classes && pr.isRep[i] {
+		if pr.roleOf(i) == roleRep {
 			res.PruneClassCount++
 		}
 		base := nearestSnap(g.snaps, oc.Spec.Cycle).cycle

@@ -27,6 +27,11 @@ package campaign
 // the fault over time, so golden-trace reasoning does not apply: they
 // always fall back to full replay, as do targets the simulator does not
 // trace (RTL pipeline latches).
+//
+// Both modes settle every verdict at plan time: newPruner gives each
+// plan index one role (replay, dead, class representative or class
+// member), and the dispatcher, the collector and a checkpoint resume
+// only read it.
 
 import (
 	"fmt"
@@ -166,30 +171,29 @@ func (g *Golden) Plan(cfg Config) ([]fault.Spec, error) {
 	return g.planner(cfg)
 }
 
-// pruneAction is the dispatcher's decision for one plan index.
-type pruneAction int
+// pruneRole is what the dispatcher does with one plan index, fixed at
+// plan time.
+type pruneRole uint8
 
 const (
-	pruneDispatch  pruneAction = iota // replay the fault
-	pruneSynthetic                    // deliver the synthetic outcome, no replay
-	pruneSkip                         // a class member: its representative's fanout delivers it
+	roleReplay pruneRole = iota // replay the fault
+	roleDead                    // deliver the synthetic Masked outcome, no replay
+	roleRep                     // replay, then fan the outcome over the class members
+	roleMember                  // its representative's fanout delivers it
 )
 
-// pruner holds one campaign's pruning state. A nil *pruner (PruneOff)
-// is valid and inert.
+// pruner holds one campaign's pruning verdicts, materialised up front
+// for both modes (class grouping needs the whole plan; this is
+// MeRLiN's "prune before the campaign" shape). A nil *pruner
+// (PruneOff) is valid and inert.
 type pruner struct {
-	mode PruneMode
-
-	// PruneClasses state, materialised up front (grouping needs the
-	// whole plan; this is MeRLiN's "prune before the campaign" shape).
-	dead    []bool
-	repOf   []int   // index -> its representative, -1 when it replays itself
-	members [][]int // representative -> member indices (excluding itself)
-	isRep   []bool
+	role    []pruneRole
+	members map[int][]int // representative -> member indices (excluding itself)
 }
 
-// newPruner derives the campaign's pruning state from the golden
-// artifacts; nil when pruning is off.
+// newPruner derives the campaign's pruning verdicts from the golden
+// artifacts; nil when pruning is off. PruneDead never groups live
+// faults: they replay on their own.
 func newPruner(g *Golden, plan []fault.Spec, cfg Config) (*pruner, error) {
 	if cfg.Prune == PruneOff {
 		return nil, nil
@@ -199,29 +203,19 @@ func newPruner(g *Golden, plan []fault.Spec, cfg Config) (*pruner, error) {
 	if g.life == nil {
 		return nil, fmt.Errorf("campaign: Prune=%v requires a golden run with GoldenOptions.Lifetime", cfg.Prune)
 	}
-	p := &pruner{mode: cfg.Prune}
-	if p.mode != PruneClasses {
-		return p, nil // dead mode classifies lazily at dispatch
-	}
-	n := len(plan)
-	p.dead = make([]bool, n)
-	p.repOf = make([]int, n)
-	p.members = make([][]int, n)
-	p.isRep = make([]bool, n)
+	p := &pruner{role: make([]pruneRole, len(plan)), members: make(map[int][]int)}
 	repByClass := make(map[uint64]int)
 	for i, spec := range plan {
-		p.repOf[i] = -1
-		v := g.preclassify(spec, cfg)
-		switch v.kind {
-		case preDead:
-			p.dead[i] = true
-		case preLive:
+		switch v := g.preclassify(spec, cfg); {
+		case v.kind == preDead:
+			p.role[i] = roleDead
+		case v.kind == preLive && cfg.Prune == PruneClasses:
 			if rep, ok := repByClass[v.classID]; ok {
-				p.repOf[i] = rep
+				p.role[i] = roleMember
 				p.members[rep] = append(p.members[rep], i)
 			} else {
 				repByClass[v.classID] = i
-				p.isRep[i] = true
+				p.role[i] = roleRep
 			}
 		}
 	}
@@ -235,32 +229,18 @@ func syntheticDead(spec fault.Spec) RunOutcome {
 	return RunOutcome{Spec: spec, Class: ClassMasked, EndCycle: spec.Cycle, Pruned: true}
 }
 
-// decide returns the dispatcher's action for plan index i of a campaign
-// planned as cfg against g. Called only from Planned.NextReplay, under
-// its lock.
-func (p *pruner) decide(i int, spec fault.Spec, g *Golden, cfg Config) (pruneAction, RunOutcome) {
+// roleOf returns plan index i's role: roleReplay when pruning is off.
+func (p *pruner) roleOf(i int) pruneRole {
 	if p == nil {
-		return pruneDispatch, RunOutcome{}
+		return roleReplay
 	}
-	if p.mode == PruneClasses {
-		switch {
-		case p.dead[i]:
-			return pruneSynthetic, syntheticDead(spec)
-		case p.repOf[i] >= 0:
-			return pruneSkip, RunOutcome{}
-		}
-		return pruneDispatch, RunOutcome{}
-	}
-	if g.preclassify(spec, cfg).kind == preDead {
-		return pruneSynthetic, syntheticDead(spec)
-	}
-	return pruneDispatch, RunOutcome{}
+	return p.role[i]
 }
 
 // membersOf returns the plan indices whose outcomes are extrapolated
 // from representative i: none outside PruneClasses.
 func (p *pruner) membersOf(i int) []int {
-	if p == nil || p.mode != PruneClasses {
+	if p == nil {
 		return nil
 	}
 	return p.members[i]

@@ -1,6 +1,7 @@
 package campaign_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/campaign"
@@ -177,6 +178,8 @@ func TestPruneClassesAccounting(t *testing.T) {
 // beyond the window is provably Masked without replay — to its exact
 // seed-determined accounting on both levels: simulated cycles without
 // and with pruning, dead-classified runs, classes, an unchanged estimate.
+// Both modes take their dead verdicts from one plan-time pass, so a
+// PruneDead arm on the same plan must prune exactly the same indices.
 func TestPruneClassesSeedPins(t *testing.T) {
 	for _, tc := range []struct {
 		model core.Model
@@ -199,7 +202,24 @@ func TestPruneClassesSeedPins(t *testing.T) {
 			t.Errorf("%v pins moved: (cycles full, pruned; runs dead-pruned, classes, runs extrapolated) = %v, want %v; unsafeness %v -> %v",
 				tc.model, got, tc.want, full.Unsafeness.P, pruned.Unsafeness.P)
 		}
+		cfg.Prune = campaign.PruneDead
+		dead := runSmall(t, tc.model, cfg, "caes")
+		if d, c := prunedIndices(dead), prunedIndices(pruned); dead.PrunedRuns != pruned.PrunedRuns || !slices.Equal(d, c) {
+			t.Errorf("%v: PruneDead pruned %d runs at %v, PruneClasses %d at %v",
+				tc.model, dead.PrunedRuns, d, pruned.PrunedRuns, c)
+		}
 	}
+}
+
+// prunedIndices lists the plan indices res classified dead without replay.
+func prunedIndices(res *campaign.Result) []int {
+	var idx []int
+	for i, oc := range res.Outcomes {
+		if oc.Pruned {
+			idx = append(idx, i)
+		}
+	}
+	return idx
 }
 
 // TestPruneClassesMembersMirrorRep verifies the extrapolation invariant

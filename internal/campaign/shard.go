@@ -5,12 +5,13 @@ package campaign
 // remote worker processes and merge their outcomes deterministically.
 //
 // A Planned campaign couples one golden run's artifacts with a
-// validated config, the fault plan, the pruning pre-classifier, the
-// in-order outcome collector and the checkpoint stream. Everything a
-// campaign changes as it runs is under one lock; the plan never
-// changes. NextReplay is the producer the replay pool pulls from — it
-// resolves pruning verdicts producer-side and stops issuing once the
-// sequential estimator converges — and Deliver is the consumer path
+// validated config, the fault plan, each planned fault's pruning role,
+// the in-order outcome collector and the checkpoint stream. Everything
+// a campaign changes as it runs is under one lock; the plan and the
+// roles, both fixed at plan time, never change. NextReplay is the
+// producer the replay pool pulls from — it delivers the synthetic
+// outcomes of dead faults, skips class members and stops issuing once
+// the sequential estimator converges — and Deliver is the consumer path
 // every replayed outcome flows through (class fanout, sequential
 // stopping, checkpoint streaming). Because the coordinator drives
 // exactly this producer/consumer pair and the collector consumes
@@ -44,7 +45,7 @@ func GoldenOptionsFor(cfg Config) GoldenOptions {
 }
 
 // Planned is one campaign planned against a golden run: the validated
-// config, fault plan, pruning state, in-order outcome collector and
+// config, fault plan, pruning roles, in-order outcome collector and
 // checkpoint stream. It is safe for concurrent use: NextReplay and
 // Deliver may be called from any goroutine (the replay pool, a
 // coordinator's HTTP handlers). Its one mutex guards everything a
@@ -144,9 +145,9 @@ func (p *Planned) Config() Config { return p.cfg }
 func (p *Planned) Spec(i int) fault.Spec { return p.plan[i] }
 
 // NextReplay returns the next plan index that needs an actual replay,
-// advancing past indices the pruning pre-classifier resolves
-// injection-lessly (their synthetic outcomes are delivered internally)
-// and past indices already delivered (checkpoint resume). It returns
+// advancing past dead faults (their synthetic outcomes are delivered
+// here), class members (their representative's fanout delivers them)
+// and indices already delivered (checkpoint resume). It returns
 // ok=false once the plan is exhausted or the sequential stop has
 // triggered — terminally: a false return never becomes true again.
 func (p *Planned) NextReplay() (idx int, spec fault.Spec, ok bool) {
@@ -158,15 +159,14 @@ func (p *Planned) NextReplay() (idx int, spec fault.Spec, ok bool) {
 		if p.have[i] {
 			continue
 		}
-		s := p.plan[i]
-		switch act, oc := p.pr.decide(i, s, p.g, p.cfg); act {
-		case pruneSynthetic:
-			p.collect(i, oc)
+		switch p.pr.roleOf(i) {
+		case roleDead:
+			p.collect(i, syntheticDead(p.plan[i]))
 			continue
-		case pruneSkip:
+		case roleMember:
 			continue
 		}
-		return i, s, true
+		return i, p.plan[i], true
 	}
 	return 0, fault.Spec{}, false
 }

@@ -59,11 +59,12 @@ func TestSweepStopInterrupts(t *testing.T) {
 
 // TestPlannedGoldenIsReadOnly: planning only reads a prepared golden
 // run, so campaigns of one simulator may plan against it at once, as
-// the coordinator's preparation loops do. Each mode's first plan would
-// otherwise build the lifetime trace's query index: dead pruning and
-// AVF through the target's space, class pruning through its first
-// classification. Run under -race; a fresh golden per mode keeps every
-// index unbuilt until PrepareGolden has returned.
+// the coordinator's preparation loops do. Every mode classifies the
+// whole plan against the lifetime trace inside PlanCampaign — dead and
+// class pruning both through the pruner's role table, AVF through its
+// ACE verdicts — and a first classification would otherwise build the
+// trace's query index. Run under -race; a fresh golden per mode keeps
+// every index unbuilt until PrepareGolden has returned.
 func TestPlannedGoldenIsReadOnly(t *testing.T) {
 	fac := factoryFor(t, "qsort", core.ModelMicroarch)
 	for _, tc := range []struct {

@@ -421,13 +421,6 @@ func openCheckpoints(dir string, byKey map[string]*Planned) error {
 	}
 	for key, p := range byKey {
 		p.mu.Lock()
-		// Shards record class representatives only; re-derive the
-		// extrapolated member outcomes of every resumed representative.
-		for i, ok := range p.have {
-			if ok {
-				p.fanout(i)
-			}
-		}
 		p.ckptDir, p.ckptKey = dir, key
 		p.mu.Unlock()
 	}
@@ -477,9 +470,11 @@ func forEachCkptRecord(dir string, fn func(ckptRecord)) error {
 
 // applyRecord validates one decoded record against the campaign's
 // freshly derived plan and pin and, when everything agrees, delivers
-// it. Mismatching records, and records whose class is out of range (an
-// old stop record among them), are skipped silently — stale or damaged
-// shards are harmless by construction.
+// it and, as Deliver does, fans a class representative's outcome over
+// its members (shards hold replayed outcomes only). Mismatching
+// records, and records whose class is out of range (an old stop record
+// among them), are skipped silently — stale or damaged shards are
+// harmless by construction.
 func (p *Planned) applyRecord(r ckptRecord) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -499,4 +494,5 @@ func (p *Planned) applyRecord(r ckptRecord) {
 	p.collect(r.Index, RunOutcome{
 		Spec: spec, Class: Class(r.Class), EndCycle: r.EndCycle, Converged: r.Converged,
 	})
+	p.fanout(r.Index)
 }

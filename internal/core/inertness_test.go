@@ -62,10 +62,10 @@ func TestMetricsAreInert(t *testing.T) {
 			if !reflect.DeepEqual(off, on) {
 				t.Errorf("Result differs with metrics enabled:\noff: %+v\non:  %+v", off, on)
 			}
-			repOff := report.Campaign("qsort/"+tc.model.String(), off)
-			repOn := report.Campaign("qsort/"+tc.model.String(), on)
-			if repOff != repOn {
-				t.Errorf("report bytes differ with metrics enabled:\n--- off ---\n%s\n--- on ---\n%s", repOff, repOn)
+			reportOff := report.Campaign("qsort/"+tc.model.String(), off)
+			reportOn := report.Campaign("qsort/"+tc.model.String(), on)
+			if reportOff != reportOn {
+				t.Errorf("report bytes differ with metrics enabled:\n--- off ---\n%s\n--- on ---\n%s", reportOff, reportOn)
 			}
 		})
 	}

@@ -19,7 +19,7 @@ import (
 const (
 	defaultLeaseTTL      = 15 * time.Second
 	defaultShardSize     = 64
-	defaultMaxShardFails = 5
+	defaultMaxShardFails = 5 // failures of one shard that fail its campaign
 	submitQueueDepth     = 256
 	maxPrepWorkers       = 4
 )
@@ -56,11 +56,6 @@ type CoordinatorOptions struct {
 
 	// ShardSize is the number of replay jobs per lease (0 selects 64).
 	ShardSize int
-
-	// MaxShardFails bounds how often one shard may be re-issued after
-	// worker failures before the campaign is failed (0 selects 5) — a
-	// shard that kills every worker it meets must surface, not loop.
-	MaxShardFails int
 
 	// Logf receives operational log lines (nil discards them).
 	Logf func(format string, args ...any)
@@ -174,9 +169,6 @@ func NewCoordinator(opt CoordinatorOptions) *Coordinator {
 	}
 	if opt.ShardSize <= 0 {
 		opt.ShardSize = defaultShardSize
-	}
-	if opt.MaxShardFails <= 0 {
-		opt.MaxShardFails = defaultMaxShardFails
 	}
 	logf := opt.Logf
 	if logf == nil {
@@ -581,7 +573,7 @@ func (c *Coordinator) requeueLocked(cs *campState, se shardEntry, reason string)
 		return
 	}
 	se.fails++
-	if se.fails >= c.opt.MaxShardFails {
+	if se.fails >= defaultMaxShardFails {
 		obsShardFailures.Inc()
 		c.failLocked(cs, fmt.Sprintf("shard failed %d times: %s", se.fails, reason))
 		return

@@ -353,10 +353,10 @@ func submitRunning(t *testing.T, c *distrib.Coordinator) string {
 // campaign instead of looping forever.
 func TestShardFailureBudget(t *testing.T) {
 	c, _ := startCoordinator(t, distrib.CoordinatorOptions{
-		LeaseTTL: time.Second, ShardSize: 4, MaxShardFails: 2,
+		LeaseTTL: time.Second, ShardSize: 4,
 	})
 	id := submitRunning(t, c)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < distrib.MaxShardFails; i++ {
 		l, err := c.Lease(distrib.LeaseRequest{Worker: "flaky"})
 		if err != nil || l == nil {
 			t.Fatalf("lease %d: %v %v", i, l, err)
@@ -379,10 +379,11 @@ func TestShardFailureBudget(t *testing.T) {
 // requeued against the retry budget — and none of its outcomes merge.
 func TestOutOfRangeClassRequeues(t *testing.T) {
 	c, _ := startCoordinator(t, distrib.CoordinatorOptions{
-		LeaseTTL: time.Second, ShardSize: 4, MaxShardFails: 2,
+		LeaseTTL: time.Second, ShardSize: 4,
 	})
 	id := submitRunning(t, c)
-	for i, class := range []int{0, 99} {
+	for i := 0; i < distrib.MaxShardFails; i++ {
+		class := []int{0, 99}[i%2]
 		l, err := c.Lease(distrib.LeaseRequest{Worker: "garbled"})
 		if err != nil || l == nil {
 			t.Fatalf("lease %d: %v %v", i, l, err)
@@ -404,7 +405,7 @@ func TestOutOfRangeClassRequeues(t *testing.T) {
 		}
 	}
 	if p, err := c.Progress(id); err != nil || p.Status != distrib.StatusFailed {
-		t.Fatalf("campaign status %+v (%v) after two garbled batches, want failed", p, err)
+		t.Fatalf("campaign status %+v (%v) after %d garbled batches, want failed", p, err, distrib.MaxShardFails)
 	}
 }
 
