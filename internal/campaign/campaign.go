@@ -1011,10 +1011,12 @@ func applyFault(sim Simulator, spec fault.Spec) error {
 // a persistent fault after every cycle it is active (the design may
 // overwrite the forced bit on any clock edge). Under EarlyStop it
 // compares, at every golden hash point past the injection with no fault
-// active, the faulty state digest and pinout prefix against golden: a
-// double match means the corrupted state has reconverged with the
-// fault-free run, so its entire remaining future is golden's and it
-// terminates at once as converged. With no fault active and no hash
+// active, the faulty pinout prefix and then, only if that matches, the
+// state digest against golden: a double match means the corrupted state
+// has reconverged with the fault-free run, so its entire remaining
+// future is golden's and it terminates at once as converged. A final
+// pinout mismatch (trace.Diff.Final) holds at every later point, so it
+// drops the remaining hash points. With no fault active and no hash
 // point left before limit, the rest is the model's own Run.
 func runTail(sim Simulator, g *Golden, spec fault.Spec, cfg Config,
 	baseCycle uint64, pin *trace.Pinout, limit uint64) (refsim.StopReason, bool, error) {
@@ -1048,9 +1050,17 @@ func runTail(sim Simulator, g *Golden, spec fault.Spec, cfg Config,
 			hashes = hashes[1:]
 		}
 		if len(hashes) > 0 && hashes[0].cycle == c {
-			if !active && sim.StateHash() == hashes[0].hash &&
-				trace.CompareWindow(g.pin, pin, baseCycle, c, cfg.CompareMode).Match {
-				return sim.StopReason(), true, nil
+			if !active {
+				d := trace.CompareWindow(g.pin, pin, baseCycle, c, cfg.CompareMode)
+				if d.Match && sim.StateHash() == hashes[0].hash {
+					return sim.StopReason(), true, nil
+				}
+				if d.Final {
+					// No later prefix can match: the tail is done with
+					// hash points for good.
+					hashes = nil
+					continue
+				}
 			}
 			hashes = hashes[1:]
 		}

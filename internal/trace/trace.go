@@ -11,6 +11,8 @@
 // long campaign windows stay cheap to record and compare.
 package trace
 
+import "sort"
+
 // Kind classifies a bus transaction.
 type Kind uint8
 
@@ -104,6 +106,15 @@ type Diff struct {
 	Match bool
 	Index int    // first differing transaction index (-1 when Match)
 	Why   string // short human-readable cause
+	// Final marks a mismatch that no later uptoCycle can undo: a
+	// content mismatch, or a cycle mismatch under CompareStrictCycle, at
+	// an index inside both windows. Captures are appended in nondecreasing
+	// cycle order and a window (fromCycle, uptoCycle] grows only at its
+	// end as uptoCycle grows, so both transactions at Index stay where
+	// they are and the same Diff comes back for every later uptoCycle.
+	// A count mismatch is never final: the shorter capture may still
+	// catch up.
+	Final bool
 }
 
 // Compare matches a faulty pinout capture against the golden capture over
@@ -117,18 +128,15 @@ func Compare(golden, faulty *Pinout, uptoCycle uint64, mode CompareMode) Diff {
 // replay snapshot point) against the golden capture restricted to
 // transactions with fromCycle < Cycle <= uptoCycle.
 func CompareWindow(golden, faulty *Pinout, fromCycle, uptoCycle uint64, mode CompareMode) Diff {
-	g := windowFrom(window(golden, uptoCycle), fromCycle)
-	f := windowFrom(window(faulty, uptoCycle), fromCycle)
-	n := len(g)
-	if len(f) < n {
-		n = len(f)
-	}
+	g := golden.window(fromCycle, uptoCycle)
+	f := faulty.window(fromCycle, uptoCycle)
+	n := min(len(g), len(f))
 	for i := 0; i < n; i++ {
 		if g[i].Addr != f[i].Addr || g[i].Kind != f[i].Kind || g[i].Digest != f[i].Digest {
-			return Diff{Index: i, Why: "transaction content mismatch"}
+			return Diff{Index: i, Why: "transaction content mismatch", Final: true}
 		}
 		if mode == CompareStrictCycle && g[i].Cycle != f[i].Cycle {
-			return Diff{Index: i, Why: "transaction cycle mismatch"}
+			return Diff{Index: i, Why: "transaction cycle mismatch", Final: true}
 		}
 	}
 	if len(g) != len(f) {
@@ -137,23 +145,15 @@ func CompareWindow(golden, faulty *Pinout, fromCycle, uptoCycle uint64, mode Com
 	return Diff{Match: true, Index: -1}
 }
 
-func window(p *Pinout, uptoCycle uint64) []Transaction {
+// window returns the transactions with fromCycle < Cycle <= uptoCycle.
+// Transactions are recorded in nondecreasing cycle order, so both bounds
+// are binary searches.
+func (p *Pinout) window(fromCycle, uptoCycle uint64) []Transaction {
 	if p == nil {
 		return nil
 	}
 	txns := p.Txns
-	// Transactions are recorded in nondecreasing cycle order.
-	hi := len(txns)
-	for hi > 0 && txns[hi-1].Cycle > uptoCycle {
-		hi--
-	}
-	return txns[:hi]
-}
-
-func windowFrom(txns []Transaction, fromCycle uint64) []Transaction {
-	lo := 0
-	for lo < len(txns) && txns[lo].Cycle <= fromCycle {
-		lo++
-	}
-	return txns[lo:]
+	hi := sort.Search(len(txns), func(i int) bool { return txns[i].Cycle > uptoCycle })
+	lo := sort.Search(hi, func(i int) bool { return txns[i].Cycle > fromCycle })
+	return txns[lo:hi]
 }
