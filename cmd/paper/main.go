@@ -257,7 +257,7 @@ func (s *selection) regenerate() (res *core.AllResults, err error) {
 // render prints regenerated results onto w in the selection's format.
 func (s *selection) render(w io.Writer, res *core.AllResults) error {
 	if s.all || s.table == "1" {
-		fmt.Fprintln(w, report.TableI(core.DefaultSetup()))
+		fmt.Fprintln(w, report.TableI())
 	}
 	if s.all || s.table == "sample" {
 		n, err := stats.LeveugleSampleSize(0, 0.02, 0.99)

@@ -2,16 +2,20 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/distrib"
 	"repro/internal/report"
 )
 
@@ -60,13 +64,46 @@ func maskWall(out string) string {
 	return strings.Join(lines, "\n")
 }
 
+// startFleet serves an in-process coordinator with two workers and
+// returns its base URL; the fleet stops when t's subtests are done.
+func startFleet(t *testing.T) string {
+	t.Helper()
+	coord := distrib.NewCoordinator(distrib.CoordinatorOptions{
+		LeaseTTL: time.Second, ShardSize: 16, Logf: t.Logf,
+	})
+	srv := httptest.NewServer(coord.Handler())
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	for _, id := range []string{"w1", "w2"} {
+		w := distrib.NewWorker(distrib.WorkerOptions{
+			Coordinator: srv.URL, ID: id, Workers: 2, Poll: 10 * time.Millisecond,
+			Logf: t.Logf,
+		})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = w.Run(ctx)
+		}()
+	}
+	t.Cleanup(func() {
+		cancel()
+		wg.Wait()
+		srv.Close()
+		if err := coord.Close(); err != nil {
+			t.Errorf("coordinator close: %v", err)
+		}
+	})
+	return srv.URL
+}
+
 // TestGoldenOutputs regenerates every -fig, -table and -all selection
 // at a fixed small sample, renders it in table, CSV and JSON form and
 // compares each against testdata/: a refactor of the experiment, report
 // or cmd layers must not move a byte outside the wall-time cells. The
-// JSON form is regenerated on one, two and four workers and on the
-// scalar engine, and each must match the selection's one golden: what
-// a campaign found does not depend on how it was executed.
+// JSON form is regenerated on one, two and four workers, on the scalar
+// engine and on a fleet (-remote: an in-process coordinator and two
+// workers), and each must match the selection's one golden: what a
+// campaign found does not depend on how or where it was executed.
 func TestGoldenOutputs(t *testing.T) {
 	selections := [][]string{{"-all"}, {"-table", "1"}, {"-table", "2"}, {"-table", "sample"}}
 	// Every registered experiment: a new registry entry needs goldens.
@@ -84,12 +121,17 @@ func TestGoldenOutputs(t *testing.T) {
 		{"-json", "json", "-workers 1", report.FormatJSON},
 		{"-json", "json", "-workers 4", report.FormatJSON},
 		{"-json", "json", "-lanes 1", report.FormatJSON},
+		{"-json", "json", "-remote", report.FormatJSON},
 	}
+	fleet := startFleet(t)
 	for _, args := range selections {
 		// One run per selection and execution: every form renders it.
 		regenerate := map[string]func() (*core.AllResults, error){}
 		for _, f := range forms {
 			a := append([]string{"-injections", "6", "-benches", "caes", "-seed", "1"}, strings.Fields(f.exec)...)
+			if f.exec == "-remote" {
+				a = append(a, fleet)
+			}
 			a = append(a, args...)
 			if f.flag != "" {
 				a = append(a, f.flag)

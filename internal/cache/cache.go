@@ -46,6 +46,50 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// Hierarchy is the memory side of the machine, built identically on
+// both abstraction levels: the two L1 geometries and the miss penalty to
+// the lower hierarchy. It is all the RTL core is configured by.
+type Hierarchy struct {
+	L1I, L1D   Config
+	MemLatency int // cycles an L1 miss waits on the lower hierarchy
+}
+
+// TableI returns TABLE I's hierarchy: 32 KiB 4-way L1 caches with
+// 32-byte lines and a 20-cycle miss.
+func TableI() Hierarchy {
+	return Hierarchy{
+		L1I:        Config{Name: "L1I", SizeBytes: 32 * 1024, Ways: 4, LineBytes: 32},
+		L1D:        Config{Name: "L1D", SizeBytes: 32 * 1024, Ways: 4, LineBytes: 32},
+		MemLatency: 20,
+	}
+}
+
+// Campaign returns the hierarchy of the fault-injection campaigns:
+// TABLE I's with the L1 caches scaled down (2 KiB I, 512 B D), so that
+// the cache capacity-to-working-set ratio of the paper's MiBench runs is
+// preserved for this repository's scaled-down datasets (the workloads
+// here touch 1-8 KiB; with a 32 KiB L1D nothing would ever be written
+// back and the pinout observation point would be vacuous). Both
+// abstraction levels build it, keeping the comparison point-to-point
+// (see EXPERIMENTS.md).
+func Campaign() Hierarchy {
+	h := TableI()
+	h.L1I.SizeBytes = 2 * 1024
+	h.L1D.SizeBytes = 512
+	return h
+}
+
+// Validate checks both geometries and the miss penalty.
+func (h Hierarchy) Validate() error {
+	if h.MemLatency < 1 {
+		return fmt.Errorf("cache: miss latency %d must be >= 1", h.MemLatency)
+	}
+	if err := h.L1I.Validate(); err != nil {
+		return err
+	}
+	return h.L1D.Validate()
+}
+
 // Sets returns the number of sets.
 func (c Config) Sets() int { return c.SizeBytes / (c.Ways * c.LineBytes) }
 

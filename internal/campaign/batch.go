@@ -71,9 +71,10 @@ const batchRingEvery = 64
 // batchPull sizes one pull: a campaign contributes up to
 // Config.Lanes*batchPull specs to the walk it rides. Slots are recycled,
 // so the pull is not bound by the lane count; it is bound by what a pull
-// costs elsewhere — a goroutine holds it until the walk is done (coarser
-// work distribution across the pool) and a sequentially stopped campaign
-// has issued it whole before the stop can be decided.
+// costs elsewhere: a goroutine holds it until the walk is done (coarser
+// work distribution across the pool). A sequentially stopped campaign,
+// which has issued a pull whole before its stop can be decided, pulls
+// one lane width instead (Work.chunk).
 const batchPull = 8
 
 // BatchCapable is implemented by simulators that can ride value lanes
@@ -126,11 +127,10 @@ type LaneSet interface {
 // laneState is one in-flight replay occupying a lane slot. A slot is
 // assigned whole, so a recycled one inherits nothing.
 type laneState struct {
-	m     *walkMember
-	idx   int // plan index
-	spec  fault.Spec
-	limit uint64 // observation-window limit (hang budget when run-to-end)
-	hi    int    // next golden hash index (convergence exit)
+	m    *walkMember
+	idx  int // plan index
+	spec fault.Spec
+	horizon
 }
 
 // laneTrack is one target's tracker and the replays in its slots.
@@ -147,10 +147,9 @@ type laneTrack struct {
 // walkMember is one campaign riding the walk: what classifies and
 // delivers its lanes, and its share of the engine's account.
 type walkMember struct {
-	w         *Work
-	tr        *laneTrack
-	deliver   func(idx int, oc RunOutcome) error
-	earlyStop bool
+	w       *Work
+	tr      *laneTrack
+	deliver func(idx int, oc RunOutcome) error
 
 	// inFlight lanes since golden cycle `since`; laneCycles sums lanes in
 	// flight over the current walk's lockstep cycles, onWalk marks that
@@ -222,7 +221,7 @@ func newBatchReplayer(gold, scalar Simulator, works []*Work) *BatchReplayer {
 	var targets []fault.Target
 	byTarget := make(map[fault.Target]*laneTrack, lanestore.Groups)
 	for _, w := range works {
-		m := &walkMember{w: w, deliver: w.Deliver, earlyStop: w.Config.EarlyStop && len(r.g.hashes) > 0}
+		m := &walkMember{w: w, deliver: w.Deliver}
 		r.members = append(r.members, m)
 		if m.tr = byTarget[w.Config.Target]; m.tr == nil {
 			m.tr = &laneTrack{}
@@ -370,8 +369,7 @@ func (r *BatchReplayer) walk(pend []pulledSpec) (deferred []pulledSpec, err erro
 			}
 			if r.next < len(r.pend) {
 				head := r.pend[r.next]
-				return nil, r.members[head.member].w.wrap(fmt.Errorf("campaign: replay stopped at %d before injection at %d (%v)",
-					end, head.spec.Cycle, r.gold.StopReason()))
+				return nil, r.members[head.member].w.wrap(stoppedBefore(r.gold, head.spec.Cycle))
 			}
 		}
 	}
@@ -390,13 +388,8 @@ func (r *BatchReplayer) seek(to uint64) (stepped uint64, err error) {
 		r.onGolden = true
 	}
 	from := r.gold.Cycles()
-	for r.gold.Cycles() < to {
-		if !r.gold.Step() {
-			return r.gold.Cycles() - from, fmt.Errorf("campaign: replay stopped at %d before injection at %d (%v)",
-				r.gold.Cycles(), to, r.gold.StopReason())
-		}
-	}
-	return to - from, nil
+	err = stepTo(r.gold, to)
+	return r.gold.Cycles() - from, err
 }
 
 // scan is the walk's per-lane work at golden cycle c: retire the lanes
@@ -415,19 +408,14 @@ func (r *BatchReplayer) scan(c uint64) (next uint64, err error) {
 			// golden's, which is the scalar convergence exit's double
 			// match. Checked before the limit, as runTail reaches the hash
 			// at the limit cycle before its loop condition does.
-			if st.m.earlyStop {
-				for st.hi < len(g.hashes) && g.hashes[st.hi].cycle < c {
-					st.hi++
-				}
-				if st.hi < len(g.hashes) && g.hashes[st.hi].cycle == c {
-					if !st.spec.ActiveAt(c) && tr.lanes.Clean(k) {
-						if err := r.retire(tr, k, RunOutcome{Spec: st.spec, Class: ClassMasked, EndCycle: c, Converged: true}); err != nil {
-							return 0, err
-						}
-						continue
+			if st.at(c) {
+				if !st.spec.ActiveAt(c) && tr.lanes.Clean(k) {
+					if err := r.retire(tr, k, RunOutcome{Spec: st.spec, Class: ClassMasked, EndCycle: c, Converged: true}); err != nil {
+						return 0, err
 					}
-					st.hi++
+					continue
 				}
+				st.hashes = st.hashes[1:]
 			}
 			// Window-limit retire: an unpeeled lane reaching its limit
 			// took golden's control through the whole observation window.
@@ -437,7 +425,7 @@ func (r *BatchReplayer) scan(c uint64) (next uint64, err error) {
 				}
 				continue
 			}
-			next = min(next, st.nextEvent(g))
+			next = min(next, st.next())
 		}
 	}
 	for ; r.next < len(r.pend) && r.pend[r.next].spec.Cycle == c; r.next++ {
@@ -452,15 +440,7 @@ func (r *BatchReplayer) scan(c uint64) (next uint64, err error) {
 		}
 		k := bits.TrailingZeros64(^tr.busy)
 		st := &tr.slots[k]
-		*st = laneState{m: m, idx: p.idx, spec: p.spec, limit: g.hangBudget()}
-		if m.w.Config.Window > 0 {
-			st.limit = p.spec.Cycle + m.w.Config.Window
-		}
-		if m.earlyStop {
-			// First hash point strictly after the injection instant,
-			// exactly as runTail seeds its scan.
-			st.hi = sort.Search(len(g.hashes), func(i int) bool { return g.hashes[i].cycle > c })
-		}
+		*st = laneState{m: m, idx: p.idx, spec: p.spec, horizon: g.horizon(p.spec, m.w.Config)}
 		tr.busy |= 1 << uint(k)
 		if p.spec.Model.Persistent() {
 			tr.persist |= 1 << uint(k)
@@ -473,21 +453,12 @@ func (r *BatchReplayer) scan(c uint64) (next uint64, err error) {
 		if err := applyLaneFault(tr.lanes, k, p.spec); err != nil {
 			return 0, m.w.wrap(err)
 		}
-		next = min(next, st.nextEvent(g))
+		next = min(next, st.next())
 	}
 	if r.next < len(r.pend) {
 		next = min(next, r.pend[r.next].spec.Cycle)
 	}
 	return next, nil
-}
-
-// nextEvent is the next cycle a riding lane needs the scan at: its limit
-// or, under the convergence exit, its next golden hash point.
-func (st *laneState) nextEvent(g *Golden) uint64 {
-	if st.m.earlyStop && st.hi < len(g.hashes) {
-		return min(st.limit, g.hashes[st.hi].cycle)
-	}
-	return st.limit
 }
 
 // carry moves a campaign's lanes in flight by d at golden cycle c,
@@ -580,11 +551,8 @@ func (r *BatchReplayer) peelOne(tr *laneTrack, lane int, preTick uint64) (RunOut
 		st.m.stats.Private += n
 		obsPrivateCycles.Add(n)
 	}()
-	for s.Cycles() < preTick {
-		if !s.Step() {
-			return RunOutcome{}, fmt.Errorf("campaign: peel catch-up stopped at %d before %d (%v)",
-				s.Cycles(), preTick, s.StopReason())
-		}
+	if err := stepTo(s, preTick); err != nil {
+		return RunOutcome{}, err
 	}
 	if err := tr.lanes.Rebuild(lane, s); err != nil {
 		return RunOutcome{}, err

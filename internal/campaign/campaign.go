@@ -369,9 +369,9 @@ type Result struct {
 	// the stopping index, a prefix-mean estimate that never
 	// materialises the skipped tail. RunsSaved and that estimate count
 	// injections past the stopping index relative to the fixed plan,
-	// not replays this process avoided: on lanes one pull of up to
-	// Lanes×batchPull specs may already have replayed them before the
-	// stop was decided, and Account.BatchedRuns+PeeledRuns is what
+	// not replays this process avoided: on lanes each goroutine's pull
+	// of one lane width (Lanes) may already have replayed some before
+	// the stop was decided, and Account.BatchedRuns+PeeledRuns is what
 	// actually ran. Such replays are excluded from every other count,
 	// keeping every field deterministic.
 	ConvergedRuns   int
@@ -649,9 +649,66 @@ func (g *Golden) planner(cfg Config) ([]fault.Spec, error) {
 	return plan, nil
 }
 
-// hangBudget is the cycle limit beyond which a run-to-end replay is
-// classified as a hang.
-func (g *Golden) hangBudget() uint64 { return g.Cycles*2 + 50_000 }
+// horizon is how far a fault's replay looks against one golden run, the
+// same for the scalar tail (runTail) and a lane riding the walk: limit
+// is the last cycle it simulates, and hashes the golden hash points at
+// which the convergence exit may still fire, cycle-ascending.
+type horizon struct {
+	limit  uint64
+	hashes []hashAt
+}
+
+// horizon returns spec's replay horizon under cfg. The limit is the end
+// of the observation window or, run to end, the hang budget beyond which
+// the replay is classified as a hang. Under EarlyStop the hash points are
+// those strictly after the injection instant — before it the replay is
+// golden by construction and a match means nothing — and no later than
+// the limit; without it there are none.
+func (g *Golden) horizon(spec fault.Spec, cfg Config) horizon {
+	h := horizon{limit: g.Cycles*2 + 50_000}
+	if cfg.Window > 0 {
+		h.limit = spec.Cycle + cfg.Window
+	}
+	if cfg.EarlyStop {
+		h.hashes = g.hashes[sort.Search(len(g.hashes), func(i int) bool { return g.hashes[i].cycle > spec.Cycle }):]
+		h.hashes = h.hashes[:sort.Search(len(h.hashes), func(i int) bool { return h.hashes[i].cycle > h.limit })]
+	}
+	return h
+}
+
+// at drops the hash points before cycle c and reports whether c is one;
+// the caller drops it once it has been checked.
+func (h *horizon) at(c uint64) bool {
+	for len(h.hashes) > 0 && h.hashes[0].cycle < c {
+		h.hashes = h.hashes[1:]
+	}
+	return len(h.hashes) > 0 && h.hashes[0].cycle == c
+}
+
+// next is the next cycle the horizon asks to be checked at: its next
+// hash point, or its limit once none is left.
+func (h *horizon) next() uint64 {
+	if len(h.hashes) > 0 {
+		return h.hashes[0].cycle
+	}
+	return h.limit
+}
+
+// stepTo steps sim to cycle c, failing if its program stops first.
+func stepTo(sim Simulator, c uint64) error {
+	for sim.Cycles() < c {
+		if !sim.Step() {
+			return stoppedBefore(sim, c)
+		}
+	}
+	return nil
+}
+
+// stoppedBefore is the error of a simulation whose program stopped
+// before reaching cycle c, where golden's did not.
+func stoppedBefore(sim Simulator, c uint64) error {
+	return fmt.Errorf("campaign: replay stopped at %d before cycle %d (%v)", sim.Cycles(), c, sim.StopReason())
+}
 
 // classUniverse is every fault-effect class, as the sequential
 // estimator's int class IDs. The engine never delivers ClassDUE (only
@@ -667,14 +724,7 @@ var classUniverse = []int{int(ClassMasked), int(ClassMismatch), int(ClassSDC), i
 // have crashed or hung elsewhere.
 func (g *Golden) fullReplayEnd(spec fault.Spec, cfg Config) uint64 {
 	if cfg.Window > 0 {
-		end := spec.Cycle + cfg.Window
-		if end > g.Cycles {
-			end = g.Cycles
-		}
-		if end < spec.Cycle {
-			end = spec.Cycle
-		}
-		return end
+		return max(spec.Cycle, min(spec.Cycle+cfg.Window, g.Cycles))
 	}
 	return g.Cycles
 }
@@ -871,14 +921,9 @@ type replayBuf struct {
 
 // seedGolden resets the capture to the golden transactions in
 // (base, upto] — exactly what a stream replay restored at base has
-// recorded by cycle upto — and returns it. Transactions are
-// cycle-nondecreasing, making both bounds binary searches.
+// recorded by cycle upto — and returns it.
 func (b *replayBuf) seedGolden(g *Golden, base, upto uint64) *trace.Pinout {
-	b.pin.Reset()
-	txns := g.pin.Txns
-	lo := sort.Search(len(txns), func(i int) bool { return txns[i].Cycle > base })
-	hi := sort.Search(len(txns), func(i int) bool { return txns[i].Cycle > upto })
-	b.pin.Txns = append(b.pin.Txns, txns[lo:hi]...)
+	b.pin.Txns = append(b.pin.Txns[:0], g.pin.Window(base, upto)...)
 	return &b.pin
 }
 
@@ -891,11 +936,8 @@ func oneRunBuf(sim Simulator, g *Golden, spec fault.Spec, cfg Config, buf *repla
 	sim.SetPinout(pin)
 
 	// Replay up to the injection instant (identical to golden).
-	for sim.Cycles() < spec.Cycle {
-		if !sim.Step() {
-			return RunOutcome{}, fmt.Errorf("campaign: replay stopped at %d before injection at %d (%v)",
-				sim.Cycles(), spec.Cycle, sim.StopReason())
-		}
+	if err := stepTo(sim, spec.Cycle); err != nil {
+		return RunOutcome{}, err
 	}
 	if err := applyFault(sim, spec); err != nil {
 		return RunOutcome{}, err
@@ -917,11 +959,7 @@ func finishRun(sim Simulator, g *Golden, spec fault.Spec, cfg Config, baseCycle 
 	// With EarlyStop and a hash-recording golden run, the convergence
 	// exit classifies the replay as Masked the moment its state digest
 	// matches golden; otherwise the seed engine's fixed window runs.
-	limit := g.hangBudget()
-	if cfg.Window > 0 {
-		limit = spec.Cycle + cfg.Window
-	}
-	stop, converged, err := runTail(sim, g, spec, cfg, baseCycle, pin, limit)
+	stop, converged, err := runTail(sim, g, spec, cfg, baseCycle, pin)
 	if err != nil {
 		return RunOutcome{}, err
 	}
@@ -1007,7 +1045,7 @@ func applyFault(sim Simulator, spec fault.Spec) error {
 }
 
 // runTail is the one replay loop after injection: it steps the
-// simulation until the program stops or limit cycles elapse, re-applying
+// simulation until the program stops or its horizon's limit, re-applying
 // a persistent fault after every cycle it is active (the design may
 // overwrite the forced bit on any clock edge). Under EarlyStop it
 // compares, at every golden hash point past the injection with no fault
@@ -1017,23 +1055,16 @@ func applyFault(sim Simulator, spec fault.Spec) error {
 // future is golden's and it terminates at once as converged. A final
 // pinout mismatch (trace.Diff.Final) holds at every later point, so it
 // drops the remaining hash points. With no fault active and no hash
-// point left before limit, the rest is the model's own Run.
+// point left, the rest is the model's own Run.
 func runTail(sim Simulator, g *Golden, spec fault.Spec, cfg Config,
-	baseCycle uint64, pin *trace.Pinout, limit uint64) (refsim.StopReason, bool, error) {
+	baseCycle uint64, pin *trace.Pinout) (refsim.StopReason, bool, error) {
 
-	// Hash points strictly after the injection instant — before it the
-	// replay is golden by construction and a match means nothing — and
-	// no later than limit, the last cycle the loop reaches.
-	var hashes []hashAt
-	if cfg.EarlyStop {
-		hashes = g.hashes[sort.Search(len(g.hashes), func(i int) bool { return g.hashes[i].cycle > spec.Cycle }):]
-		hashes = hashes[:sort.Search(len(hashes), func(i int) bool { return hashes[i].cycle > limit })]
-	}
+	h := g.horizon(spec, cfg)
 	for {
-		if len(hashes) == 0 && !spec.ActiveAt(sim.Cycles()) {
-			return sim.Run(limit), false, nil
+		if len(h.hashes) == 0 && !spec.ActiveAt(sim.Cycles()) {
+			return sim.Run(h.limit), false, nil
 		}
-		if sim.Cycles() >= limit {
+		if sim.Cycles() >= h.limit {
 			return refsim.StopLimit, false, nil
 		}
 		if !sim.Step() {
@@ -1046,23 +1077,20 @@ func runTail(sim Simulator, g *Golden, spec fault.Spec, cfg Config,
 				return 0, false, err
 			}
 		}
-		for len(hashes) > 0 && hashes[0].cycle < c {
-			hashes = hashes[1:]
-		}
-		if len(hashes) > 0 && hashes[0].cycle == c {
+		if h.at(c) {
 			if !active {
 				d := trace.CompareWindow(g.pin, pin, baseCycle, c, cfg.CompareMode)
-				if d.Match && sim.StateHash() == hashes[0].hash {
+				if d.Match && sim.StateHash() == h.hashes[0].hash {
 					return sim.StopReason(), true, nil
 				}
 				if d.Final {
 					// No later prefix can match: the tail is done with
 					// hash points for good.
-					hashes = nil
+					h.hashes = nil
 					continue
 				}
 			}
-			hashes = hashes[1:]
+			h.hashes = h.hashes[1:]
 		}
 	}
 }

@@ -180,6 +180,20 @@ func TestSequentialStopping(t *testing.T) {
 	if a.AchievedMargin > seq.TargetError {
 		t.Errorf("achieved margin %.4f above target %.4f", a.AchievedMargin, seq.TargetError)
 	}
+	// A stop saves replays, not only counted runs: a sequentially stopped
+	// campaign pulls one lane width at a time, so on one goroutine the
+	// replays that ran end at the first pull after the stopping index
+	// instead of covering the plan (four goroutines' first pulls cover
+	// all 150 here).
+	one := seq
+	one.Workers = 1
+	c := runSmall(t, core.ModelMicroarch, one, "qsort")
+	if ran := c.BatchedRuns + c.PeeledRuns; ran >= full.Injections {
+		t.Errorf("one goroutine replayed %d of %d planned runs for a stop at %d", ran, full.Injections, len(c.Outcomes))
+	}
+	if len(c.Outcomes) != len(a.Outcomes) {
+		t.Errorf("stopping index %d on one goroutine, %d on four", len(c.Outcomes), len(a.Outcomes))
+	}
 	n := float64(len(a.Outcomes))
 	nf := float64(len(fixed.Outcomes))
 	for _, c := range []campaign.Class{

@@ -139,12 +139,18 @@ func (w *Work) lockstep() bool {
 
 // chunk is how many of the campaign's replays one pull takes: enough for
 // the walk's cycle sort to cluster injection instants, 1 on the scalar
-// engine, where order buys nothing.
+// engine, where order buys nothing. A sequentially stopped campaign
+// pulls one lane width at a time: a pull is replayed whole before the
+// collector can decide the stop, so a larger one only runs replays the
+// stop then discards.
 func (w *Work) chunk() int {
-	if w.lockstep() {
-		return w.Config.Lanes * batchPull
+	switch {
+	case !w.lockstep():
+		return 1
+	case w.Config.TargetError > 0:
+		return w.Config.Lanes
 	}
-	return 1
+	return w.Config.Lanes * batchPull
 }
 
 // newReplayer is the one place an engine is chosen: a unit that rides

@@ -84,8 +84,9 @@ func TestRunTailSealsOnFinalMismatch(t *testing.T) {
 			sim := &tailSim{txns: tc.txns}
 			pin := &trace.Pinout{}
 			sim.SetPinout(pin)
-			cfg := Config{EarlyStop: true, CompareMode: trace.CompareContent}
-			_, converged, err := runTail(sim, g, fault.Spec{Cycle: 2}, cfg, 0, pin, 100)
+			// A 98-cycle window from the injection at 2 puts the limit at 100.
+			cfg := Config{EarlyStop: true, CompareMode: trace.CompareContent, Window: 98}
+			_, converged, err := runTail(sim, g, fault.Spec{Cycle: 2}, cfg, 0, pin)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -50,70 +50,51 @@ func ParseModel(s string) (Model, error) {
 	return 0, fmt.Errorf("core: unknown model %q (microarch, rtl)", s)
 }
 
-// Setup is an equivalent configuration pair: the same cache geometries
-// and memory latency applied to both abstraction levels (§III.C's
-// "equivalent setup in all possible details").
+// Setup names one equivalent configuration of the machine: the same
+// core, cache geometries and memory latency on both abstraction levels
+// (§III.C's "equivalent setup in all possible details"). It is its name,
+// "campaign" or "tableI"; the machine behind each name is defined once
+// (machine), and the RTL core is built from that machine's memory
+// hierarchy, so the two levels cannot disagree.
 type Setup struct {
 	Name string
-	MA   microarch.Config
-	RTL  rtlcore.Config
 }
 
-// DefaultSetup returns TABLE I's configuration on both levels (32 KiB
-// 4-way L1 caches).
-func DefaultSetup() Setup {
-	ma := microarch.DefaultConfig()
-	return Setup{Name: "tableI", MA: ma, RTL: rtlFrom(ma)}
-}
+// DefaultSetup names TABLE I's configuration (32 KiB 4-way L1 caches).
+func DefaultSetup() Setup { return Setup{Name: "tableI"} }
 
-// CampaignSetup returns the scaled-cache equivalent configuration used by
-// the fault-injection campaigns (see EXPERIMENTS.md on cache scaling).
-func CampaignSetup() Setup {
-	ma := microarch.CampaignConfig()
-	return Setup{Name: "campaign", MA: ma, RTL: rtlFrom(ma)}
-}
+// CampaignSetup names the scaled-cache configuration used by the
+// fault-injection campaigns (see EXPERIMENTS.md on cache scaling).
+func CampaignSetup() Setup { return Setup{Name: "campaign"} }
 
-// rtlFrom derives the RTL configuration from the microarchitectural one,
-// guaranteeing the two levels agree on every shared parameter.
-func rtlFrom(ma microarch.Config) rtlcore.Config {
-	return rtlcore.Config{
-		L1I:        ma.L1I,
-		L1D:        ma.L1D,
-		MemLatency: ma.MemLatency,
+// machine resolves the setup's name to its microarchitectural
+// configuration; an unknown name is an error.
+func (s Setup) machine() (microarch.Config, error) {
+	switch s.Name {
+	case "campaign":
+		return microarch.CampaignConfig(), nil
+	case "tableI":
+		return microarch.DefaultConfig(), nil
 	}
-}
-
-// Validate checks that the two halves of the setup are still equivalent.
-func (s Setup) Validate() error {
-	if err := s.MA.Validate(); err != nil {
-		return err
-	}
-	switch {
-	case s.MA.L1I != s.RTL.L1I:
-		return fmt.Errorf("core: setup %q: L1I differs between levels", s.Name)
-	case s.MA.L1D != s.RTL.L1D:
-		return fmt.Errorf("core: setup %q: L1D differs between levels", s.Name)
-	case s.MA.MemLatency != s.RTL.MemLatency:
-		return fmt.Errorf("core: setup %q: memory latency differs between levels", s.Name)
-	}
-	return nil
+	return microarch.Config{}, fmt.Errorf("core: unknown setup %q (campaign, tableI)", s.Name)
 }
 
 // NewSimulator builds one simulator of the requested model for a program
 // under this setup, behind the campaign engine's uniform interface.
 func NewSimulator(m Model, p *asm.Program, s Setup) (campaign.Simulator, error) {
-	if err := s.Validate(); err != nil {
+	cfg, err := s.machine()
+	if err != nil {
 		return nil, err
 	}
 	switch m {
 	case ModelMicroarch:
-		cpu, err := microarch.New(p, s.MA)
+		cpu, err := microarch.New(p, cfg)
 		if err != nil {
 			return nil, err
 		}
 		return &maSim{cpu}, nil
 	case ModelRTL:
-		c, err := rtlcore.New(p, s.RTL)
+		c, err := rtlcore.New(p, cfg.Hierarchy)
 		if err != nil {
 			return nil, err
 		}
@@ -142,9 +123,9 @@ type Sim struct {
 }
 
 // ParseSim resolves a simulator from its names, as CLIs and the wire
-// spell them (a Setup value never crosses the wire; its name does, and
-// names match Setup.Name): every accepted spelling of one simulator
-// ("ma" and "microarch", "" and "campaign") is one Sim.
+// spell them: every accepted spelling of one simulator ("ma" and
+// "microarch", "" and "campaign") is one Sim, and an unknown setup name
+// is an error here, before anything is built.
 func ParseSim(workload, model, setup string) (Sim, error) {
 	if _, err := bench.ByName(workload); err != nil {
 		return Sim{}, err
@@ -153,14 +134,12 @@ func ParseSim(workload, model, setup string) (Sim, error) {
 	if err != nil {
 		return Sim{}, err
 	}
-	s := Sim{Workload: workload, Model: m}
-	switch setup {
-	case "", "campaign":
-		s.Setup = CampaignSetup()
-	case "tableI":
-		s.Setup = DefaultSetup()
-	default:
-		return Sim{}, fmt.Errorf("core: unknown setup %q (campaign, tableI)", setup)
+	if setup == "" {
+		setup = CampaignSetup().Name
+	}
+	s := Sim{Workload: workload, Model: m, Setup: Setup{Name: setup}}
+	if _, err := s.Setup.machine(); err != nil {
+		return Sim{}, err
 	}
 	return s, nil
 }
@@ -198,10 +177,10 @@ type TableIRow struct {
 	Value     string
 }
 
-// TableI renders the microarchitectural configuration as the paper's
-// TABLE I rows.
-func TableI(s Setup) []TableIRow {
-	c := s.MA
+// TableI renders the TABLE I setup's microarchitectural configuration
+// as the paper's TABLE I rows.
+func TableI() []TableIRow {
+	c := microarch.DefaultConfig()
 	return []TableIRow{
 		{"ISA / Core", "AL32 (ARM-inspired) / Out-of-order"},
 		{"Data cache", fmt.Sprintf("%dKB %d-way", c.L1D.SizeBytes/1024, c.L1D.Ways)},

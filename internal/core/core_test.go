@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -13,37 +14,67 @@ import (
 	"repro/internal/trace"
 )
 
+// TestSetupsAreEquivalent: each named setup is one machine on both
+// levels — the two models' simulators report the same L1D bit space,
+// laid out over the same sets and ways — and an unknown setup name is
+// an error wherever a name is resolved.
 func TestSetupsAreEquivalent(t *testing.T) {
-	for _, s := range []Setup{DefaultSetup(), CampaignSetup()} {
-		if err := s.Validate(); err != nil {
-			t.Errorf("setup %s: %v", s.Name, err)
+	w, err := bench.ByName("caes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := w.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		setup   Setup
+		l1dBits int
+	}{
+		{CampaignSetup(), 512 * 8},
+		{DefaultSetup(), 32 * 1024 * 8},
+	} {
+		var sims [2]campaign.Simulator
+		for i, m := range levels {
+			if sims[i], err = NewSimulator(m, p, tc.setup); err != nil {
+				t.Fatalf("%s on %v: %v", tc.setup.Name, m, err)
+			}
+			if n := sims[i].Bits(fault.TargetL1D); n != tc.l1dBits {
+				t.Errorf("%s on %v: %d L1D bits, want %d", tc.setup.Name, m, n, tc.l1dBits)
+			}
+		}
+		for _, bit := range []int{0, 32*8 - 1, 32 * 8, tc.l1dBits - 1} {
+			ms, mw := sims[0].L1DLineOfBit(bit)
+			rs, rw := sims[1].L1DLineOfBit(bit)
+			if ms != rs || mw != rw {
+				t.Errorf("%s: L1D bit %d sits in set %d way %d on microarch, set %d way %d on rtl", tc.setup.Name, bit, ms, mw, rs, rw)
+			}
 		}
 	}
-	// Breaking equivalence must be detected.
-	s := DefaultSetup()
-	s.RTL.MemLatency++
-	if err := s.Validate(); err == nil {
-		t.Error("diverged latency accepted")
+	if _, err := ParseSim("qsort", "microarch", "nope"); err == nil || !strings.Contains(err.Error(), `unknown setup "nope"`) {
+		t.Errorf("ParseSim with an unknown setup: %v", err)
 	}
-	s = DefaultSetup()
-	s.RTL.L1D.SizeBytes *= 2
-	if err := s.Validate(); err == nil {
-		t.Error("diverged L1D accepted")
+	for _, m := range levels {
+		if _, err := NewSimulator(m, p, Setup{Name: "nope"}); err == nil || !strings.Contains(err.Error(), `unknown setup "nope"`) {
+			t.Errorf("NewSimulator(%v) with an unknown setup: %v", m, err)
+		}
 	}
 }
 
+// TestTableIMatchesPaper: TABLE I's rows, exactly as the paper's table
+// and every earlier rendering of it.
 func TestTableIMatchesPaper(t *testing.T) {
-	rows := TableI(DefaultSetup())
-	joined := ""
-	for _, r := range rows {
-		joined += r.Attribute + "=" + r.Value + ";"
+	want := []TableIRow{
+		{"ISA / Core", "AL32 (ARM-inspired) / Out-of-order"},
+		{"Data cache", "32KB 4-way"},
+		{"Instruction cache", "32KB 4-way"},
+		{"Physical Register File", "56 registers"},
+		{"Instruction queue", "32"},
+		{"Reorder buffer", "40"},
+		{"Fetch/Execute/Writeback width", "2/4/4"},
 	}
-	for _, want := range []string{
-		"Out-of-order", "32KB 4-way", "56 registers", "=32;", "=40;", "2/4/4",
-	} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("TABLE I lacks %q in %q", want, joined)
-		}
+	if got := TableI(); !reflect.DeepEqual(got, want) {
+		t.Errorf("TABLE I = %q, want %q", got, want)
 	}
 }
 
@@ -206,7 +237,7 @@ func TestLatchBitsOnlyAtRTL(t *testing.T) {
 		t.Fatal(err)
 	}
 	setup := CampaignSetup()
-	l1dBits := setup.MA.L1D.SizeBytes * 8
+	const l1dBits = 512 * 8
 	for _, tc := range []struct {
 		m    Model
 		t    fault.Target

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/cache"
 	"repro/internal/microarch"
 	"repro/internal/refsim"
 	"repro/internal/rtlcore"
@@ -43,7 +44,7 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 			}
 			ma.Run(20_000_000)
 
-			rc, err := rtlcore.New(prog, rtlcore.CampaignConfig())
+			rc, err := rtlcore.New(prog, cache.Campaign())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,7 +199,7 @@ func TestDifferentialWithFlagsStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	ma.Run(10_000_000)
-	rc, err := rtlcore.New(prog, rtlcore.DefaultConfig())
+	rc, err := rtlcore.New(prog, cache.TableI())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,17 +30,14 @@ type Config struct {
 	LSQSize     int
 	DecodeQueue int
 
-	// Caches.
-	L1I cache.Config
-	L1D cache.Config
+	// Caches and the L1 miss penalty, the part both levels share.
+	cache.Hierarchy
 
 	// Latencies, in cycles.
-	MemLatency  int // L1 miss penalty to the lower hierarchy
 	LoadHitLat  int
 	MulLat      int
 	DivLat      int
 	BimodalBits int // log2 of bimodal predictor entries
-	BTBBits     int // log2 of BTB entries
 	RASDepth    int
 }
 
@@ -59,30 +56,21 @@ func DefaultConfig() Config {
 		ROBSize:        40,
 		LSQSize:        16,
 		DecodeQueue:    8,
-		L1I:            cache.Config{Name: "L1I", SizeBytes: 32 * 1024, Ways: 4, LineBytes: 32},
-		L1D:            cache.Config{Name: "L1D", SizeBytes: 32 * 1024, Ways: 4, LineBytes: 32},
-		MemLatency:     20,
+		Hierarchy:      cache.TableI(),
 		LoadHitLat:     2,
 		MulLat:         3,
 		DivLat:         12,
 		BimodalBits:    10,
-		BTBBits:        8,
 		RASDepth:       8,
 	}
 }
 
-// CampaignConfig returns the equivalent configuration used by the fault
-// injection campaigns: identical core, with the L1 caches scaled down
-// (2 KiB I, 512 B D) so that the cache capacity-to-working-set ratio of
-// the paper's MiBench runs is preserved for this repository's scaled-down
-// datasets (the workloads here touch 1-8 KiB; with a 32 KiB L1D nothing
-// would ever be written back and the pinout observation point would be
-// vacuous). Both abstraction levels use the same scaled geometry, keeping
-// the comparison point-to-point (see EXPERIMENTS.md).
+// CampaignConfig returns the configuration of the fault-injection
+// campaigns: TABLE I's core over the campaigns' scaled hierarchy
+// (cache.Campaign).
 func CampaignConfig() Config {
 	cfg := DefaultConfig()
-	cfg.L1I.SizeBytes = 2 * 1024
-	cfg.L1D.SizeBytes = 512
+	cfg.Hierarchy = cache.Campaign()
 	return cfg
 }
 
@@ -99,13 +87,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("microarch: non-positive queue size in %+v", c)
 	case slabSlots(c) > 64:
 		return fmt.Errorf("microarch: a %d-entry ROB needs %d uop slots, more than the 64 the readiness masks hold", c.ROBSize, slabSlots(c))
-	case c.MemLatency < 1 || c.LoadHitLat < 1 || c.MulLat < 1 || c.DivLat < 1:
+	case c.LoadHitLat < 1 || c.MulLat < 1 || c.DivLat < 1:
 		return fmt.Errorf("microarch: latencies must be >= 1 in %+v", c)
-	case c.RASDepth <= 0 || c.BimodalBits <= 0 || c.BTBBits <= 0:
+	case c.RASDepth <= 0 || c.BimodalBits <= 0:
 		return fmt.Errorf("microarch: predictor sizes must be positive in %+v", c)
 	}
-	if err := c.L1I.Validate(); err != nil {
-		return err
-	}
-	return c.L1D.Validate()
+	return c.Hierarchy.Validate()
 }

@@ -307,6 +307,11 @@ func TestConfigValidation(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("zero fetch width accepted")
 	}
+	bad = DefaultConfig()
+	bad.MemLatency = 0
+	if err := bad.Validate(); err == nil {
+		t.Error("zero miss latency accepted")
+	}
 	// The readiness masks are one word: 64 registers and 64 uop slots
 	// (ROBSize+1) fit, one more does not.
 	for _, tc := range []struct {

@@ -163,9 +163,9 @@ func seriesLabels(fig *core.FigureResult) []string {
 }
 
 // TableI renders the configuration table.
-func TableI(setup core.Setup) string {
+func TableI() string {
 	rows := make([][]string, 0, 8)
-	for _, r := range core.TableI(setup) {
+	for _, r := range core.TableI() {
 		rows = append(rows, []string{r.Attribute, r.Value})
 	}
 	return "== TABLE I: microarchitectural configuration ==\n\n" +

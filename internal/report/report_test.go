@@ -201,7 +201,7 @@ func TestTableSpecsMatchRegistry(t *testing.T) {
 }
 
 func TestTableIRendering(t *testing.T) {
-	out := TableI(core.DefaultSetup())
+	out := TableI()
 	for _, want := range []string{"TABLE I", "56 registers", "32KB 4-way", "2/4/4"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("TABLE I lacks %q", want)

@@ -70,10 +70,9 @@ type rtlCache struct {
 	evictions uint64
 }
 
-func newRTLCache(sim *rtl.Simulator, name string, cfg cache.Config, backing *mem.Memory, writable bool) (*rtlCache, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// newRTLCache elaborates one cache of a validated geometry (New checks
+// the hierarchy first).
+func newRTLCache(sim *rtl.Simulator, name string, cfg cache.Config, backing *mem.Memory, writable bool) *rtlCache {
 	sets := cfg.Sets()
 	lines := sets * cfg.Ways
 	c := &rtlCache{
@@ -103,7 +102,7 @@ func newRTLCache(sim *rtl.Simulator, name string, cfg cache.Config, backing *mem
 	for i := 0; i < lines; i++ {
 		c.lru.Init(i, uint64(i%cfg.Ways))
 	}
-	return c, nil
+	return c
 }
 
 func (c *rtlCache) index(addr uint32) (set int, tag uint64, off int) {

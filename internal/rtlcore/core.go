@@ -13,33 +13,6 @@ import (
 	"repro/internal/trace"
 )
 
-// Config selects the cache geometries and miss latency of the RTL core.
-// The pipeline itself is fixed: scalar, 5 stages, full forwarding.
-type Config struct {
-	L1I        cache.Config
-	L1D        cache.Config
-	MemLatency int
-}
-
-// DefaultConfig mirrors TABLE I's cache geometry (32KB 4-way L1I/L1D).
-func DefaultConfig() Config {
-	return Config{
-		L1I:        cache.Config{Name: "L1I", SizeBytes: 32 * 1024, Ways: 4, LineBytes: 32},
-		L1D:        cache.Config{Name: "L1D", SizeBytes: 32 * 1024, Ways: 4, LineBytes: 32},
-		MemLatency: 20,
-	}
-}
-
-// CampaignConfig mirrors microarch.CampaignConfig: the same scaled cache
-// geometry used on both abstraction levels during fault-injection
-// campaigns (see EXPERIMENTS.md).
-func CampaignConfig() Config {
-	cfg := DefaultConfig()
-	cfg.L1I.SizeBytes = 2 * 1024
-	cfg.L1D.SizeBytes = 512
-	return cfg
-}
-
 // Exception codes carried through the pipeline's exc latches.
 const (
 	excNone   = 0
@@ -84,7 +57,7 @@ func (s stage) pass(from stage) {
 // Core is the RTL CPU: design state lives in the rtl kernel; the Go-side
 // fields are the testbench (program output, stop bookkeeping, counters).
 type Core struct {
-	cfg     Config
+	cfg     cache.Hierarchy
 	sim     *rtl.Simulator
 	backing *mem.Memory
 
@@ -137,10 +110,12 @@ type Core struct {
 	Insts     uint64
 }
 
-// New elaborates the design with the program image loaded.
-func New(p *asm.Program, cfg Config) (*Core, error) {
-	if cfg.MemLatency < 1 {
-		return nil, fmt.Errorf("rtlcore: MemLatency must be >= 1")
+// New elaborates the design with the program image loaded, over the
+// memory hierarchy h. The pipeline itself is fixed: scalar, 5 stages,
+// full forwarding.
+func New(p *asm.Program, h cache.Hierarchy) (*Core, error) {
+	if err := h.Validate(); err != nil {
+		return nil, err
 	}
 	backing, err := p.NewImage()
 	if err != nil {
@@ -148,7 +123,7 @@ func New(p *asm.Program, cfg Config) (*Core, error) {
 	}
 	sim := rtl.NewSimulator()
 	c := &Core{
-		cfg:     cfg,
+		cfg:     h,
 		sim:     sim,
 		backing: backing,
 		pc:      sim.Reg("pc", 32, uint64(p.TextBase)),
@@ -167,14 +142,8 @@ func New(p *asm.Program, cfg Config) (*Core, error) {
 		exmemSt: sim.Reg("exmem_st", 32, 0),
 		memwbV:  sim.Reg("memwb_v", 32, 0),
 	}
-	c.l1i, err = newRTLCache(sim, "l1i", cfg.L1I, backing, false)
-	if err != nil {
-		return nil, err
-	}
-	c.l1d, err = newRTLCache(sim, "l1d", cfg.L1D, backing, true)
-	if err != nil {
-		return nil, err
-	}
+	c.l1i = newRTLCache(sim, "l1i", h.L1I, backing, false)
+	c.l1d = newRTLCache(sim, "l1d", h.L1D, backing, true)
 	c.regfile.Init(int(isa.SP), uint64(isa.StackTop))
 	c.latches = sim.RegsByPrefix("")
 	for _, r := range c.latches {
@@ -185,9 +154,6 @@ func New(p *asm.Program, cfg Config) (*Core, error) {
 	c.eval() // reset release
 	return c, nil
 }
-
-// Config returns the configuration.
-func (c *Core) Config() Config { return c.cfg }
 
 // Cycles returns the number of completed clock cycles.
 func (c *Core) Cycles() uint64 { return c.sim.CycleCount }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/bench"
+	"repro/internal/cache"
 	"repro/internal/fault"
 	"repro/internal/isa"
 	"repro/internal/refsim"
@@ -22,7 +23,7 @@ func assemble(t *testing.T, src string) *asm.Program {
 
 func newCore(t *testing.T, p *asm.Program) *Core {
 	t.Helper()
-	c, err := New(p, DefaultConfig())
+	c, err := New(p, cache.TableI())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestCampaignConfigProducesPinoutTraffic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c, err := New(p, CampaignConfig())
+			c, err := New(p, cache.Campaign())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -286,7 +287,7 @@ func TestInjectedLatchGarbageHalts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(p, CampaignConfig())
+	c, err := New(p, cache.Campaign())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/bench"
+	"repro/internal/cache"
 	"repro/internal/fault"
 	"repro/internal/statehash"
 	"repro/internal/trace"
@@ -38,7 +39,7 @@ func benchProgram(t testing.TB, name string) *asm.Program {
 
 func campaignCore(t testing.TB, p *asm.Program) *Core {
 	t.Helper()
-	c, err := New(p, CampaignConfig())
+	c, err := New(p, cache.Campaign())
 	if err != nil {
 		t.Fatal(err)
 	}

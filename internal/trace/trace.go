@@ -128,8 +128,8 @@ func Compare(golden, faulty *Pinout, uptoCycle uint64, mode CompareMode) Diff {
 // replay snapshot point) against the golden capture restricted to
 // transactions with fromCycle < Cycle <= uptoCycle.
 func CompareWindow(golden, faulty *Pinout, fromCycle, uptoCycle uint64, mode CompareMode) Diff {
-	g := golden.window(fromCycle, uptoCycle)
-	f := faulty.window(fromCycle, uptoCycle)
+	g := golden.Window(fromCycle, uptoCycle)
+	f := faulty.Window(fromCycle, uptoCycle)
 	n := min(len(g), len(f))
 	for i := 0; i < n; i++ {
 		if g[i].Addr != f[i].Addr || g[i].Kind != f[i].Kind || g[i].Digest != f[i].Digest {
@@ -145,10 +145,10 @@ func CompareWindow(golden, faulty *Pinout, fromCycle, uptoCycle uint64, mode Com
 	return Diff{Match: true, Index: -1}
 }
 
-// window returns the transactions with fromCycle < Cycle <= uptoCycle.
-// Transactions are recorded in nondecreasing cycle order, so both bounds
-// are binary searches.
-func (p *Pinout) window(fromCycle, uptoCycle uint64) []Transaction {
+// Window returns the transactions with fromCycle < Cycle <= uptoCycle,
+// aliasing p's storage. Transactions are recorded in nondecreasing cycle
+// order, so both bounds are binary searches.
+func (p *Pinout) Window(fromCycle, uptoCycle uint64) []Transaction {
 	if p == nil {
 		return nil
 	}

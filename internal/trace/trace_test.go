@@ -152,7 +152,7 @@ func TestCompareWindowMatchesLinear(t *testing.T) {
 	for i, p := range captures {
 		for from := uint64(0); from <= 30; from++ {
 			for upto := uint64(0); upto <= 30; upto++ { // from >= upto included
-				got, want := p.window(from, upto), linearWindow(p, from, upto)
+				got, want := p.Window(from, upto), linearWindow(p, from, upto)
 				if len(got) != len(want) || (len(got) > 0 && &got[0] != &want[0]) {
 					t.Fatalf("capture %d window (%d, %d]: %v, linear %v", i, from, upto, got, want)
 				}
