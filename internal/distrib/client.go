@@ -23,8 +23,10 @@ type Client struct {
 	// HTTP overrides the transport; nil uses a default client.
 	HTTP *http.Client
 
-	// Poll is the progress polling interval while waiting (0 selects
-	// 500ms).
+	// Poll caps the progress polling interval while waiting (0 selects
+	// 500ms): the first poll comes after min(Poll, 10ms), and the
+	// interval doubles up to Poll, so a short campaign is not held to a
+	// long interval.
 	Poll time.Duration
 }
 
@@ -70,10 +72,11 @@ func (c *Client) Wait(id string, stop <-chan struct{}) (*campaign.Result, error)
 // wait is Wait that also returns the last Progress it polled, which
 // holds the finished campaign's frozen counters and wall times.
 func (c *Client) wait(id string, stop <-chan struct{}) (*campaign.Result, Progress, error) {
-	poll := c.Poll
-	if poll <= 0 {
-		poll = 500 * time.Millisecond
+	limit := c.Poll
+	if limit <= 0 {
+		limit = 500 * time.Millisecond
 	}
+	poll := min(limit, 10*time.Millisecond)
 	for {
 		p, err := c.Progress(id)
 		if err != nil {
@@ -98,6 +101,7 @@ func (c *Client) wait(id string, stop <-chan struct{}) (*campaign.Result, Progre
 			return nil, p, campaign.ErrInterrupted
 		case <-time.After(poll):
 		}
+		poll = min(2*poll, limit)
 	}
 }
 

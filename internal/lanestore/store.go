@@ -3,15 +3,21 @@
 // golden simulator as data diffs.
 //
 // A lane is the golden machine with some data values exclusive-ored by a
-// diff. What is data and what is control is the model's business, and so
-// are the dense planes that carry its register and pipeline diffs. This
-// package holds what the models share:
+// diff. What is data and what is control is the model's business; where
+// a diff lives, and how it is read, written, rewound and dropped, is this
+// package's. It holds:
 //
 //   - Machines, the bitset naming lanes: two groups of 64 (the trackers
 //     of two injection targets riding one golden simulator, in the slots
 //     a model's AttachLanes hands out), machine m = group<<6 | lane;
+//   - the dense planes a model declares at Init, one per kind below KL1D:
+//     a word per (location, machine) for the register and pipeline values
+//     a corrupted value moves through every cycle, with a membership set
+//     per location;
 //   - the sparse byte planes of L1D data, memory and output, with their
 //     membership sets;
+//   - one Get, journalled Set, Undo, Retire and Clean over both kinds of
+//     plane;
 //   - the tick journal, which rebuilds a lane peeled mid-step as it stood
 //     when the step began;
 //   - the diverged write-back list: a dirty line written back with a diff
@@ -93,8 +99,8 @@ func (s *Machines) Pop() int {
 	return -1
 }
 
-// Byte kinds: the sparse planes. A model numbers its own dense kinds
-// below KL1D.
+// Byte kinds: the sparse planes. A model numbers its dense kinds from 0,
+// below KL1D, in the order it declares them to Init.
 const (
 	KL1D uint8 = 0x80 + iota // at = L1D data-array byte
 	KMem                     // at = memory address
@@ -107,6 +113,42 @@ type ByteDiff struct {
 	At   uint32
 	X    uint8
 	Kind uint8
+}
+
+// Plane is a dense diff plane: machine m's diff at location at is one
+// word, and At[at] holds the machines whose diff there is nonzero. The
+// hooks on a golden step test a location's set and go on when it is
+// empty. Write a plane through Store.Set only.
+type Plane struct {
+	x  []uint32 // [at*NM + m]
+	At []Machines
+
+	// Union, when non-nil, holds every machine with a diff in the plane:
+	// it gains every machine given a nonzero diff and loses a machine
+	// retired, and a model may drop a machine sooner only once it has no
+	// diff left there. Planes may share one.
+	Union *Machines
+
+	// Joint, when non-nil, is a membership set per location that planes
+	// of one size share: Joint[at] holds every machine with a diff at
+	// at in any of them, under the rules of Union.
+	Joint []Machines
+}
+
+// mayHold reports whether machine m can have a diff in the plane.
+func (p *Plane) mayHold(m int) bool { return p.Union == nil || p.Union.Has(m) }
+
+// Diff returns machine m's diff at location at.
+func (p *Plane) Diff(m, at int) uint32 { return p.x[at*NM+m] }
+
+// All returns the machines with a diff anywhere in the plane.
+func (p *Plane) All() Machines {
+	var s Machines
+	for i := range p.At {
+		s[0] |= p.At[i][0]
+		s[1] |= p.At[i][1]
+	}
+	return s
 }
 
 // undoRec restores one location's diff as it stood before a write of the
@@ -124,10 +166,12 @@ type laneWB struct {
 	txn trace.Transaction
 }
 
-// Store is the shared half of one value-lane store. Not safe for
-// concurrent use.
+// Store holds every plane and all the bookkeeping of one value-lane
+// store; a model embeds it beside its hooks. Not safe for concurrent
+// use.
 type Store struct {
-	bytes [NM][]ByteDiff
+	planes []Plane // by dense kind
+	bytes  [NM][]ByteDiff
 
 	// Per-location membership: the machines with a byte diff there.
 	Line []Machines // per L1D line, any byte
@@ -153,17 +197,36 @@ type Store struct {
 	tmp       []ByteDiff // CopyBytes' scratch
 }
 
-// Init sizes a fresh store for an L1D of lines lines of lineBytes bytes.
-func (l *Store) Init(lines, lineBytes int) {
+// Init sizes a fresh store for an L1D of lines lines of lineBytes bytes
+// and one dense plane per entry of planes, kind k with planes[k]
+// locations.
+func (l *Store) Init(lines, lineBytes int, planes ...int) {
 	l.Line = make([]Machines, lines)
 	l.LineBytes = lineBytes
 	l.buf = make([]byte, lineBytes)
+	l.planes = make([]Plane, len(planes))
+	for k, n := range planes {
+		l.planes[k] = Plane{x: make([]uint32, n*NM), At: make([]Machines, n)}
+	}
 }
 
-// Fits reports whether the store was sized for this L1D geometry.
-func (l *Store) Fits(lines, lineBytes int) bool {
-	return len(l.Line) == lines && l.LineBytes == lineBytes
+// Fits reports whether Init sized the store for this L1D geometry and
+// these dense planes.
+func (l *Store) Fits(lines, lineBytes int, planes ...int) bool {
+	if len(l.Line) != lines || l.LineBytes != lineBytes || len(l.planes) != len(planes) {
+		return false
+	}
+	for k, n := range planes {
+		if len(l.planes[k].At) != n {
+			return false
+		}
+	}
+	return true
 }
+
+// Plane returns the dense plane of kind; the pointer is the store's for
+// life.
+func (l *Store) Plane(kind uint8) *Plane { return &l.planes[kind] }
 
 // FreeList recycles stores between the engines of a process: a store is
 // tens to hundreds of KB of planes, and every lockstep engine builds
@@ -217,44 +280,56 @@ func (l *Store) find(m int, kind uint8, at uint32) int {
 	return -1
 }
 
-// Byte returns machine m's byte diff at (kind, at), 0 when it has none.
-func (l *Store) Byte(m int, kind uint8, at uint32) uint32 {
+// Get returns machine m's diff at (kind, at), 0 when it has none.
+func (l *Store) Get(m int, kind uint8, at uint32) uint32 {
+	if kind < KL1D {
+		return l.planes[kind].Diff(m, int(at))
+	}
 	if i := l.find(m, kind, at); i >= 0 {
 		return uint32(l.bytes[m][i].X)
 	}
 	return 0
 }
 
-// SetByte makes machine m's byte diff at (kind, at) x, journalling the
-// old one.
-func (l *Store) SetByte(m int, kind uint8, at, x uint32) {
-	if old := l.Byte(m, kind, at); old != x {
-		l.Journal(m, kind, at, old)
-		l.PutByte(m, kind, at, uint8(x))
+// Set makes machine m's diff at (kind, at) x, journalling the old one.
+func (l *Store) Set(m int, kind uint8, at, x uint32) {
+	if old := l.Get(m, kind, at); old != x {
+		l.undo[m>>6] = append(l.undo[m>>6], undoRec{m: uint8(m), kind: kind, at: at, old: old})
+		l.put(m, kind, at, x)
 	}
 }
 
-// Journal records machine m's diff at (kind, at) before a write of the
-// current tick overwrites it.
-func (l *Store) Journal(m int, kind uint8, at, old uint32) {
-	l.undo[m>>6] = append(l.undo[m>>6], undoRec{m: uint8(m), kind: kind, at: at, old: old})
-}
-
-// Undo hands put every diff of machine m the current tick overwrote, in
-// reverse order: putting them back restores the machine as the tick
-// found it.
-func (l *Store) Undo(m int, put func(kind uint8, at, old uint32)) {
+// Undo puts back every diff of machine m the current tick overwrote, in
+// reverse order: the machine is restored as the tick found it.
+func (l *Store) Undo(m int) {
 	u := l.undo[m>>6]
 	for j := len(u) - 1; j >= 0; j-- {
 		if r := u[j]; int(r.m) == m {
-			put(r.kind, r.at, r.old)
+			l.put(m, r.kind, r.at, r.old)
 		}
 	}
 }
 
-// PutByte stores x as machine m's byte diff at (kind, at), keeping the
-// membership sets in step.
-func (l *Store) PutByte(m int, kind uint8, at uint32, x uint8) {
+// put stores x as machine m's diff at (kind, at), keeping the membership
+// sets in step.
+func (l *Store) put(m int, kind uint8, at, x uint32) {
+	if kind < KL1D {
+		p := &l.planes[kind]
+		p.x[int(at)*NM+m] = x
+		p.At[at].Mark(m, x != 0)
+		if x != 0 && p.Union != nil {
+			p.Union.Add(m)
+		}
+		if x != 0 && p.Joint != nil {
+			p.Joint[at].Add(m)
+		}
+		return
+	}
+	l.putByte(m, kind, at, uint8(x))
+}
+
+// putByte is put's byte-plane half.
+func (l *Store) putByte(m int, kind uint8, at uint32, x uint8) {
 	d, i := l.bytes[m], l.find(m, kind, at)
 	switch {
 	case x != 0 && i >= 0:
@@ -299,9 +374,29 @@ func (l *Store) byteSet(kind uint8, at uint32) *Machines {
 	return &l.Out
 }
 
-// Retire drops machine m's byte diffs, diverged write-backs and peel
-// state; the model retires its own planes.
+// Retire returns machine m to golden: it drops the machine's dense and
+// byte diffs, diverged write-backs and peel state.
 func (l *Store) Retire(m int) {
+	for k := range l.planes {
+		p := &l.planes[k]
+		if !p.mayHold(m) {
+			continue
+		}
+		for at := range p.At {
+			if p.At[at].Has(m) {
+				p.x[at*NM+m] = 0
+				p.At[at].Del(m)
+			}
+			if p.Joint != nil {
+				p.Joint[at].Del(m)
+			}
+		}
+	}
+	for k := range l.planes { // after the walk: planes may share a union
+		if u := l.planes[k].Union; u != nil {
+			u.Del(m)
+		}
+	}
 	for _, e := range l.bytes[m] {
 		l.byteSet(e.Kind, e.At).Del(m)
 	}
@@ -318,8 +413,32 @@ func (l *Store) Retire(m int) {
 	l.wbs = kept
 }
 
-// ClearJournal empties both groups' journals.
-func (l *Store) ClearJournal() {
+// Clean reports whether machine m has no diverged write-back, no byte
+// diff and no dense diff but those skip accepts (nil: none).
+func (l *Store) Clean(m int, skip func(kind uint8, at int) bool) bool {
+	if l.WB.Has(m) || len(l.bytes[m]) > 0 {
+		return false
+	}
+	for k := range l.planes {
+		p := &l.planes[k]
+		if !p.mayHold(m) {
+			continue
+		}
+		for at, set := range p.At {
+			if set.Has(m) && (skip == nil || !skip(uint8(k), at)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Reset retires every machine and empties both groups' journals, as a
+// store goes back to a free list.
+func (l *Store) Reset() {
+	for m := range NM {
+		l.Retire(m)
+	}
 	for g := range l.undo {
 		l.undo[g] = l.undo[g][:0]
 	}
@@ -401,12 +520,12 @@ func (l *Store) CopyBytes(m int, dst uint8, dstAt uint32, src uint8, srcAt, n ui
 	}
 	for _, e := range l.tmp {
 		if e.Kind == stale {
-			l.SetByte(m, dst, dstAt+e.At, 0)
+			l.Set(m, dst, dstAt+e.At, 0)
 		}
 	}
 	for _, e := range l.tmp {
 		if e.Kind == moved {
-			l.SetByte(m, dst, dstAt+e.At, uint32(e.X))
+			l.Set(m, dst, dstAt+e.At, uint32(e.X))
 		}
 	}
 }
@@ -425,19 +544,11 @@ func (l *Store) IFetch(addr, n uint32) {
 	}
 }
 
-// Planes is what a group needs of its model's store: a machine's diff at
-// a location, and a journalled write of it.
-type Planes interface {
-	Get(m int, kind uint8, at uint32) uint32
-	Set(m int, kind uint8, at, x uint32)
-}
-
 // Group is one tracker's view of a store: lanes 0..63 of group G,
 // injected into a target of Bits bits laid out as Width-bit units of
 // plane Kind; Golden peeks golden's current bit.
 type Group struct {
 	S      *Store
-	P      Planes
 	G      int
 	Kind   uint8
 	Width  int
@@ -458,7 +569,7 @@ func (t Group) Flip(lane, bit int) error {
 	at, mask, err := t.locate(bit)
 	if err == nil {
 		m := t.Machine(lane)
-		t.P.Set(m, t.Kind, at, t.P.Get(m, t.Kind, at)^mask)
+		t.S.Set(m, t.Kind, at, t.S.Get(m, t.Kind, at)^mask)
 	}
 	return err
 }
@@ -471,11 +582,11 @@ func (t Group) Force(lane, bit, v int) error {
 		return err
 	}
 	m := t.Machine(lane)
-	x := t.P.Get(m, t.Kind, at) &^ mask
+	x := t.S.Get(m, t.Kind, at) &^ mask
 	if t.Golden(bit) != v&1 {
 		x |= mask
 	}
-	t.P.Set(m, t.Kind, at, x)
+	t.S.Set(m, t.Kind, at, x)
 	t.S.Persist.Add(m)
 	return nil
 }

@@ -7,9 +7,19 @@ import (
 	"repro/internal/trace"
 )
 
+// Three dense kinds in the test store: planes of three, one and three
+// locations.
+const (
+	kA uint8 = iota
+	kB
+	kC
+)
+
+var testPlanes = []int{kA: 3, kB: 1, kC: 3}
+
 func newStore() *Store {
 	s := &Store{}
-	s.Init(4, 8) // four 8-byte lines
+	s.Init(4, 8, testPlanes...) // four 8-byte lines
 	return s
 }
 
@@ -31,14 +41,14 @@ func TestMachinesAreTwoGroups(t *testing.T) {
 // its byte diffs keeps it there, and in L1D while it has any L1D byte.
 func TestByteMembership(t *testing.T) {
 	s := newStore()
-	s.SetByte(5, KL1D, 8, 1) // line 1
-	s.SetByte(5, KL1D, 9, 2) // line 1
-	s.SetByte(5, KMem, 100, 3)
-	s.SetByte(5, KL1D, 8, 0)
-	if !s.Line[1].Has(5) || !s.L1D.Has(5) || !s.Mem.Has(5) || s.Byte(5, KL1D, 9) != 2 {
+	s.Set(5, KL1D, 8, 1) // line 1
+	s.Set(5, KL1D, 9, 2) // line 1
+	s.Set(5, KMem, 100, 3)
+	s.Set(5, KL1D, 8, 0)
+	if !s.Line[1].Has(5) || !s.L1D.Has(5) || !s.Mem.Has(5) || s.Get(5, KL1D, 9) != 2 {
 		t.Fatalf("after clearing one of two line bytes: line %v, l1d %v, mem %v", s.Line[1], s.L1D, s.Mem)
 	}
-	s.SetByte(5, KL1D, 9, 0)
+	s.Set(5, KL1D, 9, 0)
 	if s.Line[1].Has(5) || s.L1D.Has(5) || !s.Mem.Has(5) {
 		t.Fatalf("after clearing the line: line %v, l1d %v, mem %v", s.Line[1], s.L1D, s.Mem)
 	}
@@ -48,19 +58,70 @@ func TestByteMembership(t *testing.T) {
 	}
 }
 
-// TestUndoRestoresTickStart: the journal puts back every diff the tick
-// overwrote, in reverse order, for the machine asked about only.
+// TestDensePlaneMembership: a dense plane's set at a location holds
+// exactly the machines whose diff there is nonzero, the union and the
+// joint sets planes share gain every machine given one, Clean sees them
+// unless skipped, and Retire leaves no membership behind, in a plane, a
+// union or a joint set.
+func TestDensePlaneMembership(t *testing.T) {
+	s := newStore()
+	var union Machines
+	joint := make([]Machines, 3)
+	a, c := s.Plane(kA), s.Plane(kC)
+	a.Union, s.Plane(kB).Union = &union, &union
+	a.Joint, c.Joint = joint, joint
+	s.Set(70, kA, 2, 0x30)
+	s.Set(70, kC, 2, 5)
+	s.Set(70, kC, 2, 0)
+	s.Set(3, kA, 2, 1)
+	s.Set(3, kA, 2, 0)
+	s.Set(3, kB, 0, 4)
+	s.Set(3, kC, 1, 6)
+	if !joint[2].Has(70) || !joint[1].Has(3) || joint[0].Any() || c.At[2].Has(70) {
+		t.Fatalf("joint sets %v, plane C at 2 %v", joint, c.At[2])
+	}
+	if !a.At[2].Has(70) || a.At[2].Has(3) || a.Diff(70, 2) != 0x30 || s.Get(70, kA, 2) != 0x30 {
+		t.Fatalf("plane A at 2: %v, diff %#x", a.At[2], a.Diff(70, 2))
+	}
+	if !union.Has(70) || !union.Has(3) || union.Has(4) {
+		t.Fatalf("union %v: want every machine given a nonzero diff", union)
+	}
+	if all := a.All().Or(s.Plane(kB).All()).Or(c.All()); all != (Machines{1 << 3, 1 << 6}) {
+		t.Fatalf("planes hold %v", all)
+	}
+	if s.Clean(70, nil) || !s.Clean(70, func(kind uint8, at int) bool { return kind == kA && at == 2 }) || !s.Clean(5, nil) {
+		t.Fatal("Clean does not follow the dense planes")
+	}
+	s.Retire(70)
+	s.Retire(3)
+	if a.All().Or(s.Plane(kB).All()).Or(c.All()).Or(union).Or(joint[1]).Or(joint[2]).Any() ||
+		s.Get(70, kA, 2) != 0 || s.Get(3, kB, 0) != 0 || s.Get(3, kC, 1) != 0 || !s.Clean(3, nil) {
+		t.Fatal("retire left a dense diff")
+	}
+}
+
+// TestUndoRestoresTickStart: the journal puts back every dense and byte
+// diff the tick overwrote, in reverse order, for the machine asked about
+// only.
 func TestUndoRestoresTickStart(t *testing.T) {
 	s := newStore()
-	s.SetByte(1, KOut, 0, 7)
-	s.SetByte(2, KOut, 0, 9)
-	s.BeginTick(0)
-	s.SetByte(1, KOut, 0, 8)
-	s.SetByte(1, KOut, 0, 0)
-	s.SetByte(2, KOut, 0, 1)
-	s.Undo(1, func(kind uint8, at, old uint32) { s.PutByte(1, kind, at, uint8(old)) })
-	if s.Byte(1, KOut, 0) != 7 || s.Byte(2, KOut, 0) != 1 {
-		t.Fatalf("undo: machine 1 %d, machine 2 %d", s.Byte(1, KOut, 0), s.Byte(2, KOut, 0))
+	for _, k := range []struct {
+		kind uint8
+		at   uint32
+	}{{KOut, 0}, {kA, 1}} {
+		s.Set(1, k.kind, k.at, 7)
+		s.Set(2, k.kind, k.at, 9)
+		s.BeginTick(0)
+		s.Set(1, k.kind, k.at, 8)
+		s.Set(1, k.kind, k.at, 0)
+		s.Set(2, k.kind, k.at, 1)
+		s.Undo(1)
+		if s.Get(1, k.kind, k.at) != 7 || s.Get(2, k.kind, k.at) != 1 {
+			t.Fatalf("kind %#x: undo gave machine 1 %d, machine 2 %d", k.kind, s.Get(1, k.kind, k.at), s.Get(2, k.kind, k.at))
+		}
+	}
+	if !s.Plane(kA).At[1].Has(1) {
+		t.Fatal("undo did not restore the dense membership")
 	}
 }
 
@@ -69,12 +130,12 @@ func TestUndoRestoresTickStart(t *testing.T) {
 // what memory held there), and a refill brings it back.
 func TestWriteBackDivergesAndRefills(t *testing.T) {
 	s := newStore()
-	s.SetByte(0, KL1D, 17, 0x40)   // line 2, byte 1
-	s.SetByte(0, KMem, 0x200, 0x5) // stale: overwritten by the write-back
-	s.SetByte(1, KMem, 0x300, 0x1) // another machine, elsewhere
+	s.Set(0, KL1D, 17, 0x40)   // line 2, byte 1
+	s.Set(0, KMem, 0x200, 0x5) // stale: overwritten by the write-back
+	s.Set(1, KMem, 0x300, 0x1) // another machine, elsewhere
 	evict := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	s.WriteBack(2, 16, evict, 0x200, 99)
-	if s.Byte(0, KMem, 0x201) != 0x40 || s.Byte(0, KMem, 0x200) != 0 || s.Byte(1, KMem, 0x300) != 1 {
+	if s.Get(0, KMem, 0x201) != 0x40 || s.Get(0, KMem, 0x200) != 0 || s.Get(1, KMem, 0x300) != 1 {
 		t.Fatalf("memory plane after the write-back: %v", s.Bytes(0))
 	}
 	wbs := Group{S: s, G: 0}.AppendDiverged(0, nil)
@@ -84,7 +145,7 @@ func TestWriteBackDivergesAndRefills(t *testing.T) {
 		t.Fatalf("diverged write-backs %+v", wbs)
 	}
 	s.CopyBytes(0, KL1D, 16, KMem, 0x200, 8) // refill of the same line
-	if s.Byte(0, KL1D, 17) != 0x40 {
+	if s.Get(0, KL1D, 17) != 0x40 {
 		t.Fatal("the refill lost the diff")
 	}
 	s.Persist.Add(1)
@@ -96,7 +157,8 @@ func TestWriteBackDivergesAndRefills(t *testing.T) {
 }
 
 // TestFreeListRecyclesByGeometry: Take hands back only a store that fits,
-// and the list is safe across goroutines.
+// in L1D geometry and in dense plane sizes, and the list is safe across
+// goroutines.
 func TestFreeListRecyclesByGeometry(t *testing.T) {
 	var f FreeList[*Store]
 	var wg sync.WaitGroup
@@ -105,7 +167,7 @@ func TestFreeListRecyclesByGeometry(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				s := f.Take(func(s *Store) bool { return s.Fits(4, 8) })
+				s := f.Take(func(s *Store) bool { return s.Fits(4, 8, testPlanes...) })
 				if s == nil {
 					s = newStore()
 				}
@@ -114,7 +176,12 @@ func TestFreeListRecyclesByGeometry(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if s := f.Take(func(s *Store) bool { return s.Fits(8, 8) }); s != nil {
+	for _, planes := range [][]int{{3, 1, 2}, {3, 1}, {3, 1, 3, 1}} {
+		if s := f.Take(func(s *Store) bool { return s.Fits(4, 8, planes...) }); s != nil {
+			t.Fatalf("a store was handed out for dense planes %v", planes)
+		}
+	}
+	if s := f.Take(func(s *Store) bool { return s.Fits(8, 8, testPlanes...) }); s != nil {
 		t.Fatal("a store of another geometry was handed out")
 	}
 }

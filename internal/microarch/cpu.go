@@ -535,7 +535,7 @@ func (c *CPU) rename() {
 			u.ratSnap = c.rat
 			u.flagSnap = c.specFlagProducer
 			u.flagsInSnap = c.archFlags
-			if c.lanes != nil && c.lanes.flag.Any() {
+			if c.lanes != nil && c.lanes.archFlags.At[0].Any() {
 				c.lanes.rename(s, cl&clCond != 0)
 			}
 		}
@@ -662,7 +662,7 @@ func (c *CPU) issue() {
 					if u.size == 1 {
 						u.result &= 0xFF
 					}
-					if c.lanes != nil && c.lanes.uop[from].Any() {
+					if c.lanes != nil && c.lanes.storeVal.At[from].Any() {
 						c.lanes.forward(s, from, u.size)
 					}
 					u.execDone = c.Cycles + 1
@@ -849,7 +849,7 @@ func (c *CPU) writeback() {
 			if c.ltRF != nil {
 				c.ltRF.Write(c.Cycles, int(u.dst), 0, 32)
 			}
-			if c.lanes != nil && (c.lanes.prf[u.dst].Any() || c.lanes.uop[s].Any()) {
+			if c.lanes != nil && (c.lanes.prf.At[u.dst].Any() || c.lanes.result.At[s].Any()) {
 				c.lanes.writeback(s, u.dst)
 			}
 			c.prf[u.dst] = u.result
@@ -971,7 +971,7 @@ func (c *CPU) commit() {
 		}
 		if u.writesFlags {
 			c.archFlags = u.flags
-			if c.lanes != nil && (c.lanes.flag.Any() || c.lanes.uop[s].Any()) {
+			if c.lanes != nil && (c.lanes.archFlags.At[0].Any() || c.lanes.flags.At[s].Any()) {
 				c.lanes.commitFlags(s)
 			}
 		}
@@ -1047,7 +1047,7 @@ func (c *CPU) commitStore(s slot, u *uop) bool {
 	}
 	if c.lanes != nil {
 		c.lanes.access(&res)
-		if c.lanes.Line[res.Line].Any() || c.lanes.uop[s].Any() {
+		if c.lanes.Line[res.Line].Any() || c.lanes.storeVal.At[s].Any() {
 			c.lanes.store(s, c.lanes.index(&res, u.addr), u.size)
 		}
 	}

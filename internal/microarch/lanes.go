@@ -38,18 +38,18 @@ import (
 //
 // One store serves two groups of up to 64 lanes each (a register-file
 // tracker and an L1D tracker riding the same golden CPU, in the slots
-// AttachLanes hands out). A machine is
-// named by group and lane, m = group<<6 | lane, so lane k of one group
-// and lane k of the other never share a diff. The byte planes, the
-// journal, the write-back list and the peel accounting are package
-// lanestore's, which the RTL model's lanes use too; this file keeps the
-// hooks and the register and uop planes.
-
-const nm = lanestore.NM
+// AttachLanes hands out). A machine is named by group and lane, m =
+// group<<6 | lane, so lane k of one group and lane k of the other never
+// share a diff. The planes live in package lanestore, as the RTL model's
+// do: this file declares its dense ones (the physical registers, one per
+// uop data field, archFlags) and keeps the hooks. The store reads,
+// writes, journals, rewinds and retires every plane, dense and byte, and
+// keeps the write-back list and the peel accounting.
 
 type machines = lanestore.Machines
 
-// Diff kinds: the data locations a lane can differ in.
+// Diff kinds: the data locations a lane can differ in. The dense ones are
+// the store's planes, in this order.
 const (
 	kPRF         uint8 = iota // at = physical register
 	kResult                   // at = uop slot, from here to kFlagsInSnap
@@ -63,48 +63,21 @@ const (
 	kOut         = lanestore.KOut
 )
 
-func uopKind(k uint8) bool { return k >= kResult && k <= kFlagsInSnap }
-
-// uopDiff is one machine's diff over a uop slot's data fields: result
-// and storeVal, then flags, flagsIn and flagsInSnap packed.
-type uopDiff struct {
-	v [2]uint32
-	f [3]uint8
-}
-
-func (d *uopDiff) field(kind uint8) uint32 {
-	if kind <= kStoreVal {
-		return d.v[kind-kResult]
-	}
-	return uint32(d.f[kind-kFlags])
-}
-
-func (d *uopDiff) setField(kind uint8, x uint32) {
-	if kind <= kStoreVal {
-		d.v[kind-kResult] = x
-	} else {
-		d.f[kind-kFlags] = uint8(x)
-	}
-}
-
-// laneStore is the value-lane store riding one CPU: the shared store
-// (byte planes, journal, write-backs, peel accounting) and the register
-// and uop planes. Not safe for concurrent use.
+// laneStore is the value-lane store riding one CPU, with a handle on each
+// dense plane for the hooks. Not safe for concurrent use.
 type laneStore struct {
 	lanestore.Store
 	c *CPU
 
-	// Register and uop diffs are dense, one entry per location and
-	// machine: they are what a corrupted value moves through every cycle.
-	prfX  []uint32  // [p*nm + m]
-	uopX  []uopDiff // [slot*nm + m]
-	flagX [nm]uint8 // archFlags
+	prf                              *lanestore.Plane
+	result, storeVal, flags, flagsIn *lanestore.Plane
+	flagsInSnap, archFlags           *lanestore.Plane
 
-	// Per-location membership: the machines with a diff there. The hooks
-	// on the golden step test one of these and go on when it is empty.
-	prf  []machines // per physical register
-	uop  []machines // per uop slot, any field
-	flag machines   // archFlags
+	// The five field planes' Union and Joint: uops holds every machine
+	// with a uop-field diff, slots[s] every machine with one in slot s,
+	// so freeing a slot is one load when nobody differs there.
+	uops  machines
+	slots []machines
 }
 
 // stores recycles value-lane stores between the engines of a process.
@@ -118,23 +91,24 @@ var stores lanestore.FreeList[*laneStore]
 func (c *CPU) AttachLanes(targets ...fault.Target) []*LaneGroup {
 	c.DetachLanes()
 	lines, lb := c.L1D.DataBits()/8/c.cfg.L1D.LineBytes, c.cfg.L1D.LineBytes
-	l := stores.Take(func(s *laneStore) bool {
-		return len(s.prf) == len(c.prf) && len(s.uop) == len(c.uops) && s.Fits(lines, lb)
-	})
+	n := len(c.uops)
+	planes := []int{kPRF: len(c.prf), kResult: n, kStoreVal: n, kFlags: n, kFlagsIn: n, kFlagsInSnap: n, kArchFlags: 1}
+	l := stores.Take(func(s *laneStore) bool { return s.Fits(lines, lb, planes...) })
 	if l == nil {
-		l = &laneStore{
-			prfX: make([]uint32, len(c.prf)*nm),
-			uopX: make([]uopDiff, len(c.uops)*nm),
-			prf:  make([]machines, len(c.prf)),
-			uop:  make([]machines, len(c.uops)),
+		l = &laneStore{}
+		l.Init(lines, lb, planes...)
+		l.prf, l.result, l.storeVal, l.flags = l.Plane(kPRF), l.Plane(kResult), l.Plane(kStoreVal), l.Plane(kFlags)
+		l.flagsIn, l.flagsInSnap, l.archFlags = l.Plane(kFlagsIn), l.Plane(kFlagsInSnap), l.Plane(kArchFlags)
+		l.slots = make([]machines, n)
+		for k := kResult; k <= kFlagsInSnap; k++ {
+			l.Plane(k).Union, l.Plane(k).Joint = &l.uops, l.slots
 		}
-		l.Init(lines, lb)
 	}
 	l.c = c
 	c.lanes = l
 	groups := make([]*LaneGroup, len(targets))
 	for g, t := range targets {
-		grp := lanestore.Group{S: &l.Store, P: l, G: g, Bits: c.Bits(t),
+		grp := lanestore.Group{S: &l.Store, G: g, Bits: c.Bits(t),
 			Golden: func(i int) int { return c.bit(t, i) }}
 		switch t {
 		case fault.TargetRF:
@@ -155,76 +129,14 @@ func (c *CPU) DetachLanes() {
 		return
 	}
 	c.lanes = nil
-	for m := 0; m < nm; m++ {
-		l.retire(m)
-	}
-	l.ClearJournal()
+	l.Reset()
 	l.c = nil
 	stores.Put(l)
 }
 
-// Get returns machine m's diff at (kind, at), 0 when it has none.
-func (l *laneStore) Get(m int, kind uint8, at uint32) uint32 {
-	switch {
-	case kind == kPRF:
-		return l.prfX[int(at)*nm+m]
-	case uopKind(kind):
-		return l.uopX[int(at)*nm+m].field(kind)
-	case kind == kArchFlags:
-		return uint32(l.flagX[m])
-	}
-	return l.Byte(m, kind, at)
-}
-
-// Set makes machine m's diff at (kind, at) x, journalling the old one.
-func (l *laneStore) Set(m int, kind uint8, at, x uint32) {
-	old := l.Get(m, kind, at)
-	if old == x {
-		return
-	}
-	l.Journal(m, kind, at, old)
-	l.put(m, kind, at, x)
-}
-
-// put stores x as machine m's diff at (kind, at), keeping the membership
-// sets in step.
-func (l *laneStore) put(m int, kind uint8, at, x uint32) {
-	switch {
-	case kind == kPRF:
-		l.prfX[int(at)*nm+m] = x
-		l.prf[at].Mark(m, x != 0)
-	case uopKind(kind):
-		d := &l.uopX[int(at)*nm+m]
-		d.setField(kind, x)
-		l.uop[at].Mark(m, *d != uopDiff{})
-	case kind == kArchFlags:
-		l.flagX[m] = uint8(x)
-		l.flag.Mark(m, x != 0)
-	default:
-		l.PutByte(m, kind, at, uint8(x))
-	}
-}
-
-// retire returns machine m to golden.
-func (l *laneStore) retire(m int) {
-	for p := range l.prf {
-		if l.prf[p].Has(m) {
-			l.put(m, kPRF, uint32(p), 0)
-		}
-	}
-	for s := range l.uop {
-		if l.uop[s].Has(m) {
-			l.uopX[s*nm+m] = uopDiff{}
-			l.uop[s].Del(m)
-		}
-	}
-	l.put(m, kArchFlags, 0, 0)
-	l.Store.Retire(m)
-}
-
 // reg reports whether any machine differs in physical register p (-1:
 // no operand).
-func (l *laneStore) reg(p int16) bool { return p >= 0 && l.prf[p].Any() }
+func (l *laneStore) reg(p int16) bool { return p >= 0 && l.prf.At[p].Any() }
 
 // ------------------------------------------------------- golden-step hooks
 
@@ -233,10 +145,10 @@ func (l *laneStore) reg(p int16) bool { return p >= 0 && l.prf[p].Any() }
 func (l *laneStore) alu(s slot, u *uop, a, b uint32) {
 	var set machines
 	if u.src1 >= 0 {
-		set = set.Or(l.prf[u.src1])
+		set = set.Or(l.prf.At[u.src1])
 	}
 	if u.src2 >= 0 {
-		set = set.Or(l.prf[u.src2])
+		set = set.Or(l.prf.At[u.src2])
 	}
 	set = l.Live(set)
 	in, op, at := u.inst, u.inst.Op, uint32(s)
@@ -246,10 +158,10 @@ func (l *laneStore) alu(s slot, u *uop, a, b uint32) {
 		}
 		a2, b2 := a, b
 		if u.src1 >= 0 {
-			a2 ^= l.Get(m, kPRF, uint32(u.src1))
+			a2 ^= l.prf.Diff(m, int(u.src1))
 		}
 		if u.src2 >= 0 {
-			b2 ^= l.Get(m, kPRF, uint32(u.src2))
+			b2 ^= l.prf.Diff(m, int(u.src2))
 		}
 		// The cases of execALU, in its order.
 		switch {
@@ -271,30 +183,39 @@ func (l *laneStore) alu(s slot, u *uop, a, b uint32) {
 	}
 }
 
+// flagsRead returns the plane and slot of the flags a conditional branch
+// in slot s reads: its flag producer's, or the ones rename captured.
+func (l *laneStore) flagsRead(s slot, u *uop) (*lanestore.Plane, slot) {
+	if u.flagProducer != noSlot {
+		return l.flags, u.flagProducer
+	}
+	return l.flagsIn, s
+}
+
 // branch resolves a conditional branch in slot s for the machines whose
 // flags differ; f is golden's flags input.
 func (l *laneStore) branch(s slot, u *uop, f isa.Flags) {
-	src, kind := s, kFlagsIn
-	if u.flagProducer != noSlot {
-		src, kind = u.flagProducer, kFlags
-	}
-	set := l.Live(l.uop[src])
+	p, src := l.flagsRead(s, u)
+	set := l.Live(p.At[src])
 	for m := set.Pop(); m >= 0; m = set.Pop() {
-		x := l.Get(m, kind, uint32(src))
-		if x == 0 || !l.Read(m) {
-			continue
-		}
-		if isa.CondHolds(u.inst.Op, xorFlags(f, uint8(x))) != u.taken {
+		if l.Read(m) && isa.CondHolds(u.inst.Op, xorFlags(f, uint8(p.Diff(m, int(src))))) != u.taken {
 			l.Peel(m, lanestore.PeelBranch)
 		}
 	}
 }
 
+// flagsDiffer reports whether any machine differs in the flags a
+// conditional branch in slot s reads.
+func (l *laneStore) flagsDiffer(s slot, u *uop) bool {
+	p, src := l.flagsRead(s, u)
+	return p.At[src].Any()
+}
+
 // address peels the machines whose address operands differ.
 func (l *laneStore) address(u *uop, regForm bool) {
-	set := l.prf[u.src1]
+	set := l.prf.At[u.src1]
 	if regForm {
-		set = set.Or(l.prf[u.src2])
+		set = set.Or(l.prf.At[u.src2])
 	}
 	set = l.Live(set)
 	for m := set.Pop(); m >= 0; m = set.Pop() {
@@ -307,12 +228,12 @@ func (l *laneStore) address(u *uop, regForm bool) {
 // storeValue records the store data of slot s for the machines whose
 // data register differs.
 func (l *laneStore) storeValue(s slot, u *uop) {
-	set := l.Live(l.prf[u.src3])
+	set := l.Live(l.prf.At[u.src3])
 	for m := set.Pop(); m >= 0; m = set.Pop() {
 		if !l.Read(m) {
 			continue
 		}
-		x := l.Get(m, kPRF, uint32(u.src3))
+		x := l.prf.Diff(m, int(u.src3))
 		if u.size == 1 {
 			x &= 0xFF
 		}
@@ -322,12 +243,12 @@ func (l *laneStore) storeValue(s slot, u *uop) {
 
 // forward gives load slot s the data of the store in slot from.
 func (l *laneStore) forward(s, from slot, size uint8) {
-	set := l.Live(l.uop[from])
+	set := l.Live(l.storeVal.At[from])
 	for m := set.Pop(); m >= 0; m = set.Pop() {
-		x := l.Get(m, kStoreVal, uint32(from))
-		if x == 0 || !l.Read(m) {
+		if !l.Read(m) {
 			continue
 		}
+		x := l.storeVal.Diff(m, int(from))
 		if size == 1 {
 			x &= 0xFF
 		}
@@ -372,9 +293,9 @@ func (l *laneStore) load(s slot, idx int, size uint8) {
 
 // store writes store slot s's data at data-array byte idx.
 func (l *laneStore) store(s slot, idx int, size uint8) {
-	set := l.Live(l.Line[idx/l.LineBytes].Or(l.uop[s]))
+	set := l.Live(l.Line[idx/l.LineBytes].Or(l.storeVal.At[s]))
 	for m := set.Pop(); m >= 0; m = set.Pop() {
-		x := l.Get(m, kStoreVal, uint32(s))
+		x := l.storeVal.Diff(m, int(s))
 		for i := uint32(0); i < uint32(size); i++ {
 			l.Set(m, kL1D, uint32(idx)+i, x>>(8*i)&0xFF)
 		}
@@ -383,28 +304,28 @@ func (l *laneStore) store(s slot, idx int, size uint8) {
 
 // writeback writes slot s's result to physical register p.
 func (l *laneStore) writeback(s slot, p int16) {
-	set := l.Live(l.prf[p].Or(l.uop[s]))
+	set := l.Live(l.prf.At[p].Or(l.result.At[s]))
 	for m := set.Pop(); m >= 0; m = set.Pop() {
-		l.Set(m, kPRF, uint32(p), l.Get(m, kResult, uint32(s)))
+		l.Set(m, kPRF, uint32(p), l.result.Diff(m, int(s)))
 	}
 }
 
 // commitFlags commits slot s's flags to archFlags.
 func (l *laneStore) commitFlags(s slot) {
-	set := l.Live(l.flag.Or(l.uop[s]))
+	set := l.Live(l.archFlags.At[0].Or(l.flags.At[s]))
 	for m := set.Pop(); m >= 0; m = set.Pop() {
-		l.Set(m, kArchFlags, 0, l.Get(m, kFlags, uint32(s)))
+		l.Set(m, kArchFlags, 0, l.flags.Diff(m, int(s)))
 	}
 }
 
 // rename captures archFlags into a renamed branch in slot s.
 func (l *laneStore) rename(s slot, cond bool) {
-	set := l.Live(l.flag)
+	set := l.Live(l.archFlags.At[0])
 	for m := set.Pop(); m >= 0; m = set.Pop() {
 		if !l.Read(m) {
 			continue
 		}
-		x := l.Get(m, kArchFlags, 0)
+		x := l.archFlags.Diff(m, 0)
 		if cond {
 			l.Set(m, kFlagsIn, uint32(s), x)
 		}
@@ -415,23 +336,19 @@ func (l *laneStore) rename(s slot, cond bool) {
 // free drops every diff of a uop slot that goes back to the free list:
 // nothing reads a free slot, and the next occupant starts golden.
 func (l *laneStore) free(s slot) {
-	set := l.Live(l.uop[s])
-	for m := set.Pop(); m >= 0; m = set.Pop() {
-		d := &l.uopX[int(s)*nm+m]
-		for k := kResult; k <= kFlagsInSnap; k++ {
-			if x := d.field(k); x != 0 {
-				l.Journal(m, k, uint32(s), x)
-			}
+	live := l.Live(l.slots[s])
+	for k, p := range [...]*lanestore.Plane{l.result, l.storeVal, l.flags, l.flagsIn, l.flagsInSnap} {
+		for set := l.Live(p.At[s]); set.Any(); {
+			l.Set(set.Pop(), kResult+uint8(k), uint32(s), 0)
 		}
-		*d = uopDiff{}
-		l.uop[s].Del(m)
 	}
+	l.slots[s] = l.slots[s].Without(live)
 }
 
 // syscall peels the machines whose syscall number or argument registers
 // (physical registers p7, p0, p1) differ.
 func (l *laneStore) syscall(p7, p0, p1 int16) {
-	set := l.Live(l.prf[p7].Or(l.prf[p0]).Or(l.prf[p1]))
+	set := l.Live(l.prf.At[p7].Or(l.prf.At[p0]).Or(l.prf.At[p1]))
 	for m := set.Pop(); m >= 0; m = set.Pop() {
 		if l.Read(m) {
 			l.Peel(m, lanestore.PeelSyscall)
@@ -472,36 +389,19 @@ type LaneGroup struct {
 }
 
 // Retire returns a lane to golden.
-func (t *LaneGroup) Retire(lane int) { t.l.retire(t.Machine(lane)) }
+func (t *LaneGroup) Retire(lane int) { t.l.Retire(t.Machine(lane)) }
 
 // Clean reports whether a lane's machine is state-identical to golden
 // with an identical pinout: no diverged write-back and no diff that
-// StateHash would see. The one diff it cannot see is the flags of the
-// retired flag producer (a slot outside the ROB) when nothing names it
-// any more.
+// StateHash would see. The one slot it cannot see is the retired flag
+// producer's (outside the ROB): only its flags count, and only while
+// something still names them.
 func (t *LaneGroup) Clean(lane int) bool {
-	l, m := t.l, t.Machine(lane)
-	if l.WB.Has(m) {
-		return false
-	}
-	if l.flag.Has(m) || len(l.Bytes(m)) > 0 {
-		return false
-	}
-	for p := range l.prf {
-		if l.prf[p].Has(m) {
-			return false
-		}
-	}
-	c := l.c
-	for s := range l.uop {
-		if !l.uop[s].Has(m) {
-			continue
-		}
-		if slot(s) != c.retiredFlags || l.uopX[s*nm+m].f[0] != 0 && c.flagsNamed(slot(s)) {
-			return false
-		}
-	}
-	return true
+	c := t.l.c
+	return t.l.Clean(t.Machine(lane), func(kind uint8, at int) bool {
+		return slot(at) == c.retiredFlags && kind >= kResult && kind <= kFlagsInSnap &&
+			(kind != kFlags || !c.flagsNamed(slot(at)))
+	})
 }
 
 // flagsNamed reports whether a uop's flags are still referenced: by the
@@ -525,23 +425,19 @@ func (c *CPU) flagsNamed(s slot) bool {
 // state at that cycle. The lane's diffs are consumed; retire it next.
 func (t *LaneGroup) Rebuild(lane int, dst *CPU) {
 	l, m := t.l, t.Machine(lane)
-	l.Undo(m, func(kind uint8, at, old uint32) { l.put(m, kind, at, old) })
-	for p := range l.prf {
-		if l.prf[p].Has(m) {
-			dst.prf[p] ^= l.prfX[p*nm+m]
-		}
+	l.Undo(m)
+	for p := range dst.prf {
+		dst.prf[p] ^= l.prf.Diff(m, p)
 	}
-	for s := range l.uop {
-		if l.uop[s].Has(m) {
-			d, u := &l.uopX[s*nm+m], &dst.uops[s]
-			u.result ^= d.v[0]
-			u.storeVal ^= d.v[1]
-			u.flags = xorFlags(u.flags, d.f[0])
-			u.flagsIn = xorFlags(u.flagsIn, d.f[1])
-			u.flagsInSnap = xorFlags(u.flagsInSnap, d.f[2])
-		}
+	for s := range dst.uops {
+		u := &dst.uops[s]
+		u.result ^= l.result.Diff(m, s)
+		u.storeVal ^= l.storeVal.Diff(m, s)
+		u.flags = xorFlags(u.flags, uint8(l.flags.Diff(m, s)))
+		u.flagsIn = xorFlags(u.flagsIn, uint8(l.flagsIn.Diff(m, s)))
+		u.flagsInSnap = xorFlags(u.flagsInSnap, uint8(l.flagsInSnap.Diff(m, s)))
 	}
-	dst.archFlags = xorFlags(dst.archFlags, l.flagX[m])
+	dst.archFlags = xorFlags(dst.archFlags, uint8(l.archFlags.Diff(m, 0)))
 	for _, e := range l.Bytes(m) {
 		for x := e.X; x != 0; x &= x - 1 {
 			b := bits.TrailingZeros8(x)
@@ -562,13 +458,4 @@ func xorFlags(f isa.Flags, x uint8) isa.Flags { return isa.UnpackFlags(f.Pack() 
 // index is the data-array byte an L1D access to addr touched.
 func (l *laneStore) index(res *cache.Result, addr uint32) int {
 	return res.Line*l.LineBytes + int(addr)&(l.LineBytes-1)
-}
-
-// flagsDiffer reports whether any machine differs in the flags a
-// conditional branch in slot s reads.
-func (l *laneStore) flagsDiffer(s slot, u *uop) bool {
-	if u.flagProducer != noSlot {
-		s = u.flagProducer
-	}
-	return l.uop[s].Any()
 }

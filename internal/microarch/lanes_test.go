@@ -2,6 +2,7 @@ package microarch
 
 import (
 	"fmt"
+	"math/bits"
 	"reflect"
 	"sync"
 	"testing"
@@ -265,11 +266,11 @@ func TestValueLaneSlotFree(t *testing.T) {
 	defer c.DetachLanes()
 	s := c.rob.at(c.rob.n - 1)
 	rf.l.Set(rf.Machine(0), kStoreVal, uint32(s), 0xFF)
-	if !rf.l.uop[s].Any() {
+	if !rf.l.storeVal.At[s].Any() {
 		t.Fatal("the diff did not land")
 	}
 	c.squash(s)
-	if rf.l.uop[s].Any() || rf.l.Get(rf.Machine(0), kStoreVal, uint32(s)) != 0 {
+	if rf.l.storeVal.At[s].Any() || rf.l.Get(rf.Machine(0), kStoreVal, uint32(s)) != 0 {
 		t.Fatal("a squashed slot kept its lane diff")
 	}
 }
@@ -302,4 +303,35 @@ func TestLaneStoresRecycleAcrossGoroutines(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestValueLaneStepDoesNotAllocate: a golden step carrying lanes whose
+// diffs move every cycle — re-flipped registers and L1D bytes, the
+// journal, slot frees — allocates nothing once the store's lists have
+// grown.
+func TestValueLaneStepDoesNotAllocate(t *testing.T) {
+	c := campaignCPU(t, benchProgram(t, "qsort"))
+	g := c.AttachLanes(fault.TargetRF, fault.TargetL1D)
+	rf, l1d := g[0], g[1]
+	defer c.DetachLanes()
+	step := func() {
+		for lane := 0; lane < 8; lane++ {
+			_ = rf.Flip(lane, (int(c.Cycles)+lane)%c.Bits(fault.TargetRF))
+			_ = l1d.Flip(lane, (int(c.Cycles)*37+lane)%c.Bits(fault.TargetL1D))
+		}
+		rf.BeginTick()
+		l1d.BeginTick()
+		c.Step()
+		for _, g := range [...]*LaneGroup{rf, l1d} {
+			for p := g.Peeled(); p != 0; p &= p - 1 {
+				g.Retire(bits.TrailingZeros64(p))
+			}
+		}
+	}
+	for i := 0; i < 3000; i++ {
+		step()
+	}
+	if n := testing.AllocsPerRun(200, step); n != 0 {
+		t.Errorf("%v allocations per lane step", n)
+	}
 }

@@ -328,7 +328,7 @@ func (c *Core) eval() {
 			if d := dstReg(in); d >= 0 {
 				wbDst = d
 				c.regfile.Write(d, uint64(wbVal))
-				if dense && c.lanes.q[latV].Any() {
+				if dense && c.lanes.q.At[latV].Any() {
 					c.lanes.writeReg()
 				}
 			}
@@ -345,7 +345,7 @@ func (c *Core) eval() {
 			c.memwb.exc.SetD(excDecode)
 		} else if in.Op.IsMem() {
 			addr := uint32(c.exmemR.Q())
-			if dense && c.lanes.q[latR].Any() {
+			if dense && c.lanes.q.At[latR].Any() {
 				c.lanes.peelOn(srcLat+latR, lanestore.PeelAddress)
 			}
 			cyc := c.sim.CycleCount
@@ -372,7 +372,7 @@ func (c *Core) eval() {
 			}
 			if in.Op.IsLoad() {
 				memSrc = srcNone
-				if l := c.lanes; ok && l != nil && (l.L1D.Any() || l.Mem.Any() || l.d[latV].Any()) {
+				if l := c.lanes; ok && l != nil && (l.L1D.Any() || l.Mem.Any() || l.d.At[latV].Any()) {
 					size := uint32(4)
 					if byteOp {
 						size = 1
@@ -380,7 +380,7 @@ func (c *Core) eval() {
 					l.load(addr, res.byteIdx(c.l1d), res.miss, size)
 					memSrc = srcLoaded
 				}
-			} else if l := c.lanes; ok && l != nil && (l.q[latMSt].Any() || byteOp && (l.L1D.Any() || l.Mem.Any())) {
+			} else if l := c.lanes; ok && l != nil && (l.q.At[latMSt].Any() || byteOp && (l.L1D.Any() || l.Mem.Any())) {
 				l.store(c.l1d.data.Queued()-1, addr, res.byteIdx(c.l1d), res.miss, byteOp)
 			}
 		}
@@ -476,7 +476,7 @@ func (c *Core) eval() {
 					redirect = true
 					redirTarget = branchAdder(pc, in)
 				}
-				if dense && c.lanes.q[latFlags].Any() {
+				if dense && c.lanes.q.At[latFlags].Any() {
 					c.lanes.branch(op, f, taken)
 				}
 			}

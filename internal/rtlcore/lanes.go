@@ -47,6 +47,12 @@ import (
 // its scalar tail starts from exactly the state the fault gives a scalar
 // core at that cycle.
 //
+// The planes live in package lanestore, as the microarchitectural
+// model's do: this file declares its dense ones (the register file, the
+// queued register write, each data latch's Q and D side, the L1D write
+// queue) and keeps the hooks, and the two unions eval and the edge gate
+// on.
+//
 // The exec-stage data latches, in a lane's plane order.
 const (
 	latA     = iota // idex_a
@@ -64,7 +70,8 @@ func (c *Core) dataLatches() [nLat]*rtl.Reg {
 	return [nLat]*rtl.Reg{c.idexA, c.idexB, c.idexSt, c.exmemR, c.exmemSt, c.memwbV, c.flags}
 }
 
-// Diff kinds beside the shared byte planes.
+// Diff kinds: the store's dense planes, in this order, then the byte
+// planes.
 const (
 	kRF  uint8 = iota // at = register-file word
 	kRFQ              // the queued register-file write (at most one a cycle)
@@ -91,27 +98,20 @@ const (
 	srcLoaded src = -2 // a load's data, which the load hook latches itself
 )
 
-// laneStore is the value-lane store riding one core. Not safe for
-// concurrent use.
+// laneStore is the value-lane store riding one core, with a handle on
+// each dense plane for the hooks. Not safe for concurrent use.
 type laneStore struct {
 	lanestore.Store
 	c *Core
 
-	rfX  [16 * nm]uint32 // [word*nm + m]
-	rf   [16]machines
-	rfqX [nm]uint32
-	rfq  machines
-	qX   [nLat * nm]uint32
-	dX   [nLat * nm]uint32
-	q, d [nLat]machines
-	pX   []uint32 // [pos*nm + m]
-	p    []machines
-	pend machines // holds every machine with a queued L1D write diff
+	rf, rfq, q, d, p *lanestore.Plane
 
 	// dense holds every machine with a register-file or latch diff, so
 	// eval skips its register and latch hooks when it is empty: exact at
-	// the edge, grown by writes in between.
-	dense machines
+	// the edge, grown by writes and shrunk by retires in between (the
+	// union of those planes). pend holds every machine with a queued L1D
+	// write diff.
+	dense, pend machines
 
 	// held keeps each machine's latch faults outside the value planes
 	// for Rebuild; faulted holds the machines with any.
@@ -134,19 +134,20 @@ var stores lanestore.FreeList[*laneStore]
 func (c *Core) AttachLanes(targets ...fault.Target) []*LaneGroup {
 	c.DetachLanes()
 	lines, lb := c.l1d.sets*c.l1d.ways, c.l1d.cfg.LineBytes
-	l := stores.Take(func(s *laneStore) bool { return s.Fits(lines, lb) })
+	// A cycle queues at most a line fill and a store.
+	planes := []int{kRF: 16, kRFQ: 1, kQ: nLat, kD: nLat, kP: c.l1d.lineWords + 1}
+	l := stores.Take(func(s *laneStore) bool { return s.Fits(lines, lb, planes...) })
 	if l == nil {
 		l = &laneStore{}
-		l.Init(lines, lb)
-		// A cycle queues at most a line fill and a store.
-		l.pX = make([]uint32, (c.l1d.lineWords+1)*nm)
-		l.p = make([]machines, c.l1d.lineWords+1)
+		l.Init(lines, lb, planes...)
+		l.rf, l.rfq, l.q, l.d, l.p = l.Plane(kRF), l.Plane(kRFQ), l.Plane(kQ), l.Plane(kD), l.Plane(kP)
+		l.rf.Union, l.rfq.Union, l.q.Union, l.d.Union, l.p.Union = &l.dense, &l.dense, &l.dense, &l.dense, &l.pend
 	}
 	l.c = c
 	c.lanes, c.l1d.lanes = l, l
 	groups := make([]*LaneGroup, len(targets))
 	for g, t := range targets {
-		grp := lanestore.Group{S: &l.Store, P: l, G: g, Bits: c.Bits(t),
+		grp := lanestore.Group{S: &l.Store, G: g, Bits: c.Bits(t),
 			Golden: func(i int) int { return c.bit(t, i) }}
 		switch t {
 		case fault.TargetRF:
@@ -167,64 +168,13 @@ func (c *Core) DetachLanes() {
 		return
 	}
 	c.lanes, c.l1d.lanes = nil, nil
-	for m := 0; m < nm; m++ {
-		l.retire(m)
+	for m := range l.held {
+		l.held[m] = l.held[m][:0]
 	}
-	l.ClearJournal()
+	l.faulted = machines{}
+	l.Reset()
 	l.c = nil
 	stores.Put(l)
-}
-
-// plane returns the dense diff and membership set of (kind, at), nil for
-// a byte plane.
-func (l *laneStore) plane(kind uint8, at uint32) ([]uint32, *machines) {
-	switch kind {
-	case kRF:
-		return l.rfX[at*nm : (at+1)*nm], &l.rf[at]
-	case kRFQ:
-		return l.rfqX[:], &l.rfq
-	case kQ:
-		return l.qX[at*nm : (at+1)*nm], &l.q[at]
-	case kD:
-		return l.dX[at*nm : (at+1)*nm], &l.d[at]
-	case kP:
-		return l.pX[at*nm : (at+1)*nm], &l.p[at]
-	}
-	return nil, nil
-}
-
-// Get returns machine m's diff at (kind, at), 0 when it has none.
-func (l *laneStore) Get(m int, kind uint8, at uint32) uint32 {
-	if x, _ := l.plane(kind, at); x != nil {
-		return x[m]
-	}
-	return l.Byte(m, kind, at)
-}
-
-// Set makes machine m's diff at (kind, at) x, journalling the old one.
-func (l *laneStore) Set(m int, kind uint8, at, x uint32) {
-	if old := l.Get(m, kind, at); old != x {
-		l.Journal(m, kind, at, old)
-		l.put(m, kind, at, x)
-	}
-}
-
-// put stores x as machine m's diff at (kind, at), keeping the membership
-// sets in step.
-func (l *laneStore) put(m int, kind uint8, at, x uint32) {
-	if d, set := l.plane(kind, at); d != nil {
-		d[m] = x
-		set.Mark(m, x != 0)
-		switch {
-		case x == 0:
-		case kind == kP:
-			l.pend.Add(m)
-		default:
-			l.dense.Add(m)
-		}
-		return
-	}
-	l.PutByte(m, kind, at, uint8(x))
 }
 
 // word returns machine m's diff over the four bytes of a byte plane from
@@ -232,7 +182,7 @@ func (l *laneStore) put(m int, kind uint8, at, x uint32) {
 func (l *laneStore) word(m int, kind uint8, at uint32) uint32 {
 	var x uint32
 	for i := uint32(0); i < 4; i++ {
-		x |= l.Byte(m, kind, at+i) << (8 * i)
+		x |= l.Get(m, kind, at+i) << (8 * i)
 	}
 	return x
 }
@@ -240,34 +190,7 @@ func (l *laneStore) word(m int, kind uint8, at uint32) uint32 {
 // setWord is word's setter.
 func (l *laneStore) setWord(m int, kind uint8, at, x uint32) {
 	for i := uint32(0); i < 4; i++ {
-		l.SetByte(m, kind, at+i, x>>(8*i)&0xFF)
-	}
-}
-
-// retire returns machine m to golden.
-func (l *laneStore) retire(m int) {
-	l.held[m] = l.held[m][:0]
-	l.faulted.Del(m)
-	l.eachPlane(func(kind uint8, at uint32, set *machines) {
-		if set.Has(m) {
-			l.put(m, kind, at, 0)
-		}
-	})
-	l.Store.Retire(m)
-}
-
-// eachPlane visits every dense plane's location and membership set.
-func (l *laneStore) eachPlane(visit func(kind uint8, at uint32, set *machines)) {
-	visit(kRFQ, 0, &l.rfq)
-	for w := range l.rf {
-		visit(kRF, uint32(w), &l.rf[w])
-	}
-	for i := range l.q {
-		visit(kQ, uint32(i), &l.q[i])
-		visit(kD, uint32(i), &l.d[i])
-	}
-	for i := range l.p {
-		visit(kP, uint32(i), &l.p[i])
+		l.Set(m, kind, at+i, x>>(8*i)&0xFF)
 	}
 }
 
@@ -277,9 +200,9 @@ func (l *laneStore) members(s src) machines {
 	case s == srcNone:
 		return machines{}
 	case s >= srcLat:
-		return l.q[s-srcLat]
+		return l.q.At[s-srcLat]
 	}
-	return l.rf[s]
+	return l.rf.At[s]
 }
 
 // diff returns machine m's diff in a source.
@@ -288,9 +211,9 @@ func (l *laneStore) diff(m int, s src) uint32 {
 	case s == srcNone:
 		return 0
 	case s >= srcLat:
-		return l.qX[int(s-srcLat)*nm+m]
+		return l.q.Diff(m, int(s-srcLat))
 	}
-	return l.rfX[int(s)*nm+m]
+	return l.rf.Diff(m, int(s))
 }
 
 // ------------------------------------------------------- golden-step hooks
@@ -305,44 +228,35 @@ func (l *laneStore) edge() {
 			if r.Held() {
 				continue
 			}
-			for set := l.q[i].Or(l.d[i]); set.Any(); {
-				if m := set.Pop(); l.qX[i*nm+m] != l.dX[i*nm+m] {
-					l.Set(m, kQ, uint32(i), l.dX[i*nm+m])
+			for set := l.q.At[i].Or(l.d.At[i]); set.Any(); {
+				if m := set.Pop(); l.q.Diff(m, i) != l.d.Diff(m, i) {
+					l.Set(m, kQ, uint32(i), l.d.Diff(m, i))
 				}
 			}
 		}
 		// WB queues at most one register write a cycle.
 		if rf := l.c.regfile; rf.Queued() > 0 {
 			w := rf.QueuedWord(0)
-			for set := l.rf[w].Or(l.rfq); set.Any(); {
+			for set := l.rf.At[w].Or(l.rfq.At[0]); set.Any(); {
 				m := set.Pop()
-				l.Set(m, kRF, uint32(w), l.rfqX[m])
+				l.Set(m, kRF, uint32(w), l.rfq.Diff(m, 0))
 			}
-			for set := l.rfq; set.Any(); {
+			for set := l.rfq.At[0]; set.Any(); {
 				l.Set(set.Pop(), kRFQ, 0, 0)
 			}
 		}
-		d := l.rfq
-		for i := range l.rf {
-			d[0] |= l.rf[i][0]
-			d[1] |= l.rf[i][1]
-		}
-		for i := range l.q {
-			d[0] |= l.q[i][0] | l.d[i][0]
-			d[1] |= l.q[i][1] | l.d[i][1]
-		}
-		l.dense = d
+		l.dense = l.rfq.All().Or(l.rf.All()).Or(l.q.All()).Or(l.d.All())
 	}
 	if data := l.c.l1d.data; data.Queued() > 0 && l.L1D.Or(l.pend).Any() {
 		for i := 0; i < data.Queued(); i++ {
 			w := data.QueuedWord(i)
-			for set := l.Line[w/l.c.l1d.lineWords].Or(l.p[i]); set.Any(); {
+			for set := l.Line[w/l.c.l1d.lineWords].Or(l.p.At[i]); set.Any(); {
 				m := set.Pop()
-				l.setWord(m, kL1D, uint32(4*w), l.pX[i*nm+m])
+				l.setWord(m, kL1D, uint32(4*w), l.p.Diff(m, i))
 			}
 		}
-		for i := 0; l.pend.Any() && i < len(l.p); i++ {
-			for set := l.p[i]; set.Any(); {
+		for i := 0; l.pend.Any() && i < len(l.p.At); i++ {
+			for set := l.p.At[i]; set.Any(); {
 				l.Set(set.Pop(), kP, uint32(i), 0)
 			}
 		}
@@ -353,7 +267,7 @@ func (l *laneStore) edge() {
 // move gives data latch dst's D side the diff of the value golden latches
 // there, which came from s.
 func (l *laneStore) move(dst int, s src) {
-	if set := l.members(s).Or(l.d[dst]); set.Any() {
+	if set := l.members(s).Or(l.d.At[dst]); set.Any() {
 		l.moveSet(dst, s, l.Live(set))
 	}
 }
@@ -372,7 +286,7 @@ func (l *laneStore) moveSet(dst int, s src, set machines) {
 // differ and latches the result (dst latR) or the flags (dst latFlags):
 // golden evaluated op on a from sa and b from sb into out.
 func (l *laneStore) exec(op isa.Opcode, dst int, sa, sb src, a, b uint32, out aluOut) {
-	set := l.Live(l.members(sa).Or(l.members(sb)).Or(l.d[dst]))
+	set := l.Live(l.members(sa).Or(l.members(sb)).Or(l.d.At[dst]))
 	for m := set.Pop(); m >= 0; m = set.Pop() {
 		xa, xb := l.diff(m, sa), l.diff(m, sb)
 		var x uint32
@@ -402,9 +316,9 @@ func (l *laneStore) peelOn(s src, r lanestore.PeelReason) {
 // branch resolves a conditional branch for the machines whose flags
 // differ: golden read flags f and took the branch or not.
 func (l *laneStore) branch(op isa.Opcode, f uint8, taken bool) {
-	set := l.Live(l.q[latFlags])
+	set := l.Live(l.q.At[latFlags])
 	for m := set.Pop(); m >= 0; m = set.Pop() {
-		if l.Read(m) && isa.CondHolds(op, isa.UnpackFlags(f^uint8(l.qX[latFlags*nm+m]))) != taken {
+		if l.Read(m) && isa.CondHolds(op, isa.UnpackFlags(f^uint8(l.q.Diff(m, latFlags)))) != taken {
 			l.Peel(m, lanestore.PeelBranch)
 		}
 	}
@@ -413,10 +327,10 @@ func (l *laneStore) branch(op isa.Opcode, f uint8, taken bool) {
 // writeReg gives the register-file write WB queued this cycle the diff of
 // memwb_v, the value it writes.
 func (l *laneStore) writeReg() {
-	set := l.Live(l.q[latV])
+	set := l.Live(l.q.At[latV])
 	for m := set.Pop(); m >= 0; m = set.Pop() {
 		if l.Read(m) {
-			l.Set(m, kRFQ, 0, l.qX[latV*nm+m])
+			l.Set(m, kRFQ, 0, l.q.Diff(m, latV))
 		}
 	}
 }
@@ -429,7 +343,7 @@ func (l *laneStore) load(addr uint32, idx int, miss bool, size uint32) {
 	if miss {
 		set = l.Mem
 	}
-	set = l.Live(set.Or(l.d[latV]))
+	set = l.Live(set.Or(l.d.At[latV]))
 	for m := set.Pop(); m >= 0; m = set.Pop() {
 		// The array's read port delivers a whole word.
 		w, sh := l.word(m, kL1D, uint32(idx)&^3), 8*(idx&3)
@@ -452,7 +366,7 @@ func (l *laneStore) load(addr uint32, idx int, miss bool, size uint32) {
 // bytes (the array's on a hit, memory's on a miss) for a byte store to
 // data-array byte idx at addr.
 func (l *laneStore) store(pos int, addr uint32, idx int, miss, byteOp bool) {
-	set := l.q[latMSt]
+	set := l.q.At[latMSt]
 	if byteOp {
 		set = set.Or(l.Line[idx/l.LineBytes])
 		if miss {
@@ -461,7 +375,7 @@ func (l *laneStore) store(pos int, addr uint32, idx int, miss, byteOp bool) {
 	}
 	set = l.Live(set)
 	for m := set.Pop(); m >= 0; m = set.Pop() {
-		x := l.qX[latMSt*nm+m]
+		x := l.q.Diff(m, latMSt)
 		if byteOp {
 			var old uint32
 			if miss {
@@ -507,7 +421,7 @@ func (l *laneStore) output(addr, n uint32, at int) {
 				w = l.word(m, kL1D, uint32(idx)&^3)
 				x = w >> (8 * (idx & 3)) & 0xFF
 			} else {
-				w = l.Byte(m, kMem, addr+i)
+				w = l.Get(m, kMem, addr+i)
 				x = w
 			}
 			if w != 0 && !l.Read(m) {
@@ -559,7 +473,7 @@ func (l *laneStore) latchFault(m int, f latchFault) error {
 	r, b := l.c.latchAt(f.bit)
 	lat := l.c.dataLatches()
 	if i := slices.Index(lat[:], r); i >= 0 && f.v < 0 {
-		l.Set(m, kQ, uint32(i), l.qX[i*nm+m]^1<<b)
+		l.Set(m, kQ, uint32(i), l.q.Diff(m, i)^1<<b)
 		return nil
 	}
 	l.held[m] = append(l.held[m], f)
@@ -576,20 +490,20 @@ func (t *LaneGroup) BeginTick() {
 	}
 }
 
-// Retire returns a lane to golden.
-func (t *LaneGroup) Retire(lane int) { t.l.retire(t.Machine(lane)) }
+// Retire returns a lane to golden, its kept latch faults dropped.
+func (t *LaneGroup) Retire(lane int) {
+	l, m := t.l, t.Machine(lane)
+	l.held[m] = l.held[m][:0]
+	l.faulted.Del(m)
+	l.Retire(m)
+}
 
 // Clean reports whether a lane's machine is state-identical to golden
 // with an identical pinout: no diverged write-back, no kept latch fault
 // and no diff anywhere (StateHash covers every plane).
 func (t *LaneGroup) Clean(lane int) bool {
-	l, m := t.l, t.Machine(lane)
-	if l.WB.Has(m) || l.faulted.Has(m) || len(l.Bytes(m)) > 0 {
-		return false
-	}
-	clean := true
-	l.eachPlane(func(_ uint8, _ uint32, set *machines) { clean = clean && !set.Has(m) })
-	return clean
+	m := t.Machine(lane)
+	return !t.l.faulted.Has(m) && t.l.Clean(m, nil)
 }
 
 // Rebuild applies a lane's machine, as it stood when the current tick
@@ -598,19 +512,19 @@ func (t *LaneGroup) Clean(lane int) bool {
 // retire it next.
 func (t *LaneGroup) Rebuild(lane int, dst *Core) {
 	l, m := t.l, t.Machine(lane)
-	l.Undo(m, func(kind uint8, at, old uint32) { l.put(m, kind, at, old) })
-	for w := range l.rf {
-		dst.regfile.Xor(w, uint64(l.rfX[w*nm+m]))
+	l.Undo(m)
+	for w := range l.rf.At {
+		dst.regfile.Xor(w, uint64(l.rf.Diff(m, w)))
 	}
-	if l.rfq.Has(m) {
-		dst.regfile.XorQueued(0, uint64(l.rfqX[m]))
+	if l.rfq.At[0].Has(m) {
+		dst.regfile.XorQueued(0, uint64(l.rfq.Diff(m, 0)))
 	}
 	for i, r := range dst.dataLatches() {
-		r.Xor(uint64(l.qX[i*nm+m]), uint64(l.dX[i*nm+m]))
+		r.Xor(uint64(l.q.Diff(m, i)), uint64(l.d.Diff(m, i)))
 	}
-	for i := range l.p {
-		if l.p[i].Has(m) {
-			dst.l1d.data.XorQueued(i, uint64(l.pX[i*nm+m]))
+	for i := range l.p.At {
+		if l.p.At[i].Has(m) {
+			dst.l1d.data.XorQueued(i, uint64(l.p.Diff(m, i)))
 		}
 	}
 	for _, e := range l.Bytes(m) {
