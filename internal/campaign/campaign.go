@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -538,7 +539,8 @@ type Golden struct {
 	snaps    []snapAt
 	hashes   []hashAt           // golden state digests (convergence exit), cycle-ascending
 	life     *lifetime.Recorder // per-target access lifetimes (fault pruning), nil unless recorded
-	timeline map[[2]int][]uint64
+	timeline *lifetime.Space    // L1D accesses, one-bit reads of unit set*l1dWays+way; nil unless recorded
+	l1dWays  int
 }
 
 // Snapshots reports how many differential-injection snapshots were taken.
@@ -575,9 +577,9 @@ func (g *Golden) Fingerprint() uint64 {
 
 // PrepareGolden executes the golden-artifact phase: one full fault-free
 // run capturing snapshots, the pinout trace, the program output and
-// (when opts.Timeline is set) the L1D access timeline. A lifetime trace
-// is sealed when recording stops, so the returned run is read-only:
-// campaigns may plan and replay against it from any goroutine.
+// (when opts.Timeline is set) the L1D access timeline. Queries only
+// read the traces, so the returned run is read-only: campaigns may plan
+// and replay against it from any goroutine.
 func PrepareGolden(factory Factory, opts GoldenOptions) (*Golden, error) {
 	sim, err := factory()
 	if err != nil {
@@ -587,10 +589,13 @@ func PrepareGolden(factory Factory, opts GoldenOptions) (*Golden, error) {
 	sim.SetPinout(g.pin)
 
 	if opts.Timeline {
-		g.timeline = make(map[[2]int][]uint64)
+		// One unit per L1D line, line-major like L1DLineOfBit: the
+		// last data bit lies in the last set's last way.
+		sets, ways := sim.L1DLineOfBit(max(sim.Bits(fault.TargetL1D)-1, 0))
+		g.l1dWays = ways + 1
+		g.timeline = lifetime.NewSpace((sets+1)*g.l1dWays, 1)
 		sim.SetL1DAccessHook(func(set, way int) {
-			k := [2]int{set, way}
-			g.timeline[k] = append(g.timeline[k], sim.Cycles())
+			g.timeline.Read(sim.Cycles(), set*g.l1dWays+way, 0, 1)
 		})
 	}
 	if opts.Lifetime {
@@ -609,7 +614,6 @@ func PrepareGolden(factory Factory, opts GoldenOptions) (*Golden, error) {
 	sim.SetL1DAccessHook(nil)
 	if opts.Lifetime {
 		sim.SetLifetime(nil)
-		g.life.Seal()
 	}
 	stop := sim.StopReason()
 	if stop != refsim.StopExit && stop != refsim.StopHalt {
@@ -644,7 +648,7 @@ func (g *Golden) planner(cfg Config) ([]fault.Spec, error) {
 		return nil, fmt.Errorf("campaign: AdvanceToUse requires a golden run with GoldenOptions.Timeline")
 	}
 	for i := range plan {
-		plan[i].Cycle = advance(plan[i], g.timeline, g.sim)
+		plan[i].Cycle = g.advance(plan[i])
 	}
 	return plan, nil
 }
@@ -889,14 +893,12 @@ func nearestSnap(snaps []snapAt, cycle uint64) snapAt {
 }
 
 // advance implements injection-time advancement: move the instant to just
-// before the faulted line's next access in the golden timeline.
-func advance(s fault.Spec, timeline map[[2]int][]uint64, sim Simulator) uint64 {
-	set, way := sim.L1DLineOfBit(s.Bit)
-	accesses := timeline[[2]int{set, way}]
-	for _, c := range accesses {
-		if c > s.Cycle {
-			return c - 1
-		}
+// before the faulted line's next access in the golden timeline, the
+// first one-bit read of its unit strictly after the sampled instant.
+func (g *Golden) advance(s fault.Spec) uint64 {
+	set, way := g.sim.L1DLineOfBit(s.Bit)
+	if v := g.timeline.ClassifyBit(set*g.l1dWays+way, s.Cycle, math.MaxUint64); v.Live {
+		return v.Cycle - 1
 	}
 	return s.Cycle // never accessed again: inject at the sampled instant
 }

@@ -62,9 +62,9 @@ func TestSweepStopInterrupts(t *testing.T) {
 // the coordinator's preparation loops do. Every mode classifies the
 // whole plan against the lifetime trace inside PlanCampaign — dead and
 // class pruning both through the pruner's role table, AVF through its
-// ACE verdicts — and a first classification would otherwise build the
-// trace's query index. Run under -race; a fresh golden per mode keeps
-// every index unbuilt until PrepareGolden has returned.
+// ACE verdicts — so a query that wrote to the trace (a lazily built
+// index, say) would race here. Run under -race; a fresh golden per mode
+// makes each mode's first queries the concurrent ones.
 func TestPlannedGoldenIsReadOnly(t *testing.T) {
 	fac := factoryFor(t, "qsort", core.ModelMicroarch)
 	for _, tc := range []struct {

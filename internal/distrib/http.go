@@ -158,10 +158,10 @@ func readJSON(r *http.Request, v any) error {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	// Encoding failures here are client-disconnects; nothing to do.
-	_ = enc.Encode(v)
+	// Compact on the wire: indenting costs the fleet's allocations and
+	// serves no reader. Encoding failures here are client-disconnects;
+	// nothing to do.
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {

@@ -37,15 +37,24 @@ func refClassify(evs []refEvent, width, bit int, after, horizon uint64) Verdict 
 // with every event deliberately recorded twice, so the repeat-coalescing
 // path is always exercised — through a Space and differentially checks
 // every bit's ClassifyBit verdict at several injection instants against
-// the naive linear scan over the uncoalesced stream. It also replays the
-// frozen per-unit index through ForEachEvent and asserts it kept
-// execution order. Coalescing, the counting-sort freeze and the binary
-// search are pure plumbing; this pins that none of them can change a
-// verdict.
+// the naive linear scan over the uncoalesced stream, and that a live
+// verdict's ID names its consuming event as (unit, index within unit).
+// It also replays every unit's chunked log through ForEachEvent and
+// asserts it kept execution order. Coalescing, the chunking and the
+// two-level binary search are pure plumbing; this pins that none of
+// them can change a verdict.
 func FuzzLifetimeCoalesce(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 4, 2, 1, 3, 0x41, 0, 2, 0, 9})
 	f.Add([]byte{5, 3, 15, 0xff, 0, 3, 15, 0xff, 9, 0, 0, 0x40})
+	// One unit crossing several chunk boundaries: 300 distinct events
+	// on unit 0, reads and writes of shifting ranges, some sharing a
+	// cycle.
+	var long []byte
+	for i := 0; i < 300; i++ {
+		long = append(long, byte(i%3), 0, byte(i%16), byte(i%7)|byte(i&1)<<6)
+	}
+	f.Add(long)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const units, width = 4, 16
 		sp := NewSpace(units, width)
@@ -72,7 +81,7 @@ func FuzzLifetimeCoalesce(f *testing.F) {
 		}
 		horizon := cycle + 2
 		for bit := 0; bit < units*width; bit++ {
-			for _, after := range []uint64{0, cycle / 2, cycle} {
+			for _, after := range []uint64{0, cycle / 3, cycle / 2, 2 * cycle / 3, cycle} {
 				for _, h := range []uint64{horizon, cycle / 2} {
 					got := sp.ClassifyBit(bit, after, h)
 					want := refClassify(ref, width, bit, after, h)
@@ -80,10 +89,16 @@ func FuzzLifetimeCoalesce(f *testing.F) {
 						t.Fatalf("bit %d after %d horizon %d: ClassifyBit = {live %v @%d}, reference scan = {live %v @%d}",
 							bit, after, h, got.Live, got.Cycle, want.Live, want.Cycle)
 					}
+					if got.Live {
+						if e, ok := eventAt(sp, int(got.ID>>32), int(uint32(got.ID))); int(got.ID>>32) != bit/width ||
+							!ok || !e.Read || e.Cycle != got.Cycle || bit%width < e.Lo || bit%width >= e.Hi {
+							t.Fatalf("bit %d after %d: ID %#x names no covering read @%d", bit, after, got.ID, got.Cycle)
+						}
+					}
 				}
 			}
 		}
-		// The frozen index must hold every coalesced event in execution
+		// The unit logs must hold every coalesced event in execution
 		// order — the invariant both the binary search above and the
 		// ACE-interval sweep (internal/avf) rely on.
 		total := 0
@@ -101,7 +116,20 @@ func FuzzLifetimeCoalesce(f *testing.F) {
 			})
 		}
 		if total != sp.Events() {
-			t.Fatalf("per-unit index holds %d events, stream recorded %d", total, sp.Events())
+			t.Fatalf("unit logs hold %d events, Events counts %d", total, sp.Events())
 		}
 	})
+}
+
+// eventAt returns the i-th event of unit in execution order.
+func eventAt(sp *Space, unit, i int) (Event, bool) {
+	var got Event
+	n := 0
+	sp.ForEachEvent(unit, func(e Event) {
+		if n == i {
+			got = e
+		}
+		n++
+	})
+	return got, i < n
 }

@@ -7,8 +7,9 @@
 // cache lines, array words) of a fixed bit width. During the golden run
 // the simulator reports every read and every full overwrite of a bit
 // range as a (cycle, unit, [lo,hi)) event; events are packed into one
-// uint64 each and appended per unit in execution order, so recording
-// costs one bounds check and one append on the simulator's hot path.
+// uint64 each and written once, straight into their unit's chunked log
+// in execution order, so recording costs one compare against the unit's
+// last event and one store on the simulator's hot path.
 //
 // After the run, ClassifyBit resolves the fate of a transient bit flip
 // injected after a given cycle: if the golden run overwrites the bit
@@ -24,7 +25,10 @@
 // core test holds the two answers equal on both models.
 package lifetime
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // Event packing: cycle<<21 | lo<<11 | hi<<1 | kind. Unit widths up to
 // maxWidth bits and cycles up to 2^43 fit losslessly.
@@ -67,46 +71,70 @@ func unpack(e uint64) (cycle uint64, lo, hi, kind int) {
 // already follows (register files: 32-bit words; caches: lines or
 // 32-bit array words).
 //
-// Recording appends to one flat event stream — the cheapest operation
-// the golden run's hot path can pay (two appends, no per-unit
-// indirection). Classification needs events grouped per unit, so the
-// first query after new events scatters the stream into a per-unit
-// index (stable counting sort, preserving execution order) and reuses
-// it until more events arrive.
+// Each event is written once, straight into the per-unit form the
+// queries read: a unit's events fill fixed-size chunks carved from
+// slabs the space shares across its units, so recording never copies
+// an event again and a query never waits for an index to be built.
+// Queries only read, so once recording stops any number of goroutines
+// may classify against the trace at once.
 type Space struct {
 	units int
 	width int
 
-	// Canonical recording form: execution-ordered event stream. last
-	// holds each unit's most recent event index so a repeated event
-	// (same unit, cycle, range, kind — e.g. several uops reading the
-	// stack pointer in one cycle) coalesces instead of growing the
-	// stream.
-	ev   []uint64
-	unit []uint16
-	last []int32
-
-	// Derived query form, rebuilt lazily when dirty.
-	dirty  bool
-	idx    []int32  // per-unit offsets into byUnit (len units+1)
-	byUnit []uint64 // events scattered by unit, order-preserving
+	logs   []unitLog
+	slab   []uint64 // the current slab's uncarved tail
+	events int
 }
 
-// maxUnits bounds a space's unit count so the recording stream can
-// store unit ids in 16 bits (largest real structure: the full-size RTL
-// L1D data array, 8192 words).
-const maxUnits = 1 << 16
+// unitLog is one unit's events in execution order: event i lives in
+// chunks[i/chunkLen].ev[i%chunkLen].
+type unitLog struct {
+	chunks []chunk
+	n      int
+}
+
+// chunk is one fixed-size block of a unit's events. It keeps its first
+// event beside the block, so a search over the chunks touches only the
+// unit's chunk list.
+type chunk struct {
+	first uint64
+	ev    *[chunkLen]uint64
+}
+
+const (
+	// chunkLen is the number of events one chunk holds.
+	chunkLen = 64
+
+	// slabLen is the number of events one slab holds: a slab is
+	// carved into slabLen/chunkLen chunks.
+	slabLen = 1 << 13
+)
+
+// at returns the unit's i-th event.
+func (l *unitLog) at(i int) uint64 { return l.chunks[i/chunkLen].ev[i%chunkLen] }
+
+// events returns the recorded events of the unit's c-th chunk.
+func (l *unitLog) events(c int) []uint64 { return l.chunks[c].ev[:min(chunkLen, l.n-c*chunkLen)] }
+
+// first returns the position (chunk c, offset j) of the unit's first
+// event strictly after cycle: a binary search over the chunks' first
+// cycles, then within the one chunk that holds the answer. The offset
+// may equal the chunk's length: the answer then opens chunk c+1.
+func (l *unitLog) first(cycle uint64) (c, j int) {
+	c = sort.Search(len(l.chunks), func(k int) bool { return l.chunks[k].first>>cycleShift > cycle })
+	if c == 0 {
+		return 0, 0
+	}
+	ch := l.events(c - 1)
+	return c - 1, sort.Search(len(ch), func(i int) bool { return ch[i]>>cycleShift > cycle })
+}
 
 // NewSpace builds an empty trace for a units×width structure.
 func NewSpace(units, width int) *Space {
-	if units <= 0 || width <= 0 || width >= maxWidth || units >= maxUnits {
+	if units <= 0 || width <= 0 || width >= maxWidth {
 		panic(fmt.Sprintf("lifetime: bad space geometry %d x %d", units, width))
 	}
-	last := make([]int32, units)
-	for i := range last {
-		last[i] = -1
-	}
-	return &Space{units: units, width: width, last: last}
+	return &Space{units: units, width: width, logs: make([]unitLog, units)}
 }
 
 // Units returns the number of storage units.
@@ -119,7 +147,7 @@ func (s *Space) Width() int { return s.width }
 func (s *Space) Bits() int { return s.units * s.width }
 
 // Events returns the total number of recorded events (overhead metric).
-func (s *Space) Events() int { return len(s.ev) }
+func (s *Space) Events() int { return s.events }
 
 // Read records that the golden run consumed bits [lo,hi) of unit at the
 // given cycle. Events must arrive in execution order (non-decreasing
@@ -137,45 +165,20 @@ func (s *Space) Write(cycle uint64, unit, lo, hi int) {
 
 func (s *Space) record(cycle uint64, unit, lo, hi, kind int) {
 	e := pack(cycle, lo, hi, kind)
-	if li := s.last[unit]; li >= 0 && s.ev[li] == e {
+	l := &s.logs[unit]
+	if l.n > 0 && l.at(l.n-1) == e {
 		return // coalesce the unit's repeats (same cycle, range, kind)
 	}
-	if s.ev == nil {
-		// One up-front block sized for a typical golden run (~3
-		// events/cycle over tens of kcycles): recording then almost
-		// never pays a growth copy, which profiling shows is where the
-		// overhead of a naive append stream actually lives.
-		s.ev = make([]uint64, 0, 1<<16)
-		s.unit = make([]uint16, 0, 1<<16)
+	if l.n%chunkLen == 0 {
+		if len(s.slab) == 0 {
+			s.slab = make([]uint64, slabLen)
+		}
+		l.chunks = append(l.chunks, chunk{first: e, ev: (*[chunkLen]uint64)(s.slab)})
+		s.slab = s.slab[chunkLen:]
 	}
-	s.last[unit] = int32(len(s.ev))
-	s.ev = append(s.ev, e)
-	s.unit = append(s.unit, uint16(unit))
-	s.dirty = true
-}
-
-// freeze (re)builds the per-unit query index from the flat stream. It
-// runs when a Recorder is sealed, or lazily from the first query after
-// new events on a space recorded and queried by one goroutine.
-func (s *Space) freeze() {
-	idx := make([]int32, s.units+1)
-	for _, u := range s.unit {
-		idx[u+1]++
-	}
-	for u := 0; u < s.units; u++ {
-		idx[u+1] += idx[u]
-	}
-	byUnit := make([]uint64, len(s.ev))
-	pos := make([]int32, s.units)
-	copy(pos, idx[:s.units])
-	for i, e := range s.ev {
-		u := s.unit[i]
-		byUnit[pos[u]] = e
-		pos[u]++
-	}
-	s.idx = idx
-	s.byUnit = byUnit
-	s.dirty = false
+	l.chunks[l.n/chunkLen].ev[l.n%chunkLen] = e
+	l.n++
+	s.events++
 }
 
 // Verdict is the injection-less fate of one transient bit flip.
@@ -203,42 +206,30 @@ type Verdict struct {
 // read inside the horizon means dead — the corrupted value never
 // reaches any dataflow the observation window can see.
 func (s *Space) ClassifyBit(bit int, after, horizon uint64) Verdict {
-	if s.dirty || s.idx == nil {
-		s.freeze()
-	}
 	unit := bit / s.width
 	off := bit % s.width
-	evs := s.byUnit[s.idx[unit]:s.idx[unit+1]]
-	// First event strictly after the injection instant. Per-unit events
-	// are cycle-sorted, so binary search lands on the scan start.
-	lo, hi := 0, len(evs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if evs[mid]>>cycleShift <= after {
-			lo = mid + 1
-		} else {
-			hi = mid
+	l := &s.logs[unit]
+	for c, j := l.first(after); c < len(l.chunks); c, j = c+1, 0 {
+		for ch := l.events(c); j < len(ch); j++ {
+			cyc, elo, ehi, kind := unpack(ch[j])
+			if cyc > horizon {
+				return Verdict{} // any later consumption is outside the window
+			}
+			if off < elo || off >= ehi {
+				continue
+			}
+			if kind == kindWrite {
+				return Verdict{} // overwritten before any read: dead
+			}
+			return Verdict{Live: true, Cycle: cyc, ID: uint64(unit)<<32 | uint64(c*chunkLen+j)}
 		}
-	}
-	for i := lo; i < len(evs); i++ {
-		cyc, elo, ehi, kind := unpack(evs[i])
-		if cyc > horizon {
-			break // any later consumption is outside the window
-		}
-		if off < elo || off >= ehi {
-			continue
-		}
-		if kind == kindWrite {
-			return Verdict{} // overwritten before any read: dead
-		}
-		return Verdict{Live: true, Cycle: cyc, ID: uint64(unit)<<32 | uint64(i)}
 	}
 	return Verdict{}
 }
 
 // Event is one unpacked golden-run access event: the golden run read or
 // fully overwrote bits [Lo,Hi) of a unit at Cycle. The exported form of
-// the packed per-unit streams, consumed by ACE-interval accounting
+// the packed per-unit logs, consumed by ACE-interval accounting
 // (internal/avf), which needs to sweep a unit's whole event history
 // rather than answer one bit query.
 type Event struct {
@@ -252,12 +243,12 @@ type Event struct {
 // the same order ClassifyBit scans, so an interval sweep over these
 // events reproduces its verdicts exactly.
 func (s *Space) ForEachEvent(unit int, fn func(Event)) {
-	if s.dirty || s.idx == nil {
-		s.freeze()
-	}
-	for _, e := range s.byUnit[s.idx[unit]:s.idx[unit+1]] {
-		cyc, lo, hi, kind := unpack(e)
-		fn(Event{Cycle: cyc, Lo: lo, Hi: hi, Read: kind == kindRead})
+	l := &s.logs[unit]
+	for c := range l.chunks {
+		for _, e := range l.events(c) {
+			cyc, lo, hi, kind := unpack(e)
+			fn(Event{Cycle: cyc, Lo: lo, Hi: hi, Read: kind == kindRead})
+		}
 	}
 }
 
@@ -295,15 +286,6 @@ func (r *Recorder) Space(id, units, width int) *Space {
 	return sp
 }
 
-// Seal ends recording: it builds every space's query index, so from
-// here on a query only reads and any number of goroutines may classify
-// against the trace at once.
-func (r *Recorder) Seal() {
-	for _, sp := range r.spaces {
-		sp.freeze()
-	}
-}
-
 // Get returns the trace for target id, or nil when the simulator does
 // not trace it.
 func (r *Recorder) Get(id int) *Space { return r.spaces[id] }
@@ -312,7 +294,7 @@ func (r *Recorder) Get(id int) *Space { return r.spaces[id] }
 func (r *Recorder) Events() int {
 	n := 0
 	for _, sp := range r.spaces {
-		n += len(sp.ev)
+		n += sp.events
 	}
 	return n
 }

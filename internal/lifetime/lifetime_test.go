@@ -94,3 +94,25 @@ func TestRecorderRegistry(t *testing.T) {
 	}()
 	r.Space(1, 8, 32)
 }
+
+// TestRecordWritesEachEventOnce bounds recording's allocation by the
+// events themselves: N events into a fresh Space allocate at most 8·N
+// bytes plus one slab (the partly carved last slab, whose slack also
+// covers the per-unit headers and chunk lists), first query included.
+// A growth copy of the events, or a scatter copy into a query index,
+// would cost about 8·N more and fail here.
+func TestRecordWritesEachEventOnce(t *testing.T) {
+	const units, n = 4, 30720
+	res := testing.Benchmark(func(b *testing.B) {
+		for range b.N {
+			sp := NewSpace(units, 32)
+			for i := range n {
+				sp.Read(uint64(i), i%units, 0, 32)
+			}
+			sp.ClassifyBit(0, 0, n)
+		}
+	})
+	if got, limit := res.AllocedBytesPerOp(), int64(8*n+8*slabLen); got > limit {
+		t.Fatalf("recording %d events allocated %d bytes, want at most %d (8 per event plus one slab)", n, got, limit)
+	}
+}
