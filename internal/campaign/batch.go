@@ -21,11 +21,11 @@ package campaign
 // classified by the same rule as finishRun (classify): its output and
 // pinout are golden's with the lane's diffs applied.
 //
-// The unit of replay is one forward walk of the golden run. A pull —
-// one chunk of every campaign riding the walk — is sorted by injection
-// instant and walked once: a spec takes a free lane slot of its
-// target's tracker when the walker reaches its instant and gives the
-// slot back when it retires or peels, so the next pending spec reuses
+// The unit of replay is one forward walk of the golden run. A grab — a
+// contiguous run off the head of the unit's queue, sorted by injection
+// instant (ReplayPool) — is walked once: a spec takes a free lane slot
+// of its target's tracker when the walker reaches its instant and gives
+// the slot back when it retires or peels, so the next pending spec reuses
 // it. A spec that finds no free slot (or whose campaign already has
 // Config.Lanes lanes in flight) is deferred to a follow-up walk over
 // the leftovers. Stretches nobody rides are skipped through the nearest
@@ -68,13 +68,15 @@ const MaxLanes = 64
 // the one stride.
 const batchRingEvery = 64
 
-// batchPull sizes one pull: a campaign contributes up to
-// Config.Lanes*batchPull specs to the walk it rides. Slots are recycled,
-// so the pull is not bound by the lane count; it is bound by what a pull
-// costs elsewhere: a goroutine holds it until the walk is done (coarser
-// work distribution across the pool). A sequentially stopped campaign,
-// which has issued a pull whole before its stop can be decided, pulls
-// one lane width instead (Work.chunk).
+// batchPull caps one grab: a campaign contributes up to
+// Config.Lanes*batchPull specs to it. Slots are recycled, so the grab is
+// not bound by the lane count, and its specs are one contiguous stretch
+// of the unit's cycle-sorted queue, so a smaller cap costs no re-walk of
+// the timeline, only one more seek (a window and a snapshot stride at
+// most, per grab). The cap bounds how long a goroutine holds a grab (a
+// walk is replayed whole). A sequentially stopped campaign, which has
+// issued a grab whole before its stop can be decided, is pulled one
+// lane width at a time instead (Work.chunk).
 const batchPull = 8
 
 // BatchCapable is implemented by simulators that can ride value lanes
@@ -265,17 +267,18 @@ func (r *BatchReplayer) Replay(next func() (idx int, spec fault.Spec, ok bool), 
 		if len(pull) == 0 {
 			return nil
 		}
+		sortByCycle(pull)
 		if err := r.replayPulled(pull); err != nil {
 			return err
 		}
 	}
 }
 
-// replayPulled replays one pull, each item tagged with the campaign it
-// belongs to: cycle-sorted, walked once, and walked again over whatever
-// a walk had to defer until nothing is left. items is reordered.
+// replayPulled replays one grab, cycle-sorted, each item tagged with the
+// campaign it belongs to: walked once, and walked again over whatever a
+// walk had to defer until nothing is left. items is overwritten within
+// its own length.
 func (r *BatchReplayer) replayPulled(items []pulledSpec) error {
-	sortByCycle(items)
 	for len(items) > 0 {
 		var err error
 		if items, err = r.walk(items); err != nil {

@@ -312,8 +312,10 @@ func TestResumeSkipsOutOfRangeClasses(t *testing.T) {
 // complete, the second cut just after its first chunk, the third never
 // started. The lockstep campaigns — register-file lanes, and RTL latch
 // lanes, whose faults peel on their first tick or ride as data-latch
-// diffs — share a golden run and so one walk: all three are cut after
-// the first pull, 16 replays each.
+// diffs — share a golden run and so one walk and one cycle-sorted
+// queue: all three are cut after the first grab, the 48 earliest of
+// their 60 replays (three chunks of 16), and the 12 still queued are
+// what makes the stop an interrupt.
 func TestInterruptedSweepResumesEveryEngine(t *testing.T) {
 	engines := []struct {
 		name   string

@@ -2,6 +2,7 @@ package campaign_test
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/campaign"
@@ -120,3 +121,71 @@ func TestCursorSchedCheckpointResume(t *testing.T) {
 // wraps: none of the optional capabilities (BatchCapable) an engine may
 // look for.
 type plainSim struct{ campaign.Simulator }
+
+// TestWalkStepsTimelineOnce holds the scheduler to the lockstep rule that
+// every golden cycle is stepped once for all the faulty machines riding
+// it. A windowed campaign of four walk chunks (Lanes × 8 specs each),
+// drawn uniformly over the golden run, is queued in injection-cycle
+// order and cut into contiguous runs, so the golden cycles its walks
+// step — with lanes riding and fast-forward — add up to the golden run
+// plus, per walk, at most one window past its last injection and one
+// snapshot stride of seek. Pulls in plan order walk the whole timeline
+// each, four times and more over. Outcomes stay the scalar engine's.
+func TestWalkStepsTimelineOnce(t *testing.T) {
+	f := factoryFor(t, "qsort", core.ModelMicroarch)
+	cfg := campaign.Config{
+		Injections: 4 * campaign.MaxLanes * 8, Seed: 3, Target: fault.TargetL1D,
+		Obs: campaign.ObsPinout, Window: 500,
+	}
+	g, err := campaign.PrepareGolden(f, campaign.GoldenOptionsFor(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Snapshots lie one stride apart from cycle 0; the last gap is the
+	// shortest, so this bounds the stride from above.
+	stride := g.Cycles / uint64(g.Snapshots()-1)
+
+	scalar := cfg
+	scalar.Lanes, scalar.Workers = 1, 2
+	want := mustRun(t, f, scalar).Outcomes
+
+	for _, workers := range []int{1, 3} {
+		p, err := g.PlanCampaign(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var (
+			mu sync.Mutex
+			st campaign.ReplayStats
+		)
+		w := &campaign.Work{
+			Golden: g, Config: cfg, Factory: f, Size: cfg.Injections,
+			Next: p.NextReplay, Deliver: p.Deliver,
+			Note: func(s campaign.ReplayStats) {
+				mu.Lock()
+				defer mu.Unlock()
+				st.Walks += s.Walks
+				st.FastForward += s.FastForward
+				st.Lockstep += s.Lockstep
+			},
+		}
+		if err := campaign.ReplayPool(workers, nil, w); err != nil {
+			t.Fatal(err)
+		}
+		stepped := st.FastForward + st.Lockstep
+		bound := g.Cycles + uint64(st.Walks)*(uint64(cfg.Window)+stride)
+		t.Logf("%d workers: %d golden cycles stepped over %d walks (golden run %d, bound %d)",
+			workers, stepped, st.Walks, g.Cycles, bound)
+		if stepped > bound {
+			t.Errorf("%d workers: walks stepped %d golden cycles over %d walks, want at most %d (golden run %d)",
+				workers, stepped, st.Walks, bound, g.Cycles)
+		}
+		res, err := p.Result(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Outcomes, want) {
+			t.Errorf("%d workers: outcomes differ from the scalar engine's", workers)
+		}
+	}
+}

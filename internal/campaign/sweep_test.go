@@ -439,22 +439,26 @@ func (e *engineCounter) factory() (campaign.Simulator, error) {
 	}}}, nil
 }
 
-// TestSweepSplitsLastCampaign holds the scheduler's even-split rule:
-// the last campaign a pool holds — the only one, for Run — is split
-// across its goroutines, while campaigns with others queued behind them
-// go out in whole engine chunks, one engine each. Every campaign has a
-// golden run of its own and rides the mock's lanes, so a pull is a walk's
-// chunk (Lanes × 8 = 512), larger than every campaign here: only the
-// rule can split one. Results do not depend on the split.
+// TestSweepSplitsLastCampaign holds the scheduler's guided
+// self-scheduling across units: a grab takes at most its share of what
+// the whole pool has left, in modelled golden cycles, so a campaign is
+// split across the pool's goroutines when it outweighs that share —
+// the only one, for Run; the last of a sweep; a heavy one wherever it
+// stands in line — and goes to one goroutine whole when the campaigns
+// queued behind it can occupy the rest. Every campaign has a golden run
+// of its own and rides the mock's lanes, so one grab could hold a whole
+// campaign (a walk's chunk, Lanes × 8 = 512, is larger than every
+// campaign here): only the cost share can split one. Results do not
+// depend on the split.
 func TestSweepSplitsLastCampaign(t *testing.T) {
 	cfg := errCfg()
 	cfg.Injections = 400
-	sweep := func(workers int, counters ...*engineCounter) *campaign.SweepResult {
+	sweep := func(workers int, cfgs []campaign.Config, counters ...*engineCounter) *campaign.SweepResult {
 		t.Helper()
 		var camps []campaign.SweepCampaign
 		for i, c := range counters {
 			camps = append(camps, campaign.SweepCampaign{
-				Key: fmt.Sprint("c", i), Group: fmt.Sprint("mock", i), Factory: c.factory, Config: cfg,
+				Key: fmt.Sprint("c", i), Group: fmt.Sprint("mock", i), Factory: c.factory, Config: cfgs[i],
 			})
 		}
 		sr := mustSweep(t, camps, campaign.SweepOptions{Workers: workers})
@@ -464,25 +468,29 @@ func TestSweepSplitsLastCampaign(t *testing.T) {
 		return sr
 	}
 
+	one := []campaign.Config{cfg}
 	alone := newEngineCounter(true)
-	split := sweep(2, alone)
+	split := sweep(2, one, alone)
 	if n := alone.used.Load(); n != 2 {
 		t.Errorf("one-campaign sweep on 2 goroutines replayed on %d engine(s), want 2", n)
 	}
-	serial := sweep(1, newEngineCounter(false))
+	serial := sweep(1, one, newEngineCounter(false))
 	if !reflect.DeepEqual(split.Results, serial.Results) {
 		t.Error("split campaign differs from the one-goroutine run")
 	}
 
-	first, second, last := newEngineCounter(false), newEngineCounter(false), newEngineCounter(true)
-	sweep(2, first, second, last)
-	for i, c := range []*engineCounter{first, second} {
-		if n := c.used.Load(); n != 1 {
-			t.Errorf("campaign %d of 3 replayed on %d engines, want 1 (no early split)", i, n)
+	// Run to the end, the first campaign models five times the cycles of
+	// either windowed one behind it: more than half the pool, so it is
+	// split; the second is then half of what is left and goes whole.
+	heavy := cfg
+	heavy.Window = 0
+	three := []campaign.Config{heavy, cfg, cfg}
+	counters := []*engineCounter{newEngineCounter(true), newEngineCounter(false), newEngineCounter(true)}
+	sweep(2, three, counters...)
+	for i, want := range []int32{2, 1, 2} {
+		if n := counters[i].used.Load(); n != want {
+			t.Errorf("campaign %d of 3 replayed on %d engine(s), want %d", i, n, want)
 		}
-	}
-	if n := last.used.Load(); n != 2 {
-		t.Errorf("last campaign of 3 replayed on %d engine(s), want 2", n)
 	}
 }
 

@@ -217,9 +217,10 @@ func (w *Worker) executeShard(ctx context.Context, lease *Lease) ([]WireOutcome,
 		mine, k := slots[mi], 0
 		work[mi] = &campaign.Work{
 			Golden: entry.g, Config: m.Spec.Config, Factory: factory, Deliver: deliver,
-			// A lease is a finite, cycle-contiguous source: Size makes the
-			// pool split it evenly, so each goroutine's engine walks one
-			// contiguous stretch of the golden timeline.
+			// A lease is a finite source: Size lets the pool queue it whole
+			// in injection-cycle order and cut it into contiguous runs, so
+			// each goroutine's engine walks its own stretch of the golden
+			// timeline.
 			Size: len(mine),
 			Next: func() (int, fault.Spec, bool) {
 				if k >= len(mine) {
