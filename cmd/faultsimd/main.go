@@ -68,7 +68,7 @@ func run(args []string) error {
 		leaseTTL    = fs.Duration("lease-ttl", 0, "coordinator: shard lease TTL before a silent worker is presumed dead (default 15s)")
 		shardSize   = fs.Int("shard-size", 0, "coordinator: replay jobs per lease (default 64)")
 		workers     = fs.Int("workers", 0, "worker: parallel replays per shard (default GOMAXPROCS)")
-		poll        = fs.Duration("poll", 0, "worker: idle re-poll interval (default 500ms)")
+		poll        = fs.Duration("poll", 0, "worker: longest the coordinator holds an idle lease request, which it answers as soon as work appears; also the pause after a failed one (default 500ms)")
 		id          = fs.String("id", "", "worker: worker ID in leases and logs (default host-pid)")
 		logLevel    = fs.String("log-level", "info", "log verbosity: debug, info, warn or error (debug traces every HTTP request)")
 		metrics     = fs.String("metrics", "", "worker: serve /metrics and /debug/pprof on this address (coordinator serves them on -listen)")

@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -74,7 +75,9 @@ type CoordinatorOptions struct {
 // into shards, leases the shards of campaigns sharing a golden run to
 // pulling workers as one unit, merges outcome batches in fault-index
 // order through the campaign engine's own collector, and serves
-// progress and final reports.
+// progress and final reports. An idle lease request and a progress
+// request waiting for a campaign's end are held, not answered empty,
+// and woken when their answer may have changed.
 type Coordinator struct {
 	opt  CoordinatorOptions
 	logf func(string, ...any)
@@ -84,6 +87,10 @@ type Coordinator struct {
 	order     []*campState // submission order
 	leases    map[string]*activeLease
 	leaseSeq  int
+	// wake is closed, and replaced, whenever leasable work or a
+	// campaign's end may have appeared; held lease and progress requests
+	// wait on it.
+	wake chan struct{}
 
 	prepCh  chan *campState
 	goldens goldenCache
@@ -179,6 +186,7 @@ func NewCoordinator(opt CoordinatorOptions) *Coordinator {
 		logf:      logf,
 		campaigns: make(map[string]*campState),
 		leases:    make(map[string]*activeLease),
+		wake:      make(chan struct{}),
 		prepCh:    make(chan *campState, submitQueueDepth),
 		goldens:   goldenCache{evictions: obsGoldenEvictions},
 		closed:    make(chan struct{}),
@@ -199,8 +207,9 @@ func NewCoordinator(opt CoordinatorOptions) *Coordinator {
 	return c
 }
 
-// Close stops the preparation loop and flushes every open campaign
-// checkpoint, so a restart resumes from durable state.
+// Close stops the preparation loop, ends every held request and
+// flushes every open campaign checkpoint, so a restart resumes from
+// durable state.
 func (c *Coordinator) Close() error {
 	close(c.closed)
 	c.wg.Wait()
@@ -232,43 +241,78 @@ func specID(spec CampaignSpec) string {
 	return fmt.Sprintf("c%016x", h.Sum64())
 }
 
-// Submit registers a campaign (idempotently: an identical spec returns
-// the existing campaign) and queues its golden/plan preparation.
+// Submit registers one campaign; see SubmitAll.
 func (c *Coordinator) Submit(spec CampaignSpec) (SubmitResponse, error) {
-	if err := spec.normalize(); err != nil {
-		return SubmitResponse{}, err
-	}
-	sim, err := core.ParseSim(spec.Workload, spec.Model, spec.Setup)
+	resps, err := c.SubmitAll([]CampaignSpec{spec})
 	if err != nil {
 		return SubmitResponse{}, err
 	}
-	id := specID(spec)
+	return resps[0], nil
+}
+
+// SubmitAll registers campaigns (idempotently: an identical spec
+// answers with the existing campaign) and queues their golden/plan
+// preparation, every one under one hold of the lock, so a preparation
+// sees all the campaigns of its simulator and starts them together,
+// even when their golden run is cached and takes no time: the unit's
+// first lease carries them all. Only the first new campaign of each
+// simulator is queued: its preparation claims the others. A spec that
+// does not validate, or a submission queue without room for every
+// simulator the batch adds to, rejects the whole batch.
+func (c *Coordinator) SubmitAll(specs []CampaignSpec) ([]SubmitResponse, error) {
+	specs = slices.Clone(specs)
+	sims := make([]core.Sim, len(specs))
+	for i := range specs {
+		var err error
+		if sims[i], err = specs[i].normalize(); err != nil {
+			if len(specs) > 1 {
+				err = fmt.Errorf("campaign %d: %w", i, err)
+			}
+			return nil, err
+		}
+	}
+	resps := make([]SubmitResponse, len(specs))
+	var added, queued []*campState
 	c.mu.Lock()
-	if cs, ok := c.campaigns[id]; ok {
-		resp := SubmitResponse{ID: id, Status: cs.status}
-		c.mu.Unlock()
-		return resp, nil
-	}
-	// Register and enqueue atomically: the non-blocking send decides
-	// admission while the lock is still held, so a full queue never
-	// has to roll back state a concurrent submission may have built on.
-	cs := &campState{id: id, spec: spec, sim: sim, status: StatusPreparing}
-	select {
-	case c.prepCh <- cs:
+	for i, spec := range specs {
+		id := specID(spec)
+		if cs, ok := c.campaigns[id]; ok {
+			resps[i] = SubmitResponse{ID: id, Status: cs.status}
+			continue
+		}
+		cs := &campState{id: id, spec: spec, sim: sims[i], status: StatusPreparing}
+		if !slices.ContainsFunc(added, func(a *campState) bool { return a.sim == cs.sim }) {
+			queued = append(queued, cs)
+		}
 		c.campaigns[id] = cs
-		c.order = append(c.order, cs)
-		c.mu.Unlock()
-	default:
-		c.mu.Unlock()
-		return SubmitResponse{}, ErrBusy
+		added = append(added, cs)
+		resps[i] = SubmitResponse{ID: id, Status: StatusPreparing}
 	}
-	c.logf("distrib: campaign %s submitted (%s/%s, n=%d)", id, spec.Workload, spec.Model, spec.Config.Injections)
-	obsCampaignsSubmitted.Inc()
-	c.journal(obs.Event{
-		Event: obs.EvSubmitted, Campaign: id,
-		Workload: spec.Workload, Model: spec.Model, N: spec.Config.Injections,
-	})
-	return SubmitResponse{ID: id, Status: StatusPreparing}, nil
+	// Only this lock's holders send on prepCh, so the room counted here
+	// is there for every send below, and a batch without room is taken
+	// back before anyone else has seen it.
+	if len(queued) > cap(c.prepCh)-len(c.prepCh) {
+		for _, cs := range added {
+			delete(c.campaigns, cs.id)
+		}
+		c.mu.Unlock()
+		return nil, ErrBusy
+	}
+	c.order = append(c.order, added...)
+	for _, cs := range queued {
+		c.prepCh <- cs
+	}
+	c.mu.Unlock()
+	for _, cs := range added {
+		spec := cs.spec
+		c.logf("distrib: campaign %s submitted (%s/%s, n=%d)", cs.id, spec.Workload, spec.Model, spec.Config.Injections)
+		obsCampaignsSubmitted.Inc()
+		c.journal(obs.Event{
+			Event: obs.EvSubmitted, Campaign: cs.id,
+			Workload: spec.Workload, Model: spec.Model, N: spec.Config.Injections,
+		})
+	}
+	return resps, nil
 }
 
 // prepLoop drains the submission queue; several instances run
@@ -359,6 +403,46 @@ func (c *Coordinator) prepare(cs *campState) {
 	for _, r := range ready {
 		c.maybeFinishLocked(r.cs) // a fully checkpointed campaign needs no worker
 	}
+	c.wakeLocked()
+}
+
+// wakeLocked wakes every held lease and progress request: leasable work
+// or a campaign's end may have appeared.
+func (c *Coordinator) wakeLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
+}
+
+// awaitLocked releases c.mu until the next wake, the earliest active
+// lease deadline (so a held request re-issues an expired lease's shards
+// at once), until, Close or ctx, whichever comes first, and retakes it.
+// It reports false, without waiting, once until has passed, Close has
+// begun or ctx is done: the held request answers with what it has.
+func (c *Coordinator) awaitLocked(ctx context.Context, until time.Time) bool {
+	d := time.Until(until)
+	select {
+	case <-c.closed:
+		return false
+	default:
+	}
+	if d <= 0 || ctx.Err() != nil {
+		return false
+	}
+	for _, l := range c.leases {
+		d = min(d, time.Until(l.deadline))
+	}
+	wake := c.wake
+	c.mu.Unlock()
+	defer c.mu.Lock()
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-wake:
+	case <-t.C:
+	case <-c.closed:
+	case <-ctx.Done():
+	}
+	return true
 }
 
 // Lease hands the next available unit to a pulling worker, or reports
@@ -368,14 +452,32 @@ func (c *Coordinator) prepare(cs *campState) {
 // any is leasable, and among those, or else among all, the one with the
 // most modelled replay cycles left, so the longest unit does not start
 // last. Expired leases are reclaimed first, so a dead worker's shards
-// go to the next pullers.
+// go to the next pullers. A request with WaitMillis set and nothing to
+// lease is held until a unit is leasable (see awaitLocked), for at
+// most min(WaitMillis, LeaseTTL); WaitMillis 0 answers at once.
 func (c *Coordinator) Lease(req LeaseRequest) (*Lease, error) {
+	return c.lease(context.Background(), req)
+}
+
+// lease is Lease, its hold also ended by ctx.
+func (c *Coordinator) lease(ctx context.Context, req LeaseRequest) (*Lease, error) {
 	if req.API != 0 && req.API != APIVersion {
 		return nil, fmt.Errorf("distrib: worker API v%d, coordinator v%d", req.API, APIVersion)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.expireLocked(time.Now())
+	until := time.Now().Add(min(time.Duration(req.WaitMillis)*time.Millisecond, c.opt.LeaseTTL))
+	for {
+		c.expireLocked(time.Now())
+		if l := c.leaseLocked(req); l != nil || !c.awaitLocked(ctx, until) {
+			return l, nil
+		}
+	}
+}
+
+// leaseLocked leases the next unit to req's worker, or returns nil when
+// no campaign has work to lease.
+func (c *Coordinator) leaseLocked(req LeaseRequest) *Lease {
 	// Each pass leases, or drains (and may finish) every member it
 	// picked, so the loop ends.
 	for members := c.pickUnitLocked(req.Golden); members != nil; members = c.pickUnitLocked(req.Golden) {
@@ -414,9 +516,9 @@ func (c *Coordinator) Lease(req LeaseRequest) (*Lease, error) {
 			})
 		}
 		obsLeasesIssued.Inc()
-		return out, nil
+		return out
 	}
-	return nil, nil
+	return nil
 }
 
 // pickUnitLocked returns the campaigns with work to lease, in
@@ -580,6 +682,7 @@ func (c *Coordinator) requeueLocked(cs *campState, se shardEntry, reason string)
 	}
 	obsShardRetries.Inc()
 	cs.queue = append(cs.queue, se)
+	c.wakeLocked()
 }
 
 // failLocked terminates a campaign with an error.
@@ -593,6 +696,7 @@ func (c *Coordinator) failLocked(cs *campState, msg string) {
 		}
 	}
 	c.releaseLocked(cs)
+	c.wakeLocked()
 	obsCampaignsFailed.Inc()
 	c.logf("distrib: campaign %s failed: %s", cs.id, msg)
 }
@@ -637,6 +741,7 @@ func (c *Coordinator) maybeFinishLocked(cs *campState) {
 	cs.result = res
 	cs.status = StatusDone
 	c.releaseLocked(cs)
+	c.wakeLocked()
 	obsCampaignsDone.Inc()
 	c.journal(obs.Event{
 		Event: obs.EvResultMerged, Campaign: cs.id,
@@ -669,14 +774,25 @@ func (c *Coordinator) expireLocked(now time.Time) {
 // campaign or how many clients watch it. (Completion is always
 // triggered by the merge/lease/prepare paths themselves.)
 func (c *Coordinator) Progress(id string) (Progress, error) {
+	return c.progress(context.Background(), id, 0)
+}
+
+// progress is Progress held until the campaign is done or failed, for
+// at most min(wait, LeaseTTL), or until ctx ends (see awaitLocked).
+func (c *Coordinator) progress(ctx context.Context, id string, wait time.Duration) (Progress, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.expireLocked(time.Now())
-	cs, ok := c.campaigns[id]
-	if !ok {
-		return Progress{}, ErrNotFound
+	until := time.Now().Add(min(wait, c.opt.LeaseTTL))
+	for {
+		c.expireLocked(time.Now())
+		cs, ok := c.campaigns[id]
+		if !ok {
+			return Progress{}, ErrNotFound
+		}
+		if cs.status == StatusDone || cs.status == StatusFailed || !c.awaitLocked(ctx, until) {
+			return c.progressLocked(cs), nil
+		}
 	}
-	return c.progressLocked(cs), nil
 }
 
 func (c *Coordinator) progressLocked(cs *campState) Progress {

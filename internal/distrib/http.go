@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"repro/internal/obs"
@@ -18,10 +19,12 @@ const maxBodyBytes = 32 << 20
 // Handler returns the coordinator's HTTP API:
 //
 //	POST /api/v1/campaigns             submit a CampaignSpec
+//	POST /api/v1/campaigns/batch       submit a list of them at once
 //	GET  /api/v1/campaigns             list campaign progress
-//	GET  /api/v1/campaigns/{id}        one campaign's progress
+//	GET  /api/v1/campaigns/{id}        one campaign's progress; with
+//	                                   ?waitMillis=N held until it ends
 //	GET  /api/v1/campaigns/{id}/report finished campaign.Result JSON
-//	POST /api/v1/lease                 pull a shard (204 when none)
+//	POST /api/v1/lease                 pull a unit (204 when none)
 //	POST /api/v1/heartbeat             extend a lease
 //	POST /api/v1/outcomes              return a shard's outcomes
 //	GET  /api/v1/healthz               liveness
@@ -36,21 +39,30 @@ func (c *Coordinator) Handler() http.Handler {
 			return
 		}
 		resp, err := c.Submit(spec)
-		if err != nil {
-			code := http.StatusBadRequest
-			if errors.Is(err, ErrBusy) {
-				code = http.StatusServiceUnavailable
-			}
-			writeError(w, code, err)
+		writeSubmitted(w, resp, err)
+	})
+	mux.HandleFunc("POST /api/v1/campaigns/batch", func(w http.ResponseWriter, r *http.Request) {
+		var specs []CampaignSpec
+		if err := readJSON(r, &specs); err != nil {
+			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		resps, err := c.SubmitAll(specs)
+		writeSubmitted(w, resps, err)
 	})
 	mux.HandleFunc("GET /api/v1/campaigns", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, c.List())
 	})
 	mux.HandleFunc("GET /api/v1/campaigns/{id}", func(w http.ResponseWriter, r *http.Request) {
-		p, err := c.Progress(r.PathValue("id"))
+		var wait int64
+		if v := r.URL.Query().Get("waitMillis"); v != "" {
+			var err error
+			if wait, err = strconv.ParseInt(v, 10, 64); err != nil {
+				writeError(w, http.StatusBadRequest, fmt.Errorf("distrib: waitMillis: %w", err))
+				return
+			}
+		}
+		p, err := c.progress(r.Context(), r.PathValue("id"), time.Duration(wait)*time.Millisecond)
 		if err != nil {
 			writeError(w, http.StatusNotFound, err)
 			return
@@ -76,7 +88,7 @@ func (c *Coordinator) Handler() http.Handler {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		l, err := c.Lease(req)
+		l, err := c.lease(r.Context(), req)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
@@ -162,6 +174,19 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	// serves no reader. Encoding failures here are client-disconnects;
 	// nothing to do.
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// writeSubmitted answers a submission: a rejected spec is a 400, a full
+// submission queue a 503.
+func writeSubmitted(w http.ResponseWriter, resp any, err error) {
+	switch {
+	case errors.Is(err, ErrBusy):
+		writeError(w, http.StatusServiceUnavailable, err)
+	case err != nil:
+		writeError(w, http.StatusBadRequest, err)
+	default:
+		writeJSON(w, http.StatusOK, resp)
+	}
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {

@@ -122,9 +122,11 @@ func TestWorkerSurvivesDegenerateLeases(t *testing.T) {
 // TestWorkerRefusesOlderAPILease: a version-1 coordinator expects its
 // workers to apply protection, which this build's engine no longer
 // does, a version-2 one leases a single campaign per lease, without
-// members, and a version-3 one keys its units by artifact options and
-// keeps setups as spelled. Each such lease must be refused before
-// anything replays, and no outcome may reach its coordinator.
+// members, a version-3 one keys its units by artifact options and
+// keeps setups as spelled, and a version-4 one answers idle pulls at
+// once and knows no request field asking it to hold them. Each such
+// lease must be refused before anything replays, and no outcome may
+// reach its coordinator.
 func TestWorkerRefusesOlderAPILease(t *testing.T) {
 	for api := 1; api < distrib.APIVersion; api++ {
 		t.Run(fmt.Sprintf("v%d", api), func(t *testing.T) { refuseLease(t, api) })
@@ -135,16 +137,22 @@ func refuseLease(t *testing.T, api int) {
 	var posted sync.Once
 	outcomes := make(chan struct{})
 	mux := http.NewServeMux()
+	spec := distrib.CampaignSpec{Workload: "qsort", Model: "microarch", Config: campaign.Config{
+		Injections: 1, Target: fault.TargetRF, Window: 200,
+	}}
+	lease := map[string]any{
+		"api": api, "id": "old",
+		"jobs":      []distrib.Job{{Index: 0, Spec: fault.Spec{Target: fault.TargetRF, Cycle: 100, Model: fault.ModelTransient, Width: 1}}},
+		"ttlMillis": 60_000,
+	}
+	if api < 3 {
+		// The campaign at the top level, no members.
+		lease["campaignId"], lease["spec"] = "c", spec
+	} else {
+		lease["members"] = []distrib.LeaseMember{{CampaignID: "c", Spec: spec}}
+	}
 	mux.HandleFunc("POST /api/v1/lease", func(rw http.ResponseWriter, _ *http.Request) {
-		// The older wire forms: the campaign at the top level, no members.
-		_ = json.NewEncoder(rw).Encode(map[string]any{
-			"api": api, "id": "old", "campaignId": "c",
-			"spec": distrib.CampaignSpec{Workload: "qsort", Model: "microarch", Config: campaign.Config{
-				Injections: 1, Target: fault.TargetRF, Window: 200,
-			}},
-			"jobs":      []distrib.Job{{Index: 0, Spec: fault.Spec{Target: fault.TargetRF, Cycle: 100, Model: fault.ModelTransient, Width: 1}}},
-			"ttlMillis": 60_000,
-		})
+		_ = json.NewEncoder(rw).Encode(lease)
 	})
 	mux.HandleFunc("POST /api/v1/outcomes", func(http.ResponseWriter, *http.Request) {
 		posted.Do(func() { close(outcomes) })

@@ -32,8 +32,11 @@ import (
 // version-2 lease carried one campaign. Version 4 keys a unit by
 // simulator alone, so one lease may mix members whose golden-artifact
 // needs differ, which a version-3 worker refuses; it also normalises
-// the setup and model names, which changes some campaign IDs.
-const APIVersion = 4
+// the setup and model names, which changes some campaign IDs. Version 5
+// holds idle lease requests: a worker sends LeaseRequest.WaitMillis, a
+// field a version-4 coordinator's strict decoding rejects, so the two
+// are kept apart by the version check's message, not a decode error.
+const APIVersion = 5
 
 // CampaignSpec identifies one campaign on the wire: the workload and
 // model name resolve to a simulator factory on whichever machine reads
@@ -56,20 +59,21 @@ type CampaignSpec struct {
 // "microarch") is one campaign ID and one golden run. Workers is
 // zeroed: pool sizes are a per-process concern and must not split
 // otherwise-identical campaigns into distinct IDs. So are the
-// deprecated Sched and SnapPolicy, which select nothing.
-func (s *CampaignSpec) normalize() error {
+// deprecated Sched and SnapPolicy, which select nothing. It returns the
+// simulator the spec names.
+func (s *CampaignSpec) normalize() (core.Sim, error) {
 	sim, err := core.ParseSim(s.Workload, s.Model, s.Setup)
 	if err != nil {
-		return err
+		return core.Sim{}, err
 	}
 	s.Model, s.Setup = sim.Model.String(), sim.Setup.Name
 	if err := s.Config.Validate(); err != nil {
-		return err
+		return core.Sim{}, err
 	}
 	s.Config.Workers = 0
 	s.Config.Sched = 0
 	s.Config.SnapPolicy = 0
-	return nil
+	return sim, nil
 }
 
 // Job is one planned injection of a lease: the member campaign it
@@ -86,11 +90,14 @@ type Job struct {
 // runs the worker holds ready, each by its behavioural fingerprint,
 // which every golden run of one simulator shares; the coordinator
 // prefers a unit of one of them. It is only a hint: a fingerprint that
-// names no unit matches nothing.
+// names no unit matches nothing. WaitMillis asks the coordinator to
+// hold a request it has no unit for until one is leasable, for at most
+// that long (and never longer than its lease TTL); 0 answers at once.
 type LeaseRequest struct {
-	API    int      `json:"api"`
-	Worker string   `json:"worker"`
-	Golden []uint64 `json:"golden,omitempty"`
+	API        int      `json:"api"`
+	Worker     string   `json:"worker"`
+	Golden     []uint64 `json:"golden,omitempty"`
+	WaitMillis int64    `json:"waitMillis,omitempty"`
 }
 
 // Lease is one golden unit handed to one worker: a shard of every

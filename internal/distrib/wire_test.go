@@ -17,7 +17,7 @@ func TestSpecIDIgnoresDeprecatedFields(t *testing.T) {
 	}}
 	id := func(spec CampaignSpec) string {
 		t.Helper()
-		if err := spec.normalize(); err != nil {
+		if _, err := spec.normalize(); err != nil {
 			t.Fatal(err)
 		}
 		return specID(spec)

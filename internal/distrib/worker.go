@@ -28,8 +28,10 @@ type WorkerOptions struct {
 	// GOMAXPROCS).
 	Workers int
 
-	// Poll is the idle re-poll interval when the coordinator has no
-	// work (0 selects 500ms).
+	// Poll bounds how long an idle lease request is held at the
+	// coordinator, which answers it as soon as a unit is leasable (0
+	// selects 500ms); after an error the worker sleeps it before asking
+	// again.
 	Poll time.Duration
 
 	// HTTP overrides the transport (tests); nil uses a default client.
@@ -90,26 +92,32 @@ func NewWorker(opt WorkerOptions) *Worker {
 	return &Worker{opt: opt, api: api, logf: logf}
 }
 
-// Run pulls and executes leases until ctx is cancelled. Transient
-// coordinator errors (connection refused during startup, restarts) are
-// retried at the poll interval rather than surfaced: a fleet must
+// Run pulls and executes leases until ctx is cancelled. An idle pull
+// is held at the coordinator for up to Poll, so after an empty one the
+// worker asks again at once; it sleeps out the rest of Poll only when
+// the answer came sooner, as from a coordinator whose LeaseTTL is
+// shorter, so a peer that answers at once is not asked in a spin.
+// Transient coordinator errors (connection refused during startup,
+// restarts) are retried after Poll rather than surfaced: a fleet must
 // outlive its coordinator's hiccups.
 func (w *Worker) Run(ctx context.Context) error {
 	for {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
+		start := time.Now()
 		worked, err := w.once(ctx)
-		if err != nil && ctx.Err() == nil {
-			w.logf("distrib worker %s: %v", w.opt.ID, err)
-		}
-		if worked && err == nil {
+		switch {
+		case err != nil:
+			if ctx.Err() == nil {
+				w.logf("distrib worker %s: %v", w.opt.ID, err)
+			}
+			start = time.Now()
+		case worked:
 			continue // drain available work without idling
 		}
-		select {
-		case <-ctx.Done():
+		if sleepCtx(ctx, w.opt.Poll-time.Since(start)) != nil {
 			return ctx.Err()
-		case <-time.After(w.opt.Poll):
 		}
 	}
 }
@@ -301,7 +309,7 @@ func (e *goldenEntry) factory() campaign.Factory {
 // ---------------------------------------------------------- transport
 
 func (w *Worker) pullLease(ctx context.Context) (*Lease, error) {
-	req := LeaseRequest{API: APIVersion, Worker: w.opt.ID, Golden: w.goldens.held()}
+	req := LeaseRequest{API: APIVersion, Worker: w.opt.ID, Golden: w.goldens.held(), WaitMillis: w.opt.Poll.Milliseconds()}
 	var lease Lease
 	code, err := w.api.call(ctx, http.MethodPost, "/api/v1/lease", req, &lease)
 	if err != nil || code == http.StatusNoContent {
