@@ -126,7 +126,8 @@ func (o GoldenOptions) Merge(b GoldenOptions) GoldenOptions {
 // replays through one global replay pool. Each campaign's result is
 // bit-identical to sweeping it alone (Run) with the same seed: the fault
 // plan depends only on seed + golden cycle count, which sharing
-// preserves.
+// preserves. Campaigns that differ only in Key, Workers and Lanes run
+// once, and each key gets a copy of the result.
 func Sweep(campaigns []SweepCampaign, opt SweepOptions) (*SweepResult, error) {
 	if len(campaigns) == 0 {
 		return nil, fmt.Errorf("campaign: empty sweep")
@@ -154,11 +155,28 @@ func Sweep(campaigns []SweepCampaign, opt SweepOptions) (*SweepResult, error) {
 
 	start := time.Now()
 
+	// A campaign equal to an earlier one in group and in every config
+	// field but the execution-only Workers and Lanes replays once: its
+	// key aliases the earlier one's, whose checkpoint shard serves both.
+	type distinct struct {
+		group string
+		cfg   Config
+	}
+	runs := make(map[distinct]string, len(campaigns))
+	alias := make(map[string]string)
+
 	// ------------------------------------------- golden phase (1/group)
 	groups := make(map[string]*sweepGroup)
 	var order []*sweepGroup
 	for i := range campaigns {
 		c := &campaigns[i]
+		d := distinct{c.Group, c.Config}
+		d.cfg.Workers, d.cfg.Lanes = 0, 0
+		if key, ok := runs[d]; ok {
+			alias[c.Key] = key
+			continue
+		}
+		runs[d] = c.Key
 		need := GoldenOptionsFor(c.Config)
 		gr, ok := groups[c.Group]
 		if !ok {
@@ -244,6 +262,10 @@ func Sweep(campaigns []SweepCampaign, opt SweepOptions) (*SweepResult, error) {
 		}
 		sr.Results[key] = res
 		sr.Resumed += p.Resumed()
+	}
+	for key, of := range alias {
+		res := *sr.Results[of]
+		sr.Results[key] = &res
 	}
 	return sr, nil
 }

@@ -3,6 +3,7 @@ package campaign_test
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -310,6 +311,37 @@ func TestSweepMatchesStandaloneRuns(t *testing.T) {
 		if g.Cycles == 0 || g.Elapsed <= 0 {
 			t.Errorf("golden info %q incomplete: %+v", g.Group, g)
 		}
+	}
+}
+
+// TestSweepRunsEachDistinctCampaignOnce adds to the fixture a twin of
+// one campaign that differs only in Workers and Lanes, and a campaign
+// of another group with the same config. The twin must replay once,
+// behind the first key's checkpoint shard, and read that key's result
+// in a copy of its own; the other group's campaign must still run.
+func TestSweepRunsEachDistinctCampaignOnce(t *testing.T) {
+	campaigns := sweepFixture(t)
+	twin := campaigns[0]
+	twin.Key = "rf/qsort-twin"
+	twin.Config.Workers, twin.Config.Lanes = 1, 1
+	elsewhere := campaigns[2]
+	elsewhere.Key, elsewhere.Config = "rf/sha-as-qsort", campaigns[0].Config
+	campaigns = append(campaigns, twin, elsewhere)
+	dir := t.TempDir()
+	sr := mustSweep(t, campaigns, campaign.SweepOptions{Workers: 2, CheckpointDir: dir})
+	a, b := sr.Results[campaigns[0].Key], sr.Results[twin.Key]
+	if a == b || !reflect.DeepEqual(a, b) {
+		t.Fatalf("twin result: want an equal copy, got %p %+v and %p %+v", a, a, b, b)
+	}
+	shards, err := filepath.Glob(filepath.Join(dir, "shard-*.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shards) != len(campaigns)-1 {
+		t.Errorf("%d checkpoint shards for %d distinct campaigns", len(shards), len(campaigns)-1)
+	}
+	if got, want := sr.Results[elsewhere.Key].GoldenCycles, sr.Results["rf/sha"].GoldenCycles; got != want {
+		t.Errorf("campaign of group ma/sha ran against %d golden cycles, want %d", got, want)
 	}
 }
 

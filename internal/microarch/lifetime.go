@@ -35,7 +35,13 @@ func (c *CPU) SetLifetime(rec *lifetime.Recorder) {
 // what the value is for.
 func (c *CPU) readPRF(p int16) uint32 {
 	if c.ltRF != nil {
-		c.ltRF.Read(c.Cycles, int(p), 0, 32)
+		c.traceRead(p)
 	}
 	return c.prf[p]
 }
+
+// traceRead reports the golden run's read of physical register p. It
+// stays out of line so readPRF inlines at its call sites.
+//
+//go:noinline
+func (c *CPU) traceRead(p int16) { c.ltRF.Read(c.Cycles, int(p), 0, 32) }
