@@ -212,11 +212,6 @@ func (m *Mem) XorQueued(i int, x uint64) { m.queue[i].v ^= x & m.mask() }
 // Snapshot returns a copy of the array contents.
 func (m *Mem) Snapshot() []uint64 { return append([]uint64(nil), m.data...) }
 
-// Restore overwrites the array contents from a snapshot.
-func (m *Mem) Restore(data []uint64) {
-	copy(m.data, data)
-}
-
 // Simulator owns a design's state elements and runs the clock.
 type Simulator struct {
 	regs []*Reg
@@ -225,6 +220,12 @@ type Simulator struct {
 	// pending heads the list, linked through Mem.next, of the memories
 	// whose queues are non-empty: the ones the next Tick has to apply.
 	pending *Mem
+
+	// prev holds the arrays of the latest fresh CaptureState, indexed
+	// like mems: the next fresh capture shares each one whose contents
+	// still match. Kept here rather than on Mem, whose struct every read
+	// and write port touches.
+	prev [][]uint64
 
 	// CycleCount is the number of completed Tick calls.
 	CycleCount uint64
@@ -252,6 +253,7 @@ func (s *Simulator) Mem(name string, words, width int) *Mem {
 		sim:   s,
 	}
 	s.mems = append(s.mems, m)
+	s.prev = append(s.prev, nil)
 	return m
 }
 

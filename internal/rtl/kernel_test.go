@@ -101,20 +101,110 @@ func TestSnapshotRestore(t *testing.T) {
 	m := sim.Mem("m", 8, 32)
 	m.Write(2, 7)
 	sim.Tick()
-	snap := m.Snapshot()
+	snap := sim.CaptureState(nil)
 	m.Write(2, 9)
 	sim.Tick()
 	if m.Read(2) != 9 {
 		t.Fatal("write lost")
 	}
-	m.Restore(snap)
+	sim.RestoreState(snap)
 	if m.Read(2) != 7 {
 		t.Errorf("restore: %d", m.Read(2))
 	}
-	// The snapshot is a copy, not a view.
-	snap[2] = 1
+	// The capture is a copy, not a view: flipping the live array after
+	// it was taken, or after it was restored, leaves it as it was.
+	m.Xor(2, 1)
+	sim.RestoreState(snap)
 	if m.Read(2) != 7 {
-		t.Error("snapshot aliases live data")
+		t.Error("capture aliases live data")
+	}
+}
+
+// TestCaptureRestoresRegisters: a capture packs the registers' D-valid
+// flags in masks of 64, so a design of more than 64 registers, some with
+// a D input pending, must restore to the digest it was captured at.
+func TestCaptureRestoresRegisters(t *testing.T) {
+	sim := NewSimulator()
+	var regs []*Reg
+	for i := 0; i < 70; i++ {
+		regs = append(regs, sim.Reg(fmt.Sprintf("r%d", i), 64, uint64(i)))
+	}
+	for i := 0; i < len(regs); i += 3 {
+		regs[i].SetD(uint64(100 + i))
+	}
+	snap := sim.CaptureState(nil)
+	want := stateDigest(sim)
+	sim.Tick()
+	for i := 1; i < len(regs); i += 3 {
+		regs[i].SetD(uint64(200 + i))
+	}
+	sim.RestoreState(snap)
+	if got := stateDigest(sim); got != want {
+		t.Errorf("restore reached digest %#x, captured at %#x", got, want)
+	}
+}
+
+// TestCaptureSharesOnlyImmutableArrays: a fresh capture shares every
+// array the previous fresh capture holds with equal contents and copies
+// the rest, and a recycled capture replaces the arrays it shares by its
+// own before writing. Captures A and B are taken with no edge between
+// them, C after an edge that wrote one memory, D after B was recycled;
+// recycling B once more must leave A, C and D restoring to the digests
+// they were taken with.
+func TestCaptureSharesOnlyImmutableArrays(t *testing.T) {
+	sim := NewSimulator()
+	mems := []*Mem{sim.Mem("a", 4, 32), sim.Mem("b", 4, 32), sim.Mem("c", 4, 32)}
+	for i, m := range mems {
+		m.Init(i, uint64(10+i))
+	}
+	shares := func(x, y *State, i int) bool { return &x.mems[i].data[0] == &y.mems[i].data[0] }
+	digests := map[*State]uint64{}
+	capture := func(st *State) *State {
+		st = sim.CaptureState(st)
+		digests[st] = stateDigest(sim)
+		return st
+	}
+
+	a := capture(nil)
+	b := capture(nil)
+	for i := range mems {
+		if !shares(a, b, i) {
+			t.Errorf("B copied array %d, unchanged since A", i)
+		}
+	}
+	mems[0].Write(1, 77)
+	sim.Tick()
+	c := capture(nil)
+	if shares(a, c, 0) || !shares(a, c, 1) || !shares(a, c, 2) {
+		t.Errorf("C shares arrays %v with A, want only the two the edge left alone",
+			[]bool{shares(a, c, 0), shares(a, c, 1), shares(a, c, 2)})
+	}
+
+	for i, m := range mems {
+		m.Write(2, uint64(90+i))
+	}
+	sim.Tick()
+	b = capture(b)
+	d := capture(nil)
+	for i := range mems {
+		if shares(b, a, i) || shares(b, c, i) || shares(b, d, i) {
+			t.Errorf("recycled B still shares array %d", i)
+		}
+	}
+	for i, m := range mems {
+		m.Write(3, uint64(50+i))
+	}
+	sim.Tick()
+	capture(b)
+
+	for _, st := range []struct {
+		name string
+		st   *State
+	}{{"A", a}, {"C", c}, {"D", d}} {
+		sim.RestoreState(st.st)
+		if got := stateDigest(sim); got != digests[st.st] {
+			t.Errorf("capture %s restores to %#x, taken at %#x", st.name, got, digests[st.st])
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package rtlcore
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/asm"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/isa"
 	"repro/internal/refsim"
+	"repro/internal/statehash"
 	"repro/internal/trace"
 )
 
@@ -174,6 +177,96 @@ func TestSnapshotReplayWithInjectionIsolated(t *testing.T) {
 	}
 	if string(c.Output) != string(w.Expected()) {
 		t.Error("clean replay output corrupted by earlier faulty replay")
+	}
+}
+
+// TestIdleSnapshotSharesArrays: a golden snapshot copies only the
+// arrays that changed since the previous one. Two snapshots with no step
+// between them differ in nothing, so the second copies none of the
+// design's array words and must cost under a quarter of the first's
+// bytes: what is left is the registers and the backing memory's page
+// table.
+func TestIdleSnapshotSharesArrays(t *testing.T) {
+	c := campaignCore(t, benchProgram(t, "qsort"))
+	for i := 0; i < 5_000; i++ {
+		c.Step()
+	}
+	bytesOf := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c.Snapshot()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	first, second := bytesOf(), bytesOf()
+	t.Logf("first snapshot %d B, idle second %d B", first, second)
+	if 4*second >= first {
+		t.Errorf("an idle snapshot allocated %d B, the one before it %d B: want under a quarter", second, first)
+	}
+}
+
+// TestConcurrentRestoreFromSharedSnapshot is the replay pool's access
+// pattern on the RTL model: several workers restore from one chain of
+// golden snapshots, which share the arrays no step changed between
+// them, and run on, taking ring captures over storage they recycle.
+// Restores must only read the golden arrays — CI runs this package
+// under the race detector — every worker must land on the digests a
+// lone replay reaches, and every golden snapshot must still restore to
+// the digest it was taken at.
+func TestConcurrentRestoreFromSharedSnapshot(t *testing.T) {
+	p := benchProgram(t, "qsort")
+	golden := campaignCore(t, p)
+	var snaps []*Snapshot
+	var taken []uint64
+	for len(snaps) < 4 {
+		for i := 0; i < 500; i++ {
+			golden.Step()
+		}
+		snaps = append(snaps, golden.Snapshot())
+		taken = append(taken, golden.StateHash())
+	}
+	replay := func(c *Core, ring *Snapshot) (uint64, *Snapshot) {
+		h := statehash.New()
+		for _, snap := range snaps {
+			c.Restore(snap)
+			for i := 0; i < 300; i++ {
+				c.Step()
+				if i%100 == 0 {
+					ring = c.SnapshotInto(ring)
+				}
+			}
+			c.Restore(ring)
+			h.U64(c.StateHash())
+		}
+		return h.Sum(), ring
+	}
+	want, _ := replay(campaignCore(t, p), nil)
+
+	const workers, rounds = 4, 2
+	got := make([]uint64, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		c := campaignCore(t, p)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var ring *Snapshot
+			for r := 0; r < rounds; r++ {
+				got[w], ring = replay(c, ring)
+			}
+		}()
+	}
+	wg.Wait()
+	for w, h := range got {
+		if h != want {
+			t.Errorf("worker %d reached digest %#x, a lone replay %#x", w, h, want)
+		}
+	}
+	for i, snap := range snaps {
+		golden.Restore(snap)
+		if golden.StateHash() != taken[i] {
+			t.Errorf("golden snapshot %d changed under its restores", i)
+		}
 	}
 }
 

@@ -140,7 +140,10 @@ func (c *Core) SetL1DAccessHook(fn func(set, way int)) {
 
 // Snapshot captures the complete simulation state: kernel state (all
 // registers and arrays), a copy-on-write snapshot of backing memory, and
-// the testbench bookkeeping.
+// the testbench bookkeeping. A snapshot from Snapshot shares with the
+// core's previous one every array the steps between them left unchanged
+// (rtl.State); a shared array is never written, so any number of
+// goroutines may restore the snapshot at once.
 type Snapshot struct {
 	kernel    *rtl.State
 	backing   *mem.Memory
@@ -153,13 +156,17 @@ type Snapshot struct {
 	l1dStats  [3]uint64
 }
 
-// Snapshot captures the current state; call it between Step calls.
+// Snapshot captures the current state; call it between Step calls. It
+// copies only the kernel arrays that changed since the previous
+// Snapshot and shares the rest with it.
 func (c *Core) Snapshot() *Snapshot { return c.SnapshotInto(nil) }
 
 // SnapshotInto captures like Snapshot but overwrites s, a snapshot of
 // this design the caller no longer needs, reusing its storage — the
 // lane engine's ring capture, of which only the latest is ever restored.
-// A nil s allocates a fresh snapshot.
+// The first overwrite of a snapshot taken by Snapshot copies every array
+// it shares into storage of its own; later ones copy in place. A nil s
+// allocates a fresh snapshot.
 func (c *Core) SnapshotInto(s *Snapshot) *Snapshot {
 	if s == nil {
 		s = &Snapshot{backing: c.backing.Snapshot()}
